@@ -111,7 +111,7 @@ func main() {
 		c         = flag.Float64("c", kdash.DefaultRestart, "restart probability (build mode)")
 		shards    = flag.Int("shards", 1, "partition the index into N shards built in parallel (build mode)")
 		workers   = flag.Int("workers", 0, "worker-pool width for the build (0 = all CPUs)")
-		cacheSize = flag.Int("cache", 0, "LRU proximity-vector cache entries (0 = disabled; each entry holds one full vector)")
+		cacheSize = flag.Int("cache", 0, "LRU /topk answer cache entries (0 = disabled; each entry holds one query node's exact top-64 list, ~1 KB)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
 		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of parsing it into private memory")
 

@@ -274,6 +274,13 @@ type SearchOptions struct {
 	// instance; engines only append. Nil disables all recording and
 	// all timing syscalls.
 	Trace *obs.QueryTrace
+	// SolvedShards, when non-nil, receives (appended, ascending) the ids
+	// of the shards a sharded engine's push solved — everything the
+	// answer depends on, which is what lets the server's cache keep an
+	// entry across an update that dirtied other shards. Caller-owned
+	// like Trace; the monolithic index has no shards and leaves it
+	// alone.
+	SolvedShards *[]int
 }
 
 // TopK returns the K nodes with the highest RWR proximity w.r.t. query
@@ -1230,19 +1237,6 @@ func (ix *Index) ProximityVector(q int) ([]float64, error) {
 	}
 	ix.putSparseSolver(s)
 	return out, nil
-}
-
-// ProximityVectorCtx is ProximityVector with best-effort cancellation:
-// the monolithic vector is one indivisible factor solve, so the context
-// is checked once before it starts (a blown budget skips the solve; an
-// in-flight solve runs to completion). A nil ctx never cancels.
-func (ix *Index) ProximityVectorCtx(ctx context.Context, q int) ([]float64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: query cancelled: %w", err)
-		}
-	}
-	return ix.ProximityVector(q)
 }
 
 // Proximity computes the single exact proximity of node u w.r.t. query q

@@ -54,8 +54,8 @@ type QueryTrace struct {
 	// Converged reports whether the push drove the (weighted) residual
 	// under tolerance rather than hitting the solve cap.
 	Converged bool
-	// CacheHit marks answers served by re-ranking a cached proximity
-	// vector; the engine never ran, so every other field is zero.
+	// CacheHit marks answers served from the server's cached top-K
+	// list; the engine never ran, so every other field is zero.
 	CacheHit bool
 }
 

@@ -322,7 +322,7 @@ func (co *Coordinator) Shards() int { return co.sx.Shards() }
 // Graph exposes the current graph snapshot (WAL-mode ack validation).
 func (co *Coordinator) Graph() *graph.Graph { return co.sx.Graph() }
 
-// HomeShard reports which shard owns node u (selective cache flushes).
+// HomeShard reports which shard owns node u.
 func (co *Coordinator) HomeShard(u int) int { return co.sx.HomeShard(u) }
 
 // WALSeq reports the WAL position the loaded snapshot covers.
@@ -351,14 +351,9 @@ func (co *Coordinator) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Re
 // Proximity implements server.Engine.
 func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proximity(q, u) }
 
-// ProximityVector implements server.Engine.
+// ProximityVector computes q's full proximity vector through the
+// distributed push.
 func (co *Coordinator) ProximityVector(q int) ([]float64, error) { return co.sx.ProximityVector(q) }
-
-// ProximityVectorCtx is the cancellable refinement the server's cache
-// fill path uses.
-func (co *Coordinator) ProximityVectorCtx(ctx context.Context, q int) ([]float64, error) {
-	return co.sx.ProximityVectorCtx(ctx, q)
-}
 
 // SearchBatch implements server.BatchEngine.
 func (co *Coordinator) SearchBatch(queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {

@@ -404,11 +404,6 @@ func TestCoordinatorEngineSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "ProximityVector", gotV, wantV)
-	gotVC, err := co.ProximityVectorCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "ProximityVectorCtx", gotVC, wantV)
 
 	batch := []core.BatchQuery{{Q: rng.Intn(n), K: 4}, {Q: rng.Intn(n), K: 2}}
 	gotB, gbs, err := co.SearchBatch(batch)

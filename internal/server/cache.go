@@ -7,40 +7,84 @@ import (
 	"kdash/internal/topk"
 )
 
-// vectorCache is a small LRU of full proximity vectors keyed by query
-// node. Proximity vectors are immutable once computed (indexes are
-// read-only within an epoch), so inside one epoch the only policy is
+// cachedK is the depth of list a cacheable /topk miss asks the engine
+// for, however small the request's own k: every later request for the
+// same node whose k (plus exclusions) fits is answered from it.
+// maxCachedK is where the cache stops trying: a request needing a
+// deeper list than topk's eager backing-store cap runs uncached.
+const (
+	cachedK    = 64
+	maxCachedK = 1024
+)
+
+// answerCache is a small LRU of exact top-K answers keyed by query
+// node. Each engine ranks by a total order that does not depend on k
+// (score descending, ties by ascending node id — the monolithic index's
+// in its reordered id space) and scores a node independently of k, so
+// the top-k answer is a prefix of the top-K list for every k <= K and a
+// cached list serves them all bit-identically to a fresh search.
+// Answers are immutable inside an epoch, so there the only policy is
 // recency eviction. Across epochs entries DO go stale — POST /update
 // swaps the engine — so the cache is tagged with the epoch its entries
-// were computed under: a get or put carrying a newer epoch flushes
+// are exact under: a get or put carrying a newer epoch flushes
 // everything first, and a put from a request that raced an update
 // (computed under an older epoch) is dropped rather than poisoning the
 // new epoch. Guarded by one mutex: a hit is a map lookup plus a list
 // splice, far below the cost of the query it saves.
-type vectorCache struct {
+type answerCache struct {
 	mu        sync.Mutex
 	cap       int
 	epoch     int
 	ll        *list.List // front = most recently used; values are *cacheEntry
 	m         map[int]*list.Element
-	bytes     int64 // approximate payload held: 8 bytes per cached float64
+	bytes     int64 // payload held: 16 bytes per cached result + 8 per shard id
 	evictions int64 // entries dropped by LRU pressure (epoch flushes excluded)
 }
 
+// cacheEntry is one query node's answer: the engine's own top-k list
+// for an exclusion-free search, and the shards that search's push
+// solved (nil from an engine without shards). Entries are immutable —
+// a refill replaces the entry, so readers need no lock.
 type cacheEntry struct {
-	q   int
-	vec []float64
+	q       int
+	k       int // the K the list was computed for; a shorter list is everything reachable
+	results []topk.Result
+	shards  []int
 }
 
-func newVectorCache(capacity int) *vectorCache {
-	return &vectorCache{cap: capacity, ll: list.New(), m: make(map[int]*list.Element, capacity)}
+func (e *cacheEntry) size() int64 { return 16*int64(len(e.results)) + 8*int64(len(e.shards)) }
+
+// answer extracts the top-k answer under an exclusion set, reporting
+// whether the entry proves it: either k results survive the filter, or
+// the list holds every reachable node and what survives is all there
+// is. The slice may alias the entry and must be treated as read-only.
+func (e *cacheEntry) answer(k int, exclude map[int]bool) ([]topk.Result, bool) {
+	out := e.results
+	if len(exclude) > 0 {
+		out = make([]topk.Result, 0, min(k, len(e.results)))
+		for _, r := range e.results {
+			if len(out) == k {
+				break
+			}
+			if !exclude[r.Node] {
+				out = append(out, r)
+			}
+		}
+	}
+	if len(out) >= k {
+		return out[:k], true
+	}
+	return out, len(e.results) < e.k
 }
 
-// get returns the cached vector for q at the given epoch, refreshing
-// its recency. An epoch ahead of the cache flushes the stale entries
-// and misses. Callers must treat the vector as read-only: it is shared
-// across requests.
-func (c *vectorCache) get(q, epoch int) ([]float64, bool) {
+func newAnswerCache(capacity int) *answerCache {
+	return &answerCache{cap: capacity, ll: list.New(), m: make(map[int]*list.Element, capacity)}
+}
+
+// get returns the cached entry for q at the given epoch, refreshing its
+// recency. An epoch ahead of the cache flushes the stale entries and
+// misses.
+func (c *answerCache) get(q, epoch int) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch != c.epoch {
@@ -54,14 +98,14 @@ func (c *vectorCache) get(q, epoch int) ([]float64, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).vec, true
+	return el.Value.(*cacheEntry), true
 }
 
-// put inserts (or refreshes) q's vector computed under the given epoch,
-// evicting the least recently used entry when full. A vector computed
+// put inserts (or replaces) an entry computed under the given epoch,
+// evicting the least recently used entry when full. An entry computed
 // under an older epoch than the cache's is dropped: its request raced
 // an update and lost.
-func (c *vectorCache) put(q int, vec []float64, epoch int) {
+func (c *answerCache) put(e *cacheEntry, epoch int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch != c.epoch {
@@ -70,29 +114,23 @@ func (c *vectorCache) put(q int, vec []float64, epoch int) {
 		}
 		c.flushLocked(epoch)
 	}
-	if el, ok := c.m[q]; ok {
+	c.bytes += e.size()
+	if el, ok := c.m[e.q]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.bytes += 8 * int64(len(vec)-len(e.vec))
-		e.vec = vec
+		c.bytes -= el.Value.(*cacheEntry).size()
+		el.Value = e
 		return
 	}
-	c.m[q] = c.ll.PushFront(&cacheEntry{q: q, vec: vec})
-	c.bytes += 8 * int64(len(vec))
+	c.m[e.q] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		e := last.Value.(*cacheEntry)
-		delete(c.m, e.q)
-		c.bytes -= 8 * int64(len(e.vec))
+		c.removeLocked(c.ll.Back())
 		c.evictions++
 	}
 }
 
 // flush drops every entry and advances to the given epoch (no-op for a
-// stale epoch) — called by /update on swap so stale vectors free their
-// memory promptly instead of waiting to be evicted.
-func (c *vectorCache) flush(epoch int) {
+// stale epoch).
+func (c *answerCache) flush(epoch int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch > c.epoch {
@@ -100,14 +138,14 @@ func (c *vectorCache) flush(epoch int) {
 	}
 }
 
-// retain advances the cache to epoch, dropping exactly the entries keep
-// rejects and carrying the survivors over — the selective invalidation
-// the update path uses when it can prove which cached vectors an epoch
-// swap could have changed (see Handler.invalidateCache for the
-// exactness argument). A stale epoch is a no-op; on the current epoch
-// the walk still runs (drops are always safe, a racing put has simply
-// inserted fresh entries the keep test judges conservatively).
-func (c *vectorCache) retain(epoch int, keep func(q int, vec []float64) bool) {
+// retain advances the cache to epoch, carrying over exactly the entries
+// whose push solved no dirty shard — the selective invalidation the
+// update path uses (see Handler.invalidateCache for the exactness
+// argument). An entry that recorded no shards proves nothing and is
+// dropped. A stale epoch is a no-op; on the current epoch the walk
+// still runs (drops are always safe, a racing put has simply inserted
+// fresh entries the test judges conservatively).
+func (c *answerCache) retain(epoch int, dirty map[int]bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch < c.epoch {
@@ -116,17 +154,25 @@ func (c *vectorCache) retain(epoch int, keep func(q int, vec []float64) bool) {
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if !keep(e.q, e.vec) {
-			c.ll.Remove(el)
-			delete(c.m, e.q)
-			c.bytes -= 8 * int64(len(e.vec))
+		shards := el.Value.(*cacheEntry).shards
+		keep := len(shards) > 0
+		for _, si := range shards {
+			keep = keep && !dirty[si]
+		}
+		if !keep {
+			c.removeLocked(el)
 		}
 	}
 	c.epoch = epoch
 }
 
-func (c *vectorCache) flushLocked(epoch int) {
+func (c *answerCache) removeLocked(el *list.Element) {
+	e := c.ll.Remove(el).(*cacheEntry)
+	delete(c.m, e.q)
+	c.bytes -= e.size()
+}
+
+func (c *answerCache) flushLocked(epoch int) {
 	c.epoch = epoch
 	c.ll.Init()
 	clear(c.m)
@@ -134,29 +180,15 @@ func (c *vectorCache) flushLocked(epoch int) {
 }
 
 // stats reports the cache's current footprint and cumulative LRU
-// evictions (hit/miss counters live on the handler, which sees lookups
-// the cache itself never does).
-func (c *vectorCache) stats() (entries int, bytes, evictions int64) {
+// evictions (hit/miss counters live on the handler, which knows whether
+// a found entry could actually answer the request).
+func (c *answerCache) stats() (entries int, bytes, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.bytes, c.evictions
 }
 
-func (c *vectorCache) len() int {
+func (c *answerCache) len() int {
 	n, _, _ := c.stats()
 	return n
-}
-
-// rankVector extracts the top-k answer from a full proximity vector,
-// matching the engines' ranking semantics: zero-proximity (unreachable)
-// nodes never pad the answer, excluded nodes are barred from the heap,
-// and ties order by ascending node id.
-func rankVector(vec []float64, k int, exclude map[int]bool) []topk.Result {
-	h := topk.New(k)
-	for node, v := range vec {
-		if v > 0 && !exclude[node] {
-			h.Push(node, v)
-		}
-	}
-	return h.Results()
 }

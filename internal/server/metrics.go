@@ -85,15 +85,15 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	if h.cache != nil {
 		hits, misses := h.cacheHits.Value(), h.cacheMisses.Value()
 		entries, bytes, evictions := h.cache.stats()
-		pw.Header("kdash_cache_hits_total", "Proximity-vector cache hits.", "counter")
+		pw.Header("kdash_cache_hits_total", "/topk requests answered from a cached top-K list.", "counter")
 		pw.Metric("kdash_cache_hits_total", nil, float64(hits))
-		pw.Header("kdash_cache_misses_total", "Proximity-vector cache misses.", "counter")
+		pw.Header("kdash_cache_misses_total", "/topk requests that ran the engine and (re)filled their cache entry.", "counter")
 		pw.Metric("kdash_cache_misses_total", nil, float64(misses))
 		pw.Header("kdash_cache_evictions_total", "Entries evicted by LRU pressure (epoch flushes excluded).", "counter")
 		pw.Metric("kdash_cache_evictions_total", nil, float64(evictions))
-		pw.Header("kdash_cache_entries", "Vectors currently cached.", "gauge")
+		pw.Header("kdash_cache_entries", "Answers currently cached.", "gauge")
 		pw.Metric("kdash_cache_entries", nil, float64(entries))
-		pw.Header("kdash_cache_bytes", "Approximate bytes held by cached vectors.", "gauge")
+		pw.Header("kdash_cache_bytes", "Payload bytes held by cached answers: 16 per result plus 8 per solved-shard id.", "gauge")
 		pw.Metric("kdash_cache_bytes", nil, float64(bytes))
 		if total := hits + misses; total > 0 {
 			pw.Header("kdash_cache_hit_ratio", "Cache hits over lookups since start.", "gauge")

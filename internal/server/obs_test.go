@@ -300,13 +300,13 @@ func TestHealthzBuildInfo(t *testing.T) {
 // TestCacheFootprintCounters: evictions and byte size are tracked and
 // surfaced through /statz.
 func TestCacheFootprintCounters(t *testing.T) {
-	c := newVectorCache(2)
-	c.put(1, []float64{1, 2}, 0)
-	c.put(2, []float64{3}, 0)
-	c.put(3, []float64{4}, 0) // evicts 1 (16 bytes out, 8 in)
+	c := newAnswerCache(2)
+	c.put(entry(1, 4, 1, 2), 0)
+	c.put(entry(2, 4, 3), 0)
+	c.put(entry(3, 4, 4), 0) // evicts 1 (2 results + 1 shard id out, 1 + 1 in)
 	entries, bytes, evictions := c.stats()
-	if entries != 2 || bytes != 16 || evictions != 1 {
-		t.Errorf("stats = (%d, %d, %d), want (2, 16, 1)", entries, bytes, evictions)
+	if entries != 2 || bytes != 2*(16+8) || evictions != 1 {
+		t.Errorf("stats = (%d, %d, %d), want (2, %d, 1)", entries, bytes, evictions, 2*(16+8))
 	}
 	c.flush(1)
 	if _, b, ev := c.stats(); b != 0 || ev != 1 {
@@ -316,7 +316,7 @@ func TestCacheFootprintCounters(t *testing.T) {
 	_, ix := testHandler(t)
 	h := New(ix, WithCache(1))
 	get(t, h, "/topk?q=1&k=3")
-	get(t, h, "/topk?q=2&k=3") // evicts q=1's vector
+	get(t, h, "/topk?q=2&k=3") // evicts q=1's answer
 	_, body := get(t, h, "/statz")
 	var cache map[string]int64
 	if err := json.Unmarshal(body["cache"], &cache); err != nil {
@@ -325,7 +325,8 @@ func TestCacheFootprintCounters(t *testing.T) {
 	if cache["evictions"] != 1 || cache["entries"] != 1 {
 		t.Errorf("statz cache = %v", cache)
 	}
-	if want := int64(8 * ix.N()); cache["bytes"] != want {
+	// One cachedK-deep list from the monolithic engine (no shard set).
+	if want := int64(16 * cachedK); cache["bytes"] != want {
 		t.Errorf("statz cache bytes = %d, want %d", cache["bytes"], want)
 	}
 	text := scrape(t, h)

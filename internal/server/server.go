@@ -49,7 +49,6 @@ type Engine interface {
 	Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error)
 	TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)
 	Proximity(q, u int) (float64, error)
-	ProximityVector(q int) ([]float64, error)
 }
 
 // BatchEngine is implemented by engines with a native batched execution
@@ -81,18 +80,17 @@ const DefaultMaxBatch = 1024
 // Option configures a Handler.
 type Option func(*Handler)
 
-// WithCache enables an LRU proximity-vector cache of the given capacity
-// (entries; <= 0 leaves caching off). Hot repeated query nodes — the
-// skewed access pattern recommender traffic has — are answered by
-// re-ranking the cached vector instead of re-running the engine. Each
-// entry holds a full n-entry vector, so capacity trades memory for hit
-// rate. Cache misses on /topk compute the full proximity vector, which
-// for the monolithic engine costs more than its pruned search: enable
-// caching for sharded engines or genuinely skewed workloads.
+// WithCache enables an LRU cache of exact /topk answers with the given
+// capacity (entries; <= 0 leaves caching off). Hot repeated query nodes
+// — the skewed access pattern recommender traffic has — are answered
+// from the cached top-K list instead of re-running the engine; a miss
+// is the engine's ordinary pruned search, asked for a list deep enough
+// (cachedK) that later requests for the node are prefixes of it. An
+// entry is about 1 KB whatever the graph's size.
 func WithCache(entries int) Option {
 	return func(h *Handler) {
 		if entries > 0 {
-			h.cache = newVectorCache(entries)
+			h.cache = newAnswerCache(entries)
 		}
 	}
 }
@@ -158,7 +156,7 @@ type Handler struct {
 	mux            *http.ServeMux
 	start          time.Time
 	maxBatch       int
-	cache          *vectorCache // nil: caching disabled
+	cache          *answerCache // nil: caching disabled
 	openTime       time.Duration
 	openMode       string        // how the index was brought up (WithOpenInfo)
 	logger         *slog.Logger  // nil: request logging off (WithRequestLog)
@@ -428,20 +426,25 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 		defer h.putTrace(tr)
 		opt.Trace = tr
 	}
-	if h.cache != nil {
-		// The cached path answers from a full proximity vector, so a
-		// trace block carries only the cache outcome — there is no push
-		// to trace on a hit, and the vector fill on a miss runs outside
-		// the traced search seam.
-		vec, hit, ok := h.cachedVector(w, r.Context(), st, q)
-		if !ok {
-			return // miss that failed; already reported
+	// A request needing a deeper list than maxCachedK runs exactly as
+	// with no cache; every other one is a single LRU lookup. An entry
+	// that cannot prove the answer (too shallow for this k and exclusion
+	// set) counts as a miss and is refilled deeper.
+	var fill *cacheEntry // non-nil on a miss: the entry the search below fills
+	if h.cache != nil && k <= maxCachedK-len(exclude) {
+		if e, ok := h.cache.get(q, st.epoch); ok {
+			if results, ok := e.answer(k, exclude); ok {
+				h.cacheHits.Add(1)
+				if tr != nil {
+					tr.CacheHit = true
+				}
+				writeResults(w, k, results, core.SearchStats{}, true, tr)
+				return
+			}
 		}
-		if tr != nil {
-			tr.CacheHit = hit
-		}
-		writeResults(w, k, rankVector(vec, k, exclude), core.SearchStats{}, true, tr)
-		return
+		h.cacheMisses.Add(1)
+		fill = &cacheEntry{q: q, k: max(cachedK, k+len(exclude))}
+		opt.K, opt.Exclude, opt.SolvedShards = fill.k, nil, &fill.shards
 	}
 	results, stats, err := st.engine.Search(q, opt)
 	if err != nil {
@@ -451,43 +454,12 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.countWork(stats)
+	if fill != nil {
+		fill.results = results
+		h.cache.put(fill, st.epoch)
+		results, _ = fill.answer(k, exclude)
+	}
 	writeResults(w, k, results, stats, false, tr)
-}
-
-// vectorCtxEngine is the optional cancellable vector seam: an engine
-// that can abandon a full-vector computation when the request's context
-// (budget or disconnect) expires. Both index shapes implement it.
-type vectorCtxEngine interface {
-	ProximityVectorCtx(ctx context.Context, q int) ([]float64, error)
-}
-
-// cachedVector returns q's proximity vector through the LRU, computing
-// and inserting it on a miss; hit reports which case served it. The
-// false ok return means the engine failed and the error response has
-// been written (a context expiry maps to 499, like the uncached path).
-// Entries are tagged with the epoch they were computed under, and
-// /update purges the cache on swap, so a hit never serves a stale
-// epoch's vector.
-func (h *Handler) cachedVector(w http.ResponseWriter, ctx context.Context, st *engineState, q int) (vec []float64, hit, ok bool) {
-	if vec, ok := h.cache.get(q, st.epoch); ok {
-		h.cacheHits.Add(1)
-		return vec, true, true
-	}
-	h.cacheMisses.Add(1)
-	var err error
-	if ve, ok := st.engine.(vectorCtxEngine); ok {
-		vec, err = ve.ProximityVectorCtx(ctx, q)
-	} else {
-		vec, err = st.engine.ProximityVector(q)
-	}
-	if err != nil {
-		if !h.cancelled(w, err) {
-			h.internalError(w, err)
-		}
-		return nil, false, false
-	}
-	h.cache.put(q, vec, st.epoch)
-	return vec, false, true
 }
 
 // personalizedRequest is the POST /personalized payload.
@@ -568,18 +540,6 @@ func (h *Handler) proximity(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
-	}
-	// A cached vector answers the pair for free; a miss is NOT worth a
-	// full vector computation for one pair, so it falls through to the
-	// engine's single-pair path — but still counts as a miss, so the
-	// /statz hit rate reflects the real workload.
-	if h.cache != nil {
-		if vec, ok := h.cache.get(q, st.epoch); ok {
-			h.cacheHits.Add(1)
-			writeJSON(w, map[string]float64{"proximity": vec[u]})
-			return
-		}
-		h.cacheMisses.Add(1)
 	}
 	p, err := st.engine.Proximity(q, u)
 	if err != nil {

@@ -153,7 +153,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.state.Store(newEngineState(engine, stats.Epoch))
-	h.invalidateCache(engine, stats)
+	h.invalidateCache(stats)
 	h.qUpdates.Add(1)
 	h.updShards.Add(int64(stats.ShardsRebuilt))
 	h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))

@@ -53,10 +53,6 @@ import (
 // index shapes implement it.
 type graphEngine interface{ Graph() *graph.Graph }
 
-// homeSharder exposes the node -> shard map; implemented by the sharded
-// index and used for selective cache invalidation.
-type homeSharder interface{ HomeShard(u int) int }
-
 // walStamper is the snapshot seam: an engine that can stamp and persist
 // the WAL position its factors cover (shard.ShardedIndex via manifest
 // v4).
@@ -299,6 +295,9 @@ func (h *Handler) updateWAL(w http.ResponseWriter, req *updateRequest) {
 		h.internalError(w, err)
 		return
 	}
+	// Counted before the merge: the first batch of a drain BECOMES the
+	// memtable, which later acks extend under this lock.
+	added, removed, nodes := batch.Counts()
 	if ws.pending == nil {
 		ws.pending = batch
 	} else if err := ws.pending.Extend(batch); err != nil {
@@ -320,7 +319,6 @@ func (h *Handler) updateWAL(w http.ResponseWriter, req *updateRequest) {
 	if pendingOps >= ws.cfg.MaxPendingOps {
 		ws.kickCompact()
 	}
-	added, removed, nodes := batch.Counts()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(walUpdateResponse{
@@ -495,7 +493,7 @@ func (h *Handler) compactOnce() {
 	} else {
 		engine := next.(Engine)
 		h.state.Store(newEngineState(engine, stats.Epoch))
-		h.invalidateCache(engine, stats)
+		h.invalidateCache(stats)
 		h.qUpdates.Add(batches)
 		h.updShards.Add(int64(stats.ShardsRebuilt))
 		h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))
@@ -595,22 +593,23 @@ func LatestSnapshot(dir string) (string, bool) {
 	return path, true
 }
 
-// invalidateCache drops exactly the cached vectors an update could have
-// changed. An entry (q, vec) survives iff q's home shard is clean AND
-// vec carries zero mass on every dirty-shard node: then the query's
-// push never touched a dirty part under the old epoch, the clean parts
-// it did touch are shared by pointer with the successor, and
-// recomputing under the new epoch reproduces vec bit-identically — so
-// serving the cached copy is exact. Anything that breaks the argument's
-// premises (full rebuild, repartition moving homes, node insertions
-// changing vector length, a monolithic engine with no shard structure)
-// flushes everything.
-func (h *Handler) invalidateCache(engine Engine, stats core.UpdateStats) {
+// invalidateCache drops exactly the cached answers an update could have
+// changed. An entry survives iff its push solved no dirty shard. The
+// push picks shards and terminates from pending residual mass alone,
+// and only solved shards' factors and cut lists feed that mass — so a
+// dirty shard that was merely pruned (it received sub-tolerance
+// residual and was never solved) cannot alter the trajectory: under
+// the new epoch the push solves the same clean shards, which the
+// successor shares by pointer, in the same order to the same bits, and
+// serving the cached list is exact. Anything that breaks the
+// argument's premises (full rebuild, repartition moving homes and
+// re-targeting every cut list, node insertions, an engine that reports
+// no shard structure) flushes everything.
+func (h *Handler) invalidateCache(stats core.UpdateStats) {
 	if h.cache == nil {
 		return
 	}
-	hs, ok := engine.(homeSharder)
-	if !ok || stats.FullRebuild || stats.Repartitioned || stats.NodesAdded > 0 || len(stats.DirtyShards) == 0 {
+	if stats.FullRebuild || stats.Repartitioned || stats.NodesAdded > 0 || len(stats.DirtyShards) == 0 {
 		h.cache.flush(stats.Epoch)
 		return
 	}
@@ -618,17 +617,7 @@ func (h *Handler) invalidateCache(engine Engine, stats core.UpdateStats) {
 	for _, si := range stats.DirtyShards {
 		dirty[si] = true
 	}
-	h.cache.retain(stats.Epoch, func(q int, vec []float64) bool {
-		if dirty[hs.HomeShard(q)] {
-			return false
-		}
-		for u, v := range vec {
-			if v != 0 && dirty[hs.HomeShard(u)] {
-				return false
-			}
-		}
-		return true
-	})
+	h.cache.retain(stats.Epoch, dirty)
 }
 
 // walStatz is the /statz "wal" block. It also returns the engine

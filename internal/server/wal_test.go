@@ -412,12 +412,13 @@ func TestWALSnapshotRecovery(t *testing.T) {
 	compareAnswers(t, h2, oracle, rng, "post-snapshot-restart")
 }
 
-// TestSelectiveCacheInvalidation pins the satellite: a cached vector
-// whose query lives in a clean shard — and carries zero mass on every
-// dirty-shard node — survives the epoch swap and is served bit-
-// identically, while entries touching the dirty shard are dropped.
-// Two disconnected components with a pinned assignment make the
-// zero-mass condition exact.
+// TestSelectiveCacheInvalidation pins selective retention on
+// disconnected components: a cached answer whose push solved only
+// clean shards survives the epoch swap and is served bit-identically,
+// while entries that solved the dirty shard are dropped. Two
+// disconnected components with a pinned assignment keep each query
+// inside its own shard. (TestPrunedShardRetention is the connected
+// case.)
 func TestSelectiveCacheInvalidation(t *testing.T) {
 	g := testutil.Disconnected(120, 2, 9)
 	home := make([]int, 120)
@@ -456,9 +457,7 @@ func TestSelectiveCacheInvalidation(t *testing.T) {
 	}
 
 	// The clean-shard entry survives the swap — the post-update read is a
-	// cache HIT (the "cached" response flag means "vector path" on hits
-	// and misses alike, so the hit counter is the discriminator) — and
-	// serves the same bits it did before the update.
+	// cache hit — and serves the same bits it did before the update.
 	hits0 := h.cacheHits.Value()
 	rec5, _ := get(t, h, "/topk?q=5&k=5")
 	if h.cacheHits.Value() != hits0+1 {
@@ -547,9 +546,8 @@ func TestQueryBudget(t *testing.T) {
 		t.Errorf("budget override of default timeout: status %d (%s)", rec.Code, rec.Body.String())
 	}
 
-	// The cache-miss path computes a full vector through
-	// ProximityVectorCtx, so budgets cancel it too — a blown budget must
-	// not fall through to an unbounded vector fill.
+	// A cache miss is the ordinary search under the request's context,
+	// so budgets cancel it too.
 	hc := updatableHandler(t, WithCache(4))
 	if rec, _ := get(t, hc, "/topk?q=1&k=3&budget=1ns"); rec.Code != statusClientClosedRequest {
 		t.Errorf("1ns budget on cache miss: status %d, want 499 (%s)", rec.Code, rec.Body.String())

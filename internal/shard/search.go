@@ -12,7 +12,6 @@ package shard
 // ranking is exact within QueryTol/c.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -162,15 +161,23 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 	if opt.Trace != nil {
 		opt.Trace.RankNS += time.Since(tRank).Nanoseconds() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
+	if opt.SolvedShards != nil {
+		for si, solved := range st.solved {
+			if solved {
+				*opt.SolvedShards = append(*opt.SolvedShards, si)
+			}
+		}
+	}
 	sx.putPushState(st)
 	return results, qs, nil
 }
 
 // Search serves a query through the core.SearchOptions surface so a
 // ShardedIndex is a drop-in engine for internal/server. K, Exclude,
-// Ctx (cancellation between shard solves) and Trace (per-query push
-// trace) are honoured; the monolithic ablation knobs (DisablePruning,
-// RandomRoot) have no shard-level counterpart and are ignored.
+// Ctx (cancellation between shard solves), Trace (per-query push
+// trace) and SolvedShards are honoured; the monolithic ablation knobs
+// (DisablePruning, RandomRoot) have no shard-level counterpart and are
+// ignored.
 func (sx *ShardedIndex) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
 	results, qs, err := sx.topK(q, opt.K, opt)
 	return results, qs.searchStats(), err
@@ -335,21 +342,10 @@ func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
 //
 //kdash:deterministic
 func (sx *ShardedIndex) ProximityVector(q int) ([]float64, error) {
-	return sx.ProximityVectorCtx(nil, q)
-}
-
-// ProximityVectorCtx is ProximityVector with cancellation: the push
-// checks ctx between shard solves (never per node), so a query that
-// blows its request budget mid-vector is abandoned with the context's
-// error instead of running to convergence. A nil ctx never fails.
-//
-//kdash:deterministic
-func (sx *ShardedIndex) ProximityVectorCtx(ctx context.Context, q int) ([]float64, error) {
 	if q < 0 || q >= sx.n {
 		return nil, fmt.Errorf("shard: query node %d outside [0,%d)", q, sx.n)
 	}
 	st := sx.getPushState()
-	st.ctx = ctx
 	st.seed(q, sx.c)
 	if _, err := st.run(nil); err != nil {
 		sx.putPushState(st)
