@@ -13,6 +13,7 @@ package kdash
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"kdash/internal/blin"
 	"kdash/internal/bpa"
@@ -21,6 +22,7 @@ import (
 	"kdash/internal/experiments"
 	"kdash/internal/gen"
 	"kdash/internal/graph"
+	"kdash/internal/louvain"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
 )
@@ -318,19 +320,23 @@ func BenchmarkShardedBuild(b *testing.B) {
 // alone costs ~25s.
 var benchShardedIndexes = map[int]*shard.ShardedIndex{}
 
+func benchShardedIndex(b *testing.B, shards int) *shard.ShardedIndex {
+	sx, ok := benchShardedIndexes[shards]
+	if !ok {
+		var err error
+		sx, err = shard.Build(shardBenchGraph(), shard.Options{Shards: shards, Reorder: reorder.Hybrid, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchShardedIndexes[shards] = sx
+	}
+	return sx
+}
+
 func BenchmarkShardedTopK(b *testing.B) {
-	g := shardBenchGraph()
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sx, ok := benchShardedIndexes[shards]
-			if !ok {
-				var err error
-				sx, err = shard.Build(g, shard.Options{Shards: shards, Reorder: reorder.Hybrid, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchShardedIndexes[shards] = sx
-			}
+			sx := benchShardedIndex(b, shards)
 			n := sx.N()
 			solved := 0
 			b.ReportAllocs()
@@ -347,6 +353,72 @@ func BenchmarkShardedTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedApplyTwoEdge times the incremental update the WAL
+// compactor runs — ShardedIndex.Apply of a two-edge delta on the 8-shard
+// 50k index — alternately adding and removing the same two absent edges,
+// so every iteration refactorizes the same one or two shards. The extra
+// metrics split the apply by stage (UpdateStats): graph is wall time,
+// the build stages are summed over the rebuilt shards.
+func BenchmarkShardedApplyTwoEdge(b *testing.B) {
+	g := shardBenchGraph()
+	sx := benchShardedIndex(b, 8)
+	edges := [][2]int{{101, 40007}, {25013, 333}}
+	for _, e := range edges {
+		if g.HasEdge(e[0], e[1]) {
+			b.Fatalf("edge %v exists in the bench graph: pick another", e)
+		}
+	}
+	var graphT, reorderT, factorizeT, invertT time.Duration
+	rebuilt := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := graph.NewDelta(sx.N())
+		for _, e := range edges {
+			var err error
+			if i%2 == 0 {
+				err = d.AddEdge(e[0], e[1], 1)
+			} else {
+				err = d.RemoveEdge(e[0], e[1])
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		next, us, err := sx.Apply(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sx = next
+		graphT += us.GraphTime
+		reorderT += us.ReorderTime
+		factorizeT += us.FactorizeTime
+		invertT += us.InvertTime
+		rebuilt += us.ShardsRebuilt
+	}
+	perApplyMS := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perApplyMS(graphT), "graph-ms")
+	b.ReportMetric(perApplyMS(reorderT), "reorder-ms")
+	b.ReportMetric(perApplyMS(factorizeT), "factorize-ms")
+	b.ReportMetric(perApplyMS(invertT), "invert-ms")
+	b.ReportMetric(float64(rebuilt)/float64(b.N), "shards-rebuilt")
+}
+
+// BenchmarkLouvainPartition times community detection on the 50k bench
+// graph: the partitioner every sharded Build starts with, and (on shard-
+// sized graphs) the first stage of every block refactorization.
+func BenchmarkLouvainPartition(b *testing.B) {
+	g := shardBenchGraph()
+	var res *louvain.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = louvain.Partition(g, 1)
+	}
+	b.ReportMetric(float64(res.K), "communities")
+	b.ReportMetric(res.Q, "modularity")
+}
+
 // BenchmarkBatchTopK measures aggregate batched throughput against a
 // sequential single-query loop over the same nodes on the 50k bench
 // graph (8 shards): the batched path runs one shared block push whose
@@ -354,16 +426,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 // mass in the shard. ns/op counts one full set of <batch> queries in
 // both modes, so the sequential/batched ratio is the aggregate speedup.
 func BenchmarkBatchTopK(b *testing.B) {
-	g := shardBenchGraph()
-	sx, ok := benchShardedIndexes[8]
-	if !ok {
-		var err error
-		sx, err = shard.Build(g, shard.Options{Shards: 8, Reorder: reorder.Hybrid, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchShardedIndexes[8] = sx
-	}
+	sx := benchShardedIndex(b, 8)
 	const k = 10
 	for _, batch := range []int{8, 64} {
 		qs := make([]int, batch)

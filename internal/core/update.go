@@ -36,6 +36,14 @@ type UpdateStats struct {
 	Repartitioned bool          `json:"repartitioned"`
 	FullRebuild   bool          `json:"fullRebuild"` // true when nothing was reused
 	BuildTime     time.Duration `json:"buildTimeNs"`
+	// Where the apply's time went: GraphTime is the wall clock of
+	// applying the delta to the graph snapshot; the other three are
+	// BuildStats' stage times summed over the rebuilt blocks (CPU-like
+	// when blocks rebuild in parallel).
+	GraphTime     time.Duration `json:"graphTimeNs"`
+	ReorderTime   time.Duration `json:"reorderTimeNs"`
+	FactorizeTime time.Duration `json:"factorizeTimeNs"`
+	InvertTime    time.Duration `json:"invertTimeNs"`
 }
 
 // Graph returns the source graph the index was built from, or nil for
@@ -88,12 +96,17 @@ func (ix *Index) ApplyDelta(batch *graph.Delta) (any, UpdateStats, error) {
 		return nil, UpdateStats{}, err
 	}
 	added, removed, nodes := batch.Counts()
+	total := time.Since(t0)
 	return ix2, UpdateStats{
-		EdgesAdded:   added,
-		EdgesRemoved: removed,
-		NodesAdded:   nodes,
-		Epoch:        ix2.epoch,
-		FullRebuild:  true,
-		BuildTime:    time.Since(t0),
+		EdgesAdded:    added,
+		EdgesRemoved:  removed,
+		NodesAdded:    nodes,
+		Epoch:         ix2.epoch,
+		FullRebuild:   true,
+		BuildTime:     total,
+		GraphTime:     total - ix2.stats.TotalTime, // all Rebuild does besides BuildIndex
+		ReorderTime:   ix2.stats.ReorderTime,
+		FactorizeTime: ix2.stats.FactorizeTime,
+		InvertTime:    ix2.stats.InvertTime,
 	}, nil
 }

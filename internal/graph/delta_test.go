@@ -2,7 +2,10 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -216,5 +219,129 @@ func TestApplyMatchesRebuild(t *testing.T) {
 				t.Fatalf("seed %d: edge %v %v vs %v", seed, k, w, em3[k])
 			}
 		}
+	}
+}
+
+// oracleApply is the map-and-rebuild Apply this package shipped before
+// the row-splicing one: replay the ops over a map of every edge, then
+// hand the surviving set to a Builder. Kept verbatim as the reference
+// for TestApplyEqualsBuilderOracle.
+func oracleApply(g *Graph, d *Delta) (*Graph, error) {
+	type key struct{ from, to int }
+	w := make(map[key]float64, g.M()+len(d.ops))
+	for u := 0; u < g.n; u++ {
+		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
+			w[key{u, g.outTo[i]}] = g.outW[i]
+		}
+	}
+	for i, op := range d.ops {
+		k := key{op.from, op.to}
+		switch op.kind {
+		case opAddEdge:
+			w[k] += op.w
+		case opRemoveEdge:
+			if _, ok := w[k]; !ok {
+				return nil, fmt.Errorf("graph: delta op %d removes edge (%d,%d): %w", i, op.from, op.to, ErrEdgeNotFound)
+			}
+			delete(w, k)
+		}
+	}
+	b := NewBuilder(g.n + d.addNodes)
+	for k, weight := range w {
+		if err := b.AddEdge(k.from, k.to, weight); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
+}
+
+// sameArrays fails unless the two graphs agree array for array — node
+// count, out-CSR and in-CSR, weights compared by bits.
+func sameArrays(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	bits := func(ws []float64) []uint64 {
+		out := make([]uint64, len(ws))
+		for i, w := range ws {
+			out[i] = math.Float64bits(w)
+		}
+		return out
+	}
+	if got.n != want.n ||
+		!slices.Equal(got.outPtr, want.outPtr) || !slices.Equal(got.outTo, want.outTo) || !slices.Equal(bits(got.outW), bits(want.outW)) ||
+		!slices.Equal(got.inPtr, want.inPtr) || !slices.Equal(got.inFrom, want.inFrom) || !slices.Equal(bits(got.inW), bits(want.inW)) {
+		t.Fatalf("%s: Apply and the Builder oracle disagree:\n got %+v\nwant %+v", label, got, want)
+	}
+}
+
+// TestApplyEqualsBuilderOracle drives Apply and the map-and-rebuild
+// oracle with deltas built to hit every splice case — node insertions,
+// repeated adds to one edge (weight accumulation order), add-then-remove,
+// remove-then-add, several ops on one row, ops on inserted nodes' rows,
+// and removals that fail — and requires array-for-array equal graphs, or
+// the same failing op in the error.
+func TestApplyEqualsBuilderOracle(t *testing.T) {
+	failures := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(24)
+		b := NewBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			mustEdge(t, b, rng.Intn(n), rng.Intn(n), 0.1+rng.Float64())
+		}
+		g := b.Build()
+		before := g.Edges()
+
+		d := g.NewDelta()
+		for i := rng.Intn(4); i > 0; i-- {
+			d.AddNode()
+		}
+		n2 := d.BaseN() + d.AddedNodes()
+		// A few hot rows and hot edges, so ops collide.
+		hot := [][2]int{{rng.Intn(n2), rng.Intn(n2)}, {rng.Intn(n2), rng.Intn(n2)}}
+		hot = append(hot, [2]int{hot[0][0], rng.Intn(n2)})
+		for i := rng.Intn(12); i > 0; i-- {
+			// Most ops land on a hot edge or an edge of the base graph; a
+			// removal never draws a uniform pair, which would almost
+			// always fail.
+			from, to := rng.Intn(n2), rng.Intn(n2)
+			remove := rng.Intn(5) >= 3
+			if r := rng.Intn(10); r < 4 || (remove && len(before) == 0) {
+				e := hot[rng.Intn(len(hot))]
+				from, to = e[0], e[1]
+			} else if (r < 7 || remove) && len(before) > 0 {
+				e := before[rng.Intn(len(before))]
+				from, to = e.From, e.To
+			}
+			var err error
+			if remove {
+				err = d.RemoveEdge(from, to)
+			} else {
+				err = d.AddEdge(from, to, 0.1+rng.Float64())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		want, wantErr := oracleApply(g, d)
+		got, err := g.Apply(d)
+		label := fmt.Sprintf("seed %d", seed)
+		if wantErr != nil {
+			failures++
+			if err == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrEdgeNotFound) {
+				t.Fatalf("%s: error %v, oracle %v", label, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v (oracle applied it)", label, err)
+		}
+		sameArrays(t, label, got, want)
+		if after := g.Edges(); !slices.Equal(after, before) {
+			t.Fatalf("%s: Apply modified its receiver", label)
+		}
+	}
+	if failures < 20 || failures > 280 {
+		t.Fatalf("%d of 300 deltas failed: the generator no longer covers both outcomes", failures)
 	}
 }

@@ -6,9 +6,10 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,17 +76,28 @@ func (b *Builder) AddUndirected(u, v int, weight float64) error {
 	return nil
 }
 
+// byEndpoints orders edges by (From, To), the CSR order.
+func byEndpoints(x, y Edge) int {
+	if c := cmp.Compare(x.From, y.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.To, y.To)
+}
+
 // Build produces the immutable Graph, merging duplicate edges.
+//
+//kdash:deterministic
 func (b *Builder) Build() *Graph {
-	ed := make([]Edge, len(b.edges))
-	copy(ed, b.edges)
-	sort.Slice(ed, func(i, j int) bool {
-		if ed[i].From != ed[j].From {
-			return ed[i].From < ed[j].From
-		}
-		return ed[i].To < ed[j].To
-	})
+	// Edges recorded in order (a shard's induced subgraph, a relabelled
+	// graph walked row by row) need neither the copy nor the sort.
+	ed := b.edges
+	if !slices.IsSortedFunc(ed, byEndpoints) {
+		ed = slices.Clone(ed)
+		slices.SortFunc(ed, byEndpoints)
+	}
 	g := &Graph{n: b.n, outPtr: make([]int, b.n+1)}
+	g.outTo = make([]int, 0, len(ed))
+	g.outW = make([]float64, 0, len(ed))
 	for i := 0; i < len(ed); {
 		j := i
 		w := 0.0
@@ -159,18 +171,14 @@ func (g *Graph) InNeighbors(u int, fn func(from int, w float64)) {
 
 // HasEdge reports whether the (merged) directed edge from -> to exists.
 // Out-of-range endpoints report false rather than panicking, so callers
-// validating prospective delta ops need no separate range check. The
-// scan is O(OutDegree(from)) — edge lists are unsorted within a column.
+// validating prospective delta ops need no separate range check. Out-
+// lists are sorted by target, so the lookup is a binary search.
 func (g *Graph) HasEdge(from, to int) bool {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return false
 	}
-	for i := g.outPtr[from]; i < g.outPtr[from+1]; i++ {
-		if g.outTo[i] == to {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(g.outTo[g.outPtr[from]:g.outPtr[from+1]], to)
+	return found
 }
 
 // OutWeightSum reports the total weight of u's out-edges.
@@ -203,21 +211,11 @@ func (g *Graph) ColumnNormalized() *sparse.CSC {
 	m.RowIdx = make([]int, 0, g.M())
 	m.Val = make([]float64, 0, g.M())
 	for v := 0; v < g.n; v++ {
-		total := g.OutWeightSum(v)
-		if total > 0 {
-			// Column v = out-edges of v; row indices must be sorted.
-			type e struct {
-				to int
-				w  float64
-			}
-			es := make([]e, 0, g.OutDegree(v))
+		if total := g.OutWeightSum(v); total > 0 {
+			// Column v = out-edges of v, already sorted by target.
 			for i := g.outPtr[v]; i < g.outPtr[v+1]; i++ {
-				es = append(es, e{g.outTo[i], g.outW[i]})
-			}
-			sort.Slice(es, func(i, j int) bool { return es[i].to < es[j].to })
-			for _, x := range es {
-				m.RowIdx = append(m.RowIdx, x.to)
-				m.Val = append(m.Val, x.w/total)
+				m.RowIdx = append(m.RowIdx, g.outTo[i])
+				m.Val = append(m.Val, g.outW[i]/total)
 			}
 		}
 		m.ColPtr[v+1] = len(m.RowIdx)

@@ -355,3 +355,48 @@ func TestOutWeightSum(t *testing.T) {
 		t.Errorf("OutWeightSum(1) = %v, want 0", got)
 	}
 }
+
+// TestRowsSorted pins the invariant HasEdge's binary search and
+// ColumnNormalized's sort-free copy rely on: every out-row (and in-row)
+// is strictly ascending, whatever order the edges arrived in and after
+// any Apply.
+func TestRowsSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 60
+	b := NewBuilder(n)
+	for i := 0; i < 500; i++ {
+		mustEdge(t, b, rng.Intn(n), rng.Intn(n), 0.5+rng.Float64())
+	}
+	g := b.Build()
+	d := g.NewDelta()
+	for i := 0; i < 40; i++ {
+		if err := d.AddEdge(rng.Intn(n), rng.Intn(n), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, err := g.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{g, g2} {
+		a := g.ColumnNormalized()
+		for u := 0; u < n; u++ {
+			for _, row := range [][]int{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]} {
+				for i := 1; i < len(row); i++ {
+					if row[i-1] >= row[i] {
+						t.Fatalf("node %d: row %v not strictly ascending", u, row)
+					}
+				}
+			}
+			for v := -1; v <= n; v++ {
+				want := false
+				for _, to := range g.outTo[g.outPtr[u]:g.outPtr[u+1]] {
+					want = want || to == v
+				}
+				if got := g.HasEdge(u, v); got != want {
+					t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, got, want)
+				}
+			}
+		}
+	}
+}

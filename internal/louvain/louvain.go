@@ -5,6 +5,12 @@
 //
 // Directed input graphs are symmetrised (edge weight u~v is the sum of
 // both directions) because modularity is defined on undirected graphs.
+//
+// Every level is a flat CSR adjacency with ascending neighbour lists,
+// and every float accumulation walks those lists in order, so the same
+// graph and seed give the same Community, K and Q bit for bit — on
+// weighted graphs too. The sharded update path depends on that: a
+// refactorized shard must equal a from-scratch build of it.
 package louvain
 
 import (
@@ -26,15 +32,17 @@ const maxLevels = 20
 
 // Partition detects communities on the (symmetrised) graph. The seed
 // controls node visit order in the local-moving phase; any seed gives a
-// valid partition and the same seed gives the same partition.
+// valid partition and the same seed gives the same partition, bit for
+// bit in Q as well.
+//
+//kdash:deterministic
 func Partition(g *graph.Graph, seed int64) *Result {
 	n := g.N()
 	if n == 0 {
 		return &Result{Community: []int{}, K: 0}
 	}
-	// Symmetrised weighted adjacency lists.
 	adj := symmetrize(g)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(seed)) //kdash:allow(determinism) seeded generator: the visit order is a pure function of seed
 
 	// assignment[u] tracks u's community in the original node space.
 	assignment := make([]int, n)
@@ -56,51 +64,96 @@ func Partition(g *graph.Graph, seed int64) *Result {
 		level = aggregate(level, com, k)
 	}
 	com, k := compact(assignment)
-	return &Result{Community: com, K: k, Q: Modularity(g, com)}
+	return &Result{Community: com, K: k, Q: adj.modularity(com)}
 }
 
-// weighted is an undirected weighted multigraph in adjacency-list form.
+// weighted is an undirected weighted graph in CSR form: node u's
+// neighbours are nbr[ptr[u]:ptr[u+1]], ascending and unique, with
+// parallel weights in w. Self loops live in self, not in the lists.
 type weighted struct {
-	nbr    [][]int
-	w      [][]float64
+	ptr    []int
+	nbr    []int
+	w      []float64
 	weight []float64 // weighted degree per node (self loops count twice)
 	m2     float64   // total weight * 2
 	self   []float64 // self-loop weight per node
 }
 
+// rowBuilder fills a weighted graph's rows by transposition: the caller
+// visits sources x in ascending order and adds (row y, neighbour x, w)
+// entries, so every row comes out ascending without a sort, and a
+// repeated (y, x) — always adjacent, since x's turn is contiguous —
+// folds into the entry before it.
+type rowBuilder struct {
+	wg   *weighted
+	fill []int // next free slot per row
+}
+
+// newRowBuilder sizes row y for at most rowCap[y] entries.
+func newRowBuilder(rowCap []int) *rowBuilder {
+	n := len(rowCap)
+	wg := &weighted{ptr: make([]int, n+1), weight: make([]float64, n), self: make([]float64, n)}
+	for y, c := range rowCap {
+		wg.ptr[y+1] = wg.ptr[y] + c
+	}
+	wg.nbr = make([]int, wg.ptr[n])
+	wg.w = make([]float64, wg.ptr[n])
+	return &rowBuilder{wg: wg, fill: append([]int(nil), wg.ptr[:n]...)}
+}
+
+func (b *rowBuilder) add(y, x int, w float64) {
+	if at := b.fill[y]; at > b.wg.ptr[y] && b.wg.nbr[at-1] == x {
+		b.wg.w[at-1] += w
+		return
+	}
+	b.wg.nbr[b.fill[y]] = x
+	b.wg.w[b.fill[y]] = w
+	b.fill[y]++
+}
+
+// finish squeezes out the slots merging left unused and totals the
+// degrees.
+func (b *rowBuilder) finish() *weighted {
+	wg := b.wg
+	at := 0
+	for y := range wg.weight {
+		lo := wg.ptr[y]
+		wg.ptr[y] = at
+		for i := lo; i < b.fill[y]; i++ {
+			wg.nbr[at], wg.w[at] = wg.nbr[i], wg.w[i]
+			wg.weight[y] += wg.w[i]
+			at++
+		}
+		wg.weight[y] += 2 * wg.self[y]
+		wg.m2 += wg.weight[y]
+	}
+	wg.ptr[len(wg.weight)] = at
+	wg.nbr, wg.w = wg.nbr[:at], wg.w[:at]
+	return wg
+}
+
 func symmetrize(g *graph.Graph) *weighted {
 	n := g.N()
-	wg := &weighted{
-		nbr:    make([][]int, n),
-		w:      make([][]float64, n),
-		weight: make([]float64, n),
-		self:   make([]float64, n),
+	deg := make([]int, n)
+	for u := range deg {
+		deg[u] = g.Degree(u)
 	}
-	// Merge both directions into per-node maps.
-	maps := make([]map[int]float64, n)
-	for u := 0; u < n; u++ {
-		maps[u] = map[int]float64{}
-	}
-	for u := 0; u < n; u++ {
-		g.OutNeighbors(u, func(v int, w float64) {
-			if v == u {
-				wg.self[u] += w
+	b := newRowBuilder(deg)
+	for x := 0; x < n; x++ {
+		g.OutNeighbors(x, func(y int, w float64) {
+			if y == x {
+				b.wg.self[x] += w
 				return
 			}
-			maps[u][v] += w
-			maps[v][u] += w
+			b.add(y, x, w)
+		})
+		g.InNeighbors(x, func(y int, w float64) {
+			if y != x {
+				b.add(y, x, w)
+			}
 		})
 	}
-	for u := 0; u < n; u++ {
-		for v, w := range maps[u] {
-			wg.nbr[u] = append(wg.nbr[u], v)
-			wg.w[u] = append(wg.w[u], w)
-			wg.weight[u] += w
-		}
-		wg.weight[u] += 2 * wg.self[u]
-		wg.m2 += wg.weight[u]
-	}
-	return wg
+	return b.finish()
 }
 
 // localMove runs modularity-greedy single-node moves until a full pass
@@ -117,31 +170,36 @@ func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 	if wg.m2 == 0 {
 		return com, false
 	}
-	order := rng.Perm(n)
+	order := rng.Perm(n) //kdash:allow(determinism) drawn from Partition's seeded generator
 	anyMoved := false
 	// neighWeight[c] accumulates edge weight from the current node into
-	// community c during one node's evaluation.
-	neighWeight := map[int]float64{}
+	// community c during one node's evaluation and is zero outside it;
+	// touched lists the communities to reset. Edge weights are positive,
+	// so an entry is zero exactly until its first addition.
+	neighWeight := make([]float64, n)
+	touched := make([]int, 0, 64)
 	for pass := 0; pass < 100; pass++ {
 		movedThisPass := false
 		for _, u := range order {
 			cu := com[u]
-			// Weights from u to each neighbouring community.
-			for k := range neighWeight {
-				delete(neighWeight, k)
-			}
-			for i, v := range wg.nbr[u] {
-				neighWeight[com[v]] += wg.w[u][i]
+			for i := wg.ptr[u]; i < wg.ptr[u+1]; i++ {
+				c := com[wg.nbr[i]]
+				if neighWeight[c] == 0 {
+					touched = append(touched, c)
+				}
+				neighWeight[c] += wg.w[i]
 			}
 			// Remove u from its community.
 			tot[cu] -= wg.weight[u]
 			best, bestGain := cu, neighWeight[cu]-tot[cu]*wg.weight[u]/wg.m2
-			for c, kin := range neighWeight {
-				gain := kin - tot[c]*wg.weight[u]/wg.m2
+			for _, c := range touched {
+				gain := neighWeight[c] - tot[c]*wg.weight[u]/wg.m2
 				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
 					best, bestGain = c, gain
 				}
+				neighWeight[c] = 0
 			}
+			touched = touched[:0]
 			tot[best] += wg.weight[u]
 			if best != cu {
 				com[u] = best
@@ -157,62 +215,69 @@ func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 }
 
 // compact renumbers community ids to 0..k-1 preserving first-seen order.
+// Ids must lie in [0, len(com)).
 func compact(com []int) ([]int, int) {
-	remap := map[int]int{}
-	out := make([]int, len(com))
-	for i, c := range com {
-		id, ok := remap[c]
-		if !ok {
-			id = len(remap)
-			remap[c] = id
-		}
-		out[i] = id
+	remap := make([]int, len(com))
+	for i := range remap {
+		remap[i] = -1
 	}
-	return out, len(remap)
+	out := make([]int, len(com))
+	k := 0
+	for i, c := range com {
+		if remap[c] < 0 {
+			remap[c] = k
+			k++
+		}
+		out[i] = remap[c]
+	}
+	return out, k
 }
 
 // aggregate collapses each community into a single super-node.
 func aggregate(wg *weighted, com []int, k int) *weighted {
-	out := &weighted{
-		nbr:    make([][]int, k),
-		w:      make([][]float64, k),
-		weight: make([]float64, k),
-		self:   make([]float64, k),
+	n := len(com)
+	// Members of each community, ascending (counting sort), and an upper
+	// bound on each super-node's row: its members' summed degrees.
+	start := make([]int, k+1)
+	deg := make([]int, k)
+	for u, c := range com {
+		start[c+1]++
+		deg[c] += wg.ptr[u+1] - wg.ptr[u]
 	}
-	maps := make([]map[int]float64, k)
-	for i := range maps {
-		maps[i] = map[int]float64{}
+	for c := 0; c < k; c++ {
+		start[c+1] += start[c]
 	}
-	for u := range wg.weight {
-		cu := com[u]
-		out.self[cu] += wg.self[u]
-		for i, v := range wg.nbr[u] {
-			cv := com[v]
-			if cv == cu {
-				// Each undirected edge appears twice in adjacency lists;
-				// halve to count it once as a self loop.
-				out.self[cu] += wg.w[u][i] / 2
-			} else {
-				maps[cu][cv] += wg.w[u][i]
+	members := make([]int, n)
+	next := append([]int(nil), start[:k]...)
+	for u, c := range com {
+		members[next[c]] = u
+		next[c]++
+	}
+	b := newRowBuilder(deg)
+	for cx := 0; cx < k; cx++ {
+		for _, u := range members[start[cx]:start[cx+1]] {
+			b.wg.self[cx] += wg.self[u]
+			for i := wg.ptr[u]; i < wg.ptr[u+1]; i++ {
+				if cy := com[wg.nbr[i]]; cy == cx {
+					// Each undirected edge appears twice in adjacency lists;
+					// halve to count it once as a self loop.
+					b.wg.self[cx] += wg.w[i] / 2
+				} else {
+					b.add(cy, cx, wg.w[i])
+				}
 			}
 		}
 	}
-	for cu := 0; cu < k; cu++ {
-		for cv, w := range maps[cu] {
-			out.nbr[cu] = append(out.nbr[cu], cv)
-			out.w[cu] = append(out.w[cu], w)
-			out.weight[cu] += w
-		}
-		out.weight[cu] += 2 * out.self[cu]
-		out.m2 += out.weight[cu]
-	}
-	return out
+	return b.finish()
 }
 
 // Modularity computes Newman modularity of a partition on the
 // symmetrised graph: Q = Σ_c [ in_c/m2 - (tot_c/m2)^2 ].
 func Modularity(g *graph.Graph, com []int) float64 {
-	wg := symmetrize(g)
+	return symmetrize(g).modularity(com)
+}
+
+func (wg *weighted) modularity(com []int) float64 {
 	if wg.m2 == 0 {
 		return 0
 	}
@@ -227,9 +292,9 @@ func Modularity(g *graph.Graph, com []int) float64 {
 	for u := range wg.weight {
 		tot[com[u]] += wg.weight[u]
 		in[com[u]] += 2 * wg.self[u]
-		for i, v := range wg.nbr[u] {
-			if com[v] == com[u] {
-				in[com[u]] += wg.w[u][i]
+		for i := wg.ptr[u]; i < wg.ptr[u+1]; i++ {
+			if com[wg.nbr[i]] == com[u] {
+				in[com[u]] += wg.w[i]
 			}
 		}
 	}

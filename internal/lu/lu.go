@@ -27,8 +27,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"kdash/internal/sparse"
 )
@@ -40,16 +41,33 @@ func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 		panic(fmt.Sprintf("lu: adjacency must be square, got %dx%d", a.Rows, a.Cols))
 	}
 	n := a.Rows
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 1)
-	}
-	for col := 0; col < n; col++ {
-		for i := a.ColPtr[col]; i < a.ColPtr[col+1]; i++ {
-			coo.Add(a.RowIdx[i], col, -(1-c)*a.Val[i])
+	w := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+	w.RowIdx = make([]int, 0, a.NNZ()+n)
+	w.Val = make([]float64, 0, a.NNZ()+n)
+	put := func(row int, v float64) {
+		if v != 0 {
+			w.RowIdx = append(w.RowIdx, row)
+			w.Val = append(w.Val, v)
 		}
 	}
-	return coo.ToCSC()
+	for col := 0; col < n; col++ {
+		// Column col of A with the identity's 1 merged in at row col.
+		diag := 1.0
+		i, hi := a.ColPtr[col], a.ColPtr[col+1]
+		for ; i < hi && a.RowIdx[i] < col; i++ {
+			put(a.RowIdx[i], -(1-c)*a.Val[i])
+		}
+		if i < hi && a.RowIdx[i] == col {
+			diag += -(1 - c) * a.Val[i]
+			i++
+		}
+		put(col, diag)
+		for ; i < hi; i++ {
+			put(a.RowIdx[i], -(1-c)*a.Val[i])
+		}
+		w.ColPtr[col+1] = len(w.RowIdx)
+	}
+	return w
 }
 
 // Factors holds the sparse LU decomposition W = L U with unit lower
@@ -170,7 +188,7 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 			}
 		}
 		// Split x into U[:,j] (indices <= j) and L[:,j] (indices > j).
-		sort.Ints(order)
+		slices.Sort(order)
 		diag := 0.0
 		for _, i := range order {
 			if i < j {
@@ -515,18 +533,18 @@ func (inv *Inverse) SolveBatch(rs [][]float64) [][]float64 {
 }
 
 // Invert computes L^{-1} and U^{-1} exactly, column by column, realising
-// the paper's Equations (4)–(5).
+// the paper's Equations (4)–(5). L^{-1}'s columns are assembled before
+// U^{-1}'s are computed, so only one factor's per-column buffers are
+// alive at a time.
 func (f *Factors) Invert(opt Options) *Inverse {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lCols := invertColumns(f.N, workers, opt.DropTol, f.solveLowerColumn)
-	uCols := invertColumns(f.N, workers, opt.DropTol, f.solveUpperColumn)
 	return &Inverse{
 		N:    f.N,
-		Linv: assembleCSC(f.N, lCols),
-		Uinv: assembleCSC(f.N, uCols).ToCSR(),
+		Linv: assembleCSC(f.N, invertColumns(f.N, workers, opt.DropTol, f.solveLowerColumn)),
+		Uinv: assembleCSR(f.N, invertColumns(f.N, workers, opt.DropTol, f.solveUpperColumn)),
 	}
 }
 
@@ -537,31 +555,34 @@ type column struct {
 }
 
 // invertColumns runs solve(j) for every column j, optionally in parallel.
+// Workers claim runs of columns off a shared cursor: one column is a few
+// microseconds of work, too little to hand over one at a time.
 func invertColumns(n, workers int, dropTol float64, solve func(j int, ws *solveWorkspace) column) []column {
 	cols := make([]column, n)
 	if workers <= 1 || n < 64 {
-		ws := newSolveWorkspace(n)
-		for j := 0; j < n; j++ {
-			cols[j] = dropSmall(solve(j, ws), dropTol)
-		}
-		return cols
+		workers = 1
 	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
+	const run = 32
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ws := newSolveWorkspace(n)
-			for j := range next {
-				cols[j] = dropSmall(solve(j, ws), dropTol)
+			for {
+				lo := int(next.Add(run)) - run
+				if lo >= n {
+					return
+				}
+				for j := lo; j < min(lo+run, n); j++ {
+					cols[j] = dropSmall(solve(j, ws), dropTol)
+				}
 			}
 		}()
 	}
-	for j := 0; j < n; j++ {
-		next <- j
-	}
-	close(next)
 	wg.Wait()
 	return cols
 }
@@ -601,7 +622,6 @@ func newSolveWorkspace(n int) *solveWorkspace {
 // ascending index order.
 func (f *Factors) solveLowerColumn(j int, ws *solveWorkspace) column {
 	reach := f.reachFrom(j, ws, f.lPtr, f.lRow)
-	sort.Ints(reach)
 	for _, i := range reach {
 		ws.x[i] = 0
 	}
@@ -615,7 +635,7 @@ func (f *Factors) solveLowerColumn(j int, ws *solveWorkspace) column {
 			ws.x[f.lRow[p]] -= f.lVal[p] * xi
 		}
 	}
-	return gather(reach, ws)
+	return gather(reach, ws.x)
 }
 
 // solveUpperColumn computes column j of U^{-1}: solve U x = e_j.
@@ -623,12 +643,12 @@ func (f *Factors) solveLowerColumn(j int, ws *solveWorkspace) column {
 // elimination runs in descending index order.
 func (f *Factors) solveUpperColumn(j int, ws *solveWorkspace) column {
 	reach := f.reachFrom(j, ws, f.uPtr, f.uRow)
-	sort.Sort(sort.Reverse(sort.IntSlice(reach)))
 	for _, i := range reach {
 		ws.x[i] = 0
 	}
 	ws.x[j] = 1
-	for _, i := range reach {
+	for t := len(reach) - 1; t >= 0; t-- {
+		i := reach[t]
 		d := f.uVal[f.uPtr[i+1]-1]
 		xi := ws.x[i] / d
 		ws.x[i] = xi
@@ -639,13 +659,14 @@ func (f *Factors) solveUpperColumn(j int, ws *solveWorkspace) column {
 			ws.x[f.uRow[p]] -= f.uVal[p] * xi
 		}
 	}
-	return gather(reach, ws)
+	return gather(reach, ws.x)
 }
 
 // reachFrom computes all indices reachable from j in the DAG whose edges
 // are i -> rows of column i (excluding the diagonal for U, which is the
-// last entry; including it is harmless as it self-loops). Marks are reset
-// before returning.
+// last entry; including it is harmless as it self-loops), in ascending
+// order. Marks are reset before returning. The result aliases the
+// workspace and is valid until the next call.
 func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []int {
 	ws.reach = ws.reach[:0]
 	ws.stack = append(ws.stack[:0], j)
@@ -676,38 +697,66 @@ func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []i
 	for _, i := range ws.reach {
 		ws.mark[i] = false
 	}
-	out := make([]int, len(ws.reach))
-	copy(out, ws.reach)
-	return out
+	slices.Sort(ws.reach)
+	return ws.reach
 }
 
-func gather(reach []int, ws *solveWorkspace) column {
-	c := column{}
-	// reach is sorted (asc for L, desc for U); emit ascending for CSC.
-	idxs := make([]int, len(reach))
-	copy(idxs, reach)
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if ws.x[i] != 0 {
+// gather copies the nonzeros of x at the (ascending) reach indices into
+// an exactly sized column.
+func gather(reach []int, x []float64) column {
+	nnz := 0
+	for _, i := range reach {
+		if x[i] != 0 {
+			nnz++
+		}
+	}
+	c := column{idx: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
+	for _, i := range reach {
+		if x[i] != 0 {
 			c.idx = append(c.idx, i)
-			c.val = append(c.val, ws.x[i])
+			c.val = append(c.val, x[i])
 		}
 	}
 	return c
 }
 
+// assembleCSC concatenates the computed columns into one CSC matrix.
 func assembleCSC(n int, cols []column) *sparse.CSC {
 	m := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
-	nnz := 0
-	for _, c := range cols {
-		nnz += len(c.idx)
-	}
-	m.RowIdx = make([]int, 0, nnz)
-	m.Val = make([]float64, 0, nnz)
 	for j, c := range cols {
-		m.RowIdx = append(m.RowIdx, c.idx...)
-		m.Val = append(m.Val, c.val...)
-		m.ColPtr[j+1] = len(m.RowIdx)
+		m.ColPtr[j+1] = m.ColPtr[j] + len(c.idx)
+	}
+	m.RowIdx = make([]int, m.ColPtr[n])
+	m.Val = make([]float64, m.ColPtr[n])
+	for j, c := range cols {
+		copy(m.RowIdx[m.ColPtr[j]:], c.idx)
+		copy(m.Val[m.ColPtr[j]:], c.val)
+	}
+	return m
+}
+
+// assembleCSR lays the computed columns out by row — what converting
+// assembleCSC's result to CSR would give, without the intermediate
+// copy: visiting columns in ascending order leaves every row ascending.
+func assembleCSR(n int, cols []column) *sparse.CSR {
+	m := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for _, c := range cols {
+		for _, i := range c.idx {
+			m.RowPtr[i+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	m.ColIdx = make([]int, m.RowPtr[n])
+	m.Val = make([]float64, m.RowPtr[n])
+	next := slices.Clone(m.RowPtr[:n])
+	for j, c := range cols {
+		for k, i := range c.idx {
+			m.ColIdx[next[i]] = j
+			m.Val[next[i]] = c.val[k]
+			next[i]++
+		}
 	}
 	return m
 }

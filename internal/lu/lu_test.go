@@ -3,6 +3,8 @@ package lu
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +290,109 @@ func TestIdentityFactorization(t *testing.T) {
 	inv := fac.Invert(Options{})
 	if inv.NNZ() != 12 {
 		t.Errorf("identity inverses should be diagonal only: %d", inv.NNZ())
+	}
+}
+
+// oracleInvert is the inversion this package shipped before the
+// sort-once rewrite, kept as the bit-for-bit reference: the upper solve
+// sorts its reach descending through sort.Reverse, gather re-sorts a
+// copy ascending, columns grow by append, and U^{-1} takes a detour
+// through a CSC before it is transposed. BuildW's COO detour rides
+// along in oracleBuildW.
+func oracleInvert(f *Factors) (*sparse.CSC, *sparse.CSR) {
+	ws := newSolveWorkspace(f.N)
+	reachFrom := func(j int, ptr, row []int) []int {
+		return append([]int(nil), f.reachFrom(j, ws, ptr, row)...)
+	}
+	gather := func(reach []int) column {
+		idxs := append([]int(nil), reach...)
+		sort.Ints(idxs)
+		var c column
+		for _, i := range idxs {
+			if ws.x[i] != 0 {
+				c.idx = append(c.idx, i)
+				c.val = append(c.val, ws.x[i])
+			}
+		}
+		return c
+	}
+	lCols, uCols := make([]column, f.N), make([]column, f.N)
+	for j := 0; j < f.N; j++ {
+		reach := reachFrom(j, f.lPtr, f.lRow)
+		sort.Ints(reach)
+		for _, i := range reach {
+			ws.x[i] = 0
+		}
+		ws.x[j] = 1
+		for _, i := range reach {
+			for p := f.lPtr[i]; p < f.lPtr[i+1] && ws.x[i] != 0; p++ {
+				ws.x[f.lRow[p]] -= f.lVal[p] * ws.x[i]
+			}
+		}
+		lCols[j] = gather(reach)
+
+		reach = reachFrom(j, f.uPtr, f.uRow)
+		sort.Sort(sort.Reverse(sort.IntSlice(reach)))
+		for _, i := range reach {
+			ws.x[i] = 0
+		}
+		ws.x[j] = 1
+		for _, i := range reach {
+			ws.x[i] /= f.uVal[f.uPtr[i+1]-1]
+			for p := f.uPtr[i]; p < f.uPtr[i+1]-1 && ws.x[i] != 0; p++ {
+				ws.x[f.uRow[p]] -= f.uVal[p] * ws.x[i]
+			}
+		}
+		uCols[j] = gather(reach)
+	}
+	return assembleCSC(f.N, lCols), assembleCSC(f.N, uCols).ToCSR()
+}
+
+func oracleBuildW(a *sparse.CSC, c float64) *sparse.CSC {
+	coo := sparse.NewCOO(a.Rows, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		coo.Add(i, i, 1)
+	}
+	for col := 0; col < a.Rows; col++ {
+		for i := a.ColPtr[col]; i < a.ColPtr[col+1]; i++ {
+			coo.Add(a.RowIdx[i], col, -(1-c)*a.Val[i])
+		}
+	}
+	return coo.ToCSC()
+}
+
+// TestInvertBitIdenticalToOracle: the rewrite changed how the inverse is
+// assembled, not one operation of the arithmetic, so every index and
+// every value bit must match — serial and parallel.
+func TestInvertBitIdenticalToOracle(t *testing.T) {
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		n := 20 + 15*int(seed)
+		g := gen.DirectedScaleFree(n, 3, 0.6, 0.3, seed) // self loops and dangling nodes included
+		a := g.ColumnNormalized()
+		w, wantW := BuildW(a, 0.9), oracleBuildW(a, 0.9)
+		if !slices.Equal(w.ColPtr, wantW.ColPtr) || !slices.Equal(w.RowIdx, wantW.RowIdx) || !slices.Equal(bits(w.Val), bits(wantW.Val)) {
+			t.Fatalf("seed %d: BuildW differs from the COO oracle", seed)
+		}
+		fac, err := Decompose(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantL, wantU := oracleInvert(fac)
+		for _, workers := range []int{1, 3} {
+			inv := fac.Invert(Options{Workers: workers})
+			if !slices.Equal(inv.Linv.ColPtr, wantL.ColPtr) || !slices.Equal(inv.Linv.RowIdx, wantL.RowIdx) || !slices.Equal(bits(inv.Linv.Val), bits(wantL.Val)) {
+				t.Fatalf("seed %d workers %d: L^-1 differs from the oracle", seed, workers)
+			}
+			if !slices.Equal(inv.Uinv.RowPtr, wantU.RowPtr) || !slices.Equal(inv.Uinv.ColIdx, wantU.ColIdx) || !slices.Equal(bits(inv.Uinv.Val), bits(wantU.Val)) {
+				t.Fatalf("seed %d workers %d: U^-1 differs from the oracle", seed, workers)
+			}
+		}
 	}
 }

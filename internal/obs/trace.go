@@ -55,8 +55,14 @@ type QueryTrace struct {
 	// under tolerance rather than hitting the solve cap.
 	Converged bool
 	// CacheHit marks answers served from the server's cached top-K
-	// list; the engine never ran, so every other field is zero.
+	// list; the engine never ran, so every other field but
+	// BarrierWaitNS is zero.
 	CacheHit bool
+	// BarrierWaitNS is how long the request waited on the server's WAL
+	// read barrier for an acked update to be applied, before the engine
+	// (or the cache) was consulted. Zero outside WAL mode and whenever
+	// nothing was pending.
+	BarrierWaitNS int64
 }
 
 // Reset clears the trace for reuse, keeping slice capacity.
@@ -68,6 +74,7 @@ func (t *QueryTrace) Reset() {
 	t.CutMassPruned = 0
 	t.Converged = false
 	t.CacheHit = false
+	t.BarrierWaitNS = 0
 }
 
 // AddStep appends one shard solve and its post-solve residual bound.

@@ -11,9 +11,10 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"kdash/internal/graph"
@@ -75,6 +76,8 @@ func Parse(name string) (Method, error) {
 // Compute returns the permutation (perm[old] = new) for the chosen method.
 // The seed feeds Louvain's visit order and the Random method; the same
 // seed always gives the same permutation.
+//
+//kdash:deterministic
 func Compute(g *graph.Graph, m Method, seed int64) []int {
 	switch m {
 	case Degree:
@@ -112,12 +115,11 @@ func degreeOrder(g *graph.Graph) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := g.Degree(order[a]), g.Degree(order[b])
-		if da != db {
-			return da < db
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return positionsToPerm(order)
 }
@@ -127,49 +129,46 @@ func degreeOrder(g *graph.Graph) []int {
 // concatenation of partitions.
 func clusterOrder(g *graph.Graph, seed int64, sortByDegree bool) []int {
 	n := g.N()
-	res := louvain.Partition(g, seed)
-	part := make([]int, n)
-	copy(part, res.Community)
-	border := res.K // the κ+1-th partition
-	// A node whose edges cross partitions moves to the border partition
-	// (Algorithm 2, lines 3–6). Edge direction is irrelevant here; any
-	// incident cross edge disqualifies the node.
-	isCross := make([]bool, n)
-	for _, e := range g.Edges() {
-		if res.Community[e.From] != res.Community[e.To] {
-			isCross[e.From] = true
-			isCross[e.To] = true
-		}
-	}
-	for u := 0; u < n; u++ {
-		if isCross[u] {
-			part[u] = border
-		}
-	}
+	part, _ := borderPartition(g, seed)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ua, ub := order[a], order[b]
-		if part[ua] != part[ub] {
-			return part[ua] < part[ub]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(part[a], part[b]); c != 0 {
+			return c
 		}
 		if sortByDegree {
-			da, db := g.Degree(ua), g.Degree(ub)
-			if da != db {
-				return da < db
+			if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
+				return c
 			}
 		}
-		return ua < ub
+		return cmp.Compare(a, b)
 	})
 	return positionsToPerm(order)
 }
 
+// borderPartition runs Louvain and moves every node with an edge that
+// crosses communities into the border partition κ+1, whose id it also
+// returns (Algorithm 2, lines 3–6). Edge direction is irrelevant here;
+// any incident cross edge disqualifies the node.
+func borderPartition(g *graph.Graph, seed int64) (part []int, border int) {
+	res := louvain.Partition(g, seed)
+	part = slices.Clone(res.Community)
+	for u := range part {
+		g.OutNeighbors(u, func(v int, _ float64) {
+			if res.Community[u] != res.Community[v] {
+				part[u], part[v] = res.K, res.K
+			}
+		})
+	}
+	return part, res.K
+}
+
 func randomOrder(n int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
 	// rng.Perm already produces perm[old] = new uniformly.
-	return rng.Perm(n)
+	//kdash:allow(determinism) seeded generator: the permutation is a pure function of seed
+	return rand.New(rand.NewSource(seed)).Perm(n)
 }
 
 // positionsToPerm converts a visit order (order[new] = old) into a
@@ -186,21 +185,10 @@ func positionsToPerm(order []int) []int {
 // sizes of the Louvain partitions (with border extraction) that cluster
 // and hybrid reordering would use.
 func PartitionSizes(g *graph.Graph, seed int64) []int {
-	res := louvain.Partition(g, seed)
-	counts := make([]int, res.K+1)
-	isCross := make([]bool, g.N())
-	for _, e := range g.Edges() {
-		if res.Community[e.From] != res.Community[e.To] {
-			isCross[e.From] = true
-			isCross[e.To] = true
-		}
-	}
-	for u := 0; u < g.N(); u++ {
-		if isCross[u] {
-			counts[res.K]++
-		} else {
-			counts[res.Community[u]]++
-		}
+	part, border := borderPartition(g, seed)
+	counts := make([]int, border+1)
+	for _, p := range part {
+		counts[p]++
 	}
 	return counts
 }

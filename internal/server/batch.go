@@ -52,7 +52,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.qBatch.Add(1)
-	st, ok := h.snapRead(w, r)
+	st, _, ok := h.snapRead(w, r)
 	if !ok {
 		return
 	}

@@ -73,6 +73,12 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	pw.Metric("kdash_update_edge_ops_total", nil, float64(h.updEdges.Value()))
 	pw.Header("kdash_update_nodes_added_total", "Nodes inserted by updates.", "counter")
 	pw.Metric("kdash_update_nodes_added_total", nil, float64(h.updNodes.Value()))
+	pw.Header("kdash_update_apply_seconds", "Wall time of each engine apply (one per sync update, one per WAL compaction); in WAL mode, the stall a reader sees after an ack.", "histogram")
+	pw.Histogram("kdash_update_apply_seconds", nil, h.applyLat.Snapshot())
+	pw.Header("kdash_update_stage_seconds_total", "Apply time by stage: graph is wall time, the build stages are summed over the rebuilt shards.", "counter")
+	for i, stage := range updateStages {
+		pw.Metric("kdash_update_stage_seconds_total", []obs.Label{{Name: "stage", Value: stage.name}}, float64(h.updStageNs[i].Value())/1e9)
+	}
 
 	// Process and index gauges.
 	pw.Header("kdash_epoch", "Serving engine epoch (bumped by each applied update).", "gauge")
@@ -131,6 +137,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		pw.Metric("kdash_wal_apply_errors_total", nil, float64(applyErrors))
 		pw.Header("kdash_wal_batches_dropped_total", "Acked client batches lost to apply errors.", "counter")
 		pw.Metric("kdash_wal_batches_dropped_total", nil, float64(dropped))
+		pw.Header("kdash_wal_barrier_wait_seconds", "Time queries spent on the read barrier waiting for an acked update to be applied (queries that found nothing pending are not counted).", "histogram")
+		pw.Histogram("kdash_wal_barrier_wait_seconds", nil, ws.barrierLat.Snapshot())
 	}
 
 	if s, ok := st.engine.(Statser); ok {

@@ -230,6 +230,7 @@ type traceJSON struct {
 	CacheHit       bool            `json:"cacheHit"`
 	SolveNS        int64           `json:"solveNs"`
 	RankNS         int64           `json:"rankNs"`
+	BarrierWaitNS  int64           `json:"barrierWaitNs"`
 }
 
 // toTraceJSON copies a pooled recorder into a response-owned block (the
@@ -246,6 +247,7 @@ func toTraceJSON(tr *obs.QueryTrace) *traceJSON {
 		CacheHit:       tr.CacheHit,
 		SolveNS:        tr.SolveNS,
 		RankNS:         tr.RankNS,
+		BarrierWaitNS:  tr.BarrierWaitNS,
 	}
 	if len(tr.Steps) > 0 {
 		out.Steps = make([]traceStepJSON, len(tr.Steps))

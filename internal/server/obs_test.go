@@ -19,11 +19,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kdash/internal/gen"
 	"kdash/internal/placement"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
+	"kdash/internal/testutil"
 )
 
 // scrape fetches /metrics and returns the exposition text.
@@ -436,4 +438,108 @@ func TestClusterMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestUpdatePathObservability: an operator must be able to read how
+// long an apply took, where the time went and — in WAL mode — how long a
+// reader stalled behind it, off /metrics, /statz and ?trace=1 alone.
+func TestUpdatePathObservability(t *testing.T) {
+	// checkApply asserts one apply is on the books, with stage times
+	// that add up to something inside its wall time's order of magnitude.
+	checkApply := func(t *testing.T, h *Handler) {
+		t.Helper()
+		text := scrape(t, h)
+		if v, ok := metricValue(text, "kdash_update_apply_seconds_count"); !ok || v != 1 {
+			t.Errorf("kdash_update_apply_seconds_count = %v (present %v), want 1", v, ok)
+		}
+		applySec, _ := metricValue(text, "kdash_update_apply_seconds_sum")
+		stageSec := 0.0
+		for _, stage := range updateStages {
+			v, ok := metricValue(text, `kdash_update_stage_seconds_total{stage="`+stage.name+`"}`)
+			if !ok || v <= 0 {
+				t.Errorf("stage %q: %v seconds (present %v), want > 0", stage.name, v, ok)
+			}
+			stageSec += v
+		}
+		// Stage times are summed over shards rebuilt in parallel, so they
+		// may exceed the wall time, but not by more than the shard count.
+		if applySec <= 0 || stageSec > 4*applySec {
+			t.Errorf("apply took %vs, stages sum to %vs", applySec, stageSec)
+		}
+		_, doc := get(t, h, "/statz")
+		var upd map[string]int64
+		if err := json.Unmarshal(doc["updates"], &upd); err != nil {
+			t.Fatal(err)
+		}
+		if upd["applies"] != 1 || upd["applyNs"] <= 0 || upd["graphNs"] <= 0 || upd["reorderNs"] <= 0 || upd["factorizeNs"] <= 0 || upd["invertNs"] <= 0 {
+			t.Errorf("statz updates block = %v", upd)
+		}
+		if float64(upd["applyNs"])/1e9 != applySec {
+			t.Errorf("statz applyNs %d disagrees with /metrics sum %v", upd["applyNs"], applySec)
+		}
+	}
+
+	t.Run("sync", func(t *testing.T) {
+		h := updatableHandler(t)
+		if rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":90,"weight":2}]}`); rec.Code != http.StatusOK {
+			t.Fatalf("update: %d %s", rec.Code, rec.Body.String())
+		}
+		checkApply(t, h)
+		if strings.Contains(scrape(t, h), "kdash_wal_barrier_wait_seconds") {
+			t.Error("barrier series exported outside WAL mode")
+		}
+	})
+
+	t.Run("wal", func(t *testing.T) {
+		g := testutil.Clustered(120, 4, 1)
+		base, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An hour-long tick: only a blocked reader's kick drains, so the
+		// query below is certain to wait on the barrier.
+		h, err := NewDurable(base, WALConfig{Dir: t.TempDir(), CompactInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		if rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":90,"weight":2}]}`); rec.Code != http.StatusAccepted {
+			t.Fatalf("update: %d %s", rec.Code, rec.Body.String())
+		}
+		var stalled, free struct {
+			Trace struct {
+				BarrierWaitNS int64 `json:"barrierWaitNs"`
+			} `json:"trace"`
+		}
+		rec, _ := get(t, h, "/topk?q=0&k=3&trace=1")
+		if err := json.Unmarshal(rec.Body.Bytes(), &stalled); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ = get(t, h, "/topk?q=0&k=3&trace=1")
+		if err := json.Unmarshal(rec.Body.Bytes(), &free); err != nil {
+			t.Fatal(err)
+		}
+		if stalled.Trace.BarrierWaitNS <= 0 || free.Trace.BarrierWaitNS != 0 {
+			t.Errorf("barrierWaitNs = %d behind the ack and %d after it, want > 0 and 0", stalled.Trace.BarrierWaitNS, free.Trace.BarrierWaitNS)
+		}
+		checkApply(t, h)
+		text := scrape(t, h)
+		waits, _ := metricValue(text, "kdash_wal_barrier_wait_seconds_count")
+		waitSec, _ := metricValue(text, "kdash_wal_barrier_wait_seconds_sum")
+		if waits != 1 || waitSec != float64(stalled.Trace.BarrierWaitNS)/1e9 {
+			t.Errorf("barrier histogram: %v waits, %vs; the one stalled query waited %dns", waits, waitSec, stalled.Trace.BarrierWaitNS)
+		}
+		// The reader waited for the whole apply and a little more.
+		if applySec, _ := metricValue(text, "kdash_update_apply_seconds_sum"); waitSec < applySec {
+			t.Errorf("reader waited %vs for an apply that took %vs", waitSec, applySec)
+		}
+		_, doc := get(t, h, "/statz")
+		var walDoc map[string]json.RawMessage
+		if err := json.Unmarshal(doc["wal"], &walDoc); err != nil {
+			t.Fatal(err)
+		}
+		if string(walDoc["barrierWaits"]) != "1" || string(walDoc["barrierWaitNs"]) != strconv.FormatInt(stalled.Trace.BarrierWaitNS, 10) {
+			t.Errorf("statz wal barrierWaits=%s barrierWaitNs=%s", walDoc["barrierWaits"], walDoc["barrierWaitNs"])
+		}
+	})
 }

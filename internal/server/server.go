@@ -196,6 +196,41 @@ type Handler struct {
 	updReparts     expvar.Int // updates that triggered a re-partition
 	updEdges       expvar.Int // cumulative edge ops applied
 	updNodes       expvar.Int // cumulative nodes inserted
+
+	// Update-path timing (countUpdate): how long each engine apply ran —
+	// in WAL mode that is the stall a reader sees after an ack — and
+	// where the time went, cumulative per stage in updateStages order.
+	applyLat   obs.Histogram
+	updStageNs [len(updateStages)]expvar.Int
+}
+
+// updateStages are the stages an update's time is attributed to: the
+// name /metrics and /statz report each under and where its time comes
+// from.
+var updateStages = [...]struct {
+	name string
+	time func(core.UpdateStats) time.Duration
+}{
+	{"graph", func(s core.UpdateStats) time.Duration { return s.GraphTime }},
+	{"reorder", func(s core.UpdateStats) time.Duration { return s.ReorderTime }},
+	{"factorize", func(s core.UpdateStats) time.Duration { return s.FactorizeTime }},
+	{"invert", func(s core.UpdateStats) time.Duration { return s.InvertTime }},
+}
+
+// countUpdate folds one engine apply — the sync path's single batch or
+// a compaction's merged ones — into the cumulative update counters.
+func (h *Handler) countUpdate(batches int64, stats core.UpdateStats, applied time.Duration) {
+	h.qUpdates.Add(batches)
+	h.updShards.Add(int64(stats.ShardsRebuilt))
+	h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))
+	h.updNodes.Add(int64(stats.NodesAdded))
+	if stats.Repartitioned {
+		h.updReparts.Add(1)
+	}
+	h.applyLat.Observe(applied)
+	for i, stage := range updateStages {
+		h.updStageNs[i].Add(int64(stage.time(stats)))
+	}
 }
 
 // New wraps an engine in an http.Handler. The engine must not be modified
@@ -265,14 +300,17 @@ func (h *Handler) snap() *engineState { return h.state.Load() }
 // guarantee that keeps WAL-mode answers exact (bit-identical to
 // synchronous applies) rather than stale. The false return means the
 // request's context expired while waiting and the 499 has been written.
-func (h *Handler) snapRead(w http.ResponseWriter, r *http.Request) (*engineState, bool) {
+// waited is the time spent on the barrier (zero when nothing was
+// pending), for the ?trace=1 block.
+func (h *Handler) snapRead(w http.ResponseWriter, r *http.Request) (st *engineState, waited time.Duration, ok bool) {
 	if h.wals != nil {
-		if err := h.wals.waitApplied(r.Context()); err != nil {
+		var err error
+		if waited, err = h.wals.waitApplied(r.Context()); err != nil {
 			h.cancelled(w, err)
-			return nil, false
+			return nil, waited, false
 		}
 	}
-	return h.snap(), true
+	return h.snap(), waited, true
 }
 
 // ServeHTTP implements http.Handler. A panic anywhere below — the shard
@@ -396,7 +434,7 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.qTopK.Add(1)
-	st, ok := h.snapRead(w, r)
+	st, waited, ok := h.snapRead(w, r)
 	if !ok {
 		return
 	}
@@ -424,6 +462,7 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 	if wantTrace(r) {
 		tr = h.getTrace()
 		defer h.putTrace(tr)
+		tr.BarrierWaitNS = waited.Nanoseconds()
 		opt.Trace = tr
 	}
 	// A request needing a deeper list than maxCachedK runs exactly as
@@ -475,7 +514,7 @@ func (h *Handler) personalized(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.qPers.Add(1)
-	st, ok := h.snapRead(w, r)
+	st, _, ok := h.snapRead(w, r)
 	if !ok {
 		return
 	}
@@ -527,7 +566,7 @@ func (h *Handler) proximity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.qProx.Add(1)
-	st, ok := h.snapRead(w, r)
+	st, _, ok := h.snapRead(w, r)
 	if !ok {
 		return
 	}
@@ -609,15 +648,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request) {
 			"proximityComputations": h.proxComps.Value(),
 			"terminatedEarly":       h.terminated.Value(),
 		},
-		"updates": map[string]int64{
-			"applied":       h.qUpdates.Value(),
-			"epoch":         int64(st.epoch),
-			"shardsRebuilt": h.updShards.Value(),
-			"repartitions":  h.updReparts.Value(),
-			"edgeOps":       h.updEdges.Value(),
-			"nodesAdded":    h.updNodes.Value(),
-			"unsupported":   h.updUnsupported.Value(),
-		},
+		"updates": h.updatesStatz(st.epoch),
 	}
 	if h.openMode != "" {
 		doc["load"] = map[string]interface{}{
@@ -645,6 +676,28 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request) {
 		doc["index"] = s.Statz()
 	}
 	writeJSON(w, doc)
+}
+
+// updatesStatz is the /statz "updates" block: the update counters, then
+// the engine applies' count and cumulative wall time, then where that
+// time went — one <name>Ns key per updateStages entry.
+func (h *Handler) updatesStatz(epoch int) map[string]int64 {
+	applies := h.applyLat.Snapshot()
+	doc := map[string]int64{
+		"applied":       h.qUpdates.Value(),
+		"epoch":         int64(epoch),
+		"shardsRebuilt": h.updShards.Value(),
+		"repartitions":  h.updReparts.Value(),
+		"edgeOps":       h.updEdges.Value(),
+		"nodesAdded":    h.updNodes.Value(),
+		"unsupported":   h.updUnsupported.Value(),
+		"applies":       int64(applies.Count),
+		"applyNs":       applies.SumNS,
+	}
+	for i, stage := range updateStages {
+		doc[stage.name+"Ns"] = h.updStageNs[i].Value()
+	}
+	return doc
 }
 
 // latencyStatz summarises each endpoint's latency histogram for the

@@ -125,6 +125,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 
 	t0 := time.Now()
 	next, stats, err := st.upd.ApplyDelta(batch)
+	applied := time.Since(t0)
 	if err != nil {
 		switch {
 		// The one engine-side failure a client can cause with a
@@ -154,13 +155,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	}
 	h.state.Store(newEngineState(engine, stats.Epoch))
 	h.invalidateCache(stats)
-	h.qUpdates.Add(1)
-	h.updShards.Add(int64(stats.ShardsRebuilt))
-	h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))
-	h.updNodes.Add(int64(stats.NodesAdded))
-	if stats.Repartitioned {
-		h.updReparts.Add(1)
-	}
+	h.countUpdate(1, stats, applied)
 	writeJSON(w, updateResponse{
 		Epoch:         stats.Epoch,
 		Nodes:         engine.N(),

@@ -9,7 +9,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -48,13 +50,12 @@ func (m *COO) NNZ() int { return len(m.entries) }
 
 // ToCSR compresses the accumulated entries into row-major form.
 func (m *COO) ToCSR() *CSR {
-	ent := make([]Triplet, len(m.entries))
-	copy(ent, m.entries)
-	sort.Slice(ent, func(i, j int) bool {
-		if ent[i].Row != ent[j].Row {
-			return ent[i].Row < ent[j].Row
+	ent := slices.Clone(m.entries)
+	slices.SortFunc(ent, func(x, y Triplet) int {
+		if c := cmp.Compare(x.Row, y.Row); c != 0 {
+			return c
 		}
-		return ent[i].Col < ent[j].Col
+		return cmp.Compare(x.Col, y.Col)
 	})
 	c := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int, m.rows+1)}
 	for i := 0; i < len(ent); {
@@ -237,13 +238,19 @@ func (m *CSC) PermuteSym(perm []int) *CSC {
 	if len(perm) != m.Rows || m.Rows != m.Cols {
 		panic("sparse: PermuteSym requires square matrix and full permutation")
 	}
-	coo := NewCOO(m.Rows, m.Cols)
-	for c := 0; c < m.Cols; c++ {
-		for i := m.ColPtr[c]; i < m.ColPtr[c+1]; i++ {
-			coo.Add(perm[m.RowIdx[i]], perm[c], m.Val[i])
-		}
+	// Two counting transposes instead of a sort: ToCSR buckets the
+	// entries by their new row (it does not need a column's rows
+	// ordered), and ToCSC's row-by-row sweep then hands every new column
+	// its rows ascending.
+	rows := make([]int, len(m.RowIdx))
+	for i, r := range m.RowIdx {
+		rows[i] = perm[r]
 	}
-	return coo.ToCSC()
+	byRow := (&CSC{Rows: m.Rows, Cols: m.Cols, ColPtr: m.ColPtr, RowIdx: rows, Val: m.Val}).ToCSR()
+	for i, c := range byRow.ColIdx {
+		byRow.ColIdx[i] = perm[c]
+	}
+	return byRow.ToCSC()
 }
 
 // Transpose returns M^T in the same storage family.
