@@ -8,9 +8,8 @@
 //	kdash-bench -exp fig2           # one experiment
 //	kdash-bench -exp fig5 -queries 5
 //	kdash-bench -exp shards -shards 1,4,8 -shard-nodes 50000
-//	kdash-bench -exp batch -batches 1,8,64 -shard-nodes 50000
 //	kdash-bench -exp updates -shard-nodes 50000   # update latency vs rebuild
-//	kdash-bench -exp kernels                      # solve-kernel throughput (scalar vs SIMD vs float32)
+//	kdash-bench -exp kernels                      # solve-kernel throughput (scalar vs SIMD)
 //	kdash-bench -exp distributed                  # coordinator/worker loopback serving vs single process
 //	kdash-bench -exp shards -json                 # also write BENCH_shards.json
 //	kdash-bench -exp fig2 -cpuprofile cpu.out     # pprof the run
@@ -37,12 +36,11 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|fig6|fig7|fig9|table2|csweep|ablation|shards|batch|updates|coldstart|serve|kernels|distributed|all")
+		exp        = flag.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|fig6|fig7|fig9|table2|csweep|ablation|shards|updates|coldstart|serve|kernels|distributed|all")
 		queries    = flag.Int("queries", 10, "query nodes averaged per measurement")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		shards     = flag.String("shards", "1,2,4,8", "shard counts for -exp shards")
-		shardNodes = flag.Int("shard-nodes", 0, "graph size for -exp shards/batch (0 = default 50000)")
-		batches    = flag.String("batches", "1,8,64", "batch sizes for -exp batch")
+		shardNodes = flag.Int("shard-nodes", 0, "graph size for the sharded-index experiments (0 = default 50000)")
 		serveDur   = flag.Duration("serve-duration", 0, "per-phase wall clock for -exp serve (0 = default 4s)")
 		serveWk    = flag.Int("serve-workers", 0, "client concurrency for -exp serve (0 = default 8)")
 		jsonOut    = flag.Bool("json", false, "also write each experiment's rows to BENCH_<exp>.json")
@@ -52,11 +50,9 @@ func main() {
 	flag.Parse()
 	shardCounts, err := parseInts(*shards)
 	check(err)
-	batchSizes, err := parseInts(*batches)
-	check(err)
 	cfg := experiments.Config{
 		Queries: *queries, Seed: *seed, ShardCounts: shardCounts, ShardGraphN: *shardNodes,
-		BatchSizes: batchSizes, ServeDuration: *serveDur, ServeWorkers: *serveWk,
+		ServeDuration: *serveDur, ServeWorkers: *serveWk,
 	}
 	want := strings.Split(*exp, ",")
 	run := func(name string) bool {
@@ -101,7 +97,6 @@ func main() {
 				"seed":          rcfg.Seed,
 				"shards":        rcfg.ShardCounts,
 				"shardNodes":    rcfg.ShardGraphN,
-				"batches":       rcfg.BatchSizes,
 				"serveDuration": rcfg.ServeDuration.String(),
 				"serveWorkers":  rcfg.ServeWorkers,
 			},
@@ -187,14 +182,6 @@ func main() {
 		experiments.WriteShardRows(os.Stdout, rows)
 		emit("shards", rows)
 	}
-	if run("batch") {
-		any = true
-		section("Extension — batched execution: shared block push vs sequential queries")
-		rows, err := experiments.BatchScale(cfg)
-		check(err)
-		experiments.WriteBatchRows(os.Stdout, rows)
-		emit("batch", rows)
-	}
 	if run("updates") {
 		any = true
 		section("Extension — dynamic updates: incremental shard refactorization vs full rebuild")
@@ -221,7 +208,7 @@ func main() {
 	}
 	if run("kernels") {
 		any = true
-		section("Extension — solve kernels: scalar vs dispatched (SIMD) vs float32 strip throughput")
+		section("Extension — solve kernel: scalar vs dispatched (SIMD) scatter throughput")
 		rows, err := experiments.Kernels(cfg)
 		check(err)
 		experiments.WriteKernelRows(os.Stdout, rows)

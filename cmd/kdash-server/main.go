@@ -115,7 +115,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
 		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of parsing it into private memory")
 
-		precision   = flag.String("precision", "float64", `factor value width for single-query solves: "float64" (exact) or "float32" (half the value bandwidth, ~1e-7 relative error)`)
 		pushWorkers = flag.Int("push-workers", 0, "speculative parallel cross-shard push worker budget (<2 = sequential; answers are bit-identical either way)")
 		coordinator = flag.String("coordinator", "", "comma-separated kdash-worker addresses: serve -load-index as a distributed coordinator, routing factor solves to the workers (answers stay bit-identical to a single process)")
 
@@ -136,16 +135,6 @@ func main() {
 	requestLog, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)
-		os.Exit(2)
-	}
-	var prec kdash.Precision
-	switch *precision {
-	case "float64", "":
-		prec = kdash.PrecisionFloat64
-	case "float32":
-		prec = kdash.PrecisionFloat32
-	default:
-		fmt.Fprintf(os.Stderr, "kdash-server: unknown -precision %q (want float64 or float32)\n", *precision)
 		os.Exit(2)
 	}
 	var engine server.Engine
@@ -185,7 +174,7 @@ func main() {
 		// first query that solves the shard — the instant-cold-start
 		// configuration; without it the directory is fully parsed into
 		// private memory before the listener comes up.
-		sx, err := kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Lazy: *useMmap, Precision: prec, PushWorkers: *pushWorkers})
+		sx, err := kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Lazy: *useMmap, PushWorkers: *pushWorkers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -197,7 +186,7 @@ func main() {
 		log.Printf("loaded sharded index (%s): %d nodes / %d shards in %v",
 			openMode, sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
 	case *loadIdx != "":
-		ix, err := kdash.OpenIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Precision: prec})
+		ix, err := kdash.OpenIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -221,7 +210,7 @@ func main() {
 		if *shards > 1 {
 			sx, err := kdash.BuildShardedIndex(g, kdash.ShardOptions{
 				Shards: *shards, Restart: *c, Reorder: kdash.ReorderHybrid, Workers: *workers,
-				Precision: prec, PushWorkers: *pushWorkers,
+				PushWorkers: *pushWorkers,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -237,7 +226,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			ix.SetPrecision(prec)
 			engine = ix
 			log.Printf("built index: %d nodes / %d edges in %v", g.N(), g.M(), time.Since(start).Round(time.Millisecond))
 		}

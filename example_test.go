@@ -194,8 +194,8 @@ func ExampleOpenShardedIndex() {
 	// bit-identical: true
 }
 
-// ExampleIndex_TopKBatch answers a block of queries through one shared
-// workspace; answers are identical to issuing each query alone.
+// ExampleIndex_TopKBatch answers a block of queries; answers are
+// identical to issuing each query alone.
 func ExampleIndex_TopKBatch() {
 	b := kdash.NewBuilder(5)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}} {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"kdash/internal/gen"
-	"kdash/internal/lu"
 	"kdash/internal/reorder"
 )
 
@@ -106,102 +105,6 @@ func TestSearchBatchValidatesUpFront(t *testing.T) {
 	}
 	if rs, stats, err := ix.SearchBatch(nil); err != nil || len(rs) != 0 || len(stats) != 0 {
 		t.Errorf("empty batch: %v %v %v", rs, stats, err)
-	}
-}
-
-// TestSolveBatchMatchesSolve pins the block solve against the
-// single-RHS path within accumulation-order tolerance.
-func TestSolveBatchMatchesSolve(t *testing.T) {
-	ix := batchTestIndex(t, 2, 100)
-	rng := rand.New(rand.NewSource(7))
-	n := ix.N()
-	rs := make([][]float64, 5)
-	for b := range rs {
-		r := make([]float64, n)
-		if b%2 == 0 {
-			r[rng.Intn(n)] = 1
-		} else {
-			for i := 0; i < 10; i++ {
-				r[rng.Intn(n)] += rng.Float64()
-			}
-		}
-		rs[b] = r
-	}
-	// Keep pristine copies: SolveBatch must not mutate its inputs.
-	orig := make([][]float64, len(rs))
-	for b := range rs {
-		orig[b] = append([]float64(nil), rs[b]...)
-	}
-	got, err := ix.SolveBatch(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range rs {
-		for i := range rs[b] {
-			if rs[b][i] != orig[b][i] {
-				t.Fatalf("rhs %d mutated at %d", b, i)
-			}
-		}
-		want, err := ix.Solve(rs[b])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(got[b][i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Errorf("rhs %d entry %d: %v vs %v", b, i, got[b][i], want[i])
-			}
-		}
-	}
-	if _, err := ix.SolveBatch([][]float64{make([]float64, n-1)}); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if out, err := ix.SolveBatch(nil); err != nil || out != nil {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-}
-
-// TestBatchSolverMatchesLuReference pins the fused production solver
-// (permutation folded in, support-driven scatter, pooled buffers)
-// against the plain lu.Inverse.SolveBatch reference kernel, so a
-// numeric change to either multi-RHS implementation cannot silently
-// diverge from the other.
-func TestBatchSolverMatchesLuReference(t *testing.T) {
-	ix := batchTestIndex(t, 5, 130)
-	rng := rand.New(rand.NewSource(11))
-	n := ix.N()
-	rs := make([][]float64, 11)
-	for b := range rs {
-		r := make([]float64, n)
-		for i := 0; i < 6; i++ {
-			r[rng.Intn(n)] += rng.Float64()
-		}
-		rs[b] = r
-	}
-	got, err := ix.SolveBatch(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: permute into internal coordinates, apply the lu block
-	// kernel, compare in internal order.
-	ref := &lu.Inverse{N: n, Linv: ix.linv, Uinv: ix.uinv}
-	rp := make([][]float64, len(rs))
-	for b, r := range rs {
-		p := make([]float64, n)
-		for u, v := range r {
-			if v != 0 {
-				p[ix.perm[u]] = v
-			}
-		}
-		rp[b] = p
-	}
-	want := ref.SolveBatch(rp)
-	for b := range rs {
-		for u := 0; u < n; u++ {
-			w, g := want[b][u], got[b][ix.inv[u]]
-			if math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
-				t.Fatalf("rhs %d internal row %d: fused %v vs reference %v", b, u, g, w)
-			}
-		}
 	}
 }
 

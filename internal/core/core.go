@@ -96,10 +96,10 @@ type Index struct {
 	//kdash:readonly
 	selfA []float64 // A_uu, for the c' factor of Definition 1
 
-	// invFac lazily rebinds the inverse factors as an lu.Inverse so the
-	// single-lane sparse kernel (lu.SparseSolver) and the batch solver
-	// share one lazily transposed U^{-1} (built on first support-driven
-	// apply; never serialised — loads rebuild it on first use).
+	// invFac lazily rebinds the inverse factors as an lu.Inverse for the
+	// single-lane sparse kernel (lu.SparseSolver), which owns the lazily
+	// transposed U^{-1} (built on first support-driven apply; never
+	// serialised — loads rebuild it on first use).
 	invFacOnce sync.Once
 	invFac     *lu.Inverse
 
@@ -127,10 +127,8 @@ type Index struct {
 	// the mapping.
 	backing *mmapio.File
 
-	// precision is the factor-value width queries solve at (see
-	// SetPrecision); loadedBlkL/loadedBlkU carry pre-built blocked
-	// strips from a v3 file into the lazily bound lu.Inverse.
-	precision  lu.Precision
+	// loadedBlkL/loadedBlkU carry pre-built blocked strips from a v3
+	// file into the lazily bound lu.Inverse.
 	loadedBlkL *lu.BlockedCSC
 	loadedBlkU *lu.BlockedCSC
 }
@@ -141,24 +139,12 @@ type Index struct {
 // ids and its solutions need no per-support mapping pass.
 func (ix *Index) inverseFactors() *lu.Inverse {
 	ix.invFacOnce.Do(func() {
-		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv, Remap: ix.inv, Precision: ix.precision}
+		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv, Remap: ix.inv}
 		if ix.loadedBlkL != nil && ix.loadedBlkU != nil {
 			ix.invFac.InstallBlocked(ix.loadedBlkL, ix.loadedBlkU)
 		}
 	})
 	return ix.invFac
-}
-
-// SetPrecision selects the factor-value width for the single-lane solve
-// path: lu.Float64 (exact, the default) or lu.Float32 (half the value
-// bandwidth; see lu.Precision for the error contract). Must be called
-// before the first query on the index — the choice binds when the
-// solve kernels first run.
-func (ix *Index) SetPrecision(p lu.Precision) { ix.precision = p }
-
-// uinvByColumn returns U^{-1} in column-major form, building it once.
-func (ix *Index) uinvByColumn() *sparse.CSC {
-	return ix.inverseFactors().UinvByColumn()
 }
 
 // BuildIndex precomputes a K-dash index for the graph. Same graph and
@@ -729,7 +715,7 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 // dense vectors in original node-id order; zero entries of r cost nothing
 // in the L^{-1} pass. Unlike the proximity methods, Solve does not apply
 // the restart factor c: it is the raw linear-system primitive that
-// internal/shard's cross-shard block push is built on (each shard solve
+// internal/shard's cross-shard push is built on (each shard solve
 // consumes a residual right-hand side that already carries its scaling).
 func (ix *Index) Solve(r []float64) ([]float64, error) {
 	if len(r) != ix.n {
@@ -759,446 +745,8 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 	return out, nil
 }
 
-// SolveBatch computes y = W^{-1} r for a block of right-hand sides
-// through one traversal of the inverted factors, amortising the dominant
-// U^{-1} sweep (and, where right-hand side patterns overlap, the L^{-1}
-// scatter) across the whole block — the batched counterpart of Solve and
-// the kernel internal/shard's batched cross-shard push shares its
-// per-shard solves through. Input and output vectors are in original
-// node-id order; per column, answers are identical to Solve (the same
-// accumulation order runs per lane).
-func (ix *Index) SolveBatch(rs [][]float64) ([][]float64, error) {
-	return ix.NewBatchSolver().Solve(rs)
-}
-
-// BlockWidth is the lane count of the fixed-width block kernel. Eight
-// lanes keep the interleaved workspace one cache line per factor entry,
-// let every inner loop run with compile-time bounds (no per-element
-// bounds checks), and keep the per-shard block workspace L2-resident.
-// Wider blocks are processed as consecutive BlockWidth-wide chunks, so
-// SolveOn's shared support lists change at BlockWidth boundaries.
-const BlockWidth = 8
-
-// blockWidth is the internal alias the kernels use.
-const blockWidth = BlockWidth
-
-// BatchSolver runs repeated block solves against one index, reusing its
-// interleaved workspace and output vectors across calls so a push that
-// performs many block solves does not pay an allocate-and-zero per
-// solve. Not safe for concurrent use, and the returned vectors are valid
-// only until the next Solve call (Index.SolveBatch wraps a fresh solver
-// per call for the safe, unshared contract).
-type BatchSolver struct {
-	ix      *Index
-	ws      []float64 // interleaved workspace: entry i of lane v at ws[i*blockWidth+v]
-	ob      []float64 // interleaved output block for the scatter path
-	mark    []bool    // workspace row support flags
-	omark   []bool    // output row support flags (scatter path)
-	support []int     // workspace rows touched by the current chunk
-	osup    []int     // output rows touched by the current chunk
-	outs    [][]float64
-}
-
-// NewBatchSolver returns a reusable block solver for the index.
-func (ix *Index) NewBatchSolver() *BatchSolver {
-	return &BatchSolver{ix: ix}
-}
-
-// Solve computes W^{-1} r per block lane; see Index.SolveBatch. Every
-// entry of every returned vector is written.
-func (bs *BatchSolver) Solve(rs [][]float64) ([][]float64, error) {
-	outs, _, err := bs.solve(rs, true)
-	return outs, err
-}
-
-// SolveOn is Solve plus, per lane, the rows (original node ids,
-// unordered) that may hold nonzero solution entries; a nil list means
-// any row. Rows outside a lane's list are NOT written — they may hold
-// stale values from an earlier call — so callers must restrict their
-// reads to the list. Lanes of the same 8-wide chunk share one list.
-// This is the contract the sharded push consumes: a solve reaching a
-// fraction of the shard costs a proportional fraction to apply.
-func (bs *BatchSolver) SolveOn(rs [][]float64) ([][]float64, [][]int, error) {
-	return bs.solve(rs, false)
-}
-
-func (bs *BatchSolver) solve(rs [][]float64, fullDrain bool) ([][]float64, [][]int, error) {
-	ix := bs.ix
-	nb := len(rs)
-	if nb == 0 {
-		return nil, nil, nil
-	}
-	for b, r := range rs {
-		if len(r) != ix.n {
-			return nil, nil, fmt.Errorf("core: SolveBatch rhs %d has %d entries, index has %d nodes", b, len(r), ix.n)
-		}
-	}
-	for len(bs.outs) < nb {
-		bs.outs = append(bs.outs, nil)
-	}
-	outs := bs.outs[:nb]
-	for v := range outs {
-		if len(outs[v]) != ix.n {
-			outs[v] = make([]float64, ix.n)
-		}
-		// No zeroing: the drain writes every entry a caller may read.
-	}
-	sups := make([][]int, nb)
-	for c := 0; c < nb; c += blockWidth {
-		w := nb - c
-		if w > blockWidth {
-			w = blockWidth
-		}
-		sup := bs.solveChunk(rs[c:c+w], outs[c:c+w], fullDrain)
-		for v := c; v < c+w; v++ {
-			sups[v] = sup
-		}
-	}
-	return outs, sups, nil
-}
-
-// solveChunk runs one fixed-width block through both inverse factors,
-// returning the solution support (original ids) or nil for "any row".
-// Lanes beyond len(rs) are zero padding: they cost arithmetic on zeros
-// but buy compile-time loop bounds, a net win for every width measured.
-//
-// The L^{-1} pass records which workspace rows the chunk actually
-// touches. When that support is small relative to U^{-1} — a restart
-// vector reaches only nnz(L^{-1} e_q) rows — the U^{-1} apply runs as a
-// column scatter over the support (through the lazily transposed
-// factor) instead of the full row sweep, skipping the vast majority of
-// factor entries. Both applies visit each output's contributions in
-// ascending column order, so they are bit-identical to Solve per lane.
-func (bs *BatchSolver) solveChunk(rs, outs [][]float64, fullDrain bool) []int {
-	ix := bs.ix
-	n := ix.n
-	// One row past n: the trash row the blocked kernels' padding
-	// entries accumulate zeros into.
-	need := (n + 1) * blockWidth
-	if cap(bs.ws) < need {
-		bs.ws = make([]float64, need)
-		bs.ob = make([]float64, need)
-		bs.mark = make([]bool, n)
-		bs.omark = make([]bool, n)
-	} else {
-		// The previous chunk spot-cleaned exactly its support rows, so
-		// the workspace is already zero.
-		bs.ws = bs.ws[:need]
-	}
-	ws := bs.ws
-	w := len(rs)
-	inv := ix.inverseFactors()
-	blkL, blkU := inv.Blocked()
-	colSize := inv.UinvColSizes()
-	support := bs.support[:0]
-	scatterEntries := 0
-	touch := func(r int) {
-		if !bs.mark[r] {
-			bs.mark[r] = true
-			support = append(support, r)
-			scatterEntries += colSize[r]
-		}
-	}
-
-	// ws = L^{-1} (P r) per lane. Rows are walked in original id order —
-	// the same accumulation order Solve uses — and each L^{-1} column is
-	// traversed once for every lane sharing a nonzero on that row, the
-	// common case for the push's residual vectors (their support is the
-	// shard's cut-target set). A row with a single active lane (e.g. the
-	// first solve of a restart vector) takes the scalar scatter instead,
-	// skipping the zero lanes.
-	lp, lr, lval := ix.linv.ColPtr, ix.linv.RowIdx, ix.linv.Val
-	var row [blockWidth]float64
-	for u := 0; u < n; u++ {
-		nz, lone := 0, 0
-		for v := 0; v < w; v++ {
-			rv := rs[v][u]
-			row[v] = rv
-			if rv != 0 {
-				nz++
-				lone = v
-			}
-		}
-		if nz == 0 {
-			continue
-		}
-		qi := ix.perm[u]
-		if blkL != nil {
-			// Blocked path: bookkeeping walks the true entries (int32
-			// indices, half the bandwidth of the []int factor), the
-			// 8-lane kernel walks the padded strip. Entry order inside a
-			// column is unchanged, so results and the first-touch order
-			// of the support match the scalar loops exactly.
-			lo, hi := blkL.ColPtr[qi], blkL.ColPtr[qi+1]
-			cnt := blkL.ColCnt[qi]
-			if nz == 1 {
-				rv := row[lone]
-				for p := lo; p < lo+cnt; p++ {
-					r := int(blkL.Rows[p])
-					touch(r)
-					ws[r*blockWidth+lone] += rv * blkL.Vals[p]
-				}
-				continue
-			}
-			for _, r := range blkL.Rows[lo : lo+cnt] {
-				touch(int(r))
-			}
-			kernels.ScatterBlock8(ws, blkL.Rows[lo:hi], blkL.Vals[lo:hi], &row)
-			continue
-		}
-		if nz == 1 {
-			rv := row[lone]
-			for i := lp[qi]; i < lp[qi+1]; i++ {
-				r := lr[i]
-				touch(r)
-				ws[r*blockWidth+lone] += rv * lval[i]
-			}
-			continue
-		}
-		for i := lp[qi]; i < lp[qi+1]; i++ {
-			r := lr[i]
-			touch(r)
-			base := r * blockWidth
-			d := ws[base : base+blockWidth : base+blockWidth]
-			s := lval[i]
-			d[0] += s * row[0]
-			d[1] += s * row[1]
-			d[2] += s * row[2]
-			d[3] += s * row[3]
-			d[4] += s * row[4]
-			d[5] += s * row[5]
-			d[6] += s * row[6]
-			d[7] += s * row[7]
-		}
-	}
-
-	// Pick the cheaper U^{-1} apply: the scatter pays its entries plus a
-	// sort and an output-block drain (~2 rows of traffic per shard row),
-	// the sweep pays every stored entry.
-	var outSup []int
-	if scatterEntries+2*n < ix.uinv.NNZ() {
-		if blkU != nil {
-			outSup = bs.applyUpperScatterBlocked(blkU, support, scatterEntries, ws, outs, fullDrain)
-		} else {
-			outSup = bs.applyUpperScatter(support, scatterEntries, ws, outs, fullDrain)
-		}
-	} else {
-		bs.applyUpperSweep(ws, outs)
-	}
-	// Leave the workspace zero for the next chunk: spot-clean exactly the
-	// touched rows when the support is small, one bulk clear (memclr,
-	// far cheaper per byte) when the chunk reached most of the shard.
-	if len(support)*4 < n {
-		for _, r := range support {
-			bs.mark[r] = false
-			base := r * blockWidth
-			clear(ws[base : base+blockWidth])
-		}
-	} else {
-		clear(ws)
-		clear(bs.mark)
-	}
-	bs.support = support
-	return outSup
-}
-
-// applyUpperSweep computes the U^{-1} apply by rows: each row's indices
-// and values are loaded once and dotted against all lanes out of
-// registers.
-func (bs *BatchSolver) applyUpperSweep(ws []float64, outs [][]float64) {
-	ix := bs.ix
-	w := len(outs)
-	up, uc, uval := ix.uinv.RowPtr, ix.uinv.ColIdx, ix.uinv.Val
-	for u := 0; u < ix.n; u++ {
-		var acc [blockWidth]float64
-		for i := up[u]; i < up[u+1]; i++ {
-			base := uc[i] * blockWidth
-			cws := ws[base : base+blockWidth : base+blockWidth]
-			s := uval[i]
-			acc[0] += s * cws[0]
-			acc[1] += s * cws[1]
-			acc[2] += s * cws[2]
-			acc[3] += s * cws[3]
-			acc[4] += s * cws[4]
-			acc[5] += s * cws[5]
-			acc[6] += s * cws[6]
-			acc[7] += s * cws[7]
-		}
-		ou := ix.inv[u]
-		for v := 0; v < w; v++ {
-			outs[v][ou] = acc[v]
-		}
-	}
-}
-
-// applyUpperScatter computes the U^{-1} apply by columns of the
-// workspace support only, at cost proportional to the support's column
-// sizes instead of nnz(U^{-1}). Ascending support order keeps each
-// output's accumulation sequence identical to the row sweep's.
-//
-// When the scatter is small enough that the solution's reach must be a
-// minor fraction of the shard (each scattered entry introduces at most
-// one output row), the touched rows are tracked, drained selectively
-// and returned as the support (original ids) — the support-flag branch
-// stays out of the hot loop otherwise. A nil return means every output
-// entry was written.
-func (bs *BatchSolver) applyUpperScatter(support []int, scatterEntries int, ws []float64, outs [][]float64, fullDrain bool) []int {
-	ix := bs.ix
-	n, w := ix.n, len(outs)
-	uCol := ix.uinvByColumn()
-	// ob is zero on entry: the first allocation zeroes it and the drain
-	// below re-zeroes every row it reads.
-	ob := bs.ob[:n*blockWidth]
-	// The scatter must visit columns ascending (it keeps the summation
-	// order identical to the row sweep); lu.PreferFlagScan decides scan
-	// vs sort with the same cost model as the single-lane kernel.
-	if lu.PreferFlagScan(len(support), n) {
-		support = support[:0]
-		for r := 0; r < n; r++ {
-			if bs.mark[r] {
-				support = append(support, r)
-			}
-		}
-	} else {
-		sort.Ints(support)
-	}
-	// Track the output support unless the scatter is so large the reach
-	// is certainly most of the shard: the per-entry flag branch then
-	// buys a support-sized drain instead of a full-shard one.
-	track := !fullDrain && scatterEntries*2 < n
-	omark, osup := bs.omark, bs.osup[:0]
-	for _, j := range support {
-		base := j * blockWidth
-		cws := ws[base : base+blockWidth : base+blockWidth]
-		rows := uCol.RowIdx[uCol.ColPtr[j]:uCol.ColPtr[j+1]]
-		vals := uCol.Val[uCol.ColPtr[j]:uCol.ColPtr[j+1]]
-		vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-		for k, r := range rows {
-			s := vals[k]
-			if track && !omark[r] {
-				omark[r] = true
-				osup = append(osup, r)
-			}
-			obase := r * blockWidth
-			d := ob[obase : obase+blockWidth : obase+blockWidth]
-			d[0] += s * cws[0]
-			d[1] += s * cws[1]
-			d[2] += s * cws[2]
-			d[3] += s * cws[3]
-			d[4] += s * cws[4]
-			d[5] += s * cws[5]
-			d[6] += s * cws[6]
-			d[7] += s * cws[7]
-		}
-	}
-	bs.osup = osup
-	if !track {
-		for u := 0; u < n; u++ {
-			ou := ix.inv[u]
-			base := u * blockWidth
-			for v := 0; v < w; v++ {
-				outs[v][ou] = ob[base+v]
-			}
-			clear(ob[base : base+blockWidth])
-		}
-		return nil
-	}
-	// Drain only the touched rows, translating to original ids for the
-	// returned support; untouched output entries keep stale values the
-	// SolveOn contract forbids reading.
-	mapped := make([]int, len(osup))
-	for k, u := range osup {
-		omark[u] = false
-		ou := ix.inv[u]
-		mapped[k] = ou
-		base := u * blockWidth
-		for v := 0; v < w; v++ {
-			outs[v][ou] = ob[base+v]
-		}
-		clear(ob[base : base+blockWidth])
-	}
-	return mapped
-}
-
-// applyUpperScatterBlocked is applyUpperScatter over the blocked strip
-// form of the transposed factor: per entry, the 8-lane SIMD kernel
-// replaces the unrolled scalar lanes, and the baked permutation means
-// the output block is indexed by original node ids — the drain loses
-// its translation loads. Contribution order per output row is
-// unchanged, so lanes stay bit-identical to the scalar paths.
-func (bs *BatchSolver) applyUpperScatterBlocked(b *lu.BlockedCSC, support []int, scatterEntries int, ws []float64, outs [][]float64, fullDrain bool) []int {
-	ix := bs.ix
-	n, w := ix.n, len(outs)
-	// ob is zero on entry: the first allocation zeroes it and the drain
-	// below re-zeroes every row it reads, including the trash row.
-	ob := bs.ob[:(n+1)*blockWidth]
-	// The scatter must visit columns ascending (it keeps the summation
-	// order identical to the row sweep); lu.PreferFlagScan decides scan
-	// vs sort with the same cost model as the single-lane kernel.
-	if lu.PreferFlagScan(len(support), n) {
-		support = support[:0]
-		for r := 0; r < n; r++ {
-			if bs.mark[r] {
-				support = append(support, r)
-			}
-		}
-	} else {
-		sort.Ints(support)
-	}
-	// Track the output support unless the scatter is so large the reach
-	// is certainly most of the shard: the bookkeeping pass then buys a
-	// support-sized drain instead of a full-shard one.
-	track := !fullDrain && scatterEntries*2 < n
-	omark, osup := bs.omark, bs.osup[:0]
-	for _, j := range support {
-		base := j * blockWidth
-		cws := (*[blockWidth]float64)(ws[base : base+blockWidth])
-		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
-		if track {
-			for _, r := range b.Rows[lo : lo+b.ColCnt[j]] {
-				if !omark[r] {
-					omark[r] = true
-					osup = append(osup, int(r))
-				}
-			}
-		}
-		kernels.ScatterBlock8(ob, b.Rows[lo:hi], b.Vals[lo:hi], cws)
-	}
-	bs.osup = osup
-	if !track {
-		for r := 0; r < n; r++ {
-			base := r * blockWidth
-			for v := 0; v < w; v++ {
-				outs[v][r] = ob[base+v]
-			}
-			clear(ob[base : base+blockWidth])
-		}
-		clear(ob[n*blockWidth:])
-		return nil
-	}
-	// Drain only the touched rows — already original ids, thanks to the
-	// baked permutation; untouched output entries keep stale values the
-	// SolveOn contract forbids reading.
-	mapped := make([]int, len(osup))
-	for k, r := range osup {
-		omark[r] = false
-		mapped[k] = r
-		base := r * blockWidth
-		for v := 0; v < w; v++ {
-			outs[v][r] = ob[base+v]
-		}
-		clear(ob[base : base+blockWidth])
-	}
-	clear(ob[n*blockWidth:])
-	return mapped
-}
-
 // Statz reports observability fields for the server's /statz endpoint.
 func (ix *Index) Statz() map[string]interface{} {
-	precision := "float64"
-	if ix.precision == lu.Float32 {
-		precision = "float32"
-	}
 	return map[string]interface{}{
 		"kind":         "monolithic",
 		"nodes":        ix.n,
@@ -1208,7 +756,6 @@ func (ix *Index) Statz() map[string]interface{} {
 		"inverseRatio": ix.stats.InverseRatio,
 		"reorder":      ix.stats.Method.String(),
 		"kernels":      kernels.Impl(),
-		"precision":    precision,
 	}
 }
 

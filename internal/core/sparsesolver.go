@@ -1,12 +1,11 @@
 package core
 
-// Single-lane sparse solver: the latency-critical counterpart of the
-// 8-lane BatchSolver. It folds the node permutation around
-// lu.SparseSolver's support-tracked kernel, so a solve whose right-hand
-// side reaches a fraction of the factors costs a proportional fraction
-// to run — no O(n) allocation, zeroing or sweeping per call. This is the
-// kernel the sharded cross-shard push bottoms out in for every
-// single-query TopK and every /topk request.
+// Single-lane sparse solver: the index's one solve kernel. It folds the
+// node permutation around lu.SparseSolver's support-tracked kernel, so a
+// solve whose right-hand side reaches a fraction of the factors costs a
+// proportional fraction to run — no O(n) allocation, zeroing or sweeping
+// per call. This is the kernel the sharded cross-shard push bottoms out
+// in for every query, single or batched.
 
 import (
 	"fmt"
@@ -52,8 +51,7 @@ func (ix *Index) putSparseSolver(s *SparseSolver) { ix.sparsePool.Put(s) }
 // earlier calls — not zeros — so callers must restrict reads to the
 // support. A nil support means every row was written. Both slices are
 // valid only until the next call. Values are bit-identical to
-// Index.Solve on the equivalent dense right-hand side (and therefore to
-// BatchSolver.SolveOn's lanes).
+// Index.Solve on the equivalent dense right-hand side.
 //
 //kdash:noalloc
 //kdash:deterministic

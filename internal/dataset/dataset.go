@@ -4,7 +4,8 @@
 // structural property the corresponding experiments depend on — degree
 // skew, clusterability, directedness, density — at roughly 1/10 scale so
 // the full experiment suite (including the deliberately bad Random
-// reordering) runs on one machine. DESIGN.md §5 documents the mapping.
+// reordering) runs on one machine. docs/ARCHITECTURE.md places the package
+// in the layer map.
 package dataset
 
 import (

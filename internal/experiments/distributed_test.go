@@ -40,37 +40,6 @@ func TestDistributedShape(t *testing.T) {
 	}
 }
 
-// TestBatchScaleShape runs the batch-scaling experiment on a small
-// graph: per batch size the batched call must agree with the
-// sequential loop and the sharing column must be >= 1 (a block sweep
-// serves at least one right-hand side).
-func TestBatchScaleShape(t *testing.T) {
-	sizes := []int{1, 4}
-	rows, err := BatchScale(Config{Queries: 4, Seed: 2, ShardGraphN: 1500, BatchSizes: sizes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(sizes) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(sizes))
-	}
-	for i, r := range rows {
-		if r.Batch != sizes[i] {
-			t.Fatalf("row %d batch %d, want %d", i, r.Batch, sizes[i])
-		}
-		if !r.Agrees {
-			t.Fatalf("batch=%d answers diverged from the sequential loop", r.Batch)
-		}
-		if r.Sequential <= 0 || r.Batched <= 0 || r.Sharing < 1 {
-			t.Fatalf("row %d implausible: %+v", i, r)
-		}
-	}
-	var buf strings.Builder
-	WriteBatchRows(&buf, rows)
-	if !strings.Contains(buf.String(), "batch") {
-		t.Fatalf("table missing header:\n%s", buf.String())
-	}
-}
-
 // TestResolvedConfig: Resolved must replace every defaulted field so a
 // -json run records the workload it actually measured.
 func TestResolvedConfig(t *testing.T) {
@@ -78,7 +47,7 @@ func TestResolvedConfig(t *testing.T) {
 	if r.Queries == 0 {
 		t.Fatalf("Resolved left zero fields: %+v", r)
 	}
-	if r.ShardCounts == nil || r.ShardGraphN == 0 || r.BatchSizes == nil {
+	if r.ShardCounts == nil || r.ShardGraphN == 0 {
 		t.Fatalf("Resolved left nil/zero sweep fields: %+v", r)
 	}
 	// An explicitly set field survives resolution.

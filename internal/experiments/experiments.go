@@ -25,7 +25,7 @@ import (
 
 // Config controls workload sizes. The zero value selects the defaults
 // used by cmd/kdash-bench, which are scaled-down versions of the paper's
-// parameters (see DESIGN.md §5–6).
+// parameters (see docs/ARCHITECTURE.md).
 type Config struct {
 	// Queries is the number of query nodes averaged per measurement.
 	Queries int
@@ -46,12 +46,9 @@ type Config struct {
 	// ShardCounts is the shard sweep for the sharded-index extension
 	// (default 1, 2, 4, 8).
 	ShardCounts []int
-	// ShardGraphN sizes the generated graph for the shard and batch
+	// ShardGraphN sizes the generated graph for the sharded-index
 	// experiments.
 	ShardGraphN int
-	// BatchSizes is the batch sweep for the batched-execution extension
-	// (default 1, 8, 64).
-	BatchSizes []int
 	// ServeDuration is the per-phase wall clock of the serve-load
 	// experiment (default 4s).
 	ServeDuration time.Duration
@@ -97,9 +94,6 @@ func (c Config) Resolved() Config {
 	}
 	if c.ShardGraphN == 0 {
 		c.ShardGraphN = defaultShardGraphN
-	}
-	if c.BatchSizes == nil {
-		c.BatchSizes = defaultBatchSizes
 	}
 	if c.ServeDuration == 0 {
 		c.ServeDuration = defaultServeDuration

@@ -1,13 +1,12 @@
 package experiments
 
-// The kernels microbenchmark: per-kernel throughput of the solve-path
-// inner loops in internal/lu/kernels, comparing the pure-Go scalar
+// The kernels microbenchmark: throughput of the solve path's inner
+// loop, the internal/lu/kernels scatter, comparing the pure-Go scalar
 // reference against the runtime-dispatched implementation (AVX2 on
-// amd64, NEON on arm64 — Impl() names it) and against the float32
-// value-strip variant of the opt-in reduced-precision mode. The strips
-// are synthetic blocked-CSC columns (ascending strided rows, padded to
-// the kernel alignment), so the numbers isolate the scatter loops from
-// graph structure: this is the hardware ceiling the blocked layout buys,
+// amd64, NEON on arm64 — Impl() names it). The strips are synthetic
+// blocked-CSC columns (ascending strided rows, padded to the kernel
+// alignment), so the numbers isolate the scatter loop from graph
+// structure: this is the hardware ceiling the blocked layout buys,
 // tracked in BENCH_kernels.json alongside the end-to-end query numbers
 // in BENCH_shards.json.
 
@@ -21,7 +20,7 @@ import (
 
 // KernelRow is one (kernel, implementation, strip length) measurement.
 type KernelRow struct {
-	Kernel  string  // scatter64, scatter32 or block8
+	Kernel  string  // scatter64
 	Impl    string  // "scalar" or the dispatched implementation (avx2/neon)
 	Entries int     // entries per column strip
 	NsPerOp float64 // nanoseconds per kernel call (best of 3)
@@ -33,17 +32,12 @@ type KernelRow struct {
 // stream from L2 — the regimes the adaptive MinEntries dispatch divides.
 var kernelStripLens = []int{64, 4096, 65536}
 
-// Bytes touched per strip entry, the denominator of the GB/s column:
-// every entry streams its value (8 or 4 bytes) and int32 row, and
-// read-modify-writes its dst accumulator (16 bytes per float64 lane;
-// the 8-lane block kernel touches eight).
-const (
-	kernelBytes64     = 8 + 4 + 16
-	kernelBytes32     = 4 + 4 + 16
-	kernelBytesBlock8 = 8 + 4 + 8*16
-)
+// kernelBytes64 is the bytes touched per strip entry, the denominator
+// of the GB/s column: every entry streams its value (8 bytes) and int32
+// row, and read-modify-writes its dst accumulator (16 bytes).
+const kernelBytes64 = 8 + 4 + 16
 
-// Kernels measures every scatter kernel at each strip length for both
+// Kernels measures the scatter kernel at each strip length for both
 // implementations. The scalar rows are the portable baseline; the
 // dispatched rows show what the active CPU's vector unit adds (under
 // the noasm tag, or on CPUs without AVX2, both name "scalar" and
@@ -59,50 +53,30 @@ func Kernels(Config) ([]KernelRow, error) {
 			measureKernel("scatter64", kernels.Impl(), n, kernelBytes64, func() {
 				kernels.ScatterAXPY(strip.dst, strip.rows, strip.vals, 0.5)
 			}),
-			measureKernel("scatter32", "scalar", n, kernelBytes32, func() {
-				kernels.ScalarScatterAXPY32(strip.dst, strip.rows, strip.vals32, 0.5)
-			}),
-			measureKernel("scatter32", kernels.Impl(), n, kernelBytes32, func() {
-				kernels.ScatterAXPY32(strip.dst, strip.rows, strip.vals32, 0.5)
-			}),
-			measureKernel("block8", "scalar", n, kernelBytesBlock8, func() {
-				kernels.ScalarScatterBlock8(strip.dst8, strip.rows, strip.vals, &strip.x8)
-			}),
-			measureKernel("block8", kernels.Impl(), n, kernelBytesBlock8, func() {
-				kernels.ScatterBlock8(strip.dst8, strip.rows, strip.vals, &strip.x8)
-			}),
 		)
 	}
 	return rows, nil
 }
 
-// kernelStrip is one synthetic blocked column shared by all kernels at
-// a given length: ascending rows strided by 2 (a scatter, not a dense
-// sweep, but still the monotone order the blocked layout guarantees).
+// kernelStrip is one synthetic blocked column shared by both
+// implementations at a given length: ascending rows strided by 2 (a
+// scatter, not a dense sweep, but still the monotone order the blocked
+// layout guarantees).
 type kernelStrip struct {
-	rows   []int32
-	vals   []float64
-	vals32 []float32
-	dst    []float64
-	dst8   []float64
-	x8     [8]float64
+	rows []int32
+	vals []float64
+	dst  []float64
 }
 
 func makeKernelStrip(n int) *kernelStrip {
 	s := &kernelStrip{
-		rows:   make([]int32, n),
-		vals:   make([]float64, n),
-		vals32: make([]float32, n),
-		dst:    make([]float64, 2*n),
-		dst8:   make([]float64, 2*n*8),
+		rows: make([]int32, n),
+		vals: make([]float64, n),
+		dst:  make([]float64, 2*n),
 	}
 	for k := 0; k < n; k++ {
 		s.rows[k] = int32(2 * k)
 		s.vals[k] = 1 / float64(k+2)
-		s.vals32[k] = float32(s.vals[k])
-	}
-	for v := range s.x8 {
-		s.x8[v] = float64(v + 1)
 	}
 	return s
 }

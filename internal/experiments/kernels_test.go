@@ -9,8 +9,8 @@ func TestKernelsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(kernelStripLens) * 6; len(rows) != want {
-		t.Fatalf("got %d rows, want %d (3 kernels x 2 impls per strip length)", len(rows), want)
+	if want := len(kernelStripLens) * 2; len(rows) != want {
+		t.Fatalf("got %d rows, want %d (2 impls per strip length)", len(rows), want)
 	}
 	for _, r := range rows {
 		if r.NsPerOp <= 0 || r.GBps <= 0 {

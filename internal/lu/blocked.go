@@ -14,7 +14,6 @@ package lu
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"kdash/internal/lu/kernels"
 	"kdash/internal/sparse"
@@ -40,29 +39,11 @@ type BlockedCSC struct {
 	Rows []int32 // row indices; padding entries hold N
 	//kdash:readonly
 	Vals []float64 // values; padding entries hold 0
-
-	vals32Once sync.Once
-	vals32     []float32
 }
 
 // NNZ reports the padded entry count (the stored size, not the
 // mathematical nonzero count — that is the sum of ColCnt).
 func (b *BlockedCSC) NNZ() int { return len(b.Rows) }
-
-// Vals32 returns the float32 rendering of the value strip, built lazily
-// once for the opt-in reduced-precision mode and immutable afterwards.
-// It is derived, never persisted: a float32 index on disk would pin the
-// precision choice at build time instead of open time.
-func (b *BlockedCSC) Vals32() []float32 {
-	b.vals32Once.Do(func() {
-		v := make([]float32, len(b.Vals))
-		for i, x := range b.Vals {
-			v[i] = float32(x)
-		}
-		b.vals32 = v
-	})
-	return b.vals32
-}
 
 // BlockFromCSC converts a column-major factor to blocked strip form.
 // remap, if non-nil, is a permutation applied to every row index — the

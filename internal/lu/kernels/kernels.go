@@ -1,11 +1,10 @@
 // Package kernels holds the arch-specific inner loops of the solve path:
 // the triangular scatter (dst[rows[k]] += vals[k]*x) that both the
-// L^{-1} pass and the support-driven U^{-1} apply bottom out in, and the
-// 8-lane block variant the batch solver uses. Implementations are
-// selected once at init — hand-written AVX2 on amd64, FMA-fused
-// assembly on arm64, pure Go everywhere else or under the `noasm` build
-// tag — and every assembly kernel is property-tested bit-identical to
-// the scalar reference on the architecture it runs on.
+// L^{-1} pass and the support-driven U^{-1} apply bottom out in.
+// Implementations are selected once at init — hand-written AVX2 on
+// amd64, FMA-fused assembly on arm64, pure Go everywhere else or under
+// the `noasm` build tag — and every assembly kernel is property-tested
+// bit-identical to the scalar reference on the architecture it runs on.
 //
 // # Bit-identity contract
 //
@@ -24,10 +23,10 @@
 // Callers guarantee three things the kernels exploit instead of
 // checking: rows and vals have equal length, every rows[k] indexes
 // inside dst (the blocked factor strips are bounds-checked once when
-// built or loaded), and — for the 4-lane kernels — the length is a
-// multiple of four, with padding entries pointing at a dedicated trash
-// row carrying value 0 (a zero product cannot flip the sign bit of a
-// real accumulator, and the trash row is never read).
+// built or loaded), and the length is a multiple of four, with padding
+// entries pointing at a dedicated trash row carrying value 0 (a zero
+// product cannot flip the sign bit of a real accumulator, and the trash
+// row is never read).
 package kernels
 
 // Width is the entry-count alignment the 4-wide float64 kernels
@@ -52,12 +51,8 @@ func Impl() string { return implName }
 
 var implName = "scalar"
 
-// Dispatch targets, rebound by the arch init when the CPU qualifies.
-var (
-	scatterAXPY   = ScalarScatterAXPY
-	scatterAXPY32 = ScalarScatterAXPY32
-	scatterBlock8 = ScalarScatterBlock8
-)
+// Dispatch target, rebound by the arch init when the CPU qualifies.
+var scatterAXPY = ScalarScatterAXPY
 
 // ScatterAXPY computes dst[rows[k]] += vals[k] * x for every k in
 // ascending order. len(rows) must equal len(vals) and be a multiple of
@@ -69,28 +64,6 @@ func ScatterAXPY(dst []float64, rows []int32, vals []float64, x float64) {
 	scatterAXPY(dst, rows, vals, x)
 }
 
-// ScatterAXPY32 is ScatterAXPY over float32 value strips: each value is
-// widened to float64 exactly, then multiplied and accumulated in
-// float64 — the half-width bandwidth of the opt-in float32 factor mode
-// without accumulating in reduced precision.
-//
-//kdash:noalloc
-func ScatterAXPY32(dst []float64, rows []int32, vals []float32, x float64) {
-	scatterAXPY32(dst, rows, vals, x)
-}
-
-// ScatterBlock8 computes dst[rows[k]*8+v] += vals[k] * x[v] for v in
-// 0..7, for every k in ascending order — the 8-lane batch kernel. dst
-// is the interleaved block workspace (lane v of row r at dst[r*8+v]);
-// every rows[k]*8+8 must be within dst. Unlike the 4-lane kernels the
-// entry count needs no alignment: each entry is already eight lanes of
-// work.
-//
-//kdash:noalloc
-func ScatterBlock8(dst []float64, rows []int32, vals []float64, x *[8]float64) {
-	scatterBlock8(dst, rows, vals, x)
-}
-
 // ScalarScatterAXPY is the pure-Go reference for ScatterAXPY: the exact
 // accumulation sequence the assembly kernels must reproduce bit for bit.
 //
@@ -99,35 +72,5 @@ func ScalarScatterAXPY(dst []float64, rows []int32, vals []float64, x float64) {
 	vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
 	for k, r := range rows {
 		dst[r] += vals[k] * x
-	}
-}
-
-// ScalarScatterAXPY32 is the pure-Go reference for ScatterAXPY32.
-//
-//kdash:noalloc
-func ScalarScatterAXPY32(dst []float64, rows []int32, vals []float32, x float64) {
-	vals = vals[:len(rows)]
-	for k, r := range rows {
-		dst[r] += float64(vals[k]) * x
-	}
-}
-
-// ScalarScatterBlock8 is the pure-Go reference for ScatterBlock8.
-//
-//kdash:noalloc
-func ScalarScatterBlock8(dst []float64, rows []int32, vals []float64, x *[8]float64) {
-	vals = vals[:len(rows)]
-	for k, r := range rows {
-		base := int(r) * 8
-		d := dst[base : base+8 : base+8]
-		v := vals[k]
-		d[0] += v * x[0]
-		d[1] += v * x[1]
-		d[2] += v * x[2]
-		d[3] += v * x[3]
-		d[4] += v * x[4]
-		d[5] += v * x[5]
-		d[6] += v * x[6]
-		d[7] += v * x[7]
 	}
 }

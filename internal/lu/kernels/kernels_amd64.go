@@ -34,16 +34,12 @@ func hasAVX2() bool {
 	return b&avx2 != 0
 }
 
-// Assembly kernels; see scatter_amd64.s.
+// Assembly kernel; see scatter_amd64.s.
 func scatterAXPYAVX2(dst []float64, rows []int32, vals []float64, x float64)
-func scatterAXPY32AVX2(dst []float64, rows []int32, vals []float32, x float64)
-func scatterBlock8AVX2(dst []float64, rows []int32, vals []float64, x *[8]float64)
 
 func init() {
 	if hasAVX2() {
 		scatterAXPY = scatterAXPYAVX2
-		scatterAXPY32 = scatterAXPY32AVX2
-		scatterBlock8 = scatterBlock8AVX2
 		implName = "avx2"
 	}
 }

@@ -8,14 +8,10 @@ package kernels
 // because the Go compiler fuses a*b+c on arm64 — see the bit-identity
 // contract in the package comment.
 
-// Assembly kernels; see scatter_arm64.s.
+// Assembly kernel; see scatter_arm64.s.
 func scatterAXPYNEON(dst []float64, rows []int32, vals []float64, x float64)
-func scatterAXPY32NEON(dst []float64, rows []int32, vals []float32, x float64)
-func scatterBlock8NEON(dst []float64, rows []int32, vals []float64, x *[8]float64)
 
 func init() {
 	scatterAXPY = scatterAXPYNEON
-	scatterAXPY32 = scatterAXPY32NEON
-	scatterBlock8 = scatterBlock8NEON
 	implName = "neon"
 }

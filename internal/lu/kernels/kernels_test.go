@@ -69,62 +69,10 @@ func TestScatterAXPYBitIdentical(t *testing.T) {
 	}
 }
 
-func TestScatterAXPY32BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		entries := rng.Intn(4 * n)
-		rows, vals64 := randStrip(rng, n, entries, trial%2 == 0)
-		vals := make([]float32, len(vals64))
-		for i, v := range vals64 {
-			vals[i] = float32(v)
-		}
-		x := (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(20)-10)
-
-		want := make([]float64, n+1)
-		got := make([]float64, n+1)
-		for i := range want {
-			v := (rng.Float64() - 0.5)
-			want[i], got[i] = v, v
-		}
-		ScalarScatterAXPY32(want, rows, vals, x)
-		ScatterAXPY32(got, rows, vals, x)
-		bitsEqual(t, got, want, "ScatterAXPY32")
-	}
-}
-
-func TestScatterBlock8BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		entries := rng.Intn(2 * n)
-		// Block8 needs no padding alignment; reuse randStrip and keep
-		// the padded tail — trash-row zero entries must also be exact.
-		rows, vals := randStrip(rng, n, entries, trial%2 == 0)
-		var x [8]float64
-		for v := range x {
-			x[v] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(20)-10)
-		}
-
-		want := make([]float64, (n+1)*8)
-		got := make([]float64, (n+1)*8)
-		for i := range want {
-			v := (rng.Float64() - 0.5)
-			want[i], got[i] = v, v
-		}
-		ScalarScatterBlock8(want, rows, vals, &x)
-		ScatterBlock8(got, rows, vals, &x)
-		bitsEqual(t, got, want, "ScatterBlock8")
-	}
-}
-
-// TestScatterEmpty checks the zero-length edge on every kernel.
+// TestScatterEmpty checks the zero-length edge.
 func TestScatterEmpty(t *testing.T) {
 	dst := []float64{1, 2}
 	ScatterAXPY(dst, nil, nil, 3)
-	ScatterAXPY32(dst, nil, nil, 3)
-	var x [8]float64
-	ScatterBlock8(make([]float64, 16), nil, nil, &x)
 	if dst[0] != 1 || dst[1] != 2 {
 		t.Fatalf("empty scatter modified dst: %v", dst)
 	}
@@ -161,46 +109,5 @@ func BenchmarkScatterAXPYScalar(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ScalarScatterAXPY(dst, rows, vals, 1.0000001)
-	}
-}
-
-func BenchmarkScatterAXPY32(b *testing.B) {
-	dst, rows, vals64 := benchStrip(4096, 4096)
-	vals := make([]float32, len(vals64))
-	for i, v := range vals64 {
-		vals[i] = float32(v)
-	}
-	b.SetBytes(int64(len(rows)) * 12) // 4B value + 8B accumulator touched
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ScatterAXPY32(dst, rows, vals, 1.0000001)
-	}
-}
-
-func BenchmarkScatterBlock8(b *testing.B) {
-	_, rows, vals := benchStrip(4096, 4096)
-	dst := make([]float64, (4096+1)*8)
-	var x [8]float64
-	for i := range x {
-		x[i] = 1 + float64(i)
-	}
-	b.SetBytes(int64(len(rows)) * (8 + 64))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ScatterBlock8(dst, rows, vals, &x)
-	}
-}
-
-func BenchmarkScatterBlock8Scalar(b *testing.B) {
-	_, rows, vals := benchStrip(4096, 4096)
-	dst := make([]float64, (4096+1)*8)
-	var x [8]float64
-	for i := range x {
-		x[i] = 1 + float64(i)
-	}
-	b.SetBytes(int64(len(rows)) * (8 + 64))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ScalarScatterBlock8(dst, rows, vals, &x)
 	}
 }

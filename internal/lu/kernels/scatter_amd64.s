@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 scatter kernels. Shared structure: four products per iteration
+// AVX2 scatter kernel: four products per iteration
 // computed with one VMULPD (never FMA — the Go compiler does not fuse
 // on amd64, and the scalar reference rounds the multiply before the
 // add), then four scalar read-add-write steps in ascending entry order.
@@ -10,7 +10,7 @@
 // in entry order is what makes the kernel bit-identical to the scalar
 // loop even though a blocked column may repeat its trash row in the
 // padding tail. All float ops are VEX-encoded to avoid SSE/AVX
-// transition stalls; VZEROUPPER before every RET.
+// transition stalls; VZEROUPPER before RET.
 
 // func scatterAXPYAVX2(dst []float64, rows []int32, vals []float64, x float64)
 TEXT ·scatterAXPYAVX2(SB), NOSPLIT, $0-80
@@ -59,95 +59,5 @@ loop:
 	JNZ  loop
 
 done:
-	VZEROUPPER
-	RET
-
-// func scatterAXPY32AVX2(dst []float64, rows []int32, vals []float32, x float64)
-//
-// Identical to scatterAXPYAVX2 except the four values load through
-// VCVTPS2PD: float32 strips at half the value bandwidth, widened
-// exactly to float64 before the multiply, accumulation in float64.
-TEXT ·scatterAXPY32AVX2(SB), NOSPLIT, $0-80
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         rows_base+24(FP), SI
-	MOVQ         rows_len+32(FP), CX
-	MOVQ         vals_base+48(FP), DX
-	VBROADCASTSD x+72(FP), Y0
-	XORQ         AX, AX
-	SHRQ         $2, CX
-	JZ           done32
-
-loop32:
-	VCVTPS2PD (DX)(AX*4), Y1  // widen vals[k..k+3] to float64 exactly
-	VMULPD    Y0, Y1, Y1
-
-	MOVLQSX (SI)(AX*4), R8
-	MOVLQSX 4(SI)(AX*4), R9
-	MOVLQSX 8(SI)(AX*4), R10
-	MOVLQSX 12(SI)(AX*4), R11
-
-	VMOVSD (DI)(R8*8), X2
-	VADDSD X1, X2, X2
-	VMOVSD X2, (DI)(R8*8)
-
-	VPERMILPD $1, X1, X3
-	VMOVSD    (DI)(R9*8), X2
-	VADDSD    X3, X2, X2
-	VMOVSD    X2, (DI)(R9*8)
-
-	VEXTRACTF128 $1, Y1, X4
-	VMOVSD       (DI)(R10*8), X2
-	VADDSD       X4, X2, X2
-	VMOVSD       X2, (DI)(R10*8)
-
-	VPERMILPD $1, X4, X5
-	VMOVSD    (DI)(R11*8), X2
-	VADDSD    X5, X2, X2
-	VMOVSD    X2, (DI)(R11*8)
-
-	ADDQ $4, AX
-	DECQ CX
-	JNZ  loop32
-
-done32:
-	VZEROUPPER
-	RET
-
-// func scatterBlock8AVX2(dst []float64, rows []int32, vals []float64, x *[8]float64)
-//
-// The 8-lane batch kernel: one broadcast, two VMULPD and two VADDPD
-// replace sixteen scalar float ops per entry. Lanes live at independent
-// addresses (dst[r*8..r*8+7]), so vectorizing across lanes cannot
-// reorder any accumulation.
-TEXT ·scatterBlock8AVX2(SB), NOSPLIT, $0-80
-	MOVQ    dst_base+0(FP), DI
-	MOVQ    rows_base+24(FP), SI
-	MOVQ    rows_len+32(FP), CX
-	MOVQ    vals_base+48(FP), DX
-	MOVQ    x+72(FP), BX
-	VMOVUPD (BX), Y0          // x[0..3]
-	VMOVUPD 32(BX), Y1        // x[4..7]
-	XORQ    AX, AX
-	TESTQ   CX, CX
-	JZ      done8
-
-loop8:
-	MOVLQSX      (SI)(AX*4), R8
-	SHLQ         $6, R8       // row * 8 lanes * 8 bytes
-	VBROADCASTSD (DX)(AX*8), Y2
-
-	VMULPD  Y0, Y2, Y3
-	VADDPD  (DI)(R8*1), Y3, Y3
-	VMOVUPD Y3, (DI)(R8*1)
-
-	VMULPD  Y1, Y2, Y4
-	VADDPD  32(DI)(R8*1), Y4, Y4
-	VMOVUPD Y4, 32(DI)(R8*1)
-
-	INCQ AX
-	DECQ CX
-	JNZ  loop8
-
-done8:
 	VZEROUPPER
 	RET

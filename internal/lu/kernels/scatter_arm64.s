@@ -2,15 +2,13 @@
 
 #include "textflag.h"
 
-// arm64 scatter kernels. The Go compiler fuses dst[r] += v*x into
-// FMADDD on arm64, so these kernels use the same fused form — one
+// arm64 scatter kernel. The Go compiler fuses dst[r] += v*x into
+// FMADDD on arm64, so the kernel uses the same fused form — one
 // rounding per entry — to stay bit-identical to the compiled scalar
-// reference. The 4-lane kernels unroll by four with post-increment
-// index/value loads; the gather/scatter halves stay scalar (no NEON
-// scatter store) and run in ascending entry order, which keeps repeated
-// trash rows in the padding tail safe. The 8-lane block kernel is true
-// NEON: lanes of one row are contiguous and independent, so four
-// two-wide VFMLA ops reproduce the eight fused scalar updates exactly.
+// reference. It unrolls by four with post-increment index/value loads;
+// the gather/scatter halves stay scalar (no NEON scatter store) and run
+// in ascending entry order, which keeps repeated trash rows in the
+// padding tail safe.
 
 // func scatterAXPYNEON(dst []float64, rows []int32, vals []float64, x float64)
 TEXT ·scatterAXPYNEON(SB), NOSPLIT, $0-80
@@ -56,91 +54,4 @@ loop:
 	CBNZ R2, loop
 
 done:
-	RET
-
-// func scatterAXPY32NEON(dst []float64, rows []int32, vals []float32, x float64)
-//
-// Identical to scatterAXPYNEON except each value loads as float32 and
-// widens exactly through FCVTSD before the fused multiply-add.
-TEXT ·scatterAXPY32NEON(SB), NOSPLIT, $0-80
-	MOVD  dst_base+0(FP), R0
-	MOVD  rows_base+24(FP), R1
-	MOVD  rows_len+32(FP), R2
-	MOVD  vals_base+48(FP), R3
-	FMOVD x+72(FP), F0
-	LSR   $2, R2, R2
-	CBZ   R2, done32
-
-loop32:
-	MOVWU.P 4(R1), R4
-	MOVWU.P 4(R1), R5
-	MOVWU.P 4(R1), R6
-	MOVWU.P 4(R1), R7
-	ADD     R4<<3, R0, R4
-	ADD     R5<<3, R0, R5
-	ADD     R6<<3, R0, R6
-	ADD     R7<<3, R0, R7
-
-	FMOVS.P 4(R3), F1
-	FCVTSD  F1, F1            // widen float32 -> float64, exact
-	FMOVD   (R4), F2
-	FMADDD  F0, F2, F1, F2
-	FMOVD   F2, (R4)
-
-	FMOVS.P 4(R3), F1
-	FCVTSD  F1, F1
-	FMOVD   (R5), F2
-	FMADDD  F0, F2, F1, F2
-	FMOVD   F2, (R5)
-
-	FMOVS.P 4(R3), F1
-	FCVTSD  F1, F1
-	FMOVD   (R6), F2
-	FMADDD  F0, F2, F1, F2
-	FMOVD   F2, (R6)
-
-	FMOVS.P 4(R3), F1
-	FCVTSD  F1, F1
-	FMOVD   (R7), F2
-	FMADDD  F0, F2, F1, F2
-	FMOVD   F2, (R7)
-
-	SUB  $1, R2, R2
-	CBNZ R2, loop32
-
-done32:
-	RET
-
-// func scatterBlock8NEON(dst []float64, rows []int32, vals []float64, x *[8]float64)
-//
-// The 8-lane batch kernel: broadcast v, then four 2-wide fused
-// multiply-adds cover the eight lanes of one row. Lanes live at
-// independent addresses (dst[r*8..r*8+7]), so vectorizing across lanes
-// cannot reorder any accumulation.
-TEXT ·scatterBlock8NEON(SB), NOSPLIT, $0-80
-	MOVD dst_base+0(FP), R0
-	MOVD rows_base+24(FP), R1
-	MOVD rows_len+32(FP), R2
-	MOVD vals_base+48(FP), R3
-	MOVD x+72(FP), R4
-	VLD1 (R4), [V0.D2, V1.D2, V2.D2, V3.D2]  // x[0..7]
-	CBZ  R2, done8
-
-loop8:
-	MOVWU.P 4(R1), R5
-	ADD     R5<<6, R0, R5     // &dst[r*8]: row * 8 lanes * 8 bytes
-	FMOVD.P 8(R3), F8         // v = vals[k]
-	VDUP    V8.D[0], V9.D2
-
-	VLD1  (R5), [V10.D2, V11.D2, V12.D2, V13.D2]
-	VFMLA V9.D2, V0.D2, V10.D2
-	VFMLA V9.D2, V1.D2, V11.D2
-	VFMLA V9.D2, V2.D2, V12.D2
-	VFMLA V9.D2, V3.D2, V13.D2
-	VST1  [V10.D2, V11.D2, V12.D2, V13.D2], (R5)
-
-	SUB  $1, R2, R2
-	CBNZ R2, loop8
-
-done8:
 	RET

@@ -15,7 +15,7 @@
 // U x = e_j), which realises exactly the recurrences (4)–(5).
 //
 // Factor arrays are read-only once built. Every solver in this package
-// (Inverse.SolveBatch, SparseSolver) writes exclusively into its own
+// (Inverse.Solve, SparseSolver) writes exclusively into its own
 // recycled workspaces — a contract with teeth: a loaded index's factor
 // arrays may alias a read-only file mapping (internal/mmapio), where a
 // write is a segfault, not a bug report. Derived structures built after
@@ -251,66 +251,6 @@ func (f *Factors) SolveDense(b []float64) []float64 {
 	return x
 }
 
-// SolveDenseBatch solves L U x = b for a block of dense right-hand
-// sides, sweeping each factor once for the whole block instead of once
-// per vector. The block is held interleaved (entry i of vector v at
-// x[i*nb+v]) so the inner per-vector loop runs over contiguous memory:
-// each factor entry is loaded once and applied to every column, the
-// BLAS-2 to BLAS-3 transformation that makes batched substitution
-// bandwidth-, not latency-, bound. Results match SolveDense per column.
-func (f *Factors) SolveDenseBatch(bs [][]float64) [][]float64 {
-	nb := len(bs)
-	if nb == 0 {
-		return nil
-	}
-	for _, b := range bs {
-		if len(b) != f.N {
-			panic("lu: SolveDenseBatch dimension mismatch")
-		}
-	}
-	x := make([]float64, f.N*nb)
-	for v, b := range bs {
-		for i, bi := range b {
-			x[i*nb+v] = bi
-		}
-	}
-	// Forward: L y = b, unit diagonal.
-	for i := 0; i < f.N; i++ {
-		base := i * nb
-		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-			lv := f.lVal[p]
-			row := f.lRow[p] * nb
-			for v := 0; v < nb; v++ {
-				x[row+v] -= lv * x[base+v]
-			}
-		}
-	}
-	// Backward: U x = y. Diagonal entry is last in each column.
-	for i := f.N - 1; i >= 0; i-- {
-		d := f.uVal[f.uPtr[i+1]-1]
-		base := i * nb
-		for v := 0; v < nb; v++ {
-			x[base+v] /= d
-		}
-		for p := f.uPtr[i]; p < f.uPtr[i+1]-1; p++ {
-			uv := f.uVal[p]
-			row := f.uRow[p] * nb
-			for v := 0; v < nb; v++ {
-				x[row+v] -= uv * x[base+v]
-			}
-		}
-	}
-	out := make([][]float64, nb)
-	for v := range out {
-		o := make([]float64, f.N)
-		for i := range o {
-			o[i] = x[i*nb+v]
-		}
-		out[v] = o
-	}
-	return out
-}
-
 // L returns the unit lower factor as CSC (diagonal 1s materialised),
 // mainly for tests.
 func (f *Factors) L() *sparse.CSC {
@@ -368,16 +308,10 @@ type Inverse struct {
 	// mapping pass disappears. The row-sweep apply honours it too, so
 	// both branches agree on the output domain.
 	Remap []int
-	// Precision selects the value-strip width for the single-lane solve
-	// path: Float64 (default, exact) or Float32 (half the value
-	// bandwidth, accumulation still in float64). Float32 applies only
-	// where blocked strips exist; a factor too large for int32 indexing
-	// silently keeps exact float64.
-	Precision Precision
 
 	// uinvCol is U^{-1} transposed to column form, built lazily for the
-	// support-driven applies (SparseSolver and core's batch kernel reach
-	// it through UinvByColumn). Immutable once built; never serialised.
+	// support-driven applies (SparseSolver reaches it through
+	// UinvByColumn). Immutable once built; never serialised.
 	// uinvColSize holds just the per-column entry counts, built even more
 	// lazily-cheaply so the scatter-vs-sweep decision never forces the
 	// full transpose.
@@ -397,27 +331,7 @@ type Inverse struct {
 	blkL, blkU *BlockedCSC
 	installedL *BlockedCSC
 	installedU *BlockedCSC
-
-	// uval32 is the float32 rendering of Uinv.Val for Float32-mode row
-	// sweeps, derived lazily like the blocked value strips.
-	uval32Once sync.Once
-	uval32     []float32
 }
-
-// Precision selects the stored width of factor values on the
-// single-lane solve path; see Inverse.Precision.
-type Precision uint8
-
-const (
-	// Float64 keeps full-width factor values: the exact mode the
-	// paper's guarantee requires, and the default.
-	Float64 Precision = iota
-	// Float32 reads half-width value strips, widened exactly to float64
-	// before every multiply; accumulation never happens in float32. The
-	// error against Float64 is measured by the differential harness and
-	// documented in docs/ARCHITECTURE.md.
-	Float32
-)
 
 // InstallBlocked hands the Inverse pre-built blocked factor strips
 // (typically mmap-loaded from a v3 index file) so the first solve skips
@@ -454,80 +368,38 @@ func (inv *Inverse) blocked() (*BlockedCSC, *BlockedCSC) {
 // a persisted index carries them pre-built.
 func (inv *Inverse) Blocked() (*BlockedCSC, *BlockedCSC) { return inv.blocked() }
 
-// uinvVal32 returns the float32 rendering of U^{-1}'s stored values for
-// the Float32-mode row sweep, built lazily once.
-func (inv *Inverse) uinvVal32() []float32 {
-	inv.uval32Once.Do(func() {
-		v := make([]float32, len(inv.Uinv.Val))
-		for i, x := range inv.Uinv.Val {
-			v[i] = float32(x)
-		}
-		inv.uval32 = v
-	})
-	return inv.uval32
-}
-
 // NNZ reports total stored entries across both inverse factors, the
 // quantity Figure 5 of the paper tracks.
 func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.Uinv.NNZ() }
 
-// SolveBatch computes U^{-1} L^{-1} r for a block of dense right-hand
-// sides, traversing each inverse factor once for the whole block. It is
-// the plain reference form of the multi-RHS apply; the query path runs
-// core.BatchSolver, a fused variant (permutation folded in,
-// support-driven scatter, pooled buffers) that is property-tested
-// against this kernel so the two cannot silently diverge. The
-// U^{-1} sweep dominates a dense apply — every stored row entry costs an
-// index load plus a dependent read of the L^{-1} workspace — so reusing
-// each loaded entry across all nb block columns (held interleaved, entry
-// i of vector v at ws[i*nb+v]) amortises the traversal the way a BLAS-3
-// kernel amortises matrix loads across right-hand sides. Zero entries of
-// a right-hand side cost nothing in the L^{-1} pass. Per column the
-// arithmetic runs in the same order as a single solve.
-func (inv *Inverse) SolveBatch(rs [][]float64) [][]float64 {
-	nb := len(rs)
-	if nb == 0 {
-		return nil
+// Solve computes U^{-1} L^{-1} r for one dense right-hand side: the
+// plain reference form of the apply, ignoring Remap and the blocked
+// strips. The query path runs SparseSolver, a support-tracked variant
+// that is property-tested against this kernel so the two cannot
+// silently diverge. Zero entries of r cost nothing in the L^{-1} pass.
+func (inv *Inverse) Solve(r []float64) []float64 {
+	if len(r) != inv.N {
+		panic("lu: Solve dimension mismatch")
 	}
-	for _, r := range rs {
-		if len(r) != inv.N {
-			panic("lu: SolveBatch dimension mismatch")
+	// ws = L^{-1} r, accumulated column by column of L^{-1} over the
+	// nonzero right-hand side entries.
+	ws := make([]float64, inv.N)
+	for j, rj := range r {
+		if rj == 0 {
+			continue
+		}
+		for p := inv.Linv.ColPtr[j]; p < inv.Linv.ColPtr[j+1]; p++ {
+			ws[inv.Linv.RowIdx[p]] += rj * inv.Linv.Val[p]
 		}
 	}
-	// ws = L^{-1} r per column, accumulated column by column of L^{-1}
-	// over the nonzero right-hand side entries.
-	ws := make([]float64, inv.N*nb)
-	for v, r := range rs {
-		for j, rj := range r {
-			if rj == 0 {
-				continue
-			}
-			for p := inv.Linv.ColPtr[j]; p < inv.Linv.ColPtr[j+1]; p++ {
-				ws[inv.Linv.RowIdx[p]*nb+v] += rj * inv.Linv.Val[p]
-			}
-		}
-	}
-	// out[v][u] = (U^{-1} row u) . ws[:,v]: each row is loaded once and
-	// dotted against every block column.
-	out := make([][]float64, nb)
-	for v := range out {
-		out[v] = make([]float64, inv.N)
-	}
-	acc := make([]float64, nb)
-	for u := 0; u < inv.N; u++ {
-		for v := range acc {
-			acc[v] = 0
-		}
+	// out[u] = (U^{-1} row u) . ws.
+	out := make([]float64, inv.N)
+	for u := range out {
+		acc := 0.0
 		for p := inv.Uinv.RowPtr[u]; p < inv.Uinv.RowPtr[u+1]; p++ {
-			uv := inv.Uinv.Val[p]
-			col := inv.Uinv.ColIdx[p] * nb
-			for v := 0; v < nb; v++ {
-				acc[v] += uv * ws[col+v]
-			}
+			acc += inv.Uinv.Val[p] * ws[inv.Uinv.ColIdx[p]]
 		}
-		for v := range acc {
-			out[v][u] = acc[v]
-		}
+		out[u] = acc
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 package lu
 
-// Single-lane sparse triangular-inverse solver: the latency-critical
-// counterpart of Inverse.SolveBatch. A right-hand side with few nonzeros
+// Single-lane sparse triangular-inverse solver: the support-tracked
+// counterpart of Inverse.Solve. A right-hand side with few nonzeros
 // reaches few rows of L^{-1}, and when that reach is small the U^{-1}
 // apply can run as a column scatter over exactly the reached rows
 // (through the lazily transposed factor) instead of sweeping every
@@ -44,16 +44,11 @@ func (inv *Inverse) uinvColSizes() []int {
 	return inv.uinvColSize
 }
 
-// UinvColSizes exposes the per-column entry counts of U^{-1} to core's
-// batch kernel, which shares the scatter-vs-sweep cost model.
-func (inv *Inverse) UinvColSizes() []int { return inv.uinvColSizes() }
-
-// PreferFlagScan reports whether re-deriving an ascending support of w
+// preferFlagScan reports whether re-deriving an ascending support of w
 // rows out of n mark flags (one O(n) scan) beats sorting the unordered
 // support list (O(w log w)): only when the support is a sizable fraction
-// of the matrix. Shared by this solver and core's batch kernel so the
-// two cost models cannot drift.
-func PreferFlagScan(w, n int) bool {
+// of the matrix.
+func preferFlagScan(w, n int) bool {
 	return w >= 64 && n/w < 16
 }
 
@@ -83,7 +78,7 @@ func (inv *Inverse) NewSparseSolver() *SparseSolver {
 // Solve computes x = U^{-1} L^{-1} r for the sparse right-hand side given
 // as parallel (idx, val) slices, accumulating entries in the given order
 // (pass indices ascending to match the dense reference exactly; values
-// are then bit-identical to SolveBatch's single-lane answer). It returns
+// are then bit-identical to Inverse.Solve's). It returns
 // the solution and its support: the rows written by this call, unordered.
 // Rows outside the support hold stale values from earlier calls — not
 // zeros — so callers must restrict reads to the support. A nil support
@@ -124,7 +119,6 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 	// itself is materialised the first time a scatter is actually taken.
 	colSize := inv.uinvColSizes()
 	blkL, blkU := inv.blocked()
-	f32 := inv.Precision == Float32 && blkL != nil && blkU != nil
 	ws, wmark := s.ws, s.wmark
 	wsup := s.wsup[:0]
 	scatterEntries := 0
@@ -133,14 +127,7 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 		// walks the padded strip. Marks first, then the accumulate —
 		// per-entry order inside a column is unchanged, so the result
 		// and the first-touch order of wsup match the scalar loop.
-		bp, br := blkL.ColPtr, blkL.Rows
-		var bv []float64
-		var bv32 []float32
-		if f32 {
-			bv32 = blkL.Vals32()
-		} else {
-			bv = blkL.Vals
-		}
+		bp, br, bv := blkL.ColPtr, blkL.Rows, blkL.Vals
 		for t, j := range idx {
 			v := val[t]
 			if v == 0 {
@@ -151,28 +138,15 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 			if int(cnt) < kernels.MinEntries {
 				// Short column: one fused pass beats a kernel call.
 				rows := br[lo : lo+cnt]
-				if f32 {
-					vals := bv32[lo : lo+cnt]
-					vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-					for k, r := range rows {
-						if !wmark[r] {
-							wmark[r] = true
-							wsup = append(wsup, int(r))
-							scatterEntries += colSize[r]
-						}
-						ws[r] += float64(vals[k]) * v
+				vals := bv[lo : lo+cnt]
+				vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
+				for k, r := range rows {
+					if !wmark[r] {
+						wmark[r] = true
+						wsup = append(wsup, int(r))
+						scatterEntries += colSize[r]
 					}
-				} else {
-					vals := bv[lo : lo+cnt]
-					vals = vals[:len(rows)]
-					for k, r := range rows {
-						if !wmark[r] {
-							wmark[r] = true
-							wsup = append(wsup, int(r))
-							scatterEntries += colSize[r]
-						}
-						ws[r] += vals[k] * v
-					}
+					ws[r] += vals[k] * v
 				}
 				continue
 			}
@@ -183,11 +157,7 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 					scatterEntries += colSize[r]
 				}
 			}
-			if f32 {
-				kernels.ScatterAXPY32(ws, br[lo:hi], bv32[lo:hi], v)
-			} else {
-				kernels.ScatterAXPY(ws, br[lo:hi], bv[lo:hi], v)
-			}
+			kernels.ScatterAXPY(ws, br[lo:hi], bv[lo:hi], v)
 		}
 	} else {
 		lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
@@ -215,12 +185,12 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 	var sup []int
 	if scatterEntries+2*len(wsup) < inv.Uinv.NNZ() {
 		if blkU != nil {
-			sup = s.applyUpperScatterBlocked(blkU, f32)
+			sup = s.applyUpperScatterBlocked(blkU)
 		} else {
 			sup = s.applyUpperScatter(inv.UinvByColumn())
 		}
 	} else {
-		s.applyUpperSweep(f32)
+		s.applyUpperSweep()
 		s.odense = true
 	}
 
@@ -242,7 +212,7 @@ func (s *SparseSolver) applyUpperScatter(uCol *sparse.CSC) []int {
 	wsup := s.wsup
 	// The scatter must walk columns ascending; a small solve against a
 	// large factor must not pay an O(n) sweep here.
-	if PreferFlagScan(len(wsup), n) {
+	if preferFlagScan(len(wsup), n) {
 		wsup = wsup[:0]
 		for r := 0; r < n; r++ {
 			if s.wmark[r] {
@@ -284,13 +254,13 @@ func (s *SparseSolver) applyUpperScatter(uCol *sparse.CSC) []int {
 // walks the padded strip, and — when a Remap is baked in — rows land
 // directly in the caller's id domain. Value arithmetic per written row
 // is the same sequence as the scalar scatter, so the two are
-// bit-identical wherever both run in float64.
-func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC, f32 bool) []int {
+// bit-identical.
+func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC) []int {
 	n := s.inv.N
 	wsup := s.wsup
 	// The scatter must walk columns ascending; a small solve against a
 	// large factor must not pay an O(n) sweep here.
-	if PreferFlagScan(len(wsup), n) {
+	if preferFlagScan(len(wsup), n) {
 		wsup = wsup[:0]
 		for r := 0; r < n; r++ {
 			if s.wmark[r] {
@@ -302,13 +272,7 @@ func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC, f32 bool) []int {
 		sort.Ints(wsup)
 	}
 	out, omark, osup := s.out, s.omark, s.osup[:0]
-	var bv []float64
-	var bv32 []float32
-	if f32 {
-		bv32 = b.Vals32()
-	} else {
-		bv = b.Vals
-	}
+	bv := b.Vals
 	for _, j := range wsup {
 		x := s.ws[j]
 		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
@@ -316,26 +280,14 @@ func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC, f32 bool) []int {
 		rows := b.Rows[lo : lo+cnt]
 		if int(cnt) < kernels.MinEntries {
 			// Short column: one fused pass beats a kernel call.
-			if f32 {
-				vals := bv32[lo : lo+cnt]
-				vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-				for k, r := range rows {
-					if !omark[r] {
-						omark[r] = true
-						osup = append(osup, int(r))
-					}
-					out[r] += float64(vals[k]) * x
+			vals := bv[lo : lo+cnt]
+			vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
+			for k, r := range rows {
+				if !omark[r] {
+					omark[r] = true
+					osup = append(osup, int(r))
 				}
-			} else {
-				vals := bv[lo : lo+cnt]
-				vals = vals[:len(rows)]
-				for k, r := range rows {
-					if !omark[r] {
-						omark[r] = true
-						osup = append(osup, int(r))
-					}
-					out[r] += vals[k] * x
-				}
+				out[r] += vals[k] * x
 			}
 			continue
 		}
@@ -345,11 +297,7 @@ func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC, f32 bool) []int {
 				osup = append(osup, int(r))
 			}
 		}
-		if f32 {
-			kernels.ScatterAXPY32(out, b.Rows[lo:hi], bv32[lo:hi], x)
-		} else {
-			kernels.ScatterAXPY(out, b.Rows[lo:hi], bv[lo:hi], x)
-		}
+		kernels.ScatterAXPY(out, b.Rows[lo:hi], bv[lo:hi], x)
 	}
 	s.osup = osup
 	return osup
@@ -359,28 +307,16 @@ func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC, f32 bool) []int {
 // the dense fallback for solves whose support reaches most of the
 // factor. Rows are assigned, not accumulated, so no prior clearing is
 // needed. A baked Remap redirects each assignment to the caller's id
-// domain so both applies agree on where solutions live; in Float32 mode
-// the stored values read through the half-width rendering, widened
-// exactly before each multiply.
-func (s *SparseSolver) applyUpperSweep(f32 bool) {
+// domain so both applies agree on where solutions live.
+func (s *SparseSolver) applyUpperSweep() {
 	inv := s.inv
 	up, uc, uval := inv.Uinv.RowPtr, inv.Uinv.ColIdx, inv.Uinv.Val
-	var uval32 []float32
-	if f32 {
-		uval32 = inv.uinvVal32()
-	}
 	ws, out := s.ws, s.out
 	remap := inv.Remap
 	for u := 0; u < inv.N; u++ {
 		acc := 0.0
-		if f32 {
-			for p := up[u]; p < up[u+1]; p++ {
-				acc += float64(uval32[p]) * ws[uc[p]]
-			}
-		} else {
-			for p := up[u]; p < up[u+1]; p++ {
-				acc += uval[p] * ws[uc[p]]
-			}
+		for p := up[u]; p < up[u+1]; p++ {
+			acc += uval[p] * ws[uc[p]]
 		}
 		d := u
 		if remap != nil {

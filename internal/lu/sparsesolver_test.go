@@ -31,7 +31,7 @@ func randomSparseRHS(rng *rand.Rand, n int) ([]int, []float64) {
 }
 
 // TestSparseSolverMatchesBatchReference property-tests the single-lane
-// support-tracked solver against the plain SolveBatch reference on
+// support-tracked solver against the plain Inverse.Solve reference on
 // random factorizable matrices: bit-identical on the returned support,
 // exactly zero off it. Repeated solves against one solver instance —
 // sparse and dense right-hand sides interleaved — exercise workspace
@@ -66,7 +66,7 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 			for k, i := range idx {
 				r[i] = val[k]
 			}
-			want := inv.SolveBatch([][]float64{r})[0]
+			want := inv.Solve(r)
 
 			onSup := make([]bool, n)
 			if sup == nil {

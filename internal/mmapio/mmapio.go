@@ -22,7 +22,7 @@
 //	32      32*k  section table, one 32-byte entry per section:
 //	                uint32 id       caller-chosen section identifier
 //	                uint32 kind     1 = int64, 2 = float64, 3 = bytes,
-//	                                4 = int32, 5 = float32
+//	                                4 = int32 (5 is retired)
 //	                uint64 offset   start of the section data (aligned)
 //	                uint64 count    element count (bytes for kind 3)
 //	                uint32 crc      CRC-32C of the section data bytes
@@ -85,7 +85,8 @@ const (
 	KindFloat64 = 2 // elements are float64 (stored as IEEE-754 bits)
 	KindBytes   = 3 // raw bytes; count is the byte length
 	KindInt32   = 4 // elements are int32 (the blocked factor strips' indices)
-	KindFloat32 = 5 // elements are float32 (stored as IEEE-754 bits)
+	// Kind 5 was a float32 section no format ever wrote; it stays
+	// retired, so a file carrying it is rejected as an unknown kind.
 )
 
 // Mode selects how Open backs the file's sections.
@@ -160,7 +161,7 @@ func elemSize(kind uint32) uint64 {
 	switch kind {
 	case KindBytes:
 		return 1
-	case KindInt32, KindFloat32:
+	case KindInt32:
 		return 4
 	default:
 		return 8
@@ -196,7 +197,6 @@ type wsection struct {
 	ints []int
 	f64s []float64
 	i32s []int32
-	f32s []float32
 	raw  []byte
 }
 
@@ -222,11 +222,6 @@ func (w *Writer) AddBytes(id uint32, b []byte) {
 // AddInt32s appends an int32 section (same aliasing rule as AddInts).
 func (w *Writer) AddInt32s(id uint32, xs []int32) {
 	w.sections = append(w.sections, wsection{id: id, kind: KindInt32, i32s: xs})
-}
-
-// AddFloat32s appends a float32 section (same aliasing rule as AddInts).
-func (w *Writer) AddFloat32s(id uint32, xs []float32) {
-	w.sections = append(w.sections, wsection{id: id, kind: KindFloat32, f32s: xs})
 }
 
 // alignUp rounds n up to the next multiple of align.
@@ -265,18 +260,6 @@ func (s *wsection) payload() []byte {
 			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
 		}
 		return buf
-	case KindFloat32:
-		if len(s.f32s) == 0 {
-			return nil
-		}
-		if hostLittleEndian {
-			return unsafe.Slice((*byte)(unsafe.Pointer(&s.f32s[0])), len(s.f32s)*4)
-		}
-		buf := make([]byte, len(s.f32s)*4)
-		for i, v := range s.f32s {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
-		return buf
 	default:
 		if len(s.f64s) == 0 {
 			return nil
@@ -300,8 +283,6 @@ func (s *wsection) count() uint64 {
 		return uint64(len(s.ints))
 	case KindInt32:
 		return uint64(len(s.i32s))
-	case KindFloat32:
-		return uint64(len(s.f32s))
 	default:
 		return uint64(len(s.f64s))
 	}
@@ -494,7 +475,7 @@ func (f *File) parse() error {
 			count: binary.LittleEndian.Uint64(e[16:]),
 			crc:   binary.LittleEndian.Uint32(e[24:]),
 		}
-		if s.kind < KindInt64 || s.kind > KindFloat32 {
+		if s.kind < KindInt64 || s.kind > KindInt32 {
 			return fmt.Errorf("mmapio: section %d has unknown kind %d", s.id, s.kind)
 		}
 		if s.off%align != 0 {
@@ -624,26 +605,6 @@ func (f *File) Int32s(id uint32) ([]int32, error) {
 	out := make([]int32, s.count)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
-}
-
-// Float32s returns section id as a []float32 (same contract as Int32s).
-func (f *File) Float32s(id uint32) ([]float32, error) {
-	s, err := f.lookup(id, KindFloat32)
-	if err != nil {
-		return nil, err
-	}
-	if s.count == 0 {
-		return []float32{}, nil
-	}
-	b := f.data[s.off : s.off+s.count*4]
-	if hostLittleEndian {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), s.count), nil
-	}
-	out := make([]float32, s.count)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
 }

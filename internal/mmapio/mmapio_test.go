@@ -180,6 +180,10 @@ func TestCorruptInputs(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[headerSize+4:], 77)
 			return reseal(b)
 		}), "unknown kind"},
+		{"retired float32 kind", corrupt(img, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[headerSize+4:], 5)
+			return reseal(b)
+		}), "unknown kind 5"},
 		{"data checksum", corrupt(img, func(b []byte) []byte {
 			b[DefaultAlign] ^= 0xff // first data byte of section 1
 			return b

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -140,19 +139,6 @@ func (es *epochSolver) SolveSparse(si int, idx []int, val []float64) ([]float64,
 		return nil, nil, fmt.Errorf("%w: shard %d: %v", rpc.ErrUnavailable, si, err)
 	}
 	return y, sup, nil
-}
-
-// SolveBatch implements shard.RemoteSolver.
-func (es *epochSolver) SolveBatch(si int, rhs [][]float64) ([][]float64, [][]int, error) {
-	resp, err := es.cl.call(si, rpc.OpBatchSolve, rpc.AppendBatchSolveRequest(nil, es.epoch, si, rhs))
-	if err != nil {
-		return nil, nil, err
-	}
-	ys, sups, err := rpc.DecodeBatchSolveResponse(resp, core.BlockWidth, es.partLens[si])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: shard %d: %v", rpc.ErrUnavailable, si, err)
-	}
-	return ys, sups, nil
 }
 
 // Coordinator serves the full engine surface from a factorless index,
@@ -338,7 +324,8 @@ func (co *Coordinator) TopK(q, k int) ([]topk.Result, shard.QueryStats, error) {
 	return co.sx.TopK(q, k)
 }
 
-// TopKBatch answers a batch through the distributed block push.
+// TopKBatch answers a batch query by query through the distributed
+// push; every solve rides SolveSparse.
 func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchStats, error) {
 	return co.sx.TopKBatch(qs, k)
 }
@@ -354,16 +341,6 @@ func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proxi
 // ProximityVector computes q's full proximity vector through the
 // distributed push.
 func (co *Coordinator) ProximityVector(q int) ([]float64, error) { return co.sx.ProximityVector(q) }
-
-// SearchBatch implements server.BatchEngine.
-func (co *Coordinator) SearchBatch(queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
-	return co.sx.SearchBatch(queries)
-}
-
-// SearchBatchCtx implements server.BatchCtxEngine.
-func (co *Coordinator) SearchBatchCtx(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
-	return co.sx.SearchBatchCtx(ctx, queries)
-}
 
 // Statz merges the index's build observability with per-worker serving
 // stats: call latency quantiles, failed calls and replay rounds.

@@ -8,11 +8,12 @@ package placement
 // this harness lives in internal/distributed.
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +164,16 @@ func TestCoordinatorDifferential(t *testing.T) {
 			}
 			sameResults(t, "TopKBatch results", gotB, wantB)
 			sameResults(t, "TopKBatch stats", gbs, wbs)
+			// A batch is a loop over TopK: every item, results and
+			// QueryStats, equals the single query exactly.
+			for i, q := range batch {
+				want, wqs, err := co.TopK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, "TopKBatch item vs TopK results", gotB[i], want)
+				sameResults(t, "TopKBatch item vs TopK stats", gbs.PerQuery[i], wqs)
+			}
 
 			seeds := map[int]float64{rng.Intn(n): 1, rng.Intn(n): 2.5}
 			gotP, gps, err := co.TopKPersonalized(seeds, k)
@@ -343,8 +354,8 @@ func TestAssign(t *testing.T) {
 
 // TestCoordinatorEngineSurface covers the full server.Engine surface a
 // coordinator exposes beyond the push-routing paths the differential
-// test drives: the factorless passthroughs (Search, SearchBatch and
-// their ctx variants, ProximityVector), the metadata accessors the
+// test drives: the factorless passthroughs (Search, ProximityVector),
+// the metadata accessors the
 // HTTP tier reads, and the Statz cluster block — every answer checked
 // bit-for-bit against an in-process index from the same directory.
 func TestCoordinatorEngineSurface(t *testing.T) {
@@ -404,23 +415,6 @@ func TestCoordinatorEngineSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "ProximityVector", gotV, wantV)
-
-	batch := []core.BatchQuery{{Q: rng.Intn(n), K: 4}, {Q: rng.Intn(n), K: 2}}
-	gotB, gbs, err := co.SearchBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, wbs, err := oracle.SearchBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "SearchBatch results", gotB, wantB)
-	sameResults(t, "SearchBatch stats", gbs, wbs)
-	gotBC, _, err := co.SearchBatchCtx(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "SearchBatchCtx results", gotBC, wantB)
 
 	doc := co.Statz()
 	cluster, ok := doc["cluster"].(map[string]interface{})
@@ -515,5 +509,48 @@ func TestWorkerPublishStateMachine(t *testing.T) {
 	}
 	if wk.at(base+2) == nil || wk.at(base+3) == nil {
 		t.Fatal("last two committed epochs must stay resident")
+	}
+}
+
+// TestWorkerRejectsUnknownOps sends opcodes the protocol does not
+// define — among them 3, the retired block solve — over one pooled
+// connection: each is refused with the unknown-op error, and the same
+// connection then serves an ordinary sparse solve.
+func TestWorkerRejectsUnknownOps(t *testing.T) {
+	seed := int64(29)
+	dir := buildDir(t, rand.New(rand.NewSource(seed)), seed, 3)
+	tw := serveTracked(t, dir, "127.0.0.1:0")
+	c := rpc.NewClient(tw.ln.Addr().String(), nil, 0)
+	defer c.Close()
+	oracle, err := shard.Open(dir, shard.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []uint8{3, 0, 8, 255} {
+		_, err := c.Call(op, rpc.AppendSolveRequest(nil, oracle.Epoch(), 0, []int{0}, []float64{1}))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", op)) {
+			t.Fatalf("op %d: err = %v, want the unknown-op error", op, err)
+		}
+		resp, err := c.Call(rpc.OpSolve, rpc.AppendSolveRequest(nil, oracle.Epoch(), 0, []int{0}, []float64{1}))
+		if err != nil {
+			t.Fatalf("solve after op %d: %v", op, err)
+		}
+		got := make([]float64, oracle.PartLen(0))
+		gotSup, err := rpc.DecodeSolveResponse(resp, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSup, err := oracle.SolveShardSparse(0, []int{0}, []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "solve after unknown op", got, want)
+		sameResults(t, "solve support after unknown op", gotSup, wantSup)
+	}
+	tw.mu.Lock()
+	conns := len(tw.cs)
+	tw.mu.Unlock()
+	if conns != 1 {
+		t.Fatalf("worker accepted %d connections, want the one pooled connection to survive every rejection", conns)
 	}
 }

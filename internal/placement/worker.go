@@ -22,7 +22,6 @@ import (
 	"net"
 	"sync"
 
-	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/rpc"
 	"kdash/internal/shard"
@@ -88,20 +87,6 @@ func (wk *Worker) Handle(op uint8, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		return rpc.AppendSolveResponse(nil, y, ysup, sx.PartLen(si)), nil
-	case rpc.OpBatchSolve:
-		epoch, si, rhs, err := rpc.DecodeBatchSolveRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		sx := wk.at(epoch)
-		if sx == nil {
-			return nil, rpc.ErrWrongEpoch
-		}
-		ys, sups, err := sx.SolveShardBatch(si, rhs)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.AppendBatchSolveResponse(nil, ys, sups, core.BlockWidth, sx.ShardNodes(si)), nil
 	case rpc.OpPrepare:
 		epoch, deltaBytes, err := rpc.DecodePrepareRequest(body)
 		if err != nil {

@@ -37,7 +37,7 @@ type Client struct {
 }
 
 // NewClient builds a client for addr. A nil dial uses NetDial; a zero
-// timeout defaults to 30s per call (batch solves on large shards are
+// timeout defaults to 30s per call (dense solves on large shards are
 // the slowest legitimate calls).
 func NewClient(addr string, dial DialFunc, timeout time.Duration) *Client {
 	if dial == nil {

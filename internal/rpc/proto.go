@@ -4,13 +4,11 @@
 // codecs for the solve and epoch-publish payloads.
 //
 // The protocol exists to move *bits*, not numbers: float64 values cross
-// the wire as their raw IEEE-754 bit patterns (math.Float64bits), solve
-// supports preserve the solver's first-touch order verbatim, and batch
-// replies keep the per-chunk shared-support shape of
-// core.BatchSolver.SolveOn — so a coordinator that feeds remote solve
-// results into the greedy push commits exactly the bytes a single
-// process would have produced. See docs/ARCHITECTURE.md, "Distributed
-// serving".
+// the wire as their raw IEEE-754 bit patterns (math.Float64bits) and
+// solve supports preserve the solver's first-touch order verbatim — so
+// a coordinator that feeds remote solve results into the greedy push
+// commits exactly the bytes a single process would have produced. See
+// docs/ARCHITECTURE.md, "Distributed serving".
 package rpc
 
 import (
@@ -26,13 +24,14 @@ import (
 // op-specific body; the response is one status byte followed by either
 // the op-specific body (StatusOK) or an error string.
 const (
-	OpHello      uint8 = 1 // -> n, shards, epoch of the worker's index
-	OpSolve      uint8 = 2 // single-lane sparse solve against one shard
-	OpBatchSolve uint8 = 3 // multi-lane block solve against one shard
-	OpPrepare    uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
-	OpCommit     uint8 = 5 // publish staged epoch E (phase 2)
-	OpAbort      uint8 = 6 // drop staged epoch E
-	OpPing       uint8 = 7 // liveness probe
+	OpHello uint8 = 1 // -> n, shards, epoch of the worker's index
+	OpSolve uint8 = 2 // single-lane sparse solve against one shard
+	// 3 was OpBatchSolve, the multi-lane block solve. Retired, never
+	// reused: a worker answers it with the unknown-op error.
+	OpPrepare uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
+	OpCommit  uint8 = 5 // publish staged epoch E (phase 2)
+	OpAbort   uint8 = 6 // drop staged epoch E
+	OpPing    uint8 = 7 // liveness probe
 )
 
 // Response status bytes.
@@ -54,7 +53,7 @@ var ErrUnavailable = errors.New("rpc: worker unavailable")
 var ErrWrongEpoch = errors.New("rpc: epoch not resident on worker")
 
 // maxFrame bounds a single frame so a torn or hostile length prefix
-// cannot ask for an absurd allocation. Batch solve replies over large
+// cannot ask for an absurd allocation. Dense solve replies over large
 // shards are the biggest legitimate frames; 1 GiB is far above any of
 // them.
 const maxFrame = 1 << 30
@@ -288,163 +287,6 @@ func DecodeSolveResponse(data []byte, y []float64) ([]int, error) {
 		y[lv] = v
 	}
 	return sup, r.err
-}
-
-// AppendBatchSolveRequest encodes a block solve: every lane's dense
-// right-hand side (partLen rows each), in member order.
-func AppendBatchSolveRequest(buf []byte, epoch, shard int, rhs [][]float64) []byte {
-	buf = appendUint64(buf, uint64(epoch))
-	buf = appendUint32(buf, uint32(shard))
-	buf = appendUint32(buf, uint32(len(rhs)))
-	rhsLen := 0
-	if len(rhs) > 0 {
-		rhsLen = len(rhs[0])
-	}
-	buf = appendUint32(buf, uint32(rhsLen))
-	for _, lane := range rhs {
-		for _, v := range lane {
-			buf = appendFloat64(buf, v)
-		}
-	}
-	return buf
-}
-
-// DecodeBatchSolveRequest decodes a block solve request into freshly
-// allocated lane vectors.
-func DecodeBatchSolveRequest(data []byte) (epoch, shard int, rhs [][]float64, err error) {
-	r := reader{data: data}
-	epoch = int(r.uint64())
-	shard = int(r.uint32())
-	lanes := int(r.uint32())
-	rhsLen := int(r.uint32())
-	if r.err == nil && r.off+8*lanes*rhsLen > len(r.data) {
-		r.fail()
-	}
-	if r.err != nil {
-		return 0, 0, nil, r.err
-	}
-	rhs = make([][]float64, lanes)
-	for b := range rhs {
-		lane := make([]float64, rhsLen)
-		for i := range lane {
-			lane[i] = r.float64()
-		}
-		rhs[b] = lane
-	}
-	return epoch, shard, rhs, r.err
-}
-
-// batch chunk kinds on the wire.
-const (
-	chunkDense uint8 = 0
-	chunkSup   uint8 = 1
-)
-
-// AppendBatchSolveResponse encodes a block solve result preserving
-// SolveOn's chunk structure: lanes are grouped in blockWidth-wide
-// chunks, each chunk either dense (nodesLen leading rows per lane
-// travel) or sharing one support list (support rows per lane travel,
-// order preserved). sups carries entries at chunk starts exactly as
-// SolveOn returned them.
-func AppendBatchSolveResponse(buf []byte, ys [][]float64, sups [][]int, blockWidth, nodesLen int) []byte {
-	buf = appendUint32(buf, uint32(len(ys)))
-	buf = appendUint32(buf, uint32(nodesLen))
-	for g0 := 0; g0 < len(ys); g0 += blockWidth {
-		g1 := g0 + blockWidth
-		if g1 > len(ys) {
-			g1 = len(ys)
-		}
-		sup := sups[g0]
-		if sup == nil {
-			buf = append(buf, chunkDense)
-			for j := g0; j < g1; j++ {
-				for _, v := range ys[j][:nodesLen] {
-					buf = appendFloat64(buf, v)
-				}
-			}
-			continue
-		}
-		buf = append(buf, chunkSup)
-		buf = appendUint32(buf, uint32(len(sup)))
-		for _, lv := range sup {
-			buf = appendUint32(buf, uint32(lv))
-		}
-		for j := g0; j < g1; j++ {
-			for _, lv := range sup {
-				buf = appendFloat64(buf, ys[j][lv])
-			}
-		}
-	}
-	return buf
-}
-
-// DecodeBatchSolveResponse decodes a block solve result into freshly
-// allocated per-lane vectors of partLen rows (rows outside a chunk's
-// support stay zero — never read by the consumer, mirroring the SolveOn
-// stale-rows contract) plus the per-chunk-start support lists.
-func DecodeBatchSolveResponse(data []byte, blockWidth, partLen int) (ys [][]float64, sups [][]int, err error) {
-	r := reader{data: data}
-	lanes := int(r.uint32())
-	nodesLen := int(r.uint32())
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if nodesLen > partLen {
-		return nil, nil, fmt.Errorf("rpc: batch reply nodesLen %d exceeds partLen %d", nodesLen, partLen)
-	}
-	if lanes > len(data)+1 {
-		return nil, nil, fmt.Errorf("rpc: batch reply lane count %d implausible for %d-byte frame", lanes, len(data))
-	}
-	ys = make([][]float64, lanes)
-	sups = make([][]int, lanes)
-	for j := range ys {
-		ys[j] = make([]float64, partLen)
-	}
-	for g0 := 0; g0 < lanes; g0 += blockWidth {
-		g1 := g0 + blockWidth
-		if g1 > lanes {
-			g1 = lanes
-		}
-		if r.err != nil || r.off >= len(r.data) {
-			r.fail()
-			return nil, nil, r.err
-		}
-		kind := r.data[r.off]
-		r.off++
-		switch kind {
-		case chunkDense:
-			for j := g0; j < g1; j++ {
-				for i := 0; i < nodesLen; i++ {
-					ys[j][i] = r.float64()
-				}
-			}
-		case chunkSup:
-			n := int(r.uint32())
-			if r.err == nil && r.off+4*n > len(r.data) {
-				r.fail()
-			}
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			sup := make([]int, n)
-			for i := range sup {
-				lv := int(r.uint32())
-				if lv >= partLen {
-					return nil, nil, fmt.Errorf("rpc: batch reply row %d outside partLen %d", lv, partLen)
-				}
-				sup[i] = lv
-			}
-			sups[g0] = sup
-			for j := g0; j < g1; j++ {
-				for _, lv := range sup {
-					ys[j][lv] = r.float64()
-				}
-			}
-		default:
-			return nil, nil, fmt.Errorf("rpc: batch reply chunk kind %d", kind)
-		}
-	}
-	return ys, sups, r.err
 }
 
 // AppendPrepareRequest encodes a Prepare: the epoch the delta publishes

@@ -75,66 +75,6 @@ func TestSolveCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchCodecRoundTrip(t *testing.T) {
-	const blockWidth, partLen, nodesLen = 4, 6, 5
-	// 6 lanes: chunk 0 (lanes 0-3) shares a support, chunk 1 (lanes
-	// 4-5) is dense — both shapes in one reply.
-	ys := make([][]float64, 6)
-	for j := range ys {
-		ys[j] = make([]float64, partLen)
-		for i := range ys[j] {
-			ys[j][i] = float64(j*10+i) + 1.0/3.0
-		}
-	}
-	sups := make([][]int, 6)
-	sups[0] = []int{4, 1, 5} // includes the ghost-sink row partLen-1
-	resp := AppendBatchSolveResponse(nil, ys, sups, blockWidth, nodesLen)
-	gotYs, gotSups, err := DecodeBatchSolveResponse(resp, blockWidth, partLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotYs) != 6 {
-		t.Fatalf("lanes: %d", len(gotYs))
-	}
-	if !reflect.DeepEqual(gotSups[0], sups[0]) {
-		t.Fatalf("chunk-0 support: %v != %v", gotSups[0], sups[0])
-	}
-	for _, g := range []int{1, 2, 3, 5} {
-		if gotSups[g] != nil {
-			t.Fatalf("sups[%d] should be nil (non-chunk-start or dense)", g)
-		}
-	}
-	for j := 0; j < 4; j++ {
-		for _, lv := range sups[0] {
-			if math.Float64bits(gotYs[j][lv]) != math.Float64bits(ys[j][lv]) {
-				t.Fatalf("lane %d row %d lost bits", j, lv)
-			}
-		}
-	}
-	for j := 4; j < 6; j++ {
-		for i := 0; i < nodesLen; i++ {
-			if math.Float64bits(gotYs[j][i]) != math.Float64bits(ys[j][i]) {
-				t.Fatalf("dense lane %d row %d lost bits", j, i)
-			}
-		}
-	}
-
-	// Request side.
-	rhs := [][]float64{trickyFloats[:3], trickyFloats[3:6]}
-	req := AppendBatchSolveRequest(nil, 7, 2, rhs)
-	epoch, shard, gotRHS, err := DecodeBatchSolveRequest(req)
-	if err != nil || epoch != 7 || shard != 2 {
-		t.Fatalf("epoch=%d shard=%d err=%v", epoch, shard, err)
-	}
-	for b := range rhs {
-		for i := range rhs[b] {
-			if math.Float64bits(gotRHS[b][i]) != math.Float64bits(rhs[b][i]) {
-				t.Fatalf("rhs[%d][%d] lost bits", b, i)
-			}
-		}
-	}
-}
-
 func TestControlCodecs(t *testing.T) {
 	h := HelloResponse{N: 1 << 40, Shards: 16, Epoch: 9}
 	got, err := DecodeHelloResponse(AppendHelloResponse(nil, h))

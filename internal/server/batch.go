@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"kdash/internal/core"
@@ -42,10 +43,10 @@ type batchResponse struct {
 //	{"queries":[{"q":3,"k":5},{"q":9,"k":5,"exclude":[9]}]}
 //
 // The whole batch is validated before any query executes — one bad entry
-// fails the request with a 400 naming it — then runs through the
-// engine's native batched path (shared per-shard factor sweeps on a
-// sharded index, shared search workspaces on a monolithic one), falling
-// back to a sequential loop for engines without one.
+// fails the request with a 400 naming it — then the queries run one
+// after the other through the engine's ordinary Search, the call /topk
+// makes, so every item is bit-identical to the /topk answer for the
+// same q, k and exclude by construction.
 func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -124,21 +125,21 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// runBatch dispatches to the engine's batched path when it has one,
-// preferring the cancellable variant so a disconnected client stops
-// paying between solve steps. It is a method of the epoch snapshot,
-// not the handler, so the whole batch runs against one engine even
-// when an update lands mid-request.
+// runBatch answers the validated queries in order, checking the
+// request context between queries (each Search also checks it between
+// its own solve steps) so a disconnected client stops paying for the
+// rest of its batch. It is a method of the epoch snapshot, not the
+// handler, so the whole batch runs against one engine even when an
+// update lands mid-request.
+//
+//kdash:ctxloop
 func (st *engineState) runBatch(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
-	if st.batchCtx != nil {
-		return st.batchCtx.SearchBatchCtx(ctx, queries)
-	}
-	if st.batch != nil {
-		return st.batch.SearchBatch(queries)
-	}
 	results := make([][]topk.Result, len(queries))
 	stats := make([]core.SearchStats, len(queries))
 	for i, bq := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("server: batch cancelled after %d of %d queries: %w", i, len(queries), err)
+		}
 		rs, s, err := st.engine.Search(bq.Q, core.SearchOptions{K: bq.K, Exclude: bq.Exclude, Ctx: ctx})
 		if err != nil {
 			return nil, nil, err

@@ -1,17 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
+	"kdash/internal/topk"
 )
 
 func post(t *testing.T, h http.Handler, url, body string) *httptest.ResponseRecorder {
@@ -22,49 +25,32 @@ func post(t *testing.T, h http.Handler, url, body string) *httptest.ResponseReco
 	return rec
 }
 
+// itemJSON is one /topk/batch item, and equally one /topk response:
+// the two must be equal field for field.
+type itemJSON struct {
+	K          int `json:"k"`
+	RequestedK int `json:"requestedK"`
+	Results    []struct {
+		Node  int     `json:"node"`
+		Score float64 `json:"score"`
+	} `json:"results"`
+	Stats statsJSON `json:"stats"`
+}
+
 type batchRespJSON struct {
-	Count int `json:"count"`
-	Items []struct {
-		K          int `json:"k"`
-		RequestedK int `json:"requestedK"`
-		Results    []struct {
-			Node  int     `json:"node"`
-			Score float64 `json:"score"`
-		} `json:"results"`
-	} `json:"items"`
+	Count int        `json:"count"`
+	Items []itemJSON `json:"items"`
 	Stats struct {
 		Queries int   `json:"queries"`
 		Visited int64 `json:"visited"`
 	} `json:"stats"`
 }
 
-// sameRanked compares two rankings within tol, tolerating order swaps
-// among exact-tie scores (the sharded engine may re-order ties when the
-// batch schedule changes its accumulation order).
-func sameRanked(t *testing.T, label string, got, want []struct {
-	Node  int     `json:"node"`
-	Score float64 `json:"score"`
-}, tol float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d vs %d results", label, len(got), len(want))
-		return
-	}
-	for i := range got {
-		if math.Abs(got[i].Score-want[i].Score) > tol {
-			t.Errorf("%s rank %d: score %v vs %v", label, i, got[i].Score, want[i].Score)
-			return
-		}
-		if got[i].Node != want[i].Node && math.Abs(got[i].Score-want[i].Score) > 0 {
-			t.Errorf("%s rank %d: node %d vs %d with differing scores", label, i, got[i].Node, want[i].Node)
-			return
-		}
-	}
-}
-
 // TestBatchEndpointMatchesSingle is the HTTP half of the batch exactness
-// property: for both engine shapes and the acceptance batch sizes,
-// POST /topk/batch items agree with per-query GET /topk.
+// property: for both engine shapes and the acceptance batch sizes, every
+// POST /topk/batch item — results and stats, with and without a
+// per-item exclude — equals the GET /topk answer for the same query
+// exactly.
 func TestBatchEndpointMatchesSingle(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
 	engines := map[string]Engine{}
@@ -83,13 +69,19 @@ func TestBatchEndpointMatchesSingle(t *testing.T) {
 		for _, nb := range []int{1, 7, 64} {
 			var sb strings.Builder
 			sb.WriteString(`{"queries":[`)
-			qs := make([]int, nb)
-			for i := range qs {
-				qs[i] = (i * 31) % engine.N()
+			singles := make([]string, nb)
+			for i := range singles {
+				q := (i * 31) % engine.N()
 				if i > 0 {
 					sb.WriteString(",")
 				}
-				fmt.Fprintf(&sb, `{"q":%d,"k":5}`, qs[i])
+				if i%3 == 2 { // every third item bars its own query node and a neighbour id
+					fmt.Fprintf(&sb, `{"q":%d,"k":5,"exclude":[%d,%d]}`, q, q, (q+1)%engine.N())
+					singles[i] = fmt.Sprintf("/topk?q=%d&k=5&exclude=%d,%d", q, q, (q+1)%engine.N())
+				} else {
+					fmt.Fprintf(&sb, `{"q":%d,"k":5}`, q)
+					singles[i] = fmt.Sprintf("/topk?q=%d&k=5", q)
+				}
 			}
 			sb.WriteString(`]}`)
 			rec := post(t, h, "/topk/batch", sb.String())
@@ -103,22 +95,20 @@ func TestBatchEndpointMatchesSingle(t *testing.T) {
 			if resp.Count != nb || len(resp.Items) != nb || resp.Stats.Queries != nb {
 				t.Fatalf("%s nb=%d: count %d items %d statsQueries %d", name, nb, resp.Count, len(resp.Items), resp.Stats.Queries)
 			}
-			for i, q := range qs {
-				recS, _ := get(t, h, fmt.Sprintf("/topk?q=%d&k=5", q))
-				var single struct {
-					K       int `json:"k"`
-					Results []struct {
-						Node  int     `json:"node"`
-						Score float64 `json:"score"`
-					} `json:"results"`
-				}
+			visited := int64(0)
+			for i, url := range singles {
+				recS, _ := get(t, h, url)
+				var single itemJSON
 				if err := json.Unmarshal(recS.Body.Bytes(), &single); err != nil {
 					t.Fatal(err)
 				}
-				if resp.Items[i].K != single.K || resp.Items[i].RequestedK != 5 {
-					t.Errorf("%s nb=%d item %d: k=%d requestedK=%d, single k=%d", name, nb, i, resp.Items[i].K, resp.Items[i].RequestedK, single.K)
+				if !reflect.DeepEqual(resp.Items[i], single) {
+					t.Errorf("%s nb=%d item %d: batch %+v vs %s %+v", name, nb, i, resp.Items[i], url, single)
 				}
-				sameRanked(t, fmt.Sprintf("%s nb=%d item %d", name, nb, i), resp.Items[i].Results, single.Results, 1e-12)
+				visited += int64(single.Stats.Visited)
+			}
+			if resp.Stats.Visited != visited {
+				t.Errorf("%s nb=%d: aggregate visited %d, singles sum to %d", name, nb, resp.Stats.Visited, visited)
 			}
 		}
 	}
@@ -151,26 +141,76 @@ func TestBatchEndpointExclude(t *testing.T) {
 	}
 }
 
-// noBatchEngine hides the engine's native SearchBatch so the handler's
-// sequential fallback path runs.
-type noBatchEngine struct{ Engine }
+// cancellingEngine cancels the request after its after-th Search returns
+// and counts the Searches that ran.
+type cancellingEngine struct {
+	Engine
+	after  int
+	calls  int
+	cancel context.CancelFunc
+}
 
-func TestBatchEndpointSequentialFallback(t *testing.T) {
-	hm, _ := testHandler(t)
-	h := New(noBatchEngine{hm.snap().engine})
-	if h.snap().batch != nil {
-		t.Fatal("fallback engine unexpectedly batched")
+func (e *cancellingEngine) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
+	e.calls++
+	rs, st, err := e.Engine.Search(q, opt)
+	if e.calls == e.after {
+		e.cancel()
 	}
-	rec := post(t, h, "/topk/batch", `{"queries":[{"q":7,"k":5},{"q":3,"k":2}]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp batchRespJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	return rs, st, err
+}
+
+// localSolver routes a factorless index's solves to a second, in-process
+// copy of the index: the coordinator's shape without the wire.
+type localSolver struct{ sx *shard.ShardedIndex }
+
+func (r localSolver) SolveSparse(si int, idx []int, val []float64) ([]float64, []int, error) {
+	return r.sx.SolveShardSparse(si, idx, val)
+}
+
+// TestBatchCancelledBetweenQueries cancels a request's context once item
+// 2 of a 5-item batch has been answered: item 3 never runs, and the
+// request ends on the cancelled-request path (499 and its counter), not
+// as a 500 — for the in-process engine and for a factorless index whose
+// solves go through a RemoteSolver.
+func TestBatchCancelledBetweenQueries(t *testing.T) {
+	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
+	sx, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != 2 || len(resp.Items[0].Results) != 5 || len(resp.Items[1].Results) != 2 {
-		t.Errorf("fallback response %+v", resp)
+	dir := t.TempDir()
+	if err := sx.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	worker, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.SetFactorless()
+	remote.SetRemoteSolver(localSolver{sx: worker})
+
+	for name, engine := range map[string]Engine{"in-process": sx, "remote-solver": remote} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ce := &cancellingEngine{Engine: engine, after: 2, cancel: cancel}
+		h := New(ce)
+		body := `{"queries":[{"q":1,"k":3},{"q":40,"k":3},{"q":80,"k":3},{"q":100,"k":3},{"q":7,"k":3}]}`
+		req := httptest.NewRequest(http.MethodPost, "/topk/batch", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != statusClientClosedRequest {
+			t.Errorf("%s: status %d, want %d (%s)", name, rec.Code, statusClientClosedRequest, rec.Body.String())
+		}
+		if ce.calls != 2 {
+			t.Errorf("%s: %d queries ran, want the batch to stop after 2", name, ce.calls)
+		}
+		if c, e := h.qCancelled.Value(), h.qInternal.Value(); c != 1 || e != 0 {
+			t.Errorf("%s: cancelled counter %d, internal errors %d; want 1 and 0", name, c, e)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -49,21 +48,6 @@ type Engine interface {
 	Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error)
 	TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)
 	Proximity(q, u int) (float64, error)
-}
-
-// BatchEngine is implemented by engines with a native batched execution
-// path (both index shapes have one). Engines without it are served by a
-// sequential fallback, so /topk/batch works against any Engine.
-type BatchEngine interface {
-	SearchBatch(queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error)
-}
-
-// BatchCtxEngine is the cancellable refinement of BatchEngine (both
-// index shapes implement it): a cancelled context abandons the batch
-// between its internal solve steps instead of running it to the end
-// for a client that already hung up.
-type BatchCtxEngine interface {
-	SearchBatchCtx(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error)
 }
 
 // Statser is implemented by engines that expose build-time observability
@@ -142,11 +126,9 @@ func WithDefaultTimeout(d time.Duration) Option {
 // request two different indexes — the copy-on-swap epoch scheme that
 // makes POST /update safe against pooled in-flight queries.
 type engineState struct {
-	engine   Engine
-	batch    BatchEngine    // nil: fall back to sequential Search
-	batchCtx BatchCtxEngine // nil: batch runs without cancellation checks
-	upd      Updatable      // nil: static engine, /update answers 501
-	epoch    int
+	engine Engine
+	upd    Updatable // nil: static engine, /update answers 501
+	epoch  int
 }
 
 // Handler serves queries against one engine.
@@ -278,12 +260,6 @@ func New(engine Engine, opts ...Option) *Handler {
 // immutable epoch snapshot.
 func newEngineState(engine Engine, epoch int) *engineState {
 	st := &engineState{engine: engine, epoch: epoch}
-	if be, ok := engine.(BatchEngine); ok {
-		st.batch = be
-	}
-	if bc, ok := engine.(BatchCtxEngine); ok {
-		st.batchCtx = bc
-	}
 	if u, ok := engine.(Updatable); ok {
 		st.upd = u
 	}

@@ -130,11 +130,14 @@ func TestUpdateEndpointValidation(t *testing.T) {
 	}
 }
 
+// staticEngine exposes only the Engine methods of the engine it wraps,
+// hiding ApplyDelta.
+type staticEngine struct{ Engine }
+
 func TestUpdateUnsupportedEngine(t *testing.T) {
-	// An engine without ApplyDelta — the sequential-fallback wrapper
-	// hides every optional capability — answers 501.
+	// An engine without ApplyDelta answers 501.
 	hm, _ := testHandler(t)
-	h := New(noBatchEngine{hm.snap().engine})
+	h := New(staticEngine{hm.snap().engine})
 	rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":1}]}`)
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("status %d, want 501 (%s)", rec.Code, rec.Body.String())

@@ -1,15 +1,11 @@
 package shard
 
-// Batched query execution. A batch of queries runs one shared block
-// push: every iteration picks the shard carrying the most eligible
-// pending residual mass across the whole batch and solves it once for
-// every query whose own frontier that shard is, through the blocked
-// multi-RHS kernel (core.BatchSolver), so the factor traversal — the
-// dominant per-solve cost — is paid once per block instead of once per
-// query. Each query keeps its own residuals, tolerance and stats, so
-// per-query answers carry exactly the full push's error guarantee; only
-// the shard-solve schedule (and with it harmless floating-point
-// accumulation order) differs from running the queries one at a time.
+// Batched query execution. A batch is a loop: every query runs the
+// ordinary single-query push (topK) on a pooled push state, one after
+// the other, so each item — results and QueryStats — is bit-identical to
+// TopK by construction, in-process and through a RemoteSolver alike. The
+// batch adds only up-front validation of every query and a cancellation
+// check between queries.
 
 import (
 	"context"
@@ -19,261 +15,14 @@ import (
 	"kdash/internal/topk"
 )
 
-// BatchStats reports block-level work for one batched execution.
+// BatchStats reports the work of one batched execution: each query's
+// own stats, in request order.
 type BatchStats struct {
-	BlockSolves int // multi-RHS factor sweeps performed
-	BlockRHS    int // right-hand sides across all sweeps (Σ per-query Solves)
-	PerQuery    []QueryStats
+	PerQuery []QueryStats
 }
 
-// Sharing reports how many per-query factor sweeps the batch saved:
-// BlockRHS sequential solves collapsed into BlockSolves block solves.
-func (bs BatchStats) Sharing() float64 {
-	if bs.BlockSolves == 0 {
-		return 1
-	}
-	return float64(bs.BlockRHS) / float64(bs.BlockSolves)
-}
-
-// pushBatch runs the shared block push for one scaled restart vector per
-// query and returns per-query, per-shard accumulated proximity vectors.
-//
-// Scheduling: every iteration solves the shard carrying the most
-// *eligible* pending mass, where a query's mass in a shard is eligible
-// only when that shard is the query's own current argmax. This keeps
-// each query's solve trajectory identical to the greedy schedule the
-// single-query push runs (so a batch never performs more per-query
-// solves than the sequential loop), while queries whose frontiers
-// coincide — all queries start at their home shards, and residuals
-// follow the same cut structure — still share one factor sweep.
-// An earlier any-mass join rule measured ~2.3x per-query solve
-// inflation: queries were dragged into solves of shards where they held
-// negligible early mass, then re-solved them after their real inflow
-// arrived.
-// A cancelled context (checked once per block solve, never per node or
-// per lane) abandons the whole batch with the context's error.
-func (sx *ShardedIndex) pushBatch(ctx context.Context, seeds []map[int]float64) ([][][]float64, BatchStats, error) {
-	nb := len(seeds)
-	s := len(sx.parts)
-	bs := BatchStats{PerQuery: make([]QueryStats, nb)}
-	x := make([][][]float64, nb)
-	res := make([][][]float64, nb)
-	resMass := make([][]float64, nb)
-	solved := make([][]bool, nb)
-	tol := make([]float64, nb)
-	done := make([]bool, nb)
-	maxMass := make([]float64, nb)
-	type seedLoc struct{ si, lv int }
-	seedAt := make([][]seedLoc, nb)
-	for b := range seeds {
-		x[b] = make([][]float64, s)
-		res[b] = make([][]float64, s)
-		resMass[b] = make([]float64, s)
-		solved[b] = make([]bool, s)
-		initial := 0.0
-		for g, m := range seeds[b] {
-			si := sx.home[g]
-			if res[b][si] == nil {
-				res[b][si] = make([]float64, sx.partLen(si))
-			}
-			res[b][si][sx.local[g]] += m
-			resMass[b][si] += m
-			initial += m
-			seedAt[b] = append(seedAt[b], seedLoc{si, sx.local[g]})
-		}
-		tol[b] = sx.qtol * initial
-	}
-
-	// A consumed residual vector is spot-cleaned over its possible
-	// support — the shard's cut-target list plus the query's own seeds —
-	// instead of fully rewiped.
-	inTargets := sx.cutTargets()
-
-	agg := make([]float64, s)
-	solvers := make([]*core.BatchSolver, s)
-	members := make([]int, 0, nb)
-	rhs := make([][]float64, 0, nb)
-	for {
-		// Re-sum every active query's residual (assigned, not drifted —
-		// see pushWeighted), retiring queries that have converged, and
-		// aggregate each remaining query's argmax-shard mass.
-		for si := range agg {
-			agg[si] = 0
-		}
-		active := false
-		for b := 0; b < nb; b++ {
-			if done[b] {
-				continue
-			}
-			total, m := 0.0, 0.0
-			for si := 0; si < s; si++ {
-				total += resMass[b][si]
-				if resMass[b][si] > m {
-					m = resMass[b][si]
-				}
-			}
-			bs.PerQuery[b].ResidualMass = total
-			if total <= tol[b] {
-				done[b] = true
-				bs.PerQuery[b].Converged = true
-				continue
-			}
-			active = true
-			maxMass[b] = m
-			for si := 0; si < s; si++ {
-				if resMass[b][si] >= m {
-					agg[si] += resMass[b][si]
-				}
-			}
-		}
-		if !active || bs.BlockSolves >= maxSolves {
-			break
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, bs, fmt.Errorf("shard: batch cancelled after %d block solves: %w", bs.BlockSolves, err)
-			}
-		}
-		best, bestMass := -1, 0.0
-		for si := 0; si < s; si++ {
-			if agg[si] > bestMass {
-				best, bestMass = si, agg[si]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		// One block solve for every query whose argmax shard this is.
-		p := sx.parts[best]
-		members = members[:0]
-		rhs = rhs[:0]
-		for b := 0; b < nb; b++ {
-			if !done[b] && resMass[b][best] > 0 && resMass[b][best] >= maxMass[b] {
-				members = append(members, b)
-				rhs = append(rhs, res[b][best])
-			}
-		}
-		var ys [][]float64
-		var sups [][]int
-		if r := sx.remote; r != nil {
-			// Distributed serving: the block solve runs on the worker
-			// owning the shard. The right-hand sides are serialized before
-			// the call returns, so spot-cleaning them below is safe.
-			var err error
-			ys, sups, err = r.SolveBatch(best, rhs)
-			if err != nil {
-				return nil, bs, err
-			}
-		} else {
-			if solvers[best] == nil {
-				solvers[best] = p.index().NewBatchSolver() // first solve maps a lazy shard
-			}
-			var err error
-			ys, sups, err = solvers[best].SolveOn(rhs)
-			if err != nil {
-				panic(fmt.Sprintf("shard: internal batch solve shape mismatch: %v", err)) // sized by partLen; unreachable
-			}
-		}
-		bs.BlockSolves++
-		bs.BlockRHS += len(members)
-		// Per-member bookkeeping: the consumed residual is spot-cleaned
-		// over its possible support (cut targets plus the query's seeds).
-		// NodesEvaluated counts the owned rows the block kernel actually
-		// evaluated for this lane: the chunk's *shared* support (every
-		// lane of a chunk is computed on the union of its members'
-		// supports), or the whole shard for a dense solve. It can
-		// therefore read higher than the same query's single-TopK count,
-		// whose solve evaluates only that query's own support.
-		lastChunk, lastEval := -1, 0
-		for j, b := range members {
-			if jc := j - j%core.BlockWidth; jc != lastChunk {
-				lastChunk = jc
-				if sup := sups[jc]; sup != nil {
-					lastEval = 0
-					for _, lv := range sup {
-						if lv < len(p.nodes) {
-							lastEval++
-						}
-					}
-				} else {
-					lastEval = len(p.nodes)
-				}
-			}
-			qs := &bs.PerQuery[b]
-			qs.Solves++
-			qs.NodesEvaluated += lastEval
-			if x[b][best] == nil {
-				x[b][best] = make([]float64, len(p.nodes))
-				qs.ShardsSolved++
-			}
-			solved[b][best] = true
-			rb := res[b][best]
-			for _, t := range inTargets[best] {
-				rb[t] = 0
-			}
-			for _, sl := range seedAt[b] {
-				if sl.si == best {
-					rb[sl.lv] = 0
-				}
-			}
-			resMass[b][best] = 0
-		}
-		// Accumulate the solved mass and scatter it across the cut edges,
-		// visiting only the solution support when the solver reports one
-		// (rows outside it are zero — or stale in the returned vectors,
-		// which the SolveOn contract forbids reading). Members are walked
-		// in solver-chunk groups so each node's cut-edge range is loaded
-		// once per group rather than once per member.
-		for g0 := 0; g0 < len(members); g0 += core.BlockWidth {
-			g1 := g0 + core.BlockWidth
-			if g1 > len(members) {
-				g1 = len(members)
-			}
-			consume := func(lv int) {
-				cuts := p.cuts[p.cutPtr[lv]:p.cutPtr[lv+1]]
-				for j := g0; j < g1; j++ {
-					b := members[j]
-					yv := ys[j][lv]
-					x[b][best][lv] += yv
-					if yv == 0 {
-						continue
-					}
-					for _, e := range cuts {
-						if res[b][e.dstShard] == nil {
-							res[b][e.dstShard] = make([]float64, sx.partLen(e.dstShard))
-						}
-						add := e.w * yv
-						res[b][e.dstShard][e.dst] += add
-						resMass[b][e.dstShard] += add
-					}
-				}
-			}
-			if sup := sups[g0]; sup != nil {
-				for _, lv := range sup {
-					if lv < len(p.nodes) { // skip the ghost sink's absorbed mass
-						consume(lv)
-					}
-				}
-			} else {
-				for lv := range p.nodes {
-					consume(lv)
-				}
-			}
-		}
-	}
-	for b := 0; b < nb; b++ {
-		for si := 0; si < s; si++ {
-			if resMass[b][si] > 0 && !solved[b][si] {
-				bs.PerQuery[b].ShardsPruned++
-			}
-		}
-	}
-	return x, bs, nil
-}
-
-// TopKBatch answers top-k for a block of query nodes through the shared
-// block push; see the package comment at the top of this file. Answers
-// match per-query TopK within the index's tolerance guarantee.
+// TopKBatch answers top-k for a block of query nodes; item i equals
+// TopK(qs[i], k) bit for bit.
 func (sx *ShardedIndex) TopKBatch(qs []int, k int) ([][]topk.Result, BatchStats, error) {
 	queries := make([]core.BatchQuery, len(qs))
 	for i, q := range qs {
@@ -282,6 +31,12 @@ func (sx *ShardedIndex) TopKBatch(qs []int, k int) ([][]topk.Result, BatchStats,
 	return sx.searchBatch(nil, queries)
 }
 
+// searchBatch validates every query before any work happens, so a bad
+// entry fails the batch without partial execution, then answers them in
+// order. A non-nil context is checked between queries (and, inside each
+// query, between shard solves).
+//
+//kdash:ctxloop
 func (sx *ShardedIndex) searchBatch(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, BatchStats, error) {
 	for i, bq := range queries {
 		if bq.Q < 0 || bq.Q >= sx.n {
@@ -291,30 +46,31 @@ func (sx *ShardedIndex) searchBatch(ctx context.Context, queries []core.BatchQue
 			return nil, BatchStats{}, fmt.Errorf("shard: batch query %d: K must be positive, got %d", i, bq.K)
 		}
 	}
-	seeds := make([]map[int]float64, len(queries))
-	for i, bq := range queries {
-		seeds[i] = map[int]float64{bq.Q: sx.c}
-	}
-	xs, bs, err := sx.pushBatch(ctx, seeds)
-	if err != nil {
-		return nil, bs, err
-	}
 	results := make([][]topk.Result, len(queries))
+	bs := BatchStats{PerQuery: make([]QueryStats, len(queries))}
 	for i, bq := range queries {
-		results[i] = sx.rank(xs[i], bq.K, bq.Exclude)
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, bs, fmt.Errorf("shard: batch cancelled after %d of %d queries: %w", i, len(queries), err)
+			}
+		}
+		rs, qs, err := sx.topK(bq.Q, bq.K, core.SearchOptions{Exclude: bq.Exclude, Ctx: ctx})
+		if err != nil {
+			return nil, bs, err
+		}
+		results[i], bs.PerQuery[i] = rs, qs
 	}
 	return results, bs, nil
 }
 
-// SearchBatch serves a block of queries through the server's batched
-// engine surface, mirroring core.Index.SearchBatch: all queries are
-// validated before any work happens.
+// SearchBatch serves a block of queries through the core.BatchQuery
+// surface, mirroring core.Index.SearchBatch.
 func (sx *ShardedIndex) SearchBatch(queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
 	return sx.SearchBatchCtx(nil, queries)
 }
 
 // SearchBatchCtx is SearchBatch with cancellation: a cancelled context
-// abandons the shared block push between block solves and returns the
+// stops the batch before its next query (or shard solve) and returns the
 // context's error wrapped with the work done so far.
 func (sx *ShardedIndex) SearchBatchCtx(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
 	results, bs, err := sx.searchBatch(ctx, queries)

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kdash/internal/core"
@@ -14,15 +15,9 @@ import (
 // rwrDefaultC mirrors rwr.DefaultRestart for the batch test tables.
 const rwrDefaultC = rwr.DefaultRestart
 
-// batchScoreTol is the acceptance tolerance for batch-vs-single answers:
-// the block push re-schedules shard solves, so scores may drift by
-// floating-point accumulation order but never by more than the push
-// tolerance, which sits far below 1e-12.
-const batchScoreTol = 1e-12
-
 // TestTopKBatchMatchesSingleSharded is the sharded half of the batch
-// exactness property: batched answers agree with per-query TopK (and,
-// transitively through the exactness suite, with the monolithic index)
+// exactness property: a batch is a loop over the single-query push, so
+// every item — results and QueryStats alike — equals TopK exactly,
 // across graph shapes, shard counts and the acceptance batch sizes.
 func TestTopKBatchMatchesSingleSharded(t *testing.T) {
 	for name, g := range testGraphs(23) {
@@ -42,47 +37,21 @@ func TestTopKBatchMatchesSingleSharded(t *testing.T) {
 					t.Fatalf("%s/%d: %d results, %d stats for %d queries", name, shards, len(got), len(bs.PerQuery), nb)
 				}
 				for i, q := range qs {
-					want, _, err := sx.TopK(q, 5)
+					want, wantStats, err := sx.TopK(q, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameAnswerSet(got[i], want, batchScoreTol) {
+					if !reflect.DeepEqual(got[i], want) {
 						t.Errorf("%s/shards=%d nb=%d query %d (node %d): batch %v vs single %v",
 							name, shards, nb, i, q, got[i], want)
 					}
-					if !bs.PerQuery[i].Converged {
-						t.Errorf("%s/shards=%d nb=%d query %d: did not converge (residual %g)",
-							name, shards, nb, i, bs.PerQuery[i].ResidualMass)
+					if bs.PerQuery[i] != wantStats {
+						t.Errorf("%s/shards=%d nb=%d query %d (node %d): batch stats %+v vs single %+v",
+							name, shards, nb, i, q, bs.PerQuery[i], wantStats)
 					}
-				}
-				if bs.BlockRHS < bs.BlockSolves {
-					t.Errorf("%s/shards=%d nb=%d: BlockRHS %d < BlockSolves %d", name, shards, nb, bs.BlockRHS, bs.BlockSolves)
 				}
 			}
 		}
-	}
-}
-
-// TestBatchSharesSolves checks the point of the batch path: on a
-// clusterable graph, queries landing in the same shard share factor
-// sweeps, so the batch performs fewer block solves than the sum of
-// per-query solves.
-func TestBatchSharesSolves(t *testing.T) {
-	g := gen.PlantedPartition(200, 4, 0.25, 0.02, 5)
-	sx := buildSharded(t, g, 4, rwrDefaultC)
-	qs := make([]int, 32)
-	for i := range qs {
-		qs[i] = (i * 13) % g.N()
-	}
-	_, bs, err := sx.TopKBatch(qs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.BlockSolves >= bs.BlockRHS {
-		t.Errorf("no sharing: %d block solves for %d right-hand sides", bs.BlockSolves, bs.BlockRHS)
-	}
-	if bs.Sharing() < 2 {
-		t.Errorf("sharing factor %.2f, want >= 2 on a 4-shard graph with 32 queries", bs.Sharing())
 	}
 }
 
@@ -103,9 +72,9 @@ func TestTopKBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSearchBatchEngineSurface drives the server-facing SearchBatch with
-// per-query exclusions and checks it against per-query Search.
-func TestSearchBatchEngineSurface(t *testing.T) {
+// TestSearchBatchMatchesSearch drives SearchBatch with per-query
+// exclusions and checks it, results and stats, against per-query Search.
+func TestSearchBatchMatchesSearch(t *testing.T) {
 	g := gen.DirectedScaleFree(140, 3, 0.3, 0.4, 9)
 	sx := buildSharded(t, g, 4, rwrDefaultC)
 	queries := []core.BatchQuery{
@@ -121,12 +90,12 @@ func TestSearchBatchEngineSurface(t *testing.T) {
 		t.Fatalf("%d stats for %d queries", len(stats), len(queries))
 	}
 	for i, bq := range queries {
-		want, _, err := sx.Search(bq.Q, core.SearchOptions{K: bq.K, Exclude: bq.Exclude})
+		want, wantStats, err := sx.Search(bq.Q, core.SearchOptions{K: bq.K, Exclude: bq.Exclude})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameAnswerSet(got[i], want, batchScoreTol) {
-			t.Errorf("query %d: %v vs %v", i, got[i], want)
+		if !reflect.DeepEqual(got[i], want) || stats[i] != wantStats {
+			t.Errorf("query %d: %v %+v vs %v %+v", i, got[i], stats[i], want, wantStats)
 		}
 		for _, r := range got[i] {
 			if bq.Exclude[r.Node] {

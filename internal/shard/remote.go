@@ -9,9 +9,9 @@ package shard
 // distributed push commits exactly the bytes the single-process push
 // would have: the exactness argument is "same inputs, same function,
 // same order", not "close enough". The worker side of the seam is
-// SolveShardSparse/SolveShardBatch below, which run the solves against
-// real factors and return caller-owned copies safe to serialize after
-// the pooled solver has moved on.
+// SolveShardSparse below, which runs the solve against real factors and
+// returns caller-owned copies safe to serialize after the pooled solver
+// has moved on.
 
 import (
 	"fmt"
@@ -22,16 +22,13 @@ import (
 
 // RemoteSolver routes per-shard factor solves to remote workers. An
 // implementation must be safe for concurrent calls (the speculative
-// parallel push solves several shards at once), must not retain idx,
-// val or rhs after returning, and must return results that stay valid
+// parallel push solves several shards at once), must not retain idx or
+// val after returning, and must return results that stay valid
 // indefinitely (freshly allocated, not pooled). SolveSparse returns the
 // solution over a partLen-sized vector plus the solver's first-touch
-// support (nil for a dense solve), exactly like core.SparseSolver;
-// SolveBatch mirrors core.BatchSolver.SolveOn's per-chunk shared-support
-// shape.
+// support (nil for a dense solve), exactly like core.SparseSolver.
 type RemoteSolver interface {
 	SolveSparse(si int, idx []int, val []float64) (y []float64, ysup []int, err error)
-	SolveBatch(si int, rhs [][]float64) (ys [][]float64, sups [][]int, err error)
 }
 
 // SetRemoteSolver routes every factor solve through r (nil restores
@@ -51,17 +48,10 @@ func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 // ghost sink row when the shard has outgoing cut weight.
 func (sx *ShardedIndex) PartLen(si int) int { return sx.partLen(si) }
 
-// ShardNodes reports the number of owned nodes in shard si (PartLen
-// minus the ghost sink row).
-func (sx *ShardedIndex) ShardNodes(si int) int { return len(sx.parts[si].nodes) }
-
 // remotePools lazily sizes the per-part solver pools backing the worker
 // RPC surface.
 func (sx *ShardedIndex) remotePools() {
-	sx.rpoolOnce.Do(func() {
-		sx.rsparse = make([]sync.Pool, len(sx.parts))
-		sx.rbatch = make([]sync.Pool, len(sx.parts))
-	})
+	sx.rpoolOnce.Do(func() { sx.rsparse = make([]sync.Pool, len(sx.parts)) })
 }
 
 // remoteSparseSolver checks a single-lane solver for shard si out of the
@@ -73,17 +63,6 @@ func (sx *ShardedIndex) remoteSparseSolver(si int) *core.SparseSolver {
 		return sl
 	}
 	return sx.parts[si].index().NewSparseSolver()
-}
-
-// remoteBatchSolver checks a block solver for shard si out of the
-// worker-surface pool, creating one on first use.
-//
-//kdash:pooled
-func (sx *ShardedIndex) remoteBatchSolver(si int) *core.BatchSolver {
-	if sl, ok := sx.rbatch[si].Get().(*core.BatchSolver); ok {
-		return sl
-	}
-	return sx.parts[si].index().NewBatchSolver()
 }
 
 // SolveShardSparse is the worker side of RemoteSolver.SolveSparse: one
@@ -118,48 +97,4 @@ func (sx *ShardedIndex) SolveShardSparse(si int, idx []int, val []float64) ([]fl
 	}
 	sx.rsparse[si].Put(sl)
 	return yc, supc, nil
-}
-
-// SolveShardBatch is the worker side of RemoteSolver.SolveBatch: one
-// multi-lane block solve against shard si's real factors through a
-// pooled solver, preserving SolveOn's chunk structure (sups carries
-// entries at core.BlockWidth chunk starts). Like SolveShardSparse the
-// results are caller-owned copies; lanes of a support chunk are written
-// only on the chunk's shared support. Safe for concurrent calls.
-func (sx *ShardedIndex) SolveShardBatch(si int, rhs [][]float64) ([][]float64, [][]int, error) {
-	if si < 0 || si >= len(sx.parts) {
-		return nil, nil, fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
-	}
-	sx.remotePools()
-	sl := sx.remoteBatchSolver(si)
-	ys, sups, err := sl.SolveOn(rhs)
-	if err != nil {
-		sx.rbatch[si].Put(sl)
-		return nil, nil, err
-	}
-	n := sx.partLen(si)
-	ysC := make([][]float64, len(ys))
-	supsC := make([][]int, len(ys))
-	for g0 := 0; g0 < len(ys); g0 += core.BlockWidth {
-		g1 := g0 + core.BlockWidth
-		if g1 > len(ys) {
-			g1 = len(ys)
-		}
-		if sup := sups[g0]; sup != nil {
-			supsC[g0] = append(make([]int, 0, len(sup)), sup...)
-			for j := g0; j < g1; j++ {
-				lane := make([]float64, n)
-				for _, lv := range sup {
-					lane[lv] = ys[j][lv]
-				}
-				ysC[j] = lane
-			}
-		} else {
-			for j := g0; j < g1; j++ {
-				ysC[j] = append(make([]float64, 0, n), ys[j][:n]...)
-			}
-		}
-	}
-	sx.rbatch[si].Put(sl)
-	return ysC, supsC, nil
 }

@@ -1,8 +1,8 @@
 package shard
 
 // In-package test for the distributed-serving seam: a RemoteSolver
-// backed directly by a second copy of the index (its SolveShardSparse /
-// SolveShardBatch worker surface — no RPC, no processes) must leave
+// backed directly by a second copy of the index (its SolveShardSparse
+// worker surface — no RPC, no processes) must leave
 // every answer bit-identical to local solving, because the push runs
 // the same commits in the same order on the same 64-bit results. The
 // full loopback-TCP and multi-process versions of this check live in
@@ -23,10 +23,6 @@ type indexSolver struct{ sx *ShardedIndex }
 
 func (r indexSolver) SolveSparse(si int, idx []int, val []float64) ([]float64, []int, error) {
 	return r.sx.SolveShardSparse(si, idx, val)
-}
-
-func (r indexSolver) SolveBatch(si int, rhs [][]float64) ([][]float64, [][]int, error) {
-	return r.sx.SolveShardBatch(si, rhs)
 }
 
 func TestRemoteSolverSeamBitIdentical(t *testing.T) {
@@ -53,9 +49,8 @@ func TestRemoteSolverSeamBitIdentical(t *testing.T) {
 
 	n := co.N()
 	for si := 0; si < co.Shards(); si++ {
-		if co.PartLen(si) != local.PartLen(si) || co.ShardNodes(si) != local.ShardNodes(si) {
-			t.Fatalf("shard %d shape: remote (%d,%d) vs local (%d,%d)", si,
-				co.PartLen(si), co.ShardNodes(si), local.PartLen(si), local.ShardNodes(si))
+		if co.PartLen(si) != local.PartLen(si) {
+			t.Fatalf("shard %d shape: remote %d vs local %d", si, co.PartLen(si), local.PartLen(si))
 		}
 	}
 
@@ -78,15 +73,15 @@ func TestRemoteSolverSeamBitIdentical(t *testing.T) {
 	for i := range batch {
 		batch[i] = rng.Intn(n)
 	}
-	gotB, _, err := co.TopKBatch(batch, 5)
+	gotB, gbs, err := co.TopKBatch(batch, 5)
 	if err != nil {
 		t.Fatalf("remote TopKBatch: %v", err)
 	}
-	wantB, _, err := local.TopKBatch(batch, 5)
+	wantB, wbs, err := local.TopKBatch(batch, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotB, wantB) {
+	if !reflect.DeepEqual(gotB, wantB) || !reflect.DeepEqual(gbs, wbs) {
 		t.Fatal("TopKBatch diverged through the remote seam")
 	}
 
@@ -120,7 +115,7 @@ func TestRemoteSolverSeamBitIdentical(t *testing.T) {
 	if _, _, err := worker.SolveShardSparse(-1, nil, nil); err == nil {
 		t.Fatal("SolveShardSparse(-1) must error")
 	}
-	if _, _, err := worker.SolveShardBatch(co.Shards(), nil); err == nil {
-		t.Fatal("SolveShardBatch(out of range) must error")
+	if _, _, err := worker.SolveShardSparse(co.Shards(), nil, nil); err == nil {
+		t.Fatal("SolveShardSparse(out of range) must error")
 	}
 }

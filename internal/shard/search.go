@@ -90,39 +90,6 @@ func (sx *ShardedIndex) partLen(si int) int {
 	return len(p.nodes)
 }
 
-// rank merges per-shard proximity vectors into one exact top-k answer —
-// the batched path's merge, which gets dense materialised vectors. (The
-// single-query path ranks from the pooled state's touched lists instead;
-// see pushState.rank.) The no-exclusions case skips the map lookup
-// entirely: a nil-map access still pays a runtime call, and rank touches
-// every positive entry of every solved shard.
-func (sx *ShardedIndex) rank(x [][]float64, k int, exclude map[int]bool) []topk.Result {
-	heap := topk.New(k)
-	for si, xs := range x {
-		if xs == nil {
-			continue
-		}
-		nodes := sx.parts[si].nodes
-		if len(exclude) == 0 {
-			for lv, v := range xs {
-				if v > 0 {
-					heap.Push(nodes[lv], v)
-				}
-			}
-			continue
-		}
-		for lv, v := range xs {
-			if v > 0 {
-				g := nodes[lv]
-				if !exclude[g] {
-					heap.Push(g, v)
-				}
-			}
-		}
-	}
-	return heap.Results()
-}
-
 // TopK returns the K nodes with the highest RWR proximity w.r.t. query
 // node q, matching the monolithic core.Index.TopK ranking (proximities
 // agree within QueryTol/c). Results use original node ids, sorted by

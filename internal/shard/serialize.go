@@ -43,7 +43,6 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
-	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
@@ -309,11 +308,6 @@ type LoadOptions struct {
 	// Without Lazy every shard opens (and validates) before Open
 	// returns.
 	Lazy bool
-	// Precision selects the factor value width queries solve with, as
-	// Options.Precision does at build time. Persisted files always hold
-	// exact float64 factors; lu.Float32 renders half-width value strips
-	// at open time.
-	Precision lu.Precision
 	// PushWorkers enables the speculative parallel cross-shard push for
 	// queries against the loaded index, as Options.PushWorkers does at
 	// build time (<2 = sequential).
@@ -380,7 +374,6 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		seed:           m.Seed,
 		epoch:          m.Epoch,
 		stalenessLimit: m.StalenessLimit,
-		precision:      opt.Precision,
 		pushWorkers:    opt.PushWorkers,
 		walSeq:         m.WALSeq,
 		walSegments:    m.WALSegments,
@@ -506,7 +499,6 @@ func newShardOpener(sx *ShardedIndex, p *part, si int, path string, mode mmapio.
 			ix.Close()
 			return nil, fmt.Errorf("shard %d built with restart %v, manifest says %v", si, ix.Restart(), sx.c)
 		}
-		ix.SetPrecision(sx.precision)
 		return ix, nil
 	}}
 }

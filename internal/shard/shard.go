@@ -43,7 +43,6 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/louvain"
-	"kdash/internal/lu"
 	"kdash/internal/lu/kernels"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
@@ -77,11 +76,6 @@ type Options struct {
 	// re-homed to their best-connected shards). Zero selects
 	// DefaultStalenessLimit; negative disables re-partitioning.
 	StalenessLimit int
-	// Precision selects the factor-strip value width queries solve with.
-	// The zero value (lu.Float64) is exact; lu.Float32 streams
-	// half-width value strips through the scatter kernels (accumulation
-	// stays float64 — see lu.Precision for the error contract).
-	Precision lu.Precision
 	// PushWorkers enables the speculative parallel cross-shard push:
 	// while the deterministic greedy loop solves the heaviest shard,
 	// up to PushWorkers-1 background workers pre-solve the other
@@ -254,10 +248,8 @@ type ShardedIndex struct {
 	walSeq      uint64
 	walSegments []string
 
-	// Query-path tuning carried from Options/LoadOptions: the factor
-	// value precision every shard index solves with, and the worker
+	// Query-path tuning carried from Options/LoadOptions: the worker
 	// budget of the speculative parallel push (<2 = sequential).
-	precision   lu.Precision
 	pushWorkers int
 
 	// gOnce/gLoad defer the graph snapshot's parse for lazily opened
@@ -280,13 +272,6 @@ type ShardedIndex struct {
 	// both leave it unset) and immutable afterwards.
 	revOnce sync.Once
 	revAdj  [][]int
-
-	// inTargets[si] lists the local ids of shard si that cut edges point
-	// at — the only rows a residual vector can ever be nonzero on, which
-	// the batched push spot-cleans instead of rewiping whole vectors.
-	// Same lazy-once lifecycle as revAdj.
-	inTOnce   sync.Once
-	inTargets [][]int
 
 	// cutBits[si] holds one bit per local row of shard si: set iff the
 	// row has outgoing cut edges. The push's consume loop tests the bit
@@ -317,13 +302,12 @@ type ShardedIndex struct {
 	// snapshot. remote, when set, routes every per-shard factor solve
 	// through a RemoteSolver; it is not carried across Apply — the
 	// coordinator rebinds a per-epoch solver on each successor. The
-	// pools back the worker-side SolveShardSparse/SolveShardBatch RPC
-	// surface with reusable per-part solvers.
+	// pools back the worker-side SolveShardSparse RPC surface with
+	// reusable per-part solvers.
 	factorless bool
 	remote     RemoteSolver
 	rpoolOnce  sync.Once
 	rsparse    []sync.Pool
-	rbatch     []sync.Pool
 
 	// solveCounts tracks cumulative factor solves per shard — the
 	// traffic-weighted counterpart of shardsOpened, exposed through
@@ -340,29 +324,6 @@ type ShardedIndex struct {
 func (sx *ShardedIndex) solveCounters() []atomic.Int64 {
 	sx.solveOnce.Do(func() { sx.solveCounts = make([]atomic.Int64, len(sx.parts)) })
 	return sx.solveCounts
-}
-
-// cutTargets returns, per shard, the deduplicated local ids receiving
-// cut-edge mass, building the lists on first use.
-func (sx *ShardedIndex) cutTargets() [][]int {
-	sx.inTOnce.Do(func() {
-		s := len(sx.parts)
-		targets := make([][]int, s)
-		seen := make([][]bool, s)
-		for si := range seen {
-			seen[si] = make([]bool, sx.partLen(si))
-		}
-		for _, p := range sx.parts {
-			for _, e := range p.cuts {
-				if !seen[e.dstShard][e.dst] {
-					seen[e.dstShard][e.dst] = true
-					targets[e.dstShard] = append(targets[e.dstShard], e.dst)
-				}
-			}
-		}
-		sx.inTargets = targets
-	})
-	return sx.inTargets
 }
 
 // cutEdgeBits returns the per-shard has-cut-edges bitsets, building
@@ -481,7 +442,6 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		workers:        opt.Workers,
 		stalenessLimit: limit,
 		staleness:      make([]int, s),
-		precision:      opt.Precision,
 		pushWorkers:    opt.PushWorkers,
 	}
 	for i := range sx.parts {
@@ -719,7 +679,6 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, method reorder.Method,
 	// dirty blocks from the partition-level snapshot (sx.g) — so keeping
 	// it would pin a second full copy of the adjacency across the parts.
 	ix.ReleaseGraph()
-	ix.SetPrecision(sx.precision)
 	p.ix = ix
 	p.sink = hasLeak
 	return nil
@@ -768,10 +727,6 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 			"solves":     sc,
 		}
 	}
-	precision := "float64"
-	if sx.precision == lu.Float32 {
-		precision = "float32"
-	}
 	return map[string]interface{}{
 		"kind":          "sharded",
 		"nodes":         sx.n,
@@ -784,7 +739,6 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 		"cutWeightFrac": sx.stats.CutWeightFrac,
 		"nnzInverse":    sx.stats.NNZInverse,
 		"kernels":       kernels.Impl(),
-		"precision":     precision,
 		"pushWorkers":   sx.pushWorkers,
 		"perShard":      shards,
 	}

@@ -212,7 +212,6 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		stalenessLimit: sx.stalenessLimit,
 		staleness:      staleness2,
 		epoch:          sx.epoch + 1,
-		precision:      sx.precision,
 		pushWorkers:    sx.pushWorkers,
 		mapCapable:     sx.mapCapable, // shared unrebuilt parts keep their mappings
 		factorless:     sx.factorless, // remote is deliberately not carried: the coordinator rebinds per epoch

@@ -37,7 +37,6 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
-	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
@@ -71,15 +70,15 @@ type Options = core.BuildOptions
 type SearchOptions = core.SearchOptions
 
 // BatchQuery is one query of a batched execution. Both index shapes
-// answer blocks of queries through SearchBatch/TopKBatch: the monolithic
-// Index shares its search workspaces across the block, the ShardedIndex
-// runs one shared cross-shard push whose per-shard factor sweeps are
-// amortised over every query with residual mass in the shard.
+// answer blocks of queries through SearchBatch/TopKBatch by validating
+// every query up front and then running the ordinary single-query search
+// per query on pooled workspaces, so each item is bit-identical to the
+// same query issued alone.
 type BatchQuery = core.BatchQuery
 
-// ShardBatchStats reports block-level work for one batched sharded
-// execution (factor sweeps performed vs right-hand sides shared into
-// them).
+// ShardBatchStats reports the work of one batched sharded execution:
+// each query's own per-query stats, in request order — the same values
+// ShardedIndex.TopK reports for that query.
 type ShardBatchStats = shard.BatchStats
 
 // SearchStats reports per-query work: nodes visited, exact proximity
@@ -156,29 +155,10 @@ type OpenOptions struct {
 	// Combined with Mmap this is the instant-cold-start configuration:
 	// open time is O(shards touched), resident memory O(bytes queried).
 	Lazy bool
-	// Precision selects the factor-value width the single-lane solve
-	// path reads (see Precision); files always store exact float64.
-	Precision Precision
 	// PushWorkers, for sharded indexes, enables the speculative
 	// parallel cross-shard push (see ShardOptions.PushWorkers).
 	PushWorkers int
 }
-
-// Precision selects the stored width of factor values on the
-// single-lane solve path: PrecisionFloat64 (exact, the default, the
-// mode the paper's guarantee covers) or PrecisionFloat32 (half the
-// value bandwidth; values are widened to float64 before every multiply
-// and accumulated in float64, so the divergence from exact is a few
-// float32 ulps — measured at ~1e-7 relative worst-case by the
-// differential suite, documented in docs/ARCHITECTURE.md).
-type Precision = lu.Precision
-
-const (
-	// PrecisionFloat64 is the exact default.
-	PrecisionFloat64 = lu.Float64
-	// PrecisionFloat32 streams half-width factor value strips.
-	PrecisionFloat32 = lu.Float32
-)
 
 // mode maps the public knob onto the internal backing mode.
 func (o OpenOptions) mode() mmapio.Mode {
@@ -191,12 +171,7 @@ func (o OpenOptions) mode() mmapio.Mode {
 // OpenIndex opens a saved monolithic index directly from a file,
 // memory-mapping it when opt.Mmap is set (see OpenOptions).
 func OpenIndex(path string, opt OpenOptions) (*Index, error) {
-	ix, err := core.OpenIndexFile(path, opt.mode())
-	if err != nil {
-		return nil, err
-	}
-	ix.SetPrecision(opt.Precision)
-	return ix, nil
+	return core.OpenIndexFile(path, opt.mode())
 }
 
 // OpenShardedIndex opens a saved sharded index directory with explicit
@@ -204,8 +179,7 @@ func OpenIndex(path string, opt OpenOptions) (*Index, error) {
 // ShardedIndex.Close releases whatever mappings were established.
 func OpenShardedIndex(dir string, opt OpenOptions) (*ShardedIndex, error) {
 	return shard.Open(dir, shard.LoadOptions{
-		Mode: opt.mode(), Lazy: opt.Lazy,
-		Precision: opt.Precision, PushWorkers: opt.PushWorkers,
+		Mode: opt.mode(), Lazy: opt.Lazy, PushWorkers: opt.PushWorkers,
 	})
 }
 

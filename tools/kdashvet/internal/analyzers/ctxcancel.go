@@ -8,10 +8,10 @@ import (
 
 // CtxCancel enforces the cancellation contract on the query path: inside
 // functions annotated //kdash:ctxloop, every loop that performs shard
-// solves (a call whose name contains "solve" or "search") must consult a
-// context between iterations — either directly (ctx.Err() / ctx.Done(),
-// possibly behind a nil guard) or by passing the context into the
-// per-iteration call. A solve loop that never looks at
+// solves (a call whose name contains "solve", "search" or "topk") must
+// consult a context between iterations — either directly (ctx.Err() /
+// ctx.Done(), possibly behind a nil guard) or by passing the context
+// into the per-iteration call. A solve loop that never looks at
 // SearchOptions.Ctx turns a client disconnect into minutes of dead work
 // and is exactly the regression the 499-tracking serve path exists to
 // prevent.
@@ -62,7 +62,7 @@ func loopSolves(pass *framework.Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if callNameContains(pass.TypesInfo, call, "solve", "search") {
+			if callNameContains(pass.TypesInfo, call, "solve", "search", "topk") {
 				found = true
 			}
 		}

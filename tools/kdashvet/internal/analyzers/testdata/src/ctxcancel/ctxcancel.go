@@ -19,6 +19,17 @@ func uncancellable(shards []*shard, seed []float64) float64 {
 	return total
 }
 
+func (s *shard) topK(q int) float64 { return float64(s.id + q) }
+
+//kdash:ctxloop
+func uncancellableBatch(s *shard, qs []int) float64 {
+	var total float64
+	for _, q := range qs { // want `solve loop in //kdash:ctxloop function uncancellableBatch never consults a context`
+		total += s.topK(q)
+	}
+	return total
+}
+
 //kdash:ctxloop
 func errChecked(ctx context.Context, shards []*shard, seed []float64) (float64, error) {
 	var total float64
