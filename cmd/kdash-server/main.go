@@ -115,7 +115,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
 		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of parsing it into private memory")
 
-		pushWorkers = flag.Int("push-workers", 0, "speculative parallel cross-shard push worker budget (<2 = sequential; answers are bit-identical either way)")
 		coordinator = flag.String("coordinator", "", "comma-separated kdash-worker addresses: serve -load-index as a distributed coordinator, routing factor solves to the workers (answers stay bit-identical to a single process)")
 
 		readTimeout     = flag.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
@@ -161,7 +160,7 @@ func main() {
 			os.Exit(2)
 		}
 		addrs := strings.Split(*coordinator, ",")
-		co, err := placement.NewCoordinator(*loadIdx, addrs, placement.Config{PushWorkers: *pushWorkers})
+		co, err := placement.NewCoordinator(*loadIdx, addrs, placement.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -174,7 +173,7 @@ func main() {
 		// first query that solves the shard — the instant-cold-start
 		// configuration; without it the directory is fully parsed into
 		// private memory before the listener comes up.
-		sx, err := kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Lazy: *useMmap, PushWorkers: *pushWorkers})
+		sx, err := kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Lazy: *useMmap})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -210,7 +209,6 @@ func main() {
 		if *shards > 1 {
 			sx, err := kdash.BuildShardedIndex(g, kdash.ShardOptions{
 				Shards: *shards, Restart: *c, Reorder: kdash.ReorderHybrid, Workers: *workers,
-				PushWorkers: *pushWorkers,
 			})
 			if err != nil {
 				log.Fatal(err)

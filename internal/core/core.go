@@ -286,20 +286,12 @@ func (ix *Index) TopK(q, k int) ([]topk.Result, SearchStats, error) {
 // spot-cleaned after each query and the BFS state is invalidated by
 // bumping the generation counter instead of rewriting the arrays.
 type searchWS struct {
-	ws    []float64 // scattered L^{-1} r; only scattered entries are live
-	layer []int     // BFS layer of u, valid only where mark[u] == gen
-	mark  []int
-	gen   int
-	queue []int
+	ws   []float64 // scattered L^{-1} r; only scattered entries are live
+	tree *TreeWS
 }
 
 func (ix *Index) newSearchWS() *searchWS {
-	return &searchWS{
-		ws:    make([]float64, ix.n),
-		layer: make([]int, ix.n),
-		mark:  make([]int, ix.n),
-		queue: make([]int, 0, 256),
-	}
+	return &searchWS{ws: make([]float64, ix.n), tree: NewTreeWS(ix.n)}
 }
 
 // getSearchWS checks a clean search workspace out of the pool (queries
@@ -365,7 +357,7 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 	if opt.RandomRoot {
 		ix.searchRandomRoot(qi, heap, sw.ws, opt, excluded, &stats)
 	} else {
-		ix.searchTree([]int{qi}, heap, sw, opt, excluded, &stats)
+		ix.searchTree([]int{qi}, heap, sw, !opt.DisablePruning, excluded, &stats)
 	}
 
 	// Spot-clean the scattered column so the workspace is reusable.
@@ -528,7 +520,7 @@ func (ix *Index) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, 
 		}
 	}
 	heap := topk.New(k)
-	ix.searchTree(internal, heap, sw, SearchOptions{K: k}, nil, &stats)
+	ix.searchTree(internal, heap, sw, true, nil, &stats)
 	for _, qi := range internal {
 		for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
 			sw.ws[ix.linv.RowIdx[i]] = 0
@@ -570,97 +562,28 @@ func (ix *Index) bfs(root int) (order []int, layer []int) {
 //
 //kdash:noalloc
 func (ix *Index) proximity(u int, ws []float64) float64 {
-	s := 0.0
-	for i := ix.uinv.RowPtr[u]; i < ix.uinv.RowPtr[u+1]; i++ {
-		s += ix.uinv.Val[i] * ws[ix.uinv.ColIdx[i]]
-	}
-	return ix.c * s
+	return ix.c * ix.inverseFactors().UpperRowDot(u, ws)
 }
 
-// cPrime is Definition 1's c' = (1-c) / (1 - A_uu + c*A_uu).
+// bounds returns the index's Definition 2 tables, over internal ids.
+func (ix *Index) bounds() Bounds {
+	return Bounds{c: ix.c, amax: ix.amax, amaxCol: ix.amaxCol, selfA: ix.selfA}
+}
+
+// cPrime is Definition 1's c' for internal node u.
 func (ix *Index) cPrime(u int) float64 {
-	return (1 - ix.c) / (1 - ix.selfA[u] + ix.c*ix.selfA[u])
+	b := ix.bounds()
+	return b.cPrime(u)
 }
 
-// searchTree implements Algorithm 4 with the incremental estimation of
-// Definition 2, generalised to one or more roots (all on layer 0 of a
-// multi-source BFS; roots must be sorted ascending). The breadth-first
-// tree is expanded lazily — a node's out-edges are explored only when the
-// node itself is visited — so an early-terminated search costs O(visited
-// nodes + their edges), not O(n + m). The visit order is identical to a
-// fully materialised BFS.
-//
-//kdash:noalloc
-func (ix *Index) searchTree(roots []int, heap *topk.Heap, sw *searchWS, opt SearchOptions, excluded map[int]bool, stats *SearchStats) {
-	ws := sw.ws
-	sw.gen++
-	layer, mark, gen := sw.layer, sw.mark, sw.gen
-	queue := append(sw.queue[:0], roots...)
-	for _, r := range roots {
-		mark[r] = gen
-		layer[r] = 0
-	}
-	defer func() { sw.queue = queue[:0] }()
-
-	// Estimation terms (Definition 2): t1 covers selected nodes one layer
-	// above the current node, t2 selected nodes on the same layer, t3 the
-	// unselected remainder bounded by Amax. With no nodes selected yet the
-	// third term is (1 - 0) * Amax, which also reproduces the paper's
-	// u' = q bootstrap case after the first visit.
-	t1, t2, t3 := 0.0, 0.0, ix.amax
-	prev := -1        // previously selected node
-	prevLayer := -1   // its layer
-	var prevP float64 // its exact proximity
-
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		stats.Visited++
-		// Fold the previously selected node into the estimation terms
-		// (Definition 2). This happens for every visit so the terms always
-		// reflect the full selected set Vs, including when the estimate
-		// itself is bypassed for a root below.
-		if prev >= 0 {
-			if layer[u] == prevLayer {
-				t2 += prevP * ix.amaxCol[prev]
-			} else {
-				t1 = t2 + prevP*ix.amaxCol[prev]
-				t2 = 0
-			}
-			t3 -= prevP * ix.amax
-			if t3 < 0 {
-				t3 = 0 // guard against floating-point drift below zero
-			}
-		}
-		var est float64
-		if head < len(roots) {
-			est = 1 // Definition 1: root nodes estimate to 1.
-		} else {
-			est = ix.cPrime(u) * (t1 + t2 + t3)
-		}
-		// Lemma 2: every unvisited node estimates no higher, so the whole
-		// remaining search is safely discarded. The heap-full guard keeps
-		// floating-point noise in a ~zero estimate from truncating the
-		// candidate set before K nodes have been seen.
-		if !opt.DisablePruning && heap.Len() == heap.K() && est < heap.Threshold() {
-			stats.Terminated = true
-			return
-		}
-		p := ix.proximity(u, ws)
-		stats.ProximityComputations++
-		if !excluded[u] {
-			heap.Push(u, p)
-		}
-		prev, prevLayer, prevP = u, layer[u], p
-		// Discover u's out-neighbours (lazy BFS expansion).
-		for i := ix.a.ColPtr[u]; i < ix.a.ColPtr[u+1]; i++ {
-			v := ix.a.RowIdx[i]
-			if mark[v] != gen {
-				mark[v] = gen
-				layer[v] = layer[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+// searchTree runs Algorithm 4 (SearchTree) over the reordered adjacency
+// — out-edges of v are the rows of column v of A — scoring nodes with
+// exact proximities against the L^{-1} column(s) pre-scattered in sw.ws.
+// Roots are internal ids, sorted ascending.
+func (ix *Index) searchTree(roots []int, heap *topk.Heap, sw *searchWS, prune bool, excluded map[int]bool, stats *SearchStats) {
+	b := ix.bounds()
+	score := func(u int) float64 { return ix.proximity(u, sw.ws) }
+	SearchTree(sw.tree, &b, ix.a.ColPtr, ix.a.RowIdx, roots, score, heap, excluded, prune, stats)
 }
 
 // searchRandomRoot visits nodes in BFS order from an arbitrary root (then

@@ -56,28 +56,73 @@ func (ix *Index) putSparseSolver(s *SparseSolver) { ix.sparsePool.Put(s) }
 //kdash:noalloc
 //kdash:deterministic
 func (s *SparseSolver) SolveSparse(idx []int, val []float64) ([]float64, []int, error) {
+	iidx, err := s.internalRHS(idx, val)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The lu solver carries ix.inv as its baked Remap, so y and sup are
+	// already in original node-id order — no per-support mapping pass.
+	y, sup := s.ls.Solve(iidx, val)
+	return y, sup, nil
+}
+
+// SolveLower runs only SolveSparse's L^{-1} pass, accumulating it into w
+// (from NewWorkspace): the first half of a solve whose caller reads a
+// few rows of the solution, one UpperDot each, instead of applying all
+// of U^{-1}.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (s *SparseSolver) SolveLower(idx []int, val []float64, w *lu.Workspace) error {
+	iidx, err := s.internalRHS(idx, val)
+	if err != nil {
+		return err
+	}
+	s.ix.inverseFactors().SolveLower(w, iidx, val)
+	return nil
+}
+
+// ApplyUpper is SolveSparse's second half: the whole solution whose
+// L^{-1} pass w holds, under SolveSparse's contract and bit for bit its
+// output on the same right-hand side.
+func (s *SparseSolver) ApplyUpper(w *lu.Workspace) ([]float64, []int) { return s.ls.ApplyUpper(w) }
+
+// internalRHS validates a sparse right-hand side and maps it to internal
+// ids in caller order — ascending original ids, the accumulation order
+// Solve's dense scan uses.
+//
+//kdash:noalloc
+func (s *SparseSolver) internalRHS(idx []int, val []float64) ([]int, error) {
 	ix := s.ix
 	if len(idx) != len(val) {
-		return nil, nil, fmt.Errorf("core: sparse rhs has %d indices but %d values", len(idx), len(val)) //kdash:allow(hotalloc) error construction only on invalid input, off the steady-state path
+		return nil, fmt.Errorf("core: sparse rhs has %d indices but %d values", len(idx), len(val)) //kdash:allow(hotalloc) error construction only on invalid input, off the steady-state path
 	}
-	// Map to internal ids in caller order — ascending original ids, the
-	// accumulation order Solve's dense scan uses.
 	iidx := s.iidx[:0]
 	prev := -1
 	for _, u := range idx {
 		if u < 0 || u >= ix.n {
-			return nil, nil, fmt.Errorf("core: sparse rhs node %d outside [0,%d)", u, ix.n) //kdash:allow(hotalloc) error construction only on invalid input
+			return nil, fmt.Errorf("core: sparse rhs node %d outside [0,%d)", u, ix.n) //kdash:allow(hotalloc) error construction only on invalid input
 		}
 		if u <= prev {
-			return nil, nil, fmt.Errorf("core: sparse rhs indices must be strictly ascending (%d after %d)", u, prev) //kdash:allow(hotalloc) error construction only on invalid input
+			return nil, fmt.Errorf("core: sparse rhs indices must be strictly ascending (%d after %d)", u, prev) //kdash:allow(hotalloc) error construction only on invalid input
 		}
 		prev = u
 		iidx = append(iidx, ix.perm[u])
 	}
 	s.iidx = iidx
+	return iidx, nil
+}
 
-	// The lu solver carries ix.inv as its baked Remap, so y and sup are
-	// already in original node-id order — no per-support mapping pass.
-	y, sup := s.ls.Solve(iidx, val)
-	return y, sup, nil
+// NewWorkspace returns an empty L^{-1} workspace for SolveLower.
+func (ix *Index) NewWorkspace() *lu.Workspace { return ix.inverseFactors().NewWorkspace() }
+
+// UpperDot completes one row of a split solve: node u's value of the
+// solution whose L^{-1} pass w holds, as one U^{-1} row dot. It is bit
+// for bit SolveSparse's y[u] on the same right-hand side, and exactly
+// zero where u is outside that solve's support.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (ix *Index) UpperDot(u int, w *lu.Workspace) float64 {
+	return ix.inverseFactors().UpperRowDot(ix.perm[u], w.W)
 }

@@ -23,6 +23,12 @@ import (
 // it to 501.
 var ErrNotUpdatable = errors.New("index has no graph snapshot")
 
+// ErrUnavailable reports a query abandoned because index data it needs
+// could not be read — a lazily opened shard file or graph snapshot that
+// failed to load mid-query. No partial answer is returned; servers map
+// it to 503 + Retry-After.
+var ErrUnavailable = errors.New("index data unavailable")
+
 // UpdateStats is the engine-neutral summary of one applied update
 // batch, the shape the HTTP layer reports regardless of index kind.
 // The sharded path's richer shard.UpdateStats folds down into it.

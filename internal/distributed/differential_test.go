@@ -192,14 +192,10 @@ func sameBits(t *testing.T, ctxt string, got, want interface{}) {
 // TestDistributedDifferential is the tentpole acceptance test: real
 // worker processes, randomized query/update chains, and bit-identical
 // results AND per-query statistics against the in-process oracle at
-// every epoch — in both the sequential and the speculative parallel
-// push configuration.
+// every epoch.
 func TestDistributedDifferential(t *testing.T) {
-	for _, cfg := range []placement.Config{{}, {PushWorkers: 3}} {
+	for _, cfg := range []placement.Config{{}} {
 		name := "sequential"
-		if cfg.PushWorkers > 1 {
-			name = fmt.Sprintf("push-workers-%d", cfg.PushWorkers)
-		}
 		t.Run(name, func(t *testing.T) {
 			seed := int64(41)
 			rng := rand.New(rand.NewSource(seed))

@@ -162,6 +162,11 @@ func (g *Graph) OutNeighbors(u int, fn func(to int, w float64)) {
 	}
 }
 
+// OutCSR exposes the out-adjacency in CSR form: u's out-neighbours are
+// to[ptr[u]:ptr[u+1]], ascending. The slices alias the graph's storage
+// and must be treated as read-only.
+func (g *Graph) OutCSR() (ptr, to []int) { return g.outPtr, g.outTo }
+
 // InNeighbors invokes fn for every in-edge (from -> u, w) of u.
 func (g *Graph) InNeighbors(u int, fn func(from int, w float64)) {
 	for i := g.inPtr[u]; i < g.inPtr[u+1]; i++ {

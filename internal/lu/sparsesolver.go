@@ -10,6 +10,13 @@ package lu
 // precomputed-inverse design promises. Workspaces are recycled across
 // calls and cleared by support list (never by full-vector zeroing), so a
 // steady-state solve allocates nothing.
+//
+// A solve also splits at its natural seam: SolveLower runs only the
+// L^{-1} pass into a Workspace, and UpperRowDot then answers any single
+// row of the solution with one U^{-1} row dot — the paper's proximity
+// computation, and what a caller that reads a few rows of the solution
+// pays instead of a whole U^{-1} apply. SparseSolver.ApplyUpper
+// completes the whole solution from the same workspace.
 
 import (
 	"sort"
@@ -52,6 +59,121 @@ func preferFlagScan(w, n int) bool {
 	return w >= 64 && n/w < 16
 }
 
+// Workspace holds the L^{-1} pass of one solve, W = L^{-1} r over the
+// factors' internal rows: dense for O(1) lookups, live only on Sup (rows
+// in first-touch order) plus the trash row N the blocked kernels'
+// padding accumulates zeros into. Reset spot-cleans it for reuse.
+type Workspace struct {
+	W    []float64 // N+1 slots
+	Sup  []int
+	mark []bool
+}
+
+// NewWorkspace returns an empty workspace sized for the factors.
+func (inv *Inverse) NewWorkspace() *Workspace {
+	// Sup is non-nil even when empty, like every support list here.
+	return &Workspace{W: make([]float64, inv.N+1), Sup: make([]int, 0, 64), mark: make([]bool, inv.N)}
+}
+
+// Reset restores the all-zero workspace by its support list.
+//
+//kdash:noalloc
+func (w *Workspace) Reset() {
+	for _, r := range w.Sup {
+		w.W[r] = 0
+		w.mark[r] = false
+	}
+	w.W[len(w.mark)] = 0 // trash row: padding wrote only zeros, but stay exact
+	w.Sup = w.Sup[:0]
+}
+
+// SolveLower accumulates W += L^{-1} r into w for the sparse right-hand
+// side given as parallel (idx, val) slices over internal rows, in the
+// given order (ascending indices match the dense reference's
+// accumulation order), appending every row first reached to w.Sup.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64) {
+	blkL, _ := inv.blocked()
+	ws, wmark := w.W, w.mark
+	wsup := w.Sup
+	if blkL != nil {
+		// Blocked path: bookkeeping walks the true entries, the kernel
+		// walks the padded strip. Marks first, then the accumulate —
+		// per-entry order inside a column is unchanged, so the result
+		// and the first-touch order of Sup match the scalar loop.
+		bp, br, bv := blkL.ColPtr, blkL.Rows, blkL.Vals
+		for t, j := range idx {
+			v := val[t]
+			if v == 0 {
+				continue
+			}
+			lo, hi := bp[j], bp[j+1]
+			cnt := blkL.ColCnt[j]
+			if int(cnt) < kernels.MinEntries {
+				// Short column: one fused pass beats a kernel call.
+				rows := br[lo : lo+cnt]
+				vals := bv[lo : lo+cnt]
+				vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
+				for k, r := range rows {
+					if !wmark[r] {
+						wmark[r] = true
+						wsup = append(wsup, int(r))
+					}
+					ws[r] += vals[k] * v
+				}
+				continue
+			}
+			for _, r := range br[lo : lo+cnt] {
+				if !wmark[r] {
+					wmark[r] = true
+					wsup = append(wsup, int(r))
+				}
+			}
+			kernels.ScatterAXPY(ws, br[lo:hi], bv[lo:hi], v)
+		}
+	} else {
+		lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
+		for t, j := range idx {
+			v := val[t]
+			if v == 0 {
+				continue
+			}
+			for p := lp[j]; p < lp[j+1]; p++ {
+				r := lr[p]
+				if !wmark[r] {
+					wmark[r] = true
+					wsup = append(wsup, r)
+				}
+				ws[r] += v * lval[p]
+			}
+		}
+	}
+	w.Sup = wsup
+}
+
+// UpperRowDot returns (U^{-1} row u) . w for internal row u, accumulated
+// in the row's stored (ascending column) order: bit for bit the value
+// every U^{-1} apply writes at u's output row, since the column scatter
+// adds the same products in the same column order and a column outside
+// the workspace's support contributes an exact zero.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (inv *Inverse) UpperRowDot(u int, w []float64) float64 {
+	up := inv.Uinv.RowPtr
+	lo, hi := up[u], up[u+1]
+	cols := inv.Uinv.ColIdx[lo:hi]
+	vals := inv.Uinv.Val[lo:hi]
+	vals = vals[:len(cols)] // hint: drops the vals[k] bounds check
+	acc := 0.0
+	for k, c := range cols {
+		acc += vals[k] * w[c]
+	}
+	return acc
+}
+
 // SparseSolver computes x = U^{-1} L^{-1} r for sparse right-hand sides
 // against one Inverse, tracking the support of every intermediate so no
 // full-length vector is ever allocated, zeroed or swept per solve. Not
@@ -59,9 +181,7 @@ func preferFlagScan(w, n int) bool {
 type SparseSolver struct {
 	inv *Inverse
 
-	ws    []float64 // L^{-1} r, live only on wsup
-	wmark []bool
-	wsup  []int
+	lw *Workspace // Solve's L^{-1} pass, clean between calls
 
 	out    []float64 // solution, live only on osup (or everywhere after a dense apply)
 	omark  []bool
@@ -83,20 +203,30 @@ func (inv *Inverse) NewSparseSolver() *SparseSolver {
 // Rows outside the support hold stale values from earlier calls — not
 // zeros — so callers must restrict reads to the support. A nil support
 // means every row was written. Both slices are valid only until the next
-// Solve call.
+// Solve or ApplyUpper call.
 func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
+	if s.lw == nil {
+		s.lw = s.inv.NewWorkspace()
+	}
+	s.inv.SolveLower(s.lw, idx, val)
+	y, sup := s.ApplyUpper(s.lw)
+	s.lw.Reset()
+	return y, sup
+}
+
+// ApplyUpper completes a solve whose L^{-1} pass w holds: x = U^{-1} w,
+// returned under Solve's contract (support, staleness, validity). w is
+// left as it was, up to the order of its support list.
+func (s *SparseSolver) ApplyUpper(w *Workspace) ([]float64, []int) {
 	inv := s.inv
 	n := inv.N
-	if s.ws == nil {
+	if s.out == nil {
 		// One slot past n: the trash row the blocked kernels' padding
 		// entries accumulate zeros into.
-		s.ws = make([]float64, n+1)
-		s.wmark = make([]bool, n)
 		s.out = make([]float64, n+1)
 		s.omark = make([]bool, n)
 		// Non-nil even when empty: a nil support means "dense", and an
 		// empty solve's support is empty, not dense.
-		s.wsup = make([]int, 0, 64)
 		s.osup = make([]int, 0, 64)
 	}
 	// Reclaim the previous call's output now that the caller is done with
@@ -112,124 +242,63 @@ func (s *SparseSolver) Solve(idx []int, val []float64) ([]float64, []int) {
 	}
 	s.osup = s.osup[:0]
 
-	// ws = L^{-1} r, accumulated column by column over the nonzero
-	// right-hand side entries, recording which rows the solve reaches and
-	// how many U^{-1} entries a column scatter over them would touch.
-	// Only the per-column sizes are needed here; the transposed factor
-	// itself is materialised the first time a scatter is actually taken.
+	// How many U^{-1} entries a column scatter over the reached rows
+	// would touch. Only the per-column sizes are needed here; the
+	// transposed factor itself is materialised the first time a scatter
+	// is actually taken.
 	colSize := inv.uinvColSizes()
-	blkL, blkU := inv.blocked()
-	ws, wmark := s.ws, s.wmark
-	wsup := s.wsup[:0]
 	scatterEntries := 0
-	if blkL != nil {
-		// Blocked path: bookkeeping walks the true entries, the kernel
-		// walks the padded strip. Marks first, then the accumulate —
-		// per-entry order inside a column is unchanged, so the result
-		// and the first-touch order of wsup match the scalar loop.
-		bp, br, bv := blkL.ColPtr, blkL.Rows, blkL.Vals
-		for t, j := range idx {
-			v := val[t]
-			if v == 0 {
-				continue
-			}
-			lo, hi := bp[j], bp[j+1]
-			cnt := blkL.ColCnt[j]
-			if int(cnt) < kernels.MinEntries {
-				// Short column: one fused pass beats a kernel call.
-				rows := br[lo : lo+cnt]
-				vals := bv[lo : lo+cnt]
-				vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-				for k, r := range rows {
-					if !wmark[r] {
-						wmark[r] = true
-						wsup = append(wsup, int(r))
-						scatterEntries += colSize[r]
-					}
-					ws[r] += vals[k] * v
-				}
-				continue
-			}
-			for _, r := range br[lo : lo+cnt] {
-				if !wmark[r] {
-					wmark[r] = true
-					wsup = append(wsup, int(r))
-					scatterEntries += colSize[r]
-				}
-			}
-			kernels.ScatterAXPY(ws, br[lo:hi], bv[lo:hi], v)
-		}
-	} else {
-		lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
-		for t, j := range idx {
-			v := val[t]
-			if v == 0 {
-				continue
-			}
-			for p := lp[j]; p < lp[j+1]; p++ {
-				r := lr[p]
-				if !wmark[r] {
-					wmark[r] = true
-					wsup = append(wsup, r)
-					scatterEntries += colSize[r]
-				}
-				ws[r] += v * lval[p]
-			}
-		}
+	for _, r := range w.Sup {
+		scatterEntries += colSize[r]
 	}
-	s.wsup = wsup
 
 	// Pick the cheaper U^{-1} apply: the scatter pays the support's
 	// column entries plus ordering and output bookkeeping, the sweep pays
 	// every stored entry.
 	var sup []int
-	if scatterEntries+2*len(wsup) < inv.Uinv.NNZ() {
-		if blkU != nil {
-			sup = s.applyUpperScatterBlocked(blkU)
+	if scatterEntries+2*len(w.Sup) < inv.Uinv.NNZ() {
+		if _, blkU := inv.blocked(); blkU != nil {
+			sup = s.applyUpperScatterBlocked(w, blkU)
 		} else {
-			sup = s.applyUpperScatter(inv.UinvByColumn())
+			sup = s.applyUpperScatter(w, inv.UinvByColumn())
 		}
 	} else {
-		s.applyUpperSweep()
+		s.applyUpperSweep(w)
 		s.odense = true
 	}
-
-	// Leave the workspace zero for the next call by support list.
-	for _, r := range s.wsup {
-		ws[r] = 0
-		wmark[r] = false
-	}
-	ws[n] = 0 // trash row: padding wrote only zeros, but stay exact
 	return s.out[:n], sup
 }
 
-// applyUpperScatter accumulates out += ws[j] * (U^{-1} column j) over the
+// sortedSupport puts w's support in ascending row order, the column
+// order both scatters must walk; a small solve against a large factor
+// must not pay an O(n) sweep here.
+func (s *SparseSolver) sortedSupport(w *Workspace) []int {
+	if n := s.inv.N; preferFlagScan(len(w.Sup), n) {
+		sup := w.Sup[:0]
+		for r := 0; r < n; r++ {
+			if w.mark[r] {
+				sup = append(sup, r)
+			}
+		}
+		w.Sup = sup
+	} else {
+		sort.Ints(w.Sup)
+	}
+	return w.Sup
+}
+
+// applyUpperScatter accumulates out += w[j] * (U^{-1} column j) over the
 // workspace support in ascending column order — the same per-row
 // summation order as the row sweep, so the two applies are bit-identical
 // on every written row. Returns the rows written.
-func (s *SparseSolver) applyUpperScatter(uCol *sparse.CSC) []int {
-	n := s.inv.N
-	wsup := s.wsup
-	// The scatter must walk columns ascending; a small solve against a
-	// large factor must not pay an O(n) sweep here.
-	if preferFlagScan(len(wsup), n) {
-		wsup = wsup[:0]
-		for r := 0; r < n; r++ {
-			if s.wmark[r] {
-				wsup = append(wsup, r)
-			}
-		}
-		s.wsup = wsup
-	} else {
-		sort.Ints(wsup)
-	}
+func (s *SparseSolver) applyUpperScatter(w *Workspace, uCol *sparse.CSC) []int {
 	out, omark, osup := s.out, s.omark, s.osup[:0]
 	// Honour a baked Remap here too (the blocked strips carry it
 	// pre-applied; this scalar fallback applies it per entry), so both
 	// scatter forms and the sweep agree on the output domain.
 	remap := s.inv.Remap
-	for _, j := range wsup {
-		x := s.ws[j]
+	for _, j := range s.sortedSupport(w) {
+		x := w.W[j]
 		lo, hi := uCol.ColPtr[j], uCol.ColPtr[j+1]
 		rows := uCol.RowIdx[lo:hi]
 		vals := uCol.Val[lo:hi]
@@ -255,26 +324,11 @@ func (s *SparseSolver) applyUpperScatter(uCol *sparse.CSC) []int {
 // directly in the caller's id domain. Value arithmetic per written row
 // is the same sequence as the scalar scatter, so the two are
 // bit-identical.
-func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC) []int {
-	n := s.inv.N
-	wsup := s.wsup
-	// The scatter must walk columns ascending; a small solve against a
-	// large factor must not pay an O(n) sweep here.
-	if preferFlagScan(len(wsup), n) {
-		wsup = wsup[:0]
-		for r := 0; r < n; r++ {
-			if s.wmark[r] {
-				wsup = append(wsup, r)
-			}
-		}
-		s.wsup = wsup
-	} else {
-		sort.Ints(wsup)
-	}
+func (s *SparseSolver) applyUpperScatterBlocked(w *Workspace, b *BlockedCSC) []int {
 	out, omark, osup := s.out, s.omark, s.osup[:0]
 	bv := b.Vals
-	for _, j := range wsup {
-		x := s.ws[j]
+	for _, j := range s.sortedSupport(w) {
+		x := w.W[j]
 		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
 		cnt := b.ColCnt[j]
 		rows := b.Rows[lo : lo+cnt]
@@ -303,25 +357,19 @@ func (s *SparseSolver) applyUpperScatterBlocked(b *BlockedCSC) []int {
 	return osup
 }
 
-// applyUpperSweep computes out[u] = (U^{-1} row u) . ws for every row,
+// applyUpperSweep computes out[u] = (U^{-1} row u) . w for every row,
 // the dense fallback for solves whose support reaches most of the
 // factor. Rows are assigned, not accumulated, so no prior clearing is
 // needed. A baked Remap redirects each assignment to the caller's id
 // domain so both applies agree on where solutions live.
-func (s *SparseSolver) applyUpperSweep() {
+func (s *SparseSolver) applyUpperSweep(w *Workspace) {
 	inv := s.inv
-	up, uc, uval := inv.Uinv.RowPtr, inv.Uinv.ColIdx, inv.Uinv.Val
-	ws, out := s.ws, s.out
 	remap := inv.Remap
 	for u := 0; u < inv.N; u++ {
-		acc := 0.0
-		for p := up[u]; p < up[u+1]; p++ {
-			acc += uval[p] * ws[uc[p]]
-		}
 		d := u
 		if remap != nil {
 			d = remap[u]
 		}
-		out[d] = acc
+		s.out[d] = inv.UpperRowDot(u, w.W)
 	}
 }

@@ -97,6 +97,65 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 	}
 }
 
+// TestUpperRowDotMatchesSolve pins the split solve: SolveLower followed
+// by one UpperRowDot per row reproduces every row Solve writes bit for
+// bit — through the column scatter and the dense sweep alike — and is
+// exactly zero off Solve's support.
+func TestUpperRowDotMatchesSolve(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(40)
+		w, _ := randomW(seed, n, 3*n, 0.8+0.19*rng.Float64())
+		fac, err := Decompose(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := fac.Invert(Options{Workers: 1})
+		s := inv.NewSparseSolver()
+		ws := inv.NewWorkspace()
+		for trial := 0; trial < 6; trial++ {
+			var idx []int
+			var val []float64
+			if trial%3 == 2 {
+				for i := 0; i < n; i++ {
+					idx = append(idx, i)
+					val = append(val, 0.5+rng.Float64())
+				}
+			} else {
+				idx, val = randomSparseRHS(rng, n)
+			}
+			out, sup := s.Solve(idx, val)
+			onSup := make([]bool, n)
+			for _, i := range supOrAll(sup, n) {
+				onSup[i] = true
+			}
+			inv.SolveLower(ws, idx, val)
+			for u := 0; u < n; u++ {
+				got := inv.UpperRowDot(u, ws.W)
+				want := 0.0
+				if onSup[u] {
+					want = out[u]
+				}
+				if got != want {
+					t.Errorf("seed %d trial %d row %d: row dot %v, Solve %v", seed, trial, u, got, want)
+					return false
+				}
+			}
+			ws.Reset()
+			for i, v := range ws.W {
+				if v != 0 {
+					t.Errorf("seed %d trial %d: workspace row %d = %v after Reset", seed, trial, i, v)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSparseSolverZeroValuesSkipped pins that explicitly-zero right-hand
 // side entries cost nothing and change nothing, matching the dense
 // reference's skip-zero behaviour.

@@ -22,11 +22,6 @@ type Config struct {
 	Dial rpc.DialFunc
 	// Timeout bounds each worker call (0 = the rpc package default).
 	Timeout time.Duration
-	// PushWorkers enables the speculative parallel push on the
-	// coordinator's greedy loop, exactly as LoadOptions.PushWorkers
-	// does in-process (<2 = sequential). Speculative solves become
-	// concurrent in-flight RPCs.
-	PushWorkers int
 }
 
 // chainEntry is one published update: the epoch it produced and the
@@ -153,7 +148,8 @@ type Coordinator struct {
 
 // NewCoordinator opens the index directory factorless (manifest,
 // assignment, cuts and graph snapshot only — no shard file is ever
-// mapped), connects to the workers and validates that each serves the
+// mapped; the snapshot, which the rank searches, is parsed on the first
+// query), connects to the workers and validates that each serves the
 // same index shape at the same epoch, and binds the base epoch's
 // remote solver. The placement is round-robin: shard si lives on
 // worker si mod len(addrs), matching what every worker derives from
@@ -162,7 +158,7 @@ func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("placement: no worker addresses")
 	}
-	sx, err := shard.Open(dir, shard.LoadOptions{Lazy: true, PushWorkers: cfg.PushWorkers})
+	sx, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
 	if err != nil {
 		return nil, err
 	}

@@ -116,104 +116,102 @@ func sameResults(t *testing.T, ctxt string, got, want interface{}) {
 }
 
 func TestCoordinatorDifferential(t *testing.T) {
-	for _, cfg := range []Config{{}, {PushWorkers: 3}} {
-		seed := int64(7)
-		rng := rand.New(rand.NewSource(seed))
-		dir := buildDir(t, rng, seed, 4)
-		addrs := startWorkers(t, dir, 2)
+	seed := int64(7)
+	rng := rand.New(rand.NewSource(seed))
+	dir := buildDir(t, rng, seed, 4)
+	addrs := startWorkers(t, dir, 2)
 
-		co, err := NewCoordinator(dir, addrs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := shard.Open(dir, shard.LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for round := 0; round < 4; round++ {
-			if co.Epoch() != oracle.Epoch() {
-				t.Fatalf("round %d: epoch %d vs oracle %d", round, co.Epoch(), oracle.Epoch())
-			}
-			n := co.N()
-			k := 1 + rng.Intn(8)
-			for i := 0; i < 3; i++ {
-				q := rng.Intn(n)
-				got, gqs, err := co.TopK(q, k)
-				if err != nil {
-					t.Fatalf("round %d TopK(%d): %v", round, q, err)
-				}
-				want, wqs, err := oracle.TopK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, "TopK results", got, want)
-				sameResults(t, "TopK stats", gqs, wqs)
-			}
-			batch := make([]int, 4)
-			for i := range batch {
-				batch[i] = rng.Intn(n)
-			}
-			gotB, gbs, err := co.TopKBatch(batch, k)
-			if err != nil {
-				t.Fatalf("round %d TopKBatch: %v", round, err)
-			}
-			wantB, wbs, err := oracle.TopKBatch(batch, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "TopKBatch results", gotB, wantB)
-			sameResults(t, "TopKBatch stats", gbs, wbs)
-			// A batch is a loop over TopK: every item, results and
-			// QueryStats, equals the single query exactly.
-			for i, q := range batch {
-				want, wqs, err := co.TopK(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, "TopKBatch item vs TopK results", gotB[i], want)
-				sameResults(t, "TopKBatch item vs TopK stats", gbs.PerQuery[i], wqs)
-			}
-
-			seeds := map[int]float64{rng.Intn(n): 1, rng.Intn(n): 2.5}
-			gotP, gps, err := co.TopKPersonalized(seeds, k)
-			if err != nil {
-				t.Fatalf("round %d TopKPersonalized: %v", round, err)
-			}
-			wantP, wps, err := oracle.TopKPersonalized(seeds, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "TopKPersonalized results", gotP, wantP)
-			sameResults(t, "TopKPersonalized stats", gps, wps)
-
-			q, u := rng.Intn(n), rng.Intn(n)
-			gotPx, err := co.Proximity(q, u)
-			if err != nil {
-				t.Fatalf("round %d Proximity: %v", round, err)
-			}
-			wantPx, err := oracle.Proximity(q, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotPx != wantPx {
-				t.Fatalf("round %d Proximity(%d,%d): %v != %v", round, q, u, gotPx, wantPx)
-			}
-
-			d := testutil.RandomDelta(rng, oracle.Graph(), 6)
-			nextAny, _, err := co.ApplyDelta(d)
-			if err != nil {
-				t.Fatalf("round %d ApplyDelta: %v", round, err)
-			}
-			co = nextAny.(*Coordinator)
-			nextOracle, _, err := oracle.Apply(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle = nextOracle
-		}
-		co.Close()
+	co, err := NewCoordinator(dir, addrs, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	oracle, err := shard.Open(dir, shard.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 4; round++ {
+		if co.Epoch() != oracle.Epoch() {
+			t.Fatalf("round %d: epoch %d vs oracle %d", round, co.Epoch(), oracle.Epoch())
+		}
+		n := co.N()
+		k := 1 + rng.Intn(8)
+		for i := 0; i < 3; i++ {
+			q := rng.Intn(n)
+			got, gqs, err := co.TopK(q, k)
+			if err != nil {
+				t.Fatalf("round %d TopK(%d): %v", round, q, err)
+			}
+			want, wqs, err := oracle.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "TopK results", got, want)
+			sameResults(t, "TopK stats", gqs, wqs)
+		}
+		batch := make([]int, 4)
+		for i := range batch {
+			batch[i] = rng.Intn(n)
+		}
+		gotB, gbs, err := co.TopKBatch(batch, k)
+		if err != nil {
+			t.Fatalf("round %d TopKBatch: %v", round, err)
+		}
+		wantB, wbs, err := oracle.TopKBatch(batch, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "TopKBatch results", gotB, wantB)
+		sameResults(t, "TopKBatch stats", gbs, wbs)
+		// A batch is a loop over TopK: every item, results and
+		// QueryStats, equals the single query exactly.
+		for i, q := range batch {
+			want, wqs, err := co.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "TopKBatch item vs TopK results", gotB[i], want)
+			sameResults(t, "TopKBatch item vs TopK stats", gbs.PerQuery[i], wqs)
+		}
+
+		seeds := map[int]float64{rng.Intn(n): 1, rng.Intn(n): 2.5}
+		gotP, gps, err := co.TopKPersonalized(seeds, k)
+		if err != nil {
+			t.Fatalf("round %d TopKPersonalized: %v", round, err)
+		}
+		wantP, wps, err := oracle.TopKPersonalized(seeds, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "TopKPersonalized results", gotP, wantP)
+		sameResults(t, "TopKPersonalized stats", gps, wps)
+
+		q, u := rng.Intn(n), rng.Intn(n)
+		gotPx, err := co.Proximity(q, u)
+		if err != nil {
+			t.Fatalf("round %d Proximity: %v", round, err)
+		}
+		wantPx, err := oracle.Proximity(q, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotPx != wantPx {
+			t.Fatalf("round %d Proximity(%d,%d): %v != %v", round, q, u, gotPx, wantPx)
+		}
+
+		d := testutil.RandomDelta(rng, oracle.Graph(), 6)
+		nextAny, _, err := co.ApplyDelta(d)
+		if err != nil {
+			t.Fatalf("round %d ApplyDelta: %v", round, err)
+		}
+		co = nextAny.(*Coordinator)
+		nextOracle, _, err := oracle.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle = nextOracle
+	}
+	co.Close()
 }
 
 // TestCoordinatorWorkerRestartReplay kills a worker mid-chain, restarts

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 
 	"kdash/internal/core"
 	"kdash/internal/topk"
@@ -47,7 +48,7 @@ type batchResponse struct {
 // after the other through the engine's ordinary Search, the call /topk
 // makes, so every item is bit-identical to the /topk answer for the
 // same q, k and exclude by construction.
-func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
@@ -107,20 +108,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request) {
 		if stats[i].Terminated {
 			resp.Stats.TerminatedEarly++
 		}
-		item := topKResponse{
-			K:          len(results[i]),
-			RequestedK: queries[i].K,
-			Results:    make([]resultJSON, len(results[i])),
-			Stats: statsJSON{
-				Visited:               stats[i].Visited,
-				ProximityComputations: stats[i].ProximityComputations,
-				Terminated:            stats[i].Terminated,
-			},
-		}
-		for j, res := range results[i] {
-			item.Results[j] = resultJSON{Node: res.Node, Score: res.Score}
-		}
-		resp.Items[i] = item
+		resp.Items[i] = newTopKResponse(queries[i].K, results[i], stats[i], false)
 	}
 	writeJSON(w, resp)
 }

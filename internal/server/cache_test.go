@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -603,6 +604,98 @@ func TestCacheDifferentialChain(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAppendTopKMatchesJSON pins the hand-written /topk encoder to
+// encoding/json, byte for byte, on random answer sets whose scores
+// cover both float formats and their edges: ordinary proximities, the
+// 1e-6 and 1e21 exponent cutoffs, subnormals and arbitrary finite bit
+// patterns.
+func TestAppendTopKMatchesJSON(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), 1, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-10,
+		1e21, math.Nextafter(1e21, 0), 1e22, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-310,
+	}
+	rng := rand.New(rand.NewSource(1))
+	score := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			for {
+				if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+					return f
+				}
+			}
+		case 2:
+			return math.Ldexp(rng.Float64(), -1070+rng.Intn(10)) // subnormal range
+		}
+		return rng.Float64()
+	}
+	for trial := 0; trial < 2000; trial++ {
+		results := make([]topk.Result, rng.Intn(12))
+		for i := range results {
+			results[i] = topk.Result{Node: rng.Intn(1 << 20), Score: score()}
+		}
+		if trial%7 == 0 {
+			results = nil
+		}
+		stats := core.SearchStats{Visited: rng.Intn(1e6), ProximityComputations: rng.Intn(1e6), Terminated: rng.Intn(2) == 0}
+		requestedK, cached := 1+rng.Intn(100), rng.Intn(2) == 0
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(newTopKResponse(requestedK, results, stats, cached)); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendTopK(nil, requestedK, results, stats, cached); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("trial %d:\nappendTopK    %s\nencoding/json %s", trial, got, want.Bytes())
+		}
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status, so an allocation count sees the handler's allocations alone.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+
+// TestTopKCacheHitAllocs is the allocation regression for a cache hit:
+// the query string is parsed once per request and the body appended
+// into a pooled buffer, so a hit allocates its status recorder and the
+// parsed query values, and nothing per result.
+func TestTopKCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; counts are asserted in the regular build")
+	}
+	_, ix := testHandler(t)
+	h := New(ix, WithCache(4))
+	req := httptest.NewRequest(http.MethodGet, "/topk?q=7&k=10", nil)
+	w := &discardWriter{header: http.Header{}}
+	serve := func() {
+		clear(w.header)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d", w.code)
+		}
+	}
+	serve() // the miss that fills the entry
+	serve()
+	avg := testing.AllocsPerRun(300, serve)
+	if hits := h.cacheHits.Value(); hits != 302 {
+		t.Fatalf("%d cache hits, want every request after the first to hit", hits)
+	}
+	t.Logf("a cache hit allocates %.2f objects", avg)
+	// 1 status recorder + 4 for the parsed query (map, its group, one
+	// value slice per key).
+	if avg > 5 {
+		t.Errorf("a cache hit allocates %.2f objects, want <= 5", avg)
 	}
 }
 

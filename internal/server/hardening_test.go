@@ -5,12 +5,16 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"kdash/internal/core"
+	"kdash/internal/gen"
 	"kdash/internal/graph"
 	"kdash/internal/reorder"
+	"kdash/internal/shard"
 	"kdash/internal/topk"
 )
 
@@ -102,6 +106,62 @@ func TestPanicRecoveryLiveServer(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestLazyLoadFailureIs503 removes index files from under a lazily
+// opened sharded index: a query that needs a missing shard file or the
+// missing graph snapshot is abandoned with a 503 and a Retry-After hint
+// — exact or unavailable — and nothing panics. /proximity never reads
+// the snapshot, so it still answers without graph.tsv.
+func TestLazyLoadFailureIs503(t *testing.T) {
+	sx, err := shard.Build(gen.PlantedPartition(200, 4, 0.2, 0.02, 3), shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := []struct{ method, url, body string }{
+		{http.MethodGet, "/topk?q=0&k=5", ""},
+		{http.MethodPost, "/topk/batch", `{"queries":[{"q":0,"k":5}]}`},
+		{http.MethodPost, "/personalized", `{"seeds":{"0":1},"k":5}`},
+		{http.MethodGet, "/proximity?q=0&u=1", ""},
+	}
+	for _, missing := range []string{"shard-*.idx", "graph.tsv"} {
+		for _, req := range requests {
+			dir := filepath.Join(t.TempDir(), "idx")
+			if err := sx.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, missing))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("no %s in %s: %v", missing, dir, err)
+			}
+			for _, f := range files {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h := New(lazy)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(req.method, req.url, strings.NewReader(req.body)))
+			want := http.StatusServiceUnavailable
+			if missing == "graph.tsv" && strings.HasPrefix(req.url, "/proximity") {
+				want = http.StatusOK
+			}
+			if rec.Code != want {
+				t.Errorf("without %s, %s %s: status %d, want %d (%s)", missing, req.method, req.url, rec.Code, want, rec.Body.String())
+			}
+			if want == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") == "" {
+				t.Errorf("without %s, %s %s: 503 without Retry-After", missing, req.method, req.url)
+			}
+			if p := h.qPanics.Value(); p != 0 {
+				t.Errorf("without %s, %s %s: %d panics counted", missing, req.method, req.url, p)
+			}
+			lazy.Close()
+		}
 	}
 }
 

@@ -9,13 +9,14 @@ package server
 
 import (
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"kdash/internal/obs"
 )
 
 // metrics handles GET /metrics.
-func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -93,13 +94,18 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
+// endpoint is one endpoint's body. The request's query string arrives
+// already parsed: instrument parses it once, for the budget parameter,
+// and every endpoint reads its own parameters from the same values.
+type endpoint func(w http.ResponseWriter, r *http.Request, query url.Values)
+
 // instrument wraps one endpoint with the telemetry middleware: latency
 // into the endpoint's histogram, status into its code counters, the
 // in-flight gauge, and (when configured) one structured log line per
 // request. Endpoint panics are recovered here — not only in ServeHTTP —
 // so a panicking request still records its latency and its 500;
 // ServeHTTP's recover stays as the backstop for the mux itself.
-func (h *Handler) instrument(name string, fn http.HandlerFunc) http.HandlerFunc {
+func (h *Handler) instrument(name string, fn endpoint) http.HandlerFunc {
 	em := h.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		h.inFlight.Add(1)
@@ -124,8 +130,9 @@ func (h *Handler) instrument(name string, fn http.HandlerFunc) http.HandlerFunc 
 		// explicit ?budget=<duration>. The bounded context threads into
 		// SearchOptions.Ctx, so a query that exhausts its budget mid-solve
 		// is abandoned between solve steps and answered with a 499.
+		query := r.URL.Query()
 		deadline := h.defaultTimeout
-		if raw := r.URL.Query().Get("budget"); raw != "" {
+		if raw := query.Get("budget"); raw != "" {
 			v, err := time.ParseDuration(raw)
 			if err != nil || v <= 0 {
 				h.badRequest(sw, "bad budget %q: want a positive Go duration like 250ms", raw)
@@ -138,7 +145,7 @@ func (h *Handler) instrument(name string, fn http.HandlerFunc) http.HandlerFunc 
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		fn(sw, r)
+		fn(sw, r, query)
 	}
 }
 
@@ -178,11 +185,11 @@ func (h *Handler) cancelled(w http.ResponseWriter, err error) bool {
 
 // wantTrace reports whether the request opted into per-query tracing,
 // via ?trace=1 or the X-Kdash-Trace header.
-func wantTrace(r *http.Request) bool {
+func wantTrace(r *http.Request, query url.Values) bool {
 	if v := r.Header.Get("X-Kdash-Trace"); v == "1" || v == "true" {
 		return true
 	}
-	v := r.URL.Query().Get("trace")
+	v := query.Get("trace")
 	return v == "1" || v == "true"
 }
 

@@ -26,7 +26,9 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -240,7 +242,7 @@ func New(engine Engine, opts ...Option) *Handler {
 	}
 	for _, ep := range []struct {
 		path, name string
-		fn         http.HandlerFunc
+		fn         endpoint
 	}{
 		{"/topk", "topk", h.topK},
 		{"/topk/batch", "batch", h.topKBatch},
@@ -330,14 +332,16 @@ func (h *Handler) internalError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusInternalServerError, err.Error())
 }
 
-// unavailable maps a coordinator's worker-loss failure to HTTP 503 with
-// a Retry-After hint, reporting whether it handled the error. The
-// distributed engine's contract is exact-or-nothing: a solve that could
-// not reach the worker owning its shard yields this typed error and no
-// partial answer, so the honest HTTP translation is "retry shortly",
-// never a wrong body or a generic 500.
+// unavailable maps a query abandoned for want of index data — a
+// coordinator's lost worker (rpc.ErrUnavailable), or a lazily opened
+// shard file or graph snapshot that failed to load mid-query
+// (core.ErrUnavailable) — to HTTP 503 with a Retry-After hint, reporting
+// whether it handled the error. The engines' contract is exact or
+// nothing: such a query yields one of these typed errors and no partial
+// answer, so the honest HTTP translation is "retry shortly", never a
+// wrong body or a generic 500.
 func (h *Handler) unavailable(w http.ResponseWriter, err error) bool {
-	if !errors.Is(err, rpc.ErrUnavailable) {
+	if !errors.Is(err, rpc.ErrUnavailable) && !errors.Is(err, core.ErrUnavailable) {
 		return false
 	}
 	h.qUnavailable.Add(1)
@@ -374,8 +378,8 @@ type topKResponse struct {
 
 // nodeParam parses query parameter name as a node id and range-checks it
 // against the request's engine snapshot.
-func nodeParam(r *http.Request, name string, n int) (int, error) {
-	v, err := intParam(r, name)
+func nodeParam(query url.Values, name string, n int) (int, error) {
+	v, err := intParam(query, name)
 	if err != nil {
 		return 0, err
 	}
@@ -404,7 +408,7 @@ func parseExclude(raw string) (map[int]bool, error) {
 }
 
 // topK handles GET /topk?q=<node>&k=<count>[&exclude=1,2,3].
-func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) topK(w http.ResponseWriter, r *http.Request, query url.Values) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -414,12 +418,12 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q, err := nodeParam(r, "q", st.engine.N())
+	q, err := nodeParam(query, "q", st.engine.N())
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
 	}
-	k, err := intParam(r, "k")
+	k, err := intParam(query, "k")
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
@@ -428,14 +432,14 @@ func (h *Handler) topK(w http.ResponseWriter, r *http.Request) {
 		h.badRequest(w, "k must be positive, got %d", k)
 		return
 	}
-	exclude, err := parseExclude(r.URL.Query().Get("exclude"))
+	exclude, err := parseExclude(query.Get("exclude"))
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
 	}
 	opt := core.SearchOptions{K: k, Exclude: exclude, Ctx: r.Context()}
 	var tr *obs.QueryTrace
-	if wantTrace(r) {
+	if wantTrace(r, query) {
 		tr = h.getTrace()
 		defer h.putTrace(tr)
 		tr.BarrierWaitNS = waited.Nanoseconds()
@@ -484,7 +488,7 @@ type personalizedRequest struct {
 }
 
 // personalized handles POST /personalized with a JSON body.
-func (h *Handler) personalized(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) personalized(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
@@ -536,7 +540,7 @@ func (h *Handler) personalized(w http.ResponseWriter, r *http.Request) {
 }
 
 // proximity handles GET /proximity?q=<node>&u=<node>.
-func (h *Handler) proximity(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) proximity(w http.ResponseWriter, r *http.Request, query url.Values) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -546,12 +550,12 @@ func (h *Handler) proximity(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q, err := nodeParam(r, "q", st.engine.N())
+	q, err := nodeParam(query, "q", st.engine.N())
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
 	}
-	u, err := nodeParam(r, "u", st.engine.N())
+	u, err := nodeParam(query, "u", st.engine.N())
 	if err != nil {
 		h.badRequest(w, "%v", err)
 		return
@@ -567,7 +571,7 @@ func (h *Handler) proximity(w http.ResponseWriter, r *http.Request) {
 }
 
 // health handles GET /healthz.
-func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) health(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	st := h.snap()
 	writeJSON(w, map[string]interface{}{
 		"status":  "ok",
@@ -582,7 +586,7 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 // build-time observability the engine exposes (per-shard sizes and cut
 // statistics for a sharded index), so operators can watch shard balance
 // and pruning effectiveness in production.
-func (h *Handler) statz(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -697,10 +701,10 @@ func (h *Handler) latencyStatz() map[string]interface{} {
 	return lat
 }
 
-// writeResults writes one answer set. The wire k is the count actually
-// returned, not the requested one, so clients indexing results cannot
-// run off the end when the graph yields fewer answers.
-func writeResults(w http.ResponseWriter, requestedK int, results []topk.Result, stats core.SearchStats, cached bool, tr *obs.QueryTrace) {
+// newTopKResponse builds one answer set's payload. The wire k is the
+// count actually returned, not the requested one, so clients indexing
+// results cannot run off the end when the graph yields fewer answers.
+func newTopKResponse(requestedK int, results []topk.Result, stats core.SearchStats, cached bool) topKResponse {
 	resp := topKResponse{
 		K:          len(results),
 		RequestedK: requestedK,
@@ -712,17 +716,89 @@ func writeResults(w http.ResponseWriter, requestedK int, results []topk.Result, 
 		},
 		Cached: cached,
 	}
-	if tr != nil {
-		resp.Trace = toTraceJSON(tr)
-	}
 	for i, r := range results {
 		resp.Results[i] = resultJSON{Node: r.Node, Score: r.Score}
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// respBufs recycles the buffers writeResults appends bodies into.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is the Content-Type header value, shared: assigning
+// it skips Header.Set's per-call slice, and nothing writes into a
+// header's value slice in place.
+var jsonContentType = []string{"application/json"}
+
+// writeResults writes one answer set (see newTopKResponse). A trace-free
+// body — every cache hit and every untraced miss — is appended into a
+// pooled buffer by appendTopK, byte for byte what encoding/json writes
+// for it; a traced one goes through encoding/json.
+func writeResults(w http.ResponseWriter, requestedK int, results []topk.Result, stats core.SearchStats, cached bool, tr *obs.QueryTrace) {
+	if tr != nil {
+		resp := newTopKResponse(requestedK, results, stats, cached)
+		resp.Trace = toTraceJSON(tr)
+		writeJSON(w, resp)
+		return
+	}
+	buf := respBufs.Get().(*[]byte)
+	*buf = appendTopK((*buf)[:0], requestedK, results, stats, cached)
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(*buf) // headers are sent; a failed write leaves nothing to do
+	respBufs.Put(buf)
+}
+
+// appendTopK appends the encoding/json encoding of a trace-free
+// topKResponse, trailing newline included, to b.
+func appendTopK(b []byte, requestedK int, results []topk.Result, stats core.SearchStats, cached bool) []byte {
+	b = append(b, `{"k":`...)
+	b = strconv.AppendInt(b, int64(len(results)), 10)
+	b = append(b, `,"requestedK":`...)
+	b = strconv.AppendInt(b, int64(requestedK), 10)
+	b = append(b, `,"results":[`...)
+	for i, r := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"node":`...)
+		b = strconv.AppendInt(b, int64(r.Node), 10)
+		b = append(b, `,"score":`...)
+		b = appendJSONFloat(b, r.Score)
+		b = append(b, '}')
+	}
+	b = append(b, `],"stats":{"visited":`...)
+	b = strconv.AppendInt(b, int64(stats.Visited), 10)
+	b = append(b, `,"proximityComputations":`...)
+	b = strconv.AppendInt(b, int64(stats.ProximityComputations), 10)
+	b = append(b, `,"terminated":`...)
+	b = strconv.AppendBool(b, stats.Terminated)
+	b = append(b, '}')
+	if cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONFloat appends a finite float64 as encoding/json formats it:
+// the shortest round-trip digits, in exponent form below 1e-6 or from
+// 1e21 up, with a one-digit negative exponent unpadded (e-7, not e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+func intParam(query url.Values, name string) (int, error) {
+	raw := query.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}

@@ -1,17 +1,21 @@
 package shard
 
 // Distributed-serving seam. In coordinator mode the greedy cross-shard
-// push — residual bookkeeping, commit order, cut-edge scatter, ranking —
-// runs unchanged in the coordinator process, and only the pure per-shard
-// factor solves are routed through a RemoteSolver to the workers owning
-// the shards. Because a factor solve is a pure function of (shard,
-// right-hand side) and the wire carries raw float64 bits, the
-// distributed push commits exactly the bytes the single-process push
-// would have: the exactness argument is "same inputs, same function,
-// same order", not "close enough". The worker side of the seam is
-// SolveShardSparse below, which runs the solve against real factors and
-// returns caller-owned copies safe to serialize after the pooled solver
-// has moved on.
+// push — residual bookkeeping, commit order, cut-edge scatter — and the
+// rank run unchanged in the coordinator process, and only the pure
+// per-shard factor solves are routed through a RemoteSolver to the
+// workers owning the shards. A worker returns the whole solution; the
+// coordinator reads it at the same cut rows, in the same order, that an
+// in-process solve completes with U^{-1} row dots, and the rank reads
+// the accumulated solutions where the in-process rank sums row dots.
+// Because a factor solve is a pure function of (shard, right-hand side),
+// a row dot reproduces the full apply's value at its row bit for bit,
+// and the wire carries raw float64 bits, the distributed query computes
+// exactly the bytes the single-process one would have: the exactness
+// argument is "same inputs, same function, same order", not "close
+// enough". The worker side of the seam is SolveShardSparse below, which
+// runs the solve against real factors and returns caller-owned copies
+// safe to serialize after the pooled solver has moved on.
 
 import (
 	"fmt"
@@ -21,12 +25,12 @@ import (
 )
 
 // RemoteSolver routes per-shard factor solves to remote workers. An
-// implementation must be safe for concurrent calls (the speculative
-// parallel push solves several shards at once), must not retain idx or
-// val after returning, and must return results that stay valid
-// indefinitely (freshly allocated, not pooled). SolveSparse returns the
-// solution over a partLen-sized vector plus the solver's first-touch
-// support (nil for a dense solve), exactly like core.SparseSolver.
+// implementation must be safe for concurrent calls (concurrent queries
+// share it), must not retain idx or val after returning, and must return
+// results that stay valid indefinitely (freshly allocated, not pooled).
+// SolveSparse returns the solution over a partLen-sized vector — zero
+// outside the solve's support — plus the solver's first-touch support
+// (nil for a dense solve), like core.SparseSolver.
 type RemoteSolver interface {
 	SolveSparse(si int, idx []int, val []float64) (y []float64, ysup []int, err error)
 }
@@ -54,15 +58,16 @@ func (sx *ShardedIndex) remotePools() {
 	sx.rpoolOnce.Do(func() { sx.rsparse = make([]sync.Pool, len(sx.parts)) })
 }
 
-// remoteSparseSolver checks a single-lane solver for shard si out of the
-// worker-surface pool, creating one on first use.
+// remoteSparseSolver checks a single-lane solver for shard si (whose
+// index is ix) out of the worker-surface pool, creating one on first
+// use.
 //
 //kdash:pooled
-func (sx *ShardedIndex) remoteSparseSolver(si int) *core.SparseSolver {
+func (sx *ShardedIndex) remoteSparseSolver(si int, ix *core.Index) *core.SparseSolver {
 	if sl, ok := sx.rsparse[si].Get().(*core.SparseSolver); ok {
 		return sl
 	}
-	return sx.parts[si].index().NewSparseSolver()
+	return ix.NewSparseSolver()
 }
 
 // SolveShardSparse is the worker side of RemoteSolver.SolveSparse: one
@@ -76,8 +81,12 @@ func (sx *ShardedIndex) SolveShardSparse(si int, idx []int, val []float64) ([]fl
 	if si < 0 || si >= len(sx.parts) {
 		return nil, nil, fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
 	}
+	ix, err := sx.parts[si].index() // opens a lazily loaded shard, or fails
+	if err != nil {
+		return nil, nil, err
+	}
 	sx.remotePools()
-	sl := sx.remoteSparseSolver(si)
+	sl := sx.remoteSparseSolver(si, ix)
 	y, ysup, err := sl.SolveSparse(idx, val)
 	if err != nil {
 		sx.rsparse[si].Put(sl)

@@ -1,15 +1,23 @@
 package shard
 
-// Cross-shard query path. Queries run a shard-granular push on the
-// regular splitting W = D - (1-c)A_cross: D's diagonal blocks are the
-// per-shard factorized matrices, A_cross the cut edges. The push keeps a
+// Cross-shard query path, in two phases. The push runs shard-granular
+// on the regular splitting W = D - (1-c)A_cross: D's diagonal blocks are
+// the per-shard factorized matrices, A_cross the cut edges. It keeps a
 // residual right-hand side per shard and repeatedly solves the shard with
 // the most pending mass through its inverted factors, propagating
-// (1-c)-scaled solved mass along cut edges. The accumulated solution x
+// (1-c)-scaled solved mass along cut edges — which needs the solution
+// only on the rows that own cut edges. The accumulated solution x
 // approaches the true proximity vector monotonically from below with
 // per-entry error bounded by (residual mass)/c, so shards whose pending
 // inflow falls under the tolerance are pruned unsolved and the final
 // ranking is exact within QueryTol/c.
+//
+// The rank is the paper's Algorithm 4 over the graph snapshot: a BFS
+// from the query that computes x only at the nodes it selects and stops
+// once Definition 2's estimate proves no unvisited node can enter the
+// answer. x satisfies x = c·e_q - r + (1-c)Ax with r >= 0 and sums to at
+// most 1, which is all the estimate needs to bound it, so the pruned
+// rank returns exactly what a scan of every entry of x would.
 
 import (
 	"fmt"
@@ -27,7 +35,7 @@ type QueryStats struct {
 	Solves         int     // per-shard factor solves performed
 	ShardsSolved   int     // distinct shards solved at least once
 	ShardsPruned   int     // shards with pending inflow never solved
-	NodesEvaluated int     // proximity values computed (summed solve support sizes)
+	NodesEvaluated int     // U^{-1} row dots: cut rows the push evaluated + proximities the rank computed
 	ResidualMass   float64 // unprocessed mass at termination
 	Converged      bool    // residual fell below tolerance
 }
@@ -52,9 +60,9 @@ func (sx *ShardedIndex) push(seeds map[int]float64) ([][]float64, QueryStats) {
 // push both prioritises relevant shards and terminates as soon as the
 // target's entries are settled, even while irrelevant mass remains.
 //
-// The returned vectors are caller-owned copies; the hot query paths
-// (TopK, Proximity, ProximityVector) consume the pooled push state
-// directly instead and never materialise.
+// The returned vectors are caller-owned copies of every row of the
+// solved shards; the query paths (TopK, Proximity, ProximityVector) read
+// the pooled push state directly instead.
 //
 //kdash:deterministic
 func (sx *ShardedIndex) pushWeighted(seeds map[int]float64, w []float64) ([][]float64, QueryStats) {
@@ -62,7 +70,7 @@ func (sx *ShardedIndex) pushWeighted(seeds map[int]float64, w []float64) ([][]fl
 	for _, g := range seedNodesSorted(seeds) {
 		st.seed(g, seeds[g])
 	}
-	qs, _ := st.run(w) // no context and no RemoteSolver on this path: run cannot fail
+	qs, _ := st.run(w) // test-only path: no context, no RemoteSolver, no lazy opens — run cannot fail
 	x := st.materialize()
 	sx.putPushState(st)
 	return x, qs
@@ -107,6 +115,9 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 	if k <= 0 {
 		return nil, qs, fmt.Errorf("shard: K must be positive, got %d", k)
 	}
+	if err := sx.ensureGraph(); err != nil {
+		return nil, qs, err
+	}
 	st := sx.getPushState()
 	st.ctx, st.tr = opt.Ctx, opt.Trace
 	var tPush time.Time
@@ -124,13 +135,14 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 		tRank = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 		opt.Trace.SolveNS += tRank.Sub(tPush).Nanoseconds()
 	}
-	results := st.rank(k, opt.Exclude)
+	st.roots = append(st.roots, q)
+	results := st.rank(k, opt.Exclude, &qs)
 	if opt.Trace != nil {
 		opt.Trace.RankNS += time.Since(tRank).Nanoseconds() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
 	if opt.SolvedShards != nil {
-		for si, solved := range st.solved {
-			if solved {
+		for si := range st.solves {
+			if st.solves[si].recorded() {
 				*opt.SolvedShards = append(*opt.SolvedShards, si)
 			}
 		}
@@ -143,16 +155,16 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 // ShardedIndex is a drop-in engine for internal/server. K, Exclude,
 // Ctx (cancellation between shard solves), Trace (per-query push
 // trace) and SolvedShards are honoured; the monolithic ablation knobs
-// (DisablePruning, RandomRoot) have no shard-level counterpart and are
-// ignored.
+// (DisablePruning, RandomRoot) are ignored.
 func (sx *ShardedIndex) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
 	results, qs, err := sx.topK(q, opt.K, opt)
 	return results, qs.searchStats(), err
 }
 
 // searchStats maps shard-level work onto the monolithic stats shape:
-// every evaluated node received an exact proximity, and a pruned shard is
-// the shard-granular analogue of early termination.
+// every evaluated row — a cut row of the push or a node the rank
+// selected — cost one U^{-1} row dot, and a pruned shard is the
+// shard-granular analogue of early termination.
 func (qs QueryStats) searchStats() core.SearchStats {
 	return core.SearchStats{
 		Visited:               qs.NodesEvaluated,
@@ -189,6 +201,9 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 		}
 		total += w
 	}
+	if err := sx.ensureGraph(); err != nil {
+		return nil, qs.searchStats(), err
+	}
 	st := sx.getPushState()
 	for _, node := range nodes {
 		st.seed(node, sx.c*seeds[node]/total)
@@ -198,7 +213,8 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 		sx.putPushState(st)
 		return nil, qs.searchStats(), err
 	}
-	results := st.rank(k, nil)
+	st.roots = append(st.roots, nodes...) // layer 0 of a multi-source BFS
+	results := st.rank(k, nil, &qs)
 	sx.putPushState(st)
 	return results, qs.searchStats(), nil
 }
@@ -294,12 +310,7 @@ func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
 		sx.putPushState(st)
 		return 0, err
 	}
-	p := 0.0
-	// Untouched state entries are zero by the pool invariant, so the
-	// single entry can be read directly once the shard has been solved.
-	if si := sx.home[u]; st.solved[si] {
-		p = st.x[si][sx.local[u]]
-	}
+	p := st.score(u)
 	sx.putPushState(st)
 	return p, nil
 }
@@ -319,19 +330,9 @@ func (sx *ShardedIndex) ProximityVector(q int) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, sx.n)
-	for si := range sx.parts {
-		if !st.solved[si] {
-			continue
-		}
-		nodes := sx.parts[si].nodes
-		if st.xdense[si] {
-			for lv, v := range st.x[si] {
-				out[nodes[lv]] = v
-			}
-		} else {
-			for _, lv := range st.xsup[si] {
-				out[nodes[lv]] = st.x[si][lv]
-			}
+	for si, x := range st.materialize() {
+		for lv, v := range x {
+			out[sx.parts[si].nodes[lv]] = v
 		}
 	}
 	sx.putPushState(st)

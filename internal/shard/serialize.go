@@ -20,9 +20,10 @@ package shard
 // no factor data — and defer each shard file (and the graph snapshot)
 // to first use, so a 64-shard index answers a query against shard 3
 // before shard 60's file is ever touched. Load is the conservative
-// eager/copy wrapper. See docs/ARCHITECTURE.md for the byte-level
-// format specs (manifest v1/v2/v3, cuts.bin, the sectioned core
-// layout).
+// eager/copy wrapper. A v1 directory, which carries no graph snapshot,
+// is refused: the rank searches the snapshot. See docs/ARCHITECTURE.md
+// for the byte-level format specs (manifest versions, cuts.bin, the
+// sectioned core layout).
 //
 // Local ids are not persisted: both writer and reader assign them by
 // ascending global id within each shard, so the assignment array fully
@@ -47,16 +48,6 @@ import (
 	"kdash/internal/reorder"
 )
 
-// parseReorder maps a manifest's reorder name back to the method. The
-// empty string (v1 manifests) selects Hybrid; with no graph snapshot
-// alongside it the value is never replayed anyway.
-func parseReorder(name string) (reorder.Method, error) {
-	if name == "" {
-		return reorder.Hybrid, nil
-	}
-	return reorder.Parse(name)
-}
-
 // ManifestName is the file that marks a directory as a sharded index.
 const ManifestName = "manifest.json"
 
@@ -70,9 +61,9 @@ const ManifestName = "manifest.json"
 // added the write-ahead-log position: the last WAL sequence number this
 // snapshot has absorbed (walSeq) and the names of the live WAL segments
 // at save time, so crash recovery knows exactly which logged records to
-// replay over the snapshot. Version 1–3 directories still load (their
-// walSeq is 0: replay everything); v1 additionally rejects Apply,
-// having no graph.
+// replay over the snapshot. Version 2–3 directories still load (their
+// walSeq is 0: replay everything). Version 1 directories are refused:
+// they carry no graph snapshot, and every query's rank searches it.
 const manifestVersion = 4
 
 // shardFormatSectioned marks shard files written in the sectioned v3
@@ -180,11 +171,9 @@ func (sx *ShardedIndex) save(dir string, legacy bool) error {
 	if err := sx.ensureGraph(); err != nil { // a deferred snapshot must materialise to be re-saved
 		return fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
-	if sx.g != nil {
-		m.GraphFile = "graph.tsv"
-		if err := writeFile(filepath.Join(dir, m.GraphFile), sx.g.WriteEdgeList); err != nil {
-			return fmt.Errorf("shard: saving graph snapshot: %w", err)
-		}
+	m.GraphFile = "graph.tsv"
+	if err := writeFile(filepath.Join(dir, m.GraphFile), sx.g.WriteEdgeList); err != nil {
+		return fmt.Errorf("shard: saving graph snapshot: %w", err)
 	}
 	m.Stats.Sizes = sx.stats.Sizes
 	m.Stats.CutEdges = sx.stats.CutEdges
@@ -196,10 +185,10 @@ func (sx *ShardedIndex) save(dir string, legacy bool) error {
 	for si, p := range sx.parts {
 		name := fmt.Sprintf("shard-%04d.idx", si)
 		m.ShardFiles = append(m.ShardFiles, name)
-		if err := p.openIndex(); err != nil { // force a still-deferred open, as an error
+		ix, err := p.index() // forces a still-deferred open
+		if err != nil {
 			return fmt.Errorf("shard: saving shard %d: %w", si, err)
 		}
-		ix := p.index()
 		nnzTotal += ix.Stats().NNZInverse
 		write := ix.Save
 		if legacy {
@@ -302,16 +291,12 @@ type LoadOptions struct {
 	// are parsed into private memory whatever the mode.
 	Mode mmapio.Mode
 	// Lazy defers each shard file's open to the first query that solves
-	// the shard: Open returns after reading only the manifest,
-	// assignment, cuts and graph snapshot, so a 64-shard index serves a
-	// query against shard 3 before shard 60's file is ever touched.
-	// Without Lazy every shard opens (and validates) before Open
-	// returns.
+	// the shard, and the graph snapshot's parse to the first query:
+	// Open returns after reading only the manifest, assignment and cuts,
+	// so a 64-shard index serves a query against shard 3 before shard
+	// 60's file is ever touched. Without Lazy every shard opens (and
+	// validates) before Open returns.
 	Lazy bool
-	// PushWorkers enables the speculative parallel cross-shard push for
-	// queries against the loaded index, as Options.PushWorkers does at
-	// build time (<2 = sequential).
-	PushWorkers int
 }
 
 // Load reads a sharded index previously written by Save, fully
@@ -336,21 +321,21 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	if m.Version < 1 || m.Version > manifestVersion {
 		return nil, fmt.Errorf("shard: unsupported manifest version %d (want <= %d)", m.Version, manifestVersion)
 	}
+	if m.Version < 2 || m.GraphFile == "" {
+		return nil, fmt.Errorf("shard: manifest version %d carries no graph snapshot, which queries search; rebuild with `kdash -save-index`", m.Version)
+	}
 	if m.Nodes <= 0 || m.Nodes > 1<<40 || m.Shards <= 0 || m.Shards > m.Nodes || len(m.ShardFiles) != m.Shards {
 		return nil, fmt.Errorf("shard: corrupt manifest (nodes=%d shards=%d files=%d)", m.Nodes, m.Shards, len(m.ShardFiles))
 	}
 	if m.Restart <= 0 || m.Restart >= 1 {
 		return nil, fmt.Errorf("shard: corrupt manifest (restart %v)", m.Restart)
 	}
-	method, err := parseReorder(m.Reorder)
+	method, err := reorder.Parse(m.Reorder)
 	if err != nil {
 		return nil, fmt.Errorf("shard: corrupt manifest: %w", err)
 	}
 	// File references must be plain names inside the directory.
-	names := append([]string{m.AssignmentFile, m.CutsFile}, m.ShardFiles...)
-	if m.GraphFile != "" {
-		names = append(names, m.GraphFile)
-	}
+	names := append([]string{m.AssignmentFile, m.CutsFile, m.GraphFile}, m.ShardFiles...)
 	for _, name := range names {
 		if name == "" || name != filepath.Base(name) {
 			return nil, fmt.Errorf("shard: corrupt manifest (file reference %q)", name)
@@ -374,7 +359,6 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		seed:           m.Seed,
 		epoch:          m.Epoch,
 		stalenessLimit: m.StalenessLimit,
-		pushWorkers:    opt.PushWorkers,
 		walSeq:         m.WALSeq,
 		walSegments:    m.WALSegments,
 	}
@@ -392,30 +376,31 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	default:
 		return nil, fmt.Errorf("shard: corrupt manifest (%d staleness counters for %d shards)", len(m.Staleness), m.Shards)
 	}
-	if m.GraphFile != "" {
-		path := filepath.Join(dir, m.GraphFile)
-		load := func() (*graph.Graph, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, fmt.Errorf("shard: opening graph snapshot: %w", err)
-			}
-			g, err := graph.ParseEdgeList(f, m.Nodes)
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("shard: reading graph snapshot: %w", err)
-			}
-			if g.N() != m.Nodes {
-				return nil, fmt.Errorf("shard: graph snapshot has %d nodes, manifest says %d", g.N(), m.Nodes)
-			}
-			return g, nil
+	graphPath := filepath.Join(dir, m.GraphFile)
+	load := func() (*graph.Graph, error) {
+		f, err := os.Open(graphPath)
+		if err != nil {
+			return nil, fmt.Errorf("shard: opening graph snapshot: %w", err)
 		}
-		if opt.Lazy {
-			// The snapshot only matters to Apply and Save; parsing the
-			// O(m) edge list has no place on the query cold-start path.
-			sx.gLoad = load
-		} else if sx.g, err = load(); err != nil {
+		g, err := graph.ParseEdgeList(f, m.Nodes)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("shard: reading graph snapshot: %w", err)
+		}
+		if g.N() != m.Nodes {
+			return nil, fmt.Errorf("shard: graph snapshot has %d nodes, manifest says %d", g.N(), m.Nodes)
+		}
+		return g, nil
+	}
+	if opt.Lazy {
+		// Parsing the O(m) edge list waits for the first query.
+		sx.gLoad = load
+	} else {
+		g, err := load()
+		if err != nil {
 			return nil, err
 		}
+		sx.setGraph(g)
 	}
 	if sx.home, err = readAssignment(filepath.Join(dir, m.AssignmentFile), m.Nodes, m.Shards); err != nil {
 		return nil, err
@@ -582,15 +567,8 @@ func (sx *ShardedIndex) readCuts(path string) error {
 			p.cuts[i] = e
 		}
 	}
-	// Rebuild the per-source pointers.
 	for _, p := range sx.parts {
-		p.cutPtr = make([]int, len(p.nodes)+1)
-		for _, e := range p.cuts {
-			p.cutPtr[e.src+1]++
-		}
-		for v := 0; v < len(p.nodes); v++ {
-			p.cutPtr[v+1] += p.cutPtr[v]
-		}
+		p.indexCuts()
 	}
 	return nil
 }

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kdash/internal/gen"
-	"kdash/internal/graph"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/testutil"
 )
@@ -117,10 +118,11 @@ func TestUpdatedIndexRoundTrip(t *testing.T) {
 	requireBitIdentical(t, b, a, 8)
 }
 
-// TestLoadV1ManifestStillWorks checks backward compatibility: a v1
-// directory (no graph snapshot, no update state) loads and serves
-// queries but rejects Apply.
-func TestLoadV1ManifestStillWorks(t *testing.T) {
+// TestLoadV1ManifestRefused checks that a v1 directory (no graph
+// snapshot, no update state) is refused at load with the rebuild
+// instruction, in every load mode: the rank searches the snapshot, so
+// such a directory cannot answer a query.
+func TestLoadV1ManifestRefused(t *testing.T) {
 	g := gen.ErdosRenyi(50, 220, 7)
 	sx, err := Build(g, Options{Shards: 3, Seed: 1})
 	if err != nil {
@@ -154,25 +156,15 @@ func TestLoadV1ManifestStillWorks(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "graph.tsv")); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
-	}
-	want, _, err := sx.TopK(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := loaded.TopK(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("i=%d: %v vs %v", i, got[i], want[i])
+	for _, opt := range []LoadOptions{{Mode: mmapio.ModeCopy}, {Lazy: true}} {
+		loaded, err := Open(dir, opt)
+		if err == nil {
+			loaded.Close()
+			t.Fatalf("%+v: v1 manifest accepted", opt)
 		}
-	}
-	if _, _, err := loaded.Apply(graph.NewDelta(loaded.N())); err == nil {
-		t.Error("v1-loaded index accepted Apply without a graph snapshot")
+		if !strings.Contains(err.Error(), "rebuild with `kdash -save-index`") {
+			t.Errorf("%+v: refusal %q does not say how to rebuild", opt, err)
+		}
 	}
 }
 

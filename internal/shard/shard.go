@@ -76,13 +76,6 @@ type Options struct {
 	// re-homed to their best-connected shards). Zero selects
 	// DefaultStalenessLimit; negative disables re-partitioning.
 	StalenessLimit int
-	// PushWorkers enables the speculative parallel cross-shard push:
-	// while the deterministic greedy loop solves the heaviest shard,
-	// up to PushWorkers-1 background workers pre-solve the other
-	// pending shards so their results are ready when the greedy order
-	// reaches them. Answers are bit-identical to the sequential push.
-	// Values below 2 (the zero default) keep the push sequential.
-	PushWorkers int
 }
 
 // DefaultQueryTol keeps query answers exact to ~1e-15, far inside the
@@ -133,6 +126,7 @@ type part struct {
 	sink      bool       // index has one extra sink node appended
 	cuts      []cutEdge  // sorted by src
 	cutPtr    []int      // cuts of local node v are cuts[cutPtr[v]:cutPtr[v+1]]
+	cutRows   []int      // local nodes owning cut edges, ascending
 	nnzHint   int        // manifest v3 per-shard nnz, so stats need no open
 	nnzHinted bool       // the hint is real (v3 manifest) vs absent (v2 lazy load)
 }
@@ -150,24 +144,22 @@ type lazyIndex struct {
 
 // index returns the shard's core index, opening it on first use. An
 // open failure (the file vanished or was corrupted between Load and the
-// first query touching this shard) panics: callers sit deep inside the
-// push loop where an error return does not exist, and the HTTP server
-// recovers panics into 500s. Load-time validation (manifest shape,
-// eager OpenAll when not lazy) makes this a genuine I/O-failure path,
-// not an expected one.
-func (p *part) index() *core.Index {
+// first query touching this shard) is a core.ErrUnavailable: the query
+// is abandoned with no partial answer. Load-time validation (manifest
+// shape, eager OpenAll when not lazy) makes this a genuine I/O-failure
+// path, not an expected one.
+func (p *part) index() (*core.Index, error) {
 	if p.lazy == nil {
-		return p.ix
+		return p.ix, nil
 	}
 	if err := p.openIndex(); err != nil {
-		panic(fmt.Sprintf("shard: %v", err))
+		return nil, fmt.Errorf("shard: %w: %w", core.ErrUnavailable, err)
 	}
-	return p.lazy.ix
+	return p.lazy.ix, nil
 }
 
-// openIndex forces the deferred open, returning its error. It is the
-// non-panicking form index() wraps; OpenAll uses it to surface open
-// failures as ordinary errors at load time.
+// openIndex forces the deferred open, returning its error; OpenAll uses
+// it to surface open failures as ordinary errors at load time.
 func (p *part) openIndex() error {
 	if p.lazy == nil {
 		return nil
@@ -210,7 +202,23 @@ func (p *part) nnzInverse() (nnz int, ok bool) {
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
 // shared by pointer) and cut lists carry over.
 func (p *part) share() *part {
-	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, nnzHinted: p.nnzHinted, cuts: p.cuts, cutPtr: p.cutPtr}
+	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, nnzHinted: p.nnzHinted, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
+}
+
+// indexCuts derives the per-source pointers and the cut-owning rows from
+// the cut list (sorted by source).
+func (p *part) indexCuts() {
+	p.cutPtr = make([]int, len(p.nodes)+1)
+	p.cutRows = nil
+	for _, e := range p.cuts {
+		if p.cutPtr[e.src+1] == 0 {
+			p.cutRows = append(p.cutRows, e.src)
+		}
+		p.cutPtr[e.src+1]++
+	}
+	for v := 0; v < len(p.nodes); v++ {
+		p.cutPtr[v+1] += p.cutPtr[v]
+	}
 }
 
 // ShardedIndex is a partitioned K-dash index. Like core.Index it is
@@ -226,12 +234,14 @@ type ShardedIndex struct {
 	parts []*part
 	stats BuildStats
 
-	// Update-path state: the current graph snapshot (nil when loaded
-	// from a pre-v2 manifest, which marks the index non-updatable), the
-	// build inputs Apply reuses so a rebuilt shard is bit-identical to a
-	// from-scratch one, the per-shard appended-node staleness counters,
-	// and the epoch number (0 for a fresh build, +1 per Apply).
+	// The current graph snapshot — what the rank searches (with bounds,
+	// its Definition 2 tables, built once per epoch by setGraph) and
+	// what Apply replays updates onto — the build inputs Apply reuses so
+	// a rebuilt shard is bit-identical to a from-scratch one, the
+	// per-shard appended-node staleness counters, and the epoch number
+	// (0 for a fresh build, +1 per Apply).
 	g              *graph.Graph
+	bounds         core.Bounds
 	method         reorder.Method
 	seed           int64
 	workers        int
@@ -248,14 +258,10 @@ type ShardedIndex struct {
 	walSeq      uint64
 	walSegments []string
 
-	// Query-path tuning carried from Options/LoadOptions: the worker
-	// budget of the speculative parallel push (<2 = sequential).
-	pushWorkers int
-
 	// gOnce/gLoad defer the graph snapshot's parse for lazily opened
-	// directories: the snapshot exists only for Apply (and re-Save), so
-	// a query-serving cold start never pays the O(m) edge-list parse.
-	// ensureGraph forces it; gErr holds a deferred parse failure.
+	// directories to the first query (or Apply, or Save) that needs it,
+	// so opening costs no O(m) edge-list parse. ensureGraph forces it;
+	// gErr holds a deferred parse failure.
 	gOnce sync.Once
 	gLoad func() (*graph.Graph, error)
 	gErr  error
@@ -273,20 +279,12 @@ type ShardedIndex struct {
 	revOnce sync.Once
 	revAdj  [][]int
 
-	// cutBits[si] holds one bit per local row of shard si: set iff the
-	// row has outgoing cut edges. The push's consume loop tests the bit
-	// instead of loading two cutPtr offsets per solved row — at a bit
-	// per row the whole table stays cache-resident, and most solved
-	// rows are interior (no cuts), so the common case costs one L1 load.
-	// Same lazy-once lifecycle as revAdj.
-	cutBitsOnce sync.Once
-	cutBits     [][]uint64
-
-	// pushPool recycles complete single-query push states (solution and
-	// residual vectors, touched-entry lists, per-shard sparse solvers)
-	// across queries; every request checks a private instance out, so the
-	// pool is the concurrent-safe source of per-query scratch and the
-	// steady-state query path allocates only its result set.
+	// pushPool recycles complete single-query states (residual vectors,
+	// touched-entry lists, per-shard solvers and L^{-1} workspaces, the
+	// rank's BFS scratch) across queries; every request checks a private
+	// instance out, so the pool is the concurrent-safe source of
+	// per-query scratch and the steady-state query path allocates only
+	// its result set.
 	pushPool sync.Pool
 
 	// pairW memoizes the single-pair push's per-target-shard influence
@@ -326,23 +324,12 @@ func (sx *ShardedIndex) solveCounters() []atomic.Int64 {
 	return sx.solveCounts
 }
 
-// cutEdgeBits returns the per-shard has-cut-edges bitsets, building
-// them on first use.
-func (sx *ShardedIndex) cutEdgeBits() [][]uint64 {
-	sx.cutBitsOnce.Do(func() {
-		bits := make([][]uint64, len(sx.parts))
-		for si, p := range sx.parts {
-			b := make([]uint64, (len(p.nodes)+63)/64)
-			for lv := 0; lv+1 < len(p.cutPtr); lv++ {
-				if p.cutPtr[lv+1] > p.cutPtr[lv] {
-					b[lv>>6] |= 1 << (uint(lv) & 63)
-				}
-			}
-			bits[si] = b
-		}
-		sx.cutBits = bits
-	})
-	return sx.cutBits
+// setGraph installs an epoch's graph snapshot together with the
+// Definition 2 tables the rank searches it with, so no query ever
+// builds them.
+func (sx *ShardedIndex) setGraph(g *graph.Graph) {
+	sx.g = g
+	sx.bounds = core.GraphBounds(g, sx.c)
 }
 
 // reverseShardAdj returns the deduplicated reverse adjacency of the
@@ -436,14 +423,13 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		home:           home,
 		local:          make([]int, n),
 		parts:          make([]*part, s),
-		g:              g,
 		method:         opt.Reorder,
 		seed:           opt.Seed,
 		workers:        opt.Workers,
 		stalenessLimit: limit,
 		staleness:      make([]int, s),
-		pushWorkers:    opt.PushWorkers,
 	}
+	sx.setGraph(g)
 	for i := range sx.parts {
 		sx.parts[i] = &part{}
 	}
@@ -581,7 +567,6 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 	for si, p := range sx.parts {
 		if patched(si) {
 			p.cuts = nil
-			p.cutPtr = make([]int, len(p.nodes)+1)
 		}
 	}
 	for v := 0; v < sx.n; v++ {
@@ -609,12 +594,7 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 			continue
 		}
 		sort.SliceStable(p.cuts, func(a, b int) bool { return p.cuts[a].src < p.cuts[b].src })
-		for _, e := range p.cuts {
-			p.cutPtr[e.src+1]++
-		}
-		for v := 0; v < len(p.nodes); v++ {
-			p.cutPtr[v+1] += p.cutPtr[v]
-		}
+		p.indexCuts()
 	}
 	return cutEdges, cutW, totalW
 }
@@ -739,7 +719,6 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 		"cutWeightFrac": sx.stats.CutWeightFrac,
 		"nnzInverse":    sx.stats.NNZInverse,
 		"kernels":       kernels.Impl(),
-		"pushWorkers":   sx.pushWorkers,
 		"perShard":      shards,
 	}
 }

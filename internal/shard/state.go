@@ -1,14 +1,24 @@
 package shard
 
-// Pooled per-query push state. The single-query cross-shard push used to
-// allocate two O(n_shard) vectors per shard per query and wipe them
-// wholesale; pushState keeps every vector a query needs — accumulated
-// solution, residuals, their touched-entry lists, and one single-lane
-// sparse solver per shard — alive across queries in a sync.Pool on the
+// Pooled per-query state. A query runs in two phases over one pooled
+// pushState: the cross-shard push (run) drives the residual to
+// tolerance, and the rank (Algorithm 4 over the graph snapshot) reads
+// proximities out of what the push recorded. The state keeps every
+// vector a query needs — residuals, their touched-entry lists, each
+// solve's L^{-1} workspace, one single-lane solver per shard and the
+// rank's BFS scratch — alive across queries in a sync.Pool on the
 // ShardedIndex. Queries check a private instance out (concurrent-safe:
 // the pool hands each request its own state), run, and return it after
 // spot-cleaning exactly the entries they touched, so the steady-state
 // query path allocates only its O(k) result set.
+//
+// The push never applies a whole U^{-1}: a solve runs the L^{-1} pass,
+// keeps the workspace, and evaluates only the solved shard's cut-owning
+// rows (one U^{-1} row dot each), because the cut scatter is all the
+// push itself reads. Any other row of the accumulated solution costs
+// one row dot per solve of its shard, computed when the rank visits the
+// node — the paper's proximity computation. Only the full-vector reads
+// (materialize) complete the recorded solves with whole U^{-1} applies.
 
 import (
 	"context"
@@ -17,24 +27,54 @@ import (
 	"time"
 
 	"kdash/internal/core"
+	"kdash/internal/lu"
 	"kdash/internal/obs"
 	"kdash/internal/topk"
 )
 
-// pushState is the complete state of one single-query push. The
-// invariant between queries: every vector is all-zero, every support
-// list empty, every flag false — maintained by release() spot-cleaning
-// the touched entries, never by full-vector zeroing.
+// shardSolves records one shard's solves in the current query, in solve
+// order: in process, each solve's L^{-1} workspace (lower[:nlower];
+// pooled workspaces past nlower wait for reuse); under a RemoteSolver,
+// the whole solutions the workers returned (ys).
+type shardSolves struct {
+	ix     *core.Index // nil until this state first solves the shard locally
+	solver *core.SparseSolver
+	lower  []*lu.Workspace
+	nlower int
+	ys     [][]float64
+}
+
+// recorded reports whether the query solved the shard.
+func (ss *shardSolves) recorded() bool { return ss.nlower > 0 || len(ss.ys) > 0 }
+
+// value returns the shard's accumulated solution at local row lv: each
+// solve's value there, summed in solve order with zeros skipped — the
+// float sequence of accumulating every solve's output into one vector.
+// An unsolved shard's rows are 0, and reading them opens nothing.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (ss *shardSolves) value(lv int) float64 {
+	x := 0.0
+	for _, w := range ss.lower[:ss.nlower] {
+		if v := ss.ix.UpperDot(lv, w); v != 0 {
+			x += v
+		}
+	}
+	for _, y := range ss.ys {
+		if v := y[lv]; v != 0 {
+			x += v
+		}
+	}
+	return x
+}
+
+// pushState is the complete state of one query. The invariant between
+// queries: every vector is all-zero, every support list and solve
+// record empty — maintained by release() spot-cleaning the touched
+// entries, never by full-vector zeroing.
 type pushState struct {
 	sx *ShardedIndex
-
-	// Accumulated solution per shard over owned nodes (no ghost sink row;
-	// sink mass is absorbed, never ranked). x[si] is allocated the first
-	// time this instance solves shard si and reused afterwards.
-	x      [][]float64
-	xmark  [][]bool
-	xsup   [][]int // touched solution entries (local ids), per shard
-	xdense []bool  // a dense-fallback solve wrote the whole shard this query
 
 	// Residual right-hand sides per shard over partLen rows.
 	res     [][]float64
@@ -42,35 +82,16 @@ type pushState struct {
 	rsup    [][]int // touched residual entries (local ids), per shard
 	resMass []float64
 
-	solved  []bool // shard solved at least once this query
-	solvers []*core.SparseSolver
+	solves []shardSolves
 
 	// Sorted sparse right-hand side scratch for the per-shard solves.
 	rhsIdx []int
 	rhsVal []float64
 
-	// rver counts residual writes per shard this query — the version
-	// stamp the speculative parallel push validates cached solves
-	// against (see runParallel). Allocated on the first parallel run;
-	// nil on the sequential path, which never reads it.
-	rver []uint64
-
-	// Speculative-push state (see parallel.go), allocated alongside rver
-	// on the first parallel run and nil for sequential-only states: one
-	// private solver per shard for background solves, the per-shard
-	// right-hand-side snapshots handed to workers, the residual version
-	// each snapshot was taken at, the workers' results, and the slot
-	// lifecycle (idle/pending/done) with its completion channel.
-	specSolvers  []*core.SparseSolver
-	specIdx      [][]int
-	specVal      [][]float64
-	specVer      []uint64
-	specY        [][]float64
-	specSup      [][]int
-	specErr      []error
-	specState    []uint8
-	specCh       chan int
-	specInFlight int
+	// The rank's BFS scratch (sized to the graph on first use) and root
+	// list.
+	tree  *core.TreeWS
+	roots []int
 
 	initial float64 // total seeded mass this query
 
@@ -86,16 +107,11 @@ func newPushState(sx *ShardedIndex) *pushState {
 	s := len(sx.parts)
 	return &pushState{
 		sx:      sx,
-		x:       make([][]float64, s),
-		xmark:   make([][]bool, s),
-		xsup:    make([][]int, s),
-		xdense:  make([]bool, s),
 		res:     make([][]float64, s),
 		rmark:   make([][]bool, s),
 		rsup:    make([][]int, s),
 		resMass: make([]float64, s),
-		solved:  make([]bool, s),
-		solvers: make([]*core.SparseSolver, s),
+		solves:  make([]shardSolves, s),
 	}
 }
 
@@ -142,31 +158,20 @@ func (st *pushState) addRes(si, lv int, m float64) {
 	}
 	st.res[si][lv] += m
 	st.resMass[si] += m
-	if st.rver != nil {
-		st.rver[si]++
-	}
 }
 
 // run drives the push to convergence (see pushWeighted for the weighting
 // contract) and reports the query's work. Per iteration the shard with
-// the most pending (weighted) mass is solved through its pooled
-// single-lane sparse solver, and only the solve's returned support is
-// accumulated and scattered. A cancelled context (checked between shard
-// solves, never per node) abandons the push with the context's error.
+// the most pending (weighted) mass is solved, and its cut-owning rows
+// scatter solved mass across the cut. A cancelled context (checked
+// between shard solves, never per node) abandons the push with the
+// context's error.
 //
 //kdash:noalloc
 //kdash:deterministic
 //kdash:ctxloop
 func (st *pushState) run(w []float64) (QueryStats, error) {
 	sx := st.sx
-	if sx.pushWorkers > 1 && st.tr == nil && len(sx.parts) > 1 {
-		// Speculative parallel push: same greedy commit order, same
-		// bits, background workers pre-solving the other pending
-		// shards. Traced queries stay sequential — the per-solve wall
-		// clocks a trace records would fold speculation wait into
-		// solve time.
-		return st.runParallel(w)
-	}
 	var qs QueryStats
 	s := len(sx.parts)
 	tol := sx.qtol * st.initial
@@ -208,7 +213,7 @@ func (st *pushState) run(w []float64) (QueryStats, error) {
 	qs.ResidualMass = total
 	qs.Converged = weighted <= tol
 	for si := 0; si < s; si++ {
-		if st.resMass[si] > 0 && !st.solved[si] {
+		if st.resMass[si] > 0 && !st.solves[si].recorded() {
 			qs.ShardsPruned++
 		}
 	}
@@ -224,9 +229,9 @@ func (st *pushState) run(w []float64) (QueryStats, error) {
 }
 
 // traceSolve wraps one solveShard call with trace recording: the
-// pending-mass snapshot before, the shard's consumed mass, the solve's
-// support size and wall clock, and the total residual left after —
-// the residual-bound trajectory clients see in the trace block.
+// pending-mass snapshot before, the shard's consumed mass, the cut rows
+// the solve evaluated and its wall clock, and the total residual left
+// after — the residual-bound trajectory clients see in the trace block.
 func (st *pushState) traceSolve(best int, totalBefore float64, qs *QueryStats) error {
 	consumed := st.resMass[best]
 	evalBefore := qs.NodesEvaluated
@@ -274,185 +279,155 @@ func (st *pushState) consumeResidual(best int) ([]int, []float64) {
 	return idx, val
 }
 
-// solver returns shard si's pooled single-lane solver, creating it on
-// first use. index() is where a lazily loaded shard file is first
-// mapped: a shard is opened when a query actually solves it, never
-// before.
-//
-//kdash:pooled
-func (st *pushState) solver(si int) *core.SparseSolver {
-	if st.solvers[si] == nil {
-		st.solvers[si] = st.sx.parts[si].index().NewSparseSolver() //kdash:allow(hotalloc) first touch of a shard creates its solver once per pooled state
-	}
-	return st.solvers[si]
-}
-
-// solveShard consumes shard best's residual through the shard's sparse
-// solver — or, under a RemoteSolver, through the worker owning the
-// shard — accumulates the solution and scatters solved mass across the
-// cut edges, all proportional to the solve's actual support. Only the
-// remote path can fail: a local solve's shape is guaranteed by
-// construction, but a worker can be unreachable, and that error must
-// surface as an abandoned query, never a partial answer.
+// solveShard consumes shard best's residual in one solve and scatters
+// the solved mass across the shard's cut edges. In process the solve
+// stops after its L^{-1} pass (kept in the shard's solve record) and
+// only the cut-owning rows are completed, as U^{-1} row dots; under a
+// RemoteSolver the worker returns the whole solution, which is kept and
+// read at the same rows. Either way the cut scatter walks the cut rows
+// in ascending order with the same values, so both modes push
+// bit-identically. A failed shard open or worker call abandons the
+// query with the error, never a partial answer.
 //
 //kdash:noalloc
+//kdash:deterministic
 func (st *pushState) solveShard(best int, qs *QueryStats) error {
+	sx := st.sx
 	idx, val := st.consumeResidual(best)
+	ss := &st.solves[best]
+	if !ss.recorded() {
+		qs.ShardsSolved++
+	}
 	var y []float64
-	var ysup []int
-	var err error
-	if r := st.sx.remote; r != nil {
-		y, ysup, err = r.SolveSparse(best, idx, val)
-		if err != nil {
+	var w *lu.Workspace
+	if r := sx.remote; r != nil {
+		var err error
+		if y, _, err = r.SolveSparse(best, idx, val); err != nil {
 			return err
 		}
+		ss.ys = append(ss.ys, y)
 	} else {
-		y, ysup, err = st.solver(best).SolveSparse(idx, val)
-		if err != nil {
+		if ss.solver == nil {
+			ix, err := sx.parts[best].index()
+			if err != nil {
+				return err
+			}
+			ss.ix, ss.solver = ix, ix.NewSparseSolver() //kdash:allow(hotalloc) first touch of a shard creates its solver once per pooled state
+		}
+		if ss.nlower == len(ss.lower) {
+			ss.lower = append(ss.lower, ss.ix.NewWorkspace()) //kdash:allow(hotalloc) a shard's first solve at this depth sizes its workspace once per pooled state
+		}
+		w = ss.lower[ss.nlower]
+		if err := ss.solver.SolveLower(idx, val, w); err != nil {
 			panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
 		}
+		ss.nlower++
 	}
-	st.applySolve(best, y, ysup, qs)
+	qs.Solves++
+	sx.solveCounters()[best].Add(1)
+
+	p := sx.parts[best]
+	qs.NodesEvaluated += len(p.cutRows)
+	for _, lv := range p.cutRows {
+		var yv float64
+		if y != nil {
+			yv = y[lv]
+		} else {
+			yv = ss.ix.UpperDot(lv, w)
+		}
+		if yv == 0 {
+			continue
+		}
+		for _, e := range p.cuts[p.cutPtr[lv]:p.cutPtr[lv+1]] {
+			st.addRes(e.dstShard, e.dst, e.w*yv)
+		}
+	}
 	return nil
 }
 
-// applySolve folds one shard solve into the push: the solution
-// accumulates into x over the solve's support, and solved mass scatters
-// across the cut edges into the other shards' residuals. The support is
-// walked in the solver's first-touch order — the float accumulation
-// order downstream residuals depend on — so a cached speculative solve
-// commits bit-identically to a synchronous one.
+// score is the rank's proximity source: node g's accumulated solution.
 //
 //kdash:noalloc
 //kdash:deterministic
-func (st *pushState) applySolve(best int, y []float64, ysup []int, qs *QueryStats) {
-	sx := st.sx
-	p := sx.parts[best]
-	qs.Solves++
-	sx.solveCounters()[best].Add(1)
-	if !st.solved[best] {
-		st.solved[best] = true
-		qs.ShardsSolved++
-	}
-	if st.x[best] == nil {
-		st.x[best] = make([]float64, len(p.nodes))  //kdash:allow(hotalloc) first touch of a shard sizes its solution vectors once per pooled state
-		st.xmark[best] = make([]bool, len(p.nodes)) //kdash:allow(hotalloc) paired first-touch sizing
-	}
-	xb, xm := st.x[best], st.xmark[best]
-	cb := sx.cutEdgeBits()[best]
-	consume := func(lv int) {
-		yv := y[lv]
-		if yv == 0 {
-			return
-		}
-		xb[lv] += yv
-		if !st.xdense[best] && !xm[lv] {
-			xm[lv] = true
-			st.xsup[best] = append(st.xsup[best], lv)
-		}
-		// One cache-resident bit test replaces two cutPtr loads; most
-		// solved rows are interior and stop here.
-		if cb[lv>>6]&(1<<(uint(lv)&63)) != 0 {
-			for ci := p.cutPtr[lv]; ci < p.cutPtr[lv+1]; ci++ {
-				e := p.cuts[ci]
-				st.addRes(e.dstShard, e.dst, e.w*yv)
-			}
-		}
-	}
-	if ysup != nil {
-		// Rows outside the support are stale in y (SolveSparse contract),
-		// so only the support is read; the ghost sink's absorbed mass
-		// propagates nowhere and is skipped.
-		for _, lv := range ysup {
-			if lv < len(p.nodes) {
-				qs.NodesEvaluated++
-				consume(lv)
-			}
-		}
-	} else {
-		qs.NodesEvaluated += len(p.nodes)
-		st.xdense[best] = true
-		for lv := range p.nodes {
-			consume(lv)
-		}
-	}
+func (st *pushState) score(g int) float64 {
+	return st.solves[st.sx.home[g]].value(st.sx.local[g])
 }
 
-// rank merges the state's accumulated solution into one exact top-k
-// answer, iterating only the entries the push wrote. It allocates the
+// rank runs Algorithm 4 over the epoch's graph snapshot from the state's
+// roots, scoring each node it selects from the push's solve records, and
+// returns the exact top-k (only positive scores are answers). Its
+// proximity computations count into qs.NodesEvaluated. It allocates the
 // O(k) result set and nothing else — deliberately not //kdash:noalloc.
 //
 //kdash:deterministic
-func (st *pushState) rank(k int, exclude map[int]bool) []topk.Result {
+func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) []topk.Result {
+	sx := st.sx
+	if st.tree == nil {
+		st.tree = core.NewTreeWS(sx.n)
+	}
 	heap := topk.New(k)
-	for si := range st.sx.parts {
-		if !st.solved[si] {
-			continue
-		}
-		nodes := st.sx.parts[si].nodes
-		xb := st.x[si]
-		push := func(lv int) {
-			if v := xb[lv]; v > 0 {
-				g := nodes[lv]
-				if len(exclude) == 0 || !exclude[g] {
-					heap.Push(g, v)
-				}
-			}
-		}
-		if st.xdense[si] {
-			for lv := range nodes {
-				push(lv)
-			}
-		} else {
-			for _, lv := range st.xsup[si] {
-				push(lv)
-			}
-		}
+	var ss core.SearchStats
+	ptr, to := sx.g.OutCSR()
+	core.SearchTree(st.tree, &sx.bounds, ptr, to, st.roots, st.score, heap, exclude, true, &ss)
+	qs.NodesEvaluated += ss.ProximityComputations
+	if st.tr != nil {
+		st.tr.NodesEvaluated += ss.ProximityComputations
 	}
 	return heap.Results()
 }
 
-// materialize copies the touched solution out of the pooled state into
-// caller-owned per-shard vectors (nil for unsolved shards) — the
-// contract push/pushWeighted keep for callers that want raw vectors.
+// materialize returns the accumulated solution as caller-owned
+// per-shard vectors over owned rows (nil for unsolved shards), for the
+// full-vector reads (ProximityVector, the test-only push wrappers): each
+// recorded solve completed by a whole U^{-1} apply, summed in solve
+// order with zeros skipped — bit for bit what value computes row by row.
 func (st *pushState) materialize() [][]float64 {
 	out := make([][]float64, len(st.sx.parts))
-	for si := range st.sx.parts {
-		if !st.solved[si] {
+	for si, p := range st.sx.parts {
+		ss := &st.solves[si]
+		if !ss.recorded() {
 			continue
 		}
-		v := make([]float64, len(st.sx.parts[si].nodes))
-		if st.xdense[si] {
-			copy(v, st.x[si])
-		} else {
-			for _, lv := range st.xsup[si] {
-				v[lv] = st.x[si][lv]
+		x := make([]float64, len(p.nodes))
+		add := func(y []float64, sup []int) {
+			if sup == nil { // a dense solve: every row
+				for lv := range x {
+					if y[lv] != 0 {
+						x[lv] += y[lv]
+					}
+				}
+				return
+			}
+			for _, lv := range sup {
+				if lv < len(x) && y[lv] != 0 { // the ghost sink's row is never ranked
+					x[lv] += y[lv]
+				}
 			}
 		}
-		out[si] = v
+		for _, w := range ss.lower[:ss.nlower] {
+			add(ss.solver.ApplyUpper(w))
+		}
+		for _, y := range ss.ys {
+			add(y, nil)
+		}
+		out[si] = x
 	}
 	return out
 }
 
 // release restores the all-zero invariant by spot-cleaning exactly the
-// entries this query touched (one bulk clear for shards a dense solve
-// wrote wholesale) and resets the per-query bookkeeping.
+// entries this query touched and resets the per-query bookkeeping.
 //
 //kdash:noalloc
 func (st *pushState) release() {
 	for si := range st.sx.parts {
-		if st.xdense[si] {
-			clear(st.x[si])
-			clear(st.xmark[si])
-			st.xdense[si] = false
-		} else if len(st.xsup[si]) > 0 {
-			xb, xm := st.x[si], st.xmark[si]
-			for _, lv := range st.xsup[si] {
-				xb[lv] = 0
-				xm[lv] = false
-			}
+		ss := &st.solves[si]
+		for _, w := range ss.lower[:ss.nlower] {
+			w.Reset()
 		}
-		st.xsup[si] = st.xsup[si][:0]
+		ss.nlower = 0
+		clear(ss.ys) // drop the workers' solutions for the collector
+		ss.ys = ss.ys[:0]
 		if len(st.rsup[si]) > 0 {
 			rb, rm := st.res[si], st.rmark[si]
 			for _, lv := range st.rsup[si] {
@@ -462,8 +437,8 @@ func (st *pushState) release() {
 		}
 		st.rsup[si] = st.rsup[si][:0]
 		st.resMass[si] = 0
-		st.solved[si] = false
 	}
 	st.initial = 0
+	st.roots = st.roots[:0]
 	st.ctx, st.tr = nil, nil
 }

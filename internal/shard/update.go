@@ -48,7 +48,7 @@ type UpdateStats struct {
 	NodesMoved    int   // nodes re-homed by the re-partitioning
 
 	Epoch     int           // the successor's epoch number
-	GraphTime time.Duration // applying the delta to the graph snapshot
+	GraphTime time.Duration // applying the delta to the graph snapshot and rebuilding its search tables
 	BuildTime time.Duration // wall clock of the shard rebuilds (worker pool)
 	// The rebuilt shards' core.BuildStats stage times, summed: where
 	// BuildTime went (CPU-like — shards rebuild in parallel).
@@ -58,21 +58,28 @@ type UpdateStats struct {
 }
 
 // Graph returns the current graph snapshot, parsing a lazily loaded
-// one on first use. It returns nil for an index loaded from a manifest
-// that predates graph snapshots (such an index answers queries but
-// rejects Apply) — and for a deferred snapshot whose parse failed,
-// which Apply reports as an error.
+// one on first use. It returns nil only for a deferred snapshot whose
+// parse failed, which queries, Apply and Save report as an error.
 func (sx *ShardedIndex) Graph() *graph.Graph {
 	sx.ensureGraph()
 	return sx.g
 }
 
-// ensureGraph forces a deferred graph-snapshot parse, once.
+// ensureGraph forces a deferred graph-snapshot parse (and the search
+// tables built from it), once. A failure is a core.ErrUnavailable: the
+// snapshot is index data the directory promised and could not deliver.
 func (sx *ShardedIndex) ensureGraph() error {
 	// gLoad is written once at load time and never mutated afterwards,
 	// so this read is race-free alongside concurrent ensureGraph calls.
 	if sx.gLoad != nil {
-		sx.gOnce.Do(func() { sx.g, sx.gErr = sx.gLoad() })
+		sx.gOnce.Do(func() {
+			g, err := sx.gLoad()
+			if err != nil {
+				sx.gErr = fmt.Errorf("%w: %w", core.ErrUnavailable, err)
+				return
+			}
+			sx.setGraph(g)
+		})
 	}
 	return sx.gErr
 }
@@ -119,20 +126,19 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	if err := sx.ensureGraph(); err != nil {
 		return nil, us, fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
-	if sx.g == nil {
-		return nil, us, fmt.Errorf("shard: %w (loaded from a pre-v2 manifest); rebuild from the original edge list instead", core.ErrNotUpdatable)
-	}
 	// graph.Apply splices the touched rows into a copy of the CSR arrays
 	// and re-derives the in-lists: ~3.5 ms at the bench scale (50k nodes,
 	// 147k edges), 6–8 % of a two-edge Apply. Its result is array for
 	// array what graph.Builder makes of the updated edge set, so the
 	// snapshot is indistinguishable from a freshly built graph — the
-	// foundation of the bit-identity contract.
+	// foundation of the bit-identity contract. The successor's search
+	// tables are rebuilt from it here, so no query ever builds them.
 	t0 := time.Now()
 	newG, err := sx.g.Apply(batch)
 	if err != nil {
 		return nil, us, err
 	}
+	bounds := core.GraphBounds(newG, sx.c)
 	us.GraphTime = time.Since(t0)
 	us.EdgesAdded, us.EdgesRemoved, us.NodesAdded = batch.Counts()
 
@@ -206,13 +212,13 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		local:          make([]int, n2),
 		parts:          make([]*part, s),
 		g:              newG,
+		bounds:         bounds,
 		method:         sx.method,
 		seed:           sx.seed,
 		workers:        sx.workers,
 		stalenessLimit: sx.stalenessLimit,
 		staleness:      staleness2,
 		epoch:          sx.epoch + 1,
-		pushWorkers:    sx.pushWorkers,
 		mapCapable:     sx.mapCapable, // shared unrebuilt parts keep their mappings
 		factorless:     sx.factorless, // remote is deliberately not carried: the coordinator rebinds per epoch
 	}

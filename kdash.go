@@ -155,9 +155,6 @@ type OpenOptions struct {
 	// Combined with Mmap this is the instant-cold-start configuration:
 	// open time is O(shards touched), resident memory O(bytes queried).
 	Lazy bool
-	// PushWorkers, for sharded indexes, enables the speculative
-	// parallel cross-shard push (see ShardOptions.PushWorkers).
-	PushWorkers int
 }
 
 // mode maps the public knob onto the internal backing mode.
@@ -178,9 +175,7 @@ func OpenIndex(path string, opt OpenOptions) (*Index, error) {
 // backing (opt.Mmap) and laziness (opt.Lazy) choices; see OpenOptions.
 // ShardedIndex.Close releases whatever mappings were established.
 func OpenShardedIndex(dir string, opt OpenOptions) (*ShardedIndex, error) {
-	return shard.Open(dir, shard.LoadOptions{
-		Mode: opt.mode(), Lazy: opt.Lazy, PushWorkers: opt.PushWorkers,
-	})
+	return shard.Open(dir, shard.LoadOptions{Mode: opt.mode(), Lazy: opt.Lazy})
 }
 
 // ShardedIndex is a partitioned K-dash index: the graph is split into
