@@ -9,13 +9,11 @@
 //	kdash-bench -exp fig5 -queries 5
 //	kdash-bench -exp shards -shards 1,4,8 -shard-nodes 50000
 //	kdash-bench -exp updates -shard-nodes 50000   # update latency vs rebuild
-//	kdash-bench -exp kernels                      # solve-kernel throughput (scalar vs SIMD)
 //	kdash-bench -exp distributed                  # coordinator/worker loopback serving vs single process
 //	kdash-bench -exp shards -json                 # also write BENCH_shards.json
 //	kdash-bench -exp fig2 -cpuprofile cpu.out     # pprof the run
 //
-// Output is printed as plain tables; EXPERIMENTS.md records a reference
-// run next to the paper's reported trends. With -json, each experiment
+// Output is printed as plain tables. With -json, each experiment
 // additionally writes machine-readable rows to BENCH_<exp>.json so the
 // perf trajectory can be tracked across commits (CI uploads these as
 // artifacts).
@@ -36,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|fig6|fig7|fig9|table2|csweep|ablation|shards|updates|coldstart|serve|kernels|distributed|all")
+		exp        = flag.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|fig6|fig7|fig9|table2|csweep|ablation|shards|updates|serve|distributed|all")
 		queries    = flag.Int("queries", 10, "query nodes averaged per measurement")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		shards     = flag.String("shards", "1,2,4,8", "shard counts for -exp shards")
@@ -190,14 +188,6 @@ func main() {
 		experiments.WriteUpdateRows(os.Stdout, rows)
 		emit("updates", rows)
 	}
-	if run("coldstart") {
-		any = true
-		section("Extension — cold start: open-to-first-query per load mode (v2 parse vs v3 copy vs v3 mmap)")
-		rows, err := experiments.ColdStart(cfg)
-		check(err)
-		experiments.WriteColdStartRows(os.Stdout, rows)
-		emit("coldstart", rows)
-	}
 	if run("serve") {
 		any = true
 		section("Extension — serve load: closed/open-loop mixed traffic against the HTTP server")
@@ -205,14 +195,6 @@ func main() {
 		check(err)
 		experiments.WriteServeRows(os.Stdout, rows)
 		emit("serve", rows)
-	}
-	if run("kernels") {
-		any = true
-		section("Extension — solve kernel: scalar vs dispatched (SIMD) scatter throughput")
-		rows, err := experiments.Kernels(cfg)
-		check(err)
-		experiments.WriteKernelRows(os.Stdout, rows)
-		emit("kernels", rows)
 	}
 	if run("distributed") {
 		any = true

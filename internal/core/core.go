@@ -27,7 +27,6 @@ import (
 
 	"kdash/internal/graph"
 	"kdash/internal/lu"
-	"kdash/internal/lu/kernels"
 	"kdash/internal/mmapio"
 	"kdash/internal/obs"
 	"kdash/internal/reorder"
@@ -120,29 +119,20 @@ type Index struct {
 	opts     BuildOptions
 	epoch    int
 
-	// backing is the sectioned container a loaded v3 index's arrays
-	// live in — a read-only file mapping for OpenIndexFile in an mmap
-	// mode, a private buffer otherwise. nil for built indexes and legacy
-	// loads. Mapped arrays are immutable at the MMU level; Close releases
-	// the mapping.
+	// backing is the sectioned container a loaded index's arrays live
+	// in — a read-only file mapping for OpenIndexFile in an mmap mode, a
+	// private buffer otherwise. nil for built indexes. Mapped arrays are
+	// immutable at the MMU level; Close releases the mapping.
 	backing *mmapio.File
-
-	// loadedBlkL/loadedBlkU carry pre-built blocked strips from a v3
-	// file into the lazily bound lu.Inverse.
-	loadedBlkL *lu.BlockedCSC
-	loadedBlkU *lu.BlockedCSC
 }
 
 // inverseFactors returns the index's factors as an lu.Inverse, built
-// once. The internal-to-original permutation is baked in as the Remap,
-// so the single-lane kernel's scatters land directly in original node
-// ids and its solutions need no per-support mapping pass.
+// once. The internal-to-original permutation is the Remap, so the
+// single-lane kernel's applies land directly in original node ids and
+// its solutions need no per-support mapping pass.
 func (ix *Index) inverseFactors() *lu.Inverse {
 	ix.invFacOnce.Do(func() {
 		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv, Remap: ix.inv}
-		if ix.loadedBlkL != nil && ix.loadedBlkU != nil {
-			ix.invFac.InstallBlocked(ix.loadedBlkL, ix.loadedBlkU)
-		}
 	})
 	return ix.invFac
 }
@@ -678,7 +668,6 @@ func (ix *Index) Statz() map[string]interface{} {
 		"nnzInverse":   ix.stats.NNZInverse,
 		"inverseRatio": ix.stats.InverseRatio,
 		"reorder":      ix.stats.Method.String(),
-		"kernels":      kernels.Impl(),
 	}
 }
 

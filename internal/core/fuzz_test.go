@@ -1,22 +1,24 @@
 package core
 
-// Native fuzz target for the binary index loader: whatever bytes come
-// in — truncations of a valid index, bit flips, garbage — LoadIndex
-// must return an error, never panic and never commit unbounded memory.
-// Run with `go test -fuzz=FuzzLoadIndex ./internal/core`.
+// Native fuzz targets for the binary index loader: whatever bytes come
+// in — truncations of a valid index, bit flips, retired generations,
+// garbage — LoadIndex must return an error, never panic and never
+// commit unbounded memory.
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
 )
 
-// fuzzIndexBytes is a small valid serialised index, built once and
-// written through the given serializer: the seeds the mutator starts
-// from are the valid bytes plus truncations and targeted corruptions.
-func fuzzIndexBytes(f *testing.F, save func(*Index, *bytes.Buffer) error) []byte {
+// fuzzIndexBytes is a small valid saved index: the seeds the mutator
+// starts from are the valid bytes plus truncations and targeted
+// corruptions.
+func fuzzIndexBytes(f *testing.F) []byte {
 	f.Helper()
 	g := gen.ErdosRenyi(24, 90, 7)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 7})
@@ -24,35 +26,39 @@ func fuzzIndexBytes(f *testing.F, save func(*Index, *bytes.Buffer) error) []byte
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := save(ix, &buf); err != nil {
+	if err := ix.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// FuzzLoadIndex drives LoadIndex with bytes that are not a container:
+// a retired v1 stream's opening fields, whole and cut short, plus
+// garbage and a length-prefix bomb. A retired generation is refused on
+// sight, so every input must come back as an error.
+// Run with `go test -fuzz=FuzzLoadIndex ./internal/core`.
 func FuzzLoadIndex(f *testing.F) {
-	valid := fuzzIndexBytes(f, func(ix *Index, buf *bytes.Buffer) error { return ix.SaveLegacy(buf) })
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])  // truncated mid-array
-	f.Add(valid[:9])             // magic + version only
-	f.Add([]byte("KDASHIX\x01")) // header, nothing else
+	v1 := []byte("KDASHIX\x01")
+	v1 = binary.LittleEndian.AppendUint64(v1, 24)
+	v1 = binary.LittleEndian.AppendUint64(v1, math.Float64bits(0.95))
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
+	f.Add(v1[:9])
+	f.Add([]byte("KDASHIX\x01"))
 	f.Add([]byte("not an index"))
 	f.Add([]byte{})
-	// A length-prefix bomb: valid header, then a huge array length.
-	bomb := append([]byte{}, valid[:16]...)
-	bomb = append(bomb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	f.Add(bomb)
+	f.Add(append(v1[:16:16], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
 
 	f.Fuzz(fuzzLoadOne)
 }
 
-// FuzzLoadIndexV3 drives the sectioned-container load path: header and
-// table corruption is mmapio's to reject, section shape and content
-// corruption is indexFromContainer's — either way the contract is the
-// same as the legacy target's (error, no panic, no unbounded commit).
+// FuzzLoadIndexV3 drives LoadIndex with mutations of a valid container:
+// header and table corruption is mmapio's to reject, section shape and
+// content corruption is indexFromContainer's — either way the contract
+// is an error, no panic and no unbounded commit.
 // Run with `go test -fuzz=FuzzLoadIndexV3 ./internal/core`.
 func FuzzLoadIndexV3(f *testing.F) {
-	valid := fuzzIndexBytes(f, func(ix *Index, buf *bytes.Buffer) error { return ix.Save(buf) })
+	valid := fuzzIndexBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated mid-section
 	f.Add(valid[:40])           // header + part of the table

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
 
 	"kdash/internal/gen"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
 
@@ -68,18 +71,51 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// savedBytes returns the index as Save writes it.
+func savedBytes(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// patchSection rewrites section id of a saved container in place and
+// reseals the section and table checksums, so the corruption reaches the
+// index-level validation instead of failing mmapio's integrity checks.
+func patchSection(t *testing.T, data []byte, id uint32, patch func(sec []byte)) {
+	t.Helper()
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	k := le.Uint32(data[12:])
+	for i := uint32(0); i < k; i++ {
+		e := data[32+32*i:]
+		if le.Uint32(e) != id {
+			continue
+		}
+		width := uint64(8)
+		if le.Uint32(e[4:]) == mmapio.KindBytes {
+			width = 1
+		}
+		off := le.Uint64(e[8:])
+		sec := data[off : off+le.Uint64(e[16:])*width]
+		patch(sec)
+		le.PutUint32(e[24:], crc32.Checksum(sec, castagnoli))
+		le.PutUint32(data[28:], crc32.Checksum(data[32:32+32*k], castagnoli))
+		return
+	}
+	t.Fatalf("no section %d", id)
+}
+
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	g := gen.ErdosRenyi(20, 60, 2)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.SaveLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(serialMagic)] = 99 // corrupt the version byte
+	data := savedBytes(t, ix)
+	data[len(mmapio.Magic)] = 99 // corrupt the container version
 	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("expected version error, got %v", err)
 	}
@@ -91,17 +127,11 @@ func TestLoadRejectsCorruptPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.SaveLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// perm starts right after magic+version+n+c+len: flip one perm entry
-	// to a duplicate value.
-	permStart := len(serialMagic) + 1 + 8 + 8 + 8
-	copy(data[permStart:permStart+8], data[permStart+8:permStart+16])
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("expected corrupt-permutation error")
+	data := savedBytes(t, ix)
+	// Duplicate the second perm entry over the first.
+	patchSection(t, data, secPerm, func(sec []byte) { copy(sec[:8], sec[8:16]) })
+	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a permutation") {
+		t.Errorf("expected corrupt-permutation error, got %v", err)
 	}
 }
 
@@ -111,17 +141,11 @@ func TestLoadRejectsCorruptRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.SaveLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	cOff := len(serialMagic) + 1 + 8
-	bad := math.Float64bits(3.5)
-	for i := 0; i < 8; i++ {
-		data[cOff+i] = byte(bad >> (8 * i))
-	}
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("expected corrupt-restart error")
+	data := savedBytes(t, ix)
+	patchSection(t, data, secMeta, func(meta []byte) {
+		binary.LittleEndian.PutUint64(meta[16:], math.Float64bits(3.5))
+	})
+	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "c=3.5") {
+		t.Errorf("expected corrupt-restart error, got %v", err)
 	}
 }

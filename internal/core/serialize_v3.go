@@ -1,9 +1,9 @@
 package core
 
-// Sectioned (v3) index serialization. The index's arrays are written as
-// page-aligned little-endian sections in an internal/mmapio container,
-// so OpenIndexFile can memory-map the file and wrap every factor array
-// in place: opening costs O(#sections) regardless of index size, cold
+// Index serialization: the index's arrays are written as page-aligned
+// little-endian sections in an internal/mmapio container, so
+// OpenIndexFile can memory-map the file and wrap every factor array in
+// place: opening costs O(#sections) regardless of index size, cold
 // pages are faulted in only when a query actually traverses them, and
 // the physical memory is shared across every process serving the same
 // file. LoadIndex accepts the same layout from a stream (copy mode).
@@ -14,21 +14,29 @@ package core
 // by running the full query surface against a PROT_READ mapping.
 //
 // Version note: the sectioned layout is "v3" to match the sharded
-// manifest version that introduced it; it replaces the v1 stream
-// (serialize.go) directly — there is no v2 core format.
+// manifest version that introduced it. It is the only generation either
+// loader reads: the v1 value-by-value stream and the v3 files that also
+// carried int32 factor strips (sections 15-22, mmapio kind 4) are
+// refused with ErrUnsupportedFormat.
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
-	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/sparse"
 )
+
+// ErrUnsupportedFormat is returned for a file this build does not read
+// as an index: a retired generation or no K-dash index at all. Saved
+// directories keep their graph snapshot, so the remedy is a rebuild.
+var ErrUnsupportedFormat = errors.New("not a current K-dash index file; rebuild with `kdash -save-index`")
 
 // Section ids of the v3 index container.
 const (
@@ -46,21 +54,6 @@ const (
 	secUinvVal    = 12 // float64[nnzU]
 	secAmaxCol    = 13 // float64[n]: per-column max of A
 	secSelfA      = 14 // float64[n]: diagonal of A
-
-	// Blocked factor strips (see lu.BlockedCSC): the kernel-ready padded
-	// layout, persisted so an opened index never rebuilds or re-pads the
-	// factors. All eight appear together or not at all — a pre-strips v3
-	// file loads fine (the first solve builds them in memory), and a file
-	// saved from an index whose padded layout would overflow int32
-	// indexing simply omits them.
-	secBlkLColPtr = 15 // int32[n+1]: blocked L^-1 padded strip offsets
-	secBlkLColCnt = 16 // int32[n]: blocked L^-1 true entry counts
-	secBlkLRows   = 17 // int32: blocked L^-1 row indices, padded
-	secBlkLVals   = 18 // float64: blocked L^-1 values, padded
-	secBlkUColPtr = 19 // int32[n+1]: blocked U^-1-by-column strip offsets
-	secBlkUColCnt = 20 // int32[n]: blocked U^-1 true entry counts
-	secBlkURows   = 21 // int32: blocked U^-1 row indices (remapped), padded
-	secBlkUVals   = 22 // float64: blocked U^-1 values, padded
 )
 
 // metaTag opens the meta section so a v3 container holding something
@@ -115,68 +108,79 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.AddFloats(secUinvVal, ix.uinv.Val)
 	sw.AddFloats(secAmaxCol, ix.amaxCol)
 	sw.AddFloats(secSelfA, ix.selfA)
-	// Force-build the blocked strips so every saved index carries them:
-	// the open path installs them directly and never re-pads the factors.
-	if blkL, blkU := ix.inverseFactors().Blocked(); blkL != nil && blkU != nil {
-		sw.AddInt32s(secBlkLColPtr, blkL.ColPtr)
-		sw.AddInt32s(secBlkLColCnt, blkL.ColCnt)
-		sw.AddInt32s(secBlkLRows, blkL.Rows)
-		sw.AddFloats(secBlkLVals, blkL.Vals)
-		sw.AddInt32s(secBlkUColPtr, blkU.ColPtr)
-		sw.AddInt32s(secBlkUColCnt, blkU.ColCnt)
-		sw.AddInt32s(secBlkURows, blkU.Rows)
-		sw.AddFloats(secBlkUVals, blkU.Vals)
-	}
 	if _, err := sw.WriteTo(w); err != nil {
 		return fmt.Errorf("core: writing index: %w", err)
 	}
 	return nil
 }
 
-// OpenIndexFile opens a saved index directly from the filesystem,
-// dispatching on the file's magic. For a v3 (sectioned) file the
-// mmapio mode applies: mmapio.ModeMmap (or ModeAuto on a supported
+// LoadIndex reads an index previously written by Save from a stream,
+// always materialising it in private memory with every checksum
+// verified — use OpenIndexFile to memory-map an index file instead.
+// Anything but the current container is refused with
+// ErrUnsupportedFormat.
+func LoadIndex(r io.Reader) (*Index, error) {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(len(mmapio.Magic))
+	if err != nil {
+		return nil, fmt.Errorf("core: reading index header: %w", err)
+	}
+	if string(head) != mmapio.Magic {
+		return nil, fmt.Errorf("core: %w", ErrUnsupportedFormat)
+	}
+	blob, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading index: %w", err)
+	}
+	f, err := mmapio.FromBytes(blob)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", containerErr(err))
+	}
+	return indexFromContainer(f, true)
+}
+
+// OpenIndexFile opens a saved index directly from the filesystem in the
+// given mmapio mode: mmapio.ModeMmap (or ModeAuto on a supported
 // platform) maps the file read-only and the returned index's arrays
 // alias the mapping — near-instant opens, demand paging, shared
 // physical memory — and Close must be called once the index is
 // retired; mmapio.ModeCopy forces a private in-memory copy with every
-// checksum verified. A legacy v1 file is stream-parsed into private
-// memory under ModeAuto and ModeCopy; ModeMmap rejects it, and any
-// mmap failure under ModeMmap is surfaced, never silently downgraded —
-// a caller that demanded shared mappings must not silently get N
-// private copies. Mapped reports which path was taken.
+// checksum verified. Any mmap failure under ModeMmap is surfaced, never
+// silently downgraded — a caller that demanded shared mappings must not
+// silently get N private copies. Mapped reports which path was taken.
+// A file that is not the current container is refused with
+// ErrUnsupportedFormat.
 func OpenIndexFile(path string, mode mmapio.Mode) (*Index, error) {
 	osf, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening index: %w", err)
 	}
-	var head [8]byte
+	var head [len(mmapio.Magic)]byte
 	n, _ := io.ReadFull(osf, head[:])
-	if n == len(head) && string(head[:]) == mmapio.Magic {
-		osf.Close()
-		f, err := mmapio.Open(path, mode)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening %s: %w", path, err)
-		}
-		ix, err := indexFromContainer(f, !f.Mapped())
-		if err != nil {
-			f.Close() // release the mapping a rejected container holds
-			return nil, err
-		}
-		return ix, nil
+	osf.Close()
+	if n != len(head) || string(head[:]) != mmapio.Magic {
+		return nil, fmt.Errorf("core: opening %s: %w", path, ErrUnsupportedFormat)
 	}
-	defer osf.Close()
-	if mode == mmapio.ModeMmap {
-		return nil, fmt.Errorf("core: opening %s: legacy (v1) index files cannot be memory-mapped; re-save in the v3 format or use ModeAuto/ModeCopy", path)
-	}
-	if _, err := osf.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("core: opening %s: %w", path, err)
-	}
-	ix, err := LoadIndex(osf)
+	f, err := mmapio.Open(path, mode)
 	if err != nil {
-		return nil, fmt.Errorf("core: opening %s: %w", path, err)
+		return nil, fmt.Errorf("core: opening %s: %w", path, containerErr(err))
+	}
+	ix, err := indexFromContainer(f, !f.Mapped())
+	if err != nil {
+		f.Close() // release the mapping a rejected container holds
+		return nil, err
 	}
 	return ix, nil
+}
+
+// containerErr classifies a container parse error. A section kind this
+// reader does not know is the mark of another generation (the retired
+// int32 strips), so it is reported as ErrUnsupportedFormat, not damage.
+func containerErr(err error) error {
+	if errors.Is(err, mmapio.ErrUnknownKind) {
+		return fmt.Errorf("%w (%w)", ErrUnsupportedFormat, err)
+	}
+	return err
 }
 
 // indexFromContainer builds an Index over a parsed container. With deep
@@ -246,11 +250,6 @@ func indexFromContainer(f *mmapio.File, deep bool) (*Index, error) {
 	if err := ix.checkShapes(); err != nil {
 		return nil, err
 	}
-	if f.Has(secBlkLColPtr) {
-		if err := ix.loadBlocked(f, deep); err != nil {
-			return nil, err
-		}
-	}
 	if deep {
 		if err := ix.validateLoaded(); err != nil {
 			return nil, err
@@ -263,51 +262,6 @@ func indexFromContainer(f *mmapio.File, deep bool) (*Index, error) {
 	}
 	ix.backing = f
 	return ix, nil
-}
-
-// loadBlocked wires the pre-built blocked factor strips out of the
-// container. Deep (copy-mode) loads bounds-validate both strips here so
-// corruption is an error; mapped loads defer that one O(nnz) pass to
-// the lu layer's first-use validation, which panics on corrupt strips
-// (the server recovers panics to 500s) — either way no assembly kernel
-// ever walks an unchecked row index.
-//
-//kdash:mutates-factors
-func (ix *Index) loadBlocked(f *mmapio.File, deep bool) error {
-	var err error
-	int32s := func(id uint32, dst *[]int32) {
-		if err == nil {
-			*dst, err = f.Int32s(id)
-		}
-	}
-	floats := func(id uint32, dst *[]float64) {
-		if err == nil {
-			*dst, err = f.Floats(id)
-		}
-	}
-	blkL := &lu.BlockedCSC{N: ix.n}
-	blkU := &lu.BlockedCSC{N: ix.n}
-	int32s(secBlkLColPtr, &blkL.ColPtr)
-	int32s(secBlkLColCnt, &blkL.ColCnt)
-	int32s(secBlkLRows, &blkL.Rows)
-	floats(secBlkLVals, &blkL.Vals)
-	int32s(secBlkUColPtr, &blkU.ColPtr)
-	int32s(secBlkUColCnt, &blkU.ColCnt)
-	int32s(secBlkURows, &blkU.Rows)
-	floats(secBlkUVals, &blkU.Vals)
-	if err != nil {
-		return fmt.Errorf("core: corrupt index (blocked strips): %w", err)
-	}
-	if deep {
-		if err := blkL.Validate(); err != nil {
-			return fmt.Errorf("core: corrupt index (blocked L): %w", err)
-		}
-		if err := blkU.Validate(); err != nil {
-			return fmt.Errorf("core: corrupt index (blocked U): %w", err)
-		}
-	}
-	ix.loadedBlkL, ix.loadedBlkU = blkL, blkU
-	return nil
 }
 
 // checkShapes runs the O(1)-per-section structural checks both load
@@ -339,7 +293,7 @@ func (ix *Index) checkShapes() error {
 // container and deep-validates the factor arrays — the explicit fsck for
 // mapped indexes, whose open path skips both to stay O(#sections). It
 // faults in the entire file. Indexes without a backing container (built
-// in process or parsed from a legacy stream) verify trivially.
+// in process) verify trivially.
 func (ix *Index) VerifyFile() error {
 	if ix.backing == nil {
 		return nil
@@ -377,4 +331,53 @@ func (ix *Index) Close() error {
 	f := ix.backing
 	ix.backing = nil
 	return f.Close()
+}
+
+// validateLoaded sanity-checks array shapes and index ranges so a corrupt
+// file fails loudly at load time instead of panicking mid-query.
+func (ix *Index) validateLoaded() error {
+	n := ix.n
+	if len(ix.perm) != n || len(ix.amaxCol) != n || len(ix.selfA) != n {
+		return fmt.Errorf("core: corrupt index (per-node arrays sized %d/%d/%d, want %d)",
+			len(ix.perm), len(ix.amaxCol), len(ix.selfA), n)
+	}
+	seen := make([]bool, n)
+	for _, p := range ix.perm {
+		if p < 0 || p >= n || seen[p] {
+			return fmt.Errorf("core: corrupt index (perm is not a permutation)")
+		}
+		seen[p] = true
+	}
+	checkCSC := func(name string, m *sparse.CSC) error {
+		if len(m.ColPtr) != n+1 || m.ColPtr[0] != 0 || m.ColPtr[n] != len(m.RowIdx) || len(m.RowIdx) != len(m.Val) {
+			return fmt.Errorf("core: corrupt index (%s pointers)", name)
+		}
+		for c := 0; c < n; c++ {
+			if m.ColPtr[c] > m.ColPtr[c+1] {
+				return fmt.Errorf("core: corrupt index (%s column %d)", name, c)
+			}
+		}
+		for _, r := range m.RowIdx {
+			if r < 0 || r >= n {
+				return fmt.Errorf("core: corrupt index (%s row index %d)", name, r)
+			}
+		}
+		return nil
+	}
+	if err := checkCSC("adjacency", ix.a); err != nil {
+		return err
+	}
+	if err := checkCSC("L-inverse", ix.linv); err != nil {
+		return err
+	}
+	u := ix.uinv
+	if len(u.RowPtr) != n+1 || u.RowPtr[0] != 0 || u.RowPtr[n] != len(u.ColIdx) || len(u.ColIdx) != len(u.Val) {
+		return fmt.Errorf("core: corrupt index (U-inverse pointers)")
+	}
+	for _, c := range u.ColIdx {
+		if c < 0 || c >= n {
+			return fmt.Errorf("core: corrupt index (U-inverse column index %d)", c)
+		}
+	}
+	return nil
 }

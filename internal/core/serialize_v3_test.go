@@ -68,25 +68,14 @@ func assertSameAnswers(t *testing.T, want, got *Index, label string) {
 }
 
 // TestV3LoadPathsBitIdentical pins the acceptance contract: the same
-// index loaded through the legacy stream, the v3 stream, a v3 copy-mode
-// open and (where supported) a v3 mmap open answers every query with
-// identical bits.
+// index loaded through the v3 stream, a v3 copy-mode open and (where
+// supported) a v3 mmap open answers every query with identical bits.
 func TestV3LoadPathsBitIdentical(t *testing.T) {
 	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
 	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var legacy bytes.Buffer
-	if err := built.SaveLegacy(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, err := LoadIndex(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAnswers(t, built, fromLegacy, "legacy stream")
 
 	var v3 bytes.Buffer
 	if err := built.Save(&v3); err != nil {
@@ -129,35 +118,6 @@ func TestV3LoadPathsBitIdentical(t *testing.T) {
 		if err := fromMmap.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-	}
-}
-
-// TestOpenIndexFileLegacyFallback feeds OpenIndexFile a legacy v1 file:
-// whatever the requested mode, it must load (unmapped) and answer.
-func TestOpenIndexFileLegacyFallback(t *testing.T) {
-	g := gen.ErdosRenyi(40, 160, 9)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := built.SaveLegacy(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	for _, mode := range []mmapio.Mode{mmapio.ModeAuto, mmapio.ModeCopy} {
-		ix, err := OpenIndexFile(path, mode)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if ix.Mapped() {
-			t.Fatalf("mode %v: legacy file claims to be mapped", mode)
-		}
-		assertSameAnswers(t, built, ix, "legacy fallback")
 	}
 }
 
@@ -313,148 +273,5 @@ func TestV3CorruptSections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// addBlocked writes the index's blocked strip sections (15-22) as Save
-// does, with room for a test to corrupt one strip first.
-func addBlocked(t *testing.T, w *mmapio.Writer, ix *Index, mutateRows func([]int32)) {
-	t.Helper()
-	blkL, blkU := ix.inverseFactors().Blocked()
-	if blkL == nil || blkU == nil {
-		t.Fatal("test index has no blocked strips")
-	}
-	rows := append([]int32(nil), blkL.Rows...)
-	if mutateRows != nil {
-		mutateRows(rows)
-	}
-	w.AddInt32s(secBlkLColPtr, blkL.ColPtr)
-	w.AddInt32s(secBlkLColCnt, blkL.ColCnt)
-	w.AddInt32s(secBlkLRows, rows)
-	w.AddFloats(secBlkLVals, blkL.Vals)
-	w.AddInt32s(secBlkUColPtr, blkU.ColPtr)
-	w.AddInt32s(secBlkUColCnt, blkU.ColCnt)
-	w.AddInt32s(secBlkURows, blkU.Rows)
-	w.AddFloats(secBlkUVals, blkU.Vals)
-}
-
-// TestV3BlockedStripsRoundTrip pins that Save persists the kernel-ready
-// blocked strips and a load installs them verbatim — same offsets, rows
-// and value bits as the in-memory build — so an opened index never
-// re-pads its factors.
-func TestV3BlockedStripsRoundTrip(t *testing.T) {
-	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 21)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.loadedBlkL == nil || loaded.loadedBlkU == nil {
-		t.Fatal("loaded index carries no pre-built blocked strips")
-	}
-	wantL, wantU := built.inverseFactors().Blocked()
-	for _, pair := range []struct {
-		name      string
-		want, got interface{ NNZ() int }
-	}{{"L", wantL, loaded.loadedBlkL}, {"U", wantU, loaded.loadedBlkU}} {
-		if pair.want.NNZ() != pair.got.NNZ() {
-			t.Fatalf("blocked %s: %d entries saved, %d loaded", pair.name, pair.want.NNZ(), pair.got.NNZ())
-		}
-	}
-	for i, v := range wantL.Vals {
-		if math.Float64bits(v) != math.Float64bits(loaded.loadedBlkL.Vals[i]) ||
-			wantL.Rows[i] != loaded.loadedBlkL.Rows[i] {
-			t.Fatalf("blocked L entry %d differs after round trip", i)
-		}
-	}
-	for i, v := range wantU.Vals {
-		if math.Float64bits(v) != math.Float64bits(loaded.loadedBlkU.Vals[i]) ||
-			wantU.Rows[i] != loaded.loadedBlkU.Rows[i] {
-			t.Fatalf("blocked U entry %d differs after round trip", i)
-		}
-	}
-	assertSameAnswers(t, built, loaded, "blocked round trip")
-}
-
-// TestV3PreStripsFileLoads pins backward compatibility: a v3 file
-// written before the blocked sections existed (sections 1-14 only)
-// still loads, reports no installed strips, and answers bit-identically
-// — the first solve builds the strips in memory instead.
-func TestV3PreStripsFileLoads(t *testing.T) {
-	g := gen.ErdosRenyi(60, 240, 31)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mmapio.NewWriter()
-	w.AddBytes(secMeta, built.metaBytes())
-	w.AddInts(secPerm, built.perm)
-	w.AddInts(secInvPerm, built.inv)
-	w.AddInts(secAColPtr, built.a.ColPtr)
-	w.AddInts(secARowIdx, built.a.RowIdx)
-	w.AddFloats(secAVal, built.a.Val)
-	w.AddInts(secLinvColPtr, built.linv.ColPtr)
-	w.AddInts(secLinvRowIdx, built.linv.RowIdx)
-	w.AddFloats(secLinvVal, built.linv.Val)
-	w.AddInts(secUinvRowPtr, built.uinv.RowPtr)
-	w.AddInts(secUinvColIdx, built.uinv.ColIdx)
-	w.AddFloats(secUinvVal, built.uinv.Val)
-	w.AddFloats(secAmaxCol, built.amaxCol)
-	w.AddFloats(secSelfA, built.selfA)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("pre-strips v3 file rejected: %v", err)
-	}
-	if loaded.loadedBlkL != nil || loaded.loadedBlkU != nil {
-		t.Fatal("pre-strips file produced installed strips")
-	}
-	assertSameAnswers(t, built, loaded, "pre-strips v3")
-}
-
-// TestV3CorruptBlockedStrips pins that a copy-mode load range-checks
-// the blocked strips: a row index pointing outside the destination
-// vectors must be an error at load time, never an unchecked assembly
-// scatter at query time.
-func TestV3CorruptBlockedStrips(t *testing.T) {
-	g := gen.ErdosRenyi(25, 80, 7)
-	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mmapio.NewWriter()
-	w.AddBytes(secMeta, ix.metaBytes())
-	w.AddInts(secPerm, ix.perm)
-	w.AddInts(secInvPerm, ix.inv)
-	w.AddInts(secAColPtr, ix.a.ColPtr)
-	w.AddInts(secARowIdx, ix.a.RowIdx)
-	w.AddFloats(secAVal, ix.a.Val)
-	w.AddInts(secLinvColPtr, ix.linv.ColPtr)
-	w.AddInts(secLinvRowIdx, ix.linv.RowIdx)
-	w.AddFloats(secLinvVal, ix.linv.Val)
-	w.AddInts(secUinvRowPtr, ix.uinv.RowPtr)
-	w.AddInts(secUinvColIdx, ix.uinv.ColIdx)
-	w.AddFloats(secUinvVal, ix.uinv.Val)
-	w.AddFloats(secAmaxCol, ix.amaxCol)
-	w.AddFloats(secSelfA, ix.selfA)
-	addBlocked(t, w, ix, func(rows []int32) { rows[0] = int32(ix.n) + 7 })
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("corrupt blocked strip accepted")
-	} else if !strings.Contains(err.Error(), "blocked") {
-		t.Fatalf("error %q does not mention the blocked strips", err)
 	}
 }

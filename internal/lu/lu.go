@@ -301,17 +301,16 @@ type Inverse struct {
 	//kdash:readonly
 	Uinv *sparse.CSR
 
-	// Remap, if non-nil, is a permutation of [0, N) baked into the
-	// blocked U^{-1} strips at build time: their row indices are
-	// Remap[r] instead of r, so a kernel scatter lands solutions
-	// directly in the caller's id domain and the per-support output
-	// mapping pass disappears. The row-sweep apply honours it too, so
-	// both branches agree on the output domain.
+	// Remap, if non-nil, is a permutation of [0, N) naming the caller's
+	// id for each internal row: every U^{-1} apply writes row r's value
+	// at Remap[r], so solutions land directly in the caller's id domain
+	// and no per-support output mapping pass is needed. The transposed
+	// factor carries it baked into its row indices (see UinvByColumn).
 	Remap []int
 
-	// uinvCol is U^{-1} transposed to column form, built lazily for the
-	// support-driven applies (SparseSolver reaches it through
-	// UinvByColumn). Immutable once built; never serialised.
+	// uinvCol is U^{-1} transposed to column form with Remap baked in,
+	// built lazily for the support-driven applies (SparseSolver reaches
+	// it through UinvByColumn). Immutable once built; never serialised.
 	// uinvColSize holds just the per-column entry counts, built even more
 	// lazily-cheaply so the scatter-vs-sweep decision never forces the
 	// full transpose.
@@ -319,64 +318,17 @@ type Inverse struct {
 	uinvCol         *sparse.CSC
 	uinvColSizeOnce sync.Once
 	uinvColSize     []int
-
-	// blkL/blkU are the blocked strip forms of L^{-1} (by column,
-	// unmapped) and U^{-1} (by column, Remap baked in) that the SIMD
-	// kernels walk. Built lazily on first solve, or installed pre-built
-	// from a v3 index file via InstallBlocked — installed strips are
-	// bounds-validated once before the first kernel call because the
-	// assembly trusts row indices unchecked. Nil when the padded layout
-	// would overflow int32 indexing; solves then keep the scalar loops.
-	blkOnce    sync.Once
-	blkL, blkU *BlockedCSC
-	installedL *BlockedCSC
-	installedU *BlockedCSC
 }
-
-// InstallBlocked hands the Inverse pre-built blocked factor strips
-// (typically mmap-loaded from a v3 index file) so the first solve skips
-// the build. Call before any solve; the strips are validated once at
-// first use and a corrupt pair panics rather than letting an unchecked
-// kernel scatter write out of bounds.
-func (inv *Inverse) InstallBlocked(l, u *BlockedCSC) {
-	inv.installedL, inv.installedU = l, u
-}
-
-// blocked returns the blocked strip forms of both factors, building
-// them on first use unless pre-built strips were installed. Either
-// return may be nil (int32 overflow); callers fall back to the scalar
-// loops then.
-func (inv *Inverse) blocked() (*BlockedCSC, *BlockedCSC) {
-	inv.blkOnce.Do(func() {
-		if inv.installedL != nil && inv.installedU != nil {
-			if err := inv.installedL.validate(); err != nil {
-				panic("lu: corrupt blocked L strip: " + err.Error())
-			}
-			if err := inv.installedU.validate(); err != nil {
-				panic("lu: corrupt blocked U strip: " + err.Error())
-			}
-			inv.blkL, inv.blkU = inv.installedL, inv.installedU
-			return
-		}
-		inv.blkL = BlockFromCSC(inv.Linv, nil)
-		inv.blkU = BlockFromCSC(inv.UinvByColumn(), inv.Remap)
-	})
-	return inv.blkL, inv.blkU
-}
-
-// Blocked force-builds and returns the blocked strips; Save uses it so
-// a persisted index carries them pre-built.
-func (inv *Inverse) Blocked() (*BlockedCSC, *BlockedCSC) { return inv.blocked() }
 
 // NNZ reports total stored entries across both inverse factors, the
 // quantity Figure 5 of the paper tracks.
 func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.Uinv.NNZ() }
 
 // Solve computes U^{-1} L^{-1} r for one dense right-hand side: the
-// plain reference form of the apply, ignoring Remap and the blocked
-// strips. The query path runs SparseSolver, a support-tracked variant
-// that is property-tested against this kernel so the two cannot
-// silently diverge. Zero entries of r cost nothing in the L^{-1} pass.
+// plain reference form of the apply, ignoring Remap. The query path
+// runs SparseSolver, a support-tracked variant that is property-tested
+// against this kernel so the two cannot silently diverge. Zero entries
+// of r cost nothing in the L^{-1} pass.
 func (inv *Inverse) Solve(r []float64) []float64 {
 	if len(r) != inv.N {
 		panic("lu: Solve dimension mismatch")

@@ -21,16 +21,25 @@ package lu
 import (
 	"sort"
 
-	"kdash/internal/lu/kernels"
 	"kdash/internal/sparse"
 )
 
 // UinvByColumn returns U^{-1} transposed to column-major form, built
 // lazily once and immutable afterwards. Column form is what a
 // support-driven apply needs: the contribution of workspace row j to the
-// solution is column j of U^{-1}.
+// solution is column j of U^{-1}. The row indices are rewritten through
+// Remap once here, so the column scatter lands every entry directly in
+// the caller's id domain with no per-entry mapping.
 func (inv *Inverse) UinvByColumn() *sparse.CSC {
-	inv.uinvColOnce.Do(func() { inv.uinvCol = inv.Uinv.ToCSC() })
+	inv.uinvColOnce.Do(func() {
+		col := inv.Uinv.ToCSC()
+		if inv.Remap != nil {
+			for p, r := range col.RowIdx {
+				col.RowIdx[p] = inv.Remap[r]
+			}
+		}
+		inv.uinvCol = col
+	})
 	return inv.uinvCol
 }
 
@@ -61,10 +70,9 @@ func preferFlagScan(w, n int) bool {
 
 // Workspace holds the L^{-1} pass of one solve, W = L^{-1} r over the
 // factors' internal rows: dense for O(1) lookups, live only on Sup (rows
-// in first-touch order) plus the trash row N the blocked kernels'
-// padding accumulates zeros into. Reset spot-cleans it for reuse.
+// in first-touch order). Reset spot-cleans it for reuse.
 type Workspace struct {
-	W    []float64 // N+1 slots
+	W    []float64
 	Sup  []int
 	mark []bool
 }
@@ -72,7 +80,7 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace sized for the factors.
 func (inv *Inverse) NewWorkspace() *Workspace {
 	// Sup is non-nil even when empty, like every support list here.
-	return &Workspace{W: make([]float64, inv.N+1), Sup: make([]int, 0, 64), mark: make([]bool, inv.N)}
+	return &Workspace{W: make([]float64, inv.N), Sup: make([]int, 0, 64), mark: make([]bool, inv.N)}
 }
 
 // Reset restores the all-zero workspace by its support list.
@@ -83,7 +91,6 @@ func (w *Workspace) Reset() {
 		w.W[r] = 0
 		w.mark[r] = false
 	}
-	w.W[len(w.mark)] = 0 // trash row: padding wrote only zeros, but stay exact
 	w.Sup = w.Sup[:0]
 }
 
@@ -95,59 +102,21 @@ func (w *Workspace) Reset() {
 //kdash:noalloc
 //kdash:deterministic
 func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64) {
-	blkL, _ := inv.blocked()
 	ws, wmark := w.W, w.mark
 	wsup := w.Sup
-	if blkL != nil {
-		// Blocked path: bookkeeping walks the true entries, the kernel
-		// walks the padded strip. Marks first, then the accumulate —
-		// per-entry order inside a column is unchanged, so the result
-		// and the first-touch order of Sup match the scalar loop.
-		bp, br, bv := blkL.ColPtr, blkL.Rows, blkL.Vals
-		for t, j := range idx {
-			v := val[t]
-			if v == 0 {
-				continue
-			}
-			lo, hi := bp[j], bp[j+1]
-			cnt := blkL.ColCnt[j]
-			if int(cnt) < kernels.MinEntries {
-				// Short column: one fused pass beats a kernel call.
-				rows := br[lo : lo+cnt]
-				vals := bv[lo : lo+cnt]
-				vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-				for k, r := range rows {
-					if !wmark[r] {
-						wmark[r] = true
-						wsup = append(wsup, int(r))
-					}
-					ws[r] += vals[k] * v
-				}
-				continue
-			}
-			for _, r := range br[lo : lo+cnt] {
-				if !wmark[r] {
-					wmark[r] = true
-					wsup = append(wsup, int(r))
-				}
-			}
-			kernels.ScatterAXPY(ws, br[lo:hi], bv[lo:hi], v)
+	lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
+	for t, j := range idx {
+		v := val[t]
+		if v == 0 {
+			continue
 		}
-	} else {
-		lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
-		for t, j := range idx {
-			v := val[t]
-			if v == 0 {
-				continue
+		for p := lp[j]; p < lp[j+1]; p++ {
+			r := lr[p]
+			if !wmark[r] {
+				wmark[r] = true
+				wsup = append(wsup, r)
 			}
-			for p := lp[j]; p < lp[j+1]; p++ {
-				r := lr[p]
-				if !wmark[r] {
-					wmark[r] = true
-					wsup = append(wsup, r)
-				}
-				ws[r] += v * lval[p]
-			}
+			ws[r] += v * lval[p]
 		}
 	}
 	w.Sup = wsup
@@ -221,9 +190,7 @@ func (s *SparseSolver) ApplyUpper(w *Workspace) ([]float64, []int) {
 	inv := s.inv
 	n := inv.N
 	if s.out == nil {
-		// One slot past n: the trash row the blocked kernels' padding
-		// entries accumulate zeros into.
-		s.out = make([]float64, n+1)
+		s.out = make([]float64, n)
 		s.omark = make([]bool, n)
 		// Non-nil even when empty: a nil support means "dense", and an
 		// empty solve's support is empty, not dense.
@@ -257,20 +224,16 @@ func (s *SparseSolver) ApplyUpper(w *Workspace) ([]float64, []int) {
 	// every stored entry.
 	var sup []int
 	if scatterEntries+2*len(w.Sup) < inv.Uinv.NNZ() {
-		if _, blkU := inv.blocked(); blkU != nil {
-			sup = s.applyUpperScatterBlocked(w, blkU)
-		} else {
-			sup = s.applyUpperScatter(w, inv.UinvByColumn())
-		}
+		sup = s.applyUpperScatter(w, inv.UinvByColumn())
 	} else {
 		s.applyUpperSweep(w)
 		s.odense = true
 	}
-	return s.out[:n], sup
+	return s.out, sup
 }
 
 // sortedSupport puts w's support in ascending row order, the column
-// order both scatters must walk; a small solve against a large factor
+// order the scatter must walk; a small solve against a large factor
 // must not pay an O(n) sweep here.
 func (s *SparseSolver) sortedSupport(w *Workspace) []int {
 	if n := s.inv.N; preferFlagScan(len(w.Sup), n) {
@@ -290,13 +253,11 @@ func (s *SparseSolver) sortedSupport(w *Workspace) []int {
 // applyUpperScatter accumulates out += w[j] * (U^{-1} column j) over the
 // workspace support in ascending column order — the same per-row
 // summation order as the row sweep, so the two applies are bit-identical
-// on every written row. Returns the rows written.
+// on every written row. uCol's rows carry Remap already (UinvByColumn),
+// so entries land in the caller's id domain as the sweep's do. Returns
+// the rows written.
 func (s *SparseSolver) applyUpperScatter(w *Workspace, uCol *sparse.CSC) []int {
 	out, omark, osup := s.out, s.omark, s.osup[:0]
-	// Honour a baked Remap here too (the blocked strips carry it
-	// pre-applied; this scalar fallback applies it per entry), so both
-	// scatter forms and the sweep agree on the output domain.
-	remap := s.inv.Remap
 	for _, j := range s.sortedSupport(w) {
 		x := w.W[j]
 		lo, hi := uCol.ColPtr[j], uCol.ColPtr[j+1]
@@ -304,9 +265,6 @@ func (s *SparseSolver) applyUpperScatter(w *Workspace, uCol *sparse.CSC) []int {
 		vals := uCol.Val[lo:hi]
 		vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
 		for k, r := range rows {
-			if remap != nil {
-				r = remap[r]
-			}
 			if !omark[r] {
 				omark[r] = true
 				osup = append(osup, r)
@@ -318,50 +276,11 @@ func (s *SparseSolver) applyUpperScatter(w *Workspace, uCol *sparse.CSC) []int {
 	return osup
 }
 
-// applyUpperScatterBlocked is applyUpperScatter over the blocked strip
-// form: bookkeeping walks each column's true entries, the SIMD kernel
-// walks the padded strip, and — when a Remap is baked in — rows land
-// directly in the caller's id domain. Value arithmetic per written row
-// is the same sequence as the scalar scatter, so the two are
-// bit-identical.
-func (s *SparseSolver) applyUpperScatterBlocked(w *Workspace, b *BlockedCSC) []int {
-	out, omark, osup := s.out, s.omark, s.osup[:0]
-	bv := b.Vals
-	for _, j := range s.sortedSupport(w) {
-		x := w.W[j]
-		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
-		cnt := b.ColCnt[j]
-		rows := b.Rows[lo : lo+cnt]
-		if int(cnt) < kernels.MinEntries {
-			// Short column: one fused pass beats a kernel call.
-			vals := bv[lo : lo+cnt]
-			vals = vals[:len(rows)] // hint: drops the vals[k] bounds check
-			for k, r := range rows {
-				if !omark[r] {
-					omark[r] = true
-					osup = append(osup, int(r))
-				}
-				out[r] += vals[k] * x
-			}
-			continue
-		}
-		for _, r := range rows {
-			if !omark[r] {
-				omark[r] = true
-				osup = append(osup, int(r))
-			}
-		}
-		kernels.ScatterAXPY(out, b.Rows[lo:hi], bv[lo:hi], x)
-	}
-	s.osup = osup
-	return osup
-}
-
 // applyUpperSweep computes out[u] = (U^{-1} row u) . w for every row,
 // the dense fallback for solves whose support reaches most of the
 // factor. Rows are assigned, not accumulated, so no prior clearing is
-// needed. A baked Remap redirects each assignment to the caller's id
-// domain so both applies agree on where solutions live.
+// needed. Remap redirects each assignment to the caller's id domain, as
+// the transposed factor's baked rows do for the scatter.
 func (s *SparseSolver) applyUpperSweep(w *Workspace) {
 	inv := s.inv
 	remap := inv.Remap

@@ -21,8 +21,8 @@
 //	28      4     uint32 CRC-32C of the section table bytes
 //	32      32*k  section table, one 32-byte entry per section:
 //	                uint32 id       caller-chosen section identifier
-//	                uint32 kind     1 = int64, 2 = float64, 3 = bytes,
-//	                                4 = int32 (5 is retired)
+//	                uint32 kind     1 = int64, 2 = float64, 3 = bytes
+//	                                (4 and 5 are retired)
 //	                uint64 offset   start of the section data (aligned)
 //	                uint64 count    element count (bytes for kind 3)
 //	                uint32 crc      CRC-32C of the section data bytes
@@ -59,6 +59,7 @@ package mmapio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -84,10 +85,16 @@ const (
 	KindInt64   = 1 // elements are int64 (Go int on 64-bit platforms)
 	KindFloat64 = 2 // elements are float64 (stored as IEEE-754 bits)
 	KindBytes   = 3 // raw bytes; count is the byte length
-	KindInt32   = 4 // elements are int32 (the blocked factor strips' indices)
-	// Kind 5 was a float32 section no format ever wrote; it stays
-	// retired, so a file carrying it is rejected as an unknown kind.
+	// Kind 4 held int32 arrays (an index generation that is no longer
+	// read) and kind 5 was a float32 section no format ever wrote; both
+	// stay retired, so a file carrying either is rejected as an unknown
+	// kind.
 )
+
+// ErrUnknownKind is wrapped by the parse error for a section whose kind
+// this reader does not know, so callers can tell a file from a retired
+// or future generation apart from a damaged one.
+var ErrUnknownKind = errors.New("unknown kind")
 
 // Mode selects how Open backs the file's sections.
 type Mode int
@@ -161,8 +168,6 @@ func elemSize(kind uint32) uint64 {
 	switch kind {
 	case KindBytes:
 		return 1
-	case KindInt32:
-		return 4
 	default:
 		return 8
 	}
@@ -196,7 +201,6 @@ type wsection struct {
 	kind uint32
 	ints []int
 	f64s []float64
-	i32s []int32
 	raw  []byte
 }
 
@@ -217,11 +221,6 @@ func (w *Writer) AddFloats(id uint32, xs []float64) {
 // AddBytes appends a raw byte section (same aliasing rule as AddInts).
 func (w *Writer) AddBytes(id uint32, b []byte) {
 	w.sections = append(w.sections, wsection{id: id, kind: KindBytes, raw: b})
-}
-
-// AddInt32s appends an int32 section (same aliasing rule as AddInts).
-func (w *Writer) AddInt32s(id uint32, xs []int32) {
-	w.sections = append(w.sections, wsection{id: id, kind: KindInt32, i32s: xs})
 }
 
 // alignUp rounds n up to the next multiple of align.
@@ -248,18 +247,6 @@ func (s *wsection) payload() []byte {
 			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
 		}
 		return buf
-	case KindInt32:
-		if len(s.i32s) == 0 {
-			return nil
-		}
-		if hostLittleEndian {
-			return unsafe.Slice((*byte)(unsafe.Pointer(&s.i32s[0])), len(s.i32s)*4)
-		}
-		buf := make([]byte, len(s.i32s)*4)
-		for i, v := range s.i32s {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
-		}
-		return buf
 	default:
 		if len(s.f64s) == 0 {
 			return nil
@@ -281,8 +268,6 @@ func (s *wsection) count() uint64 {
 		return uint64(len(s.raw))
 	case KindInt64:
 		return uint64(len(s.ints))
-	case KindInt32:
-		return uint64(len(s.i32s))
 	default:
 		return uint64(len(s.f64s))
 	}
@@ -475,8 +460,8 @@ func (f *File) parse() error {
 			count: binary.LittleEndian.Uint64(e[16:]),
 			crc:   binary.LittleEndian.Uint32(e[24:]),
 		}
-		if s.kind < KindInt64 || s.kind > KindInt32 {
-			return fmt.Errorf("mmapio: section %d has unknown kind %d", s.id, s.kind)
+		if s.kind < KindInt64 || s.kind > KindBytes {
+			return fmt.Errorf("mmapio: section %d has %w %d", s.id, ErrUnknownKind, s.kind)
 		}
 		if s.off%align != 0 {
 			return fmt.Errorf("mmapio: section %d misaligned (offset %d, alignment %d)", s.id, s.off, align)
@@ -519,21 +504,6 @@ func (f *File) Mapped() bool { return f.mapped }
 
 // Size is the container's total byte size.
 func (f *File) Size() int { return len(f.data) }
-
-// Has reports whether a section with the id exists.
-func (f *File) Has(id uint32) bool {
-	_, ok := f.sections[id]
-	return ok
-}
-
-// Count reports a section's element count, or -1 if absent.
-func (f *File) Count(id uint32) int {
-	s, ok := f.sections[id]
-	if !ok {
-		return -1
-	}
-	return int(s.count)
-}
 
 func (f *File) lookup(id uint32, kind uint32) (section, error) {
 	s, ok := f.sections[id]
@@ -584,27 +554,6 @@ func (f *File) Floats(id uint32) ([]float64, error) {
 	out := make([]float64, s.count)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
-// Int32s returns section id as an []int32 (same contract as Ints;
-// zero-copy on any little-endian host — no 64-bit int requirement).
-func (f *File) Int32s(id uint32) ([]int32, error) {
-	s, err := f.lookup(id, KindInt32)
-	if err != nil {
-		return nil, err
-	}
-	if s.count == 0 {
-		return []int32{}, nil
-	}
-	b := f.data[s.off : s.off+s.count*4]
-	if hostLittleEndian {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), s.count), nil
-	}
-	out := make([]int32, s.count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
 }

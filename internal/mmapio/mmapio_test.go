@@ -110,11 +110,8 @@ func TestFromBytesEmptyWriter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromBytes(empty container): %v", err)
 	}
-	if f.Has(1) {
-		t.Fatal("empty container claims a section")
-	}
-	if f.Count(1) != -1 {
-		t.Fatalf("Count of missing section = %d, want -1", f.Count(1))
+	if _, err := f.Ints(1); err == nil {
+		t.Fatal("empty container yields a section")
 	}
 }
 
@@ -180,6 +177,10 @@ func TestCorruptInputs(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[headerSize+4:], 77)
 			return reseal(b)
 		}), "unknown kind"},
+		{"retired int32 kind", corrupt(img, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[headerSize+4:], 4)
+			return reseal(b)
+		}), "unknown kind 4"},
 		{"retired float32 kind", corrupt(img, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[headerSize+4:], 5)
 			return reseal(b)

@@ -225,7 +225,7 @@ func New(engine Engine, opts ...Option) *Handler {
 	h := &Handler{mux: http.NewServeMux(), start: time.Now(), maxBatch: DefaultMaxBatch}
 	// Seed the epoch from the engine itself: a server started from a
 	// saved, previously-updated sharded index reports that index's real
-	// epoch, not 0 (the v2 manifest persists it; a monolithic index
+	// epoch, not 0 (the manifest persists it; a monolithic index
 	// serialises without its epoch — or its graph — so it reloads at 0
 	// and /update answers 501 anyway).
 	epoch := 0

@@ -235,10 +235,9 @@ func TestDifferentialMonolithicRebuild(t *testing.T) {
 }
 
 // TestDifferentialLoadModes extends the harness across the on-disk
-// boundary: after a randomized update chain the index is saved in both
-// directory generations and reloaded through every load path — legacy
-// v2 parse, v3 copy, v3 mmap with lazy shard opens — and each reload
-// must pass the same two-oracle cross-check (bit-identical to a pinned
+// boundary: after a randomized update chain the index is saved and
+// reloaded through every load path — v3 copy, v3 mmap with lazy shard
+// opens — and each reload must pass the same two-oracle cross-check (bit-identical to a pinned
 // from-scratch rebuild, 1e-9 vs power iteration) as the in-memory
 // index that produced the files.
 func TestDifferentialLoadModes(t *testing.T) {
@@ -258,11 +257,7 @@ func TestDifferentialLoadModes(t *testing.T) {
 		sx = next
 	}
 	dir := t.TempDir()
-	legacyDir := filepath.Join(dir, "v2")
 	v3Dir := filepath.Join(dir, "v3")
-	if err := sx.SaveLegacy(legacyDir); err != nil {
-		t.Fatal(err)
-	}
 	if err := sx.Save(v3Dir); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +265,6 @@ func TestDifferentialLoadModes(t *testing.T) {
 		label string
 		open  func() (*ShardedIndex, error)
 	}{
-		{"v2-load", func() (*ShardedIndex, error) { return Load(legacyDir) }},
 		{"v3-copy", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{Mode: mmapio.ModeCopy}) }},
 		{"v3-mmap", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{Lazy: true}) }},
 	}
@@ -280,7 +274,7 @@ func TestDifferentialLoadModes(t *testing.T) {
 			t.Fatalf("%s: %v", lc.label, err)
 		}
 		// A fresh rng per mode keeps the query draw identical across
-		// modes, so all three are checked on the same battery.
+		// modes, so both are checked on the same battery.
 		diffCheck(t, rand.New(rand.NewSource(seed+100)), loaded, seed, 4)
 		if err := loaded.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", lc.label, err)

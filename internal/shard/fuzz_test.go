@@ -1,8 +1,7 @@
 package shard
 
 // Native fuzz targets for the sharded-index directory loader: a
-// corrupt manifest.json or cuts.bin (and, via core's FuzzLoadIndex, a
-// truncated shard-NNNN.idx) must make Load return an error — never
+// corrupt manifest.json, cuts.bin or shard-NNNN.idx must make Load return an error — never
 // panic, never commit memory the directory does not carry. Each target
 // prepares one valid saved directory per process and swaps the fuzzed
 // file into it per input.
@@ -100,9 +99,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":2,"nodes":-4,"shards":1}`))
-	f.Add([]byte(`{"version":2,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"assignmentFile":"assignment.bin","cutsFile":"cuts.bin"}`))
-	f.Add([]byte(`{"version":2,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"assignmentFile":"../../etc/passwd","cutsFile":"cuts.bin"}`))
+	f.Add([]byte(`{"version":5,"nodes":-4,"shards":1}`))
+	f.Add([]byte(`{"version":5,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"assignmentFile":"assignment.bin","cutsFile":"cuts.bin","graphFile":"graph.tsv","stats":{"nnzShards":[1,1,1]}}`))
+	f.Add([]byte(`{"version":5,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"assignmentFile":"../../etc/passwd","cutsFile":"cuts.bin","graphFile":"graph.tsv","stats":{"nnzShards":[1,1,1]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, ManifestName, valid, data)
 	})

@@ -26,22 +26,22 @@ var goldenBuild = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "dc7ba4a8c1fce244a68dc19159dff52a377a5c0f35c29f91bc18ba39f92e6254",
 	"graph.tsv":      "08c76046b9f601c08a6304bdfe14ad64baf7145820ff23ad2a9f0753c6b3471d",
-	"manifest.json":  "9833f01c8f9634ef44345a947373d0af2ae5d27619acbd27cfe114d30225bfb1",
-	"shard-0000.idx": "55a4971dcfca7a6505e8e8f313390c6b56f6f77d99b291b422e7913be2019e81",
-	"shard-0001.idx": "ddcb8885472e38254d7374c27823d77bfa62b84152f82a15d38925c8c8e0bbba",
-	"shard-0002.idx": "ce31d3ce28e3c2caf3a34eb436dc14397e6bcba56818c03d0a95fb0ad96ecae2",
-	"shard-0003.idx": "59645f6fbce3fb31e2734983ba5f68f1f2be50bf5690c7c36d3d1360b7cdc0bb",
+	"manifest.json":  "d5e77a7287e055264c68124e7b710d0c2369ddf72ee6928a1b9a53c8ee3a2a15",
+	"shard-0000.idx": "7a2bf29900895cbbfc67c598d3d452f0272e02cee05d024ca37637fccdc7832b",
+	"shard-0001.idx": "d96e6dd9a488b677aad23324ed880c3173c49b25c03f57a34373e1cd658e2806",
+	"shard-0002.idx": "208ddc72fdb3d47e1220f0908b27f83551a3dde662c02e508dc6607f405ca700",
+	"shard-0003.idx": "866d25cd539f512c355c420569632efc9ba3557c032aa6e237ed3184669d8fd5",
 }
 
 var goldenApply = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "b46bc3bdaa7fae2dc71b63a3cede4fbbe89d6a9835a025047269ff963ccdb4ca",
 	"graph.tsv":      "c64aa3201f6b6b177584428b1b54498d43c709cc0a526c1501d69457c2538316",
-	"manifest.json":  "549e8152116525b8e1622249ce5fe9a8d93d597ea467b3bac33b89f3ebeea88f",
-	"shard-0000.idx": "6a3160d2c90f883e578e0b74ef1eb8378c81a50c3177817def5e839dd78a1ef0",
-	"shard-0001.idx": "03ca11b259d36aa08a73a6f8c7eb9733a7a5324194b77be244c64403c96242c8",
-	"shard-0002.idx": "ce31d3ce28e3c2caf3a34eb436dc14397e6bcba56818c03d0a95fb0ad96ecae2",
-	"shard-0003.idx": "59645f6fbce3fb31e2734983ba5f68f1f2be50bf5690c7c36d3d1360b7cdc0bb",
+	"manifest.json":  "0ad555c02f014a4869b0ae3502d84854859bba389cfa3a67596766c1b17ef0e9",
+	"shard-0000.idx": "f556bf6cab67bc39e6df86ce4d00483745d8344167e46f0d95d9bb3595f339a1",
+	"shard-0001.idx": "b0aab9249adde712b60f14a7dd6c4d51c59e0aebf3f8dfa34f6e5ecca0940b3b",
+	"shard-0002.idx": "208ddc72fdb3d47e1220f0908b27f83551a3dde662c02e508dc6607f405ca700",
+	"shard-0003.idx": "866d25cd539f512c355c420569632efc9ba3557c032aa6e237ed3184669d8fd5",
 }
 
 // dirHashes returns file name -> sha256 hex for every file in dir.

@@ -8,10 +8,10 @@ package shard
 //
 //	indexdir/
 //	  manifest.json      version, c, node/shard counts, file names, stats
-//	  graph.tsv          graph snapshot (v2+) — what makes the index updatable
+//	  graph.tsv          graph snapshot — what makes the index updatable
 //	  assignment.bin     n × uint32 LE: node -> shard
 //	  cuts.bin           per-shard outgoing cut edges (binary, see below)
-//	  shard-0000.idx     core.Index.Save format (v3: mmapio container), one per shard
+//	  shard-0000.idx     core.Index.Save format (mmapio container), one per shard
 //	  ...
 //
 // Open is the general entry point: LoadOptions select private-copy vs
@@ -20,10 +20,10 @@ package shard
 // no factor data — and defer each shard file (and the graph snapshot)
 // to first use, so a 64-shard index answers a query against shard 3
 // before shard 60's file is ever touched. Load is the conservative
-// eager/copy wrapper. A v1 directory, which carries no graph snapshot,
-// is refused: the rank searches the snapshot. See docs/ARCHITECTURE.md
-// for the byte-level format specs (manifest versions, cuts.bin, the
-// sectioned core layout).
+// eager/copy wrapper. A directory of any other manifest version is
+// refused with the rebuild instruction. See docs/ARCHITECTURE.md for the
+// byte-level format specs (manifest, cuts.bin, the sectioned core
+// layout).
 //
 // Local ids are not persisted: both writer and reader assign them by
 // ascending global id within each shard, so the assignment array fully
@@ -51,26 +51,15 @@ import (
 // ManifestName is the file that marks a directory as a sharded index.
 const ManifestName = "manifest.json"
 
-// manifestVersion is bumped whenever the directory layout changes.
-// Version 2 added the dynamic-update state: a graph snapshot (edge
-// list), the build inputs Apply replays (reorder method, seed), the
-// per-shard staleness counters and the epoch number. Version 3 switched
-// the shard files to the sectioned (memory-mappable) core format and
-// added the shardFormat marker plus per-shard nnz hints, so a lazy open
-// can report stats without touching a single shard file. Version 4
-// added the write-ahead-log position: the last WAL sequence number this
-// snapshot has absorbed (walSeq) and the names of the live WAL segments
-// at save time, so crash recovery knows exactly which logged records to
-// replay over the snapshot. Version 2–3 directories still load (their
-// walSeq is 0: replay everything). Version 1 directories are refused:
-// they carry no graph snapshot, and every query's rank searches it.
-const manifestVersion = 4
-
-// shardFormatSectioned marks shard files written in the sectioned v3
-// core layout (mmapio container); absent/zero means the legacy v1
-// stream. Loads sniff the files either way — the field exists for
-// tooling and humans reading the manifest.
-const shardFormatSectioned = 3
+// manifestVersion is the one directory generation Open reads. It is
+// bumped whenever the layout of the directory or of any file in it
+// changes, and Open refuses every other version with the rebuild
+// instruction: every directory since version 2 carries its graph
+// snapshot, so any index can be rebuilt from its own files. Version 5
+// dropped the int32 factor strips from the shard files; a version 4
+// directory's shard files still carry them in a section kind this build
+// no longer reads, so a lazy open of one would fail query by query.
+const manifestVersion = 5
 
 // manifest is the JSON document written to ManifestName.
 type manifest struct {
@@ -83,7 +72,9 @@ type manifest struct {
 	AssignmentFile string   `json:"assignmentFile"`
 	CutsFile       string   `json:"cutsFile"`
 
-	// Version 2 fields (absent from v1 directories).
+	// The dynamic-update state: the graph snapshot (edge list), the build
+	// inputs Apply replays (reorder method, seed), the epoch number and
+	// the per-shard staleness counters.
 	GraphFile      string `json:"graphFile,omitempty"`
 	Reorder        string `json:"reorder,omitempty"`
 	Seed           int64  `json:"seed,omitempty"`
@@ -91,12 +82,9 @@ type manifest struct {
 	StalenessLimit int    `json:"stalenessLimit,omitempty"`
 	Staleness      []int  `json:"staleness,omitempty"`
 
-	// Version 3 fields.
-	ShardFormat int `json:"shardFormat,omitempty"`
-
-	// Version 4 fields: the WAL position this snapshot covers. WALSeq is
-	// the last log sequence number whose delta is already folded into the
-	// saved factors; recovery replays only records past it. WALSegments
+	// The WAL position this snapshot covers. WALSeq is the last log
+	// sequence number whose delta is already folded into the saved
+	// factors; recovery replays only records past it. WALSegments
 	// records the live segment files at save time — informational (the
 	// log's own recovery rescans the directory), useful to operators and
 	// tooling deciding what a snapshot depends on.
@@ -108,7 +96,7 @@ type manifest struct {
 		CutEdges      int     `json:"cutEdges"`
 		CutWeightFrac float64 `json:"cutWeightFrac"`
 		NNZInverse    int     `json:"nnzInverse"`
-		NNZShards     []int   `json:"nnzShards,omitempty"` // v3: per-shard nnz hints
+		NNZShards     []int   `json:"nnzShards"` // per shard, so stats need no shard open
 		Communities   int     `json:"communities"`
 		Modularity    float64 `json:"modularity"`
 	} `json:"stats"`
@@ -127,24 +115,12 @@ func IsShardedIndexDir(path string) bool {
 }
 
 // Save writes the sharded index into dir, creating it if needed. Shard
-// files are written in the sectioned v3 core layout, so the directory
-// can be re-opened with memory mapping (Open with an mmap mode) —
-// including by an index that was itself lazily mapped: saving forces
-// any still-deferred shard open, copies nothing that was not already
+// files are written in the sectioned core layout, so the directory can
+// be re-opened with memory mapping (Open with an mmap mode) — including
+// by an index that was itself lazily mapped: saving forces any
+// still-deferred shard open, copies nothing that was not already
 // resident, and the successor process simply remaps the new files.
 func (sx *ShardedIndex) Save(dir string) error {
-	return sx.save(dir, false)
-}
-
-// SaveLegacy writes the directory in its pre-v3 shape: a version 2
-// manifest and legacy v1 shard streams. Deprecated in favour of Save;
-// retained so compatibility tests and the cold-start benchmark can
-// produce old-format directories.
-func (sx *ShardedIndex) SaveLegacy(dir string) error {
-	return sx.save(dir, true)
-}
-
-func (sx *ShardedIndex) save(dir string, legacy bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: creating index directory: %w", err)
 	}
@@ -163,11 +139,6 @@ func (sx *ShardedIndex) save(dir string, legacy bool) error {
 	m.Staleness = sx.staleness
 	m.WALSeq = sx.walSeq
 	m.WALSegments = sx.walSegments
-	if !legacy {
-		m.ShardFormat = shardFormatSectioned
-	} else {
-		m.Version = 2
-	}
 	if err := sx.ensureGraph(); err != nil { // a deferred snapshot must materialise to be re-saved
 		return fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
@@ -190,20 +161,13 @@ func (sx *ShardedIndex) save(dir string, legacy bool) error {
 			return fmt.Errorf("shard: saving shard %d: %w", si, err)
 		}
 		nnzTotal += ix.Stats().NNZInverse
-		write := ix.Save
-		if legacy {
-			write = ix.SaveLegacy
-		} else {
-			m.Stats.NNZShards = append(m.Stats.NNZShards, ix.Stats().NNZInverse)
-		}
-		if err := writeFile(filepath.Join(dir, name), write); err != nil {
+		m.Stats.NNZShards = append(m.Stats.NNZShards, ix.Stats().NNZInverse)
+		if err := writeFile(filepath.Join(dir, name), ix.Save); err != nil {
 			return fmt.Errorf("shard: saving shard %d: %w", si, err)
 		}
 	}
-	// Every shard is open now, so the aggregate is exact — re-derive it
-	// rather than trusting a possibly hint-carried in-memory value (an
-	// update chain over a lazily loaded pre-v3 directory has no per-shard
-	// hints to keep the running total precise).
+	// Every shard is open now: the aggregate is the sum of the per-shard
+	// counts just written.
 	m.Stats.NNZInverse = nnzTotal
 	if err := writeFile(filepath.Join(dir, m.AssignmentFile), sx.writeAssignment); err != nil {
 		return fmt.Errorf("shard: saving assignment: %w", err)
@@ -283,12 +247,11 @@ func (sx *ShardedIndex) writeCuts(w io.Writer) error {
 // LoadOptions configures Open.
 type LoadOptions struct {
 	// Mode selects how shard files are backed: mmapio.ModeMmap and
-	// ModeAuto map sectioned (v3) shard files read-only and wrap their
-	// arrays in place; mmapio.ModeCopy materialises private copies with
-	// every checksum verified. The zero value is ModeAuto (map where
-	// the platform supports it); Load passes ModeCopy explicitly to
-	// keep its historical fully-private contract. Legacy shard files
-	// are parsed into private memory whatever the mode.
+	// ModeAuto map shard files read-only and wrap their arrays in place;
+	// mmapio.ModeCopy materialises private copies with every checksum
+	// verified. The zero value is ModeAuto (map where the platform
+	// supports it); Load passes ModeCopy explicitly to keep its
+	// historical fully-private contract.
 	Mode mmapio.Mode
 	// Lazy defers each shard file's open to the first query that solves
 	// the shard, and the graph snapshot's parse to the first query:
@@ -318,14 +281,13 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, fmt.Errorf("shard: decoding manifest: %w", err)
 	}
-	if m.Version < 1 || m.Version > manifestVersion {
-		return nil, fmt.Errorf("shard: unsupported manifest version %d (want <= %d)", m.Version, manifestVersion)
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("shard: manifest version %d (this build reads %d): %w", m.Version, manifestVersion, core.ErrUnsupportedFormat)
 	}
-	if m.Version < 2 || m.GraphFile == "" {
-		return nil, fmt.Errorf("shard: manifest version %d carries no graph snapshot, which queries search; rebuild with `kdash -save-index`", m.Version)
-	}
-	if m.Nodes <= 0 || m.Nodes > 1<<40 || m.Shards <= 0 || m.Shards > m.Nodes || len(m.ShardFiles) != m.Shards {
-		return nil, fmt.Errorf("shard: corrupt manifest (nodes=%d shards=%d files=%d)", m.Nodes, m.Shards, len(m.ShardFiles))
+	if m.Nodes <= 0 || m.Nodes > 1<<40 || m.Shards <= 0 || m.Shards > m.Nodes ||
+		len(m.ShardFiles) != m.Shards || len(m.Stats.NNZShards) != m.Shards {
+		return nil, fmt.Errorf("shard: corrupt manifest (nodes=%d shards=%d files=%d nnz counts=%d)",
+			m.Nodes, m.Shards, len(m.ShardFiles), len(m.Stats.NNZShards))
 	}
 	if m.Restart <= 0 || m.Restart >= 1 {
 		return nil, fmt.Errorf("shard: corrupt manifest (restart %v)", m.Restart)
@@ -427,16 +389,10 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	if err := sx.readCuts(filepath.Join(dir, m.CutsFile)); err != nil {
 		return nil, err
 	}
-	if m.Stats.NNZShards != nil && len(m.Stats.NNZShards) != m.Shards {
-		return nil, fmt.Errorf("shard: corrupt manifest (%d nnz hints for %d shards)", len(m.Stats.NNZShards), m.Shards)
-	}
 	for si, name := range m.ShardFiles {
 		p := sx.parts[si]
 		p.sink = len(p.cuts) > 0
-		if m.Stats.NNZShards != nil {
-			p.nnzHint = m.Stats.NNZShards[si]
-			p.nnzHinted = true
-		}
+		p.nnzHint = m.Stats.NNZShards[si]
 		p.lazy = newShardOpener(sx, p, si, filepath.Join(dir, name), opt.Mode)
 	}
 	sx.mapCapable = opt.Mode != mmapio.ModeCopy && mmapio.MmapSupported() && mmapio.CanZeroCopy()
@@ -458,9 +414,9 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	return sx, nil
 }
 
-// newShardOpener builds the deferred open of one shard file: open (v3
-// files in the requested mmapio mode, legacy streams by parsing) and
-// validate the file against the manifest the directory was loaded with.
+// newShardOpener builds the deferred open of one shard file: open it in
+// the requested mmapio mode and validate it against the manifest the
+// directory was loaded with.
 // The node-count check pins the cut-derived sink flag: a directory
 // whose shard file disagrees with its cut list is corrupt and rejected
 // at open time.

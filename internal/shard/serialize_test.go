@@ -1,12 +1,19 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
@@ -168,6 +175,123 @@ func TestLoadV1ManifestRefused(t *testing.T) {
 	}
 }
 
+// withStripSection appends a section of the retired int32 kind (4) to a
+// saved container: what every shard file of a version 4 directory
+// carried as its blocked factor strips (sections 15-22).
+func withStripSection(t *testing.T, data []byte) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	k := le.Uint32(data[12:])
+	if 32+32*(k+1) > mmapio.DefaultAlign {
+		t.Fatal("no room left in the section table")
+	}
+	payload := make([]byte, mmapio.DefaultAlign) // 1,024 int32 zeros
+	out := append(append([]byte(nil), data...), payload...)
+	e := out[32+32*k:] // the table's zero padding before the first section
+	le.PutUint32(e, 15)
+	le.PutUint32(e[4:], 4)
+	le.PutUint64(e[8:], uint64(len(data)))
+	le.PutUint64(e[16:], uint64(len(payload)/4))
+	le.PutUint32(e[24:], crc32.Checksum(payload, castagnoli))
+	le.PutUint32(out[12:], k+1)
+	le.PutUint64(out[16:], uint64(len(out)))
+	le.PutUint32(out[28:], crc32.Checksum(out[32:32+32*(k+1)], castagnoli))
+	return out
+}
+
+// TestOldGenerationsRefused pins the one-generation rule: a v1 core
+// stream, a core container carrying a retired kind-4 section, and a
+// version 4 directory (whose shard files carry such sections) are each
+// refused up front with the rebuild instruction — by LoadIndex and
+// OpenIndexFile for the files, by Open both eagerly and lazily for the
+// directory — never accepted only to fail at query time.
+func TestOldGenerationsRefused(t *testing.T) {
+	g := testutil.Clustered(90, 3, 4)
+	built, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "v4")
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Turn the directory into what version 4 wrote: the manifest's old
+	// version and format marker, every shard file with a strip section.
+	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["version"], m["shardFormat"] = 4, 3
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var kind4 []byte
+	for si := 0; si < built.Shards(); si++ {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.idx", si))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind4 = withStripSection(t, data)
+		if err := os.WriteFile(path, kind4, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kind4Path := filepath.Join(dir, "shard-0000.idx")
+	// The opening fields of a v1 stream: magic, version, n, c.
+	v1 := []byte("KDASHIX\x01")
+	v1 = binary.LittleEndian.AppendUint64(v1, 30)
+	v1 = binary.LittleEndian.AppendUint64(v1, math.Float64bits(0.95))
+	v1Path := filepath.Join(t.TempDir(), "v1.idx")
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type closer interface{ Close() error }
+	loadBytes := func(b []byte) func() (closer, error) {
+		return func() (closer, error) { return core.LoadIndex(bytes.NewReader(b)) }
+	}
+	openFile := func(path string, mode mmapio.Mode) func() (closer, error) {
+		return func() (closer, error) { return core.OpenIndexFile(path, mode) }
+	}
+	openDir := func(opt LoadOptions) func() (closer, error) {
+		return func() (closer, error) { return Open(dir, opt) }
+	}
+	cases := []struct {
+		name string
+		open func() (closer, error)
+	}{
+		{"v1 stream/LoadIndex", loadBytes(v1)},
+		{"v1 stream/OpenIndexFile copy", openFile(v1Path, mmapio.ModeCopy)},
+		{"v1 stream/OpenIndexFile auto", openFile(v1Path, mmapio.ModeAuto)},
+		{"kind-4 section/LoadIndex", loadBytes(kind4)},
+		{"kind-4 section/OpenIndexFile copy", openFile(kind4Path, mmapio.ModeCopy)},
+		{"kind-4 section/OpenIndexFile auto", openFile(kind4Path, mmapio.ModeAuto)},
+		{"v4 directory/eager", openDir(LoadOptions{})},
+		{"v4 directory/lazy", openDir(LoadOptions{Lazy: true})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := tc.open()
+			if err == nil {
+				ix.Close()
+				t.Fatal("old generation accepted")
+			}
+			if !errors.Is(err, core.ErrUnsupportedFormat) || !strings.Contains(err.Error(), "rebuild with `kdash -save-index`") {
+				t.Fatalf("refusal %q does not say how to rebuild", err)
+			}
+		})
+	}
+}
+
 // TestLoadRejectsCorruption checks the loader fails loudly instead of
 // serving from a damaged directory.
 func TestLoadRejectsCorruption(t *testing.T) {
@@ -221,7 +345,7 @@ func TestManifestV4WALInfoRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 4 || m.WALSeq != 42 || len(m.WALSegments) != 2 {
+	if m.Version != manifestVersion || m.WALSeq != 42 || len(m.WALSegments) != 2 {
 		t.Fatalf("manifest = version %d walSeq %d segments %v", m.Version, m.WALSeq, m.WALSegments)
 	}
 	loaded, err := Load(dir)

@@ -55,7 +55,7 @@ func assertSameTopK(t *testing.T, want, got *ShardedIndex, label string) {
 }
 
 // TestV3DirectoryLoadModesBitIdentical saves once and reloads through
-// every mode x laziness combination, plus the legacy v2 writer.
+// every mode x laziness combination.
 func TestV3DirectoryLoadModesBitIdentical(t *testing.T) {
 	g := testutil.Clustered(300, 4, 21)
 	built, err := Build(g, Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 21})
@@ -67,7 +67,8 @@ func TestV3DirectoryLoadModesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The manifest must be v3 and carry per-shard nnz hints.
+	// The manifest must be the current version and carry per-shard nnz
+	// counts.
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +77,11 @@ func TestV3DirectoryLoadModesBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != manifestVersion || m.ShardFormat != shardFormatSectioned {
-		t.Fatalf("manifest version/format = %d/%d, want %d/%d", m.Version, m.ShardFormat, manifestVersion, shardFormatSectioned)
+	if m.Version != manifestVersion {
+		t.Fatalf("manifest version = %d, want %d", m.Version, manifestVersion)
 	}
 	if len(m.Stats.NNZShards) != built.Shards() {
-		t.Fatalf("manifest has %d nnz hints for %d shards", len(m.Stats.NNZShards), built.Shards())
+		t.Fatalf("manifest has %d nnz counts for %d shards", len(m.Stats.NNZShards), built.Shards())
 	}
 
 	loads := []struct {
@@ -101,38 +102,6 @@ func TestV3DirectoryLoadModesBitIdentical(t *testing.T) {
 		if err := sx.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", lc.label, err)
 		}
-	}
-
-	// Legacy writer: a v2 manifest with v1 stream shards still loads —
-	// through Load and through an mmap-requesting Open (which falls back
-	// to parsing per file).
-	legacyDir := filepath.Join(t.TempDir(), "legacy")
-	if err := built.SaveLegacy(legacyDir); err != nil {
-		t.Fatal(err)
-	}
-	blob, err = os.ReadFile(filepath.Join(legacyDir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lm manifest
-	if err := json.Unmarshal(blob, &lm); err != nil {
-		t.Fatal(err)
-	}
-	if lm.Version != 2 || lm.ShardFormat != 0 || lm.Stats.NNZShards != nil {
-		t.Fatalf("legacy manifest version/format = %d/%d (hints %v), want 2/0 and no hints", lm.Version, lm.ShardFormat, lm.Stats.NNZShards)
-	}
-	fromLegacy, err := Load(legacyDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTopK(t, built, fromLegacy, "legacy-load")
-	fromLegacyMmap, err := Open(legacyDir, LoadOptions{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTopK(t, built, fromLegacyMmap, "legacy-mmap-fallback")
-	if fromLegacy.Graph() == nil {
-		t.Fatal("legacy v2 load lost the graph snapshot")
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/louvain"
-	"kdash/internal/lu/kernels"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 )
@@ -120,15 +119,14 @@ type cutEdge struct {
 // index through index() (or tryIndex for observability paths that must
 // not force an open), never the field.
 type part struct {
-	nodes     []int // local -> global id
-	ix        *core.Index
-	lazy      *lazyIndex // non-nil: the index opens on first use
-	sink      bool       // index has one extra sink node appended
-	cuts      []cutEdge  // sorted by src
-	cutPtr    []int      // cuts of local node v are cuts[cutPtr[v]:cutPtr[v+1]]
-	cutRows   []int      // local nodes owning cut edges, ascending
-	nnzHint   int        // manifest v3 per-shard nnz, so stats need no open
-	nnzHinted bool       // the hint is real (v3 manifest) vs absent (v2 lazy load)
+	nodes   []int // local -> global id
+	ix      *core.Index
+	lazy    *lazyIndex // non-nil: the index opens on first use
+	sink    bool       // index has one extra sink node appended
+	cuts    []cutEdge  // sorted by src
+	cutPtr  []int      // cuts of local node v are cuts[cutPtr[v]:cutPtr[v+1]]
+	cutRows []int      // local nodes owning cut edges, ascending
+	nnzHint int        // the manifest's per-shard nnz, so stats need no open
 }
 
 // lazyIndex is the once-guarded deferred open of one shard's index
@@ -187,22 +185,20 @@ func (p *part) tryIndex() *core.Index {
 }
 
 // nnzInverse reports the shard's inverse-factor nonzeros without
-// forcing an open: the live index when available, the manifest hint
-// otherwise. ok is false only for an unopened shard with no hint (a
-// lazily loaded pre-v3 directory), where the true value is unknowable
-// without an open — callers must not treat the 0 as a count.
-func (p *part) nnzInverse() (nnz int, ok bool) {
+// forcing an open: the live index when available, the manifest's count
+// otherwise.
+func (p *part) nnzInverse() int {
 	if ix := p.tryIndex(); ix != nil {
-		return ix.Stats().NNZInverse, true
+		return ix.Stats().NNZInverse
 	}
-	return p.nnzHint, p.nnzHinted
+	return p.nnzHint
 }
 
 // share returns a copy of the part for a successor epoch that did not
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
 // shared by pointer) and cut lists carry over.
 func (p *part) share() *part {
-	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, nnzHinted: p.nnzHinted, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
+	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
 }
 
 // indexCuts derives the per-source pointers and the cut-owning rows from
@@ -696,7 +692,7 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 			opened++
 			mappedBytes += ix.MappedBytes()
 		}
-		nnz, _ := p.nnzInverse()
+		nnz := p.nnzInverse()
 		sc := counters[i].Load()
 		solves += sc
 		shards[i] = map[string]interface{}{
@@ -718,7 +714,6 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 		"cutEdges":      sx.stats.CutEdges,
 		"cutWeightFrac": sx.stats.CutWeightFrac,
 		"nnzInverse":    sx.stats.NNZInverse,
-		"kernels":       kernels.Impl(),
 		"perShard":      shards,
 	}
 }
@@ -726,9 +721,7 @@ func (sx *ShardedIndex) Statz() map[string]interface{} {
 // Mapped reports whether the index was opened with memory-mapped
 // backing (an mmap-capable mode on a platform that supports it). It
 // describes the configured backing, not per-shard state: lazily
-// deferred shards count once opened, and legacy-format shard files
-// inside a mapped directory still fall back to private parses
-// (visible per shard in Statz).
+// deferred shards count once opened.
 func (sx *ShardedIndex) Mapped() bool { return sx.mapCapable }
 
 // OpenAll forces every deferred shard open, surfacing the first failure

@@ -225,7 +225,10 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	cutMask := make([]bool, s)
 	for si := 0; si < s; si++ {
 		if rebuild[si] {
-			sx2.parts[si] = &part{}
+			// The count carries over only for a factorless coordinator,
+			// which never learns a rebuilt block's nnz; a real rebuild
+			// reports its new index's.
+			sx2.parts[si] = &part{nnzHint: sx.parts[si].nnzInverse()}
 			cutMask[si] = true
 			continue
 		}
@@ -295,24 +298,14 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		}
 	}
 
-	nnz, nnzKnown := 0, true
+	nnz := 0
 	newSizes := make([]int, s)
 	for si, p := range sx2.parts {
 		newSizes[si] = len(p.nodes)
 		// nnzInverse never forces a deferred shard open: unopened shared
-		// parts fall back to their manifest hint, so an update against a
+		// parts report their manifest count, so an update against a
 		// lazily mapped index stays proportional to its dirty set.
-		v, ok := p.nnzInverse()
-		nnz += v
-		nnzKnown = nnzKnown && ok
-	}
-	if !nnzKnown {
-		// A lazily loaded pre-v3 directory carries no per-shard hints, so
-		// the aggregate over unopened shards is unknowable without opens.
-		// Carrying the previous epoch's (slightly stale) total forward
-		// beats persisting an undercount; Save recomputes the true value
-		// when it force-opens every shard.
-		nnz = sx.stats.NNZInverse
+		nnz += p.nnzInverse()
 	}
 	frac := 0.0
 	if totalW > 0 {

@@ -139,15 +139,15 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // OpenOptions configures OpenIndex and OpenShardedIndex, the
 // file-backed load paths.
 type OpenOptions struct {
-	// Mmap memory-maps saved (v3-format) index files read-only instead
-	// of copying them into private memory: opening costs milliseconds
+	// Mmap memory-maps saved index files read-only instead of copying
+	// them into private memory: opening costs milliseconds
 	// regardless of index size, pages fault in on first use, and the
 	// physical memory is shared across processes serving the same
 	// files. Writes through a mapped index's arrays are impossible (the
 	// mapping is read-only at the MMU level), and Close must be called
-	// once the index is retired. On platforms without mmap support —
-	// or for legacy-format files — opening silently falls back to the
-	// private-copy path; Index.Mapped reports which one was taken.
+	// once the index is retired. On platforms without mmap support
+	// opening silently falls back to the private-copy path;
+	// Index.Mapped reports which one was taken.
 	Mmap bool
 	// Lazy, for sharded indexes, defers each shard file's open to the
 	// first query that actually solves the shard, so a cold start
