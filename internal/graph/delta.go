@@ -314,10 +314,11 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 		// remaining byte count are corrupt; reject before allocating.
 		return nil, fmt.Errorf("graph: corrupt delta encoding (baseN=%d addNodes=%d ops=%d)", baseN, addNodes, nops)
 	}
+	// Node insertions carry no payload, so they are set in one step: a
+	// loop of AddNode calls would let a ten-byte blob spin for 2^40
+	// iterations.
 	d := NewDelta(int(baseN))
-	for i := uint64(0); i < addNodes; i++ {
-		d.AddNode()
-	}
+	d.addNodes = int(addNodes)
 	d.ops = make([]deltaOp, 0, nops)
 	for i := uint64(0); i < nops; i++ {
 		if len(data) == 0 {

@@ -23,6 +23,10 @@ type SolveStep struct {
 	NodesEvaluated int
 	// DurationNS is the solve's wall clock.
 	DurationNS int64
+	// WorkerNS is, for a solve a coordinator routed to a worker, the
+	// worker's own elapsed time inside DurationNS; the rest is transport
+	// and coordinator bookkeeping. Zero for in-process solves.
+	WorkerNS int64
 }
 
 // QueryTrace records one query's execution structure. Instances are

@@ -117,23 +117,21 @@ func (cl *cluster) replayLocked(w int) error {
 // against exactly the factors its epoch published and a publish
 // mid-query can never mix bits from two epochs.
 type epochSolver struct {
-	cl       *cluster
-	epoch    int
-	partLens []int
+	cl    *cluster
+	epoch int
 }
 
-// SolveSparse implements shard.RemoteSolver.
-func (es *epochSolver) SolveSparse(si int, idx []int, val []float64) ([]float64, []int, error) {
-	resp, err := es.cl.call(si, rpc.OpSolve, rpc.AppendSolveRequest(nil, es.epoch, si, idx, val))
+// SolveRows implements shard.RemoteSolver with one OpSolveRows call.
+func (es *epochSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
+	resp, err := es.cl.call(si, rpc.OpSolveRows, rpc.AppendSolveRowsRequest(nil, es.epoch, si, rows, ptr, idx, val))
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	y := make([]float64, es.partLens[si])
-	sup, err := rpc.DecodeSolveResponse(resp, y)
+	workerNS, err := rpc.DecodeSolveRowsResponse(resp, out)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: shard %d: %v", rpc.ErrUnavailable, si, err)
+		return 0, fmt.Errorf("%w: shard %d: %v", rpc.ErrUnavailable, si, err)
 	}
-	return y, sup, nil
+	return workerNS, nil
 }
 
 // Coordinator serves the full engine surface from a factorless index,
@@ -200,11 +198,7 @@ func Assign(shards, workers int) []int {
 
 // bindSolver installs this epoch's remote solver on the index.
 func (co *Coordinator) bindSolver() {
-	partLens := make([]int, co.sx.Shards())
-	for si := range partLens {
-		partLens[si] = co.sx.PartLen(si)
-	}
-	co.sx.SetRemoteSolver(&epochSolver{cl: co.cl, epoch: co.sx.Epoch(), partLens: partLens})
+	co.sx.SetRemoteSolver(&epochSolver{cl: co.cl, epoch: co.sx.Epoch()})
 }
 
 // ApplyDelta publishes an update across the cluster with a two-phase
@@ -321,7 +315,7 @@ func (co *Coordinator) TopK(q, k int) ([]topk.Result, shard.QueryStats, error) {
 }
 
 // TopKBatch answers a batch query by query through the distributed
-// push; every solve rides SolveSparse.
+// push; every solve rides SolveRows.
 func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchStats, error) {
 	return co.sx.TopKBatch(qs, k)
 }

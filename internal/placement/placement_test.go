@@ -19,6 +19,9 @@ import (
 	"time"
 
 	"kdash/internal/core"
+	"kdash/internal/gen"
+	"kdash/internal/graph"
+	"kdash/internal/obs"
 	"kdash/internal/reorder"
 	"kdash/internal/rpc"
 	"kdash/internal/shard"
@@ -511,9 +514,11 @@ func TestWorkerPublishStateMachine(t *testing.T) {
 }
 
 // TestWorkerRejectsUnknownOps sends opcodes the protocol does not
-// define — among them 3, the retired block solve — over one pooled
-// connection: each is refused with the unknown-op error, and the same
-// connection then serves an ordinary sparse solve.
+// define — among them 2, the retired whole-solution solve, and 3, the
+// retired block solve — over one pooled connection: each is refused
+// with the unknown-op error, and the same connection then serves an
+// ordinary row solve whose values match the in-process worker surface
+// bit for bit.
 func TestWorkerRejectsUnknownOps(t *testing.T) {
 	seed := int64(29)
 	dir := buildDir(t, rand.New(rand.NewSource(seed)), seed, 3)
@@ -524,31 +529,201 @@ func TestWorkerRejectsUnknownOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []uint8{3, 0, 8, 255} {
-		_, err := c.Call(op, rpc.AppendSolveRequest(nil, oracle.Epoch(), 0, []int{0}, []float64{1}))
+	rows := make([]int, oracle.PartLen(0))
+	for lv := range rows {
+		rows[lv] = lv
+	}
+	ptr, idx, val := []int{0, 1}, []int{0}, []float64{1}
+	body := rpc.AppendSolveRowsRequest(nil, oracle.Epoch(), 0, rows, ptr, idx, val)
+	for _, op := range []uint8{2, 3, 0, 9, 255} {
+		_, err := c.Call(op, body)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", op)) {
 			t.Fatalf("op %d: err = %v, want the unknown-op error", op, err)
 		}
-		resp, err := c.Call(rpc.OpSolve, rpc.AppendSolveRequest(nil, oracle.Epoch(), 0, []int{0}, []float64{1}))
+		resp, err := c.Call(rpc.OpSolveRows, body)
 		if err != nil {
 			t.Fatalf("solve after op %d: %v", op, err)
 		}
-		got := make([]float64, oracle.PartLen(0))
-		gotSup, err := rpc.DecodeSolveResponse(resp, got)
-		if err != nil {
+		got := make([]float64, len(rows))
+		if _, err := rpc.DecodeSolveRowsResponse(resp, got); err != nil {
 			t.Fatal(err)
 		}
-		want, wantSup, err := oracle.SolveShardSparse(0, []int{0}, []float64{1})
-		if err != nil {
+		want := make([]float64, len(rows))
+		if err := oracle.SolveShardRows(0, rows, ptr, idx, val, want); err != nil {
 			t.Fatal(err)
 		}
 		sameResults(t, "solve after unknown op", got, want)
-		sameResults(t, "solve support after unknown op", gotSup, wantSup)
 	}
 	tw.mu.Lock()
 	conns := len(tw.cs)
 	tw.mu.Unlock()
 	if conns != 1 {
 		t.Fatalf("worker accepted %d connections, want the one pooled connection to survive every rejection", conns)
+	}
+}
+
+// solveLog is a worker handler that records every OpSolveRows request
+// it answers and the size of its reply body.
+type solveLog struct {
+	wk    *Worker
+	mu    sync.Mutex
+	reqs  []rpc.SolveRowsRequest
+	sizes []int
+}
+
+func (l *solveLog) Handle(op uint8, body []byte) ([]byte, error) {
+	resp, err := l.wk.Handle(op, body)
+	if op == rpc.OpSolveRows && err == nil {
+		var req rpc.SolveRowsRequest
+		if derr := rpc.DecodeSolveRowsRequest(body, &req); derr != nil {
+			return nil, derr
+		}
+		l.mu.Lock()
+		l.reqs = append(l.reqs, req)
+		l.sizes = append(l.sizes, len(resp))
+		l.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestSolveRepliesCarryOnlyNamedRows is the payload guard: at k = 10
+// each push solve asks its worker for the solved shard's cut-owning
+// rows plus the rank prefix's rows in that shard — nothing else — and
+// the reply is 8 bytes per row behind the fixed header. The expected
+// row set is derived here from the graph alone: a node is fetched when
+// it owns an edge into another shard or lies in the fewest whole BFS
+// layers from q holding more than k nodes.
+func TestSolveRepliesCarryOnlyNamedRows(t *testing.T) {
+	const k = 10
+	g := gen.CommunityOverlay(500, 4, 10, 0.85, 3)
+	sx, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sx.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	wsx, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &solveLog{wk: NewWorker(wsx)}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpc.Serve(ln, log) //nolint:errcheck // closes with the listener
+	t.Cleanup(func() { ln.Close() })
+	co, err := NewCoordinator(dir, []string{ln.Addr().String()}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	cutOwner := make([]bool, g.N())
+	for u := range cutOwner {
+		g.OutNeighbors(u, func(v int, _ float64) {
+			if co.HomeShard(v) != co.HomeShard(u) {
+				cutOwner[u] = true
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for i := 0; i < 20; i++ {
+		q := rng.Intn(g.N())
+		log.mu.Lock()
+		log.reqs, log.sizes = nil, nil
+		log.mu.Unlock()
+		_, qs, err := co.TopK(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := bfsPrefix(g, q, k)
+		log.mu.Lock()
+		reqs, sizes := log.reqs, log.sizes
+		log.mu.Unlock()
+		if len(reqs) < qs.Solves {
+			t.Fatalf("q=%d: %d solve calls for %d push solves", q, len(reqs), qs.Solves)
+		}
+		for c, req := range reqs[:qs.Solves] { // the push's calls come first, one per solve
+			want := 0
+			for u := 0; u < g.N(); u++ {
+				if co.HomeShard(u) == req.Shard && (cutOwner[u] || prefix[u]) {
+					want++
+				}
+			}
+			if nrhs := len(req.Ptr) - 1; nrhs != 1 || len(req.Rows) != want {
+				t.Fatalf("q=%d call %d (shard %d): %d right-hand sides × %d rows, want 1 × %d", q, c, req.Shard, nrhs, len(req.Rows), want)
+			}
+			if sizes[c] != rpc.SolveRowsReplyHeader+8*want {
+				t.Fatalf("q=%d call %d: reply %d bytes, want %d", q, c, sizes[c], rpc.SolveRowsReplyHeader+8*want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no push solve was checked")
+	}
+}
+
+// bfsPrefix returns the fewest whole BFS layers from root holding more
+// than need nodes.
+func bfsPrefix(g *graph.Graph, root, need int) map[int]bool {
+	ptr, to := g.OutCSR()
+	in := map[int]bool{root: true}
+	layer := []int{root}
+	for len(in) <= need && len(layer) > 0 {
+		var next []int
+		for _, u := range layer {
+			for _, v := range to[ptr[u]:ptr[u+1]] {
+				if !in[v] {
+					in[v] = true
+					next = append(next, v)
+				}
+			}
+		}
+		layer = next
+	}
+	return in
+}
+
+// TestCoordinatorTraceSplitsWorkerTime: a coordinator's traced query
+// reports, for every remote solve step, the worker's own elapsed time
+// inside the step's wall clock; an in-process trace reports none.
+func TestCoordinatorTraceSplitsWorkerTime(t *testing.T) {
+	seed := int64(17)
+	rng := rand.New(rand.NewSource(seed))
+	dir := buildDir(t, rng, seed, 4)
+	co, err := NewCoordinator(dir, startWorkers(t, dir, 2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	oracle, err := shard.Open(dir, shard.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		q := rng.Intn(co.N())
+		var remote, local obs.QueryTrace
+		if _, _, err := co.Search(q, core.SearchOptions{K: 5, Trace: &remote}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := oracle.Search(q, core.SearchOptions{K: 5, Trace: &local}); err != nil {
+			t.Fatal(err)
+		}
+		if len(remote.Steps) == 0 || len(remote.Steps) != len(local.Steps) {
+			t.Fatalf("q=%d: %d remote steps, %d local", q, len(remote.Steps), len(local.Steps))
+		}
+		for j, s := range remote.Steps {
+			if s.WorkerNS <= 0 || s.WorkerNS > s.DurationNS {
+				t.Fatalf("q=%d step %d: workerNs %d outside (0, durationNs %d]", q, j, s.WorkerNS, s.DurationNS)
+			}
+			if local.Steps[j].WorkerNS != 0 {
+				t.Fatalf("q=%d step %d: in-process step reports workerNs %d", q, j, local.Steps[j].WorkerNS)
+			}
+		}
 	}
 }

@@ -37,8 +37,10 @@ type Client struct {
 }
 
 // NewClient builds a client for addr. A nil dial uses NetDial; a zero
-// timeout defaults to 30s per call (dense solves on large shards are
-// the slowest legitimate calls).
+// timeout defaults to 30s per call. A query's solves return a few
+// hundred rows each and finish in microseconds; the default covers the
+// slowest legitimate calls instead — a Prepare that refactorizes dirty
+// shards, and the first solve against a shard the worker must open.
 func NewClient(addr string, dial DialFunc, timeout time.Duration) *Client {
 	if dial == nil {
 		dial = NetDial
@@ -98,12 +100,13 @@ func (c *Client) checkin(cn *Conn) {
 	c.mu.Unlock()
 }
 
-// roundTrip performs one framed request/response on cn.
-func (cn *Conn) roundTrip(deadline time.Time, req []byte) ([]byte, error) {
+// roundTrip sends one whole frame (from beginFrame/endFrame) on cn and
+// reads the response frame.
+func (cn *Conn) roundTrip(deadline time.Time, frame []byte) ([]byte, error) {
 	if err := cn.c.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(cn.c, req); err != nil {
+	if _, err := cn.c.Write(frame); err != nil {
 		return nil, err
 	}
 	resp, err := ReadFrame(cn.c, cn.buf)
@@ -122,9 +125,9 @@ func (cn *Conn) roundTrip(deadline time.Time, req []byte) ([]byte, error) {
 // StatusWrongEpoch maps to ErrWrongEpoch; StatusError carries the
 // worker's message.
 func (c *Client) Call(op uint8, body []byte) ([]byte, error) {
-	req := make([]byte, 0, 1+len(body))
+	req := beginFrame(make([]byte, 0, 5+len(body)))
 	req = append(req, op)
-	req = append(req, body...)
+	req = endFrame(append(req, body...))
 
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {

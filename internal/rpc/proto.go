@@ -4,11 +4,13 @@
 // codecs for the solve and epoch-publish payloads.
 //
 // The protocol exists to move *bits*, not numbers: float64 values cross
-// the wire as their raw IEEE-754 bit patterns (math.Float64bits) and
-// solve supports preserve the solver's first-touch order verbatim — so
-// a coordinator that feeds remote solve results into the greedy push
-// commits exactly the bytes a single process would have produced. See
-// docs/ARCHITECTURE.md, "Distributed serving".
+// the wire as their raw IEEE-754 bit patterns (math.Float64bits) in
+// both directions. A solve names its rows explicitly — the coordinator
+// asks for the values the push scatters and the rank reads, and the
+// reply carries exactly those, in request order — so the values the
+// coordinator feeds into the greedy push and the rank are the bytes a
+// single process would have computed. See docs/ARCHITECTURE.md,
+// "Distributed serving".
 package rpc
 
 import (
@@ -25,13 +27,14 @@ import (
 // the op-specific body (StatusOK) or an error string.
 const (
 	OpHello uint8 = 1 // -> n, shards, epoch of the worker's index
-	OpSolve uint8 = 2 // single-lane sparse solve against one shard
-	// 3 was OpBatchSolve, the multi-lane block solve. Retired, never
-	// reused: a worker answers it with the unknown-op error.
-	OpPrepare uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
-	OpCommit  uint8 = 5 // publish staged epoch E (phase 2)
-	OpAbort   uint8 = 6 // drop staged epoch E
-	OpPing    uint8 = 7 // liveness probe
+	// 2 was OpSolve, which returned a whole solution per solve, and 3
+	// OpBatchSolve, the multi-lane block solve. Both are retired, never
+	// reused: a worker answers them with the unknown-op error.
+	OpPrepare   uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
+	OpCommit    uint8 = 5 // publish staged epoch E (phase 2)
+	OpAbort     uint8 = 6 // drop staged epoch E
+	OpPing      uint8 = 7 // liveness probe
+	OpSolveRows uint8 = 8 // solve one shard per right-hand side -> values at the listed rows
 )
 
 // Response status bytes.
@@ -53,20 +56,21 @@ var ErrUnavailable = errors.New("rpc: worker unavailable")
 var ErrWrongEpoch = errors.New("rpc: epoch not resident on worker")
 
 // maxFrame bounds a single frame so a torn or hostile length prefix
-// cannot ask for an absurd allocation. Dense solve replies over large
-// shards are the biggest legitimate frames; 1 GiB is far above any of
-// them.
+// cannot ask for an absurd allocation. The biggest legitimate frames are
+// a coordinator's full-vector reads (every row of a shard for each of
+// its solves) and Prepare deltas; 1 GiB is far above either.
 const maxFrame = 1 << 30
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// beginFrame starts a frame in buf's backing array: a length
+// placeholder that endFrame fills once the payload has been appended, so
+// header and payload leave in one write — a reader woken by a lone
+// header segment would have to block again for the body.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// endFrame fills in the length of a frame begun by beginFrame.
+func endFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // ReadFrame reads one length-prefixed frame, appending into buf's
@@ -185,108 +189,129 @@ func DecodeHelloResponse(data []byte) (HelloResponse, error) {
 	return h, r.err
 }
 
-// AppendSolveRequest encodes a single-lane solve: the target epoch and
-// shard plus the sparse right-hand side in ascending-index order — the
-// exact slices shard.pushState.consumeResidual produced, bit for bit.
-func AppendSolveRequest(buf []byte, epoch, shard int, idx []int, val []float64) []byte {
+// SolveRowsRequest is one OpSolveRows call: against shard Shard at
+// epoch Epoch, solve every right-hand side — rhs r is Idx[Ptr[r]:Ptr[r+1]]
+// with values Val[Ptr[r]:Ptr[r+1]], local ids ascending — and return the
+// solution's values at Rows (local ids, any order). Rows and the ids are
+// not range-checked here: the decoder knows no shard shapes, so the
+// worker validates them against the shard before solving.
+type SolveRowsRequest struct {
+	Epoch, Shard int
+	Rows         []int
+	Ptr          []int
+	Idx          []int
+	Val          []float64
+}
+
+// AppendSolveRowsRequest encodes a SolveRowsRequest: epoch, shard, the
+// row list, then each right-hand side as its entry count, ids and raw
+// value bits — the exact slices the coordinator's push consumed, bit
+// for bit. ptr need not start at 0: rhs r is idx[ptr[r]:ptr[r+1]].
+func AppendSolveRowsRequest(buf []byte, epoch, shard int, rows, ptr, idx []int, val []float64) []byte {
+	nrhs := max(len(ptr)-1, 0)
 	buf = appendUint64(buf, uint64(epoch))
 	buf = appendUint32(buf, uint32(shard))
-	buf = appendUint32(buf, uint32(len(idx)))
-	for _, v := range idx {
+	buf = appendUint32(buf, uint32(len(rows)))
+	for _, v := range rows {
 		buf = appendUint32(buf, uint32(v))
 	}
-	for _, v := range val {
+	buf = appendUint32(buf, uint32(nrhs))
+	for r := 0; r < nrhs; r++ {
+		lo, hi := ptr[r], ptr[r+1]
+		buf = appendUint32(buf, uint32(hi-lo))
+		for _, v := range idx[lo:hi] {
+			buf = appendUint32(buf, uint32(v))
+		}
+		for _, v := range val[lo:hi] {
+			buf = appendFloat64(buf, v)
+		}
+	}
+	return buf
+}
+
+// DecodeSolveRowsRequest decodes a SolveRowsRequest into q, reusing
+// the capacity of q's slices (a worker pools its requests). Every count
+// is checked against the bytes that must follow it before anything is
+// allocated, and the reply it asks for (right-hand sides × rows values)
+// must fit in one frame, so a hostile header cannot make the worker
+// allocate more than the frame carried.
+func DecodeSolveRowsRequest(data []byte, q *SolveRowsRequest) error {
+	r := reader{data: data}
+	q.Epoch = int(r.uint64())
+	q.Shard = int(r.uint32())
+	nrows := int(r.uint32())
+	if r.err == nil && 4*nrows > len(r.data)-r.off {
+		r.fail()
+	}
+	if r.err != nil {
+		return r.err
+	}
+	q.Rows = q.Rows[:0]
+	for i := 0; i < nrows; i++ {
+		q.Rows = append(q.Rows, int(r.uint32()))
+	}
+	nrhs := int(r.uint32())
+	if r.err == nil && 4*nrhs > len(r.data)-r.off {
+		r.fail() // every right-hand side carries at least its count
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if uint64(nrhs)*uint64(nrows) > (maxFrame-SolveRowsReplyHeader)/8 {
+		return fmt.Errorf("rpc: solve of %d right-hand sides × %d rows exceeds the frame limit", nrhs, nrows)
+	}
+	q.Ptr = append(q.Ptr[:0], 0)
+	q.Idx, q.Val = q.Idx[:0], q.Val[:0]
+	for k := 0; k < nrhs; k++ {
+		n := int(r.uint32())
+		if r.err == nil && 12*n > len(r.data)-r.off {
+			r.fail()
+		}
+		if r.err != nil {
+			return r.err
+		}
+		for i := 0; i < n; i++ {
+			q.Idx = append(q.Idx, int(r.uint32()))
+		}
+		for i := 0; i < n; i++ {
+			q.Val = append(q.Val, r.float64())
+		}
+		q.Ptr = append(q.Ptr, len(q.Idx))
+	}
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("rpc: %d trailing bytes after solve request", len(r.data)-r.off)
+	}
+	return r.err
+}
+
+// SolveRowsReplyHeader is the byte size of an OpSolveRows reply ahead
+// of its values: the worker's elapsed nanoseconds.
+const SolveRowsReplyHeader = 8
+
+// AppendSolveRowsResponse encodes an OpSolveRows reply: the worker's
+// elapsed nanoseconds, then the requested values rhs-major (value i of
+// right-hand side r at position r·len(rows)+i) as raw IEEE-754 bits.
+func AppendSolveRowsResponse(buf []byte, workerNS int64, vals []float64) []byte {
+	buf = appendUint64(buf, uint64(workerNS))
+	for _, v := range vals {
 		buf = appendFloat64(buf, v)
 	}
 	return buf
 }
 
-// DecodeSolveRequest decodes a solve request into freshly allocated
-// slices (the worker hands them straight to the solver).
-func DecodeSolveRequest(data []byte) (epoch, shard int, idx []int, val []float64, err error) {
-	r := reader{data: data}
-	epoch = int(r.uint64())
-	shard = int(r.uint32())
-	n := int(r.uint32())
-	if r.err == nil && r.off+12*n > len(r.data) {
-		r.fail()
+// DecodeSolveRowsResponse decodes an OpSolveRows reply into out, which
+// the caller sized to the right-hand sides × rows it asked for; a reply
+// of any other length is an error, never a partial fill.
+func DecodeSolveRowsResponse(data []byte, out []float64) (workerNS int64, err error) {
+	if len(data) != SolveRowsReplyHeader+8*len(out) {
+		return 0, fmt.Errorf("rpc: solve reply has %d bytes, want %d for %d values", len(data), SolveRowsReplyHeader+8*len(out), len(out))
 	}
-	if r.err != nil {
-		return 0, 0, nil, nil, r.err
+	workerNS = int64(binary.LittleEndian.Uint64(data))
+	data = data[SolveRowsReplyHeader:]
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
-	idx = make([]int, n)
-	val = make([]float64, n)
-	for i := range idx {
-		idx[i] = int(r.uint32())
-	}
-	for i := range val {
-		val[i] = r.float64()
-	}
-	return epoch, shard, idx, val, r.err
-}
-
-// AppendSolveResponse encodes a solve result. A nil support is a dense
-// solve: all yLen leading rows of y travel. Otherwise the support
-// travels verbatim — first-touch order preserved, ghost-sink entries
-// included — as (row, value) pairs, because rows outside the support
-// are stale by the SolveSparse contract and must not cross the wire.
-func AppendSolveResponse(buf []byte, y []float64, ysup []int, yLen int) []byte {
-	if ysup == nil {
-		buf = append(buf, 0)
-		buf = appendUint32(buf, uint32(yLen))
-		for _, v := range y[:yLen] {
-			buf = appendFloat64(buf, v)
-		}
-		return buf
-	}
-	buf = append(buf, 1)
-	buf = appendUint32(buf, uint32(len(ysup)))
-	for _, lv := range ysup {
-		buf = appendUint32(buf, uint32(lv))
-		buf = appendFloat64(buf, y[lv])
-	}
-	return buf
-}
-
-// DecodeSolveResponse decodes a solve result into y, the caller's
-// partLen-sized scratch vector. For a dense reply it fills the leading
-// rows and returns a nil support; for a sparse reply it writes only the
-// support rows (everything else keeps whatever stale values it had,
-// exactly like a local SolveSparse) and returns the support in wire
-// order. The returned support aliases a fresh allocation.
-func DecodeSolveResponse(data []byte, y []float64) ([]int, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("rpc: empty solve response")
-	}
-	r := reader{data: data[1:]}
-	if data[0] == 0 {
-		n := int(r.uint32())
-		if n > len(y) {
-			return nil, fmt.Errorf("rpc: dense solve reply has %d rows, scratch has %d", n, len(y))
-		}
-		for i := 0; i < n; i++ {
-			y[i] = r.float64()
-		}
-		return nil, r.err
-	}
-	n := int(r.uint32())
-	if r.err == nil && r.off+12*n > len(r.data) {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	sup := make([]int, n)
-	for i := range sup {
-		lv := int(r.uint32())
-		v := r.float64()
-		if lv >= len(y) {
-			return nil, fmt.Errorf("rpc: solve reply row %d outside scratch of %d", lv, len(y))
-		}
-		sup[i] = lv
-		y[lv] = v
-	}
-	return sup, r.err
+	return workerNS, nil
 }
 
 // AppendPrepareRequest encodes a Prepare: the epoch the delta publishes

@@ -20,58 +20,60 @@ var trickyFloats = []float64{
 }
 
 func TestSolveCodecRoundTrip(t *testing.T) {
-	idx := []int{0, 3, 7, 12}
-	val := trickyFloats[:4]
-	req := AppendSolveRequest(nil, 42, 3, idx, val)
-	epoch, shard, gotIdx, gotVal, err := DecodeSolveRequest(req)
-	if err != nil {
+	// Two right-hand sides carved out of flat arrays whose pointers do
+	// not start at 0 — the coordinator sends the tail of its recorded
+	// solves this way — plus an empty one.
+	rows := []int{9, 0, 4}
+	ptr := []int{1, 3, 6, 6}
+	idx := []int{99, 0, 3, 1, 7, 12, 99}
+	val := append([]float64{42}, trickyFloats[:6]...)
+	req := AppendSolveRowsRequest(nil, 42, 3, rows, ptr, idx, val)
+	var got SolveRowsRequest
+	if err := DecodeSolveRowsRequest(req, &got); err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 42 || shard != 3 || !reflect.DeepEqual(gotIdx, idx) {
-		t.Fatalf("request decoded to epoch=%d shard=%d idx=%v", epoch, shard, gotIdx)
+	if got.Epoch != 42 || got.Shard != 3 || !reflect.DeepEqual(got.Rows, rows) {
+		t.Fatalf("request decoded to epoch=%d shard=%d rows=%v", got.Epoch, got.Shard, got.Rows)
 	}
-	for i, v := range gotVal {
-		if math.Float64bits(v) != math.Float64bits(val[i]) {
-			t.Fatalf("val[%d]: %x != %x", i, math.Float64bits(v), math.Float64bits(val[i]))
+	if !reflect.DeepEqual(got.Ptr, []int{0, 2, 5, 5}) || !reflect.DeepEqual(got.Idx, idx[1:6]) {
+		t.Fatalf("right-hand sides decoded to ptr=%v idx=%v", got.Ptr, got.Idx)
+	}
+	for i, v := range got.Val {
+		if math.Float64bits(v) != math.Float64bits(val[1+i]) {
+			t.Fatalf("val[%d]: %x != %x", i, math.Float64bits(v), math.Float64bits(val[1+i]))
 		}
+	}
+	// Decoding a smaller request into the same struct (a worker reuses
+	// its requests) leaves nothing of the larger one behind.
+	small := AppendSolveRowsRequest(nil, 7, 1, []int{2}, []int{0, 1}, []int{5}, []float64{0.5})
+	if err := DecodeSolveRowsRequest(small, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := SolveRowsRequest{Epoch: 7, Shard: 1, Rows: []int{2}, Ptr: []int{0, 1}, Idx: []int{5}, Val: []float64{0.5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused decode = %+v, want %+v", got, want)
 	}
 
-	// Sparse reply: support order must come back verbatim, untouched
-	// rows must keep their stale values.
-	y := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80}
-	ysup := []int{5, 2, 8} // first-touch order, deliberately unsorted
-	resp := AppendSolveResponse(nil, y, ysup, len(y))
-	scratch := []float64{-1, -1, -1, -1, -1, -1, -1, -1, -1}
-	gotSup, err := DecodeSolveResponse(resp, scratch)
-	if err != nil {
-		t.Fatal(err)
+	// The reply carries raw bits in request order — NaN payloads, -0
+	// and subnormals included — behind the worker's elapsed time.
+	vals := append(append([]float64(nil), trickyFloats...),
+		math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0002))
+	resp := AppendSolveRowsResponse(nil, 12345, vals)
+	if len(resp) != SolveRowsReplyHeader+8*len(vals) {
+		t.Fatalf("reply is %d bytes, want %d", len(resp), SolveRowsReplyHeader+8*len(vals))
 	}
-	if !reflect.DeepEqual(gotSup, ysup) {
-		t.Fatalf("support order changed: %v != %v", gotSup, ysup)
+	out := make([]float64, len(vals))
+	ns, err := DecodeSolveRowsResponse(resp, out)
+	if err != nil || ns != 12345 {
+		t.Fatalf("reply decoded to ns=%d err=%v", ns, err)
 	}
-	for _, lv := range ysup {
-		if scratch[lv] != y[lv] {
-			t.Fatalf("row %d: %v != %v", lv, scratch[lv], y[lv])
+	for i, v := range out {
+		if math.Float64bits(v) != math.Float64bits(vals[i]) {
+			t.Fatalf("value %d lost bits: %x != %x", i, math.Float64bits(v), math.Float64bits(vals[i]))
 		}
 	}
-	if scratch[0] != -1 || scratch[1] != -1 {
-		t.Fatalf("rows outside the support were written: %v", scratch)
-	}
-
-	// Dense reply fills the leading rows and returns a nil support.
-	resp = AppendSolveResponse(nil, trickyFloats, nil, len(trickyFloats))
-	dense := make([]float64, len(trickyFloats))
-	gotSup, err = DecodeSolveResponse(resp, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSup != nil {
-		t.Fatalf("dense reply returned a support: %v", gotSup)
-	}
-	for i, v := range dense {
-		if math.Float64bits(v) != math.Float64bits(trickyFloats[i]) {
-			t.Fatalf("dense row %d lost bits", i)
-		}
+	if _, err := DecodeSolveRowsResponse(resp, out[:len(out)-1]); err == nil {
+		t.Fatal("a reply longer than the values asked for decoded cleanly")
 	}
 }
 
@@ -93,21 +95,58 @@ func TestControlCodecs(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	req := AppendSolveRequest(nil, 1, 2, []int{1, 2, 3}, []float64{1, 2, 3})
+	req := AppendSolveRowsRequest(nil, 1, 2, []int{4, 5}, []int{0, 2, 3}, []int{1, 2, 3}, []float64{1, 2, 3})
 	for cut := 0; cut < len(req); cut++ {
-		if _, _, _, _, err := DecodeSolveRequest(req[:cut]); err == nil && cut < len(req) {
-			// A shorter prefix can still be a valid smaller message only
-			// if the length field shrank with it; with a fixed header
-			// every strict prefix must fail.
+		// Every count is checked against the bytes behind it, so no
+		// strict prefix decodes as a smaller valid message.
+		if err := DecodeSolveRowsRequest(req[:cut], &SolveRowsRequest{}); err == nil {
 			t.Fatalf("truncated request at %d bytes decoded cleanly", cut)
 		}
 	}
-	resp := AppendSolveResponse(nil, []float64{0, 1, 2}, []int{2, 0}, 3)
-	y := make([]float64, 3)
+	if err := DecodeSolveRowsRequest(append(req, 0), &SolveRowsRequest{}); err == nil {
+		t.Fatal("request with a trailing byte decoded cleanly")
+	}
+	resp := AppendSolveRowsResponse(nil, 7, []float64{0, 1, 2})
+	out := make([]float64, 3)
 	for cut := 0; cut < len(resp); cut++ {
-		if _, err := DecodeSolveResponse(resp[:cut], y); err == nil {
+		if _, err := DecodeSolveRowsResponse(resp[:cut], out); err == nil {
 			t.Fatalf("truncated response at %d bytes decoded cleanly", cut)
 		}
+	}
+}
+
+// TestSolveRowsRequestBombs: headers whose counts promise more than the
+// frame carries — or a reply larger than a frame — are rejected before
+// anything is allocated.
+func TestSolveRowsRequestBombs(t *testing.T) {
+	head := func(nrows uint32) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, 1)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		return binary.LittleEndian.AppendUint32(b, nrows)
+	}
+	// 4e9 rows promised, none carried.
+	if err := DecodeSolveRowsRequest(head(math.MaxUint32), &SolveRowsRequest{}); err == nil {
+		t.Fatal("row-count bomb accepted")
+	}
+	// One row, 4e9 right-hand sides promised.
+	b := binary.LittleEndian.AppendUint32(head(1), 0)
+	if err := DecodeSolveRowsRequest(binary.LittleEndian.AppendUint32(b, math.MaxUint32), &SolveRowsRequest{}); err == nil {
+		t.Fatal("rhs-count bomb accepted")
+	}
+	// One rhs of 4e9 entries promised.
+	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head(0), 1), math.MaxUint32)
+	if err := DecodeSolveRowsRequest(b, &SolveRowsRequest{}); err == nil {
+		t.Fatal("rhs-length bomb accepted")
+	}
+	// Small on the wire, but the reply (rows × rhs values) would not
+	// fit in a frame: 2^16 rows × 2^16 empty right-hand sides.
+	const n = 1 << 16
+	b = head(n)
+	b = append(b, make([]byte, 4*n)...)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	b = append(b, make([]byte, 4*n)...)
+	if err := DecodeSolveRowsRequest(b, &SolveRowsRequest{}); err == nil {
+		t.Fatal("reply-size bomb accepted")
 	}
 }
 
@@ -128,7 +167,7 @@ func (h *echoHandler) Handle(op uint8, body []byte) ([]byte, error) {
 		return nil, nil
 	case OpHello:
 		return AppendHelloResponse(nil, HelloResponse{N: 10, Shards: 2, Epoch: 1}), nil
-	case OpSolve:
+	case OpSolveRows:
 		var sum uint64
 		for _, b := range body {
 			sum += uint64(b)
@@ -184,7 +223,7 @@ func TestClientTimeoutIsUnavailable(t *testing.T) {
 	addr := startServer(t, &echoHandler{sleep: 500 * time.Millisecond})
 	c := NewClient(addr, nil, 50*time.Millisecond)
 	defer c.Close()
-	if _, err := c.Call(OpSolve, []byte{1}); !errors.Is(err, ErrUnavailable) {
+	if _, err := c.Call(OpSolveRows, []byte{1}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("timeout should map to ErrUnavailable, got %v", err)
 	}
 }
@@ -229,7 +268,7 @@ func TestClientRetriesTornConnection(t *testing.T) {
 	c := NewClient(ln.Addr().String(), nil, time.Second)
 	defer c.Close()
 	body := []byte{9, 8, 7}
-	resp, err := c.Call(OpSolve, body)
+	resp, err := c.Call(OpSolveRows, body)
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
@@ -253,7 +292,7 @@ func TestFaultyNeverWrong(t *testing.T) {
 		ok, unavailable := 0, 0
 		for i := 0; i < 200; i++ {
 			body := []byte{byte(i), byte(i >> 3), byte(i * 7)}
-			resp, err := c.Call(OpSolve, body)
+			resp, err := c.Call(OpSolveRows, body)
 			if err != nil {
 				if !errors.Is(err, ErrUnavailable) {
 					t.Fatalf("faults %+v call %d: untyped error %v", f, i, err)

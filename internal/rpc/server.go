@@ -43,7 +43,7 @@ func ServeConn(nc net.Conn, h Handler) {
 			return // peer gone or torn frame; the client redials
 		}
 		inBuf = req
-		outBuf = outBuf[:0]
+		outBuf = beginFrame(outBuf)
 		if len(req) < 1 {
 			outBuf = append(outBuf, StatusError)
 			outBuf = append(outBuf, "rpc: empty request"...)
@@ -60,7 +60,7 @@ func ServeConn(nc net.Conn, h Handler) {
 				outBuf = append(outBuf, err.Error()...)
 			}
 		}
-		if err := WriteFrame(nc, outBuf); err != nil {
+		if _, err := nc.Write(endFrame(outBuf)); err != nil {
 			return
 		}
 	}

@@ -163,8 +163,8 @@ func (e *cancellingEngine) Search(q int, opt core.SearchOptions) ([]topk.Result,
 // copy of the index: the coordinator's shape without the wire.
 type localSolver struct{ sx *shard.ShardedIndex }
 
-func (r localSolver) SolveSparse(si int, idx []int, val []float64) ([]float64, []int, error) {
-	return r.sx.SolveShardSparse(si, idx, val)
+func (r localSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
+	return 0, r.sx.SolveShardRows(si, rows, ptr, idx, val, out)
 }
 
 // TestBatchCancelledBetweenQueries cancels a request's context once item

@@ -219,6 +219,7 @@ type traceStepJSON struct {
 	MassConsumed   float64 `json:"massConsumed"`
 	NodesEvaluated int     `json:"nodesEvaluated"`
 	DurationNS     int64   `json:"durationNs"`
+	WorkerNS       int64   `json:"workerNs,omitempty"`
 }
 
 // traceJSON is the per-query trace block a ?trace=1 response carries.
@@ -265,6 +266,7 @@ func toTraceJSON(tr *obs.QueryTrace) *traceJSON {
 				MassConsumed:   s.MassConsumed,
 				NodesEvaluated: s.NodesEvaluated,
 				DurationNS:     s.DurationNS,
+				WorkerNS:       s.WorkerNS,
 			}
 		}
 	}

@@ -2,37 +2,41 @@ package shard
 
 // Distributed-serving seam. In coordinator mode the greedy cross-shard
 // push — residual bookkeeping, commit order, cut-edge scatter — and the
-// rank run unchanged in the coordinator process, and only the pure
-// per-shard factor solves are routed through a RemoteSolver to the
-// workers owning the shards. A worker returns the whole solution; the
-// coordinator reads it at the same cut rows, in the same order, that an
-// in-process solve completes with U^{-1} row dots, and the rank reads
-// the accumulated solutions where the in-process rank sums row dots.
-// Because a factor solve is a pure function of (shard, right-hand side),
-// a row dot reproduces the full apply's value at its row bit for bit,
-// and the wire carries raw float64 bits, the distributed query computes
-// exactly the bytes the single-process one would have: the exactness
-// argument is "same inputs, same function, same order", not "close
-// enough". The worker side of the seam is SolveShardSparse below, which
-// runs the solve against real factors and returns caller-owned copies
-// safe to serialize after the pooled solver has moved on.
+// rank run unchanged in the coordinator process, and only the per-shard
+// factor solves are routed through a RemoteSolver to the workers owning
+// the shards. A remote solve names the rows it needs: a push solve asks
+// for the solved shard's cut-owning rows (what the scatter reads) plus
+// the rank prefix's rows in that shard (what the rank will read), and
+// the worker answers with one U^{-1} row dot per row — the very calls,
+// on the very workspace bits, an in-process push and rank make. A rank
+// that walks past the prefix fetches the missing rows by replaying the
+// shard's recorded right-hand sides (see state.go). Because a row dot is
+// a pure function of (shard, right-hand side, row) and the wire carries
+// raw float64 bits, the distributed query computes exactly the bytes the
+// single-process one would have: the exactness argument is "same
+// inputs, same function, same order", not "close enough". The worker
+// side of the seam is SolveShardRows below.
 
 import (
 	"fmt"
 	"sync"
 
 	"kdash/internal/core"
+	"kdash/internal/lu"
 )
 
 // RemoteSolver routes per-shard factor solves to remote workers. An
 // implementation must be safe for concurrent calls (concurrent queries
-// share it), must not retain idx or val after returning, and must return
-// results that stay valid indefinitely (freshly allocated, not pooled).
-// SolveSparse returns the solution over a partLen-sized vector — zero
-// outside the solve's support — plus the solver's first-touch support
-// (nil for a dense solve), like core.SparseSolver.
+// share it) and must not retain its arguments after returning.
+//
+// SolveRows solves shard si once per right-hand side — rhs r is
+// idx[ptr[r]:ptr[r+1]] with values val[ptr[r]:ptr[r+1]], local ids
+// strictly ascending — and writes solve r's value at local row rows[i]
+// to out[r*len(rows)+i], exactly ShardedIndex.SolveShardRows's output
+// against the shard's real factors. It returns the worker's own elapsed
+// time, which the trace reports beside the call's wall clock.
 type RemoteSolver interface {
-	SolveSparse(si int, idx []int, val []float64) (y []float64, ysup []int, err error)
+	SolveRows(si int, rows, ptr, idx []int, val, out []float64) (workerNS int64, err error)
 }
 
 // SetRemoteSolver routes every factor solve through r (nil restores
@@ -52,58 +56,70 @@ func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 // ghost sink row when the shard has outgoing cut weight.
 func (sx *ShardedIndex) PartLen(si int) int { return sx.partLen(si) }
 
-// remotePools lazily sizes the per-part solver pools backing the worker
-// RPC surface.
-func (sx *ShardedIndex) remotePools() {
-	sx.rpoolOnce.Do(func() { sx.rsparse = make([]sync.Pool, len(sx.parts)) })
+// rowSolver is the worker surface's pooled per-shard scratch: a
+// single-lane solver and one L^{-1} workspace, clean between calls.
+type rowSolver struct {
+	solver *core.SparseSolver
+	w      *lu.Workspace
 }
 
-// remoteSparseSolver checks a single-lane solver for shard si (whose
-// index is ix) out of the worker-surface pool, creating one on first
-// use.
+// getRowSolver checks shard si's scratch (whose index is ix) out of the
+// worker-surface pool, creating one on first use.
 //
 //kdash:pooled
-func (sx *ShardedIndex) remoteSparseSolver(si int, ix *core.Index) *core.SparseSolver {
-	if sl, ok := sx.rsparse[si].Get().(*core.SparseSolver); ok {
-		return sl
+func (sx *ShardedIndex) getRowSolver(si int, ix *core.Index) *rowSolver {
+	sx.rpoolOnce.Do(func() { sx.rpool = make([]sync.Pool, len(sx.parts)) })
+	if rs, ok := sx.rpool[si].Get().(*rowSolver); ok {
+		return rs
 	}
-	return ix.NewSparseSolver()
+	return &rowSolver{solver: ix.NewSparseSolver(), w: ix.NewWorkspace()}
 }
 
-// SolveShardSparse is the worker side of RemoteSolver.SolveSparse: one
-// single-lane solve against shard si's real factors through a pooled
-// solver. The returned slices are caller-owned copies — for a sparse
-// solve y is a fresh partLen-sized vector written only on the support
-// (rows outside it are zero, and by the SolveSparse contract never
-// read), for a dense solve ysup is nil and all of y is meaningful. Safe
-// for concurrent calls.
-func (sx *ShardedIndex) SolveShardSparse(si int, idx []int, val []float64) ([]float64, []int, error) {
+// SolveShardRows is the worker side of RemoteSolver.SolveRows: for each
+// right-hand side, the L^{-1} pass into a pooled workspace, one U^{-1}
+// row dot per requested row into out, and a reset. Shard, rows, the
+// right-hand side pointers and ids are all validated first, so hostile
+// input is an error, never a fault. Safe for concurrent calls.
+func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []float64) error {
 	if si < 0 || si >= len(sx.parts) {
-		return nil, nil, fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
+		return fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
+	}
+	n := sx.partLen(si)
+	for _, lv := range rows {
+		if lv < 0 || lv >= n {
+			return fmt.Errorf("shard: solve row %d outside shard %d's [0,%d)", lv, si, n)
+		}
+	}
+	if len(ptr) == 0 || len(idx) != len(val) {
+		return fmt.Errorf("shard: malformed right-hand sides (%d pointers, %d ids, %d values)", len(ptr), len(idx), len(val))
+	}
+	for r := 1; r < len(ptr); r++ {
+		if ptr[r-1] < 0 || ptr[r] < ptr[r-1] || ptr[r] > len(idx) {
+			return fmt.Errorf("shard: right-hand side %d spans [%d,%d) of %d entries", r-1, ptr[r-1], ptr[r], len(idx))
+		}
+	}
+	if nrhs := len(ptr) - 1; len(out) != nrhs*len(rows) {
+		return fmt.Errorf("shard: output holds %d values, want %d right-hand sides × %d rows", len(out), nrhs, len(rows))
 	}
 	ix, err := sx.parts[si].index() // opens a lazily loaded shard, or fails
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	sx.remotePools()
-	sl := sx.remoteSparseSolver(si, ix)
-	y, ysup, err := sl.SolveSparse(idx, val)
-	if err != nil {
-		sx.rsparse[si].Put(sl)
-		return nil, nil, err
-	}
-	n := sx.partLen(si)
-	var yc []float64
-	var supc []int
-	if ysup == nil {
-		yc = append(make([]float64, 0, n), y[:n]...)
-	} else {
-		yc = make([]float64, n)
-		supc = append(make([]int, 0, len(ysup)), ysup...)
-		for _, lv := range ysup {
-			yc[lv] = y[lv]
+	rs := sx.getRowSolver(si, ix)
+	defer sx.rpool[si].Put(rs)
+	for r := 0; r+1 < len(ptr); r++ {
+		lo, hi := ptr[r], ptr[r+1]
+		err := rs.solver.SolveLower(idx[lo:hi], val[lo:hi], rs.w) // validates range and ascending order before writing
+		if err == nil {
+			dst := out[r*len(rows) : (r+1)*len(rows)]
+			for i, lv := range rows {
+				dst[i] = ix.UpperDot(lv, rs.w)
+			}
+		}
+		rs.w.Reset()
+		if err != nil {
+			return err
 		}
 	}
-	sx.rsparse[si].Put(sl)
-	return yc, supc, nil
+	return nil
 }

@@ -70,8 +70,8 @@ func (sx *ShardedIndex) pushWeighted(seeds map[int]float64, w []float64) ([][]fl
 	for _, g := range seedNodesSorted(seeds) {
 		st.seed(g, seeds[g])
 	}
-	qs, _ := st.run(w) // test-only path: no context, no RemoteSolver, no lazy opens — run cannot fail
-	x := st.materialize()
+	qs, _ := st.run(w)       // test-only path: no context, no RemoteSolver, no lazy opens — run cannot fail
+	x, _ := st.materialize() // likewise: in process it cannot fail
 	sx.putPushState(st)
 	return x, qs
 }
@@ -125,6 +125,10 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 		tPush = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
 	st.seed(q, sx.c)
+	st.roots = append(st.roots, q)
+	if sx.remote != nil {
+		st.rankPrefix(k + len(opt.Exclude))
+	}
 	qs, err := st.run(nil)
 	if err != nil {
 		sx.putPushState(st)
@@ -135,8 +139,11 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 		tRank = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 		opt.Trace.SolveNS += tRank.Sub(tPush).Nanoseconds()
 	}
-	st.roots = append(st.roots, q)
-	results := st.rank(k, opt.Exclude, &qs)
+	results, err := st.rank(k, opt.Exclude, &qs)
+	if err != nil {
+		sx.putPushState(st)
+		return nil, qs, err
+	}
 	if opt.Trace != nil {
 		opt.Trace.RankNS += time.Since(tRank).Nanoseconds() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
@@ -208,14 +215,20 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 	for _, node := range nodes {
 		st.seed(node, sx.c*seeds[node]/total)
 	}
+	st.roots = append(st.roots, nodes...) // layer 0 of a multi-source BFS
+	if sx.remote != nil {
+		st.rankPrefix(k)
+	}
 	qs, err := st.run(nil)
 	if err != nil {
 		sx.putPushState(st)
 		return nil, qs.searchStats(), err
 	}
-	st.roots = append(st.roots, nodes...) // layer 0 of a multi-source BFS
-	results := st.rank(k, nil, &qs)
+	results, err := st.rank(k, nil, &qs)
 	sx.putPushState(st)
+	if err != nil {
+		return nil, qs.searchStats(), err
+	}
 	return results, qs.searchStats(), nil
 }
 
@@ -306,12 +319,20 @@ func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
 	}
 	st := sx.getPushState()
 	st.seed(q, sx.c)
+	if sx.remote != nil {
+		st.roots = append(st.roots, u)
+		st.startPrefix(st.roots) // the one row the answer reads
+	}
 	if _, err := st.run(sx.pairWeights(sx.home[u])); err != nil {
 		sx.putPushState(st)
 		return 0, err
 	}
 	p := st.score(u)
+	err := st.err
 	sx.putPushState(st)
+	if err != nil {
+		return 0, err
+	}
 	return p, nil
 }
 
@@ -329,12 +350,16 @@ func (sx *ShardedIndex) ProximityVector(q int) ([]float64, error) {
 		sx.putPushState(st)
 		return nil, err
 	}
+	xs, err := st.materialize()
+	sx.putPushState(st)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, sx.n)
-	for si, x := range st.materialize() {
+	for si, x := range xs {
 		for lv, v := range x {
 			out[sx.parts[si].nodes[lv]] = v
 		}
 	}
-	sx.putPushState(st)
 	return out, nil
 }

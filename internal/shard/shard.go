@@ -296,12 +296,12 @@ type ShardedIndex struct {
 	// snapshot. remote, when set, routes every per-shard factor solve
 	// through a RemoteSolver; it is not carried across Apply — the
 	// coordinator rebinds a per-epoch solver on each successor. The
-	// pools back the worker-side SolveShardSparse RPC surface with
-	// reusable per-part solvers.
+	// pools back the worker-side SolveShardRows RPC surface with
+	// reusable per-part solvers and workspaces.
 	factorless bool
 	remote     RemoteSolver
 	rpoolOnce  sync.Once
-	rsparse    []sync.Pool
+	rpool      []sync.Pool
 
 	// solveCounts tracks cumulative factor solves per shard — the
 	// traffic-weighted counterpart of shardsOpened, exposed through

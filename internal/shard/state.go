@@ -19,6 +19,20 @@ package shard
 // one row dot per solve of its shard, computed when the rank visits the
 // node — the paper's proximity computation. Only the full-vector reads
 // (materialize) complete the recorded solves with whole U^{-1} applies.
+//
+// Under a RemoteSolver the workspaces live on the workers, so the state
+// records each solve's right-hand side instead, and the values the rank
+// will read are fetched with the push. Before the push the coordinator
+// takes the rank prefix: whole BFS layers from the rank's roots, the
+// fewest holding more than k + |exclude| nodes, since Lemma 2's
+// heap-full guard keeps Algorithm 4 from stopping before it has visited
+// that many. Every push solve asks its worker for the solved shard's cut
+// rows plus the prefix's rows in the shard, and accumulates them in
+// solve order with zeros skipped — the sum value() forms in process. A
+// rank that visits a node past the prefix widens it by a BFS layer and
+// replays each solved shard's recorded right-hand sides for the new rows
+// (fetch), so the answer is exact for every k; at k = 10 the prefix
+// almost always suffices.
 
 import (
 	"context"
@@ -33,36 +47,45 @@ import (
 )
 
 // shardSolves records one shard's solves in the current query, in solve
-// order: in process, each solve's L^{-1} workspace (lower[:nlower];
-// pooled workspaces past nlower wait for reuse); under a RemoteSolver,
-// the whole solutions the workers returned (ys).
+// order. In process: each solve's L^{-1} workspace (lower[:nlower];
+// pooled workspaces past nlower wait for reuse). Under a RemoteSolver:
+// each solve's right-hand side, flat (solve r is rhsIdx/rhsVal over
+// [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution x at the rows
+// fetched so far — the push's rows, ascending, then the rank's.
 type shardSolves struct {
 	ix     *core.Index // nil until this state first solves the shard locally
 	solver *core.SparseSolver
 	lower  []*lu.Workspace
 	nlower int
-	ys     [][]float64
+
+	nremote int
+	rhsPtr  []int
+	rhsIdx  []int
+	rhsVal  []float64
+	rows    []int     // the rows x is known at
+	x       []float64 // partLen-sized, live only on rows
+	known   []bool    // known[lv]: lv is in rows
 }
 
 // recorded reports whether the query solved the shard.
-func (ss *shardSolves) recorded() bool { return ss.nlower > 0 || len(ss.ys) > 0 }
+func (ss *shardSolves) recorded() bool { return ss.nlower > 0 || ss.nremote > 0 }
 
 // value returns the shard's accumulated solution at local row lv: each
 // solve's value there, summed in solve order with zeros skipped — the
 // float sequence of accumulating every solve's output into one vector.
-// An unsolved shard's rows are 0, and reading them opens nothing.
+// An unsolved shard's rows are 0, and reading them opens nothing. A
+// remotely solved shard answers from x, which the caller must have
+// fetched at lv (pushState.score does).
 //
 //kdash:noalloc
 //kdash:deterministic
 func (ss *shardSolves) value(lv int) float64 {
+	if ss.nremote > 0 {
+		return ss.x[lv]
+	}
 	x := 0.0
 	for _, w := range ss.lower[:ss.nlower] {
 		if v := ss.ix.UpperDot(lv, w); v != 0 {
-			x += v
-		}
-	}
-	for _, y := range ss.ys {
-		if v := y[lv]; v != 0 {
 			x += v
 		}
 	}
@@ -92,6 +115,19 @@ type pushState struct {
 	// list.
 	tree  *core.TreeWS
 	roots []int
+
+	// The remote half (coordinator mode only): the rank prefix as a BFS
+	// queue — whole layers, the last starting at prefix[player] — with
+	// generation marks (pmark[g] == pgen: g is in the prefix), the row
+	// and value scratch of one remote call, and the first failed fetch
+	// of the rank, which the query reports once the rank returns.
+	prefix []int
+	pmark  []int
+	pgen   int
+	player int
+	rowBuf []int
+	valBuf []float64
+	err    error
 
 	initial float64 // total seeded mass this query
 
@@ -206,7 +242,7 @@ func (st *pushState) run(w []float64) (QueryStats, error) {
 			if err := st.traceSolve(best, total, &qs); err != nil {
 				return qs, err
 			}
-		} else if err := st.solveShard(best, &qs); err != nil {
+		} else if _, err := st.solveShard(best, &qs); err != nil {
 			return qs, err
 		}
 	}
@@ -230,13 +266,15 @@ func (st *pushState) run(w []float64) (QueryStats, error) {
 
 // traceSolve wraps one solveShard call with trace recording: the
 // pending-mass snapshot before, the shard's consumed mass, the cut rows
-// the solve evaluated and its wall clock, and the total residual left
-// after — the residual-bound trajectory clients see in the trace block.
+// the solve evaluated, its wall clock and (remote solves) the worker's
+// share of it, and the total residual left after — the residual-bound
+// trajectory clients see in the trace block.
 func (st *pushState) traceSolve(best int, totalBefore float64, qs *QueryStats) error {
 	consumed := st.resMass[best]
 	evalBefore := qs.NodesEvaluated
 	t0 := time.Now() //kdash:allow(determinism) wall clock feeds only the trace block, never the solve or ranking
-	if err := st.solveShard(best, qs); err != nil {
+	workerNS, err := st.solveShard(best, qs)
+	if err != nil {
 		return err
 	}
 	d := time.Since(t0) //kdash:allow(determinism) trace-only duration
@@ -250,6 +288,7 @@ func (st *pushState) traceSolve(best int, totalBefore float64, qs *QueryStats) e
 		MassConsumed:   consumed,
 		NodesEvaluated: qs.NodesEvaluated - evalBefore,
 		DurationNS:     d.Nanoseconds(),
+		WorkerNS:       workerNS,
 	}, after)
 	return nil
 }
@@ -283,58 +322,62 @@ func (st *pushState) consumeResidual(best int) ([]int, []float64) {
 // the solved mass across the shard's cut edges. In process the solve
 // stops after its L^{-1} pass (kept in the shard's solve record) and
 // only the cut-owning rows are completed, as U^{-1} row dots; under a
-// RemoteSolver the worker returns the whole solution, which is kept and
-// read at the same rows. Either way the cut scatter walks the cut rows
-// in ascending order with the same values, so both modes push
-// bit-identically. A failed shard open or worker call abandons the
-// query with the error, never a partial answer.
+// RemoteSolver the worker computes the same row dots for the cut rows
+// and the rank prefix's rows in the shard (remoteSolve). Either way the
+// cut scatter walks the cut rows in ascending order with the same
+// values, so both modes push bit-identically. It returns the worker's
+// time for a remote solve. A failed shard open or worker call abandons
+// the query with the error, never a partial answer.
 //
 //kdash:noalloc
 //kdash:deterministic
-func (st *pushState) solveShard(best int, qs *QueryStats) error {
-	sx := st.sx
+func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 	idx, val := st.consumeResidual(best)
 	ss := &st.solves[best]
 	if !ss.recorded() {
 		qs.ShardsSolved++
 	}
-	var y []float64
-	var w *lu.Workspace
-	if r := sx.remote; r != nil {
-		var err error
-		if y, _, err = r.SolveSparse(best, idx, val); err != nil {
-			return err
-		}
-		ss.ys = append(ss.ys, y)
+	var workerNS int64
+	var err error
+	if st.sx.remote != nil {
+		workerNS, err = st.remoteSolve(best, ss, idx, val)
 	} else {
-		if ss.solver == nil {
-			ix, err := sx.parts[best].index()
-			if err != nil {
-				return err
-			}
-			ss.ix, ss.solver = ix, ix.NewSparseSolver() //kdash:allow(hotalloc) first touch of a shard creates its solver once per pooled state
-		}
-		if ss.nlower == len(ss.lower) {
-			ss.lower = append(ss.lower, ss.ix.NewWorkspace()) //kdash:allow(hotalloc) a shard's first solve at this depth sizes its workspace once per pooled state
-		}
-		w = ss.lower[ss.nlower]
-		if err := ss.solver.SolveLower(idx, val, w); err != nil {
-			panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
-		}
-		ss.nlower++
+		err = st.localSolve(best, ss, idx, val)
+	}
+	if err != nil {
+		return 0, err
 	}
 	qs.Solves++
-	sx.solveCounters()[best].Add(1)
+	st.sx.solveCounters()[best].Add(1)
+	qs.NodesEvaluated += len(st.sx.parts[best].cutRows)
+	return workerNS, nil
+}
 
-	p := sx.parts[best]
-	qs.NodesEvaluated += len(p.cutRows)
-	for _, lv := range p.cutRows {
-		var yv float64
-		if y != nil {
-			yv = y[lv]
-		} else {
-			yv = ss.ix.UpperDot(lv, w)
+// localSolve is solveShard's in-process half: the L^{-1} pass into the
+// shard's next pooled workspace, then one U^{-1} row dot per cut row,
+// scattered across the cut in ascending row order.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []float64) error {
+	p := st.sx.parts[best]
+	if ss.solver == nil {
+		ix, err := p.index()
+		if err != nil {
+			return err
 		}
+		ss.ix, ss.solver = ix, ix.NewSparseSolver() //kdash:allow(hotalloc) first touch of a shard creates its solver once per pooled state
+	}
+	if ss.nlower == len(ss.lower) {
+		ss.lower = append(ss.lower, ss.ix.NewWorkspace()) //kdash:allow(hotalloc) a shard's first solve at this depth sizes its workspace once per pooled state
+	}
+	w := ss.lower[ss.nlower]
+	if err := ss.solver.SolveLower(idx, val, w); err != nil {
+		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
+	}
+	ss.nlower++
+	for _, lv := range p.cutRows {
+		yv := ss.ix.UpperDot(lv, w)
 		if yv == 0 {
 			continue
 		}
@@ -345,22 +388,214 @@ func (st *pushState) solveShard(best int, qs *QueryStats) error {
 	return nil
 }
 
-// score is the rank's proximity source: node g's accumulated solution.
+// remoteSolve is solveShard's coordinator half: it records the
+// right-hand side, asks the worker for the solve's values at ss.rows —
+// fixed at the shard's first solve to its cut rows merged with the rank
+// prefix's rows, ascending — folds them into x and scatters the cut
+// rows' values in ascending order, exactly as the in-process loop does
+// (rows outside the cut own no cut edges).
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []float64) (int64, error) {
+	p := st.sx.parts[best]
+	if ss.nremote == 0 {
+		if ss.x == nil {
+			n := st.sx.partLen(best)
+			ss.x = make([]float64, n)  //kdash:allow(hotalloc) first remote solve of a shard sizes its value vector once per pooled state
+			ss.known = make([]bool, n) //kdash:allow(hotalloc) paired first-touch sizing
+		}
+		st.pushRows(best, ss)
+		ss.rhsPtr = append(ss.rhsPtr[:0], 0)
+	}
+	ss.rhsIdx = append(ss.rhsIdx, idx...)
+	ss.rhsVal = append(ss.rhsVal, val...)
+	ss.rhsPtr = append(ss.rhsPtr, len(ss.rhsIdx))
+	ss.nremote++
+	out := st.values(len(ss.rows))
+	workerNS, err := st.sx.remote.SolveRows(best, ss.rows, ss.rhsPtr[ss.nremote-1:], ss.rhsIdx, ss.rhsVal, out)
+	if err != nil {
+		return 0, err
+	}
+	for i, lv := range ss.rows {
+		yv := out[i]
+		if yv == 0 {
+			continue
+		}
+		ss.x[lv] += yv
+		for _, e := range p.cuts[p.cutPtr[lv]:p.cutPtr[lv+1]] {
+			st.addRes(e.dstShard, e.dst, e.w*yv)
+		}
+	}
+	return workerNS, nil
+}
+
+// pushRows sets ss.rows to shard si's cut rows merged with the rank
+// prefix's rows in the shard, ascending and distinct, and marks them
+// known: every push solve of the shard fetches exactly these rows.
+//
+//kdash:noalloc
+func (st *pushState) pushRows(si int, ss *shardSolves) {
+	sx := st.sx
+	pre := st.rowBuf[:0]
+	for _, g := range st.prefix {
+		if sx.home[g] == si {
+			pre = append(pre, sx.local[g])
+		}
+	}
+	sort.Ints(pre)
+	st.rowBuf = pre
+	cut := sx.parts[si].cutRows
+	rows := ss.rows[:0]
+	i, j := 0, 0
+	for i < len(cut) || j < len(pre) {
+		switch {
+		case j == len(pre) || (i < len(cut) && cut[i] < pre[j]):
+			rows = append(rows, cut[i])
+			i++
+		case i == len(cut) || pre[j] < cut[i]:
+			rows = append(rows, pre[j])
+			j++
+		default: // a prefix node that owns cut edges
+			rows = append(rows, cut[i])
+			i++
+			j++
+		}
+	}
+	for _, lv := range rows {
+		ss.known[lv] = true
+	}
+	ss.rows = rows
+}
+
+// values returns the state's value scratch resized to n.
+//
+//kdash:noalloc
+func (st *pushState) values(n int) []float64 {
+	if cap(st.valBuf) < n {
+		st.valBuf = make([]float64, n) //kdash:allow(hotalloc) grows once per pooled state to the widest remote call
+	}
+	return st.valBuf[:n]
+}
+
+// startPrefix makes roots (sorted, distinct) layer 0 of the rank prefix.
+func (st *pushState) startPrefix(roots []int) {
+	if st.pmark == nil {
+		st.pmark = make([]int, st.sx.n)
+	}
+	st.pgen++
+	st.prefix = append(st.prefix[:0], roots...)
+	for _, g := range roots {
+		st.pmark[g] = st.pgen
+	}
+	st.player = 0
+}
+
+// rankPrefix sets the prefix to the fewest whole BFS layers from the
+// rank's roots that hold more than need nodes (all of the roots'
+// component when fewer exist).
+func (st *pushState) rankPrefix(need int) {
+	st.startPrefix(st.roots)
+	for len(st.prefix) <= need && st.widenPrefix() {
+	}
+}
+
+// widenPrefix appends the next BFS layer over the graph snapshot and
+// reports whether it added any node.
+//
+//kdash:noalloc
+func (st *pushState) widenPrefix() bool {
+	ptr, to := st.sx.g.OutCSR()
+	end := len(st.prefix)
+	for _, u := range st.prefix[st.player:end] {
+		for _, v := range to[ptr[u]:ptr[u+1]] {
+			if st.pmark[v] != st.pgen {
+				st.pmark[v] = st.pgen
+				st.prefix = append(st.prefix, v)
+			}
+		}
+	}
+	st.player = end
+	return len(st.prefix) > end
+}
+
+// score is the rank's proximity source: node g's accumulated solution,
+// fetched first when g lies in a remotely solved shard past the prefix.
+// After a failed fetch it answers 0; the rank then reports the error.
 //
 //kdash:noalloc
 //kdash:deterministic
 func (st *pushState) score(g int) float64 {
-	return st.solves[st.sx.home[g]].value(st.sx.local[g])
+	si, lv := st.sx.home[g], st.sx.local[g]
+	ss := &st.solves[si]
+	if ss.nremote > 0 && !ss.known[lv] {
+		if st.err != nil {
+			return 0
+		}
+		st.fetch(g)
+	}
+	return ss.value(lv)
+}
+
+// fetch is the rank's fallback for a node g past the prefix: it widens
+// the prefix by whole BFS layers until g is in it, then fetches the new
+// nodes' rows from every remotely solved shard — one call per shard
+// carrying all of the shard's recorded right-hand sides — and sums each
+// row's values in solve order with zeros skipped, the float sequence
+// the push's accumulation (and value, in process) forms.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) fetch(g int) {
+	sx := st.sx
+	// The rank's BFS runs from the same roots over the same graph, so
+	// every node it scores is reached by widening.
+	from := len(st.prefix)
+	for st.pmark[g] != st.pgen && st.widenPrefix() {
+	}
+	for si := range st.solves {
+		ss := &st.solves[si]
+		if ss.nremote == 0 {
+			continue
+		}
+		rows := st.rowBuf[:0]
+		for _, v := range st.prefix[from:] {
+			if lv := sx.local[v]; sx.home[v] == si && !ss.known[lv] {
+				rows = append(rows, lv)
+			}
+		}
+		st.rowBuf = rows
+		if len(rows) == 0 {
+			continue
+		}
+		out := st.values(ss.nremote * len(rows))
+		if _, err := sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, out); err != nil {
+			st.err = err
+			return
+		}
+		for i, lv := range rows {
+			x := 0.0
+			for r := 0; r < ss.nremote; r++ {
+				if v := out[r*len(rows)+i]; v != 0 {
+					x += v
+				}
+			}
+			ss.x[lv] = x
+			ss.known[lv] = true
+			ss.rows = append(ss.rows, lv)
+		}
+	}
 }
 
 // rank runs Algorithm 4 over the epoch's graph snapshot from the state's
 // roots, scoring each node it selects from the push's solve records, and
 // returns the exact top-k (only positive scores are answers). Its
-// proximity computations count into qs.NodesEvaluated. It allocates the
+// proximity computations count into qs.NodesEvaluated; the remote
+// fallback's fetches are transport and count nowhere. It allocates the
 // O(k) result set and nothing else — deliberately not //kdash:noalloc.
 //
 //kdash:deterministic
-func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) []topk.Result {
+func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) ([]topk.Result, error) {
 	sx := st.sx
 	if st.tree == nil {
 		st.tree = core.NewTreeWS(sx.n)
@@ -369,19 +604,24 @@ func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) []topk.Re
 	var ss core.SearchStats
 	ptr, to := sx.g.OutCSR()
 	core.SearchTree(st.tree, &sx.bounds, ptr, to, st.roots, st.score, heap, exclude, true, &ss)
+	if st.err != nil {
+		return nil, st.err
+	}
 	qs.NodesEvaluated += ss.ProximityComputations
 	if st.tr != nil {
 		st.tr.NodesEvaluated += ss.ProximityComputations
 	}
-	return heap.Results()
+	return heap.Results(), nil
 }
 
 // materialize returns the accumulated solution as caller-owned
 // per-shard vectors over owned rows (nil for unsolved shards), for the
 // full-vector reads (ProximityVector, the test-only push wrappers): each
-// recorded solve completed by a whole U^{-1} apply, summed in solve
-// order with zeros skipped — bit for bit what value computes row by row.
-func (st *pushState) materialize() [][]float64 {
+// recorded solve completed by a whole U^{-1} apply — or, for a remotely
+// solved shard, one call fetching every owned row of every recorded
+// solve — summed in solve order with zeros skipped: bit for bit what
+// value computes row by row.
+func (st *pushState) materialize() ([][]float64, error) {
 	out := make([][]float64, len(st.sx.parts))
 	for si, p := range st.sx.parts {
 		ss := &st.solves[si]
@@ -389,14 +629,34 @@ func (st *pushState) materialize() [][]float64 {
 			continue
 		}
 		x := make([]float64, len(p.nodes))
-		add := func(y []float64, sup []int) {
+		if ss.nremote > 0 {
+			rows := make([]int, len(x))
+			for lv := range rows {
+				rows[lv] = lv
+			}
+			vals := make([]float64, ss.nremote*len(rows))
+			if _, err := st.sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, vals); err != nil {
+				return nil, err
+			}
+			for r := 0; r < ss.nremote; r++ {
+				for lv, v := range vals[r*len(rows) : (r+1)*len(rows)] {
+					if v != 0 {
+						x[lv] += v
+					}
+				}
+			}
+			out[si] = x
+			continue
+		}
+		for _, w := range ss.lower[:ss.nlower] {
+			y, sup := ss.solver.ApplyUpper(w)
 			if sup == nil { // a dense solve: every row
 				for lv := range x {
 					if y[lv] != 0 {
 						x[lv] += y[lv]
 					}
 				}
-				return
+				continue
 			}
 			for _, lv := range sup {
 				if lv < len(x) && y[lv] != 0 { // the ghost sink's row is never ranked
@@ -404,15 +664,9 @@ func (st *pushState) materialize() [][]float64 {
 				}
 			}
 		}
-		for _, w := range ss.lower[:ss.nlower] {
-			add(ss.solver.ApplyUpper(w))
-		}
-		for _, y := range ss.ys {
-			add(y, nil)
-		}
 		out[si] = x
 	}
-	return out
+	return out, nil
 }
 
 // release restores the all-zero invariant by spot-cleaning exactly the
@@ -426,8 +680,13 @@ func (st *pushState) release() {
 			w.Reset()
 		}
 		ss.nlower = 0
-		clear(ss.ys) // drop the workers' solutions for the collector
-		ss.ys = ss.ys[:0]
+		for _, lv := range ss.rows {
+			ss.x[lv] = 0
+			ss.known[lv] = false
+		}
+		ss.rows = ss.rows[:0]
+		ss.nremote = 0
+		ss.rhsIdx, ss.rhsVal = ss.rhsIdx[:0], ss.rhsVal[:0]
 		if len(st.rsup[si]) > 0 {
 			rb, rm := st.res[si], st.rmark[si]
 			for _, lv := range st.rsup[si] {
@@ -440,5 +699,6 @@ func (st *pushState) release() {
 	}
 	st.initial = 0
 	st.roots = st.roots[:0]
-	st.ctx, st.tr = nil, nil
+	st.prefix = st.prefix[:0]
+	st.ctx, st.tr, st.err = nil, nil, nil
 }
