@@ -121,8 +121,20 @@ type Index struct {
 
 	// backing is the sectioned container a loaded index's arrays live
 	// in — a read-only file mapping for OpenIndexFile in an mmap mode, a
-	// private buffer otherwise. nil for built indexes. Mapped arrays are
-	// immutable at the MMU level; Close releases the mapping.
+	// sealed off-heap copy for copy mode where the platform maps memory,
+	// a Go buffer otherwise. nil for built indexes. Off-heap arrays are
+	// immutable at the MMU level. Close releases them at once; otherwise
+	// a cleanup releases them when the Index becomes unreachable.
+	//
+	// That cleanup rests on one invariant: no slice of the container
+	// outlives the *Index that owns it. The container's slices sit only
+	// in this Index's fields and in objects it owns — the sparse.CSC and
+	// CSR structs and the lu.Inverse built over them — and whatever holds
+	// one of those also holds the Index: a SparseSolver keeps ix, the
+	// pooled solvers live in the Index's own pools or, in internal/shard,
+	// beside the Index in a push state. Methods whose last use of the
+	// Index precedes a read through such an object keep it alive with
+	// runtime.KeepAlive.
 	backing *mmapio.File
 }
 
@@ -202,6 +214,7 @@ func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
 	if g.M() > 0 {
 		ix.stats.InverseRatio = float64(ix.stats.NNZInverse) / float64(g.M())
 	}
+	trackHeap(ix, ix.arrayBytes())
 	return ix, nil
 }
 

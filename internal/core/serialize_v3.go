@@ -8,10 +8,14 @@ package core
 // the physical memory is shared across every process serving the same
 // file. LoadIndex accepts the same layout from a stream (copy mode).
 //
-// A mapped index's arrays are read-only at the MMU level: the query and
-// update paths never write factor arrays (all scratch lives in pooled
-// workspaces), and TestMmapQueriesNeverWriteFactors pins that contract
-// by running the full query surface against a PROT_READ mapping.
+// A mapped index's arrays are read-only at the MMU level, and so are a
+// copy-mode load's where the platform maps memory: mmapio reads the file
+// into anonymous memory outside the Go heap and seals it PROT_READ. The
+// query and update paths never write factor arrays (all scratch lives in
+// pooled workspaces); TestMmapQueriesNeverWriteFactors pins that
+// contract by running the full query surface against a PROT_READ
+// mapping, and TestLoadedFactorsFaultOnWrite shows a write faulting in
+// both modes.
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it. It is the only generation either
@@ -27,6 +31,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"sync/atomic"
 
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
@@ -108,7 +114,9 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.AddFloats(secUinvVal, ix.uinv.Val)
 	sw.AddFloats(secAmaxCol, ix.amaxCol)
 	sw.AddFloats(secSelfA, ix.selfA)
-	if _, err := sw.WriteTo(w); err != nil {
+	_, err := sw.WriteTo(w)
+	runtime.KeepAlive(ix) // sw holds slices of the backing
+	if err != nil {
 		return fmt.Errorf("core: writing index: %w", err)
 	}
 	return nil
@@ -143,11 +151,13 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // given mmapio mode: mmapio.ModeMmap (or ModeAuto on a supported
 // platform) maps the file read-only and the returned index's arrays
 // alias the mapping — near-instant opens, demand paging, shared
-// physical memory — and Close must be called once the index is
-// retired; mmapio.ModeCopy forces a private in-memory copy with every
-// checksum verified. Any mmap failure under ModeMmap is surfaced, never
-// silently downgraded — a caller that demanded shared mappings must not
-// silently get N private copies. Mapped reports which path was taken.
+// physical memory; mmapio.ModeCopy forces a private copy with every
+// checksum verified, sealed off the Go heap where the platform maps
+// memory. Close releases either off-heap backing at once; otherwise it
+// is released once the index becomes unreachable. Any mmap failure
+// under ModeMmap is surfaced, never silently downgraded — a caller that
+// demanded shared mappings must not silently get N private copies.
+// Mapped reports which path was taken.
 // A file that is not the current container is refused with
 // ErrUnsupportedFormat.
 func OpenIndexFile(path string, mode mmapio.Mode) (*Index, error) {
@@ -167,7 +177,7 @@ func OpenIndexFile(path string, mode mmapio.Mode) (*Index, error) {
 	}
 	ix, err := indexFromContainer(f, !f.Mapped())
 	if err != nil {
-		f.Close() // release the mapping a rejected container holds
+		f.Close() // release the memory a rejected container holds
 		return nil, err
 	}
 	return ix, nil
@@ -261,7 +271,45 @@ func indexFromContainer(f *mmapio.File, deep bool) (*Index, error) {
 		}
 	}
 	ix.backing = f
+	if f.OffHeap() {
+		runtime.AddCleanup(ix, closeBacking, f)
+	} else {
+		trackHeap(ix, int64(f.Size()))
+	}
 	return ix, nil
+}
+
+// closeBacking is the cleanup that releases an unreachable Index's
+// off-heap container; an explicit Close before it makes it a no-op.
+func closeBacking(f *mmapio.File) { f.Close() }
+
+// heapBytes counts index arrays on the Go heap until the collector
+// finds their Index unreachable.
+var heapBytes atomic.Int64
+
+// HeapBytes reports the bytes of index arrays currently on the Go heap:
+// every index built in process (BuildIndex, Rebuild, the blocks a
+// sharded Apply rebuilds) or loaded into a Go buffer (LoadIndex, copy
+// mode where the platform cannot map memory), counted until the garbage
+// collector finds its Index unreachable. Off-heap containers are
+// mmapio.ReadStats's.
+func HeapBytes() int64 { return heapBytes.Load() }
+
+// trackHeap counts n bytes of ix's arrays as heap-held for ix's lifetime.
+func trackHeap(ix *Index, n int64) {
+	heapBytes.Add(n)
+	runtime.AddCleanup(ix, untrackHeap, n)
+}
+
+func untrackHeap(n int64) { heapBytes.Add(-n) }
+
+// arrayBytes is the byte size of the index's arrays (what Save writes,
+// less the container's table and padding).
+func (ix *Index) arrayBytes() int64 {
+	ints := len(ix.perm) + len(ix.inv) + len(ix.a.ColPtr) + len(ix.a.RowIdx) +
+		len(ix.linv.ColPtr) + len(ix.linv.RowIdx) + len(ix.uinv.RowPtr) + len(ix.uinv.ColIdx)
+	floats := len(ix.a.Val) + len(ix.linv.Val) + len(ix.uinv.Val) + len(ix.amaxCol) + len(ix.selfA)
+	return 8 * int64(ints+floats)
 }
 
 // checkShapes runs the O(1)-per-section structural checks both load
@@ -320,9 +368,10 @@ func (ix *Index) MappedBytes() int {
 	return ix.backing.Size()
 }
 
-// Close releases the index's backing file mapping, if any. A mapped
-// index must not be used after Close — its arrays alias the mapping and
-// reads fault once it is gone. Indexes without a mapping close as a
+// Close releases the index's off-heap backing — a file mapping or a
+// sealed copy — now rather than when the index becomes unreachable. An
+// index must not be used after Close: its arrays alias that memory and
+// reads fault once it is gone. Indexes on the Go heap close as a
 // harmless no-op.
 func (ix *Index) Close() error {
 	if ix.backing == nil {

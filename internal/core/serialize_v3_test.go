@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -174,6 +175,46 @@ func TestMmapQueriesNeverWriteFactors(t *testing.T) {
 	r[3] = 1
 	if _, err := ix.Solve(r); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadedFactorsFaultOnWrite shows the read-only factor discipline
+// enforced by the MMU in both file-backed modes: a copy-mode load lives
+// in sealed off-heap memory just as a mapping does, so a write through a
+// factor slice faults — a panic under SetPanicOnFault — and leaves the
+// factors as they were.
+func TestLoadedFactorsFaultOnWrite(t *testing.T) {
+	if !mmapio.MmapSupported() || !mmapio.CanZeroCopy() {
+		t.Skip("loads stay on the Go heap on this platform")
+	}
+	g := gen.PlantedPartition(120, 4, 0.2, 0.02, 5)
+	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveToFile(t, built)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, mode := range []mmapio.Mode{mmapio.ModeCopy, mmapio.ModeMmap} {
+		ix, err := OpenIndexFile(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ix.linv.Val[0]
+		faulted := func() (r any) {
+			defer func() { r = recover() }()
+			ix.linv.Val[0] = before + 1 //kdash:allow(rofactors) the write this test proves the MMU refuses
+			return nil
+		}()
+		if faulted == nil {
+			t.Fatalf("%v: a write through a loaded factor slice did not fault", mode)
+		}
+		if ix.linv.Val[0] != before {
+			t.Fatalf("%v: factor changed from %v to %v", mode, before, ix.linv.Val[0])
+		}
+		assertSameAnswers(t, built, ix, mode.String())
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

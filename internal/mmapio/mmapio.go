@@ -41,20 +41,34 @@
 // which touches every page.
 //
 // ModeCopy reads the whole file into private memory and verifies every
-// section checksum eagerly — the portable, paranoid path. On a
-// little-endian 64-bit platform the copied sections are still wrapped
-// zero-copy; elsewhere they are decoded element by element, so the
-// format works (slowly) on any architecture Go supports.
+// section checksum eagerly — the paranoid path. Where ModeMmap is
+// supported, that memory is a private anonymous mapping outside the Go
+// heap, sealed PROT_READ once the bytes are in: the garbage collector
+// never scans or paces over it, and a write through a section slice
+// faults exactly as under ModeMmap. Elsewhere the file is read into a
+// Go byte slice; on a little-endian 64-bit platform its sections are
+// still wrapped zero-copy, otherwise they are decoded element by
+// element, so the format works (slowly) on any architecture Go
+// supports.
 //
 // ModeAuto picks ModeMmap where the platform supports it (Linux,
 // little-endian, 64-bit int) and falls back to ModeCopy everywhere else.
 //
+// # Release
+//
+// A file mapping or a sealed copy holds memory the garbage collector
+// does not manage: Close unmaps it, and every slice taken from the File
+// is invalid afterwards. Close is idempotent and safe to race, so an
+// owner may both register it as a cleanup and call it explicitly.
+// ReadStats reports how many such containers the process opened and
+// released, and the bytes still held.
+//
 // # Mutation discipline
 //
 // Slices returned by Ints, Floats and Bytes are read-only by contract in
-// every mode. In ModeMmap a write is a segfault; in ModeCopy it would
-// silently corrupt sibling sections sharing the buffer. Callers that
-// need to mutate must copy out first.
+// every mode. Off the Go heap a write is a segfault; in a heap copy it
+// would silently corrupt sibling sections sharing the buffer. Callers
+// that need to mutate must copy out first.
 package mmapio
 
 import (
@@ -66,6 +80,8 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -105,8 +121,9 @@ const (
 	ModeAuto Mode = iota
 	// ModeMmap requires a mapping; Open fails where unsupported.
 	ModeMmap
-	// ModeCopy always reads the file into private memory and verifies
-	// every section checksum eagerly.
+	// ModeCopy always reads the file into private memory (sealed
+	// off-heap memory where ModeMmap is supported) and verifies every
+	// section checksum eagerly.
 	ModeCopy
 )
 
@@ -182,11 +199,62 @@ func (s *section) byteLen() uint64 {
 // concurrent use; the returned slices are read-only (see the package
 // comment for the mutation discipline).
 type File struct {
-	data     []byte // the whole file: a mapping or a private copy
+	data     []byte // the whole file: a mapping, a sealed copy or a heap copy
 	mapped   bool
 	sections map[uint32]section
-	order    []uint32     // section ids in table order
-	closer   func() error // unmap / nothing
+	order    []uint32 // section ids in table order
+
+	// release unmaps off-heap data (nil for a heap copy); closeOnce
+	// makes Close run it exactly once however many callers race.
+	release   func() error
+	closeOnce sync.Once
+}
+
+// Stats is the process-wide account of the containers held outside the
+// Go heap: file mappings (ModeMmap) and sealed copies (ModeCopy where
+// mmap is supported). Heap copies are the garbage collector's and are
+// not counted.
+type Stats struct {
+	Opened        int64 // containers opened since process start
+	Released      int64 // of those, released by Close
+	ReleasedBytes int64 // bytes the releases returned to the OS
+	SealedBytes   int64 // bytes of sealed copies still held
+	MappedBytes   int64 // bytes of file mappings still held
+}
+
+var (
+	statOpened, statReleased, statReleasedBytes atomic.Int64
+	statSealed, statMapped                      atomic.Int64
+)
+
+// ReadStats returns the current off-heap container account.
+func ReadStats() Stats {
+	return Stats{
+		Opened:        statOpened.Load(),
+		Released:      statReleased.Load(),
+		ReleasedBytes: statReleasedBytes.Load(),
+		SealedBytes:   statSealed.Load(),
+		MappedBytes:   statMapped.Load(),
+	}
+}
+
+// offHeap wraps memory obtained outside the Go heap — a file mapping
+// when mapped, a sealed copy otherwise — and accounts for it until
+// Close hands it to unmap.
+func offHeap(data []byte, mapped bool, unmap func([]byte) error) *File {
+	held := &statSealed
+	if mapped {
+		held = &statMapped
+	}
+	n := int64(len(data))
+	statOpened.Add(1)
+	held.Add(n)
+	return &File{data: data, mapped: mapped, release: func() error {
+		held.Add(-n)
+		statReleased.Add(1)
+		statReleasedBytes.Add(n)
+		return unmap(data)
+	}}
 }
 
 // Writer accumulates sections and writes a container file. Sections are
@@ -360,8 +428,9 @@ func (c *countWriter) pad(zeros []byte, target int64) error {
 }
 
 // Open opens a container file in the given mode. The returned File must
-// be closed when no longer needed; in ModeMmap, slices obtained from it
-// become invalid (and will fault) after Close.
+// be closed when no longer needed; once its memory is off the Go heap
+// (OffHeap), slices obtained from it become invalid (and will fault)
+// after Close.
 func Open(path string, mode Mode) (*File, error) {
 	switch mode {
 	case ModeMmap:
@@ -379,13 +448,24 @@ func Open(path string, mode Mode) (*File, error) {
 	}
 }
 
+// openCopy reads path into private memory — sealed off-heap memory
+// where the platform maps files, a Go byte slice elsewhere — and
+// verifies every checksum.
 func openCopy(path string) (*File, error) {
-	data, err := os.ReadFile(path)
+	var f *File
+	var err error
+	if mmapSupported && CanZeroCopy() {
+		f, err = readSealed(path)
+	} else {
+		var data []byte
+		data, err = os.ReadFile(path)
+		f = &File{data: data}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mmapio: reading %s: %w", path, err)
 	}
-	f, err := FromBytes(data)
-	if err != nil {
+	if err := f.check(); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("mmapio: %s: %w", path, err)
 	}
 	return f, nil
@@ -396,24 +476,19 @@ func openCopy(path string) (*File, error) {
 // eagerly. The image is referenced, not copied.
 func FromBytes(data []byte) (*File, error) {
 	f := &File{data: data}
-	if err := f.parse(); err != nil {
-		return nil, err
-	}
-	if err := f.Verify(); err != nil {
+	if err := f.check(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// newMapped wraps an established read-only mapping; only the header and
-// table are validated (data pages stay untouched).
-func newMapped(data []byte, closer func() error) (*File, error) {
-	f := &File{data: data, mapped: true, closer: closer}
+// check is copy mode's eager validation: the table, then every section
+// checksum.
+func (f *File) check() error {
 	if err := f.parse(); err != nil {
-		closer()
-		return nil, err
+		return err
 	}
-	return f, nil
+	return f.Verify()
 }
 
 // parse validates the header and section table (bounds, alignment,
@@ -502,6 +577,11 @@ func (f *File) Verify() error {
 // Mapped reports whether the file is memory-mapped (vs privately copied).
 func (f *File) Mapped() bool { return f.mapped }
 
+// OffHeap reports whether the container's bytes live outside the Go
+// heap — a file mapping or a sealed copy — so that only Close returns
+// them.
+func (f *File) OffHeap() bool { return f.release != nil }
+
 // Size is the container's total byte size.
 func (f *File) Size() int { return len(f.data) }
 
@@ -567,15 +647,18 @@ func (f *File) Bytes(id uint32) ([]byte, error) {
 	return f.data[s.off : s.off+s.count], nil
 }
 
-// Close releases the mapping. After Close every slice previously
-// returned by a mapped File is invalid: reads fault. Copy-mode files
-// keep their (garbage-collected) buffer alive through the slices, so
-// Close is a no-op for them.
+// Close releases off-heap memory: after it every slice previously
+// returned by an OffHeap File is invalid, and reads fault. A heap copy
+// keeps its garbage-collected buffer alive through the slices, so Close
+// is a no-op for it. Close may be called any number of times, from any
+// goroutines at once; only the first call releases, and it alone
+// reports the release's error.
 func (f *File) Close() error {
-	if f.closer == nil {
-		return nil
-	}
-	c := f.closer
-	f.closer = nil
-	return c()
+	var err error
+	f.closeOnce.Do(func() {
+		if f.release != nil {
+			err = f.release()
+		}
+	})
+	return err
 }

@@ -7,8 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // writeTestFile writes a container with one int, one float and one byte
@@ -82,6 +85,114 @@ func TestRoundTripModes(t *testing.T) {
 		}
 		if err := f.Close(); err != nil {
 			t.Fatalf("Close(%v): %v", mode, err)
+		}
+	}
+}
+
+// TestOffHeapAccounting pins where each mode's bytes live and that
+// ReadStats follows them: a sealed copy and a file mapping each count as
+// one opened container holding the file's size until Close, which
+// releases it exactly once however often it is called.
+func TestOffHeapAccounting(t *testing.T) {
+	if !MmapSupported() || !CanZeroCopy() {
+		t.Skip("containers stay on the Go heap on this platform")
+	}
+	path, ints, floats, raw := writeTestFile(t)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fi.Size()
+	for _, mode := range []Mode{ModeCopy, ModeMmap} {
+		before := ReadStats()
+		f, err := Open(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkContents(t, f, ints, floats, raw)
+		if !f.OffHeap() || f.Mapped() != (mode == ModeMmap) {
+			t.Fatalf("%v: OffHeap=%v Mapped=%v", mode, f.OffHeap(), f.Mapped())
+		}
+		held := ReadStats()
+		heldBytes := held.SealedBytes - before.SealedBytes
+		if mode == ModeMmap {
+			heldBytes = held.MappedBytes - before.MappedBytes
+		}
+		if held.Opened-before.Opened != 1 || heldBytes != size {
+			t.Fatalf("%v: opened %d containers holding %d bytes, want 1 holding %d", mode, held.Opened-before.Opened, heldBytes, size)
+		}
+		for i := 0; i < 3; i++ {
+			if err := f.Close(); err != nil {
+				t.Fatalf("%v: Close #%d: %v", mode, i+1, err)
+			}
+		}
+		after := ReadStats()
+		if after.Released-before.Released != 1 || after.ReleasedBytes-before.ReleasedBytes != size ||
+			after.SealedBytes != before.SealedBytes || after.MappedBytes != before.MappedBytes {
+			t.Fatalf("%v: after three Closes %+v, before open %+v", mode, after, before)
+		}
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := FromBytes(img); err != nil || f.OffHeap() {
+		t.Fatalf("FromBytes: OffHeap=%v err=%v, want a heap copy", f != nil && f.OffHeap(), err)
+	}
+}
+
+// TestCloseRacesCleanup closes each container from several goroutines
+// at once while a runtime cleanup on its owner races to close it too,
+// the pairing core.Index relies on. Run it under -race: the release must
+// happen exactly once, with no data race between the callers.
+func TestCloseRacesCleanup(t *testing.T) {
+	if !MmapSupported() || !CanZeroCopy() {
+		t.Skip("containers stay on the Go heap on this platform")
+	}
+	path, _, _, _ := writeTestFile(t)
+	type owner struct{ f *File }
+	type arg struct {
+		f    *File
+		done chan struct{}
+	}
+	for i := 0; i < 40; i++ {
+		mode := []Mode{ModeCopy, ModeMmap}[i%2]
+		before := ReadStats()
+		f, err := Open(path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := f.Close(); err != nil {
+					t.Errorf("explicit Close: %v", err)
+				}
+			}()
+		}
+		// The owner is unreachable as soon as its cleanup is registered.
+		cleaned := make(chan struct{})
+		runtime.AddCleanup(&owner{f: f}, func(a arg) {
+			a.f.Close()
+			close(a.done)
+		}, arg{f, cleaned})
+		close(start)
+		runtime.GC()
+		wg.Wait()
+		for waited := false; !waited; {
+			select {
+			case <-cleaned:
+				waited = true
+			case <-time.After(10 * time.Millisecond):
+				runtime.GC()
+			}
+		}
+		if got := ReadStats().Released - before.Released; got != 1 {
+			t.Fatalf("round %d (%v): %d releases, want exactly 1", i, mode, got)
 		}
 	}
 }

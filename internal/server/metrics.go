@@ -86,8 +86,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	pw.Metric("kdash_epoch", nil, float64(st.epoch))
 	pw.Header("kdash_index_nodes", "Nodes in the serving index.", "gauge")
 	pw.Metric("kdash_index_nodes", nil, float64(st.engine.N()))
-	pw.Header("kdash_process_resident_bytes", "OS-reported resident set (0 where unsupported).", "gauge")
-	pw.Metric("kdash_process_resident_bytes", nil, float64(residentBytes()))
+	writeMemoryMetrics(pw, memoryStatz())
 
 	if h.cache != nil {
 		hits, misses := h.cacheHits.Value(), h.cacheMisses.Value()

@@ -12,8 +12,9 @@
 //
 // /statz is the single observability surface: query/error/panic
 // counters, per-query work, update and cache statistics, how the index
-// was brought up (WithOpenInfo: open wall clock and backing mode), the
-// OS resident set, and whatever the engine itself exposes via Statz —
+// was brought up (WithOpenInfo: open wall clock and backing mode), a
+// memory block (the OS resident set, index arrays by backing, the Go
+// heap; memory.go), and whatever the engine itself exposes via Statz —
 // for a memory-mapped sharded index that includes which shard files
 // traffic has actually opened. The field-by-field reference lives in
 // README.md's Operations section; docs/ARCHITECTURE.md covers the
@@ -36,7 +37,6 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/obs"
-	"kdash/internal/procmem"
 	"kdash/internal/rpc"
 	"kdash/internal/topk"
 )
@@ -602,13 +602,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	}
 	doc := map[string]interface{}{
 		"uptimeSeconds": time.Since(h.start).Seconds(),
-		"memory": map[string]int64{
-			// rssBytes is the OS-reported resident set (0 where
-			// unsupported): with a memory-mapped index it tracks the pages
-			// queries have actually faulted in, which heap metrics cannot
-			// see.
-			"rssBytes": residentBytes(),
-		},
+		"memory":        memoryStatz(),
 		"queries": map[string]int64{
 			"topk":         h.qTopK.Value(),
 			"personalized": h.qPers.Value(),
@@ -830,9 +824,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		return
 	}
 }
-
-// residentBytes is the OS resident set (0 where unsupported).
-func residentBytes() int64 { return procmem.Resident() }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")

@@ -2,12 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"kdash/internal/gen"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
 )
@@ -160,10 +164,8 @@ func TestStatzLoadAndMemoryFields(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	var resp struct {
-		Memory struct {
-			RSSBytes int64 `json:"rssBytes"`
-		} `json:"memory"`
-		Load struct {
+		Memory memoryBlock `json:"memory"`
+		Load   struct {
 			OpenSeconds float64 `json:"openSeconds"`
 			Mode        string  `json:"mode"`
 		} `json:"load"`
@@ -185,6 +187,10 @@ func TestStatzLoadAndMemoryFields(t *testing.T) {
 	if resp.Memory.RSSBytes < 0 {
 		t.Errorf("rssBytes = %d, want >= 0", resp.Memory.RSSBytes)
 	}
+	// The built shards are on the Go heap, and the heap gauges are live.
+	if m := resp.Memory; m.FactorHeapBytes <= 0 || m.GoHeapInuseBytes <= 0 || m.GoHeapGoalBytes <= 0 || m.GCCycles < 0 {
+		t.Errorf("memory block %+v: want heap factors, heap in use and a heap goal", m)
+	}
 	// A built (non-lazy) index reports every shard open with real nnz.
 	if resp.Index.ShardsOpened != resp.Index.Shards {
 		t.Errorf("built index reports %d/%d shards opened", resp.Index.ShardsOpened, resp.Index.Shards)
@@ -192,6 +198,84 @@ func TestStatzLoadAndMemoryFields(t *testing.T) {
 	for i, s := range resp.Index.PerShard {
 		if !s.Opened || s.NNZInverse == 0 {
 			t.Errorf("shard %d: opened=%t nnz=%d, want opened with nonzero nnz", i, s.Opened, s.NNZInverse)
+		}
+	}
+}
+
+// memoryBlock is /statz's memory block.
+type memoryBlock struct {
+	RSSBytes               int64 `json:"rssBytes"`
+	FactorHeapBytes        int64 `json:"factorHeapBytes"`
+	FactorOffHeapBytes     int64 `json:"factorOffHeapBytes"`
+	FactorMappedBytes      int64 `json:"factorMappedBytes"`
+	ContainersOpened       int64 `json:"containersOpened"`
+	ContainersReleased     int64 `json:"containersReleased"`
+	ContainerReleasedBytes int64 `json:"containerReleasedBytes"`
+	GoHeapInuseBytes       int64 `json:"goHeapInuseBytes"`
+	GoHeapGoalBytes        int64 `json:"goHeapGoalBytes"`
+	GCCycles               int64 `json:"gcCycles"`
+}
+
+// TestStatzMemoryBlockTracksLoadedShards serves a directory loaded in
+// copy mode: its shard files must show up as off-heap factor bytes and
+// opened containers in /statz, and /metrics must carry the same block.
+func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
+	if !mmapio.MmapSupported() || !mmapio.CanZeroCopy() {
+		t.Skip("copy-mode loads stay on the Go heap on this platform")
+	}
+	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
+	built, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var files int64
+	for si := 0; si < built.Shards(); si++ {
+		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%04d.idx", si)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += fi.Size()
+	}
+	statz := func(h *Handler) memoryBlock {
+		var resp struct {
+			Memory memoryBlock `json:"memory"`
+		}
+		rec, _ := get(t, h, "/statz")
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("bad /statz JSON: %v", err)
+		}
+		return resp.Memory
+	}
+	h := New(built)
+	before := statz(h)
+	sx, err := shard.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = New(sx)
+	after := statz(h)
+	if got := after.ContainersOpened - before.ContainersOpened; got != int64(built.Shards()) {
+		t.Errorf("containersOpened rose by %d, want %d", got, built.Shards())
+	}
+	if after.FactorOffHeapBytes < files {
+		t.Errorf("factorOffHeapBytes = %d, want at least the %d bytes of shard files", after.FactorOffHeapBytes, files)
+	}
+	text := scrape(t, h)
+	if v, ok := metricValue(text, "kdash_index_containers_opened_total"); !ok || int64(v) != after.ContainersOpened {
+		t.Errorf("kdash_index_containers_opened_total = %v (present %v), statz says %d", v, ok, after.ContainersOpened)
+	}
+	if v, ok := metricValue(text, `kdash_index_factor_bytes{backing="offheap"}`); !ok || int64(v) < files {
+		t.Errorf(`kdash_index_factor_bytes{backing="offheap"} = %v (present %v), want at least %d`, v, ok, files)
+	}
+	for _, name := range []string{`kdash_index_factor_bytes{backing="heap"}`, `kdash_index_factor_bytes{backing="mapped"}`,
+		"kdash_index_containers_released_total", "kdash_index_container_released_bytes_total",
+		"kdash_go_heap_inuse_bytes", "kdash_go_heap_goal_bytes", "kdash_go_gc_cycles_total", "kdash_process_resident_bytes"} {
+		if _, ok := metricValue(text, name); !ok {
+			t.Errorf("/metrics lacks %s", name)
 		}
 	}
 }

@@ -249,9 +249,10 @@ type LoadOptions struct {
 	// Mode selects how shard files are backed: mmapio.ModeMmap and
 	// ModeAuto map shard files read-only and wrap their arrays in place;
 	// mmapio.ModeCopy materialises private copies with every checksum
-	// verified. The zero value is ModeAuto (map where the platform
-	// supports it); Load passes ModeCopy explicitly to keep its
-	// historical fully-private contract.
+	// verified (sealed off the Go heap where the platform maps memory).
+	// The zero value is ModeAuto (map where the platform supports it);
+	// Load passes ModeCopy explicitly to keep its historical
+	// fully-private contract.
 	Mode mmapio.Mode
 	// Lazy defers each shard file's open to the first query that solves
 	// the shard, and the graph snapshot's parse to the first query:
@@ -270,8 +271,8 @@ func Load(dir string) (*ShardedIndex, error) {
 }
 
 // Open reads a sharded index with explicit backing and laziness
-// choices. See LoadOptions; Close releases whatever mappings were
-// established.
+// choices. See LoadOptions; shard containers held off the Go heap are
+// released when no epoch using them is reachable, or at once by Close.
 func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -393,7 +394,7 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		p := sx.parts[si]
 		p.sink = len(p.cuts) > 0
 		p.nnzHint = m.Stats.NNZShards[si]
-		p.lazy = newShardOpener(sx, p, si, filepath.Join(dir, name), opt.Mode)
+		p.lazy = newShardOpener(si, sx.partLen(si), sx.c, filepath.Join(dir, name), opt.Mode)
 	}
 	sx.mapCapable = opt.Mode != mmapio.ModeCopy && mmapio.MmapSupported() && mmapio.CanZeroCopy()
 	if !opt.Lazy {
@@ -416,29 +417,28 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 
 // newShardOpener builds the deferred open of one shard file: open it in
 // the requested mmapio mode and validate it against the manifest the
-// directory was loaded with.
+// directory was loaded with — the shard's solve dimension n and the
+// restart probability c.
 // The node-count check pins the cut-derived sink flag: a directory
 // whose shard file disagrees with its cut list is corrupt and rejected
-// at open time.
-func newShardOpener(sx *ShardedIndex, p *part, si int, path string, mode mmapio.Mode) *lazyIndex {
+// at open time. The closure captures values, not the index: a deferred
+// open shared by later epochs must not keep the loaded epoch, and with
+// it every shard container that epoch holds, reachable.
+func newShardOpener(si, n int, c float64, path string, mode mmapio.Mode) *lazyIndex {
 	return &lazyIndex{open: func() (*core.Index, error) {
 		ix, err := core.OpenIndexFile(path, mode)
 		if err != nil {
 			return nil, fmt.Errorf("loading shard %d: %w", si, err)
 		}
-		want := len(p.nodes)
-		if p.sink {
-			want++
-		}
-		if ix.N() != want {
+		if ix.N() != n {
 			ix.Close()
-			return nil, fmt.Errorf("shard %d has %d nodes, assignment and cuts say %d", si, ix.N(), want)
+			return nil, fmt.Errorf("shard %d has %d nodes, assignment and cuts say %d", si, ix.N(), n)
 		}
 		// The cut weights are pre-scaled by the manifest's (1-c); a shard
 		// file built with a different c would answer silently wrong.
-		if ix.Restart() != sx.c {
+		if ix.Restart() != c {
 			ix.Close()
-			return nil, fmt.Errorf("shard %d built with restart %v, manifest says %v", si, ix.Restart(), sx.c)
+			return nil, fmt.Errorf("shard %d built with restart %v, manifest says %v", si, ix.Restart(), c)
 		}
 		return ix, nil
 	}}

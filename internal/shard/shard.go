@@ -25,11 +25,12 @@
 // A ShardedIndex is immutable after construction: queries draw all
 // their scratch from pooled push state, and dynamic updates are
 // functional (Apply returns a successor epoch sharing untouched parts
-// by pointer). Persistence mirrors the partitioning — one file per
-// shard under a manifest (serialize.go) — so Open can memory-map shard
-// files read-only and defer each one to the first query that solves
-// the shard. See docs/ARCHITECTURE.md for the epoch/immutability
-// contract and the directory format.
+// by pointer, loaded shard containers included, which are released
+// once no epoch holding them is reachable). Persistence mirrors the
+// partitioning — one file per shard under a manifest (serialize.go) —
+// so Open can memory-map shard files read-only and defer each one to
+// the first query that solves the shard. See docs/ARCHITECTURE.md for
+// the epoch/immutability contract and the directory format.
 package shard
 
 import (
@@ -737,12 +738,13 @@ func (sx *ShardedIndex) OpenAll() error {
 	return nil
 }
 
-// Close releases every opened shard's backing file mapping. A
-// memory-mapped index must not be queried after Close; indexes loaded
-// into private memory (and built ones) close as a no-op. Shared epochs
-// beware: successors of Apply share unrebuilt parts — and their
-// mappings — with their predecessor, so close only the last epoch of a
-// chain.
+// Close releases every opened shard's off-heap backing — file mappings
+// and sealed copies — at once. It is optional: each shard's container
+// is released when the last epoch using it becomes unreachable, so a
+// retired epoch needs no Close, and neither does a dropped successor.
+// After Close, neither this index nor any epoch sharing its opened
+// shards may be queried; built shards are on the Go heap and close as a
+// no-op.
 func (sx *ShardedIndex) Close() error {
 	var first error
 	for _, p := range sx.parts {

@@ -144,10 +144,10 @@ type OpenOptions struct {
 	// regardless of index size, pages fault in on first use, and the
 	// physical memory is shared across processes serving the same
 	// files. Writes through a mapped index's arrays are impossible (the
-	// mapping is read-only at the MMU level), and Close must be called
-	// once the index is retired. On platforms without mmap support
-	// opening silently falls back to the private-copy path;
-	// Index.Mapped reports which one was taken.
+	// mapping is read-only at the MMU level). The mapping is released
+	// when the index becomes unreachable, or at once by Close. On
+	// platforms without mmap support opening silently falls back to the
+	// private-copy path; Index.Mapped reports which one was taken.
 	Mmap bool
 	// Lazy, for sharded indexes, defers each shard file's open to the
 	// first query that actually solves the shard, so a cold start
@@ -173,7 +173,8 @@ func OpenIndex(path string, opt OpenOptions) (*Index, error) {
 
 // OpenShardedIndex opens a saved sharded index directory with explicit
 // backing (opt.Mmap) and laziness (opt.Lazy) choices; see OpenOptions.
-// ShardedIndex.Close releases whatever mappings were established.
+// Shard memory held off the Go heap is released once no epoch using it
+// is reachable; ShardedIndex.Close releases it at once.
 func OpenShardedIndex(dir string, opt OpenOptions) (*ShardedIndex, error) {
 	return shard.Open(dir, shard.LoadOptions{Mode: opt.mode(), Lazy: opt.Lazy})
 }
