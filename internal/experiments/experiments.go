@@ -43,18 +43,6 @@ type Config struct {
 	Hubs []int
 	// K is the answer-set size for precision experiments (paper: 5).
 	K int
-	// ShardCounts is the shard sweep for the sharded-index extension
-	// (default 1, 2, 4, 8).
-	ShardCounts []int
-	// ShardGraphN sizes the generated graph for the sharded-index
-	// experiments.
-	ShardGraphN int
-	// ServeDuration is the per-phase wall clock of the serve-load
-	// experiment (default 4s).
-	ServeDuration time.Duration
-	// ServeWorkers is the client concurrency of the serve-load
-	// experiment (default 8).
-	ServeWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -78,28 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.K == 0 {
 		c.K = 5
-	}
-	return c
-}
-
-// Resolved returns the config with every defaulted field replaced by
-// the value the experiments actually run with. Harnesses that record
-// the configuration next to their results (kdash-bench -json) must
-// persist this, not the raw flag values — otherwise a defaulted run is
-// recorded as `shardNodes: 0`, which misreads as a degenerate workload.
-func (c Config) Resolved() Config {
-	c = c.withDefaults()
-	if c.ShardCounts == nil {
-		c.ShardCounts = defaultShardCounts
-	}
-	if c.ShardGraphN == 0 {
-		c.ShardGraphN = defaultShardGraphN
-	}
-	if c.ServeDuration == 0 {
-		c.ServeDuration = defaultServeDuration
-	}
-	if c.ServeWorkers == 0 {
-		c.ServeWorkers = defaultServeWorkers
 	}
 	return c
 }

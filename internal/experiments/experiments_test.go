@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/dataset"
 	"kdash/internal/gen"
+	"kdash/internal/reorder"
+	"kdash/internal/rwr"
 	"kdash/internal/topk"
 )
 
@@ -89,6 +92,37 @@ func TestFigure3and4Shape(t *testing.T) {
 	if rows[1].PrecisionNBLin < rows[0].PrecisionNBLin-0.15 {
 		t.Errorf("NB_LIN precision fell sharply with rank: %v -> %v",
 			rows[0].PrecisionNBLin, rows[1].PrecisionNBLin)
+	}
+}
+
+// TestKDashExactOnEveryDataset extends Figure 3's K-dash series from the
+// first dataset to all of them: on each small test dataset and each of
+// the five paper analogues, K-dash's top-K has precision exactly 1
+// against the iterative oracle at K = 5 and 25.
+func TestKDashExactOnEveryDataset(t *testing.T) {
+	cfg := smallConfig()
+	datasets := append(cfg.Datasets, dataset.All()...)
+	for _, ds := range datasets {
+		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatalf("%s: %v", ds.Name, err)
+		}
+		a := ds.Graph.ColumnNormalized()
+		for _, q := range cfg.queryNodes(ds.Graph.N()) {
+			for _, k := range []int{5, 25} {
+				got, _, err := ix.TopK(q, k)
+				if err != nil {
+					t.Fatalf("%s q=%d k=%d: %v", ds.Name, q, k, err)
+				}
+				want, err := rwr.TopK(a, q, k, rwr.DefaultRestart)
+				if err != nil {
+					t.Fatalf("%s oracle q=%d k=%d: %v", ds.Name, q, k, err)
+				}
+				if p := Precision(got, want); p != 1 {
+					t.Errorf("%s q=%d k=%d: K-dash precision %v, want 1", ds.Name, q, k, p)
+				}
+			}
+		}
 	}
 }
 
@@ -233,51 +267,5 @@ func TestFormatters(t *testing.T) {
 	WriteAblationRows(&buf, []AblationRow{{DropTol: 1e-4, NNZ: 10, Precision: 0.9}})
 	if buf.Len() == 0 {
 		t.Error("formatters produced no output")
-	}
-}
-
-func TestUpdateScaleShape(t *testing.T) {
-	cfg := smallConfig()
-	cfg.ShardGraphN = 1500
-	cfg.ShardCounts = []int{1, 4}
-	rows, err := UpdateScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 update kinds + 2 WAL ack policies + 2 baselines.
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(rows))
-	}
-	kinds := map[string]UpdateRow{}
-	for _, r := range rows {
-		kinds[r.Kind] = r
-		if !r.Exact {
-			t.Errorf("%s: post-update answers not bit-identical to the pinned rebuild", r.Kind)
-		}
-	}
-	intra, ok := kinds["intra-edge"]
-	if !ok || intra.ShardsRebuilt != 1 {
-		t.Fatalf("intra-edge row = %+v", intra)
-	}
-	full := kinds["full-rebuild"]
-	if full.Mean <= intra.Mean {
-		t.Errorf("full rebuild (%v) not slower than incremental update (%v)", full.Mean, intra.Mean)
-	}
-	for _, kind := range []string{"wal-ack-interval", "wal-ack-always"} {
-		ack, ok := kinds[kind]
-		if !ok {
-			t.Fatalf("missing %s row", kind)
-		}
-		if ack.Mean >= intra.Mean {
-			t.Errorf("%s ack (%v) not faster than the synchronous apply (%v)", kind, ack.Mean, intra.Mean)
-		}
-		if ack.P50 <= 0 {
-			t.Errorf("%s: p50 not recorded", kind)
-		}
-	}
-	var buf bytes.Buffer
-	WriteUpdateRows(&buf, rows)
-	if !strings.Contains(buf.String(), "intra-edge") || !strings.Contains(buf.String(), "full-rebuild") {
-		t.Errorf("table missing rows:\n%s", buf.String())
 	}
 }
