@@ -3,8 +3,8 @@ package kdash
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (Section 6). Each benchmark drives the same implementation
 // as cmd/kdash-bench (internal/experiments) so `go test -bench .` and the
-// CLI report the same quantities. See EXPERIMENTS.md for a reference run
-// annotated against the paper's reported trends.
+// CLI report the same quantities. `kdash-bench -exp all` prints the
+// tables; README's "Benchmarks" section says how to run them.
 //
 // The per-figure query benchmarks (2-4, 7, 9) use prebuilt indexes and
 // time the query path; the precompute benchmarks (5-6) time index

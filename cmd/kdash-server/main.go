@@ -1,17 +1,20 @@
 // Command kdash-server serves exact top-k RWR queries over HTTP from a
-// prebuilt or freshly built K-dash index.
+// prebuilt or freshly built sharded K-dash index.
 //
 // Usage:
 //
-//	kdash-server -graph edges.tsv -addr :8080
+//	kdash-server -graph edges.tsv -addr :8080      # builds a one-shard index
 //	kdash-server -graph edges.tsv -shards 8 -addr :8080
-//	kdash-server -load-index graph.idx -addr :8080
 //	kdash-server -load-index idxdir -addr :8080    # sharded manifest directory
 //	kdash-server -load-index idxdir -mmap          # zero-copy map, lazy shard opens
 //	kdash-server -load-index idxdir -cache 256 -max-batch 512
 //	kdash-server -load-index idxdir -coordinator 10.0.0.1:9101,10.0.0.2:9101
 //
-// Endpoints (identical for monolithic and sharded indexes):
+// The server serves sharded index directories only: a single-file index
+// written by `kdash -save-index` without -shards is refused (exit 2);
+// rebuild it with `kdash -graph G -shards N -save-index DIR`.
+//
+// Endpoints:
 //
 //	GET  /topk?q=<node>&k=<count>[&exclude=1,2,3]
 //	POST /topk/batch     {"queries":[{"q":3,"k":5},{"q":9,"k":5,"exclude":[9]}]}
@@ -54,13 +57,17 @@
 // -wal-snapshot-dir does not (the coordinator holds no factors to
 // snapshot — snapshot from a single-process server instead).
 //
-// With -mmap, a v3 index is memory-mapped read-only instead of parsed:
-// the server takes traffic milliseconds after exec, shard files are
-// opened lazily as queries reach them, and /statz reports open time,
-// shards opened and resident bytes so the paging behaviour is
-// observable. SIGINT/SIGTERM drain in-flight queries through
-// srv.Shutdown before the process exits, so rolling restarts never cut
-// answers off mid-response.
+// Without -mmap, every shard file is read and checksummed before the
+// listener comes up, into sealed read-only memory outside the Go heap
+// (on Linux; the Go heap elsewhere). With -mmap, shard files are
+// memory-mapped read-only instead: the server takes traffic
+// milliseconds after exec, shard files are opened lazily as queries
+// reach them, and /statz reports open time, shards opened and resident
+// bytes so the paging behaviour is observable.
+//
+// SIGINT/SIGTERM drain in-flight queries through srv.Shutdown before
+// the process exits, so rolling restarts never cut answers off
+// mid-response.
 package main
 
 import (
@@ -80,8 +87,93 @@ import (
 	"kdash"
 	"kdash/internal/placement"
 	"kdash/internal/server"
+	"kdash/internal/shard"
 	"kdash/internal/wal"
 )
+
+// engineFlags are the flags that choose the served engine and how it
+// is opened.
+type engineFlags struct {
+	graph, loadIndex string
+	c                float64
+	shards, workers  int
+	mmap             bool
+	coordinator      string
+	walSnapshotDir   string
+}
+
+// usageError is a flag combination refused before anything is opened;
+// main prints it and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// errNoEngine is the usage error for flags that name no engine at all.
+var errNoEngine = usageError("need -graph or -load-index")
+
+// openEngine builds or loads the engine the flags name and reports how
+// it was brought up, for /statz: "built", "parse" (a copy-mode load),
+// "mmap" or "coordinator".
+func openEngine(f engineFlags) (shard.Engine, string, error) {
+	tOpen := time.Now()
+	switch {
+	case f.coordinator != "":
+		if f.loadIndex == "" || !kdash.IsShardedIndexDir(f.loadIndex) {
+			return nil, "", usageError("-coordinator needs -load-index pointing at a sharded index directory (the cluster's shared manifest)")
+		}
+		if f.walSnapshotDir != "" {
+			return nil, "", usageError("-wal-snapshot-dir cannot be combined with -coordinator: " + placement.ErrNoSnapshot.Error())
+		}
+		addrs := strings.Split(f.coordinator, ",")
+		co, err := placement.NewCoordinator(f.loadIndex, addrs, placement.Config{})
+		if err != nil {
+			return nil, "", err
+		}
+		log.Printf("coordinator (factorless) over %d workers: %d nodes / %d shards in %v",
+			len(addrs), co.N(), co.Shards(), time.Since(tOpen).Round(time.Microsecond))
+		return co, "coordinator", nil
+	case f.loadIndex != "":
+		if !kdash.IsShardedIndexDir(f.loadIndex) {
+			return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; rebuild it with `kdash -graph G -shards N -save-index DIR` (N >= 2)", f.loadIndex))
+		}
+		// -mmap maps shard files zero-copy AND defers each open to the
+		// first query that solves the shard — the instant-cold-start
+		// configuration; without it every shard file is read into sealed
+		// memory before the listener comes up.
+		sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{Mmap: f.mmap, Lazy: f.mmap})
+		if err != nil {
+			return nil, "", err
+		}
+		mode := "parse"
+		if sx.Mapped() { // the realised backing, not the flag: -mmap falls back off Linux
+			mode = "mmap"
+		}
+		log.Printf("loaded sharded index (%s): %d nodes / %d shards in %v",
+			mode, sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
+		return sx, mode, nil
+	case f.graph != "":
+		file, err := os.Open(f.graph)
+		if err != nil {
+			return nil, "", err
+		}
+		g, err := kdash.Load(file)
+		file.Close()
+		if err != nil {
+			return nil, "", err
+		}
+		start := time.Now()
+		sx, err := kdash.BuildShardedIndex(g, kdash.ShardOptions{
+			Shards: f.shards, Restart: f.c, Reorder: kdash.ReorderHybrid, Workers: f.workers,
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		log.Printf("built sharded index: %d nodes / %d edges / %d shards in %v",
+			g.N(), g.M(), sx.Shards(), time.Since(start).Round(time.Millisecond))
+		return sx, "built", nil
+	}
+	return nil, "", errNoEngine
+}
 
 // buildLogger assembles the request logger from the -log-format and
 // -log-level flags; an empty format disables request logging.
@@ -106,14 +198,14 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "edge-list file to index")
-		loadIdx   = flag.String("load-index", "", "prebuilt index to load instead of building (file or sharded directory)")
+		loadIdx   = flag.String("load-index", "", "prebuilt sharded index directory to load instead of building")
 		addr      = flag.String("addr", ":8080", "listen address")
 		c         = flag.Float64("c", kdash.DefaultRestart, "restart probability (build mode)")
 		shards    = flag.Int("shards", 1, "partition the index into N shards built in parallel (build mode)")
 		workers   = flag.Int("workers", 0, "worker-pool width for the build (0 = all CPUs)")
 		cacheSize = flag.Int("cache", 0, "LRU /topk answer cache entries (0 = disabled; each entry holds one query node's exact top-64 list, ~1 KB)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
-		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of parsing it into private memory")
+		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of reading every shard file into sealed off-heap memory at start")
 
 		coordinator = flag.String("coordinator", "", "comma-separated kdash-worker addresses: serve -load-index as a distributed coordinator, routing factor solves to the workers (answers stay bit-identical to a single process)")
 
@@ -136,8 +228,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)
 		os.Exit(2)
 	}
-	var engine server.Engine
-	openMode := "built"
 	tOpen := time.Now()
 	// A WAL snapshot is strictly newer than whatever -graph/-load-index
 	// points at (it is that index plus compacted updates), so recovery
@@ -149,88 +239,20 @@ func main() {
 			*graphPath = ""
 		}
 	}
+	engine, openMode, err := openEngine(engineFlags{
+		graph: *graphPath, loadIndex: *loadIdx, c: *c, shards: *shards, workers: *workers,
+		mmap: *useMmap, coordinator: *coordinator, walSnapshotDir: *walSnapshotDir,
+	})
+	var usage usageError
 	switch {
-	case *coordinator != "":
-		if *loadIdx == "" || !kdash.IsShardedIndexDir(*loadIdx) {
-			fmt.Fprintln(os.Stderr, "kdash-server: -coordinator needs -load-index pointing at a sharded index directory (the cluster's shared manifest)")
-			os.Exit(2)
+	case errors.As(err, &usage):
+		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)
+		if err == errNoEngine {
+			flag.Usage()
 		}
-		if *walSnapshotDir != "" {
-			fmt.Fprintln(os.Stderr, "kdash-server: -wal-snapshot-dir cannot be combined with -coordinator: a factorless coordinator has no factors to snapshot (take snapshots from a single-process server over the same directory)")
-			os.Exit(2)
-		}
-		addrs := strings.Split(*coordinator, ",")
-		co, err := placement.NewCoordinator(*loadIdx, addrs, placement.Config{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine = co
-		openMode = "coordinator"
-		log.Printf("coordinator (factorless) over %d workers: %d nodes / %d shards in %v",
-			len(addrs), co.N(), co.Shards(), time.Since(tOpen).Round(time.Microsecond))
-	case *loadIdx != "" && kdash.IsShardedIndexDir(*loadIdx):
-		// -mmap maps shard files zero-copy AND defers each open to the
-		// first query that solves the shard — the instant-cold-start
-		// configuration; without it the directory is fully parsed into
-		// private memory before the listener comes up.
-		sx, err := kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap, Lazy: *useMmap})
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine = sx
-		openMode = "parse"
-		if sx.Mapped() { // the realised backing, not the flag: -mmap falls back off Linux
-			openMode = "mmap"
-		}
-		log.Printf("loaded sharded index (%s): %d nodes / %d shards in %v",
-			openMode, sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
-	case *loadIdx != "":
-		ix, err := kdash.OpenIndex(*loadIdx, kdash.OpenOptions{Mmap: *useMmap})
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine = ix
-		openMode = "parse"
-		if ix.Mapped() {
-			openMode = "mmap"
-		}
-		log.Printf("loaded index (%s): %d nodes in %v", openMode, ix.N(), time.Since(tOpen).Round(time.Microsecond))
-	case *graphPath != "":
-		f, err := os.Open(*graphPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g, err := kdash.Load(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		if *shards > 1 {
-			sx, err := kdash.BuildShardedIndex(g, kdash.ShardOptions{
-				Shards: *shards, Restart: *c, Reorder: kdash.ReorderHybrid, Workers: *workers,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			engine = sx
-			log.Printf("built sharded index: %d nodes / %d edges / %d shards in %v",
-				g.N(), g.M(), sx.Shards(), time.Since(start).Round(time.Millisecond))
-		} else {
-			opts := kdash.DefaultOptions()
-			opts.Restart = *c
-			opts.Workers = *workers
-			ix, err := kdash.BuildIndex(g, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			engine = ix
-			log.Printf("built index: %d nodes / %d edges in %v", g.N(), g.M(), time.Since(start).Round(time.Millisecond))
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "kdash-server: need -graph or -load-index")
-		flag.Usage()
 		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
 	}
 	handlerOpts := []server.Option{
 		server.WithCache(*cacheSize),

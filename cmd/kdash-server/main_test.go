@@ -1,0 +1,89 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"kdash"
+	"kdash/internal/gen"
+	"kdash/internal/shard"
+)
+
+// TestOpenEngine covers the ways the flags open an engine: a graph
+// alone builds a one-shard index, a sharded directory loads, and a
+// single-file index or a coordinator without a directory is a usage
+// error (exit 2) before anything is opened.
+func TestOpenEngine(t *testing.T) {
+	g := gen.PlantedPartition(60, 3, 0.2, 0.02, 1)
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "edges.tsv")
+	f, err := os.Create(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteEdgeList(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	t.Run("graph builds one shard", func(t *testing.T) {
+		engine, mode, err := openEngine(engineFlags{graph: graphPath, c: kdash.DefaultRestart, shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx, ok := engine.(*shard.ShardedIndex)
+		if !ok || sx.Shards() != 1 || sx.N() != g.N() || mode != "built" {
+			t.Fatalf("engine %T mode %q: want a one-shard %d-node built index", engine, mode, g.N())
+		}
+	})
+
+	t.Run("single-file index refused", func(t *testing.T) {
+		ix, err := kdash.BuildIndex(g, kdash.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "graph.idx")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Save(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		_, _, err = openEngine(engineFlags{loadIndex: path})
+		var usage usageError
+		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "kdash -graph G -shards N -save-index DIR") {
+			t.Fatalf("err = %v, want a usage error naming the rebuild command", err)
+		}
+	})
+
+	t.Run("sharded directory loads", func(t *testing.T) {
+		built, err := shard.Build(g, shard.Options{Shards: 3, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := filepath.Join(dir, "idx")
+		if err := built.Save(idx); err != nil {
+			t.Fatal(err)
+		}
+		engine, mode, err := openEngine(engineFlags{loadIndex: idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.N() != g.N() || engine.Statz().Shards != 3 || mode != "parse" {
+			t.Fatalf("loaded n=%d shards=%d mode %q, want %d, 3, parse", engine.N(), engine.Statz().Shards, mode, g.N())
+		}
+	})
+
+	t.Run("coordinator needs a directory", func(t *testing.T) {
+		_, _, err := openEngine(engineFlags{coordinator: "127.0.0.1:1"})
+		var usage usageError
+		if !errors.As(err, &usage) {
+			t.Fatalf("err = %v, want a usage error", err)
+		}
+	})
+}

@@ -671,19 +671,6 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Statz reports observability fields for the server's /statz endpoint.
-func (ix *Index) Statz() map[string]interface{} {
-	return map[string]interface{}{
-		"kind":         "monolithic",
-		"nodes":        ix.n,
-		"restart":      ix.c,
-		"edges":        ix.stats.Edges,
-		"nnzInverse":   ix.stats.NNZInverse,
-		"inverseRatio": ix.stats.InverseRatio,
-		"reorder":      ix.stats.Method.String(),
-	}
-}
-
 // ProximityVector computes the full exact proximity vector for q through
 // the factors (Equation (3)): p = c U^{-1} L^{-1} e_q. Results are in
 // original node-id order. The solve runs through a pooled single-lane

@@ -5,22 +5,20 @@ package core
 // depend on every edge — so its delta path is a full rebuild from the
 // retained source graph with the batch applied. That is exactly the
 // cost baseline the sharded incremental path (shard.ShardedIndex.Apply)
-// is measured against, and both sit behind the same functional
-// contract: the receiver is never modified, the successor is a fresh
-// immutable index, and in-flight queries on the old epoch stay valid.
+// is measured against, and both keep the same functional contract: the
+// receiver is never modified, the successor is a fresh immutable index,
+// and in-flight queries on the old epoch stay valid.
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"kdash/internal/graph"
 )
 
-// ErrNotUpdatable reports an ApplyDelta/Rebuild against an index that
-// has no source-graph snapshot to replay updates onto (it was loaded
-// from a serialised form that does not carry one). The HTTP layer maps
-// it to 501.
+// ErrNotUpdatable reports a Rebuild against an index that has no
+// source-graph snapshot to replay updates onto (it was loaded from a
+// serialised form that does not carry one).
 var ErrNotUpdatable = errors.New("index has no graph snapshot")
 
 // ErrUnavailable reports a query abandoned because index data it needs
@@ -28,29 +26,6 @@ var ErrNotUpdatable = errors.New("index has no graph snapshot")
 // failed to load mid-query. No partial answer is returned; servers map
 // it to 503 + Retry-After.
 var ErrUnavailable = errors.New("index data unavailable")
-
-// UpdateStats is the engine-neutral summary of one applied update
-// batch, the shape the HTTP layer reports regardless of index kind.
-// The sharded path's richer shard.UpdateStats folds down into it.
-type UpdateStats struct {
-	EdgesAdded    int           `json:"edgesAdded"`
-	EdgesRemoved  int           `json:"edgesRemoved"`
-	NodesAdded    int           `json:"nodesAdded"`
-	Epoch         int           `json:"epoch"`                 // successor's epoch number
-	ShardsRebuilt int           `json:"shardsRebuilt"`         // shards refactorized (all, for a monolithic rebuild)
-	DirtyShards   []int         `json:"dirtyShards,omitempty"` // ids of the refactorized shards (nil when unknown or FullRebuild)
-	Repartitioned bool          `json:"repartitioned"`
-	FullRebuild   bool          `json:"fullRebuild"` // true when nothing was reused
-	BuildTime     time.Duration `json:"buildTimeNs"`
-	// Where the apply's time went: GraphTime is the wall clock of
-	// applying the delta to the graph snapshot; the other three are
-	// BuildStats' stage times summed over the rebuilt blocks (CPU-like
-	// when blocks rebuild in parallel).
-	GraphTime     time.Duration `json:"graphTimeNs"`
-	ReorderTime   time.Duration `json:"reorderTimeNs"`
-	FactorizeTime time.Duration `json:"factorizeTimeNs"`
-	InvertTime    time.Duration `json:"invertTimeNs"`
-}
 
 // Graph returns the source graph the index was built from, or nil for
 // an index loaded from its serialised form (which carries only the
@@ -89,30 +64,4 @@ func (ix *Index) Rebuild(batch *graph.Delta) (*Index, error) {
 	}
 	ix2.epoch = ix.epoch + 1
 	return ix2, nil
-}
-
-// ApplyDelta implements the dynamic-engine seam the HTTP server swaps
-// epochs through: it returns the successor index as an untyped value
-// (the server asserts its Engine interface) plus the neutral stats.
-// Both index kinds expose this method with the same signature.
-func (ix *Index) ApplyDelta(batch *graph.Delta) (any, UpdateStats, error) {
-	t0 := time.Now()
-	ix2, err := ix.Rebuild(batch)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	added, removed, nodes := batch.Counts()
-	total := time.Since(t0)
-	return ix2, UpdateStats{
-		EdgesAdded:    added,
-		EdgesRemoved:  removed,
-		NodesAdded:    nodes,
-		Epoch:         ix2.epoch,
-		FullRebuild:   true,
-		BuildTime:     total,
-		GraphTime:     total - ix2.stats.TotalTime, // all Rebuild does besides BuildIndex
-		ReorderTime:   ix2.stats.ReorderTime,
-		FactorizeTime: ix2.stats.FactorizeTime,
-		InvertTime:    ix2.stats.InvertTime,
-	}, nil
 }

@@ -144,6 +144,8 @@ type Coordinator struct {
 	cl *cluster
 }
 
+var _ shard.Engine = (*Coordinator)(nil)
+
 // NewCoordinator opens the index directory factorless (manifest,
 // assignment, cuts and graph snapshot only — no shard file is ever
 // mapped; the snapshot, which the rank searches, is parsed on the first
@@ -211,17 +213,16 @@ func (co *Coordinator) bindSolver() {
 // everywhere and returns ErrUnavailable with the old epoch fully
 // intact; a Commit straggler is tolerated — it heals through the
 // wrongEpoch→replay path on its next query.
-func (co *Coordinator) ApplyDelta(batch *graph.Delta) (any, core.UpdateStats, error) {
+func (co *Coordinator) ApplyDelta(batch *graph.Delta) (shard.Engine, shard.UpdateStats, error) {
 	cl := co.cl
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 
 	deltaBytes := batch.AppendBinary(nil)
-	next, us, err := co.sx.ApplyDelta(batch)
+	sx2, us, err := co.sx.Apply(batch)
 	if err != nil {
 		return nil, us, err
 	}
-	sx2 := next.(*shard.ShardedIndex)
 	epoch2 := sx2.Epoch()
 
 	prepBody := rpc.AppendPrepareRequest(nil, epoch2, deltaBytes)
@@ -283,10 +284,10 @@ func (co *Coordinator) Close() error {
 	return co.sx.Close()
 }
 
-// N implements server.Engine.
+// N implements shard.Engine.
 func (co *Coordinator) N() int { return co.sx.N() }
 
-// Restart implements server.Engine.
+// Restart implements shard.Engine.
 func (co *Coordinator) Restart() float64 { return co.sx.Restart() }
 
 // Epoch reports the serving epoch (server /statz and update seeding).
@@ -304,7 +305,7 @@ func (co *Coordinator) HomeShard(u int) int { return co.sx.HomeShard(u) }
 // WALSeq reports the WAL position the loaded snapshot covers.
 func (co *Coordinator) WALSeq() uint64 { return co.sx.WALSeq() }
 
-// Search implements server.Engine.
+// Search implements shard.Engine.
 func (co *Coordinator) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
 	return co.sx.Search(q, opt)
 }
@@ -320,42 +321,52 @@ func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchS
 	return co.sx.TopKBatch(qs, k)
 }
 
-// TopKPersonalized implements server.Engine.
+// TopKPersonalized implements shard.Engine.
 func (co *Coordinator) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
 	return co.sx.TopKPersonalized(seeds, k)
 }
 
-// Proximity implements server.Engine.
+// Proximity implements shard.Engine.
 func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proximity(q, u) }
 
 // ProximityVector computes q's full proximity vector through the
 // distributed push.
 func (co *Coordinator) ProximityVector(q int) ([]float64, error) { return co.sx.ProximityVector(q) }
 
-// Statz merges the index's build observability with per-worker serving
-// stats: call latency quantiles, failed calls and replay rounds.
-func (co *Coordinator) Statz() map[string]interface{} {
-	doc := co.sx.Statz()
-	workers := make([]map[string]interface{}, len(co.cl.clients))
+// Statz adds the cluster block to the index's own document: per-worker
+// call counts and latency, failed calls and replay rounds, plus the
+// update chain's base and length.
+func (co *Coordinator) Statz() shard.Statz {
+	st := co.sx.Statz()
+	cs := &shard.ClusterStatz{
+		BaseEpoch: co.cl.baseEpoch,
+		ChainLen:  len(co.cl.chain),
+		Workers:   make([]shard.WorkerStatz, len(co.cl.clients)),
+	}
 	for w, c := range co.cl.clients {
 		snap := co.cl.lat[w].Snapshot()
-		workers[w] = map[string]interface{}{
-			"addr":       c.Addr(),
-			"shards":     countShards(co.cl.placement, w),
-			"calls":      snap.Count,
-			"meanMicros": snap.Mean() / 1e3,
-			"p99Micros":  float64(snap.Quantile(0.99)) / 1e3,
-			"errors":     co.cl.errs[w].Load(),
-			"replays":    co.cl.reconnects[w].Load(),
+		cs.Workers[w] = shard.WorkerStatz{
+			Addr:       c.Addr(),
+			Calls:      snap.Count,
+			Errors:     co.cl.errs[w].Load(),
+			MeanMicros: snap.Mean() / 1e3,
+			P99Micros:  float64(snap.Quantile(0.99)) / 1e3,
+			Replays:    co.cl.reconnects[w].Load(),
+			Shards:     countShards(co.cl.placement, w),
 		}
 	}
-	doc["cluster"] = map[string]interface{}{
-		"workers":   workers,
-		"baseEpoch": co.cl.baseEpoch,
-		"chainLen":  len(co.cl.chain),
-	}
-	return doc
+	st.Cluster = cs
+	return st
 }
+
+// ErrNoSnapshot is SaveWALSnapshot's answer: a factorless coordinator
+// holds no factors, so WAL snapshots come from a single-process server
+// over the same directory.
+var ErrNoSnapshot = errors.New("a factorless coordinator has no factors to snapshot (take snapshots from a single-process server over the same directory)")
+
+// SaveWALSnapshot implements shard.Engine; it always fails with
+// ErrNoSnapshot.
+func (co *Coordinator) SaveWALSnapshot(string, uint64, []string) error { return ErrNoSnapshot }
 
 func countShards(placement []int, w int) int {
 	n := 0

@@ -353,12 +353,12 @@ func TestAssign(t *testing.T) {
 	}
 }
 
-// TestCoordinatorEngineSurface covers the full server.Engine surface a
+// TestCoordinatorEngineSurface covers the shard.Engine surface a
 // coordinator exposes beyond the push-routing paths the differential
 // test drives: the factorless passthroughs (Search, ProximityVector),
-// the metadata accessors the
-// HTTP tier reads, and the Statz cluster block — every answer checked
-// bit-for-bit against an in-process index from the same directory.
+// the metadata accessors the HTTP tier reads, the Statz cluster block
+// and the refused WAL snapshot — every answer checked bit-for-bit
+// against an in-process index from the same directory.
 func TestCoordinatorEngineSurface(t *testing.T) {
 	seed := int64(11)
 	rng := rand.New(rand.NewSource(seed))
@@ -417,24 +417,25 @@ func TestCoordinatorEngineSurface(t *testing.T) {
 	}
 	sameResults(t, "ProximityVector", gotV, wantV)
 
-	doc := co.Statz()
-	cluster, ok := doc["cluster"].(map[string]interface{})
-	if !ok {
+	cluster := co.Statz().Cluster
+	if cluster == nil {
 		t.Fatal("Statz has no cluster block")
 	}
-	workers, ok := cluster["workers"].([]map[string]interface{})
-	if !ok || len(workers) != 2 {
-		t.Fatalf("cluster.workers = %v", cluster["workers"])
+	if len(cluster.Workers) != 2 {
+		t.Fatalf("cluster.workers = %+v", cluster.Workers)
 	}
 	totalShards := 0
-	for w, wd := range workers {
-		if wd["addr"] != addrs[w] {
-			t.Fatalf("worker %d addr %v, want %s", w, wd["addr"], addrs[w])
+	for w, wd := range cluster.Workers {
+		if wd.Addr != addrs[w] {
+			t.Fatalf("worker %d addr %v, want %s", w, wd.Addr, addrs[w])
 		}
-		totalShards += wd["shards"].(int)
+		totalShards += wd.Shards
 	}
 	if totalShards != co.Shards() {
 		t.Fatalf("placement covers %d shards, index has %d", totalShards, co.Shards())
+	}
+	if err := co.SaveWALSnapshot(t.TempDir(), 1, nil); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("SaveWALSnapshot = %v, want ErrNoSnapshot", err)
 	}
 }
 

@@ -53,16 +53,14 @@ type batchRespJSON struct {
 // exactly.
 func TestBatchEndpointMatchesSingle(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
-	engines := map[string]Engine{}
-	{
-		hm, _ := testHandler(t)
-		engines["monolithic"] = hm.snap().engine
+	engines := map[string]shard.Engine{}
+	for _, shards := range []int{1, 4} {
+		sx, err := shard.Build(g, shard.Options{Shards: shards, Reorder: reorder.Hybrid, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[fmt.Sprintf("shards=%d", shards)] = sx
 	}
-	sx, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["sharded"] = sx
 
 	for name, engine := range engines {
 		h := New(engine)
@@ -144,7 +142,7 @@ func TestBatchEndpointExclude(t *testing.T) {
 // cancellingEngine cancels the request after its after-th Search returns
 // and counts the Searches that ran.
 type cancellingEngine struct {
-	Engine
+	shard.Engine
 	after  int
 	calls  int
 	cancel context.CancelFunc
@@ -193,7 +191,7 @@ func TestBatchCancelledBetweenQueries(t *testing.T) {
 	remote.SetFactorless()
 	remote.SetRemoteSolver(localSolver{sx: worker})
 
-	for name, engine := range map[string]Engine{"in-process": sx, "remote-solver": remote} {
+	for name, engine := range map[string]shard.Engine{"in-process": sx, "remote-solver": remote} {
 		ctx, cancel := context.WithCancel(context.Background())
 		ce := &cancellingEngine{Engine: engine, after: 2, cancel: cancel}
 		h := New(ce)

@@ -18,11 +18,11 @@ const (
 )
 
 // answerCache is a small LRU of exact top-K answers keyed by query
-// node. Each engine ranks by a total order that does not depend on k
-// (score descending, ties by ascending node id — the monolithic index's
-// in its reordered id space) and scores a node independently of k, so
-// the top-k answer is a prefix of the top-K list for every k <= K and a
-// cached list serves them all bit-identically to a fresh search.
+// node. The engine ranks by a total order that does not depend on k
+// (score descending, ties by ascending node id) and scores a node
+// independently of k, so the top-k answer is a prefix of the top-K list
+// for every k <= K and a cached list serves them all bit-identically to
+// a fresh search.
 // Answers are immutable inside an epoch, so there the only policy is
 // recency eviction. Across epochs entries DO go stale — POST /update
 // swaps the engine — so the cache is tagged with the epoch its entries
@@ -43,7 +43,7 @@ type answerCache struct {
 
 // cacheEntry is one query node's answer: the engine's own top-k list
 // for an exclusion-free search, and the shards that search's push
-// solved (nil from an engine without shards). Entries are immutable —
+// solved. Entries are immutable —
 // a refill replaces the entry, so readers need no lock.
 type cacheEntry struct {
 	q       int

@@ -2,8 +2,8 @@ package server
 
 // The query hot path hands every request a pooled per-query state
 // (core's search workspaces and sparse solvers, shard's push state).
-// These tests drive both engine shapes through the HTTP surface from
-// many goroutines and assert byte-identical responses against a
+// These tests drive a one-shard and a four-shard engine through the
+// HTTP surface from many goroutines and assert byte-identical responses against a
 // sequential pass — the end-to-end check that pooled checkout per
 // request is concurrent-safe and leak-free. Run with -race in CI.
 
@@ -71,7 +71,7 @@ func queryURLs(n int) []string {
 	return urls
 }
 
-func TestConcurrentRequestsMonolithic(t *testing.T) {
+func TestConcurrentRequestsOneShard(t *testing.T) {
 	h, ix := testHandler(t)
 	hammer(t, h, queryURLs(ix.N()))
 }

@@ -19,14 +19,19 @@ import (
 )
 
 // brokenEngine fails or panics on demand, standing in for internal
-// faults the validation layer cannot catch.
+// faults the validation layer cannot catch. It implements what the
+// query endpoints and /statz call; the rest of shard.Engine is the nil
+// embedded interface and never reached.
 type brokenEngine struct {
+	shard.Engine
 	n      int
 	panics bool
 }
 
-func (e *brokenEngine) N() int           { return e.n }
-func (e *brokenEngine) Restart() float64 { return 0.95 }
+func (e *brokenEngine) N() int             { return e.n }
+func (e *brokenEngine) Restart() float64   { return 0.95 }
+func (e *brokenEngine) Epoch() int         { return 0 }
+func (e *brokenEngine) Statz() shard.Statz { return shard.Statz{Kind: "sharded", Nodes: e.n} }
 func (e *brokenEngine) fail() error {
 	if e.panics {
 		panic("solve shape mismatch")
@@ -40,9 +45,6 @@ func (e *brokenEngine) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Re
 	return nil, core.SearchStats{}, e.fail()
 }
 func (e *brokenEngine) Proximity(q, u int) (float64, error) { return 0, e.fail() }
-func (e *brokenEngine) ProximityVector(q int) ([]float64, error) {
-	return nil, e.fail()
-}
 
 // TestEngineFailureIs500 checks that failures past validation surface as
 // 500, not the blanket 400 the server used to send.
@@ -231,11 +233,11 @@ func TestActualResultCount(t *testing.T) {
 	if err := b.AddEdge(2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := core.BuildIndex(b.Build(), core.BuildOptions{Reorder: reorder.Natural})
+	sx, err := shard.Build(b.Build(), shard.Options{Reorder: reorder.Natural})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(ix)
+	h := New(sx)
 	rec, _ := get(t, h, "/topk?q=0&k=5")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())

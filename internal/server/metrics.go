@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"kdash/internal/obs"
+	"kdash/internal/shard"
 )
 
 // metrics handles GET /metrics.
@@ -141,102 +142,58 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 		pw.Histogram("kdash_wal_barrier_wait_seconds", nil, ws.barrierLat.Snapshot())
 	}
 
-	if s, ok := st.engine.(Statser); ok {
-		writeEngineMetrics(pw, s.Statz())
-	}
+	writeEngineMetrics(pw, st.engine.Statz())
 	_ = pw.Err() // headers are sent; a broken scrape connection has no recourse
 }
 
 // writeEngineMetrics projects the engine's Statz document onto
-// Prometheus series. Only the sharded shape carries per-shard series;
-// unknown or missing fields are skipped, never guessed, so any engine
-// with a Statz stays scrapeable.
-func writeEngineMetrics(pw *obs.PromWriter, doc map[string]interface{}) {
-	if v, ok := statInt(doc["shards"]); ok {
-		pw.Header("kdash_index_shards", "Shards in the serving index.", "gauge")
-		pw.Metric("kdash_index_shards", nil, float64(v))
-	}
-	if v, ok := statInt(doc["shardsOpened"]); ok {
-		pw.Header("kdash_index_shards_opened", "Shards traffic has opened (lazily mapped shards open on first solve).", "gauge")
-		pw.Metric("kdash_index_shards_opened", nil, float64(v))
-	}
-	if v, ok := statInt(doc["mappedBytes"]); ok {
-		pw.Header("kdash_index_mapped_bytes", "Bytes of shard files currently mapped or parsed.", "gauge")
-		pw.Metric("kdash_index_mapped_bytes", nil, float64(v))
-	}
-	if v, ok := statInt(doc["solves"]); ok {
-		pw.Header("kdash_shard_solves_total_sum", "Shard factor solves across all queries this epoch (resets on update swap).", "counter")
-		pw.Metric("kdash_shard_solves_total_sum", nil, float64(v))
-	}
-	writeClusterMetrics(pw, doc)
-	perShard, ok := doc["perShard"].([]map[string]interface{})
-	if !ok {
-		return
+// Prometheus series: index-wide gauges, a coordinator's per-worker
+// series, then the per-shard ones.
+func writeEngineMetrics(pw *obs.PromWriter, st shard.Statz) {
+	pw.Header("kdash_index_shards", "Shards in the serving index.", "gauge")
+	pw.Metric("kdash_index_shards", nil, float64(st.Shards))
+	pw.Header("kdash_index_shards_opened", "Shards traffic has opened (lazily mapped shards open on first solve).", "gauge")
+	pw.Metric("kdash_index_shards_opened", nil, float64(st.ShardsOpened))
+	pw.Header("kdash_index_mapped_bytes", "Bytes of shard files currently mapped or parsed.", "gauge")
+	pw.Metric("kdash_index_mapped_bytes", nil, float64(st.MappedBytes))
+	pw.Header("kdash_shard_solves_total_sum", "Shard factor solves across all queries this epoch (resets on update swap).", "counter")
+	pw.Metric("kdash_shard_solves_total_sum", nil, float64(st.Solves))
+	if st.Cluster != nil {
+		writeClusterMetrics(pw, st.Cluster.Workers)
 	}
 	pw.Header("kdash_shard_opened", "Whether the shard's backing file is open (1) or still deferred (0).", "gauge")
-	for i, sh := range perShard {
+	for i, sh := range st.PerShard {
 		opened := 0.0
-		if b, ok := sh["opened"].(bool); ok && b {
+		if sh.Opened {
 			opened = 1
 		}
 		pw.Metric("kdash_shard_opened", []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, opened)
 	}
 	pw.Header("kdash_shard_solves_total", "Factor solves per shard this epoch (resets on update swap).", "counter")
-	for i, sh := range perShard {
-		if v, ok := statInt(sh["solves"]); ok {
-			pw.Metric("kdash_shard_solves_total", []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(v))
-		}
+	for i, sh := range st.PerShard {
+		pw.Metric("kdash_shard_solves_total", []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(sh.Solves))
 	}
 }
 
 // writeClusterMetrics projects a coordinator's per-worker serving stats
-// (placement.Coordinator.Statz puts them under "cluster") onto labelled
-// Prometheus series, so a dashboard can tell a slow worker from a slow
-// query mix without scraping the workers themselves.
-func writeClusterMetrics(pw *obs.PromWriter, doc map[string]interface{}) {
-	cluster, ok := doc["cluster"].(map[string]interface{})
-	if !ok {
-		return
-	}
-	workers, ok := cluster["workers"].([]map[string]interface{})
-	if !ok {
-		return
-	}
-	series := []struct{ key, name, help, typ string }{
-		{"calls", "kdash_worker_calls_total", "Solve RPCs routed to the worker.", "counter"},
-		{"errors", "kdash_worker_errors_total", "Worker calls that failed after retry and replay.", "counter"},
-		{"replays", "kdash_worker_replays_total", "Chain-replay recovery rounds run against the worker.", "counter"},
-		{"shards", "kdash_worker_shards", "Shards the placement map assigns to the worker.", "gauge"},
-		{"meanMicros", "kdash_worker_call_mean_micros", "Mean worker call latency in microseconds.", "gauge"},
-		{"p99Micros", "kdash_worker_call_p99_micros", "p99 worker call latency in microseconds.", "gauge"},
+// onto labelled Prometheus series, so a dashboard can tell a slow worker
+// from a slow query mix without scraping the workers themselves.
+func writeClusterMetrics(pw *obs.PromWriter, workers []shard.WorkerStatz) {
+	series := []struct {
+		name, help, typ string
+		val             func(shard.WorkerStatz) float64
+	}{
+		{"kdash_worker_calls_total", "Solve RPCs routed to the worker.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Calls) }},
+		{"kdash_worker_errors_total", "Worker calls that failed after retry and replay.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Errors) }},
+		{"kdash_worker_replays_total", "Chain-replay recovery rounds run against the worker.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Replays) }},
+		{"kdash_worker_shards", "Shards the placement map assigns to the worker.", "gauge", func(w shard.WorkerStatz) float64 { return float64(w.Shards) }},
+		{"kdash_worker_call_mean_micros", "Mean worker call latency in microseconds.", "gauge", func(w shard.WorkerStatz) float64 { return w.MeanMicros }},
+		{"kdash_worker_call_p99_micros", "p99 worker call latency in microseconds.", "gauge", func(w shard.WorkerStatz) float64 { return w.P99Micros }},
 	}
 	for _, s := range series {
 		pw.Header(s.name, s.help, s.typ)
-		for w, wd := range workers {
-			var val float64
-			if fv, ok := wd[s.key].(float64); ok {
-				val = fv
-			} else if iv, ok := statInt(wd[s.key]); ok {
-				val = float64(iv)
-			} else {
-				continue
-			}
-			pw.Metric(s.name, []obs.Label{{Name: "worker", Value: strconv.Itoa(w)}}, val)
+		for w, ws := range workers {
+			pw.Metric(s.name, []obs.Label{{Name: "worker", Value: strconv.Itoa(w)}}, s.val(ws))
 		}
 	}
-}
-
-// statInt folds the integer shapes a Statz document actually contains.
-func statInt(v interface{}) (int64, bool) {
-	switch x := v.(type) {
-	case int:
-		return int64(x), true
-	case int64:
-		return x, true
-	case uint64:
-		return int64(x), true
-	case float64:
-		return int64(x), true
-	}
-	return 0, false
 }

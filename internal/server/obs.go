@@ -33,7 +33,7 @@ var endpointNames = []string{
 
 // statusCodes is every status the handler itself emits; codeSlot folds
 // anything else (nothing today) onto its class representative.
-var statusCodes = [...]int{200, 400, 405, 499, 500, 501}
+var statusCodes = [...]int{200, 400, 405, 499, 500}
 
 func codeSlot(code int) int {
 	switch code {
@@ -47,8 +47,6 @@ func codeSlot(code int) int {
 		return 3
 	case 500:
 		return 4
-	case 501:
-		return 5
 	}
 	switch {
 	case code < 300:
@@ -222,10 +220,10 @@ type traceStepJSON struct {
 	WorkerNS       int64   `json:"workerNs,omitempty"`
 }
 
-// traceJSON is the per-query trace block a ?trace=1 response carries.
-// Steps and Residual are present for engines that trace at shard
-// granularity (the sharded index); a monolithic engine fills only the
-// aggregate fields.
+// traceJSON is the per-query trace block a ?trace=1 response carries:
+// the push's shard solves in order (Steps, with the residual bound after
+// each in Residual) and the query's aggregates. A cache hit runs no
+// push and carries no steps.
 type traceJSON struct {
 	Steps          []traceStepJSON `json:"steps,omitempty"`
 	Residual       []float64       `json:"residual,omitempty"`

@@ -327,8 +327,8 @@ func TestCacheFootprintCounters(t *testing.T) {
 	if cache["evictions"] != 1 || cache["entries"] != 1 {
 		t.Errorf("statz cache = %v", cache)
 	}
-	// One cachedK-deep list from the monolithic engine (no shard set).
-	if want := int64(16 * cachedK); cache["bytes"] != want {
+	// One cachedK-deep list and its one solved shard.
+	if want := int64(16*cachedK + 8); cache["bytes"] != want {
 		t.Errorf("statz cache bytes = %d, want %d", cache["bytes"], want)
 	}
 	text := scrape(t, h)

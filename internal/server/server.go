@@ -1,9 +1,10 @@
 // Package server exposes a K-dash index over HTTP, the deployment shape
 // the paper's motivating applications (recommenders, link prediction,
 // image captioning) consume proximity queries in: build or load the index
-// once, then serve exact top-k answers at microsecond latency. Both the
-// monolithic core.Index and the partitioned shard.ShardedIndex plug in
-// behind the same endpoints via the Engine interface.
+// once, then serve exact top-k answers at microsecond latency. The
+// engine is the sharded shape behind the shard.Engine interface: a
+// shard.ShardedIndex in process, or a placement.Coordinator routing the
+// factor solves to workers.
 //
 // The handler validates requests before they reach the engine and maps
 // failures precisely: malformed input is 400, engine failures and
@@ -14,11 +15,12 @@
 // counters, per-query work, update and cache statistics, how the index
 // was brought up (WithOpenInfo: open wall clock and backing mode), a
 // memory block (the OS resident set, index arrays by backing, the Go
-// heap; memory.go), and whatever the engine itself exposes via Statz —
-// for a memory-mapped sharded index that includes which shard files
-// traffic has actually opened. The field-by-field reference lives in
-// README.md's Operations section; docs/ARCHITECTURE.md covers the
-// epoch-swap contract POST /update relies on.
+// heap; memory.go), and the engine's own typed shard.Statz document —
+// per-shard sizes and solves, which shard files traffic has actually
+// opened, and a coordinator's per-worker stats. The field-by-field
+// reference lives in README.md's Operations section;
+// docs/ARCHITECTURE.md covers the epoch-swap contract POST /update
+// relies on.
 package server
 
 import (
@@ -38,25 +40,9 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/obs"
 	"kdash/internal/rpc"
+	"kdash/internal/shard"
 	"kdash/internal/topk"
 )
-
-// Engine is the query surface the server needs. *core.Index and
-// *shard.ShardedIndex both satisfy it, so one server binary serves either
-// index shape with unchanged endpoint contracts.
-type Engine interface {
-	N() int
-	Restart() float64
-	Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error)
-	TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)
-	Proximity(q, u int) (float64, error)
-}
-
-// Statser is implemented by engines that expose build-time observability
-// (shard sizes, factor sparsity, ...) for /statz.
-type Statser interface {
-	Statz() map[string]interface{}
-}
 
 // DefaultMaxBatch bounds /topk/batch request sizes: large enough for any
 // sane fan-out, small enough that one request cannot monopolise the
@@ -121,16 +107,18 @@ func WithDefaultTimeout(d time.Duration) Option {
 	}
 }
 
-// engineState is one immutable epoch of the serving engine: the engine
-// plus its optional capabilities, resolved once per swap. Every request
-// loads the pointer exactly once and runs entirely against that
+// engineState is one immutable epoch of the serving engine. Every
+// request loads the pointer exactly once and runs entirely against that
 // snapshot, so an update swapping the pointer mid-flight never hands a
 // request two different indexes — the copy-on-swap epoch scheme that
 // makes POST /update safe against pooled in-flight queries.
 type engineState struct {
-	engine Engine
-	upd    Updatable // nil: static engine, /update answers 501
+	engine shard.Engine
 	epoch  int
+}
+
+func newEngineState(engine shard.Engine) *engineState {
+	return &engineState{engine: engine, epoch: engine.Epoch()}
 }
 
 // Handler serves queries against one engine.
@@ -174,12 +162,11 @@ type Handler struct {
 	cacheMisses   expvar.Int
 
 	// Update-path counters.
-	qUpdates       expvar.Int // /update requests accepted and applied
-	updUnsupported expvar.Int // /update against a static engine (501)
-	updShards      expvar.Int // cumulative shards refactorized by updates
-	updReparts     expvar.Int // updates that triggered a re-partition
-	updEdges       expvar.Int // cumulative edge ops applied
-	updNodes       expvar.Int // cumulative nodes inserted
+	qUpdates   expvar.Int // /update requests accepted and applied
+	updShards  expvar.Int // cumulative shards refactorized by updates
+	updReparts expvar.Int // updates that triggered a re-partition
+	updEdges   expvar.Int // cumulative edge ops applied
+	updNodes   expvar.Int // cumulative nodes inserted
 
 	// Update-path timing (countUpdate): how long each engine apply ran —
 	// in WAL mode that is the stall a reader sees after an ack — and
@@ -193,17 +180,17 @@ type Handler struct {
 // from.
 var updateStages = [...]struct {
 	name string
-	time func(core.UpdateStats) time.Duration
+	time func(shard.UpdateStats) time.Duration
 }{
-	{"graph", func(s core.UpdateStats) time.Duration { return s.GraphTime }},
-	{"reorder", func(s core.UpdateStats) time.Duration { return s.ReorderTime }},
-	{"factorize", func(s core.UpdateStats) time.Duration { return s.FactorizeTime }},
-	{"invert", func(s core.UpdateStats) time.Duration { return s.InvertTime }},
+	{"graph", func(s shard.UpdateStats) time.Duration { return s.GraphTime }},
+	{"reorder", func(s shard.UpdateStats) time.Duration { return s.ReorderTime }},
+	{"factorize", func(s shard.UpdateStats) time.Duration { return s.FactorizeTime }},
+	{"invert", func(s shard.UpdateStats) time.Duration { return s.InvertTime }},
 }
 
 // countUpdate folds one engine apply — the sync path's single batch or
 // a compaction's merged ones — into the cumulative update counters.
-func (h *Handler) countUpdate(batches int64, stats core.UpdateStats, applied time.Duration) {
+func (h *Handler) countUpdate(batches int64, stats shard.UpdateStats, applied time.Duration) {
 	h.qUpdates.Add(batches)
 	h.updShards.Add(int64(stats.ShardsRebuilt))
 	h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))
@@ -220,19 +207,12 @@ func (h *Handler) countUpdate(batches int64, stats core.UpdateStats, applied tim
 // New wraps an engine in an http.Handler. The engine must not be modified
 // afterwards (indexes are immutable after construction, so this is the
 // natural usage); POST /update replaces the engine with a successor
-// epoch rather than mutating it.
-func New(engine Engine, opts ...Option) *Handler {
+// epoch rather than mutating it. The served epoch starts at the
+// engine's own, so a server started from a saved, previously updated
+// index reports that index's real epoch, not 0.
+func New(engine shard.Engine, opts ...Option) *Handler {
 	h := &Handler{mux: http.NewServeMux(), start: time.Now(), maxBatch: DefaultMaxBatch}
-	// Seed the epoch from the engine itself: a server started from a
-	// saved, previously-updated sharded index reports that index's real
-	// epoch, not 0 (the manifest persists it; a monolithic index
-	// serialises without its epoch — or its graph — so it reloads at 0
-	// and /update answers 501 anyway).
-	epoch := 0
-	if e, ok := engine.(interface{ Epoch() int }); ok {
-		epoch = e.Epoch()
-	}
-	h.state.Store(newEngineState(engine, epoch))
+	h.state.Store(newEngineState(engine))
 	for _, o := range opts {
 		o(h)
 	}
@@ -256,16 +236,6 @@ func New(engine Engine, opts ...Option) *Handler {
 		h.mux.HandleFunc(ep.path, h.instrument(ep.name, ep.fn))
 	}
 	return h
-}
-
-// newEngineState resolves an engine's optional capabilities into one
-// immutable epoch snapshot.
-func newEngineState(engine Engine, epoch int) *engineState {
-	st := &engineState{engine: engine, epoch: epoch}
-	if u, ok := engine.(Updatable); ok {
-		st.upd = u
-	}
-	return st
 }
 
 // snap returns the current engine epoch. Handlers call it exactly once
@@ -582,10 +552,10 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	})
 }
 
-// statz handles GET /statz: cumulative query counters plus whatever
-// build-time observability the engine exposes (per-shard sizes and cut
-// statistics for a sharded index), so operators can watch shard balance
-// and pruning effectiveness in production.
+// statz handles GET /statz: cumulative query counters plus the engine's
+// own document (per-shard sizes, cut statistics and solves), so
+// operators can watch shard balance and pruning effectiveness in
+// production.
 func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
@@ -623,6 +593,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 			"terminatedEarly":       h.terminated.Value(),
 		},
 		"updates": h.updatesStatz(st.epoch),
+		"index":   st.engine.Statz(),
 	}
 	if h.openMode != "" {
 		doc["load"] = map[string]interface{}{
@@ -646,9 +617,6 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	if walDoc != nil {
 		doc["wal"] = walDoc
 	}
-	if s, ok := st.engine.(Statser); ok {
-		doc["index"] = s.Statz()
-	}
 	writeJSON(w, doc)
 }
 
@@ -664,7 +632,7 @@ func (h *Handler) updatesStatz(epoch int) map[string]int64 {
 		"repartitions":  h.updReparts.Value(),
 		"edgeOps":       h.updEdges.Value(),
 		"nodesAdded":    h.updNodes.Value(),
-		"unsupported":   h.updUnsupported.Value(),
+		"unsupported":   0, // kept for dashboards: every served engine takes updates
 		"applies":       int64(applies.Count),
 		"applyNs":       applies.SumNS,
 	}

@@ -8,20 +8,23 @@ import (
 	"strings"
 	"testing"
 
-	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
+	"kdash/internal/shard"
 )
 
-func testHandler(t *testing.T) (*Handler, *core.Index) {
+// testHandler serves a one-shard engine: the whole graph in one block,
+// so the push is a single solve and the rank does all the pruning.
+// shardedHandler (statz_test.go) serves the same graph in four shards.
+func testHandler(t *testing.T) (*Handler, *shard.ShardedIndex) {
 	t.Helper()
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
-	ix, err := core.BuildIndex(g, core.BuildOptions{Reorder: reorder.Hybrid, Seed: 1})
+	sx, err := shard.Build(g, shard.Options{Shards: 1, Reorder: reorder.Hybrid, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ix), ix
+	return New(sx), sx
 }
 
 func get(t *testing.T, h http.Handler, url string) (*httptest.ResponseRecorder, map[string]json.RawMessage) {

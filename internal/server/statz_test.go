@@ -26,17 +26,17 @@ func shardedHandler(t *testing.T) (*Handler, *shard.ShardedIndex) {
 	return New(sx), sx
 }
 
-// TestShardedEngineEndpoints checks a ShardedIndex serves the same
-// endpoint contracts as the monolithic index and agrees with it.
+// TestShardedEngineEndpoints checks a four-shard engine serves the same
+// endpoint contracts as a one-shard engine and agrees with it.
 func TestShardedEngineEndpoints(t *testing.T) {
 	hs, sx := shardedHandler(t)
-	hm, ix := testHandler(t) // same graph, same seed
+	hm, ix := testHandler(t) // same graph, same seed, one shard
 
 	for _, url := range []string{"/topk?q=7&k=5", "/topk?q=0&k=3&exclude=1,2"} {
 		recS, _ := get(t, hs, url)
 		recM, _ := get(t, hm, url)
 		if recS.Code != http.StatusOK || recM.Code != http.StatusOK {
-			t.Fatalf("%s: sharded %d, monolithic %d", url, recS.Code, recM.Code)
+			t.Fatalf("%s: four shards %d, one shard %d", url, recS.Code, recM.Code)
 		}
 		var respS, respM struct {
 			Results []struct {
@@ -56,7 +56,7 @@ func TestShardedEngineEndpoints(t *testing.T) {
 		for i := range respS.Results {
 			if respS.Results[i].Node != respM.Results[i].Node ||
 				math.Abs(respS.Results[i].Score-respM.Results[i].Score) > 1e-9 {
-				t.Errorf("%s result %d: sharded %+v, monolithic %+v", url, i, respS.Results[i], respM.Results[i])
+				t.Errorf("%s result %d: four shards %+v, one shard %+v", url, i, respS.Results[i], respM.Results[i])
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func TestShardedEngineEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(p1-p2) > 1e-9 {
-		t.Errorf("proximity: sharded %g, monolithic %g", p1, p2)
+		t.Errorf("proximity: four shards %g, one shard %g", p1, p2)
 	}
 }
 
@@ -130,21 +130,6 @@ func TestStatzEndpoint(t *testing.T) {
 	}
 	if total != sx.N() {
 		t.Errorf("per-shard sizes sum to %d, want %d", total, sx.N())
-	}
-
-	// The monolithic engine reports its own kind.
-	hm, _ := testHandler(t)
-	recM, _ := get(t, hm, "/statz")
-	var respM struct {
-		Index struct {
-			Kind string `json:"kind"`
-		} `json:"index"`
-	}
-	if err := json.Unmarshal(recM.Body.Bytes(), &respM); err != nil {
-		t.Fatal(err)
-	}
-	if respM.Index.Kind != "monolithic" {
-		t.Errorf("monolithic /statz kind = %q", respM.Index.Kind)
 	}
 }
 

@@ -18,17 +18,8 @@ import (
 	"net/url"
 	"time"
 
-	"kdash/internal/core"
 	"kdash/internal/graph"
 )
-
-// Updatable is implemented by engines that absorb graph deltas by
-// producing a successor engine (both index shapes do: the sharded
-// index incrementally, the monolithic one by full rebuild). ApplyDelta
-// returns the successor untyped; the handler asserts Engine on it.
-type Updatable interface {
-	ApplyDelta(batch *graph.Delta) (next any, stats core.UpdateStats, err error)
-}
 
 // MaxAddNodes bounds node insertions per /update request, so a single
 // request cannot balloon the index arbitrarily.
@@ -113,11 +104,6 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	h.updateMu.Lock()
 	defer h.updateMu.Unlock()
 	st := h.snap()
-	if st.upd == nil {
-		h.updUnsupported.Add(1)
-		httpError(w, http.StatusNotImplemented, "engine does not support updates (rebuild from the source graph instead)")
-		return
-	}
 	batch, err := buildDelta(st.engine.N(), &req)
 	if err != nil {
 		h.badRequest(w, "%v", err)
@@ -125,7 +111,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	}
 
 	t0 := time.Now()
-	next, stats, err := st.upd.ApplyDelta(batch)
+	engine, stats, err := st.engine.ApplyDelta(batch)
 	applied := time.Since(t0)
 	if err != nil {
 		switch {
@@ -133,28 +119,15 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		// well-formed request: removing an edge that is not there.
 		case errors.Is(err, graph.ErrEdgeNotFound):
 			h.badRequest(w, "%v", err)
-		// An index loaded without its graph snapshot implements the
-		// interface but cannot replay deltas: same answer as a static
-		// engine.
-		case errors.Is(err, core.ErrNotUpdatable):
-			h.updUnsupported.Add(1)
-			httpError(w, http.StatusNotImplemented, err.Error())
-		default:
-			// A coordinator that could not two-phase publish to every
-			// worker rolls the epoch back and reports worker loss (503):
-			// the update is safe to retry once the cluster heals.
-			if !h.unavailable(w, err) {
-				h.internalError(w, err)
-			}
+		// A coordinator that could not two-phase publish to every worker
+		// rolls the epoch back and reports worker loss (503): the update
+		// is safe to retry once the cluster heals.
+		case !h.unavailable(w, err):
+			h.internalError(w, err)
 		}
 		return
 	}
-	engine, ok := next.(Engine)
-	if !ok {
-		h.internalError(w, fmt.Errorf("engine %T returned a non-engine successor %T", st.upd, next))
-		return
-	}
-	h.state.Store(newEngineState(engine, stats.Epoch))
+	h.state.Store(newEngineState(engine))
 	h.invalidateCache(stats)
 	h.countUpdate(1, stats, applied)
 	writeJSON(w, updateResponse{

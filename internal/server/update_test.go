@@ -78,7 +78,10 @@ func TestUpdateEndpointSharded(t *testing.T) {
 	}
 }
 
-func TestUpdateEndpointMonolithicFullRebuild(t *testing.T) {
+// TestUpdateEndpointOneShardFullRebuild: a one-shard engine has no
+// block to confine an update to, so every apply rebuilds the whole
+// index and says so.
+func TestUpdateEndpointOneShardFullRebuild(t *testing.T) {
 	h, _ := testHandler(t)
 	rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":50}]}`)
 	if rec.Code != http.StatusOK {
@@ -88,7 +91,7 @@ func TestUpdateEndpointMonolithicFullRebuild(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.FullRebuild || resp.Epoch != 1 || resp.EdgesAdded != 1 {
+	if !resp.FullRebuild || resp.ShardsRebuilt != 1 || resp.Epoch != 1 || resp.EdgesAdded != 1 {
 		t.Fatalf("resp = %+v", resp)
 	}
 }
@@ -127,20 +130,6 @@ func TestUpdateEndpointValidation(t *testing.T) {
 	grec, _ := get(t, h, "/update")
 	if grec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /update: status %d", grec.Code)
-	}
-}
-
-// staticEngine exposes only the Engine methods of the engine it wraps,
-// hiding ApplyDelta.
-type staticEngine struct{ Engine }
-
-func TestUpdateUnsupportedEngine(t *testing.T) {
-	// An engine without ApplyDelta answers 501.
-	hm, _ := testHandler(t)
-	h := New(staticEngine{hm.snap().engine})
-	rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":1}]}`)
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("status %d, want 501 (%s)", rec.Code, rec.Body.String())
 	}
 }
 

@@ -47,21 +47,9 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/obs"
+	"kdash/internal/shard"
 	"kdash/internal/wal"
 )
-
-// graphEngine exposes the engine's current graph snapshot; WAL mode
-// requires it for ack-time edge-existence validation. Both updatable
-// index shapes implement it.
-type graphEngine interface{ Graph() *graph.Graph }
-
-// walStamper is the snapshot seam: an engine that can stamp and persist
-// the WAL position its factors cover (shard.ShardedIndex via manifest
-// v4).
-type walStamper interface {
-	SetWALInfo(seq uint64, segments []string)
-	Save(dir string) error
-}
 
 // WALConfig configures durable update mode (NewDurable).
 type WALConfig struct {
@@ -82,10 +70,10 @@ type WALConfig struct {
 	MaxPendingOps int
 	// SnapshotDir, when set, enables durable compaction: every
 	// SnapshotEvery compactions the engine is persisted there (stamped
-	// with the WAL position it covers, manifest v4) and the log is
-	// truncated through that position. Requires an engine that persists
-	// with a WAL stamp (the sharded index). Empty: the log is never
-	// truncated — updates stay durable in the WAL alone.
+	// with the WAL position it covers, manifest v5) and the log is
+	// truncated through that position. A coordinator cannot snapshot
+	// (it holds no factors). Empty: the log is never truncated —
+	// updates stay durable in the WAL alone.
 	SnapshotDir string
 	// SnapshotEvery is the compaction count between snapshots (default
 	// 16 when SnapshotDir is set).
@@ -158,10 +146,10 @@ type walState struct {
 // POST /update acks after a WAL append, a background compactor folds
 // batches through the engine's incremental apply, and records past the
 // engine's manifest walSeq are replayed before the handler serves
-// anything. The engine must be updatable with a reachable graph
-// snapshot. Callers must Close the handler to stop the compactor and
+// anything. The engine's graph snapshot must load: ack-time validation
+// reads it. Callers must Close the handler to stop the compactor and
 // flush the log.
-func NewDurable(engine Engine, cfg WALConfig, opts ...Option) (*Handler, error) {
+func NewDurable(engine shard.Engine, cfg WALConfig, opts ...Option) (*Handler, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: WAL mode needs a log directory")
 	}
@@ -174,13 +162,8 @@ func NewDurable(engine Engine, cfg WALConfig, opts ...Option) (*Handler, error) 
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
 	}
-	upd, ok := engine.(Updatable)
-	if !ok {
-		return nil, fmt.Errorf("server: WAL mode needs an updatable engine, %T is static", engine)
-	}
-	ge, ok := engine.(graphEngine)
-	if !ok || ge.Graph() == nil {
-		return nil, fmt.Errorf("server: WAL mode needs an engine with a graph snapshot (%w)", core.ErrNotUpdatable)
+	if engine.Graph() == nil {
+		return nil, fmt.Errorf("server: WAL mode needs the engine's graph snapshot, which failed to load (%w)", core.ErrUnavailable)
 	}
 	log, err := wal.Open(cfg.Dir, wal.Options{Sync: cfg.Sync, SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
 	if err != nil {
@@ -188,11 +171,7 @@ func NewDurable(engine Engine, cfg WALConfig, opts ...Option) (*Handler, error) 
 	}
 
 	// Recovery: replay records the engine's snapshot has not absorbed.
-	after := uint64(0)
-	if ws, ok := engine.(interface{ WALSeq() uint64 }); ok {
-		after = ws.WALSeq()
-	}
-	engine, replayed, dropped, err := replayWAL(log, engine, upd, after)
+	engine, replayed, dropped, err := replayWAL(log, engine, engine.WALSeq())
 	if err != nil {
 		log.Close()
 		return nil, err
@@ -222,14 +201,16 @@ func NewDurable(engine Engine, cfg WALConfig, opts ...Option) (*Handler, error) 
 // single refactorization; if that fails (a record the snapshot already
 // disagrees with — a batch the previous process dropped as poisoned),
 // it falls back to record-by-record application, skipping the records
-// that still fail, so one bad record cannot brick recovery.
+// that still fail, so one bad record cannot brick recovery. The merge
+// builds a fresh delta: extending records[0] in place would leave the
+// slow path re-applying the whole merged prefix as its first record.
 //
 // Replay is part of the bit-identity contract (recovered answers must
 // match the synchronous-oracle chain exactly), so it must stay free of
 // map iteration, clocks and randomness.
 //
 //kdash:deterministic
-func replayWAL(log *wal.Log, engine Engine, upd Updatable, after uint64) (Engine, int64, int64, error) {
+func replayWAL(log *wal.Log, engine shard.Engine, after uint64) (shard.Engine, int64, int64, error) {
 	var records []*graph.Delta
 	if err := log.Replay(after, func(seq uint64, body []byte) error {
 		d, err := graph.UnmarshalDelta(body)
@@ -244,34 +225,31 @@ func replayWAL(log *wal.Log, engine Engine, upd Updatable, after uint64) (Engine
 	if len(records) == 0 {
 		return engine, 0, 0, nil
 	}
-	merged := records[0]
+	merged := graph.NewDelta(records[0].BaseN())
 	mergeable := true
-	for _, d := range records[1:] {
+	for _, d := range records {
 		if err := merged.Extend(d); err != nil {
 			mergeable = false
 			break
 		}
 	}
 	if mergeable && merged.BaseN() == engine.N() {
-		if next, _, err := upd.ApplyDelta(merged); err == nil {
-			return next.(Engine), int64(len(records)), 0, nil
+		if next, _, err := engine.ApplyDelta(merged); err == nil {
+			return next, int64(len(records)), 0, nil
 		}
 	}
 	// Slow path: one at a time, skipping what cannot apply.
 	var applied, dropped int64
-	cur := engine
-	curUpd := upd
 	for _, d := range records {
-		next, _, err := curUpd.ApplyDelta(d)
+		next, _, err := engine.ApplyDelta(d)
 		if err != nil {
 			dropped++
 			continue
 		}
-		cur = next.(Engine)
-		curUpd = next.(Updatable)
+		engine = next
 		applied++
 	}
-	return cur, applied, dropped, nil
+	return engine, applied, dropped, nil
 }
 
 // updateWAL is the durable-mode POST /update tail: validate against the
@@ -290,7 +268,7 @@ func (h *Handler) updateWAL(w http.ResponseWriter, req *updateRequest) {
 		h.badRequest(w, "%v", err)
 		return
 	}
-	if err := ws.validateLocked(batch, st.engine.(graphEngine).Graph()); err != nil {
+	if err := ws.validateLocked(batch, st.engine.Graph()); err != nil {
 		ws.mu.Unlock()
 		h.badRequest(w, "%v", err)
 		return
@@ -498,7 +476,7 @@ func (h *Handler) compactOnce() {
 
 	st := h.snap()
 	t0 := time.Now() //kdash:allow(determinism) times the apply for /metrics; the drain's output never reads it
-	next, stats, err := st.upd.ApplyDelta(batch)
+	next, stats, err := st.engine.ApplyDelta(batch)
 	applied := time.Since(t0) //kdash:allow(determinism) as above
 
 	ws.mu.Lock()
@@ -511,8 +489,7 @@ func (h *Handler) compactOnce() {
 		ws.applyErrors++
 		ws.batchesDropped += batches
 	} else {
-		engine := next.(Engine)
-		h.state.Store(newEngineState(engine, stats.Epoch))
+		h.state.Store(newEngineState(next))
 		h.invalidateCache(stats)
 		h.countUpdate(batches, stats, applied)
 		ws.compactions++
@@ -544,10 +521,10 @@ func (h *Handler) compactOnce() {
 }
 
 // SnapshotWAL persists the currently published engine into dir/epoch-N
-// stamped with the WAL position it covers (manifest v4), points
+// stamped with the WAL position it covers (manifest v5), points
 // dir/CURRENT at it, prunes older snapshot directories, and truncates
 // the log through the stamped position. Requires durable mode and an
-// engine that persists with a WAL stamp (the sharded index).
+// in-process engine: a coordinator refuses (placement.ErrNoSnapshot).
 func (h *Handler) SnapshotWAL(dir string) error {
 	ws := h.wals
 	if ws == nil {
@@ -560,16 +537,11 @@ func (h *Handler) SnapshotWAL(dir string) error {
 	st := h.snap()
 	applied := ws.appliedSeq
 	ws.mu.Unlock()
-	stamper, ok := st.engine.(walStamper)
-	if !ok {
-		return fmt.Errorf("server: engine %T cannot persist a WAL-stamped snapshot", st.engine)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	name := fmt.Sprintf("epoch-%08d", st.epoch)
-	stamper.SetWALInfo(applied, ws.log.SegmentNames())
-	if err := stamper.Save(filepath.Join(dir, name)); err != nil {
+	if err := st.engine.SaveWALSnapshot(filepath.Join(dir, name), applied, ws.log.SegmentNames()); err != nil {
 		return err
 	}
 	// Point CURRENT at the new snapshot atomically (write + rename), so
@@ -629,9 +601,9 @@ func LatestSnapshot(dir string) (string, bool) {
 // successor shares by pointer, in the same order to the same bits, and
 // serving the cached list is exact. Anything that breaks the
 // argument's premises (full rebuild, repartition moving homes and
-// re-targeting every cut list, node insertions, an engine that reports
-// no shard structure) flushes everything.
-func (h *Handler) invalidateCache(stats core.UpdateStats) {
+// re-targeting every cut list, node insertions, an update that reports
+// no dirty shards) flushes everything.
+func (h *Handler) invalidateCache(stats shard.UpdateStats) {
 	if h.cache == nil {
 		return
 	}

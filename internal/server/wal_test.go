@@ -32,7 +32,7 @@ var walBuildOpts = shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1, St
 
 // durableHandler opens a WAL-mode handler over the engine with a fast
 // compactor tick and registers cleanup.
-func durableHandler(t *testing.T, engine Engine, cfg WALConfig, opts ...Option) *Handler {
+func durableHandler(t *testing.T, engine shard.Engine, cfg WALConfig, opts ...Option) *Handler {
 	t.Helper()
 	if cfg.CompactInterval == 0 {
 		cfg.CompactInterval = 2 * time.Millisecond
@@ -255,7 +255,7 @@ func TestWALConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	awaitApplied(t, h, uint64(writers))
 
-	pub := h.snap().engine.(graphEngine).Graph()
+	pub := h.snap().engine.Graph()
 	for i := 0; i < writers; i++ {
 		if !pub.HasEdge(i, (i+40)%120) {
 			t.Errorf("edge (%d,%d) lost", i, (i+40)%120)
@@ -300,7 +300,7 @@ func TestSyncConcurrentUpdatesAllSurvive(t *testing.T) {
 		t.Fatalf("lost update: applied=%d epoch=%d, want %d/%d",
 			statz.Updates["applied"], statz.Updates["epoch"], writers, writers)
 	}
-	pub := h.snap().engine.(graphEngine).Graph()
+	pub := h.snap().engine.Graph()
 	for i := 0; i < writers; i++ {
 		if !pub.HasEdge(i, (i+60)%120) {
 			t.Errorf("edge (%d,%d) lost", i, (i+60)%120)
@@ -355,7 +355,7 @@ func TestWALValidationOverlay(t *testing.T) {
 }
 
 // TestWALSnapshotRecovery drives durable compaction end to end: updates
-// flow, snapshots land in SnapshotDir with a manifest-v4 WAL stamp, the
+// flow, snapshots land in SnapshotDir with a manifest-v5 WAL stamp, the
 // log truncates, and a restart from LatestSnapshot + the remaining log
 // reproduces the oracle bit-identically.
 func TestWALSnapshotRecovery(t *testing.T) {
@@ -410,6 +410,71 @@ func TestWALSnapshotRecovery(t *testing.T) {
 			replayed, lastSeq-loaded.WALSeq(), loaded.WALSeq(), lastSeq)
 	}
 	compareAnswers(t, h2, oracle, rng, "post-snapshot-restart")
+}
+
+// TestWALReplaySkipsOnlyBadRecords replays a log whose middle record
+// cannot apply (it removes an edge that is not there): the merged fast
+// path fails, and the record-by-record fallback must apply the first
+// and last records exactly once each and drop only the bad one — the
+// recovered engine is bit-identical to applying the good records in
+// order.
+func TestWALReplaySkipsOnlyBadRecords(t *testing.T) {
+	g := testutil.Clustered(120, 4, 1)
+	base, err := shard.Build(g, walBuildOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var absent [][2]int
+	for u := 0; len(absent) < 3; u++ {
+		if v := (u + 60) % g.N(); !g.HasEdge(u, v) {
+			absent = append(absent, [2]int{u, v})
+		}
+	}
+	a, b, c := g.NewDelta(), g.NewDelta(), g.NewDelta()
+	if err := a.AddEdge(absent[0][0], absent[0][1], 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RemoveEdge(absent[1][0], absent[1][1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddEdge(absent[2][0], absent[2][1], 3); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*graph.Delta{a, b, c} {
+		if _, err := log.Append(d.AppendBinary(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := durableHandler(t, base, WALConfig{Dir: dir, Sync: wal.SyncNone})
+	h.wals.mu.Lock()
+	replayed, dropped := h.wals.replayed, h.wals.batchesDropped
+	h.wals.mu.Unlock()
+	if replayed != 2 || dropped != 1 {
+		t.Fatalf("replayed %d, dropped %d: want 2 and 1", replayed, dropped)
+	}
+	oracle, _, err := base.Apply(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle, _, err = oracle.Apply(c); err != nil {
+		t.Fatal(err)
+	}
+	got := h.snap().engine.Graph()
+	for _, e := range absent {
+		if got.HasEdge(e[0], e[1]) != oracle.Graph().HasEdge(e[0], e[1]) {
+			t.Errorf("edge %v: recovered %v, oracle %v", e, got.HasEdge(e[0], e[1]), oracle.Graph().HasEdge(e[0], e[1]))
+		}
+	}
+	compareAnswers(t, h, oracle, rand.New(rand.NewSource(1)), "replay with a bad record")
 }
 
 // TestSelectiveCacheInvalidation pins selective retention on

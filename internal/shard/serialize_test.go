@@ -332,9 +332,8 @@ func TestManifestV4WALInfoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.SetWALInfo(42, []string{"wal-0000000000000001.log", "wal-0000000000000029.log"})
 	dir := filepath.Join(t.TempDir(), "idx")
-	if err := built.Save(dir); err != nil {
+	if err := built.SaveWALSnapshot(dir, 42, []string{"wal-0000000000000001.log", "wal-0000000000000029.log"}); err != nil {
 		t.Fatal(err)
 	}
 	var m manifest
@@ -352,8 +351,8 @@ func TestManifestV4WALInfoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.WALSeq() != 42 || len(loaded.WALSegments()) != 2 {
-		t.Fatalf("loaded walSeq %d segments %v", loaded.WALSeq(), loaded.WALSegments())
+	if loaded.WALSeq() != 42 || len(loaded.walSegments) != 2 {
+		t.Fatalf("loaded walSeq %d segments %v", loaded.WALSeq(), loaded.walSegments)
 	}
 
 	// Apply must not forward the stamp: the successor covers more deltas

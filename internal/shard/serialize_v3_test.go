@@ -132,7 +132,7 @@ func TestLazyOpenTouchesOnlyQueriedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sx.Close()
-	if opened := sx.Statz()["shardsOpened"].(int); opened != 0 {
+	if opened := sx.Statz().ShardsOpened; opened != 0 {
 		t.Fatalf("open touched %d shard files before any query", opened)
 	}
 	// Shard 1's file is gone: only a query into component 0 can work.
@@ -152,7 +152,7 @@ func TestLazyOpenTouchesOnlyQueriedShards(t *testing.T) {
 			t.Fatalf("rank %d: %v vs %v", i, want[i], got[i])
 		}
 	}
-	if opened := sx.Statz()["shardsOpened"].(int); opened != 1 {
+	if opened := sx.Statz().ShardsOpened; opened != 1 {
 		t.Fatalf("query into shard 0 left %d shards opened, want 1", opened)
 	}
 }

@@ -246,12 +246,12 @@ type ShardedIndex struct {
 	staleness      []int
 	epoch          int
 
-	// Write-ahead-log position (manifest v4): the last WAL sequence
+	// Write-ahead-log position (manifest v5): the last WAL sequence
 	// number folded into these factors and the live segment names at
-	// save time. Set by SetWALInfo before Save; zero for indexes that
-	// never ran under a WAL. Not carried across Apply — the compactor
-	// stamps each snapshot explicitly with the position it knows it
-	// covers.
+	// save time (informational; recovery rescans the log directory).
+	// Set by SaveWALSnapshot; zero for indexes that never ran under a
+	// WAL. Not carried across Apply — the compactor stamps each snapshot
+	// explicitly with the position it knows it covers.
 	walSeq      uint64
 	walSegments []string
 
@@ -675,49 +675,6 @@ func (sx *ShardedIndex) HomeShard(u int) int { return sx.home[u] }
 
 // Stats reports the partition-parallel build statistics.
 func (sx *ShardedIndex) Stats() BuildStats { return sx.stats }
-
-// Statz reports observability fields for the server's /statz endpoint.
-// It never forces a lazy shard open: unopened shards report their
-// manifest nnz hint and opened=false, so operators can watch demand
-// paging do its job (shardsOpened climbing towards shards under real
-// traffic, staying put for skewed traffic).
-func (sx *ShardedIndex) Statz() map[string]interface{} {
-	shards := make([]map[string]interface{}, len(sx.parts))
-	counters := sx.solveCounters()
-	opened := 0
-	mappedBytes := 0
-	solves := int64(0)
-	for i, p := range sx.parts {
-		ix := p.tryIndex()
-		if ix != nil {
-			opened++
-			mappedBytes += ix.MappedBytes()
-		}
-		nnz := p.nnzInverse()
-		sc := counters[i].Load()
-		solves += sc
-		shards[i] = map[string]interface{}{
-			"nodes":      len(p.nodes),
-			"cutEdges":   len(p.cuts),
-			"nnzInverse": nnz,
-			"opened":     ix != nil,
-			"solves":     sc,
-		}
-	}
-	return map[string]interface{}{
-		"kind":          "sharded",
-		"nodes":         sx.n,
-		"restart":       sx.c,
-		"shards":        len(sx.parts),
-		"shardsOpened":  opened,
-		"mappedBytes":   mappedBytes,
-		"solves":        solves,
-		"cutEdges":      sx.stats.CutEdges,
-		"cutWeightFrac": sx.stats.CutWeightFrac,
-		"nnzInverse":    sx.stats.NNZInverse,
-		"perShard":      shards,
-	}
-}
 
 // Mapped reports whether the index was opened with memory-mapped
 // backing (an mmap-capable mode on a platform that supports it). It

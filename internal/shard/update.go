@@ -43,6 +43,7 @@ type UpdateStats struct {
 
 	ShardsRebuilt int   // LU blocks refactorized
 	DirtyShards   []int // ids of the refactorized shards, ascending
+	FullRebuild   bool  // every shard was refactorized: nothing was reused
 	CutsPatched   int   // shards whose outgoing cut lists were recomputed
 	Repartitioned bool  // a staleness limit triggered local re-partitioning
 	NodesMoved    int   // nodes re-homed by the re-partitioning
@@ -88,27 +89,9 @@ func (sx *ShardedIndex) ensureGraph() error {
 // fresh build, incrementing along the successor chain.
 func (sx *ShardedIndex) Epoch() int { return sx.epoch }
 
-// SetWALInfo stamps the write-ahead-log position the index's state
-// covers: seq is the last WAL sequence number whose delta is folded
-// into the factors, segments the live segment files at stamp time. Save
-// persists both into the manifest (v4), so recovery replays only
-// records past seq. Call it on a successor just before Save; Apply
-// deliberately does not carry the stamp forward, because a successor
-// with further deltas applied no longer matches the stamped position.
-func (sx *ShardedIndex) SetWALInfo(seq uint64, segments []string) {
-	sx.walSeq = seq
-	sx.walSegments = append([]string(nil), segments...)
-}
-
 // WALSeq reports the last WAL sequence number this index's snapshot
 // covers — 0 when the index never ran under a WAL (replay everything).
 func (sx *ShardedIndex) WALSeq() uint64 { return sx.walSeq }
-
-// WALSegments reports the WAL segment files live when the snapshot was
-// stamped (informational; recovery rescans the log directory).
-func (sx *ShardedIndex) WALSegments() []string {
-	return append([]string(nil), sx.walSegments...)
-}
 
 // Assignment returns a copy of the node -> shard map. Feeding it to
 // Build via Options.Assignment on the updated graph reproduces this
@@ -280,6 +263,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	us.BuildTime = time.Since(tBuild)
 	us.ShardsRebuilt = len(dirty)
 	us.DirtyShards = dirty
+	us.FullRebuild = len(dirty) == len(sx.parts)
 	for _, si := range dirty {
 		if ix := sx2.parts[si].ix; ix != nil { // nil on a factorless coordinator
 			st := ix.Stats()
@@ -393,30 +377,4 @@ func repartitionLocal(g *graph.Graph, home []int, si, s int) []int {
 		}
 	}
 	return dsts
-}
-
-// ApplyDelta implements the dynamic-engine seam the HTTP server swaps
-// epochs through, mirroring core.Index.ApplyDelta: the successor index
-// is returned untyped and the shard-level stats fold into the neutral
-// core.UpdateStats shape.
-func (sx *ShardedIndex) ApplyDelta(batch *graph.Delta) (any, core.UpdateStats, error) {
-	sx2, us, err := sx.Apply(batch)
-	if err != nil {
-		return nil, core.UpdateStats{}, err
-	}
-	return sx2, core.UpdateStats{
-		EdgesAdded:    us.EdgesAdded,
-		EdgesRemoved:  us.EdgesRemoved,
-		NodesAdded:    us.NodesAdded,
-		Epoch:         us.Epoch,
-		ShardsRebuilt: us.ShardsRebuilt,
-		DirtyShards:   us.DirtyShards,
-		Repartitioned: us.Repartitioned,
-		FullRebuild:   us.ShardsRebuilt == len(sx.parts),
-		BuildTime:     us.BuildTime,
-		GraphTime:     us.GraphTime,
-		ReorderTime:   us.ReorderTime,
-		FactorizeTime: us.FactorizeTime,
-		InvertTime:    us.InvertTime,
-	}, nil
 }

@@ -140,14 +140,15 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // file-backed load paths.
 type OpenOptions struct {
 	// Mmap memory-maps saved index files read-only instead of copying
-	// them into private memory: opening costs milliseconds
-	// regardless of index size, pages fault in on first use, and the
-	// physical memory is shared across processes serving the same
-	// files. Writes through a mapped index's arrays are impossible (the
-	// mapping is read-only at the MMU level). The mapping is released
-	// when the index becomes unreachable, or at once by Close. On
-	// platforms without mmap support opening silently falls back to the
-	// private-copy path; Index.Mapped reports which one was taken.
+	// them into sealed off-heap memory (the Go heap where the platform
+	// cannot map memory): opening costs milliseconds regardless of
+	// index size, pages fault in on first use, and the physical memory
+	// is shared across processes serving the same files. Writes through
+	// a mapped index's arrays are impossible (the mapping is read-only
+	// at the MMU level). The mapping is released when the index becomes
+	// unreachable, or at once by Close. On platforms without mmap
+	// support opening silently falls back to the copy path;
+	// Index.Mapped reports which one was taken.
 	Mmap bool
 	// Lazy, for sharded indexes, defers each shard file's open to the
 	// first query that actually solves the shard, so a cold start
