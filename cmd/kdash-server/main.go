@@ -6,7 +6,6 @@
 //	kdash-server -graph edges.tsv -addr :8080      # builds a one-shard index
 //	kdash-server -graph edges.tsv -shards 8 -addr :8080
 //	kdash-server -load-index idxdir -addr :8080    # sharded manifest directory
-//	kdash-server -load-index idxdir -mmap          # zero-copy map, lazy shard opens
 //	kdash-server -load-index idxdir -cache 256 -max-batch 512
 //	kdash-server -load-index idxdir -coordinator 10.0.0.1:9101,10.0.0.2:9101
 //
@@ -41,9 +40,10 @@
 // synchronous apply. -wal-fsync picks the durability policy,
 // -compact-interval the drain cadence, and -wal-snapshot-dir enables
 // periodic WAL-stamped snapshots (preferred at startup, log truncated
-// behind them). On crash, the log replays over the freshest snapshot or
-// the original index. -default-timeout bounds each query's compute
-// budget; clients override per request with ?budget=<duration>.
+// behind them; it needs -wal-dir). On crash, the log replays over the
+// freshest snapshot or the original index. -default-timeout bounds each
+// query's compute budget; clients override per request with
+// ?budget=<duration>.
 //
 // -coordinator turns the server into a distributed coordinator: the
 // sharded index directory is opened factorless (placement map, cut
@@ -57,13 +57,10 @@
 // -wal-snapshot-dir does not (the coordinator holds no factors to
 // snapshot — snapshot from a single-process server instead).
 //
-// Without -mmap, every shard file is read and checksummed before the
-// listener comes up, into sealed read-only memory outside the Go heap
-// (on Linux; the Go heap elsewhere). With -mmap, shard files are
-// memory-mapped read-only instead: the server takes traffic
-// milliseconds after exec, shard files are opened lazily as queries
-// reach them, and /statz reports open time, shards opened and resident
-// bytes so the paging behaviour is observable.
+// -load-index reads every shard file into sealed read-only memory
+// outside the Go heap (on Linux; the Go heap elsewhere), verifying
+// every checksum and range-checking every array before the listener
+// comes up, so a damaged index is refused at start, never served.
 //
 // SIGINT/SIGTERM drain in-flight queries through srv.Shutdown before
 // the process exits, so rolling restarts never cut answers off
@@ -97,8 +94,8 @@ type engineFlags struct {
 	graph, loadIndex string
 	c                float64
 	shards, workers  int
-	mmap             bool
 	coordinator      string
+	walDir           string
 	walSnapshotDir   string
 }
 
@@ -112,10 +109,23 @@ func (e usageError) Error() string { return string(e) }
 var errNoEngine = usageError("need -graph or -load-index")
 
 // openEngine builds or loads the engine the flags name and reports how
-// it was brought up, for /statz: "built", "parse" (a copy-mode load),
-// "mmap" or "coordinator".
+// it was brought up, for /statz: "built", "parse" (a loaded directory)
+// or "coordinator". A WAL snapshot in -wal-snapshot-dir is preferred
+// over -graph/-load-index.
 func openEngine(f engineFlags) (shard.Engine, string, error) {
 	tOpen := time.Now()
+	if f.walSnapshotDir != "" {
+		if f.walDir == "" {
+			return nil, "", usageError("-wal-snapshot-dir needs -wal-dir: only the durable update mode writes snapshots and replays the log behind them")
+		}
+		// A WAL snapshot is strictly newer than whatever -graph or
+		// -load-index points at (it is that index plus compacted
+		// updates), so recovery prefers it when one exists.
+		if snap, ok := server.LatestSnapshot(f.walSnapshotDir); ok && f.coordinator == "" {
+			log.Printf("recovering from WAL snapshot %s", snap)
+			f.loadIndex, f.graph = snap, ""
+		}
+	}
 	switch {
 	case f.coordinator != "":
 		if f.loadIndex == "" || !kdash.IsShardedIndexDir(f.loadIndex) {
@@ -136,21 +146,13 @@ func openEngine(f engineFlags) (shard.Engine, string, error) {
 		if !kdash.IsShardedIndexDir(f.loadIndex) {
 			return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; rebuild it with `kdash -graph G -shards N -save-index DIR` (N >= 2)", f.loadIndex))
 		}
-		// -mmap maps shard files zero-copy AND defers each open to the
-		// first query that solves the shard — the instant-cold-start
-		// configuration; without it every shard file is read into sealed
-		// memory before the listener comes up.
-		sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{Mmap: f.mmap, Lazy: f.mmap})
+		sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{})
 		if err != nil {
 			return nil, "", err
 		}
-		mode := "parse"
-		if sx.Mapped() { // the realised backing, not the flag: -mmap falls back off Linux
-			mode = "mmap"
-		}
-		log.Printf("loaded sharded index (%s): %d nodes / %d shards in %v",
-			mode, sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
-		return sx, mode, nil
+		log.Printf("loaded sharded index: %d nodes / %d shards in %v",
+			sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
+		return sx, "parse", nil
 	case f.graph != "":
 		file, err := os.Open(f.graph)
 		if err != nil {
@@ -205,7 +207,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker-pool width for the build (0 = all CPUs)")
 		cacheSize = flag.Int("cache", 0, "LRU /topk answer cache entries (0 = disabled; each entry holds one query node's exact top-64 list, ~1 KB)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
-		useMmap   = flag.Bool("mmap", false, "memory-map the loaded index (zero-copy, lazy shard opens) instead of reading every shard file into sealed off-heap memory at start")
 
 		coordinator = flag.String("coordinator", "", "comma-separated kdash-worker addresses: serve -load-index as a distributed coordinator, routing factor solves to the workers (answers stay bit-identical to a single process)")
 
@@ -229,19 +230,9 @@ func main() {
 		os.Exit(2)
 	}
 	tOpen := time.Now()
-	// A WAL snapshot is strictly newer than whatever -graph/-load-index
-	// points at (it is that index plus compacted updates), so recovery
-	// prefers it when one exists.
-	if *walSnapshotDir != "" {
-		if snap, ok := server.LatestSnapshot(*walSnapshotDir); ok {
-			log.Printf("recovering from WAL snapshot %s", snap)
-			*loadIdx = snap
-			*graphPath = ""
-		}
-	}
 	engine, openMode, err := openEngine(engineFlags{
 		graph: *graphPath, loadIndex: *loadIdx, c: *c, shards: *shards, workers: *workers,
-		mmap: *useMmap, coordinator: *coordinator, walSnapshotDir: *walSnapshotDir,
+		coordinator: *coordinator, walDir: *walDir, walSnapshotDir: *walSnapshotDir,
 	})
 	var usage usageError
 	switch {

@@ -14,8 +14,9 @@ import (
 
 // TestOpenEngine covers the ways the flags open an engine: a graph
 // alone builds a one-shard index, a sharded directory loads, and a
-// single-file index or a coordinator without a directory is a usage
-// error (exit 2) before anything is opened.
+// single-file index, a coordinator without a directory or a snapshot
+// directory without a WAL directory is a usage error (exit 2) before
+// anything is opened.
 func TestOpenEngine(t *testing.T) {
 	g := gen.PlantedPartition(60, 3, 0.2, 0.02, 1)
 	dir := t.TempDir()
@@ -76,6 +77,14 @@ func TestOpenEngine(t *testing.T) {
 		}
 		if engine.N() != g.N() || engine.Statz().Shards != 3 || mode != "parse" {
 			t.Fatalf("loaded n=%d shards=%d mode %q, want %d, 3, parse", engine.N(), engine.Statz().Shards, mode, g.N())
+		}
+	})
+
+	t.Run("snapshot dir needs a wal dir", func(t *testing.T) {
+		_, _, err := openEngine(engineFlags{graph: graphPath, c: kdash.DefaultRestart, shards: 1, walSnapshotDir: t.TempDir()})
+		var usage usageError
+		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "-wal-dir") {
+			t.Fatalf("err = %v, want a usage error naming -wal-dir", err)
 		}
 	})
 

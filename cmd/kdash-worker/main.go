@@ -13,8 +13,11 @@
 // connections, so supervisors (and the differential test harness) can
 // bind it to an ephemeral port and discover the address. Shard files
 // are opened lazily: only the shards the coordinator's placement map
-// actually routes here are ever faulted in, even though every worker
-// sees the full directory. SIGINT/SIGTERM close the listener and exit.
+// actually routes here are ever read, even though every worker sees the
+// full directory. Each one is read into sealed read-only memory outside
+// the Go heap (on Linux; the Go heap elsewhere), checksummed and
+// range-checked on first use. SIGINT/SIGTERM close the listener and
+// exit.
 package main
 
 import (
@@ -27,7 +30,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"kdash/internal/mmapio"
 	"kdash/internal/placement"
 	"kdash/internal/shard"
 )
@@ -36,7 +38,6 @@ func main() {
 	var (
 		indexDir = flag.String("index", "", "sharded index directory (the same directory the coordinator and every other worker open)")
 		addr     = flag.String("addr", "127.0.0.1:0", "RPC listen address (port 0 picks an ephemeral port, printed on stdout)")
-		useMmap  = flag.Bool("mmap", false, "memory-map shard files zero-copy instead of parsing them into private memory")
 	)
 	flag.Parse()
 	if *indexDir == "" {
@@ -44,11 +45,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode := mmapio.ModeCopy
-	if *useMmap {
-		mode = mmapio.ModeMmap
-	}
-	sx, err := shard.Open(*indexDir, shard.LoadOptions{Mode: mode, Lazy: true})
+	sx, err := shard.Open(*indexDir, shard.LoadOptions{Lazy: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,11 +95,11 @@ func ExampleIndex_Save() {
 	// top node: 0
 }
 
-// ExampleOpenIndex saves an index to a file and reopens it
-// memory-mapped: the arrays are served straight from the read-only
-// mapping (zero-copy on supported platforms, private copy elsewhere),
-// so the open costs milliseconds however large the index is. Close
-// releases the mapping once the index is retired.
+// ExampleOpenIndex saves an index to a file and reopens it: the file is
+// read into sealed read-only memory (the Go heap where the platform
+// cannot map memory), every checksum verified, and the arrays are
+// served straight from it. Close releases that memory once the index
+// is retired.
 func ExampleOpenIndex() {
 	b := kdash.NewBuilder(4)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
@@ -126,20 +126,16 @@ func ExampleOpenIndex() {
 	}
 	f.Close()
 
-	mapped, err := kdash.OpenIndex(path, kdash.OpenOptions{Mmap: true})
+	loaded, err := kdash.OpenIndex(path, kdash.OpenOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer mapped.Close()
-	copied, err := kdash.OpenIndex(path, kdash.OpenOptions{}) // private copy, checksums verified
+	defer loaded.Close()
+	a, _, err := loaded.TopK(0, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, _, err := mapped.TopK(0, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, _, err := copied.TopK(0, 2)
+	c, _, err := ix.TopK(0, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,9 +148,8 @@ func ExampleOpenIndex() {
 
 // ExampleOpenShardedIndex round-trips a sharded index through its
 // directory form and reopens it lazily: shard files are only opened
-// (and, where supported, memory-mapped) when a query first solves the
-// shard — the instant-cold-start configuration behind the server's
-// -mmap flag.
+// (read, checksummed and sealed) when a query first solves the shard —
+// the configuration kdash-worker runs.
 func ExampleOpenShardedIndex() {
 	b := kdash.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
@@ -176,7 +171,7 @@ func ExampleOpenShardedIndex() {
 		log.Fatal(err)
 	}
 
-	opened, err := kdash.OpenShardedIndex(idxDir, kdash.OpenOptions{Mmap: true, Lazy: true})
+	opened, err := kdash.OpenShardedIndex(idxDir, kdash.OpenOptions{Lazy: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -255,7 +250,7 @@ func ExampleShardedIndex_Apply() {
 	if err := next.Save(idxDir); err != nil {
 		log.Fatal(err)
 	}
-	reloaded, err := kdash.OpenShardedIndex(idxDir, kdash.OpenOptions{Mmap: true, Lazy: true})
+	reloaded, err := kdash.OpenShardedIndex(idxDir, kdash.OpenOptions{Lazy: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 // steady-state query path allocates only its O(k) result set and never
 // writes a factor array. That write-free contract is what lets Save lay
 // the arrays out as page-aligned sections (serialize_v3.go) and
-// OpenIndexFile serve queries straight out of a read-only file mapping.
+// OpenIndexFile serve queries straight out of sealed read-only memory.
 // See docs/ARCHITECTURE.md for the layer map, the immutability and
 // pooling contracts, and the on-disk format specifications.
 package core
@@ -74,8 +74,8 @@ type Index struct {
 	n int
 	c float64
 	// The query structures below are written only during construction and
-	// load (//kdash:mutates-factors functions): under an mmap mode they
-	// alias a PROT_READ file mapping, where a write is a segfault.
+	// load (//kdash:mutates-factors functions): in a loaded index they
+	// alias sealed PROT_READ memory, where a write is a segfault.
 	//
 	//kdash:readonly
 	perm []int // original -> internal
@@ -120,10 +120,9 @@ type Index struct {
 	epoch    int
 
 	// backing is the sectioned container a loaded index's arrays live
-	// in — a read-only file mapping for OpenIndexFile in an mmap mode, a
-	// sealed off-heap copy for copy mode where the platform maps memory,
-	// a Go buffer otherwise. nil for built indexes. Off-heap arrays are
-	// immutable at the MMU level. Close releases them at once; otherwise
+	// in — a sealed off-heap copy for OpenIndexFile where the platform
+	// maps memory, a Go buffer otherwise. nil for built indexes.
+	// Off-heap arrays are immutable at the MMU level. Close releases them at once; otherwise
 	// a cleanup releases them when the Index becomes unreachable.
 	//
 	// That cleanup rests on one invariant: no slice of the container

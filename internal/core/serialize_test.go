@@ -135,6 +135,28 @@ func TestLoadRejectsCorruptPermutation(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptUInverseRowPtr points every interior U^-1 row
+// pointer past the column array while keeping both endpoints valid: the
+// loader must refuse the file rather than let the first query slice out
+// of range.
+func TestLoadRejectsCorruptUInverseRowPtr(t *testing.T) {
+	g := gen.ErdosRenyi(30, 90, 3)
+	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := savedBytes(t, ix)
+	past := uint64(len(ix.uinv.ColIdx) + 5)
+	patchSection(t, data, secUinvRowPtr, func(sec []byte) {
+		for i := 8; i < len(sec)-8; i += 8 {
+			binary.LittleEndian.PutUint64(sec[i:], past)
+		}
+	})
+	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "U-inverse") {
+		t.Errorf("expected corrupt U-inverse pointer error, got %v", err)
+	}
+}
+
 func TestLoadRejectsCorruptRestart(t *testing.T) {
 	g := gen.ErdosRenyi(15, 45, 4)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree})

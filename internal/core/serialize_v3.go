@@ -1,21 +1,18 @@
 package core
 
 // Index serialization: the index's arrays are written as page-aligned
-// little-endian sections in an internal/mmapio container, so
-// OpenIndexFile can memory-map the file and wrap every factor array in
-// place: opening costs O(#sections) regardless of index size, cold
-// pages are faulted in only when a query actually traverses them, and
-// the physical memory is shared across every process serving the same
-// file. LoadIndex accepts the same layout from a stream (copy mode).
+// little-endian sections in an internal/mmapio container. LoadIndex
+// parses one from a stream; OpenIndexFile reads a file into sealed
+// memory outside the Go heap (where the platform maps memory) and wraps
+// every factor array in place. Both verify every section checksum and
+// range-check every array before the index serves a query.
 //
-// A mapped index's arrays are read-only at the MMU level, and so are a
-// copy-mode load's where the platform maps memory: mmapio reads the file
-// into anonymous memory outside the Go heap and seals it PROT_READ. The
-// query and update paths never write factor arrays (all scratch lives in
-// pooled workspaces); TestMmapQueriesNeverWriteFactors pins that
-// contract by running the full query surface against a PROT_READ
-// mapping, and TestLoadedFactorsFaultOnWrite shows a write faulting in
-// both modes.
+// A file-backed load's arrays are read-only at the MMU level: mmapio
+// seals the memory PROT_READ. The query and update paths never write
+// factor arrays (all scratch lives in pooled workspaces);
+// TestLoadedQueriesNeverWriteFactors pins that contract by running the
+// full query surface against sealed memory, and
+// TestLoadedFactorsFaultOnWrite shows a write faulting.
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it. It is the only generation either
@@ -95,9 +92,8 @@ func (ix *Index) metaBytes() []byte {
 	return b
 }
 
-// Save writes the index as a sectioned v3 container. The layout is what
-// makes zero-copy loads possible: LoadIndex parses it from any stream,
-// OpenIndexFile memory-maps it from a file.
+// Save writes the index as a sectioned v3 container, which LoadIndex
+// parses from any stream and OpenIndexFile reads from a file.
 func (ix *Index) Save(w io.Writer) error {
 	sw := mmapio.NewWriter()
 	sw.AddBytes(secMeta, ix.metaBytes())
@@ -122,10 +118,9 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadIndex reads an index previously written by Save from a stream,
-// always materialising it in private memory with every checksum
-// verified — use OpenIndexFile to memory-map an index file instead.
-// Anything but the current container is refused with
+// LoadIndex reads an index previously written by Save from a stream
+// into a Go buffer, with every checksum verified and every array
+// range-checked. Anything but the current container is refused with
 // ErrUnsupportedFormat.
 func LoadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
@@ -144,23 +139,17 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", containerErr(err))
 	}
-	return indexFromContainer(f, true)
+	return indexFromContainer(f)
 }
 
-// OpenIndexFile opens a saved index directly from the filesystem in the
-// given mmapio mode: mmapio.ModeMmap (or ModeAuto on a supported
-// platform) maps the file read-only and the returned index's arrays
-// alias the mapping — near-instant opens, demand paging, shared
-// physical memory; mmapio.ModeCopy forces a private copy with every
-// checksum verified, sealed off the Go heap where the platform maps
-// memory. Close releases either off-heap backing at once; otherwise it
-// is released once the index becomes unreachable. Any mmap failure
-// under ModeMmap is surfaced, never silently downgraded — a caller that
-// demanded shared mappings must not silently get N private copies.
-// Mapped reports which path was taken.
+// OpenIndexFile opens a saved index file: the file is read into sealed
+// memory outside the Go heap (a Go buffer where the platform cannot map
+// memory), every checksum is verified and every array range-checked,
+// and the returned index's arrays alias that memory. Close releases it
+// at once; otherwise it is released once the index becomes unreachable.
 // A file that is not the current container is refused with
 // ErrUnsupportedFormat.
-func OpenIndexFile(path string, mode mmapio.Mode) (*Index, error) {
+func OpenIndexFile(path string) (*Index, error) {
 	osf, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening index: %w", err)
@@ -171,11 +160,11 @@ func OpenIndexFile(path string, mode mmapio.Mode) (*Index, error) {
 	if n != len(head) || string(head[:]) != mmapio.Magic {
 		return nil, fmt.Errorf("core: opening %s: %w", path, ErrUnsupportedFormat)
 	}
-	f, err := mmapio.Open(path, mode)
+	f, err := mmapio.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening %s: %w", path, containerErr(err))
 	}
-	ix, err := indexFromContainer(f, !f.Mapped())
+	ix, err := indexFromContainer(f)
 	if err != nil {
 		f.Close() // release the memory a rejected container holds
 		return nil, err
@@ -193,17 +182,13 @@ func containerErr(err error) error {
 	return err
 }
 
-// indexFromContainer builds an Index over a parsed container. With deep
-// validation the factor arrays are fully range-checked (the copy-mode
-// contract); without it only O(1)-per-section shape checks run, so a
-// mapped open never faults in the data pages (corrupt indices surface as
-// bounds panics at query time instead — the server recovers those to
-// 500s — or via an explicit VerifyFile). It installs the factor arrays
-// (possibly aliasing the PROT_READ mapping), so it sits on the
+// indexFromContainer builds an Index over a verified container and
+// range-checks it (validateLoaded). It installs the factor arrays
+// (aliasing the container's sealed memory), so it sits on the
 // //kdash:mutates-factors allowlist.
 //
 //kdash:mutates-factors
-func indexFromContainer(f *mmapio.File, deep bool) (*Index, error) {
+func indexFromContainer(f *mmapio.File) (*Index, error) {
 	meta, err := f.Bytes(secMeta)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
@@ -257,18 +242,8 @@ func indexFromContainer(f *mmapio.File, deep bool) (*Index, error) {
 		Edges:        int(le.Uint64(meta[56:])),
 		InverseRatio: math.Float64frombits(le.Uint64(meta[64:])),
 	}
-	if err := ix.checkShapes(); err != nil {
+	if err := ix.validateLoaded(); err != nil {
 		return nil, err
-	}
-	if deep {
-		if err := ix.validateLoaded(); err != nil {
-			return nil, err
-		}
-		for i, p := range ix.perm {
-			if ix.inv[p] != i {
-				return nil, fmt.Errorf("core: corrupt index (inverse permutation disagrees at %d)", i)
-			}
-		}
 	}
 	ix.backing = f
 	if f.OffHeap() {
@@ -289,9 +264,9 @@ var heapBytes atomic.Int64
 
 // HeapBytes reports the bytes of index arrays currently on the Go heap:
 // every index built in process (BuildIndex, Rebuild, the blocks a
-// sharded Apply rebuilds) or loaded into a Go buffer (LoadIndex, copy
-// mode where the platform cannot map memory), counted until the garbage
-// collector finds its Index unreachable. Off-heap containers are
+// sharded Apply rebuilds) or loaded into a Go buffer (LoadIndex, or
+// OpenIndexFile where the platform cannot map memory), counted until
+// the garbage collector finds its Index unreachable. Off-heap containers are
 // mmapio.ReadStats's.
 func HeapBytes() int64 { return heapBytes.Load() }
 
@@ -312,66 +287,10 @@ func (ix *Index) arrayBytes() int64 {
 	return 8 * int64(ints+floats)
 }
 
-// checkShapes runs the O(1)-per-section structural checks both load
-// modes share: array lengths against n and each other, and pointer-array
-// endpoints (which touch only the first and last page of each pointer
-// section).
-func (ix *Index) checkShapes() error {
-	n := ix.n
-	if len(ix.perm) != n || len(ix.inv) != n || len(ix.amaxCol) != n || len(ix.selfA) != n {
-		return fmt.Errorf("core: corrupt index (per-node sections sized %d/%d/%d/%d, want %d)",
-			len(ix.perm), len(ix.inv), len(ix.amaxCol), len(ix.selfA), n)
-	}
-	check := func(name string, ptr, idx []int, val []float64) error {
-		if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != len(idx) || len(idx) != len(val) {
-			return fmt.Errorf("core: corrupt index (%s pointers: %d/%d/%d entries for n=%d)", name, len(ptr), len(idx), len(val), n)
-		}
-		return nil
-	}
-	if err := check("adjacency", ix.a.ColPtr, ix.a.RowIdx, ix.a.Val); err != nil {
-		return err
-	}
-	if err := check("L-inverse", ix.linv.ColPtr, ix.linv.RowIdx, ix.linv.Val); err != nil {
-		return err
-	}
-	return check("U-inverse", ix.uinv.RowPtr, ix.uinv.ColIdx, ix.uinv.Val)
-}
-
-// VerifyFile checks every section checksum of the index's backing
-// container and deep-validates the factor arrays — the explicit fsck for
-// mapped indexes, whose open path skips both to stay O(#sections). It
-// faults in the entire file. Indexes without a backing container (built
-// in process) verify trivially.
-func (ix *Index) VerifyFile() error {
-	if ix.backing == nil {
-		return nil
-	}
-	if err := ix.backing.Verify(); err != nil {
-		return err
-	}
-	return ix.validateLoaded()
-}
-
-// Mapped reports whether the index's arrays alias a read-only file
-// mapping (true only for OpenIndexFile in an mmap mode).
-func (ix *Index) Mapped() bool { return ix.backing != nil && ix.backing.Mapped() }
-
-// MappedBytes is the byte size of the index's read-only file mapping —
-// the address space demand paging serves queries from. It is 0 for any
-// unmapped index (built in process, parsed from a stream, or opened in
-// copy mode), so observability sums over it never mistake private
-// memory for a shared mapping.
-func (ix *Index) MappedBytes() int {
-	if !ix.Mapped() {
-		return 0
-	}
-	return ix.backing.Size()
-}
-
-// Close releases the index's off-heap backing — a file mapping or a
-// sealed copy — now rather than when the index becomes unreachable. An
-// index must not be used after Close: its arrays alias that memory and
-// reads fault once it is gone. Indexes on the Go heap close as a
+// Close releases the index's off-heap backing, a sealed copy, now
+// rather than when the index becomes unreachable. An index must not be
+// used after Close: its arrays alias that memory and reads fault once
+// it is gone. Indexes on the Go heap close as a
 // harmless no-op.
 func (ix *Index) Close() error {
 	if ix.backing == nil {
@@ -382,13 +301,16 @@ func (ix *Index) Close() error {
 	return f.Close()
 }
 
-// validateLoaded sanity-checks array shapes and index ranges so a corrupt
-// file fails loudly at load time instead of panicking mid-query.
+// validateLoaded checks every array a query reads, so a corrupt file
+// fails loudly at load time instead of panicking mid-query: lengths
+// against n and each other, that perm and inv are inverse permutations,
+// and for each sparse matrix that its pointers run from 0 to the entry
+// count without decreasing and that every index is in range.
 func (ix *Index) validateLoaded() error {
 	n := ix.n
-	if len(ix.perm) != n || len(ix.amaxCol) != n || len(ix.selfA) != n {
-		return fmt.Errorf("core: corrupt index (per-node arrays sized %d/%d/%d, want %d)",
-			len(ix.perm), len(ix.amaxCol), len(ix.selfA), n)
+	if len(ix.perm) != n || len(ix.inv) != n || len(ix.amaxCol) != n || len(ix.selfA) != n {
+		return fmt.Errorf("core: corrupt index (per-node sections sized %d/%d/%d/%d, want %d)",
+			len(ix.perm), len(ix.inv), len(ix.amaxCol), len(ix.selfA), n)
 	}
 	seen := make([]bool, n)
 	for _, p := range ix.perm {
@@ -397,36 +319,35 @@ func (ix *Index) validateLoaded() error {
 		}
 		seen[p] = true
 	}
-	checkCSC := func(name string, m *sparse.CSC) error {
-		if len(m.ColPtr) != n+1 || m.ColPtr[0] != 0 || m.ColPtr[n] != len(m.RowIdx) || len(m.RowIdx) != len(m.Val) {
-			return fmt.Errorf("core: corrupt index (%s pointers)", name)
+	for i, p := range ix.perm {
+		if ix.inv[p] != i {
+			return fmt.Errorf("core: corrupt index (inverse permutation disagrees at %d)", i)
 		}
-		for c := 0; c < n; c++ {
-			if m.ColPtr[c] > m.ColPtr[c+1] {
-				return fmt.Errorf("core: corrupt index (%s column %d)", name, c)
+	}
+	// check validates one compressed matrix: ptr indexes idx and val,
+	// whose entries are indices of kind idxKind ("row" for a CSC,
+	// "column" for a CSR).
+	check := func(name, idxKind string, ptr, idx []int, val []float64) error {
+		if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != len(idx) || len(idx) != len(val) {
+			return fmt.Errorf("core: corrupt index (%s pointers: %d/%d/%d entries for n=%d)", name, len(ptr), len(idx), len(val), n)
+		}
+		for j := 0; j < n; j++ {
+			if ptr[j] > ptr[j+1] {
+				return fmt.Errorf("core: corrupt index (%s pointer %d decreases)", name, j)
 			}
 		}
-		for _, r := range m.RowIdx {
-			if r < 0 || r >= n {
-				return fmt.Errorf("core: corrupt index (%s row index %d)", name, r)
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				return fmt.Errorf("core: corrupt index (%s %s index %d)", name, idxKind, i)
 			}
 		}
 		return nil
 	}
-	if err := checkCSC("adjacency", ix.a); err != nil {
+	if err := check("adjacency", "row", ix.a.ColPtr, ix.a.RowIdx, ix.a.Val); err != nil {
 		return err
 	}
-	if err := checkCSC("L-inverse", ix.linv); err != nil {
+	if err := check("L-inverse", "row", ix.linv.ColPtr, ix.linv.RowIdx, ix.linv.Val); err != nil {
 		return err
 	}
-	u := ix.uinv
-	if len(u.RowPtr) != n+1 || u.RowPtr[0] != 0 || u.RowPtr[n] != len(u.ColIdx) || len(u.ColIdx) != len(u.Val) {
-		return fmt.Errorf("core: corrupt index (U-inverse pointers)")
-	}
-	for _, c := range u.ColIdx {
-		if c < 0 || c >= n {
-			return fmt.Errorf("core: corrupt index (U-inverse column index %d)", c)
-		}
-	}
-	return nil
+	return check("U-inverse", "column", ix.uinv.RowPtr, ix.uinv.ColIdx, ix.uinv.Val)
 }

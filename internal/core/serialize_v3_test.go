@@ -69,8 +69,8 @@ func assertSameAnswers(t *testing.T, want, got *Index, label string) {
 }
 
 // TestV3LoadPathsBitIdentical pins the acceptance contract: the same
-// index loaded through the v3 stream, a v3 copy-mode open and (where
-// supported) a v3 mmap open answers every query with identical bits.
+// index loaded through the v3 stream and through a v3 file open answers
+// every query with identical bits.
 func TestV3LoadPathsBitIdentical(t *testing.T) {
 	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
 	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
@@ -88,58 +88,42 @@ func TestV3LoadPathsBitIdentical(t *testing.T) {
 	}
 	assertSameAnswers(t, built, fromStream, "v3 stream")
 
-	path := saveToFile(t, built)
-	fromCopy, err := OpenIndexFile(path, mmapio.ModeCopy)
+	fromFile, err := OpenIndexFile(saveToFile(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCopy.Mapped() {
-		t.Fatal("ModeCopy produced a mapped index")
-	}
-	assertSameAnswers(t, built, fromCopy, "v3 copy")
-	if fromCopy.MappedBytes() != 0 {
-		t.Fatalf("copy-mode index reports %d mapped bytes, want 0", fromCopy.MappedBytes())
-	}
-
-	if mmapio.MmapSupported() && mmapio.CanZeroCopy() {
-		fromMmap, err := OpenIndexFile(path, mmapio.ModeMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fromMmap.Mapped() {
-			t.Fatal("ModeMmap produced an unmapped index")
-		}
-		if fromMmap.MappedBytes() == 0 {
-			t.Fatal("mapped index reports no mapped bytes")
-		}
-		assertSameAnswers(t, built, fromMmap, "v3 mmap")
-		if err := fromMmap.VerifyFile(); err != nil {
-			t.Fatalf("VerifyFile: %v", err)
-		}
-		if err := fromMmap.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	assertSameAnswers(t, built, fromFile, "v3 file")
+	if err := fromFile.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
-// TestMmapQueriesNeverWriteFactors is the mutation-discipline
-// enforcement test: the index's arrays alias a PROT_READ mapping, so if
-// any query path wrote a factor array the process would fault, not just
-// fail an assertion. It drives every query surface, concurrently, to
-// flush out writes hiding behind pooling.
-func TestMmapQueriesNeverWriteFactors(t *testing.T) {
-	if !mmapio.MmapSupported() || !mmapio.CanZeroCopy() {
-		t.Skip("mmap unsupported on this platform")
+// openSealed opens the saved index and skips the test where the
+// platform keeps loads on the Go heap, so its arrays are not sealed.
+func openSealed(t *testing.T, built *Index) *Index {
+	t.Helper()
+	ix, err := OpenIndexFile(saveToFile(t, built))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !ix.backing.OffHeap() {
+		t.Skip("loads stay on the Go heap on this platform")
+	}
+	return ix
+}
+
+// TestLoadedQueriesNeverWriteFactors is the mutation-discipline
+// enforcement test: the index's arrays alias sealed PROT_READ memory, so
+// if any query path wrote a factor array the process would fault, not
+// just fail an assertion. It drives every query surface, concurrently,
+// to flush out writes hiding behind pooling.
+func TestLoadedQueriesNeverWriteFactors(t *testing.T) {
 	g := gen.PlantedPartition(200, 4, 0.15, 0.02, 11)
 	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenIndexFile(saveToFile(t, built), mmapio.ModeMmap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := openSealed(t, built)
 	defer ix.Close()
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -179,42 +163,32 @@ func TestMmapQueriesNeverWriteFactors(t *testing.T) {
 }
 
 // TestLoadedFactorsFaultOnWrite shows the read-only factor discipline
-// enforced by the MMU in both file-backed modes: a copy-mode load lives
-// in sealed off-heap memory just as a mapping does, so a write through a
-// factor slice faults — a panic under SetPanicOnFault — and leaves the
-// factors as they were.
+// enforced by the MMU: a loaded index lives in sealed off-heap memory,
+// so a write through a factor slice faults — a panic under
+// SetPanicOnFault — and leaves the factors as they were.
 func TestLoadedFactorsFaultOnWrite(t *testing.T) {
-	if !mmapio.MmapSupported() || !mmapio.CanZeroCopy() {
-		t.Skip("loads stay on the Go heap on this platform")
-	}
 	g := gen.PlantedPartition(120, 4, 0.2, 0.02, 5)
 	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveToFile(t, built)
+	ix := openSealed(t, built)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	for _, mode := range []mmapio.Mode{mmapio.ModeCopy, mmapio.ModeMmap} {
-		ix, err := OpenIndexFile(path, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := ix.linv.Val[0]
-		faulted := func() (r any) {
-			defer func() { r = recover() }()
-			ix.linv.Val[0] = before + 1 //kdash:allow(rofactors) the write this test proves the MMU refuses
-			return nil
-		}()
-		if faulted == nil {
-			t.Fatalf("%v: a write through a loaded factor slice did not fault", mode)
-		}
-		if ix.linv.Val[0] != before {
-			t.Fatalf("%v: factor changed from %v to %v", mode, before, ix.linv.Val[0])
-		}
-		assertSameAnswers(t, built, ix, mode.String())
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	before := ix.linv.Val[0]
+	faulted := func() (r any) {
+		defer func() { r = recover() }()
+		ix.linv.Val[0] = before + 1 //kdash:allow(rofactors) the write this test proves the MMU refuses
+		return nil
+	}()
+	if faulted == nil {
+		t.Fatal("a write through a loaded factor slice did not fault")
+	}
+	if ix.linv.Val[0] != before {
+		t.Fatalf("factor changed from %v to %v", before, ix.linv.Val[0])
+	}
+	assertSameAnswers(t, built, ix, "sealed")
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

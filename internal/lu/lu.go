@@ -17,8 +17,8 @@
 // Factor arrays are read-only once built. Every solver in this package
 // (Inverse.Solve, SparseSolver) writes exclusively into its own
 // recycled workspaces — a contract with teeth: a loaded index's factor
-// arrays may alias a read-only file mapping (internal/mmapio), where a
-// write is a segfault, not a bug report. Derived structures built after
+// arrays alias sealed PROT_READ memory (internal/mmapio), where a write
+// is a segfault, not a bug report. Derived structures built after
 // load (the lazily transposed U^{-1} of Inverse.UinvByColumn) live in
 // fresh private memory and are immutable once published.
 package lu
@@ -74,7 +74,7 @@ func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 // triangular L (unit diagonal implicit) and upper triangular U (diagonal
 // stored).
 // The factor arrays are immutable once Decompose returns — downstream
-// consumers may alias them into read-only mappings — so every field
+// consumers may alias them into sealed read-only memory — so every field
 // carries the //kdash:readonly contract enforced by tools/kdashvet.
 type Factors struct {
 	N int
@@ -293,8 +293,8 @@ type Options struct {
 // per-node proximity computation O(nnz(row) + nnz(col)).
 type Inverse struct {
 	N int
-	// Both inverse factors are immutable after construction; under -mmap
-	// their Val/RowIdx/ColPtr slices alias a PROT_READ file mapping.
+	// Both inverse factors are immutable after construction; in a loaded
+	// index their Val/RowIdx/ColPtr slices alias sealed PROT_READ memory.
 	//
 	//kdash:readonly
 	Linv *sparse.CSC

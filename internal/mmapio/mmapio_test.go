@@ -67,70 +67,58 @@ func checkContents(t *testing.T, f *File, ints []int, floats []float64, raw []by
 
 func TestRoundTripModes(t *testing.T) {
 	path, ints, floats, raw := writeTestFile(t)
-	modes := []Mode{ModeAuto, ModeCopy}
-	if MmapSupported() && CanZeroCopy() {
-		modes = append(modes, ModeMmap)
+	f, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	for _, mode := range modes {
-		f, err := Open(path, mode)
-		if err != nil {
-			t.Fatalf("Open(%v): %v", mode, err)
-		}
-		checkContents(t, f, ints, floats, raw)
-		if mode == ModeMmap && !f.Mapped() {
-			t.Fatalf("ModeMmap returned an unmapped file")
-		}
-		if err := f.Verify(); err != nil {
-			t.Fatalf("Verify(%v): %v", mode, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatalf("Close(%v): %v", mode, err)
-		}
+	checkContents(t, f, ints, floats, raw)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err = FromBytes(img)
+	if err != nil {
+		t.Fatalf("FromBytes: %v", err)
+	}
+	checkContents(t, f, ints, floats, raw)
 }
 
-// TestOffHeapAccounting pins where each mode's bytes live and that
-// ReadStats follows them: a sealed copy and a file mapping each count as
-// one opened container holding the file's size until Close, which
-// releases it exactly once however often it is called.
+// TestOffHeapAccounting pins where an opened container's bytes live and
+// that ReadStats follows them: a sealed copy counts as one opened
+// container holding the file's size until Close, which releases it
+// exactly once however often it is called.
 func TestOffHeapAccounting(t *testing.T) {
-	if !MmapSupported() || !CanZeroCopy() {
-		t.Skip("containers stay on the Go heap on this platform")
-	}
 	path, ints, floats, raw := writeTestFile(t)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := fi.Size()
-	for _, mode := range []Mode{ModeCopy, ModeMmap} {
-		before := ReadStats()
-		f, err := Open(path, mode)
-		if err != nil {
-			t.Fatal(err)
+	before := ReadStats()
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.OffHeap() {
+		t.Skip("containers stay on the Go heap on this platform")
+	}
+	checkContents(t, f, ints, floats, raw)
+	held := ReadStats()
+	if held.Opened-before.Opened != 1 || held.SealedBytes-before.SealedBytes != size {
+		t.Fatalf("opened %d containers holding %d bytes, want 1 holding %d", held.Opened-before.Opened, held.SealedBytes-before.SealedBytes, size)
+	}
+	for i := 0; i < 3; i++ {
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
 		}
-		checkContents(t, f, ints, floats, raw)
-		if !f.OffHeap() || f.Mapped() != (mode == ModeMmap) {
-			t.Fatalf("%v: OffHeap=%v Mapped=%v", mode, f.OffHeap(), f.Mapped())
-		}
-		held := ReadStats()
-		heldBytes := held.SealedBytes - before.SealedBytes
-		if mode == ModeMmap {
-			heldBytes = held.MappedBytes - before.MappedBytes
-		}
-		if held.Opened-before.Opened != 1 || heldBytes != size {
-			t.Fatalf("%v: opened %d containers holding %d bytes, want 1 holding %d", mode, held.Opened-before.Opened, heldBytes, size)
-		}
-		for i := 0; i < 3; i++ {
-			if err := f.Close(); err != nil {
-				t.Fatalf("%v: Close #%d: %v", mode, i+1, err)
-			}
-		}
-		after := ReadStats()
-		if after.Released-before.Released != 1 || after.ReleasedBytes-before.ReleasedBytes != size ||
-			after.SealedBytes != before.SealedBytes || after.MappedBytes != before.MappedBytes {
-			t.Fatalf("%v: after three Closes %+v, before open %+v", mode, after, before)
-		}
+	}
+	after := ReadStats()
+	if after.Released-before.Released != 1 || after.ReleasedBytes-before.ReleasedBytes != size ||
+		after.SealedBytes != before.SealedBytes {
+		t.Fatalf("after three Closes %+v, before open %+v", after, before)
 	}
 	img, err := os.ReadFile(path)
 	if err != nil {
@@ -146,9 +134,6 @@ func TestOffHeapAccounting(t *testing.T) {
 // the pairing core.Index relies on. Run it under -race: the release must
 // happen exactly once, with no data race between the callers.
 func TestCloseRacesCleanup(t *testing.T) {
-	if !MmapSupported() || !CanZeroCopy() {
-		t.Skip("containers stay on the Go heap on this platform")
-	}
 	path, _, _, _ := writeTestFile(t)
 	type owner struct{ f *File }
 	type arg struct {
@@ -156,11 +141,13 @@ func TestCloseRacesCleanup(t *testing.T) {
 		done chan struct{}
 	}
 	for i := 0; i < 40; i++ {
-		mode := []Mode{ModeCopy, ModeMmap}[i%2]
 		before := ReadStats()
-		f, err := Open(path, mode)
+		f, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !f.OffHeap() {
+			t.Skip("containers stay on the Go heap on this platform")
 		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -192,7 +179,7 @@ func TestCloseRacesCleanup(t *testing.T) {
 			}
 		}
 		if got := ReadStats().Released - before.Released; got != 1 {
-			t.Fatalf("round %d (%v): %d releases, want exactly 1", i, mode, got)
+			t.Fatalf("round %d: %d releases, want exactly 1", i, got)
 		}
 	}
 }
@@ -345,7 +332,7 @@ func TestDuplicateSectionID(t *testing.T) {
 
 func TestKindMismatch(t *testing.T) {
 	path, _, _, _ := writeTestFile(t)
-	f, err := Open(path, ModeCopy)
+	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

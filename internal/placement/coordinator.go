@@ -148,7 +148,7 @@ var _ shard.Engine = (*Coordinator)(nil)
 
 // NewCoordinator opens the index directory factorless (manifest,
 // assignment, cuts and graph snapshot only — no shard file is ever
-// mapped; the snapshot, which the rank searches, is parsed on the first
+// opened; the snapshot, which the rank searches, is parsed on the first
 // query), connects to the workers and validates that each serves the
 // same index shape at the same epoch, and binds the base epoch's
 // remote solver. The placement is round-robin: shard si lives on
@@ -276,7 +276,7 @@ func (co *Coordinator) ApplyDelta(batch *graph.Delta) (shard.Engine, shard.Updat
 }
 
 // Close drops the worker connections. The underlying factorless index
-// holds no mappings, so there is nothing else to release.
+// holds no shard memory, so there is nothing else to release.
 func (co *Coordinator) Close() error {
 	for _, c := range co.cl.clients {
 		c.Close()

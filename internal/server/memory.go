@@ -3,10 +3,11 @@ package server
 // The memory block /statz and /metrics share: where the process's bytes
 // are, as far as the server can attribute them. The index arrays are
 // split by backing — on the Go heap (built or rebuilt in process, or
-// loaded into a Go buffer), in sealed off-heap copies (copy-mode loads
-// where the platform maps memory) and in file mappings (-mmap) — beside
-// the off-heap containers opened and released so far, the Go heap as
-// the collector paces it, and the OS resident set over all of it.
+// loaded into a Go buffer) and in sealed off-heap copies (loads where
+// the platform maps memory) — beside the off-heap containers opened and
+// released so far, the Go heap as the collector paces it, and the OS
+// resident set over all of it. No load maps files any more; the mapped
+// keys stay, always 0, so existing scrapes keep their series.
 
 import (
 	"runtime/metrics"
@@ -45,13 +46,12 @@ func memoryStatz() map[string]int64 {
 	ms := mmapio.ReadStats()
 	return map[string]int64{
 		// rssBytes is the OS-reported resident set (0 where
-		// unsupported): with a memory-mapped index it tracks the pages
-		// queries have actually faulted in, which heap metrics cannot
-		// see.
+		// unsupported): it counts the sealed off-heap index memory,
+		// which heap metrics cannot see.
 		"rssBytes":               procmem.Resident(),
 		"factorHeapBytes":        core.HeapBytes(),
 		"factorOffHeapBytes":     ms.SealedBytes,
-		"factorMappedBytes":      ms.MappedBytes,
+		"factorMappedBytes":      0,
 		"containersOpened":       ms.Opened,
 		"containersReleased":     ms.Released,
 		"containerReleasedBytes": ms.ReleasedBytes,
@@ -65,7 +65,7 @@ func memoryStatz() map[string]int64 {
 func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 	pw.Header("kdash_process_resident_bytes", "OS-reported resident set (0 where unsupported).", "gauge")
 	pw.Metric("kdash_process_resident_bytes", nil, float64(mem["rssBytes"]))
-	pw.Header("kdash_index_factor_bytes", "Index arrays by backing: Go heap, sealed off-heap copies, file mappings; retired epochs count until released.", "gauge")
+	pw.Header("kdash_index_factor_bytes", "Index arrays by backing: Go heap, sealed off-heap copies (mapped is always 0); retired epochs count until released.", "gauge")
 	for _, b := range []struct{ label, key string }{
 		{"heap", "factorHeapBytes"},
 		{"offheap", "factorOffHeapBytes"},
@@ -74,7 +74,7 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 		pw.Metric("kdash_index_factor_bytes", []obs.Label{{Name: "backing", Value: b.label}}, float64(mem[b.key]))
 	}
 	series := []struct{ key, name, help, typ string }{
-		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies and file mappings) opened.", "counter"},
+		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies) opened.", "counter"},
 		{"containersReleased", "kdash_index_containers_released_total", "Off-heap index containers released: closed, or their last epoch collected.", "counter"},
 		{"containerReleasedBytes", "kdash_index_container_released_bytes_total", "Bytes the released containers returned to the OS.", "counter"},
 		{"goHeapInuseBytes", "kdash_go_heap_inuse_bytes", "Go heap spans in use (objects plus their unused tails).", "gauge"},

@@ -13,7 +13,7 @@
 //
 // /statz is the single observability surface: query/error/panic
 // counters, per-query work, update and cache statistics, how the index
-// was brought up (WithOpenInfo: open wall clock and backing mode), a
+// was brought up (WithOpenInfo: open wall clock and mode), a
 // memory block (the OS resident set, index arrays by backing, the Go
 // heap; memory.go), and the engine's own typed shard.Statz document —
 // per-shard sizes and solves, which shard files traffic has actually
@@ -78,9 +78,9 @@ func WithMaxBatch(n int) Option {
 }
 
 // WithOpenInfo records how the serving index was brought up — wall
-// clock of the build or load, and the backing mode ("built", "parse",
-// "mmap", "copy") — for the /statz "load" block, so operators can see
-// cold-start cost and paging mode without scraping process logs.
+// clock of the build or load, and the mode ("built", "parse",
+// "coordinator") — for the /statz "load" block, so operators can see
+// cold-start cost without scraping process logs.
 func WithOpenInfo(d time.Duration, mode string) Option {
 	return func(h *Handler) {
 		h.openTime = d

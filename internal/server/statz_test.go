@@ -133,16 +133,16 @@ func TestStatzEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatzLoadAndMemoryFields checks the operations fields added for
-// the mmap load path: the WithOpenInfo block, the resident-set gauge
-// and the sharded engine's opened-shard accounting.
+// TestStatzLoadAndMemoryFields checks the load and memory operations
+// fields: the WithOpenInfo block, the resident-set gauge and the sharded
+// engine's opened-shard accounting.
 func TestStatzLoadAndMemoryFields(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
 	sx, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(sx, WithOpenInfo(1500*time.Millisecond, "mmap"))
+	h := New(sx, WithOpenInfo(1500*time.Millisecond, "parse"))
 	get(t, h, "/topk?q=7&k=5")
 	rec, _ := get(t, h, "/statz")
 	if rec.Code != http.StatusOK {
@@ -166,8 +166,8 @@ func TestStatzLoadAndMemoryFields(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("bad /statz JSON: %v (%s)", err, rec.Body.String())
 	}
-	if resp.Load.Mode != "mmap" || resp.Load.OpenSeconds != 1.5 {
-		t.Errorf("load block = %+v, want mode=mmap openSeconds=1.5", resp.Load)
+	if resp.Load.Mode != "parse" || resp.Load.OpenSeconds != 1.5 {
+		t.Errorf("load block = %+v, want mode=parse openSeconds=1.5", resp.Load)
 	}
 	if resp.Memory.RSSBytes < 0 {
 		t.Errorf("rssBytes = %d, want >= 0", resp.Memory.RSSBytes)
@@ -201,13 +201,10 @@ type memoryBlock struct {
 	GCCycles               int64 `json:"gcCycles"`
 }
 
-// TestStatzMemoryBlockTracksLoadedShards serves a directory loaded in
-// copy mode: its shard files must show up as off-heap factor bytes and
-// opened containers in /statz, and /metrics must carry the same block.
+// TestStatzMemoryBlockTracksLoadedShards serves a loaded directory: its
+// shard files must show up as off-heap factor bytes and opened
+// containers in /statz, and /metrics must carry the same block.
 func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
-	if !mmapio.MmapSupported() || !mmapio.CanZeroCopy() {
-		t.Skip("copy-mode loads stay on the Go heap on this platform")
-	}
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
 	built, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
 	if err != nil {
@@ -224,6 +221,14 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		files += fi.Size()
+	}
+	probe, err := mmapio.Open(filepath.Join(dir, "shard-0000.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	if !probe.OffHeap() {
+		t.Skip("loads stay on the Go heap on this platform")
 	}
 	statz := func(h *Handler) memoryBlock {
 		var resp struct {

@@ -553,9 +553,9 @@ func (h *Handler) SnapshotWAL(dir string) error {
 	if err := os.Rename(tmp, filepath.Join(dir, snapshotCurrent)); err != nil {
 		return err
 	}
-	// Older snapshots are now unreachable; prune them. In-flight readers
-	// of their mmapped files are safe on platforms where unlink keeps
-	// open mappings alive.
+	// Older snapshots are now unreachable; prune them. A loaded index
+	// serves from sealed copies of its shard files, not from the files,
+	// so removing them pulls nothing out from under a reader.
 	if entries, err := os.ReadDir(dir); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && e.Name() != name && len(e.Name()) > 6 && e.Name()[:6] == "epoch-" {

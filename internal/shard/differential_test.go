@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"kdash/internal/core"
-	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 	"kdash/internal/testutil"
@@ -265,8 +264,8 @@ func TestDifferentialLoadModes(t *testing.T) {
 		label string
 		open  func() (*ShardedIndex, error)
 	}{
-		{"v3-copy", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{Mode: mmapio.ModeCopy}) }},
-		{"v3-mmap", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{Lazy: true}) }},
+		{"v3-eager", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{}) }},
+		{"v3-lazy", func() (*ShardedIndex, error) { return Open(v3Dir, LoadOptions{Lazy: true}) }},
 	}
 	for _, lc := range loads {
 		loaded, err := lc.open()

@@ -47,8 +47,8 @@ type Statz struct {
 	Cluster       *ClusterStatz `json:"cluster,omitempty"` // coordinator only
 	CutEdges      int           `json:"cutEdges"`
 	CutWeightFrac float64       `json:"cutWeightFrac"`
-	Kind          string        `json:"kind"` // always "sharded"
-	MappedBytes   int           `json:"mappedBytes"`
+	Kind          string        `json:"kind"`        // always "sharded"
+	MappedBytes   int           `json:"mappedBytes"` // always 0: no load maps files; kept for scrapers
 	NNZInverse    int           `json:"nnzInverse"`
 	Nodes         int           `json:"nodes"`
 	PerShard      []ShardStatz  `json:"perShard"`
@@ -106,7 +106,6 @@ func (sx *ShardedIndex) Statz() Statz {
 		ix := p.tryIndex()
 		if ix != nil {
 			st.ShardsOpened++
-			st.MappedBytes += ix.MappedBytes()
 		}
 		sc := counters[i].Load()
 		st.Solves += sc

@@ -3,8 +3,7 @@ package shard
 // Sharded-index persistence. A sharded index is saved as a *directory*:
 // one binary core-index file per shard plus a JSON manifest tying them
 // together — the manifest is the unit a deployment ships around, and
-// individual shard files are fetched, opened and memory-mapped
-// independently.
+// individual shard files are fetched and opened independently.
 //
 //	indexdir/
 //	  manifest.json      version, c, node/shard counts, file names, stats
@@ -14,16 +13,16 @@ package shard
 //	  shard-0000.idx     core.Index.Save format (mmapio container), one per shard
 //	  ...
 //
-// Open is the general entry point: LoadOptions select private-copy vs
-// memory-mapped backing and eager vs lazy shard opens. Lazy opens read
+// Open is the general entry point: LoadOptions select eager vs lazy
+// shard opens, and every shard file opens into sealed memory with its
+// checksums verified and its arrays range-checked. Lazy opens read
 // only the manifest, assignment and cut lists up front — O(n) bytes,
 // no factor data — and defer each shard file (and the graph snapshot)
 // to first use, so a 64-shard index answers a query against shard 3
-// before shard 60's file is ever touched. Load is the conservative
-// eager/copy wrapper. A directory of any other manifest version is
-// refused with the rebuild instruction. See docs/ARCHITECTURE.md for the
-// byte-level format specs (manifest, cuts.bin, the sectioned core
-// layout).
+// before shard 60's file is ever touched. Load is the eager wrapper. A
+// directory of any other manifest version is refused with the rebuild
+// instruction. See docs/ARCHITECTURE.md for the byte-level format specs
+// (manifest, cuts.bin, the sectioned core layout).
 //
 // Local ids are not persisted: both writer and reader assign them by
 // ascending global id within each shard, so the assignment array fully
@@ -44,7 +43,6 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
-	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
 
@@ -115,11 +113,10 @@ func IsShardedIndexDir(path string) bool {
 }
 
 // Save writes the sharded index into dir, creating it if needed. Shard
-// files are written in the sectioned core layout, so the directory can
-// be re-opened with memory mapping (Open with an mmap mode) — including
-// by an index that was itself lazily mapped: saving forces any
-// still-deferred shard open, copies nothing that was not already
-// resident, and the successor process simply remaps the new files.
+// files are written in the sectioned core layout that Open reads —
+// including by an index that was itself lazily opened: saving forces
+// any still-deferred shard open, and the successor process opens the
+// new files.
 func (sx *ShardedIndex) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: creating index directory: %w", err)
@@ -246,14 +243,6 @@ func (sx *ShardedIndex) writeCuts(w io.Writer) error {
 
 // LoadOptions configures Open.
 type LoadOptions struct {
-	// Mode selects how shard files are backed: mmapio.ModeMmap and
-	// ModeAuto map shard files read-only and wrap their arrays in place;
-	// mmapio.ModeCopy materialises private copies with every checksum
-	// verified (sealed off the Go heap where the platform maps memory).
-	// The zero value is ModeAuto (map where the platform supports it);
-	// Load passes ModeCopy explicitly to keep its historical
-	// fully-private contract.
-	Mode mmapio.Mode
 	// Lazy defers each shard file's open to the first query that solves
 	// the shard, and the graph snapshot's parse to the first query:
 	// Open returns after reading only the manifest, assignment and cuts,
@@ -263,16 +252,17 @@ type LoadOptions struct {
 	Lazy bool
 }
 
-// Load reads a sharded index previously written by Save, fully
-// materialised in private memory — the conservative default. Use Open
-// to memory-map and/or lazily open the shard files.
+// Load reads a sharded index previously written by Save, opening every
+// shard file before it returns. Use Open to defer the shard opens.
 func Load(dir string) (*ShardedIndex, error) {
-	return Open(dir, LoadOptions{Mode: mmapio.ModeCopy})
+	return Open(dir, LoadOptions{})
 }
 
-// Open reads a sharded index with explicit backing and laziness
-// choices. See LoadOptions; shard containers held off the Go heap are
-// released when no epoch using them is reachable, or at once by Close.
+// Open reads a sharded index with an explicit laziness choice. Every
+// shard file is read into sealed memory outside the Go heap (where the
+// platform maps memory) and checksummed and range-checked when it
+// opens; see LoadOptions. Shard containers are released when no epoch
+// using them is reachable, or at once by Close.
 func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -394,12 +384,11 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		p := sx.parts[si]
 		p.sink = len(p.cuts) > 0
 		p.nnzHint = m.Stats.NNZShards[si]
-		p.lazy = newShardOpener(si, sx.partLen(si), sx.c, filepath.Join(dir, name), opt.Mode)
+		p.lazy = newShardOpener(si, sx.partLen(si), sx.c, filepath.Join(dir, name))
 	}
-	sx.mapCapable = opt.Mode != mmapio.ModeCopy && mmapio.MmapSupported() && mmapio.CanZeroCopy()
 	if !opt.Lazy {
 		if err := sx.OpenAll(); err != nil {
-			sx.Close() // release mappings of the shards that did open
+			sx.Close() // release the containers of the shards that did open
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 	}
@@ -415,18 +404,17 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	return sx, nil
 }
 
-// newShardOpener builds the deferred open of one shard file: open it in
-// the requested mmapio mode and validate it against the manifest the
-// directory was loaded with — the shard's solve dimension n and the
-// restart probability c.
+// newShardOpener builds the deferred open of one shard file: open it
+// and validate it against the manifest the directory was loaded with —
+// the shard's solve dimension n and the restart probability c.
 // The node-count check pins the cut-derived sink flag: a directory
 // whose shard file disagrees with its cut list is corrupt and rejected
 // at open time. The closure captures values, not the index: a deferred
 // open shared by later epochs must not keep the loaded epoch, and with
 // it every shard container that epoch holds, reachable.
-func newShardOpener(si, n int, c float64, path string, mode mmapio.Mode) *lazyIndex {
+func newShardOpener(si, n int, c float64, path string) *lazyIndex {
 	return &lazyIndex{open: func() (*core.Index, error) {
-		ix, err := core.OpenIndexFile(path, mode)
+		ix, err := core.OpenIndexFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("loading shard %d: %w", si, err)
 		}
@@ -466,12 +454,24 @@ func readAssignment(path string, n, shards int) ([]int, error) {
 	return out, nil
 }
 
+// cutRecordSize is the bytes of one cut edge in cuts.bin: u32 src,
+// u32 dstShard, u32 dst and the u64 weight bits.
+const cutRecordSize = 20
+
 func (sx *ShardedIndex) readCuts(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("shard: opening cut edges: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("shard: checking cut edges: %w", err)
+	}
+	// left is the bytes the file holds past what has been read: a count
+	// must fit in them before anything is allocated for it, so a corrupt
+	// count cannot make the loader commit memory the file does not carry.
+	left := fi.Size()
 	br := bufio.NewReader(f)
 	var b8 [8]byte
 	readU64 := func() (uint64, error) {
@@ -491,9 +491,11 @@ func (sx *ShardedIndex) readCuts(path string) error {
 		if err != nil {
 			return fmt.Errorf("shard: reading cut edges of shard %d: %w", si, err)
 		}
-		if count > uint64(sx.n)*uint64(sx.n) {
-			return fmt.Errorf("shard: corrupt cut edges (shard %d claims %d)", si, count)
+		left -= 8
+		if count > uint64(sx.n)*uint64(sx.n) || left < 0 || count > uint64(left)/cutRecordSize {
+			return fmt.Errorf("shard: corrupt cut edges (shard %d claims %d, file holds %d more bytes)", si, count, max(left, 0))
 		}
+		left -= int64(count) * cutRecordSize
 		p.cuts = make([]cutEdge, count)
 		for i := range p.cuts {
 			src, err := readU32()

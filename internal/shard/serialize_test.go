@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestUpdatedIndexRoundTrip(t *testing.T) {
 
 // TestLoadV1ManifestRefused checks that a v1 directory (no graph
 // snapshot, no update state) is refused at load with the rebuild
-// instruction, in every load mode: the rank searches the snapshot, so
+// instruction, eager and lazy: the rank searches the snapshot, so
 // such a directory cannot answer a query.
 func TestLoadV1ManifestRefused(t *testing.T) {
 	g := gen.ErdosRenyi(50, 220, 7)
@@ -163,7 +164,7 @@ func TestLoadV1ManifestRefused(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "graph.tsv")); err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []LoadOptions{{Mode: mmapio.ModeCopy}, {Lazy: true}} {
+	for _, opt := range []LoadOptions{{}, {Lazy: true}} {
 		loaded, err := Open(dir, opt)
 		if err == nil {
 			loaded.Close()
@@ -259,8 +260,8 @@ func TestOldGenerationsRefused(t *testing.T) {
 	loadBytes := func(b []byte) func() (closer, error) {
 		return func() (closer, error) { return core.LoadIndex(bytes.NewReader(b)) }
 	}
-	openFile := func(path string, mode mmapio.Mode) func() (closer, error) {
-		return func() (closer, error) { return core.OpenIndexFile(path, mode) }
+	openFile := func(path string) func() (closer, error) {
+		return func() (closer, error) { return core.OpenIndexFile(path) }
 	}
 	openDir := func(opt LoadOptions) func() (closer, error) {
 		return func() (closer, error) { return Open(dir, opt) }
@@ -270,11 +271,9 @@ func TestOldGenerationsRefused(t *testing.T) {
 		open func() (closer, error)
 	}{
 		{"v1 stream/LoadIndex", loadBytes(v1)},
-		{"v1 stream/OpenIndexFile copy", openFile(v1Path, mmapio.ModeCopy)},
-		{"v1 stream/OpenIndexFile auto", openFile(v1Path, mmapio.ModeAuto)},
+		{"v1 stream/OpenIndexFile copy", openFile(v1Path)},
 		{"kind-4 section/LoadIndex", loadBytes(kind4)},
-		{"kind-4 section/OpenIndexFile copy", openFile(kind4Path, mmapio.ModeCopy)},
-		{"kind-4 section/OpenIndexFile auto", openFile(kind4Path, mmapio.ModeAuto)},
+		{"kind-4 section/OpenIndexFile copy", openFile(kind4Path)},
 		{"v4 directory/eager", openDir(LoadOptions{})},
 		{"v4 directory/lazy", openDir(LoadOptions{Lazy: true})},
 	}
@@ -320,6 +319,42 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Load(dir); err == nil {
 		t.Error("garbage manifest accepted")
+	}
+}
+
+// TestLoadRejectsCutCountBomb sets shard 0's cut count in cuts.bin to
+// n^2, the largest the node count allows: Open must refuse the file
+// before it allocates for the count, because the file cannot hold that
+// many records.
+func TestLoadRejectsCutCountBomb(t *testing.T) {
+	const n = 2000
+	built, err := Build(gen.PlantedPartition(n, 4, 0.004, 0.0005, 9), Options{Shards: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cuts.bin")
+	cuts, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(cuts, n*n)
+	if err := os.WriteFile(path, cuts, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sx, err := Open(dir, LoadOptions{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		sx.Close()
+		t.Fatal("cut count larger than the file accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("Open allocated %d bytes before refusing the cut count, want < 16 MB", grew)
 	}
 }
 

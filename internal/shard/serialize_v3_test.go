@@ -1,9 +1,9 @@
 package shard
 
-// Persistence tests for the sectioned (v3) directory layout: every load
-// mode must answer bit-identically, lazy opens must touch only the
+// Persistence tests for the sectioned (v3) directory layout: eager and
+// lazy loads must answer bit-identically, lazy opens must touch only the
 // shards a query actually solves, and update chains must survive a
-// save -> mmap-load -> update -> save round trip — the differential
+// save -> lazy load -> update -> save round trip — the differential
 // harness's contract extended over the on-disk boundary.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/testutil"
 )
@@ -88,10 +87,8 @@ func TestV3DirectoryLoadModesBitIdentical(t *testing.T) {
 		label string
 		opt   LoadOptions
 	}{
-		{"copy-eager", LoadOptions{Mode: mmapio.ModeCopy}},
-		{"copy-lazy", LoadOptions{Mode: mmapio.ModeCopy, Lazy: true}},
-		{"auto-eager", LoadOptions{}},
-		{"auto-lazy", LoadOptions{Lazy: true}},
+		{"eager", LoadOptions{}},
+		{"lazy", LoadOptions{Lazy: true}},
 	}
 	for _, lc := range loads {
 		sx, err := Open(dir, lc.opt)
@@ -158,8 +155,8 @@ func TestLazyOpenTouchesOnlyQueriedShards(t *testing.T) {
 }
 
 // TestMmapUpdateSaveChain runs the differential harness's oracle over a
-// save -> mmap-load -> update -> save chain: updates applied to a
-// lazily mapped epoch must answer bit-identically to a pinned
+// save -> lazy load -> update -> save chain: updates applied to a
+// lazily loaded epoch must answer bit-identically to a pinned
 // from-scratch rebuild, before and after another round trip.
 func TestMmapUpdateSaveChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -193,7 +190,7 @@ func TestMmapUpdateSaveChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameTopK(t, oracle, sx, "updated-over-mmap")
+	assertSameTopK(t, oracle, sx, "updated-over-load")
 
 	// Save the successor epoch and remap it: still bit-identical.
 	dir2 := filepath.Join(t.TempDir(), "epoch3")
@@ -205,7 +202,7 @@ func TestMmapUpdateSaveChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	assertSameTopK(t, oracle, re, "resaved-remapped")
+	assertSameTopK(t, oracle, re, "resaved-reloaded")
 	if re.Epoch() != sx.Epoch() {
 		t.Fatalf("epoch lost in round trip: %d vs %d", re.Epoch(), sx.Epoch())
 	}

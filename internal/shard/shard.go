@@ -116,7 +116,7 @@ type cutEdge struct {
 //
 // The index itself may be deferred: a lazily opened directory (see
 // LoadOptions.Lazy) leaves ix nil and sets lazy, so the shard file is
-// only mapped when a query first pushes mass into the shard — reach the
+// only opened when a query first pushes mass into the shard — reach the
 // index through index() (or tryIndex for observability paths that must
 // not force an open), never the field.
 type part struct {
@@ -262,12 +262,6 @@ type ShardedIndex struct {
 	gOnce sync.Once
 	gLoad func() (*graph.Graph, error)
 	gErr  error
-
-	// mapCapable records whether this index was opened with an
-	// mmap-capable mode on an mmap-capable platform — the configured
-	// backing Mapped reports; which shard files are actually mapped
-	// right now is per-shard state in Statz.
-	mapCapable bool
 
 	// revAdj[d] lists the shards with a cut edge into shard d, the
 	// shard-granular reverse adjacency single-pair queries bound residual
@@ -676,12 +670,6 @@ func (sx *ShardedIndex) HomeShard(u int) int { return sx.home[u] }
 // Stats reports the partition-parallel build statistics.
 func (sx *ShardedIndex) Stats() BuildStats { return sx.stats }
 
-// Mapped reports whether the index was opened with memory-mapped
-// backing (an mmap-capable mode on a platform that supports it). It
-// describes the configured backing, not per-shard state: lazily
-// deferred shards count once opened.
-func (sx *ShardedIndex) Mapped() bool { return sx.mapCapable }
-
 // OpenAll forces every deferred shard open, surfacing the first failure
 // as an ordinary error. Eager loads run it so a broken directory fails
 // at Load rather than mid-query; it is also the warm-up hook for
@@ -695,8 +683,8 @@ func (sx *ShardedIndex) OpenAll() error {
 	return nil
 }
 
-// Close releases every opened shard's off-heap backing — file mappings
-// and sealed copies — at once. It is optional: each shard's container
+// Close releases every opened shard's off-heap backing, its sealed
+// copy, at once. It is optional: each shard's container
 // is released when the last epoch using it becomes unreachable, so a
 // retired epoch needs no Close, and neither does a dropped successor.
 // After Close, neither this index nor any epoch sharing its opened

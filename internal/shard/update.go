@@ -202,7 +202,6 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		stalenessLimit: sx.stalenessLimit,
 		staleness:      staleness2,
 		epoch:          sx.epoch + 1,
-		mapCapable:     sx.mapCapable, // shared unrebuilt parts keep their mappings
 		factorless:     sx.factorless, // remote is deliberately not carried: the coordinator rebinds per epoch
 	}
 	cutMask := make([]bool, s)
@@ -288,7 +287,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		newSizes[si] = len(p.nodes)
 		// nnzInverse never forces a deferred shard open: unopened shared
 		// parts report their manifest count, so an update against a
-		// lazily mapped index stays proportional to its dirty set.
+		// lazily opened index stays proportional to its dirty set.
 		nnz += p.nnzInverse()
 	}
 	frac := 0.0

@@ -26,8 +26,9 @@
 // Beyond the monolithic Index the package exposes the partitioned
 // ShardedIndex (parallel builds, exact cross-shard queries, functional
 // dynamic updates) and file-backed persistence for both: Save writes a
-// page-aligned sectioned layout that OpenIndex / OpenShardedIndex can
-// memory-map read-only for near-instant cold starts (see OpenOptions).
+// page-aligned sectioned layout that OpenIndex / OpenShardedIndex read
+// into sealed read-only memory, every checksum verified and every array
+// range-checked before the first query (see OpenOptions).
 // The architecture — layer map, immutability and pooling contracts,
 // on-disk formats — is documented in docs/ARCHITECTURE.md.
 package kdash
@@ -37,7 +38,6 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
-	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 	"kdash/internal/shard"
@@ -131,53 +131,38 @@ func Load(r io.Reader) (*Graph, error) {
 // Precomputation is the expensive step of K-dash, so production
 // deployments build the index once and ship the serialised form to query
 // servers. Reading from a stream always materialises the index in
-// private memory; use OpenIndex to memory-map an index file instead.
+// private memory; use OpenIndex to open an index file into sealed
+// memory outside the Go heap.
 func LoadIndex(r io.Reader) (*Index, error) {
 	return core.LoadIndex(r)
 }
 
 // OpenOptions configures OpenIndex and OpenShardedIndex, the
-// file-backed load paths.
+// file-backed load paths. Every index file is read into memory outside
+// the Go heap and sealed read-only (the Go heap where the platform
+// cannot map memory), with every checksum verified and every array
+// range-checked before it serves; writes through a loaded index's
+// arrays fault. That memory is released when the index becomes
+// unreachable, or at once by Close.
 type OpenOptions struct {
-	// Mmap memory-maps saved index files read-only instead of copying
-	// them into sealed off-heap memory (the Go heap where the platform
-	// cannot map memory): opening costs milliseconds regardless of
-	// index size, pages fault in on first use, and the physical memory
-	// is shared across processes serving the same files. Writes through
-	// a mapped index's arrays are impossible (the mapping is read-only
-	// at the MMU level). The mapping is released when the index becomes
-	// unreachable, or at once by Close. On platforms without mmap
-	// support opening silently falls back to the copy path;
-	// Index.Mapped reports which one was taken.
-	Mmap bool
 	// Lazy, for sharded indexes, defers each shard file's open to the
 	// first query that actually solves the shard, so a cold start
 	// touches only the manifest and the shards live traffic reaches.
-	// Combined with Mmap this is the instant-cold-start configuration:
-	// open time is O(shards touched), resident memory O(bytes queried).
 	Lazy bool
 }
 
-// mode maps the public knob onto the internal backing mode.
-func (o OpenOptions) mode() mmapio.Mode {
-	if o.Mmap {
-		return mmapio.ModeAuto
-	}
-	return mmapio.ModeCopy
-}
-
-// OpenIndex opens a saved monolithic index directly from a file,
-// memory-mapping it when opt.Mmap is set (see OpenOptions).
+// OpenIndex opens a saved monolithic index directly from a file (see
+// OpenOptions).
 func OpenIndex(path string, opt OpenOptions) (*Index, error) {
-	return core.OpenIndexFile(path, opt.mode())
+	return core.OpenIndexFile(path)
 }
 
-// OpenShardedIndex opens a saved sharded index directory with explicit
-// backing (opt.Mmap) and laziness (opt.Lazy) choices; see OpenOptions.
-// Shard memory held off the Go heap is released once no epoch using it
-// is reachable; ShardedIndex.Close releases it at once.
+// OpenShardedIndex opens a saved sharded index directory, eagerly or
+// lazily (opt.Lazy); see OpenOptions. Shard memory held off the Go heap
+// is released once no epoch using it is reachable;
+// ShardedIndex.Close releases it at once.
 func OpenShardedIndex(dir string, opt OpenOptions) (*ShardedIndex, error) {
-	return shard.Open(dir, shard.LoadOptions{Mode: opt.mode(), Lazy: opt.Lazy})
+	return shard.Open(dir, shard.LoadOptions{Lazy: opt.Lazy})
 }
 
 // ShardedIndex is a partitioned K-dash index: the graph is split into

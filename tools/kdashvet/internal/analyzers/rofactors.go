@@ -12,8 +12,9 @@ import (
 // factors and permutations) must never be assigned to, written through,
 // appended to, copied into or cleared outside functions annotated
 // //kdash:mutates-factors (the constructor / serialization allowlist).
-// Under -mmap these arrays alias a PROT_READ file mapping, so a stray
-// write is a production segfault, not a wrong answer. Local aliases of a
+// In a loaded index these arrays alias a sealed PROT_READ copy of the
+// index file, so a stray write is a production segfault, not a wrong
+// answer. Local aliases of a
 // read-only chain (v := f.lVal) inherit the taint within the function.
 var ROFactors = &framework.Analyzer{
 	Name: "rofactors",
@@ -88,7 +89,7 @@ func checkReadonly(pass *framework.Pass, fd *ast.FuncDecl, readonly map[*types.V
 					continue
 				}
 				if field, ok := c.chainReadonly(l); ok {
-					c.pass.Reportf(l.Pos(), "write into read-only factor array %s (a write to a mapped factor segfaults under -mmap; move construction into a //kdash:mutates-factors function)", field)
+					c.pass.Reportf(l.Pos(), "write into read-only factor array %s (a write to a loaded factor segfaults in its sealed PROT_READ copy; move construction into a //kdash:mutates-factors function)", field)
 				}
 			}
 			// Taint propagation: v := f.lVal (or a reslice of it) aliases
@@ -138,7 +139,7 @@ func (c *roChecker) call(call *ast.CallExpr) {
 	case "append":
 		if len(call.Args) > 0 {
 			if field, ok := c.chainReadonly(call.Args[0]); ok {
-				c.pass.Reportf(call.Pos(), "append into read-only factor array %s (may write into mapped backing when capacity allows)", field)
+				c.pass.Reportf(call.Pos(), "append into read-only factor array %s (may write into the sealed PROT_READ copy when capacity allows)", field)
 			}
 		}
 	case "copy", "clear":

@@ -68,5 +68,5 @@ func scratchIsWritable(f *factors, n int) {
 }
 
 func suppressedPatch(f *factors) {
-	f.lVal[0] = 0 //kdash:allow(rofactors) heap-owned test fixture, never the mapped segment
+	f.lVal[0] = 0 //kdash:allow(rofactors) heap-owned test fixture, never the sealed copy
 }

@@ -6,7 +6,7 @@
 //	              solvers, trace recorders) reach their release on every path
 //	hotalloc      //kdash:noalloc functions contain no alloc-shaped constructs
 //	rofactors     //kdash:readonly factor arrays are never written outside
-//	              the constructor/serialization allowlist (mmap safety)
+//	              the constructor/serialization allowlist (sealed-copy safety)
 //	determinism   //kdash:deterministic call graphs avoid map iteration,
 //	              wall clocks and math/rand (bit-identical solve schedules)
 //	ctxcancel     //kdash:ctxloop solve loops consult a context between
