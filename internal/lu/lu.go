@@ -11,8 +11,11 @@
 // column of W is solved against the already-computed columns of L using a
 // depth-first reachability pass, so the total cost is proportional to the
 // number of floating-point operations, not n^2. The triangular inverses
-// are computed column-by-column the same way (solving L x = e_j and
-// U x = e_j), which realises exactly the recurrences (4)–(5).
+// are computed column by column too (solving L x = e_j and U x = e_j),
+// which realises exactly the recurrences (4)–(5), but with no DFS: the
+// right-hand side is a unit vector and every scatter goes one way, so a
+// bitset of touched rows yields the rows in elimination order (see
+// frontier), at the cost of the arithmetic plus a word scan.
 //
 // Factor arrays are read-only once built. Every solver in this package
 // (Inverse.Solve, SparseSolver) writes exclusively into its own
@@ -26,6 +29,7 @@ package lu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -126,6 +130,7 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 	// DFS over the column DAG of L: edge i -> k when L[k][i] != 0 (k > i).
 	// Iterative with explicit position stack.
 	pos := make([]int, n)
+	touched := make([]uint64, (n+63)/64) // all zero between columns
 
 	for j := 0; j < n; j++ {
 		// Sparse RHS: column j of W.
@@ -188,7 +193,7 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 			}
 		}
 		// Split x into U[:,j] (indices <= j) and L[:,j] (indices > j).
-		slices.Sort(order)
+		sortDistinct(order, touched)
 		diag := 0.0
 		for _, i := range order {
 			if i < j {
@@ -216,6 +221,25 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 		f.lPtr[j+1] = len(f.lVal)
 	}
 	return f, nil
+}
+
+// sortDistinct sorts a slice of distinct indices ascending in place by
+// setting their bits in touched and reading the bits back in order —
+// linear in the slice plus the span it covers in words. touched must be
+// all zero on entry and is left all zero.
+func sortDistinct(s []int, touched []uint64) {
+	lo, hi := len(touched), -1
+	for _, i := range s {
+		touched[i>>6] |= 1 << (i & 63)
+		lo, hi = min(lo, i>>6), max(hi, i>>6)
+	}
+	s = s[:0]
+	for w := lo; w <= hi; w++ {
+		for word := touched[w]; word != 0; word &= word - 1 {
+			s = append(s, w<<6|bits.TrailingZeros64(word))
+		}
+		touched[w] = 0
+	}
 }
 
 // SolveDense solves L U x = b for dense b (used by tests and by callers
@@ -357,191 +381,231 @@ func (inv *Inverse) Solve(r []float64) []float64 {
 }
 
 // Invert computes L^{-1} and U^{-1} exactly, column by column, realising
-// the paper's Equations (4)–(5). L^{-1}'s columns are assembled before
-// U^{-1}'s are computed, so only one factor's per-column buffers are
-// alive at a time.
+// the paper's Equations (4)–(5). L^{-1} is assembled before U^{-1}'s
+// columns are computed, and the U^{-1} pass writes its columns into the
+// slabs L^{-1}'s columns were carved from.
 func (f *Factors) Invert(opt Options) *Inverse {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Inverse{
-		N:    f.N,
-		Linv: assembleCSC(f.N, invertColumns(f.N, workers, opt.DropTol, f.solveLowerColumn)),
-		Uinv: assembleCSR(f.N, invertColumns(f.N, workers, opt.DropTol, f.solveUpperColumn)),
+	if f.N < 64 {
+		workers = 1
 	}
+	fronts := make([]*frontier, workers)
+	for w := range fronts {
+		fronts[w] = newFrontier(f.N, opt.DropTol)
+	}
+	cols := make([]column, f.N)
+	invertColumns(cols, fronts, f.lowerColumn)
+	linv := assembleCSC(f.N, cols)
+	invertColumns(cols, fronts, f.upperColumn)
+	return &Inverse{N: f.N, Linv: linv, Uinv: assembleCSR(f.N, cols)}
 }
 
-// column is one computed sparse column of an inverse factor.
+// column is one computed sparse column of an inverse factor. Columns of
+// L^{-1} list their rows ascending, columns of U^{-1} descending (the
+// order each is solved in); assembleCSR does not depend on the order.
 type column struct {
 	idx []int
 	val []float64
 }
 
-// invertColumns runs solve(j) for every column j, optionally in parallel.
-// Workers claim runs of columns off a shared cursor: one column is a few
-// microseconds of work, too little to hand over one at a time.
-func invertColumns(n, workers int, dropTol float64, solve func(j int, ws *solveWorkspace) column) []column {
-	cols := make([]column, n)
-	if workers <= 1 || n < 64 {
-		workers = 1
-	}
+// invertColumns runs solve(j) for every column j, one worker per
+// frontier, each starting from its first slab. Workers claim runs of
+// columns off a shared cursor: one column is a few microseconds of
+// work, too little to hand over one at a time.
+func invertColumns(cols []column, fronts []*frontier, solve func(j int, ws *frontier) column) {
+	n := len(cols)
 	const run = 32
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
 	)
-	for w := 0; w < workers; w++ {
+	for _, ws := range fronts {
+		ws.rewind()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newSolveWorkspace(n)
 			for {
 				lo := int(next.Add(run)) - run
 				if lo >= n {
 					return
 				}
 				for j := lo; j < min(lo+run, n); j++ {
-					cols[j] = dropSmall(solve(j, ws), dropTol)
+					cols[j] = solve(j, ws)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return cols
 }
 
-func dropSmall(c column, tol float64) column {
-	if tol <= 0 {
-		return c
-	}
-	out := column{idx: c.idx[:0], val: c.val[:0]}
-	for k, v := range c.val {
-		if math.Abs(v) >= tol {
-			out.idx = append(out.idx, c.idx[k])
-			out.val = append(out.val, v)
-		}
-	}
-	return out
+// A frontier is one worker's state for the inverse-column solves.
+//
+// A column solve is the Gilbert–Peierls triangular solve against e_j
+// with no symbolic pass: touched holds one bit per row the column has
+// scattered into and not yet finalised. Every scatter goes strictly one
+// way (to higher rows in L, lower rows in U), so the lowest (L) or
+// highest (U) set bit is always a row whose value is final — the rows
+// come out in the order of the sorted structural reach, each one
+// eliminated with the same floating-point operations in the same
+// order. Rows of the reach that no scatter touches hold an exact zero,
+// whose elimination would be a no-op, and are never visited.
+//
+// Between columns x and touched are all zero: each row is cleared when
+// it is popped. A finished column is a window of the current slab.
+type frontier struct {
+	x       []float64
+	touched []uint64
+	drop    float64
+
+	// The column under construction is idx[start:], val[start:]; the
+	// current slab is idx[:cap(idx)], val[:cap(val)].
+	idx   []int
+	val   []float64
+	start int
+	// slabs are every slab this worker has allocated, of total size
+	// slabbed; refill takes slabs[next] when there is one, so a second
+	// pass over the frontier reuses the first pass's memory.
+	slabs   []slab
+	slabbed int
+	next    int
 }
 
-type solveWorkspace struct {
-	x     []float64
-	mark  []bool
-	reach []int
-	stack []int
-	pos   []int
+type slab struct {
+	idx []int
+	val []float64
 }
 
-func newSolveWorkspace(n int) *solveWorkspace {
-	return &solveWorkspace{
-		x:    make([]float64, n),
-		mark: make([]bool, n),
-		pos:  make([]int, n),
+// minSlab is the smallest slab, in entries (256 KB of index and value).
+const minSlab = 1 << 14
+
+func newFrontier(n int, drop float64) *frontier {
+	return &frontier{
+		x:       make([]float64, n),
+		touched: make([]uint64, (n+63)/64),
+		drop:    drop,
 	}
 }
 
-// solveLowerColumn computes column j of L^{-1}: solve L x = e_j.
-// Reachability goes downward (L[k][i] != 0, k > i); elimination runs in
-// ascending index order.
-func (f *Factors) solveLowerColumn(j int, ws *solveWorkspace) column {
-	reach := f.reachFrom(j, ws, f.lPtr, f.lRow)
-	for _, i := range reach {
-		ws.x[i] = 0
-	}
-	ws.x[j] = 1
-	for _, i := range reach {
-		xi := ws.x[i]
-		if xi == 0 {
-			continue
-		}
-		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-			ws.x[f.lRow[p]] -= f.lVal[p] * xi
-		}
-	}
-	return gather(reach, ws.x)
+// rewind starts a new pass from the first slab. Columns of the previous
+// pass that point into the slabs are overwritten.
+func (ws *frontier) rewind() {
+	ws.idx, ws.val, ws.start, ws.next = nil, nil, 0, 0
 }
 
-// solveUpperColumn computes column j of U^{-1}: solve U x = e_j.
-// Reachability goes upward (U[k][i] != 0, k < i, within column i);
-// elimination runs in descending index order.
-func (f *Factors) solveUpperColumn(j int, ws *solveWorkspace) column {
-	reach := f.reachFrom(j, ws, f.uPtr, f.uRow)
-	for _, i := range reach {
-		ws.x[i] = 0
+// emit appends row i with its final, nonzero value v to the column
+// under construction, unless a positive drop tolerance exceeds |v|.
+func (ws *frontier) emit(i int, v float64) {
+	if ws.drop > 0 && math.Abs(v) < ws.drop {
+		return
 	}
-	ws.x[j] = 1
-	for t := len(reach) - 1; t >= 0; t-- {
-		i := reach[t]
-		d := f.uVal[f.uPtr[i+1]-1]
-		xi := ws.x[i] / d
-		ws.x[i] = xi
-		if xi == 0 {
-			continue
-		}
-		for p := f.uPtr[i]; p < f.uPtr[i+1]-1; p++ {
-			ws.x[f.uRow[p]] -= f.uVal[p] * xi
-		}
+	if len(ws.idx) == cap(ws.idx) {
+		ws.refill()
 	}
-	return gather(reach, ws.x)
+	ws.idx = append(ws.idx, i)
+	ws.val = append(ws.val, v)
 }
 
-// reachFrom computes all indices reachable from j in the DAG whose edges
-// are i -> rows of column i (excluding the diagonal for U, which is the
-// last entry; including it is harmless as it self-loops), in ascending
-// order. Marks are reset before returning. The result aliases the
-// workspace and is valid until the next call.
-func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []int {
-	ws.reach = ws.reach[:0]
-	ws.stack = append(ws.stack[:0], j)
-	ws.mark[j] = true
-	ws.pos[j] = ptr[j]
-	for len(ws.stack) > 0 {
-		v := ws.stack[len(ws.stack)-1]
-		advanced := false
-		for p := ws.pos[v]; p < ptr[v+1]; p++ {
-			k := row[p]
-			if k == v {
-				continue // diagonal entry (U stores it)
-			}
-			if !ws.mark[k] {
-				ws.mark[k] = true
-				ws.pos[v] = p + 1
-				ws.pos[k] = ptr[k]
-				ws.stack = append(ws.stack, k)
-				advanced = true
-				break
-			}
-		}
-		if !advanced {
-			ws.reach = append(ws.reach, v)
-			ws.stack = ws.stack[:len(ws.stack)-1]
-		}
+// refill moves the column under construction to the start of the next
+// slab. A slab holds at least n entries, so any column fits in an empty
+// one, and each slab wastes less than one column. Slabs grow by a
+// quarter of what the worker holds, so a dense inverse takes
+// logarithmically many.
+//
+//kdash:noalloc
+func (ws *frontier) refill() {
+	if ws.next == len(ws.slabs) {
+		size := max(len(ws.x), minSlab, ws.slabbed/4)
+		ws.slabbed += size
+		idx := make([]int, size)     //kdash:allow(hotalloc) slab refill: one per slab of entries, amortised over every column it holds, and reused by the next pass
+		val := make([]float64, size) //kdash:allow(hotalloc) the refill's paired value slab
+		ws.slabs = append(ws.slabs, slab{idx: idx, val: val})
 	}
-	for _, i := range ws.reach {
-		ws.mark[i] = false
-	}
-	slices.Sort(ws.reach)
-	return ws.reach
+	s := ws.slabs[ws.next]
+	ws.next++
+	part := copy(s.idx, ws.idx[ws.start:])
+	copy(s.val, ws.val[ws.start:])
+	ws.idx, ws.val, ws.start = s.idx[:part], s.val[:part], 0
 }
 
-// gather copies the nonzeros of x at the (ascending) reach indices into
-// an exactly sized column.
-func gather(reach []int, x []float64) column {
-	nnz := 0
-	for _, i := range reach {
-		if x[i] != 0 {
-			nnz++
-		}
-	}
-	c := column{idx: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
-	for _, i := range reach {
-		if x[i] != 0 {
-			c.idx = append(c.idx, i)
-			c.val = append(c.val, x[i])
-		}
-	}
+// finish returns the column under construction and starts the next one.
+func (ws *frontier) finish() column {
+	end := len(ws.idx)
+	c := column{idx: ws.idx[ws.start:end:end], val: ws.val[ws.start:end:end]}
+	ws.start = len(ws.idx)
 	return c
+}
+
+// lowerColumn computes column j of L^{-1}: solve L x = e_j. Column i of
+// L scatters into rows of higher index, so rows are finalised in
+// ascending order.
+//
+//kdash:noalloc
+func (f *Factors) lowerColumn(j int, ws *frontier) column {
+	x, touched := ws.x, ws.touched
+	x[j] = 1
+	touched[j>>6] |= 1 << (j & 63)
+	hi := j >> 6 // highest word with a set bit
+	for w := j >> 6; w <= hi; w++ {
+		for touched[w] != 0 {
+			i := w<<6 | bits.TrailingZeros64(touched[w])
+			touched[w] &^= 1 << (i & 63)
+			xi := x[i]
+			x[i] = 0
+			if xi == 0 {
+				continue
+			}
+			ws.emit(i, xi)
+			lo, end := f.lPtr[i], f.lPtr[i+1]
+			if lo == end {
+				continue
+			}
+			for p := lo; p < end; p++ {
+				k := f.lRow[p]
+				x[k] -= f.lVal[p] * xi
+				touched[k>>6] |= 1 << (k & 63)
+			}
+			hi = max(hi, f.lRow[end-1]>>6) // rows ascending: the last is the largest
+		}
+	}
+	return ws.finish()
+}
+
+// upperColumn computes column j of U^{-1}: solve U x = e_j. Column i of
+// U scatters into rows of lower index, so rows are finalised in
+// descending order.
+//
+//kdash:noalloc
+func (f *Factors) upperColumn(j int, ws *frontier) column {
+	x, touched := ws.x, ws.touched
+	x[j] = 1
+	touched[j>>6] |= 1 << (j & 63)
+	lo := j >> 6 // lowest word with a set bit
+	for w := j >> 6; w >= lo; w-- {
+		for touched[w] != 0 {
+			i := w<<6 | (63 - bits.LeadingZeros64(touched[w]))
+			touched[w] &^= 1 << (i & 63)
+			start, diag := f.uPtr[i], f.uPtr[i+1]-1 // the diagonal is stored last
+			xi := x[i] / f.uVal[diag]
+			x[i] = 0
+			if xi == 0 {
+				continue
+			}
+			ws.emit(i, xi)
+			if start == diag {
+				continue
+			}
+			for p := start; p < diag; p++ {
+				k := f.uRow[p]
+				x[k] -= f.uVal[p] * xi
+				touched[k>>6] |= 1 << (k & 63)
+			}
+			lo = min(lo, f.uRow[start]>>6) // rows ascending: the first is the smallest
+		}
+	}
+	return ws.finish()
 }
 
 // assembleCSC concatenates the computed columns into one CSC matrix.
@@ -561,7 +625,8 @@ func assembleCSC(n int, cols []column) *sparse.CSC {
 
 // assembleCSR lays the computed columns out by row — what converting
 // assembleCSC's result to CSR would give, without the intermediate
-// copy: visiting columns in ascending order leaves every row ascending.
+// copy: visiting columns in ascending order leaves every row ascending,
+// whatever the order of rows within a column.
 func assembleCSR(n int, cols []column) *sparse.CSR {
 	m := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	for _, c := range cols {

@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"kdash/internal/gen"
+	"kdash/internal/graph"
 	"kdash/internal/rwr"
 	"kdash/internal/sparse"
 )
@@ -293,6 +295,180 @@ func TestIdentityFactorization(t *testing.T) {
 	}
 }
 
+// oracleDecompose is Decompose as it stood before its pattern sort
+// moved to a bitset, kept verbatim as the bit-for-bit reference: the
+// elimination order is the DFS's reverse postorder, and each column's
+// pattern is sorted with slices.Sort before it is split into U and L.
+//
+//kdash:mutates-factors
+func oracleDecompose(w *sparse.CSC) (*Factors, error) {
+	n := w.Rows
+	if w.Cols != n {
+		return nil, fmt.Errorf("lu: matrix must be square, got %dx%d", w.Rows, w.Cols)
+	}
+	f := &Factors{
+		N:    n,
+		lPtr: make([]int, n+1),
+		uPtr: make([]int, n+1),
+	}
+	// Workspaces for the Gilbert–Peierls column solve.
+	x := make([]float64, n)
+	mark := make([]int, n) // mark[i] == j+1 means i is in column j's pattern
+	stack := make([]int, 0, n)
+	order := make([]int, 0, n) // reverse-topological output of the DFS
+	// DFS over the column DAG of L: edge i -> k when L[k][i] != 0 (k > i).
+	// Iterative with explicit position stack.
+	pos := make([]int, n)
+
+	for j := 0; j < n; j++ {
+		// Sparse RHS: column j of W.
+		lo, hi := w.ColPtr[j], w.ColPtr[j+1]
+		order = order[:0]
+		for t := lo; t < hi; t++ {
+			i := w.RowIdx[t]
+			if mark[i] == j+1 {
+				continue
+			}
+			// DFS from i through columns of L with index < j.
+			stack = append(stack[:0], i)
+			mark[i] = j + 1
+			pos[i] = f.lPtr[i] // valid only when i < j; guarded below
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				if v >= j {
+					// No column of L yet for v; it is a sink.
+					order = append(order, v)
+					stack = stack[:len(stack)-1]
+					continue
+				}
+				advanced := false
+				for p := pos[v]; p < f.lPtr[v+1]; p++ {
+					k := f.lRow[p]
+					if mark[k] != j+1 {
+						mark[k] = j + 1
+						pos[v] = p + 1
+						pos[k] = f.lPtr[k]
+						stack = append(stack, k)
+						advanced = true
+						break
+					}
+				}
+				if !advanced {
+					order = append(order, v)
+					stack = stack[:len(stack)-1]
+				}
+			}
+		}
+		// Scatter RHS values.
+		for _, i := range order {
+			x[i] = 0
+		}
+		for t := lo; t < hi; t++ {
+			x[w.RowIdx[t]] = w.Val[t]
+		}
+		// Eliminate in topological order (reverse of DFS output).
+		for t := len(order) - 1; t >= 0; t-- {
+			i := order[t]
+			if i >= j {
+				continue
+			}
+			xi := x[i]
+			if xi == 0 {
+				continue
+			}
+			for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
+				x[f.lRow[p]] -= f.lVal[p] * xi
+			}
+		}
+		// Split x into U[:,j] (indices <= j) and L[:,j] (indices > j).
+		slices.Sort(order)
+		diag := 0.0
+		for _, i := range order {
+			if i < j {
+				if x[i] != 0 {
+					f.uRow = append(f.uRow, i)
+					f.uVal = append(f.uVal, x[i])
+				}
+			} else if i == j {
+				diag = x[i]
+			}
+		}
+		if diag == 0 || math.IsNaN(diag) {
+			return nil, fmt.Errorf("lu: zero pivot at column %d (matrix not factorizable without pivoting)", j)
+		}
+		// Diagonal of U is stored last in its column.
+		f.uRow = append(f.uRow, j)
+		f.uVal = append(f.uVal, diag)
+		f.uPtr[j+1] = len(f.uVal)
+		for _, i := range order {
+			if i > j && x[i] != 0 {
+				f.lRow = append(f.lRow, i)
+				f.lVal = append(f.lVal, x[i]/diag)
+			}
+		}
+		f.lPtr[j+1] = len(f.lVal)
+	}
+	return f, nil
+}
+
+// solveWorkspace and reachFrom are the DFS reach the inversion used
+// before the touched-row frontier replaced it, kept verbatim for
+// oracleInvert.
+type solveWorkspace struct {
+	x     []float64
+	mark  []bool
+	reach []int
+	stack []int
+	pos   []int
+}
+
+func newSolveWorkspace(n int) *solveWorkspace {
+	return &solveWorkspace{
+		x:    make([]float64, n),
+		mark: make([]bool, n),
+		pos:  make([]int, n),
+	}
+}
+
+// reachFrom computes all indices reachable from j in the DAG whose edges
+// are i -> rows of column i (excluding the diagonal for U, which is the
+// last entry; including it is harmless as it self-loops), in ascending
+// order. Marks are reset before returning. The result aliases the
+// workspace and is valid until the next call.
+func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []int {
+	ws.reach = ws.reach[:0]
+	ws.stack = append(ws.stack[:0], j)
+	ws.mark[j] = true
+	ws.pos[j] = ptr[j]
+	for len(ws.stack) > 0 {
+		v := ws.stack[len(ws.stack)-1]
+		advanced := false
+		for p := ws.pos[v]; p < ptr[v+1]; p++ {
+			k := row[p]
+			if k == v {
+				continue // diagonal entry (U stores it)
+			}
+			if !ws.mark[k] {
+				ws.mark[k] = true
+				ws.pos[v] = p + 1
+				ws.pos[k] = ptr[k]
+				ws.stack = append(ws.stack, k)
+				advanced = true
+				break
+			}
+		}
+		if !advanced {
+			ws.reach = append(ws.reach, v)
+			ws.stack = ws.stack[:len(ws.stack)-1]
+		}
+	}
+	for _, i := range ws.reach {
+		ws.mark[i] = false
+	}
+	slices.Sort(ws.reach)
+	return ws.reach
+}
+
 // oracleInvert is the inversion this package shipped before the
 // sort-once rewrite, kept as the bit-for-bit reference: the upper solve
 // sorts its reach descending through sort.Reverse, gather re-sorts a
@@ -361,38 +537,168 @@ func oracleBuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	return coo.ToCSC()
 }
 
-// TestInvertBitIdenticalToOracle: the rewrite changed how the inverse is
-// assembled, not one operation of the arithmetic, so every index and
-// every value bit must match — serial and parallel.
-func TestInvertBitIdenticalToOracle(t *testing.T) {
-	bits := func(vs []float64) []uint64 {
-		out := make([]uint64, len(vs))
-		for i, v := range vs {
-			out[i] = math.Float64bits(v)
-		}
-		return out
+func valBits(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float64bits(v)
 	}
+	return out
+}
+
+// dropCSC and dropCSR remove the entries of magnitude below tol — what
+// a positive Options.DropTol does to each computed column.
+func dropCSC(m *sparse.CSC, tol float64) *sparse.CSC {
+	out := &sparse.CSC{Rows: m.Rows, Cols: m.Cols, ColPtr: make([]int, m.Cols+1)}
+	for j := 0; j < m.Cols; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if math.Abs(m.Val[p]) >= tol {
+				out.RowIdx = append(out.RowIdx, m.RowIdx[p])
+				out.Val = append(out.Val, m.Val[p])
+			}
+		}
+		out.ColPtr[j+1] = len(out.Val)
+	}
+	return out
+}
+
+func dropCSR(m *sparse.CSR, tol float64) *sparse.CSR {
+	t := dropCSC(&sparse.CSC{Rows: m.Cols, Cols: m.Rows, ColPtr: m.RowPtr, RowIdx: m.ColIdx, Val: m.Val}, tol)
+	return &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
+}
+
+// arrowW is W for the shape a sharded build factors: community blocks
+// on the diagonal, a trailing border that links to and from every
+// block, and a last ghost-sink node that absorbs the cut weight of
+// every third node and has no out-edges.
+func arrowW(seed int64, blocks, size, border int) *sparse.CSC {
+	rng := rand.New(rand.NewSource(seed))
+	n := blocks*size + border + 1
+	sink := n - 1
+	b := graph.NewBuilder(n)
+	add := func(u, v int) {
+		if u != v {
+			if err := b.AddEdge(u, v, 0.5+rng.Float64()); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for blk := 0; blk < blocks; blk++ {
+		for u := blk * size; u < (blk+1)*size; u++ {
+			for e := 0; e < 4; e++ {
+				add(u, blk*size+rng.Intn(size))
+			}
+			if rng.Intn(4) == 0 {
+				add(u, blocks*size+rng.Intn(border))
+			}
+			if u%3 == 0 {
+				add(u, sink)
+			}
+		}
+	}
+	for u := blocks * size; u < sink; u++ {
+		for e := 0; e < 6; e++ {
+			add(u, rng.Intn(sink))
+		}
+		add(u, sink)
+	}
+	return BuildW(b.Build().ColumnNormalized(), 0.95)
+}
+
+// bitInputs are the W matrices the bit-identity tests factor: random
+// scale-free and Erdős–Rényi graphs (self loops and dangling nodes
+// included), the identity, and arrow-shaped blocks.
+func bitInputs() []*sparse.CSC {
+	var ws []*sparse.CSC
 	for seed := int64(1); seed <= 12; seed++ {
-		n := 20 + 15*int(seed)
-		g := gen.DirectedScaleFree(n, 3, 0.6, 0.3, seed) // self loops and dangling nodes included
-		a := g.ColumnNormalized()
+		g := gen.DirectedScaleFree(20+15*int(seed), 3, 0.6, 0.3, seed)
+		ws = append(ws, BuildW(g.ColumnNormalized(), 0.9))
+		w, _ := randomW(seed, 10+10*int(seed), 40*int(seed), 0.8)
+		ws = append(ws, w)
+	}
+	ws = append(ws, sparse.Identity(70), arrowW(1, 4, 30, 14), arrowW(2, 4, 30, 14))
+	return ws
+}
+
+// TestDecomposeBitIdenticalToOracle: Decompose emits each column's
+// pattern from a bitset instead of sorting it, which must not change
+// one index or one value bit of L or U.
+func TestDecomposeBitIdenticalToOracle(t *testing.T) {
+	for k, w := range bitInputs() {
+		got, err := Decompose(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleDecompose(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.lPtr, want.lPtr) || !slices.Equal(got.lRow, want.lRow) || !slices.Equal(valBits(got.lVal), valBits(want.lVal)) {
+			t.Fatalf("input %d: L differs from the oracle", k)
+		}
+		if !slices.Equal(got.uPtr, want.uPtr) || !slices.Equal(got.uRow, want.uRow) || !slices.Equal(valBits(got.uVal), valBits(want.uVal)) {
+			t.Fatalf("input %d: U differs from the oracle", k)
+		}
+	}
+}
+
+// TestInvertBitIdenticalToOracle: the frontier changed how each
+// column's rows are ordered and where the columns are stored, not one
+// operation of the arithmetic, so every index and every value bit must
+// match — serial and parallel, exact and with a drop tolerance, which
+// must equal the oracle's columns with the small entries removed.
+func TestInvertBitIdenticalToOracle(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		a := gen.DirectedScaleFree(20+15*int(seed), 3, 0.6, 0.3, seed).ColumnNormalized()
 		w, wantW := BuildW(a, 0.9), oracleBuildW(a, 0.9)
-		if !slices.Equal(w.ColPtr, wantW.ColPtr) || !slices.Equal(w.RowIdx, wantW.RowIdx) || !slices.Equal(bits(w.Val), bits(wantW.Val)) {
+		if !slices.Equal(w.ColPtr, wantW.ColPtr) || !slices.Equal(w.RowIdx, wantW.RowIdx) || !slices.Equal(valBits(w.Val), valBits(wantW.Val)) {
 			t.Fatalf("seed %d: BuildW differs from the COO oracle", seed)
 		}
+	}
+	dropped := false
+	for k, w := range bitInputs() {
 		fac, err := Decompose(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantL, wantU := oracleInvert(fac)
-		for _, workers := range []int{1, 3} {
-			inv := fac.Invert(Options{Workers: workers})
-			if !slices.Equal(inv.Linv.ColPtr, wantL.ColPtr) || !slices.Equal(inv.Linv.RowIdx, wantL.RowIdx) || !slices.Equal(bits(inv.Linv.Val), bits(wantL.Val)) {
-				t.Fatalf("seed %d workers %d: L^-1 differs from the oracle", seed, workers)
+		exactL, exactU := oracleInvert(fac)
+		for _, tol := range []float64{0, 1e-3} {
+			wantL, wantU := exactL, exactU
+			if tol > 0 {
+				wantL, wantU = dropCSC(exactL, tol), dropCSR(exactU, tol)
+				dropped = dropped || wantL.NNZ() < exactL.NNZ()
 			}
-			if !slices.Equal(inv.Uinv.RowPtr, wantU.RowPtr) || !slices.Equal(inv.Uinv.ColIdx, wantU.ColIdx) || !slices.Equal(bits(inv.Uinv.Val), bits(wantU.Val)) {
-				t.Fatalf("seed %d workers %d: U^-1 differs from the oracle", seed, workers)
+			for _, workers := range []int{1, 3} {
+				inv := fac.Invert(Options{Workers: workers, DropTol: tol})
+				if !slices.Equal(inv.Linv.ColPtr, wantL.ColPtr) || !slices.Equal(inv.Linv.RowIdx, wantL.RowIdx) || !slices.Equal(valBits(inv.Linv.Val), valBits(wantL.Val)) {
+					t.Fatalf("input %d tol %g workers %d: L^-1 differs from the oracle", k, tol, workers)
+				}
+				if !slices.Equal(inv.Uinv.RowPtr, wantU.RowPtr) || !slices.Equal(inv.Uinv.ColIdx, wantU.ColIdx) || !slices.Equal(valBits(inv.Uinv.Val), valBits(wantU.Val)) {
+					t.Fatalf("input %d tol %g workers %d: U^-1 differs from the oracle", k, tol, workers)
+				}
 			}
+		}
+	}
+	if !dropped {
+		t.Fatal("the drop tolerance removed no entry on any input")
+	}
+}
+
+// TestInvertAllocs pins the inversion's allocation count on a shard-
+// shaped factor: a handful per worker and per slab, not per column.
+// Each allocation moves GC pacing, and so the peak RSS of a server that
+// rebuilds shards on update.
+func TestInvertAllocs(t *testing.T) {
+	w := arrowW(7, 20, 90, 199)
+	n := w.Cols
+	fac, err := Decompose(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(3, func() { fac.Invert(Options{Workers: workers}) })
+		t.Logf("workers %d: %.0f allocations for %d columns", workers, allocs, n)
+		if allocs >= float64(n/8) {
+			t.Errorf("workers %d: Invert made %.0f allocations for %d columns, want < %d", workers, allocs, n, n/8)
 		}
 	}
 }

@@ -235,8 +235,9 @@ func TestDifferentialMonolithicRebuild(t *testing.T) {
 
 // TestDifferentialLoadModes extends the harness across the on-disk
 // boundary: after a randomized update chain the index is saved and
-// reloaded through every load path — v3 copy, v3 mmap with lazy shard
-// opens — and each reload must pass the same two-oracle cross-check (bit-identical to a pinned
+// reloaded through both load paths — v3-eager (every shard opened up
+// front) and v3-lazy (each shard opened by the first query that solves
+// it) — and each reload must pass the same two-oracle cross-check (bit-identical to a pinned
 // from-scratch rebuild, 1e-9 vs power iteration) as the in-memory
 // index that produced the files.
 func TestDifferentialLoadModes(t *testing.T) {

@@ -28,9 +28,10 @@
 // by pointer, loaded shard containers included, which are released
 // once no epoch holding them is reachable). Persistence mirrors the
 // partitioning — one file per shard under a manifest (serialize.go) —
-// so Open can memory-map shard files read-only and defer each one to
-// the first query that solves the shard. See docs/ARCHITECTURE.md for
-// the epoch/immutability contract and the directory format.
+// so Open can copy each shard file into sealed read-only memory and
+// defer each one to the first query that solves the shard. See
+// docs/ARCHITECTURE.md for the epoch/immutability contract and the
+// directory format.
 package shard
 
 import (
