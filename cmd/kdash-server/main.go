@@ -33,15 +33,20 @@
 // log/slog: one line per request with endpoint, status, latency and a
 // trace id.
 //
-// -wal-dir enables durable update mode: POST /update acks with a 202
-// after a write-ahead log append (microseconds) and a background
-// compactor folds acked batches into the serving index; queries wait on
-// an exactness barrier so answers are always bit-identical to a
+// Every POST /update batch is staged (validated against the index plus
+// the batches staged before it, then queued) and drained (applied in one
+// refactorization and published as the successor epoch). Without
+// -wal-dir the request drains its own batch and answers 200 with the
+// apply's stats. -wal-dir enables durable update mode on the same
+// pipeline: POST /update acks with a 202 after a write-ahead log append
+// (microseconds) and a background compactor drains; queries wait on an
+// exactness barrier so answers are always bit-identical to a
 // synchronous apply. -wal-fsync picks the durability policy,
 // -compact-interval the drain cadence, and -wal-snapshot-dir enables
 // periodic WAL-stamped snapshots (preferred at startup, log truncated
-// behind them; it needs -wal-dir). On crash, the log replays over the
-// freshest snapshot or the original index. -default-timeout bounds each
+// behind them; it needs -wal-dir). On crash, the log's records are
+// staged over the freshest snapshot or the original index and drained
+// once; if that drain fails, the server exits. -default-timeout bounds each
 // query's compute budget; clients override per request with
 // ?budget=<duration>.
 //
@@ -215,7 +220,7 @@ func main() {
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight queries on SIGINT/SIGTERM")
 		defaultTimeout  = flag.Duration("default-timeout", 0, "per-query compute budget applied when the request carries no ?budget= override (0 = unbounded)")
 
-		walDir          = flag.String("wal-dir", "", "write-ahead log directory: /update acks after a log append and a background compactor folds batches in (empty = synchronous updates)")
+		walDir          = flag.String("wal-dir", "", "write-ahead log directory: /update acks after a log append and a background compactor drains the staged batches (empty = synchronous updates: the same stage-and-drain pipeline, with each request draining its own batch)")
 		walFsync        = flag.String("wal-fsync", "interval", `WAL durability policy: "always" (fsync before every ack), "interval" (background fsync, bounded loss window), "none" (OS page cache only)`)
 		compactInterval = flag.Duration("compact-interval", server.DefaultCompactInterval, "WAL compactor tick: the longest an acked batch waits before a drain folds it into the serving index")
 		walSnapshotDir  = flag.String("wal-snapshot-dir", "", "directory for periodic WAL-stamped index snapshots; on start the newest snapshot there is preferred over -graph/-load-index, and the log truncates behind each snapshot")

@@ -115,7 +115,8 @@ func TestPanicRecoveryLiveServer(t *testing.T) {
 // opened sharded index: a query that needs a missing shard file or the
 // missing graph snapshot is abandoned with a 503 and a Retry-After hint
 // — exact or unavailable — and nothing panics. /proximity never reads
-// the snapshot, so it still answers without graph.tsv.
+// the snapshot, so it still answers without graph.tsv. An update stages
+// against the snapshot, so without graph.tsv it is a 503 too.
 func TestLazyLoadFailureIs503(t *testing.T) {
 	sx, err := shard.Build(gen.PlantedPartition(200, 4, 0.2, 0.02, 3), shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 3})
 	if err != nil {
@@ -126,9 +127,13 @@ func TestLazyLoadFailureIs503(t *testing.T) {
 		{http.MethodPost, "/topk/batch", `{"queries":[{"q":0,"k":5}]}`},
 		{http.MethodPost, "/personalized", `{"seeds":{"0":1},"k":5}`},
 		{http.MethodGet, "/proximity?q=0&u=1", ""},
+		{http.MethodPost, "/update", `{"addEdges":[{"from":0,"to":1}]}`},
 	}
 	for _, missing := range []string{"shard-*.idx", "graph.tsv"} {
 		for _, req := range requests {
+			if req.url == "/update" && missing != "graph.tsv" {
+				continue
+			}
 			dir := filepath.Join(t.TempDir(), "idx")
 			if err := sx.Save(dir); err != nil {
 				t.Fatal(err)

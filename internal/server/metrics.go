@@ -22,7 +22,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	st := h.snap()
+	st, wc := h.walSnap()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
 
@@ -75,7 +75,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	pw.Metric("kdash_update_edge_ops_total", nil, float64(h.updEdges.Value()))
 	pw.Header("kdash_update_nodes_added_total", "Nodes inserted by updates.", "counter")
 	pw.Metric("kdash_update_nodes_added_total", nil, float64(h.updNodes.Value()))
-	pw.Header("kdash_update_apply_seconds", "Wall time of each engine apply (one per sync update, one per WAL compaction); in WAL mode, the stall a reader sees after an ack.", "histogram")
+	pw.Header("kdash_update_apply_seconds", "Wall time of each drain's engine apply: one per synchronous update, per WAL compaction and for the recovery drain, however many batches it merged; in WAL mode, the stall a reader sees after an ack.", "histogram")
 	pw.Histogram("kdash_update_apply_seconds", nil, h.applyLat.Snapshot())
 	pw.Header("kdash_update_stage_seconds_total", "Apply time by stage: graph is wall time, the build stages are summed over the rebuilt shards.", "counter")
 	for i, stage := range updateStages {
@@ -108,22 +108,14 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 		}
 	}
 
-	if ws := h.wals; ws != nil {
-		ws.mu.Lock()
-		acked, applied := ws.ackedSeq, ws.appliedSeq
-		pendingOps := 0
-		if ws.pending != nil {
-			pendingOps = ws.pending.Len()
-		}
-		compactions, applyErrors, dropped := ws.compactions, ws.applyErrors, ws.batchesDropped
-		ws.mu.Unlock()
+	if ws := h.wals; ws.log != nil {
 		ls := ws.log.Stats()
 		pw.Header("kdash_wal_acked_seq", "Last WAL sequence number acknowledged to a client.", "gauge")
-		pw.Metric("kdash_wal_acked_seq", nil, float64(acked))
+		pw.Metric("kdash_wal_acked_seq", nil, float64(wc.ackedSeq))
 		pw.Header("kdash_wal_applied_seq", "Last WAL sequence number folded into the serving engine.", "gauge")
-		pw.Metric("kdash_wal_applied_seq", nil, float64(applied))
+		pw.Metric("kdash_wal_applied_seq", nil, float64(wc.appliedSeq))
 		pw.Header("kdash_wal_pending_ops", "Edge ops waiting in the memtable for the next compaction.", "gauge")
-		pw.Metric("kdash_wal_pending_ops", nil, float64(pendingOps))
+		pw.Metric("kdash_wal_pending_ops", nil, float64(wc.pendingOps))
 		pw.Header("kdash_wal_appends_total", "Records appended to the WAL this process.", "counter")
 		pw.Metric("kdash_wal_appends_total", nil, float64(ls.Appends))
 		pw.Header("kdash_wal_fsyncs_total", "fsync calls the WAL issued.", "counter")
@@ -133,11 +125,11 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 		pw.Header("kdash_wal_bytes", "Bytes across live WAL segments.", "gauge")
 		pw.Metric("kdash_wal_bytes", nil, float64(ls.Bytes))
 		pw.Header("kdash_wal_compactions_total", "Memtable drains applied through the engine.", "counter")
-		pw.Metric("kdash_wal_compactions_total", nil, float64(compactions))
-		pw.Header("kdash_wal_apply_errors_total", "Compactions whose engine apply failed (batches dropped).", "counter")
-		pw.Metric("kdash_wal_apply_errors_total", nil, float64(applyErrors))
-		pw.Header("kdash_wal_batches_dropped_total", "Acked client batches lost to apply errors.", "counter")
-		pw.Metric("kdash_wal_batches_dropped_total", nil, float64(dropped))
+		pw.Metric("kdash_wal_compactions_total", nil, float64(wc.compactions))
+		pw.Header("kdash_wal_apply_errors_total", "Drains whose engine apply failed; their batches stay staged and the next drain retries them.", "counter")
+		pw.Metric("kdash_wal_apply_errors_total", nil, float64(wc.applyErrors))
+		pw.Header("kdash_wal_batches_dropped_total", "Recovered WAL records skipped at startup because they no longer validate.", "counter")
+		pw.Metric("kdash_wal_batches_dropped_total", nil, float64(wc.batchesDropped))
 		pw.Header("kdash_wal_barrier_wait_seconds", "Time queries spent on the read barrier waiting for an acked update to be applied (queries that found nothing pending are not counted).", "histogram")
 		pw.Histogram("kdash_wal_barrier_wait_seconds", nil, ws.barrierLat.Snapshot())
 	}

@@ -124,7 +124,7 @@ func newEngineState(engine shard.Engine) *engineState {
 // Handler serves queries against one engine.
 type Handler struct {
 	state          atomic.Pointer[engineState]
-	updateMu       sync.Mutex // serialises /update appliers (single writer)
+	updateMu       sync.Mutex // serialises synchronous /update posts (no log)
 	mux            *http.ServeMux
 	start          time.Time
 	maxBatch       int
@@ -132,7 +132,7 @@ type Handler struct {
 	openTime       time.Duration
 	openMode       string        // how the index was brought up (WithOpenInfo)
 	logger         *slog.Logger  // nil: request logging off (WithRequestLog)
-	wals           *walState     // nil: synchronous updates; set by NewDurable (wal.go)
+	wals           *walState     // the update pipeline (wal.go); its log is nil unless NewDurable set one
 	defaultTimeout time.Duration // 0: requests unbounded (WithDefaultTimeout)
 
 	// Request telemetry (obs.go): per-endpoint latency histograms and
@@ -212,6 +212,7 @@ func (h *Handler) countUpdate(batches int64, stats shard.UpdateStats, applied ti
 // index reports that index's real epoch, not 0.
 func New(engine shard.Engine, opts ...Option) *Handler {
 	h := &Handler{mux: http.NewServeMux(), start: time.Now(), maxBatch: DefaultMaxBatch}
+	h.wals = &walState{nextBaseN: engine.N(), published: make(chan struct{}), exist: make(map[edgeKey]bool)}
 	h.state.Store(newEngineState(engine))
 	for _, o := range opts {
 		o(h)
@@ -247,14 +248,18 @@ func (h *Handler) snap() *engineState { return h.state.Load() }
 // update acked before this request arrived — the read-your-writes
 // guarantee that keeps WAL-mode answers exact (bit-identical to
 // synchronous applies) rather than stale. The false return means the
-// request's context expired while waiting and the 499 has been written.
+// error has been written: a 499 when the request's context expired
+// while waiting, a 503 when a failed drain holds the acked updates for
+// its retry.
 // waited is the time spent on the barrier (zero when nothing was
 // pending), for the ?trace=1 block.
 func (h *Handler) snapRead(w http.ResponseWriter, r *http.Request) (st *engineState, waited time.Duration, ok bool) {
-	if h.wals != nil {
+	if h.wals.log != nil {
 		var err error
 		if waited, err = h.wals.waitApplied(r.Context()); err != nil {
-			h.cancelled(w, err)
+			if !h.cancelled(w, err) {
+				h.unavailable(w, err)
+			}
 			return nil, waited, false
 		}
 	}
@@ -561,15 +566,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	st := h.snap()
-	// In durable mode the engine snapshot and the WAL counters must be
-	// captured atomically (walStatz takes both under the compactor's
-	// lock); a free-running pair could pair a pre-publish epoch with
-	// post-publish WAL counters.
-	var walDoc map[string]interface{}
-	if h.wals != nil {
-		walDoc, st = h.walStatz()
-	}
+	st, wc := h.walSnap()
 	doc := map[string]interface{}{
 		"uptimeSeconds": time.Since(h.start).Seconds(),
 		"memory":        memoryStatz(),
@@ -614,8 +611,8 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 			"evictions": evictions,
 		}
 	}
-	if walDoc != nil {
-		doc["wal"] = walDoc
+	if h.wals.log != nil {
+		doc["wal"] = h.walStatz(wc)
 	}
 	writeJSON(w, doc)
 }

@@ -1,14 +1,15 @@
 package server
 
 // POST /update: the dynamic-graph surface. The request body is one
-// batch of mutations; the handler validates it fully, hands it to the
-// engine's ApplyDelta, and atomically swaps the engine pointer to the
-// returned successor epoch. In-flight queries loaded the old pointer
-// and finish against the old (still fully valid) index — the drain is
-// free because epochs are immutable — while every request arriving
-// after the swap sees the new one. Updates are serialised through a
-// mutex: the write path is single-writer by design, the read path
-// never blocks.
+// batch of mutations; the handler builds it against the staged node
+// count and stages it, then either drains it itself and answers 200
+// (no log) or answers 202 once the log append returns (see wal.go for
+// the stage → drain pipeline). A drain atomically swaps the engine
+// pointer to the successor epoch: in-flight queries loaded the old
+// pointer and finish against the old (still fully valid) index —
+// retiring it is free because epochs are immutable — while every
+// request arriving after the swap sees the new one. The write path is
+// single-writer by design; the read path never blocks on it.
 
 import (
 	"encoding/json"
@@ -16,9 +17,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"time"
 
 	"kdash/internal/graph"
+	"kdash/internal/wal"
 )
 
 // MaxAddNodes bounds node insertions per /update request, so a single
@@ -92,60 +93,94 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		return
 	}
 
-	// Durable mode: ack after a WAL append (microseconds) and let the
-	// background compactor fold the batch in; see wal.go.
-	if h.wals != nil {
-		h.updateWAL(w, &req)
-		return
+	ws := h.wals
+	if ws.log == nil {
+		// The client waits out its own drain: one post at a time, so the
+		// drain holds exactly this batch and publishes its own epoch.
+		h.updateMu.Lock()
+		defer h.updateMu.Unlock()
 	}
-
-	// Serialise appliers: the batch must be validated against the epoch
-	// it will actually apply to, so the snapshot is taken under the lock.
-	h.updateMu.Lock()
-	defer h.updateMu.Unlock()
-	st := h.snap()
-	batch, err := buildDelta(st.engine.N(), &req)
+	ws.mu.Lock()
+	batch, err := buildDelta(ws.nextBaseN, &req)
 	if err != nil {
+		ws.mu.Unlock()
 		h.badRequest(w, "%v", err)
 		return
 	}
-
-	t0 := time.Now()
-	engine, stats, err := st.engine.ApplyDelta(batch)
-	applied := time.Since(t0)
+	err = h.stageLocked(batch, ws.log)
+	seq, epoch, pendingOps := ws.ackedSeq, h.snap().epoch, ws.pendingOps
+	ws.mu.Unlock()
 	if err != nil {
-		switch {
-		// The one engine-side failure a client can cause with a
-		// well-formed request: removing an edge that is not there.
-		case errors.Is(err, graph.ErrEdgeNotFound):
-			h.badRequest(w, "%v", err)
-		// A coordinator that could not two-phase publish to every worker
-		// rolls the epoch back and reports worker loss (503): the update
-		// is safe to retry once the cluster heals.
-		case !h.unavailable(w, err):
-			h.internalError(w, err)
-		}
+		h.updateFailed(w, err)
 		return
 	}
-	h.state.Store(newEngineState(engine))
-	h.invalidateCache(stats)
-	h.countUpdate(1, stats, applied)
-	writeJSON(w, updateResponse{
-		Epoch:         stats.Epoch,
-		Nodes:         engine.N(),
-		EdgesAdded:    stats.EdgesAdded,
-		EdgesRemoved:  stats.EdgesRemoved,
-		NodesAdded:    stats.NodesAdded,
-		ShardsRebuilt: stats.ShardsRebuilt,
-		Repartitioned: stats.Repartitioned,
-		FullRebuild:   stats.FullRebuild,
-		ApplyMillis:   time.Since(t0).Milliseconds(),
+
+	if ws.log == nil {
+		stats, applied, err := h.compactOnce()
+		if err != nil {
+			h.updateFailed(w, err)
+			return
+		}
+		writeJSON(w, updateResponse{
+			Epoch:         stats.Epoch,
+			Nodes:         h.snap().engine.N(),
+			EdgesAdded:    stats.EdgesAdded,
+			EdgesRemoved:  stats.EdgesRemoved,
+			NodesAdded:    stats.NodesAdded,
+			ShardsRebuilt: stats.ShardsRebuilt,
+			Repartitioned: stats.Repartitioned,
+			FullRebuild:   stats.FullRebuild,
+			ApplyMillis:   applied.Milliseconds(),
+		})
+		return
+	}
+	if pendingOps >= ws.cfg.MaxPendingOps {
+		ws.kickCompact()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_ = json.NewEncoder(w).Encode(walUpdateResponse{
+		Seq:          seq,
+		Epoch:        epoch,
+		EdgesAdded:   len(req.AddEdges),
+		EdgesRemoved: len(req.RemoveEdges),
+		NodesAdded:   req.AddNodes,
+		PendingOps:   pendingOps,
+		Durability:   ws.cfg.Sync == wal.SyncAlways,
 	})
 }
 
-// buildDelta validates the request against the engine's node count and
-// assembles the batch. Every failure here is a 400: nothing has been
-// applied.
+// walUpdateResponse is the 202 body a durable-mode /update ack carries:
+// the WAL sequence number (the handle recovery and the read barrier key
+// on), the epoch the batch will land on top of, and the memtable depth.
+type walUpdateResponse struct {
+	Seq          uint64 `json:"seq"`
+	Epoch        int    `json:"epoch"` // published epoch at ack time; the batch lands in a later one
+	EdgesAdded   int    `json:"edgesAdded"`
+	EdgesRemoved int    `json:"edgesRemoved"`
+	NodesAdded   int    `json:"nodesAdded"`
+	PendingOps   int    `json:"pendingOps"`
+	Durability   bool   `json:"fsynced"` // true only under the "always" policy
+}
+
+// updateFailed maps a batch that failed to stage or drain: a removal of
+// an edge the virtual state lacks is the client's (400); an engine that
+// lost index data — a coordinator that could not two-phase publish to
+// every worker and rolled the epoch back, or a graph snapshot that
+// failed to load — is 503, safe to retry; anything else (a log append,
+// an engine fault) is 500.
+func (h *Handler) updateFailed(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, graph.ErrEdgeNotFound):
+		h.badRequest(w, "%v", err)
+	case !h.unavailable(w, err):
+		h.internalError(w, err)
+	}
+}
+
+// buildDelta validates the request against node count n (the staged
+// one, nextBaseN) and assembles the batch. Every failure here is a 400:
+// nothing has been staged.
 func buildDelta(n int, req *updateRequest) (*graph.Delta, error) {
 	d := graph.NewDelta(n)
 	for i := 0; i < req.AddNodes; i++ {

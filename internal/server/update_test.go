@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -240,4 +241,67 @@ func TestUpdateUnderQueryLoad(t *testing.T) {
 	if statz.Queries["internal"] != 0 || statz.Queries["panics"] != 0 {
 		t.Errorf("errors under load: %+v", statz.Queries)
 	}
+}
+
+// TestSyncApplyDoesNotBlockReaders: a synchronous /update drains on its
+// own request goroutine, but the apply runs outside every lock a reader
+// could meet — queries keep answering from the published epoch until
+// the successor is swapped in.
+func TestSyncApplyDoesNotBlockReaders(t *testing.T) {
+	sx, err := shard.Build(testutil.Clustered(120, 4, 1), shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &gatedEngine{ShardedIndex: sx, entered: make(chan struct{}), release: make(chan struct{})}
+	h := New(e)
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- post(t, h, "/update", `{"addEdges":[{"from":0,"to":90,"weight":2}]}`) }()
+	awaitEntered(t, e)
+
+	want, _, err := sx.TopK(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := get(t, h, "/topk?q=0&k=3")
+	var got struct {
+		Results []struct {
+			Node  int     `json:"node"`
+			Score float64 `json:"score"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/topk during the apply: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if len(got.Results) != len(want) {
+		t.Fatalf("/topk during the apply: %d results, epoch 0 has %d", len(got.Results), len(want))
+	}
+	for i, r := range got.Results {
+		if r.Node != want[i].Node || r.Score != want[i].Score {
+			t.Fatalf("/topk during the apply is not epoch 0's answer: %+v vs %+v", got.Results, want)
+		}
+	}
+	if epoch := statzEpoch(t, h); epoch != 0 {
+		t.Fatalf("/statz during the apply: epoch %d, want 0", epoch)
+	}
+
+	close(e.release)
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatalf("update: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if epoch := statzEpoch(t, h); epoch != 1 {
+		t.Fatalf("/statz after the apply: epoch %d, want 1", epoch)
+	}
+}
+
+// statzEpoch reads updates.epoch off /statz.
+func statzEpoch(t *testing.T, h *Handler) int64 {
+	t.Helper()
+	rec, _ := get(t, h, "/statz")
+	var statz struct {
+		Updates map[string]int64 `json:"updates"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &statz); err != nil {
+		t.Fatal(err)
+	}
+	return statz.Updates["epoch"]
 }

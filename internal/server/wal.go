@@ -1,20 +1,26 @@
 package server
 
-// Durable (WAL) update mode: the LSM-style write staging that turns
-// POST /update from a ~hundreds-of-milliseconds synchronous
-// refactorization into a microsecond log append.
+// The update pipeline. Every batch — a live POST /update, a durable ack,
+// a WAL record recovered at startup — takes the same two steps:
 //
-//	ack:      validate -> encode -> WAL append -> memtable merge -> 202
-//	drain:    background compactor folds the merged memtable through the
-//	          engine's incremental ApplyDelta (one refactorization
-//	          absorbs every batch queued since the last drain) and
-//	          atomically publishes the successor epoch
+//	stage:    validate against the virtual state (the published engine
+//	          plus everything staged before it), append to the log when
+//	          there is one, and merge into the memtable
+//	drain:    apply the memtable through the engine's incremental
+//	          ApplyDelta (one refactorization absorbs every staged batch)
+//	          and atomically publish the successor epoch
+//
+// Only the ack differs. Without a log (New) the client waits out its own
+// drain and gets 200 with the apply's stats. With one (NewDurable) it
+// gets 202 once the log append returns — microseconds, not an apply —
+// and a background compactor drains:
+//
 //	read:     queries arriving after an ack wait on the epoch barrier
-//	          until the compactor has published a state covering it, so
+//	          until a drain has published a state covering it, so
 //	          answers are exact — bit-identical to a synchronous apply —
 //	          never approximations over a stale engine
-//	recover:  on start, records past the snapshot's manifest walSeq
-//	          replay through the same ApplyDelta path
+//	recover:  on start, records past the snapshot's manifest walSeq are
+//	          staged like live batches and drained once
 //
 // Exactness is the design's anchor. The engine's Apply rebuilds dirty
 // shards through the same deterministic per-shard build a from-scratch
@@ -26,18 +32,22 @@ package server
 // against base factors with floating-point update formulas whose
 // round-off would break bit-identity.
 //
-// Validation happens at ack time against the virtual post-memtable
-// state — node ranges against the published node count plus pending
-// insertions, removals against the published graph overlaid with
-// pending edge ops — so a batch that would poison the queue is rejected
-// with a 400 before it is ever logged, and the compactor's apply cannot
-// fail on client input.
+// Because staging validates — node ranges against the published node
+// count plus staged insertions, removals against the published graph
+// overlaid with staged edge ops — a batch that would poison the
+// memtable is rejected with a 400 before it is ever logged, and a drain
+// cannot fail on client input. A drain that fails anyway (an engine
+// fault: a coordinator's lost worker, resource exhaustion) loses no
+// acked batch: with a log every staged batch was acked and logged, so it
+// stays staged and the next drain retries it — the memtable and the log
+// never disagree, and a restart recovers exactly what was served — while
+// readers that would need it get 503 meanwhile. Without a log the one
+// staged batch is the poster's own; it is dropped and the poster gets
+// the error.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -98,38 +108,26 @@ const snapshotCurrent = "CURRENT"
 
 type edgeKey struct{ from, to int }
 
-// walState is the handler's durable-mode machinery: the log, the
-// memtable (one merged pending Delta), the ack/applied sequence pair
-// the read barrier compares, and the edge-existence overlay ack-time
-// validation consults.
+// walState is the handler's update pipeline: the memtable, the virtual
+// state staging validates against, the ack/applied sequence pair the
+// read barrier compares, and — in durable mode — the log and the
+// compactor. New installs it with a nil log.
 type walState struct {
-	log *wal.Log
+	log *wal.Log // nil: synchronous updates; set by NewDurable
 	cfg WALConfig
 
-	mu             sync.Mutex
-	pending        *graph.Delta  // merged memtable; nil when drained
-	pendingBatches int64         // client batches inside pending
-	nextBaseN      int           // node count after everything acked
-	ackedSeq       uint64        // last sequence number acked to a client
-	appliedSeq     uint64        // last sequence number folded into the published engine
-	published      chan struct{} // closed and replaced on every publish
-	// exist overlays pending (and draining) edge ops on the published
-	// graph: true = the edge exists after the acked ops, false = it was
-	// removed. Keys absent from the map defer to the published graph.
-	// The overlay stays valid across a publish — a drained op's effect
-	// is then IN the published graph and agrees with its override — so
-	// the post-publish rebuild (from pending alone) is garbage
-	// collection, not a correctness step.
+	mu        sync.Mutex
+	pending   *graph.Delta  // the memtable: every staged batch merged, oldest first; nil when empty
+	nextBaseN int           // node count after everything staged
+	published chan struct{} // closed and replaced after every drain
+	drainErr  error         // the last drain's error while its batches wait for a retry
+	// exist overlays the staged edge ops on the published graph: true =
+	// the edge exists after them, false = it was removed. Keys absent
+	// from the map defer to the published graph. Every drain rebuilds
+	// it from the memtable it leaves, which bounds it to the pending ops.
 	exist   map[edgeKey]bool
 	scratch []byte
-
-	// Counters (under mu; /statz snapshots them wholesale).
-	acked          int64 // batches acked
-	compactions    int64 // drains that applied something
-	applyErrors    int64 // drains whose Apply failed (dropped batches)
-	batchesDropped int64 // client batches lost to apply errors
-	replayed       int64 // records replayed at startup
-	snapshots      int64 // snapshots persisted
+	walCounters
 
 	// barrierLat holds the waits of queries that found an acked batch
 	// not yet applied (waitApplied); queries that sail through are not
@@ -142,13 +140,29 @@ type walState struct {
 	closeOnce sync.Once
 }
 
+// walCounters are the pipeline's counters, under walState.mu; walSnap
+// copies them whole, paired with the engine they describe.
+type walCounters struct {
+	ackedSeq       uint64 // last sequence number acked to a client
+	appliedSeq     uint64 // last sequence number published or dropped
+	pendingOps     int    // edge ops in the memtable
+	pendingBatches int    // batches in the memtable
+	acked          int64  // batches acked
+	compactions    int64  // drains that published
+	applyErrors    int64  // drains whose apply failed (with a log, retried)
+	batchesDropped int64  // recovered records that no longer validate
+	replayed       int64  // records staged at startup
+	snapshots      int64  // snapshots persisted
+}
+
 // NewDurable wraps an engine like New but in durable update mode:
-// POST /update acks after a WAL append, a background compactor folds
-// batches through the engine's incremental apply, and records past the
-// engine's manifest walSeq are replayed before the handler serves
-// anything. The engine's graph snapshot must load: ack-time validation
-// reads it. Callers must Close the handler to stop the compactor and
-// flush the log.
+// POST /update acks after a WAL append, a background compactor drains
+// the memtable, and records past the engine's manifest walSeq are
+// staged — skipping, and counting in batchesDropped, any that no longer
+// validates — and drained once before the handler serves anything. A
+// failed recovery drain is returned as the error. The engine's graph
+// snapshot must load: staging reads it. Callers must Close the handler
+// to stop the compactor and flush the log.
 func NewDurable(engine shard.Engine, cfg WALConfig, opts ...Option) (*Handler, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: WAL mode needs a log directory")
@@ -170,218 +184,105 @@ func NewDurable(engine shard.Engine, cfg WALConfig, opts ...Option) (*Handler, e
 		return nil, err
 	}
 
-	// Recovery: replay records the engine's snapshot has not absorbed.
-	engine, replayed, dropped, err := replayWAL(log, engine, engine.WALSeq())
+	h := New(engine, opts...)
+	ws := h.wals
+	ws.log, ws.cfg = log, cfg
+	ws.kick, ws.stop, ws.done = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	ws.mu.Lock()
+	err = log.Replay(engine.WALSeq(), func(seq uint64, body []byte) error {
+		d, err := graph.UnmarshalDelta(body)
+		if err != nil {
+			return fmt.Errorf("server: WAL record %d: %w", seq, err)
+		}
+		if h.stageLocked(d, nil) != nil {
+			ws.batchesDropped++
+		} else {
+			ws.replayed++
+		}
+		return nil
+	})
+	ws.ackedSeq = log.LastSeq()
+	ws.appliedSeq = ws.ackedSeq
+	ws.mu.Unlock()
+	if err == nil {
+		_, _, err = h.compactOnce()
+	}
 	if err != nil {
 		log.Close()
 		return nil, err
-	}
-
-	h := New(engine, opts...)
-	h.wals = &walState{
-		log:            log,
-		cfg:            cfg,
-		nextBaseN:      engine.N(),
-		ackedSeq:       log.LastSeq(),
-		appliedSeq:     log.LastSeq(),
-		published:      make(chan struct{}),
-		exist:          make(map[edgeKey]bool),
-		replayed:       replayed,
-		batchesDropped: dropped,
-		kick:           make(chan struct{}, 1),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
 	}
 	go h.compactLoop()
 	return h, nil
 }
 
-// replayWAL folds every log record past `after` into the engine. The
-// fast path merges all records into one delta and applies it in a
-// single refactorization; if that fails (a record the snapshot already
-// disagrees with — a batch the previous process dropped as poisoned),
-// it falls back to record-by-record application, skipping the records
-// that still fail, so one bad record cannot brick recovery. The merge
-// builds a fresh delta: extending records[0] in place would leave the
-// slow path re-applying the whole merged prefix as its first record.
+// stageLocked is the one way a batch enters the memtable — a live post,
+// a durable ack and a recovered record. It validates the batch against the virtual state: its base
+// node count against nextBaseN, then each removal against the existence
+// overlay and the published graph, in op order (the sequential
+// semantics Apply enforces, with this batch's earlier ops in force), so
+// a staged batch can never fail a drain on its own content. A batch
+// that passes is appended to log when one is given (the durable ack),
+// and merged. The caller holds ws.mu.
 //
-// Replay is part of the bit-identity contract (recovered answers must
-// match the synchronous-oracle chain exactly), so it must stay free of
-// map iteration, clocks and randomness.
+// Recovery stages through here, and recovered answers must match the
+// synchronous-oracle chain bit for bit, so it stays free of map
+// iteration, clocks and randomness.
 //
 //kdash:deterministic
-func replayWAL(log *wal.Log, engine shard.Engine, after uint64) (shard.Engine, int64, int64, error) {
-	var records []*graph.Delta
-	if err := log.Replay(after, func(seq uint64, body []byte) error {
-		d, err := graph.UnmarshalDelta(body)
-		if err != nil {
-			return fmt.Errorf("server: WAL record %d: %w", seq, err)
-		}
-		records = append(records, d)
-		return nil
-	}); err != nil {
-		return nil, 0, 0, err
-	}
-	if len(records) == 0 {
-		return engine, 0, 0, nil
-	}
-	merged := graph.NewDelta(records[0].BaseN())
-	mergeable := true
-	for _, d := range records {
-		if err := merged.Extend(d); err != nil {
-			mergeable = false
-			break
-		}
-	}
-	if mergeable && merged.BaseN() == engine.N() {
-		if next, _, err := engine.ApplyDelta(merged); err == nil {
-			return next, int64(len(records)), 0, nil
-		}
-	}
-	// Slow path: one at a time, skipping what cannot apply.
-	var applied, dropped int64
-	for _, d := range records {
-		next, _, err := engine.ApplyDelta(d)
-		if err != nil {
-			dropped++
-			continue
-		}
-		engine = next
-		applied++
-	}
-	return engine, applied, dropped, nil
-}
-
-// updateWAL is the durable-mode POST /update tail: validate against the
-// virtual (post-memtable) state, append to the log, merge into the
-// memtable, ack 202. Everything under ws.mu is microseconds — the lock
-// also serialises writers, subsuming the sync path's updateMu role.
-func (h *Handler) updateWAL(w http.ResponseWriter, req *updateRequest) {
+func (h *Handler) stageLocked(batch *graph.Delta, log *wal.Log) error {
 	ws := h.wals
-	ws.mu.Lock()
-	// Snap inside the lock: the compactor publishes under the same lock,
-	// so the engine and the exist overlay are always consistent here.
-	st := h.snap()
-	batch, err := buildDelta(ws.nextBaseN, req)
-	if err != nil {
-		ws.mu.Unlock()
-		h.badRequest(w, "%v", err)
-		return
+	if batch.BaseN() != ws.nextBaseN {
+		return fmt.Errorf("server: batch built against %d nodes, %d staged", batch.BaseN(), ws.nextBaseN)
 	}
-	if err := ws.validateLocked(batch, st.engine.Graph()); err != nil {
-		ws.mu.Unlock()
-		h.badRequest(w, "%v", err)
-		return
+	g := h.snap().engine.Graph()
+	if g == nil {
+		return fmt.Errorf("server: updates validate against the graph snapshot, which failed to load (%w)", core.ErrUnavailable)
 	}
-	ws.scratch = batch.AppendBinary(ws.scratch[:0])
-	seq, err := ws.log.Append(ws.scratch)
-	if err != nil {
-		ws.mu.Unlock()
-		h.internalError(w, err)
-		return
+	edges := batch.Edges()
+	var local map[edgeKey]bool // overrides by this batch's earlier ops
+	for _, e := range edges {
+		k := edgeKey{e.From, e.To}
+		if e.Weight == 0 { // a removal (Edges marks them with weight 0)
+			exists, known := local[k]
+			if !known {
+				exists, known = ws.exist[k]
+			}
+			if !known {
+				exists = g.HasEdge(e.From, e.To)
+			}
+			if !exists {
+				return fmt.Errorf("removeEdges: edge (%d,%d): %w", e.From, e.To, graph.ErrEdgeNotFound)
+			}
+		}
+		if local == nil {
+			local = make(map[edgeKey]bool, len(edges))
+		}
+		local[k] = e.Weight > 0
 	}
-	// Counted before the merge: the first batch of a drain BECOMES the
-	// memtable, which later acks extend under this lock.
-	added, removed, nodes := batch.Counts()
+	if log != nil {
+		ws.scratch = batch.AppendBinary(ws.scratch[:0])
+		seq, err := log.Append(ws.scratch)
+		if err != nil {
+			return err
+		}
+		ws.ackedSeq = seq
+		ws.acked++
+	}
+	// The first batch of a drain becomes the memtable; later ones extend
+	// it. Extend cannot fail: the batch's base matched nextBaseN, the
+	// memtable's node count.
 	if ws.pending == nil {
 		ws.pending = batch
 	} else if err := ws.pending.Extend(batch); err != nil {
-		// Unreachable: batches are built against nextBaseN, which tracks
-		// pending insertions exactly. Fail loudly rather than desync.
-		ws.mu.Unlock()
-		h.internalError(w, fmt.Errorf("server: memtable merge: %w", err))
-		return
+		return err
 	}
-	ws.recordExistLocked(batch)
-	ws.ackedSeq = seq
-	ws.nextBaseN += batch.AddedNodes()
-	ws.acked++
-	ws.pendingBatches++
-	pendingOps := ws.pending.Len()
-	epoch := st.epoch
-	ws.mu.Unlock()
-
-	if pendingOps >= ws.cfg.MaxPendingOps {
-		ws.kickCompact()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(walUpdateResponse{
-		Seq:          seq,
-		Epoch:        epoch,
-		EdgesAdded:   added,
-		EdgesRemoved: removed,
-		NodesAdded:   nodes,
-		PendingOps:   pendingOps,
-		Durability:   ws.cfg.Sync == wal.SyncAlways,
-	})
-}
-
-// walUpdateResponse is the 202 body a durable-mode /update ack carries:
-// the WAL sequence number (the handle recovery and the read barrier key
-// on), the epoch the batch will land on top of, and the memtable depth.
-type walUpdateResponse struct {
-	Seq          uint64 `json:"seq"`
-	Epoch        int    `json:"epoch"` // published epoch at ack time; the batch lands in a later one
-	EdgesAdded   int    `json:"edgesAdded"`
-	EdgesRemoved int    `json:"edgesRemoved"`
-	NodesAdded   int    `json:"nodesAdded"`
-	PendingOps   int    `json:"pendingOps"`
-	Durability   bool   `json:"fsynced"` // true only under the "always" policy
-}
-
-// validateLocked rejects removals of edges that do not exist in the
-// virtual state (published graph + acked pending ops + earlier ops of
-// this very batch, in order — the same sequential semantics Apply
-// enforces), so an acked batch can never fail the compactor's apply on
-// client input.
-func (ws *walState) validateLocked(batch *graph.Delta, g *graph.Graph) error {
-	var local map[edgeKey]bool // overrides by this batch's earlier ops
-	for _, e := range batch.Edges() {
-		k := edgeKey{e.From, e.To}
-		if e.Weight > 0 { // addition (Edges marks removals with weight 0)
-			if local == nil {
-				local = make(map[edgeKey]bool, batch.Len())
-			}
-			local[k] = true
-			continue
-		}
-		exists, known := local[k]
-		if !known {
-			exists, known = ws.exist[k]
-		}
-		if !known {
-			exists = g.HasEdge(e.From, e.To)
-		}
-		if !exists {
-			return fmt.Errorf("removeEdges: edge (%d,%d): %w", e.From, e.To, graph.ErrEdgeNotFound)
-		}
-		if local == nil {
-			local = make(map[edgeKey]bool, batch.Len())
-		}
-		local[k] = false
-	}
-	return nil
-}
-
-// recordExistLocked folds an acked batch's ops into the existence
-// overlay.
-func (ws *walState) recordExistLocked(batch *graph.Delta) {
-	for _, e := range batch.Edges() {
+	for _, e := range edges {
 		ws.exist[edgeKey{e.From, e.To}] = e.Weight > 0
 	}
-}
-
-// rebuildExistLocked regenerates the overlay from the still-pending
-// memtable after a publish (drained ops are now IN the published graph;
-// their overrides were correct but are dead weight).
-func (ws *walState) rebuildExistLocked() {
-	clear(ws.exist)
-	if ws.pending != nil {
-		for _, e := range ws.pending.Edges() {
-			ws.exist[edgeKey{e.From, e.To}] = e.Weight > 0
-		}
-	}
+	ws.pendingOps += batch.Len()
+	ws.pendingBatches++
+	ws.nextBaseN += batch.AddedNodes()
+	return nil
 }
 
 // kickCompact nudges the compactor without blocking.
@@ -395,9 +296,12 @@ func (ws *walState) kickCompact() {
 // waitApplied is the read barrier: it returns once the published engine
 // covers every sequence number acked before the call, kicking the
 // compactor rather than waiting out its tick. A cancelled context
-// returns its error (the handler maps it to 499). Only a call that
-// finds something pending reads the clock: it reports how long it
-// waited and records that in barrierLat.
+// returns its error (the handler maps it to 499); a drain that ends
+// failed while the call's batches are still pending returns
+// core.ErrUnavailable (503: exact or unavailable — the batches wait for
+// the retry, the reader does not get an answer that omits them). Only a
+// call that finds something pending reads the clock: it reports how
+// long it waited and records that in barrierLat.
 func (ws *walState) waitApplied(ctx context.Context) (waited time.Duration, err error) {
 	var t0 time.Time // set once something is found pending
 	for err == nil {
@@ -413,6 +317,11 @@ func (ws *walState) waitApplied(ctx context.Context) (waited time.Duration, err 
 		ws.kickCompact()
 		select {
 		case <-ch:
+			ws.mu.Lock()
+			if ws.appliedSeq < target && ws.drainErr != nil {
+				err = fmt.Errorf("server: acked updates wait for a retried drain (%v): %w", ws.drainErr, core.ErrUnavailable)
+			}
+			ws.mu.Unlock()
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
@@ -450,52 +359,65 @@ func (h *Handler) compactLoop() {
 	}
 }
 
-// compactOnce drains the memtable: swap it out, apply it through the
-// engine (the expensive refactorization, outside the lock — acks keep
-// flowing meanwhile), then publish engine + appliedSeq + barrier
-// atomically under the lock.
+// compactOnce drains the memtable: swap it out and apply it through the
+// engine (the expensive refactorization, outside the lock — staging
+// keeps flowing meanwhile), then publish the engine, appliedSeq and the
+// barrier atomically under the lock. It reports the apply's stats and
+// wall time, or the apply's error; an empty memtable is a no-op.
 //
-// A drain's output must depend only on the batch it swapped out, never
-// on when the schedule ran it — that is what makes any drain schedule
-// converge to the same bit-identical engine state.
+// Staging makes a failed apply unreachable for client input: it is an
+// engine fault (a coordinator's lost worker, resource exhaustion), and
+// the published engine is unchanged. With a log the swapped-out batches
+// were acked and logged, so they go back in front of whatever was staged
+// meanwhile and the next drain retries them. Without a log the memtable
+// held only the failing poster's batch (updateMu), which answers with
+// the error and is dropped.
+//
+// A drain's output must depend only on the batches it swapped out,
+// never on when the schedule ran it — that is what makes any drain
+// schedule converge to the same bit-identical engine state.
 //
 //kdash:deterministic
-func (h *Handler) compactOnce() {
+func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration, err error) {
 	ws := h.wals
 	ws.mu.Lock()
-	if ws.pending == nil || ws.pending.Empty() {
-		ws.mu.Unlock()
-		return
-	}
-	batch := ws.pending
-	batches := ws.pendingBatches
-	seq := ws.ackedSeq
-	ws.pending = nil
-	ws.pendingBatches = 0
+	staged, batches, seq, st := ws.pending, ws.pendingBatches, ws.ackedSeq, h.snap()
+	ws.pending, ws.pendingOps, ws.pendingBatches = nil, 0, 0
 	ws.mu.Unlock()
+	if staged == nil {
+		return stats, 0, nil
+	}
 
-	st := h.snap()
 	t0 := time.Now() //kdash:allow(determinism) times the apply for /metrics; the drain's output never reads it
-	next, stats, err := st.engine.ApplyDelta(batch)
-	applied := time.Since(t0) //kdash:allow(determinism) as above
+	next, stats, err := st.engine.ApplyDelta(staged)
+	applied = time.Since(t0) //kdash:allow(determinism) as above
 
 	ws.mu.Lock()
-	if err != nil {
-		// Ack-time validation makes this unreachable for client input; a
-		// failure here is an engine bug or resource exhaustion. The batch
-		// is dropped (it stays in the WAL for post-mortem) and appliedSeq
-		// still advances so readers do not hang forever on a barrier no
-		// publish will ever satisfy.
-		ws.applyErrors++
-		ws.batchesDropped += batches
-	} else {
+	switch {
+	case err == nil:
 		h.state.Store(newEngineState(next))
 		h.invalidateCache(stats)
-		h.countUpdate(batches, stats, applied)
+		h.countUpdate(int64(batches), stats, applied)
 		ws.compactions++
+		ws.appliedSeq, ws.drainErr = seq, nil
+	case ws.log != nil:
+		ws.applyErrors++
+		ws.drainErr = err
+		if ws.pending != nil {
+			_ = staged.Extend(ws.pending) // cannot fail: the later batches were staged on staged's node count
+		}
+		ws.pending = staged
+		ws.pendingOps, ws.pendingBatches = staged.Len(), ws.pendingBatches+batches
+	default:
+		ws.applyErrors++
+		ws.nextBaseN = st.engine.N()
 	}
-	ws.appliedSeq = seq
-	ws.rebuildExistLocked()
+	clear(ws.exist)
+	if ws.pending != nil {
+		for _, e := range ws.pending.Edges() {
+			ws.exist[edgeKey{e.From, e.To}] = e.Weight > 0
+		}
+	}
 	close(ws.published)
 	ws.published = make(chan struct{})
 	snapDue := err == nil && ws.cfg.SnapshotDir != "" && ws.compactions%int64(ws.cfg.SnapshotEvery) == 0
@@ -518,6 +440,7 @@ func (h *Handler) compactOnce() {
 	// benchmark's 15 % bound) at unchanged goodput (2,907 vs 2,985
 	// rps), so it stays.
 	runtime.GC()
+	return stats, applied, err
 }
 
 // SnapshotWAL persists the currently published engine into dir/epoch-N
@@ -527,16 +450,13 @@ func (h *Handler) compactOnce() {
 // in-process engine: a coordinator refuses (placement.ErrNoSnapshot).
 func (h *Handler) SnapshotWAL(dir string) error {
 	ws := h.wals
-	if ws == nil {
+	if ws.log == nil {
 		return fmt.Errorf("server: not in WAL mode")
 	}
-	// Engine and appliedSeq must be captured together: publishes update
-	// both under ws.mu, so this pairing is exact — the stamp never
-	// claims coverage the saved factors do not have.
-	ws.mu.Lock()
-	st := h.snap()
-	applied := ws.appliedSeq
-	ws.mu.Unlock()
+	// Engine and appliedSeq must be captured together (walSnap), so the
+	// stamp never claims coverage the saved factors do not have.
+	st, c := h.walSnap()
+	applied := c.appliedSeq
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -618,55 +538,57 @@ func (h *Handler) invalidateCache(stats shard.UpdateStats) {
 	h.cache.retain(stats.Epoch, dirty)
 }
 
-// walStatz is the /statz "wal" block. It also returns the engine
-// snapshot paired with it: the compactor publishes the new engine and
-// advances compactions/appliedSeq/pendingOps inside one ws.mu critical
-// section, so only a capture of both under that same lock yields a
-// consistent /statz document — snapshotting the engine first and the
-// WAL fields later can report a drained memtable (pendingOps 0,
-// compactions advanced) against the pre-publish epoch, which reads as
-// a lost update to anyone cross-checking epoch against compactions.
-func (h *Handler) walStatz() (map[string]interface{}, *engineState) {
+// walSnap captures the published engine and the pipeline's counters
+// under ws.mu, the lock every publish holds: a drain publishes the new
+// engine and advances compactions, appliedSeq and pendingOps in one
+// critical section, so only a capture of both under that same lock is
+// consistent — snapshotting the engine first and the counters later can
+// report a drained memtable (compactions advanced) against the
+// pre-publish epoch, which reads as a lost update to anyone
+// cross-checking epoch against compactions. /statz and /metrics both
+// read through it.
+func (h *Handler) walSnap() (*engineState, walCounters) {
 	ws := h.wals
 	ws.mu.Lock()
-	st := h.snap()
-	doc := map[string]interface{}{
-		"ackedSeq":        ws.ackedSeq,
-		"appliedSeq":      ws.appliedSeq,
-		"pendingOps":      0,
-		"pendingBatches":  ws.pendingBatches,
-		"acked":           ws.acked,
-		"compactions":     ws.compactions,
-		"applyErrors":     ws.applyErrors,
-		"batchesDropped":  ws.batchesDropped,
-		"replayedRecords": ws.replayed,
-		"snapshots":       ws.snapshots,
-		"fsyncPolicy":     ws.cfg.Sync.String(),
-	}
+	defer ws.mu.Unlock()
+	return h.snap(), ws.walCounters
+}
+
+// walStatz is the /statz "wal" block over counters walSnap captured.
+func (h *Handler) walStatz(c walCounters) map[string]interface{} {
+	ws := h.wals
 	waits := ws.barrierLat.Snapshot()
-	doc["barrierWaits"] = waits.Count
-	doc["barrierWaitNs"] = waits.SumNS
-	if ws.pending != nil {
-		doc["pendingOps"] = ws.pending.Len()
-	}
-	ws.mu.Unlock()
 	ls := ws.log.Stats()
-	doc["lastSeq"] = ls.LastSeq
-	doc["segments"] = ls.Segments
-	doc["bytes"] = ls.Bytes
-	doc["appends"] = ls.Appends
-	doc["fsyncs"] = ls.Fsyncs
-	doc["rotations"] = ls.Rotations
-	doc["tornBytesDropped"] = ls.TornBytesDropped
-	doc["segmentsCorrupt"] = ls.SegmentsCorrupt
-	return doc, st
+	return map[string]interface{}{
+		"ackedSeq":         c.ackedSeq,
+		"appliedSeq":       c.appliedSeq,
+		"pendingOps":       c.pendingOps,
+		"pendingBatches":   c.pendingBatches,
+		"acked":            c.acked,
+		"compactions":      c.compactions,
+		"applyErrors":      c.applyErrors,
+		"batchesDropped":   c.batchesDropped,
+		"replayedRecords":  c.replayed,
+		"snapshots":        c.snapshots,
+		"fsyncPolicy":      ws.cfg.Sync.String(),
+		"barrierWaits":     waits.Count,
+		"barrierWaitNs":    waits.SumNS,
+		"lastSeq":          ls.LastSeq,
+		"segments":         ls.Segments,
+		"bytes":            ls.Bytes,
+		"appends":          ls.Appends,
+		"fsyncs":           ls.Fsyncs,
+		"rotations":        ls.Rotations,
+		"tornBytesDropped": ls.TornBytesDropped,
+		"segmentsCorrupt":  ls.SegmentsCorrupt,
+	}
 }
 
 // Close stops the compactor (draining the memtable once more) and
-// closes the log. A no-op outside WAL mode; safe to call once.
+// closes the log. A no-op without a log; safe to call once.
 func (h *Handler) Close() error {
 	ws := h.wals
-	if ws == nil {
+	if ws.log == nil {
 		return nil
 	}
 	var closeErr error

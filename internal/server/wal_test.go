@@ -9,15 +9,20 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
@@ -675,8 +680,9 @@ func TestWALObservability(t *testing.T) {
 // successful drain advances both by exactly one). Before the pairing,
 // /statz read the engine snapshot first and the WAL block later; a
 // publish landing between the two produced a torn document whose epoch
-// lagged its own compactions counter — here a poller races /statz
-// against a hammered compactor and rejects any torn read.
+// lagged its own compactions counter — here a poller races /statz and
+// /metrics (kdash_epoch against kdash_wal_compactions_total) against a
+// hammered compactor and rejects any torn read.
 func TestStatzEpochCompactionsPaired(t *testing.T) {
 	g := testutil.Clustered(120, 4, 1)
 	base, err := shard.Build(g, walBuildOpts)
@@ -715,6 +721,20 @@ func TestStatzEpochCompactionsPaired(t *testing.T) {
 			if doc.WAL.ApplyErrors == 0 && doc.Updates.Epoch != doc.WAL.Compactions {
 				t.Errorf("torn /statz: updates.epoch %d with wal.compactions %d",
 					doc.Updates.Epoch, doc.WAL.Compactions)
+				return
+			}
+			mrec := httptest.NewRecorder()
+			h.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			text := mrec.Body.String()
+			epoch, okE := metricValue(text, "kdash_epoch")
+			compactions, okC := metricValue(text, "kdash_wal_compactions_total")
+			applyErrors, okA := metricValue(text, "kdash_wal_apply_errors_total")
+			if !okE || !okC || !okA {
+				t.Errorf("/metrics lacks kdash_epoch or the WAL drain counters")
+				return
+			}
+			if applyErrors == 0 && epoch != compactions {
+				t.Errorf("torn /metrics: kdash_epoch %v with kdash_wal_compactions_total %v", epoch, compactions)
 				return
 			}
 		}
@@ -848,4 +868,205 @@ func TestCacheFlushOnInsertPlusRepartition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatedEngine wraps a ShardedIndex. Its first ApplyDelta reports on
+// entered, then waits for release (each when non-nil). Its first fails
+// calls fail with core.ErrUnavailable, the way a coordinator that lost a
+// worker mid-publish does. Later calls apply normally.
+type gatedEngine struct {
+	*shard.ShardedIndex
+	fails            int32
+	entered, release chan struct{}
+	calls            atomic.Int32
+}
+
+func (e *gatedEngine) ApplyDelta(d *graph.Delta) (shard.Engine, shard.UpdateStats, error) {
+	call := e.calls.Add(1)
+	if call == 1 {
+		if e.entered != nil {
+			close(e.entered)
+		}
+		if e.release != nil {
+			<-e.release
+		}
+	}
+	if call <= e.fails {
+		return nil, shard.UpdateStats{}, fmt.Errorf("gated engine: apply %d: %w", call, core.ErrUnavailable)
+	}
+	return e.ShardedIndex.ApplyDelta(d)
+}
+
+// awaitEntered waits for a gated engine's first apply to start.
+func awaitEntered(t *testing.T, e *gatedEngine) {
+	t.Helper()
+	select {
+	case <-e.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first apply never started")
+	}
+}
+
+// TestFailedDrainDoesNotWedge pins what a failed drain leaves behind in
+// each way a batch reaches the engine. Durable: every batch was acked
+// and logged, so a failed drain that carried a node insertion keeps it
+// — and the batches staged while it ran, one on the new node, one on
+// old nodes only — for the retry; a reader meanwhile gets 503, the retry
+// publishes all three, later batches still apply, and a restart over
+// the same log recovers exactly the published graph. (Before, the
+// failure left the staged node count one too high and every later batch
+// was acked and then silently dropped.) Synchronous: the failure is the
+// client's 503 and the client's retry applies. Recovery: a failed
+// recovery drain fails NewDurable, which closes the log, and the record
+// survives for the next start.
+func TestFailedDrainDoesNotWedge(t *testing.T) {
+	g := testutil.Clustered(120, 4, 1)
+	n := g.N()
+	u := 0
+	for g.HasEdge(u, (u+60)%n) {
+		u++
+	}
+	v := (u + 60) % n
+	failing := func(t *testing.T, fails int32) *gatedEngine {
+		t.Helper()
+		sx, err := shard.Build(g, walBuildOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &gatedEngine{ShardedIndex: sx, fails: fails}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"durable", func(t *testing.T) {
+			// Two failures: the drain that carries the insertion, and the
+			// retry a blocked reader kicks.
+			e := failing(t, 2)
+			e.entered, e.release = make(chan struct{}), make(chan struct{})
+			cfg := WALConfig{Dir: t.TempDir(), Sync: wal.SyncNone, CompactInterval: time.Hour}
+			h := durableHandler(t, e, cfg)
+			postUpdateWAL(t, h, &updateRequest{AddNodes: 1, AddEdges: []edgeJSON{{From: n, To: 3, Weight: 2}}})
+			h.wals.kickCompact()
+			awaitEntered(t, e)
+			postUpdateWAL(t, h, &updateRequest{AddEdges: []edgeJSON{{From: 3, To: n, Weight: 2}}})
+			seq := postUpdateWAL(t, h, &updateRequest{AddEdges: []edgeJSON{{From: u, To: v, Weight: 2}}})
+			close(e.release)
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				h.wals.mu.Lock()
+				failed := h.wals.applyErrors
+				h.wals.mu.Unlock()
+				if failed == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the first drain never failed")
+				}
+			}
+			if rec, _ := get(t, h, "/topk?q=0&k=3"); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("read while the acked batches await a retry: status %d, Retry-After %q, want 503 with one (%s)",
+					rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+			}
+			awaitApplied(t, h, seq)
+			h.wals.mu.Lock()
+			applyErrors, dropped, nextBaseN := h.wals.applyErrors, h.wals.batchesDropped, h.wals.nextBaseN
+			h.wals.mu.Unlock()
+			if applyErrors != 2 || dropped != 0 || nextBaseN != n+1 {
+				t.Fatalf("after the retried drain: applyErrors=%d batchesDropped=%d nextBaseN=%d, want 2, 0, %d",
+					applyErrors, dropped, nextBaseN, n+1)
+			}
+			pub := h.snap()
+			if pub.epoch != 1 || pub.engine.N() != n+1 {
+				t.Fatalf("retried drain published epoch %d with %d nodes, want epoch 1 with %d", pub.epoch, pub.engine.N(), n+1)
+			}
+			for _, e := range [][2]int{{n, 3}, {3, n}, {u, v}} {
+				if !pub.engine.Graph().HasEdge(e[0], e[1]) {
+					t.Fatalf("acked edge (%d,%d) lost to the failed drain", e[0], e[1])
+				}
+			}
+			awaitApplied(t, h, postUpdateWAL(t, h, &updateRequest{AddEdges: []edgeJSON{{From: v, To: n, Weight: 2}}}))
+			want := h.snap().engine.Graph()
+			if !want.HasEdge(v, n) {
+				t.Fatalf("edge (%d,%d) after the retried drain lost", v, n)
+			}
+
+			// A restart with no snapshot replays the whole log over the
+			// base graph and must land on the graph served before it.
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			base, err := shard.Build(g, walBuildOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := durableHandler(t, base, cfg).snap().engine.Graph()
+			if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Fatalf("restart recovered %d nodes / %d edges, served %d / %d before it", got.N(), got.M(), want.N(), want.M())
+			}
+		}},
+		{"sync", func(t *testing.T) {
+			h := New(failing(t, 1))
+			body := fmt.Sprintf(`{"addNodes":1,"addEdges":[{"from":%d,"to":3,"weight":2}]}`, n)
+			rec := post(t, h, "/update", body)
+			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("failed drain: status %d, Retry-After %q, want 503 with one (%s)", rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+			}
+			if epoch := h.snap().epoch; epoch != 0 {
+				t.Fatalf("failed drain moved the epoch to %d", epoch)
+			}
+			rec = post(t, h, "/update", body)
+			var resp updateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("retry: status %d (%s)", rec.Code, rec.Body.String())
+			}
+			if resp.Epoch != 1 || resp.Nodes != n+1 {
+				t.Fatalf("retry: epoch %d with %d nodes, want 1 with %d", resp.Epoch, resp.Nodes, n+1)
+			}
+		}},
+		{"recovery", func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := g.NewDelta()
+			if err := d.AddEdge(u, v, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(d.AppendBinary(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e := failing(t, 1)
+			files := openFiles()
+			cfg := WALConfig{Dir: dir, Sync: wal.SyncNone}
+			if h, err := NewDurable(e, cfg); !errors.Is(err, core.ErrUnavailable) {
+				if h != nil {
+					h.Close()
+				}
+				t.Fatalf("NewDurable over a failing recovery drain: err %v, want core.ErrUnavailable", err)
+			}
+			if now := openFiles(); now != files {
+				t.Fatalf("failed NewDurable left the log open: %d open files, %d before", now, files)
+			}
+			h := durableHandler(t, e, cfg)
+			if !h.snap().engine.Graph().HasEdge(u, v) {
+				t.Fatal("the record a failed recovery kept was not recovered on the next start")
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// openFiles counts the process's open file descriptors, or -1 where
+// /proc is unavailable (the comparison then passes trivially).
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
 }
