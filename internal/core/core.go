@@ -21,11 +21,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"kdash/internal/graph"
+	"kdash/internal/louvain"
 	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/obs"
@@ -66,6 +68,10 @@ type BuildStats struct {
 	NNZInverse    int // nnz(L^-1) + nnz(U^-1), Figure 5's numerator
 	Edges         int // m, Figure 5's denominator
 	InverseRatio  float64
+	// Columns of L^-1 and U^-1 together (2n in all) that a block build
+	// copied from its previous epoch, and that it solved.
+	ColumnsReused int
+	ColumnsSolved int
 }
 
 // Index is a prebuilt K-dash search structure. It is safe for concurrent
@@ -149,37 +155,61 @@ func (ix *Index) inverseFactors() *lu.Inverse {
 }
 
 // BuildIndex precomputes a K-dash index for the graph. Same graph and
-// options, same index, bit for bit: the sharded update path rebuilds
-// dirty blocks through it and promises the result of a fresh build.
+// options, same index, bit for bit.
+func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
+	ix, _, err := BuildBlock(g, opt, reorder.Block{Owned: g.N()}, nil)
+	return ix, err
+}
+
+// BuildBlock builds the index of one block of a partitioned index: g is
+// the block's graph, ordered by reorder.ComputeBlock with blk, and the
+// Louvain result the ordering used comes back for the next epoch's
+// blk.Communities. prev, when non-nil, is the block's index of the
+// previous epoch, built with the same options (one of another size,
+// restart probability or drop tolerance is ignored): a position-wise
+// compare of the permuted adjacencies marks the changed columns of W,
+// and every inverse column whose solve reads no factor column those
+// reach is copied from prev (see lu.Refactorize). The index is bit for
+// bit the one BuildBlock makes with a nil prev — the sharded update
+// path rebuilds dirty blocks through here and promises the result of a
+// fresh build.
 //
 //kdash:mutates-factors
 //kdash:deterministic
-func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
+func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index) (*Index, *louvain.Result, error) {
 	if g.N() == 0 {
-		return nil, fmt.Errorf("core: cannot index an empty graph")
+		return nil, nil, fmt.Errorf("core: cannot index an empty graph")
 	}
 	c := opt.Restart
 	if c == 0 {
 		c = rwr.DefaultRestart
 	}
 	if c <= 0 || c >= 1 {
-		return nil, fmt.Errorf("core: restart probability %v outside (0,1)", c)
+		return nil, nil, fmt.Errorf("core: restart probability %v outside (0,1)", c)
 	}
 	start := time.Now() //kdash:allow(determinism) stage timers here and below feed BuildStats only; nothing the build computes reads them
-	perm := reorder.Compute(g, opt.Reorder, opt.Seed)
+	perm, communities := reorder.ComputeBlock(g, opt.Reorder, opt.Seed, blk)
 	reorderTime := time.Since(start) //kdash:allow(determinism) BuildStats stage timer
 
 	a := g.ColumnNormalized().PermuteSym(perm)
 
 	tFac := time.Now() //kdash:allow(determinism) BuildStats stage timer
-	fac, err := lu.Decompose(lu.BuildW(a, c))
+	var changed []bool
+	var prevInv *lu.Inverse
+	if prev != nil && prev.n == g.N() && prev.c == c && prev.opts.DropTol == opt.DropTol {
+		changed = a.ChangedColumns(prev.a)
+		prevInv = prev.inverseFactors()
+	}
+	fac, err := lu.Refactorize(lu.BuildW(a, c), changed)
 	if err != nil {
-		return nil, fmt.Errorf("core: factorizing W: %w", err)
+		return nil, nil, fmt.Errorf("core: factorizing W: %w", err)
 	}
 	facTime := time.Since(tFac) //kdash:allow(determinism) BuildStats stage timer, and the next line's
 	tInv := time.Now()
-	inverse := fac.Invert(lu.Options{DropTol: opt.DropTol, Workers: opt.Workers})
+	inverse := fac.Invert(lu.Options{DropTol: opt.DropTol, Workers: opt.Workers, Prev: prevInv})
 	invTime := time.Since(tInv) //kdash:allow(determinism) BuildStats stage timer
+	// The copied columns were read from prev's arrays.
+	runtime.KeepAlive(prev)
 
 	opt.Restart = c // retain the resolved value so Rebuild chains identically
 	n := g.N()
@@ -209,12 +239,14 @@ func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
 		NNZFactors:    fac.NNZL() + fac.NNZU(),
 		NNZInverse:    inverse.NNZ(),
 		Edges:         g.M(),
+		ColumnsReused: inverse.Reused,
+		ColumnsSolved: 2*n - inverse.Reused,
 	}
 	if g.M() > 0 {
 		ix.stats.InverseRatio = float64(ix.stats.NNZInverse) / float64(g.M())
 	}
 	trackHeap(ix, ix.arrayBytes())
-	return ix, nil
+	return ix, communities, nil
 }
 
 // N reports the number of indexed nodes.

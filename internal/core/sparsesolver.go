@@ -123,6 +123,19 @@ func (s *SparseSolver) internalRHS(idx []int, val []float64) ([]int, error) {
 // NewWorkspace returns an empty L^{-1} workspace for SolveLower.
 func (ix *Index) NewWorkspace() *lu.Workspace { return ix.inverseFactors().NewWorkspace() }
 
+// PackUpperRows copies the U^{-1} rows of nodes us into one packed
+// block whose Dot(k, w.W) is bit for bit UpperDot(us[k], w). The copy
+// lives on the Go heap, apart from the index's arrays.
+func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
+	rows := make([]int, len(us))
+	for k, u := range us {
+		rows[k] = ix.perm[u]
+	}
+	r := ix.inverseFactors().PackUpperRows(rows)
+	runtime.KeepAlive(ix)
+	return r
+}
+
 // UpperDot completes one row of a split solve: node u's value of the
 // solution whose L^{-1} pass w holds, as one U^{-1} row dot. It is bit
 // for bit SolveSparse's y[u] on the same right-hand side, and exactly

@@ -37,11 +37,21 @@ const maxLevels = 20
 //
 //kdash:deterministic
 func Partition(g *graph.Graph, seed int64) *Result {
-	n := g.N()
+	return PartitionPrefix(g, g.N(), seed)
+}
+
+// PartitionPrefix is Partition on the subgraph g induces on its first n
+// nodes: edges to or from nodes n and beyond are ignored, so the result
+// is bit for bit Partition's on that subgraph built on its own. A shard
+// block orders its owned nodes this way without the ghost sinks that
+// follow them.
+//
+//kdash:deterministic
+func PartitionPrefix(g *graph.Graph, n int, seed int64) *Result {
 	if n == 0 {
 		return &Result{Community: []int{}, K: 0}
 	}
-	adj := symmetrize(g)
+	adj := symmetrize(g, n)
 	rng := rand.New(rand.NewSource(seed)) //kdash:allow(determinism) seeded generator: the visit order is a pure function of seed
 
 	// assignment[u] tracks u's community in the original node space.
@@ -132,8 +142,8 @@ func (b *rowBuilder) finish() *weighted {
 	return wg
 }
 
-func symmetrize(g *graph.Graph) *weighted {
-	n := g.N()
+// symmetrize builds the undirected graph over g's first n nodes.
+func symmetrize(g *graph.Graph, n int) *weighted {
 	deg := make([]int, n)
 	for u := range deg {
 		deg[u] = g.Degree(u)
@@ -145,10 +155,12 @@ func symmetrize(g *graph.Graph) *weighted {
 				b.wg.self[x] += w
 				return
 			}
-			b.add(y, x, w)
+			if y < n {
+				b.add(y, x, w)
+			}
 		})
 		g.InNeighbors(x, func(y int, w float64) {
-			if y != x {
+			if y != x && y < n {
 				b.add(y, x, w)
 			}
 		})
@@ -274,7 +286,7 @@ func aggregate(wg *weighted, com []int, k int) *weighted {
 // Modularity computes Newman modularity of a partition on the
 // symmetrised graph: Q = Σ_c [ in_c/m2 - (tot_c/m2)^2 ].
 func Modularity(g *graph.Graph, com []int) float64 {
-	return symmetrize(g).modularity(com)
+	return symmetrize(g, g.N()).modularity(com)
 }
 
 func (wg *weighted) modularity(com []int) float64 {

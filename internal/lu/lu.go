@@ -99,6 +99,11 @@ type Factors struct {
 	uRow []int
 	//kdash:readonly
 	uVal []float64
+
+	// dirty marks the columns whose L and U parts may differ from the
+	// previous epoch's factorization (see Refactorize); nil when there
+	// was no previous epoch, so every column counts as dirty.
+	dirty []bool
 }
 
 // NNZL reports stored entries of L including the implicit unit diagonal.
@@ -110,9 +115,22 @@ func (f *Factors) NNZU() int { return len(f.uVal) }
 // Decompose computes the LU factorization of the sparse matrix w, which
 // must be square with a nonzero diagonal after elimination (guaranteed
 // for W = I - (1-c)A). Column order is taken as given — reorder first.
+func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil) }
+
+// Refactorize is Decompose for the next epoch of a matrix whose
+// previous factorization was inverted: changed[j] reports that column j
+// of w differs, in pattern or in any value's bits, from column j of the
+// previous epoch's matrix, and nil means there is no previous epoch.
+// The factors are Decompose's, bit for bit; on the side, column j is
+// marked dirty when changed[j] holds or any row of its elimination
+// reach (the DFS reach below j, whether or not its multiplier turns out
+// zero) is a dirty column. A clean column eliminated the same column of
+// W against the same factor columns in the same order, so its L and U
+// parts equal the previous epoch's bit for bit — which is what lets
+// Invert copy every inverse column that reads no dirty factor column.
 //
 //kdash:mutates-factors
-func Decompose(w *sparse.CSC) (*Factors, error) {
+func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 	n := w.Rows
 	if w.Cols != n {
 		return nil, fmt.Errorf("lu: matrix must be square, got %dx%d", w.Rows, w.Cols)
@@ -131,6 +149,12 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 	// Iterative with explicit position stack.
 	pos := make([]int, n)
 	touched := make([]uint64, (n+63)/64) // all zero between columns
+	if changed != nil {
+		if len(changed) != n {
+			return nil, fmt.Errorf("lu: %d changed flags for %d columns", len(changed), n)
+		}
+		f.dirty = make([]bool, n)
+	}
 
 	for j := 0; j < n; j++ {
 		// Sparse RHS: column j of W.
@@ -168,6 +192,15 @@ func Decompose(w *sparse.CSC) (*Factors, error) {
 				if !advanced {
 					order = append(order, v)
 					stack = stack[:len(stack)-1]
+				}
+			}
+		}
+		if f.dirty != nil {
+			f.dirty[j] = changed[j]
+			for _, i := range order {
+				if i < j && f.dirty[i] {
+					f.dirty[j] = true
+					break
 				}
 			}
 		}
@@ -309,6 +342,12 @@ type Options struct {
 	// Workers sets the number of goroutines for column inversion.
 	// 0 means GOMAXPROCS; 1 forces serial execution.
 	Workers int
+	// Prev, when non-nil, is the inverse of the previous epoch's
+	// factorization, inverted with the same DropTol, of factors that
+	// Refactorize marked against it. Every inverse column whose solve
+	// reads no dirty factor column is copied from Prev instead of
+	// solved; the result is bit for bit the from-scratch inverse.
+	Prev *Inverse
 }
 
 // Inverse holds the sparse inverse triangular factors. Linv is stored by
@@ -342,6 +381,11 @@ type Inverse struct {
 	uinvCol         *sparse.CSC
 	uinvColSizeOnce sync.Once
 	uinvColSize     []int
+
+	// Reused counts the columns of L^{-1} and U^{-1} together that
+	// Invert copied from Options.Prev; the other 2N - Reused were
+	// solved.
+	Reused int
 }
 
 // NNZ reports total stored entries across both inverse factors, the
@@ -383,7 +427,11 @@ func (inv *Inverse) Solve(r []float64) []float64 {
 // Invert computes L^{-1} and U^{-1} exactly, column by column, realising
 // the paper's Equations (4)–(5). L^{-1} is assembled before U^{-1}'s
 // columns are computed, and the U^{-1} pass writes its columns into the
-// slabs L^{-1}'s columns were carved from.
+// slabs L^{-1}'s columns were carved from. With Options.Prev, only the
+// columns whose solve would read a dirty factor column are solved: column
+// j of L^{-1} reads the L columns of its reach, the rows at or below j
+// that column j's pattern leads to, and column j of U^{-1} the U columns
+// of the rows at or above j that its pattern leads to.
 func (f *Factors) Invert(opt Options) *Inverse {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -392,15 +440,61 @@ func (f *Factors) Invert(opt Options) *Inverse {
 	if f.N < 64 {
 		workers = 1
 	}
+	prev := opt.Prev
+	if f.dirty == nil || prev == nil || prev.N != f.N {
+		prev = nil
+	}
+	var solveL, solveU []bool // nil: solve every column
+	if prev != nil {
+		solveL, solveU = f.reach(f.lPtr, f.lRow, true), f.reach(f.uPtr, f.uRow, false)
+	}
 	fronts := make([]*frontier, workers)
 	for w := range fronts {
 		fronts[w] = newFrontier(f.N, opt.DropTol)
 	}
 	cols := make([]column, f.N)
-	invertColumns(cols, fronts, f.lowerColumn)
+	reused := invertColumns(cols, fronts, solveL, f.lowerColumn)
+	if prev != nil {
+		for j, solve := range solveL {
+			if !solve {
+				lo, hi := prev.Linv.ColPtr[j], prev.Linv.ColPtr[j+1]
+				cols[j] = column{idx: prev.Linv.RowIdx[lo:hi], val: prev.Linv.Val[lo:hi]}
+			}
+		}
+	}
 	linv := assembleCSC(f.N, cols)
-	invertColumns(cols, fronts, f.upperColumn)
-	return &Inverse{N: f.N, Linv: linv, Uinv: assembleCSR(f.N, cols)}
+	reused += invertColumns(cols, fronts, solveU, f.upperColumn)
+	var prevU *sparse.CSR
+	if prev != nil {
+		prevU = prev.Uinv
+	}
+	return &Inverse{N: f.N, Linv: linv, Uinv: assembleCSR(f.N, cols, solveU, prevU), Reused: reused}
+}
+
+// reach returns, per column j, whether the inverse column j's solve
+// reads a dirty factor column: whether j is dirty or the pattern of the
+// factor's column j (ptr/row, diagonal excluded) leads to such a
+// column. The L^{-1} solve (lower) scatters down to higher rows, so the
+// flags are settled from the last column back; the U^{-1} solve scatters
+// up, so from the first forward. The stored patterns bound every row a
+// solve can touch.
+func (f *Factors) reach(ptr, row []int, lower bool) []bool {
+	n := f.N
+	out := make([]bool, n)
+	for t := 0; t < n; t++ {
+		j := t
+		if lower {
+			j = n - 1 - t
+		}
+		d := f.dirty[j]
+		for p := ptr[j]; p < ptr[j+1] && !d; p++ {
+			if i := row[p]; i != j {
+				d = out[i]
+			}
+		}
+		out[j] = d
+	}
+	return out
 }
 
 // column is one computed sparse column of an inverse factor. Columns of
@@ -411,11 +505,12 @@ type column struct {
 	val []float64
 }
 
-// invertColumns runs solve(j) for every column j, one worker per
-// frontier, each starting from its first slab. Workers claim runs of
-// columns off a shared cursor: one column is a few microseconds of
-// work, too little to hand over one at a time.
-func invertColumns(cols []column, fronts []*frontier, solve func(j int, ws *frontier) column) {
+// invertColumns runs solve(j) for every column j that marked marks (nil
+// marks all), one worker per frontier, each starting from its first
+// slab, and returns how many columns it left unmarked. Workers claim
+// runs of columns off a shared cursor: one column is a few microseconds
+// of work, too little to hand over one at a time.
+func invertColumns(cols []column, fronts []*frontier, marked []bool, solve func(j int, ws *frontier) column) (skipped int) {
 	n := len(cols)
 	const run = 32
 	var (
@@ -433,12 +528,20 @@ func invertColumns(cols []column, fronts []*frontier, solve func(j int, ws *fron
 					return
 				}
 				for j := lo; j < min(lo+run, n); j++ {
-					cols[j] = solve(j, ws)
+					if marked == nil || marked[j] {
+						cols[j] = solve(j, ws)
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, m := range marked {
+		if !m {
+			skipped++
+		}
+	}
+	return skipped
 }
 
 // A frontier is one worker's state for the inverse-column solves.
@@ -623,15 +726,29 @@ func assembleCSC(n int, cols []column) *sparse.CSC {
 	return m
 }
 
-// assembleCSR lays the computed columns out by row — what converting
+// assembleCSR lays the columns out by row — what converting
 // assembleCSC's result to CSR would give, without the intermediate
 // copy: visiting columns in ascending order leaves every row ascending,
-// whatever the order of rows within a column.
-func assembleCSR(n int, cols []column) *sparse.CSR {
+// whatever the order of rows within a column. With prev, only the
+// columns solved marks come from cols; every other column is prev's,
+// and each row merges prev's row restricted to those columns with the
+// solved columns' entries.
+func assembleCSR(n int, cols []column, solved []bool, prev *sparse.CSR) *sparse.CSR {
 	m := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for _, c := range cols {
-		for _, i := range c.idx {
-			m.RowPtr[i+1]++
+	for j, c := range cols {
+		if prev == nil || solved[j] {
+			for _, i := range c.idx {
+				m.RowPtr[i+1]++
+			}
+		}
+	}
+	if prev != nil {
+		for i := 0; i < n; i++ {
+			for _, j := range prev.ColIdx[prev.RowPtr[i]:prev.RowPtr[i+1]] {
+				if !solved[j] {
+					m.RowPtr[i+1]++
+				}
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -641,10 +758,34 @@ func assembleCSR(n int, cols []column) *sparse.CSR {
 	m.Val = make([]float64, m.RowPtr[n])
 	next := slices.Clone(m.RowPtr[:n])
 	for j, c := range cols {
+		if prev != nil && !solved[j] {
+			continue
+		}
 		for k, i := range c.idx {
 			m.ColIdx[next[i]] = j
 			m.Val[next[i]] = c.val[k]
 			next[i]++
+		}
+	}
+	if prev == nil {
+		return m
+	}
+	// Each row now holds its solved entries, ascending, at the front of
+	// its span: merge them with prev's, from the back, in place.
+	for i := 0; i < n; i++ {
+		at := m.RowPtr[i+1]
+		s := next[i] // one past the row's last solved entry
+		for p := prev.RowPtr[i+1] - 1; p >= prev.RowPtr[i]; p-- {
+			j := prev.ColIdx[p]
+			if solved[j] {
+				continue
+			}
+			for s > m.RowPtr[i] && m.ColIdx[s-1] > j {
+				at, s = at-1, s-1
+				m.ColIdx[at], m.Val[at] = m.ColIdx[s], m.Val[s]
+			}
+			at--
+			m.ColIdx[at], m.Val[at] = j, prev.Val[p]
 		}
 	}
 	return m

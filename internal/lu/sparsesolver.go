@@ -133,14 +133,56 @@ func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64) {
 func (inv *Inverse) UpperRowDot(u int, w []float64) float64 {
 	up := inv.Uinv.RowPtr
 	lo, hi := up[u], up[u+1]
-	cols := inv.Uinv.ColIdx[lo:hi]
-	vals := inv.Uinv.Val[lo:hi]
+	return rowDot(inv.Uinv.ColIdx[lo:hi], inv.Uinv.Val[lo:hi], w)
+}
+
+// rowDot accumulates vals[k] * w[cols[k]] in ascending k.
+//
+//kdash:noalloc
+//kdash:deterministic
+func rowDot(cols []int, vals, w []float64) float64 {
 	vals = vals[:len(cols)] // hint: drops the vals[k] bounds check
 	acc := 0.0
 	for k, c := range cols {
 		acc += vals[k] * w[c]
 	}
 	return acc
+}
+
+// UpperRows is a packed copy of selected rows of U^{-1}, laid out one
+// after the other in fresh memory, for a caller that dots the same few
+// rows against every solve: wherever the rows sit in the factor, their
+// dots read one contiguous span.
+type UpperRows struct {
+	ptr  []int
+	cols []int
+	vals []float64
+}
+
+// PackUpperRows copies U^{-1}'s internal rows us, in the given order.
+func (inv *Inverse) PackUpperRows(us []int) *UpperRows {
+	up := inv.Uinv.RowPtr
+	r := &UpperRows{ptr: make([]int, len(us)+1)}
+	for k, u := range us {
+		r.ptr[k+1] = r.ptr[k] + up[u+1] - up[u]
+	}
+	r.cols = make([]int, 0, r.ptr[len(us)])
+	r.vals = make([]float64, 0, r.ptr[len(us)])
+	for _, u := range us {
+		r.cols = append(r.cols, inv.Uinv.ColIdx[up[u]:up[u+1]]...)
+		r.vals = append(r.vals, inv.Uinv.Val[up[u]:up[u+1]]...)
+	}
+	return r
+}
+
+// Dot returns the k-th packed row's dot with w: bit for bit
+// UpperRowDot of the row it copies.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (r *UpperRows) Dot(k int, w []float64) float64 {
+	lo, hi := r.ptr[k], r.ptr[k+1]
+	return rowDot(r.cols[lo:hi], r.vals[lo:hi], w)
 }
 
 // SparseSolver computes x = U^{-1} L^{-1} r for sparse right-hand sides

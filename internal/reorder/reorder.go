@@ -82,10 +82,9 @@ func Compute(g *graph.Graph, m Method, seed int64) []int {
 	switch m {
 	case Degree:
 		return degreeOrder(g)
-	case Cluster:
-		return clusterOrder(g, seed, false)
-	case Hybrid:
-		return clusterOrder(g, seed, true)
+	case Cluster, Hybrid:
+		perm, _ := ComputeBlock(g, m, seed, Block{Owned: g.N()})
+		return perm
 	case Random:
 		return randomOrder(g.N(), seed)
 	case Natural:
@@ -124,45 +123,86 @@ func degreeOrder(g *graph.Graph) []int {
 	return positionsToPerm(order)
 }
 
-// clusterOrder implements Algorithm 2 (and, with sortByDegree, Algorithm
-// 3): Louvain partitioning, border extraction into partition κ+1, then
-// concatenation of partitions.
-func clusterOrder(g *graph.Graph, seed int64, sortByDegree bool) []int {
-	n := g.N()
-	part, _ := borderPartition(g, seed)
-	order := make([]int, n)
+// Block describes one shard block of a partitioned index for
+// ComputeBlock: the block graph's first Owned nodes are the shard's
+// own, and any nodes past them are ghost sinks absorbing the weight
+// that leaves the block.
+type Block struct {
+	Owned int
+	// Cut marks the owned nodes with an edge leaving the block (nil:
+	// none do).
+	Cut []bool
+	// Communities, when non-nil, is the Louvain result of the owned
+	// subgraph from an earlier epoch whose owned subgraph (and seed) is
+	// the same, used instead of running Louvain again.
+	Communities *louvain.Result
+}
+
+// ComputeBlock returns the permutation of a shard block's graph g and,
+// for Cluster and Hybrid, the Louvain result it ordered by, for the
+// caller to hand back as Block.Communities while the owned subgraph
+// stays unchanged. Other methods order g as Compute does.
+//
+// Cluster and Hybrid order the block by its owned subgraph alone:
+// Louvain and border extraction (Algorithm 2) run on the owned nodes
+// without the sinks, the owned nodes that own cut edges follow the
+// others within each partition, and the sinks come last. An edge op
+// that crosses the cut therefore leaves the communities unchanged and
+// moves no node unless it changes which nodes own cut edges, and the
+// cut-owning nodes, whose columns such an op rewrites, sit where the
+// fewest factor columns depend on them. A graph with every node owned
+// and no cut is ordered exactly as Compute orders it.
+//
+//kdash:deterministic
+func ComputeBlock(g *graph.Graph, m Method, seed int64, b Block) ([]int, *louvain.Result) {
+	if m != Cluster && m != Hybrid {
+		return Compute(g, m, seed), nil
+	}
+	res := b.Communities
+	if res == nil {
+		res = louvain.PartitionPrefix(g, b.Owned, seed)
+	}
+	part := borderPartition(g, b.Owned, res)
+	cut := func(v int) bool { return b.Cut != nil && b.Cut[v] }
+	order := make([]int, g.N())
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(part[a], part[b]); c != 0 {
+	slices.SortFunc(order[:b.Owned], func(x, y int) int {
+		if c := cmp.Compare(part[x], part[y]); c != 0 {
 			return c
 		}
-		if sortByDegree {
-			if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
+		if cx, cy := cut(x), cut(y); cx != cy {
+			if cx {
+				return 1
+			}
+			return -1
+		}
+		if m == Hybrid {
+			if c := cmp.Compare(g.Degree(x), g.Degree(y)); c != 0 {
 				return c
 			}
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(x, y)
 	})
-	return positionsToPerm(order)
+	return positionsToPerm(order), res
 }
 
-// borderPartition runs Louvain and moves every node with an edge that
-// crosses communities into the border partition κ+1, whose id it also
-// returns (Algorithm 2, lines 3–6). Edge direction is irrelevant here;
-// any incident cross edge disqualifies the node.
-func borderPartition(g *graph.Graph, seed int64) (part []int, border int) {
-	res := louvain.Partition(g, seed)
-	part = slices.Clone(res.Community)
+// borderPartition returns the partition of each of g's first owned
+// nodes: its Louvain community, or the border partition res.K when it
+// has an edge to another community's owned node (Algorithm 2, lines
+// 3–6). Edge direction is irrelevant here; any incident cross edge
+// disqualifies the node.
+func borderPartition(g *graph.Graph, owned int, res *louvain.Result) []int {
+	part := slices.Clone(res.Community)
 	for u := range part {
 		g.OutNeighbors(u, func(v int, _ float64) {
-			if res.Community[u] != res.Community[v] {
+			if v < owned && res.Community[u] != res.Community[v] {
 				part[u], part[v] = res.K, res.K
 			}
 		})
 	}
-	return part, res.K
+	return part
 }
 
 func randomOrder(n int, seed int64) []int {
@@ -185,9 +225,9 @@ func positionsToPerm(order []int) []int {
 // sizes of the Louvain partitions (with border extraction) that cluster
 // and hybrid reordering would use.
 func PartitionSizes(g *graph.Graph, seed int64) []int {
-	part, border := borderPartition(g, seed)
-	counts := make([]int, border+1)
-	for _, p := range part {
+	res := louvain.Partition(g, seed)
+	counts := make([]int, res.K+1)
+	for _, p := range borderPartition(g, g.N(), res) {
 		counts[p]++
 	}
 	return counts

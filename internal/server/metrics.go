@@ -75,6 +75,12 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	pw.Metric("kdash_update_edge_ops_total", nil, float64(h.updEdges.Value()))
 	pw.Header("kdash_update_nodes_added_total", "Nodes inserted by updates.", "counter")
 	pw.Metric("kdash_update_nodes_added_total", nil, float64(h.updNodes.Value()))
+	pw.Header("kdash_update_communities_reused_total", "Rebuilt shards that ordered their block from their previous epoch's Louvain communities.", "counter")
+	pw.Metric("kdash_update_communities_reused_total", nil, float64(h.updCommunities.Value()))
+	pw.Header("kdash_update_inverse_columns_reused_total", "Inverse-factor columns of rebuilt shards copied from the previous epoch.", "counter")
+	pw.Metric("kdash_update_inverse_columns_reused_total", nil, float64(h.updColsReused.Value()))
+	pw.Header("kdash_update_inverse_columns_solved_total", "Inverse-factor columns of rebuilt shards solved.", "counter")
+	pw.Metric("kdash_update_inverse_columns_solved_total", nil, float64(h.updColsSolved.Value()))
 	pw.Header("kdash_update_apply_seconds", "Wall time of each drain's engine apply: one per synchronous update, per WAL compaction and for the recovery drain, however many batches it merged; in WAL mode, the stall a reader sees after an ack.", "histogram")
 	pw.Histogram("kdash_update_apply_seconds", nil, h.applyLat.Snapshot())
 	pw.Header("kdash_update_stage_seconds_total", "Apply time by stage: graph is wall time, the build stages are summed over the rebuilt shards.", "counter")

@@ -167,6 +167,12 @@ type Handler struct {
 	updReparts expvar.Int // updates that triggered a re-partition
 	updEdges   expvar.Int // cumulative edge ops applied
 	updNodes   expvar.Int // cumulative nodes inserted
+	// Rebuild reuse: rebuilt shards that kept their communities, and
+	// the rebuilt blocks' inverse columns copied from the previous
+	// epoch and solved.
+	updCommunities expvar.Int
+	updColsReused  expvar.Int
+	updColsSolved  expvar.Int
 
 	// Update-path timing (countUpdate): how long each engine apply ran —
 	// in WAL mode that is the stall a reader sees after an ack — and
@@ -195,6 +201,9 @@ func (h *Handler) countUpdate(batches int64, stats shard.UpdateStats, applied ti
 	h.updShards.Add(int64(stats.ShardsRebuilt))
 	h.updEdges.Add(int64(stats.EdgesAdded + stats.EdgesRemoved))
 	h.updNodes.Add(int64(stats.NodesAdded))
+	h.updCommunities.Add(int64(stats.CommunitiesReused))
+	h.updColsReused.Add(int64(stats.ColumnsReused))
+	h.updColsSolved.Add(int64(stats.ColumnsSolved))
 	if stats.Repartitioned {
 		h.updReparts.Add(1)
 	}
@@ -623,15 +632,18 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 func (h *Handler) updatesStatz(epoch int) map[string]int64 {
 	applies := h.applyLat.Snapshot()
 	doc := map[string]int64{
-		"applied":       h.qUpdates.Value(),
-		"epoch":         int64(epoch),
-		"shardsRebuilt": h.updShards.Value(),
-		"repartitions":  h.updReparts.Value(),
-		"edgeOps":       h.updEdges.Value(),
-		"nodesAdded":    h.updNodes.Value(),
-		"unsupported":   0, // kept for dashboards: every served engine takes updates
-		"applies":       int64(applies.Count),
-		"applyNs":       applies.SumNS,
+		"applied":           h.qUpdates.Value(),
+		"epoch":             int64(epoch),
+		"shardsRebuilt":     h.updShards.Value(),
+		"repartitions":      h.updReparts.Value(),
+		"edgeOps":           h.updEdges.Value(),
+		"nodesAdded":        h.updNodes.Value(),
+		"communitiesReused": h.updCommunities.Value(),
+		"columnsReused":     h.updColsReused.Value(),
+		"columnsSolved":     h.updColsSolved.Value(),
+		"unsupported":       0, // kept for dashboards: every served engine takes updates
+		"applies":           int64(applies.Count),
+		"applyNs":           applies.SumNS,
 	}
 	for i, stage := range updateStages {
 		doc[stage.name+"Ns"] = h.updStageNs[i].Value()

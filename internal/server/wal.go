@@ -388,6 +388,24 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 		return stats, 0, nil
 	}
 
+	// The epoch the previous drain retired may still be on the heap: its
+	// structs embed sync.Pools (query state, solvers) that held values,
+	// and the runtime keeps such a pool, and so the struct around it,
+	// registered until the second collection after its last use — the
+	// collection that drain ran below only aged it. Collect again
+	// before the apply allocates, so the retired epoch's rebuilt shards
+	// and graph are not resident through it and the apply reuses their
+	// memory. Without this call, an apply too light to trigger the
+	// pacer (one that copies most of its inverse columns) left peak_rss_mb
+	// at +9 % over the parent (153.4 vs 167.3, 10 interleaved
+	// update_stream_wal pairs, 2 cores). Collecting twice after the
+	// publish instead freed the epoch as well, off the barrier's path,
+	// but read 558 µs of server CPU per request where this reads 490
+	// (10 pairs each, the parent at 660 and 644) — presumably the next
+	// apply faulting the freed memory back in. This one adds a
+	// collection, ~2 ms, to the stall of a reader waiting on the
+	// barrier.
+	runtime.GC()
 	t0 := time.Now() //kdash:allow(determinism) times the apply for /metrics; the drain's output never reads it
 	next, stats, err := st.engine.ApplyDelta(staged)
 	applied = time.Since(t0) //kdash:allow(determinism) as above
@@ -428,12 +446,13 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 		// costs disk, not correctness.
 		_ = h.SnapshotWAL(ws.cfg.SnapshotDir)
 	}
-	// The old epoch's dirty shards and the rebuild's transients just
-	// became garbage, tens of MB at once against a heap that otherwise
-	// grows by a few KB per query — so the pacer would let two or three
-	// applies' worth pile up before it collects. Collect now, off the
-	// readers' path: the publish above released them, and a heap of
-	// pointer-free factor arrays marks in a couple of milliseconds.
+	// The rebuild's transients just became garbage, tens of MB at once
+	// against a heap that otherwise grows by a few KB per query — so the
+	// pacer would let two or three applies' worth pile up before it
+	// collects. Collect now, off the readers' path (the old epoch the
+	// publish above released goes at the next drain's first
+	// collection, above): a heap of pointer-free factor arrays marks in
+	// a couple of milliseconds.
 	// Re-measured with loaded shard containers off the Go heap (8
 	// interleaved update_stream_wal pairs, 2 cores): without this call
 	// peak_rss_mb read 212.5 against 169.5 (+25 %, 8/8 pairs, past the

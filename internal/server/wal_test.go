@@ -418,11 +418,12 @@ func TestWALSnapshotRecovery(t *testing.T) {
 }
 
 // TestWALReplaySkipsOnlyBadRecords replays a log whose middle record
-// cannot apply (it removes an edge that is not there): the merged fast
-// path fails, and the record-by-record fallback must apply the first
-// and last records exactly once each and drop only the bad one — the
-// recovered engine is bit-identical to applying the good records in
-// order.
+// cannot apply (it removes an edge that is not there): recovery stages
+// each record in log order through the same validation a live post
+// takes, so the bad record fails to stage and is dropped (counted in
+// batchesDropped) while the first and last are staged, and the one
+// recovery drain applies them exactly once each — the recovered graph
+// is the one applying the good records in order gives.
 func TestWALReplaySkipsOnlyBadRecords(t *testing.T) {
 	g := testutil.Clustered(120, 4, 1)
 	base, err := shard.Build(g, walBuildOpts)

@@ -2,11 +2,11 @@ package shard
 
 // The standing guard that build-path work stays bit-identical: the
 // sha256 of every file Save writes for one seeded build, and again
-// after one two-edge Apply, pinned to the values the map-based Louvain /
-// map-and-rebuild graph.Apply / double-sorting inversion produced
-// before they were replaced. A change that moves any of these hashes
-// has changed a partition, an ordering, a factor bit or the snapshot —
-// which is a different kind of change from making the build faster.
+// after one two-edge Apply, pinned to the values the block ordering by
+// owned subgraph and cut-owning nodes first produced. A change that
+// moves any of these hashes has changed a partition, an ordering, a
+// factor bit or the snapshot — which is a different kind of change
+// from making the build faster.
 
 import (
 	"crypto/sha256"
@@ -26,22 +26,22 @@ var goldenBuild = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "dc7ba4a8c1fce244a68dc19159dff52a377a5c0f35c29f91bc18ba39f92e6254",
 	"graph.tsv":      "08c76046b9f601c08a6304bdfe14ad64baf7145820ff23ad2a9f0753c6b3471d",
-	"manifest.json":  "d5e77a7287e055264c68124e7b710d0c2369ddf72ee6928a1b9a53c8ee3a2a15",
-	"shard-0000.idx": "7a2bf29900895cbbfc67c598d3d452f0272e02cee05d024ca37637fccdc7832b",
-	"shard-0001.idx": "d96e6dd9a488b677aad23324ed880c3173c49b25c03f57a34373e1cd658e2806",
-	"shard-0002.idx": "208ddc72fdb3d47e1220f0908b27f83551a3dde662c02e508dc6607f405ca700",
-	"shard-0003.idx": "866d25cd539f512c355c420569632efc9ba3557c032aa6e237ed3184669d8fd5",
+	"manifest.json":  "5e18335d6923f1b7cf6e100a9b3268e682dd2e4c7c704e80fd7334d994ef3bde",
+	"shard-0000.idx": "29fa21707e1fd2224a3bfe2e0b8b83c3e53cbb21fc17daa6c40a292002cddc4a",
+	"shard-0001.idx": "f54aa201118fa198cddcc7fa454d022bc15b8572d5260703e491ab745e81c873",
+	"shard-0002.idx": "5ad6fe4e23a9cb6a6363de159ca6a3c6eb8d0b46f1fd48594546357bcb29adbf",
+	"shard-0003.idx": "5755e92a121176e21da08956662b73aac46468cf8956266775127f38b3629312",
 }
 
 var goldenApply = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "b46bc3bdaa7fae2dc71b63a3cede4fbbe89d6a9835a025047269ff963ccdb4ca",
 	"graph.tsv":      "c64aa3201f6b6b177584428b1b54498d43c709cc0a526c1501d69457c2538316",
-	"manifest.json":  "0ad555c02f014a4869b0ae3502d84854859bba389cfa3a67596766c1b17ef0e9",
-	"shard-0000.idx": "f556bf6cab67bc39e6df86ce4d00483745d8344167e46f0d95d9bb3595f339a1",
-	"shard-0001.idx": "b0aab9249adde712b60f14a7dd6c4d51c59e0aebf3f8dfa34f6e5ecca0940b3b",
-	"shard-0002.idx": "208ddc72fdb3d47e1220f0908b27f83551a3dde662c02e508dc6607f405ca700",
-	"shard-0003.idx": "866d25cd539f512c355c420569632efc9ba3557c032aa6e237ed3184669d8fd5",
+	"manifest.json":  "226c6688f4b0429822072f69c7f4e8a7e6df2e888588c86e63b8e09f7ea9d0e1",
+	"shard-0000.idx": "ed9d219ff629007816d894ebdd5c02fa185cba7ff3555b584bb938130425d312",
+	"shard-0001.idx": "cfe1e8452dbfa5ea9b6c329a754e96278868a9c2fc45e3cd8ff03525ecffbfa5",
+	"shard-0002.idx": "5ad6fe4e23a9cb6a6363de159ca6a3c6eb8d0b46f1fd48594546357bcb29adbf",
+	"shard-0003.idx": "5755e92a121176e21da08956662b73aac46468cf8956266775127f38b3629312",
 }
 
 // dirHashes returns file name -> sha256 hex for every file in dir.

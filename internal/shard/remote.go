@@ -77,7 +77,8 @@ func (sx *ShardedIndex) getRowSolver(si int, ix *core.Index) *rowSolver {
 
 // SolveShardRows is the worker side of RemoteSolver.SolveRows: for each
 // right-hand side, the L^{-1} pass into a pooled workspace, one U^{-1}
-// row dot per requested row into out, and a reset. Shard, rows, the
+// row dot per requested row into out (a cut row's from the part's
+// packed copy, as in process), and a reset. Shard, rows, the
 // right-hand side pointers and ids are all validated first, so hostile
 // input is an error, never a fault. Safe for concurrent calls.
 func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []float64) error {
@@ -101,19 +102,33 @@ func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []
 	if nrhs := len(ptr) - 1; len(out) != nrhs*len(rows) {
 		return fmt.Errorf("shard: output holds %d values, want %d right-hand sides × %d rows", len(out), nrhs, len(rows))
 	}
-	ix, err := sx.parts[si].index() // opens a lazily loaded shard, or fails
+	p := sx.parts[si]
+	ix, err := p.index() // opens a lazily loaded shard, or fails
 	if err != nil {
 		return err
 	}
+	cutUpper := p.cutRowsUpper(ix)
 	rs := sx.getRowSolver(si, ix)
 	defer sx.rpool[si].Put(rs)
 	for r := 0; r+1 < len(ptr); r++ {
 		lo, hi := ptr[r], ptr[r+1]
 		err := rs.solver.SolveLower(idx[lo:hi], val[lo:hi], rs.w) // validates range and ascending order before writing
 		if err == nil {
+			// The push asks for its rows ascending: walk the cut rows
+			// alongside and dot those from the packed copy. Any other
+			// order only sends more rows through UpperDot, bit for bit
+			// the same values.
 			dst := out[r*len(rows) : (r+1)*len(rows)]
+			k := 0
 			for i, lv := range rows {
-				dst[i] = ix.UpperDot(lv, rs.w)
+				for k < len(p.cutRows) && p.cutRows[k] < lv {
+					k++
+				}
+				if k < len(p.cutRows) && p.cutRows[k] == lv {
+					dst[i] = cutUpper.Dot(k, rs.w.W)
+				} else {
+					dst[i] = ix.UpperDot(lv, rs.w)
+				}
 			}
 		}
 		rs.w.Reset()

@@ -45,6 +45,7 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/louvain"
+	"kdash/internal/lu"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 )
@@ -129,6 +130,16 @@ type part struct {
 	cutPtr  []int      // cuts of local node v are cuts[cutPtr[v]:cutPtr[v+1]]
 	cutRows []int      // local nodes owning cut edges, ascending
 	nnzHint int        // the manifest's per-shard nnz, so stats need no open
+
+	// communities is the Louvain result the block's ordering used, kept
+	// so a successor whose owned subgraph is unchanged orders its
+	// rebuild without running Louvain (nil after a load: never saved).
+	communities *louvain.Result
+
+	// cutUpper packs the U^{-1} rows of cutRows, in cutRows order, for
+	// the push's cut-row dots; built on the first local solve.
+	cutUpperOnce sync.Once
+	cutUpper     *lu.UpperRows
 }
 
 // lazyIndex is the once-guarded deferred open of one shard's index
@@ -198,9 +209,16 @@ func (p *part) nnzInverse() int {
 
 // share returns a copy of the part for a successor epoch that did not
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
-// shared by pointer) and cut lists carry over.
+// shared by pointer), communities and cut lists carry over.
 func (p *part) share() *part {
-	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
+	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows, communities: p.communities}
+}
+
+// cutRowsUpper returns the packed U^{-1} rows of the cut rows of the
+// part, whose open index is ix.
+func (p *part) cutRowsUpper(ix *core.Index) *lu.UpperRows {
+	p.cutUpperOnce.Do(func() { p.cutUpper = ix.PackUpperRows(p.cutRows) })
+	return p.cutUpper
 }
 
 // indexCuts derives the per-source pointers and the cut-owning rows from
@@ -438,7 +456,7 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		all[si] = si
 	}
 	tBuild := time.Now()
-	cpu, err := sx.buildParts(g, all, opt.Workers)
+	cpu, err := sx.buildParts(g, all, nil, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -475,8 +493,10 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 // its factors single-threaded; a lone shard hands the full worker
 // budget to the factor inversion instead. Build (every shard) and
 // Apply (the dirty set) share this path, which is what keeps an
-// incrementally rebuilt block bit-identical to a from-scratch one.
-func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, workers int) (cpu time.Duration, err error) {
+// incrementally rebuilt block bit-identical to a from-scratch one:
+// prev[si], when prev is non-nil, is shard si's part of the previous
+// epoch, or nil, and is only ever a source of columns to copy.
+func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, prev []*part, workers int) (cpu time.Duration, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -497,7 +517,11 @@ func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, workers int) (c
 			defer wg.Done()
 			defer func() { <-sem }()
 			t0 := time.Now()
-			err := sx.buildPart(g, si, sx.method, sx.seed+int64(si), innerWorkers)
+			var old *part
+			if prev != nil {
+				old = prev[si]
+			}
+			err := sx.buildPart(g, si, old, sx.method, sx.seed+int64(si), innerWorkers)
 			mu.Lock()
 			cpu += time.Since(t0)
 			if err != nil && firstErr == nil {
@@ -595,8 +619,13 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 // is the induced subgraph plus, when the shard has outgoing cut weight, a
 // ghost sink absorbing it — so every column keeps its *global*
 // normalisation and the factorized matrix is exactly the diagonal block
-// of W = I - (1-c)A restricted to the shard.
-func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, method reorder.Method, seed int64, workers int) error {
+// of W = I - (1-c)A restricted to the shard. The block is ordered by its
+// owned subgraph and its cut-owning nodes (reorder.ComputeBlock), from
+// the part's cached communities when the caller left them in place. old,
+// when non-nil, is the shard's part of the previous epoch, over the same
+// node list: its index, if open, lends the rebuild every inverse column
+// the changed columns do not reach.
+func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reorder.Method, seed int64, workers int) error {
 	p := sx.parts[si]
 	ns := len(p.nodes)
 	leak := make([]float64, ns)
@@ -622,6 +651,7 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, method reorder.Method,
 		total++ // ghost sink at local id ns
 	}
 	b := graph.NewBuilder(total)
+	cut := make([]bool, ns)
 	for lv, v := range p.nodes {
 		var err error
 		g.OutNeighbors(v, func(u int, w float64) {
@@ -633,17 +663,22 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, method reorder.Method,
 			return err
 		}
 		if leak[lv] > 0 {
+			cut[lv] = true
 			if err := b.AddEdge(lv, ns, leak[lv]); err != nil {
 				return err
 			}
 		}
 	}
-	ix, err := core.BuildIndex(b.Build(), core.BuildOptions{
+	var prev *core.Index
+	if old != nil {
+		prev = old.tryIndex()
+	}
+	ix, communities, err := core.BuildBlock(b.Build(), core.BuildOptions{
 		Restart: sx.c,
 		Reorder: method,
 		Seed:    seed,
 		Workers: workers,
-	})
+	}, reorder.Block{Owned: ns, Cut: cut, Communities: p.communities}, prev)
 	if err != nil {
 		return err
 	}
@@ -653,6 +688,7 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, method reorder.Method,
 	ix.ReleaseGraph()
 	p.ix = ix
 	p.sink = hasLeak
+	p.communities = communities
 	return nil
 }
 

@@ -355,7 +355,8 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 
 // localSolve is solveShard's in-process half: the L^{-1} pass into the
 // shard's next pooled workspace, then one U^{-1} row dot per cut row,
-// scattered across the cut in ascending row order.
+// read from the part's packed copy of those rows, scattered across the
+// cut in ascending row order.
 //
 //kdash:noalloc
 //kdash:deterministic
@@ -376,8 +377,9 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
 	}
 	ss.nlower++
-	for _, lv := range p.cutRows {
-		yv := ss.ix.UpperDot(lv, w)
+	cutUpper := p.cutRowsUpper(ss.ix)
+	for k, lv := range p.cutRows {
+		yv := cutUpper.Dot(k, w.W)
 		if yv == 0 {
 			continue
 		}

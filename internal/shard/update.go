@@ -15,10 +15,17 @@ package shard
 // Apply is functional: the receiver is never modified and the returned
 // successor is a fresh immutable ShardedIndex, so pooled in-flight
 // queries on the old epoch never observe a half-applied update. A
-// shard rebuilt by Apply goes through exactly the code path Build uses
-// with the same per-shard seed, so the successor is bit-identical to
-// Build(updatedGraph, Options{Assignment: successor.Assignment(), ...})
-// — the property the differential harness pins down.
+// shard rebuilt by Apply goes through the one block build Build runs
+// (buildPart, core.BuildBlock) with the same per-shard seed, handed
+// the shard's previous part as an optional source: when the node list
+// is unchanged its inverse columns that the changed columns of W do
+// not reach are copied instead of solved, and when no edge op fell
+// inside the shard its Louvain communities are reused, the block
+// ordering depending on the owned subgraph alone. Neither changes a
+// bit, so the successor is bit-identical to Build(updatedGraph,
+// Options{Assignment: successor.Assignment(), ...}) — the property the
+// differential harness pins down, while TestApplyReusePath pins that
+// the reuse happens.
 //
 // Node insertion appends to the least-loaded shard and bumps that
 // shard's staleness counter; past the staleness limit the shard is
@@ -28,6 +35,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kdash/internal/core"
@@ -43,10 +51,18 @@ type UpdateStats struct {
 
 	ShardsRebuilt int   // LU blocks refactorized
 	DirtyShards   []int // ids of the refactorized shards, ascending
-	FullRebuild   bool  // every shard was refactorized: nothing was reused
+	FullRebuild   bool  // every shard was refactorized: no shard was shared
 	CutsPatched   int   // shards whose outgoing cut lists were recomputed
 	Repartitioned bool  // a staleness limit triggered local re-partitioning
 	NodesMoved    int   // nodes re-homed by the re-partitioning
+
+	// Rebuilt shards that ordered their block from their previous
+	// epoch's Louvain communities instead of running Louvain, and the
+	// rebuilt blocks' inverse columns (of L^-1 and U^-1 together)
+	// copied from the previous epoch and solved.
+	CommunitiesReused int
+	ColumnsReused     int
+	ColumnsSolved     int
 
 	Epoch     int           // the successor's epoch number
 	GraphTime time.Duration // applying the delta to the graph snapshot and rebuilding its search tables
@@ -110,8 +126,9 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		return nil, us, fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
 	// graph.Apply splices the touched rows into a copy of the CSR arrays
-	// and re-derives the in-lists: ~3.5 ms at the bench scale (50k nodes,
-	// 147k edges), 6–8 % of a two-edge Apply. Its result is array for
+	// and re-derives the in-lists: ~6 ms at the bench scale (50k nodes,
+	// 147k edges; 2-core Xeon), ~12 % of a two-edge Apply's wall time
+	// once the rebuilds reuse the previous blocks. Its result is array for
 	// array what graph.Builder makes of the updated edge set, so the
 	// snapshot is indistinguishable from a freshly built graph — the
 	// foundation of the bit-identity contract. The successor's search
@@ -152,12 +169,16 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 
 	// Dirty shards: the home of every edge op's source column, plus
 	// every shard that received an inserted node (its node list and
-	// local-id space grew).
+	// local-id space grew). An op inside one shard also changes that
+	// shard's owned subgraph, which its communities were computed on.
 	rebuild := make([]bool, s)
+	inside := make([]bool, s)
 	for _, e := range batch.Edges() {
 		rebuild[home2[e.From]] = true
 		if home2[e.From] != home2[e.To] {
 			us.CutCrossing++
+		} else {
+			inside[home2[e.From]] = true
 		}
 	}
 	for u := sx.n; u < n2; u++ {
@@ -247,15 +268,29 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 
 	// Refactorize the dirty blocks through the same worker-pool path a
 	// from-scratch Build runs (buildParts), which is what keeps the
-	// successor bit-identical to a pinned-assignment rebuild.
+	// successor bit-identical to a pinned-assignment rebuild. A dirty
+	// shard over the same node list rebuilds from its previous part:
+	// its communities too, when no op fell inside it, and its inverse
+	// columns the changed ones do not reach.
 	dirty := make([]int, 0, s)
+	prev := make([]*part, s)
 	for si := 0; si < s; si++ {
-		if rebuild[si] {
-			dirty = append(dirty, si)
+		if !rebuild[si] {
+			continue
+		}
+		dirty = append(dirty, si)
+		old := sx.parts[si]
+		if !slices.Equal(old.nodes, sx2.parts[si].nodes) {
+			continue
+		}
+		prev[si] = old
+		if !inside[si] && old.communities != nil {
+			sx2.parts[si].communities = old.communities
+			us.CommunitiesReused++
 		}
 	}
 	tBuild := time.Now()
-	cpu, err := sx2.buildParts(newG, dirty, sx.workers)
+	cpu, err := sx2.buildParts(newG, dirty, prev, sx.workers)
 	if err != nil {
 		return nil, us, err
 	}
@@ -269,6 +304,8 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 			us.ReorderTime += st.ReorderTime
 			us.FactorizeTime += st.FactorizeTime
 			us.InvertTime += st.InvertTime
+			us.ColumnsReused += st.ColumnsReused
+			us.ColumnsSolved += st.ColumnsSolved
 		}
 	}
 

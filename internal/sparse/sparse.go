@@ -11,6 +11,7 @@ package sparse
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -251,6 +252,31 @@ func (m *CSC) PermuteSym(perm []int) *CSC {
 		byRow.ColIdx[i] = perm[c]
 	}
 	return byRow.ToCSC()
+}
+
+// ChangedColumns reports, per column, whether m's column differs from
+// prev's column of the same index in its pattern or in any value's bits.
+// The matrices must have the same shape.
+func (m *CSC) ChangedColumns(prev *CSC) []bool {
+	if m.Rows != prev.Rows || m.Cols != prev.Cols {
+		panic("sparse: ChangedColumns shape mismatch")
+	}
+	out := make([]bool, m.Cols)
+	for c := range out {
+		lo, hi := m.ColPtr[c], m.ColPtr[c+1]
+		plo, phi := prev.ColPtr[c], prev.ColPtr[c+1]
+		if hi-lo != phi-plo {
+			out[c] = true
+			continue
+		}
+		for k := 0; k < hi-lo; k++ {
+			if m.RowIdx[lo+k] != prev.RowIdx[plo+k] || math.Float64bits(m.Val[lo+k]) != math.Float64bits(prev.Val[plo+k]) {
+				out[c] = true
+				break
+			}
+		}
+	}
+	return out
 }
 
 // Transpose returns M^T in the same storage family.
