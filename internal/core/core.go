@@ -101,19 +101,17 @@ type Index struct {
 	//kdash:readonly
 	selfA []float64 // A_uu, for the c' factor of Definition 1
 
-	// invFac lazily rebinds the inverse factors as an lu.Inverse for the
-	// single-lane sparse kernel (lu.SparseSolver), which owns the lazily
-	// transposed U^{-1} (built on first support-driven apply; never
-	// serialised — loads rebuild it on first use).
+	// invFac lazily binds the inverse factors as an lu.Inverse for the
+	// split solve (SolveLower, UpperDot). It holds the two stored forms
+	// and nothing derived from them.
 	invFacOnce sync.Once
 	invFac     *lu.Inverse
 
-	// swPool recycles tree-search workspaces and sparsePool single-lane
-	// solvers across queries, so the steady-state query path performs no
-	// O(n) allocation. Both are concurrency-safe checkouts: every request
-	// takes a private instance and returns it when done.
-	swPool     sync.Pool
-	sparsePool sync.Pool
+	// swPool recycles tree-search workspaces across queries, so the
+	// steady-state query path performs no O(n) allocation. It is a
+	// concurrency-safe checkout: every request takes a private instance
+	// and returns it when done.
+	swPool sync.Pool
 
 	stats BuildStats
 
@@ -135,21 +133,18 @@ type Index struct {
 	// outlives the *Index that owns it. The container's slices sit only
 	// in this Index's fields and in objects it owns — the sparse.CSC and
 	// CSR structs and the lu.Inverse built over them — and whatever holds
-	// one of those also holds the Index: a SparseSolver keeps ix, the
-	// pooled solvers live in the Index's own pools or, in internal/shard,
-	// beside the Index in a push state. Methods whose last use of the
-	// Index precedes a read through such an object keep it alive with
-	// runtime.KeepAlive.
+	// one of those also holds the Index. Workspaces and packed U^{-1} rows
+	// hold no container slice: they are fresh Go memory. Methods whose
+	// last use of the Index precedes a read through such an object keep
+	// it alive with runtime.KeepAlive.
 	backing *mmapio.File
 }
 
 // inverseFactors returns the index's factors as an lu.Inverse, built
-// once. The internal-to-original permutation is the Remap, so the
-// single-lane kernel's applies land directly in original node ids and
-// its solutions need no per-support mapping pass.
+// once.
 func (ix *Index) inverseFactors() *lu.Inverse {
 	ix.invFacOnce.Do(func() {
-		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv, Remap: ix.inv}
+		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv}
 	})
 	return ix.invFac
 }
@@ -671,9 +666,9 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 // W = I - (1-c)A is the matrix the index factorized. Input and output are
 // dense vectors in original node-id order; zero entries of r cost nothing
 // in the L^{-1} pass. Unlike the proximity methods, Solve does not apply
-// the restart factor c: it is the raw linear-system primitive that
-// internal/shard's cross-shard push is built on (each shard solve
-// consumes a residual right-hand side that already carries its scaling).
+// the restart factor c. It is the dense reference the split solve
+// (SolveLower, UpperDot) is tested against, bit for bit, and the whole
+// solve ProximityVector reads.
 func (ix *Index) Solve(r []float64) ([]float64, error) {
 	if len(r) != ix.n {
 		return nil, fmt.Errorf("core: Solve rhs has %d entries, index has %d nodes", len(r), ix.n)
@@ -703,31 +698,21 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 }
 
 // ProximityVector computes the full exact proximity vector for q through
-// the factors (Equation (3)): p = c U^{-1} L^{-1} e_q. Results are in
-// original node-id order. The solve runs through a pooled single-lane
-// sparse solver, so only the returned vector is allocated and only the
-// factor entries the query's support reaches are traversed.
+// the factors (Equation (3)): p = c U^{-1} L^{-1} e_q, that is c times
+// Solve(e_q). Results are in original node-id order.
 func (ix *Index) ProximityVector(q int) ([]float64, error) {
 	if q < 0 || q >= ix.n {
 		return nil, fmt.Errorf("core: query node %d outside [0,%d)", q, ix.n)
 	}
-	s := ix.getSparseSolver()
-	y, sup, err := s.SolveSparse([]int{q}, []float64{1})
+	e := make([]float64, ix.n)
+	e[q] = 1
+	out, err := ix.Solve(e)
 	if err != nil {
-		ix.putSparseSolver(s)
 		return nil, err
 	}
-	out := make([]float64, ix.n)
-	if sup == nil {
-		for u, v := range y {
-			out[u] = ix.c * v
-		}
-	} else {
-		for _, u := range sup {
-			out[u] = ix.c * y[u]
-		}
+	for u, v := range out {
+		out[u] = ix.c * v
 	}
-	ix.putSparseSolver(s)
 	return out, nil
 }
 

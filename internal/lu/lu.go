@@ -17,13 +17,16 @@
 // bitset of touched rows yields the rows in elimination order (see
 // frontier), at the cost of the arithmetic plus a word scan.
 //
+// The query-time primitive is the split solve (splitsolve.go): an
+// L^{-1} pass of a sparse right-hand side into a Workspace, then one
+// U^{-1} row dot per row the caller reads. L^{-1} by column and U^{-1}
+// by row are the only two factor forms stored; nothing derives a third.
+//
 // Factor arrays are read-only once built. Every solver in this package
-// (Inverse.Solve, SparseSolver) writes exclusively into its own
-// recycled workspaces — a contract with teeth: a loaded index's factor
-// arrays alias sealed PROT_READ memory (internal/mmapio), where a write
-// is a segfault, not a bug report. Derived structures built after
-// load (the lazily transposed U^{-1} of Inverse.UinvByColumn) live in
-// fresh private memory and are immutable once published.
+// (Inverse.Solve, Inverse.SolveLower) writes only into workspaces,
+// never into a factor array — a contract with teeth: a loaded index's factor arrays
+// alias sealed PROT_READ memory (internal/mmapio), where a write is a
+// segfault, not a bug report.
 package lu
 
 import (
@@ -364,24 +367,6 @@ type Inverse struct {
 	//kdash:readonly
 	Uinv *sparse.CSR
 
-	// Remap, if non-nil, is a permutation of [0, N) naming the caller's
-	// id for each internal row: every U^{-1} apply writes row r's value
-	// at Remap[r], so solutions land directly in the caller's id domain
-	// and no per-support output mapping pass is needed. The transposed
-	// factor carries it baked into its row indices (see UinvByColumn).
-	Remap []int
-
-	// uinvCol is U^{-1} transposed to column form with Remap baked in,
-	// built lazily for the support-driven applies (SparseSolver reaches
-	// it through UinvByColumn). Immutable once built; never serialised.
-	// uinvColSize holds just the per-column entry counts, built even more
-	// lazily-cheaply so the scatter-vs-sweep decision never forces the
-	// full transpose.
-	uinvColOnce     sync.Once
-	uinvCol         *sparse.CSC
-	uinvColSizeOnce sync.Once
-	uinvColSize     []int
-
 	// Reused counts the columns of L^{-1} and U^{-1} together that
 	// Invert copied from Options.Prev; the other 2N - Reused were
 	// solved.
@@ -393,10 +378,10 @@ type Inverse struct {
 func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.Uinv.NNZ() }
 
 // Solve computes U^{-1} L^{-1} r for one dense right-hand side: the
-// plain reference form of the apply, ignoring Remap. The query path
-// runs SparseSolver, a support-tracked variant that is property-tested
-// against this kernel so the two cannot silently diverge. Zero entries
-// of r cost nothing in the L^{-1} pass.
+// plain reference form of the solve. The query path runs the split
+// solve (SolveLower, then UpperRowDot per row read), which is
+// property-tested against this kernel so the two cannot silently
+// diverge. Zero entries of r cost nothing in the L^{-1} pass.
 func (inv *Inverse) Solve(r []float64) []float64 {
 	if len(r) != inv.N {
 		panic("lu: Solve dimension mismatch")

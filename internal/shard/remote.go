@@ -56,23 +56,17 @@ func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 // ghost sink row when the shard has outgoing cut weight.
 func (sx *ShardedIndex) PartLen(si int) int { return sx.partLen(si) }
 
-// rowSolver is the worker surface's pooled per-shard scratch: a
-// single-lane solver and one L^{-1} workspace, clean between calls.
-type rowSolver struct {
-	solver *core.SparseSolver
-	w      *lu.Workspace
-}
-
-// getRowSolver checks shard si's scratch (whose index is ix) out of the
-// worker-surface pool, creating one on first use.
+// getWorkspace checks an L^{-1} workspace for shard si (whose index is
+// ix) out of the worker surface's per-shard pool, creating one on first
+// use. Pooled workspaces are clean between calls.
 //
 //kdash:pooled
-func (sx *ShardedIndex) getRowSolver(si int, ix *core.Index) *rowSolver {
-	sx.rpoolOnce.Do(func() { sx.rpool = make([]sync.Pool, len(sx.parts)) })
-	if rs, ok := sx.rpool[si].Get().(*rowSolver); ok {
-		return rs
+func (sx *ShardedIndex) getWorkspace(si int, ix *core.Index) *lu.Workspace {
+	sx.wpoolOnce.Do(func() { sx.wpool = make([]sync.Pool, len(sx.parts)) })
+	if w, ok := sx.wpool[si].Get().(*lu.Workspace); ok {
+		return w
 	}
-	return &rowSolver{solver: ix.NewSparseSolver(), w: ix.NewWorkspace()}
+	return ix.NewWorkspace()
 }
 
 // SolveShardRows is the worker side of RemoteSolver.SolveRows: for each
@@ -108,11 +102,11 @@ func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []
 		return err
 	}
 	cutUpper := p.cutRowsUpper(ix)
-	rs := sx.getRowSolver(si, ix)
-	defer sx.rpool[si].Put(rs)
+	w := sx.getWorkspace(si, ix)
+	defer sx.wpool[si].Put(w)
 	for r := 0; r+1 < len(ptr); r++ {
 		lo, hi := ptr[r], ptr[r+1]
-		err := rs.solver.SolveLower(idx[lo:hi], val[lo:hi], rs.w) // validates range and ascending order before writing
+		err := ix.SolveLower(idx[lo:hi], val[lo:hi], w) // validates range and ascending order before writing
 		if err == nil {
 			// The push asks for its rows ascending: walk the cut rows
 			// alongside and dot those from the packed copy. Any other
@@ -125,13 +119,13 @@ func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []
 					k++
 				}
 				if k < len(p.cutRows) && p.cutRows[k] == lv {
-					dst[i] = cutUpper.Dot(k, rs.w.W)
+					dst[i] = cutUpper.Dot(k, w.W)
 				} else {
-					dst[i] = ix.UpperDot(lv, rs.w)
+					dst[i] = ix.UpperDot(lv, w)
 				}
 			}
 		}
-		rs.w.Reset()
+		w.Reset()
 		if err != nil {
 			return err
 		}

@@ -276,7 +276,7 @@ func TestRemoteRankFallbackBitIdentical(t *testing.T) {
 
 // TestSolveShardRowsRejectsBadInput: the worker surface answers hostile
 // shard ids, rows and right-hand sides with errors instead of faulting,
-// and a valid call reproduces the in-process row dots bit for bit.
+// and a valid call reproduces the dense in-process solve bit for bit.
 func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 	g := testutil.Clustered(60, 3, 5)
 	sx, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 1})
@@ -319,15 +319,18 @@ func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := ix.NewSparseSolver()
 	for r := 0; r < 2; r++ {
-		w := ix.NewWorkspace()
-		if err := solver.SolveLower(idx[ptr[r]:ptr[r+1]], val[ptr[r]:ptr[r+1]], w); err != nil {
+		dense := make([]float64, n)
+		for k := ptr[r]; k < ptr[r+1]; k++ {
+			dense[idx[k]] = val[k]
+		}
+		want, err := ix.Solve(dense)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i, lv := range rows {
-			if want := ix.UpperDot(lv, w); out[r*len(rows)+i] != want {
-				t.Fatalf("rhs %d row %d: %v != %v", r, lv, out[r*len(rows)+i], want)
+			if got := out[r*len(rows)+i]; got != want[lv] {
+				t.Fatalf("rhs %d row %d: %v != %v", r, lv, got, want[lv])
 			}
 		}
 	}
@@ -335,7 +338,7 @@ func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 
 // TestRemoteSeamConcurrentQueries runs remote queries from several
 // goroutines at once — the coordinator's pooled states and the worker
-// surface's pooled solvers are shared — and checks each answer against
+// surface's pooled workspaces are shared — and checks each answer against
 // the in-process one.
 func TestRemoteSeamConcurrentQueries(t *testing.T) {
 	g := gen.CommunityOverlay(400, 4, 8, 0.8, 9)

@@ -290,11 +290,10 @@ type ShardedIndex struct {
 	revAdj  [][]int
 
 	// pushPool recycles complete single-query states (residual vectors,
-	// touched-entry lists, per-shard solvers and L^{-1} workspaces, the
-	// rank's BFS scratch) across queries; every request checks a private
-	// instance out, so the pool is the concurrent-safe source of
-	// per-query scratch and the steady-state query path allocates only
-	// its result set.
+	// touched-entry lists, per-shard L^{-1} workspaces, the rank's BFS
+	// scratch) across queries; every request checks a private instance
+	// out, so the pool is the concurrent-safe source of per-query scratch
+	// and the steady-state query path allocates only its result set.
 	pushPool sync.Pool
 
 	// pairW memoizes the single-pair push's per-target-shard influence
@@ -311,11 +310,11 @@ type ShardedIndex struct {
 	// through a RemoteSolver; it is not carried across Apply — the
 	// coordinator rebinds a per-epoch solver on each successor. The
 	// pools back the worker-side SolveShardRows RPC surface with
-	// reusable per-part solvers and workspaces.
+	// reusable per-part L^{-1} workspaces.
 	factorless bool
 	remote     RemoteSolver
-	rpoolOnce  sync.Once
-	rpool      []sync.Pool
+	wpoolOnce  sync.Once
+	wpool      []sync.Pool
 
 	// solveCounts tracks cumulative factor solves per shard — the
 	// traffic-weighted counterpart of shardsOpened, exposed through

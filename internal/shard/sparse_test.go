@@ -12,15 +12,18 @@ import (
 	"sync"
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/rwr"
 	"kdash/internal/topk"
 )
 
-// TestShardSparseSolveMatchesDense pins the single-lane sparse solver
-// bit-identical to core.Index.Solve on every shard of sharded indexes
-// across shard counts — including 1-shard (no ghost sink) and shards
-// with sinks — over restart-style and residual-style right-hand sides.
+// TestShardSparseSolveMatchesDense pins the split solve — SolveLower
+// then one UpperDot per row — bit-identical to core.Index.Solve on every
+// row of every shard of sharded indexes across shard counts, including
+// 1-shard (no ghost sink) and shards with sinks, over restart-style and
+// residual-style right-hand sides. One workspace per shard runs every
+// trial.
 func TestShardSparseSolveMatchesDense(t *testing.T) {
 	g := gen.PlantedPartition(240, 4, 0.2, 0.03, 3)
 	for _, shards := range []int{1, 3, 6} {
@@ -28,7 +31,7 @@ func TestShardSparseSolveMatchesDense(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(shards)))
 		for si, p := range sx.parts {
 			n := sx.partLen(si)
-			s := p.ix.NewSparseSolver()
+			w := p.ix.NewWorkspace()
 			for trial := 0; trial < 4; trial++ {
 				r := make([]float64, n)
 				if trial%2 == 0 {
@@ -46,33 +49,19 @@ func TestShardSparseSolveMatchesDense(t *testing.T) {
 						val = append(val, v)
 					}
 				}
-				got, sup, err := s.SolveSparse(idx, val)
-				if err != nil {
+				if err := p.ix.SolveLower(idx, val, w); err != nil {
 					t.Fatal(err)
 				}
 				want, err := p.ix.Solve(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				onSup := make([]bool, n)
-				if sup == nil {
-					for i := range onSup {
-						onSup[i] = true
-					}
-				} else {
-					for _, i := range sup {
-						onSup[i] = true
-					}
-				}
 				for i := 0; i < n; i++ {
-					if onSup[i] {
-						if got[i] != want[i] {
-							t.Fatalf("shards=%d si=%d trial=%d row %d: sparse %v != dense %v", shards, si, trial, i, got[i], want[i])
-						}
-					} else if want[i] != 0 {
-						t.Fatalf("shards=%d si=%d trial=%d row %d outside support, dense %v", shards, si, trial, i, want[i])
+					if got := p.ix.UpperDot(i, w); got != want[i] {
+						t.Fatalf("shards=%d si=%d trial=%d row %d: split %v != dense %v", shards, si, trial, i, got, want[i])
 					}
 				}
+				w.Reset()
 			}
 		}
 	}
@@ -183,8 +172,8 @@ func TestTopKSteadyStateAllocs(t *testing.T) {
 	}
 	g := gen.PlantedPartition(400, 4, 0.2, 0.02, 5)
 	sx := buildSharded(t, g, 4, rwr.DefaultRestart)
-	// Warm the pool and every lazily built structure (transposed factors,
-	// per-shard vectors, solver workspaces).
+	// Warm the pool and every lazily built structure (packed cut rows,
+	// per-shard vectors, L^{-1} workspaces).
 	for q := 0; q < 8; q++ {
 		if _, _, err := sx.TopK(q, 10); err != nil {
 			t.Fatal(err)
@@ -201,5 +190,69 @@ func TestTopKSteadyStateAllocs(t *testing.T) {
 	// results); the slack absorbs a pool refill if GC strikes mid-run.
 	if avg > 8 {
 		t.Errorf("steady-state TopK allocates %.2f objects/query, want O(k) result set only (<= 8)", avg)
+	}
+}
+
+// upperInverseEntries counts ix's U^{-1} entries through the split
+// solve: the L^{-1} pass of e_j appends exactly column j's stored rows
+// to the workspace support, so the columns sum to nnz(L^{-1}), and the
+// rest of NNZInverse is U^{-1}'s.
+func upperInverseEntries(t *testing.T, ix *core.Index) int {
+	t.Helper()
+	w := ix.NewWorkspace()
+	lower := 0
+	for j := 0; j < ix.N(); j++ {
+		if err := ix.SolveLower([]int{j}, []float64{1}, w); err != nil {
+			t.Fatal(err)
+		}
+		lower += len(w.Sup)
+		w.Reset()
+	}
+	return ix.Stats().NNZInverse - lower
+}
+
+// TestProximityVectorKeepsNoFactorCopy pins that a full proximity
+// vector reads the stored factors in place: after TopK has warmed the
+// pooled state, one ProximityVector allocates fewer bytes than 16 per
+// U^{-1} entry of the shards its push solves — less than one copy of
+// those factors' indices and values — on a graph whose U^{-1} holds far
+// more entries than it has nodes.
+func TestProximityVectorKeepsNoFactorCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; bytes are asserted in the regular build")
+	}
+	g := gen.PlantedPartition(1200, 4, 0.05, 0.002, 7)
+	sx := buildSharded(t, g, 4, rwr.DefaultRestart)
+	const q = 5
+	for u := 0; u < 8; u++ {
+		if _, _, err := sx.TopK((q+u)%sx.N(), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sx.getPushState()
+	st.seed(q, sx.c)
+	if _, err := st.run(nil); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for si, p := range sx.parts {
+		if st.solves[si].recorded() {
+			entries += upperInverseEntries(t, p.ix)
+		}
+	}
+	sx.putPushState(st)
+	if entries < 10*sx.N() {
+		t.Fatalf("solved shards hold %d U^-1 entries for %d nodes, want a graph with far more", entries, sx.N())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sx.ProximityVector(q); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ProximityVector(%d) allocated %d bytes; solved shards hold %d U^-1 entries (%d nodes)", q, got, entries, sx.N())
+	if got >= uint64(16*entries) {
+		t.Errorf("ProximityVector allocated %d bytes, want < %d: 16 per U^-1 entry of the solved shards", got, 16*entries)
 	}
 }

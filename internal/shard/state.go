@@ -5,20 +5,20 @@ package shard
 // tolerance, and the rank (Algorithm 4 over the graph snapshot) reads
 // proximities out of what the push recorded. The state keeps every
 // vector a query needs — residuals, their touched-entry lists, each
-// solve's L^{-1} workspace, one single-lane solver per shard and the
-// rank's BFS scratch — alive across queries in a sync.Pool on the
-// ShardedIndex. Queries check a private instance out (concurrent-safe:
-// the pool hands each request its own state), run, and return it after
-// spot-cleaning exactly the entries they touched, so the steady-state
-// query path allocates only its O(k) result set.
+// solve's L^{-1} workspace and the rank's BFS scratch — alive across
+// queries in a sync.Pool on the ShardedIndex. Queries check a private
+// instance out (concurrent-safe: the pool hands each request its own
+// state), run, and return it after spot-cleaning exactly the entries
+// they touched, so the steady-state query path allocates only its O(k)
+// result set.
 //
 // The push never applies a whole U^{-1}: a solve runs the L^{-1} pass,
 // keeps the workspace, and evaluates only the solved shard's cut-owning
 // rows (one U^{-1} row dot each), because the cut scatter is all the
 // push itself reads. Any other row of the accumulated solution costs
 // one row dot per solve of its shard, computed when the rank visits the
-// node — the paper's proximity computation. Only the full-vector reads
-// (materialize) complete the recorded solves with whole U^{-1} applies.
+// node — the paper's proximity computation. The full-vector reads
+// (materialize) are the same row dots, taken at every owned row.
 //
 // Under a RemoteSolver the workspaces live on the workers, so the state
 // records each solve's right-hand side instead, and the values the rank
@@ -54,7 +54,6 @@ import (
 // fetched so far — the push's rows, ascending, then the rank's.
 type shardSolves struct {
 	ix     *core.Index // nil until this state first solves the shard locally
-	solver *core.SparseSolver
 	lower  []*lu.Workspace
 	nlower int
 
@@ -362,18 +361,18 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 //kdash:deterministic
 func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []float64) error {
 	p := st.sx.parts[best]
-	if ss.solver == nil {
+	if ss.ix == nil {
 		ix, err := p.index()
 		if err != nil {
 			return err
 		}
-		ss.ix, ss.solver = ix, ix.NewSparseSolver() //kdash:allow(hotalloc) first touch of a shard creates its solver once per pooled state
+		ss.ix = ix
 	}
 	if ss.nlower == len(ss.lower) {
 		ss.lower = append(ss.lower, ss.ix.NewWorkspace()) //kdash:allow(hotalloc) a shard's first solve at this depth sizes its workspace once per pooled state
 	}
 	w := ss.lower[ss.nlower]
-	if err := ss.solver.SolveLower(idx, val, w); err != nil {
+	if err := ss.ix.SolveLower(idx, val, w); err != nil {
 		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
 	}
 	ss.nlower++
@@ -618,11 +617,11 @@ func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) ([]topk.R
 
 // materialize returns the accumulated solution as caller-owned
 // per-shard vectors over owned rows (nil for unsolved shards), for the
-// full-vector reads (ProximityVector, the test-only push wrappers): each
-// recorded solve completed by a whole U^{-1} apply — or, for a remotely
-// solved shard, one call fetching every owned row of every recorded
-// solve — summed in solve order with zeros skipped: bit for bit what
-// value computes row by row.
+// full-vector reads (ProximityVector, the test-only push wrappers). In
+// process every owned row is read through value, the rank's own row
+// dots; a remotely solved shard fetches every owned row of every
+// recorded solve in one call and sums them in solve order with zeros
+// skipped — bit for bit what value computes.
 func (st *pushState) materialize() ([][]float64, error) {
 	out := make([][]float64, len(st.sx.parts))
 	for si, p := range st.sx.parts {
@@ -630,7 +629,7 @@ func (st *pushState) materialize() ([][]float64, error) {
 		if !ss.recorded() {
 			continue
 		}
-		x := make([]float64, len(p.nodes))
+		x := make([]float64, len(p.nodes)) // the ghost sink's row is never read
 		if ss.nremote > 0 {
 			rows := make([]int, len(x))
 			for lv := range rows {
@@ -647,23 +646,9 @@ func (st *pushState) materialize() ([][]float64, error) {
 					}
 				}
 			}
-			out[si] = x
-			continue
-		}
-		for _, w := range ss.lower[:ss.nlower] {
-			y, sup := ss.solver.ApplyUpper(w)
-			if sup == nil { // a dense solve: every row
-				for lv := range x {
-					if y[lv] != 0 {
-						x[lv] += y[lv]
-					}
-				}
-				continue
-			}
-			for _, lv := range sup {
-				if lv < len(x) && y[lv] != 0 { // the ghost sink's row is never ranked
-					x[lv] += y[lv]
-				}
+		} else {
+			for lv := range x {
+				x[lv] = ss.value(lv)
 			}
 		}
 		out[si] = x
