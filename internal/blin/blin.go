@@ -194,7 +194,7 @@ func NewBLin(g *graph.Graph, opt Options) (*BLin, error) {
 	a2 := sparse.NewCOO(n, n)
 	for col := 0; col < n; col++ {
 		for i := a.ColPtr[col]; i < a.ColPtr[col+1]; i++ {
-			r := a.RowIdx[i]
+			r := int(a.RowIdx[i])
 			if blockOf[r] == blockOf[col] {
 				a1.Add(r, col, a.Val[i])
 			} else {
@@ -219,7 +219,7 @@ func NewBLin(g *graph.Graph, opt Options) (*BLin, error) {
 		for li, u := range nodes {
 			// Column u of A1 restricted to the block.
 			for t := a1c.ColPtr[u]; t < a1c.ColPtr[u+1]; t++ {
-				r := a1c.RowIdx[t]
+				r := int(a1c.RowIdx[t])
 				m.Set(idxOf[r], li, m.At(idxOf[r], li)-(1-c)*a1c.Val[t])
 			}
 		}

@@ -168,7 +168,7 @@ func (ix *Index) TopK(q, k int) ([]topk.Result, Stats, error) {
 		est[v] += ix.c * r
 		spread := (1 - ix.c) * r
 		for i := ix.a.ColPtr[v]; i < ix.a.ColPtr[v+1]; i++ {
-			u := ix.a.RowIdx[i]
+			u := int(ix.a.RowIdx[i])
 			add := spread * ix.a.Val[i]
 			res[u] += add
 			total += add

@@ -3,7 +3,8 @@
 //
 // An Index holds the precomputed state of Section 4.2 — the node
 // reordering, the sparse inverse triangular factors L^{-1} (by column) and
-// U^{-1} (by row) of W = I - (1-c)A, and the Amax tables — and serves
+// U^{-1} (by row) of W = I - (1-c)A, and the Amax tables (derived from A
+// on first use) — and serves
 // queries with the Section 4.3/4.4 search: a breadth-first tree from the
 // query node, O(1) incremental upper-bound estimation (Definitions 1–2),
 // and safe early termination (Lemmas 1–2, Theorem 2).
@@ -84,9 +85,7 @@ type Index struct {
 	// alias sealed PROT_READ memory, where a write is a segfault.
 	//
 	//kdash:readonly
-	perm []int // original -> internal
-	//kdash:readonly
-	inv []int // internal -> original
+	perm []int32 // original -> internal
 
 	//kdash:readonly
 	a *sparse.CSC // reordered column-normalised adjacency
@@ -95,11 +94,11 @@ type Index struct {
 	//kdash:readonly
 	uinv *sparse.CSR // U^{-1}, by row
 
-	amax float64 // max element of A
-	//kdash:readonly
-	amaxCol []float64 // Amax(u): max element of column u of A
-	//kdash:readonly
-	selfA []float64 // A_uu, for the c' factor of Definition 1
+	// derived holds what a and perm fix and Save does not store, built
+	// on the first monolithic search. The sharded engine ranks over its
+	// graph snapshot and never builds it.
+	derivedOnce sync.Once
+	derived     *derivedTables
 
 	// invFac lazily binds the inverse factors as an lu.Inverse for the
 	// split solve (SolveLower, UpperDot). It holds the two stored forms
@@ -138,6 +137,26 @@ type Index struct {
 	// last use of the Index precedes a read through such an object keep
 	// it alive with runtime.KeepAlive.
 	backing *mmapio.File
+}
+
+// derivedTables are an index's tables derived from its adjacency and
+// permutation, with the build's own functions, so a loaded index derives
+// them bit for bit as its build did.
+type derivedTables struct {
+	inv    []int  // internal -> original
+	bounds Bounds // Definition 2's tables, over internal ids
+}
+
+// tables returns the derived tables, built once.
+func (ix *Index) tables() *derivedTables {
+	ix.derivedOnce.Do(func() {
+		perm := make([]int, len(ix.perm))
+		for i, p := range ix.perm {
+			perm[i] = int(p)
+		}
+		ix.derived = &derivedTables{inv: reorder.Invert(perm), bounds: adjacencyBounds(ix.a, ix.c)}
+	})
+	return ix.derived
 }
 
 // inverseFactors returns the index's factors as an lu.Inverse, built
@@ -213,17 +232,13 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		c:        c,
 		srcGraph: g,
 		opts:     opt,
-		perm:     perm,
-		inv:      reorder.Invert(perm),
+		perm:     make([]int32, n),
 		a:        a,
 		linv:     inverse.Linv,
 		uinv:     inverse.Uinv,
-		amax:     a.Max(),
-		amaxCol:  a.ColMax(),
-		selfA:    make([]float64, n),
 	}
-	for u := 0; u < n; u++ {
-		ix.selfA[u] = a.At(u, u)
+	for u, p := range perm {
+		ix.perm[u] = int32(p)
 	}
 	ix.stats = BuildStats{
 		Method:        opt.Reorder,
@@ -372,7 +387,7 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 	if opt.Trace != nil {
 		tSolve = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
-	qi := ix.perm[q] // internal id
+	qi := int(ix.perm[q]) // internal id
 
 	// L^{-1} e_q scattered into a dense workspace for O(1) lookups while
 	// walking rows of U^{-1}.
@@ -400,8 +415,9 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 		opt.Trace.SolveNS += tRank.Sub(tSolve).Nanoseconds()
 	}
 	results := heap.Results()
+	inv := ix.tables().inv
 	for i := range results {
-		results[i].Node = ix.inv[results[i].Node]
+		results[i].Node = inv[results[i].Node]
 	}
 	if tr := opt.Trace; tr != nil {
 		tr.RankNS += time.Since(tRank).Nanoseconds() //kdash:allow(determinism) phase timing feeds only the trace block
@@ -485,7 +501,7 @@ func (ix *Index) internalExclusions(exclude map[int]bool) map[int]bool {
 	out := make(map[int]bool, len(exclude))
 	for node, on := range exclude { //kdash:allow(determinism) set-to-set translation: membership only, order never reaches a float
 		if on && node >= 0 && node < ix.n {
-			out[ix.perm[node]] = true
+			out[int(ix.perm[node])] = true
 		}
 	}
 	return out
@@ -534,7 +550,7 @@ func (ix *Index) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, 
 	internal := make([]int, 0, len(seeds))
 	weight := make(map[int]float64, len(seeds))
 	for _, node := range nodes {
-		qi := ix.perm[node]
+		qi := int(ix.perm[node])
 		internal = append(internal, qi)
 		weight[qi] = seeds[node] / total
 	}
@@ -557,8 +573,9 @@ func (ix *Index) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, 
 	}
 	ix.putSearchWS(sw)
 	results := heap.Results()
+	inv := ix.tables().inv
 	for i := range results {
-		results[i].Node = ix.inv[results[i].Node]
+		results[i].Node = inv[results[i].Node]
 	}
 	return results, stats, nil
 }
@@ -576,7 +593,7 @@ func (ix *Index) bfs(root int) (order []int, layer []int) {
 	for head := 0; head < len(order); head++ {
 		v := order[head]
 		for i := ix.a.ColPtr[v]; i < ix.a.ColPtr[v+1]; i++ {
-			u := ix.a.RowIdx[i]
+			u := int(ix.a.RowIdx[i])
 			if layer[u] < 0 {
 				layer[u] = layer[v] + 1
 				order = append(order, u)
@@ -594,25 +611,13 @@ func (ix *Index) proximity(u int, ws []float64) float64 {
 	return ix.c * ix.inverseFactors().UpperRowDot(u, ws)
 }
 
-// bounds returns the index's Definition 2 tables, over internal ids.
-func (ix *Index) bounds() Bounds {
-	return Bounds{c: ix.c, amax: ix.amax, amaxCol: ix.amaxCol, selfA: ix.selfA}
-}
-
-// cPrime is Definition 1's c' for internal node u.
-func (ix *Index) cPrime(u int) float64 {
-	b := ix.bounds()
-	return b.cPrime(u)
-}
-
 // searchTree runs Algorithm 4 (SearchTree) over the reordered adjacency
 // — out-edges of v are the rows of column v of A — scoring nodes with
 // exact proximities against the L^{-1} column(s) pre-scattered in sw.ws.
 // Roots are internal ids, sorted ascending.
 func (ix *Index) searchTree(roots []int, heap *topk.Heap, sw *searchWS, prune bool, excluded map[int]bool, stats *SearchStats) {
-	b := ix.bounds()
 	score := func(u int) float64 { return ix.proximity(u, sw.ws) }
-	SearchTree(sw.tree, &b, ix.a.ColPtr, ix.a.RowIdx, roots, score, heap, excluded, prune, stats)
+	SearchTree(sw.tree, &ix.tables().bounds, ix.a.ColPtr, ix.a.RowIdx, roots, score, heap, excluded, prune, stats)
 }
 
 // searchRandomRoot visits nodes in BFS order from an arbitrary root (then
@@ -635,6 +640,7 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 			order = append(order, u)
 		}
 	}
+	b := &ix.tables().bounds
 	var sumPA float64 // Σ p_v * Amax(v) over selected nodes
 	var sumP float64  // Σ p_v over selected nodes
 	for _, u := range order {
@@ -647,7 +653,7 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 			if rem < 0 {
 				rem = 0
 			}
-			est = ix.cPrime(u) * (sumPA + rem*ix.amax)
+			est = b.cPrime(u) * (sumPA + rem*b.amax)
 		}
 		if !opt.DisablePruning && heap.Len() == heap.K() && est < heap.Threshold() {
 			continue // skip this node only; no global termination
@@ -657,7 +663,7 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 		if !excluded[u] {
 			heap.Push(u, p)
 		}
-		sumPA += p * ix.amaxCol[u]
+		sumPA += p * b.amaxCol[u]
 		sumP += p
 	}
 }
@@ -686,13 +692,14 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 		}
 	}
 	// y = P^T (U^{-1} ws).
+	inv := ix.tables().inv
 	out := make([]float64, ix.n)
 	for u := 0; u < ix.n; u++ {
 		s := 0.0
 		for i := ix.uinv.RowPtr[u]; i < ix.uinv.RowPtr[u+1]; i++ {
 			s += ix.uinv.Val[i] * ws[ix.uinv.ColIdx[i]]
 		}
-		out[ix.inv[u]] = s
+		out[inv[u]] = s
 	}
 	return out, nil
 }
@@ -728,7 +735,7 @@ func (ix *Index) Proximity(q, u int) (float64, error) {
 	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
 		sw.ws[ix.linv.RowIdx[i]] = ix.linv.Val[i]
 	}
-	p := ix.proximity(ix.perm[u], sw.ws)
+	p := ix.proximity(int(ix.perm[u]), sw.ws)
 	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
 		sw.ws[ix.linv.RowIdx[i]] = 0
 	}

@@ -144,29 +144,31 @@ func TestLemma1EstimateUpperBoundsProximity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Internal-space replay of the visit order.
-	qi := ix.perm[q]
+	qi := int(ix.perm[q])
 	order, layer := ix.bfs(qi)
+	tab := ix.tables()
+	b := &tab.bounds
 	var sel []int // selected internal nodes in visit order
 	for _, u := range order {
 		if u != qi {
 			// Definition 1 computed directly.
 			var sum1, sum2, sumSel float64
 			for _, v := range sel {
-				pOld := pv[ix.inv[v]]
+				pOld := pv[tab.inv[v]]
 				sumSel += pOld
 				switch layer[v] {
 				case layer[u] - 1:
-					sum1 += pOld * ix.amaxCol[v]
+					sum1 += pOld * b.amaxCol[v]
 				case layer[u]:
-					sum2 += pOld * ix.amaxCol[v]
+					sum2 += pOld * b.amaxCol[v]
 				}
 			}
 			rem := 1 - sumSel
 			if rem < 0 {
 				rem = 0
 			}
-			est := ix.cPrime(u) * (sum1 + sum2 + rem*ix.amax)
-			if pu := pv[ix.inv[u]]; est < pu-1e-9 {
+			est := b.cPrime(u) * (sum1 + sum2 + rem*b.amax)
+			if pu := pv[tab.inv[u]]; est < pu-1e-9 {
 				t.Fatalf("Lemma 1 violated at internal node %d: estimate %v < proximity %v", u, est, pu)
 			}
 		}

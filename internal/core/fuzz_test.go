@@ -8,26 +8,32 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
 )
 
+// fuzzNodes is the node count of fuzzIndexBytes's index.
+const fuzzNodes = 24
+
 // fuzzIndexBytes is a small valid saved index: the seeds the mutator
 // starts from are the valid bytes plus truncations and targeted
 // corruptions.
-func fuzzIndexBytes(f *testing.F) []byte {
-	f.Helper()
-	g := gen.ErdosRenyi(24, 90, 7)
+func fuzzIndexBytes(tb testing.TB) []byte {
+	tb.Helper()
+	g := gen.ErdosRenyi(fuzzNodes, 90, 7)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 7})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -58,21 +64,64 @@ func FuzzLoadIndex(f *testing.F) {
 // is an error, no panic and no unbounded commit.
 // Run with `go test -fuzz=FuzzLoadIndexV3 ./internal/core`.
 func FuzzLoadIndexV3(f *testing.F) {
-	valid := fuzzIndexBytes(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncated mid-section
-	f.Add(valid[:40])           // header + part of the table
-	f.Add(valid[:8])            // magic only
+	for _, s := range fuzzSeedsV3(f) {
+		f.Add(s.data)
+	}
+	f.Fuzz(fuzzLoadOne)
+}
+
+// fuzzSeed is one named seed input of FuzzLoadIndexV3.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
+
+// fuzzSeedsV3 is FuzzLoadIndexV3's seeds, each named as its committed
+// corpus entry under testdata/fuzz/FuzzLoadIndexV3.
+func fuzzSeedsV3(tb testing.TB) []fuzzSeed {
+	valid := fuzzIndexBytes(tb)
 	// Flip one byte inside the first data section (checksum mismatch).
 	flip := append([]byte{}, valid...)
 	flip[4096] ^= 0xff
-	f.Add(flip)
 	// Flip a table byte (table checksum mismatch).
 	flipTable := append([]byte{}, valid...)
 	flipTable[32] ^= 0xff
-	f.Add(flipTable)
+	// An id section holding a negative id, and one holding the id n,
+	// resealed so each reaches the range check.
+	negID := append([]byte{}, valid...)
+	patchSection(tb, negID, secLinvRowIdx, func(sec []byte) { binary.LittleEndian.PutUint32(sec, math.MaxUint32) })
+	idN := append([]byte{}, valid...)
+	patchSection(tb, idN, secUinvColIdx, func(sec []byte) { binary.LittleEndian.PutUint32(sec, fuzzNodes) })
+	return []fuzzSeed{
+		{"valid", valid},
+		{"truncated-mid-section", valid[:len(valid)/2]},
+		{"header-and-table", valid[:40]},
+		{"magic-only", valid[:8]},
+		{"data-checksum-flip", flip},
+		{"table-checksum-flip", flipTable},
+		{"negative-id", negID},
+		{"id-at-n", idN},
+	}
+}
 
-	f.Fuzz(fuzzLoadOne)
+// TestFuzzCorpusIsCurrent pins the committed FuzzLoadIndexV3 corpus to
+// the seeds of the current format, so a format change that leaves the
+// corpus in the old layout — where "valid" no longer reaches section
+// or range validation — fails here until the corpus is regenerated.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	for _, s := range fuzzSeedsV3(t) {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadIndexV3", s.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+		if string(raw) != want {
+			t.Errorf("corpus entry %s is not the current seed; regenerate it from fuzzSeedsV3", s.name)
+		}
+	}
+	if _, err := LoadIndex(bytes.NewReader(fuzzIndexBytes(t))); err != nil {
+		t.Fatalf("the valid seed does not load: %v", err)
+	}
 }
 
 // fuzzLoadOne is the shared oracle of both loader fuzz targets.

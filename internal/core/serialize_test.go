@@ -84,7 +84,7 @@ func savedBytes(t *testing.T, ix *Index) []byte {
 // patchSection rewrites section id of a saved container in place and
 // reseals the section and table checksums, so the corruption reaches the
 // index-level validation instead of failing mmapio's integrity checks.
-func patchSection(t *testing.T, data []byte, id uint32, patch func(sec []byte)) {
+func patchSection(t testing.TB, data []byte, id uint32, patch func(sec []byte)) {
 	t.Helper()
 	le := binary.LittleEndian
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
@@ -95,8 +95,11 @@ func patchSection(t *testing.T, data []byte, id uint32, patch func(sec []byte)) 
 			continue
 		}
 		width := uint64(8)
-		if le.Uint32(e[4:]) == mmapio.KindBytes {
+		switch le.Uint32(e[4:]) {
+		case mmapio.KindBytes:
 			width = 1
+		case mmapio.KindInt32:
+			width = 4
 		}
 		off := le.Uint64(e[8:])
 		sec := data[off : off+le.Uint64(e[16:])*width]
@@ -129,7 +132,7 @@ func TestLoadRejectsCorruptPermutation(t *testing.T) {
 	}
 	data := savedBytes(t, ix)
 	// Duplicate the second perm entry over the first.
-	patchSection(t, data, secPerm, func(sec []byte) { copy(sec[:8], sec[8:16]) })
+	patchSection(t, data, secPerm, func(sec []byte) { copy(sec[:4], sec[4:8]) })
 	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a permutation") {
 		t.Errorf("expected corrupt-permutation error, got %v", err)
 	}

@@ -15,10 +15,15 @@ package core
 // TestLoadedFactorsFaultOnWrite shows a write faulting.
 //
 // Version note: the sectioned layout is "v3" to match the sharded
-// manifest version that introduced it. It is the only generation either
-// loader reads: the v1 value-by-value stream and the v3 files that also
-// carried int32 factor strips (sections 15-22, mmapio kind 4) are
-// refused with ErrUnsupportedFormat.
+// manifest version that introduced it; its meta tag names the
+// generation within it. The current one, "KDIXV4", stores every row and
+// column id (the permutation, the adjacency's rows, L^{-1}'s rows and
+// U^{-1}'s columns) as int32 and stores nothing that the adjacency and
+// the permutation fix: the inverse permutation and Definition 2's tables
+// are derived on first use. It is the only generation either loader
+// reads: the v1 value-by-value stream, the v3 files that also carried
+// int32 factor strips (sections 15-22, mmapio kind 4) and the "KDIXV3"
+// files whose ids were int64 are all refused with ErrUnsupportedFormat.
 
 import (
 	"bufio"
@@ -41,40 +46,38 @@ import (
 // directories keep their graph snapshot, so the remedy is a rebuild.
 var ErrUnsupportedFormat = errors.New("not a current K-dash index file; rebuild with `kdash -save-index`")
 
-// Section ids of the v3 index container.
+// Section ids of the v3 index container. Ids 3, 13 and 14 are unused:
+// the tables they would hold are derived (derivedTables).
 const (
-	secMeta       = 1  // bytes: fixed 72-byte header, see metaBytes
-	secPerm       = 2  // int64[n]: original -> internal node id
-	secInvPerm    = 3  // int64[n]: internal -> original node id
+	secMeta       = 1  // bytes: fixed 64-byte header, see metaBytes
+	secPerm       = 2  // int32[n]: original -> internal node id
 	secAColPtr    = 4  // int64[n+1]: adjacency CSC column pointers
-	secARowIdx    = 5  // int64[nnzA]: adjacency CSC row indices
+	secARowIdx    = 5  // int32[nnzA]: adjacency CSC row indices
 	secAVal       = 6  // float64[nnzA]: adjacency CSC values
 	secLinvColPtr = 7  // int64[n+1]: L^-1 CSC column pointers
-	secLinvRowIdx = 8  // int64[nnzL]
+	secLinvRowIdx = 8  // int32[nnzL]
 	secLinvVal    = 9  // float64[nnzL]
 	secUinvRowPtr = 10 // int64[n+1]: U^-1 CSR row pointers
-	secUinvColIdx = 11 // int64[nnzU]
+	secUinvColIdx = 11 // int32[nnzU]
 	secUinvVal    = 12 // float64[nnzU]
-	secAmaxCol    = 13 // float64[n]: per-column max of A
-	secSelfA      = 14 // float64[n]: diagonal of A
 )
 
-// metaTag opens the meta section so a v3 container holding something
-// other than a core index is rejected before any array is interpreted.
-const metaTag = "KDIXV3\x00\x00"
+// metaTag opens the meta section and names the generation, so a
+// container holding something other than a current core index is
+// refused before any array is interpreted.
+const metaTag = "KDIXV4\x00\x00"
 
 // metaSize is the fixed byte length of the meta section:
 //
-//	0   8  tag "KDIXV3\x00\x00"
+//	0   8  tag "KDIXV4\x00\x00"
 //	8   8  uint64 n
 //	16  8  float64 bits of the restart probability c
-//	24  8  float64 bits of amax
-//	32  8  uint64 reorder method
-//	40  8  uint64 stats.NNZFactors
-//	48  8  uint64 stats.NNZInverse
-//	56  8  uint64 stats.Edges
-//	64  8  float64 bits of stats.InverseRatio
-const metaSize = 72
+//	24  8  uint64 reorder method
+//	32  8  uint64 stats.NNZFactors
+//	40  8  uint64 stats.NNZInverse
+//	48  8  uint64 stats.Edges
+//	56  8  float64 bits of stats.InverseRatio
+const metaSize = 64
 
 // metaBytes encodes the scalar header.
 func (ix *Index) metaBytes() []byte {
@@ -83,12 +86,11 @@ func (ix *Index) metaBytes() []byte {
 	le := binary.LittleEndian
 	le.PutUint64(b[8:], uint64(ix.n))
 	le.PutUint64(b[16:], math.Float64bits(ix.c))
-	le.PutUint64(b[24:], math.Float64bits(ix.amax))
-	le.PutUint64(b[32:], uint64(ix.stats.Method))
-	le.PutUint64(b[40:], uint64(ix.stats.NNZFactors))
-	le.PutUint64(b[48:], uint64(ix.stats.NNZInverse))
-	le.PutUint64(b[56:], uint64(ix.stats.Edges))
-	le.PutUint64(b[64:], math.Float64bits(ix.stats.InverseRatio))
+	le.PutUint64(b[24:], uint64(ix.stats.Method))
+	le.PutUint64(b[32:], uint64(ix.stats.NNZFactors))
+	le.PutUint64(b[40:], uint64(ix.stats.NNZInverse))
+	le.PutUint64(b[48:], uint64(ix.stats.Edges))
+	le.PutUint64(b[56:], math.Float64bits(ix.stats.InverseRatio))
 	return b
 }
 
@@ -97,19 +99,16 @@ func (ix *Index) metaBytes() []byte {
 func (ix *Index) Save(w io.Writer) error {
 	sw := mmapio.NewWriter()
 	sw.AddBytes(secMeta, ix.metaBytes())
-	sw.AddInts(secPerm, ix.perm)
-	sw.AddInts(secInvPerm, ix.inv)
+	sw.AddInt32s(secPerm, ix.perm)
 	sw.AddInts(secAColPtr, ix.a.ColPtr)
-	sw.AddInts(secARowIdx, ix.a.RowIdx)
+	sw.AddInt32s(secARowIdx, ix.a.RowIdx)
 	sw.AddFloats(secAVal, ix.a.Val)
 	sw.AddInts(secLinvColPtr, ix.linv.ColPtr)
-	sw.AddInts(secLinvRowIdx, ix.linv.RowIdx)
+	sw.AddInt32s(secLinvRowIdx, ix.linv.RowIdx)
 	sw.AddFloats(secLinvVal, ix.linv.Val)
 	sw.AddInts(secUinvRowPtr, ix.uinv.RowPtr)
-	sw.AddInts(secUinvColIdx, ix.uinv.ColIdx)
+	sw.AddInt32s(secUinvColIdx, ix.uinv.ColIdx)
 	sw.AddFloats(secUinvVal, ix.uinv.Val)
-	sw.AddFloats(secAmaxCol, ix.amaxCol)
-	sw.AddFloats(secSelfA, ix.selfA)
 	_, err := sw.WriteTo(w)
 	runtime.KeepAlive(ix) // sw holds slices of the backing
 	if err != nil {
@@ -193,21 +192,31 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
-	if len(meta) != metaSize || string(meta[:8]) != metaTag {
-		return nil, fmt.Errorf("core: not a K-dash v3 index (bad meta section)")
+	if len(meta) < len(metaTag) || string(meta[:len(metaTag)]) != metaTag {
+		// An older generation (or no core index at all): its remedy is
+		// the rebuild.
+		return nil, fmt.Errorf("core: %w (bad meta section)", ErrUnsupportedFormat)
+	}
+	if len(meta) != metaSize {
+		return nil, fmt.Errorf("core: corrupt index (meta section of %d bytes)", len(meta))
 	}
 	le := binary.LittleEndian
+	n := le.Uint64(meta[8:])
 	ix := &Index{
-		n:    int(le.Uint64(meta[8:])),
-		c:    math.Float64frombits(le.Uint64(meta[16:])),
-		amax: math.Float64frombits(le.Uint64(meta[24:])),
+		n: int(n),
+		c: math.Float64frombits(le.Uint64(meta[16:])),
 	}
-	if ix.n <= 0 || ix.n > 1<<40 || ix.c <= 0 || ix.c >= 1 {
-		return nil, fmt.Errorf("core: corrupt index (n=%d c=%v)", ix.n, ix.c)
+	if n == 0 || n > sparse.MaxDim || ix.c <= 0 || ix.c >= 1 {
+		return nil, fmt.Errorf("core: corrupt index (n=%d c=%v)", n, ix.c)
 	}
 	ints := func(id uint32, dst *[]int) {
 		if err == nil {
 			*dst, err = f.Ints(id)
+		}
+	}
+	ids := func(id uint32, dst *[]int32) {
+		if err == nil {
+			*dst, err = f.Int32s(id)
 		}
 	}
 	floats := func(id uint32, dst *[]float64) {
@@ -218,29 +227,26 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	a := &sparse.CSC{Rows: ix.n, Cols: ix.n}
 	linv := &sparse.CSC{Rows: ix.n, Cols: ix.n}
 	uinv := &sparse.CSR{Rows: ix.n, Cols: ix.n}
-	ints(secPerm, &ix.perm)
-	ints(secInvPerm, &ix.inv)
+	ids(secPerm, &ix.perm)
 	ints(secAColPtr, &a.ColPtr)
-	ints(secARowIdx, &a.RowIdx)
+	ids(secARowIdx, &a.RowIdx)
 	floats(secAVal, &a.Val)
 	ints(secLinvColPtr, &linv.ColPtr)
-	ints(secLinvRowIdx, &linv.RowIdx)
+	ids(secLinvRowIdx, &linv.RowIdx)
 	floats(secLinvVal, &linv.Val)
 	ints(secUinvRowPtr, &uinv.RowPtr)
-	ints(secUinvColIdx, &uinv.ColIdx)
+	ids(secUinvColIdx, &uinv.ColIdx)
 	floats(secUinvVal, &uinv.Val)
-	floats(secAmaxCol, &ix.amaxCol)
-	floats(secSelfA, &ix.selfA)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
 	ix.a, ix.linv, ix.uinv = a, linv, uinv
 	ix.stats = BuildStats{
-		Method:       reorder.Method(le.Uint64(meta[32:])),
-		NNZFactors:   int(le.Uint64(meta[40:])),
-		NNZInverse:   int(le.Uint64(meta[48:])),
-		Edges:        int(le.Uint64(meta[56:])),
-		InverseRatio: math.Float64frombits(le.Uint64(meta[64:])),
+		Method:       reorder.Method(le.Uint64(meta[24:])),
+		NNZFactors:   int(le.Uint64(meta[32:])),
+		NNZInverse:   int(le.Uint64(meta[40:])),
+		Edges:        int(le.Uint64(meta[48:])),
+		InverseRatio: math.Float64frombits(le.Uint64(meta[56:])),
 	}
 	if err := ix.validateLoaded(); err != nil {
 		return nil, err
@@ -262,12 +268,13 @@ func closeBacking(f *mmapio.File) { f.Close() }
 // finds their Index unreachable.
 var heapBytes atomic.Int64
 
-// HeapBytes reports the bytes of index arrays currently on the Go heap:
-// every index built in process (BuildIndex, Rebuild, the blocks a
-// sharded Apply rebuilds) or loaded into a Go buffer (LoadIndex, or
-// OpenIndexFile where the platform cannot map memory), counted until
-// the garbage collector finds its Index unreachable. Off-heap containers are
-// mmapio.ReadStats's.
+// HeapBytes reports the bytes of index arrays currently on the Go heap,
+// each at its stored width: every index built in process (BuildIndex,
+// Rebuild, the blocks a sharded Apply rebuilds) or loaded into a Go
+// buffer (LoadIndex, or OpenIndexFile where the platform cannot map
+// memory), counted until the garbage collector finds its Index
+// unreachable. The tables an index derives on first use are not
+// counted. Off-heap containers are mmapio.ReadStats's.
 func HeapBytes() int64 { return heapBytes.Load() }
 
 // trackHeap counts n bytes of ix's arrays as heap-held for ix's lifetime.
@@ -278,13 +285,14 @@ func trackHeap(ix *Index, n int64) {
 
 func untrackHeap(n int64) { heapBytes.Add(-n) }
 
-// arrayBytes is the byte size of the index's arrays (what Save writes,
-// less the container's table and padding).
+// arrayBytes is the byte size of the index's stored arrays, each at its
+// own width: what Save writes, less the meta section and the
+// container's table and padding.
 func (ix *Index) arrayBytes() int64 {
-	ints := len(ix.perm) + len(ix.inv) + len(ix.a.ColPtr) + len(ix.a.RowIdx) +
-		len(ix.linv.ColPtr) + len(ix.linv.RowIdx) + len(ix.uinv.RowPtr) + len(ix.uinv.ColIdx)
-	floats := len(ix.a.Val) + len(ix.linv.Val) + len(ix.uinv.Val) + len(ix.amaxCol) + len(ix.selfA)
-	return 8 * int64(ints+floats)
+	ptrs := len(ix.a.ColPtr) + len(ix.linv.ColPtr) + len(ix.uinv.RowPtr)
+	ids := len(ix.perm) + len(ix.a.RowIdx) + len(ix.linv.RowIdx) + len(ix.uinv.ColIdx)
+	vals := len(ix.a.Val) + len(ix.linv.Val) + len(ix.uinv.Val)
+	return 8*int64(ptrs+vals) + 4*int64(ids)
 }
 
 // Close releases the index's off-heap backing, a sealed copy, now
@@ -303,31 +311,25 @@ func (ix *Index) Close() error {
 
 // validateLoaded checks every array a query reads, so a corrupt file
 // fails loudly at load time instead of panicking mid-query: lengths
-// against n and each other, that perm and inv are inverse permutations,
-// and for each sparse matrix that its pointers run from 0 to the entry
-// count without decreasing and that every index is in range.
+// against n and each other, that perm is a permutation, and for each
+// sparse matrix that its pointers run from 0 to the entry count without
+// decreasing and that every id is in [0, n).
 func (ix *Index) validateLoaded() error {
 	n := ix.n
-	if len(ix.perm) != n || len(ix.inv) != n || len(ix.amaxCol) != n || len(ix.selfA) != n {
-		return fmt.Errorf("core: corrupt index (per-node sections sized %d/%d/%d/%d, want %d)",
-			len(ix.perm), len(ix.inv), len(ix.amaxCol), len(ix.selfA), n)
+	if len(ix.perm) != n {
+		return fmt.Errorf("core: corrupt index (per-node sections sized %d, want %d)", len(ix.perm), n)
 	}
 	seen := make([]bool, n)
 	for _, p := range ix.perm {
-		if p < 0 || p >= n || seen[p] {
+		if p < 0 || int(p) >= n || seen[p] {
 			return fmt.Errorf("core: corrupt index (perm is not a permutation)")
 		}
 		seen[p] = true
 	}
-	for i, p := range ix.perm {
-		if ix.inv[p] != i {
-			return fmt.Errorf("core: corrupt index (inverse permutation disagrees at %d)", i)
-		}
-	}
 	// check validates one compressed matrix: ptr indexes idx and val,
-	// whose entries are indices of kind idxKind ("row" for a CSC,
-	// "column" for a CSR).
-	check := func(name, idxKind string, ptr, idx []int, val []float64) error {
+	// whose entries are ids of kind idxKind ("row" for a CSC, "column"
+	// for a CSR).
+	check := func(name, idxKind string, ptr []int, idx []int32, val []float64) error {
 		if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != len(idx) || len(idx) != len(val) {
 			return fmt.Errorf("core: corrupt index (%s pointers: %d/%d/%d entries for n=%d)", name, len(ptr), len(idx), len(val), n)
 		}
@@ -337,7 +339,7 @@ func (ix *Index) validateLoaded() error {
 			}
 		}
 		for _, i := range idx {
-			if i < 0 || i >= n {
+			if i < 0 || int(i) >= n {
 				return fmt.Errorf("core: corrupt index (%s %s index %d)", name, idxKind, i)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -215,30 +216,43 @@ func TestV3CorruptSections(t *testing.T) {
 				w.AddInts(id, xs)
 			}
 		}
+		addID := func(id uint32, xs []int32) {
+			if id != skip {
+				w.AddInt32s(id, xs)
+			}
+		}
 		addF := func(id uint32, xs []float64) {
 			if id != skip {
 				w.AddFloats(id, xs)
 			}
 		}
-		add(secPerm, ix.perm)
-		add(secInvPerm, ix.inv)
+		addID(secPerm, ix.perm)
 		add(secAColPtr, ix.a.ColPtr)
-		add(secARowIdx, ix.a.RowIdx)
+		addID(secARowIdx, ix.a.RowIdx)
 		addF(secAVal, ix.a.Val)
 		add(secLinvColPtr, ix.linv.ColPtr)
-		add(secLinvRowIdx, ix.linv.RowIdx)
+		addID(secLinvRowIdx, ix.linv.RowIdx)
 		addF(secLinvVal, ix.linv.Val)
 		add(secUinvRowPtr, ix.uinv.RowPtr)
-		add(secUinvColIdx, ix.uinv.ColIdx)
+		addID(secUinvColIdx, ix.uinv.ColIdx)
 		addF(secUinvVal, ix.uinv.Val)
-		addF(secAmaxCol, ix.amaxCol)
-		addF(secSelfA, ix.selfA)
+	}
+	// withID replaces id section sec by a copy with entry 0 set to v.
+	withID := func(sec uint32, xs []int32, v int32) mutate {
+		return func(w *mmapio.Writer) {
+			full(w, sec, nil)
+			bad := append([]int32(nil), xs...)
+			bad[0] = v
+			w.AddInt32s(sec, bad)
+		}
 	}
 	badMeta := ix.metaBytes()
 	copy(badMeta, "WRONGTAG")
 	hugeN := ix.metaBytes()
 	hugeN[8] = 0xff // n = garbage
 	hugeN[15] = 0xff
+	pastInt32 := ix.metaBytes()
+	binary.LittleEndian.PutUint64(pastInt32[8:], math.MaxInt32+1)
 	cases := []struct {
 		name string
 		mk   mutate
@@ -247,30 +261,31 @@ func TestV3CorruptSections(t *testing.T) {
 		{"missing meta", func(w *mmapio.Writer) { full(w, secMeta, nil) }, "missing section"},
 		{"bad meta tag", func(w *mmapio.Writer) { full(w, 0, badMeta) }, "bad meta"},
 		{"absurd n", func(w *mmapio.Writer) { full(w, 0, hugeN) }, "corrupt index"},
+		{"n past int32", func(w *mmapio.Writer) { full(w, 0, pastInt32) }, "corrupt index"},
 		{"missing perm", func(w *mmapio.Writer) { full(w, secPerm, nil) }, "missing section"},
 		{"missing factor values", func(w *mmapio.Writer) { full(w, secUinvVal, nil) }, "missing section"},
 		{"short perm", func(w *mmapio.Writer) {
 			full(w, secPerm, nil)
-			w.AddInts(secPerm, ix.perm[:len(ix.perm)-1])
+			w.AddInt32s(secPerm, ix.perm[:len(ix.perm)-1])
 		}, "per-node sections"},
+		{"int64 perm", func(w *mmapio.Writer) {
+			full(w, secPerm, nil)
+			w.AddInts(secPerm, make([]int, ix.n))
+		}, "want 6"},
 		{"broken colptr", func(w *mmapio.Writer) {
 			full(w, secLinvColPtr, nil)
 			bad := append([]int(nil), ix.linv.ColPtr...)
 			bad[len(bad)-1]++ // endpoint disagrees with the index array
 			w.AddInts(secLinvColPtr, bad)
 		}, "L-inverse pointers"},
-		{"out-of-range row index", func(w *mmapio.Writer) {
-			full(w, secLinvRowIdx, nil)
-			bad := append([]int(nil), ix.linv.RowIdx...)
-			bad[0] = ix.n + 5
-			w.AddInts(secLinvRowIdx, bad)
-		}, "row index"},
-		{"non-permutation", func(w *mmapio.Writer) {
-			full(w, secPerm, nil)
-			bad := append([]int(nil), ix.perm...)
-			bad[0] = bad[1]
-			w.AddInts(secPerm, bad)
-		}, "not a permutation"},
+		{"out-of-range row index", withID(secLinvRowIdx, ix.linv.RowIdx, int32(ix.n)+5), "row index"},
+		{"row id n", withID(secLinvRowIdx, ix.linv.RowIdx, int32(ix.n)), "L-inverse row index"},
+		{"negative row id", withID(secLinvRowIdx, ix.linv.RowIdx, -1), "L-inverse row index -1"},
+		{"negative column id", withID(secUinvColIdx, ix.uinv.ColIdx, math.MinInt32), "U-inverse column index"},
+		{"adjacency row id n", withID(secARowIdx, ix.a.RowIdx, int32(ix.n)), "adjacency row index"},
+		{"negative perm id", withID(secPerm, ix.perm, -1), "not a permutation"},
+		{"perm id n", withID(secPerm, ix.perm, int32(ix.n)), "not a permutation"},
+		{"non-permutation", withID(secPerm, ix.perm, ix.perm[1]), "not a permutation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,5 +303,38 @@ func TestV3CorruptSections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestArrayBytesIsSavedPayload pins the heap account of a built index
+// to what Save writes: arrayBytes equals the summed payload of every
+// section but the meta one, each counted at its kind's width as the
+// section table records it.
+func TestArrayBytesIsSavedPayload(t *testing.T) {
+	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
+	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data, le := buf.Bytes(), binary.LittleEndian
+	width := map[uint32]int64{mmapio.KindInt64: 8, mmapio.KindFloat64: 8, mmapio.KindInt32: 4}
+	var payload int64
+	for i := uint32(0); i < le.Uint32(data[12:]); i++ {
+		e := data[32+32*i:]
+		if le.Uint32(e) == secMeta {
+			continue
+		}
+		w, ok := width[le.Uint32(e[4:])]
+		if !ok {
+			t.Fatalf("section %d has kind %d", le.Uint32(e), le.Uint32(e[4:]))
+		}
+		payload += w * int64(le.Uint64(e[16:]))
+	}
+	if got := ix.arrayBytes(); got != payload {
+		t.Fatalf("arrayBytes = %d, Save wrote %d bytes of arrays", got, payload)
 	}
 }

@@ -52,7 +52,7 @@ func (ix *Index) NewWorkspace() *lu.Workspace { return ix.inverseFactors().NewWo
 func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
 	rows := make([]int, len(us))
 	for k, u := range us {
-		rows[k] = ix.perm[u]
+		rows[k] = int(ix.perm[u])
 	}
 	r := ix.inverseFactors().PackUpperRows(rows)
 	runtime.KeepAlive(ix)
@@ -66,7 +66,7 @@ func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
 //kdash:noalloc
 //kdash:deterministic
 func (ix *Index) UpperDot(u int, w *lu.Workspace) float64 {
-	v := ix.inverseFactors().UpperRowDot(ix.perm[u], w.W)
+	v := ix.inverseFactors().UpperRowDot(int(ix.perm[u]), w.W)
 	runtime.KeepAlive(ix) //kdash:allow(hotalloc) boxing a pointer allocates nothing
 	return v
 }

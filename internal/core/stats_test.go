@@ -125,8 +125,7 @@ func TestVisitOrderMatchesEagerBFS(t *testing.T) {
 			return false
 		}
 		q := int(uint(seed) % 40)
-		qi := ix.perm[q]
-		order, _ := ix.bfs(qi)
+		order, _ := ix.bfs(int(ix.perm[q]))
 		// Replay an unpruned search and compare the visited count: with
 		// pruning disabled it must visit exactly the BFS-reachable set.
 		_, st, err := ix.Search(q, SearchOptions{K: 3, DisablePruning: true})

@@ -8,6 +8,7 @@ package core
 
 import (
 	"kdash/internal/graph"
+	"kdash/internal/sparse"
 	"kdash/internal/topk"
 )
 
@@ -26,8 +27,13 @@ type Bounds struct {
 // GraphBounds builds the tables for g's column-normalised adjacency
 // under restart probability c, indexed by g's node ids.
 func GraphBounds(g *graph.Graph, c float64) Bounds {
-	a := g.ColumnNormalized()
-	selfA := make([]float64, g.N())
+	return adjacencyBounds(g.ColumnNormalized(), c)
+}
+
+// adjacencyBounds builds the tables for the column-normalised adjacency
+// a under restart probability c, indexed by a's ids.
+func adjacencyBounds(a *sparse.CSC, c float64) Bounds {
+	selfA := make([]float64, a.Cols)
 	for u := range selfA {
 		selfA[u] = a.At(u, u)
 	}
@@ -91,7 +97,8 @@ func NewTreeWS(n int) *TreeWS {
 // SearchTree is Algorithm 4: it visits nodes in breadth-first order from
 // roots (layer 0 of a multi-source BFS, sorted ascending) over an
 // out-adjacency in CSR form — node v's out-neighbours are
-// outTo[outPtr[v]:outPtr[v+1]] — scores each visited node and offers
+// outTo[outPtr[v]:outPtr[v+1]], ints in a graph snapshot and int32 ids
+// in an index's adjacency — scores each visited node and offers
 // every positive score of a non-excluded node to heap. Excluded nodes
 // are still scored: their mass is part of the estimate.
 //
@@ -113,7 +120,7 @@ func NewTreeWS(n int) *TreeWS {
 //
 //kdash:noalloc
 //kdash:deterministic
-func SearchTree(ws *TreeWS, b *Bounds, outPtr, outTo []int, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
+func SearchTree[ID int | int32](ws *TreeWS, b *Bounds, outPtr []int, outTo []ID, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
 	ws.gen++
 	layer, mark, gen := ws.layer, ws.mark, ws.gen
 	queue := append(ws.queue[:0], roots...)
@@ -143,8 +150,8 @@ func SearchTree(ws *TreeWS, b *Bounds, outPtr, outTo []int, roots []int, score f
 		}
 		est.selected(u, p)
 		// Discover u's out-neighbours (lazy BFS expansion).
-		for _, v := range outTo[outPtr[u]:outPtr[u+1]] {
-			if mark[v] != gen {
+		for _, id := range outTo[outPtr[u]:outPtr[u+1]] {
+			if v := int(id); mark[v] != gen {
 				mark[v] = gen
 				layer[v] = layer[u] + 1
 				queue = append(queue, v)

@@ -145,12 +145,16 @@ func (d *Delta) Edges() []Edge {
 // the CSR arrays through in bulk and splices only the touched ones: the
 // cost is one pass over the arrays, not a rebuild of the edge set. A
 // failing removal is reported for the lowest op index, as a sequential
-// replay would.
+// replay would. A batch that would grow the graph past MaxNodes is
+// refused before anything is allocated.
 //
 //kdash:deterministic
 func (g *Graph) Apply(d *Delta) (*Graph, error) {
 	if d.baseN != g.n {
 		return nil, fmt.Errorf("graph: delta built against %d nodes, graph has %d", d.baseN, g.n)
+	}
+	if d.addNodes > MaxNodes-g.n {
+		return nil, fmt.Errorf("graph: delta grows %d nodes by %d, past the %d an index's int32 ids address", g.n, d.addNodes, MaxNodes)
 	}
 	order := make([]int, len(d.ops))
 	for i := range order {
@@ -371,7 +375,7 @@ func (g *Graph) AddNode() (*Graph, int) {
 	id := d.AddNode()
 	g2, err := g.Apply(d)
 	if err != nil {
-		panic(err) // a pure node insertion cannot fail validation
+		panic(err) // a pure node insertion fails only past MaxNodes
 	}
 	return g2, id
 }

@@ -36,6 +36,12 @@ type Graph struct {
 	inW    []float64
 }
 
+// MaxNodes is the largest node count a graph can have: an index stores
+// node ids as int32 (sparse.MaxDim). The bound is enforced where a node
+// count enters the program — NewBuilder, ParseEdgeList and Apply — so
+// nothing past it is ever allocated.
+const MaxNodes = sparse.MaxDim
+
 // Builder accumulates edges for a Graph. Duplicate (from, to) pairs have
 // their weights summed. Self loops are allowed.
 type Builder struct {
@@ -43,10 +49,11 @@ type Builder struct {
 	edges []Edge
 }
 
-// NewBuilder returns a builder for a graph with n nodes.
+// NewBuilder returns a builder for a graph with n nodes. It panics if n
+// is negative or exceeds MaxNodes.
 func NewBuilder(n int) *Builder {
-	if n < 0 {
-		panic("graph: negative node count")
+	if n < 0 || n > MaxNodes {
+		panic(fmt.Sprintf("graph: node count %d outside [0,%d]", n, MaxNodes))
 	}
 	return &Builder{n: n}
 }
@@ -213,13 +220,13 @@ func (g *Graph) Edges() []Edge {
 // W = I - (1-c)A nonsingular.
 func (g *Graph) ColumnNormalized() *sparse.CSC {
 	m := &sparse.CSC{Rows: g.n, Cols: g.n, ColPtr: make([]int, g.n+1)}
-	m.RowIdx = make([]int, 0, g.M())
+	m.RowIdx = make([]int32, 0, g.M())
 	m.Val = make([]float64, 0, g.M())
 	for v := 0; v < g.n; v++ {
 		if total := g.OutWeightSum(v); total > 0 {
 			// Column v = out-edges of v, already sorted by target.
 			for i := g.outPtr[v]; i < g.outPtr[v+1]; i++ {
-				m.RowIdx = append(m.RowIdx, g.outTo[i])
+				m.RowIdx = append(m.RowIdx, int32(g.outTo[i]))
 				m.Val = append(m.Val, g.outW[i]/total)
 			}
 		}
@@ -279,9 +286,12 @@ func (g *Graph) Relabel(perm []int) *Graph {
 
 // ParseEdgeList reads a whitespace-separated edge list: one edge per line,
 // "from to [weight]". Lines starting with '#' or '%' and blank lines are
-// skipped. Node IDs must be non-negative integers; n is inferred as
-// 1 + max node id unless minNodes is larger.
+// skipped. Node IDs must be integers in [0, MaxNodes); n is inferred as
+// 1 + max node id unless minNodes is larger, and may not exceed MaxNodes.
 func ParseEdgeList(r io.Reader, minNodes int) (*Graph, error) {
+	if minNodes > MaxNodes {
+		return nil, fmt.Errorf("graph: %d nodes exceed the %d an index's int32 ids address", minNodes, MaxNodes)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var edges []Edge
@@ -307,6 +317,9 @@ func ParseEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 		}
 		if from < 0 || to < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative node id", line)
+		}
+		if from >= MaxNodes || to >= MaxNodes {
+			return nil, fmt.Errorf("graph: line %d: node id %d past the %d nodes an index's int32 ids address", line, max(from, to), MaxNodes)
 		}
 		w := 1.0
 		if len(fields) >= 3 {

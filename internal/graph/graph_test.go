@@ -296,6 +296,49 @@ func TestParseEdgeListMinNodes(t *testing.T) {
 	}
 }
 
+// TestNodeCountBoundedAtInt32 pins the one place the node-count rule
+// lives: an index stores node ids as int32, so every way a node count
+// enters a graph — an edge-list id, ParseEdgeList's minNodes, a
+// NewBuilder count, a delta's node insertions — is refused past
+// MaxNodes before any n-sized array is allocated.
+func TestNodeCountBoundedAtInt32(t *testing.T) {
+	if MaxNodes != math.MaxInt32 {
+		t.Fatalf("MaxNodes = %d, want math.MaxInt32", MaxNodes)
+	}
+	for _, in := range []string{"0 2147483647\n", "2147483647 0\n", "0 1\n9223372036854775807 1\n"} {
+		if _, err := ParseEdgeList(strings.NewReader(in), 0); err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("ParseEdgeList(%q) = %v, want a refusal naming the int32 ids", in, err)
+		}
+	}
+	if _, err := ParseEdgeList(strings.NewReader("0 1\n"), MaxNodes+1); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Errorf("ParseEdgeList(minNodes=MaxNodes+1) = %v, want a refusal naming the int32 ids", err)
+	}
+
+	NewBuilder(MaxNodes) // records the count only; Build would allocate it
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewBuilder(MaxNodes+1) did not panic")
+			}
+		}()
+		NewBuilder(MaxNodes + 1)
+	}()
+
+	g := lineGraph(t, 4)
+	d := g.NewDelta()
+	d.addNodes = MaxNodes - g.N() + 1
+	if _, err := g.Apply(d); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Errorf("Apply growing past MaxNodes = %v, want a refusal naming the int32 ids", err)
+	}
+	wire, err := UnmarshalDelta(d.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Apply(wire); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Errorf("Apply of a decoded delta growing past MaxNodes = %v, want a refusal naming the int32 ids", err)
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewBuilder(12)
@@ -381,7 +424,7 @@ func TestRowsSorted(t *testing.T) {
 	for _, g := range []*Graph{g, g2} {
 		a := g.ColumnNormalized()
 		for u := 0; u < n; u++ {
-			for _, row := range [][]int{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]} {
+			for _, row := range [][]int{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], widen(a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]])} {
 				for i := 1; i < len(row); i++ {
 					if row[i-1] >= row[i] {
 						t.Fatalf("node %d: row %v not strictly ascending", u, row)
@@ -399,4 +442,13 @@ func TestRowsSorted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// widen copies int32 matrix indices into ints.
+func widen(xs []int32) []int {
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = int(x)
+	}
+	return out
 }

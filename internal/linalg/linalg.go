@@ -384,7 +384,7 @@ func mulSparseDense(a *sparse.CSC, d *Dense) *Dense {
 	for c := 0; c < a.Cols; c++ {
 		dr := d.Row(c)
 		for i := a.ColPtr[c]; i < a.ColPtr[c+1]; i++ {
-			r := a.RowIdx[i]
+			r := int(a.RowIdx[i])
 			v := a.Val[i]
 			or := out.Row(r)
 			for j, dv := range dr {
@@ -405,7 +405,7 @@ func mulSparseTDense(a *sparse.CSC, d *Dense) *Dense {
 	for c := 0; c < a.Cols; c++ {
 		or := out.Row(c)
 		for i := a.ColPtr[c]; i < a.ColPtr[c+1]; i++ {
-			r := a.RowIdx[i]
+			r := int(a.RowIdx[i])
 			v := a.Val[i]
 			dr := d.Row(r)
 			for j, dv := range dr {

@@ -49,9 +49,9 @@ func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	}
 	n := a.Rows
 	w := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
-	w.RowIdx = make([]int, 0, a.NNZ()+n)
+	w.RowIdx = make([]int32, 0, a.NNZ()+n)
 	w.Val = make([]float64, 0, a.NNZ()+n)
-	put := func(row int, v float64) {
+	put := func(row int32, v float64) {
 		if v != 0 {
 			w.RowIdx = append(w.RowIdx, row)
 			w.Val = append(w.Val, v)
@@ -61,14 +61,14 @@ func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 		// Column col of A with the identity's 1 merged in at row col.
 		diag := 1.0
 		i, hi := a.ColPtr[col], a.ColPtr[col+1]
-		for ; i < hi && a.RowIdx[i] < col; i++ {
+		for ; i < hi && int(a.RowIdx[i]) < col; i++ {
 			put(a.RowIdx[i], -(1-c)*a.Val[i])
 		}
-		if i < hi && a.RowIdx[i] == col {
+		if i < hi && int(a.RowIdx[i]) == col {
 			diag += -(1 - c) * a.Val[i]
 			i++
 		}
-		put(col, diag)
+		put(int32(col), diag)
 		for ; i < hi; i++ {
 			put(a.RowIdx[i], -(1-c)*a.Val[i])
 		}
@@ -90,7 +90,7 @@ type Factors struct {
 	//kdash:readonly
 	lPtr []int
 	//kdash:readonly
-	lRow []int
+	lRow []int32
 	//kdash:readonly
 	lVal []float64
 	// U columns, including diagonal: row indices ascending; the diagonal
@@ -99,7 +99,7 @@ type Factors struct {
 	//kdash:readonly
 	uPtr []int
 	//kdash:readonly
-	uRow []int
+	uRow []int32
 	//kdash:readonly
 	uVal []float64
 
@@ -164,7 +164,7 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 		lo, hi := w.ColPtr[j], w.ColPtr[j+1]
 		order = order[:0]
 		for t := lo; t < hi; t++ {
-			i := w.RowIdx[t]
+			i := int(w.RowIdx[t])
 			if mark[i] == j+1 {
 				continue
 			}
@@ -182,7 +182,7 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 				}
 				advanced := false
 				for p := pos[v]; p < f.lPtr[v+1]; p++ {
-					k := f.lRow[p]
+					k := int(f.lRow[p])
 					if mark[k] != j+1 {
 						mark[k] = j + 1
 						pos[v] = p + 1
@@ -234,7 +234,7 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 		for _, i := range order {
 			if i < j {
 				if x[i] != 0 {
-					f.uRow = append(f.uRow, i)
+					f.uRow = append(f.uRow, int32(i))
 					f.uVal = append(f.uVal, x[i])
 				}
 			} else if i == j {
@@ -245,12 +245,12 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 			return nil, fmt.Errorf("lu: zero pivot at column %d (matrix not factorizable without pivoting)", j)
 		}
 		// Diagonal of U is stored last in its column.
-		f.uRow = append(f.uRow, j)
+		f.uRow = append(f.uRow, int32(j))
 		f.uVal = append(f.uVal, diag)
 		f.uPtr[j+1] = len(f.uVal)
 		for _, i := range order {
 			if i > j && x[i] != 0 {
-				f.lRow = append(f.lRow, i)
+				f.lRow = append(f.lRow, int32(i))
 				f.lVal = append(f.lVal, x[i]/diag)
 			}
 		}
@@ -318,7 +318,7 @@ func (f *Factors) L() *sparse.CSC {
 	for j := 0; j < f.N; j++ {
 		coo.Add(j, j, 1)
 		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
-			coo.Add(f.lRow[p], j, f.lVal[p])
+			coo.Add(int(f.lRow[p]), j, f.lVal[p])
 		}
 	}
 	return coo.ToCSC()
@@ -329,7 +329,7 @@ func (f *Factors) U() *sparse.CSC {
 	coo := sparse.NewCOO(f.N, f.N)
 	for j := 0; j < f.N; j++ {
 		for p := f.uPtr[j]; p < f.uPtr[j+1]; p++ {
-			coo.Add(f.uRow[p], j, f.uVal[p])
+			coo.Add(int(f.uRow[p]), j, f.uVal[p])
 		}
 	}
 	return coo.ToCSC()
@@ -463,7 +463,7 @@ func (f *Factors) Invert(opt Options) *Inverse {
 // flags are settled from the last column back; the U^{-1} solve scatters
 // up, so from the first forward. The stored patterns bound every row a
 // solve can touch.
-func (f *Factors) reach(ptr, row []int, lower bool) []bool {
+func (f *Factors) reach(ptr []int, row []int32, lower bool) []bool {
 	n := f.N
 	out := make([]bool, n)
 	for t := 0; t < n; t++ {
@@ -473,7 +473,7 @@ func (f *Factors) reach(ptr, row []int, lower bool) []bool {
 		}
 		d := f.dirty[j]
 		for p := ptr[j]; p < ptr[j+1] && !d; p++ {
-			if i := row[p]; i != j {
+			if i := int(row[p]); i != j {
 				d = out[i]
 			}
 		}
@@ -486,7 +486,7 @@ func (f *Factors) reach(ptr, row []int, lower bool) []bool {
 // L^{-1} list their rows ascending, columns of U^{-1} descending (the
 // order each is solved in); assembleCSR does not depend on the order.
 type column struct {
-	idx []int
+	idx []int32
 	val []float64
 }
 
@@ -550,7 +550,7 @@ type frontier struct {
 
 	// The column under construction is idx[start:], val[start:]; the
 	// current slab is idx[:cap(idx)], val[:cap(val)].
-	idx   []int
+	idx   []int32
 	val   []float64
 	start int
 	// slabs are every slab this worker has allocated, of total size
@@ -562,11 +562,11 @@ type frontier struct {
 }
 
 type slab struct {
-	idx []int
+	idx []int32
 	val []float64
 }
 
-// minSlab is the smallest slab, in entries (256 KB of index and value).
+// minSlab is the smallest slab, in entries (192 KB of index and value).
 const minSlab = 1 << 14
 
 func newFrontier(n int, drop float64) *frontier {
@@ -592,7 +592,7 @@ func (ws *frontier) emit(i int, v float64) {
 	if len(ws.idx) == cap(ws.idx) {
 		ws.refill()
 	}
-	ws.idx = append(ws.idx, i)
+	ws.idx = append(ws.idx, int32(i))
 	ws.val = append(ws.val, v)
 }
 
@@ -607,7 +607,7 @@ func (ws *frontier) refill() {
 	if ws.next == len(ws.slabs) {
 		size := max(len(ws.x), minSlab, ws.slabbed/4)
 		ws.slabbed += size
-		idx := make([]int, size)     //kdash:allow(hotalloc) slab refill: one per slab of entries, amortised over every column it holds, and reused by the next pass
+		idx := make([]int32, size)   //kdash:allow(hotalloc) slab refill: one per slab of entries, amortised over every column it holds, and reused by the next pass
 		val := make([]float64, size) //kdash:allow(hotalloc) the refill's paired value slab
 		ws.slabs = append(ws.slabs, slab{idx: idx, val: val})
 	}
@@ -651,11 +651,11 @@ func (f *Factors) lowerColumn(j int, ws *frontier) column {
 				continue
 			}
 			for p := lo; p < end; p++ {
-				k := f.lRow[p]
+				k := int(f.lRow[p])
 				x[k] -= f.lVal[p] * xi
 				touched[k>>6] |= 1 << (k & 63)
 			}
-			hi = max(hi, f.lRow[end-1]>>6) // rows ascending: the last is the largest
+			hi = max(hi, int(f.lRow[end-1])>>6) // rows ascending: the last is the largest
 		}
 	}
 	return ws.finish()
@@ -686,11 +686,11 @@ func (f *Factors) upperColumn(j int, ws *frontier) column {
 				continue
 			}
 			for p := start; p < diag; p++ {
-				k := f.uRow[p]
+				k := int(f.uRow[p])
 				x[k] -= f.uVal[p] * xi
 				touched[k>>6] |= 1 << (k & 63)
 			}
-			lo = min(lo, f.uRow[start]>>6) // rows ascending: the first is the smallest
+			lo = min(lo, int(f.uRow[start])>>6) // rows ascending: the first is the smallest
 		}
 	}
 	return ws.finish()
@@ -702,7 +702,7 @@ func assembleCSC(n int, cols []column) *sparse.CSC {
 	for j, c := range cols {
 		m.ColPtr[j+1] = m.ColPtr[j] + len(c.idx)
 	}
-	m.RowIdx = make([]int, m.ColPtr[n])
+	m.RowIdx = make([]int32, m.ColPtr[n])
 	m.Val = make([]float64, m.ColPtr[n])
 	for j, c := range cols {
 		copy(m.RowIdx[m.ColPtr[j]:], c.idx)
@@ -739,7 +739,7 @@ func assembleCSR(n int, cols []column, solved []bool, prev *sparse.CSR) *sparse.
 	for i := 0; i < n; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
-	m.ColIdx = make([]int, m.RowPtr[n])
+	m.ColIdx = make([]int32, m.RowPtr[n])
 	m.Val = make([]float64, m.RowPtr[n])
 	next := slices.Clone(m.RowPtr[:n])
 	for j, c := range cols {
@@ -747,7 +747,7 @@ func assembleCSR(n int, cols []column, solved []bool, prev *sparse.CSR) *sparse.
 			continue
 		}
 		for k, i := range c.idx {
-			m.ColIdx[next[i]] = j
+			m.ColIdx[next[i]] = int32(j)
 			m.Val[next[i]] = c.val[k]
 			next[i]++
 		}

@@ -325,7 +325,7 @@ func oracleDecompose(w *sparse.CSC) (*Factors, error) {
 		lo, hi := w.ColPtr[j], w.ColPtr[j+1]
 		order = order[:0]
 		for t := lo; t < hi; t++ {
-			i := w.RowIdx[t]
+			i := int(w.RowIdx[t])
 			if mark[i] == j+1 {
 				continue
 			}
@@ -343,7 +343,7 @@ func oracleDecompose(w *sparse.CSC) (*Factors, error) {
 				}
 				advanced := false
 				for p := pos[v]; p < f.lPtr[v+1]; p++ {
-					k := f.lRow[p]
+					k := int(f.lRow[p])
 					if mark[k] != j+1 {
 						mark[k] = j + 1
 						pos[v] = p + 1
@@ -386,7 +386,7 @@ func oracleDecompose(w *sparse.CSC) (*Factors, error) {
 		for _, i := range order {
 			if i < j {
 				if x[i] != 0 {
-					f.uRow = append(f.uRow, i)
+					f.uRow = append(f.uRow, int32(i))
 					f.uVal = append(f.uVal, x[i])
 				}
 			} else if i == j {
@@ -397,12 +397,12 @@ func oracleDecompose(w *sparse.CSC) (*Factors, error) {
 			return nil, fmt.Errorf("lu: zero pivot at column %d (matrix not factorizable without pivoting)", j)
 		}
 		// Diagonal of U is stored last in its column.
-		f.uRow = append(f.uRow, j)
+		f.uRow = append(f.uRow, int32(j))
 		f.uVal = append(f.uVal, diag)
 		f.uPtr[j+1] = len(f.uVal)
 		for _, i := range order {
 			if i > j && x[i] != 0 {
-				f.lRow = append(f.lRow, i)
+				f.lRow = append(f.lRow, int32(i))
 				f.lVal = append(f.lVal, x[i]/diag)
 			}
 		}
@@ -435,7 +435,7 @@ func newSolveWorkspace(n int) *solveWorkspace {
 // last entry; including it is harmless as it self-loops), in ascending
 // order. Marks are reset before returning. The result aliases the
 // workspace and is valid until the next call.
-func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []int {
+func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int32) []int {
 	ws.reach = ws.reach[:0]
 	ws.stack = append(ws.stack[:0], j)
 	ws.mark[j] = true
@@ -444,7 +444,7 @@ func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []i
 		v := ws.stack[len(ws.stack)-1]
 		advanced := false
 		for p := ws.pos[v]; p < ptr[v+1]; p++ {
-			k := row[p]
+			k := int(row[p])
 			if k == v {
 				continue // diagonal entry (U stores it)
 			}
@@ -477,7 +477,7 @@ func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int) []i
 // along in oracleBuildW.
 func oracleInvert(f *Factors) (*sparse.CSC, *sparse.CSR) {
 	ws := newSolveWorkspace(f.N)
-	reachFrom := func(j int, ptr, row []int) []int {
+	reachFrom := func(j int, ptr []int, row []int32) []int {
 		return append([]int(nil), f.reachFrom(j, ws, ptr, row)...)
 	}
 	gather := func(reach []int) column {
@@ -486,7 +486,7 @@ func oracleInvert(f *Factors) (*sparse.CSC, *sparse.CSR) {
 		var c column
 		for _, i := range idxs {
 			if ws.x[i] != 0 {
-				c.idx = append(c.idx, i)
+				c.idx = append(c.idx, int32(i))
 				c.val = append(c.val, ws.x[i])
 			}
 		}
@@ -531,7 +531,7 @@ func oracleBuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	}
 	for col := 0; col < a.Rows; col++ {
 		for i := a.ColPtr[col]; i < a.ColPtr[col+1]; i++ {
-			coo.Add(a.RowIdx[i], col, -(1-c)*a.Val[i])
+			coo.Add(int(a.RowIdx[i]), col, -(1-c)*a.Val[i])
 		}
 	}
 	return coo.ToCSC()

@@ -37,7 +37,7 @@ func perturb(rng *rand.Rand, w *sparse.CSC, cols []int) *sparse.CSC {
 	for _, j := range cols {
 		sum, diag := 0.0, -1
 		for p := out.ColPtr[j]; p < out.ColPtr[j+1]; p++ {
-			if out.RowIdx[p] == j {
+			if int(out.RowIdx[p]) == j {
 				diag = p
 				continue
 			}
@@ -59,7 +59,7 @@ func refill(rng *rand.Rand, w *sparse.CSC, j int, rows []int) *sparse.CSC {
 			continue
 		}
 		for p := w.ColPtr[c]; p < w.ColPtr[c+1]; p++ {
-			coo.Add(w.RowIdx[p], c, w.Val[p])
+			coo.Add(int(w.RowIdx[p]), c, w.Val[p])
 		}
 	}
 	sum := 0.0

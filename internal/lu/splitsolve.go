@@ -45,7 +45,7 @@ func (w *Workspace) Reset() {
 //
 //kdash:noalloc
 //kdash:deterministic
-func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []int) {
+func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []int32) {
 	ws, wmark := w.W, w.mark
 	wsup := w.Sup
 	lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
@@ -59,7 +59,7 @@ func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []in
 			r := lr[p]
 			if !wmark[r] {
 				wmark[r] = true
-				wsup = append(wsup, r)
+				wsup = append(wsup, int(r))
 			}
 			ws[r] += v * lval[p]
 		}
@@ -84,7 +84,7 @@ func (inv *Inverse) UpperRowDot(u int, w []float64) float64 {
 //
 //kdash:noalloc
 //kdash:deterministic
-func rowDot(cols []int, vals, w []float64) float64 {
+func rowDot(cols []int32, vals, w []float64) float64 {
 	vals = vals[:len(cols)] // hint: drops the vals[k] bounds check
 	acc := 0.0
 	for k, c := range cols {
@@ -99,7 +99,7 @@ func rowDot(cols []int, vals, w []float64) float64 {
 // dots read one contiguous span.
 type UpperRows struct {
 	ptr  []int
-	cols []int
+	cols []int32
 	vals []float64
 }
 
@@ -110,7 +110,7 @@ func (inv *Inverse) PackUpperRows(us []int) *UpperRows {
 	for k, u := range us {
 		r.ptr[k+1] = r.ptr[k] + up[u+1] - up[u]
 	}
-	r.cols = make([]int, 0, r.ptr[len(us)])
+	r.cols = make([]int32, 0, r.ptr[len(us)])
 	r.vals = make([]float64, 0, r.ptr[len(us)])
 	for _, u := range us {
 		r.cols = append(r.cols, inv.Uinv.ColIdx[up[u]:up[u+1]]...)

@@ -32,10 +32,10 @@ func randomSparseRHS(rng *rand.Rand, n int) ([]int, []float64) {
 }
 
 // identity returns the permutation that maps every id to itself.
-func identity(n int) []int {
-	perm := make([]int, n)
+func identity(n int) []int32 {
+	perm := make([]int32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
 	return perm
 }
@@ -134,10 +134,10 @@ func TestUpperRowDotMatchesSolve(t *testing.T) {
 		}
 		inv := fac.Invert(Options{Workers: 1})
 		ws, pws := inv.NewWorkspace(), inv.NewWorkspace()
-		id, perm := identity(n), rng.Perm(n)
+		id, perm := identity(n), make([]int32, n)
 		pre := make([]int, n) // pre[perm[i]] = i
-		for i, r := range perm {
-			pre[r] = i
+		for i, r := range rng.Perm(n) {
+			perm[i], pre[r] = int32(r), i
 		}
 		for trial := 0; trial < 9; trial++ {
 			idx, val := randomRHS(rng, n, trial)

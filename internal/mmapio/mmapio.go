@@ -1,8 +1,9 @@
 // Package mmapio implements the sectioned on-disk container behind the
-// v3 index format. Arrays are stored as page-aligned, little-endian,
-// natively-typed sections (int64 / float64 / raw bytes) described by a
-// checksummed section table, so once a file is in memory each section
-// is wrapped directly as a Go slice via unsafe.Slice, with no decoding.
+// K-dash index format. Arrays are stored as page-aligned, little-endian,
+// natively-typed sections (int64 / int32 / float64 / raw bytes) described
+// by a checksummed section table, so once a file is in memory each
+// section is wrapped directly as a Go slice via unsafe.Slice, with no
+// decoding.
 //
 // # File layout
 //
@@ -17,8 +18,8 @@
 //	28      4     uint32 CRC-32C of the section table bytes
 //	32      32*k  section table, one 32-byte entry per section:
 //	                uint32 id       caller-chosen section identifier
-//	                uint32 kind     1 = int64, 2 = float64, 3 = bytes
-//	                                (4 and 5 are retired)
+//	                uint32 kind     1 = int64, 2 = float64, 3 = bytes,
+//	                                6 = int32 (4 and 5 are retired)
 //	                uint64 offset   start of the section data (aligned)
 //	                uint64 count    element count (bytes for kind 3)
 //	                uint32 crc      CRC-32C of the section data bytes
@@ -35,9 +36,10 @@
 // outside the Go heap, sealed PROT_READ once the bytes are in: the
 // garbage collector never scans or paces over it, and a write through a
 // section slice faults. Elsewhere the file is read into a Go byte slice;
-// on a little-endian 64-bit platform its sections are still wrapped
-// zero-copy, otherwise they are decoded element by element, so the
-// format works (slowly) on any architecture Go supports.
+// on a little-endian host its int32, float64 and byte sections are still
+// wrapped zero-copy (int64 sections too where Go ints are 64-bit),
+// otherwise they are decoded element by element, so the format works
+// (slowly) on any architecture Go supports.
 //
 // # Release
 //
@@ -50,7 +52,8 @@
 //
 // # Mutation discipline
 //
-// Slices returned by Ints, Floats and Bytes are read-only by contract.
+// Slices returned by Ints, Int32s, Floats and Bytes are read-only by
+// contract.
 // In a sealed copy a write is a segfault; in a heap copy it would
 // silently corrupt sibling sections sharing the buffer. Callers that
 // need to mutate must copy out first.
@@ -86,10 +89,11 @@ const (
 	KindInt64   = 1 // elements are int64 (Go int on 64-bit platforms)
 	KindFloat64 = 2 // elements are float64 (stored as IEEE-754 bits)
 	KindBytes   = 3 // raw bytes; count is the byte length
-	// Kind 4 held int32 arrays (an index generation that is no longer
-	// read) and kind 5 was a float32 section no format ever wrote; both
-	// stay retired, so a file carrying either is rejected as an unknown
-	// kind.
+	// Kind 4 held the int32 factor strips of an index generation that is
+	// no longer read and kind 5 was a float32 section no format ever
+	// wrote; both stay retired, so a file carrying either is rejected as
+	// an unknown kind.
+	KindInt32 = 6 // elements are int32 (row and column ids)
 )
 
 // ErrUnknownKind is wrapped by the parse error for a section whose kind
@@ -134,11 +138,22 @@ type section struct {
 	crc   uint32
 }
 
+// knownKind reports whether this reader decodes sections of kind.
+func knownKind(kind uint32) bool {
+	switch kind {
+	case KindInt64, KindFloat64, KindBytes, KindInt32:
+		return true
+	}
+	return false
+}
+
 // elemSize is the byte width of one element of a section kind.
 func elemSize(kind uint32) uint64 {
 	switch kind {
 	case KindBytes:
 		return 1
+	case KindInt32:
+		return 4
 	default:
 		return 8
 	}
@@ -210,6 +225,7 @@ type wsection struct {
 	id   uint32
 	kind uint32
 	ints []int
+	i32s []int32
 	f64s []float64
 	raw  []byte
 }
@@ -221,6 +237,11 @@ func NewWriter() *Writer { return &Writer{align: DefaultAlign} }
 // it must not change until WriteTo returns.
 func (w *Writer) AddInts(id uint32, xs []int) {
 	w.sections = append(w.sections, wsection{id: id, kind: KindInt64, ints: xs})
+}
+
+// AddInt32s appends an int32 section (same aliasing rule as AddInts).
+func (w *Writer) AddInt32s(id uint32, xs []int32) {
+	w.sections = append(w.sections, wsection{id: id, kind: KindInt32, i32s: xs})
 }
 
 // AddFloats appends a float64 section (same aliasing rule as AddInts).
@@ -257,6 +278,18 @@ func (s *wsection) payload() []byte {
 			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
 		}
 		return buf
+	case KindInt32:
+		if len(s.i32s) == 0 {
+			return nil
+		}
+		if hostLittleEndian {
+			return unsafe.Slice((*byte)(unsafe.Pointer(&s.i32s[0])), len(s.i32s)*4)
+		}
+		buf := make([]byte, len(s.i32s)*4)
+		for i, v := range s.i32s {
+			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
+		}
+		return buf
 	default:
 		if len(s.f64s) == 0 {
 			return nil
@@ -278,6 +311,8 @@ func (s *wsection) count() uint64 {
 		return uint64(len(s.raw))
 	case KindInt64:
 		return uint64(len(s.ints))
+	case KindInt32:
+		return uint64(len(s.i32s))
 	default:
 		return uint64(len(s.f64s))
 	}
@@ -458,7 +493,7 @@ func (f *File) parse() error {
 			count: binary.LittleEndian.Uint64(e[16:]),
 			crc:   binary.LittleEndian.Uint32(e[24:]),
 		}
-		if s.kind < KindInt64 || s.kind > KindBytes {
+		if !knownKind(s.kind) {
 			return fmt.Errorf("mmapio: section %d has %w %d", s.id, ErrUnknownKind, s.kind)
 		}
 		if s.off%align != 0 {
@@ -531,6 +566,27 @@ func (f *File) Ints(id uint32) ([]int, error) {
 	out := make([]int, s.count)
 	for i := range out {
 		out[i] = int(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return out, nil
+}
+
+// Int32s returns section id as an []int32 (same contract as Ints):
+// zero-copy on any little-endian host.
+func (f *File) Int32s(id uint32) ([]int32, error) {
+	s, err := f.lookup(id, KindInt32)
+	if err != nil {
+		return nil, err
+	}
+	if s.count == 0 {
+		return []int32{}, nil
+	}
+	b := f.data[s.off : s.off+s.count*4]
+	if hostLittleEndian {
+		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), s.count), nil
+	}
+	out := make([]int32, s.count)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
 }

@@ -8,14 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// writeTestFile writes a container with one int, one float and one byte
-// section and returns its path plus the source arrays.
+// testInt32s is the int32 section (id 4) every test file carries.
+var testInt32s = []int32{0, 1, -7, math.MaxInt32, math.MinInt32, 42}
+
+// writeTestFile writes a container with one int, one float, one byte
+// and one int32 section and returns its path plus the source arrays
+// (the int32 one is testInt32s).
 func writeTestFile(t *testing.T) (string, []int, []float64, []byte) {
 	t.Helper()
 	ints := []int{0, 1, -7, 1 << 40, -(1 << 40), 42}
@@ -25,6 +30,7 @@ func writeTestFile(t *testing.T) (string, []int, []float64, []byte) {
 	w.AddInts(1, ints)
 	w.AddFloats(2, floats)
 	w.AddBytes(3, raw)
+	w.AddInt32s(4, testInt32s)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -63,9 +69,38 @@ func checkContents(t *testing.T, f *File, ints []int, floats []float64, raw []by
 	if !bytes.Equal(gotRaw, raw) {
 		t.Fatalf("Bytes = %q, want %q", gotRaw, raw)
 	}
+	gotInt32s, err := f.Int32s(4)
+	if err != nil {
+		t.Fatalf("Int32s: %v", err)
+	}
+	if !slices.Equal(gotInt32s, testInt32s) {
+		t.Fatalf("Int32s = %v, want %v", gotInt32s, testInt32s)
+	}
 }
 
+// TestRoundTripModes writes and reads every section kind through the
+// branches this host takes. On a little-endian host it reads them again
+// through the element-wise encode and decode a big-endian host takes,
+// which must agree with the zero-copy branches on the bytes.
 func TestRoundTripModes(t *testing.T) {
+	native := roundTrip(t)
+	if !hostLittleEndian {
+		return // this host already took the element-wise branches
+	}
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = true }()
+	if CanZeroCopy() {
+		t.Fatal("CanZeroCopy with the host forced big-endian")
+	}
+	if decoded := roundTrip(t); !bytes.Equal(decoded, native) {
+		t.Fatal("the encoding branch wrote other bytes than the zero-copy one")
+	}
+}
+
+// roundTrip writes the test file, checks it through Open and FromBytes,
+// and returns its bytes.
+func roundTrip(t *testing.T) []byte {
+	t.Helper()
 	path, ints, floats, raw := writeTestFile(t)
 	f, err := Open(path)
 	if err != nil {
@@ -84,6 +119,7 @@ func TestRoundTripModes(t *testing.T) {
 		t.Fatalf("FromBytes: %v", err)
 	}
 	checkContents(t, f, ints, floats, raw)
+	return img
 }
 
 // TestOffHeapAccounting pins where an opened container's bytes live and

@@ -6,8 +6,7 @@ package server
 // loaded into a Go buffer) and in sealed off-heap copies (loads where
 // the platform maps memory) — beside the off-heap containers opened and
 // released so far, the Go heap as the collector paces it, and the OS
-// resident set over all of it. No load maps files any more; the mapped
-// keys stay, always 0, so existing scrapes keep their series.
+// resident set over all of it.
 
 import (
 	"runtime/metrics"
@@ -51,7 +50,6 @@ func memoryStatz() map[string]int64 {
 		"rssBytes":               procmem.Resident(),
 		"factorHeapBytes":        core.HeapBytes(),
 		"factorOffHeapBytes":     ms.SealedBytes,
-		"factorMappedBytes":      0,
 		"containersOpened":       ms.Opened,
 		"containersReleased":     ms.Released,
 		"containerReleasedBytes": ms.ReleasedBytes,
@@ -65,11 +63,10 @@ func memoryStatz() map[string]int64 {
 func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 	pw.Header("kdash_process_resident_bytes", "OS-reported resident set (0 where unsupported).", "gauge")
 	pw.Metric("kdash_process_resident_bytes", nil, float64(mem["rssBytes"]))
-	pw.Header("kdash_index_factor_bytes", "Index arrays by backing: Go heap, sealed off-heap copies (mapped is always 0); retired epochs count until released.", "gauge")
+	pw.Header("kdash_index_factor_bytes", "Index arrays by backing: Go heap or sealed off-heap copies; retired epochs count until released.", "gauge")
 	for _, b := range []struct{ label, key string }{
 		{"heap", "factorHeapBytes"},
 		{"offheap", "factorOffHeapBytes"},
-		{"mapped", "factorMappedBytes"},
 	} {
 		pw.Metric("kdash_index_factor_bytes", []obs.Label{{Name: "backing", Value: b.label}}, float64(mem[b.key]))
 	}

@@ -152,8 +152,6 @@ func writeEngineMetrics(pw *obs.PromWriter, st shard.Statz) {
 	pw.Metric("kdash_index_shards", nil, float64(st.Shards))
 	pw.Header("kdash_index_shards_opened", "Shards traffic has opened (lazily mapped shards open on first solve).", "gauge")
 	pw.Metric("kdash_index_shards_opened", nil, float64(st.ShardsOpened))
-	pw.Header("kdash_index_mapped_bytes", "Bytes of shard files currently mapped or parsed.", "gauge")
-	pw.Metric("kdash_index_mapped_bytes", nil, float64(st.MappedBytes))
 	pw.Header("kdash_shard_solves_total_sum", "Shard factor solves across all queries this epoch (resets on update swap).", "counter")
 	pw.Metric("kdash_shard_solves_total_sum", nil, float64(st.Solves))
 	if st.Cluster != nil {

@@ -192,7 +192,6 @@ type memoryBlock struct {
 	RSSBytes               int64 `json:"rssBytes"`
 	FactorHeapBytes        int64 `json:"factorHeapBytes"`
 	FactorOffHeapBytes     int64 `json:"factorOffHeapBytes"`
-	FactorMappedBytes      int64 `json:"factorMappedBytes"`
 	ContainersOpened       int64 `json:"containersOpened"`
 	ContainersReleased     int64 `json:"containersReleased"`
 	ContainerReleasedBytes int64 `json:"containerReleasedBytes"`
@@ -261,7 +260,10 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	if v, ok := metricValue(text, `kdash_index_factor_bytes{backing="offheap"}`); !ok || int64(v) < files {
 		t.Errorf(`kdash_index_factor_bytes{backing="offheap"} = %v (present %v), want at least %d`, v, ok, files)
 	}
-	for _, name := range []string{`kdash_index_factor_bytes{backing="heap"}`, `kdash_index_factor_bytes{backing="mapped"}`,
+	if _, ok := metricValue(text, `kdash_index_factor_bytes{backing="mapped"}`); ok {
+		t.Error(`/metrics still carries the retired kdash_index_factor_bytes{backing="mapped"}`)
+	}
+	for _, name := range []string{`kdash_index_factor_bytes{backing="heap"}`,
 		"kdash_index_containers_released_total", "kdash_index_container_released_bytes_total",
 		"kdash_go_heap_inuse_bytes", "kdash_go_heap_goal_bytes", "kdash_go_gc_cycles_total", "kdash_process_resident_bytes"} {
 		if _, ok := metricValue(text, name); !ok {

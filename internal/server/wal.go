@@ -80,7 +80,7 @@ type WALConfig struct {
 	MaxPendingOps int
 	// SnapshotDir, when set, enables durable compaction: every
 	// SnapshotEvery compactions the engine is persisted there (stamped
-	// with the WAL position it covers, manifest v5) and the log is
+	// with the WAL position it covers in its manifest) and the log is
 	// truncated through that position. A coordinator cannot snapshot
 	// (it holds no factors). Empty: the log is never truncated —
 	// updates stay durable in the WAL alone.
@@ -463,7 +463,7 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 }
 
 // SnapshotWAL persists the currently published engine into dir/epoch-N
-// stamped with the WAL position it covers (manifest v5), points
+// stamped in its manifest with the WAL position it covers, points
 // dir/CURRENT at it, prunes older snapshot directories, and truncates
 // the log through the stamped position. Requires durable mode and an
 // in-process engine: a coordinator refuses (placement.ErrNoSnapshot).

@@ -47,8 +47,7 @@ type Statz struct {
 	Cluster       *ClusterStatz `json:"cluster,omitempty"` // coordinator only
 	CutEdges      int           `json:"cutEdges"`
 	CutWeightFrac float64       `json:"cutWeightFrac"`
-	Kind          string        `json:"kind"`        // always "sharded"
-	MappedBytes   int           `json:"mappedBytes"` // always 0: no load maps files; kept for scrapers
+	Kind          string        `json:"kind"` // always "sharded"
 	NNZInverse    int           `json:"nnzInverse"`
 	Nodes         int           `json:"nodes"`
 	PerShard      []ShardStatz  `json:"perShard"`

@@ -3,7 +3,8 @@ package shard
 // The standing guard that build-path work stays bit-identical: the
 // sha256 of every file Save writes for one seeded build, and again
 // after one two-edge Apply, pinned to the values the block ordering by
-// owned subgraph and cut-owning nodes first produced. A change that
+// owned subgraph and cut-owning nodes first produced, as written by the
+// file generation with int32 ids. A change that
 // moves any of these hashes has changed a partition, an ordering, a
 // factor bit or the snapshot — which is a different kind of change
 // from making the build faster.
@@ -26,22 +27,22 @@ var goldenBuild = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "dc7ba4a8c1fce244a68dc19159dff52a377a5c0f35c29f91bc18ba39f92e6254",
 	"graph.tsv":      "08c76046b9f601c08a6304bdfe14ad64baf7145820ff23ad2a9f0753c6b3471d",
-	"manifest.json":  "5e18335d6923f1b7cf6e100a9b3268e682dd2e4c7c704e80fd7334d994ef3bde",
-	"shard-0000.idx": "29fa21707e1fd2224a3bfe2e0b8b83c3e53cbb21fc17daa6c40a292002cddc4a",
-	"shard-0001.idx": "f54aa201118fa198cddcc7fa454d022bc15b8572d5260703e491ab745e81c873",
-	"shard-0002.idx": "5ad6fe4e23a9cb6a6363de159ca6a3c6eb8d0b46f1fd48594546357bcb29adbf",
-	"shard-0003.idx": "5755e92a121176e21da08956662b73aac46468cf8956266775127f38b3629312",
+	"manifest.json":  "c2c6b5a572154faad252863b84d4d42ccacaf4a3d4df435116eb8d88a4c5a5bf",
+	"shard-0000.idx": "49ca0b417fdb082d2181f7fbff9a96e91d1833f5afa73c547721ef1eaafa8cfc",
+	"shard-0001.idx": "f179c89cfafe56f95fa3354a10bce377fba15ed9f862aeb55757d6505ca703bf",
+	"shard-0002.idx": "778b2def69c3a3dbb1a34946fd6dfc259c47fc56c3085172fb268e9f3814587d",
+	"shard-0003.idx": "5ff4a358eef0fe3bd614a62945198b52f5d8ba0d5cd10b75c43309a60994603e",
 }
 
 var goldenApply = map[string]string{
 	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
 	"cuts.bin":       "b46bc3bdaa7fae2dc71b63a3cede4fbbe89d6a9835a025047269ff963ccdb4ca",
 	"graph.tsv":      "c64aa3201f6b6b177584428b1b54498d43c709cc0a526c1501d69457c2538316",
-	"manifest.json":  "226c6688f4b0429822072f69c7f4e8a7e6df2e888588c86e63b8e09f7ea9d0e1",
-	"shard-0000.idx": "ed9d219ff629007816d894ebdd5c02fa185cba7ff3555b584bb938130425d312",
-	"shard-0001.idx": "cfe1e8452dbfa5ea9b6c329a754e96278868a9c2fc45e3cd8ff03525ecffbfa5",
-	"shard-0002.idx": "5ad6fe4e23a9cb6a6363de159ca6a3c6eb8d0b46f1fd48594546357bcb29adbf",
-	"shard-0003.idx": "5755e92a121176e21da08956662b73aac46468cf8956266775127f38b3629312",
+	"manifest.json":  "409c82d5a74873b5b3a73e7859a1195571c26818b497054b15eddd1b8d228f10",
+	"shard-0000.idx": "78f9b3e05536fdfcf336c97e184013054ef48a99f2197c856e79b7555d1926a7",
+	"shard-0001.idx": "a63be9812b4a8f26e2978b5396f2b047084e95f2c47af65804ec655c7f2f9333",
+	"shard-0002.idx": "778b2def69c3a3dbb1a34946fd6dfc259c47fc56c3085172fb268e9f3814587d",
+	"shard-0003.idx": "5ff4a358eef0fe3bd614a62945198b52f5d8ba0d5cd10b75c43309a60994603e",
 }
 
 // dirHashes returns file name -> sha256 hex for every file in dir.

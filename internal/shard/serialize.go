@@ -54,10 +54,12 @@ const ManifestName = "manifest.json"
 // changes, and Open refuses every other version with the rebuild
 // instruction: every directory since version 2 carries its graph
 // snapshot, so any index can be rebuilt from its own files. Version 5
-// dropped the int32 factor strips from the shard files; a version 4
-// directory's shard files still carry them in a section kind this build
-// no longer reads, so a lazy open of one would fail query by query.
-const manifestVersion = 5
+// dropped the int32 factor strips from the shard files; version 6
+// stores every row and column id of a shard file as int32 and no longer
+// stores the tables the adjacency and permutation fix. An older
+// directory's shard files are a generation this build does not read, so
+// a lazy open of one would fail query by query.
+const manifestVersion = 6
 
 // manifest is the JSON document written to ManifestName.
 type manifest struct {

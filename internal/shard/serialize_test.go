@@ -201,52 +201,123 @@ func withStripSection(t *testing.T, data []byte) []byte {
 	return out
 }
 
+// asParentGeneration rewrites a saved shard file as the generation
+// before int32 ids wrote it: meta tag "KDIXV3" with amax in its 72
+// bytes, every id section int64, and the stored inverse permutation,
+// Amax(u) and diagonal of A (sections 3, 13 and 14; the tables are left
+// zero, which that generation's loader did not check).
+func asParentGeneration(t *testing.T, data []byte) []byte {
+	t.Helper()
+	f, err := mmapio.FromBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := func(id uint32) []int {
+		xs, err := f.Int32s(id)
+		must(err)
+		out := make([]int, len(xs))
+		for i, x := range xs {
+			out[i] = int(x)
+		}
+		return out
+	}
+	ints := func(id uint32) []int { xs, err := f.Ints(id); must(err); return xs }
+	floats := func(id uint32) []float64 { xs, err := f.Floats(id); must(err); return xs }
+	meta, err := f.Bytes(1)
+	must(err)
+	old := append([]byte("KDIXV3\x00\x00"), meta[8:24]...) // tag, n, c
+	old = binary.LittleEndian.AppendUint64(old, 0)         // amax
+	old = append(old, meta[24:]...)                        // method, stats
+	perm := wide(2)
+	inv := make([]int, len(perm))
+	for i, p := range perm {
+		inv[p] = i
+	}
+	w := mmapio.NewWriter()
+	w.AddBytes(1, old)
+	w.AddInts(2, perm)
+	w.AddInts(3, inv)
+	w.AddInts(4, ints(4))
+	w.AddInts(5, wide(5))
+	w.AddFloats(6, floats(6))
+	w.AddInts(7, ints(7))
+	w.AddInts(8, wide(8))
+	w.AddFloats(9, floats(9))
+	w.AddInts(10, ints(10))
+	w.AddInts(11, wide(11))
+	w.AddFloats(12, floats(12))
+	w.AddFloats(13, make([]float64, len(perm)))
+	w.AddFloats(14, make([]float64, len(perm)))
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestOldGenerationsRefused pins the one-generation rule: a v1 core
-// stream, a core container carrying a retired kind-4 section, and a
-// version 4 directory (whose shard files carry such sections) are each
-// refused up front with the rebuild instruction — by LoadIndex and
+// stream, a core container carrying a retired kind-4 section, a core
+// container of the int64-id generation, and the version 4 and 5
+// directories whose shard files are those containers are each refused
+// up front with the rebuild instruction — by LoadIndex and
 // OpenIndexFile for the files, by Open both eagerly and lazily for the
-// directory — never accepted only to fail at query time.
+// directories — never accepted only to fail at query time.
 func TestOldGenerationsRefused(t *testing.T) {
 	g := testutil.Clustered(90, 3, 4)
 	built, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "v4")
-	if err := built.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Turn the directory into what version 4 wrote: the manifest's old
-	// version and format marker, every shard file with a strip section.
-	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"], m["shardFormat"] = 4, 3
-	if blob, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var kind4 []byte
-	for si := 0; si < built.Shards(); si++ {
-		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.idx", si))
-		data, err := os.ReadFile(path)
+	// oldDir saves the index as a directory of the given manifest
+	// version whose shard files rewrite turns into that version's; it
+	// returns the directory and the first shard file's bytes.
+	oldDir := func(version int, rewrite func(*testing.T, []byte) []byte) (string, []byte) {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("v%d", version))
+		if err := built.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind4 = withStripSection(t, data)
-		if err := os.WriteFile(path, kind4, 0o644); err != nil {
+		var m map[string]any
+		if err := json.Unmarshal(blob, &m); err != nil {
 			t.Fatal(err)
 		}
+		m["version"] = version
+		if version == 4 {
+			m["shardFormat"] = 3
+		}
+		if blob, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for si := built.Shards() - 1; si >= 0; si-- {
+			path := filepath.Join(dir, fmt.Sprintf("shard-%04d.idx", si))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = rewrite(t, data)
+			if err := os.WriteFile(path, first, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir, first
 	}
-	kind4Path := filepath.Join(dir, "shard-0000.idx")
+	// Version 4: the strip sections, on the int64 generation's files.
+	v4, kind4 := oldDir(4, func(t *testing.T, data []byte) []byte {
+		return withStripSection(t, asParentGeneration(t, data))
+	})
+	v5, int64IDs := oldDir(5, asParentGeneration)
 	// The opening fields of a v1 stream: magic, version, n, c.
 	v1 := []byte("KDASHIX\x01")
 	v1 = binary.LittleEndian.AppendUint64(v1, 30)
@@ -263,7 +334,7 @@ func TestOldGenerationsRefused(t *testing.T) {
 	openFile := func(path string) func() (closer, error) {
 		return func() (closer, error) { return core.OpenIndexFile(path) }
 	}
-	openDir := func(opt LoadOptions) func() (closer, error) {
+	openDir := func(dir string, opt LoadOptions) func() (closer, error) {
 		return func() (closer, error) { return Open(dir, opt) }
 	}
 	cases := []struct {
@@ -273,9 +344,13 @@ func TestOldGenerationsRefused(t *testing.T) {
 		{"v1 stream/LoadIndex", loadBytes(v1)},
 		{"v1 stream/OpenIndexFile copy", openFile(v1Path)},
 		{"kind-4 section/LoadIndex", loadBytes(kind4)},
-		{"kind-4 section/OpenIndexFile copy", openFile(kind4Path)},
-		{"v4 directory/eager", openDir(LoadOptions{})},
-		{"v4 directory/lazy", openDir(LoadOptions{Lazy: true})},
+		{"kind-4 section/OpenIndexFile copy", openFile(filepath.Join(v4, "shard-0000.idx"))},
+		{"v4 directory/eager", openDir(v4, LoadOptions{})},
+		{"v4 directory/lazy", openDir(v4, LoadOptions{Lazy: true})},
+		{"int64 ids/LoadIndex", loadBytes(int64IDs)},
+		{"int64 ids/OpenIndexFile copy", openFile(filepath.Join(v5, "shard-0000.idx"))},
+		{"v5 directory/eager", openDir(v5, LoadOptions{})},
+		{"v5 directory/lazy", openDir(v5, LoadOptions{Lazy: true})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -265,7 +265,7 @@ type ShardedIndex struct {
 	staleness      []int
 	epoch          int
 
-	// Write-ahead-log position (manifest v5): the last WAL sequence
+	// Write-ahead-log position (the manifest's walSeq): the last WAL sequence
 	// number folded into these factors and the live segment names at
 	// save time (informational; recovery rescans the log directory).
 	// Set by SaveWALSnapshot; zero for indexes that never ran under a

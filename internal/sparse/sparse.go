@@ -3,9 +3,11 @@
 // triplets, matrix-vector products, transposition, symmetric permutation,
 // and dense conversion for tests.
 //
-// All matrices hold float64 values and use int indices. Within each row
-// (CSR) or column (CSC) the indices are kept sorted and unique; the
-// constructors take care of sorting and of summing duplicate entries.
+// All matrices hold float64 values, int32 row and column indices and
+// int pointer arrays: a dimension fits in 32 bits (MaxDim), while an
+// entry count may not. Within each row (CSR) or column (CSC) the indices
+// are kept sorted and unique; the constructors take care of sorting and
+// of summing duplicate entries.
 package sparse
 
 import (
@@ -13,8 +15,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
+
+// MaxDim is the largest row or column count a matrix can have: its
+// indices are stored as int32.
+const MaxDim = math.MaxInt32
 
 // Triplet is a single (row, col, value) coordinate entry.
 type Triplet struct {
@@ -31,8 +36,8 @@ type COO struct {
 
 // NewCOO returns an empty coordinate-format accumulator of the given shape.
 func NewCOO(rows, cols int) *COO {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
+	if rows < 0 || cols < 0 || rows > MaxDim || cols > MaxDim {
+		panic(fmt.Sprintf("sparse: dimension %dx%d outside [0,%d]", rows, cols, MaxDim))
 	}
 	return &COO{rows: rows, cols: cols}
 }
@@ -67,7 +72,7 @@ func (m *COO) ToCSR() *CSR {
 			j++
 		}
 		if v != 0 {
-			c.ColIdx = append(c.ColIdx, ent[i].Col)
+			c.ColIdx = append(c.ColIdx, int32(ent[i].Col))
 			c.Val = append(c.Val, v)
 			c.RowPtr[ent[i].Row+1]++
 		}
@@ -90,7 +95,7 @@ func (m *COO) ToCSC() *CSC {
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
-	ColIdx     []int
+	ColIdx     []int32
 	Val        []float64
 }
 
@@ -100,7 +105,7 @@ type CSR struct {
 type CSC struct {
 	Rows, Cols int
 	ColPtr     []int
-	RowIdx     []int
+	RowIdx     []int32
 	Val        []float64
 }
 
@@ -113,9 +118,9 @@ func (m *CSC) NNZ() int { return len(m.Val) }
 // At returns the (r, c) entry using binary search within the row.
 func (m *CSR) At(r, c int) float64 {
 	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-	i := lo + sort.SearchInts(m.ColIdx[lo:hi], c)
-	if i < hi && m.ColIdx[i] == c {
-		return m.Val[i]
+	i, found := slices.BinarySearch(m.ColIdx[lo:hi], int32(c))
+	if found {
+		return m.Val[lo+i]
 	}
 	return 0
 }
@@ -123,9 +128,9 @@ func (m *CSR) At(r, c int) float64 {
 // At returns the (r, c) entry using binary search within the column.
 func (m *CSC) At(r, c int) float64 {
 	lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-	i := lo + sort.SearchInts(m.RowIdx[lo:hi], r)
-	if i < hi && m.RowIdx[i] == r {
-		return m.Val[i]
+	i, found := slices.BinarySearch(m.RowIdx[lo:hi], int32(r))
+	if found {
+		return m.Val[lo+i]
 	}
 	return 0
 }
@@ -133,7 +138,7 @@ func (m *CSC) At(r, c int) float64 {
 // ToCSC converts to column-major form (counting sort on columns).
 func (m *CSR) ToCSC() *CSC {
 	out := &CSC{Rows: m.Rows, Cols: m.Cols, ColPtr: make([]int, m.Cols+1)}
-	out.RowIdx = make([]int, len(m.Val))
+	out.RowIdx = make([]int32, len(m.Val))
 	out.Val = make([]float64, len(m.Val))
 	for _, c := range m.ColIdx {
 		out.ColPtr[c+1]++
@@ -146,7 +151,7 @@ func (m *CSR) ToCSC() *CSC {
 	for r := 0; r < m.Rows; r++ {
 		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
 			c := m.ColIdx[i]
-			out.RowIdx[next[c]] = r
+			out.RowIdx[next[c]] = int32(r)
 			out.Val[next[c]] = m.Val[i]
 			next[c]++
 		}
@@ -157,7 +162,7 @@ func (m *CSR) ToCSC() *CSC {
 // ToCSR converts to row-major form.
 func (m *CSC) ToCSR() *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
-	out.ColIdx = make([]int, len(m.Val))
+	out.ColIdx = make([]int32, len(m.Val))
 	out.Val = make([]float64, len(m.Val))
 	for _, r := range m.RowIdx {
 		out.RowPtr[r+1]++
@@ -170,7 +175,7 @@ func (m *CSC) ToCSR() *CSR {
 	for c := 0; c < m.Cols; c++ {
 		for i := m.ColPtr[c]; i < m.ColPtr[c+1]; i++ {
 			r := m.RowIdx[i]
-			out.ColIdx[next[r]] = c
+			out.ColIdx[next[r]] = int32(c)
 			out.Val[next[r]] = m.Val[i]
 			next[r]++
 		}
@@ -243,13 +248,13 @@ func (m *CSC) PermuteSym(perm []int) *CSC {
 	// entries by their new row (it does not need a column's rows
 	// ordered), and ToCSC's row-by-row sweep then hands every new column
 	// its rows ascending.
-	rows := make([]int, len(m.RowIdx))
+	rows := make([]int32, len(m.RowIdx))
 	for i, r := range m.RowIdx {
-		rows[i] = perm[r]
+		rows[i] = int32(perm[r])
 	}
 	byRow := (&CSC{Rows: m.Rows, Cols: m.Cols, ColPtr: m.ColPtr, RowIdx: rows, Val: m.Val}).ToCSR()
 	for i, c := range byRow.ColIdx {
-		byRow.ColIdx[i] = perm[c]
+		byRow.ColIdx[i] = int32(perm[c])
 	}
 	return byRow.ToCSC()
 }
@@ -319,10 +324,10 @@ func (m *CSC) Dense() [][]float64 {
 
 // Identity returns the n x n identity in CSC form.
 func Identity(n int) *CSC {
-	m := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1), RowIdx: make([]int, n), Val: make([]float64, n)}
+	m := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1), RowIdx: make([]int32, n), Val: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		m.ColPtr[i+1] = i + 1
-		m.RowIdx[i] = i
+		m.RowIdx[i] = int32(i)
 		m.Val[i] = 1
 	}
 	return m
@@ -401,7 +406,9 @@ func (a *Vector) Scatter(ws []float64) []int {
 func (m *CSC) Col(c int) *Vector {
 	lo, hi := m.ColPtr[c], m.ColPtr[c+1]
 	v := &Vector{N: m.Rows, Idx: make([]int, hi-lo), Val: make([]float64, hi-lo)}
-	copy(v.Idx, m.RowIdx[lo:hi])
+	for k, r := range m.RowIdx[lo:hi] {
+		v.Idx[k] = int(r)
+	}
 	copy(v.Val, m.Val[lo:hi])
 	return v
 }
