@@ -137,6 +137,15 @@ type Index struct {
 	// last use of the Index precedes a read through such an object keep
 	// it alive with runtime.KeepAlive.
 	backing *mmapio.File
+
+	// The Louvain communities a block's ordering used (BuildBlock under
+	// Cluster or Hybrid): one id per owned node, their count K and
+	// modularity Q. Saved with the index, so a loaded shard's next
+	// rebuild orders by them without running Louvain; nil for a
+	// monolithic index.
+	comm  []int32
+	commK int
+	commQ float64
 }
 
 // derivedTables are an index's tables derived from its adjacency and
@@ -172,6 +181,9 @@ func (ix *Index) inverseFactors() *lu.Inverse {
 // options, same index, bit for bit.
 func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
 	ix, _, err := BuildBlock(g, opt, reorder.Block{Owned: g.N()}, nil)
+	if ix != nil {
+		ix.comm, ix.commK, ix.commQ = nil, 0, 0 // only a block rebuild reuses them
+	}
 	return ix, err
 }
 
@@ -255,9 +267,35 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	if g.M() > 0 {
 		ix.stats.InverseRatio = float64(ix.stats.NNZInverse) / float64(g.M())
 	}
+	if communities != nil {
+		ix.comm = make([]int32, len(communities.Community))
+		for u, c := range communities.Community {
+			ix.comm[u] = int32(c)
+		}
+		ix.commK, ix.commQ = communities.K, communities.Q
+	}
 	trackHeap(ix, ix.arrayBytes())
 	return ix, communities, nil
 }
+
+// Communities returns the Louvain communities the block's ordering
+// used, for the next epoch's reorder.Block.Communities, or nil when the
+// index has none (a monolithic index, or an ordering without Louvain).
+// Each call returns a fresh copy.
+func (ix *Index) Communities() *louvain.Result {
+	if ix.comm == nil {
+		return nil
+	}
+	res := &louvain.Result{Community: make([]int, len(ix.comm)), K: ix.commK, Q: ix.commQ}
+	for u, c := range ix.comm {
+		res.Community[u] = int(c)
+	}
+	return res
+}
+
+// CommunityNodes reports how many nodes the saved communities cover:
+// the block's owned nodes, or 0 when it has none.
+func (ix *Index) CommunityNodes() int { return len(ix.comm) }
 
 // N reports the number of indexed nodes.
 func (ix *Index) N() int { return ix.n }

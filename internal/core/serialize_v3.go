@@ -16,14 +16,17 @@ package core
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it; its meta tag names the
-// generation within it. The current one, "KDIXV4", stores every row and
+// generation within it. The current one, "KDIXV5", stores every row and
 // column id (the permutation, the adjacency's rows, L^{-1}'s rows and
 // U^{-1}'s columns) as int32 and stores nothing that the adjacency and
 // the permutation fix: the inverse permutation and Definition 2's tables
-// are derived on first use. It is the only generation either loader
-// reads: the v1 value-by-value stream, the v3 files that also carried
-// int32 factor strips (sections 15-22, mmapio kind 4) and the "KDIXV3"
-// files whose ids were int64 are all refused with ErrUnsupportedFormat.
+// are derived on first use. A block's index also stores the Louvain
+// communities its ordering used (section 23, with K and Q in the meta
+// section). It is the only generation either loader reads: the v1
+// value-by-value stream, the v3 files that also carried int32 factor
+// strips (sections 15-22, mmapio kind 4), the "KDIXV3" files whose ids
+// were int64 and the "KDIXV4" files without communities are all refused
+// with ErrUnsupportedFormat.
 
 import (
 	"bufio"
@@ -60,16 +63,17 @@ const (
 	secUinvRowPtr = 10 // int64[n+1]: U^-1 CSR row pointers
 	secUinvColIdx = 11 // int32[nnzU]
 	secUinvVal    = 12 // float64[nnzU]
+	secCommunity  = 23 // int32[owned]: a block's Louvain communities, present when K > 0
 )
 
 // metaTag opens the meta section and names the generation, so a
 // container holding something other than a current core index is
 // refused before any array is interpreted.
-const metaTag = "KDIXV4\x00\x00"
+const metaTag = "KDIXV5\x00\x00"
 
 // metaSize is the fixed byte length of the meta section:
 //
-//	0   8  tag "KDIXV4\x00\x00"
+//	0   8  tag "KDIXV5\x00\x00"
 //	8   8  uint64 n
 //	16  8  float64 bits of the restart probability c
 //	24  8  uint64 reorder method
@@ -77,7 +81,9 @@ const metaTag = "KDIXV4\x00\x00"
 //	40  8  uint64 stats.NNZInverse
 //	48  8  uint64 stats.Edges
 //	56  8  float64 bits of stats.InverseRatio
-const metaSize = 64
+//	64  8  uint64 community count K (0: no community section)
+//	72  8  float64 bits of the communities' modularity Q
+const metaSize = 80
 
 // metaBytes encodes the scalar header.
 func (ix *Index) metaBytes() []byte {
@@ -91,6 +97,8 @@ func (ix *Index) metaBytes() []byte {
 	le.PutUint64(b[40:], uint64(ix.stats.NNZInverse))
 	le.PutUint64(b[48:], uint64(ix.stats.Edges))
 	le.PutUint64(b[56:], math.Float64bits(ix.stats.InverseRatio))
+	le.PutUint64(b[64:], uint64(ix.commK))
+	le.PutUint64(b[72:], math.Float64bits(ix.commQ))
 	return b
 }
 
@@ -109,6 +117,9 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.AddInts(secUinvRowPtr, ix.uinv.RowPtr)
 	sw.AddInt32s(secUinvColIdx, ix.uinv.ColIdx)
 	sw.AddFloats(secUinvVal, ix.uinv.Val)
+	if ix.commK > 0 {
+		sw.AddInt32s(secCommunity, ix.comm)
+	}
 	_, err := sw.WriteTo(w)
 	runtime.KeepAlive(ix) // sw holds slices of the backing
 	if err != nil {
@@ -237,6 +248,10 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	ints(secUinvRowPtr, &uinv.RowPtr)
 	ids(secUinvColIdx, &uinv.ColIdx)
 	floats(secUinvVal, &uinv.Val)
+	if ix.commK = int(min(le.Uint64(meta[64:]), sparse.MaxDim+1)); ix.commK > 0 {
+		ids(secCommunity, &ix.comm)
+		ix.commQ = math.Float64frombits(le.Uint64(meta[72:]))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
@@ -318,6 +333,16 @@ func (ix *Index) validateLoaded() error {
 	n := ix.n
 	if len(ix.perm) != n {
 		return fmt.Errorf("core: corrupt index (per-node sections sized %d, want %d)", len(ix.perm), n)
+	}
+	if k := ix.commK; k > 0 {
+		if len(ix.comm) > n || k > len(ix.comm) {
+			return fmt.Errorf("core: corrupt index (%d communities over %d of %d nodes)", k, len(ix.comm), n)
+		}
+		for _, c := range ix.comm {
+			if c < 0 || int(c) >= k {
+				return fmt.Errorf("core: corrupt index (community %d of %d)", c, k)
+			}
+		}
 	}
 	seen := make([]bool, n)
 	for _, p := range ix.perm {

@@ -7,6 +7,8 @@ package core
 // graph snapshot with proximities from the cross-shard push.
 
 import (
+	"math"
+
 	"kdash/internal/graph"
 	"kdash/internal/sparse"
 	"kdash/internal/topk"
@@ -81,24 +83,39 @@ func (e *estimate) selected(v int, p float64) {
 // TreeWS is the reusable scratch of Algorithm 4 over an n-node graph:
 // BFS layers and visit marks, invalidated per search by bumping a
 // generation counter instead of rewriting the arrays, and the visit
-// queue. Not safe for concurrent use; pool it like any workspace.
+// queue. Layers and marks are int32 (node ids are); when the generation
+// wraps, the marks are cleared once. Not safe for concurrent use; pool
+// it like any workspace.
 type TreeWS struct {
-	layer []int // valid only where mark[u] == gen
-	mark  []int
-	gen   int
+	layer []int32 // valid only where mark[u] == gen
+	mark  []int32
+	gen   int32
 	queue []int
 }
 
 // NewTreeWS returns search scratch for an n-node graph.
 func NewTreeWS(n int) *TreeWS {
-	return &TreeWS{layer: make([]int, n), mark: make([]int, n), queue: make([]int, 0, 256)}
+	return &TreeWS{layer: make([]int32, n), mark: make([]int32, n), queue: make([]int, 0, 256)}
+}
+
+// next starts a search: it returns a generation no mark holds, clearing
+// the marks when the counter wraps.
+//
+//kdash:noalloc
+func (ws *TreeWS) next() int32 {
+	if ws.gen == math.MaxInt32 {
+		clear(ws.mark)
+		ws.gen = 0
+	}
+	ws.gen++
+	return ws.gen
 }
 
 // SearchTree is Algorithm 4: it visits nodes in breadth-first order from
 // roots (layer 0 of a multi-source BFS, sorted ascending) over an
 // out-adjacency in CSR form — node v's out-neighbours are
-// outTo[outPtr[v]:outPtr[v+1]], ints in a graph snapshot and int32 ids
-// in an index's adjacency — scores each visited node and offers
+// outTo[outPtr[v]:outPtr[v+1]], a graph snapshot's or an index's
+// adjacency — scores each visited node and offers
 // every positive score of a non-excluded node to heap. Excluded nodes
 // are still scored: their mass is part of the estimate.
 //
@@ -120,9 +137,9 @@ func NewTreeWS(n int) *TreeWS {
 //
 //kdash:noalloc
 //kdash:deterministic
-func SearchTree[ID int | int32](ws *TreeWS, b *Bounds, outPtr []int, outTo []ID, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
-	ws.gen++
-	layer, mark, gen := ws.layer, ws.mark, ws.gen
+func SearchTree(ws *TreeWS, b *Bounds, outPtr []int, outTo []int32, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
+	gen := ws.next()
+	layer, mark := ws.layer, ws.mark
 	queue := append(ws.queue[:0], roots...)
 	for _, r := range roots {
 		mark[r] = gen
@@ -134,7 +151,7 @@ func SearchTree[ID int | int32](ws *TreeWS, b *Bounds, outPtr []int, outTo []ID,
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		stats.Visited++
-		est.enter(layer[u])
+		est.enter(int(layer[u]))
 		// Root nodes estimate to 1 (Definition 1) and are always scored.
 		// The heap-full guard keeps floating-point noise in a ~zero
 		// estimate from truncating the candidate set before K nodes have

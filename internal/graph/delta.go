@@ -166,7 +166,7 @@ func (g *Graph) Apply(d *Delta) (*Graph, error) {
 	out := &Graph{
 		n:      n2,
 		outPtr: make([]int, n2+1),
-		outTo:  make([]int, 0, len(g.outTo)+len(d.ops)),
+		outTo:  make([]int32, 0, len(g.outTo)+len(d.ops)),
 		outW:   make([]float64, 0, len(g.outW)+len(d.ops)),
 	}
 	for u := 0; u < g.n; u++ {
@@ -188,13 +188,13 @@ func (g *Graph) Apply(d *Delta) (*Graph, error) {
 		copyRows(u + 1) // row u is now the tail of out, spliced in place
 		for ; lo < len(order) && d.ops[order[lo]].from == u; lo++ {
 			op := d.ops[order[lo]]
-			at, found := slices.BinarySearch(out.outTo[start:], op.to)
+			at, found := slices.BinarySearch(out.outTo[start:], int32(op.to))
 			at += start
 			switch {
 			case op.kind == opAddEdge && found:
 				out.outW[at] += op.w
 			case op.kind == opAddEdge:
-				out.outTo = slices.Insert(out.outTo, at, op.to)
+				out.outTo = slices.Insert(out.outTo, at, int32(op.to))
 				out.outW = slices.Insert(out.outW, at, op.w)
 			case found:
 				out.outTo = slices.Delete(out.outTo, at, at+1)

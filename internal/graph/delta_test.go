@@ -231,7 +231,7 @@ func oracleApply(g *Graph, d *Delta) (*Graph, error) {
 	w := make(map[key]float64, g.M()+len(d.ops))
 	for u := 0; u < g.n; u++ {
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			w[key{u, g.outTo[i]}] = g.outW[i]
+			w[key{u, int(g.outTo[i])}] = g.outW[i]
 		}
 	}
 	for i, op := range d.ops {

@@ -23,17 +23,22 @@ type Edge struct {
 }
 
 // Graph is an immutable directed weighted graph with nodes 0..n-1.
-// Build one with a Builder or ParseEdgeList.
+// Build one with a Builder or ParseEdgeList, or open a saved snapshot
+// with OpenSnapshot. Node ids are stored as int32 (MaxNodes bounds n).
 type Graph struct {
 	n int
 	// out[u] lists u's out-edges sorted by target; parallel weights in wOut.
 	outPtr []int
-	outTo  []int
+	outTo  []int32
 	outW   []float64
 	// in[u] lists u's in-edges sorted by source; built eagerly (cheap).
 	inPtr  []int
-	inFrom []int
+	inFrom []int32
 	inW    []float64
+
+	// backing is the snapshot container the arrays alias
+	// (OpenSnapshot), nil for a graph built on the heap.
+	backing *snapshotBacking
 }
 
 // MaxNodes is the largest node count a graph can have: an index stores
@@ -103,7 +108,7 @@ func (b *Builder) Build() *Graph {
 		slices.SortFunc(ed, byEndpoints)
 	}
 	g := &Graph{n: b.n, outPtr: make([]int, b.n+1)}
-	g.outTo = make([]int, 0, len(ed))
+	g.outTo = make([]int32, 0, len(ed))
 	g.outW = make([]float64, 0, len(ed))
 	for i := 0; i < len(ed); {
 		j := i
@@ -112,7 +117,7 @@ func (b *Builder) Build() *Graph {
 			w += ed[j].Weight
 			j++
 		}
-		g.outTo = append(g.outTo, ed[i].To)
+		g.outTo = append(g.outTo, int32(ed[i].To))
 		g.outW = append(g.outW, w)
 		g.outPtr[ed[i].From+1]++
 		i = j
@@ -126,7 +131,7 @@ func (b *Builder) Build() *Graph {
 
 func (g *Graph) buildIn() {
 	g.inPtr = make([]int, g.n+1)
-	g.inFrom = make([]int, len(g.outTo))
+	g.inFrom = make([]int32, len(g.outTo))
 	g.inW = make([]float64, len(g.outTo))
 	for _, to := range g.outTo {
 		g.inPtr[to+1]++
@@ -139,7 +144,7 @@ func (g *Graph) buildIn() {
 	for u := 0; u < g.n; u++ {
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
 			to := g.outTo[i]
-			g.inFrom[next[to]] = u
+			g.inFrom[next[to]] = int32(u)
 			g.inW[next[to]] = g.outW[i]
 			next[to]++
 		}
@@ -165,19 +170,20 @@ func (g *Graph) Degree(u int) int { return g.OutDegree(u) + g.InDegree(u) }
 // OutNeighbors invokes fn for every out-edge (u -> to, w) of u.
 func (g *Graph) OutNeighbors(u int, fn func(to int, w float64)) {
 	for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-		fn(g.outTo[i], g.outW[i])
+		fn(int(g.outTo[i]), g.outW[i])
 	}
 }
 
 // OutCSR exposes the out-adjacency in CSR form: u's out-neighbours are
 // to[ptr[u]:ptr[u+1]], ascending. The slices alias the graph's storage
-// and must be treated as read-only.
-func (g *Graph) OutCSR() (ptr, to []int) { return g.outPtr, g.outTo }
+// (a sealed snapshot's memory, for an opened one) and must be treated
+// as read-only; they are valid only while the graph is reachable.
+func (g *Graph) OutCSR() (ptr []int, to []int32) { return g.outPtr, g.outTo }
 
 // InNeighbors invokes fn for every in-edge (from -> u, w) of u.
 func (g *Graph) InNeighbors(u int, fn func(from int, w float64)) {
 	for i := g.inPtr[u]; i < g.inPtr[u+1]; i++ {
-		fn(g.inFrom[i], g.inW[i])
+		fn(int(g.inFrom[i]), g.inW[i])
 	}
 }
 
@@ -189,7 +195,7 @@ func (g *Graph) HasEdge(from, to int) bool {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return false
 	}
-	_, found := slices.BinarySearch(g.outTo[g.outPtr[from]:g.outPtr[from+1]], to)
+	_, found := slices.BinarySearch(g.outTo[g.outPtr[from]:g.outPtr[from+1]], int32(to))
 	return found
 }
 
@@ -207,7 +213,7 @@ func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.M())
 	for u := 0; u < g.n; u++ {
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			out = append(out, Edge{u, g.outTo[i], g.outW[i]})
+			out = append(out, Edge{u, int(g.outTo[i]), g.outW[i]})
 		}
 	}
 	return out
@@ -226,7 +232,7 @@ func (g *Graph) ColumnNormalized() *sparse.CSC {
 		if total := g.OutWeightSum(v); total > 0 {
 			// Column v = out-edges of v, already sorted by target.
 			for i := g.outPtr[v]; i < g.outPtr[v+1]; i++ {
-				m.RowIdx = append(m.RowIdx, int32(g.outTo[i]))
+				m.RowIdx = append(m.RowIdx, g.outTo[i])
 				m.Val = append(m.Val, g.outW[i]/total)
 			}
 		}
@@ -258,7 +264,7 @@ func (g *Graph) BFS(root int) *BFSResult {
 	for head := 0; head < len(res.Order); head++ {
 		u := res.Order[head]
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			v := g.outTo[i]
+			v := int(g.outTo[i])
 			if res.Layer[v] < 0 {
 				res.Layer[v] = res.Layer[u] + 1
 				res.Order = append(res.Order, v)
@@ -276,7 +282,7 @@ func (g *Graph) Relabel(perm []int) *Graph {
 	b := NewBuilder(g.n)
 	for u := 0; u < g.n; u++ {
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			if err := b.AddEdge(perm[u], perm[g.outTo[i]], g.outW[i]); err != nil {
+			if err := b.AddEdge(perm[u], perm[int(g.outTo[i])], g.outW[i]); err != nil {
 				panic(err) // perm out of range is a programming error
 			}
 		}

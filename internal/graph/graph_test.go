@@ -424,7 +424,7 @@ func TestRowsSorted(t *testing.T) {
 	for _, g := range []*Graph{g, g2} {
 		a := g.ColumnNormalized()
 		for u := 0; u < n; u++ {
-			for _, row := range [][]int{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], widen(a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]])} {
+			for _, row := range [][]int32{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]} {
 				for i := 1; i < len(row); i++ {
 					if row[i-1] >= row[i] {
 						t.Fatalf("node %d: row %v not strictly ascending", u, row)
@@ -434,7 +434,7 @@ func TestRowsSorted(t *testing.T) {
 			for v := -1; v <= n; v++ {
 				want := false
 				for _, to := range g.outTo[g.outPtr[u]:g.outPtr[u+1]] {
-					want = want || to == v
+					want = want || int(to) == v
 				}
 				if got := g.HasEdge(u, v); got != want {
 					t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, got, want)
@@ -442,13 +442,4 @@ func TestRowsSorted(t *testing.T) {
 			}
 		}
 	}
-}
-
-// widen copies int32 matrix indices into ints.
-func widen(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
 }

@@ -20,10 +20,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"kdash/internal/gen"
+	"kdash/internal/obs"
 	"kdash/internal/placement"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
@@ -141,4 +143,30 @@ func TestCoordinatorStatzMetricsGolden(t *testing.T) {
 	statz, metrics := engineGolden(t, New(co))
 	checkGolden(t, "statz_index_coordinator.golden", statz)
 	checkGolden(t, "metrics_engine_coordinator.golden", metrics)
+}
+
+// TestMemoryBlockGolden pins the memory block's schema on both
+// surfaces: the /statz "memory" keys and the /metrics series it
+// projects onto (names, help, type and order), every value zeroed so
+// the pin holds on any platform and heap.
+func TestMemoryBlockGolden(t *testing.T) {
+	mem := memoryStatz(0)
+	keys := make([]string, 0, len(mem))
+	for k := range mem {
+		keys = append(keys, k)
+		mem[k] = 0
+	}
+	sort.Strings(keys)
+	var buf bytes.Buffer
+	buf.WriteString("# /statz memory keys\n")
+	for _, k := range keys {
+		buf.WriteString(k + "\n")
+	}
+	buf.WriteString("# /metrics memory series\n")
+	pw := obs.NewPromWriter(&buf)
+	writeMemoryMetrics(pw, mem)
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "memory_block.golden", buf.String())
 }

@@ -28,10 +28,11 @@ type brokenEngine struct {
 	panics bool
 }
 
-func (e *brokenEngine) N() int             { return e.n }
-func (e *brokenEngine) Restart() float64   { return 0.95 }
-func (e *brokenEngine) Epoch() int         { return 0 }
-func (e *brokenEngine) Statz() shard.Statz { return shard.Statz{Kind: "sharded", Nodes: e.n} }
+func (e *brokenEngine) N() int                  { return e.n }
+func (e *brokenEngine) Restart() float64        { return 0.95 }
+func (e *brokenEngine) Epoch() int              { return 0 }
+func (e *brokenEngine) Statz() shard.Statz      { return shard.Statz{Kind: "sharded", Nodes: e.n} }
+func (e *brokenEngine) GraphSealedBytes() int64 { return 0 }
 func (e *brokenEngine) fail() error {
 	if e.panics {
 		panic("solve shape mismatch")
@@ -115,8 +116,8 @@ func TestPanicRecoveryLiveServer(t *testing.T) {
 // opened sharded index: a query that needs a missing shard file or the
 // missing graph snapshot is abandoned with a 503 and a Retry-After hint
 // — exact or unavailable — and nothing panics. /proximity never reads
-// the snapshot, so it still answers without graph.tsv. An update stages
-// against the snapshot, so without graph.tsv it is a 503 too.
+// the snapshot, so it still answers without graph.idx. An update stages
+// against the snapshot, so without graph.idx it is a 503 too.
 func TestLazyLoadFailureIs503(t *testing.T) {
 	sx, err := shard.Build(gen.PlantedPartition(200, 4, 0.2, 0.02, 3), shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 3})
 	if err != nil {
@@ -129,9 +130,9 @@ func TestLazyLoadFailureIs503(t *testing.T) {
 		{http.MethodGet, "/proximity?q=0&u=1", ""},
 		{http.MethodPost, "/update", `{"addEdges":[{"from":0,"to":1}]}`},
 	}
-	for _, missing := range []string{"shard-*.idx", "graph.tsv"} {
+	for _, missing := range []string{"shard-*.idx", "graph.idx"} {
 		for _, req := range requests {
-			if req.url == "/update" && missing != "graph.tsv" {
+			if req.url == "/update" && missing != "graph.idx" {
 				continue
 			}
 			dir := filepath.Join(t.TempDir(), "idx")
@@ -155,7 +156,7 @@ func TestLazyLoadFailureIs503(t *testing.T) {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(req.method, req.url, strings.NewReader(req.body)))
 			want := http.StatusServiceUnavailable
-			if missing == "graph.tsv" && strings.HasPrefix(req.url, "/proximity") {
+			if missing == "graph.idx" && strings.HasPrefix(req.url, "/proximity") {
 				want = http.StatusOK
 			}
 			if rec.Code != want {

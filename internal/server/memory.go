@@ -4,14 +4,16 @@ package server
 // are, as far as the server can attribute them. The index arrays are
 // split by backing — on the Go heap (built or rebuilt in process, or
 // loaded into a Go buffer) and in sealed off-heap copies (loads where
-// the platform maps memory) — beside the off-heap containers opened and
-// released so far, the Go heap as the collector paces it, and the OS
-// resident set over all of it.
+// the platform maps memory) — beside the serving epoch's sealed graph
+// snapshot, the off-heap containers opened and released so far, the Go
+// heap as the collector paces it, and the OS resident set over all of
+// it.
 
 import (
 	"runtime/metrics"
 
 	"kdash/internal/core"
+	"kdash/internal/graph"
 	"kdash/internal/mmapio"
 	"kdash/internal/obs"
 	"kdash/internal/procmem"
@@ -28,9 +30,10 @@ var goMemSamples = []string{
 	"/gc/cycles/total:gc-cycles",
 }
 
-// memoryStatz reads the memory block. Each figure is read once, so the
-// two surfaces agree at any quiet instant.
-func memoryStatz() map[string]int64 {
+// memoryStatz reads the memory block; graphSealed is the serving
+// engine's GraphSealedBytes. Each figure is read once, so the two
+// surfaces agree at any quiet instant.
+func memoryStatz(graphSealed int64) map[string]int64 {
 	samples := make([]metrics.Sample, len(goMemSamples))
 	for i, name := range goMemSamples {
 		samples[i].Name = name
@@ -47,9 +50,12 @@ func memoryStatz() map[string]int64 {
 		// rssBytes is the OS-reported resident set (0 where
 		// unsupported): it counts the sealed off-heap index memory,
 		// which heap metrics cannot see.
-		"rssBytes":               procmem.Resident(),
-		"factorHeapBytes":        core.HeapBytes(),
-		"factorOffHeapBytes":     ms.SealedBytes,
+		"rssBytes":        procmem.Resident(),
+		"factorHeapBytes": core.HeapBytes(),
+		// Sealed memory holds factors and graph snapshots; the
+		// snapshots' share is counted apart.
+		"factorOffHeapBytes":     ms.SealedBytes - graph.SealedSnapshotBytes(),
+		"graphOffHeapBytes":      graphSealed,
 		"containersOpened":       ms.Opened,
 		"containersReleased":     ms.Released,
 		"containerReleasedBytes": ms.ReleasedBytes,
@@ -71,6 +77,7 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 		pw.Metric("kdash_index_factor_bytes", []obs.Label{{Name: "backing", Value: b.label}}, float64(mem[b.key]))
 	}
 	series := []struct{ key, name, help, typ string }{
+		{"graphOffHeapBytes", "kdash_index_graph_offheap_bytes", "Sealed graph snapshot the serving epoch ranks over (0 once an update replaced it, or before a lazy open).", "gauge"},
 		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies) opened.", "counter"},
 		{"containersReleased", "kdash_index_containers_released_total", "Off-heap index containers released: closed, or their last epoch collected.", "counter"},
 		{"containerReleasedBytes", "kdash_index_container_released_bytes_total", "Bytes the released containers returned to the OS.", "counter"},

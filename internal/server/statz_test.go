@@ -192,6 +192,7 @@ type memoryBlock struct {
 	RSSBytes               int64 `json:"rssBytes"`
 	FactorHeapBytes        int64 `json:"factorHeapBytes"`
 	FactorOffHeapBytes     int64 `json:"factorOffHeapBytes"`
+	GraphOffHeapBytes      int64 `json:"graphOffHeapBytes"`
 	ContainersOpened       int64 `json:"containersOpened"`
 	ContainersReleased     int64 `json:"containersReleased"`
 	ContainerReleasedBytes int64 `json:"containerReleasedBytes"`
@@ -202,7 +203,8 @@ type memoryBlock struct {
 
 // TestStatzMemoryBlockTracksLoadedShards serves a loaded directory: its
 // shard files must show up as off-heap factor bytes and opened
-// containers in /statz, and /metrics must carry the same block.
+// containers in /statz, its graph snapshot as graphOffHeapBytes until an
+// update replaces it, and /metrics must carry the same block.
 func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
 	built, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
@@ -247,8 +249,17 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	}
 	h = New(sx)
 	after := statz(h)
-	if got := after.ContainersOpened - before.ContainersOpened; got != int64(built.Shards()) {
-		t.Errorf("containersOpened rose by %d, want %d", got, built.Shards())
+	// The shard files, the graph snapshot and the partition container,
+	// which the open reads and releases.
+	if got := after.ContainersOpened - before.ContainersOpened; got != int64(built.Shards()+2) {
+		t.Errorf("containersOpened rose by %d, want %d", got, built.Shards()+2)
+	}
+	gi, err := os.Stat(filepath.Join(dir, "graph.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.GraphOffHeapBytes != gi.Size() {
+		t.Errorf("graphOffHeapBytes = %d, want graph.idx's %d bytes", after.GraphOffHeapBytes, gi.Size())
 	}
 	if after.FactorOffHeapBytes < files {
 		t.Errorf("factorOffHeapBytes = %d, want at least the %d bytes of shard files", after.FactorOffHeapBytes, files)
@@ -259,6 +270,17 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	}
 	if v, ok := metricValue(text, `kdash_index_factor_bytes{backing="offheap"}`); !ok || int64(v) < files {
 		t.Errorf(`kdash_index_factor_bytes{backing="offheap"} = %v (present %v), want at least %d`, v, ok, files)
+	}
+	if v, ok := metricValue(text, "kdash_index_graph_offheap_bytes"); !ok || int64(v) != gi.Size() {
+		t.Errorf("kdash_index_graph_offheap_bytes = %v (present %v), want %d", v, ok, gi.Size())
+	}
+	// An update's successor ranks over a graph on the Go heap.
+	next, _, err := sx.Apply(sx.Graph().NewDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := statz(New(next)).GraphOffHeapBytes; got != 0 {
+		t.Errorf("after an update, graphOffHeapBytes = %d, want 0", got)
 	}
 	if _, ok := metricValue(text, `kdash_index_factor_bytes{backing="mapped"}`); ok {
 		t.Error(`/metrics still carries the retired kdash_index_factor_bytes{backing="mapped"}`)

@@ -1,43 +1,58 @@
 package shard
 
 // Native fuzz targets for the sharded-index directory loader: a
-// corrupt manifest.json, cuts.bin or shard-NNNN.idx must make Load return an error — never
-// panic, never commit memory the directory does not carry. Each target
-// prepares one valid saved directory per process and swaps the fuzzed
-// file into it per input.
+// corrupt manifest.json, partition.idx (the assignment and the cut
+// lists), graph.idx or shard-NNNN.idx must make Load return an error —
+// never panic, never commit memory the directory does not carry. Each
+// target prepares one valid saved directory per process and swaps the
+// fuzzed file into it per input.
 //
 // Run with:
 //
-//	go test -fuzz=FuzzManifest  ./internal/shard
-//	go test -fuzz=FuzzCutsFile  ./internal/shard
-//	go test -fuzz=FuzzShardFile ./internal/shard
+//	go test -fuzz=FuzzManifest      ./internal/shard
+//	go test -fuzz=FuzzCutsFile      ./internal/shard   # partition.idx
+//	go test -fuzz=FuzzGraphSnapshot ./internal/shard   # graph.idx
+//	go test -fuzz=FuzzShardFile     ./internal/shard
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"kdash/internal/reorder"
 	"kdash/internal/testutil"
 )
 
 var fuzzDir struct {
-	once     sync.Once
-	dir      string
-	manifest []byte // the valid manifest.json
-	cuts     []byte // the valid cuts.bin
-	shard0   []byte // the valid shard-0000.idx
-	err      error
+	once      sync.Once
+	dir       string
+	manifest  []byte // the valid manifest.json
+	partition []byte // the valid partition.idx
+	graph     []byte // the valid graph.idx
+	shard0    []byte // the valid shard-0000.idx
+	err       error
 }
+
+// fuzzNodes is the node count of fuzzIndexDir's index.
+const fuzzNodes = 60
 
 // fuzzIndexDir lazily saves one small valid sharded index for the
 // process and returns the directory plus the pristine file contents.
-func fuzzIndexDir(f *testing.F) string {
-	f.Helper()
+// The assignment is pinned, so the partition and graph containers are
+// the same bytes on every architecture and their committed corpus can
+// be compared (TestShardFuzzCorpusIsCurrent).
+func fuzzIndexDir(tb testing.TB) string {
+	tb.Helper()
 	fuzzDir.once.Do(func() {
-		g := testutil.Clustered(60, 3, 5)
-		sx, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 1})
+		g := testutil.Clustered(fuzzNodes, 3, 5)
+		assign := make([]int, fuzzNodes)
+		for u := range assign {
+			assign[u] = u * 3 / fuzzNodes
+		}
+		sx, err := Build(g, Options{Seed: 1, Assignment: assign})
 		if err != nil {
 			fuzzDir.err = err
 			return
@@ -52,19 +67,23 @@ func fuzzIndexDir(f *testing.F) string {
 			return
 		}
 		fuzzDir.dir = dir
-		if fuzzDir.manifest, err = os.ReadFile(filepath.Join(dir, ManifestName)); err != nil {
-			fuzzDir.err = err
-			return
+		for _, f := range []struct {
+			name string
+			dst  *[]byte
+		}{
+			{ManifestName, &fuzzDir.manifest},
+			{partitionFileName, &fuzzDir.partition},
+			{graphFileName, &fuzzDir.graph},
+			{"shard-0000.idx", &fuzzDir.shard0},
+		} {
+			if *f.dst, err = os.ReadFile(filepath.Join(dir, f.name)); err != nil {
+				fuzzDir.err = err
+				return
+			}
 		}
-		if fuzzDir.cuts, err = os.ReadFile(filepath.Join(dir, "cuts.bin")); err != nil {
-			fuzzDir.err = err
-			return
-		}
-		fuzzDir.shard0, err = os.ReadFile(filepath.Join(dir, "shard-0000.idx"))
-		fuzzDir.err = err
 	})
 	if fuzzDir.err != nil {
-		f.Fatal(fuzzDir.err)
+		tb.Fatal(fuzzDir.err)
 	}
 	return fuzzDir.dir
 }
@@ -86,6 +105,7 @@ func fuzzOneFile(t *testing.T, dir, name string, pristine, data []byte) {
 	if err != nil {
 		return // rejection is the expected outcome
 	}
+	defer sx.Close()
 	// Accepted input (e.g. the pristine bytes themselves) must serve.
 	if _, _, qerr := sx.TopK(0, 3); qerr != nil {
 		t.Fatalf("accepted directory cannot answer: %v", qerr)
@@ -99,24 +119,34 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":5,"nodes":-4,"shards":1}`))
-	f.Add([]byte(`{"version":5,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"assignmentFile":"assignment.bin","cutsFile":"cuts.bin","graphFile":"graph.tsv","stats":{"nnzShards":[1,1,1]}}`))
-	f.Add([]byte(`{"version":5,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"assignmentFile":"../../etc/passwd","cutsFile":"cuts.bin","graphFile":"graph.tsv","stats":{"nnzShards":[1,1,1]}}`))
+	f.Add([]byte(`{"version":7,"nodes":-4,"shards":1}`))
+	f.Add([]byte(`{"version":7,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
+	f.Add([]byte(`{"version":7,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, ManifestName, valid, data)
 	})
 }
 
+// FuzzCutsFile fuzzes partition.idx, the container holding the
+// assignment and every shard's cut list.
 func FuzzCutsFile(f *testing.F) {
 	dir := fuzzIndexDir(f)
-	valid := fuzzDir.cuts
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:7]) // truncated mid-count
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // count bomb
+	for _, s := range fuzzSeedsPartition(f) {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzOneFile(t, dir, "cuts.bin", valid, data)
+		fuzzOneFile(t, dir, partitionFileName, fuzzDir.partition, data)
+	})
+}
+
+// FuzzGraphSnapshot fuzzes graph.idx, the sealed graph snapshot.
+func FuzzGraphSnapshot(f *testing.F) {
+	dir := fuzzIndexDir(f)
+	for _, s := range fuzzSeedsGraph(f) {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzOneFile(t, dir, graphFileName, fuzzDir.graph, data)
 	})
 }
 
@@ -124,10 +154,119 @@ func FuzzShardFile(f *testing.F) {
 	dir := fuzzIndexDir(f)
 	valid := fuzzDir.shard0
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // the issue's "truncated shard-NNNN.idx"
+	f.Add(valid[:len(valid)/2]) // a truncated shard-NNNN.idx
 	f.Add(valid[:8])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, "shard-0000.idx", valid, data)
 	})
+}
+
+// fuzzSeed is one named seed input, named as its committed corpus
+// entry.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
+
+// fuzzSeedsPartition is FuzzCutsFile's seeds: the valid container, a
+// truncation, nothing, a cut-count bomb (the table claims n² cut
+// sources), a data-checksum flip, and finding A's edits resealed so
+// they reach the cross-checks — two nodes of different shards swapped
+// in the assignment, and a cut whose source moved to another shard.
+func fuzzSeedsPartition(tb testing.TB) []fuzzSeed {
+	fuzzIndexDir(tb)
+	valid := fuzzDir.partition
+	bomb := withSectionCount(tb, valid, partCutSrc, fuzzNodes*fuzzNodes)
+	flip := append([]byte{}, valid...)
+	flip[mmapioDataStart] ^= 0xff
+	swap := resealed(tb, valid, partAssign, func(sec []byte) {
+		a, b := sec[4*0:4*1], sec[4*(fuzzNodes-1):4*fuzzNodes]
+		var tmp [4]byte
+		copy(tmp[:], a)
+		copy(a, b)
+		copy(b, tmp[:])
+	})
+	moved := resealed(tb, valid, partCutSrc, func(sec []byte) {
+		binary.LittleEndian.PutUint32(sec, fuzzNodes-1)
+	})
+	return []fuzzSeed{
+		{"valid", valid},
+		{"truncated", valid[:len(valid)/2]},
+		{"empty", []byte{}},
+		{"count-bomb", bomb},
+		{"data-checksum-flip", flip},
+		{"assignment-swap-resealed", swap},
+		{"cut-source-moved-resealed", moved},
+	}
+}
+
+// fuzzSeedsGraph is FuzzGraphSnapshot's seeds: the valid snapshot, a
+// truncation, nothing, an edge-count bomb, a data-checksum flip, finding
+// A's moved edge targets resealed (the in-adjacency check refuses them)
+// and a resealed negative weight.
+func fuzzSeedsGraph(tb testing.TB) []fuzzSeed {
+	fuzzIndexDir(tb)
+	valid := fuzzDir.graph
+	flip := append([]byte{}, valid...)
+	flip[mmapioDataStart] ^= 0xff
+	moved := resealed(tb, valid, 3, func(sec []byte) {
+		for i := 0; i+4 <= len(sec) && i < 4*20; i += 4 {
+			v := binary.LittleEndian.Uint32(sec[i:])
+			binary.LittleEndian.PutUint32(sec[i:], (v+1)%fuzzNodes)
+		}
+	})
+	negW := resealed(tb, valid, 4, func(sec []byte) {
+		binary.LittleEndian.PutUint64(sec, math.Float64bits(-1))
+	})
+	return []fuzzSeed{
+		{"valid", valid},
+		{"truncated", valid[:len(valid)/2]},
+		{"empty", []byte{}},
+		{"edge-count-bomb", withSectionCount(tb, valid, 3, fuzzNodes*fuzzNodes*fuzzNodes)},
+		{"data-checksum-flip", flip},
+		{"targets-moved-resealed", moved},
+		{"negative-weight-resealed", negW},
+	}
+}
+
+// TestShardFuzzCorpusIsCurrent pins the committed FuzzCutsFile and
+// FuzzGraphSnapshot corpora to the seeds of the current format, so a
+// format change that leaves a corpus in the old layout fails here until
+// it is regenerated from fuzzSeedsPartition and fuzzSeedsGraph. It also
+// checks that every seed but "valid" is refused.
+func TestShardFuzzCorpusIsCurrent(t *testing.T) {
+	dir := fuzzIndexDir(t)
+	for _, c := range []struct {
+		target, file string
+		pristine     []byte
+		seeds        []fuzzSeed
+	}{
+		{"FuzzCutsFile", partitionFileName, fuzzDir.partition, fuzzSeedsPartition(t)},
+		{"FuzzGraphSnapshot", graphFileName, fuzzDir.graph, fuzzSeedsGraph(t)},
+	} {
+		for _, s := range c.seeds {
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", c.target, s.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data); string(raw) != want {
+				t.Errorf("%s corpus entry %s is not the current seed; regenerate it", c.target, s.name)
+			}
+			path := filepath.Join(dir, c.file)
+			if err := os.WriteFile(path, s.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sx, err := Load(dir)
+			if err == nil {
+				sx.Close()
+			}
+			if (err == nil) != (s.name == "valid") {
+				t.Errorf("%s seed %s: Load error %v", c.target, s.name, err)
+			}
+			if err := os.WriteFile(path, c.pristine, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

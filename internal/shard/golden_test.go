@@ -4,7 +4,8 @@ package shard
 // sha256 of every file Save writes for one seeded build, and again
 // after one two-edge Apply, pinned to the values the block ordering by
 // owned subgraph and cut-owning nodes first produced, as written by the
-// file generation with int32 ids. A change that
+// directory generation of sealed graph and partition containers and
+// shard files that keep their communities. A change that
 // moves any of these hashes has changed a partition, an ordering, a
 // factor bit or the snapshot — which is a different kind of change
 // from making the build faster.
@@ -24,25 +25,23 @@ import (
 )
 
 var goldenBuild = map[string]string{
-	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
-	"cuts.bin":       "dc7ba4a8c1fce244a68dc19159dff52a377a5c0f35c29f91bc18ba39f92e6254",
-	"graph.tsv":      "08c76046b9f601c08a6304bdfe14ad64baf7145820ff23ad2a9f0753c6b3471d",
-	"manifest.json":  "c2c6b5a572154faad252863b84d4d42ccacaf4a3d4df435116eb8d88a4c5a5bf",
-	"shard-0000.idx": "49ca0b417fdb082d2181f7fbff9a96e91d1833f5afa73c547721ef1eaafa8cfc",
-	"shard-0001.idx": "f179c89cfafe56f95fa3354a10bce377fba15ed9f862aeb55757d6505ca703bf",
-	"shard-0002.idx": "778b2def69c3a3dbb1a34946fd6dfc259c47fc56c3085172fb268e9f3814587d",
-	"shard-0003.idx": "5ff4a358eef0fe3bd614a62945198b52f5d8ba0d5cd10b75c43309a60994603e",
+	"graph.idx":      "579e1a30a6b69b6af1e6da10bf8ef46306f9070f463d434c29630f1e4be43015",
+	"manifest.json":  "eeffd2e1712f7a087c5aaf2597ba41cb4412cbc6614001bb0cd81f0aac5160b7",
+	"partition.idx":  "93555a42d607fe6ba816535b036a031c289ab15d28018c1cc154c777f625c59a",
+	"shard-0000.idx": "4849c570e74ba000038993de96eff9c5e71d3e599dbd994684252b83f85ef3be",
+	"shard-0001.idx": "3ad605384ff5c7ed51c747a8363245d8f493bac07265ca4116f2436590b1f8f7",
+	"shard-0002.idx": "55f03ad04466b44cd0f50711ee0079055dd6136a90c9cd5299aec92392e39a55",
+	"shard-0003.idx": "8dbe48e809a902973c3c71907defd9d5caabb12f208f2975f75b6f6589647f41",
 }
 
 var goldenApply = map[string]string{
-	"assignment.bin": "b1bc81bd7713a5bd510f0deb23320ad015e037efdecd9391fea4310830b26355",
-	"cuts.bin":       "b46bc3bdaa7fae2dc71b63a3cede4fbbe89d6a9835a025047269ff963ccdb4ca",
-	"graph.tsv":      "c64aa3201f6b6b177584428b1b54498d43c709cc0a526c1501d69457c2538316",
-	"manifest.json":  "409c82d5a74873b5b3a73e7859a1195571c26818b497054b15eddd1b8d228f10",
-	"shard-0000.idx": "78f9b3e05536fdfcf336c97e184013054ef48a99f2197c856e79b7555d1926a7",
-	"shard-0001.idx": "a63be9812b4a8f26e2978b5396f2b047084e95f2c47af65804ec655c7f2f9333",
-	"shard-0002.idx": "778b2def69c3a3dbb1a34946fd6dfc259c47fc56c3085172fb268e9f3814587d",
-	"shard-0003.idx": "5ff4a358eef0fe3bd614a62945198b52f5d8ba0d5cd10b75c43309a60994603e",
+	"graph.idx":      "75ee8ff697ffa65de073b5dbf257c8bf83c224fc1c94a3c8793acc91acacdf02",
+	"manifest.json":  "4eb28149363e0f1ee17f558b15fe7f254a4cb3ebee716abf988f43c0b218a2e3",
+	"partition.idx":  "d81ee11133664f1c2bf67a92968074195c3375a41c0f518381a6f46ac15acbf1",
+	"shard-0000.idx": "c8eff9f777001ba8174f522a87ac2c7cb5421f9cb75dd1a35c90806eacfe4b1b",
+	"shard-0001.idx": "d7fd957068f1e11b400f5251dec18c4ec0ca046d21e6a2981e3ed73679aa6a5c",
+	"shard-0002.idx": "55f03ad04466b44cd0f50711ee0079055dd6136a90c9cd5299aec92392e39a55",
+	"shard-0003.idx": "8dbe48e809a902973c3c71907defd9d5caabb12f208f2975f75b6f6589647f41",
 }
 
 // dirHashes returns file name -> sha256 hex for every file in dir.

@@ -17,13 +17,7 @@ package shard
 // inputs, same function, same order", not "close enough". The worker
 // side of the seam is SolveShardRows below.
 
-import (
-	"fmt"
-	"sync"
-
-	"kdash/internal/core"
-	"kdash/internal/lu"
-)
+import "fmt"
 
 // RemoteSolver routes per-shard factor solves to remote workers. An
 // implementation must be safe for concurrent calls (concurrent queries
@@ -55,19 +49,6 @@ func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 // PartLen reports shard si's solve dimension: owned nodes plus the
 // ghost sink row when the shard has outgoing cut weight.
 func (sx *ShardedIndex) PartLen(si int) int { return sx.partLen(si) }
-
-// getWorkspace checks an L^{-1} workspace for shard si (whose index is
-// ix) out of the worker surface's per-shard pool, creating one on first
-// use. Pooled workspaces are clean between calls.
-//
-//kdash:pooled
-func (sx *ShardedIndex) getWorkspace(si int, ix *core.Index) *lu.Workspace {
-	sx.wpoolOnce.Do(func() { sx.wpool = make([]sync.Pool, len(sx.parts)) })
-	if w, ok := sx.wpool[si].Get().(*lu.Workspace); ok {
-		return w
-	}
-	return ix.NewWorkspace()
-}
 
 // SolveShardRows is the worker side of RemoteSolver.SolveRows: for each
 // right-hand side, the L^{-1} pass into a pooled workspace, one U^{-1}
@@ -102,8 +83,8 @@ func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []
 		return err
 	}
 	cutUpper := p.cutRowsUpper(ix)
-	w := sx.getWorkspace(si, ix)
-	defer sx.wpool[si].Put(w)
+	w := p.getWorkspace(ix)
+	defer p.putWorkspace(w)
 	for r := 0; r+1 < len(ptr); r++ {
 		lo, hi := ptr[r], ptr[r+1]
 		err := ix.SolveLower(idx[lo:hi], val[lo:hi], w) // validates range and ascending order before writing

@@ -165,8 +165,8 @@ func bfsPrefix(g *graph.Graph, root, need int) map[int]bool {
 	for len(in) <= need && len(layer) > 0 {
 		var next []int
 		for _, u := range layer {
-			for _, v := range to[ptr[u]:ptr[u+1]] {
-				if !in[v] {
+			for _, id := range to[ptr[u]:ptr[u+1]] {
+				if v := int(id); !in[v] {
 					in[v] = true
 					next = append(next, v)
 				}

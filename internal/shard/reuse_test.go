@@ -42,7 +42,7 @@ func checkCounts(t *testing.T, label string, us UpdateStats, want reuseCounts) {
 // (8 shards of ~100-node communities), two edges crossing the cut from
 // nodes that already own cut edges reuse both shards' communities and
 // ≥ 90 % of their inverse columns, and after a save and load the same
-// update copies the same columns but runs Louvain; an edge inside a
+// update reuses the same communities and columns; an edge inside a
 // shard recomputes its communities; a node insertion and a
 // re-partition rebuild from nothing.
 func TestApplyReusePath(t *testing.T) {
@@ -91,8 +91,9 @@ func TestApplyReusePath(t *testing.T) {
 		t.Fatalf("cut-crossing: copied %.1f %% of the inverse columns, want ≥ 90 %%", 100*frac)
 	}
 
-	// Communities are not saved: after a load the same update copies
-	// the same columns out of the sealed shard files, but runs Louvain.
+	// Each shard file keeps its block's communities: after a load the
+	// same update copies the same columns out of the sealed shard files
+	// and orders by the saved communities, bit-identically to a build.
 	dir := t.TempDir()
 	if err := sx.Save(dir); err != nil {
 		t.Fatal(err)
@@ -101,7 +102,11 @@ func TestApplyReusePath(t *testing.T) {
 	if sx, err = Open(dir, LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, "after a load", apply("after a load", d), reuseCounts{2, 0, 12432, 72})
+	us = apply("after a load", d)
+	if us.CommunitiesReused == 0 {
+		t.Fatal("after a load: the saved communities were not reused")
+	}
+	checkCounts(t, "after a load", us, reuseCounts{2, 2, 12432, 72})
 	sx = built
 
 	// An edge inside shard 4.

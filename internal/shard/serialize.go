@@ -6,23 +6,26 @@ package shard
 // individual shard files are fetched and opened independently.
 //
 //	indexdir/
-//	  manifest.json      version, c, node/shard counts, file names, stats
-//	  graph.tsv          graph snapshot — what makes the index updatable
-//	  assignment.bin     n × uint32 LE: node -> shard
-//	  cuts.bin           per-shard outgoing cut edges (binary, see below)
-//	  shard-0000.idx     core.Index.Save format (mmapio container), one per shard
+//	  manifest.json      version, c, node/edge/shard counts, file names, stats
+//	  graph.idx          graph snapshot (graph.WriteSnapshot) — what queries
+//	                     rank over and updates replay onto
+//	  partition.idx      the assignment (node -> shard) and every shard's
+//	                     outgoing cut edges (see writePartition)
+//	  shard-0000.idx     core.Index.Save format, one per shard
 //	  ...
 //
-// Open is the general entry point: LoadOptions select eager vs lazy
-// shard opens, and every shard file opens into sealed memory with its
-// checksums verified and its arrays range-checked. Lazy opens read
-// only the manifest, assignment and cut lists up front — O(n) bytes,
-// no factor data — and defer each shard file (and the graph snapshot)
-// to first use, so a 64-shard index answers a query against shard 3
-// before shard 60's file is ever touched. Load is the eager wrapper. A
-// directory of any other manifest version is refused with the rebuild
-// instruction. See docs/ARCHITECTURE.md for the byte-level format specs
-// (manifest, cuts.bin, the sectioned core layout).
+// Every file but the manifest is an internal/mmapio container: section
+// and table checksums, int32 ids, float64 weights, int64 pointers. Open
+// is the general entry point: LoadOptions select eager vs lazy shard
+// opens. Both read the partition container up front — O(n) bytes, no
+// factor data — verify it and cross-check it against the manifest, and
+// copy the assignment and cut lists out. An eager open then opens the
+// graph snapshot into sealed memory and every shard file; a lazy one
+// defers each shard file to the first query that solves the shard, and
+// the snapshot to the first query that ranks, so a worker (which never
+// ranks) never reads it. A directory of any other manifest version is
+// refused with the rebuild instruction. See docs/ARCHITECTURE.md for
+// the byte-level format specs.
 //
 // Local ids are not persisted: both writer and reader assign them by
 // ascending global id within each shard, so the assignment array fully
@@ -32,7 +35,6 @@ package shard
 // validates the file agrees).
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -43,6 +45,7 @@ import (
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
 
@@ -55,27 +58,38 @@ const ManifestName = "manifest.json"
 // instruction: every directory since version 2 carries its graph
 // snapshot, so any index can be rebuilt from its own files. Version 5
 // dropped the int32 factor strips from the shard files; version 6
-// stores every row and column id of a shard file as int32 and no longer
-// stores the tables the adjacency and permutation fix. An older
-// directory's shard files are a generation this build does not read, so
-// a lazy open of one would fail query by query.
-const manifestVersion = 6
+// stored every row and column id of a shard file as int32 and no longer
+// stored the tables the adjacency and permutation fix; version 7 stores
+// the graph snapshot, the assignment and the cut lists as checksummed
+// containers (graph.idx, partition.idx) instead of a TSV edge list and
+// two unchecked binary files, and each shard file keeps its block's
+// Louvain communities. An older directory's shard files are a
+// generation this build does not read, so a lazy open of one would fail
+// query by query.
+const manifestVersion = 7
+
+// The directory's fixed file names; the manifest records them, and Open
+// accepts any plain name inside the directory.
+const (
+	graphFileName     = "graph.idx"
+	partitionFileName = "partition.idx"
+)
 
 // manifest is the JSON document written to ManifestName.
 type manifest struct {
-	Version        int      `json:"version"`
-	Restart        float64  `json:"restart"`
-	Nodes          int      `json:"nodes"`
-	Shards         int      `json:"shards"`
-	QueryTol       float64  `json:"queryTol"`
-	ShardFiles     []string `json:"shardFiles"`
-	AssignmentFile string   `json:"assignmentFile"`
-	CutsFile       string   `json:"cutsFile"`
+	Version       int      `json:"version"`
+	Restart       float64  `json:"restart"`
+	Nodes         int      `json:"nodes"`
+	Edges         int      `json:"edges"`
+	Shards        int      `json:"shards"`
+	QueryTol      float64  `json:"queryTol"`
+	ShardFiles    []string `json:"shardFiles"`
+	PartitionFile string   `json:"partitionFile"`
 
-	// The dynamic-update state: the graph snapshot (edge list), the build
-	// inputs Apply replays (reorder method, seed), the epoch number and
-	// the per-shard staleness counters.
-	GraphFile      string `json:"graphFile,omitempty"`
+	// The dynamic-update state: the graph snapshot, the build inputs
+	// Apply replays (reorder method, seed), the epoch number and the
+	// per-shard staleness counters.
+	GraphFile      string `json:"graphFile"`
 	Reorder        string `json:"reorder,omitempty"`
 	Seed           int64  `json:"seed,omitempty"`
 	Epoch          int    `json:"epoch,omitempty"`
@@ -129,8 +143,7 @@ func (sx *ShardedIndex) Save(dir string) error {
 	m.Nodes = sx.n
 	m.Shards = len(sx.parts)
 	m.QueryTol = sx.qtol
-	m.AssignmentFile = "assignment.bin"
-	m.CutsFile = "cuts.bin"
+	m.PartitionFile = partitionFileName
 	m.Reorder = sx.method.String()
 	m.Seed = sx.seed
 	m.Epoch = sx.epoch
@@ -138,11 +151,12 @@ func (sx *ShardedIndex) Save(dir string) error {
 	m.Staleness = sx.staleness
 	m.WALSeq = sx.walSeq
 	m.WALSegments = sx.walSegments
-	if err := sx.ensureGraph(); err != nil { // a deferred snapshot must materialise to be re-saved
+	if err := sx.ensureGraph(); err != nil { // a deferred snapshot must open to be re-saved
 		return fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
-	m.GraphFile = "graph.tsv"
-	if err := writeFile(filepath.Join(dir, m.GraphFile), sx.g.WriteEdgeList); err != nil {
+	m.Edges = sx.g.M()
+	m.GraphFile = graphFileName
+	if err := writeFile(filepath.Join(dir, m.GraphFile), sx.g.WriteSnapshot); err != nil {
 		return fmt.Errorf("shard: saving graph snapshot: %w", err)
 	}
 	m.Stats.Sizes = sx.stats.Sizes
@@ -168,11 +182,8 @@ func (sx *ShardedIndex) Save(dir string) error {
 	// Every shard is open now: the aggregate is the sum of the per-shard
 	// counts just written.
 	m.Stats.NNZInverse = nnzTotal
-	if err := writeFile(filepath.Join(dir, m.AssignmentFile), sx.writeAssignment); err != nil {
-		return fmt.Errorf("shard: saving assignment: %w", err)
-	}
-	if err := writeFile(filepath.Join(dir, m.CutsFile), sx.writeCuts); err != nil {
-		return fmt.Errorf("shard: saving cut edges: %w", err)
+	if err := writeFile(filepath.Join(dir, m.PartitionFile), sx.writePartition); err != nil {
+		return fmt.Errorf("shard: saving partition: %w", err)
 	}
 	blob, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -196,61 +207,62 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func (sx *ShardedIndex) writeAssignment(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf [4]byte
-	for _, si := range sx.home {
-		binary.LittleEndian.PutUint32(buf[:], uint32(si))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// Section ids of the partition container (partition.idx). The cut
+// edges of shard si are entries [cutPtr[si], cutPtr[si+1]) of the three
+// cut sections, sorted by source; their endpoints are global ids, so
+// the open checks every one against the assignment.
+const (
+	partMeta     = 1 // bytes: tag "KDPTV1\x00\x00", uint64 n, uint64 shards
+	partAssign   = 2 // int32[n]: node -> shard
+	partCutPtr   = 3 // int64[shards+1]
+	partCutSrc   = 4 // int32[cuts]: global source ids
+	partCutDst   = 5 // int32[cuts]: global destination ids
+	partCutW     = 6 // float64[cuts]: (1-c)-scaled transition probabilities
+	partMetaSize = 24
+	partTag      = "KDPTV1\x00\x00"
+)
 
-func (sx *ShardedIndex) writeCuts(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var b8 [8]byte
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		_, err := bw.Write(b8[:])
-		return err
+// writePartition writes the assignment and every shard's cut list as
+// the partition container.
+func (sx *ShardedIndex) writePartition(w io.Writer) error {
+	meta := make([]byte, partMetaSize)
+	copy(meta, partTag)
+	binary.LittleEndian.PutUint64(meta[8:], uint64(sx.n))
+	binary.LittleEndian.PutUint64(meta[16:], uint64(len(sx.parts)))
+	assign := make([]int32, sx.n)
+	for u, si := range sx.home {
+		assign[u] = int32(si)
 	}
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		_, err := bw.Write(b8[:4])
-		return err
-	}
+	ptr := make([]int, 1, len(sx.parts)+1)
+	var src, dst []int32
+	var wt []float64
 	for _, p := range sx.parts {
-		if err := writeU64(uint64(len(p.cuts))); err != nil {
-			return err
-		}
 		for _, e := range p.cuts {
-			if err := writeU32(uint32(e.src)); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(e.dstShard)); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(e.dst)); err != nil {
-				return err
-			}
-			if err := writeU64(math.Float64bits(e.w)); err != nil {
-				return err
-			}
+			src = append(src, int32(p.nodes[e.src]))
+			dst = append(dst, int32(sx.parts[e.dstShard].nodes[e.dst]))
+			wt = append(wt, e.w)
 		}
+		ptr = append(ptr, len(src))
 	}
-	return bw.Flush()
+	sw := mmapio.NewWriter()
+	sw.AddBytes(partMeta, meta)
+	sw.AddInt32s(partAssign, assign)
+	sw.AddInts(partCutPtr, ptr)
+	sw.AddInt32s(partCutSrc, src)
+	sw.AddInt32s(partCutDst, dst)
+	sw.AddFloats(partCutW, wt)
+	_, err := sw.WriteTo(w)
+	return err
 }
 
 // LoadOptions configures Open.
 type LoadOptions struct {
 	// Lazy defers each shard file's open to the first query that solves
-	// the shard, and the graph snapshot's parse to the first query:
-	// Open returns after reading only the manifest, assignment and cuts,
-	// so a 64-shard index serves a query against shard 3 before shard
-	// 60's file is ever touched. Without Lazy every shard opens (and
-	// validates) before Open returns.
+	// the shard, and the graph snapshot's open to the first query that
+	// ranks: Open returns after reading only the manifest and the
+	// partition container, so a 64-shard index serves a query against
+	// shard 3 before shard 60's file is ever touched. Without Lazy every
+	// shard and the snapshot open (and validate) before Open returns.
 	Lazy bool
 }
 
@@ -261,10 +273,10 @@ func Load(dir string) (*ShardedIndex, error) {
 }
 
 // Open reads a sharded index with an explicit laziness choice. Every
-// shard file is read into sealed memory outside the Go heap (where the
-// platform maps memory) and checksummed and range-checked when it
-// opens; see LoadOptions. Shard containers are released when no epoch
-// using them is reachable, or at once by Close.
+// shard file and the graph snapshot are read into sealed memory outside
+// the Go heap (where the platform maps memory) and checksummed and
+// range-checked when they open; see LoadOptions. They are released when
+// no epoch using them is reachable, or at once by Close.
 func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -277,10 +289,10 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("shard: manifest version %d (this build reads %d): %w", m.Version, manifestVersion, core.ErrUnsupportedFormat)
 	}
-	if m.Nodes <= 0 || m.Nodes > 1<<40 || m.Shards <= 0 || m.Shards > m.Nodes ||
-		len(m.ShardFiles) != m.Shards || len(m.Stats.NNZShards) != m.Shards {
-		return nil, fmt.Errorf("shard: corrupt manifest (nodes=%d shards=%d files=%d nnz counts=%d)",
-			m.Nodes, m.Shards, len(m.ShardFiles), len(m.Stats.NNZShards))
+	if m.Nodes <= 0 || m.Nodes > graph.MaxNodes || m.Shards <= 0 || m.Shards > m.Nodes || m.Edges < 0 ||
+		len(m.ShardFiles) != m.Shards || len(m.Stats.NNZShards) != m.Shards || len(m.Stats.Sizes) != m.Shards {
+		return nil, fmt.Errorf("shard: corrupt manifest (nodes=%d edges=%d shards=%d files=%d nnz counts=%d sizes=%d)",
+			m.Nodes, m.Edges, m.Shards, len(m.ShardFiles), len(m.Stats.NNZShards), len(m.Stats.Sizes))
 	}
 	if m.Restart <= 0 || m.Restart >= 1 {
 		return nil, fmt.Errorf("shard: corrupt manifest (restart %v)", m.Restart)
@@ -290,25 +302,16 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("shard: corrupt manifest: %w", err)
 	}
 	// File references must be plain names inside the directory.
-	names := append([]string{m.AssignmentFile, m.CutsFile, m.GraphFile}, m.ShardFiles...)
+	names := append([]string{m.PartitionFile, m.GraphFile}, m.ShardFiles...)
 	for _, name := range names {
 		if name == "" || name != filepath.Base(name) {
 			return nil, fmt.Errorf("shard: corrupt manifest (file reference %q)", name)
 		}
 	}
-	// Bound the node count by the assignment file's actual size before
-	// allocating anything node-sized: a corrupt manifest cannot make the
-	// loader commit memory the directory does not carry.
-	if fi, err := os.Stat(filepath.Join(dir, m.AssignmentFile)); err != nil {
-		return nil, fmt.Errorf("shard: checking assignment: %w", err)
-	} else if fi.Size() != int64(m.Nodes)*4 {
-		return nil, fmt.Errorf("shard: assignment file has %d bytes, want %d for %d nodes", fi.Size(), int64(m.Nodes)*4, m.Nodes)
-	}
 	sx := &ShardedIndex{
 		n:              m.Nodes,
 		c:              m.Restart,
 		qtol:           m.QueryTol,
-		local:          make([]int, m.Nodes),
 		parts:          make([]*part, m.Shards),
 		method:         method,
 		seed:           m.Seed,
@@ -331,24 +334,29 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	default:
 		return nil, fmt.Errorf("shard: corrupt manifest (%d staleness counters for %d shards)", len(m.Staleness), m.Shards)
 	}
+	// The partition loads eagerly: every shard's residual bookkeeping
+	// needs the assignment and cut lists, and the cuts fix each shard's
+	// ghost sink before its file is opened — a shard carries a sink
+	// exactly when it has outgoing cut edges, because Build adds one for
+	// any positive leaked weight and edge weights are strictly positive.
+	partPath := filepath.Join(dir, m.PartitionFile)
+	if err := sx.readPartition(partPath, &m); err != nil {
+		return nil, fmt.Errorf("shard: partition %s: %w", partPath, err)
+	}
 	graphPath := filepath.Join(dir, m.GraphFile)
 	load := func() (*graph.Graph, error) {
-		f, err := os.Open(graphPath)
+		g, err := graph.OpenSnapshot(graphPath)
 		if err != nil {
-			return nil, fmt.Errorf("shard: opening graph snapshot: %w", err)
+			return nil, fmt.Errorf("shard: %w", err)
 		}
-		g, err := graph.ParseEdgeList(f, m.Nodes)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("shard: reading graph snapshot: %w", err)
-		}
-		if g.N() != m.Nodes {
-			return nil, fmt.Errorf("shard: graph snapshot has %d nodes, manifest says %d", g.N(), m.Nodes)
+		if g.N() != m.Nodes || g.M() != m.Edges {
+			g.Close()
+			return nil, fmt.Errorf("shard: graph snapshot %s has %d nodes and %d edges, manifest says %d and %d", graphPath, g.N(), g.M(), m.Nodes, m.Edges)
 		}
 		return g, nil
 	}
 	if opt.Lazy {
-		// Parsing the O(m) edge list waits for the first query.
+		// Opening the O(m) snapshot waits for the first query that ranks.
 		sx.gLoad = load
 	} else {
 		g, err := load()
@@ -357,40 +365,15 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		}
 		sx.setGraph(g)
 	}
-	if sx.home, err = readAssignment(filepath.Join(dir, m.AssignmentFile), m.Nodes, m.Shards); err != nil {
-		return nil, err
-	}
-	for i := range sx.parts {
-		sx.parts[i] = &part{}
-	}
-	// Rebuild local ids by the ascending-global-id rule the writer used.
-	for u := 0; u < sx.n; u++ {
-		p := sx.parts[sx.home[u]]
-		sx.local[u] = len(p.nodes)
-		p.nodes = append(p.nodes, u)
-	}
-	for si, p := range sx.parts {
-		if len(p.nodes) == 0 {
-			return nil, fmt.Errorf("shard: corrupt manifest (shard %d owns no nodes)", si)
-		}
-	}
-	// Cut lists load eagerly (they are small and every shard's residual
-	// bookkeeping needs them); they also determine each shard's ghost
-	// sink before its file is opened — a shard carries a sink exactly
-	// when it has outgoing cut edges, because Build adds one for any
-	// positive leaked weight and edge weights are strictly positive.
-	if err := sx.readCuts(filepath.Join(dir, m.CutsFile)); err != nil {
-		return nil, err
-	}
 	for si, name := range m.ShardFiles {
 		p := sx.parts[si]
 		p.sink = len(p.cuts) > 0
 		p.nnzHint = m.Stats.NNZShards[si]
-		p.lazy = newShardOpener(si, sx.partLen(si), sx.c, filepath.Join(dir, name))
+		p.lazy = newShardOpener(si, len(p.nodes), p.sink, sx.c, filepath.Join(dir, name))
 	}
 	if !opt.Lazy {
 		if err := sx.OpenAll(); err != nil {
-			sx.Close() // release the containers of the shards that did open
+			sx.Close() // release the containers that did open
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 	}
@@ -406,15 +389,117 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	return sx, nil
 }
 
+// readPartition opens the partition container, verifies it, checks it
+// against the manifest m — node and shard counts, every shard's size
+// and the cut-edge total — and installs the assignment, the local ids
+// and every shard's cut list, each cut checked against the assignment:
+// its source owned by the shard listing it, its destination by another.
+// The container is released before it returns; what the index keeps is
+// copied out.
+func (sx *ShardedIndex) readPartition(path string, m *manifest) error {
+	f, err := mmapio.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	meta, err := f.Bytes(partMeta)
+	if err != nil {
+		return err
+	}
+	if len(meta) != partMetaSize || string(meta[:len(partTag)]) != partTag {
+		return fmt.Errorf("not a partition container (bad meta section)")
+	}
+	if n, s := binary.LittleEndian.Uint64(meta[8:]), binary.LittleEndian.Uint64(meta[16:]); n != uint64(m.Nodes) || s != uint64(m.Shards) {
+		return fmt.Errorf("%d nodes in %d shards, manifest says %d in %d", n, s, m.Nodes, m.Shards)
+	}
+	assign, err := f.Int32s(partAssign)
+	if err != nil {
+		return err
+	}
+	ptr, err := f.Ints(partCutPtr)
+	if err != nil {
+		return err
+	}
+	src, err := f.Int32s(partCutSrc)
+	if err != nil {
+		return err
+	}
+	dst, err := f.Int32s(partCutDst)
+	if err != nil {
+		return err
+	}
+	wt, err := f.Floats(partCutW)
+	if err != nil {
+		return err
+	}
+	if len(assign) != sx.n {
+		return fmt.Errorf("assignment has %d entries, want %d", len(assign), sx.n)
+	}
+	s := len(sx.parts)
+	if len(ptr) != s+1 || ptr[0] != 0 || ptr[s] != len(src) || len(dst) != len(src) || len(wt) != len(src) {
+		return fmt.Errorf("corrupt cut sections (%d pointers, %d/%d/%d entries)", len(ptr), len(src), len(dst), len(wt))
+	}
+	if len(src) != m.Stats.CutEdges {
+		return fmt.Errorf("%d cut edges, manifest says %d", len(src), m.Stats.CutEdges)
+	}
+	sx.home = make([]int, sx.n)
+	sx.local = make([]int, sx.n)
+	for i := range sx.parts {
+		sx.parts[i] = &part{}
+	}
+	// Local ids by the ascending-global-id rule the writer used.
+	for u, si := range assign {
+		if si < 0 || int(si) >= s {
+			return fmt.Errorf("corrupt assignment (node %d -> shard %d of %d)", u, si, s)
+		}
+		p := sx.parts[si]
+		sx.home[u] = int(si)
+		sx.local[u] = len(p.nodes)
+		p.nodes = append(p.nodes, u)
+	}
+	for si, p := range sx.parts {
+		if len(p.nodes) != m.Stats.Sizes[si] || len(p.nodes) == 0 {
+			return fmt.Errorf("assignment gives shard %d %d nodes, manifest says %d", si, len(p.nodes), m.Stats.Sizes[si])
+		}
+	}
+	for si, p := range sx.parts {
+		lo, hi := ptr[si], ptr[si+1]
+		if lo > hi || hi > len(src) {
+			return fmt.Errorf("corrupt cut pointers (shard %d spans [%d,%d) of %d)", si, lo, hi, len(src))
+		}
+		p.cuts = make([]cutEdge, hi-lo)
+		for i := range p.cuts {
+			u, v, w := int(src[lo+i]), int(dst[lo+i]), wt[lo+i]
+			if u < 0 || u >= sx.n || v < 0 || v >= sx.n || sx.home[u] != si || sx.home[v] == si {
+				return fmt.Errorf("cut edge %d of shard %d (%d -> %d) disagrees with the assignment", i, si, u, v)
+			}
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("cut edge %d of shard %d weighs %v", i, si, w)
+			}
+			if i > 0 && src[lo+i-1] > src[lo+i] {
+				return fmt.Errorf("cut edges of shard %d not sorted by source", si)
+			}
+			p.cuts[i] = cutEdge{src: sx.local[u], dstShard: sx.home[v], dst: sx.local[v], w: w}
+		}
+		p.indexCuts()
+	}
+	return nil
+}
+
 // newShardOpener builds the deferred open of one shard file: open it
-// and validate it against the manifest the directory was loaded with —
-// the shard's solve dimension n and the restart probability c.
-// The node-count check pins the cut-derived sink flag: a directory
-// whose shard file disagrees with its cut list is corrupt and rejected
-// at open time. The closure captures values, not the index: a deferred
-// open shared by later epochs must not keep the loaded epoch, and with
-// it every shard container that epoch holds, reachable.
-func newShardOpener(si, n int, c float64, path string) *lazyIndex {
+// and validate it against the partition the directory was loaded with —
+// the shard's owned node count and sink, which fix its solve dimension
+// and the length of its saved communities — and the restart
+// probability c. The node-count check pins the cut-derived sink flag: a
+// directory whose shard file disagrees with its cut list is corrupt and
+// rejected at open time. The closure captures values, not the index: a
+// deferred open shared by later epochs must not keep the loaded epoch,
+// and with it every shard container that epoch holds, reachable.
+func newShardOpener(si, owned int, sink bool, c float64, path string) *lazyIndex {
+	n := owned
+	if sink {
+		n++
+	}
 	return &lazyIndex{open: func() (*core.Index, error) {
 		ix, err := core.OpenIndexFile(path)
 		if err != nil {
@@ -422,113 +507,18 @@ func newShardOpener(si, n int, c float64, path string) *lazyIndex {
 		}
 		if ix.N() != n {
 			ix.Close()
-			return nil, fmt.Errorf("shard %d has %d nodes, assignment and cuts say %d", si, ix.N(), n)
+			return nil, fmt.Errorf("shard %d (%s) has %d nodes, assignment and cuts say %d", si, path, ix.N(), n)
+		}
+		if k := ix.CommunityNodes(); k != 0 && k != owned {
+			ix.Close()
+			return nil, fmt.Errorf("shard %d (%s) keeps communities for %d nodes, it owns %d", si, path, k, owned)
 		}
 		// The cut weights are pre-scaled by the manifest's (1-c); a shard
 		// file built with a different c would answer silently wrong.
 		if ix.Restart() != c {
 			ix.Close()
-			return nil, fmt.Errorf("shard %d built with restart %v, manifest says %v", si, ix.Restart(), c)
+			return nil, fmt.Errorf("shard %d (%s) built with restart %v, manifest says %v", si, path, ix.Restart(), c)
 		}
 		return ix, nil
 	}}
-}
-
-func readAssignment(path string, n, shards int) ([]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("shard: opening assignment: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	out := make([]int, n)
-	var buf [4]byte
-	for u := 0; u < n; u++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("shard: reading assignment: %w", err)
-		}
-		si := int(binary.LittleEndian.Uint32(buf[:]))
-		if si < 0 || si >= shards {
-			return nil, fmt.Errorf("shard: corrupt assignment (node %d -> shard %d of %d)", u, si, shards)
-		}
-		out[u] = si
-	}
-	return out, nil
-}
-
-// cutRecordSize is the bytes of one cut edge in cuts.bin: u32 src,
-// u32 dstShard, u32 dst and the u64 weight bits.
-const cutRecordSize = 20
-
-func (sx *ShardedIndex) readCuts(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("shard: opening cut edges: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("shard: checking cut edges: %w", err)
-	}
-	// left is the bytes the file holds past what has been read: a count
-	// must fit in them before anything is allocated for it, so a corrupt
-	// count cannot make the loader commit memory the file does not carry.
-	left := fi.Size()
-	br := bufio.NewReader(f)
-	var b8 [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, b8[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b8[:]), nil
-	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, b8[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b8[:4]), nil
-	}
-	for si, p := range sx.parts {
-		count, err := readU64()
-		if err != nil {
-			return fmt.Errorf("shard: reading cut edges of shard %d: %w", si, err)
-		}
-		left -= 8
-		if count > uint64(sx.n)*uint64(sx.n) || left < 0 || count > uint64(left)/cutRecordSize {
-			return fmt.Errorf("shard: corrupt cut edges (shard %d claims %d, file holds %d more bytes)", si, count, max(left, 0))
-		}
-		left -= int64(count) * cutRecordSize
-		p.cuts = make([]cutEdge, count)
-		for i := range p.cuts {
-			src, err := readU32()
-			if err != nil {
-				return err
-			}
-			dstShard, err := readU32()
-			if err != nil {
-				return err
-			}
-			dst, err := readU32()
-			if err != nil {
-				return err
-			}
-			wBits, err := readU64()
-			if err != nil {
-				return err
-			}
-			e := cutEdge{src: int(src), dstShard: int(dstShard), dst: int(dst), w: math.Float64frombits(wBits)}
-			if e.src < 0 || e.src >= len(p.nodes) || e.dstShard < 0 || e.dstShard >= len(sx.parts) ||
-				e.dst < 0 || e.dst >= len(sx.parts[e.dstShard].nodes) || e.w < 0 || math.IsNaN(e.w) {
-				return fmt.Errorf("shard: corrupt cut edge %d of shard %d", i, si)
-			}
-			if i > 0 && p.cuts[i-1].src > e.src {
-				return fmt.Errorf("shard: corrupt cut edges (shard %d not sorted by source)", si)
-			}
-			p.cuts[i] = e
-		}
-	}
-	for _, p := range sx.parts {
-		p.indexCuts()
-	}
-	return nil
 }

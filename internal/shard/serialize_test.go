@@ -161,7 +161,7 @@ func TestLoadV1ManifestRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "graph.tsv")); err != nil {
+	if err := os.Remove(filepath.Join(dir, graphFileName)); err != nil {
 		t.Fatal(err)
 	}
 	for _, opt := range []LoadOptions{{}, {Lazy: true}} {
@@ -201,6 +201,50 @@ func withStripSection(t *testing.T, data []byte) []byte {
 	return out
 }
 
+// asV6Generation rewrites a saved shard file as the generation before
+// shard files kept their communities: meta tag "KDIXV4" in 64 bytes,
+// and no community section.
+func asV6Generation(t *testing.T, data []byte) []byte {
+	t.Helper()
+	f, err := mmapio.FromBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := f.Bytes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mmapio.NewWriter()
+	w.AddBytes(1, append([]byte("KDIXV4\x00\x00"), meta[8:64]...))
+	for _, id := range []uint32{2, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
+		switch id {
+		case 2, 5, 8, 11:
+			xs, err := f.Int32s(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AddInt32s(id, xs)
+		case 4, 7, 10:
+			xs, err := f.Ints(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AddInts(id, xs)
+		default:
+			xs, err := f.Floats(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AddFloats(id, xs)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // asParentGeneration rewrites a saved shard file as the generation
 // before int32 ids wrote it: meta tag "KDIXV3" with amax in its 72
 // bytes, every id section int64, and the stored inverse permutation,
@@ -232,7 +276,7 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 	must(err)
 	old := append([]byte("KDIXV3\x00\x00"), meta[8:24]...) // tag, n, c
 	old = binary.LittleEndian.AppendUint64(old, 0)         // amax
-	old = append(old, meta[24:]...)                        // method, stats
+	old = append(old, meta[24:64]...)                      // method, stats
 	perm := wide(2)
 	inv := make([]int, len(perm))
 	for i, p := range perm {
@@ -262,8 +306,9 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 
 // TestOldGenerationsRefused pins the one-generation rule: a v1 core
 // stream, a core container carrying a retired kind-4 section, a core
-// container of the int64-id generation, and the version 4 and 5
-// directories whose shard files are those containers are each refused
+// container of the int64-id generation, one of the "KDIXV4" generation
+// that kept no communities, and the version 4, 5 and 6 directories
+// whose shard files are those containers are each refused
 // up front with the rebuild instruction — by LoadIndex and
 // OpenIndexFile for the files, by Open both eagerly and lazily for the
 // directories — never accepted only to fail at query time.
@@ -318,6 +363,7 @@ func TestOldGenerationsRefused(t *testing.T) {
 		return withStripSection(t, asParentGeneration(t, data))
 	})
 	v5, int64IDs := oldDir(5, asParentGeneration)
+	v6, kdixv4 := oldDir(6, asV6Generation)
 	// The opening fields of a v1 stream: magic, version, n, c.
 	v1 := []byte("KDASHIX\x01")
 	v1 = binary.LittleEndian.AppendUint64(v1, 30)
@@ -351,6 +397,10 @@ func TestOldGenerationsRefused(t *testing.T) {
 		{"int64 ids/OpenIndexFile copy", openFile(filepath.Join(v5, "shard-0000.idx"))},
 		{"v5 directory/eager", openDir(v5, LoadOptions{})},
 		{"v5 directory/lazy", openDir(v5, LoadOptions{Lazy: true})},
+		{"no communities/LoadIndex", loadBytes(kdixv4)},
+		{"no communities/OpenIndexFile copy", openFile(filepath.Join(v6, "shard-0000.idx"))},
+		{"v6 directory/eager", openDir(v6, LoadOptions{})},
+		{"v6 directory/lazy", openDir(v6, LoadOptions{Lazy: true})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -381,12 +431,12 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing directory accepted")
 	}
-	// Truncated assignment.
-	if err := os.WriteFile(filepath.Join(dir, "assignment.bin"), []byte{1, 0}, 0o644); err != nil {
+	// Truncated partition container.
+	if err := os.WriteFile(filepath.Join(dir, partitionFileName), []byte{1, 0}, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
-		t.Error("truncated assignment accepted")
+		t.Error("truncated partition accepted")
 	}
 	// Garbage manifest.
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{"), 0o644); err != nil {
@@ -397,10 +447,10 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCutCountBomb sets shard 0's cut count in cuts.bin to
-// n^2, the largest the node count allows: Open must refuse the file
-// before it allocates for the count, because the file cannot hold that
-// many records.
+// TestLoadRejectsCutCountBomb makes partition.idx's section table claim
+// n^2 cut sources, the most the node count allows: Open must refuse the
+// file before it allocates for the count, because the file cannot hold
+// that many records.
 func TestLoadRejectsCutCountBomb(t *testing.T) {
 	const n = 2000
 	built, err := Build(gen.PlantedPartition(n, 4, 0.004, 0.0005, 9), Options{Shards: 4, Seed: 9})
@@ -411,13 +461,12 @@ func TestLoadRejectsCutCountBomb(t *testing.T) {
 	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "cuts.bin")
-	cuts, err := os.ReadFile(path)
+	path := filepath.Join(dir, partitionFileName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(cuts, n*n)
-	if err := os.WriteFile(path, cuts, 0o644); err != nil {
+	if err := os.WriteFile(path, withSectionCount(t, data, partCutSrc, n*n), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

@@ -131,15 +131,24 @@ type part struct {
 	cutRows []int      // local nodes owning cut edges, ascending
 	nnzHint int        // the manifest's per-shard nnz, so stats need no open
 
-	// communities is the Louvain result the block's ordering used, kept
-	// so a successor whose owned subgraph is unchanged orders its
-	// rebuild without running Louvain (nil after a load: never saved).
+	// communities, set by Apply before a rebuild, is the previous
+	// epoch's Louvain result for the block (its index keeps the one its
+	// ordering used, and saves it), handed to the rebuild when the
+	// owned subgraph is unchanged so it orders without running Louvain.
+	// buildPart consumes it.
 	communities *louvain.Result
 
 	// cutUpper packs the U^{-1} rows of cutRows, in cutRows order, for
 	// the push's cut-row dots; built on the first local solve.
 	cutUpperOnce sync.Once
 	cutUpper     *lu.UpperRows
+
+	// Per-shard query scratch (state.go): L^{-1} workspaces and residual
+	// vectors, checked out per solve and per touched shard and returned
+	// when the query releases, so their number follows the solves in
+	// flight, not the pooled query states.
+	wsPool  freeList[*lu.Workspace]
+	resPool freeList[*residual]
 }
 
 // lazyIndex is the once-guarded deferred open of one shard's index
@@ -209,9 +218,9 @@ func (p *part) nnzInverse() int {
 
 // share returns a copy of the part for a successor epoch that did not
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
-// shared by pointer), communities and cut lists carry over.
+// shared by pointer) and cut lists carry over.
 func (p *part) share() *part {
-	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows, communities: p.communities}
+	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
 }
 
 // cutRowsUpper returns the packed U^{-1} rows of the cut rows of the
@@ -274,13 +283,14 @@ type ShardedIndex struct {
 	walSeq      uint64
 	walSegments []string
 
-	// gOnce/gLoad defer the graph snapshot's parse for lazily opened
+	// gOnce/gLoad defer the graph snapshot's open for lazily opened
 	// directories to the first query (or Apply, or Save) that needs it,
-	// so opening costs no O(m) edge-list parse. ensureGraph forces it;
-	// gErr holds a deferred parse failure.
+	// so a lazy open (every worker's) never reads it. ensureGraph forces
+	// it; gErr holds a deferred open's failure.
 	gOnce sync.Once
 	gLoad func() (*graph.Graph, error)
 	gErr  error
+	gDone atomic.Bool // set once a deferred open has installed sx.g
 
 	// revAdj[d] lists the shards with a cut edge into shard d, the
 	// shard-granular reverse adjacency single-pair queries bound residual
@@ -289,11 +299,11 @@ type ShardedIndex struct {
 	revOnce sync.Once
 	revAdj  [][]int
 
-	// pushPool recycles complete single-query states (residual vectors,
-	// touched-entry lists, per-shard L^{-1} workspaces, the rank's BFS
-	// scratch) across queries; every request checks a private instance
-	// out, so the pool is the concurrent-safe source of per-query scratch
-	// and the steady-state query path allocates only its result set.
+	// pushPool recycles single-query states (solve records, the rank's
+	// BFS scratch; the shard-sized vectors come from each part's pools)
+	// across queries; every request checks a private instance out, so
+	// the pool is the concurrent-safe source of per-query scratch and the
+	// steady-state query path allocates only its result set.
 	pushPool sync.Pool
 
 	// pairW memoizes the single-pair push's per-target-shard influence
@@ -308,13 +318,9 @@ type ShardedIndex struct {
 	// the index holds only the placement map, cut lists and graph
 	// snapshot. remote, when set, routes every per-shard factor solve
 	// through a RemoteSolver; it is not carried across Apply — the
-	// coordinator rebinds a per-epoch solver on each successor. The
-	// pools back the worker-side SolveShardRows RPC surface with
-	// reusable per-part L^{-1} workspaces.
+	// coordinator rebinds a per-epoch solver on each successor.
 	factorless bool
 	remote     RemoteSolver
-	wpoolOnce  sync.Once
-	wpool      []sync.Pool
 
 	// solveCounts tracks cumulative factor solves per shard — the
 	// traffic-weighted counterpart of shardsOpened, exposed through
@@ -339,6 +345,27 @@ func (sx *ShardedIndex) solveCounters() []atomic.Int64 {
 func (sx *ShardedIndex) setGraph(g *graph.Graph) {
 	sx.g = g
 	sx.bounds = core.GraphBounds(g, sx.c)
+}
+
+// openedGraph returns the graph snapshot if it is in place — built,
+// opened eagerly, or opened lazily by an earlier query — and nil while
+// a lazy open is still pending or failed, without forcing it.
+func (sx *ShardedIndex) openedGraph() *graph.Graph {
+	if sx.gLoad == nil || sx.gDone.Load() {
+		return sx.g
+	}
+	return nil
+}
+
+// GraphSealedBytes reports the size of the sealed graph snapshot this
+// epoch ranks over: an opened directory's graph.idx, or 0 for a graph on
+// the Go heap (built, or an Apply successor's) and for a lazy snapshot
+// not opened yet.
+func (sx *ShardedIndex) GraphSealedBytes() int64 {
+	if g := sx.openedGraph(); g != nil {
+		return g.SealedBytes()
+	}
+	return 0
 }
 
 // reverseShardAdj returns the deduplicated reverse adjacency of the
@@ -672,7 +699,7 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 	if old != nil {
 		prev = old.tryIndex()
 	}
-	ix, communities, err := core.BuildBlock(b.Build(), core.BuildOptions{
+	ix, _, err := core.BuildBlock(b.Build(), core.BuildOptions{
 		Restart: sx.c,
 		Reorder: method,
 		Seed:    seed,
@@ -681,13 +708,13 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 	if err != nil {
 		return err
 	}
+	p.communities = nil // the index keeps the result its ordering used
 	// The block's own ghost graph is never replayed — updates rebuild
 	// dirty blocks from the partition-level snapshot (sx.g) — so keeping
 	// it would pin a second full copy of the adjacency across the parts.
 	ix.ReleaseGraph()
 	p.ix = ix
 	p.sink = hasLeak
-	p.communities = communities
 	return nil
 }
 
@@ -720,14 +747,17 @@ func (sx *ShardedIndex) OpenAll() error {
 }
 
 // Close releases every opened shard's off-heap backing, its sealed
-// copy, at once. It is optional: each shard's container
-// is released when the last epoch using it becomes unreachable, so a
-// retired epoch needs no Close, and neither does a dropped successor.
-// After Close, neither this index nor any epoch sharing its opened
-// shards may be queried; built shards are on the Go heap and close as a
-// no-op.
+// copy, at once, and the graph snapshot's when this epoch opened it. It
+// is optional: each container is released when the last epoch using it
+// becomes unreachable, so a retired epoch needs no Close, and neither
+// does a dropped successor. After Close, neither this index nor any
+// epoch sharing its opened shards may be queried; built shards and
+// graphs are on the Go heap and close as a no-op.
 func (sx *ShardedIndex) Close() error {
 	var first error
+	if g := sx.openedGraph(); g != nil {
+		first = g.Close()
+	}
 	for _, p := range sx.parts {
 		if ix := p.tryIndex(); ix != nil {
 			if err := ix.Close(); err != nil && first == nil {

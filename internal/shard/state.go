@@ -3,14 +3,17 @@ package shard
 // Pooled per-query state. A query runs in two phases over one pooled
 // pushState: the cross-shard push (run) drives the residual to
 // tolerance, and the rank (Algorithm 4 over the graph snapshot) reads
-// proximities out of what the push recorded. The state keeps every
-// vector a query needs — residuals, their touched-entry lists, each
-// solve's L^{-1} workspace and the rank's BFS scratch — alive across
-// queries in a sync.Pool on the ShardedIndex. Queries check a private
-// instance out (concurrent-safe: the pool hands each request its own
-// state), run, and return it after spot-cleaning exactly the entries
-// they touched, so the steady-state query path allocates only its O(k)
-// result set.
+// proximities out of what the push recorded. The state keeps the rank's
+// BFS scratch and the per-query bookkeeping alive across queries in a
+// sync.Pool on the ShardedIndex; the shard-sized vectors — each shard's
+// residual and each solve's L^{-1} workspace — come from pools on the
+// shard's part, taken when the query first touches the shard or solves
+// it and returned when the query releases, so live scratch follows the
+// solves in flight rather than pooled states × shards × solve depth.
+// Queries check a private instance out (concurrent-safe: the pools hand
+// each request its own), run, and return everything after spot-cleaning
+// exactly the entries they touched, so the steady-state query path
+// allocates only its O(k) result set.
 //
 // The push never applies a whole U^{-1}: a solve runs the L^{-1} pass,
 // keeps the workspace, and evaluates only the solved shard's cut-owning
@@ -38,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"kdash/internal/core"
@@ -47,15 +51,14 @@ import (
 )
 
 // shardSolves records one shard's solves in the current query, in solve
-// order. In process: each solve's L^{-1} workspace (lower[:nlower];
-// pooled workspaces past nlower wait for reuse). Under a RemoteSolver:
+// order. In process: each solve's L^{-1} workspace, taken from the
+// part's pool. Under a RemoteSolver:
 // each solve's right-hand side, flat (solve r is rhsIdx/rhsVal over
 // [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution x at the rows
 // fetched so far — the push's rows, ascending, then the rank's.
 type shardSolves struct {
-	ix     *core.Index // nil until this state first solves the shard locally
-	lower  []*lu.Workspace
-	nlower int
+	ix    *core.Index // nil until this state first solves the shard locally
+	lower []*lu.Workspace
 
 	nremote int
 	rhsPtr  []int
@@ -67,7 +70,7 @@ type shardSolves struct {
 }
 
 // recorded reports whether the query solved the shard.
-func (ss *shardSolves) recorded() bool { return ss.nlower > 0 || ss.nremote > 0 }
+func (ss *shardSolves) recorded() bool { return len(ss.lower) > 0 || ss.nremote > 0 }
 
 // value returns the shard's accumulated solution at local row lv: each
 // solve's value there, summed in solve order with zeros skipped — the
@@ -83,7 +86,7 @@ func (ss *shardSolves) value(lv int) float64 {
 		return ss.x[lv]
 	}
 	x := 0.0
-	for _, w := range ss.lower[:ss.nlower] {
+	for _, w := range ss.lower {
 		if v := ss.ix.UpperDot(lv, w); v != 0 {
 			x += v
 		}
@@ -98,10 +101,9 @@ func (ss *shardSolves) value(lv int) float64 {
 type pushState struct {
 	sx *ShardedIndex
 
-	// Residual right-hand sides per shard over partLen rows.
-	res     [][]float64
-	rmark   [][]bool
-	rsup    [][]int // touched residual entries (local ids), per shard
+	// Residual right-hand sides per shard (nil until the query touches
+	// the shard) and their masses.
+	res     []*residual
 	resMass []float64
 
 	solves []shardSolves
@@ -142,12 +144,96 @@ func newPushState(sx *ShardedIndex) *pushState {
 	s := len(sx.parts)
 	return &pushState{
 		sx:      sx,
-		res:     make([][]float64, s),
-		rmark:   make([][]bool, s),
-		rsup:    make([][]int, s),
+		res:     make([]*residual, s),
 		resMass: make([]float64, s),
 		solves:  make([]shardSolves, s),
 	}
+}
+
+// residual is one shard's residual right-hand side over its partLen
+// rows, with the touched entries listed in sup. Clean (all zero, sup
+// empty) whenever it sits in its part's pool.
+type residual struct {
+	val  []float64
+	mark []bool
+	sup  []int
+}
+
+// freeList is a part's pool of one kind of query scratch: a
+// mutex-guarded stack that, unlike a sync.Pool, keeps its items across
+// garbage collections, so a part allocates its scratch once per peak of
+// concurrent use rather than again after every collection.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// get pops an item, reporting false when the list is empty.
+//
+//kdash:noalloc
+func (l *freeList[T]) get() (T, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var x T
+	if n := len(l.items); n > 0 {
+		x, l.items[n-1] = l.items[n-1], x
+		l.items = l.items[:n-1]
+		return x, true
+	}
+	return x, false
+}
+
+// put pushes an item.
+//
+//kdash:noalloc
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	l.items = append(l.items, x) //kdash:allow(hotalloc) grows to the part's peak concurrent use, once
+	l.mu.Unlock()
+}
+
+// getResidual checks a clean residual for the part, whose solve
+// dimension is n, out of its pool.
+//
+//kdash:pooled
+func (p *part) getResidual(n int) *residual {
+	if r, ok := p.resPool.get(); ok {
+		return r
+	}
+	return &residual{val: make([]float64, n), mark: make([]bool, n)} //kdash:allow(hotalloc) a pool miss sizes one residual per part
+}
+
+// putResidual spot-cleans the touched entries and returns r to the
+// part's pool.
+//
+//kdash:release
+func (p *part) putResidual(r *residual) {
+	for _, lv := range r.sup {
+		r.val[lv] = 0
+		r.mark[lv] = false
+	}
+	r.sup = r.sup[:0]
+	p.resPool.put(r)
+}
+
+// getWorkspace checks a clean L^{-1} workspace for the part, whose open
+// index is ix, out of its pool — shared by the in-process push and the
+// worker surface (SolveShardRows).
+//
+//kdash:pooled
+func (p *part) getWorkspace(ix *core.Index) *lu.Workspace {
+	if w, ok := p.wsPool.get(); ok {
+		return w
+	}
+	return ix.NewWorkspace() //kdash:allow(hotalloc) a pool miss sizes one workspace per part
+}
+
+// putWorkspace resets w and returns it to the part's pool.
+//
+//kdash:release
+func (p *part) putWorkspace(w *lu.Workspace) {
+	w.Reset()
+	p.wsPool.put(w)
 }
 
 // getPushState checks clean per-query push state out of the pool.
@@ -182,16 +268,16 @@ func (st *pushState) seed(g int, m float64) {
 //
 //kdash:noalloc
 func (st *pushState) addRes(si, lv int, m float64) {
-	if st.res[si] == nil {
-		n := st.sx.partLen(si)
-		st.res[si] = make([]float64, n) //kdash:allow(hotalloc) first touch of a shard sizes its residual vectors once per pooled state
-		st.rmark[si] = make([]bool, n)  //kdash:allow(hotalloc) paired first-touch sizing
+	r := st.res[si]
+	if r == nil {
+		r = st.sx.parts[si].getResidual(st.sx.partLen(si))
+		st.res[si] = r
 	}
-	if !st.rmark[si][lv] {
-		st.rmark[si][lv] = true
-		st.rsup[si] = append(st.rsup[si], lv)
+	if !r.mark[lv] {
+		r.mark[lv] = true
+		r.sup = append(r.sup, lv)
 	}
-	st.res[si][lv] += m
+	r.val[lv] += m
 	st.resMass[si] += m
 }
 
@@ -299,20 +385,19 @@ func (st *pushState) traceSolve(best int, totalBefore float64, qs *QueryStats) e
 //
 //kdash:noalloc
 func (st *pushState) consumeResidual(best int) ([]int, []float64) {
-	sup := st.rsup[best]
-	sort.Ints(sup)
+	r := st.res[best]
+	sort.Ints(r.sup)
 	idx, val := st.rhsIdx[:0], st.rhsVal[:0]
-	rb, rm := st.res[best], st.rmark[best]
-	for _, lv := range sup {
-		if v := rb[lv]; v != 0 {
+	for _, lv := range r.sup {
+		if v := r.val[lv]; v != 0 {
 			idx = append(idx, lv)
 			val = append(val, v)
 		}
-		rb[lv] = 0
-		rm[lv] = false
+		r.val[lv] = 0
+		r.mark[lv] = false
 	}
 	st.rhsIdx, st.rhsVal = idx, val
-	st.rsup[best] = sup[:0]
+	r.sup = r.sup[:0]
 	st.resMass[best] = 0
 	return idx, val
 }
@@ -352,8 +437,8 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 	return workerNS, nil
 }
 
-// localSolve is solveShard's in-process half: the L^{-1} pass into the
-// shard's next pooled workspace, then one U^{-1} row dot per cut row,
+// localSolve is solveShard's in-process half: the L^{-1} pass into a
+// workspace from the part's pool, then one U^{-1} row dot per cut row,
 // read from the part's packed copy of those rows, scattered across the
 // cut in ascending row order.
 //
@@ -368,14 +453,11 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 		}
 		ss.ix = ix
 	}
-	if ss.nlower == len(ss.lower) {
-		ss.lower = append(ss.lower, ss.ix.NewWorkspace()) //kdash:allow(hotalloc) a shard's first solve at this depth sizes its workspace once per pooled state
-	}
-	w := ss.lower[ss.nlower]
+	w := p.getWorkspace(ss.ix)
+	ss.lower = append(ss.lower, w) //kdash:allow(hotalloc) grows once per pooled state to the deepest solve record
 	if err := ss.ix.SolveLower(idx, val, w); err != nil {
 		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
 	}
-	ss.nlower++
 	cutUpper := p.cutRowsUpper(ss.ix)
 	for k, lv := range p.cutRows {
 		yv := cutUpper.Dot(k, w.W)
@@ -512,7 +594,7 @@ func (st *pushState) widenPrefix() bool {
 		for _, v := range to[ptr[u]:ptr[u+1]] {
 			if st.pmark[v] != st.pgen {
 				st.pmark[v] = st.pgen
-				st.prefix = append(st.prefix, v)
+				st.prefix = append(st.prefix, int(v))
 			}
 		}
 	}
@@ -661,12 +743,13 @@ func (st *pushState) materialize() ([][]float64, error) {
 //
 //kdash:noalloc
 func (st *pushState) release() {
-	for si := range st.sx.parts {
+	for si, p := range st.sx.parts {
 		ss := &st.solves[si]
-		for _, w := range ss.lower[:ss.nlower] {
-			w.Reset()
+		for i, w := range ss.lower {
+			p.putWorkspace(w)
+			ss.lower[i] = nil
 		}
-		ss.nlower = 0
+		ss.lower = ss.lower[:0]
 		for _, lv := range ss.rows {
 			ss.x[lv] = 0
 			ss.known[lv] = false
@@ -674,14 +757,10 @@ func (st *pushState) release() {
 		ss.rows = ss.rows[:0]
 		ss.nremote = 0
 		ss.rhsIdx, ss.rhsVal = ss.rhsIdx[:0], ss.rhsVal[:0]
-		if len(st.rsup[si]) > 0 {
-			rb, rm := st.res[si], st.rmark[si]
-			for _, lv := range st.rsup[si] {
-				rb[lv] = 0
-				rm[lv] = false
-			}
+		if r := st.res[si]; r != nil {
+			p.putResidual(r)
+			st.res[si] = nil
 		}
-		st.rsup[si] = st.rsup[si][:0]
 		st.resMass[si] = 0
 	}
 	st.initial = 0

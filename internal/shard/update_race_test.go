@@ -140,3 +140,89 @@ func TestConcurrentApplyAndQueryEpochAtomicity(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSharedPartPoolsUnderApply runs queries on two epochs that share
+// parts — and with them each part's workspace and residual pools —
+// while a writer applies a chain of updates to the newer one. Every
+// answer must equal its epoch's sequential answer; under -race this is
+// the data-race proof for the per-part scratch pools.
+func TestSharedPartPoolsUnderApply(t *testing.T) {
+	const (
+		readers = 4
+		k       = 6
+	)
+	g := testutil.Clustered(200, 5, 31)
+	old, err := Build(g, Options{Shards: 5, Reorder: reorder.Hybrid, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.NewDelta()
+	if err := d.AddEdge(0, 59, 2); err != nil {
+		t.Fatal(err)
+	}
+	cur, _, err := old.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for si := range old.parts {
+		if old.parts[si] == cur.parts[si] {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the two epochs share no part")
+	}
+	queries := []int{0, 37, 81, 144, 199}
+	epochs := []*ShardedIndex{old, cur}
+	want := make([]map[int]string, len(epochs))
+	for e, ix := range epochs {
+		want[e] = map[int]string{}
+		for _, q := range queries {
+			rs, _, err := ix.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[e][q] = fingerprint(rs)
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e := w % len(epochs)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[(w+i)%len(queries)]
+				rs, _, err := epochs[e].TopK(q, k)
+				if err != nil {
+					t.Errorf("reader %d: %v", w, err)
+					return
+				}
+				if got := fingerprint(rs); got != want[e][q] {
+					t.Errorf("reader %d epoch %d q=%d: answer changed under a concurrent Apply", w, e, q)
+					return
+				}
+			}
+		}(w)
+	}
+	for e := 0; e < 4; e++ {
+		d := cur.Graph().NewDelta()
+		from := queries[e%len(queries)]
+		if err := d.AddEdge(from, (from+71)%cur.N(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cur.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

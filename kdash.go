@@ -146,8 +146,9 @@ func LoadIndex(r io.Reader) (*Index, error) {
 // unreachable, or at once by Close.
 type OpenOptions struct {
 	// Lazy, for sharded indexes, defers each shard file's open to the
-	// first query that actually solves the shard, so a cold start
-	// touches only the manifest and the shards live traffic reaches.
+	// first query that actually solves the shard, and the graph
+	// snapshot's to the first query that ranks, so a cold start touches
+	// only the manifest, the partition and what live traffic reaches.
 	Lazy bool
 }
 
