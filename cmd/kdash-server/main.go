@@ -5,13 +5,14 @@
 //
 //	kdash-server -graph edges.tsv -addr :8080      # builds a one-shard index
 //	kdash-server -graph edges.tsv -shards 8 -addr :8080
-//	kdash-server -load-index idxdir -addr :8080    # sharded manifest directory
+//	kdash-server -load-index idxdir -addr :8080    # directory from kdash -save-index
 //	kdash-server -load-index idxdir -cache 256 -max-batch 512
 //	kdash-server -load-index idxdir -coordinator 10.0.0.1:9101,10.0.0.2:9101
 //
-// The server serves sharded index directories only: a single-file index
-// written by `kdash -save-index` without -shards is refused (exit 2);
-// rebuild it with `kdash -graph G -shards N -save-index DIR`.
+// -load-index takes the index directory `kdash -save-index` writes, of
+// one shard or many. A path that is no such directory — a single index
+// file from an older build, say — is refused (exit 2); build the
+// directory with `kdash -graph G -shards N -save-index DIR`.
 //
 // Endpoints:
 //
@@ -133,7 +134,7 @@ func openEngine(f engineFlags) (shard.Engine, string, error) {
 	}
 	switch {
 	case f.coordinator != "":
-		if f.loadIndex == "" || !kdash.IsShardedIndexDir(f.loadIndex) {
+		if f.loadIndex == "" || !shard.IsShardedIndexDir(f.loadIndex) {
 			return nil, "", usageError("-coordinator needs -load-index pointing at a sharded index directory (the cluster's shared manifest)")
 		}
 		if f.walSnapshotDir != "" {
@@ -148,8 +149,8 @@ func openEngine(f engineFlags) (shard.Engine, string, error) {
 			len(addrs), co.N(), co.Shards(), time.Since(tOpen).Round(time.Microsecond))
 		return co, "coordinator", nil
 	case f.loadIndex != "":
-		if !kdash.IsShardedIndexDir(f.loadIndex) {
-			return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; rebuild it with `kdash -graph G -shards N -save-index DIR` (N >= 2)", f.loadIndex))
+		if !shard.IsShardedIndexDir(f.loadIndex) {
+			return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; rebuild it with `kdash -graph G -shards N -save-index DIR`", f.loadIndex))
 		}
 		sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{})
 		if err != nil {

@@ -13,10 +13,10 @@ import (
 )
 
 // TestOpenEngine covers the ways the flags open an engine: a graph
-// alone builds a one-shard index, a sharded directory loads, and a
-// single-file index, a coordinator without a directory or a snapshot
-// directory without a WAL directory is a usage error (exit 2) before
-// anything is opened.
+// alone builds a one-shard index, a directory of one shard or several
+// loads, and a single-file index, a coordinator without a directory or
+// a snapshot directory without a WAL directory is a usage error (exit
+// 2) before anything is opened.
 func TestOpenEngine(t *testing.T) {
 	g := gen.PlantedPartition(60, 3, 0.2, 0.02, 1)
 	dir := t.TempDir()
@@ -77,6 +77,24 @@ func TestOpenEngine(t *testing.T) {
 		}
 		if engine.N() != g.N() || engine.Statz().Shards != 3 || mode != "parse" {
 			t.Fatalf("loaded n=%d shards=%d mode %q, want %d, 3, parse", engine.N(), engine.Statz().Shards, mode, g.N())
+		}
+	})
+
+	t.Run("one-shard directory loads", func(t *testing.T) {
+		built, err := shard.Build(g, shard.Options{Shards: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := filepath.Join(dir, "one")
+		if err := built.Save(idx); err != nil {
+			t.Fatal(err)
+		}
+		engine, mode, err := openEngine(engineFlags{loadIndex: idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.N() != g.N() || engine.Statz().Shards != 1 || mode != "parse" {
+			t.Fatalf("loaded n=%d shards=%d mode %q, want %d, 1, parse", engine.N(), engine.Statz().Shards, mode, g.N())
 		}
 	})
 

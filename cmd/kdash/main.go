@@ -8,22 +8,31 @@
 //	kdash -load-index idxdir -q 42
 //
 // The edge list has one "from to [weight]" triple per line; '#' and '%'
-// start comments. With -shards N > 1 the graph is partitioned into N
-// Louvain-balanced shards whose indexes build concurrently; the saved
-// index is then a directory (per-shard files + manifest) instead of a
-// single file, and -load-index auto-detects which form it is given. With
-// -verify the answer is cross-checked against the iterative method.
+// start comments. The index is a sharded index: with -shards N the graph
+// is partitioned into N Louvain-balanced shards whose indexes build
+// concurrently, and the default is one shard. -save-index writes it as
+// a directory (per-shard files, graph snapshot and manifest) — the form
+// kdash-server and kdash-worker serve — and -load-index opens such a
+// directory. With -verify the answer is cross-checked against the
+// iterative method.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"time"
 
 	"kdash"
 	"kdash/internal/reorder"
+	"kdash/internal/shard"
 )
+
+// verifyTol is how far a score may lie from the iterative method's
+// proximity, the bound the benchmark's oracle applies.
+const verifyTol = 1e-9
 
 func main() {
 	var (
@@ -36,8 +45,8 @@ func main() {
 		shards    = flag.Int("shards", 1, "partition the index into N shards built in parallel")
 		workers   = flag.Int("workers", 0, "worker-pool width for the build (0 = all CPUs)")
 		verify    = flag.Bool("verify", false, "cross-check the answer against the iterative method")
-		saveIdx   = flag.String("save-index", "", "write the built index to this path (a directory when -shards > 1)")
-		loadIdx   = flag.String("load-index", "", "load a previously saved index (file or sharded directory)")
+		saveIdx   = flag.String("save-index", "", "write the built index to this directory")
+		loadIdx   = flag.String("load-index", "", "load an index directory written by -save-index")
 	)
 	flag.Parse()
 	if *graphPath == "" && *loadIdx == "" {
@@ -61,34 +70,21 @@ func main() {
 		fmt.Printf("graph: %d nodes, %d edges\n", g.N(), g.M())
 	}
 
-	// Exactly one of ix / sx is set: the monolithic and sharded paths
-	// share every step below through small branches.
-	var ix *kdash.Index
 	var sx *kdash.ShardedIndex
-	switch {
-	case *loadIdx != "" && kdash.IsShardedIndexDir(*loadIdx):
+	if *loadIdx != "" {
+		if !shard.IsShardedIndexDir(*loadIdx) {
+			fatal(fmt.Errorf("-load-index %s is not an index directory; build one with `kdash -graph G -save-index DIR`", *loadIdx))
+		}
 		start := time.Now()
 		var err error
-		sx, err = kdash.LoadShardedIndex(*loadIdx)
+		sx, err = kdash.OpenShardedIndex(*loadIdx, kdash.OpenOptions{})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("index: loaded %d nodes / %d shards from %s in %v\n",
 			sx.N(), sx.Shards(), *loadIdx, time.Since(start).Round(time.Millisecond))
-	case *loadIdx != "":
-		f, err := os.Open(*loadIdx)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		ix, err = kdash.LoadIndex(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("index: loaded %d nodes from %s in %v\n", ix.N(), *loadIdx, time.Since(start).Round(time.Millisecond))
-	case *shards > 1:
-		m, err := parseMethod(*method)
+	} else {
+		m, err := reorder.Parse(*method)
 		if err != nil {
 			fatal(err)
 		}
@@ -104,61 +100,21 @@ func main() {
 			sx.Shards(), time.Since(start).Round(time.Millisecond),
 			st.PartitionTime.Round(time.Millisecond), st.ShardCPUTime.Round(time.Millisecond),
 			st.CutEdges, 100*st.CutWeightFrac, st.NNZInverse)
-	default:
-		m, err := parseMethod(*method)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		ix, err = kdash.BuildIndex(g, kdash.Options{Restart: *c, Reorder: m, Seed: *seed, Workers: *workers})
-		if err != nil {
-			fatal(err)
-		}
-		st := ix.Stats()
-		fmt.Printf("index: built in %v (reorder %v, nnz(inverse)=%d, %.2fx edges)\n",
-			time.Since(start).Round(time.Millisecond), st.Method, st.NNZInverse, st.InverseRatio)
 	}
 	if *saveIdx != "" {
-		if sx != nil {
-			if err := sx.Save(*saveIdx); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("index: saved sharded manifest to %s/\n", *saveIdx)
-		} else {
-			f, err := os.Create(*saveIdx)
-			if err != nil {
-				fatal(err)
-			}
-			if err := ix.Save(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("index: saved to %s\n", *saveIdx)
+		if err := sx.Save(*saveIdx); err != nil {
+			fatal(err)
 		}
+		fmt.Printf("index: saved to %s/\n", *saveIdx)
 	}
 
 	qStart := time.Now()
-	var results []kdash.Result
-	if sx != nil {
-		rs, stats, err := sx.TopK(*query, *k)
-		if err != nil {
-			fatal(err)
-		}
-		results = rs
-		fmt.Printf("query: node %d, K=%d -> %v (solved %d/%d shards in %d solves, pruned %d)\n",
-			*query, *k, time.Since(qStart), stats.ShardsSolved, sx.Shards(), stats.Solves, stats.ShardsPruned)
-	} else {
-		rs, stats, err := ix.TopK(*query, *k)
-		if err != nil {
-			fatal(err)
-		}
-		results = rs
-		fmt.Printf("query: node %d, K=%d -> %v (visited %d, computed %d proximities, terminated early: %t)\n",
-			*query, *k, time.Since(qStart), stats.Visited, stats.ProximityComputations, stats.Terminated)
+	results, stats, err := sx.TopK(*query, *k)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Printf("query: node %d, K=%d -> %v (solved %d/%d shards in %d solves, pruned %d)\n",
+		*query, *k, time.Since(qStart), stats.ShardsSolved, sx.Shards(), stats.Solves, stats.ShardsPruned)
 	for i, r := range results {
 		fmt.Printf("%3d. node %-8d proximity %.8f\n", i+1, r.Node, r.Score)
 	}
@@ -167,28 +123,48 @@ func main() {
 		if g == nil {
 			fatal(fmt.Errorf("-verify needs -graph (the iterative oracle runs on the raw graph)"))
 		}
-		want, err := kdash.IterativeTopK(g, *query, *k, *c)
+		want, err := kdash.IterativeProximities(g, *query, sx.Restart())
 		if err != nil {
 			fatal(err)
 		}
-		ok := len(want) == len(results)
-		for i := range results {
-			if !ok || results[i].Node != want[i].Node {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			fmt.Println("verify: exact match with the iterative method")
-		} else {
-			fmt.Printf("verify: MISMATCH, iterative says %v\n", want)
+		if err := verifyAnswer(results, want, *k); err != nil {
+			fmt.Printf("verify: MISMATCH, %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Println("verify: every score within 1e-9 of the iterative method's top-k")
 	}
 }
 
-func parseMethod(s string) (kdash.ReorderMethod, error) {
-	return reorder.Parse(s)
+// verifyAnswer checks a top-k answer against the full proximity vector
+// the iterative method computed: no node twice, each node's score within
+// verifyTol of its own proximity, the i-th score within verifyTol of the
+// i-th largest proximity, and fewer than k nodes only when every node
+// left out has a proximity within verifyTol of zero. Nodes whose
+// proximities tie within the tolerance may come in either order.
+func verifyAnswer(got []kdash.Result, want []float64, k int) error {
+	ranked := append([]float64(nil), want...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(ranked)))
+	if len(got) > k {
+		return fmt.Errorf("%d nodes for k=%d", len(got), k)
+	}
+	if len(got) < k && len(got) < len(ranked) && ranked[len(got)] > verifyTol {
+		return fmt.Errorf("%d nodes for k=%d, but the %d-th largest proximity is %.12g", len(got), k, len(got)+1, ranked[len(got)])
+	}
+	seen := make(map[int]bool, len(got))
+	for i, r := range got {
+		switch {
+		case r.Node < 0 || r.Node >= len(want):
+			return fmt.Errorf("rank %d: node %d out of range", i+1, r.Node)
+		case seen[r.Node]:
+			return fmt.Errorf("rank %d: node %d repeated", i+1, r.Node)
+		case math.Abs(r.Score-want[r.Node]) > verifyTol:
+			return fmt.Errorf("rank %d: node %d scored %.12g, iterative method says %.12g", i+1, r.Node, r.Score, want[r.Node])
+		case math.Abs(r.Score-ranked[i]) > verifyTol:
+			return fmt.Errorf("rank %d: score %.12g, the %d-th largest proximity is %.12g", i+1, r.Score, i+1, ranked[i])
+		}
+		seen[r.Node] = true
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -21,6 +21,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -114,13 +115,10 @@ type Index struct {
 
 	stats BuildStats
 
-	// srcGraph and opts are retained so the index can rebuild itself from
-	// a graph delta (Rebuild); epoch counts rebuilds along the chain.
-	// LoadIndex leaves srcGraph nil — the serialised form carries only the
-	// query structures — which marks the index as non-updatable.
-	srcGraph *graph.Graph
-	opts     BuildOptions
-	epoch    int
+	// dropTol is the build's BuildOptions.DropTol: BuildBlock reuses a
+	// previous epoch's columns only from an index built with the same
+	// tolerance.
+	dropTol float64
 
 	// backing is the sectioned container a loaded index's arrays live
 	// in — a sealed off-heap copy for OpenIndexFile where the platform
@@ -222,7 +220,7 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	tFac := time.Now() //kdash:allow(determinism) BuildStats stage timer
 	var changed []bool
 	var prevInv *lu.Inverse
-	if prev != nil && prev.n == g.N() && prev.c == c && prev.opts.DropTol == opt.DropTol {
+	if prev != nil && prev.n == g.N() && prev.c == c && prev.dropTol == opt.DropTol {
 		changed = a.ChangedColumns(prev.a)
 		prevInv = prev.inverseFactors()
 	}
@@ -237,17 +235,15 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	// The copied columns were read from prev's arrays.
 	runtime.KeepAlive(prev)
 
-	opt.Restart = c // retain the resolved value so Rebuild chains identically
 	n := g.N()
 	ix := &Index{
-		n:        n,
-		c:        c,
-		srcGraph: g,
-		opts:     opt,
-		perm:     make([]int32, n),
-		a:        a,
-		linv:     inverse.Linv,
-		uinv:     inverse.Uinv,
+		n:       n,
+		c:       c,
+		dropTol: opt.DropTol,
+		perm:    make([]int32, n),
+		a:       a,
+		linv:    inverse.Linv,
+		uinv:    inverse.Uinv,
 	}
 	for u, p := range perm {
 		ix.perm[u] = int32(p)
@@ -333,25 +329,32 @@ type SearchOptions struct {
 	// participate in the estimation (they may carry proximity mass); they
 	// are only barred from the top-k heap.
 	Exclude map[int]bool
-	// Ctx, when non-nil, cancels the query: engines check it at coarse
-	// boundaries (a sharded engine between shard solves, never per
-	// node) and abandon the solve with the context's error. A nil Ctx
-	// is never checked — the hot path pays one branch.
+	// Ctx, Trace and SolvedShards are read only by the sharded engine
+	// (shard.ShardedIndex); Index.Search ignores them.
+	//
+	// Ctx, when non-nil, cancels the query: the engine checks it between
+	// shard solves, never per node, and abandons the solve with the
+	// context's error. A nil Ctx is never checked — the hot path pays
+	// one branch.
 	Ctx context.Context
 	// Trace, when non-nil, records the query's execution structure
 	// (shard solve schedule, residual-bound trajectory, per-phase wall
 	// clock) into the pointed-to recorder. The caller owns the
-	// instance; engines only append. Nil disables all recording and
+	// instance; the engine only appends. Nil disables all recording and
 	// all timing syscalls.
 	Trace *obs.QueryTrace
 	// SolvedShards, when non-nil, receives (appended, ascending) the ids
-	// of the shards a sharded engine's push solved — everything the
-	// answer depends on, which is what lets the server's cache keep an
-	// entry across an update that dirtied other shards. Caller-owned
-	// like Trace; the monolithic index has no shards and leaves it
-	// alone.
+	// of the shards the push solved — everything the answer depends on,
+	// which is what lets the server's cache keep an entry across an
+	// update that dirtied other shards. Caller-owned like Trace.
 	SolvedShards *[]int
 }
+
+// ErrUnavailable reports a query abandoned because index data it needs
+// could not be read — a lazily opened shard file or graph snapshot that
+// failed to load mid-query. No partial answer is returned; servers map
+// it to 503 + Retry-After.
+var ErrUnavailable = errors.New("index data unavailable")
 
 // TopK returns the K nodes with the highest RWR proximity w.r.t. query
 // node q, exactly (Theorem 2). Results use original node ids and are
@@ -362,11 +365,12 @@ func (ix *Index) TopK(q, k int) ([]topk.Result, SearchStats, error) {
 	return ix.Search(q, SearchOptions{K: k})
 }
 
-// searchWS is the per-query scratch a tree search needs. A batch reuses
-// one instance across its queries so a large index does not pay two O(n)
-// allocations (plus their zeroing) per query: the proximity workspace is
-// spot-cleaned after each query and the BFS state is invalidated by
-// bumping the generation counter instead of rewriting the arrays.
+// searchWS is the per-query scratch a tree search needs. Pooled
+// instances are reused across queries so a large index does not pay two
+// O(n) allocations (plus their zeroing) per query: the proximity
+// workspace is spot-cleaned after each query and the BFS state is
+// invalidated by bumping the generation counter instead of rewriting the
+// arrays.
 type searchWS struct {
 	ws   []float64 // scattered L^{-1} r; only scattered entries are live
 	tree *TreeWS
@@ -402,7 +406,7 @@ func (ix *Index) Search(q int, opt SearchOptions) ([]topk.Result, SearchStats, e
 }
 
 // search runs one query against a caller-supplied workspace, leaving the
-// workspace clean for the next query of a batch.
+// workspace clean for the next query.
 //
 //kdash:deterministic
 func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, SearchStats, error) {
@@ -412,18 +416,6 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 	}
 	if opt.K <= 0 {
 		return nil, stats, fmt.Errorf("core: K must be positive, got %d", opt.K)
-	}
-	// The monolithic search is one uninterruptible factor sweep, so the
-	// context is checked once up front: a request whose client is
-	// already gone never starts the work.
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("core: query cancelled: %w", err)
-		}
-	}
-	var tSolve time.Time
-	if opt.Trace != nil {
-		tSolve = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
 	qi := int(ix.perm[q]) // internal id
 
@@ -447,86 +439,12 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 		sw.ws[ix.linv.RowIdx[i]] = 0
 	}
 
-	var tRank time.Time
-	if opt.Trace != nil {
-		tRank = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
-		opt.Trace.SolveNS += tRank.Sub(tSolve).Nanoseconds()
-	}
 	results := heap.Results()
 	inv := ix.tables().inv
 	for i := range results {
 		results[i].Node = inv[results[i].Node]
 	}
-	if tr := opt.Trace; tr != nil {
-		tr.RankNS += time.Since(tRank).Nanoseconds() //kdash:allow(determinism) phase timing feeds only the trace block
-		// The monolithic search has no shard granularity: the trace
-		// carries phase timings and work counts, no solve steps.
-		tr.NodesEvaluated += stats.ProximityComputations
-		tr.Converged = true
-	}
 	return results, stats, nil
-}
-
-// BatchQuery is one query of a batched execution: a query node, its
-// answer-set size and an optional exclusion set (original node ids).
-type BatchQuery struct {
-	Q       int
-	K       int
-	Exclude map[int]bool
-}
-
-// SearchBatch answers a block of queries, validating every query before
-// any work happens so a bad entry fails the batch without partial
-// execution. The queries share one search workspace, which removes the
-// per-query O(n) allocate-and-zero cost that dominates small pruned
-// searches on large indexes. Answers are identical to issuing each query
-// through Search.
-func (ix *Index) SearchBatch(queries []BatchQuery) ([][]topk.Result, []SearchStats, error) {
-	return ix.SearchBatchCtx(nil, queries)
-}
-
-// SearchBatchCtx is SearchBatch with cancellation: a non-nil context
-// is checked between the batch's queries (each individual search is
-// one uninterruptible factor sweep), so a disconnected client stops
-// paying for the rest of its batch. A nil context is never checked.
-//
-//kdash:ctxloop
-func (ix *Index) SearchBatchCtx(ctx context.Context, queries []BatchQuery) ([][]topk.Result, []SearchStats, error) {
-	for i, bq := range queries {
-		if bq.Q < 0 || bq.Q >= ix.n {
-			return nil, nil, fmt.Errorf("core: batch query %d: node %d outside [0,%d)", i, bq.Q, ix.n)
-		}
-		if bq.K <= 0 {
-			return nil, nil, fmt.Errorf("core: batch query %d: K must be positive, got %d", i, bq.K)
-		}
-	}
-	sw := ix.getSearchWS()
-	defer ix.putSearchWS(sw)
-	results := make([][]topk.Result, len(queries))
-	stats := make([]SearchStats, len(queries))
-	for i, bq := range queries {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("core: batch cancelled after %d of %d queries: %w", i, len(queries), err)
-			}
-		}
-		rs, st, err := ix.search(bq.Q, SearchOptions{K: bq.K, Exclude: bq.Exclude}, sw)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[i], stats[i] = rs, st
-	}
-	return results, stats, nil
-}
-
-// TopKBatch answers top-k for a block of query nodes with a shared
-// answer-set size; see SearchBatch.
-func (ix *Index) TopKBatch(qs []int, k int) ([][]topk.Result, []SearchStats, error) {
-	queries := make([]BatchQuery, len(qs))
-	for i, q := range qs {
-		queries[i] = BatchQuery{Q: q, K: k}
-	}
-	return ix.SearchBatch(queries)
 }
 
 // internalExclusions converts an original-id exclusion set to internal

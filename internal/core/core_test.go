@@ -23,6 +23,18 @@ func buildFor(t *testing.T, g *graph.Graph, m reorder.Method) *Index {
 	return ix
 }
 
+// plantedIndex builds a Hybrid-ordered index over an n-node planted
+// partition graph.
+func plantedIndex(t *testing.T, seed int64, n int) *Index {
+	t.Helper()
+	g := gen.PlantedPartition(n, 4, 0.2, 0.02, seed)
+	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // oracle computes the exact top-k with the iterative method.
 func oracle(t *testing.T, g *graph.Graph, q, k int, c float64) []topk.Result {
 	t.Helper()

@@ -2,8 +2,8 @@ package core
 
 // Native fuzz targets for the binary index loader: whatever bytes come
 // in — truncations of a valid index, bit flips, retired generations,
-// garbage — LoadIndex must return an error, never panic and never
-// commit unbounded memory.
+// garbage — OpenIndexFile, reading them from a temp file, must return
+// an error, never panic and never commit unbounded memory.
 
 import (
 	"bytes"
@@ -38,7 +38,7 @@ func fuzzIndexBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzLoadIndex drives LoadIndex with bytes that are not a container:
+// FuzzLoadIndex drives OpenIndexFile with bytes that are not a container:
 // a retired v1 stream's opening fields, whole and cut short, plus
 // garbage and a length-prefix bomb. A retired generation is refused on
 // sight, so every input must come back as an error.
@@ -58,7 +58,7 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Fuzz(fuzzLoadOne)
 }
 
-// FuzzLoadIndexV3 drives LoadIndex with mutations of a valid container:
+// FuzzLoadIndexV3 drives OpenIndexFile with mutations of a valid container:
 // header and table corruption is mmapio's to reject, section shape and
 // content corruption is indexFromContainer's — either way the contract
 // is an error, no panic and no unbounded commit.
@@ -119,17 +119,18 @@ func TestFuzzCorpusIsCurrent(t *testing.T) {
 			t.Errorf("corpus entry %s is not the current seed; regenerate it from fuzzSeedsV3", s.name)
 		}
 	}
-	if _, err := LoadIndex(bytes.NewReader(fuzzIndexBytes(t))); err != nil {
+	if _, err := openBytes(t, fuzzIndexBytes(t)); err != nil {
 		t.Fatalf("the valid seed does not load: %v", err)
 	}
 }
 
 // fuzzLoadOne is the shared oracle of both loader fuzz targets.
 func fuzzLoadOne(t *testing.T, data []byte) {
-	ix, err := LoadIndex(bytes.NewReader(data))
+	ix, err := openBytes(t, data)
 	if err != nil {
 		return // rejection is the expected outcome for corrupt input
 	}
+	defer ix.Close()
 	// The rare accepted input must yield a queryable index.
 	if ix.N() <= 0 {
 		t.Fatalf("accepted index with n=%d", ix.N())

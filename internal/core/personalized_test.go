@@ -153,3 +153,26 @@ func TestPersonalizedValidation(t *testing.T) {
 		t.Error("expected error for k=0")
 	}
 }
+
+// TestPersonalizedAfterBatchRefactor guards the pooled search workspace
+// in the multi-seed path: the same query through TopKPersonalized and a
+// single-seed Search must agree.
+func TestPersonalizedAfterBatchRefactor(t *testing.T) {
+	ix := plantedIndex(t, 3, 90)
+	single, _, err := ix.TopK(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pers, _, err := ix.TopKPersonalized(map[int]float64{5: 2.5}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single) != len(pers) {
+		t.Fatalf("%d vs %d results", len(single), len(pers))
+	}
+	for i := range single {
+		if single[i].Node != pers[i].Node || math.Abs(single[i].Score-pers[i].Score) > 1e-12 {
+			t.Errorf("rank %d: %+v vs %+v", i, single[i], pers[i])
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,10 +25,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf)
+	loaded, err := openBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	if loaded.N() != orig.N() || loaded.Restart() != orig.Restart() {
 		t.Fatalf("shape changed: n=%d c=%v", loaded.N(), loaded.Restart())
 	}
@@ -65,10 +68,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"truncated": "KDASHIX\x01\x05",
 	}
 	for name, in := range cases {
-		if _, err := LoadIndex(strings.NewReader(in)); err == nil {
+		if _, err := openBytes(t, []byte(in)); err == nil {
 			t.Errorf("%s: expected load error", name)
 		}
 	}
+}
+
+// openBytes writes data to a temp file and opens it with OpenIndexFile,
+// the one index loader.
+func openBytes(tb testing.TB, data []byte) (*Index, error) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "index.idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return OpenIndexFile(path)
 }
 
 // savedBytes returns the index as Save writes it.
@@ -119,7 +133,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 	data := savedBytes(t, ix)
 	data[len(mmapio.Magic)] = 99 // corrupt the container version
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := openBytes(t, data); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("expected version error, got %v", err)
 	}
 }
@@ -133,7 +147,7 @@ func TestLoadRejectsCorruptPermutation(t *testing.T) {
 	data := savedBytes(t, ix)
 	// Duplicate the second perm entry over the first.
 	patchSection(t, data, secPerm, func(sec []byte) { copy(sec[:4], sec[4:8]) })
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not a permutation") {
+	if _, err := openBytes(t, data); err == nil || !strings.Contains(err.Error(), "not a permutation") {
 		t.Errorf("expected corrupt-permutation error, got %v", err)
 	}
 }
@@ -155,7 +169,7 @@ func TestLoadRejectsCorruptUInverseRowPtr(t *testing.T) {
 			binary.LittleEndian.PutUint64(sec[i:], past)
 		}
 	})
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "U-inverse") {
+	if _, err := openBytes(t, data); err == nil || !strings.Contains(err.Error(), "U-inverse") {
 		t.Errorf("expected corrupt U-inverse pointer error, got %v", err)
 	}
 }
@@ -170,7 +184,7 @@ func TestLoadRejectsCorruptRestart(t *testing.T) {
 	patchSection(t, data, secMeta, func(meta []byte) {
 		binary.LittleEndian.PutUint64(meta[16:], math.Float64bits(3.5))
 	})
-	if _, err := LoadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "c=3.5") {
+	if _, err := openBytes(t, data); err == nil || !strings.Contains(err.Error(), "c=3.5") {
 		t.Errorf("expected corrupt-restart error, got %v", err)
 	}
 }

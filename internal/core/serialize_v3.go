@@ -1,13 +1,14 @@
 package core
 
 // Index serialization: the index's arrays are written as page-aligned
-// little-endian sections in an internal/mmapio container. LoadIndex
-// parses one from a stream; OpenIndexFile reads a file into sealed
-// memory outside the Go heap (where the platform maps memory) and wraps
-// every factor array in place. Both verify every section checksum and
-// range-check every array before the index serves a query.
+// little-endian sections in an internal/mmapio container — the file
+// format of every shard of a saved sharded index directory.
+// OpenIndexFile, the one loader, reads a file into sealed memory outside
+// the Go heap (where the platform maps memory) and wraps every factor
+// array in place, after verifying every section checksum and
+// range-checking every array.
 //
-// A file-backed load's arrays are read-only at the MMU level: mmapio
+// A loaded index's arrays are read-only at the MMU level: mmapio
 // seals the memory PROT_READ. The query and update paths never write
 // factor arrays (all scratch lives in pooled workspaces);
 // TestLoadedQueriesNeverWriteFactors pins that contract by running the
@@ -29,7 +30,6 @@ package core
 // with ErrUnsupportedFormat.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,8 +102,8 @@ func (ix *Index) metaBytes() []byte {
 	return b
 }
 
-// Save writes the index as a sectioned v3 container, which LoadIndex
-// parses from any stream and OpenIndexFile reads from a file.
+// Save writes the index as a sectioned v3 container, which
+// OpenIndexFile reads back.
 func (ix *Index) Save(w io.Writer) error {
 	sw := mmapio.NewWriter()
 	sw.AddBytes(secMeta, ix.metaBytes())
@@ -126,30 +126,6 @@ func (ix *Index) Save(w io.Writer) error {
 		return fmt.Errorf("core: writing index: %w", err)
 	}
 	return nil
-}
-
-// LoadIndex reads an index previously written by Save from a stream
-// into a Go buffer, with every checksum verified and every array
-// range-checked. Anything but the current container is refused with
-// ErrUnsupportedFormat.
-func LoadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(mmapio.Magic))
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	if string(head) != mmapio.Magic {
-		return nil, fmt.Errorf("core: %w", ErrUnsupportedFormat)
-	}
-	blob, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index: %w", err)
-	}
-	f, err := mmapio.FromBytes(blob)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", containerErr(err))
-	}
-	return indexFromContainer(f)
 }
 
 // OpenIndexFile opens a saved index file: the file is read into sealed
@@ -285,10 +261,9 @@ var heapBytes atomic.Int64
 
 // HeapBytes reports the bytes of index arrays currently on the Go heap,
 // each at its stored width: every index built in process (BuildIndex,
-// Rebuild, the blocks a sharded Apply rebuilds) or loaded into a Go
-// buffer (LoadIndex, or OpenIndexFile where the platform cannot map
-// memory), counted until the garbage collector finds its Index
-// unreachable. The tables an index derives on first use are not
+// the blocks a sharded build or Apply makes) or loaded into a Go buffer
+// (OpenIndexFile where the platform cannot map memory), counted until
+// the garbage collector finds its Index unreachable. The tables an index derives on first use are not
 // counted. Off-heap containers are mmapio.ReadStats's.
 func HeapBytes() int64 { return heapBytes.Load() }
 

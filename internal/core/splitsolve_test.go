@@ -17,7 +17,7 @@ func TestSplitSolveMatchesSolve(t *testing.T) {
 		seed int64
 		n    int
 	}{{2, 60}, {7, 130}, {11, 220}} {
-		ix := batchTestIndex(t, tc.seed, tc.n)
+		ix := plantedIndex(t, tc.seed, tc.n)
 		rng := rand.New(rand.NewSource(tc.seed))
 		n := ix.N()
 		w := ix.NewWorkspace()
@@ -66,7 +66,7 @@ func TestSplitSolveMatchesSolve(t *testing.T) {
 // it held before the call, even when the bad entry follows good ones.
 // The worker surface's hostile-input contract rests on this.
 func TestSolveLowerValidation(t *testing.T) {
-	ix := batchTestIndex(t, 3, 40)
+	ix := plantedIndex(t, 3, 40)
 	w := ix.NewWorkspace()
 	if err := ix.SolveLower([]int{7}, []float64{0.5}, w); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestSolveLowerValidation(t *testing.T) {
 // the per-entry Proximity oracle bit for bit, repeatedly and with a
 // query asked twice, so no call's state leaks into the next.
 func TestProximityVectorMatchesProximity(t *testing.T) {
-	ix := batchTestIndex(t, 9, 80)
+	ix := plantedIndex(t, 9, 80)
 	for _, q := range []int{0, 17, 3, 17, 79} {
 		vec, err := ix.ProximityVector(q)
 		if err != nil {

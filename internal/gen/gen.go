@@ -7,6 +7,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"kdash/internal/graph"
 )
@@ -49,15 +50,18 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 			targets = append(targets, u, v)
 		}
 	}
+	chosen := make([]int, 0, k)
 	for u := k + 1; u < n; u++ {
-		chosen := map[int]bool{}
+		// A slice in draw order, not a set: the order feeds targets,
+		// and so every later draw.
+		chosen = chosen[:0]
 		for len(chosen) < k {
 			t := targets[rng.Intn(len(targets))]
-			if t != u {
-				chosen[t] = true
+			if t != u && !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			mustAdd(b, u, v, 1)
 			mustAdd(b, v, u, 1)
 			targets = append(targets, u, v)

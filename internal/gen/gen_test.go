@@ -69,6 +69,23 @@ func TestBarabasiAlbertHeavyTail(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertDeterministic pins the same graph to the same seed:
+// the attachment draws depend on the order earlier edges were added.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	want := BarabasiAlbert(300, 3, 7).Edges()
+	for i := 0; i < 5; i++ {
+		got := BarabasiAlbert(300, 3, 7).Edges()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d edges, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("run %d: edge %d is %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestBarabasiAlbertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,10 +4,9 @@ package graph
 // Delta — an ordered batch of edge additions, edge removals and node
 // insertions relative to a base graph — and applied functionally:
 // Apply returns a *new* Graph, leaving the base untouched. This is the
-// contract the index update path is built on (core.Index.Rebuild,
-// shard.ShardedIndex.Apply): in-flight readers keep the old snapshot,
-// writers publish the new one, and nobody ever observes a half-applied
-// batch.
+// contract the index update path (shard.ShardedIndex.Apply) is built
+// on: in-flight readers keep the old snapshot, writers publish the new
+// one, and nobody ever observes a half-applied batch.
 
 import (
 	"cmp"

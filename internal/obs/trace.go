@@ -3,7 +3,7 @@ package obs
 // Per-query tracing. A QueryTrace is threaded (by pointer, opt-in)
 // from the HTTP layer through the solver seams: the sharded push
 // records one SolveStep per shard solve plus the residual-bound
-// trajectory, the monolithic tree search records phase timings. A nil
+// trajectory and phase timings. A nil
 // trace pointer is the fast path everywhere — recording code is gated
 // on it, so disabled queries pay one predictable branch and zero
 // allocations.
@@ -33,8 +33,7 @@ type SolveStep struct {
 // pooled by the HTTP layer; Reset prepares one for reuse keeping its
 // slice capacity.
 type QueryTrace struct {
-	// Steps lists shard solves in schedule order (empty for a
-	// monolithic engine, whose search has no shard granularity).
+	// Steps lists shard solves in schedule order.
 	Steps []SolveStep
 	// Residual is the residual-bound trajectory: total pending mass
 	// after each solve. len(Residual) == len(Steps).

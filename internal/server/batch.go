@@ -18,6 +18,14 @@ type batchQueryJSON struct {
 	Exclude []int `json:"exclude,omitempty"`
 }
 
+// batchQuery is one validated query of a batch: a query node, its
+// answer-set size and its exclusion set (original node ids).
+type batchQuery struct {
+	Q       int
+	K       int
+	Exclude map[int]bool
+}
+
 // batchRequest is the POST /topk/batch payload.
 type batchRequest struct {
 	Queries []batchQueryJSON `json:"queries"`
@@ -71,7 +79,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values
 		h.badRequest(w, "batch of %d exceeds limit %d", len(req.Queries), h.maxBatch)
 		return
 	}
-	queries := make([]core.BatchQuery, len(req.Queries))
+	queries := make([]batchQuery, len(req.Queries))
 	for i, bq := range req.Queries {
 		if bq.Q < 0 || bq.Q >= st.engine.N() {
 			h.badRequest(w, "query %d: node %d outside [0,%d)", i, bq.Q, st.engine.N())
@@ -81,7 +89,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values
 			h.badRequest(w, "query %d: k must be positive, got %d", i, bq.K)
 			return
 		}
-		q := core.BatchQuery{Q: bq.Q, K: bq.K}
+		q := batchQuery{Q: bq.Q, K: bq.K}
 		if len(bq.Exclude) > 0 {
 			q.Exclude = make(map[int]bool, len(bq.Exclude))
 			for _, node := range bq.Exclude {
@@ -121,7 +129,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values
 // update lands mid-request.
 //
 //kdash:ctxloop
-func (st *engineState) runBatch(ctx context.Context, queries []core.BatchQuery) ([][]topk.Result, []core.SearchStats, error) {
+func (st *engineState) runBatch(ctx context.Context, queries []batchQuery) ([][]topk.Result, []core.SearchStats, error) {
 	results := make([][]topk.Result, len(queries))
 	stats := make([]core.SearchStats, len(queries))
 	for i, bq := range queries {

@@ -32,7 +32,7 @@ func TestEpochSeededFromLoadedIndex(t *testing.T) {
 	if err := sx.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := shard.Load(dir)
+	loaded, err := shard.Open(dir, shard.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	}
 	h := New(built)
 	before := statz(h)
-	sx, err := shard.Load(dir)
+	sx, err := shard.Open(dir, shard.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

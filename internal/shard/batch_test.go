@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/graph"
 	"kdash/internal/rwr"
@@ -69,39 +68,6 @@ func TestTopKBatchValidation(t *testing.T) {
 	}
 	if rs, bs, err := sx.TopKBatch(nil, 5); err != nil || len(rs) != 0 || len(bs.PerQuery) != 0 {
 		t.Errorf("empty batch: %v %v %v", rs, bs, err)
-	}
-}
-
-// TestSearchBatchMatchesSearch drives SearchBatch with per-query
-// exclusions and checks it, results and stats, against per-query Search.
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	g := gen.DirectedScaleFree(140, 3, 0.3, 0.4, 9)
-	sx := buildSharded(t, g, 4, rwrDefaultC)
-	queries := []core.BatchQuery{
-		{Q: 7, K: 5},
-		{Q: 7, K: 5, Exclude: map[int]bool{7: true}},
-		{Q: 40, K: 3, Exclude: map[int]bool{40: true, 41: true}},
-	}
-	got, stats, err := sx.SearchBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != len(queries) {
-		t.Fatalf("%d stats for %d queries", len(stats), len(queries))
-	}
-	for i, bq := range queries {
-		want, wantStats, err := sx.Search(bq.Q, core.SearchOptions{K: bq.K, Exclude: bq.Exclude})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) || stats[i] != wantStats {
-			t.Errorf("query %d: %v %+v vs %v %+v", i, got[i], stats[i], want, wantStats)
-		}
-		for _, r := range got[i] {
-			if bq.Exclude[r.Node] {
-				t.Errorf("query %d: excluded node %d in answer", i, r.Node)
-			}
-		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"kdash/internal/core"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 	"kdash/internal/testutil"
@@ -191,44 +190,6 @@ func diffCheck(t *testing.T, rng *rand.Rand, sx *ShardedIndex, seed int64, shard
 		}
 		if math.Abs(got-ivec[u]) > scoreTol {
 			t.Fatalf("seed %d shards %d proximity (%d,%d): %v vs iterative %v", seed, shards, qs[0], u, got, ivec[u])
-		}
-	}
-}
-
-// TestDifferentialMonolithicRebuild runs the same randomized update
-// sequences through the monolithic core.Index.Rebuild path and checks
-// it against power iteration — the full-rebuild baseline the sharded
-// incremental path is differentially equivalent to.
-func TestDifferentialMonolithicRebuild(t *testing.T) {
-	for _, seed := range []int64{5, 6} {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.Random(rng)
-		ix, err := core.BuildIndex(g, core.BuildOptions{Reorder: reorder.Hybrid, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 3; round++ {
-			d := testutil.RandomDelta(rng, ix.Graph(), 5)
-			ix2, err := ix.Rebuild(d)
-			if err != nil {
-				t.Fatalf("seed %d round %d: %v", seed, round, err)
-			}
-			ix = ix2
-		}
-		a := ix.Graph().ColumnNormalized()
-		for i := 0; i < 3; i++ {
-			q := rng.Intn(ix.N())
-			got, _, err := ix.TopK(q, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := rwr.TopK(a, q, 6, ix.Restart())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameAnswerSet(got, trimZeros(oracle), scoreTol) {
-				t.Fatalf("seed %d q=%d: got %v, oracle %v", seed, q, got, trimZeros(oracle))
-			}
 		}
 	}
 }

@@ -101,7 +101,7 @@ func fuzzOneFile(t *testing.T, dir, name string, pristine, data []byte) {
 			t.Fatal(err)
 		}
 	}()
-	sx, err := Load(dir)
+	sx, err := Open(dir, LoadOptions{})
 	if err != nil {
 		return // rejection is the expected outcome
 	}
@@ -257,7 +257,7 @@ func TestShardFuzzCorpusIsCurrent(t *testing.T) {
 			if err := os.WriteFile(path, s.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			sx, err := Load(dir)
+			sx, err := Open(dir, LoadOptions{})
 			if err == nil {
 				sx.Close()
 			}

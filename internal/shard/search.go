@@ -99,9 +99,10 @@ func (sx *ShardedIndex) partLen(si int) int {
 }
 
 // TopK returns the K nodes with the highest RWR proximity w.r.t. query
-// node q, matching the monolithic core.Index.TopK ranking (proximities
-// agree within QueryTol/c). Results use original node ids, sorted by
-// descending proximity with ties broken by ascending node id.
+// node q: proximities agree with the monolithic core.Index.TopK's within
+// QueryTol/c, so only nodes tied to that precision may rank differently.
+// Results use original node ids, sorted by descending proximity with
+// ties broken by ascending node id.
 func (sx *ShardedIndex) TopK(q, k int) ([]topk.Result, QueryStats, error) {
 	return sx.topK(q, k, core.SearchOptions{})
 }

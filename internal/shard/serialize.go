@@ -117,8 +117,9 @@ type manifest struct {
 }
 
 // IsShardedIndexDir reports whether path is a directory containing a
-// sharded-index manifest — the load-time dispatch the CLIs use to decide
-// between core.LoadIndex and LoadShardedIndex.
+// sharded-index manifest — the check the CLIs make before Open, so a
+// path that is no index directory is refused with the command that
+// builds one.
 func IsShardedIndexDir(path string) bool {
 	fi, err := os.Stat(path)
 	if err != nil || !fi.IsDir() {
@@ -266,13 +267,7 @@ type LoadOptions struct {
 	Lazy bool
 }
 
-// Load reads a sharded index previously written by Save, opening every
-// shard file before it returns. Use Open to defer the shard opens.
-func Load(dir string) (*ShardedIndex, error) {
-	return Open(dir, LoadOptions{})
-}
-
-// Open reads a sharded index with an explicit laziness choice. Every
+// Open reads a sharded index previously written by Save. Every
 // shard file and the graph snapshot are read into sealed memory outside
 // the Go heap (where the platform maps memory) and checksummed and
 // range-checked when they open; see LoadOptions. They are released when

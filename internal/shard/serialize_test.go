@@ -36,7 +36,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !IsShardedIndexDir(dir) {
 		t.Fatal("saved directory not recognised as a sharded index")
 	}
-	loaded, err := Load(dir)
+	loaded, err := Open(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestUpdatedIndexRoundTrip(t *testing.T) {
 	if err := sx.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	loaded, err := Open(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,16 @@ func TestOldGenerationsRefused(t *testing.T) {
 	}
 
 	type closer interface{ Close() error }
+	// The rows named LoadIndex are the bytes the retired stream loader
+	// was fed, written to a standalone file outside any index directory;
+	// OpenIndexFile, the one loader, must refuse them as it refuses the
+	// directory's own file.
 	loadBytes := func(b []byte) func() (closer, error) {
-		return func() (closer, error) { return core.LoadIndex(bytes.NewReader(b)) }
+		path := filepath.Join(t.TempDir(), "standalone.idx")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return func() (closer, error) { return core.OpenIndexFile(path) }
 	}
 	openFile := func(path string) func() (closer, error) {
 		return func() (closer, error) { return core.OpenIndexFile(path) }
@@ -428,21 +436,21 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(dir, "nope")); err == nil {
+	if _, err := Open(filepath.Join(dir, "nope"), LoadOptions{}); err == nil {
 		t.Error("missing directory accepted")
 	}
 	// Truncated partition container.
 	if err := os.WriteFile(filepath.Join(dir, partitionFileName), []byte{1, 0}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, err := Open(dir, LoadOptions{}); err == nil {
 		t.Error("truncated partition accepted")
 	}
 	// Garbage manifest.
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, err := Open(dir, LoadOptions{}); err == nil {
 		t.Error("garbage manifest accepted")
 	}
 }
@@ -506,7 +514,7 @@ func TestManifestV4WALInfoRoundTrip(t *testing.T) {
 	if m.Version != manifestVersion || m.WALSeq != 42 || len(m.WALSegments) != 2 {
 		t.Fatalf("manifest = version %d walSeq %d segments %v", m.Version, m.WALSeq, m.WALSegments)
 	}
-	loaded, err := Load(dir)
+	loaded, err := Open(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -709,10 +709,6 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 		return err
 	}
 	p.communities = nil // the index keeps the result its ordering used
-	// The block's own ghost graph is never replayed — updates rebuild
-	// dirty blocks from the partition-level snapshot (sx.g) — so keeping
-	// it would pin a second full copy of the adjacency across the parts.
-	ix.ReleaseGraph()
 	p.ix = ix
 	p.sink = hasLeak
 	return nil

@@ -23,12 +23,14 @@
 // Node ids are dense integers 0..n-1; callers keep their own label
 // mapping (see examples/dictionary for a labelled corpus).
 //
-// Beyond the monolithic Index the package exposes the partitioned
-// ShardedIndex (parallel builds, exact cross-shard queries, functional
-// dynamic updates) and file-backed persistence for both: Save writes a
-// page-aligned sectioned layout that OpenIndex / OpenShardedIndex read
-// into sealed read-only memory, every checksum verified and every array
-// range-checked before the first query (see OpenOptions).
+// Beyond the monolithic Index, the paper's engine, the package exposes
+// the partitioned ShardedIndex (parallel builds, exact cross-shard
+// queries, functional dynamic updates, batches) and its persistence:
+// ShardedIndex.Save writes a directory of page-aligned sectioned files
+// that OpenShardedIndex reads into sealed read-only memory, every
+// checksum verified and every array range-checked before the first
+// query (see OpenOptions). A one-shard ShardedIndex is the index the
+// kdash CLI and server build, save and load.
 // The architecture — layer map, immutability and pooling contracts,
 // on-disk formats — is documented in docs/ARCHITECTURE.md.
 package kdash
@@ -69,16 +71,11 @@ type Options = core.BuildOptions
 // used by the paper's ablation figures.
 type SearchOptions = core.SearchOptions
 
-// BatchQuery is one query of a batched execution. Both index shapes
-// answer blocks of queries through SearchBatch/TopKBatch by validating
-// every query up front and then running the ordinary single-query search
-// per query on pooled workspaces, so each item is bit-identical to the
-// same query issued alone.
-type BatchQuery = core.BatchQuery
-
-// ShardBatchStats reports the work of one batched sharded execution:
-// each query's own per-query stats, in request order — the same values
-// ShardedIndex.TopK reports for that query.
+// ShardBatchStats reports the work of one ShardedIndex.TopKBatch: each
+// query's own per-query stats, in request order — the same values
+// ShardedIndex.TopK reports for that query. A batch validates every
+// query up front and then runs the ordinary single-query search per
+// query, so each item is bit-identical to the same query issued alone.
 type ShardBatchStats = shard.BatchStats
 
 // SearchStats reports per-query work: nodes visited, exact proximity
@@ -127,35 +124,19 @@ func Load(r io.Reader) (*Graph, error) {
 	return graph.ParseEdgeList(r, 0)
 }
 
-// LoadIndex reads an index previously written with Index.Save.
-// Precomputation is the expensive step of K-dash, so production
-// deployments build the index once and ship the serialised form to query
-// servers. Reading from a stream always materialises the index in
-// private memory; use OpenIndex to open an index file into sealed
-// memory outside the Go heap.
-func LoadIndex(r io.Reader) (*Index, error) {
-	return core.LoadIndex(r)
-}
-
-// OpenOptions configures OpenIndex and OpenShardedIndex, the
-// file-backed load paths. Every index file is read into memory outside
-// the Go heap and sealed read-only (the Go heap where the platform
-// cannot map memory), with every checksum verified and every array
-// range-checked before it serves; writes through a loaded index's
-// arrays fault. That memory is released when the index becomes
-// unreachable, or at once by Close.
+// OpenOptions configures OpenShardedIndex, the one load path. Every
+// file of the index directory is read into memory outside the Go heap
+// and sealed read-only (the Go heap where the platform cannot map
+// memory), with every checksum verified and every array range-checked
+// before it serves; writes through a loaded index's arrays fault. That
+// memory is released when the index becomes unreachable, or at once by
+// Close.
 type OpenOptions struct {
-	// Lazy, for sharded indexes, defers each shard file's open to the
-	// first query that actually solves the shard, and the graph
-	// snapshot's to the first query that ranks, so a cold start touches
-	// only the manifest, the partition and what live traffic reaches.
+	// Lazy defers each shard file's open to the first query that
+	// actually solves the shard, and the graph snapshot's to the first
+	// query that ranks, so a cold start touches only the manifest, the
+	// partition and what live traffic reaches.
 	Lazy bool
-}
-
-// OpenIndex opens a saved monolithic index directly from a file (see
-// OpenOptions).
-func OpenIndex(path string, opt OpenOptions) (*Index, error) {
-	return core.OpenIndexFile(path)
 }
 
 // OpenShardedIndex opens a saved sharded index directory, eagerly or
@@ -169,8 +150,11 @@ func OpenShardedIndex(dir string, opt OpenOptions) (*ShardedIndex, error) {
 // ShardedIndex is a partitioned K-dash index: the graph is split into
 // balanced Louvain communities, one K-dash index is built per partition
 // (concurrently), and queries merge per-shard answers into one exact
-// ranking. Build cost parallelises near-linearly with the shard count;
-// answers match the monolithic Index.
+// ranking. Build cost parallelises near-linearly with the shard count.
+// Answers are exact but not the monolithic Index's bits: a shard's
+// graph carries a ghost sink and its own block ordering, so scores agree
+// within ~2e-15 and nodes whose scores tie to that precision may rank
+// in another order.
 type ShardedIndex = shard.ShardedIndex
 
 // ShardOptions configures sharded index construction.
@@ -185,24 +169,11 @@ func BuildShardedIndex(g *Graph, opt ShardOptions) (*ShardedIndex, error) {
 	return shard.Build(g, opt)
 }
 
-// LoadShardedIndex reads a sharded index previously written with
-// ShardedIndex.Save (a directory of per-shard index files plus a
-// manifest).
-func LoadShardedIndex(dir string) (*ShardedIndex, error) {
-	return shard.Load(dir)
-}
-
-// IsShardedIndexDir reports whether path holds a saved sharded index —
-// the dispatch CLIs use to pick LoadShardedIndex over LoadIndex.
-func IsShardedIndexDir(path string) bool {
-	return shard.IsShardedIndexDir(path)
-}
-
 // Delta is an ordered batch of graph mutations (edge additions and
 // removals, node insertions) built against a specific graph. Apply it
-// functionally: Graph.Apply returns a new Graph, Index.Rebuild a new
-// Index (full precompute), and ShardedIndex.Apply a new ShardedIndex
-// that refactorizes only the shards owning changed columns. The
+// functionally: Graph.Apply returns a new Graph, and ShardedIndex.Apply
+// a new ShardedIndex that refactorizes only the shards owning changed
+// columns. The
 // originals stay valid, so in-flight queries never observe a
 // half-applied update — swap the pointer when the successor is ready.
 type Delta = graph.Delta
@@ -216,7 +187,7 @@ type UpdateStats = shard.UpdateStats
 func NewDelta(n int) *Delta { return graph.NewDelta(n) }
 
 // ErrEdgeNotFound reports removal of an edge that does not exist; test
-// with errors.Is against Apply/Rebuild failures.
+// with errors.Is against Apply failures.
 var ErrEdgeNotFound = graph.ErrEdgeNotFound
 
 // IterativeTopK computes the exact top-k answer with the classical
