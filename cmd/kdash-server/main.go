@@ -111,6 +111,23 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
+// count is a count flag's name and value.
+type count struct {
+	flag string
+	n    int
+}
+
+// negativeCount is the usage error for the first negative count: zero
+// keeps each count flag's documented meaning, a negative one has none.
+func negativeCount(counts ...count) error {
+	for _, c := range counts {
+		if c.n < 0 {
+			return usageError(fmt.Sprintf("-%s %d: a count cannot be negative", c.flag, c.n))
+		}
+	}
+	return nil
+}
+
 // errNoEngine is the usage error for flags that name no engine at all.
 var errNoEngine = usageError("need -graph or -load-index")
 
@@ -230,6 +247,10 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "minimum request-log level: debug, info, warn or error")
 	)
 	flag.Parse()
+	if err := negativeCount(count{"shards", *shards}, count{"workers", *workers}, count{"cache", *cacheSize}, count{"max-batch", *maxBatch}); err != nil {
+		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)
+		os.Exit(2)
+	}
 	requestLog, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)

@@ -114,3 +114,20 @@ func TestOpenEngine(t *testing.T) {
 		}
 	})
 }
+
+// TestNegativeCountsRefused: a negative -shards, -workers, -cache or
+// -max-batch is a usage error (exit 2) naming the flag — they used to
+// build one shard or fall back to the default silently — while zero
+// keeps its documented meaning.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, flag := range []string{"shards", "workers", "cache", "max-batch"} {
+		err := negativeCount(count{"shards", 1}, count{flag, -2}, count{"workers", 0})
+		var usage usageError
+		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "-"+flag+" -2") {
+			t.Errorf("-%s -2: err = %v, want a usage error naming the flag", flag, err)
+		}
+	}
+	if err := negativeCount(count{"shards", 0}, count{"workers", 0}, count{"cache", 0}, count{"max-batch", 0}); err != nil {
+		t.Errorf("zero counts refused: %v", err)
+	}
+}

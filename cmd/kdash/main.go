@@ -49,6 +49,10 @@ func main() {
 		loadIdx   = flag.String("load-index", "", "load an index directory written by -save-index")
 	)
 	flag.Parse()
+	if err := negativeCount(count{"shards", *shards}, count{"workers", *workers}); err != nil {
+		fmt.Fprintln(os.Stderr, "kdash:", err)
+		os.Exit(2)
+	}
 	if *graphPath == "" && *loadIdx == "" {
 		fmt.Fprintln(os.Stderr, "kdash: -graph (or -load-index) is required")
 		flag.Usage()
@@ -163,6 +167,23 @@ func verifyAnswer(got []kdash.Result, want []float64, k int) error {
 			return fmt.Errorf("rank %d: score %.12g, the %d-th largest proximity is %.12g", i+1, r.Score, i+1, ranked[i])
 		}
 		seen[r.Node] = true
+	}
+	return nil
+}
+
+// count is a count flag's name and value.
+type count struct {
+	flag string
+	n    int
+}
+
+// negativeCount reports the first negative count: zero keeps each
+// count flag's documented meaning, a negative one has none.
+func negativeCount(counts ...count) error {
+	for _, c := range counts {
+		if c.n < 0 {
+			return fmt.Errorf("-%s %d: a count cannot be negative", c.flag, c.n)
+		}
 	}
 	return nil
 }

@@ -43,3 +43,17 @@ func TestVerifyAnswer(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeCountsRefused: a negative -shards or -workers is a usage
+// error (exit 2) naming the flag — -shards -3 used to build one shard
+// silently — while zero keeps its documented meaning.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, flag := range []string{"shards", "workers"} {
+		if err := negativeCount(count{flag, -3}); err == nil || !strings.Contains(err.Error(), "-"+flag+" -3") {
+			t.Errorf("-%s -3: err = %v, want an error naming the flag", flag, err)
+		}
+	}
+	if err := negativeCount(count{"shards", 0}, count{"workers", 0}); err != nil {
+		t.Errorf("zero counts refused: %v", err)
+	}
+}

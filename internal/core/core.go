@@ -215,16 +215,25 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	perm, communities := reorder.ComputeBlock(g, opt.Reorder, opt.Seed, blk)
 	reorderTime := time.Since(start) //kdash:allow(determinism) BuildStats stage timer
 
-	a := g.ColumnNormalized().PermuteSym(perm)
+	a := g.PermutedColumnNormalized(perm)
 
 	tFac := time.Now() //kdash:allow(determinism) BuildStats stage timer
 	var changed []bool
 	var prevInv *lu.Inverse
-	if prev != nil && prev.n == g.N() && prev.c == c && prev.dropTol == opt.DropTol {
-		changed = a.ChangedColumns(prev.a)
-		prevInv = prev.inverseFactors()
+	sizeHint := 0
+	if prev != nil && prev.n == g.N() {
+		// The previous factors' size, which a small change barely moves,
+		// sizes the new ones. A loaded index's count is an unchecked
+		// stat, so it is capped by the previous inverse's real size,
+		// which bounds it: L and U lie within the patterns of their
+		// inverses.
+		sizeHint = min(prev.stats.NNZFactors, prev.linv.NNZ()+prev.uinv.NNZ()+prev.n)
+		if prev.c == c && prev.dropTol == opt.DropTol {
+			changed = a.ChangedColumns(prev.a)
+			prevInv = prev.inverseFactors()
+		}
 	}
-	fac, err := lu.Refactorize(lu.BuildW(a, c), changed)
+	fac, err := lu.RefactorizeW(a, c, changed, sizeHint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: factorizing W: %w", err)
 	}

@@ -27,9 +27,35 @@ type Bounds struct {
 }
 
 // GraphBounds builds the tables for g's column-normalised adjacency
-// under restart probability c, indexed by g's node ids.
+// under restart probability c, indexed by g's node ids. It reads the
+// out-rows directly — column v of A is v's out-row over its weight sum —
+// and divides each weight exactly as ColumnNormalized does, so the
+// tables equal adjacencyBounds(g.ColumnNormalized(), c) bit for bit
+// without the copy of A.
 func GraphBounds(g *graph.Graph, c float64) Bounds {
-	return adjacencyBounds(g.ColumnNormalized(), c)
+	n := g.N()
+	b := Bounds{c: c, amaxCol: make([]float64, n), selfA: make([]float64, n)}
+	ptr, to := g.OutCSR()
+	w := g.OutWeights()
+	for v := 0; v < n; v++ {
+		total := g.OutWeightSum(v)
+		if total <= 0 {
+			continue // an all-zero column, as ColumnNormalized stores it
+		}
+		for i := ptr[v]; i < ptr[v+1]; i++ {
+			a := w[i] / total
+			if a > b.amaxCol[v] {
+				b.amaxCol[v] = a
+			}
+			if int(to[i]) == v {
+				b.selfA[v] = a
+			}
+		}
+		if b.amaxCol[v] > b.amax {
+			b.amax = b.amaxCol[v]
+		}
+	}
+	return b
 }
 
 // adjacencyBounds builds the tables for the column-normalised adjacency

@@ -129,6 +129,35 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// FromCSR returns the graph whose out-adjacency is the given CSR: node
+// u's out-neighbours are to[ptr[u]:ptr[u+1]], strictly ascending, with
+// positive weights w. The graph takes the slices over (the caller must
+// not modify them) and derives the in-adjacency, so a caller that
+// already produces its rows in order builds a graph with no edge list
+// in between.
+func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
+	n := len(ptr) - 1
+	if n < 0 || n > MaxNodes || ptr[0] != 0 || ptr[n] != len(to) || len(w) != len(to) {
+		return nil, fmt.Errorf("graph: malformed CSR (%d pointers, %d targets, %d weights)", len(ptr), len(to), len(w))
+	}
+	for u := 0; u < n; u++ {
+		if ptr[u] > ptr[u+1] {
+			return nil, fmt.Errorf("graph: CSR pointer %d decreases", u)
+		}
+		for i := ptr[u]; i < ptr[u+1]; i++ {
+			if to[i] < 0 || int(to[i]) >= n || (i > ptr[u] && to[i-1] >= to[i]) {
+				return nil, fmt.Errorf("graph: CSR row %d is not strictly ascending in [0,%d)", u, n)
+			}
+			if !(w[i] > 0) {
+				return nil, fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, to[i], w[i])
+			}
+		}
+	}
+	g := &Graph{n: n, outPtr: ptr, outTo: to, outW: w}
+	g.buildIn()
+	return g, nil
+}
+
 func (g *Graph) buildIn() {
 	g.inPtr = make([]int, g.n+1)
 	g.inFrom = make([]int32, len(g.outTo))
@@ -179,6 +208,10 @@ func (g *Graph) OutNeighbors(u int, fn func(to int, w float64)) {
 // (a sealed snapshot's memory, for an opened one) and must be treated
 // as read-only; they are valid only while the graph is reachable.
 func (g *Graph) OutCSR() (ptr []int, to []int32) { return g.outPtr, g.outTo }
+
+// OutWeights returns the weights parallel to OutCSR's targets, under
+// the same read-only contract.
+func (g *Graph) OutWeights() []float64 { return g.outW }
 
 // InNeighbors invokes fn for every in-edge (from -> u, w) of u.
 func (g *Graph) InNeighbors(u int, fn func(from int, w float64)) {
@@ -238,6 +271,45 @@ func (g *Graph) ColumnNormalized() *sparse.CSC {
 		}
 		m.ColPtr[v+1] = len(m.RowIdx)
 	}
+	return m
+}
+
+// PermutedColumnNormalized returns ColumnNormalized().PermuteSym(perm)
+// — A with node u renamed to perm[u] — bit for bit, in one pass: the
+// new rows are walked in ascending order over the in-adjacency (row u of
+// A lists u's in-edges), which hands every new column its rows sorted,
+// so only the result is allocated.
+func (g *Graph) PermutedColumnNormalized(perm []int) *sparse.CSC {
+	if len(perm) != g.n {
+		panic("graph: PermutedColumnNormalized permutation has wrong length")
+	}
+	inv := make([]int, g.n)
+	total := make([]float64, g.n)
+	m := &sparse.CSC{Rows: g.n, Cols: g.n, ColPtr: make([]int, g.n+1)}
+	for v := 0; v < g.n; v++ {
+		inv[perm[v]] = v
+		if total[v] = g.OutWeightSum(v); total[v] > 0 {
+			m.ColPtr[perm[v]+1] = g.outPtr[v+1] - g.outPtr[v]
+		}
+	}
+	for c := 0; c < g.n; c++ {
+		m.ColPtr[c+1] += m.ColPtr[c]
+	}
+	m.RowIdx = make([]int32, m.ColPtr[g.n])
+	m.Val = make([]float64, m.ColPtr[g.n])
+	// ColPtr[c] is column c's fill cursor until the shift back below.
+	for r := 0; r < g.n; r++ {
+		u := inv[r]
+		for i := g.inPtr[u]; i < g.inPtr[u+1]; i++ {
+			v := g.inFrom[i]
+			at := m.ColPtr[perm[v]]
+			m.RowIdx[at] = int32(r)
+			m.Val[at] = g.inW[i] / total[v]
+			m.ColPtr[perm[v]]++
+		}
+	}
+	copy(m.ColPtr[1:], m.ColPtr[:g.n])
+	m.ColPtr[0] = 0
 	return m
 }
 

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -440,6 +442,48 @@ func TestRowsSorted(t *testing.T) {
 					t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestFromCSR checks that a graph handed its out-rows in CSR form is,
+// array for array, the graph a Builder makes of the same edges, and
+// that rows out of order, out of range or with a non-positive weight
+// are refused.
+func TestFromCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(30)
+		b := NewBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			mustEdge(t, b, rng.Intn(n), rng.Intn(n), 0.1+rng.Float64())
+		}
+		want := b.Build()
+		got, err := FromCSR(slices.Clone(want.outPtr), slices.Clone(want.outTo), slices.Clone(want.outW))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameArrays(t, fmt.Sprintf("trial %d", trial), got, want)
+	}
+	for _, tc := range []struct {
+		name string
+		ptr  []int
+		to   []int32
+		w    []float64
+	}{
+		{"no pointers", nil, nil, nil},
+		{"short weights", []int{0, 1}, []int32{0}, nil},
+		{"pointer past the edges", []int{0, 2}, []int32{0}, []float64{1}},
+		{"pointer decreases", []int{0, 2, 1, 2}, []int32{1, 2}, []float64{1, 1}},
+		{"target out of range", []int{0, 1}, []int32{1}, []float64{1}},
+		{"negative target", []int{0, 1}, []int32{-1}, []float64{1}},
+		{"row out of order", []int{0, 2, 2}, []int32{1, 0}, []float64{1, 1}},
+		{"repeated target", []int{0, 2, 2}, []int32{1, 1}, []float64{1, 1}},
+		{"zero weight", []int{0, 1, 1}, []int32{1}, []float64{0}},
+		{"NaN weight", []int{0, 1, 1}, []int32{1}, []float64{math.NaN()}},
+	} {
+		if _, err := FromCSR(tc.ptr, tc.to, tc.w); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

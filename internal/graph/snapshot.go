@@ -229,6 +229,16 @@ func (g *Graph) SealedBytes() int64 {
 	return g.backing.sealed
 }
 
+// HeapBytes reports the bytes of the graph's arrays when they are on
+// the Go heap (a built graph, or an Apply result), and 0 for a graph
+// that aliases a sealed snapshot.
+func (g *Graph) HeapBytes() int64 {
+	if g.backing != nil {
+		return 0
+	}
+	return int64(8*(len(g.outPtr)+len(g.inPtr)) + 4*(len(g.outTo)+len(g.inFrom)) + 8*(len(g.outW)+len(g.inW)))
+}
+
 // Close releases an opened snapshot's sealed memory now rather than
 // when the graph becomes unreachable. The graph must not be used after
 // Close. A graph on the Go heap closes as a no-op.

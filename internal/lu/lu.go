@@ -42,7 +42,8 @@ import (
 )
 
 // BuildW forms W = I - (1-c)A in CSC form from the column-normalised
-// adjacency A.
+// adjacency A. The index build factorizes W without forming it
+// (RefactorizeW); BuildW is the matrix that factorization equals.
 func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("lu: adjacency must be square, got %dx%d", a.Rows, a.Cols))
@@ -51,30 +52,39 @@ func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	w := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
 	w.RowIdx = make([]int32, 0, a.NNZ()+n)
 	w.Val = make([]float64, 0, a.NNZ()+n)
-	put := func(row int32, v float64) {
-		if v != 0 {
-			w.RowIdx = append(w.RowIdx, row)
-			w.Val = append(w.Val, v)
-		}
-	}
 	for col := 0; col < n; col++ {
-		// Column col of A with the identity's 1 merged in at row col.
-		diag := 1.0
-		i, hi := a.ColPtr[col], a.ColPtr[col+1]
-		for ; i < hi && int(a.RowIdx[i]) < col; i++ {
-			put(a.RowIdx[i], -(1-c)*a.Val[i])
-		}
-		if i < hi && int(a.RowIdx[i]) == col {
-			diag += -(1 - c) * a.Val[i]
-			i++
-		}
-		put(int32(col), diag)
-		for ; i < hi; i++ {
-			put(a.RowIdx[i], -(1-c)*a.Val[i])
-		}
+		w.RowIdx, w.Val = appendWColumn(w.RowIdx, w.Val, a, c, col)
 		w.ColPtr[col+1] = len(w.RowIdx)
 	}
 	return w
+}
+
+// appendWColumn appends column col of W = I - (1-c)A to rows and vals:
+// A's column with the identity's 1 merged in at row col, rows
+// ascending, zeros dropped. BuildW and RefactorizeW both form W's
+// columns here, so the factorization of one is the factorization of
+// the other.
+func appendWColumn(rows []int32, vals []float64, a *sparse.CSC, c float64, col int) ([]int32, []float64) {
+	put := func(row int32, v float64) {
+		if v != 0 {
+			rows = append(rows, row)
+			vals = append(vals, v)
+		}
+	}
+	diag := 1.0
+	i, hi := a.ColPtr[col], a.ColPtr[col+1]
+	for ; i < hi && int(a.RowIdx[i]) < col; i++ {
+		put(a.RowIdx[i], -(1-c)*a.Val[i])
+	}
+	if i < hi && int(a.RowIdx[i]) == col {
+		diag += -(1 - c) * a.Val[i]
+		i++
+	}
+	put(int32(col), diag)
+	for ; i < hi; i++ {
+		put(a.RowIdx[i], -(1-c)*a.Val[i])
+	}
+	return rows, vals
 }
 
 // Factors holds the sparse LU decomposition W = L U with unit lower
@@ -118,7 +128,7 @@ func (f *Factors) NNZU() int { return len(f.uVal) }
 // Decompose computes the LU factorization of the sparse matrix w, which
 // must be square with a nonzero diagonal after elimination (guaranteed
 // for W = I - (1-c)A). Column order is taken as given — reorder first.
-func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil) }
+func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil, 0) }
 
 // Refactorize is Decompose for the next epoch of a matrix whose
 // previous factorization was inverted: changed[j] reports that column j
@@ -132,12 +142,51 @@ func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil) }
 // parts equal the previous epoch's bit for bit — which is what lets
 // Invert copy every inverse column that reads no dirty factor column.
 //
+// sizeHint, when positive, is the expected NNZL()+NNZU() — the previous
+// epoch's, which a small change barely moves — and sizes the factors'
+// storage up front; zero lets it grow.
+//
 //kdash:mutates-factors
-func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
-	n := w.Rows
-	if w.Cols != n {
+func Refactorize(w *sparse.CSC, changed []bool, sizeHint int) (*Factors, error) {
+	if w.Cols != w.Rows {
 		return nil, fmt.Errorf("lu: matrix must be square, got %dx%d", w.Rows, w.Cols)
 	}
+	col := func(j int) ([]int32, []float64) {
+		lo, hi := w.ColPtr[j], w.ColPtr[j+1]
+		return w.RowIdx[lo:hi], w.Val[lo:hi]
+	}
+	return factorize(w.Rows, w.NNZ(), col, changed, sizeHint)
+}
+
+// RefactorizeW is Refactorize(BuildW(a, c), changed, sizeHint), bit for
+// bit, without W's copy: each column of W is formed from A's as the
+// elimination reaches it.
+//
+//kdash:mutates-factors
+func RefactorizeW(a *sparse.CSC, c float64, changed []bool, sizeHint int) (*Factors, error) {
+	if a.Cols != a.Rows {
+		return nil, fmt.Errorf("lu: matrix must be square, got %dx%d", a.Rows, a.Cols)
+	}
+	var rows []int32
+	var vals []float64
+	col := func(j int) ([]int32, []float64) {
+		rows, vals = appendWColumn(rows[:0], vals[:0], a, c, j)
+		return rows, vals
+	}
+	return factorize(a.Rows, a.NNZ()+a.Rows, col, changed, sizeHint)
+}
+
+// factorize is Refactorize over an n x n matrix with nnz entries whose
+// column j is col(j): its rows without repeats, in the stored order,
+// which seeds the DFS and so fixes the elimination order.
+//
+// L's and U's entries share one pair of arrays: L's fill it from the
+// front, U's from the back, so one estimate of their total sizes both
+// whatever their split. The arrays double when the two ends meet, and
+// U's columns, laid down back to front, are put in order at the end.
+//
+//kdash:mutates-factors
+func factorize(n, nnz int, col func(j int) ([]int32, []float64), changed []bool, sizeHint int) (*Factors, error) {
 	f := &Factors{
 		N:    n,
 		lPtr: make([]int, n+1),
@@ -159,12 +208,20 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 		f.dirty = make([]bool, n)
 	}
 
+	// L holds row[:lo], U holds row[hi:] (and val likewise).
+	size := 2 * nnz
+	if sizeHint > 0 {
+		size = sizeHint - n + sizeHint/16 // stored entries, with room for fill
+	}
+	size = max(size, n)
+	row, val := make([]int32, size), make([]float64, size)
+	lo, hi := 0, size
 	for j := 0; j < n; j++ {
 		// Sparse RHS: column j of W.
-		lo, hi := w.ColPtr[j], w.ColPtr[j+1]
+		wRow, wVal := col(j)
 		order = order[:0]
-		for t := lo; t < hi; t++ {
-			i := int(w.RowIdx[t])
+		for _, wi := range wRow {
+			i := int(wi)
 			if mark[i] == j+1 {
 				continue
 			}
@@ -182,7 +239,7 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 				}
 				advanced := false
 				for p := pos[v]; p < f.lPtr[v+1]; p++ {
-					k := int(f.lRow[p])
+					k := int(row[p])
 					if mark[k] != j+1 {
 						mark[k] = j + 1
 						pos[v] = p + 1
@@ -211,8 +268,8 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 		for _, i := range order {
 			x[i] = 0
 		}
-		for t := lo; t < hi; t++ {
-			x[w.RowIdx[t]] = w.Val[t]
+		for t, i := range wRow {
+			x[i] = wVal[t]
 		}
 		// Eliminate in topological order (reverse of DFS output).
 		for t := len(order) - 1; t >= 0; t-- {
@@ -225,38 +282,67 @@ func Refactorize(w *sparse.CSC, changed []bool) (*Factors, error) {
 				continue
 			}
 			for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-				x[f.lRow[p]] -= f.lVal[p] * xi
+				x[row[p]] -= val[p] * xi
 			}
 		}
 		// Split x into U[:,j] (indices <= j) and L[:,j] (indices > j).
 		sortDistinct(order, touched)
+		k, found := slices.BinarySearch(order, j)
 		diag := 0.0
-		for _, i := range order {
-			if i < j {
-				if x[i] != 0 {
-					f.uRow = append(f.uRow, int32(i))
-					f.uVal = append(f.uVal, x[i])
-				}
-			} else if i == j {
-				diag = x[i]
-			}
+		if found {
+			diag = x[j]
 		}
 		if diag == 0 || math.IsNaN(diag) {
 			return nil, fmt.Errorf("lu: zero pivot at column %d (matrix not factorizable without pivoting)", j)
 		}
-		// Diagonal of U is stored last in its column.
-		f.uRow = append(f.uRow, int32(j))
-		f.uVal = append(f.uVal, diag)
-		f.uPtr[j+1] = len(f.uVal)
-		for _, i := range order {
-			if i > j && x[i] != 0 {
-				f.lRow = append(f.lRow, int32(i))
-				f.lVal = append(f.lVal, x[i]/diag)
+		if hi-lo < len(order) {
+			row, val, hi = regrow(row, val, lo, hi, len(order))
+		}
+		// U's column, diagonal last, goes down from the back.
+		hi--
+		row[hi], val[hi] = int32(j), diag
+		for t := k - 1; t >= 0; t-- {
+			if i := order[t]; x[i] != 0 {
+				hi--
+				row[hi], val[hi] = int32(i), x[i]
 			}
 		}
-		f.lPtr[j+1] = len(f.lVal)
+		f.uPtr[j+1] = len(row) - hi
+		for _, i := range order[k+1:] {
+			if x[i] != 0 {
+				row[lo], val[lo] = int32(i), x[i]/diag
+				lo++
+			}
+		}
+		f.lPtr[j+1] = lo
+	}
+	// U's columns lie last to first, each in order: reversing the span
+	// puts the columns in order, each reversed, and reversing each
+	// column puts it back.
+	f.lRow, f.lVal = row[:lo:lo], val[:lo:lo]
+	f.uRow, f.uVal = row[hi:], val[hi:]
+	slices.Reverse(f.uRow)
+	slices.Reverse(f.uVal)
+	for j := 0; j < n; j++ {
+		slices.Reverse(f.uRow[f.uPtr[j]:f.uPtr[j+1]])
+		slices.Reverse(f.uVal[f.uPtr[j]:f.uPtr[j+1]])
 	}
 	return f, nil
+}
+
+// regrow returns factorize's shared arrays with at least k free slots
+// between L's lo entries at the front and U's entries from hi on at the
+// back: at least double the size, both ends copied to their ends, and
+// the new hi.
+func regrow(row []int32, val []float64, lo, hi, k int) ([]int32, []float64, int) {
+	u := len(row) - hi
+	size := max(2*len(row), lo+u+k)
+	row2, val2 := make([]int32, size), make([]float64, size)
+	copy(row2, row[:lo])
+	copy(val2, val[:lo])
+	copy(row2[size-u:], row[hi:])
+	copy(val2[size-u:], val[hi:])
+	return row2, val2, size - u
 }
 
 // sortDistinct sorts a slice of distinct indices ascending in place by

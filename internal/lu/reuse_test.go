@@ -129,7 +129,7 @@ func TestInvertReuseBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := fresh.Invert(Options{Workers: workers})
-				re, err := Refactorize(tc.w, tc.w.ChangedColumns(w0))
+				re, err := Refactorize(tc.w, tc.w.ChangedColumns(w0), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +157,7 @@ func TestInvertReuseBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				re2, err := Refactorize(w2, w2.ChangedColumns(tc.w))
+				re2, err := Refactorize(w2, w2.ChangedColumns(tc.w), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +199,7 @@ func TestInvertReuseCopiesUntouchedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Refactorize(w1, w1.ChangedColumns(w0))
+	re, err := Refactorize(w1, w1.ChangedColumns(w0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

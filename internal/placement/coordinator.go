@@ -305,9 +305,9 @@ func (co *Coordinator) HomeShard(u int) int { return co.sx.HomeShard(u) }
 // WALSeq reports the WAL position the loaded snapshot covers.
 func (co *Coordinator) WALSeq() uint64 { return co.sx.WALSeq() }
 
-// GraphSealedBytes reports the sealed graph snapshot's size; see
+// GraphBytes reports the graph snapshot's size by backing; see
 // shard.Engine.
-func (co *Coordinator) GraphSealedBytes() int64 { return co.sx.GraphSealedBytes() }
+func (co *Coordinator) GraphBytes() (sealed, heap int64) { return co.sx.GraphBytes() }
 
 // Search implements shard.Engine.
 func (co *Coordinator) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {

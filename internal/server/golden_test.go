@@ -150,7 +150,7 @@ func TestCoordinatorStatzMetricsGolden(t *testing.T) {
 // projects onto (names, help, type and order), every value zeroed so
 // the pin holds on any platform and heap.
 func TestMemoryBlockGolden(t *testing.T) {
-	mem := memoryStatz(0)
+	mem := memoryStatz(0, 0)
 	keys := make([]string, 0, len(mem))
 	for k := range mem {
 		keys = append(keys, k)

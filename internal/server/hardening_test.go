@@ -28,11 +28,11 @@ type brokenEngine struct {
 	panics bool
 }
 
-func (e *brokenEngine) N() int                  { return e.n }
-func (e *brokenEngine) Restart() float64        { return 0.95 }
-func (e *brokenEngine) Epoch() int              { return 0 }
-func (e *brokenEngine) Statz() shard.Statz      { return shard.Statz{Kind: "sharded", Nodes: e.n} }
-func (e *brokenEngine) GraphSealedBytes() int64 { return 0 }
+func (e *brokenEngine) N() int                           { return e.n }
+func (e *brokenEngine) Restart() float64                 { return 0.95 }
+func (e *brokenEngine) Epoch() int                       { return 0 }
+func (e *brokenEngine) Statz() shard.Statz               { return shard.Statz{Kind: "sharded", Nodes: e.n} }
+func (e *brokenEngine) GraphBytes() (sealed, heap int64) { return 0, 0 }
 func (e *brokenEngine) fail() error {
 	if e.panics {
 		panic("solve shape mismatch")

@@ -30,10 +30,10 @@ var goMemSamples = []string{
 	"/gc/cycles/total:gc-cycles",
 }
 
-// memoryStatz reads the memory block; graphSealed is the serving
-// engine's GraphSealedBytes. Each figure is read once, so the two
+// memoryStatz reads the memory block; graphSealed and graphHeap are the
+// serving engine's GraphBytes. Each figure is read once, so the two
 // surfaces agree at any quiet instant.
-func memoryStatz(graphSealed int64) map[string]int64 {
+func memoryStatz(graphSealed, graphHeap int64) map[string]int64 {
 	samples := make([]metrics.Sample, len(goMemSamples))
 	for i, name := range goMemSamples {
 		samples[i].Name = name
@@ -56,6 +56,7 @@ func memoryStatz(graphSealed int64) map[string]int64 {
 		// snapshots' share is counted apart.
 		"factorOffHeapBytes":     ms.SealedBytes - graph.SealedSnapshotBytes(),
 		"graphOffHeapBytes":      graphSealed,
+		"graphHeapBytes":         graphHeap,
 		"containersOpened":       ms.Opened,
 		"containersReleased":     ms.Released,
 		"containerReleasedBytes": ms.ReleasedBytes,
@@ -78,6 +79,7 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 	}
 	series := []struct{ key, name, help, typ string }{
 		{"graphOffHeapBytes", "kdash_index_graph_offheap_bytes", "Sealed graph snapshot the serving epoch ranks over (0 once an update replaced it, or before a lazy open).", "gauge"},
+		{"graphHeapBytes", "kdash_index_graph_heap_bytes", "Graph snapshot the serving epoch ranks over when it is on the Go heap: built in process, or an update's successor.", "gauge"},
 		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies) opened.", "counter"},
 		{"containersReleased", "kdash_index_containers_released_total", "Off-heap index containers released: closed, or their last epoch collected.", "counter"},
 		{"containerReleasedBytes", "kdash_index_container_released_bytes_total", "Bytes the released containers returned to the OS.", "counter"},

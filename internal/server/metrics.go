@@ -93,7 +93,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	pw.Metric("kdash_epoch", nil, float64(st.epoch))
 	pw.Header("kdash_index_nodes", "Nodes in the serving index.", "gauge")
 	pw.Metric("kdash_index_nodes", nil, float64(st.engine.N()))
-	writeMemoryMetrics(pw, memoryStatz(st.engine.GraphSealedBytes()))
+	writeMemoryMetrics(pw, memoryStatz(st.engine.GraphBytes()))
 
 	if h.cache != nil {
 		hits, misses := h.cacheHits.Value(), h.cacheMisses.Value()

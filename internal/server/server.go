@@ -578,7 +578,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	st, wc := h.walSnap()
 	doc := map[string]interface{}{
 		"uptimeSeconds": time.Since(h.start).Seconds(),
-		"memory":        memoryStatz(st.engine.GraphSealedBytes()),
+		"memory":        memoryStatz(st.engine.GraphBytes()),
 		"queries": map[string]int64{
 			"topk":         h.qTopK.Value(),
 			"personalized": h.qPers.Value(),

@@ -193,6 +193,7 @@ type memoryBlock struct {
 	FactorHeapBytes        int64 `json:"factorHeapBytes"`
 	FactorOffHeapBytes     int64 `json:"factorOffHeapBytes"`
 	GraphOffHeapBytes      int64 `json:"graphOffHeapBytes"`
+	GraphHeapBytes         int64 `json:"graphHeapBytes"`
 	ContainersOpened       int64 `json:"containersOpened"`
 	ContainersReleased     int64 `json:"containersReleased"`
 	ContainerReleasedBytes int64 `json:"containerReleasedBytes"`
@@ -203,8 +204,10 @@ type memoryBlock struct {
 
 // TestStatzMemoryBlockTracksLoadedShards serves a loaded directory: its
 // shard files must show up as off-heap factor bytes and opened
-// containers in /statz, its graph snapshot as graphOffHeapBytes until an
-// update replaces it, and /metrics must carry the same block.
+// containers in /statz, its graph snapshot as graphOffHeapBytes (and
+// graphHeapBytes 0) until an update replaces it with a snapshot on the
+// Go heap, whose arrays graphHeapBytes then counts, and /metrics must
+// carry the same block.
 func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
 	built, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 1})
@@ -261,6 +264,9 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	if after.GraphOffHeapBytes != gi.Size() {
 		t.Errorf("graphOffHeapBytes = %d, want graph.idx's %d bytes", after.GraphOffHeapBytes, gi.Size())
 	}
+	if after.GraphHeapBytes != 0 {
+		t.Errorf("graphHeapBytes = %d before an update, want 0", after.GraphHeapBytes)
+	}
 	if after.FactorOffHeapBytes < files {
 		t.Errorf("factorOffHeapBytes = %d, want at least the %d bytes of shard files", after.FactorOffHeapBytes, files)
 	}
@@ -279,8 +285,18 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := statz(New(next)).GraphOffHeapBytes; got != 0 {
-		t.Errorf("after an update, graphOffHeapBytes = %d, want 0", got)
+	updated := statz(New(next))
+	if updated.GraphOffHeapBytes != 0 {
+		t.Errorf("after an update, graphOffHeapBytes = %d, want 0", updated.GraphOffHeapBytes)
+	}
+	// Two int64 pointer arrays of n+1, and per edge an int32 id and a
+	// float64 weight in each direction.
+	ng := next.Graph()
+	if want := int64(16*(ng.N()+1) + 24*ng.M()); updated.GraphHeapBytes != want {
+		t.Errorf("after an update, graphHeapBytes = %d, want the snapshot's %d array bytes", updated.GraphHeapBytes, want)
+	}
+	if v, ok := metricValue(scrape(t, New(next)), "kdash_index_graph_heap_bytes"); !ok || int64(v) != updated.GraphHeapBytes {
+		t.Errorf("kdash_index_graph_heap_bytes = %v (present %v), statz says %d", v, ok, updated.GraphHeapBytes)
 	}
 	if _, ok := metricValue(text, `kdash_index_factor_bytes{backing="mapped"}`); ok {
 		t.Error(`/metrics still carries the retired kdash_index_factor_bytes{backing="mapped"}`)

@@ -25,10 +25,11 @@ type Engine interface {
 	// WALSeq is the last WAL sequence number the loaded snapshot covers:
 	// recovery replays the records after it.
 	WALSeq() uint64
-	// GraphSealedBytes is the size of the sealed graph snapshot the
-	// epoch ranks over: 0 once an update has replaced it, and while a
-	// lazy open is still pending.
-	GraphSealedBytes() int64
+	// GraphBytes is the size of the graph snapshot the epoch ranks
+	// over, sealed off the heap (a loaded graph.idx; 0 once an update
+	// has replaced it) or on the Go heap (a built graph or an update's
+	// successor); both 0 while a lazy open is still pending.
+	GraphBytes() (sealed, heap int64)
 
 	Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error)
 	TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)

@@ -357,15 +357,15 @@ func (sx *ShardedIndex) openedGraph() *graph.Graph {
 	return nil
 }
 
-// GraphSealedBytes reports the size of the sealed graph snapshot this
-// epoch ranks over: an opened directory's graph.idx, or 0 for a graph on
-// the Go heap (built, or an Apply successor's) and for a lazy snapshot
-// not opened yet.
-func (sx *ShardedIndex) GraphSealedBytes() int64 {
+// GraphBytes reports where the graph snapshot this epoch ranks over
+// lives: sealed is an opened directory's graph.idx, heap the arrays of a
+// graph on the Go heap (built, or an Apply successor's). Both are 0 for
+// a lazy snapshot not opened yet.
+func (sx *ShardedIndex) GraphBytes() (sealed, heap int64) {
 	if g := sx.openedGraph(); g != nil {
-		return g.SealedBytes()
+		return g.SealedBytes(), g.HeapBytes()
 	}
-	return 0
+	return 0, 0
 }
 
 // reverseShardAdj returns the deduplicated reverse adjacency of the
@@ -654,15 +654,25 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reorder.Method, seed int64, workers int) error {
 	p := sx.parts[si]
 	ns := len(p.nodes)
+	// One pass sizes the shard graph's rows — the in-shard edges, plus
+	// an edge to the sink from every node that leaks — and sums the
+	// leaks; the next fills the rows, already in order (local ids ascend
+	// with global ids, and the sink is last).
 	leak := make([]float64, ns)
+	ptr := make([]int, ns+2) // room for the sink's empty row
 	hasLeak := false
 	for lv, v := range p.nodes {
 		g.OutNeighbors(v, func(u int, w float64) {
 			if sx.home[u] != si {
 				leak[lv] += w
 				hasLeak = true
+			} else {
+				ptr[lv+1]++
 			}
 		})
+		if leak[lv] > 0 {
+			ptr[lv+1]++
+		}
 	}
 	if sx.factorless {
 		// Coordinator-side index: the placement map, cut lists and sink
@@ -676,30 +686,35 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 	if hasLeak {
 		total++ // ghost sink at local id ns
 	}
-	b := graph.NewBuilder(total)
+	ptr = ptr[:total+1]
+	for lv := 0; lv < total; lv++ {
+		ptr[lv+1] += ptr[lv]
+	}
+	to := make([]int32, ptr[total])
+	wt := make([]float64, ptr[total])
 	cut := make([]bool, ns)
 	for lv, v := range p.nodes {
-		var err error
+		at := ptr[lv]
 		g.OutNeighbors(v, func(u int, w float64) {
-			if err == nil && sx.home[u] == si {
-				err = b.AddEdge(lv, sx.local[u], w)
+			if sx.home[u] == si {
+				to[at], wt[at] = int32(sx.local[u]), w
+				at++
 			}
 		})
-		if err != nil {
-			return err
-		}
 		if leak[lv] > 0 {
 			cut[lv] = true
-			if err := b.AddEdge(lv, ns, leak[lv]); err != nil {
-				return err
-			}
+			to[at], wt[at] = int32(ns), leak[lv]
 		}
+	}
+	sg, err := graph.FromCSR(ptr, to, wt)
+	if err != nil {
+		return err
 	}
 	var prev *core.Index
 	if old != nil {
 		prev = old.tryIndex()
 	}
-	ix, _, err := core.BuildBlock(b.Build(), core.BuildOptions{
+	ix, _, err := core.BuildBlock(sg, core.BuildOptions{
 		Restart: sx.c,
 		Reorder: method,
 		Seed:    seed,

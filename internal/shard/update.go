@@ -126,14 +126,15 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	if err := sx.ensureGraph(); err != nil {
 		return nil, us, fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
-	// graph.Apply splices the touched rows into a copy of the CSR arrays
-	// and re-derives the in-lists: 6.8–14.5 ms (mean 9.4 ms) of a 58 ms
-	// mean apply on the bench's update stream (50k nodes, 147k edges;
-	// 2-core Xeon). Its result is array for
+	// graph.Apply splices the touched out- and in-rows into a copy of
+	// the CSR arrays, and GraphBounds reads the successor's search
+	// tables straight from its out-rows: 3.5 ms of a 47 ms two-edge
+	// apply on the bench graph (50k nodes, 147k edges; 2-core Xeon,
+	// BenchmarkShardedApplyTwoEdge). Its result is array for
 	// array what graph.Builder makes of the updated edge set, so the
 	// snapshot is indistinguishable from a freshly built graph — the
-	// foundation of the bit-identity contract. The successor's search
-	// tables are rebuilt from it here, so no query ever builds them.
+	// foundation of the bit-identity contract. No query ever builds the
+	// tables.
 	t0 := time.Now()
 	newG, err := sx.g.Apply(batch)
 	if err != nil {
@@ -148,9 +149,13 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 
 	// Extend the assignment: every inserted node goes to the currently
 	// least-loaded shard (ties to the lowest shard id) and bumps that
-	// shard's staleness.
-	home2 := make([]int, n2)
-	copy(home2, sx.home)
+	// shard's staleness. A batch that inserts no node shares the
+	// parent's assignment until a re-partition writes it.
+	home2 := sx.home
+	if n2 > sx.n {
+		home2 = make([]int, n2)
+		copy(home2, sx.home)
+	}
 	staleness2 := append([]int(nil), sx.staleness...)
 	sizes := make([]int, s)
 	for si, p := range sx.parts {
@@ -192,6 +197,9 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 			if staleness2[si] <= sx.stalenessLimit {
 				continue
 			}
+			if n2 == sx.n && !us.Repartitioned {
+				home2 = slices.Clone(home2) // still the parent's
+			}
 			moved := repartitionLocal(newG, home2, si, s)
 			us.NodesMoved += len(moved)
 			us.Repartitioned = true
@@ -214,7 +222,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		c:              sx.c,
 		qtol:           sx.qtol,
 		home:           home2,
-		local:          make([]int, n2),
+		local:          sx.local,
 		parts:          make([]*part, s),
 		g:              newG,
 		bounds:         bounds,
@@ -247,15 +255,26 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		sx2.parts[si] = sx.parts[si]
 	}
 	// Local ids: shared shards keep theirs (node sets unchanged, same
-	// ascending-global-id rule); rebuilt shards refill by that rule.
-	for u := 0; u < n2; u++ {
-		si := home2[u]
-		if rebuild[si] {
-			p := sx2.parts[si]
-			sx2.local[u] = len(p.nodes)
-			p.nodes = append(p.nodes, u)
-		} else {
-			sx2.local[u] = sx.local[u]
+	// ascending-global-id rule); rebuilt shards refill by that rule. A
+	// batch that inserts and re-homes no node changes no node set, so
+	// the local ids and node lists carry over whole.
+	if n2 == sx.n && !us.Repartitioned {
+		for si, p := range sx2.parts {
+			if rebuild[si] {
+				p.nodes = sx.parts[si].nodes
+			}
+		}
+	} else {
+		sx2.local = make([]int, n2)
+		for u := 0; u < n2; u++ {
+			si := home2[u]
+			if rebuild[si] {
+				p := sx2.parts[si]
+				sx2.local[u] = len(p.nodes)
+				p.nodes = append(p.nodes, u)
+			} else {
+				sx2.local[u] = sx.local[u]
+			}
 		}
 	}
 	for si := 0; si < s; si++ {
