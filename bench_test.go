@@ -358,7 +358,9 @@ func BenchmarkShardedTopK(b *testing.B) {
 // 50k index — alternately adding and removing the same two absent edges,
 // so every iteration refactorizes the same one or two shards. The extra
 // metrics split the apply by stage (UpdateStats): graph is wall time,
-// the build stages are summed over the rebuilt shards.
+// the build stages are summed over the rebuilt shards, and the column
+// counts are the rebuilt blocks' inverse columns copied from the
+// previous epoch and solved.
 func BenchmarkShardedApplyTwoEdge(b *testing.B) {
 	g := shardBenchGraph()
 	sx := benchShardedIndex(b, 8)
@@ -369,7 +371,7 @@ func BenchmarkShardedApplyTwoEdge(b *testing.B) {
 		}
 	}
 	var graphT, reorderT, factorizeT, invertT time.Duration
-	rebuilt := 0
+	rebuilt, reused, solved := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -395,6 +397,8 @@ func BenchmarkShardedApplyTwoEdge(b *testing.B) {
 		factorizeT += us.FactorizeTime
 		invertT += us.InvertTime
 		rebuilt += us.ShardsRebuilt
+		reused += us.ColumnsReused
+		solved += us.ColumnsSolved
 	}
 	perApplyMS := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
 	b.ReportMetric(perApplyMS(graphT), "graph-ms")
@@ -402,6 +406,8 @@ func BenchmarkShardedApplyTwoEdge(b *testing.B) {
 	b.ReportMetric(perApplyMS(factorizeT), "factorize-ms")
 	b.ReportMetric(perApplyMS(invertT), "invert-ms")
 	b.ReportMetric(float64(rebuilt)/float64(b.N), "shards-rebuilt")
+	b.ReportMetric(float64(reused)/float64(b.N), "columns-reused")
+	b.ReportMetric(float64(solved)/float64(b.N), "columns-solved")
 }
 
 // BenchmarkLouvainPartition times community detection on the 50k bench

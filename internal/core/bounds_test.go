@@ -8,8 +8,69 @@ import (
 	"testing"
 
 	"kdash/internal/graph"
+	"kdash/internal/reorder"
 	"kdash/internal/sparse"
 )
+
+// TestDeltaChainRebuildsFromParentAdjacency chains random deltas over
+// random block graphs and rebuilds each epoch's block from the last,
+// as the sharded update path does, with the parent's A re-formed from
+// the parent's graph (Index.Adjacency) since no block keeps it. At every
+// epoch the re-formed parent A equals, bit for bit, the A a fresh build
+// of the parent graph formed — ColumnNormalized().PermuteSym of its
+// permutation, the two-pass form PermutedColumnNormalized is pinned to
+// below — and the rebuilt block's factors equal a fresh build's.
+func TestDeltaChainRebuildsFromParentAdjacency(t *testing.T) {
+	opt := BuildOptions{Reorder: reorder.Hybrid, Seed: 3, Workers: 1}
+	formed := func(g *graph.Graph, ix *Index) *sparse.CSC {
+		perm := make([]int, ix.n)
+		for u, p := range ix.perm {
+			perm[u] = int(p)
+		}
+		return g.ColumnNormalized().PermuteSym(perm)
+	}
+	reused := 0
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		b := graph.NewBuilder(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			if err := b.AddEdge(rng.Intn(n), rng.Intn(n), 0.1+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := b.Build()
+		var prev, prevFresh *Index
+		var prevG *graph.Graph
+		for epoch := 0; epoch < 6; epoch++ {
+			label := fmt.Sprintf("seed %d epoch %d", seed, epoch)
+			blk := reorder.Block{Owned: g.N()}
+			ix, _, err := BuildBlock(g, opt, blk, prev, prevG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, err := BuildBlock(g, opt, blk, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil {
+				if err := sameCSC(prev.Adjacency(prevG), formed(prevG, prevFresh)); err != nil {
+					t.Fatalf("%s: re-formed parent A: %v", label, err)
+				}
+			}
+			if !slices.Equal(ix.perm, fresh.perm) || sameCSC(ix.linv, fresh.linv) != nil ||
+				!slices.Equal(ix.uinv.RowPtr, fresh.uinv.RowPtr) || !slices.Equal(ix.uinv.ColIdx, fresh.uinv.ColIdx) || !slices.Equal(ix.uinv.Val, fresh.uinv.Val) {
+				t.Fatalf("%s: the rebuilt block differs from a fresh build", label)
+			}
+			reused += ix.stats.ColumnsReused
+			prev, prevFresh, prevG = ix, fresh, g
+			g = applyRandomDelta(t, rng, g)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no rebuild reused a column: the chain never exercised the parent A")
+	}
+}
 
 // TestDeltaChainKeepsDerivedTablesExact chains random deltas — edge
 // additions, removals, weight merges onto existing edges, self loops
@@ -17,8 +78,8 @@ import (
 // checks the three O(delta) or one-pass derivations the update path
 // runs against the copies they replaced, bit for bit:
 //
-//   - graph.Apply's spliced in-rows equal a fresh graph.Builder build of
-//     the same edge set;
+//   - the in-rows an Apply successor derives equal a fresh
+//     graph.Builder build of the same edge set;
 //   - GraphBounds, read straight from the out-rows, equals the tables
 //     built from ColumnNormalized (adjacencyBounds);
 //   - PermutedColumnNormalized equals ColumnNormalized().PermuteSym.

@@ -3,8 +3,8 @@
 //
 // An Index holds the precomputed state of Section 4.2 — the node
 // reordering, the sparse inverse triangular factors L^{-1} (by column) and
-// U^{-1} (by row) of W = I - (1-c)A, and the Amax tables (derived from A
-// on first use) — and serves
+// U^{-1} (by row) of W = I - (1-c)A, and (monolithic builds) A with the
+// Amax tables derived from it on first use — and serves
 // queries with the Section 4.3/4.4 search: a breadth-first tree from the
 // query node, O(1) incremental upper-bound estimation (Definitions 1–2),
 // and safe early termination (Lemmas 1–2, Theorem 2).
@@ -89,15 +89,15 @@ type Index struct {
 	perm []int32 // original -> internal
 
 	//kdash:readonly
-	a *sparse.CSC // reordered column-normalised adjacency
+	a *sparse.CSC // reordered column-normalised adjacency; BuildIndex's only
 	//kdash:readonly
 	linv *sparse.CSC // L^{-1}, by column
 	//kdash:readonly
 	uinv *sparse.CSR // U^{-1}, by row
 
 	// derived holds what a and perm fix and Save does not store, built
-	// on the first monolithic search. The sharded engine ranks over its
-	// graph snapshot and never builds it.
+	// on first use: the inverse permutation, and Definition 2's tables
+	// when the index holds a. The sharded engine never builds it.
 	derivedOnce sync.Once
 	derived     *derivedTables
 
@@ -161,7 +161,10 @@ func (ix *Index) tables() *derivedTables {
 		for i, p := range ix.perm {
 			perm[i] = int(p)
 		}
-		ix.derived = &derivedTables{inv: reorder.Invert(perm), bounds: adjacencyBounds(ix.a, ix.c)}
+		ix.derived = &derivedTables{inv: reorder.Invert(perm)}
+		if ix.a != nil {
+			ix.derived.bounds = adjacencyBounds(ix.a, ix.c)
+		}
 	})
 	return ix.derived
 }
@@ -175,11 +178,15 @@ func (ix *Index) inverseFactors() *lu.Inverse {
 	return ix.invFac
 }
 
-// BuildIndex precomputes a K-dash index for the graph. Same graph and
-// options, same index, bit for bit.
+// BuildIndex precomputes a K-dash index for the graph, the one index
+// that keeps A for its search. Same graph and options, same index, bit
+// for bit.
+//
+//kdash:mutates-factors
 func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
-	ix, _, err := BuildBlock(g, opt, reorder.Block{Owned: g.N()}, nil)
+	ix, _, err := BuildBlock(g, opt, reorder.Block{Owned: g.N()}, nil, nil)
 	if ix != nil {
+		ix.a = ix.Adjacency(g)
 		ix.comm, ix.commK, ix.commQ = nil, 0, 0 // only a block rebuild reuses them
 	}
 	return ix, err
@@ -188,19 +195,19 @@ func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
 // BuildBlock builds the index of one block of a partitioned index: g is
 // the block's graph, ordered by reorder.ComputeBlock with blk, and the
 // Louvain result the ordering used comes back for the next epoch's
-// blk.Communities. prev, when non-nil, is the block's index of the
-// previous epoch, built with the same options (one of another size,
-// restart probability or drop tolerance is ignored): a position-wise
-// compare of the permuted adjacencies marks the changed columns of W,
-// and every inverse column whose solve reads no factor column those
-// reach is copied from prev (see lu.Refactorize). The index is bit for
-// bit the one BuildBlock makes with a nil prev — the sharded update
-// path rebuilds dirty blocks through here and promises the result of a
-// fresh build.
+// blk.Communities; the block keeps no A. prev, when non-nil, is the
+// block's index of the previous epoch, built over prevG with the same
+// options (one of another size, restart probability or drop tolerance is
+// ignored): a position-wise compare with its A (Adjacency) marks the
+// changed columns of W, and every inverse column whose solve reads no
+// factor column those reach is copied from prev (see lu.Refactorize).
+// The index is bit for bit the one BuildBlock makes with a nil prev —
+// the sharded update path rebuilds dirty blocks through here and
+// promises the result of a fresh build.
 //
 //kdash:mutates-factors
 //kdash:deterministic
-func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index) (*Index, *louvain.Result, error) {
+func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index, prevG *graph.Graph) (*Index, *louvain.Result, error) {
 	if g.N() == 0 {
 		return nil, nil, fmt.Errorf("core: cannot index an empty graph")
 	}
@@ -221,7 +228,7 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	var changed []bool
 	var prevInv *lu.Inverse
 	sizeHint := 0
-	if prev != nil && prev.n == g.N() {
+	if prev != nil && prevG != nil && prev.n == g.N() && prevG.N() == g.N() {
 		// The previous factors' size, which a small change barely moves,
 		// sizes the new ones. A loaded index's count is an unchecked
 		// stat, so it is capped by the previous inverse's real size,
@@ -229,7 +236,7 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		// inverses.
 		sizeHint = min(prev.stats.NNZFactors, prev.linv.NNZ()+prev.uinv.NNZ()+prev.n)
 		if prev.c == c && prev.dropTol == opt.DropTol {
-			changed = a.ChangedColumns(prev.a)
+			changed = a.ChangedColumns(prev.Adjacency(prevG))
 			prevInv = prev.inverseFactors()
 		}
 	}
@@ -250,7 +257,6 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		c:       c,
 		dropTol: opt.DropTol,
 		perm:    make([]int32, n),
-		a:       a,
 		linv:    inverse.Linv,
 		uinv:    inverse.Uinv,
 	}
@@ -283,6 +289,16 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	return ix, communities, nil
 }
 
+// Adjacency re-forms, bit for bit, the A the index factorized from g,
+// the graph it was built over: how a rebuild compares with a block.
+func (ix *Index) Adjacency(g *graph.Graph) *sparse.CSC {
+	perm := make([]int, ix.n)
+	for u, p := range ix.perm {
+		perm[u] = int(p)
+	}
+	return g.PermutedColumnNormalized(perm)
+}
+
 // Communities returns the Louvain communities the block's ordering
 // used, for the next epoch's reorder.Block.Communities, or nil when the
 // index has none (a monolithic index, or an ordering without Louvain).
@@ -304,6 +320,12 @@ func (ix *Index) CommunityNodes() int { return len(ix.comm) }
 
 // N reports the number of indexed nodes.
 func (ix *Index) N() int { return ix.n }
+
+// Searchable reports whether the index holds the A its own search walks:
+// a BuildIndex result does, a block or a loaded shard file does not.
+func (ix *Index) Searchable() bool { return ix.a != nil }
+
+var errNotSearchable = errors.New("core: the index holds no adjacency (a shard block); search it through its sharded index")
 
 // Restart reports the restart probability c the index was built with.
 func (ix *Index) Restart() float64 { return ix.c }
@@ -426,6 +448,9 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 	if opt.K <= 0 {
 		return nil, stats, fmt.Errorf("core: K must be positive, got %d", opt.K)
 	}
+	if ix.a == nil {
+		return nil, stats, errNotSearchable
+	}
 	qi := int(ix.perm[q]) // internal id
 
 	// L^{-1} e_q scattered into a dense workspace for O(1) lookups while
@@ -494,6 +519,9 @@ func (ix *Index) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, 
 	}
 	if len(seeds) == 0 {
 		return nil, stats, fmt.Errorf("core: empty seed set")
+	}
+	if ix.a == nil {
+		return nil, stats, errNotSearchable
 	}
 	nodes := make([]int, 0, len(seeds))
 	for node := range seeds { //kdash:allow(determinism) keys only: sorted below, before any mass is accumulated

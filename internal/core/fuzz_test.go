@@ -131,11 +131,16 @@ func fuzzLoadOne(t *testing.T, data []byte) {
 		return // rejection is the expected outcome for corrupt input
 	}
 	defer ix.Close()
-	// The rare accepted input must yield a queryable index.
+	// The rare accepted input must yield an index the split solve,
+	// the one query path of a shard file, can run on.
 	if ix.N() <= 0 {
 		t.Fatalf("accepted index with n=%d", ix.N())
 	}
-	if _, _, qerr := ix.TopK(0, 3); qerr != nil {
-		t.Fatalf("accepted index cannot answer: %v", qerr)
+	w := ix.NewWorkspace()
+	if err := ix.SolveLower([]int{0}, []float64{1}, w); err != nil {
+		t.Fatalf("accepted index cannot solve: %v", err)
+	}
+	for u := 0; u < ix.N(); u++ {
+		ix.UpperDot(u, w)
 	}
 }

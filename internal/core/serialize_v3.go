@@ -17,17 +17,16 @@ package core
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it; its meta tag names the
-// generation within it. The current one, "KDIXV5", stores every row and
-// column id (the permutation, the adjacency's rows, L^{-1}'s rows and
-// U^{-1}'s columns) as int32 and stores nothing that the adjacency and
-// the permutation fix: the inverse permutation and Definition 2's tables
-// are derived on first use. A block's index also stores the Louvain
-// communities its ordering used (section 23, with K and Q in the meta
-// section). It is the only generation either loader reads: the v1
-// value-by-value stream, the v3 files that also carried int32 factor
-// strips (sections 15-22, mmapio kind 4), the "KDIXV3" files whose ids
-// were int64 and the "KDIXV4" files without communities are all refused
-// with ErrUnsupportedFormat.
+// generation within it. The current one, "KDIXV6", stores what a query
+// reads — the permutation and the inverse factors, every id int32 — and
+// a block's Louvain communities (section 23, K and Q in the meta
+// section); no adjacency, which a rebuild re-forms from the graph. It
+// is the only generation the loader reads:
+// the v1 value-by-value stream, the v3 files that also carried int32
+// factor strips (sections 15-22, mmapio kind 4), the "KDIXV3" files
+// whose ids were int64, the "KDIXV4" files without communities and the
+// "KDIXV5" files that also stored the adjacency (sections 4-6) are all
+// refused with ErrUnsupportedFormat.
 
 import (
 	"encoding/binary"
@@ -49,14 +48,11 @@ import (
 // directories keep their graph snapshot, so the remedy is a rebuild.
 var ErrUnsupportedFormat = errors.New("not a current K-dash index file; rebuild with `kdash -save-index`")
 
-// Section ids of the v3 index container. Ids 3, 13 and 14 are unused:
-// the tables they would hold are derived (derivedTables).
+// Section ids of the v3 index container. Ids 3-6, 13 and 14 held the
+// adjacency and tables derived from it, and are unused.
 const (
-	secMeta       = 1  // bytes: fixed 64-byte header, see metaBytes
+	secMeta       = 1  // bytes: fixed 80-byte header, see metaBytes
 	secPerm       = 2  // int32[n]: original -> internal node id
-	secAColPtr    = 4  // int64[n+1]: adjacency CSC column pointers
-	secARowIdx    = 5  // int32[nnzA]: adjacency CSC row indices
-	secAVal       = 6  // float64[nnzA]: adjacency CSC values
 	secLinvColPtr = 7  // int64[n+1]: L^-1 CSC column pointers
 	secLinvRowIdx = 8  // int32[nnzL]
 	secLinvVal    = 9  // float64[nnzL]
@@ -69,11 +65,11 @@ const (
 // metaTag opens the meta section and names the generation, so a
 // container holding something other than a current core index is
 // refused before any array is interpreted.
-const metaTag = "KDIXV5\x00\x00"
+const metaTag = "KDIXV6\x00\x00"
 
 // metaSize is the fixed byte length of the meta section:
 //
-//	0   8  tag "KDIXV5\x00\x00"
+//	0   8  tag "KDIXV6\x00\x00"
 //	8   8  uint64 n
 //	16  8  float64 bits of the restart probability c
 //	24  8  uint64 reorder method
@@ -108,9 +104,6 @@ func (ix *Index) Save(w io.Writer) error {
 	sw := mmapio.NewWriter()
 	sw.AddBytes(secMeta, ix.metaBytes())
 	sw.AddInt32s(secPerm, ix.perm)
-	sw.AddInts(secAColPtr, ix.a.ColPtr)
-	sw.AddInt32s(secARowIdx, ix.a.RowIdx)
-	sw.AddFloats(secAVal, ix.a.Val)
 	sw.AddInts(secLinvColPtr, ix.linv.ColPtr)
 	sw.AddInt32s(secLinvRowIdx, ix.linv.RowIdx)
 	sw.AddFloats(secLinvVal, ix.linv.Val)
@@ -211,13 +204,9 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 			*dst, err = f.Floats(id)
 		}
 	}
-	a := &sparse.CSC{Rows: ix.n, Cols: ix.n}
 	linv := &sparse.CSC{Rows: ix.n, Cols: ix.n}
 	uinv := &sparse.CSR{Rows: ix.n, Cols: ix.n}
 	ids(secPerm, &ix.perm)
-	ints(secAColPtr, &a.ColPtr)
-	ids(secARowIdx, &a.RowIdx)
-	floats(secAVal, &a.Val)
 	ints(secLinvColPtr, &linv.ColPtr)
 	ids(secLinvRowIdx, &linv.RowIdx)
 	floats(secLinvVal, &linv.Val)
@@ -231,7 +220,7 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
-	ix.a, ix.linv, ix.uinv = a, linv, uinv
+	ix.linv, ix.uinv = linv, uinv
 	ix.stats = BuildStats{
 		Method:       reorder.Method(le.Uint64(meta[24:])),
 		NNZFactors:   int(le.Uint64(meta[32:])),
@@ -276,12 +265,12 @@ func trackHeap(ix *Index, n int64) {
 func untrackHeap(n int64) { heapBytes.Add(-n) }
 
 // arrayBytes is the byte size of the index's stored arrays, each at its
-// own width: what Save writes, less the meta section and the
-// container's table and padding.
+// own width: what Save writes, less the meta section, the container's
+// table and padding, and a block's communities.
 func (ix *Index) arrayBytes() int64 {
-	ptrs := len(ix.a.ColPtr) + len(ix.linv.ColPtr) + len(ix.uinv.RowPtr)
-	ids := len(ix.perm) + len(ix.a.RowIdx) + len(ix.linv.RowIdx) + len(ix.uinv.ColIdx)
-	vals := len(ix.a.Val) + len(ix.linv.Val) + len(ix.uinv.Val)
+	ptrs := len(ix.linv.ColPtr) + len(ix.uinv.RowPtr)
+	ids := len(ix.perm) + len(ix.linv.RowIdx) + len(ix.uinv.ColIdx)
+	vals := len(ix.linv.Val) + len(ix.uinv.Val)
 	return 8*int64(ptrs+vals) + 4*int64(ids)
 }
 
@@ -344,9 +333,6 @@ func (ix *Index) validateLoaded() error {
 			}
 		}
 		return nil
-	}
-	if err := check("adjacency", "row", ix.a.ColPtr, ix.a.RowIdx, ix.a.Val); err != nil {
-		return err
 	}
 	if err := check("L-inverse", "row", ix.linv.ColPtr, ix.linv.RowIdx, ix.linv.Val); err != nil {
 		return err

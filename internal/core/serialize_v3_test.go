@@ -83,13 +83,17 @@ func TestV3LoadPathsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, built, fromFile, "v3 file")
+	if fromFile.Searchable() {
+		t.Fatal("a loaded file holds an adjacency")
+	}
+	assertSameAnswers(t, built, withAdjacency(fromFile, built), "v3 file")
 	if err := fromFile.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 }
 
-// openSealed opens the saved index and skips the test where the
+// openSealed opens the saved index, hands it the built adjacency
+// (withAdjacency) and skips the test where the
 // platform keeps loads on the Go heap, so its arrays are not sealed.
 func openSealed(t *testing.T, built *Index) *Index {
 	t.Helper()
@@ -100,7 +104,7 @@ func openSealed(t *testing.T, built *Index) *Index {
 	if !ix.backing.OffHeap() {
 		t.Skip("loads stay on the Go heap on this platform")
 	}
-	return ix
+	return withAdjacency(ix, built)
 }
 
 // TestLoadedQueriesNeverWriteFactors is the mutation-discipline
@@ -217,9 +221,6 @@ func TestV3CorruptSections(t *testing.T) {
 			}
 		}
 		addID(secPerm, ix.perm)
-		add(secAColPtr, ix.a.ColPtr)
-		addID(secARowIdx, ix.a.RowIdx)
-		addF(secAVal, ix.a.Val)
 		add(secLinvColPtr, ix.linv.ColPtr)
 		addID(secLinvRowIdx, ix.linv.RowIdx)
 		addF(secLinvVal, ix.linv.Val)
@@ -272,7 +273,6 @@ func TestV3CorruptSections(t *testing.T) {
 		{"row id n", withID(secLinvRowIdx, ix.linv.RowIdx, int32(ix.n)), "L-inverse row index"},
 		{"negative row id", withID(secLinvRowIdx, ix.linv.RowIdx, -1), "L-inverse row index -1"},
 		{"negative column id", withID(secUinvColIdx, ix.uinv.ColIdx, math.MinInt32), "U-inverse column index"},
-		{"adjacency row id n", withID(secARowIdx, ix.a.RowIdx, int32(ix.n)), "adjacency row index"},
 		{"negative perm id", withID(secPerm, ix.perm, -1), "not a permutation"},
 		{"perm id n", withID(secPerm, ix.perm, int32(ix.n)), "not a permutation"},
 		{"non-permutation", withID(secPerm, ix.perm, ix.perm[1]), "not a permutation"},
@@ -299,7 +299,8 @@ func TestV3CorruptSections(t *testing.T) {
 // TestArrayBytesIsSavedPayload pins the heap account of a built index
 // to what Save writes: arrayBytes equals the summed payload of every
 // section but the meta one, each counted at its kind's width as the
-// section table records it.
+// section table records it. The adjacency a monolithic index keeps for
+// its search is not saved, and not counted.
 func TestArrayBytesIsSavedPayload(t *testing.T) {
 	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})

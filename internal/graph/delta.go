@@ -141,10 +141,10 @@ func (d *Delta) Edges() []Edge {
 //
 // Ops on different source rows never interact, so Apply groups them by
 // row (recorded order kept within a row), copies the untouched rows of
-// the CSR arrays through in bulk and splices only the touched ones; the
-// in-rows are spliced the same way, grouped by target (spliceIn). The
+// the CSR arrays through in bulk and splices only the touched ones. The
 // cost is one copy of the arrays plus the touched rows, not a rebuild
-// of the edge set. A failing removal is reported for the lowest op
+// of the edge set; the result derives its in-rows only if something
+// reads them. A failing removal is reported for the lowest op
 // index, as a sequential replay would. A batch that would grow the graph
 // past MaxNodes is refused before anything is allocated.
 //
@@ -213,80 +213,7 @@ func (g *Graph) Apply(d *Delta) (*Graph, error) {
 	for u := 0; u < n2; u++ {
 		out.outPtr[u+1] += out.outPtr[u]
 	}
-	g.spliceIn(out, d.ops)
 	return out, nil
-}
-
-// spliceIn fills out's in-adjacency from g's: the in-rows of targets no
-// op names are copied through in bulk, and each touched in-row is g's
-// row merged with the sources of the ops on it, each carrying its
-// edge's weight in out's out-rows (or dropped, if the batch removed
-// it). out's out-adjacency must be final, so the in-rows are its exact
-// transpose — what buildIn would derive, without re-transposing every
-// edge.
-func (g *Graph) spliceIn(out *Graph, ops []deltaOp) {
-	// The touched (target, source) pairs, ascending and unique.
-	pairs := make([][2]int, len(ops))
-	for i, op := range ops {
-		pairs[i] = [2]int{op.to, op.from}
-	}
-	slices.SortFunc(pairs, func(a, b [2]int) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
-	pairs = slices.Compact(pairs)
-
-	m := len(out.outTo)
-	out.inPtr = make([]int, out.n+1)
-	out.inFrom = make([]int32, 0, m)
-	out.inW = make([]float64, 0, m)
-	for u := 0; u < g.n; u++ {
-		out.inPtr[u+1] = g.inPtr[u+1] - g.inPtr[u] // degrees for now
-	}
-	copied := 0 // base in-rows below this are already in out
-	copyRows := func(upto int) {
-		if upto = min(upto, g.n); copied < upto {
-			out.inFrom = append(out.inFrom, g.inFrom[g.inPtr[copied]:g.inPtr[upto]]...)
-			out.inW = append(out.inW, g.inW[g.inPtr[copied]:g.inPtr[upto]]...)
-			copied = upto
-		}
-	}
-	for lo := 0; lo < len(pairs); {
-		v := pairs[lo][0]
-		copyRows(v)
-		start := len(out.inFrom)
-		var oldFrom []int32
-		var oldW []float64
-		if v < g.n {
-			oldFrom, oldW = g.inFrom[g.inPtr[v]:g.inPtr[v+1]], g.inW[g.inPtr[v]:g.inPtr[v+1]]
-			copied = v + 1
-		}
-		i := 0
-		for ; lo < len(pairs) && pairs[lo][0] == v; lo++ {
-			u := int32(pairs[lo][1])
-			for ; i < len(oldFrom) && oldFrom[i] < u; i++ {
-				out.inFrom = append(out.inFrom, oldFrom[i])
-				out.inW = append(out.inW, oldW[i])
-			}
-			if i < len(oldFrom) && oldFrom[i] == u {
-				i++ // superseded by out's weight, or removed
-			}
-			row := out.outTo[out.outPtr[u]:out.outPtr[u+1]]
-			if at, found := slices.BinarySearch(row, int32(v)); found {
-				out.inFrom = append(out.inFrom, u)
-				out.inW = append(out.inW, out.outW[out.outPtr[u]+at])
-			}
-		}
-		out.inFrom = append(out.inFrom, oldFrom[i:]...)
-		out.inW = append(out.inW, oldW[i:]...)
-		out.inPtr[v+1] = len(out.inFrom) - start
-	}
-	copyRows(g.n)
-	for u := 0; u < out.n; u++ {
-		out.inPtr[u+1] += out.inPtr[u]
-	}
 }
 
 // AddEdge returns a copy of the graph with weight added to the directed

@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"kdash/internal/sparse"
 )
@@ -31,10 +33,11 @@ type Graph struct {
 	outPtr []int
 	outTo  []int32
 	outW   []float64
-	// in[u] lists u's in-edges sorted by source; built eagerly (cheap).
-	inPtr  []int
-	inFrom []int32
-	inW    []float64
+
+	// in is the in-adjacency (row u: u's in-edges, sources ascending),
+	// derived on first use by inRows: no query reads it.
+	inOnce sync.Once
+	in     atomic.Pointer[sparse.CSR]
 
 	// backing is the snapshot container the arrays alias
 	// (OpenSnapshot), nil for a graph built on the heap.
@@ -125,16 +128,14 @@ func (b *Builder) Build() *Graph {
 	for u := 0; u < b.n; u++ {
 		g.outPtr[u+1] += g.outPtr[u]
 	}
-	g.buildIn()
 	return g
 }
 
 // FromCSR returns the graph whose out-adjacency is the given CSR: node
 // u's out-neighbours are to[ptr[u]:ptr[u+1]], strictly ascending, with
 // positive weights w. The graph takes the slices over (the caller must
-// not modify them) and derives the in-adjacency, so a caller that
-// already produces its rows in order builds a graph with no edge list
-// in between.
+// not modify them), so a caller that already produces its rows in order
+// builds a graph with no edge list in between.
 func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
 	n := len(ptr) - 1
 	if n < 0 || n > MaxNodes || ptr[0] != 0 || ptr[n] != len(to) || len(w) != len(to) {
@@ -153,31 +154,33 @@ func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
 			}
 		}
 	}
-	g := &Graph{n: n, outPtr: ptr, outTo: to, outW: w}
-	g.buildIn()
-	return g, nil
+	return &Graph{n: n, outPtr: ptr, outTo: to, outW: w}, nil
 }
 
-func (g *Graph) buildIn() {
-	g.inPtr = make([]int, g.n+1)
-	g.inFrom = make([]int32, len(g.outTo))
-	g.inW = make([]float64, len(g.outTo))
-	for _, to := range g.outTo {
-		g.inPtr[to+1]++
-	}
-	for u := 0; u < g.n; u++ {
-		g.inPtr[u+1] += g.inPtr[u]
-	}
-	next := make([]int, g.n)
-	copy(next, g.inPtr[:g.n])
-	for u := 0; u < g.n; u++ {
-		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			to := g.outTo[i]
-			g.inFrom[next[to]] = int32(u)
-			g.inW[next[to]] = g.outW[i]
-			next[to]++
+// inRows returns the in-adjacency, transposing the out-rows on the
+// first call; concurrent callers wait for that one derivation.
+func (g *Graph) inRows() *sparse.CSR {
+	g.inOnce.Do(func() {
+		in := &sparse.CSR{Rows: g.n, Cols: g.n, RowPtr: make([]int, g.n+1), ColIdx: make([]int32, len(g.outTo)), Val: make([]float64, len(g.outTo))}
+		for _, to := range g.outTo {
+			in.RowPtr[to+1]++
 		}
-	}
+		for u := 0; u < g.n; u++ {
+			in.RowPtr[u+1] += in.RowPtr[u]
+		}
+		next := make([]int, g.n)
+		copy(next, in.RowPtr[:g.n])
+		for u := 0; u < g.n; u++ {
+			for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
+				to := g.outTo[i]
+				in.ColIdx[next[to]] = int32(u)
+				in.Val[next[to]] = g.outW[i]
+				next[to]++
+			}
+		}
+		g.in.Store(in)
+	})
+	return g.in.Load()
 }
 
 // N reports the number of nodes.
@@ -190,7 +193,10 @@ func (g *Graph) M() int { return len(g.outTo) }
 func (g *Graph) OutDegree(u int) int { return g.outPtr[u+1] - g.outPtr[u] }
 
 // InDegree reports the number of in-edges of u.
-func (g *Graph) InDegree(u int) int { return g.inPtr[u+1] - g.inPtr[u] }
+func (g *Graph) InDegree(u int) int {
+	in := g.inRows()
+	return in.RowPtr[u+1] - in.RowPtr[u]
+}
 
 // Degree reports the number of edges incident to u (in + out), the measure
 // used by the paper's degree reordering.
@@ -213,10 +219,12 @@ func (g *Graph) OutCSR() (ptr []int, to []int32) { return g.outPtr, g.outTo }
 // the same read-only contract.
 func (g *Graph) OutWeights() []float64 { return g.outW }
 
-// InNeighbors invokes fn for every in-edge (from -> u, w) of u.
+// InNeighbors invokes fn for every in-edge (from -> u, w) of u, sources
+// ascending.
 func (g *Graph) InNeighbors(u int, fn func(from int, w float64)) {
-	for i := g.inPtr[u]; i < g.inPtr[u+1]; i++ {
-		fn(int(g.inFrom[i]), g.inW[i])
+	in := g.inRows()
+	for i := in.RowPtr[u]; i < in.RowPtr[u+1]; i++ {
+		fn(int(in.ColIdx[i]), in.Val[i])
 	}
 }
 
@@ -277,8 +285,8 @@ func (g *Graph) ColumnNormalized() *sparse.CSC {
 // PermutedColumnNormalized returns ColumnNormalized().PermuteSym(perm)
 // — A with node u renamed to perm[u] — bit for bit, in one pass: the
 // new rows are walked in ascending order over the in-adjacency (row u of
-// A lists u's in-edges), which hands every new column its rows sorted,
-// so only the result is allocated.
+// A lists u's in-edges, derived on first use), which hands every new
+// column its rows sorted.
 func (g *Graph) PermutedColumnNormalized(perm []int) *sparse.CSC {
 	if len(perm) != g.n {
 		panic("graph: PermutedColumnNormalized permutation has wrong length")
@@ -298,13 +306,14 @@ func (g *Graph) PermutedColumnNormalized(perm []int) *sparse.CSC {
 	m.RowIdx = make([]int32, m.ColPtr[g.n])
 	m.Val = make([]float64, m.ColPtr[g.n])
 	// ColPtr[c] is column c's fill cursor until the shift back below.
+	in := g.inRows()
 	for r := 0; r < g.n; r++ {
 		u := inv[r]
-		for i := g.inPtr[u]; i < g.inPtr[u+1]; i++ {
-			v := g.inFrom[i]
+		for i := in.RowPtr[u]; i < in.RowPtr[u+1]; i++ {
+			v := in.ColIdx[i]
 			at := m.ColPtr[perm[v]]
 			m.RowIdx[at] = int32(r)
-			m.Val[at] = g.inW[i] / total[v]
+			m.Val[at] = in.Val[i] / total[v]
 			m.ColPtr[perm[v]]++
 		}
 	}

@@ -425,8 +425,9 @@ func TestRowsSorted(t *testing.T) {
 	}
 	for _, g := range []*Graph{g, g2} {
 		a := g.ColumnNormalized()
+		in := g.inRows()
 		for u := 0; u < n; u++ {
-			for _, row := range [][]int32{g.outTo[g.outPtr[u]:g.outPtr[u+1]], g.inFrom[g.inPtr[u]:g.inPtr[u+1]], a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]} {
+			for _, row := range [][]int32{g.outTo[g.outPtr[u]:g.outPtr[u+1]], in.ColIdx[in.RowPtr[u]:in.RowPtr[u+1]], a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]} {
 				for i := 1; i < len(row); i++ {
 					if row[i-1] >= row[i] {
 						t.Fatalf("node %d: row %v not strictly ascending", u, row)

@@ -10,21 +10,18 @@ package graph
 //
 // Sections, all little-endian:
 //
-//	1  bytes       meta: tag "KDGRV1\x00\x00", uint64 n, uint64 m
+//	1  bytes       meta: tag "KDGRV2\x00\x00", uint64 n, uint64 m
 //	2  int64[n+1]  out-adjacency pointers
 //	3  int32[m]    out-adjacency targets, ascending within each row
 //	4  float64[m]  out-edge weights
-//	5  int64[n+1]  in-adjacency pointers
-//	6  int32[m]    in-adjacency sources, ascending within each row
-//	7  float64[m]  in-edge weights
 //
-// Open verifies every checksum and range-checks every array, and
-// checks that the in-adjacency is exactly the transpose of the
-// out-adjacency, so an opened snapshot is array for array what Builder
-// makes of the same edge set.
+// The in-adjacency, which "KDGRV1" also stored, is derived on first use.
+// Open verifies every checksum and range-checks every array, so an
+// opened snapshot is array for array what Builder makes of its edges.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -40,13 +37,13 @@ const (
 	snapOutPtr = 2
 	snapOutTo  = 3
 	snapOutW   = 4
-	snapInPtr  = 5
-	snapInFrom = 6
-	snapInW    = 7
 )
 
+// ErrUnsupportedSnapshot refuses a retired generation, or no snapshot.
+var ErrUnsupportedSnapshot = errors.New("not a current graph snapshot")
+
 // snapshotTag opens the meta section and names the generation.
-const snapshotTag = "KDGRV1\x00\x00"
+const snapshotTag = "KDGRV2\x00\x00"
 
 // snapshotMetaSize is the meta section's byte length: tag, n, m.
 const snapshotMetaSize = 24
@@ -63,9 +60,6 @@ func (g *Graph) WriteSnapshot(w io.Writer) error {
 	sw.AddInts(snapOutPtr, g.outPtr)
 	sw.AddInt32s(snapOutTo, g.outTo)
 	sw.AddFloats(snapOutW, g.outW)
-	sw.AddInts(snapInPtr, g.inPtr)
-	sw.AddInt32s(snapInFrom, g.inFrom)
-	sw.AddFloats(snapInW, g.inW)
 	_, err := sw.WriteTo(w)
 	runtime.KeepAlive(g) // sw holds slices of a sealed backing
 	if err != nil {
@@ -132,7 +126,7 @@ func snapshotFromContainer(f *mmapio.File) (*Graph, error) {
 		return nil, err
 	}
 	if len(meta) != snapshotMetaSize || string(meta[:len(snapshotTag)]) != snapshotTag {
-		return nil, fmt.Errorf("not a graph snapshot (bad meta section)")
+		return nil, fmt.Errorf("%w (bad meta section)", ErrUnsupportedSnapshot)
 	}
 	n := binary.LittleEndian.Uint64(meta[8:])
 	m := binary.LittleEndian.Uint64(meta[16:])
@@ -158,9 +152,6 @@ func snapshotFromContainer(f *mmapio.File) (*Graph, error) {
 	ints(snapOutPtr, &g.outPtr)
 	ids(snapOutTo, &g.outTo)
 	floats(snapOutW, &g.outW)
-	ints(snapInPtr, &g.inPtr)
-	ids(snapInFrom, &g.inFrom)
-	floats(snapInW, &g.inW)
 	if err != nil {
 		return nil, err
 	}
@@ -173,28 +164,21 @@ func snapshotFromContainer(f *mmapio.File) (*Graph, error) {
 	return g, nil
 }
 
-// validate checks what a query or an update reads: pointer arrays from
-// 0 to m without decreasing, out-rows strictly ascending and in range
-// with positive finite weights, and the in-adjacency exactly the
-// transpose of the out-adjacency, sources ascending.
+// validate checks what a query or an update reads: the pointer array
+// from 0 to m without decreasing, and rows strictly ascending and in
+// range with positive finite weights.
 func (g *Graph) validate() error {
 	n, m := g.n, len(g.outTo)
-	if len(g.outW) != m || len(g.inFrom) != m || len(g.inW) != m {
-		return fmt.Errorf("corrupt snapshot (edge sections sized %d/%d/%d/%d)", m, len(g.outW), len(g.inFrom), len(g.inW))
+	if len(g.outW) != m {
+		return fmt.Errorf("corrupt snapshot (%d targets, %d weights)", m, len(g.outW))
 	}
-	for _, ptr := range [][]int{g.outPtr, g.inPtr} {
-		if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != m {
-			return fmt.Errorf("corrupt snapshot (%d pointers for %d nodes, %d edges)", len(ptr), n, m)
-		}
-		for u := 0; u < n; u++ {
-			if ptr[u] > ptr[u+1] {
-				return fmt.Errorf("corrupt snapshot (pointer %d decreases)", u)
-			}
-		}
+	if len(g.outPtr) != n+1 || g.outPtr[0] != 0 || g.outPtr[n] != m {
+		return fmt.Errorf("corrupt snapshot (%d pointers for %d nodes, %d edges)", len(g.outPtr), n, m)
 	}
-	next := make([]int, n)
-	copy(next, g.inPtr[:n])
 	for u := 0; u < n; u++ {
+		if g.outPtr[u] > g.outPtr[u+1] {
+			return fmt.Errorf("corrupt snapshot (pointer %d decreases)", u)
+		}
 		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
 			v, w := g.outTo[i], g.outW[i]
 			if v < 0 || int(v) >= n || (i > g.outPtr[u] && g.outTo[i-1] >= v) {
@@ -203,18 +187,6 @@ func (g *Graph) validate() error {
 			if !(w > 0) || math.IsInf(w, 1) {
 				return fmt.Errorf("corrupt snapshot (edge (%d,%d) weighs %v)", u, v, w)
 			}
-			// Rows are walked in ascending u, so the in-list of v must
-			// hold exactly these edges, in this order.
-			j := next[v]
-			if j >= g.inPtr[v+1] || int(g.inFrom[j]) != u || math.Float64bits(g.inW[j]) != math.Float64bits(w) {
-				return fmt.Errorf("corrupt snapshot (in-adjacency of node %d disagrees with edge (%d,%d))", v, u, v)
-			}
-			next[v]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if next[v] != g.inPtr[v+1] {
-			return fmt.Errorf("corrupt snapshot (node %d has %d in-edges, out-adjacency gives %d)", v, g.inPtr[v+1]-g.inPtr[v], next[v]-g.inPtr[v])
 		}
 	}
 	return nil
@@ -229,14 +201,17 @@ func (g *Graph) SealedBytes() int64 {
 	return g.backing.sealed
 }
 
-// HeapBytes reports the bytes of the graph's arrays when they are on
-// the Go heap (a built graph, or an Apply result), and 0 for a graph
-// that aliases a sealed snapshot.
+// HeapBytes reports the bytes of the graph's arrays on the Go heap: the
+// out-rows unless they alias a sealed snapshot, and any derived in-rows.
 func (g *Graph) HeapBytes() int64 {
-	if g.backing != nil {
-		return 0
+	var b int
+	if g.backing == nil {
+		b = 8*len(g.outPtr) + 4*len(g.outTo) + 8*len(g.outW)
 	}
-	return int64(8*(len(g.outPtr)+len(g.inPtr)) + 4*(len(g.outTo)+len(g.inFrom)) + 8*(len(g.outW)+len(g.inW)))
+	if in := g.in.Load(); in != nil {
+		b += 8*len(in.RowPtr) + 4*len(in.ColIdx) + 8*len(in.Val)
+	}
+	return int64(b)
 }
 
 // Close releases an opened snapshot's sealed memory now rather than

@@ -12,17 +12,18 @@ package lu
 
 // Workspace holds the L^{-1} pass of one solve, W = L^{-1} r over the
 // factors' internal rows: dense for O(1) lookups, live only on Sup (rows
-// in first-touch order). Reset spot-cleans it for reuse.
+// in first-touch order: zero off Sup, so a zero entry marks a first
+// touch, and a row that cancels to zero may be listed twice). Reset
+// spot-cleans it for reuse.
 type Workspace struct {
-	W    []float64
-	Sup  []int
-	mark []bool
+	W   []float64
+	Sup []int
 }
 
 // NewWorkspace returns an empty workspace sized for the factors.
 func (inv *Inverse) NewWorkspace() *Workspace {
 	// Sup is non-nil even when empty, like every support list here.
-	return &Workspace{W: make([]float64, inv.N), Sup: make([]int, 0, 64), mark: make([]bool, inv.N)}
+	return &Workspace{W: make([]float64, inv.N), Sup: make([]int, 0, 64)}
 }
 
 // Reset restores the all-zero workspace by its support list.
@@ -31,7 +32,6 @@ func (inv *Inverse) NewWorkspace() *Workspace {
 func (w *Workspace) Reset() {
 	for _, r := range w.Sup {
 		w.W[r] = 0
-		w.mark[r] = false
 	}
 	w.Sup = w.Sup[:0]
 }
@@ -46,8 +46,7 @@ func (w *Workspace) Reset() {
 //kdash:noalloc
 //kdash:deterministic
 func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []int32) {
-	ws, wmark := w.W, w.mark
-	wsup := w.Sup
+	ws, wsup := w.W, w.Sup
 	lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
 	for t, u := range idx {
 		v := val[t]
@@ -57,8 +56,7 @@ func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []in
 		j := perm[u]
 		for p := lp[j]; p < lp[j+1]; p++ {
 			r := lr[p]
-			if !wmark[r] {
-				wmark[r] = true
+			if ws[r] == 0 {
 				wsup = append(wsup, int(r))
 			}
 			ws[r] += v * lval[p]

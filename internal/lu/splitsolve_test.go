@@ -82,8 +82,12 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 			want := inv.Solve(r)
 
 			inv.SolveLower(ws, idx, val, id)
+			onSup := make([]bool, n)
+			for _, i := range ws.Sup {
+				onSup[i] = true
+			}
 			for i, v := range ws.W {
-				if v != 0 && !ws.mark[i] {
+				if v != 0 && !onSup[i] {
 					t.Errorf("seed %d trial %d: workspace row %d = %v off the support", seed, trial, i, v)
 					return false
 				}
@@ -95,7 +99,7 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 				}
 				reached := false
 				for p := inv.Uinv.RowPtr[u]; p < inv.Uinv.RowPtr[u+1]; p++ {
-					reached = reached || ws.mark[inv.Uinv.ColIdx[p]]
+					reached = reached || onSup[inv.Uinv.ColIdx[p]]
 				}
 				if !reached && want[u] != 0 {
 					t.Errorf("seed %d trial %d row %d: outside the support, but reference is %v", seed, trial, u, want[u])
@@ -105,7 +109,7 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 
 			ws.Reset()
 			for i, v := range ws.W {
-				if v != 0 || ws.mark[i] {
+				if v != 0 || len(ws.Sup) != 0 {
 					t.Errorf("seed %d trial %d: workspace row %d = %v after Reset", seed, trial, i, v)
 					return false
 				}

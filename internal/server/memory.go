@@ -4,10 +4,10 @@ package server
 // are, as far as the server can attribute them. The index arrays are
 // split by backing — on the Go heap (built or rebuilt in process, or
 // loaded into a Go buffer) and in sealed off-heap copies (loads where
-// the platform maps memory) — beside the serving epoch's sealed graph
-// snapshot, the off-heap containers opened and released so far, the Go
-// heap as the collector paces it, and the OS resident set over all of
-// it.
+// the platform maps memory) — beside the serving epoch's graph
+// snapshot, the shards' pooled query scratch, the off-heap containers
+// opened and released so far, the Go heap as the collector paces it,
+// and the OS resident set over all of it.
 
 import (
 	"runtime/metrics"
@@ -17,6 +17,7 @@ import (
 	"kdash/internal/mmapio"
 	"kdash/internal/obs"
 	"kdash/internal/procmem"
+	"kdash/internal/shard"
 )
 
 // goMemSamples are the runtime/metrics the block reads: heap objects
@@ -57,6 +58,7 @@ func memoryStatz(graphSealed, graphHeap int64) map[string]int64 {
 		"factorOffHeapBytes":     ms.SealedBytes - graph.SealedSnapshotBytes(),
 		"graphOffHeapBytes":      graphSealed,
 		"graphHeapBytes":         graphHeap,
+		"queryScratchBytes":      shard.QueryScratchBytes(),
 		"containersOpened":       ms.Opened,
 		"containersReleased":     ms.Released,
 		"containerReleasedBytes": ms.ReleasedBytes,
@@ -79,7 +81,8 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 	}
 	series := []struct{ key, name, help, typ string }{
 		{"graphOffHeapBytes", "kdash_index_graph_offheap_bytes", "Sealed graph snapshot the serving epoch ranks over (0 once an update replaced it, or before a lazy open).", "gauge"},
-		{"graphHeapBytes", "kdash_index_graph_heap_bytes", "Graph snapshot the serving epoch ranks over when it is on the Go heap: built in process, or an update's successor.", "gauge"},
+		{"graphHeapBytes", "kdash_index_graph_heap_bytes", "Graph snapshot the serving epoch ranks over when it is on the Go heap: built in process, or an update's successor, plus in-rows derived on first use.", "gauge"},
+		{"queryScratchBytes", "kdash_query_scratch_bytes", "Query scratch the shards pool (L^-1 workspaces and residual vectors), counted at each pool-miss allocation and released with its shard.", "gauge"},
 		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies) opened.", "counter"},
 		{"containersReleased", "kdash_index_containers_released_total", "Off-heap index containers released: closed, or their last epoch collected.", "counter"},
 		{"containerReleasedBytes", "kdash_index_container_released_bytes_total", "Bytes the released containers returned to the OS.", "counter"},

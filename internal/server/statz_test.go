@@ -194,6 +194,7 @@ type memoryBlock struct {
 	FactorOffHeapBytes     int64 `json:"factorOffHeapBytes"`
 	GraphOffHeapBytes      int64 `json:"graphOffHeapBytes"`
 	GraphHeapBytes         int64 `json:"graphHeapBytes"`
+	QueryScratchBytes      int64 `json:"queryScratchBytes"`
 	ContainersOpened       int64 `json:"containersOpened"`
 	ContainersReleased     int64 `json:"containersReleased"`
 	ContainerReleasedBytes int64 `json:"containerReleasedBytes"`
@@ -205,8 +206,10 @@ type memoryBlock struct {
 // TestStatzMemoryBlockTracksLoadedShards serves a loaded directory: its
 // shard files must show up as off-heap factor bytes and opened
 // containers in /statz, its graph snapshot as graphOffHeapBytes (and
-// graphHeapBytes 0) until an update replaces it with a snapshot on the
-// Go heap, whose arrays graphHeapBytes then counts, and /metrics must
+// graphHeapBytes 0 until something derives its in-rows, which
+// graphHeapBytes then counts) until an update replaces it with a
+// snapshot on the Go heap, whose out-rows graphHeapBytes then counts; a
+// query's pooled scratch shows as queryScratchBytes; and /metrics must
 // carry the same block.
 func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.01, 1)
@@ -280,6 +283,28 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	if v, ok := metricValue(text, "kdash_index_graph_offheap_bytes"); !ok || int64(v) != gi.Size() {
 		t.Errorf("kdash_index_graph_offheap_bytes = %v (present %v), want %d", v, ok, gi.Size())
 	}
+	// A query pools its shards' scratch: an L^-1 workspace per solve and
+	// a residual per touched shard, 8 bytes a row.
+	if _, _, err := sx.TopK(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	// The account is process-wide and other tests' parts may be
+	// collected meanwhile, so only this index's share, held while sx
+	// lives, is certain.
+	if got := statz(h).QueryScratchBytes; got <= 0 {
+		t.Errorf("queryScratchBytes = %d after a query, want the pooled vectors", got)
+	}
+	if v, ok := metricValue(scrape(t, h), "kdash_query_scratch_bytes"); !ok || v <= 0 {
+		t.Errorf("kdash_query_scratch_bytes = %v (present %v), want the pooled vectors", v, ok)
+	}
+	// In-rows derived on the sealed snapshot live on the heap: an int64
+	// pointer array of n+1, and per edge an int32 id and a float64
+	// weight.
+	sealed := sx.Graph()
+	sealed.InDegree(0)
+	if want := int64(8*(sealed.N()+1) + 12*sealed.M()); statz(h).GraphHeapBytes != want {
+		t.Errorf("graphHeapBytes = %d with derived in-rows, want their %d bytes", statz(h).GraphHeapBytes, want)
+	}
 	// An update's successor ranks over a graph on the Go heap.
 	next, _, err := sx.Apply(sx.Graph().NewDelta())
 	if err != nil {
@@ -289,10 +314,10 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 	if updated.GraphOffHeapBytes != 0 {
 		t.Errorf("after an update, graphOffHeapBytes = %d, want 0", updated.GraphOffHeapBytes)
 	}
-	// Two int64 pointer arrays of n+1, and per edge an int32 id and a
-	// float64 weight in each direction.
+	// The out-rows alone: an int64 pointer array of n+1, and per edge an
+	// int32 id and a float64 weight.
 	ng := next.Graph()
-	if want := int64(16*(ng.N()+1) + 24*ng.M()); updated.GraphHeapBytes != want {
+	if want := int64(8*(ng.N()+1) + 12*ng.M()); updated.GraphHeapBytes != want {
 		t.Errorf("after an update, graphHeapBytes = %d, want the snapshot's %d array bytes", updated.GraphHeapBytes, want)
 	}
 	if v, ok := metricValue(scrape(t, New(next)), "kdash_index_graph_heap_bytes"); !ok || int64(v) != updated.GraphHeapBytes {

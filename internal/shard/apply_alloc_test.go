@@ -30,10 +30,10 @@ func TestApplyAllocatesWhatItKeeps(t *testing.T) {
 	// bench's update shape, rebuilding two blocks in parallel.
 	var edges [][2]int
 	for _, si := range []int{0, 2} {
-		u := sx.parts[si].nodes[len(sx.parts[si].nodes)/2]
+		u := int(sx.parts[si].nodes[len(sx.parts[si].nodes)/2])
 		for _, v := range sx.parts[si+1].nodes {
-			if !g.HasEdge(u, v) {
-				edges = append(edges, [2]int{u, v})
+			if !g.HasEdge(u, int(v)) {
+				edges = append(edges, [2]int{u, int(v)})
 				break
 			}
 		}
@@ -106,8 +106,8 @@ func TestApplyCapsTheStoredFactorCount(t *testing.T) {
 	nodes := loaded.parts[0].nodes
 	d := loaded.Graph().NewDelta()
 	for _, v := range nodes[1:] {
-		if !loaded.Graph().HasEdge(nodes[0], v) {
-			if err := d.AddEdge(nodes[0], v, 1); err != nil {
+		if !loaded.Graph().HasEdge(int(nodes[0]), int(v)) {
+			if err := d.AddEdge(int(nodes[0]), int(v), 1); err != nil {
 				t.Fatal(err)
 			}
 			break

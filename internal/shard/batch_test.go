@@ -98,7 +98,7 @@ func TestProximityEarlyTermination(t *testing.T) {
 	if sx.HomeShard(q) == sx.HomeShard(u) {
 		t.Fatalf("halves landed in one shard; partitioning changed")
 	}
-	x, qs := sx.pushWeighted(map[int]float64{q: sx.c}, sx.pairWeights(sx.home[u]))
+	x, qs := sx.pushWeighted(map[int]float64{q: sx.c}, sx.pairWeights(sx.HomeShard(u)))
 	if qs.Solves != 0 {
 		t.Errorf("cross-component pair performed %d solves, want 0", qs.Solves)
 	}
@@ -126,7 +126,7 @@ func TestProximityEarlyTermination(t *testing.T) {
 			t.Errorf("Proximity%v = %v, want %v", pair, got, want)
 		}
 		_, full := sx.push(map[int]float64{pair[0]: sx.c})
-		_, early := sx.pushWeighted(map[int]float64{pair[0]: sx.c}, sx.pairWeights(sx.home[pair[1]]))
+		_, early := sx.pushWeighted(map[int]float64{pair[0]: sx.c}, sx.pairWeights(sx.HomeShard(pair[1])))
 		if early.Solves > full.Solves {
 			t.Errorf("pair %v: early-terminating push used %d solves, full push %d", pair, early.Solves, full.Solves)
 		}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -126,12 +127,16 @@ func editFile(t *testing.T, dir, name string, edit func([]byte) []byte) {
 // answers a query: the open fails, or (a lazily deferred file) the
 // first query does with core.ErrUnavailable. Every error must name
 // the file.
-func assertRefused(t *testing.T, dir, name string) {
+func assertRefused(t *testing.T, dir, name string) { assertRefusedAt(t, dir, name, 2) }
+
+// assertRefusedAt is assertRefused with query node q, which must reach
+// the damaged file: its shard, for a shard file.
+func assertRefusedAt(t *testing.T, dir, name string, q int) {
 	t.Helper()
 	for _, opt := range []LoadOptions{{}, {Lazy: true}} {
 		sx, err := Open(dir, opt)
 		if err == nil {
-			_, _, err = sx.TopK(2, 10)
+			_, _, err = sx.TopK(q, 10)
 			sx.Close()
 			if err == nil {
 				t.Fatalf("lazy=%v: damaged %s answered a query", opt.Lazy, name)
@@ -158,13 +163,15 @@ func damageIndex(t *testing.T) *ShardedIndex {
 }
 
 // TestSectionDamageRefused flips one byte in every section of the
-// graph snapshot and of the partition container, one section at a
-// time, and asserts that eager and lazy opens both refuse before any
-// query is answered.
+// graph snapshot, of the partition container and of a shard file, one
+// section at a time, and asserts that eager and lazy opens both refuse
+// before any query is answered (a lazy open, by the first query homed
+// in the damaged shard).
 func TestSectionDamageRefused(t *testing.T) {
 	sx := damageIndex(t)
 	clean := damageDir(t, sx)
-	for _, name := range []string{graphFileName, partitionFileName} {
+	q := map[string]int{graphFileName: 2, partitionFileName: 2, "shard-0000.idx": int(sx.parts[0].nodes[0])}
+	for _, name := range []string{graphFileName, partitionFileName, "shard-0000.idx"} {
 		data, err := os.ReadFile(filepath.Join(clean, name))
 		if err != nil {
 			t.Fatal(err)
@@ -173,13 +180,13 @@ func TestSectionDamageRefused(t *testing.T) {
 			if s.bytes == 0 {
 				continue
 			}
-			t.Run(name+"/"+string(rune('0'+s.id)), func(t *testing.T) {
+			t.Run(name+"/"+strconv.Itoa(int(s.id)), func(t *testing.T) {
 				dir := damageDir(t, sx)
 				editFile(t, dir, name, func(b []byte) []byte {
 					b[s.off+s.bytes/2] ^= 0x01
 					return b
 				})
-				assertRefused(t, dir, name)
+				assertRefusedAt(t, dir, name, q[name])
 			})
 		}
 	}
@@ -262,7 +269,7 @@ func TestDirectoryCrossChecks(t *testing.T) {
 		})
 	}
 	// A node of shard 0 moved to shard 1.
-	u := sx.parts[0].nodes[0]
+	u := int(sx.parts[0].nodes[0])
 	moveNode := func(sec []byte) { binary.LittleEndian.PutUint32(sec[4*u:], 1) }
 
 	t.Run("per-shard counts vs manifest", func(t *testing.T) {
@@ -283,7 +290,7 @@ func TestDirectoryCrossChecks(t *testing.T) {
 		for _, opt := range []LoadOptions{{}, {Lazy: true}} {
 			loaded, err := Open(dir, opt)
 			if err == nil {
-				_, err = loaded.ProximityVector(sx.parts[0].nodes[1])
+				_, err = loaded.ProximityVector(int(sx.parts[0].nodes[1]))
 				loaded.Close()
 			}
 			if err == nil {

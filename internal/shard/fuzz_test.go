@@ -119,9 +119,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":7,"nodes":-4,"shards":1}`))
-	f.Add([]byte(`{"version":7,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
-	f.Add([]byte(`{"version":7,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
+	f.Add([]byte(`{"version":8,"nodes":-4,"shards":1}`))
+	f.Add([]byte(`{"version":8,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
+	f.Add([]byte(`{"version":8,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, ManifestName, valid, data)
 	})
@@ -203,8 +203,8 @@ func fuzzSeedsPartition(tb testing.TB) []fuzzSeed {
 
 // fuzzSeedsGraph is FuzzGraphSnapshot's seeds: the valid snapshot, a
 // truncation, nothing, an edge-count bomb, a data-checksum flip, finding
-// A's moved edge targets resealed (the in-adjacency check refuses them)
-// and a resealed negative weight.
+// A's moved edge targets resealed (the cross-check against the cut
+// lists refuses them) and a resealed negative weight.
 func fuzzSeedsGraph(tb testing.TB) []fuzzSeed {
 	fuzzIndexDir(tb)
 	valid := fuzzDir.graph

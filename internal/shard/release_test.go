@@ -157,9 +157,9 @@ func intraShardEdge(t *testing.T, sx *ShardedIndex, si int) *graph.Delta {
 	nodes := sx.parts[si].nodes
 	for _, u := range nodes {
 		for _, v := range nodes {
-			if u != v && !g.HasEdge(u, v) {
+			if u != v && !g.HasEdge(int(u), int(v)) {
 				d := g.NewDelta()
-				if err := d.AddEdge(u, v, 1); err != nil {
+				if err := d.AddEdge(int(u), int(v), 1); err != nil {
 					t.Fatal(err)
 				}
 				return d
@@ -175,7 +175,7 @@ func intraShardEdge(t *testing.T, sx *ShardedIndex, si int) *graph.Delta {
 func assertSameOnEveryShard(t *testing.T, want, got *ShardedIndex, label string) {
 	t.Helper()
 	for si, p := range want.parts {
-		q := p.nodes[len(p.nodes)/2]
+		q := int(p.nodes[len(p.nodes)/2])
 		a, _, err := want.TopK(q, 7)
 		if err != nil {
 			t.Fatal(err)

@@ -3,13 +3,17 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/graph"
 	"kdash/internal/reorder"
+	"kdash/internal/testutil"
 )
 
 // reuseCounts is the part of UpdateStats that says how a rebuild was
@@ -79,8 +83,8 @@ func TestApplyReusePath(t *testing.T) {
 	d := g.NewDelta()
 	for _, si := range []int{2, 5} {
 		p := sx.parts[si]
-		u := p.nodes[p.cutRows[len(p.cutRows)/3]]
-		v := sx.parts[(si+3)%8].nodes[7]
+		u := int(p.nodes[p.cutRows[len(p.cutRows)/3]])
+		v := int(sx.parts[(si+3)%8].nodes[7])
 		if err := d.AddEdge(u, v, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +116,7 @@ func TestApplyReusePath(t *testing.T) {
 	// An edge inside shard 4.
 	p := sx.parts[4]
 	d = g.NewDelta()
-	if err := d.AddEdge(p.nodes[10], p.nodes[20], 1); err != nil {
+	if err := d.AddEdge(int(p.nodes[10]), int(p.nodes[20]), 1); err != nil {
 		t.Fatal(err)
 	}
 	checkCounts(t, "in-shard", apply("in-shard", d), reuseCounts{1, 0, 3122, 3130})
@@ -149,4 +153,90 @@ func sameShardIndex(a, b *core.Index) error {
 		return fmt.Errorf("saved bytes differ")
 	}
 	return nil
+}
+
+// TestDeltaChainDerivesParentBlockA chains random deltas through Apply
+// and checks, at every epoch, the A each reusing rebuild compares
+// against: the parent block's adjacency re-formed from the parent
+// epoch's graph by buildPart's assembly (blockGraph) and the parent
+// index's permutation equals, bit for bit, the A a fresh build of the
+// parent graph forms — over a block graph assembled independently, edge
+// by edge, and that build's own permutation.
+func TestDeltaChainDerivesParentBlockA(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sx := buildSharded(t, testutil.PowerLaw(160, 5), 4, 0.95)
+	compared := 0
+	for epoch := 0; epoch < 8; epoch++ {
+		next, _, err := sx.Apply(testutil.RandomDelta(rng, sx.Graph(), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := rebuildOracle(t, sx)
+		for si, p := range next.parts {
+			old := sx.parts[si]
+			if p == old || !slices.Equal(p.nodes, old.nodes) {
+				continue // shared, or rebuilt without a parent
+			}
+			sg, _, err := next.blockGraph(sx.Graph(), si)
+			if err != nil {
+				t.Fatal(err)
+			}
+			derived := old.ix.Adjacency(sg)
+			want := fresh.parts[si].ix.Adjacency(assembleBlock(t, sx, si))
+			if !slices.Equal(derived.ColPtr, want.ColPtr) || !slices.Equal(derived.RowIdx, want.RowIdx) || !sameFloatBits(derived.Val, want.Val) {
+				t.Fatalf("epoch %d shard %d: the parent block A differs from a fresh build's", epoch, si)
+			}
+			compared++
+		}
+		sx = next
+	}
+	if compared == 0 {
+		t.Fatal("no rebuild had a parent block to compare")
+	}
+}
+
+// assembleBlock builds shard si's block graph of sx from sx's graph
+// with a graph.Builder: every in-shard edge in local ids, and one edge
+// per leaking node to the ghost sink carrying its summed out-of-shard
+// weight.
+func assembleBlock(t *testing.T, sx *ShardedIndex, si int) *graph.Graph {
+	t.Helper()
+	g, p := sx.Graph(), sx.parts[si]
+	ns := len(p.nodes)
+	type edge struct {
+		u, v int
+		w    float64
+	}
+	var edges []edge
+	sink := false
+	for lv, v := range p.nodes {
+		leak := 0.0
+		g.OutNeighbors(int(v), func(u int, w float64) {
+			if sx.HomeShard(u) == si {
+				edges = append(edges, edge{lv, int(sx.local[u]), w})
+			} else {
+				leak += w
+			}
+		})
+		if leak > 0 {
+			edges = append(edges, edge{lv, ns, leak})
+			sink = true
+		}
+	}
+	n := ns
+	if sink {
+		n++
+	}
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// sameFloatBits reports whether two float slices agree bit for bit.
+func sameFloatBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

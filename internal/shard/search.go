@@ -324,7 +324,7 @@ func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
 		st.roots = append(st.roots, u)
 		st.startPrefix(st.roots) // the one row the answer reads
 	}
-	if _, err := st.run(sx.pairWeights(sx.home[u])); err != nil {
+	if _, err := st.run(sx.pairWeights(int(sx.home[u]))); err != nil {
 		sx.putPushState(st)
 		return 0, err
 	}

@@ -37,11 +37,13 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"kdash/internal/core"
 	"kdash/internal/graph"
@@ -63,10 +65,11 @@ const ManifestName = "manifest.json"
 // the graph snapshot, the assignment and the cut lists as checksummed
 // containers (graph.idx, partition.idx) instead of a TSV edge list and
 // two unchecked binary files, and each shard file keeps its block's
-// Louvain communities. An older directory's shard files are a
-// generation this build does not read, so a lazy open of one would fail
-// query by query.
-const manifestVersion = 7
+// Louvain communities; version 8 stores neither the snapshot's
+// in-adjacency nor a shard's block adjacency. An older directory's shard
+// files are a generation this build does not read, so a lazy open of one
+// would fail query by query.
+const manifestVersion = 8
 
 // The directory's fixed file names; the manifest records them, and Open
 // accepts any plain name inside the directory.
@@ -230,24 +233,22 @@ func (sx *ShardedIndex) writePartition(w io.Writer) error {
 	copy(meta, partTag)
 	binary.LittleEndian.PutUint64(meta[8:], uint64(sx.n))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(len(sx.parts)))
-	assign := make([]int32, sx.n)
-	for u, si := range sx.home {
-		assign[u] = int32(si)
-	}
 	ptr := make([]int, 1, len(sx.parts)+1)
 	var src, dst []int32
 	var wt []float64
 	for _, p := range sx.parts {
-		for _, e := range p.cuts {
-			src = append(src, int32(p.nodes[e.src]))
-			dst = append(dst, int32(sx.parts[e.dstShard].nodes[e.dst]))
-			wt = append(wt, e.w)
+		for k, lv := range p.cutRows {
+			for _, e := range p.rowCuts(k) {
+				src = append(src, p.nodes[lv])
+				dst = append(dst, sx.parts[e.dstShard].nodes[e.dst])
+				wt = append(wt, e.w)
+			}
 		}
 		ptr = append(ptr, len(src))
 	}
 	sw := mmapio.NewWriter()
 	sw.AddBytes(partMeta, meta)
-	sw.AddInt32s(partAssign, assign)
+	sw.AddInt32s(partAssign, sx.home)
 	sw.AddInts(partCutPtr, ptr)
 	sw.AddInt32s(partCutSrc, src)
 	sw.AddInt32s(partCutDst, dst)
@@ -341,12 +342,19 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 	graphPath := filepath.Join(dir, m.GraphFile)
 	load := func() (*graph.Graph, error) {
 		g, err := graph.OpenSnapshot(graphPath)
+		if errors.Is(err, graph.ErrUnsupportedSnapshot) {
+			return nil, fmt.Errorf("shard: %w: %w", core.ErrUnsupportedFormat, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 		if g.N() != m.Nodes || g.M() != m.Edges {
 			g.Close()
 			return nil, fmt.Errorf("shard: graph snapshot %s has %d nodes and %d edges, manifest says %d and %d", graphPath, g.N(), g.M(), m.Nodes, m.Edges)
+		}
+		if err := sx.checkCuts(g); err != nil {
+			g.Close()
+			return nil, fmt.Errorf("shard: graph snapshot %s disagrees with %s: %w", graphPath, partPath, err)
 		}
 		return g, nil
 	}
@@ -437,35 +445,36 @@ func (sx *ShardedIndex) readPartition(path string, m *manifest) error {
 	if len(src) != m.Stats.CutEdges {
 		return fmt.Errorf("%d cut edges, manifest says %d", len(src), m.Stats.CutEdges)
 	}
-	sx.home = make([]int, sx.n)
-	sx.local = make([]int, sx.n)
-	for i := range sx.parts {
-		sx.parts[i] = &part{}
-	}
-	// Local ids by the ascending-global-id rule the writer used.
+	counts := make([]int, s)
 	for u, si := range assign {
 		if si < 0 || int(si) >= s {
 			return fmt.Errorf("corrupt assignment (node %d -> shard %d of %d)", u, si, s)
 		}
-		p := sx.parts[si]
-		sx.home[u] = int(si)
-		sx.local[u] = len(p.nodes)
-		p.nodes = append(p.nodes, u)
+		counts[si]++
 	}
-	for si, p := range sx.parts {
-		if len(p.nodes) != m.Stats.Sizes[si] || len(p.nodes) == 0 {
-			return fmt.Errorf("assignment gives shard %d %d nodes, manifest says %d", si, len(p.nodes), m.Stats.Sizes[si])
+	for si, cnt := range counts {
+		if cnt != m.Stats.Sizes[si] || cnt == 0 {
+			return fmt.Errorf("assignment gives shard %d %d nodes, manifest says %d", si, cnt, m.Stats.Sizes[si])
 		}
 	}
+	// Local ids by the ascending-global-id rule the writer used.
+	sx.home = make([]int32, len(assign))
+	copy(sx.home, assign)
+	for i := range sx.parts {
+		sx.parts[i] = &part{}
+	}
+	sx.local = sx.placeNodes(counts, nil)
 	for si, p := range sx.parts {
 		lo, hi := ptr[si], ptr[si+1]
 		if lo > hi || hi > len(src) {
 			return fmt.Errorf("corrupt cut pointers (shard %d spans [%d,%d) of %d)", si, lo, hi, len(src))
 		}
-		p.cuts = make([]cutEdge, hi-lo)
-		for i := range p.cuts {
+		// At most one cut row, and one pointer, per cut edge.
+		p.cuts = make([]cutEdge, 0, hi-lo)
+		p.cutRows, p.cutRowPtr = make([]int, 0, hi-lo), append(make([]int, 0, hi-lo+1), 0)
+		for i := 0; i < hi-lo; i++ {
 			u, v, w := int(src[lo+i]), int(dst[lo+i]), wt[lo+i]
-			if u < 0 || u >= sx.n || v < 0 || v >= sx.n || sx.home[u] != si || sx.home[v] == si {
+			if u < 0 || u >= sx.n || v < 0 || v >= sx.n || int(sx.home[u]) != si || int(sx.home[v]) == si {
 				return fmt.Errorf("cut edge %d of shard %d (%d -> %d) disagrees with the assignment", i, si, u, v)
 			}
 			if !(w >= 0) || math.IsInf(w, 1) {
@@ -474,9 +483,26 @@ func (sx *ShardedIndex) readPartition(path string, m *manifest) error {
 			if i > 0 && src[lo+i-1] > src[lo+i] {
 				return fmt.Errorf("cut edges of shard %d not sorted by source", si)
 			}
-			p.cuts[i] = cutEdge{src: sx.local[u], dstShard: sx.home[v], dst: sx.local[v], w: w}
+			p.addCut(int(sx.local[u]), cutEdge{dstShard: sx.home[v], dst: sx.local[v], w: w})
 		}
-		p.indexCuts()
+	}
+	return nil
+}
+
+// checkCuts cross-checks a snapshot against the loaded cut lists, which
+// fillCuts derived from the graph the directory saved: fillCuts over the
+// snapshot must give them back, endpoints and weights alike.
+func (sx *ShardedIndex) checkCuts(g *graph.Graph) error {
+	re := &ShardedIndex{n: sx.n, c: sx.c, home: sx.home, local: sx.local, parts: make([]*part, len(sx.parts))}
+	for si, p := range sx.parts {
+		re.parts[si] = &part{nodes: p.nodes}
+	}
+	re.fillCuts(g, nil)
+	for si, p := range sx.parts {
+		q := re.parts[si]
+		if !slices.Equal(p.cuts, q.cuts) || !slices.Equal(p.cutRows, q.cutRows) || !slices.Equal(p.cutRowPtr, q.cutRowPtr) {
+			return fmt.Errorf("the cut edges of shard %d are not the snapshot's", si)
+		}
 	}
 	return nil
 }

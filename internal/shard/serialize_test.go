@@ -11,11 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"kdash/internal/core"
 	"kdash/internal/gen"
+	"kdash/internal/graph"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/testutil"
@@ -201,10 +203,15 @@ func withStripSection(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// asV6Generation rewrites a saved shard file as the generation before
-// shard files kept their communities: meta tag "KDIXV4" in 64 bytes,
-// and no community section.
-func asV6Generation(t *testing.T, data []byte) []byte {
+// asRetiredGeneration rewrites a saved shard file with meta tag tag and
+// the meta section's first metaBytes bytes, the current sections plus
+// the adjacency sections (4-6) the retired generations stored — one
+// without entries, a shape their loaders accepted, since the current
+// file keeps none to copy — and the community section only when
+// withCommunities: "KDIXV5" (80 bytes, communities) is the generation
+// before shard files dropped their adjacency, "KDIXV4" (64 bytes, no
+// communities) the one before they kept their communities.
+func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, withCommunities bool) []byte {
 	t.Helper()
 	f, err := mmapio.FromBytes(data)
 	if err != nil {
@@ -214,17 +221,29 @@ func asV6Generation(t *testing.T, data []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	perm, err := f.Int32s(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := mmapio.NewWriter()
-	w.AddBytes(1, append([]byte("KDIXV4\x00\x00"), meta[8:64]...))
-	for _, id := range []uint32{2, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
+	w.AddBytes(1, append([]byte(tag), meta[8:metaBytes]...))
+	w.AddInt32s(2, perm)
+	w.AddInts(4, make([]int, len(perm)+1))
+	w.AddInt32s(5, []int32{})
+	w.AddFloats(6, []float64{})
+	ids := []uint32{7, 8, 9, 10, 11, 12}
+	if withCommunities {
+		ids = append(ids, 23)
+	}
+	for _, id := range ids {
 		switch id {
-		case 2, 5, 8, 11:
+		case 8, 11, 23:
 			xs, err := f.Int32s(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			w.AddInt32s(id, xs)
-		case 4, 7, 10:
+		case 7, 10:
 			xs, err := f.Ints(id)
 			if err != nil {
 				t.Fatal(err)
@@ -247,9 +266,10 @@ func asV6Generation(t *testing.T, data []byte) []byte {
 
 // asParentGeneration rewrites a saved shard file as the generation
 // before int32 ids wrote it: meta tag "KDIXV3" with amax in its 72
-// bytes, every id section int64, and the stored inverse permutation,
-// Amax(u) and diagonal of A (sections 3, 13 and 14; the tables are left
-// zero, which that generation's loader did not check).
+// bytes, every id section int64, an adjacency without entries (see
+// asRetiredGeneration), and the stored inverse permutation, Amax(u) and
+// diagonal of A (sections 3, 13 and 14; the tables are left zero, which
+// that generation's loader did not check).
 func asParentGeneration(t *testing.T, data []byte) []byte {
 	t.Helper()
 	f, err := mmapio.FromBytes(data)
@@ -286,9 +306,9 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 	w.AddBytes(1, old)
 	w.AddInts(2, perm)
 	w.AddInts(3, inv)
-	w.AddInts(4, ints(4))
-	w.AddInts(5, wide(5))
-	w.AddFloats(6, floats(6))
+	w.AddInts(4, make([]int, len(perm)+1)) // an adjacency without entries
+	w.AddInts(5, []int{})
+	w.AddFloats(6, []float64{})
 	w.AddInts(7, ints(7))
 	w.AddInts(8, wide(8))
 	w.AddFloats(9, floats(9))
@@ -304,14 +324,61 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// asV1Snapshot rewrites a saved graph snapshot as the generation that
+// also stored the in-adjacency: meta tag "KDGRV1", sections 5-7.
+func asV1Snapshot(t *testing.T, data []byte) []byte {
+	t.Helper()
+	f, err := mmapio.FromBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err1 := f.Bytes(1)
+	ptr, err2 := f.Ints(2)
+	to, err3 := f.Int32s(3)
+	wt, err4 := f.Floats(4)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromCSR(slices.Clone(ptr), slices.Clone(to), slices.Clone(wt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPtr := []int{0}
+	var inFrom []int32
+	var inW []float64
+	for u := 0; u < g.N(); u++ {
+		g.InNeighbors(u, func(v int, w float64) {
+			inFrom = append(inFrom, int32(v))
+			inW = append(inW, w)
+		})
+		inPtr = append(inPtr, len(inFrom))
+	}
+	w := mmapio.NewWriter()
+	w.AddBytes(1, append([]byte("KDGRV1\x00\x00"), meta[8:]...))
+	w.AddInts(2, ptr)
+	w.AddInt32s(3, to)
+	w.AddFloats(4, wt)
+	w.AddInts(5, inPtr)
+	w.AddInt32s(6, inFrom)
+	w.AddFloats(7, inW)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestOldGenerationsRefused pins the one-generation rule: a v1 core
 // stream, a core container carrying a retired kind-4 section, a core
 // container of the int64-id generation, one of the "KDIXV4" generation
-// that kept no communities, and the version 4, 5 and 6 directories
-// whose shard files are those containers are each refused
-// up front with the rebuild instruction — by LoadIndex and
-// OpenIndexFile for the files, by Open both eagerly and lazily for the
-// directories — never accepted only to fail at query time.
+// that kept no communities, one of the "KDIXV5" generation that kept
+// its block adjacency, and the version 4 to 7 directories whose shard
+// files are those containers (version 7's snapshot is a "KDGRV1" one,
+// with in-adjacency) are each refused up front with the rebuild
+// instruction — by LoadIndex and OpenIndexFile for the files, by Open
+// both eagerly and lazily for the directories — never accepted only to
+// fail at query time. A current directory holding a "KDGRV1" snapshot
+// is refused the same way, by an eager open or a lazy one's first query.
 func TestOldGenerationsRefused(t *testing.T) {
 	g := testutil.Clustered(90, 3, 4)
 	built, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 4})
@@ -363,7 +430,28 @@ func TestOldGenerationsRefused(t *testing.T) {
 		return withStripSection(t, asParentGeneration(t, data))
 	})
 	v5, int64IDs := oldDir(5, asParentGeneration)
-	v6, kdixv4 := oldDir(6, asV6Generation)
+	v6, kdixv4 := oldDir(6, func(t *testing.T, data []byte) []byte {
+		return asRetiredGeneration(t, data, "KDIXV4\x00\x00", 64, false)
+	})
+	v7, kdixv5 := oldDir(7, func(t *testing.T, data []byte) []byte {
+		return asRetiredGeneration(t, data, "KDIXV5\x00\x00", 80, true)
+	})
+	oldSnapshot := func(dir string) {
+		path := filepath.Join(dir, graphFileName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, asV1Snapshot(t, data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldSnapshot(v7)
+	kdgrv1 := filepath.Join(t.TempDir(), "kdgrv1")
+	if err := built.Save(kdgrv1); err != nil {
+		t.Fatal(err)
+	}
+	oldSnapshot(kdgrv1)
 	// The opening fields of a v1 stream: magic, version, n, c.
 	v1 := []byte("KDASHIX\x01")
 	v1 = binary.LittleEndian.AppendUint64(v1, 30)
@@ -391,6 +479,20 @@ func TestOldGenerationsRefused(t *testing.T) {
 	openDir := func(dir string, opt LoadOptions) func() (closer, error) {
 		return func() (closer, error) { return Open(dir, opt) }
 	}
+	// queryDir opens lazily and ranks once, which opens the snapshot.
+	queryDir := func(dir string) func() (closer, error) {
+		return func() (closer, error) {
+			sx, err := Open(dir, LoadOptions{Lazy: true})
+			if err != nil {
+				return nil, err
+			}
+			if _, _, err := sx.TopK(0, 3); err != nil {
+				sx.Close()
+				return nil, err
+			}
+			return sx, nil
+		}
+	}
 	cases := []struct {
 		name string
 		open func() (closer, error)
@@ -409,6 +511,12 @@ func TestOldGenerationsRefused(t *testing.T) {
 		{"no communities/OpenIndexFile copy", openFile(filepath.Join(v6, "shard-0000.idx"))},
 		{"v6 directory/eager", openDir(v6, LoadOptions{})},
 		{"v6 directory/lazy", openDir(v6, LoadOptions{Lazy: true})},
+		{"block adjacency/LoadIndex", loadBytes(kdixv5)},
+		{"block adjacency/OpenIndexFile copy", openFile(filepath.Join(v7, "shard-0000.idx"))},
+		{"v7 directory/eager", openDir(v7, LoadOptions{})},
+		{"v7 directory/lazy", openDir(v7, LoadOptions{Lazy: true})},
+		{"in-adjacency snapshot/eager", openDir(kdgrv1, LoadOptions{})},
+		{"in-adjacency snapshot/lazy query", queryDir(kdgrv1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

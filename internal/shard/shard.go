@@ -105,16 +105,16 @@ type BuildStats struct {
 // cutEdge is one directed edge leaving a shard, with its transition
 // probability pre-scaled by (1-c) — exactly the coefficient the push
 // multiplies solved mass by when propagating to the destination shard.
+// Its source is the cut row whose span lists it (part.cutRowPtr).
 type cutEdge struct {
-	src      int // local id in the source shard
-	dstShard int
-	dst      int     // local id in the destination shard
+	dstShard int32
+	dst      int32   // local id in the destination shard
 	w        float64 // (1-c) * A[dst, src] under the global normalisation
 }
 
 // part is one shard: the nodes it owns, its K-dash index over the induced
 // subgraph (+ ghost sink when the shard has outgoing cut weight), and its
-// outgoing cut edges grouped by source node.
+// outgoing cut edges grouped by source node, indexed by cut row.
 //
 // The index itself may be deferred: a lazily opened directory (see
 // LoadOptions.Lazy) leaves ix nil and sets lazy, so the shard file is
@@ -122,14 +122,14 @@ type cutEdge struct {
 // index through index() (or tryIndex for observability paths that must
 // not force an open), never the field.
 type part struct {
-	nodes   []int // local -> global id
-	ix      *core.Index
-	lazy    *lazyIndex // non-nil: the index opens on first use
-	sink    bool       // index has one extra sink node appended
-	cuts    []cutEdge  // sorted by src
-	cutPtr  []int      // cuts of local node v are cuts[cutPtr[v]:cutPtr[v+1]]
-	cutRows []int      // local nodes owning cut edges, ascending
-	nnzHint int        // the manifest's per-shard nnz, so stats need no open
+	nodes     []int32 // local -> global id
+	ix        *core.Index
+	lazy      *lazyIndex // non-nil: the index opens on first use
+	sink      bool       // index has one extra sink node appended
+	cuts      []cutEdge  // sorted by source
+	cutRows   []int      // local nodes owning cut edges, ascending
+	cutRowPtr []int      // the cuts of cutRows[k] are cuts[cutRowPtr[k]:cutRowPtr[k+1]]
+	nnzHint   int        // the manifest's per-shard nnz, so stats need no open
 
 	// communities, set by Apply before a rebuild, is the previous
 	// epoch's Louvain result for the block (its index keeps the one its
@@ -220,7 +220,7 @@ func (p *part) nnzInverse() int {
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
 // shared by pointer) and cut lists carry over.
 func (p *part) share() *part {
-	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutPtr: p.cutPtr, cutRows: p.cutRows}
+	return &part{nodes: p.nodes, ix: p.ix, lazy: p.lazy, sink: p.sink, nnzHint: p.nnzHint, cuts: p.cuts, cutRows: p.cutRows, cutRowPtr: p.cutRowPtr}
 }
 
 // cutRowsUpper returns the packed U^{-1} rows of the cut rows of the
@@ -230,21 +230,23 @@ func (p *part) cutRowsUpper(ix *core.Index) *lu.UpperRows {
 	return p.cutUpper
 }
 
-// indexCuts derives the per-source pointers and the cut-owning rows from
-// the cut list (sorted by source).
-func (p *part) indexCuts() {
-	p.cutPtr = make([]int, len(p.nodes)+1)
-	p.cutRows = nil
-	for _, e := range p.cuts {
-		if p.cutPtr[e.src+1] == 0 {
-			p.cutRows = append(p.cutRows, e.src)
-		}
-		p.cutPtr[e.src+1]++
+// addCut appends a cut edge out of local row src, which must not
+// precede the last cut's source, to a cut list whose cutRowPtr starts
+// as [0].
+func (p *part) addCut(src int, e cutEdge) {
+	p.cuts = append(p.cuts, e)
+	if k := len(p.cutRows); k > 0 && p.cutRows[k-1] == src {
+		p.cutRowPtr[k]++
+		return
 	}
-	for v := 0; v < len(p.nodes); v++ {
-		p.cutPtr[v+1] += p.cutPtr[v]
-	}
+	p.cutRows = append(p.cutRows, src)
+	p.cutRowPtr = append(p.cutRowPtr, len(p.cuts))
 }
+
+// rowCuts returns the cut edges of the k-th cut row.
+//
+//kdash:noalloc
+func (p *part) rowCuts(k int) []cutEdge { return p.cuts[p.cutRowPtr[k]:p.cutRowPtr[k+1]] }
 
 // ShardedIndex is a partitioned K-dash index. Like core.Index it is
 // immutable after construction and safe for concurrent queries; dynamic
@@ -254,8 +256,8 @@ type ShardedIndex struct {
 	n     int
 	c     float64
 	qtol  float64
-	home  []int // global node -> shard
-	local []int // global node -> local id within its shard
+	home  []int32 // global node -> shard
+	local []int32 // global node -> local id within its shard
 	parts []*part
 	stats BuildStats
 
@@ -416,7 +418,7 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 
 	start := time.Now()
 	var (
-		home        []int
+		home        []int32
 		communities int
 		modularity  float64
 	)
@@ -442,7 +444,10 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 				return nil, fmt.Errorf("shard: assignment leaves shard %d of %d empty", si, s)
 			}
 		}
-		home = append([]int(nil), opt.Assignment...)
+		home = make([]int32, n)
+		for u, si := range opt.Assignment {
+			home[u] = int32(si)
+		}
 	} else {
 		home, communities, modularity = partition(g, s, opt.Seed)
 	}
@@ -457,7 +462,6 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		c:              c,
 		qtol:           qtol,
 		home:           home,
-		local:          make([]int, n),
 		parts:          make([]*part, s),
 		method:         opt.Reorder,
 		seed:           opt.Seed,
@@ -466,14 +470,14 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		staleness:      make([]int, s),
 	}
 	sx.setGraph(g)
+	sizes := make([]int, s)
+	for _, si := range home {
+		sizes[si]++
+	}
 	for i := range sx.parts {
 		sx.parts[i] = &part{}
 	}
-	for u := 0; u < n; u++ {
-		p := sx.parts[home[u]]
-		sx.local[u] = len(p.nodes)
-		p.nodes = append(p.nodes, u)
-	}
+	sx.local = sx.placeNodes(sizes, nil)
 
 	cutEdges, cutW, totalW := sx.fillCuts(g, nil)
 
@@ -482,16 +486,14 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		all[si] = si
 	}
 	tBuild := time.Now()
-	cpu, err := sx.buildParts(g, all, nil, opt.Workers)
+	cpu, err := sx.buildParts(g, all, nil, nil, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	buildTime := time.Since(tBuild)
 
 	nnz := 0
-	sizes := make([]int, s)
-	for i, p := range sx.parts {
-		sizes[i] = len(p.nodes)
+	for _, p := range sx.parts {
 		nnz += p.ix.Stats().NNZInverse
 	}
 	frac := 0.0
@@ -513,6 +515,28 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 	return sx, nil
 }
 
+// placeNodes refills the node lists of the parts rebuild marks (nil:
+// all), sized by sizes, by the ascending-global-id rule, and returns the
+// local ids: from the rule there, from sx.local elsewhere.
+func (sx *ShardedIndex) placeNodes(sizes []int, rebuild []bool) []int32 {
+	local := make([]int32, len(sx.home))
+	for si, p := range sx.parts {
+		if rebuild == nil || rebuild[si] {
+			p.nodes = make([]int32, 0, sizes[si])
+		}
+	}
+	for u, si := range sx.home {
+		if rebuild == nil || rebuild[si] {
+			p := sx.parts[si]
+			local[u] = int32(len(p.nodes))
+			p.nodes = append(p.nodes, int32(u))
+		} else {
+			local[u] = sx.local[u]
+		}
+	}
+	return local
+}
+
 // buildParts builds the given shards' indexes across a worker pool and
 // reports the summed per-shard CPU time. With several shards in flight
 // the pool supplies the parallelism, so each individual build inverts
@@ -521,8 +545,9 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 // Apply (the dirty set) share this path, which is what keeps an
 // incrementally rebuilt block bit-identical to a from-scratch one:
 // prev[si], when prev is non-nil, is shard si's part of the previous
-// epoch, or nil, and is only ever a source of columns to copy.
-func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, prev []*part, workers int) (cpu time.Duration, err error) {
+// epoch, or nil, and is only ever a source of columns to copy; prevG is
+// the previous epoch's graph, which its block was built over.
+func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, prev []*part, prevG *graph.Graph, workers int) (cpu time.Duration, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -547,7 +572,7 @@ func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, prev []*part, w
 			if prev != nil {
 				old = prev[si]
 			}
-			err := sx.buildPart(g, si, old, sx.method, sx.seed+int64(si), innerWorkers)
+			err := sx.buildPart(g, si, old, prevG, sx.method, sx.seed+int64(si), innerWorkers)
 			mu.Lock()
 			cpu += time.Since(t0)
 			if err != nil && firstErr == nil {
@@ -565,9 +590,9 @@ func (sx *ShardedIndex) buildParts(g *graph.Graph, shards []int, prev []*part, w
 // communities land intact in one shard and chunk boundaries cut few
 // edges. Returns the assignment plus the community count and modularity
 // for the build stats.
-func partition(g *graph.Graph, s int, seed int64) (home []int, communities int, modularity float64) {
+func partition(g *graph.Graph, s int, seed int64) (home []int32, communities int, modularity float64) {
 	n := g.N()
-	home = make([]int, n)
+	home = make([]int32, n)
 	if s == 1 {
 		return home, 1, 0
 	}
@@ -591,7 +616,7 @@ func partition(g *graph.Graph, s int, seed int64) (home []int, communities int, 
 			size++
 		}
 		for j := 0; j < size; j++ {
-			home[order[at]] = si
+			home[order[at]] = int32(si)
 			at++
 		}
 	}
@@ -603,12 +628,13 @@ func partition(g *graph.Graph, s int, seed int64) (home []int, communities int, 
 // shard — and reports global cut statistics, which are always re-summed
 // from the graph. Parts outside the mask are never written, so the
 // update path can hand shared (old-epoch) part structs to the new index
-// and patch only the shards whose cuts actually changed.
+// and patch only the shards whose cuts actually changed. Nodes are
+// walked in ascending order, so each list comes out sorted by source.
 func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cutW, totalW float64) {
-	patched := func(si int) bool { return mask == nil || mask[si] }
+	patched := func(si int32) bool { return mask == nil || mask[si] }
 	for si, p := range sx.parts {
-		if patched(si) {
-			p.cuts = nil
+		if patched(int32(si)) {
+			p.cuts, p.cutRows, p.cutRowPtr = nil, nil, []int{0}
 		}
 	}
 	for v := 0; v < sx.n; v++ {
@@ -620,9 +646,7 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 				cutEdges++
 				cutW += w
 				if patched(sv) {
-					p := sx.parts[sv]
-					p.cuts = append(p.cuts, cutEdge{
-						src:      sx.local[v],
+					sx.parts[sv].addCut(int(sx.local[v]), cutEdge{
 						dstShard: sx.home[u],
 						dst:      sx.local[u],
 						w:        (1 - sx.c) * w / out,
@@ -631,39 +655,70 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 			}
 		})
 	}
-	for si, p := range sx.parts {
-		if !patched(si) {
-			continue
-		}
-		sort.SliceStable(p.cuts, func(a, b int) bool { return p.cuts[a].src < p.cuts[b].src })
-		p.indexCuts()
-	}
 	return cutEdges, cutW, totalW
 }
 
-// buildPart constructs shard si's graph and K-dash index. The shard graph
-// is the induced subgraph plus, when the shard has outgoing cut weight, a
-// ghost sink absorbing it — so every column keeps its *global*
-// normalisation and the factorized matrix is exactly the diagonal block
-// of W = I - (1-c)A restricted to the shard. The block is ordered by its
-// owned subgraph and its cut-owning nodes (reorder.ComputeBlock), from
-// the part's cached communities when the caller left them in place. old,
-// when non-nil, is the shard's part of the previous epoch, over the same
-// node list: its index, if open, lends the rebuild every inverse column
-// the changed columns do not reach.
-func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reorder.Method, seed int64, workers int) error {
+// buildPart constructs shard si's graph and K-dash index, after its cut
+// list. The shard graph is the induced subgraph plus, when the shard
+// has outgoing cut weight, a ghost sink absorbing it — so every column
+// keeps its *global* normalisation and the factorized matrix is exactly
+// the diagonal block of W = I - (1-c)A restricted to the shard. The
+// block is ordered by its owned subgraph and its cut-owning nodes
+// (reorder.ComputeBlock), from the part's cached communities when the
+// caller left them in place. old, when non-nil, is the shard's part of
+// the previous epoch (graph prevG), over the same node list: its index,
+// if open, lends the rebuild every inverse column the changed columns
+// do not reach.
+func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, prevG *graph.Graph, method reorder.Method, seed int64, workers int) error {
+	p := sx.parts[si]
+	p.sink = len(p.cuts) > 0 // edge weights are positive: a cut edge leaks
+	if sx.factorless {
+		// Coordinator-side index: the placement map, cut lists and sink
+		// flags are all the local push bookkeeping needs — the factor
+		// solves run on workers, so the refactorization is skipped and
+		// p.ix stays nil.
+		return nil
+	}
+	sg, cut, err := sx.blockGraph(g, si)
+	var prev *core.Index
+	var prevSG *graph.Graph // the block graph prev was built over
+	if old != nil && err == nil {
+		if prev = old.tryIndex(); prev != nil {
+			prevSG, _, err = sx.blockGraph(prevG, si)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	ix, _, err := core.BuildBlock(sg, core.BuildOptions{
+		Restart: sx.c,
+		Reorder: method,
+		Seed:    seed,
+		Workers: workers,
+	}, reorder.Block{Owned: len(p.nodes), Cut: cut, Communities: p.communities}, prev, prevSG)
+	if err != nil {
+		return err
+	}
+	p.communities = nil // the index keeps the result its ordering used
+	p.ix = ix
+	return nil
+}
+
+// blockGraph assembles shard si's graph from g — over the previous
+// epoch's graph and an unchanged node list, the one that epoch built.
+// One pass sizes the rows — the in-shard edges, plus an edge to the sink
+// from every node that leaks (cut) — and sums the leaks; the next fills
+// the rows, already in order (local ids ascend with global ids, and the
+// sink is last).
+func (sx *ShardedIndex) blockGraph(g *graph.Graph, si int) (*graph.Graph, []bool, error) {
 	p := sx.parts[si]
 	ns := len(p.nodes)
-	// One pass sizes the shard graph's rows — the in-shard edges, plus
-	// an edge to the sink from every node that leaks — and sums the
-	// leaks; the next fills the rows, already in order (local ids ascend
-	// with global ids, and the sink is last).
 	leak := make([]float64, ns)
 	ptr := make([]int, ns+2) // room for the sink's empty row
 	hasLeak := false
 	for lv, v := range p.nodes {
-		g.OutNeighbors(v, func(u int, w float64) {
-			if sx.home[u] != si {
+		g.OutNeighbors(int(v), func(u int, w float64) {
+			if int(sx.home[u]) != si {
 				leak[lv] += w
 				hasLeak = true
 			} else {
@@ -673,14 +728,6 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 		if leak[lv] > 0 {
 			ptr[lv+1]++
 		}
-	}
-	if sx.factorless {
-		// Coordinator-side index: the placement map, cut lists and sink
-		// flags are all the local push bookkeeping needs — the factor
-		// solves run on workers, so the refactorization is skipped and
-		// p.ix stays nil.
-		p.sink = hasLeak
-		return nil
 	}
 	total := ns
 	if hasLeak {
@@ -695,9 +742,9 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 	cut := make([]bool, ns)
 	for lv, v := range p.nodes {
 		at := ptr[lv]
-		g.OutNeighbors(v, func(u int, w float64) {
-			if sx.home[u] == si {
-				to[at], wt[at] = int32(sx.local[u]), w
+		g.OutNeighbors(int(v), func(u int, w float64) {
+			if int(sx.home[u]) == si {
+				to[at], wt[at] = sx.local[u], w
 				at++
 			}
 		})
@@ -707,26 +754,7 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, method reor
 		}
 	}
 	sg, err := graph.FromCSR(ptr, to, wt)
-	if err != nil {
-		return err
-	}
-	var prev *core.Index
-	if old != nil {
-		prev = old.tryIndex()
-	}
-	ix, _, err := core.BuildBlock(sg, core.BuildOptions{
-		Restart: sx.c,
-		Reorder: method,
-		Seed:    seed,
-		Workers: workers,
-	}, reorder.Block{Owned: ns, Cut: cut, Communities: p.communities}, prev)
-	if err != nil {
-		return err
-	}
-	p.communities = nil // the index keeps the result its ordering used
-	p.ix = ix
-	p.sink = hasLeak
-	return nil
+	return sg, cut, err
 }
 
 // N reports the number of indexed nodes.
@@ -739,7 +767,7 @@ func (sx *ShardedIndex) Restart() float64 { return sx.c }
 func (sx *ShardedIndex) Shards() int { return len(sx.parts) }
 
 // HomeShard reports which shard owns node u.
-func (sx *ShardedIndex) HomeShard(u int) int { return sx.home[u] }
+func (sx *ShardedIndex) HomeShard(u int) int { return int(sx.home[u]) }
 
 // Stats reports the partition-parallel build statistics.
 func (sx *ShardedIndex) Stats() BuildStats { return sx.stats }

@@ -40,8 +40,10 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kdash/internal/core"
@@ -151,12 +153,12 @@ func newPushState(sx *ShardedIndex) *pushState {
 }
 
 // residual is one shard's residual right-hand side over its partLen
-// rows, with the touched entries listed in sup. Clean (all zero, sup
-// empty) whenever it sits in its part's pool.
+// rows, with the touched entries listed in sup (zero off sup, so a zero
+// entry marks a first touch; consumeResidual's zero skip tolerates a row
+// listed twice). Clean whenever it sits in its part's pool.
 type residual struct {
-	val  []float64
-	mark []bool
-	sup  []int
+	val []float64
+	sup []int
 }
 
 // freeList is a part's pool of one kind of query scratch: a
@@ -200,7 +202,7 @@ func (p *part) getResidual(n int) *residual {
 	if r, ok := p.resPool.get(); ok {
 		return r
 	}
-	return &residual{val: make([]float64, n), mark: make([]bool, n)} //kdash:allow(hotalloc) a pool miss sizes one residual per part
+	return countScratch(&residual{val: make([]float64, n)}, 8*n) //kdash:allow(hotalloc) a pool miss sizes one residual per part
 }
 
 // putResidual spot-cleans the touched entries and returns r to the
@@ -210,7 +212,6 @@ func (p *part) getResidual(n int) *residual {
 func (p *part) putResidual(r *residual) {
 	for _, lv := range r.sup {
 		r.val[lv] = 0
-		r.mark[lv] = false
 	}
 	r.sup = r.sup[:0]
 	p.resPool.put(r)
@@ -225,7 +226,22 @@ func (p *part) getWorkspace(ix *core.Index) *lu.Workspace {
 	if w, ok := p.wsPool.get(); ok {
 		return w
 	}
-	return ix.NewWorkspace() //kdash:allow(hotalloc) a pool miss sizes one workspace per part
+	return countScratch(ix.NewWorkspace(), 8*ix.N()) //kdash:allow(hotalloc) a pool miss sizes one workspace per part
+}
+
+// queryScratch is QueryScratchBytes' account.
+var queryScratch atomic.Int64
+
+// QueryScratchBytes reports the bytes of the L^{-1} workspaces and
+// residual vectors the shards' pools hold, until freed with their part.
+func QueryScratchBytes() int64 { return queryScratch.Load() }
+
+// countScratch counts n bytes of the pool-miss allocation x into
+// queryScratch until x is collected.
+func countScratch[T any](x *T, n int) *T {
+	queryScratch.Add(int64(n))
+	runtime.AddCleanup(x, func(n int64) { queryScratch.Add(-n) }, int64(n))
+	return x
 }
 
 // putWorkspace resets w and returns it to the part's pool.
@@ -259,7 +275,7 @@ func (sx *ShardedIndex) putPushState(st *pushState) {
 //
 //kdash:noalloc
 func (st *pushState) seed(g int, m float64) {
-	st.addRes(st.sx.home[g], st.sx.local[g], m)
+	st.addRes(int(st.sx.home[g]), int(st.sx.local[g]), m)
 	st.initial += m
 }
 
@@ -273,8 +289,7 @@ func (st *pushState) addRes(si, lv int, m float64) {
 		r = st.sx.parts[si].getResidual(st.sx.partLen(si))
 		st.res[si] = r
 	}
-	if !r.mark[lv] {
-		r.mark[lv] = true
+	if r.val[lv] == 0 {
 		r.sup = append(r.sup, lv)
 	}
 	r.val[lv] += m
@@ -394,7 +409,6 @@ func (st *pushState) consumeResidual(best int) ([]int, []float64) {
 			val = append(val, v)
 		}
 		r.val[lv] = 0
-		r.mark[lv] = false
 	}
 	st.rhsIdx, st.rhsVal = idx, val
 	r.sup = r.sup[:0]
@@ -459,13 +473,13 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
 	}
 	cutUpper := p.cutRowsUpper(ss.ix)
-	for k, lv := range p.cutRows {
+	for k := range p.cutRows {
 		yv := cutUpper.Dot(k, w.W)
 		if yv == 0 {
 			continue
 		}
-		for _, e := range p.cuts[p.cutPtr[lv]:p.cutPtr[lv+1]] {
-			st.addRes(e.dstShard, e.dst, e.w*yv)
+		for _, e := range p.rowCuts(k) {
+			st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
 		}
 	}
 	return nil
@@ -500,14 +514,18 @@ func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []flo
 	if err != nil {
 		return 0, err
 	}
+	k := 0 // cursor into the cut rows, which ss.rows lists in order
 	for i, lv := range ss.rows {
-		yv := out[i]
-		if yv == 0 {
-			continue
+		var cuts []cutEdge
+		if k < len(p.cutRows) && p.cutRows[k] == lv {
+			cuts = p.rowCuts(k)
+			k++
 		}
-		ss.x[lv] += yv
-		for _, e := range p.cuts[p.cutPtr[lv]:p.cutPtr[lv+1]] {
-			st.addRes(e.dstShard, e.dst, e.w*yv)
+		if yv := out[i]; yv != 0 {
+			ss.x[lv] += yv
+			for _, e := range cuts {
+				st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
+			}
 		}
 	}
 	return workerNS, nil
@@ -522,8 +540,8 @@ func (st *pushState) pushRows(si int, ss *shardSolves) {
 	sx := st.sx
 	pre := st.rowBuf[:0]
 	for _, g := range st.prefix {
-		if sx.home[g] == si {
-			pre = append(pre, sx.local[g])
+		if int(sx.home[g]) == si {
+			pre = append(pre, int(sx.local[g]))
 		}
 	}
 	sort.Ints(pre)
@@ -609,7 +627,7 @@ func (st *pushState) widenPrefix() bool {
 //kdash:noalloc
 //kdash:deterministic
 func (st *pushState) score(g int) float64 {
-	si, lv := st.sx.home[g], st.sx.local[g]
+	si, lv := st.sx.home[g], int(st.sx.local[g])
 	ss := &st.solves[si]
 	if ss.nremote > 0 && !ss.known[lv] {
 		if st.err != nil {
@@ -643,7 +661,7 @@ func (st *pushState) fetch(g int) {
 		}
 		rows := st.rowBuf[:0]
 		for _, v := range st.prefix[from:] {
-			if lv := sx.local[v]; sx.home[v] == si && !ss.known[lv] {
+			if lv := int(sx.local[v]); int(sx.home[v]) == si && !ss.known[lv] {
 				rows = append(rows, lv)
 			}
 		}

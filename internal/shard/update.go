@@ -114,7 +114,11 @@ func (sx *ShardedIndex) WALSeq() uint64 { return sx.walSeq }
 // Build via Options.Assignment on the updated graph reproduces this
 // index bit-for-bit — the oracle the differential tests rebuild.
 func (sx *ShardedIndex) Assignment() []int {
-	return append([]int(nil), sx.home...)
+	out := make([]int, len(sx.home))
+	for u, si := range sx.home {
+		out[u] = int(si)
+	}
+	return out
 }
 
 // Apply returns a successor index with the batch absorbed, leaving the
@@ -126,15 +130,13 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	if err := sx.ensureGraph(); err != nil {
 		return nil, us, fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
-	// graph.Apply splices the touched out- and in-rows into a copy of
-	// the CSR arrays, and GraphBounds reads the successor's search
-	// tables straight from its out-rows: 3.5 ms of a 47 ms two-edge
-	// apply on the bench graph (50k nodes, 147k edges; 2-core Xeon,
-	// BenchmarkShardedApplyTwoEdge). Its result is array for
-	// array what graph.Builder makes of the updated edge set, so the
-	// snapshot is indistinguishable from a freshly built graph — the
-	// foundation of the bit-identity contract. No query ever builds the
-	// tables.
+	// graph.Apply splices the touched out-rows into a copy of the CSR
+	// arrays, and GraphBounds reads the successor's search tables
+	// straight from them: 2.3 ms of a 41 ms two-edge apply on the bench
+	// graph (50k nodes, 147k edges; 2-core Xeon,
+	// BenchmarkShardedApplyTwoEdge). Its result is array for array what
+	// graph.Builder makes of the updated edge set — the foundation of the
+	// bit-identity contract. No query ever builds the tables.
 	t0 := time.Now()
 	newG, err := sx.g.Apply(batch)
 	if err != nil {
@@ -153,7 +155,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 	// parent's assignment until a re-partition writes it.
 	home2 := sx.home
 	if n2 > sx.n {
-		home2 = make([]int, n2)
+		home2 = make([]int32, n2)
 		copy(home2, sx.home)
 	}
 	staleness2 := append([]int(nil), sx.staleness...)
@@ -168,7 +170,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 				best = si
 			}
 		}
-		home2[u] = best
+		home2[u] = int32(best)
 		sizes[best]++
 		staleness2[best]++
 	}
@@ -265,17 +267,11 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 			}
 		}
 	} else {
-		sx2.local = make([]int, n2)
-		for u := 0; u < n2; u++ {
-			si := home2[u]
-			if rebuild[si] {
-				p := sx2.parts[si]
-				sx2.local[u] = len(p.nodes)
-				p.nodes = append(p.nodes, u)
-			} else {
-				sx2.local[u] = sx.local[u]
-			}
+		clear(sizes)
+		for _, si := range home2 {
+			sizes[si]++
 		}
+		sx2.local = sx2.placeNodes(sizes, rebuild)
 	}
 	for si := 0; si < s; si++ {
 		if len(sx2.parts[si].nodes) == 0 {
@@ -286,12 +282,22 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		}
 	}
 
+	// Patch the cut lists of every shard whose outgoing cuts changed and
+	// refresh the global cut statistics.
+	cutEdges, cutW, totalW := sx2.fillCuts(newG, cutMask)
+	for _, m := range cutMask {
+		if m {
+			us.CutsPatched++
+		}
+	}
+
 	// Refactorize the dirty blocks through the same worker-pool path a
 	// from-scratch Build runs (buildParts), which is what keeps the
 	// successor bit-identical to a pinned-assignment rebuild. A dirty
 	// shard over the same node list rebuilds from its previous part:
 	// its communities too, when no op fell inside it, and its inverse
-	// columns the changed ones do not reach.
+	// columns the changed ones do not reach, which it finds by re-forming
+	// the previous block's A from this epoch's parent graph.
 	dirty := make([]int, 0, s)
 	prev := make([]*part, s)
 	for si := 0; si < s; si++ {
@@ -315,7 +321,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		}
 	}
 	tBuild := time.Now()
-	cpu, err := sx2.buildParts(newG, dirty, prev, sx.workers)
+	cpu, err := sx2.buildParts(newG, dirty, prev, sx.g, sx.workers)
 	if err != nil {
 		return nil, us, err
 	}
@@ -331,15 +337,6 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 			us.InvertTime += st.InvertTime
 			us.ColumnsReused += st.ColumnsReused
 			us.ColumnsSolved += st.ColumnsSolved
-		}
-	}
-
-	// Patch the cut lists of every shard whose outgoing cuts changed and
-	// refresh the global cut statistics.
-	cutEdges, cutW, totalW := sx2.fillCuts(newG, cutMask)
-	for _, m := range cutMask {
-		if m {
-			us.CutsPatched++
 		}
 	}
 
@@ -378,7 +375,10 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 // directions; ties keep the node where it is), mutating home in place
 // and returning the deduplicated destination shards. The shard is
 // never emptied: the node with the largest in-shard attachment stays.
-func repartitionLocal(g *graph.Graph, home []int, si, s int) []int {
+func repartitionLocal(g *graph.Graph, home []int32, si, s int) []int {
+	// A view of g's out-rows, whose in-rows die with it: g keeps none.
+	ptr, to := g.OutCSR()
+	g, _ = graph.FromCSR(ptr, to, g.OutWeights())
 	type move struct {
 		node, dst int
 	}
@@ -387,7 +387,7 @@ func repartitionLocal(g *graph.Graph, home []int, si, s int) []int {
 	attach := make([]float64, s)
 	bestKeep, bestKeepAttach := -1, -1.0
 	for u := 0; u < len(home); u++ {
-		if home[u] != si {
+		if int(home[u]) != si {
 			continue
 		}
 		for i := range attach {
@@ -431,7 +431,7 @@ func repartitionLocal(g *graph.Graph, home []int, si, s int) []int {
 	seen := make([]bool, s)
 	var dsts []int
 	for _, m := range moves {
-		home[m.node] = m.dst
+		home[m.node] = int32(m.dst)
 		if !seen[m.dst] {
 			seen[m.dst] = true
 			dsts = append(dsts, m.dst)
