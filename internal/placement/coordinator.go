@@ -333,10 +333,6 @@ func (co *Coordinator) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Re
 // Proximity implements shard.Engine.
 func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proximity(q, u) }
 
-// ProximityVector computes q's full proximity vector through the
-// distributed push.
-func (co *Coordinator) ProximityVector(q int) ([]float64, error) { return co.sx.ProximityVector(q) }
-
 // Statz adds the cluster block to the index's own document: per-worker
 // call counts and latency, failed calls and replay rounds, plus the
 // update chain's base and length.

@@ -355,7 +355,7 @@ func TestAssign(t *testing.T) {
 
 // TestCoordinatorEngineSurface covers the shard.Engine surface a
 // coordinator exposes beyond the push-routing paths the differential
-// test drives: the factorless passthroughs (Search, ProximityVector),
+// test drives: the factorless passthroughs (Search, Proximity),
 // the metadata accessors the HTTP tier reads, the Statz cluster block
 // and the refused WAL snapshot — every answer checked bit-for-bit
 // against an in-process index from the same directory.
@@ -407,15 +407,14 @@ func TestCoordinatorEngineSurface(t *testing.T) {
 	sameResults(t, "Search results", gotS, wantS)
 	sameResults(t, "Search stats", gss, wss)
 
-	gotV, err := co.ProximityVector(q)
-	if err != nil {
-		t.Fatal(err)
+	// Each pair's proximity is the score the in-process rank gave it.
+	for _, r := range wantS {
+		p, err := co.Proximity(q, r.Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("Proximity(%d,%d)", q, r.Node), p, r.Score)
 	}
-	wantV, err := oracle.ProximityVector(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "ProximityVector", gotV, wantV)
 
 	cluster := co.Statz().Cluster
 	if cluster == nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -67,7 +66,7 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		h.badRequest(w, "bad JSON: %v", err)
 		return
 	}

@@ -268,3 +268,43 @@ func TestActualResultCount(t *testing.T) {
 		t.Errorf("requestedK = %d, want 5", resp.RequestedK)
 	}
 }
+
+// TestPostBodyCap posts each POST endpoint a valid request led by
+// whitespace to exactly maxPostBody bytes, which it serves, and to one
+// byte more, which it refuses with a 400 counted in badRequest — the
+// decoder must read past the cap to reach the value.
+func TestPostBodyCap(t *testing.T) {
+	h := updatableHandler(t)
+	badRequests := func() int64 {
+		rec, _ := get(t, h, "/statz")
+		var resp struct {
+			Queries struct {
+				BadRequest int64 `json:"badRequest"`
+			} `json:"queries"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Queries.BadRequest
+	}
+	for _, c := range []struct{ url, body string }{
+		{"/topk/batch", `{"queries":[{"q":1,"k":3}]}`},
+		{"/personalized", `{"seeds":{"3":1},"k":3}`},
+		{"/update", `{"addEdges":[{"from":3,"to":100}]}`},
+	} {
+		for _, size := range []int{maxPostBody, maxPostBody + 1} {
+			before := badRequests()
+			rec := post(t, h, c.url, strings.Repeat(" ", size-len(c.body))+c.body)
+			want, counted := http.StatusOK, int64(0)
+			if size > maxPostBody {
+				want, counted = http.StatusBadRequest, 1
+			}
+			if rec.Code != want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d (%.200s)", c.url, size, rec.Code, want, rec.Body.String())
+			}
+			if got := badRequests() - before; got != counted {
+				t.Errorf("%s with a %d-byte body: badRequest rose by %d, want %d", c.url, size, got, counted)
+			}
+		}
+	}
+}

@@ -302,6 +302,19 @@ func (h *Handler) countWork(stats core.SearchStats) {
 	}
 }
 
+// maxPostBody caps every POST body the server reads (/update,
+// /topk/batch, /personalized): it comfortably fits MaxEdgeOps JSON edge
+// ops (~64 bytes each) plus slack, and a DefaultMaxBatch batch many
+// times over.
+const maxPostBody = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxPostBody
+// bytes: an over-cap body is a decode error, which the caller answers
+// with badRequest.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPostBody)).Decode(v)
+}
+
 // badRequest reports a client-side input problem (HTTP 400).
 func (h *Handler) badRequest(w http.ResponseWriter, format string, args ...interface{}) {
 	h.qBadRequest.Add(1)
@@ -483,7 +496,7 @@ func (h *Handler) personalized(w http.ResponseWriter, r *http.Request, _ url.Val
 		return
 	}
 	var req personalizedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		h.badRequest(w, "bad JSON: %v", err)
 		return
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -166,6 +167,8 @@ func TestPersonalizedValidation(t *testing.T) {
 	}
 }
 
+// TestProximityEndpoint checks /proximity against the engine and, on a
+// multi-shard engine, against the scores /topk ranks with.
 func TestProximityEndpoint(t *testing.T) {
 	h, ix := testHandler(t)
 	g := 7
@@ -190,6 +193,36 @@ func TestProximityEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("missing u: status %d", rec.Code)
 	}
+
+	// On a four-shard engine /proximity answers the very bits /topk
+	// ranks each node with, and still does after an /update.
+	hs := updatableHandler(t)
+	samePairs := func(stage string) {
+		for q := 0; q < 120; q += 6 {
+			rec, _ := get(t, hs, fmt.Sprintf("/topk?q=%d&k=10", q))
+			var top itemJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: /topk?q=%d: %d %v", stage, q, rec.Code, err)
+			}
+			for _, r := range top.Results {
+				rec, _ := get(t, hs, fmt.Sprintf("/proximity?q=%d&u=%d", q, r.Node))
+				var resp struct {
+					Proximity float64 `json:"proximity"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+					t.Fatalf("%s: /proximity?q=%d&u=%d: %d %v", stage, q, r.Node, rec.Code, err)
+				}
+				if math.Float64bits(resp.Proximity) != math.Float64bits(r.Score) {
+					t.Errorf("%s: /proximity?q=%d&u=%d = %v, /topk scored %v", stage, q, r.Node, resp.Proximity, r.Score)
+				}
+			}
+		}
+	}
+	samePairs("before update")
+	if rec := post(t, hs, "/update", `{"addEdges":[{"from":3,"to":100},{"from":61,"to":7}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("update: %d %s", rec.Code, rec.Body.String())
+	}
+	samePairs("after update")
 }
 
 func TestHealthEndpoint(t *testing.T) {

@@ -27,14 +27,10 @@ import (
 const MaxAddNodes = 65536
 
 // MaxEdgeOps bounds addEdges + removeEdges per /update request, and
-// maxUpdateBody caps the request body read at all — together they keep
+// maxPostBody caps the request body read at all — together they keep
 // one request from exhausting memory or monopolising the single-writer
 // update lock with a multi-second apply.
 const MaxEdgeOps = 65536
-
-// maxUpdateBody comfortably fits MaxEdgeOps JSON edge ops (~64 bytes
-// each) plus slack.
-const maxUpdateBody = 8 << 20
 
 // edgeJSON is one edge op on the wire; Weight is ignored for removals.
 type edgeJSON struct {
@@ -72,7 +68,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		return
 	}
 	var req updateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		h.badRequest(w, "bad JSON: %v", err)
 		return
 	}

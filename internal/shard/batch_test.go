@@ -72,9 +72,9 @@ func TestTopKBatchValidation(t *testing.T) {
 }
 
 // TestProximityEarlyTermination builds a graph of two mutually
-// unreachable halves: a pair query across the halves must answer zero
-// without solving a single shard (the pair-weighted push sees no path
-// for the mass to take), while a pair inside one half stays exact.
+// unreachable halves: a pair query across the halves must answer
+// exactly zero (no mass reaches the other half's shards), while a pair
+// inside one half stays exact.
 func TestProximityEarlyTermination(t *testing.T) {
 	half := gen.PlantedPartition(60, 2, 0.3, 0.05, 3)
 	b := graph.NewBuilder(120)
@@ -98,20 +98,12 @@ func TestProximityEarlyTermination(t *testing.T) {
 	if sx.HomeShard(q) == sx.HomeShard(u) {
 		t.Fatalf("halves landed in one shard; partitioning changed")
 	}
-	x, qs := sx.pushWeighted(map[int]float64{q: sx.c}, sx.pairWeights(sx.HomeShard(u)))
-	if qs.Solves != 0 {
-		t.Errorf("cross-component pair performed %d solves, want 0", qs.Solves)
-	}
-	if xs := x[sx.home[u]]; xs != nil && xs[sx.local[u]] != 0 {
-		t.Errorf("cross-component proximity %v, want 0", xs[sx.local[u]])
-	}
 	p, err := sx.Proximity(q, u)
 	if err != nil || p != 0 {
 		t.Errorf("Proximity(%d,%d) = %v, %v; want 0", q, u, p, err)
 	}
 
-	// A within-half pair must stay exact against the monolithic oracle
-	// and cost no more solves than the full push.
+	// A within-half pair must stay exact against the monolithic oracle.
 	mono := buildMono(t, g, rwrDefaultC)
 	for _, pair := range [][2]int{{5, 17}, {65, 90}, {12, 12}} {
 		want, err := mono.Proximity(pair[0], pair[1])
@@ -124,29 +116,6 @@ func TestProximityEarlyTermination(t *testing.T) {
 		}
 		if math.Abs(got-want) > scoreTol {
 			t.Errorf("Proximity%v = %v, want %v", pair, got, want)
-		}
-		_, full := sx.push(map[int]float64{pair[0]: sx.c})
-		_, early := sx.pushWeighted(map[int]float64{pair[0]: sx.c}, sx.pairWeights(sx.HomeShard(pair[1])))
-		if early.Solves > full.Solves {
-			t.Errorf("pair %v: early-terminating push used %d solves, full push %d", pair, early.Solves, full.Solves)
-		}
-	}
-}
-
-// TestPairWeights pins the weight formula's shape: weight 1 at the
-// target shard, geometric decay with distance, zero when unreachable.
-func TestPairWeights(t *testing.T) {
-	g := gen.PlantedPartition(160, 4, 0.25, 0.02, 7)
-	sx := buildSharded(t, g, 4, rwrDefaultC)
-	for su := 0; su < sx.Shards(); su++ {
-		w := sx.pairWeights(su)
-		if w[su] != 1 {
-			t.Errorf("w[target=%d] = %v, want 1", su, w[su])
-		}
-		for si, wi := range w {
-			if wi < 0 || wi > 1 {
-				t.Errorf("w[%d] = %v outside [0,1]", si, wi)
-			}
 		}
 	}
 }

@@ -35,9 +35,24 @@ func heapScan(x []float64, k int, exclude map[int]bool) []topk.Result {
 // solution is the push's accumulated solution for a scaled restart
 // vector, in global node order: what ProximityVector returns for a
 // single seed.
-func solution(sx *ShardedIndex, seeds map[int]float64) []float64 {
+func solution(t *testing.T, sx *ShardedIndex, seeds map[int]float64) []float64 {
+	t.Helper()
+	nodes := seedNodesSorted(seeds)
+	mass := make([]float64, len(nodes))
+	for i, g := range nodes {
+		mass[i] = seeds[g]
+	}
+	st, _, err := sx.runPush(nil, nil, nodes, mass, nil, 0)
+	if err != nil {
+		sx.putPushState(st)
+		t.Fatal(err)
+	}
+	parts, err := st.materialize()
+	sx.putPushState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float64, sx.N())
-	parts, _ := sx.push(seeds)
 	for si, v := range parts {
 		for lv, p := range v {
 			x[sx.parts[si].nodes[lv]] = p
@@ -121,7 +136,7 @@ func TestPrunedRankMatchesHeapScan(t *testing.T) {
 					for _, v := range nodes {
 						scaled[v] = sx.c * weights[v] / total
 					}
-					x := solution(sx, scaled)
+					x := solution(t, sx, scaled)
 					for _, k := range ks {
 						got, _, err := sx.TopKPersonalized(weights, k)
 						check(fmt.Sprintf("%s shards=%d c=%v seeds=%v k=%d", name, shards, c, weights, k), got, err, heapScan(x, k, nil))

@@ -20,13 +20,13 @@ package shard
 // rank returns exactly what a scan of every entry of x would.
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"kdash/internal/core"
+	"kdash/internal/obs"
 	"kdash/internal/topk"
 )
 
@@ -45,35 +45,31 @@ type QueryStats struct {
 // probability within 1e-4 of zero).
 const maxSolves = 100000
 
-// push runs the block push from the given scaled restart vector (global
-// node id -> mass, already multiplied by c) and returns per-shard
-// accumulated proximity vectors; untouched shards stay nil.
-func (sx *ShardedIndex) push(seeds map[int]float64) ([][]float64, QueryStats) {
-	return sx.pushWeighted(seeds, nil)
-}
-
-// pushWeighted is push with optional per-shard influence weights. A nil
-// weight vector is the full push: every shard weighs 1 and the loop runs
-// until the raw residual falls under tolerance, bounding every proximity
-// entry. A weight vector (from pairWeights) discounts each shard's
-// pending mass by how much of it can ever reach the target shard, so the
-// push both prioritises relevant shards and terminates as soon as the
-// target's entries are settled, even while irrelevant mass remains.
+// runPush is every query's push: it checks a pooled state out, seeds
+// restart mass mass[i] (already scaled by c) at node nodes[i] in the
+// order given, makes roots the rank's roots — under a RemoteSolver also
+// layer 0 of the rank prefix, widened past need nodes — and drives the
+// residual to tolerance, honouring ctx and recording into tr (either
+// may be nil). One push and one termination rule serve every
+// read, so a node's proximity has the same bits whether TopK ranks it,
+// Proximity scores it or ProximityVector materializes it. The state is
+// the caller's on every path, an error's included: it reads it (rank,
+// score or materialize) and returns it with putPushState.
 //
-// The returned vectors are caller-owned copies of every row of the
-// solved shards; the query paths (TopK, Proximity, ProximityVector) read
-// the pooled push state directly instead.
-//
+//kdash:pooled
 //kdash:deterministic
-func (sx *ShardedIndex) pushWeighted(seeds map[int]float64, w []float64) ([][]float64, QueryStats) {
+func (sx *ShardedIndex) runPush(ctx context.Context, tr *obs.QueryTrace, nodes []int, mass []float64, roots []int, need int) (*pushState, QueryStats, error) {
 	st := sx.getPushState()
-	for _, g := range seedNodesSorted(seeds) {
-		st.seed(g, seeds[g])
+	st.ctx, st.tr = ctx, tr
+	for i, g := range nodes {
+		st.seed(g, mass[i])
 	}
-	qs, _ := st.run(w)       // test-only path: no context, no RemoteSolver, no lazy opens — run cannot fail
-	x, _ := st.materialize() // likewise: in process it cannot fail
-	sx.putPushState(st)
-	return x, qs
+	st.roots = append(st.roots, roots...)
+	if sx.remote != nil && len(roots) > 0 {
+		st.rankPrefix(need)
+	}
+	qs, err := st.run()
+	return st, qs, err
 }
 
 // seedNodesSorted returns a seed map's keys in ascending node order.
@@ -119,18 +115,12 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 	if err := sx.ensureGraph(); err != nil {
 		return nil, qs, err
 	}
-	st := sx.getPushState()
-	st.ctx, st.tr = opt.Ctx, opt.Trace
 	var tPush time.Time
 	if opt.Trace != nil {
 		tPush = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 	}
-	st.seed(q, sx.c)
-	st.roots = append(st.roots, q)
-	if sx.remote != nil {
-		st.rankPrefix(k + len(opt.Exclude))
-	}
-	qs, err := st.run(nil)
+	root := []int{q}
+	st, qs, err := sx.runPush(opt.Ctx, opt.Trace, root, []float64{sx.c}, root, k+len(opt.Exclude))
 	if err != nil {
 		sx.putPushState(st)
 		return nil, qs, err
@@ -212,129 +202,39 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 	if err := sx.ensureGraph(); err != nil {
 		return nil, qs.searchStats(), err
 	}
-	st := sx.getPushState()
-	for _, node := range nodes {
-		st.seed(node, sx.c*seeds[node]/total)
+	mass := make([]float64, len(nodes))
+	for i, node := range nodes {
+		mass[i] = sx.c * seeds[node] / total
 	}
-	st.roots = append(st.roots, nodes...) // layer 0 of a multi-source BFS
-	if sx.remote != nil {
-		st.rankPrefix(k)
+	// The seeds are layer 0 of a multi-source BFS.
+	st, qs, err := sx.runPush(nil, nil, nodes, mass, nodes, k)
+	var results []topk.Result
+	if err == nil {
+		results, err = st.rank(k, nil, &qs)
 	}
-	qs, err := st.run(nil)
-	if err != nil {
-		sx.putPushState(st)
-		return nil, qs.searchStats(), err
-	}
-	results, err := st.rank(k, nil, &qs)
 	sx.putPushState(st)
-	if err != nil {
-		return nil, qs.searchStats(), err
-	}
-	return results, qs.searchStats(), nil
+	return results, qs.searchStats(), err
 }
 
-// pairWeights returns the weight vector for target shard su, memoized
-// per target shard on the index: before the memo every Proximity(q,u)
-// call redid the reverse shard BFS and weight computation from scratch.
-// Concurrent first calls may compute the (identical, immutable) vector
-// twice; one of the stores wins and every later call hits the cache.
-func (sx *ShardedIndex) pairWeights(su int) []float64 {
-	sx.pairWOnce.Do(func() { sx.pairW = make([]atomic.Pointer[[]float64], len(sx.parts)) })
-	if w := sx.pairW[su].Load(); w != nil {
-		return *w
-	}
-	w := sx.computePairWeights(su)
-	sx.pairW[su].Store(&w)
-	return w
-}
-
-// computePairWeights bounds, per shard, how much of a unit of pending
-// residual mass can ever influence a proximity entry inside shard su, so
-// a single-pair query can stop pushing long before the global residual
-// is driven to tolerance. The bound: solving unit mass in any shard
-// yields solution mass at most 1/c (|W_s^{-1} m|_1 <= |m|_1/c), of which
-// at most (1-c)/c =: λ leaves across cut edges. Mass sitting d
-// cut-crossings away from su therefore delivers at most λ^d/(1-λ) into
-// su over the rest of the push (geometric sum over path lengths >= d),
-// and each delivered unit raises an entry of su by at most 1/c — the
-// same 1/c the full push's global bound uses, so weighting shard masses
-// by
-//
-//	w(su) = 1,  w(s') = min(1, λ^{d(s')}/(1-λ)),  w(unreachable) = 0
-//
-// and terminating at (Σ_s w(s)·resMass[s]) <= tol preserves exactly the
-// full push's per-entry guarantee for shard su. Shards with no directed
-// cut path into su get weight zero: their mass is never solved at all,
-// which restores near-O(1) single-pair cost when q's mass cannot reach u.
-// For c <= 1/2 the geometric sum diverges and every reachable shard
-// falls back to the global weight 1.
-func (sx *ShardedIndex) computePairWeights(su int) []float64 {
-	s := len(sx.parts)
-	dist := make([]int, s)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[su] = 0
-	queue := append(make([]int, 0, s), su)
-	rev := sx.reverseShardAdj()
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, p := range rev[v] {
-			if dist[p] < 0 {
-				dist[p] = dist[v] + 1
-				queue = append(queue, p)
-			}
-		}
-	}
-	lambda := (1 - sx.c) / sx.c
-	w := make([]float64, s)
-	for si := range w {
-		switch {
-		case dist[si] == 0:
-			w[si] = 1
-		case dist[si] < 0:
-			w[si] = 0
-		case lambda < 1:
-			wi := math.Pow(lambda, float64(dist[si])) / (1 - lambda)
-			if wi > 1 {
-				wi = 1
-			}
-			w[si] = wi
-		default:
-			w[si] = 1
-		}
-	}
-	return w
-}
-
-// Proximity computes the exact proximity of node u w.r.t. query q. The
-// push is weighted towards u's shard (pairWeights), so it terminates as
-// soon as that shard's entries are settled instead of driving the global
-// residual to tolerance — the single-pair analogue of the monolithic
-// index answering one pair from one row-column product.
+// Proximity computes the exact proximity of node u w.r.t. query q: the
+// score TopK(q, k) ranks u with, bit for bit, because it runs the same
+// push and reads u's row the way the rank does. Under a RemoteSolver
+// the push fetches that one row with its solves.
 //
 //kdash:deterministic
 func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
 	if q < 0 || q >= sx.n || u < 0 || u >= sx.n {
 		return 0, fmt.Errorf("shard: node pair (%d,%d) outside [0,%d)", q, u, sx.n)
 	}
-	st := sx.getPushState()
-	st.seed(q, sx.c)
-	if sx.remote != nil {
-		st.roots = append(st.roots, u)
-		st.startPrefix(st.roots) // the one row the answer reads
+	st, _, err := sx.runPush(nil, nil, []int{q}, []float64{sx.c}, []int{u}, 0)
+	var p float64
+	if err == nil {
+		if p = st.score(u); st.err != nil {
+			p, err = 0, st.err
+		}
 	}
-	if _, err := st.run(sx.pairWeights(int(sx.home[u]))); err != nil {
-		sx.putPushState(st)
-		return 0, err
-	}
-	p := st.score(u)
-	err := st.err
 	sx.putPushState(st)
-	if err != nil {
-		return 0, err
-	}
-	return p, nil
+	return p, err
 }
 
 // ProximityVector computes the full proximity vector for q in original
@@ -345,13 +245,11 @@ func (sx *ShardedIndex) ProximityVector(q int) ([]float64, error) {
 	if q < 0 || q >= sx.n {
 		return nil, fmt.Errorf("shard: query node %d outside [0,%d)", q, sx.n)
 	}
-	st := sx.getPushState()
-	st.seed(q, sx.c)
-	if _, err := st.run(nil); err != nil {
-		sx.putPushState(st)
-		return nil, err
+	st, _, err := sx.runPush(nil, nil, []int{q}, []float64{sx.c}, nil, 0)
+	var xs [][]float64
+	if err == nil {
+		xs, err = st.materialize()
 	}
-	xs, err := st.materialize()
 	sx.putPushState(st)
 	if err != nil {
 		return nil, err

@@ -294,25 +294,12 @@ type ShardedIndex struct {
 	gErr  error
 	gDone atomic.Bool // set once a deferred open has installed sx.g
 
-	// revAdj[d] lists the shards with a cut edge into shard d, the
-	// shard-granular reverse adjacency single-pair queries bound residual
-	// influence with. Derived lazily from the cut lists (Build and Load
-	// both leave it unset) and immutable afterwards.
-	revOnce sync.Once
-	revAdj  [][]int
-
 	// pushPool recycles single-query states (solve records, the rank's
 	// BFS scratch; the shard-sized vectors come from each part's pools)
 	// across queries; every request checks a private instance out, so
 	// the pool is the concurrent-safe source of per-query scratch and the
 	// steady-state query path allocates only its result set.
 	pushPool sync.Pool
-
-	// pairW memoizes the single-pair push's per-target-shard influence
-	// weights (pairWeights); each target's vector is computed once and
-	// immutable afterwards.
-	pairWOnce sync.Once
-	pairW     []atomic.Pointer[[]float64]
 
 	// Distributed-serving state (see remote.go). factorless marks a
 	// coordinator-side index: buildPart skips the factorization (and
@@ -327,7 +314,7 @@ type ShardedIndex struct {
 	// solveCounts tracks cumulative factor solves per shard — the
 	// traffic-weighted counterpart of shardsOpened, exposed through
 	// Statz (and from there /metrics) so operators can see which
-	// shards queries actually land on. Built lazily like revAdj; the
+	// shards queries actually land on. Built lazily on first use; the
 	// counters are per-epoch (a successor from Apply starts at zero),
 	// which Prometheus counter semantics tolerate as a reset.
 	solveOnce   sync.Once
@@ -368,26 +355,6 @@ func (sx *ShardedIndex) GraphBytes() (sealed, heap int64) {
 		return g.SealedBytes(), g.HeapBytes()
 	}
 	return 0, 0
-}
-
-// reverseShardAdj returns the deduplicated reverse adjacency of the
-// shard digraph, building it on first use.
-func (sx *ShardedIndex) reverseShardAdj() [][]int {
-	sx.revOnce.Do(func() {
-		s := len(sx.parts)
-		adj := make([][]int, s)
-		seen := make([]int, s) // seen[d] == si+1: edge si -> d recorded
-		for si, p := range sx.parts {
-			for _, e := range p.cuts {
-				if seen[e.dstShard] != si+1 {
-					seen[e.dstShard] = si + 1
-					adj[e.dstShard] = append(adj[e.dstShard], si)
-				}
-			}
-		}
-		sx.revAdj = adj
-	})
-	return sx.revAdj
 }
 
 // Build partitions the graph and builds one K-dash index per partition

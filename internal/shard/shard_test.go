@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,47 @@ func TestProximityAgreesWithMonolithic(t *testing.T) {
 			t.Fatalf("q=%d: point proximity %g, want %g", q, p, want[(q+31)%g.N()])
 		}
 	}
+}
+
+// TestProximityMatchesTopKScore pins one answer per pair: for every
+// (q, u) of TopK(q, 10), Proximity(q, u) returns the very bits TopK
+// ranked u with — over the test shapes at 1, 2 and 8 shards, in process
+// and through a RemoteSolver, whose one-row prefix {u} must read the
+// same sum the in-process rank does (engine 0 is in process, 1 the
+// coordinator).
+func TestProximityMatchesTopKScore(t *testing.T) {
+	graphs := testutil.Shapes(45)
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	pairs := 0
+	for _, name := range names {
+		g := graphs[name]
+		for _, shards := range []int{1, 2, 8} {
+			local, co, _ := remotePair(t, g, Options{Shards: shards, Reorder: reorder.Hybrid, Seed: 1})
+			for q := 0; q < g.N(); q += 7 {
+				res, _, err := local.TopK(q, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range res {
+					for mode, sx := range []*ShardedIndex{local, co} {
+						p, err := sx.Proximity(q, r.Node)
+						if err != nil {
+							t.Fatalf("%s/%d engine %d: Proximity(%d,%d): %v", name, shards, mode, q, r.Node, err)
+						}
+						if math.Float64bits(p) != math.Float64bits(r.Score) {
+							t.Errorf("%s/%d engine %d: Proximity(%d,%d) = %v, TopK scored %v", name, shards, mode, q, r.Node, p, r.Score)
+						}
+					}
+					pairs++
+				}
+			}
+		}
+	}
+	t.Logf("%d (q, u) pairs checked", pairs)
 }
 
 // TestPersonalizedAndExclude checks the two serving-surface extensions

@@ -231,7 +231,7 @@ func TestProximityVectorKeepsNoFactorCopy(t *testing.T) {
 	}
 	st := sx.getPushState()
 	st.seed(q, sx.c)
-	if _, err := st.run(nil); err != nil {
+	if _, err := st.run(); err != nil {
 		t.Fatal(err)
 	}
 	entries := 0

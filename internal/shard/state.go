@@ -296,41 +296,37 @@ func (st *pushState) addRes(si, lv int, m float64) {
 	st.resMass[si] += m
 }
 
-// run drives the push to convergence (see pushWeighted for the weighting
-// contract) and reports the query's work. Per iteration the shard with
-// the most pending (weighted) mass is solved, and its cut-owning rows
-// scatter solved mass across the cut. A cancelled context (checked
-// between shard solves, never per node) abandons the push with the
-// context's error.
+// run drives the push to convergence and reports the query's work: per
+// iteration the shard with the most pending mass is solved, and its
+// cut-owning rows scatter solved mass across the cut, until the total
+// residual falls under tolerance, bounding every proximity entry. A
+// cancelled context (checked between shard solves, never per node)
+// abandons the push with the context's error.
 //
 //kdash:noalloc
 //kdash:deterministic
 //kdash:ctxloop
-func (st *pushState) run(w []float64) (QueryStats, error) {
+func (st *pushState) run() (QueryStats, error) {
 	sx := st.sx
 	var qs QueryStats
 	s := len(sx.parts)
 	tol := sx.qtol * st.initial
 
-	total, weighted := st.initial, st.initial
+	total := st.initial
 	for {
-		// The totals are re-summed rather than maintained incrementally:
+		// The total is re-summed rather than maintained incrementally:
 		// the per-shard masses are exact (assigned, not drifted), and a
 		// drifted running total can float just above tolerance forever.
 		best, bestMass := -1, 0.0
-		total, weighted = 0, 0
+		total = 0
 		for si := 0; si < s; si++ {
-			total += st.resMass[si]
 			m := st.resMass[si]
-			if w != nil {
-				m *= w[si]
-			}
-			weighted += m
+			total += m
 			if m > bestMass {
 				best, bestMass = si, m
 			}
 		}
-		if weighted <= tol || best < 0 || qs.Solves >= maxSolves {
+		if total <= tol || best < 0 || qs.Solves >= maxSolves {
 			break
 		}
 		if st.ctx != nil {
@@ -347,7 +343,7 @@ func (st *pushState) run(w []float64) (QueryStats, error) {
 		}
 	}
 	qs.ResidualMass = total
-	qs.Converged = weighted <= tol
+	qs.Converged = total <= tol
 	for si := 0; si < s; si++ {
 		if st.resMass[si] > 0 && !st.solves[si].recorded() {
 			qs.ShardsPruned++
@@ -717,7 +713,7 @@ func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) ([]topk.R
 
 // materialize returns the accumulated solution as caller-owned
 // per-shard vectors over owned rows (nil for unsolved shards), for the
-// full-vector reads (ProximityVector, the test-only push wrappers). In
+// full-vector read, ProximityVector. In
 // process every owned row is read through value, the rank's own row
 // dots; a remotely solved shard fetches every owned row of every
 // recorded solve in one call and sums them in solve order with zeros
