@@ -14,48 +14,64 @@ import (
 	"kdash/internal/topk"
 )
 
-// Bounds holds the per-graph tables Definitions 1–2 read: Amax (the
-// largest element of the column-normalised adjacency A), Amax(v) (the
-// largest element of column v, v's largest out-transition probability)
-// and the self-loop weights A_uu behind c'(u), under restart probability
-// c. Read-only; safe for concurrent searches.
+// Bounds holds what Definitions 1–2 read: Amax (the largest element of
+// the column-normalised adjacency A), Amax(v) (the largest element of
+// column v, v's largest out-transition probability) and the self-loop
+// weights A_uu behind c'(u), under restart probability c. The monolithic
+// index stores Amax(v) and A_uu as n-sized tables; a graph snapshot's
+// bounds keep only Amax and read the other two from a node's out-row
+// when the search visits it (row). Read-only; safe for concurrent
+// searches.
 type Bounds struct {
 	c       float64
 	amax    float64
-	amaxCol []float64
+	amaxCol []float64 // nil: read from g's out-rows
 	selfA   []float64
+	g       *graph.Graph
 }
 
-// GraphBounds builds the tables for g's column-normalised adjacency
-// under restart probability c, indexed by g's node ids. It reads the
-// out-rows directly — column v of A is v's out-row over its weight sum —
-// and divides each weight exactly as ColumnNormalized does, so the
-// tables equal adjacencyBounds(g.ColumnNormalized(), c) bit for bit
-// without the copy of A.
+// GraphBounds returns the bounds of g's column-normalised adjacency
+// under restart probability c, indexed by g's node ids: Amax from one
+// pass over the out-rows, and each node's Amax(v) and A_vv read from its
+// out-row on visit. Column v of A is v's out-row over its weight sum,
+// and row divides each weight exactly as ColumnNormalized does, so every
+// value equals adjacencyBounds(g.ColumnNormalized(), c)'s bit for bit
+// without the copy of A or the tables.
 func GraphBounds(g *graph.Graph, c float64) Bounds {
-	n := g.N()
-	b := Bounds{c: c, amaxCol: make([]float64, n), selfA: make([]float64, n)}
-	ptr, to := g.OutCSR()
-	w := g.OutWeights()
-	for v := 0; v < n; v++ {
-		total := g.OutWeightSum(v)
-		if total <= 0 {
-			continue // an all-zero column, as ColumnNormalized stores it
-		}
-		for i := ptr[v]; i < ptr[v+1]; i++ {
-			a := w[i] / total
-			if a > b.amaxCol[v] {
-				b.amaxCol[v] = a
-			}
-			if int(to[i]) == v {
-				b.selfA[v] = a
-			}
-		}
-		if b.amaxCol[v] > b.amax {
-			b.amax = b.amaxCol[v]
+	b := Bounds{c: c, g: g}
+	for v := 0; v < g.N(); v++ {
+		if a, _ := b.row(v); a > b.amax {
+			b.amax = a
 		}
 	}
 	return b
+}
+
+// row returns Amax(v) and A_vv: the tables' entries, or the largest and
+// the self-loop transition probability of v's out-row (0 and 0 for an
+// all-zero column, as ColumnNormalized stores it).
+//
+//kdash:noalloc
+func (b *Bounds) row(v int) (amaxV, selfV float64) {
+	if b.amaxCol != nil {
+		return b.amaxCol[v], b.selfA[v]
+	}
+	ptr, to := b.g.OutCSR()
+	w := b.g.OutWeights()
+	total := b.g.OutWeightSum(v)
+	if total <= 0 {
+		return 0, 0
+	}
+	for i := ptr[v]; i < ptr[v+1]; i++ {
+		a := w[i] / total
+		if a > amaxV {
+			amaxV = a
+		}
+		if int(to[i]) == v {
+			selfV = a
+		}
+	}
+	return amaxV, selfV
 }
 
 // adjacencyBounds builds the tables for the column-normalised adjacency
@@ -68,9 +84,13 @@ func adjacencyBounds(a *sparse.CSC, c float64) Bounds {
 	return Bounds{c: c, amax: a.Max(), amaxCol: a.ColMax(), selfA: selfA}
 }
 
-// cPrime is Definition 1's c' = (1-c) / (1 - A_uu + c*A_uu).
-func (b *Bounds) cPrime(u int) float64 {
-	return (1 - b.c) / (1 - b.selfA[u] + b.c*b.selfA[u])
+// cPrime is Definition 1's c' = (1-c) / (1 - A_uu + c*A_uu) from the
+// tables.
+func (b *Bounds) cPrime(u int) float64 { return b.cPrimeOf(b.selfA[u]) }
+
+// cPrimeOf is c' for a node whose self-loop weight is a.
+func (b *Bounds) cPrimeOf(a float64) float64 {
+	return (1 - b.c) / (1 - a + b.c*a)
 }
 
 // estimate is Definition 2's incremental estimate over one breadth-first
@@ -93,13 +113,14 @@ func (e *estimate) enter(layer int) {
 	}
 }
 
-// of is Definition 2's estimate for node u, visited on the current
-// layer.
-func (e *estimate) of(u int) float64 { return e.b.cPrime(u) * (e.t1 + e.t2 + e.t3) }
+// of is Definition 2's estimate for a node with self-loop weight selfU,
+// visited on the current layer.
+func (e *estimate) of(selfU float64) float64 { return e.b.cPrimeOf(selfU) * (e.t1 + e.t2 + e.t3) }
 
-// selected folds a node whose proximity p was computed into the terms.
-func (e *estimate) selected(v int, p float64) {
-	e.t2 += p * e.b.amaxCol[v]
+// selected folds a node whose proximity p was computed, and whose
+// Amax(v) is amaxV, into the terms.
+func (e *estimate) selected(amaxV, p float64) {
+	e.t2 += p * amaxV
 	e.t3 -= p * e.b.amax
 	if e.t3 < 0 {
 		e.t3 = 0 // guard against floating-point drift below zero
@@ -107,21 +128,33 @@ func (e *estimate) selected(v int, p float64) {
 }
 
 // TreeWS is the reusable scratch of Algorithm 4 over an n-node graph:
-// BFS layers and visit marks, invalidated per search by bumping a
-// generation counter instead of rewriting the arrays, and the visit
-// queue. Layers and marks are int32 (node ids are); when the generation
-// wraps, the marks are cleared once. Not safe for concurrent use; pool
-// it like any workspace.
+// one breadth-first search's layers and visit marks, invalidated per
+// search by bumping a generation counter instead of rewriting the
+// arrays, and its queue. Layers and marks are int32 (node ids are); when
+// the generation wraps, the marks are cleared once. The search is
+// started (Start) apart from its visit (Search), so a caller can widen
+// it layer by layer first (NextLayer) — the sharded coordinator's rank
+// prefix — and the visit then continues the same BFS: nodes are expanded
+// once each, in queue order, whoever asks, so the visit order is the
+// BFS order either way. Not safe for concurrent use; pool it like any
+// workspace.
 type TreeWS struct {
-	layer []int32 // valid only where mark[u] == gen
-	mark  []int32
-	gen   int32
-	queue []int
+	layer    []int32 // valid only where mark[u] == gen
+	mark     []int32
+	gen      int32
+	queue    []int
+	roots    int // queue[:roots] are layer 0
+	expanded int // queue[:expanded] have had their out-rows walked
 }
 
 // NewTreeWS returns search scratch for an n-node graph.
 func NewTreeWS(n int) *TreeWS {
 	return &TreeWS{layer: make([]int32, n), mark: make([]int32, n), queue: make([]int, 0, 256)}
+}
+
+// Bytes reports the workspace's allocated size.
+func (ws *TreeWS) Bytes() int64 {
+	return int64(4*cap(ws.layer) + 4*cap(ws.mark) + 8*cap(ws.queue))
 }
 
 // next starts a search: it returns a generation no mark holds, clearing
@@ -137,13 +170,85 @@ func (ws *TreeWS) next() int32 {
 	return ws.gen
 }
 
-// SearchTree is Algorithm 4: it visits nodes in breadth-first order from
-// roots (layer 0 of a multi-source BFS, sorted ascending) over an
-// out-adjacency in CSR form — node v's out-neighbours are
-// outTo[outPtr[v]:outPtr[v+1]], a graph snapshot's or an index's
-// adjacency — scores each visited node and offers
-// every positive score of a non-excluded node to heap. Excluded nodes
-// are still scored: their mass is part of the estimate.
+// Start begins a breadth-first search with roots (sorted, distinct) as
+// layer 0.
+//
+//kdash:noalloc
+func (ws *TreeWS) Start(roots []int) {
+	gen := ws.next()
+	ws.queue = append(ws.queue[:0], roots...) //kdash:allow(hotalloc) grows once per workspace to the widest search
+	for _, r := range roots {
+		ws.mark[r] = gen
+		ws.layer[r] = 0
+	}
+	ws.roots, ws.expanded = len(roots), 0
+}
+
+// Queue returns the nodes the search has reached, in BFS order. The
+// slice is valid until the search reaches more nodes.
+func (ws *TreeWS) Queue() []int { return ws.queue }
+
+// Reached reports whether the search has reached v, and on which layer.
+//
+//kdash:noalloc
+func (ws *TreeWS) Reached(v int) (layer int, ok bool) {
+	if ws.mark[v] != ws.gen {
+		return 0, false
+	}
+	return int(ws.layer[v]), true
+}
+
+// expand walks the out-row of the first queued node not expanded yet,
+// queueing its unreached out-neighbours one layer below it.
+//
+//kdash:noalloc
+func (ws *TreeWS) expand(outPtr []int, outTo []int32) {
+	u := ws.queue[ws.expanded]
+	ws.expanded++
+	gen, l := ws.gen, ws.layer[u]+1
+	for _, id := range outTo[outPtr[u]:outPtr[u+1]] {
+		if v := int(id); ws.mark[v] != gen {
+			ws.mark[v] = gen
+			ws.layer[v] = l
+			ws.queue = append(ws.queue, v) //kdash:allow(hotalloc) grows once per workspace to the widest search
+		}
+	}
+}
+
+// NextLayer expands every queued node before end, which must close a
+// whole BFS layer (the roots' end, or a NextLayer result), and returns
+// where the layer after it ends in the queue: end itself when that
+// layer is empty.
+//
+//kdash:noalloc
+func (ws *TreeWS) NextLayer(outPtr []int, outTo []int32, end int) int {
+	for ws.expanded < end {
+		ws.expand(outPtr, outTo)
+	}
+	next := ws.layer[ws.queue[end-1]] + 1
+	for end < len(ws.queue) && ws.layer[ws.queue[end]] == next {
+		end++
+	}
+	return end
+}
+
+// SearchTree is Algorithm 4 from roots over an out-adjacency in CSR
+// form: Start followed by Search.
+//
+//kdash:noalloc
+//kdash:deterministic
+func SearchTree(ws *TreeWS, b *Bounds, outPtr []int, outTo []int32, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
+	ws.Start(roots)
+	ws.Search(b, outPtr, outTo, score, heap, exclude, prune, stats)
+}
+
+// Search is Algorithm 4: it visits the nodes of the search Start began
+// in breadth-first order over an out-adjacency in CSR form — node v's
+// out-neighbours are outTo[outPtr[v]:outPtr[v+1]], a graph snapshot's
+// or an index's adjacency — scores each visited node and offers every
+// positive score of a non-excluded node to heap. Excluded nodes are
+// still scored: their mass is part of the estimate. score may widen the
+// search itself (NextLayer) over the same adjacency.
 //
 // With prune set, the search stops at the first non-root node whose
 // Definition 2 estimate falls below a full heap's threshold (Lemma 2).
@@ -163,26 +268,18 @@ func (ws *TreeWS) next() int32 {
 //
 //kdash:noalloc
 //kdash:deterministic
-func SearchTree(ws *TreeWS, b *Bounds, outPtr []int, outTo []int32, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
-	gen := ws.next()
-	layer, mark := ws.layer, ws.mark
-	queue := append(ws.queue[:0], roots...)
-	for _, r := range roots {
-		mark[r] = gen
-		layer[r] = 0
-	}
-	defer func() { ws.queue = queue[:0] }()
-
+func (ws *TreeWS) Search(b *Bounds, outPtr []int, outTo []int32, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
 	est := estimate{b: b, t3: b.amax}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
+	for head := 0; head < len(ws.queue); head++ {
+		u := ws.queue[head]
 		stats.Visited++
-		est.enter(int(layer[u]))
+		est.enter(int(ws.layer[u]))
+		amaxU, selfU := b.row(u)
 		// Root nodes estimate to 1 (Definition 1) and are always scored.
 		// The heap-full guard keeps floating-point noise in a ~zero
 		// estimate from truncating the candidate set before K nodes have
 		// been seen.
-		if prune && head >= len(roots) && heap.Len() == heap.K() && est.of(u) < heap.Threshold() {
+		if prune && head >= ws.roots && heap.Len() == heap.K() && est.of(selfU) < heap.Threshold() {
 			stats.Terminated = true
 			return
 		}
@@ -191,14 +288,11 @@ func SearchTree(ws *TreeWS, b *Bounds, outPtr []int, outTo []int32, roots []int,
 		if p > 0 && !exclude[u] {
 			heap.Push(u, p)
 		}
-		est.selected(u, p)
-		// Discover u's out-neighbours (lazy BFS expansion).
-		for _, id := range outTo[outPtr[u]:outPtr[u+1]] {
-			if v := int(id); mark[v] != gen {
-				mark[v] = gen
-				layer[v] = layer[u] + 1
-				queue = append(queue, v)
-			}
+		est.selected(amaxU, p)
+		// Discover u's out-neighbours (lazy BFS expansion), unless a
+		// widening already has.
+		for ws.expanded <= head {
+			ws.expand(outPtr, outTo)
 		}
 	}
 }

@@ -171,6 +171,14 @@ func symmetrize(g *graph.Graph, n int) *weighted {
 // localMove runs modularity-greedy single-node moves until a full pass
 // makes no move. Returns the community assignment and whether any move
 // happened at all.
+//
+// Every pass visits the nodes in one seeded random order, so the level
+// is first relabelled into that order (visitRows): node order[i]'s row
+// becomes the i-th of one contiguous copy, which the passes then read
+// front to back. Community ids, tot and neighWeight stay on the
+// original node ids and each row keeps its ascending neighbour order,
+// so every comparison, tie-break and float sum is the unrelabelled
+// walk's, bit for bit.
 func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 	n := len(wg.weight)
 	com := make([]int, n)
@@ -183,6 +191,7 @@ func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 		return com, false
 	}
 	order := rng.Perm(n) //kdash:allow(determinism) drawn from Partition's seeded generator
+	ptr, nbr, w := wg.visitRows(order)
 	anyMoved := false
 	// neighWeight[c] accumulates edge weight from the current node into
 	// community c during one node's evaluation and is zero outside it;
@@ -192,27 +201,28 @@ func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 	touched := make([]int, 0, 64)
 	for pass := 0; pass < 100; pass++ {
 		movedThisPass := false
-		for _, u := range order {
+		for i, u := range order {
 			cu := com[u]
-			for i := wg.ptr[u]; i < wg.ptr[u+1]; i++ {
-				c := com[wg.nbr[i]]
+			for j := ptr[i]; j < ptr[i+1]; j++ {
+				c := com[nbr[j]]
 				if neighWeight[c] == 0 {
 					touched = append(touched, c)
 				}
-				neighWeight[c] += wg.w[i]
+				neighWeight[c] += w[j]
 			}
 			// Remove u from its community.
-			tot[cu] -= wg.weight[u]
-			best, bestGain := cu, neighWeight[cu]-tot[cu]*wg.weight[u]/wg.m2
+			wu := wg.weight[u]
+			tot[cu] -= wu
+			best, bestGain := cu, neighWeight[cu]-tot[cu]*wu/wg.m2
 			for _, c := range touched {
-				gain := neighWeight[c] - tot[c]*wg.weight[u]/wg.m2
+				gain := neighWeight[c] - tot[c]*wu/wg.m2
 				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
 					best, bestGain = c, gain
 				}
 				neighWeight[c] = 0
 			}
 			touched = touched[:0]
-			tot[best] += wg.weight[u]
+			tot[best] += wu
 			if best != cu {
 				com[u] = best
 				movedThisPass = true
@@ -224,6 +234,25 @@ func localMove(wg *weighted, rng *rand.Rand) ([]int, bool) {
 		}
 	}
 	return com, anyMoved
+}
+
+// visitRows copies the level's rows in visit order: row i of the result
+// is node order[i]'s neighbour list (original ids, ascending, int32) and
+// weights.
+func (wg *weighted) visitRows(order []int) (ptr []int, nbr []int32, w []float64) {
+	ptr = make([]int, len(order)+1)
+	nbr = make([]int32, len(wg.nbr))
+	w = make([]float64, len(wg.w))
+	at := 0
+	for i, u := range order {
+		lo, hi := wg.ptr[u], wg.ptr[u+1]
+		for k, v := range wg.nbr[lo:hi] {
+			nbr[at+k] = int32(v)
+		}
+		at += copy(w[at:], wg.w[lo:hi])
+		ptr[i+1] = at
+	}
+	return ptr, nbr, w
 }
 
 // compact renumbers community ids to 0..k-1 preserving first-seen order.

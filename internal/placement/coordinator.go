@@ -151,9 +151,10 @@ var _ shard.Engine = (*Coordinator)(nil)
 // opened; the snapshot, which the rank searches, is parsed on the first
 // query), connects to the workers and validates that each serves the
 // same index shape at the same epoch, and binds the base epoch's
-// remote solver. The placement is round-robin: shard si lives on
-// worker si mod len(addrs), matching what every worker derives from
-// the shared manifest.
+// remote solver. The placement is round-robin (Assign): the coordinator
+// routes shard si's solves to worker si mod len(addrs). Only the
+// coordinator knows it — a worker derives no placement, serves a solve
+// for whichever shard it is asked and opens that shard on first use.
 func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("placement: no worker addresses")
@@ -188,8 +189,9 @@ func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error
 	return co, nil
 }
 
-// Assign is the placement map both sides derive from the shared
-// manifest: shard si is owned by worker si mod workers.
+// Assign is the coordinator's placement map: it routes shard si to
+// worker si mod workers. Workers never call it; each serves whatever
+// shard it is asked for.
 func Assign(shards, workers int) []int {
 	p := make([]int, shards)
 	for si := range p {
@@ -275,8 +277,9 @@ func (co *Coordinator) ApplyDelta(batch *graph.Delta) (shard.Engine, shard.Updat
 	return next2, us, nil
 }
 
-// Close drops the worker connections. The underlying factorless index
-// holds no shard memory, so there is nothing else to release.
+// Close drops the worker connections and closes the underlying
+// factorless index, which holds no shard memory: only its sealed graph
+// snapshot and partition container are released.
 func (co *Coordinator) Close() error {
 	for _, c := range co.cl.clients {
 		c.Close()

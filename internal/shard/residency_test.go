@@ -2,6 +2,8 @@ package shard
 
 import (
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -11,11 +13,12 @@ import (
 )
 
 // Residency budgets of an opened directory's partition tables: the
-// assignment, the local ids and the node lists are one int32 each per
-// node; a cut edge is its 16-byte record plus at most one cut row and
-// one cut-row pointer, and each shard's pointer list has one more.
+// assignment stays in the partition container, the local ids and the
+// node lists are one int32 each per node; a cut edge is its 16-byte
+// record plus at most one cut row and one cut-row pointer, and each
+// shard's pointer list has one more.
 const (
-	nodeTableBytesPerNode  = 12
+	nodeTableBytesPerNode  = 8
 	cutTableBytesPerCut    = 32
 	cutTableBytesPerShard  = 8
 	residencyQueryBatch    = 300
@@ -25,13 +28,16 @@ const (
 	residencyCommunitySize = 20
 )
 
-// partitionTableBytes reports the heap bytes of sx's node tables (home,
-// local, every part's node list) and cut tables (every part's cut
-// records, cut rows and cut-row pointers), each slice at its capacity
-// and element size.
+// partitionTableBytes reports the heap bytes of sx's node tables (home
+// unless it aliases the partition container, local, every part's node
+// list) and cut tables (every part's cut records, cut rows and cut-row
+// pointers), each slice at its capacity and element size.
 func partitionTableBytes(sx *ShardedIndex) (nodes, cuts int64) {
 	size := func(capacity int, elem uintptr) int64 { return int64(capacity) * int64(elem) }
-	nodes = size(cap(sx.home), unsafe.Sizeof(sx.home[0])) + size(cap(sx.local), unsafe.Sizeof(sx.local[0]))
+	nodes = size(cap(sx.local), unsafe.Sizeof(sx.local[0]))
+	if sx.homeBack == nil {
+		nodes += size(cap(sx.home), unsafe.Sizeof(sx.home[0]))
+	}
 	for _, p := range sx.parts {
 		nodes += size(cap(p.nodes), unsafe.Sizeof(p.nodes[0]))
 		cuts += size(cap(p.cuts), unsafe.Sizeof(cutEdge{})) +
@@ -81,6 +87,65 @@ func TestQueryScratchReleasedWithItsParts(t *testing.T) {
 			t.Fatalf("query scratch %d bytes after the index was dropped, want at most %d", QueryScratchBytes(), held-share)
 		}
 		collect()
+	}
+}
+
+// TestPushStatePoolSurvivesGC pins the push-state pool's policy: a
+// serial query stream reuses one state across forced collections (a
+// sync.Pool drops its items and re-creates them), a burst of
+// 4×GOMAXPROCS concurrent queries leaves at most GOMAXPROCS idle states,
+// and the process's query-scratch account covers what the idle states
+// and the parts' pools hold.
+func TestPushStatePoolSurvivesGC(t *testing.T) {
+	sx := damageIndex(t)
+	for i := 0; i < 90; i++ {
+		if i%30 == 29 {
+			runtime.GC()
+			runtime.GC()
+		}
+		if _, _, err := sx.TopK(i*13%sx.N(), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sx.pushStates.Load(); got != 1 {
+		t.Fatalf("a serial stream across two collections created %d push states, want 1", got)
+	}
+
+	procs := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 4*procs)
+	for w := 0; w < 4*procs; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 5; i++ {
+				if _, _, err := sx.TopK((w*101+i*7)%sx.N(), 10); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if idle := len(sx.pushPool.items); idle > procs || idle == 0 {
+		t.Fatalf("the burst left %d idle push states, want 1..%d (GOMAXPROCS)", idle, procs)
+	}
+	held := pooledScratch(sx)
+	for _, st := range sx.pushPool.items {
+		if st.tree == nil || st.scratch.Load() != st.scratchBytes() {
+			t.Fatalf("an idle state counts %d bytes, holds %d", st.scratch.Load(), st.scratchBytes())
+		}
+		held += st.scratchBytes()
+	}
+	if got := QueryScratchBytes(); got < held {
+		t.Errorf("the process counts %d bytes of query scratch, the idle states and the parts' pools hold %d", got, held)
 	}
 }
 

@@ -47,8 +47,8 @@ const maxSolves = 100000
 
 // runPush is every query's push: it checks a pooled state out, seeds
 // restart mass mass[i] (already scaled by c) at node nodes[i] in the
-// order given, makes roots the rank's roots — under a RemoteSolver also
-// layer 0 of the rank prefix, widened past need nodes — and drives the
+// order given, starts the rank's BFS from roots — under a RemoteSolver
+// also layer 0 of the rank prefix, widened past need nodes — and drives the
 // residual to tolerance, honouring ctx and recording into tr (either
 // may be nil). One push and one termination rule serve every
 // read, so a node's proximity has the same bits whether TopK ranks it,
@@ -64,9 +64,12 @@ func (sx *ShardedIndex) runPush(ctx context.Context, tr *obs.QueryTrace, nodes [
 	for i, g := range nodes {
 		st.seed(g, mass[i])
 	}
-	st.roots = append(st.roots, roots...)
-	if sx.remote != nil && len(roots) > 0 {
-		st.rankPrefix(need)
+	if len(roots) > 0 {
+		st.roots = append(st.roots, roots...)
+		st.startTree()
+		if sx.remote != nil {
+			st.rankPrefix(need)
+		}
 	}
 	qs, err := st.run()
 	return st, qs, err

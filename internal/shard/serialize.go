@@ -18,8 +18,9 @@ package shard
 // and table checksums, int32 ids, float64 weights, int64 pointers. Open
 // is the general entry point: LoadOptions select eager vs lazy shard
 // opens. Both read the partition container up front — O(n) bytes, no
-// factor data — verify it and cross-check it against the manifest, and
-// copy the assignment and cut lists out. An eager open then opens the
+// factor data — verify it, cross-check it against the manifest, copy
+// the cut lists out and keep the container, whose assignment section
+// the index aliases. An eager open then opens the
 // graph snapshot into sealed memory and every shard file; a lazy one
 // defers each shard file to the first query that solves the shard, and
 // the snapshot to the first query that ranks, so a worker (which never
@@ -397,14 +398,19 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 // and the cut-edge total — and installs the assignment, the local ids
 // and every shard's cut list, each cut checked against the assignment:
 // its source owned by the shard listing it, its destination by another.
-// The container is released before it returns; what the index keeps is
-// copied out.
-func (sx *ShardedIndex) readPartition(path string, m *manifest) error {
+// The assignment aliases the container, which stays open while an epoch
+// sharing it is reachable; the cut lists are copied out into the form
+// the push scatters along.
+func (sx *ShardedIndex) readPartition(path string, m *manifest) (err error) {
 	f, err := mmapio.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	meta, err := f.Bytes(partMeta)
 	if err != nil {
 		return err
@@ -457,9 +463,8 @@ func (sx *ShardedIndex) readPartition(path string, m *manifest) error {
 			return fmt.Errorf("assignment gives shard %d %d nodes, manifest says %d", si, cnt, m.Stats.Sizes[si])
 		}
 	}
+	sx.home, sx.homeBack = assign, newPartitionBacking(f)
 	// Local ids by the ascending-global-id rule the writer used.
-	sx.home = make([]int32, len(assign))
-	copy(sx.home, assign)
 	for i := range sx.parts {
 		sx.parts[i] = &part{}
 	}

@@ -46,6 +46,7 @@ import (
 	"kdash/internal/graph"
 	"kdash/internal/louvain"
 	"kdash/internal/lu"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
 )
@@ -105,7 +106,9 @@ type BuildStats struct {
 // cutEdge is one directed edge leaving a shard, with its transition
 // probability pre-scaled by (1-c) — exactly the coefficient the push
 // multiplies solved mass by when propagating to the destination shard.
-// Its source is the cut row whose span lists it (part.cutRowPtr).
+// Its source is the cut row whose span lists it (part.cutRowPtr). The
+// push scatters along it on every solve, so it names its destination
+// by shard and local id, not by the global id partition.idx stores.
 type cutEdge struct {
 	dstShard int32
 	dst      int32   // local id in the destination shard
@@ -216,6 +219,19 @@ func (p *part) nnzInverse() int {
 	return p.nnzHint
 }
 
+// partitionBacking is the partition container an opened directory's
+// assignment aliases. Every epoch sharing that assignment points to it,
+// so the container is released once none is reachable, or at once by
+// Close.
+type partitionBacking struct{ f *mmapio.File }
+
+// newPartitionBacking keeps f alive for what will alias it.
+func newPartitionBacking(f *mmapio.File) *partitionBacking {
+	b := &partitionBacking{f: f}
+	runtime.AddCleanup(b, func(f *mmapio.File) { f.Close() }, f)
+	return b
+}
+
 // share returns a copy of the part for a successor epoch that did not
 // rebuild it: the node list, index (open or deferred — the lazyIndex is
 // shared by pointer) and cut lists carry over.
@@ -258,11 +274,16 @@ type ShardedIndex struct {
 	qtol  float64
 	home  []int32 // global node -> shard
 	local []int32 // global node -> local id within its shard
-	parts []*part
-	stats BuildStats
+	// homeBack, when non-nil, is the partition container home aliases:
+	// an opened directory's, carried by Apply successors that share the
+	// assignment.
+	homeBack *partitionBacking
+	parts    []*part
+	stats    BuildStats
 
 	// The current graph snapshot — what the rank searches (with bounds,
-	// its Definition 2 tables, built once per epoch by setGraph) and
+	// Definition 2's global Amax, found once per epoch by setGraph; a
+	// node's own bounds are read from its out-row on visit) and
 	// what Apply replays updates onto — the build inputs Apply reuses so
 	// a rebuilt shard is bit-identical to a from-scratch one, the
 	// per-shard appended-node staleness counters, and the epoch number
@@ -295,11 +316,14 @@ type ShardedIndex struct {
 	gDone atomic.Bool // set once a deferred open has installed sx.g
 
 	// pushPool recycles single-query states (solve records, the rank's
-	// BFS scratch; the shard-sized vectors come from each part's pools)
-	// across queries; every request checks a private instance out, so
-	// the pool is the concurrent-safe source of per-query scratch and the
-	// steady-state query path allocates only its result set.
-	pushPool sync.Pool
+	// BFS workspace; the shard-sized vectors come from each part's
+	// pools) across queries, keeping at most GOMAXPROCS idle; every
+	// request checks a private instance out, so the pool is the
+	// concurrent-safe source of per-query scratch and the steady-state
+	// query path allocates only its result set. pushStates counts the
+	// states ever created.
+	pushPool   freeList[*pushState]
+	pushStates atomic.Int64
 
 	// Distributed-serving state (see remote.go). factorless marks a
 	// coordinator-side index: buildPart skips the factorization (and
@@ -329,8 +353,8 @@ func (sx *ShardedIndex) solveCounters() []atomic.Int64 {
 }
 
 // setGraph installs an epoch's graph snapshot together with the
-// Definition 2 tables the rank searches it with, so no query ever
-// builds them.
+// Definition 2 bounds the rank searches it with — one pass for the
+// global Amax, no per-node table — so no query ever derives them.
 func (sx *ShardedIndex) setGraph(g *graph.Graph) {
 	sx.g = g
 	sx.bounds = core.GraphBounds(g, sx.c)
@@ -753,7 +777,8 @@ func (sx *ShardedIndex) OpenAll() error {
 }
 
 // Close releases every opened shard's off-heap backing, its sealed
-// copy, at once, and the graph snapshot's when this epoch opened it. It
+// copy, at once, and the graph snapshot's and the partition
+// container's when this epoch opened them. It
 // is optional: each container is released when the last epoch using it
 // becomes unreachable, so a retired epoch needs no Close, and neither
 // does a dropped successor. After Close, neither this index nor any
@@ -769,6 +794,11 @@ func (sx *ShardedIndex) Close() error {
 			if err := ix.Close(); err != nil && first == nil {
 				first = err
 			}
+		}
+	}
+	if sx.homeBack != nil {
+		if err := sx.homeBack.f.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -4,8 +4,10 @@ package shard
 // pushState: the cross-shard push (run) drives the residual to
 // tolerance, and the rank (Algorithm 4 over the graph snapshot) reads
 // proximities out of what the push recorded. The state keeps the rank's
-// BFS scratch and the per-query bookkeeping alive across queries in a
-// sync.Pool on the ShardedIndex; the shard-sized vectors — each shard's
+// BFS workspace and the per-query bookkeeping alive across queries in a
+// free list on the ShardedIndex that keeps at most GOMAXPROCS idle
+// states — about what can run at once — across garbage collections;
+// the shard-sized vectors — each shard's
 // residual and each solve's L^{-1} workspace — come from pools on the
 // shard's part, taken when the query first touches the shard or solves
 // it and returned when the query releases, so live scratch follows the
@@ -29,11 +31,13 @@ package shard
 // takes the rank prefix: whole BFS layers from the rank's roots, the
 // fewest holding more than k + |exclude| nodes, since Lemma 2's
 // heap-full guard keeps Algorithm 4 from stopping before it has visited
-// that many. Every push solve asks its worker for the solved shard's cut
-// rows plus the prefix's rows in the shard, and accumulates them in
-// solve order with zeros skipped — the sum value() forms in process. A
-// rank that visits a node past the prefix widens it by a BFS layer and
-// replays each solved shard's recorded right-hand sides for the new rows
+// that many. The prefix is the start of the rank's own BFS, in the one
+// TreeWS the rank then continues. Every push solve asks its worker for
+// the solved shard's cut rows plus the prefix's rows in the shard, and
+// accumulates them in solve order with zeros skipped — the sum value()
+// forms in process — holding values only at those rows. A rank that
+// visits a node past the prefix widens it by a BFS layer and replays
+// each solved shard's recorded right-hand sides for the new rows
 // (fetch), so the answer is exact for every k; at k = 10 the prefix
 // almost always suffices.
 
@@ -41,10 +45,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"kdash/internal/core"
 	"kdash/internal/lu"
@@ -56,8 +62,8 @@ import (
 // order. In process: each solve's L^{-1} workspace, taken from the
 // part's pool. Under a RemoteSolver:
 // each solve's right-hand side, flat (solve r is rhsIdx/rhsVal over
-// [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution x at the rows
-// fetched so far — the push's rows, ascending, then the rank's.
+// [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution at the rows
+// fetched so far — the push's rows, then the rank's, kept ascending.
 type shardSolves struct {
 	ix    *core.Index // nil until this state first solves the shard locally
 	lower []*lu.Workspace
@@ -66,27 +72,23 @@ type shardSolves struct {
 	rhsPtr  []int
 	rhsIdx  []int
 	rhsVal  []float64
-	rows    []int     // the rows x is known at
-	x       []float64 // partLen-sized, live only on rows
-	known   []bool    // known[lv]: lv is in rows
+	rows    []int     // the rows fetched, ascending
+	vals    []float64 // the accumulated solution at rows[i]
 }
 
 // recorded reports whether the query solved the shard.
 func (ss *shardSolves) recorded() bool { return len(ss.lower) > 0 || ss.nremote > 0 }
 
-// value returns the shard's accumulated solution at local row lv: each
-// solve's value there, summed in solve order with zeros skipped — the
-// float sequence of accumulating every solve's output into one vector.
-// An unsolved shard's rows are 0, and reading them opens nothing. A
-// remotely solved shard answers from x, which the caller must have
-// fetched at lv (pushState.score does).
+// value returns the in-process shard's accumulated solution at local
+// row lv: each solve's value there, summed in solve order with zeros
+// skipped — the float sequence of accumulating every solve's output
+// into one vector. An unsolved shard's rows are 0, and reading them
+// opens nothing. A remotely solved shard answers from its fetched rows
+// instead (pushState.score).
 //
 //kdash:noalloc
 //kdash:deterministic
 func (ss *shardSolves) value(lv int) float64 {
-	if ss.nremote > 0 {
-		return ss.x[lv]
-	}
 	x := 0.0
 	for _, w := range ss.lower {
 		if v := ss.ix.UpperDot(lv, w); v != 0 {
@@ -114,25 +116,26 @@ type pushState struct {
 	rhsIdx []int
 	rhsVal []float64
 
-	// The rank's BFS scratch (sized to the graph on first use) and root
-	// list.
+	// The rank's BFS workspace (sized to the graph on first use) and
+	// root list.
 	tree  *core.TreeWS
 	roots []int
 
-	// The remote half (coordinator mode only): the rank prefix as a BFS
-	// queue — whole layers, the last starting at prefix[player] — with
-	// generation marks (pmark[g] == pgen: g is in the prefix), the row
-	// and value scratch of one remote call, and the first failed fetch
-	// of the rank, which the query reports once the rank returns.
-	prefix []int
-	pmark  []int
-	pgen   int
-	player int
+	// The remote half (coordinator mode only): the rank prefix, the
+	// tree's first plen queued nodes — whole BFS layers — the row and
+	// value scratch of one remote call, and the first failed fetch of
+	// the rank, which the query reports once the rank returns.
+	plen   int
 	rowBuf []int
 	valBuf []float64
 	err    error
 
 	initial float64 // total seeded mass this query
+
+	// scratch is the state's own arrays' bytes as last counted into
+	// QueryScratchBytes; a cleanup takes them back out once the state is
+	// collected.
+	scratch *atomic.Int64
 
 	// Per-query opt-ins, set by the caller after checkout and cleared
 	// by release. Both nil on the hot path: every use is gated on the
@@ -144,12 +147,35 @@ type pushState struct {
 
 func newPushState(sx *ShardedIndex) *pushState {
 	s := len(sx.parts)
-	return &pushState{
+	st := &pushState{
 		sx:      sx,
 		res:     make([]*residual, s),
 		resMass: make([]float64, s),
 		solves:  make([]shardSolves, s),
+		scratch: new(atomic.Int64),
 	}
+	sx.pushStates.Add(1)
+	runtime.AddCleanup(st, func(n *atomic.Int64) { queryScratch.Add(-n.Load()) }, st.scratch)
+	return st
+}
+
+// scratchBytes reports the state's own arrays' allocated bytes: the BFS
+// workspace, the per-shard tables and solve records (remote rows and
+// values included) and the call scratch. The residuals and workspaces
+// it borrows are the parts' and counted there.
+//
+//kdash:noalloc
+func (st *pushState) scratchBytes() int64 {
+	n := int64(8*cap(st.res) + 8*cap(st.resMass) + int(unsafe.Sizeof(shardSolves{}))*cap(st.solves) +
+		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)+cap(st.rowBuf)+cap(st.valBuf)))
+	if st.tree != nil {
+		n += st.tree.Bytes()
+	}
+	for i := range st.solves {
+		ss := &st.solves[i]
+		n += int64(8 * (cap(ss.lower) + cap(ss.rhsPtr) + cap(ss.rhsIdx) + cap(ss.rhsVal) + cap(ss.rows) + cap(ss.vals)))
+	}
+	return n
 }
 
 // residual is one shard's residual right-hand side over its partLen
@@ -161,10 +187,11 @@ type residual struct {
 	sup []int
 }
 
-// freeList is a part's pool of one kind of query scratch: a
-// mutex-guarded stack that, unlike a sync.Pool, keeps its items across
-// garbage collections, so a part allocates its scratch once per peak of
-// concurrent use rather than again after every collection.
+// freeList is a pool of one kind of query scratch (a part's, or the
+// index's push states): a mutex-guarded stack that, unlike a sync.Pool,
+// keeps its items across garbage collections, so scratch is allocated
+// once per peak of concurrent use rather than again after every
+// collection.
 type freeList[T any] struct {
 	mu    sync.Mutex
 	items []T
@@ -191,6 +218,18 @@ func (l *freeList[T]) get() (T, bool) {
 func (l *freeList[T]) put(x T) {
 	l.mu.Lock()
 	l.items = append(l.items, x) //kdash:allow(hotalloc) grows to the part's peak concurrent use, once
+	l.mu.Unlock()
+}
+
+// putAtMost pushes an item unless the list already holds max, leaving
+// it to the collector then.
+//
+//kdash:noalloc
+func (l *freeList[T]) putAtMost(x T, max int) {
+	l.mu.Lock()
+	if len(l.items) < max {
+		l.items = append(l.items, x) //kdash:allow(hotalloc) grows to max once
+	}
 	l.mu.Unlock()
 }
 
@@ -232,8 +271,11 @@ func (p *part) getWorkspace(ix *core.Index) *lu.Workspace {
 // queryScratch is QueryScratchBytes' account.
 var queryScratch atomic.Int64
 
-// QueryScratchBytes reports the bytes of the L^{-1} workspaces and
-// residual vectors the shards' pools hold, until freed with their part.
+// QueryScratchBytes reports the bytes of per-query scratch the process
+// holds: the L^{-1} workspaces and residual vectors the shards' pools
+// hold, until freed with their part, and every pooled push state's own
+// arrays (its BFS workspace, remote rows and values, solve records), as
+// of its last release, until the state is collected.
 func QueryScratchBytes() int64 { return queryScratch.Load() }
 
 // countScratch counts n bytes of the pool-miss allocation x into
@@ -256,19 +298,21 @@ func (p *part) putWorkspace(w *lu.Workspace) {
 //
 //kdash:pooled
 func (sx *ShardedIndex) getPushState() *pushState {
-	if st, ok := sx.pushPool.Get().(*pushState); ok {
+	if st, ok := sx.pushPool.get(); ok {
 		return st
 	}
 	return newPushState(sx)
 }
 
 // putPushState restores the all-zero invariant and returns the state to
-// the pool. The state's vectors and supports must not be read afterwards.
+// the pool, which keeps at most GOMAXPROCS idle states; a state past
+// that is left to the collector. The state's vectors and supports must
+// not be read afterwards.
 //
 //kdash:release
 func (sx *ShardedIndex) putPushState(st *pushState) {
 	st.release()
-	sx.pushPool.Put(st)
+	sx.pushPool.putAtMost(st, runtime.GOMAXPROCS(0))
 }
 
 // seed adds restart mass m (already scaled by c) at global node g.
@@ -470,34 +514,36 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 	}
 	cutUpper := p.cutRowsUpper(ss.ix)
 	for k := range p.cutRows {
-		yv := cutUpper.Dot(k, w.W)
-		if yv == 0 {
-			continue
-		}
-		for _, e := range p.rowCuts(k) {
-			st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
+		if yv := cutUpper.Dot(k, w.W); yv != 0 {
+			st.scatter(p, k, yv)
 		}
 	}
 	return nil
 }
 
+// scatter adds cut row k's solved value yv, times each of its cut
+// edges' weights, to the edges' destinations' residuals, in edge order.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) scatter(p *part, k int, yv float64) {
+	for _, e := range p.rowCuts(k) {
+		st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
+	}
+}
+
 // remoteSolve is solveShard's coordinator half: it records the
 // right-hand side, asks the worker for the solve's values at ss.rows —
 // fixed at the shard's first solve to its cut rows merged with the rank
-// prefix's rows, ascending — folds them into x and scatters the cut
-// rows' values in ascending order, exactly as the in-process loop does
-// (rows outside the cut own no cut edges).
+// prefix's rows, ascending — folds them into ss.vals and scatters the
+// cut rows' values in ascending order, exactly as the in-process loop
+// does (rows outside the cut own no cut edges).
 //
 //kdash:noalloc
 //kdash:deterministic
 func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []float64) (int64, error) {
 	p := st.sx.parts[best]
 	if ss.nremote == 0 {
-		if ss.x == nil {
-			n := st.sx.partLen(best)
-			ss.x = make([]float64, n)  //kdash:allow(hotalloc) first remote solve of a shard sizes its value vector once per pooled state
-			ss.known = make([]bool, n) //kdash:allow(hotalloc) paired first-touch sizing
-		}
 		st.pushRows(best, ss)
 		ss.rhsPtr = append(ss.rhsPtr[:0], 0)
 	}
@@ -512,15 +558,15 @@ func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []flo
 	}
 	k := 0 // cursor into the cut rows, which ss.rows lists in order
 	for i, lv := range ss.rows {
-		var cuts []cutEdge
+		cut := -1
 		if k < len(p.cutRows) && p.cutRows[k] == lv {
-			cuts = p.rowCuts(k)
+			cut = k
 			k++
 		}
 		if yv := out[i]; yv != 0 {
-			ss.x[lv] += yv
-			for _, e := range cuts {
-				st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
+			ss.vals[i] += yv
+			if cut >= 0 {
+				st.scatter(p, cut, yv)
 			}
 		}
 	}
@@ -528,14 +574,14 @@ func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []flo
 }
 
 // pushRows sets ss.rows to shard si's cut rows merged with the rank
-// prefix's rows in the shard, ascending and distinct, and marks them
-// known: every push solve of the shard fetches exactly these rows.
+// prefix's rows in the shard, ascending and distinct, with zero values:
+// every push solve of the shard fetches exactly these rows.
 //
 //kdash:noalloc
 func (st *pushState) pushRows(si int, ss *shardSolves) {
 	sx := st.sx
 	pre := st.rowBuf[:0]
-	for _, g := range st.prefix {
+	for _, g := range st.prefix() {
 		if int(sx.home[g]) == si {
 			pre = append(pre, int(sx.local[g]))
 		}
@@ -559,10 +605,38 @@ func (st *pushState) pushRows(si int, ss *shardSolves) {
 			j++
 		}
 	}
-	for _, lv := range rows {
-		ss.known[lv] = true
-	}
 	ss.rows = rows
+	if cap(ss.vals) < len(rows) {
+		ss.vals = make([]float64, len(rows)) //kdash:allow(hotalloc) grows once per pooled state to the shard's widest row set
+	} else {
+		ss.vals = ss.vals[:len(rows)]
+		clear(ss.vals)
+	}
+}
+
+// find returns the index of local row lv in ss.rows, and whether the
+// shard's rows hold it.
+//
+//kdash:noalloc
+func (ss *shardSolves) find(lv int) (int, bool) { return slices.BinarySearch(ss.rows, lv) }
+
+// merge adds rows (ascending, none fetched before) with their values
+// vals to the shard's rows, keeping them ascending.
+//
+//kdash:noalloc
+func (ss *shardSolves) merge(rows []int, vals []float64) {
+	i, j := len(ss.rows)-1, len(rows)-1
+	ss.rows = append(ss.rows, rows...) //kdash:allow(hotalloc) grows once per pooled state to the shard's widest row set
+	ss.vals = append(ss.vals, vals...) //kdash:allow(hotalloc) paired growth
+	for k := len(ss.rows) - 1; j >= 0; k-- {
+		if i >= 0 && ss.rows[i] > rows[j] {
+			ss.rows[k], ss.vals[k] = ss.rows[i], ss.vals[i]
+			i--
+		} else {
+			ss.rows[k], ss.vals[k] = rows[j], vals[j]
+			j--
+		}
+	}
 }
 
 // values returns the state's value scratch resized to n.
@@ -575,45 +649,49 @@ func (st *pushState) values(n int) []float64 {
 	return st.valBuf[:n]
 }
 
-// startPrefix makes roots (sorted, distinct) layer 0 of the rank prefix.
-func (st *pushState) startPrefix(roots []int) {
-	if st.pmark == nil {
-		st.pmark = make([]int, st.sx.n)
+// prefix returns the rank prefix: the tree's first plen queued nodes.
+func (st *pushState) prefix() []int { return st.tree.Queue()[:st.plen] }
+
+// startTree starts the rank's BFS from its roots (sorted, distinct),
+// which are layer 0 of the rank prefix.
+func (st *pushState) startTree() {
+	if st.tree == nil {
+		st.tree = core.NewTreeWS(st.sx.n)
 	}
-	st.pgen++
-	st.prefix = append(st.prefix[:0], roots...)
-	for _, g := range roots {
-		st.pmark[g] = st.pgen
-	}
-	st.player = 0
+	st.tree.Start(st.roots)
+	st.plen = len(st.roots)
 }
 
 // rankPrefix sets the prefix to the fewest whole BFS layers from the
 // rank's roots that hold more than need nodes (all of the roots'
 // component when fewer exist).
 func (st *pushState) rankPrefix(need int) {
-	st.startPrefix(st.roots)
-	for len(st.prefix) <= need && st.widenPrefix() {
+	for st.plen <= need && st.widenPrefix() {
 	}
 }
 
-// widenPrefix appends the next BFS layer over the graph snapshot and
-// reports whether it added any node.
+// widenPrefix adds the next BFS layer over the graph snapshot to the
+// prefix and reports whether it added any node.
 //
 //kdash:noalloc
 func (st *pushState) widenPrefix() bool {
 	ptr, to := st.sx.g.OutCSR()
-	end := len(st.prefix)
-	for _, u := range st.prefix[st.player:end] {
-		for _, v := range to[ptr[u]:ptr[u+1]] {
-			if st.pmark[v] != st.pgen {
-				st.pmark[v] = st.pgen
-				st.prefix = append(st.prefix, int(v))
-			}
-		}
+	end := st.tree.NextLayer(ptr, to, st.plen)
+	if end == st.plen {
+		return false
 	}
-	st.player = end
-	return len(st.prefix) > end
+	st.plen = end
+	return true
+}
+
+// inPrefix reports whether node g, which the rank's BFS has reached,
+// lies in the prefix.
+//
+//kdash:noalloc
+func (st *pushState) inPrefix(g int) bool {
+	l, _ := st.tree.Reached(g)
+	last, _ := st.tree.Reached(st.tree.Queue()[st.plen-1])
+	return l <= last
 }
 
 // score is the rank's proximity source: node g's accumulated solution,
@@ -625,13 +703,20 @@ func (st *pushState) widenPrefix() bool {
 func (st *pushState) score(g int) float64 {
 	si, lv := st.sx.home[g], int(st.sx.local[g])
 	ss := &st.solves[si]
-	if ss.nremote > 0 && !ss.known[lv] {
-		if st.err != nil {
+	if ss.nremote == 0 {
+		return ss.value(lv)
+	}
+	if st.err != nil {
+		return 0
+	}
+	i, ok := ss.find(lv)
+	if !ok {
+		if st.fetch(g); st.err != nil {
 			return 0
 		}
-		st.fetch(g)
+		i, _ = ss.find(lv)
 	}
-	return ss.value(lv)
+	return ss.vals[i]
 }
 
 // fetch is the rank's fallback for a node g past the prefix: it widens
@@ -645,10 +730,10 @@ func (st *pushState) score(g int) float64 {
 //kdash:deterministic
 func (st *pushState) fetch(g int) {
 	sx := st.sx
-	// The rank's BFS runs from the same roots over the same graph, so
-	// every node it scores is reached by widening.
-	from := len(st.prefix)
-	for st.pmark[g] != st.pgen && st.widenPrefix() {
+	// The prefix is the start of the rank's own BFS, which has reached
+	// g, so widening takes g in.
+	from := st.plen
+	for !st.inPrefix(g) && st.widenPrefix() {
 	}
 	for si := range st.solves {
 		ss := &st.solves[si]
@@ -656,37 +741,43 @@ func (st *pushState) fetch(g int) {
 			continue
 		}
 		rows := st.rowBuf[:0]
-		for _, v := range st.prefix[from:] {
-			if lv := int(sx.local[v]); int(sx.home[v]) == si && !ss.known[lv] {
-				rows = append(rows, lv)
+		for _, v := range st.prefix()[from:] {
+			if lv := int(sx.local[v]); int(sx.home[v]) == si {
+				if _, known := ss.find(lv); !known {
+					rows = append(rows, lv)
+				}
 			}
 		}
 		st.rowBuf = rows
 		if len(rows) == 0 {
 			continue
 		}
+		slices.Sort(rows)
 		out := st.values(ss.nremote * len(rows))
 		if _, err := sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, out); err != nil {
 			st.err = err
 			return
 		}
-		for i, lv := range rows {
+		// Sum each row's values in place: row i's sum needs only
+		// out[r*len(rows)+i], r >= 0, none of which a lower row's sum
+		// overwrote.
+		for i := range rows {
 			x := 0.0
 			for r := 0; r < ss.nremote; r++ {
 				if v := out[r*len(rows)+i]; v != 0 {
 					x += v
 				}
 			}
-			ss.x[lv] = x
-			ss.known[lv] = true
-			ss.rows = append(ss.rows, lv)
+			out[i] = x
 		}
+		ss.merge(rows, out[:len(rows)])
 	}
 }
 
-// rank runs Algorithm 4 over the epoch's graph snapshot from the state's
-// roots, scoring each node it selects from the push's solve records, and
-// returns the exact top-k (only positive scores are answers). Its
+// rank runs Algorithm 4 over the epoch's graph snapshot, continuing the
+// BFS startTree began from the state's roots (and the remote prefix
+// widened), scoring each node it selects from the push's solve records,
+// and returns the exact top-k (only positive scores are answers). Its
 // proximity computations count into qs.NodesEvaluated; the remote
 // fallback's fetches are transport and count nowhere. It allocates the
 // O(k) result set and nothing else — deliberately not //kdash:noalloc.
@@ -694,13 +785,10 @@ func (st *pushState) fetch(g int) {
 //kdash:deterministic
 func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) ([]topk.Result, error) {
 	sx := st.sx
-	if st.tree == nil {
-		st.tree = core.NewTreeWS(sx.n)
-	}
 	heap := topk.New(k)
 	var ss core.SearchStats
 	ptr, to := sx.g.OutCSR()
-	core.SearchTree(st.tree, &sx.bounds, ptr, to, st.roots, st.score, heap, exclude, true, &ss)
+	st.tree.Search(&sx.bounds, ptr, to, st.score, heap, exclude, true, &ss)
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -764,11 +852,7 @@ func (st *pushState) release() {
 			ss.lower[i] = nil
 		}
 		ss.lower = ss.lower[:0]
-		for _, lv := range ss.rows {
-			ss.x[lv] = 0
-			ss.known[lv] = false
-		}
-		ss.rows = ss.rows[:0]
+		ss.rows, ss.vals = ss.rows[:0], ss.vals[:0]
 		ss.nremote = 0
 		ss.rhsIdx, ss.rhsVal = ss.rhsIdx[:0], ss.rhsVal[:0]
 		if r := st.res[si]; r != nil {
@@ -779,6 +863,8 @@ func (st *pushState) release() {
 	}
 	st.initial = 0
 	st.roots = st.roots[:0]
-	st.prefix = st.prefix[:0]
+	st.plen = 0
 	st.ctx, st.tr, st.err = nil, nil, nil
+	n := st.scratchBytes()
+	queryScratch.Add(n - st.scratch.Swap(n))
 }

@@ -65,7 +65,7 @@ type UpdateStats struct {
 	ColumnsSolved     int
 
 	Epoch     int           // the successor's epoch number
-	GraphTime time.Duration // applying the delta to the graph snapshot and rebuilding its search tables
+	GraphTime time.Duration // applying the delta to the graph snapshot and finding its global Amax
 	BuildTime time.Duration // wall clock of the shard rebuilds (worker pool)
 	// The rebuilt shards' core.BuildStats stage times, summed: where
 	// BuildTime went (CPU-like — shards rebuild in parallel).
@@ -131,12 +131,11 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		return nil, us, fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
 	// graph.Apply splices the touched out-rows into a copy of the CSR
-	// arrays, and GraphBounds reads the successor's search tables
-	// straight from them: 2.3 ms of a 41 ms two-edge apply on the bench
-	// graph (50k nodes, 147k edges; 2-core Xeon,
-	// BenchmarkShardedApplyTwoEdge). Its result is array for array what
-	// graph.Builder makes of the updated edge set — the foundation of the
-	// bit-identity contract. No query ever builds the tables.
+	// arrays, and GraphBounds finds the successor's global Amax in one
+	// pass over them; every other bound is read from a node's out-row
+	// when the rank visits it, so the stage keeps no per-node table. The
+	// graph is array for array what graph.Builder makes of the updated
+	// edge set — the foundation of the bit-identity contract.
 	t0 := time.Now()
 	newG, err := sx.g.Apply(batch)
 	if err != nil {
@@ -235,6 +234,9 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		staleness:      staleness2,
 		epoch:          sx.epoch + 1,
 		factorless:     sx.factorless, // remote is deliberately not carried: the coordinator rebinds per epoch
+	}
+	if n2 == sx.n && !us.Repartitioned {
+		sx2.homeBack = sx.homeBack // home2 is still the parent's
 	}
 	cutMask := make([]bool, s)
 	for si := 0; si < s; si++ {

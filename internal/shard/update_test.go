@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kdash/internal/graph"
@@ -33,6 +35,17 @@ func requireBitIdentical(t *testing.T, got, want *ShardedIndex, k int) {
 	t.Helper()
 	if got.N() != want.N() || got.Shards() != want.Shards() {
 		t.Fatalf("shape: got n=%d s=%d, want n=%d s=%d", got.N(), got.Shards(), want.N(), want.Shards())
+	}
+	// Every part's cut list — rebuilt, re-targeted or shared by an
+	// Apply — must be the one a fresh build derives.
+	for si, p := range got.parts {
+		q := want.parts[si]
+		if !slices.Equal(p.cutRows, q.cutRows) || !slices.Equal(p.cutRowPtr, q.cutRowPtr) ||
+			!slices.EqualFunc(p.cuts, q.cuts, func(a, b cutEdge) bool {
+				return a.dstShard == b.dstShard && a.dst == b.dst && math.Float64bits(a.w) == math.Float64bits(b.w)
+			}) {
+			t.Fatalf("shard %d: cut list differs from a fresh build's", si)
+		}
 	}
 	for q := 0; q < got.N(); q += 1 + got.N()/23 {
 		a, _, err := got.TopK(q, k)
