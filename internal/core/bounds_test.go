@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kdash/internal/graph"
+	"kdash/internal/lu"
 	"kdash/internal/reorder"
 	"kdash/internal/sparse"
 )
@@ -19,7 +20,9 @@ import (
 // epoch the re-formed parent A equals, bit for bit, the A a fresh build
 // of the parent graph formed — ColumnNormalized().PermuteSym of its
 // permutation, the two-pass form PermutedColumnNormalized is pinned to
-// below — and the rebuilt block's factors equal a fresh build's.
+// below — the columns a rebuild marks changed (changedColumns, which
+// reads the parent graph without re-forming A) are those a compare with
+// it marks, and the rebuilt block's factors equal a fresh build's.
 func TestDeltaChainRebuildsFromParentAdjacency(t *testing.T) {
 	opt := BuildOptions{Reorder: reorder.Hybrid, Seed: 3, Workers: 1}
 	formed := func(g *graph.Graph, ix *Index) *sparse.CSC {
@@ -57,9 +60,11 @@ func TestDeltaChainRebuildsFromParentAdjacency(t *testing.T) {
 				if err := sameCSC(prev.Adjacency(prevG), formed(prevG, prevFresh)); err != nil {
 					t.Fatalf("%s: re-formed parent A: %v", label, err)
 				}
+				if a := ix.Adjacency(g); prev.n == g.N() && !slices.Equal(prev.changedColumns(a, prevG), a.ChangedColumns(prev.Adjacency(prevG))) {
+					t.Fatalf("%s: the changed columns differ from a compare with the re-formed parent A", label)
+				}
 			}
-			if !slices.Equal(ix.perm, fresh.perm) || sameCSC(ix.linv, fresh.linv) != nil ||
-				!slices.Equal(ix.uinv.RowPtr, fresh.uinv.RowPtr) || !slices.Equal(ix.uinv.ColIdx, fresh.uinv.ColIdx) || !slices.Equal(ix.uinv.Val, fresh.uinv.Val) {
+			if !slices.Equal(ix.perm, fresh.perm) || sameCompact(ix.inv.Linv, fresh.inv.Linv) != nil || sameCompact(ix.inv.Uinv, fresh.inv.Uinv) != nil {
 				t.Fatalf("%s: the rebuilt block differs from a fresh build", label)
 			}
 			reused += ix.stats.ColumnsReused
@@ -195,6 +200,23 @@ func sameBounds(t *testing.T, label string, got, want Bounds) {
 			t.Fatalf("%s: node %d reads Amax(v)=%v A_vv=%v on visit, the tables hold %v and %v", label, v, ga, gs, wa, ws)
 		}
 	}
+}
+
+// sameCompact reports the first array in which two encoded inverse
+// factors differ, values compared by their bits.
+func sameCompact(got, want *lu.Compact) error {
+	switch {
+	case got.N != want.N || !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Gap, want.Gap):
+		return fmt.Errorf("pattern differs")
+	case !slices.Equal(got.EscPtr, want.EscPtr) || !slices.Equal(got.Esc, want.Esc):
+		return fmt.Errorf("escapes differ")
+	}
+	for i := range got.Val {
+		if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
+			return fmt.Errorf("entry %d is %v, want %v", i, got.Val[i], want.Val[i])
+		}
+	}
+	return nil
 }
 
 func sameCSC(got, want *sparse.CSC) error {

@@ -20,10 +20,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -91,21 +94,13 @@ type Index struct {
 	//kdash:readonly
 	a *sparse.CSC // reordered column-normalised adjacency; BuildIndex's only
 	//kdash:readonly
-	linv *sparse.CSC // L^{-1}, by column
-	//kdash:readonly
-	uinv *sparse.CSR // U^{-1}, by row
+	inv *lu.Inverse // L^{-1} by column and U^{-1} by row, in the compact id encoding
 
 	// derived holds what a and perm fix and Save does not store, built
 	// on first use: the inverse permutation, and Definition 2's tables
 	// when the index holds a. The sharded engine never builds it.
 	derivedOnce sync.Once
 	derived     *derivedTables
-
-	// invFac lazily binds the inverse factors as an lu.Inverse for the
-	// split solve (SolveLower, UpperDot). It holds the two stored forms
-	// and nothing derived from them.
-	invFacOnce sync.Once
-	invFac     *lu.Inverse
 
 	// swPool recycles tree-search workspaces across queries, so the
 	// steady-state query path performs no O(n) allocation. It is a
@@ -128,9 +123,9 @@ type Index struct {
 	//
 	// That cleanup rests on one invariant: no slice of the container
 	// outlives the *Index that owns it. The container's slices sit only
-	// in this Index's fields and in objects it owns — the sparse.CSC and
-	// CSR structs and the lu.Inverse built over them — and whatever holds
-	// one of those also holds the Index. Workspaces and packed U^{-1} rows
+	// in this Index's fields and in objects it owns — the lu.Inverse and
+	// its two lu.Compact factors — and whatever holds one of those also
+	// holds the Index. Workspaces and packed U^{-1} rows
 	// hold no container slice: they are fresh Go memory. Methods whose
 	// last use of the Index precedes a read through such an object keep
 	// it alive with runtime.KeepAlive.
@@ -167,15 +162,6 @@ func (ix *Index) tables() *derivedTables {
 		}
 	})
 	return ix.derived
-}
-
-// inverseFactors returns the index's factors as an lu.Inverse, built
-// once.
-func (ix *Index) inverseFactors() *lu.Inverse {
-	ix.invFacOnce.Do(func() {
-		ix.invFac = &lu.Inverse{N: ix.n, Linv: ix.linv, Uinv: ix.uinv}
-	})
-	return ix.invFac
 }
 
 // BuildIndex precomputes a K-dash index for the graph, the one index
@@ -234,10 +220,10 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		// stat, so it is capped by the previous inverse's real size,
 		// which bounds it: L and U lie within the patterns of their
 		// inverses.
-		sizeHint = min(prev.stats.NNZFactors, prev.linv.NNZ()+prev.uinv.NNZ()+prev.n)
+		sizeHint = min(prev.stats.NNZFactors, prev.inv.NNZ()+prev.n)
 		if prev.c == c && prev.dropTol == opt.DropTol {
-			changed = a.ChangedColumns(prev.Adjacency(prevG))
-			prevInv = prev.inverseFactors()
+			changed = prev.changedColumns(a, prevG)
+			prevInv = prev.inv
 		}
 	}
 	fac, err := lu.RefactorizeW(a, c, changed, sizeHint)
@@ -257,8 +243,7 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		c:       c,
 		dropTol: opt.DropTol,
 		perm:    make([]int32, n),
-		linv:    inverse.Linv,
-		uinv:    inverse.Uinv,
+		inv:     inverse,
 	}
 	for u, p := range perm {
 		ix.perm[u] = int32(p)
@@ -297,6 +282,43 @@ func (ix *Index) Adjacency(g *graph.Graph) *sparse.CSC {
 		perm[u] = int(p)
 	}
 	return g.PermutedColumnNormalized(perm)
+}
+
+// changedColumns reports, per column, whether a differs in its pattern
+// or in any value's bits from the A the index factorized from g, the
+// graph it was built over — a.ChangedColumns(ix.Adjacency(g)) without
+// re-forming that A: its column perm[v] is v's out-edges, each target
+// renamed by perm and each weight divided by v's out-weight sum, rows
+// ascending, as PermutedColumnNormalized lays it down.
+func (ix *Index) changedColumns(a *sparse.CSC, g *graph.Graph) []bool {
+	out := make([]bool, ix.n)
+	type entry struct {
+		row int32
+		val float64
+	}
+	var col []entry
+	for v := 0; v < ix.n; v++ {
+		col = col[:0]
+		if total := g.OutWeightSum(v); total > 0 {
+			g.OutNeighbors(v, func(u int, w float64) {
+				col = append(col, entry{ix.perm[u], w / total})
+			})
+		}
+		slices.SortFunc(col, func(x, y entry) int { return cmp.Compare(x.row, y.row) })
+		c := int(ix.perm[v])
+		lo, hi := a.ColPtr[c], a.ColPtr[c+1]
+		if hi-lo != len(col) {
+			out[c] = true
+			continue
+		}
+		for k, e := range col {
+			if a.RowIdx[lo+k] != e.row || math.Float64bits(a.Val[lo+k]) != math.Float64bits(e.val) {
+				out[c] = true
+				break
+			}
+		}
+	}
+	return out
 }
 
 // Communities returns the Louvain communities the block's ordering
@@ -403,12 +425,12 @@ func (ix *Index) TopK(q, k int) ([]topk.Result, SearchStats, error) {
 // invalidated by bumping the generation counter instead of rewriting the
 // arrays.
 type searchWS struct {
-	ws   []float64 // scattered L^{-1} r; only scattered entries are live
+	w    *lu.Workspace // L^{-1} r, spot-cleaned by its support list
 	tree *TreeWS
 }
 
 func (ix *Index) newSearchWS() *searchWS {
-	return &searchWS{ws: make([]float64, ix.n), tree: NewTreeWS(ix.n)}
+	return &searchWS{w: ix.inv.NewWorkspace(), tree: NewTreeWS(ix.n)}
 }
 
 // getSearchWS checks a clean search workspace out of the pool (queries
@@ -455,23 +477,19 @@ func (ix *Index) search(q int, opt SearchOptions, sw *searchWS) ([]topk.Result, 
 
 	// L^{-1} e_q scattered into a dense workspace for O(1) lookups while
 	// walking rows of U^{-1}.
-	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-		sw.ws[ix.linv.RowIdx[i]] = ix.linv.Val[i]
-	}
+	ix.inv.SolveLower(sw.w, []int{q}, []float64{1}, ix.perm)
 
 	heap := topk.New(opt.K)
 	excluded := ix.internalExclusions(opt.Exclude)
 
 	if opt.RandomRoot {
-		ix.searchRandomRoot(qi, heap, sw.ws, opt, excluded, &stats)
+		ix.searchRandomRoot(qi, heap, sw.w.W, opt, excluded, &stats)
 	} else {
 		ix.searchTree([]int{qi}, heap, sw, !opt.DisablePruning, excluded, &stats)
 	}
 
 	// Spot-clean the scattered column so the workspace is reusable.
-	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-		sw.ws[ix.linv.RowIdx[i]] = 0
-	}
+	sw.w.Reset()
 
 	results := heap.Results()
 	inv := ix.tables().inv
@@ -539,31 +557,22 @@ func (ix *Index) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, 
 		}
 		total += w
 	}
-	// Internal ids, sorted for deterministic visit order.
-	internal := make([]int, 0, len(seeds))
-	weight := make(map[int]float64, len(seeds))
-	for _, node := range nodes {
-		qi := int(ix.perm[node])
-		internal = append(internal, qi)
-		weight[qi] = seeds[node] / total
+	// The seeds in ascending internal id, the deterministic visit and
+	// accumulation order, with their normalised weights.
+	sort.Slice(nodes, func(a, b int) bool { return ix.perm[nodes[a]] < ix.perm[nodes[b]] })
+	internal := make([]int, len(nodes))
+	weight := make([]float64, len(nodes))
+	for t, node := range nodes {
+		internal[t] = int(ix.perm[node])
+		weight[t] = seeds[node] / total
 	}
-	sort.Ints(internal)
-	// Accumulate L^{-1} r into a pooled workspace, spot-cleaning the
-	// scattered columns afterwards so the workspace goes back clean.
+	// Accumulate L^{-1} r into a pooled workspace, spot-cleaned
+	// afterwards so the workspace goes back clean.
 	sw := ix.getSearchWS()
-	for _, qi := range internal {
-		wq := weight[qi]
-		for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-			sw.ws[ix.linv.RowIdx[i]] += wq * ix.linv.Val[i]
-		}
-	}
+	ix.inv.SolveLower(sw.w, nodes, weight, ix.perm)
 	heap := topk.New(k)
 	ix.searchTree(internal, heap, sw, true, nil, &stats)
-	for _, qi := range internal {
-		for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-			sw.ws[ix.linv.RowIdx[i]] = 0
-		}
-	}
+	sw.w.Reset()
 	ix.putSearchWS(sw)
 	results := heap.Results()
 	inv := ix.tables().inv
@@ -601,7 +610,7 @@ func (ix *Index) bfs(root int) (order []int, layer []int) {
 //
 //kdash:noalloc
 func (ix *Index) proximity(u int, ws []float64) float64 {
-	return ix.c * ix.inverseFactors().UpperRowDot(u, ws)
+	return ix.c * ix.inv.UpperRowDot(u, ws)
 }
 
 // searchTree runs Algorithm 4 (SearchTree) over the reordered adjacency
@@ -609,7 +618,7 @@ func (ix *Index) proximity(u int, ws []float64) float64 {
 // exact proximities against the L^{-1} column(s) pre-scattered in sw.ws.
 // Roots are internal ids, sorted ascending.
 func (ix *Index) searchTree(roots []int, heap *topk.Heap, sw *searchWS, prune bool, excluded map[int]bool, stats *SearchStats) {
-	score := func(u int) float64 { return ix.proximity(u, sw.ws) }
+	score := func(u int) float64 { return ix.proximity(u, sw.w.W) }
 	SearchTree(sw.tree, &ix.tables().bounds, ix.a.ColPtr, ix.a.RowIdx, roots, score, heap, excluded, prune, stats)
 }
 
@@ -672,27 +681,19 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 	if len(r) != ix.n {
 		return nil, fmt.Errorf("core: Solve rhs has %d entries, index has %d nodes", len(r), ix.n)
 	}
-	// ws = L^{-1} (P r), accumulated column by column over nonzero rhs
-	// entries.
-	ws := make([]float64, ix.n)
-	for u, v := range r {
-		if v == 0 {
-			continue
-		}
-		qi := ix.perm[u]
-		for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-			ws[ix.linv.RowIdx[i]] += v * ix.linv.Val[i]
-		}
+	// w = L^{-1} (P r), accumulated column by column over nonzero rhs
+	// entries in ascending node order.
+	nodes := make([]int, ix.n)
+	for u := range nodes {
+		nodes[u] = u
 	}
-	// y = P^T (U^{-1} ws).
+	w := ix.inv.NewWorkspace()
+	ix.inv.SolveLower(w, nodes, r, ix.perm)
+	// y = P^T (U^{-1} w).
 	inv := ix.tables().inv
 	out := make([]float64, ix.n)
 	for u := 0; u < ix.n; u++ {
-		s := 0.0
-		for i := ix.uinv.RowPtr[u]; i < ix.uinv.RowPtr[u+1]; i++ {
-			s += ix.uinv.Val[i] * ws[ix.uinv.ColIdx[i]]
-		}
-		out[inv[u]] = s
+		out[inv[u]] = ix.inv.UpperRowDot(u, w.W)
 	}
 	return out, nil
 }
@@ -723,15 +724,10 @@ func (ix *Index) Proximity(q, u int) (float64, error) {
 	if q < 0 || q >= ix.n || u < 0 || u >= ix.n {
 		return 0, fmt.Errorf("core: node pair (%d,%d) outside [0,%d)", q, u, ix.n)
 	}
-	qi := ix.perm[q]
 	sw := ix.getSearchWS()
-	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-		sw.ws[ix.linv.RowIdx[i]] = ix.linv.Val[i]
-	}
-	p := ix.proximity(int(ix.perm[u]), sw.ws)
-	for i := ix.linv.ColPtr[qi]; i < ix.linv.ColPtr[qi+1]; i++ {
-		sw.ws[ix.linv.RowIdx[i]] = 0
-	}
+	ix.inv.SolveLower(sw.w, []int{q}, []float64{1}, ix.perm)
+	p := ix.proximity(int(ix.perm[u]), sw.w.W)
+	sw.w.Reset()
 	ix.putSearchWS(sw)
 	return p, nil
 }

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"kdash/internal/gen"
+	"kdash/internal/lu"
+	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
 
@@ -26,13 +28,37 @@ const fuzzNodes = 24
 // corruptions.
 func fuzzIndexBytes(tb testing.TB) []byte {
 	tb.Helper()
+	ix := fuzzIndex(tb)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzIndex builds the index fuzzIndexBytes saves.
+func fuzzIndex(tb testing.TB) *Index {
+	tb.Helper()
 	g := gen.ErdosRenyi(fuzzNodes, 90, 7)
 	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return ix
+}
+
+// fuzzIndexWith is fuzzIndexBytes with inverse factors that edit has
+// rewritten.
+func fuzzIndexWith(tb testing.TB, edit func(l, u *lu.Compact)) []byte {
+	tb.Helper()
+	ix := fuzzIndex(tb)
+	w := mmapio.NewWriter()
+	w.AddBytes(secMeta, ix.metaBytes())
+	l, u := cloneCompact(ix.inv.Linv), cloneCompact(ix.inv.Uinv)
+	edit(l, u)
+	writeSections(w, 0, ix.perm, l, u)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if _, err := w.WriteTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -86,12 +112,12 @@ func fuzzSeedsV3(tb testing.TB) []fuzzSeed {
 	// Flip a table byte (table checksum mismatch).
 	flipTable := append([]byte{}, valid...)
 	flipTable[32] ^= 0xff
-	// An id section holding a negative id, and one holding the id n,
-	// resealed so each reaches the range check.
-	negID := append([]byte{}, valid...)
-	patchSection(tb, negID, secLinvRowIdx, func(sec []byte) { binary.LittleEndian.PutUint32(sec, math.MaxUint32) })
+	// An L^-1 column whose first row is escaped as -1, and a U^-1 gap
+	// that carries the last row's id to n, so each reaches the decode
+	// check.
+	negID := fuzzIndexWith(tb, func(l, u *lu.Compact) { escapeEntry(l, 0, 0, -1) })
 	idN := append([]byte{}, valid...)
-	patchSection(tb, idN, secUinvColIdx, func(sec []byte) { binary.LittleEndian.PutUint32(sec, fuzzNodes) })
+	patchSection(tb, idN, secUinvGap, func(sec []byte) { sec[len(sec)-1]++ })
 	return []fuzzSeed{
 		{"valid", valid},
 		{"truncated-mid-section", valid[:len(valid)/2]},

@@ -172,7 +172,7 @@ func TestLoadRejectsCorruptUInverseRowPtr(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := savedBytes(t, ix)
-	past := uint64(len(ix.uinv.ColIdx) + 5)
+	past := uint64(ix.inv.Uinv.NNZ() + 5)
 	patchSection(t, data, secUinvRowPtr, func(sec []byte) {
 		for i := 8; i < len(sec)-8; i += 8 {
 			binary.LittleEndian.PutUint64(sec[i:], past)

@@ -17,16 +17,18 @@ package core
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it; its meta tag names the
-// generation within it. The current one, "KDIXV6", stores what a query
-// reads — the permutation and the inverse factors, every id int32 — and
-// a block's Louvain communities (section 23, K and Q in the meta
+// generation within it. The current one, "KDIXV7", stores what a query
+// reads — the int32 permutation and the inverse factors in the compact
+// id encoding (lu.Compact: a gap byte per entry, escaped ids int32) —
+// and a block's Louvain communities (section 23, K and Q in the meta
 // section); no adjacency, which a rebuild re-forms from the graph. It
 // is the only generation the loader reads:
 // the v1 value-by-value stream, the v3 files that also carried int32
 // factor strips (sections 15-22, mmapio kind 4), the "KDIXV3" files
-// whose ids were int64, the "KDIXV4" files without communities and the
-// "KDIXV5" files that also stored the adjacency (sections 4-6) are all
-// refused with ErrUnsupportedFormat.
+// whose ids were int64, the "KDIXV4" files without communities, the
+// "KDIXV5" files that also stored the adjacency (sections 4-6) and the
+// "KDIXV6" files whose inverse factors kept an int32 id per entry
+// (sections 8 and 11) are all refused with ErrUnsupportedFormat.
 
 import (
 	"encoding/binary"
@@ -38,6 +40,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 	"kdash/internal/sparse"
@@ -49,27 +52,33 @@ import (
 var ErrUnsupportedFormat = errors.New("not a current K-dash index file; rebuild with `kdash -save-index`")
 
 // Section ids of the v3 index container. Ids 3-6, 13 and 14 held the
-// adjacency and tables derived from it, and are unused.
+// adjacency and tables derived from it, 8 and 11 the inverse factors'
+// int32 ids; they are unused. Each inverse factor is one lu.Compact:
+// entry pointers, values, gap bytes, escape pointers and escaped ids.
 const (
 	secMeta       = 1  // bytes: fixed 80-byte header, see metaBytes
 	secPerm       = 2  // int32[n]: original -> internal node id
-	secLinvColPtr = 7  // int64[n+1]: L^-1 CSC column pointers
-	secLinvRowIdx = 8  // int32[nnzL]
+	secLinvColPtr = 7  // int64[n+1]: L^-1 column pointers
 	secLinvVal    = 9  // float64[nnzL]
-	secUinvRowPtr = 10 // int64[n+1]: U^-1 CSR row pointers
-	secUinvColIdx = 11 // int32[nnzU]
+	secUinvRowPtr = 10 // int64[n+1]: U^-1 row pointers
 	secUinvVal    = 12 // float64[nnzU]
 	secCommunity  = 23 // int32[owned]: a block's Louvain communities, present when K > 0
+	secLinvGap    = 24 // uint8[nnzL]: row gaps, 0 escapes
+	secLinvEscPtr = 25 // int64[n+1]: L^-1 escape pointers
+	secLinvEsc    = 26 // int32[escL]: escaped row ids
+	secUinvGap    = 27 // uint8[nnzU]: column gaps, 0 escapes
+	secUinvEscPtr = 28 // int64[n+1]: U^-1 escape pointers
+	secUinvEsc    = 29 // int32[escU]: escaped column ids
 )
 
 // metaTag opens the meta section and names the generation, so a
 // container holding something other than a current core index is
 // refused before any array is interpreted.
-const metaTag = "KDIXV6\x00\x00"
+const metaTag = "KDIXV7\x00\x00"
 
 // metaSize is the fixed byte length of the meta section:
 //
-//	0   8  tag "KDIXV6\x00\x00"
+//	0   8  tag "KDIXV7\x00\x00"
 //	8   8  uint64 n
 //	16  8  float64 bits of the restart probability c
 //	24  8  uint64 reorder method
@@ -104,12 +113,19 @@ func (ix *Index) Save(w io.Writer) error {
 	sw := mmapio.NewWriter()
 	sw.AddBytes(secMeta, ix.metaBytes())
 	sw.AddInt32s(secPerm, ix.perm)
-	sw.AddInts(secLinvColPtr, ix.linv.ColPtr)
-	sw.AddInt32s(secLinvRowIdx, ix.linv.RowIdx)
-	sw.AddFloats(secLinvVal, ix.linv.Val)
-	sw.AddInts(secUinvRowPtr, ix.uinv.RowPtr)
-	sw.AddInt32s(secUinvColIdx, ix.uinv.ColIdx)
-	sw.AddFloats(secUinvVal, ix.uinv.Val)
+	for _, f := range []struct {
+		m                      *lu.Compact
+		ptr, val, gap, ep, esc uint32
+	}{
+		{ix.inv.Linv, secLinvColPtr, secLinvVal, secLinvGap, secLinvEscPtr, secLinvEsc},
+		{ix.inv.Uinv, secUinvRowPtr, secUinvVal, secUinvGap, secUinvEscPtr, secUinvEsc},
+	} {
+		sw.AddInts(f.ptr, f.m.Ptr)
+		sw.AddFloats(f.val, f.m.Val)
+		sw.AddBytes(f.gap, f.m.Gap)
+		sw.AddInts(f.ep, f.m.EscPtr)
+		sw.AddInt32s(f.esc, f.m.Esc)
+	}
 	if ix.commK > 0 {
 		sw.AddInt32s(secCommunity, ix.comm)
 	}
@@ -204,15 +220,24 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 			*dst, err = f.Floats(id)
 		}
 	}
-	linv := &sparse.CSC{Rows: ix.n, Cols: ix.n}
-	uinv := &sparse.CSR{Rows: ix.n, Cols: ix.n}
+	gaps := func(id uint32, dst *[]uint8) {
+		if err == nil {
+			*dst, err = f.Bytes(id)
+		}
+	}
+	linv := &lu.Compact{N: ix.n}
+	uinv := &lu.Compact{N: ix.n}
 	ids(secPerm, &ix.perm)
-	ints(secLinvColPtr, &linv.ColPtr)
-	ids(secLinvRowIdx, &linv.RowIdx)
+	ints(secLinvColPtr, &linv.Ptr)
 	floats(secLinvVal, &linv.Val)
-	ints(secUinvRowPtr, &uinv.RowPtr)
-	ids(secUinvColIdx, &uinv.ColIdx)
+	gaps(secLinvGap, &linv.Gap)
+	ints(secLinvEscPtr, &linv.EscPtr)
+	ids(secLinvEsc, &linv.Esc)
+	ints(secUinvRowPtr, &uinv.Ptr)
 	floats(secUinvVal, &uinv.Val)
+	gaps(secUinvGap, &uinv.Gap)
+	ints(secUinvEscPtr, &uinv.EscPtr)
+	ids(secUinvEsc, &uinv.Esc)
 	if ix.commK = int(min(le.Uint64(meta[64:]), sparse.MaxDim+1)); ix.commK > 0 {
 		ids(secCommunity, &ix.comm)
 		ix.commQ = math.Float64frombits(le.Uint64(meta[72:]))
@@ -220,7 +245,7 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt index: %w", err)
 	}
-	ix.linv, ix.uinv = linv, uinv
+	ix.inv = &lu.Inverse{N: ix.n, Linv: linv, Uinv: uinv}
 	ix.stats = BuildStats{
 		Method:       reorder.Method(le.Uint64(meta[24:])),
 		NNZFactors:   int(le.Uint64(meta[32:])),
@@ -268,11 +293,13 @@ func untrackHeap(n int64) { heapBytes.Add(-n) }
 // own width: what Save writes, less the meta section, the container's
 // table and padding, and a block's communities.
 func (ix *Index) arrayBytes() int64 {
-	ptrs := len(ix.linv.ColPtr) + len(ix.uinv.RowPtr)
-	ids := len(ix.perm) + len(ix.linv.RowIdx) + len(ix.uinv.ColIdx)
-	vals := len(ix.linv.Val) + len(ix.uinv.Val)
-	return 8*int64(ptrs+vals) + 4*int64(ids)
+	return 4*int64(len(ix.perm)) + ix.FactorBytes()
 }
+
+// FactorBytes is the byte size of the inverse factors' arrays at their
+// stored width: per entry a value and a gap byte, per escaped id four
+// bytes, per line of each factor two int64 pointers.
+func (ix *Index) FactorBytes() int64 { return ix.inv.Bytes() }
 
 // Close releases the index's off-heap backing, a sealed copy, now
 // rather than when the index becomes unreachable. An index must not be
@@ -290,9 +317,8 @@ func (ix *Index) Close() error {
 
 // validateLoaded checks every array a query reads, so a corrupt file
 // fails loudly at load time instead of panicking mid-query: lengths
-// against n and each other, that perm is a permutation, and for each
-// sparse matrix that its pointers run from 0 to the entry count without
-// decreasing and that every id is in [0, n).
+// against n and each other, that perm is a permutation, and each
+// inverse factor's encoding (lu.Compact.Validate).
 func (ix *Index) validateLoaded() error {
 	n := ix.n
 	if len(ix.perm) != n {
@@ -315,27 +341,11 @@ func (ix *Index) validateLoaded() error {
 		}
 		seen[p] = true
 	}
-	// check validates one compressed matrix: ptr indexes idx and val,
-	// whose entries are ids of kind idxKind ("row" for a CSC, "column"
-	// for a CSR).
-	check := func(name, idxKind string, ptr []int, idx []int32, val []float64) error {
-		if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != len(idx) || len(idx) != len(val) {
-			return fmt.Errorf("core: corrupt index (%s pointers: %d/%d/%d entries for n=%d)", name, len(ptr), len(idx), len(val), n)
-		}
-		for j := 0; j < n; j++ {
-			if ptr[j] > ptr[j+1] {
-				return fmt.Errorf("core: corrupt index (%s pointer %d decreases)", name, j)
-			}
-		}
-		for _, i := range idx {
-			if i < 0 || int(i) >= n {
-				return fmt.Errorf("core: corrupt index (%s %s index %d)", name, idxKind, i)
-			}
-		}
-		return nil
+	if err := ix.inv.Linv.Validate("L-inverse"); err != nil {
+		return fmt.Errorf("core: corrupt index (%w)", err)
 	}
-	if err := check("L-inverse", "row", ix.linv.ColPtr, ix.linv.RowIdx, ix.linv.Val); err != nil {
-		return err
+	if err := ix.inv.Uinv.Validate("U-inverse"); err != nil {
+		return fmt.Errorf("core: corrupt index (%w)", err)
 	}
-	return check("U-inverse", "column", ix.uinv.RowPtr, ix.uinv.ColIdx, ix.uinv.Val)
+	return nil
 }

@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"kdash/internal/gen"
+	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/reorder"
 )
@@ -169,17 +172,17 @@ func TestLoadedFactorsFaultOnWrite(t *testing.T) {
 	}
 	ix := openSealed(t, built)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	before := ix.linv.Val[0]
+	before := ix.inv.Linv.Val[0]
 	faulted := func() (r any) {
 		defer func() { r = recover() }()
-		ix.linv.Val[0] = before + 1 //kdash:allow(rofactors) the write this test proves the MMU refuses
+		ix.inv.Linv.Val[0] = before + 1 //kdash:allow(rofactors) the write this test proves the MMU refuses
 		return nil
 	}()
 	if faulted == nil {
 		t.Fatal("a write through a loaded factor slice did not fault")
 	}
-	if ix.linv.Val[0] != before {
-		t.Fatalf("factor changed from %v to %v", before, ix.linv.Val[0])
+	if ix.inv.Linv.Val[0] != before {
+		t.Fatalf("factor changed from %v to %v", before, ix.inv.Linv.Val[0])
 	}
 	assertSameAnswers(t, built, ix, "sealed")
 	if err := ix.Close(); err != nil {
@@ -205,28 +208,17 @@ func TestV3CorruptSections(t *testing.T) {
 			}
 			w.AddBytes(secMeta, meta)
 		}
-		add := func(id uint32, xs []int) {
-			if id != skip {
-				w.AddInts(id, xs)
-			}
+		writeSections(w, skip, ix.perm, ix.inv.Linv, ix.inv.Uinv)
+	}
+	// withFactors writes a container whose inverse factors are copies
+	// that edit has corrupted.
+	withFactors := func(edit func(l, u *lu.Compact)) mutate {
+		return func(w *mmapio.Writer) {
+			w.AddBytes(secMeta, ix.metaBytes())
+			l, u := cloneCompact(ix.inv.Linv), cloneCompact(ix.inv.Uinv)
+			edit(l, u)
+			writeSections(w, 0, ix.perm, l, u)
 		}
-		addID := func(id uint32, xs []int32) {
-			if id != skip {
-				w.AddInt32s(id, xs)
-			}
-		}
-		addF := func(id uint32, xs []float64) {
-			if id != skip {
-				w.AddFloats(id, xs)
-			}
-		}
-		addID(secPerm, ix.perm)
-		add(secLinvColPtr, ix.linv.ColPtr)
-		addID(secLinvRowIdx, ix.linv.RowIdx)
-		addF(secLinvVal, ix.linv.Val)
-		add(secUinvRowPtr, ix.uinv.RowPtr)
-		addID(secUinvColIdx, ix.uinv.ColIdx)
-		addF(secUinvVal, ix.uinv.Val)
 	}
 	// withID replaces id section sec by a copy with entry 0 set to v.
 	withID := func(sec uint32, xs []int32, v int32) mutate {
@@ -236,6 +228,14 @@ func TestV3CorruptSections(t *testing.T) {
 			bad[0] = v
 			w.AddInt32s(sec, bad)
 		}
+	}
+	last := ix.n - 1 // L^-1's last column holds its diagonal alone
+	if l := ix.inv.Linv; l.Ptr[last+1]-l.Ptr[last] != 1 || l.Gap[l.Ptr[last]] != 1 {
+		t.Fatalf("L^-1 column %d is not its diagonal alone", last)
+	}
+	long := 0 // a U^-1 row of two entries or more
+	for u := ix.inv.Uinv; u.Ptr[long+1]-u.Ptr[long] < 2; {
+		long++
 	}
 	badMeta := ix.metaBytes()
 	copy(badMeta, "WRONGTAG")
@@ -265,14 +265,21 @@ func TestV3CorruptSections(t *testing.T) {
 		}, "want 6"},
 		{"broken colptr", func(w *mmapio.Writer) {
 			full(w, secLinvColPtr, nil)
-			bad := append([]int(nil), ix.linv.ColPtr...)
+			bad := append([]int(nil), ix.inv.Linv.Ptr...)
 			bad[len(bad)-1]++ // endpoint disagrees with the index array
 			w.AddInts(secLinvColPtr, bad)
 		}, "L-inverse pointers"},
-		{"out-of-range row index", withID(secLinvRowIdx, ix.linv.RowIdx, int32(ix.n)+5), "row index"},
-		{"row id n", withID(secLinvRowIdx, ix.linv.RowIdx, int32(ix.n)), "L-inverse row index"},
-		{"negative row id", withID(secLinvRowIdx, ix.linv.RowIdx, -1), "L-inverse row index -1"},
-		{"negative column id", withID(secUinvColIdx, ix.uinv.ColIdx, math.MinInt32), "U-inverse column index"},
+		{"out-of-range row index", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 255 }), "L-inverse line"},
+		{"row id n", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 2 }), fmt.Sprintf("L-inverse line %d id %d outside", last, ix.n)},
+		{"negative row id", withFactors(func(l, u *lu.Compact) { escapeEntry(l, 0, 0, -1) }), "L-inverse line 0 escaped id -1"},
+		{"negative column id", withFactors(func(l, u *lu.Compact) { escapeEntry(u, 0, 0, math.MinInt32) }), "U-inverse line 0 escaped id -2147483648"},
+		{"escaped id repeats", withFactors(func(l, u *lu.Compact) { escapeEntry(u, long, 1, int32(long)) }), fmt.Sprintf("U-inverse line %d escaped id %d does not ascend", long, long)},
+		{"escape not listed", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 0 }), "escapes more ids"},
+		{"escape not consumed", withFactors(func(l, u *lu.Compact) {
+			l.Esc = append(l.Esc, int32(last))
+			l.EscPtr[ix.n]++
+		}), fmt.Sprintf("L-inverse line %d escapes 0 ids, 1 listed", last)},
+		{"broken escape pointers", withFactors(func(l, u *lu.Compact) { u.EscPtr[ix.n]++ }), "U-inverse escape pointers"},
 		{"negative perm id", withID(secPerm, ix.perm, -1), "not a permutation"},
 		{"perm id n", withID(secPerm, ix.perm, int32(ix.n)), "not a permutation"},
 		{"non-permutation", withID(secPerm, ix.perm, ix.perm[1]), "not a permutation"},
@@ -312,7 +319,7 @@ func TestArrayBytesIsSavedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, le := buf.Bytes(), binary.LittleEndian
-	width := map[uint32]int64{mmapio.KindInt64: 8, mmapio.KindFloat64: 8, mmapio.KindInt32: 4}
+	width := map[uint32]int64{mmapio.KindInt64: 8, mmapio.KindFloat64: 8, mmapio.KindInt32: 4, mmapio.KindBytes: 1}
 	var payload int64
 	for i := uint32(0); i < le.Uint32(data[12:]); i++ {
 		e := data[32+32*i:]
@@ -327,5 +334,62 @@ func TestArrayBytesIsSavedPayload(t *testing.T) {
 	}
 	if got := ix.arrayBytes(); got != payload {
 		t.Fatalf("arrayBytes = %d, Save wrote %d bytes of arrays", got, payload)
+	}
+}
+
+// writeSections adds the permutation and the inverse factors l and u to
+// w, every section but skip.
+func writeSections(w *mmapio.Writer, skip uint32, perm []int32, l, u *lu.Compact) {
+	if skip != secPerm {
+		w.AddInt32s(secPerm, perm)
+	}
+	for _, f := range []struct {
+		m                      *lu.Compact
+		ptr, val, gap, ep, esc uint32
+	}{
+		{l, secLinvColPtr, secLinvVal, secLinvGap, secLinvEscPtr, secLinvEsc},
+		{u, secUinvRowPtr, secUinvVal, secUinvGap, secUinvEscPtr, secUinvEsc},
+	} {
+		adds := []struct {
+			id  uint32
+			add func()
+		}{
+			{f.ptr, func() { w.AddInts(f.ptr, f.m.Ptr) }},
+			{f.val, func() { w.AddFloats(f.val, f.m.Val) }},
+			{f.gap, func() { w.AddBytes(f.gap, f.m.Gap) }},
+			{f.ep, func() { w.AddInts(f.ep, f.m.EscPtr) }},
+			{f.esc, func() { w.AddInt32s(f.esc, f.m.Esc) }},
+		}
+		for _, a := range adds {
+			if a.id != skip {
+				a.add()
+			}
+		}
+	}
+}
+
+// cloneCompact returns a heap copy of m that a test may corrupt.
+func cloneCompact(m *lu.Compact) *lu.Compact {
+	return &lu.Compact{N: m.N, Ptr: slices.Clone(m.Ptr), Gap: slices.Clone(m.Gap), EscPtr: slices.Clone(m.EscPtr), Esc: slices.Clone(m.Esc), Val: slices.Clone(m.Val)}
+}
+
+// escapeEntry stores entry k of line j of m as an escape of id: its gap
+// byte becomes 0 and id joins the line's escapes after those of the
+// line's earlier entries.
+func escapeEntry(m *lu.Compact, j, k int, id int32) {
+	p, at := m.Ptr[j]+k, m.EscPtr[j]
+	for q := m.Ptr[j]; q < p; q++ {
+		if m.Gap[q] == 0 {
+			at++
+		}
+	}
+	if m.Gap[p] == 0 {
+		m.Esc[at] = id
+		return
+	}
+	m.Gap[p] = 0
+	m.Esc = slices.Insert(m.Esc, at, id)
+	for i := j + 1; i <= m.N; i++ {
+		m.EscPtr[i]++
 	}
 }

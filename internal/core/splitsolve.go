@@ -38,13 +38,13 @@ func (ix *Index) SolveLower(idx []int, val []float64, w *lu.Workspace) error {
 		}
 		prev = u
 	}
-	ix.inverseFactors().SolveLower(w, idx, val, ix.perm)
+	ix.inv.SolveLower(w, idx, val, ix.perm)
 	runtime.KeepAlive(ix) //kdash:allow(hotalloc) boxing a pointer allocates nothing
 	return nil
 }
 
 // NewWorkspace returns an empty L^{-1} workspace for SolveLower.
-func (ix *Index) NewWorkspace() *lu.Workspace { return ix.inverseFactors().NewWorkspace() }
+func (ix *Index) NewWorkspace() *lu.Workspace { return ix.inv.NewWorkspace() }
 
 // PackUpperRows copies the U^{-1} rows of nodes us into one packed
 // block whose Dot(k, w.W) is bit for bit UpperDot(us[k], w). The copy
@@ -54,7 +54,7 @@ func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
 	for k, u := range us {
 		rows[k] = int(ix.perm[u])
 	}
-	r := ix.inverseFactors().PackUpperRows(rows)
+	r := ix.inv.PackUpperRows(rows)
 	runtime.KeepAlive(ix)
 	return r
 }
@@ -66,7 +66,7 @@ func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
 //kdash:noalloc
 //kdash:deterministic
 func (ix *Index) UpperDot(u int, w *lu.Workspace) float64 {
-	v := ix.inverseFactors().UpperRowDot(int(ix.perm[u]), w.W)
+	v := ix.inv.UpperRowDot(int(ix.perm[u]), w.W)
 	runtime.KeepAlive(ix) //kdash:allow(hotalloc) boxing a pointer allocates nothing
 	return v
 }

@@ -20,7 +20,9 @@
 // The query-time primitive is the split solve (splitsolve.go): an
 // L^{-1} pass of a sparse right-hand side into a Workspace, then one
 // U^{-1} row dot per row the caller reads. L^{-1} by column and U^{-1}
-// by row are the only two factor forms stored; nothing derives a third.
+// by row are the only two factor forms stored, both in the compact id
+// encoding (compact.go), which only this package decodes; nothing
+// derives a third form.
 //
 // Factor arrays are read-only once built. Every solver in this package
 // (Inverse.Solve, Inverse.SolveLower) writes only into workspaces,
@@ -442,16 +444,17 @@ type Options struct {
 // Inverse holds the sparse inverse triangular factors. Linv is stored by
 // column (a query needs column q = L^{-1} e_q) and Uinv by row (computing
 // one proximity needs row u of U^{-1}); this asymmetry is what makes the
-// per-node proximity computation O(nnz(row) + nnz(col)).
+// per-node proximity computation O(nnz(row) + nnz(col)). Both are in the
+// compact id encoding (see Compact).
 type Inverse struct {
 	N int
 	// Both inverse factors are immutable after construction; in a loaded
-	// index their Val/RowIdx/ColPtr slices alias sealed PROT_READ memory.
+	// index their arrays alias sealed PROT_READ memory.
 	//
 	//kdash:readonly
-	Linv *sparse.CSC
+	Linv *Compact
 	//kdash:readonly
-	Uinv *sparse.CSR
+	Uinv *Compact
 
 	// Reused counts the columns of L^{-1} and U^{-1} together that
 	// Invert copied from Options.Prev; the other 2N - Reused were
@@ -462,6 +465,9 @@ type Inverse struct {
 // NNZ reports total stored entries across both inverse factors, the
 // quantity Figure 5 of the paper tracks.
 func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.Uinv.NNZ() }
+
+// Bytes is the byte size of both factors' arrays at their stored width.
+func (inv *Inverse) Bytes() int64 { return inv.Linv.Bytes() + inv.Uinv.Bytes() }
 
 // Solve computes U^{-1} L^{-1} r for one dense right-hand side: the
 // plain reference form of the solve. The query path runs the split
@@ -475,22 +481,36 @@ func (inv *Inverse) Solve(r []float64) []float64 {
 	// ws = L^{-1} r, accumulated column by column of L^{-1} over the
 	// nonzero right-hand side entries.
 	ws := make([]float64, inv.N)
+	l := inv.Linv
 	for j, rj := range r {
 		if rj == 0 {
 			continue
 		}
-		for p := inv.Linv.ColPtr[j]; p < inv.Linv.ColPtr[j+1]; p++ {
-			ws[inv.Linv.RowIdx[p]] += rj * inv.Linv.Val[p]
+		i, e := j-1, l.EscPtr[j]
+		for p := l.Ptr[j]; p < l.Ptr[j+1]; p++ {
+			if g := l.Gap[p]; g != 0 {
+				i += int(g)
+			} else {
+				i, e = int(l.Esc[e]), e+1
+			}
+			ws[i] += rj * l.Val[p]
 		}
 	}
 	// out[u] = (U^{-1} row u) . ws.
 	out := make([]float64, inv.N)
-	for u := range out {
+	u := inv.Uinv
+	for row := range out {
 		acc := 0.0
-		for p := inv.Uinv.RowPtr[u]; p < inv.Uinv.RowPtr[u+1]; p++ {
-			acc += inv.Uinv.Val[p] * ws[inv.Uinv.ColIdx[p]]
+		c, e := row-1, u.EscPtr[row]
+		for p := u.Ptr[row]; p < u.Ptr[row+1]; p++ {
+			if g := u.Gap[p]; g != 0 {
+				c += int(g)
+			} else {
+				c, e = int(u.Esc[e]), e+1
+			}
+			acc += u.Val[p] * ws[c]
 		}
-		out[u] = acc
+		out[row] = acc
 	}
 	return out
 }
@@ -524,21 +544,13 @@ func (f *Factors) Invert(opt Options) *Inverse {
 		fronts[w] = newFrontier(f.N, opt.DropTol)
 	}
 	cols := make([]column, f.N)
+	var prevL, prevU *Compact
+	if prev != nil {
+		prevL, prevU = prev.Linv, prev.Uinv
+	}
 	reused := invertColumns(cols, fronts, solveL, f.lowerColumn)
-	if prev != nil {
-		for j, solve := range solveL {
-			if !solve {
-				lo, hi := prev.Linv.ColPtr[j], prev.Linv.ColPtr[j+1]
-				cols[j] = column{idx: prev.Linv.RowIdx[lo:hi], val: prev.Linv.Val[lo:hi]}
-			}
-		}
-	}
-	linv := assembleCSC(f.N, cols)
+	linv := assembleLines(cols, solveL, prevL)
 	reused += invertColumns(cols, fronts, solveU, f.upperColumn)
-	var prevU *sparse.CSR
-	if prev != nil {
-		prevU = prev.Uinv
-	}
 	return &Inverse{N: f.N, Linv: linv, Uinv: assembleCSR(f.N, cols, solveU, prevU), Reused: reused}
 }
 
@@ -782,82 +794,131 @@ func (f *Factors) upperColumn(j int, ws *frontier) column {
 	return ws.finish()
 }
 
-// assembleCSC concatenates the computed columns into one CSC matrix.
-func assembleCSC(n int, cols []column) *sparse.CSC {
-	m := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
-	for j, c := range cols {
-		m.ColPtr[j+1] = m.ColPtr[j] + len(c.idx)
+// assembleLines encodes the computed lines (columns of L^{-1}, each
+// ascending) as a factor stored by line. With prev, only the lines
+// solved marks come from lines; every other line is prev's, copied as
+// it is encoded.
+//
+//kdash:mutates-factors
+func assembleLines(lines []column, solved []bool, prev *Compact) *Compact {
+	n := len(lines)
+	copied := func(j int) bool { return prev != nil && !solved[j] }
+	ptr, escPtr := make([]int, n+1), make([]int, n+1)
+	for j, c := range lines {
+		if copied(j) {
+			ptr[j+1] = ptr[j] + prev.Ptr[j+1] - prev.Ptr[j]
+			escPtr[j+1] = escPtr[j] + prev.EscPtr[j+1] - prev.EscPtr[j]
+		} else {
+			ptr[j+1] = ptr[j] + len(c.idx)
+			escPtr[j+1] = escPtr[j] + escapes(j, c.idx)
+		}
 	}
-	m.RowIdx = make([]int32, m.ColPtr[n])
-	m.Val = make([]float64, m.ColPtr[n])
-	for j, c := range cols {
-		copy(m.RowIdx[m.ColPtr[j]:], c.idx)
-		copy(m.Val[m.ColPtr[j]:], c.val)
+	m := newCompact(ptr, escPtr)
+	for j, c := range lines {
+		if copied(j) {
+			lo, hi := prev.Ptr[j], prev.Ptr[j+1]
+			copy(m.Gap[ptr[j]:], prev.Gap[lo:hi])
+			copy(m.Val[ptr[j]:], prev.Val[lo:hi])
+			copy(m.Esc[escPtr[j]:], prev.Esc[prev.EscPtr[j]:prev.EscPtr[j+1]])
+		} else {
+			m.put(j, ptr[j], escPtr[j], c.idx)
+			copy(m.Val[ptr[j]:], c.val)
+		}
 	}
 	return m
 }
 
-// assembleCSR lays the columns out by row — what converting
-// assembleCSC's result to CSR would give, without the intermediate
-// copy: visiting columns in ascending order leaves every row ascending,
-// whatever the order of rows within a column. With prev, only the
+// assembleCSR lays the columns out by row and encodes the rows: U^{-1}.
+// Visiting columns in ascending order reaches every row's entries in
+// ascending column order, whatever the order of rows within a column,
+// so each row is encoded as its entries arrive: one visit counts every
+// row's entries and escapes, a second writes them. With prev, only the
 // columns solved marks come from cols; every other column is prev's,
 // and each row merges prev's row restricted to those columns with the
-// solved columns' entries.
-func assembleCSR(n int, cols []column, solved []bool, prev *sparse.CSR) *sparse.CSR {
-	m := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for j, c := range cols {
-		if prev == nil || solved[j] {
-			for _, i := range c.idx {
-				m.RowPtr[i+1]++
-			}
-		}
-	}
+// solved columns' entries: a cursor per row walks prev's row, and
+// before an entry of column j lands on row i, every entry of prev's row
+// i left of j is emitted.
+//
+//kdash:mutates-factors
+func assembleCSR(n int, cols []column, solved []bool, prev *Compact) *Compact {
+	var rows []cursor // per row, a cursor on prev's row
 	if prev != nil {
-		for i := 0; i < n; i++ {
-			for _, j := range prev.ColIdx[prev.RowPtr[i]:prev.RowPtr[i+1]] {
-				if !solved[j] {
-					m.RowPtr[i+1]++
+		rows = make([]cursor, n)
+	}
+	last := make([]int32, n) // per row, the column last emitted
+	// visit hands emit every entry of U^{-1}, each row's in ascending
+	// column order, with the gap from the row's last column.
+	visit := func(emit func(i, j, gap int, v float64)) {
+		put := func(i, j int, v float64) {
+			emit(i, j, j-int(last[i]), v)
+			last[i] = int32(j)
+		}
+		// flush emits prev's entries of row i left of column before, but
+		// those of solved columns.
+		flush := func(i, before int) {
+			r, end := &rows[i], prev.Ptr[i+1]
+			for r.id < before {
+				if !solved[r.id] {
+					put(i, r.id, prev.Val[r.p])
+				}
+				switch r.p++; {
+				case r.p == end:
+					r.id = n
+				case prev.Gap[r.p] != 0:
+					r.id += int(prev.Gap[r.p])
+				default:
+					r.id, r.e = int(prev.Esc[r.e]), r.e+1
 				}
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
-	}
-	m.ColIdx = make([]int32, m.RowPtr[n])
-	m.Val = make([]float64, m.RowPtr[n])
-	next := slices.Clone(m.RowPtr[:n])
-	for j, c := range cols {
-		if prev != nil && !solved[j] {
-			continue
+		for i := range last {
+			last[i] = int32(i - 1)
+			if prev != nil {
+				rows[i] = prev.cursor(i)
+			}
 		}
-		for k, i := range c.idx {
-			m.ColIdx[next[i]] = int32(j)
-			m.Val[next[i]] = c.val[k]
-			next[i]++
-		}
-	}
-	if prev == nil {
-		return m
-	}
-	// Each row now holds its solved entries, ascending, at the front of
-	// its span: merge them with prev's, from the back, in place.
-	for i := 0; i < n; i++ {
-		at := m.RowPtr[i+1]
-		s := next[i] // one past the row's last solved entry
-		for p := prev.RowPtr[i+1] - 1; p >= prev.RowPtr[i]; p-- {
-			j := prev.ColIdx[p]
-			if solved[j] {
+		for j, c := range cols {
+			if prev != nil && !solved[j] {
 				continue
 			}
-			for s > m.RowPtr[i] && m.ColIdx[s-1] > j {
-				at, s = at-1, s-1
-				m.ColIdx[at], m.Val[at] = m.ColIdx[s], m.Val[s]
+			for k, i := range c.idx {
+				if prev != nil {
+					flush(int(i), j)
+				}
+				put(int(i), j, c.val[k])
 			}
-			at--
-			m.ColIdx[at], m.Val[at] = j, prev.Val[p]
+		}
+		for i := range rows {
+			flush(i, n)
 		}
 	}
+	ptr, escPtr := make([]int, n+1), make([]int, n+1)
+	visit(func(i, _, gap int, _ float64) {
+		ptr[i+1]++
+		if gap < 1 || gap > 255 {
+			escPtr[i+1]++
+		}
+	})
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+		escPtr[i+1] += escPtr[i]
+	}
+	m := newCompact(ptr, escPtr)
+	// ptr[i] and escPtr[i] are row i's write cursors until the shift
+	// back below.
+	visit(func(i, j, gap int, v float64) {
+		p := ptr[i]
+		ptr[i]++
+		if gap >= 1 && gap <= 255 {
+			m.Gap[p] = uint8(gap)
+		} else {
+			m.Esc[escPtr[i]] = int32(j)
+			escPtr[i]++
+		}
+		m.Val[p] = v
+	})
+	copy(ptr[1:], ptr[:n])
+	copy(escPtr[1:], escPtr[:n])
+	ptr[0], escPtr[0] = 0, 0
 	return m
 }

@@ -143,8 +143,8 @@ func TestInverseIsExact(t *testing.T) {
 			return false
 		}
 		inv := fac.Invert(Options{Workers: 1 + rng.Intn(3)})
-		li := inv.Linv.Dense()
-		ui := inv.Uinv.Dense()
+		li := inv.Linv.CSC().Dense()
+		ui := inv.Uinv.CSR().Dense()
 		for _, pair := range []struct{ a, b [][]float64 }{
 			{fac.L().Dense(), li},
 			{fac.U().Dense(), ui},
@@ -176,8 +176,8 @@ func TestInverseTriangularShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := fac.Invert(Options{Workers: 1})
-	li := inv.Linv.Dense()
-	ui := inv.Uinv.Dense()
+	li := inv.Linv.CSC().Dense()
+	ui := inv.Uinv.CSR().Dense()
 	for i := 0; i < 12; i++ {
 		for j := i + 1; j < 12; j++ {
 			if li[i][j] != 0 {
@@ -204,7 +204,7 @@ func TestProximityViaInverseFactors(t *testing.T) {
 		}
 		inv := fac.Invert(Options{})
 		q := rng.Intn(g.N())
-		lq := inv.Linv.Col(q)
+		lq := inv.Linv.CSC().Col(q)
 		dense := make([]float64, g.N())
 		lq.Scatter(dense)
 		// p_u = c * row u of U^{-1} dot L^{-1} e_q.
@@ -212,10 +212,11 @@ func TestProximityViaInverseFactors(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		ur := inv.Uinv.CSR()
 		for u := 0; u < g.N(); u++ {
 			s := 0.0
-			for i := inv.Uinv.RowPtr[u]; i < inv.Uinv.RowPtr[u+1]; i++ {
-				s += inv.Uinv.Val[i] * dense[inv.Uinv.ColIdx[i]]
+			for i := ur.RowPtr[u]; i < ur.RowPtr[u+1]; i++ {
+				s += ur.Val[i] * dense[ur.ColIdx[i]]
 			}
 			if math.Abs(c*s-want[u]) > 1e-9 {
 				return false
@@ -239,7 +240,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if serial.NNZ() != parallel.NNZ() {
 		t.Fatalf("nnz differs: %d vs %d", serial.NNZ(), parallel.NNZ())
 	}
-	sd, pd := serial.Linv.Dense(), parallel.Linv.Dense()
+	sd, pd := serial.Linv.CSC().Dense(), parallel.Linv.CSC().Dense()
 	for i := range sd {
 		for j := range sd[i] {
 			if sd[i][j] != pd[i][j] {
@@ -521,7 +522,20 @@ func oracleInvert(f *Factors) (*sparse.CSC, *sparse.CSR) {
 		}
 		uCols[j] = gather(reach)
 	}
-	return assembleCSC(f.N, lCols), assembleCSC(f.N, uCols).ToCSR()
+	return concatCSC(f.N, lCols), concatCSC(f.N, uCols).ToCSR()
+}
+
+// concatCSC concatenates columns into one CSC matrix, rows in each
+// column's order: the plain form the encoded factors are checked
+// against.
+func concatCSC(n int, cols []column) *sparse.CSC {
+	m := &sparse.CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1)}
+	for j, c := range cols {
+		m.RowIdx = append(m.RowIdx, c.idx...)
+		m.Val = append(m.Val, c.val...)
+		m.ColPtr[j+1] = len(m.Val)
+	}
+	return m
 }
 
 func oracleBuildW(a *sparse.CSC, c float64) *sparse.CSC {
@@ -669,11 +683,18 @@ func TestInvertBitIdenticalToOracle(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				inv := fac.Invert(Options{Workers: workers, DropTol: tol})
-				if !slices.Equal(inv.Linv.ColPtr, wantL.ColPtr) || !slices.Equal(inv.Linv.RowIdx, wantL.RowIdx) || !slices.Equal(valBits(inv.Linv.Val), valBits(wantL.Val)) {
+				gotL, gotU := inv.Linv.CSC(), inv.Uinv.CSR()
+				if !slices.Equal(gotL.ColPtr, wantL.ColPtr) || !slices.Equal(gotL.RowIdx, wantL.RowIdx) || !slices.Equal(valBits(gotL.Val), valBits(wantL.Val)) {
 					t.Fatalf("input %d tol %g workers %d: L^-1 differs from the oracle", k, tol, workers)
 				}
-				if !slices.Equal(inv.Uinv.RowPtr, wantU.RowPtr) || !slices.Equal(inv.Uinv.ColIdx, wantU.ColIdx) || !slices.Equal(valBits(inv.Uinv.Val), valBits(wantU.Val)) {
+				if !slices.Equal(gotU.RowPtr, wantU.RowPtr) || !slices.Equal(gotU.ColIdx, wantU.ColIdx) || !slices.Equal(valBits(gotU.Val), valBits(wantU.Val)) {
 					t.Fatalf("input %d tol %g workers %d: U^-1 differs from the oracle", k, tol, workers)
+				}
+				if err := sameCompact(inv.Linv, CompactCSC(wantL)); err != nil {
+					t.Fatalf("input %d tol %g workers %d: L^-1 is not the oracle's encoding: %v", k, tol, workers, err)
+				}
+				if err := sameCompact(inv.Uinv, CompactCSR(wantU)); err != nil {
+					t.Fatalf("input %d tol %g workers %d: U^-1 is not the oracle's encoding: %v", k, tol, workers, err)
 				}
 			}
 		}

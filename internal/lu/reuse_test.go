@@ -77,11 +77,31 @@ func refill(rng *rand.Rand, w *sparse.CSC, j int, rows []int) *sparse.CSC {
 // sameInverse reports whether two inverses agree in every index and
 // every value bit of L^-1 and U^-1.
 func sameInverse(a, b *Inverse) error {
-	if !slices.Equal(a.Linv.ColPtr, b.Linv.ColPtr) || !slices.Equal(a.Linv.RowIdx, b.Linv.RowIdx) || !slices.Equal(valBits(a.Linv.Val), valBits(b.Linv.Val)) {
-		return fmt.Errorf("L^-1 differs")
+	if err := sameCompact(a.Linv, b.Linv); err != nil {
+		return fmt.Errorf("L^-1 differs: %w", err)
 	}
-	if !slices.Equal(a.Uinv.RowPtr, b.Uinv.RowPtr) || !slices.Equal(a.Uinv.ColIdx, b.Uinv.ColIdx) || !slices.Equal(valBits(a.Uinv.Val), valBits(b.Uinv.Val)) {
-		return fmt.Errorf("U^-1 differs")
+	if err := sameCompact(a.Uinv, b.Uinv); err != nil {
+		return fmt.Errorf("U^-1 differs: %w", err)
+	}
+	return nil
+}
+
+// sameCompact reports the first array in which two encoded factors
+// differ, comparing values by their bits.
+func sameCompact(a, b *Compact) error {
+	switch {
+	case a.N != b.N:
+		return fmt.Errorf("n %d vs %d", a.N, b.N)
+	case !slices.Equal(a.Ptr, b.Ptr):
+		return fmt.Errorf("pointers differ")
+	case !slices.Equal(a.Gap, b.Gap):
+		return fmt.Errorf("gaps differ")
+	case !slices.Equal(a.EscPtr, b.EscPtr):
+		return fmt.Errorf("escape pointers differ")
+	case !slices.Equal(a.Esc, b.Esc):
+		return fmt.Errorf("escapes differ")
+	case !slices.Equal(valBits(a.Val), valBits(b.Val)):
+		return fmt.Errorf("values differ")
 	}
 	return nil
 }

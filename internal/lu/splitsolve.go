@@ -47,19 +47,27 @@ func (w *Workspace) Reset() {
 //kdash:deterministic
 func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []int32) {
 	ws, wsup := w.W, w.Sup
-	lp, lr, lval := inv.Linv.ColPtr, inv.Linv.RowIdx, inv.Linv.Val
+	l := inv.Linv
 	for t, u := range idx {
 		v := val[t]
 		if v == 0 {
 			continue
 		}
-		j := perm[u]
-		for p := lp[j]; p < lp[j+1]; p++ {
-			r := lr[p]
-			if ws[r] == 0 {
-				wsup = append(wsup, int(r))
+		j := int(perm[u])
+		lo, hi := l.Ptr[j], l.Ptr[j+1]
+		gaps, vals := l.Gap[lo:hi], l.Val[lo:hi]
+		vals = vals[:len(gaps)] // hint: drops the vals[k] bounds check
+		r, e := j-1, l.EscPtr[j]
+		for k, g := range gaps {
+			if g != 0 {
+				r += int(g)
+			} else {
+				r, e = int(l.Esc[e]), e+1
 			}
-			ws[r] += v * lval[p]
+			if ws[r] == 0 {
+				wsup = append(wsup, r)
+			}
+			ws[r] += v * vals[k]
 		}
 	}
 	w.Sup = wsup
@@ -73,9 +81,21 @@ func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []in
 //kdash:noalloc
 //kdash:deterministic
 func (inv *Inverse) UpperRowDot(u int, w []float64) float64 {
-	up := inv.Uinv.RowPtr
-	lo, hi := up[u], up[u+1]
-	return rowDot(inv.Uinv.ColIdx[lo:hi], inv.Uinv.Val[lo:hi], w)
+	up := inv.Uinv
+	lo, hi := up.Ptr[u], up.Ptr[u+1]
+	gaps, vals := up.Gap[lo:hi], up.Val[lo:hi]
+	vals = vals[:len(gaps)] // hint: drops the vals[k] bounds check
+	c, e := u-1, up.EscPtr[u]
+	acc := 0.0
+	for k, g := range gaps {
+		if g != 0 {
+			c += int(g)
+		} else {
+			c, e = int(up.Esc[e]), e+1
+		}
+		acc += vals[k] * w[c]
+	}
+	return acc
 }
 
 // rowDot accumulates vals[k] * w[cols[k]] in ascending k.
@@ -92,27 +112,32 @@ func rowDot(cols []int32, vals, w []float64) float64 {
 }
 
 // UpperRows is a packed copy of selected rows of U^{-1}, laid out one
-// after the other in fresh memory, for a caller that dots the same few
-// rows against every solve: wherever the rows sit in the factor, their
-// dots read one contiguous span.
+// after the other in fresh memory with plain int32 ids, for a caller
+// that dots the same few rows against every solve: wherever the rows sit
+// in the factor, their dots read one contiguous span and decode nothing.
 type UpperRows struct {
 	ptr  []int
 	cols []int32
 	vals []float64
 }
 
-// PackUpperRows copies U^{-1}'s internal rows us, in the given order.
+// PackUpperRows copies U^{-1}'s internal rows us, in the given order,
+// decoding their ids.
 func (inv *Inverse) PackUpperRows(us []int) *UpperRows {
-	up := inv.Uinv.RowPtr
+	up := inv.Uinv
 	r := &UpperRows{ptr: make([]int, len(us)+1)}
 	for k, u := range us {
-		r.ptr[k+1] = r.ptr[k] + up[u+1] - up[u]
+		r.ptr[k+1] = r.ptr[k] + up.Ptr[u+1] - up.Ptr[u]
 	}
 	r.cols = make([]int32, 0, r.ptr[len(us)])
 	r.vals = make([]float64, 0, r.ptr[len(us)])
+	var line []int
 	for _, u := range us {
-		r.cols = append(r.cols, inv.Uinv.ColIdx[up[u]:up[u+1]]...)
-		r.vals = append(r.vals, inv.Uinv.Val[up[u]:up[u+1]]...)
+		line = up.Line(u, line[:0])
+		for _, c := range line {
+			r.cols = append(r.cols, int32(c))
+		}
+		r.vals = append(r.vals, up.Val[up.Ptr[u]:up.Ptr[u+1]]...)
 	}
 	return r
 }

@@ -98,8 +98,8 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 					return false
 				}
 				reached := false
-				for p := inv.Uinv.RowPtr[u]; p < inv.Uinv.RowPtr[u+1]; p++ {
-					reached = reached || onSup[inv.Uinv.ColIdx[p]]
+				for _, c := range inv.Uinv.Line(u, nil) {
+					reached = reached || onSup[c]
 				}
 				if !reached && want[u] != 0 {
 					t.Errorf("seed %d trial %d row %d: outside the support, but reference is %v", seed, trial, u, want[u])

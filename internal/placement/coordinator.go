@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -328,13 +329,24 @@ func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchS
 	return co.sx.TopKBatch(qs, k)
 }
 
-// TopKPersonalized implements shard.Engine.
+// TopKPersonalized answers a personalized query through the
+// distributed push.
 func (co *Coordinator) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
 	return co.sx.TopKPersonalized(seeds, k)
 }
 
-// Proximity implements shard.Engine.
+// TopKPersonalizedContext implements shard.Engine.
+func (co *Coordinator) TopKPersonalizedContext(ctx context.Context, seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
+	return co.sx.TopKPersonalizedContext(ctx, seeds, k)
+}
+
+// Proximity answers one proximity through the distributed push.
 func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proximity(q, u) }
+
+// ProximityContext implements shard.Engine.
+func (co *Coordinator) ProximityContext(ctx context.Context, q, u int) (float64, error) {
+	return co.sx.ProximityContext(ctx, q, u)
+}
 
 // Statz adds the cluster block to the index's own document: per-worker
 // call counts and latency, failed calls and replay rounds, plus the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -42,10 +43,12 @@ func (e *brokenEngine) fail() error {
 func (e *brokenEngine) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
 	return nil, core.SearchStats{}, e.fail()
 }
-func (e *brokenEngine) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
+func (e *brokenEngine) TopKPersonalizedContext(ctx context.Context, seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
 	return nil, core.SearchStats{}, e.fail()
 }
-func (e *brokenEngine) Proximity(q, u int) (float64, error) { return 0, e.fail() }
+func (e *brokenEngine) ProximityContext(ctx context.Context, q, u int) (float64, error) {
+	return 0, e.fail()
+}
 
 // TestEngineFailureIs500 checks that failures past validation surface as
 // 500, not the blanket 400 the server used to send.

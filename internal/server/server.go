@@ -525,9 +525,9 @@ func (h *Handler) personalized(w http.ResponseWriter, r *http.Request, _ url.Val
 		}
 		seeds[node] = weight
 	}
-	results, stats, err := st.engine.TopKPersonalized(seeds, req.K)
+	results, stats, err := st.engine.TopKPersonalizedContext(r.Context(), seeds, req.K)
 	if err != nil {
-		if !h.unavailable(w, err) {
+		if !h.cancelled(w, err) && !h.unavailable(w, err) {
 			h.internalError(w, err)
 		}
 		return
@@ -557,9 +557,9 @@ func (h *Handler) proximity(w http.ResponseWriter, r *http.Request, query url.Va
 		h.badRequest(w, "%v", err)
 		return
 	}
-	p, err := st.engine.Proximity(q, u)
+	p, err := st.engine.ProximityContext(r.Context(), q, u)
 	if err != nil {
-		if !h.unavailable(w, err) {
+		if !h.cancelled(w, err) && !h.unavailable(w, err) {
 			h.internalError(w, err)
 		}
 		return

@@ -388,23 +388,20 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 		return stats, 0, nil
 	}
 
-	// The epoch the previous drain retired may still be on the heap: its
-	// structs embed sync.Pools (query state, solvers) that held values,
-	// and the runtime keeps such a pool, and so the struct around it,
-	// registered until the second collection after its last use — the
-	// collection that drain ran below only aged it. Collect again
-	// before the apply allocates, so the retired epoch's rebuilt shards
-	// and graph are not resident through it and the apply reuses their
-	// memory. Without this call, an apply too light to trigger the
-	// pacer (one that copies most of its inverse columns) left peak_rss_mb
-	// at +9 % over the parent (153.4 vs 167.3, 10 interleaved
-	// update_stream_wal pairs, 2 cores). Collecting twice after the
-	// publish instead freed the epoch as well, off the barrier's path,
-	// but read 558 µs of server CPU per request where this reads 490
-	// (10 pairs each, the parent at 660 and 644) — presumably the next
-	// apply faulting the freed memory back in. This one adds a
-	// collection, ~2 ms, to the stall of a reader waiting on the
-	// barrier.
+	// Collect before the apply allocates, so the apply reuses the
+	// memory of what became garbage since the previous drain's
+	// post-publish collection instead of growing the heap past it. No
+	// epoch embeds a sync.Pool (push states sit on free lists), so no
+	// pool keeps the retired epoch registered past that collection; what
+	// this one frees is chiefly the serving path's own garbage, ~9 KB per /topk request
+	// (BenchmarkTopKCacheMiss: 9,358 B/op), a few MB over the 500
+	// queries between two updates of update_stream_wal. Re-measured
+	// with compact-encoded factors (5 interleaved update_stream_wal
+	// pairs, 2 cores): without this call peak_rss_mb read 75.9 against
+	// 73.1 MB (+3.9 %, 5/5 pairs) while server CPU per request fell
+	// from 123.0 to 111.4 µs (-9 %, 5/5) — the collection, ~2 ms, is
+	// paid by the apply and by a reader waiting on the barrier. Peak RSS
+	// is what the benchmark bounds, so it stays.
 	runtime.GC()
 	t0 := time.Now() //kdash:allow(determinism) times the apply for /metrics; the drain's output never reads it
 	next, stats, err := st.engine.ApplyDelta(staged)

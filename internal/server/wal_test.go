@@ -632,6 +632,38 @@ func TestQueryBudget(t *testing.T) {
 	}
 }
 
+// TestQueryBudgetCoversEveryQuery: /proximity and /personalized run
+// the push under the request's context as /topk does, so a sub-solve
+// budget or default timeout answers 499 on all three and a generous
+// budget 200.
+func TestQueryBudgetCoversEveryQuery(t *testing.T) {
+	const personalized = `{"seeds":{"7":1,"44":3},"k":3}`
+	send := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		if strings.HasPrefix(path, "/personalized") {
+			return post(t, h, path, personalized)
+		}
+		rec, _ := get(t, h, path)
+		return rec
+	}
+	h := updatableHandler(t)
+	hd := updatableHandler(t, WithDefaultTimeout(time.Nanosecond))
+	for _, path := range []string{"/topk?q=7&k=5", "/proximity?q=7&u=9", "/personalized"} {
+		sep := "?"
+		if strings.Contains(path, "?") {
+			sep = "&"
+		}
+		if rec := send(h, path+sep+"budget=1ns"); rec.Code != statusClientClosedRequest {
+			t.Errorf("%s with a 1ns budget: status %d, want 499 (%s)", path, rec.Code, rec.Body.String())
+		}
+		if rec := send(h, path+sep+"budget=30s"); rec.Code != http.StatusOK {
+			t.Errorf("%s with a generous budget: status %d (%s)", path, rec.Code, rec.Body.String())
+		}
+		if rec := send(hd, path); rec.Code != statusClientClosedRequest {
+			t.Errorf("%s under a 1ns default timeout: status %d, want 499 (%s)", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestWALObservability checks the /statz wal block and the /metrics wal
 // series exist and carry the log's position.
 func TestWALObservability(t *testing.T) {

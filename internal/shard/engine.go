@@ -5,6 +5,8 @@ package shard
 // workers by placement.Coordinator.
 
 import (
+	"context"
+
 	"kdash/internal/core"
 	"kdash/internal/graph"
 	"kdash/internal/topk"
@@ -31,9 +33,11 @@ type Engine interface {
 	// successor); both 0 while a lazy open is still pending.
 	GraphBytes() (sealed, heap int64)
 
+	// The queries honour cancellation: Search through opt.Ctx, the
+	// others through ctx, each checked between shard solves.
 	Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error)
-	TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)
-	Proximity(q, u int) (float64, error)
+	TopKPersonalizedContext(ctx context.Context, seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error)
+	ProximityContext(ctx context.Context, q, u int) (float64, error)
 
 	ApplyDelta(batch *graph.Delta) (Engine, UpdateStats, error)
 	// Statz is the /statz "index" block, which /metrics also reads.

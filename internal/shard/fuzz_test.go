@@ -15,14 +15,20 @@ package shard
 //	go test -fuzz=FuzzShardFile     ./internal/shard
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"kdash/internal/lu"
+	"kdash/internal/mmapio"
 	"kdash/internal/testutil"
 )
 
@@ -119,9 +125,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":8,"nodes":-4,"shards":1}`))
-	f.Add([]byte(`{"version":8,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
-	f.Add([]byte(`{"version":8,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
+	f.Add([]byte(`{"version":9,"nodes":-4,"shards":1}`))
+	f.Add([]byte(`{"version":9,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
+	f.Add([]byte(`{"version":9,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, ManifestName, valid, data)
 	})
@@ -152,14 +158,186 @@ func FuzzGraphSnapshot(f *testing.F) {
 
 func FuzzShardFile(f *testing.F) {
 	dir := fuzzIndexDir(f)
-	valid := fuzzDir.shard0
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // a truncated shard-NNNN.idx
-	f.Add(valid[:8])
-	f.Add([]byte{})
+	for _, s := range fuzzSeedsShard(f) {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzOneFile(t, dir, "shard-0000.idx", valid, data)
+		fuzzOneFile(t, dir, "shard-0000.idx", fuzzDir.shard0, data)
 	})
+}
+
+// fuzzSeedsShard is FuzzShardFile's seeds: the valid shard file, a
+// truncation, its magic alone, nothing, and inverse factors whose
+// compact id encoding is hostile, resealed so each reaches the decode
+// check — a gap that runs past n, an escape that repeats the id before
+// it, an escaped id of n, an escaped id below its predecessor, and an
+// escape listed but never consumed.
+func fuzzSeedsShard(tb testing.TB) []fuzzSeed {
+	fuzzIndexDir(tb)
+	valid := fuzzDir.shard0
+	overrun := resealed(tb, valid, 24, func(sec []byte) { sec[len(sec)-1] = 255 })
+	return []fuzzSeed{
+		{"valid", valid},
+		{"truncated", valid[:len(valid)/2]},
+		{"magic-only", valid[:8]},
+		{"empty", []byte{}},
+		{"gap-overrun", overrun},
+		{"gap-repeats-id", withFactor(tb, valid, false, func(m *lu.Compact) {
+			j := longLine(tb, m)
+			escapeAt(m, j, 1, int32(m.Line(j, nil)[0]))
+		})},
+		{"escape-out-of-range", withFactor(tb, valid, true, func(m *lu.Compact) { escapeAt(m, 0, 0, int32(m.N)) })},
+		{"escape-not-ascending", withFactor(tb, valid, true, func(m *lu.Compact) {
+			j := longLine(tb, m)
+			escapeAt(m, j, 1, int32(m.Line(j, nil)[0]-1))
+		})},
+		{"escape-count-mismatch", withFactor(tb, valid, true, func(m *lu.Compact) {
+			m.Esc = append(m.Esc, 0)
+			m.EscPtr[m.N]++
+		})},
+	}
+}
+
+// withFactor returns a copy of shard file data whose L^{-1} (lower) or
+// U^{-1} is rewritten by edit, every other section as it was.
+func withFactor(tb testing.TB, data []byte, lower bool, edit func(m *lu.Compact)) []byte {
+	tb.Helper()
+	f, err := mmapio.FromBytes(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	secs := decodedIDs[11]
+	if lower {
+		secs = decodedIDs[8]
+	}
+	m := &lu.Compact{}
+	ptr, err1 := f.Ints(secs[0])
+	val, err2 := f.Floats(secs[1])
+	gap, err3 := f.Bytes(secs[2])
+	escPtr, err4 := f.Ints(secs[3])
+	esc, err5 := f.Int32s(secs[4])
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+		tb.Fatal(err)
+	}
+	m.N, m.Ptr, m.Val, m.Gap, m.EscPtr, m.Esc = len(ptr)-1, slices.Clone(ptr), slices.Clone(val), slices.Clone(gap), slices.Clone(escPtr), slices.Clone(esc)
+	edit(m)
+	w := mmapio.NewWriter()
+	for _, s := range containerSections(tb, data) {
+		switch s.id {
+		case secs[0]:
+			w.AddInts(s.id, m.Ptr)
+		case secs[1]:
+			w.AddFloats(s.id, m.Val)
+		case secs[2]:
+			w.AddBytes(s.id, m.Gap)
+		case secs[3]:
+			w.AddInts(s.id, m.EscPtr)
+		case secs[4]:
+			w.AddInt32s(s.id, m.Esc)
+		default:
+			copySection(tb, w, f, data, s)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// copySection adds section s of container f (whose bytes are data) to
+// w, with its kind.
+func copySection(tb testing.TB, w *mmapio.Writer, f *mmapio.File, data []byte, s containerSection) {
+	tb.Helper()
+	var err error
+	switch binary.LittleEndian.Uint32(data[s.entry+4:]) {
+	case mmapio.KindBytes:
+		var b []byte
+		if b, err = f.Bytes(s.id); err == nil {
+			w.AddBytes(s.id, b)
+		}
+	case mmapio.KindInt32:
+		var xs []int32
+		if xs, err = f.Int32s(s.id); err == nil {
+			w.AddInt32s(s.id, xs)
+		}
+	case mmapio.KindInt64:
+		var xs []int
+		if xs, err = f.Ints(s.id); err == nil {
+			w.AddInts(s.id, xs)
+		}
+	default:
+		var xs []float64
+		if xs, err = f.Floats(s.id); err == nil {
+			w.AddFloats(s.id, xs)
+		}
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// longLine returns the first line of m with two entries or more.
+func longLine(tb testing.TB, m *lu.Compact) int {
+	tb.Helper()
+	for j := 0; j < m.N; j++ {
+		if m.Ptr[j+1]-m.Ptr[j] >= 2 {
+			return j
+		}
+	}
+	tb.Fatal("no line of two entries")
+	return 0
+}
+
+// escapeAt stores entry k of line j of m as an escape of id: its gap
+// byte becomes 0 and id joins the line's escapes after those of the
+// line's earlier entries.
+func escapeAt(m *lu.Compact, j, k int, id int32) {
+	p, at := m.Ptr[j]+k, m.EscPtr[j]
+	for q := m.Ptr[j]; q < p; q++ {
+		if m.Gap[q] == 0 {
+			at++
+		}
+	}
+	if m.Gap[p] == 0 {
+		m.Esc[at] = id
+		return
+	}
+	m.Gap[p] = 0
+	m.Esc = slices.Insert(m.Esc, at, id)
+	for i := j + 1; i <= m.N; i++ {
+		m.EscPtr[i]++
+	}
+}
+
+// TestShardFileSeedsRefused: every FuzzShardFile seed but the valid
+// file is refused by an eager open — the hostile encodings by the
+// decode check, before a query could read them.
+func TestShardFileSeedsRefused(t *testing.T) {
+	dir := fuzzIndexDir(t)
+	path := filepath.Join(dir, "shard-0000.idx")
+	defer func() {
+		if err := os.WriteFile(path, fuzzDir.shard0, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, s := range fuzzSeedsShard(t) {
+		if err := os.WriteFile(path, s.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sx, err := Open(dir, LoadOptions{})
+		if err == nil {
+			sx.Close()
+		}
+		switch {
+		case s.name == "valid" && err != nil:
+			t.Errorf("the valid shard file is refused: %v", err)
+		case s.name != "valid" && err == nil:
+			t.Errorf("seed %s accepted", s.name)
+		case (strings.HasPrefix(s.name, "gap-") || strings.HasPrefix(s.name, "escape-")) && !strings.Contains(err.Error(), "corrupt index"):
+			t.Errorf("seed %s: refused before the decode check: %v", s.name, err)
+		}
+	}
 }
 
 // fuzzSeed is one named seed input, named as its committed corpus

@@ -18,6 +18,11 @@ import (
 // record plus at most one cut row and one cut-row pointer, and each
 // shard's pointer list has one more.
 const (
+	// A shard's inverse factors: a value, a gap byte and the rare
+	// escaped int32 id per entry, and two int64 pointers per line of
+	// each factor (entries, escapes).
+	factorBytesPerEntry    = 9.5
+	factorBytesPerLine     = 16
 	nodeTableBytesPerNode  = 8
 	cutTableBytesPerCut    = 32
 	cutTableBytesPerShard  = 8
@@ -153,8 +158,10 @@ func TestPushStatePoolSurvivesGC(t *testing.T) {
 // runs a few hundred queries and asserts that the process holds only
 // what the push and the rank read: the graph snapshot never derived its
 // in-rows (its heap bytes stay 0), no shard block holds an adjacency,
-// and the partition and cut tables stay within their per-node and
-// per-cut-edge budgets. An Apply successor's rebuilt blocks hold no
+// the sealed inverse factors stay within their per-entry and per-line
+// budget (the compact id encoding; int32 ids cost 12 B/entry), and the
+// partition and cut tables stay within their per-node and per-cut-edge
+// budgets. An Apply successor's rebuilt blocks hold no
 // adjacency either, and its graph holds only its out-rows.
 func TestOpenedDirectoryHoldsOnlyWhatQueriesRead(t *testing.T) {
 	g := gen.CommunityOverlay(residencyNodes, 3, residencyCommunitySize, 0.995, 7)
@@ -186,6 +193,16 @@ func TestOpenedDirectoryHoldsOnlyWhatQueriesRead(t *testing.T) {
 	}
 	if pooled := pooledScratch(sx); pooled == 0 || QueryScratchBytes() < pooled {
 		t.Errorf("the process counts %d bytes of query scratch, the index's pools hold %d", QueryScratchBytes(), pooled)
+	}
+	var factors, entries, lines int64
+	for _, p := range sx.parts {
+		ix := p.tryIndex()
+		factors += ix.FactorBytes()
+		entries += int64(ix.Stats().NNZInverse)
+		lines += 2 * int64(ix.N()+1)
+	}
+	if budget := int64(factorBytesPerEntry*float64(entries)) + factorBytesPerLine*lines; factors > budget {
+		t.Errorf("the sealed factors hold %d bytes for %d entries, budget %d (%.1f B/entry + %d B/line)", factors, entries, budget, factorBytesPerEntry, factorBytesPerLine)
 	}
 	nodes, cuts := partitionTableBytes(sx)
 	if budget := int64(nodeTableBytesPerNode * sx.N()); nodes > budget {

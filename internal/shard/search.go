@@ -183,6 +183,20 @@ func (qs QueryStats) searchStats() core.SearchStats {
 //
 //kdash:deterministic
 func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
+	return sx.topKPersonalized(nil, seeds, k)
+}
+
+// TopKPersonalizedContext is TopKPersonalized under ctx: the push
+// checks it between shard solves, as Search checks SearchOptions.Ctx,
+// and a done ctx abandons the query with ctx's error.
+func (sx *ShardedIndex) TopKPersonalizedContext(ctx context.Context, seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
+	return sx.topKPersonalized(ctx, seeds, k)
+}
+
+// topKPersonalized runs TopKPersonalized; a nil ctx is never checked.
+//
+//kdash:deterministic
+func (sx *ShardedIndex) topKPersonalized(ctx context.Context, seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
 	var qs QueryStats
 	if k <= 0 {
 		return nil, qs.searchStats(), fmt.Errorf("shard: K must be positive, got %d", k)
@@ -210,7 +224,7 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 		mass[i] = sx.c * seeds[node] / total
 	}
 	// The seeds are layer 0 of a multi-source BFS.
-	st, qs, err := sx.runPush(nil, nil, nodes, mass, nodes, k)
+	st, qs, err := sx.runPush(ctx, nil, nodes, mass, nodes, k)
 	var results []topk.Result
 	if err == nil {
 		results, err = st.rank(k, nil, &qs)
@@ -225,11 +239,22 @@ func (sx *ShardedIndex) TopKPersonalized(seeds map[int]float64, k int) ([]topk.R
 // the push fetches that one row with its solves.
 //
 //kdash:deterministic
-func (sx *ShardedIndex) Proximity(q, u int) (float64, error) {
+func (sx *ShardedIndex) Proximity(q, u int) (float64, error) { return sx.proximity(nil, q, u) }
+
+// ProximityContext is Proximity under ctx: the push checks it between
+// shard solves, and a done ctx abandons the query with ctx's error.
+func (sx *ShardedIndex) ProximityContext(ctx context.Context, q, u int) (float64, error) {
+	return sx.proximity(ctx, q, u)
+}
+
+// proximity runs Proximity; a nil ctx is never checked.
+//
+//kdash:deterministic
+func (sx *ShardedIndex) proximity(ctx context.Context, q, u int) (float64, error) {
 	if q < 0 || q >= sx.n || u < 0 || u >= sx.n {
 		return 0, fmt.Errorf("shard: node pair (%d,%d) outside [0,%d)", q, u, sx.n)
 	}
-	st, _, err := sx.runPush(nil, nil, []int{q}, []float64{sx.c}, []int{u}, 0)
+	st, _, err := sx.runPush(ctx, nil, []int{q}, []float64{sx.c}, []int{u}, 0)
 	var p float64
 	if err == nil {
 		if p = st.score(u); st.err != nil {

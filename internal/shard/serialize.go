@@ -15,7 +15,8 @@ package shard
 //	  ...
 //
 // Every file but the manifest is an internal/mmapio container: section
-// and table checksums, int32 ids, float64 weights, int64 pointers. Open
+// and table checksums, int32 ids (the inverse factors' as gap bytes with
+// int32 escapes), float64 weights, int64 pointers. Open
 // is the general entry point: LoadOptions select eager vs lazy shard
 // opens. Both read the partition container up front — O(n) bytes, no
 // factor data — verify it, cross-check it against the manifest, copy
@@ -67,10 +68,12 @@ const ManifestName = "manifest.json"
 // containers (graph.idx, partition.idx) instead of a TSV edge list and
 // two unchecked binary files, and each shard file keeps its block's
 // Louvain communities; version 8 stores neither the snapshot's
-// in-adjacency nor a shard's block adjacency. An older directory's shard
-// files are a generation this build does not read, so a lazy open of one
-// would fail query by query.
-const manifestVersion = 8
+// in-adjacency nor a shard's block adjacency; version 9 stores the
+// shard files' inverse factors in the compact id encoding (a gap byte
+// per entry, escaped ids int32). An older directory's shard files are a
+// generation this build does not read, so a lazy open of one would fail
+// query by query.
+const manifestVersion = 9
 
 // The directory's fixed file names; the manifest records them, and Open
 // accepts any plain name inside the directory.

@@ -204,14 +204,17 @@ func withStripSection(t *testing.T, data []byte) []byte {
 }
 
 // asRetiredGeneration rewrites a saved shard file with meta tag tag and
-// the meta section's first metaBytes bytes, the current sections plus
-// the adjacency sections (4-6) the retired generations stored — one
-// without entries, a shape their loaders accepted, since the current
-// file keeps none to copy — and the community section only when
-// withCommunities: "KDIXV5" (80 bytes, communities) is the generation
-// before shard files dropped their adjacency, "KDIXV4" (64 bytes, no
-// communities) the one before they kept their communities.
-func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, withCommunities bool) []byte {
+// the meta section's first metaBytes bytes, the current sections with
+// the inverse factors' ids as the int32 sections 8 and 11 the retired
+// generations stored, plus — when withAdjacency — the adjacency
+// sections (4-6) — one without entries, a shape their loaders accepted,
+// since the current file keeps none to copy — and the community
+// section only when withCommunities: "KDIXV6" (80 bytes, communities,
+// no adjacency) is the generation before the compact id encoding,
+// "KDIXV5" (80 bytes, communities) the one before shard files dropped
+// their adjacency, "KDIXV4" (64 bytes, no communities) the one before
+// they kept their communities.
+func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, withAdjacency, withCommunities bool) []byte {
 	t.Helper()
 	f, err := mmapio.FromBytes(data)
 	if err != nil {
@@ -228,16 +231,20 @@ func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, w
 	w := mmapio.NewWriter()
 	w.AddBytes(1, append([]byte(tag), meta[8:metaBytes]...))
 	w.AddInt32s(2, perm)
-	w.AddInts(4, make([]int, len(perm)+1))
-	w.AddInt32s(5, []int32{})
-	w.AddFloats(6, []float64{})
+	if withAdjacency {
+		w.AddInts(4, make([]int, len(perm)+1))
+		w.AddInt32s(5, []int32{})
+		w.AddFloats(6, []float64{})
+	}
 	ids := []uint32{7, 8, 9, 10, 11, 12}
 	if withCommunities {
 		ids = append(ids, 23)
 	}
 	for _, id := range ids {
 		switch id {
-		case 8, 11, 23:
+		case 8, 11:
+			w.AddInt32s(id, decodedIDList(t, f, decodedIDs[id]))
+		case 23:
 			xs, err := f.Int32s(id)
 			if err != nil {
 				t.Fatal(err)
@@ -282,8 +289,14 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 		}
 	}
 	wide := func(id uint32) []int {
-		xs, err := f.Int32s(id)
-		must(err)
+		var xs []int32
+		if secs, ok := decodedIDs[id]; ok {
+			xs = decodedIDList(t, f, secs) // the inverse factors' ids
+		} else {
+			var err error
+			xs, err = f.Int32s(id)
+			must(err)
+		}
 		out := make([]int, len(xs))
 		for i, x := range xs {
 			out[i] = int(x)
@@ -372,9 +385,10 @@ func asV1Snapshot(t *testing.T, data []byte) []byte {
 // stream, a core container carrying a retired kind-4 section, a core
 // container of the int64-id generation, one of the "KDIXV4" generation
 // that kept no communities, one of the "KDIXV5" generation that kept
-// its block adjacency, and the version 4 to 7 directories whose shard
-// files are those containers (version 7's snapshot is a "KDGRV1" one,
-// with in-adjacency) are each refused up front with the rebuild
+// its block adjacency, one of the "KDIXV6" generation whose inverse
+// factors kept an int32 id per entry, and the version 4 to 8
+// directories whose shard files are those containers (version 7's
+// snapshot is a "KDGRV1" one, with in-adjacency) are each refused up front with the rebuild
 // instruction — by LoadIndex and OpenIndexFile for the files, by Open
 // both eagerly and lazily for the directories — never accepted only to
 // fail at query time. A current directory holding a "KDGRV1" snapshot
@@ -431,10 +445,13 @@ func TestOldGenerationsRefused(t *testing.T) {
 	})
 	v5, int64IDs := oldDir(5, asParentGeneration)
 	v6, kdixv4 := oldDir(6, func(t *testing.T, data []byte) []byte {
-		return asRetiredGeneration(t, data, "KDIXV4\x00\x00", 64, false)
+		return asRetiredGeneration(t, data, "KDIXV4\x00\x00", 64, true, false)
 	})
 	v7, kdixv5 := oldDir(7, func(t *testing.T, data []byte) []byte {
-		return asRetiredGeneration(t, data, "KDIXV5\x00\x00", 80, true)
+		return asRetiredGeneration(t, data, "KDIXV5\x00\x00", 80, true, true)
+	})
+	v8, kdixv6 := oldDir(8, func(t *testing.T, data []byte) []byte {
+		return asRetiredGeneration(t, data, "KDIXV6\x00\x00", 80, false, true)
 	})
 	oldSnapshot := func(dir string) {
 		path := filepath.Join(dir, graphFileName)
@@ -515,6 +532,10 @@ func TestOldGenerationsRefused(t *testing.T) {
 		{"block adjacency/OpenIndexFile copy", openFile(filepath.Join(v7, "shard-0000.idx"))},
 		{"v7 directory/eager", openDir(v7, LoadOptions{})},
 		{"v7 directory/lazy", openDir(v7, LoadOptions{Lazy: true})},
+		{"int32 ids/LoadIndex", loadBytes(kdixv6)},
+		{"int32 ids/OpenIndexFile copy", openFile(filepath.Join(v8, "shard-0000.idx"))},
+		{"v8 directory/eager", openDir(v8, LoadOptions{})},
+		{"v8 directory/lazy", openDir(v8, LoadOptions{Lazy: true})},
 		{"in-adjacency snapshot/eager", openDir(kdgrv1, LoadOptions{})},
 		{"in-adjacency snapshot/lazy query", queryDir(kdgrv1)},
 	}
