@@ -182,18 +182,19 @@ func BuildIndex(g *graph.Graph, opt BuildOptions) (*Index, error) {
 // the block's graph, ordered by reorder.ComputeBlock with blk, and the
 // Louvain result the ordering used comes back for the next epoch's
 // blk.Communities; the block keeps no A. prev, when non-nil, is the
-// block's index of the previous epoch, built over prevG with the same
-// options (one of another size, restart probability or drop tolerance is
-// ignored): a position-wise compare with its A (Adjacency) marks the
-// changed columns of W, and every inverse column whose solve reads no
-// factor column those reach is copied from prev (see lu.Refactorize).
+// block's index of the previous epoch, built over a graph whose out-rows
+// prevG reads, with the same options (one of another size, restart
+// probability or drop tolerance is ignored): a position-wise compare
+// with its A (Adjacency) marks the changed columns of W, and every
+// inverse column whose solve reads no factor column those reach is
+// copied from prev (see lu.Refactorize).
 // The index is bit for bit the one BuildBlock makes with a nil prev —
 // the sharded update path rebuilds dirty blocks through here and
 // promises the result of a fresh build.
 //
 //kdash:mutates-factors
 //kdash:deterministic
-func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index, prevG *graph.Graph) (*Index, *louvain.Result, error) {
+func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index, prevG Rows) (*Index, *louvain.Result, error) {
 	if g.N() == 0 {
 		return nil, nil, fmt.Errorf("core: cannot index an empty graph")
 	}
@@ -274,6 +275,18 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	return ix, communities, nil
 }
 
+// Rows is a graph's out-rows as a block rebuild reads its parent's: a
+// *graph.Graph is one, and a sharded index reads a parent block's rows
+// in place from the parent epoch's whole graph.
+type Rows interface {
+	N() int
+	// OutNeighbors calls fn on v's out-edges in row order, targets
+	// ascending.
+	OutNeighbors(v int, fn func(to int, w float64))
+	// OutWeightSum sums v's out-weights in row order.
+	OutWeightSum(v int) float64
+}
+
 // Adjacency re-forms, bit for bit, the A the index factorized from g,
 // the graph it was built over: how a rebuild compares with a block.
 func (ix *Index) Adjacency(g *graph.Graph) *sparse.CSC {
@@ -286,23 +299,24 @@ func (ix *Index) Adjacency(g *graph.Graph) *sparse.CSC {
 
 // changedColumns reports, per column, whether a differs in its pattern
 // or in any value's bits from the A the index factorized from g, the
-// graph it was built over — a.ChangedColumns(ix.Adjacency(g)) without
-// re-forming that A: its column perm[v] is v's out-edges, each target
-// renamed by perm and each weight divided by v's out-weight sum, rows
-// ascending, as PermutedColumnNormalized lays it down.
-func (ix *Index) changedColumns(a *sparse.CSC, g *graph.Graph) []bool {
+// graph it was built over, whose rows g reads —
+// a.ChangedColumns(ix.Adjacency(g)) without re-forming that A: its
+// column perm[v] is v's out-edges, each target renamed by perm and each
+// weight divided by v's out-weight sum, rows ascending, as
+// PermutedColumnNormalized lays it down.
+func (ix *Index) changedColumns(a *sparse.CSC, g Rows) []bool {
 	out := make([]bool, ix.n)
 	type entry struct {
 		row int32
 		val float64
 	}
 	var col []entry
+	var total float64
+	add := func(u int, w float64) { col = append(col, entry{ix.perm[u], w / total}) }
 	for v := 0; v < ix.n; v++ {
 		col = col[:0]
-		if total := g.OutWeightSum(v); total > 0 {
-			g.OutNeighbors(v, func(u int, w float64) {
-				col = append(col, entry{ix.perm[u], w / total})
-			})
+		if total = g.OutWeightSum(v); total > 0 {
+			g.OutNeighbors(v, add)
 		}
 		slices.SortFunc(col, func(x, y entry) int { return cmp.Compare(x.row, y.row) })
 		c := int(ix.perm[v])

@@ -20,11 +20,15 @@ type Workspace struct {
 	Sup []int
 }
 
-// NewWorkspace returns an empty workspace sized for the factors.
-func (inv *Inverse) NewWorkspace() *Workspace {
+// NewWorkspace returns an empty workspace over n rows. It serves any
+// factors of at most n rows: every kernel indexes it below its own N.
+func NewWorkspace(n int) *Workspace {
 	// Sup is non-nil even when empty, like every support list here.
-	return &Workspace{W: make([]float64, inv.N), Sup: make([]int, 0, 64)}
+	return &Workspace{W: make([]float64, n), Sup: make([]int, 0, 64)}
 }
+
+// NewWorkspace returns an empty workspace sized for the factors.
+func (inv *Inverse) NewWorkspace() *Workspace { return NewWorkspace(inv.N) }
 
 // Reset restores the all-zero workspace by its support list.
 //

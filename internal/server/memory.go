@@ -82,7 +82,7 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 	series := []struct{ key, name, help, typ string }{
 		{"graphOffHeapBytes", "kdash_index_graph_offheap_bytes", "Sealed graph snapshot the serving epoch ranks over (0 once an update replaced it, or before a lazy open).", "gauge"},
 		{"graphHeapBytes", "kdash_index_graph_heap_bytes", "Graph snapshot the serving epoch ranks over when it is on the Go heap: built in process, or an update's successor, plus in-rows derived on first use.", "gauge"},
-		{"queryScratchBytes", "kdash_query_scratch_bytes", "Per-query scratch the index pools: the shards' L^-1 workspaces and residual vectors, counted at each pool-miss allocation and released with their shard, and each push state's own arrays (BFS workspace, remote rows and values, solve records), counted at each release and released when the state is collected.", "gauge"},
+		{"queryScratchBytes", "kdash_query_scratch_bytes", "Per-query scratch the index pools: the dense residual vectors and L^-1 workspaces of its one vector pool, counted at each pool-miss allocation and released with the last epoch sharing the pool, and each push state's own arrays (BFS workspace, remote rows and values, solve records), counted at each release and released when the state is collected.", "gauge"},
 		{"containersOpened", "kdash_index_containers_opened_total", "Off-heap index containers (sealed copies) opened.", "counter"},
 		{"containersReleased", "kdash_index_containers_released_total", "Off-heap index containers released: closed, or their last epoch collected.", "counter"},
 		{"containerReleasedBytes", "kdash_index_container_released_bytes_total", "Bytes the released containers returned to the OS.", "counter"},

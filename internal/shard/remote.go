@@ -46,21 +46,17 @@ func (sx *ShardedIndex) SetRemoteSolver(r RemoteSolver) { sx.remote = r }
 // would fault.
 func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 
-// PartLen reports shard si's solve dimension: owned nodes plus the
-// ghost sink row when the shard has outgoing cut weight.
-func (sx *ShardedIndex) PartLen(si int) int { return sx.partLen(si) }
-
 // SolveShardRows is the worker side of RemoteSolver.SolveRows: for each
-// right-hand side, the L^{-1} pass into a pooled workspace, one U^{-1}
-// row dot per requested row into out (a cut row's from the part's
-// packed copy, as in process), and a reset. Shard, rows, the
-// right-hand side pointers and ids are all validated first, so hostile
-// input is an error, never a fault. Safe for concurrent calls.
+// right-hand side, the L^{-1} pass into one pooled workspace (held for
+// the call), one U^{-1} row dot per requested row into out (a cut row's
+// from the part's packed copy, as in process), and a reset. Shard, rows,
+// the right-hand side pointers and ids are all validated first, so
+// hostile input is an error, never a fault. Safe for concurrent calls.
 func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []float64) error {
 	if si < 0 || si >= len(sx.parts) {
 		return fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
 	}
-	n := sx.partLen(si)
+	n := sx.PartLen(si)
 	for _, lv := range rows {
 		if lv < 0 || lv >= n {
 			return fmt.Errorf("shard: solve row %d outside shard %d's [0,%d)", lv, si, n)
@@ -83,8 +79,8 @@ func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []
 		return err
 	}
 	cutUpper := p.cutRowsUpper(ix)
-	w := p.getWorkspace(ix)
-	defer p.putWorkspace(w)
+	w := sx.getVector()
+	defer sx.putVector(w)
 	for r := 0; r+1 < len(ptr); r++ {
 		lo, hi := ptr[r], ptr[r+1]
 		err := ix.SolveLower(idx[lo:hi], val[lo:hi], w) // validates range and ascending order before writing

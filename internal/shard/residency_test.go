@@ -52,24 +52,32 @@ func partitionTableBytes(sx *ShardedIndex) (nodes, cuts int64) {
 	return nodes, cuts
 }
 
-// pooledScratch reports the bytes of the dense vectors sx's parts'
-// pools hold.
+// pooledScratch reports the bytes of the dense vectors sx's pool holds.
 func pooledScratch(sx *ShardedIndex) (pooled int64) {
-	for _, p := range sx.parts {
-		for _, w := range p.wsPool.items {
-			pooled += 8 * int64(len(w.W))
-		}
-		for _, r := range p.resPool.items {
-			pooled += 8 * int64(len(r.val))
-		}
+	for _, w := range sx.vecs.free.items {
+		pooled += 8 * int64(len(w.W))
 	}
 	return pooled
 }
 
+// idleScratch reports what the process account should hold for sx: the
+// vectors its pool holds and its idle push states' own arrays.
+func idleScratch(t *testing.T, sx *ShardedIndex) int64 {
+	t.Helper()
+	held := pooledScratch(sx)
+	for _, st := range sx.pushPool.items {
+		if st.tree == nil || st.scratch.Load() != st.scratchBytes() {
+			t.Fatalf("an idle state counts %d bytes, holds %d", st.scratch.Load(), st.scratchBytes())
+		}
+		held += st.scratchBytes()
+	}
+	return held
+}
+
 // TestQueryScratchReleasedWithItsParts checks the process account of
-// pooled query scratch: queries raise it by what their parts' pools
-// allocate, and collecting the index's parts takes that share back out.
-// Other tests' parts only ever leave the account meanwhile.
+// pooled query scratch: queries raise it by what the index's vector
+// pool allocates, and collecting the index takes that share back out.
+// Other tests' indexes only ever leave the account meanwhile.
 func TestQueryScratchReleasedWithItsParts(t *testing.T) {
 	sx := damageIndex(t)
 	for q := 0; q < 50; q++ {
@@ -99,9 +107,12 @@ func TestQueryScratchReleasedWithItsParts(t *testing.T) {
 // serial query stream reuses one state across forced collections (a
 // sync.Pool drops its items and re-creates them), a burst of
 // 4×GOMAXPROCS concurrent queries leaves at most GOMAXPROCS idle states,
-// and the process's query-scratch account covers what the idle states
-// and the parts' pools hold.
+// and the process's query-scratch account grows by exactly what the idle
+// states and the index's vector pool hold, after the serial stream and
+// again once the burst's surplus states are collected.
 func TestPushStatePoolSurvivesGC(t *testing.T) {
+	collect() // earlier tests' scratch must leave the account before base
+	base := QueryScratchBytes()
 	sx := damageIndex(t)
 	for i := 0; i < 90; i++ {
 		if i%30 == 29 {
@@ -114,6 +125,9 @@ func TestPushStatePoolSurvivesGC(t *testing.T) {
 	}
 	if got := sx.pushStates.Load(); got != 1 {
 		t.Fatalf("a serial stream across two collections created %d push states, want 1", got)
+	}
+	if got, held := QueryScratchBytes()-base, idleScratch(t, sx); got != held {
+		t.Fatalf("the serial stream raised the query-scratch account by %d bytes, the idle state and the vector pool hold %d", got, held)
 	}
 
 	procs := runtime.GOMAXPROCS(0)
@@ -142,16 +156,15 @@ func TestPushStatePoolSurvivesGC(t *testing.T) {
 	if idle := len(sx.pushPool.items); idle > procs || idle == 0 {
 		t.Fatalf("the burst left %d idle push states, want 1..%d (GOMAXPROCS)", idle, procs)
 	}
-	held := pooledScratch(sx)
-	for _, st := range sx.pushPool.items {
-		if st.tree == nil || st.scratch.Load() != st.scratchBytes() {
-			t.Fatalf("an idle state counts %d bytes, holds %d", st.scratch.Load(), st.scratchBytes())
+	held := idleScratch(t, sx)
+	deadline := time.Now().Add(10 * time.Second)
+	for QueryScratchBytes()-base != held {
+		if time.Now().After(deadline) {
+			t.Fatalf("the query-scratch account grew by %d bytes, the idle states and the vector pool hold %d", QueryScratchBytes()-base, held)
 		}
-		held += st.scratchBytes()
+		collect() // the states the burst left over are counted until collected
 	}
-	if got := QueryScratchBytes(); got < held {
-		t.Errorf("the process counts %d bytes of query scratch, the idle states and the parts' pools hold %d", got, held)
-	}
+	runtime.KeepAlive(sx)
 }
 
 // TestOpenedDirectoryHoldsOnlyWhatQueriesRead opens a saved directory,

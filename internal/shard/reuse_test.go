@@ -195,6 +195,56 @@ func TestDeltaChainDerivesParentBlockA(t *testing.T) {
 	}
 }
 
+// TestParentBlockRowsReadInPlace chains random deltas through Apply
+// and checks, for every rebuild with a parent block, that the rows the
+// rebuild reads in place from the parent epoch's graph (blockRows, what
+// core's changed-column compare walks) are the assembled parent block
+// graph's, bit for bit: the node count, each row's targets and weights
+// in order, and each row's weight sum.
+func TestParentBlockRowsReadInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sx := buildSharded(t, testutil.PowerLaw(160, 5), 4, 0.95)
+	compared := 0
+	type edge struct {
+		u int
+		w uint64
+	}
+	row := func(r core.Rows, v int) (es []edge) {
+		r.OutNeighbors(v, func(u int, w float64) { es = append(es, edge{u, math.Float64bits(w)}) })
+		return es
+	}
+	for epoch := 0; epoch < 8; epoch++ {
+		next, _, err := sx.Apply(testutil.RandomDelta(rng, sx.Graph(), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, p := range next.parts {
+			old := sx.parts[si]
+			if p == old || !slices.Equal(p.nodes, old.nodes) {
+				continue // shared, or rebuilt without a parent
+			}
+			want, _, err := next.blockGraph(sx.Graph(), si)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := blockRows{sx: next, si: si, n: old.ix.N(), g: sx.Graph()}
+			if got.N() != want.N() || got.N() != old.ix.N() {
+				t.Fatalf("epoch %d shard %d: %d rows read in place, the parent block has %d (index %d)", epoch, si, got.N(), want.N(), old.ix.N())
+			}
+			for v := 0; v < want.N(); v++ {
+				if !slices.Equal(row(got, v), row(want, v)) || math.Float64bits(got.OutWeightSum(v)) != math.Float64bits(want.OutWeightSum(v)) {
+					t.Fatalf("epoch %d shard %d: row %d read in place differs from the assembled parent block's", epoch, si, v)
+				}
+			}
+			compared++
+		}
+		sx = next
+	}
+	if compared == 0 {
+		t.Fatal("no rebuild had a parent block to compare")
+	}
+}
+
 // assembleBlock builds shard si's block graph of sx from sx's graph
 // with a graph.Builder: every in-shard edge in local ids, and one edge
 // per leaking node to the ghost sink carrying its summed out-of-shard

@@ -88,8 +88,10 @@ func seedNodesSorted(seeds map[int]float64) []int {
 	return nodes
 }
 
-// partLen is the shard graph's node count (owned nodes + ghost sink).
-func (sx *ShardedIndex) partLen(si int) int {
+// PartLen reports shard si's solve dimension, its shard graph's node
+// count: owned nodes plus the ghost sink row when the shard has
+// outgoing cut weight.
+func (sx *ShardedIndex) PartLen(si int) int {
 	p := sx.parts[si]
 	if p.sink {
 		return len(p.nodes) + 1

@@ -170,7 +170,6 @@ func (sx *ShardedIndex) Save(dir string) error {
 	m.Stats.Sizes = sx.stats.Sizes
 	m.Stats.CutEdges = sx.stats.CutEdges
 	m.Stats.CutWeightFrac = sx.stats.CutWeightFrac
-	m.Stats.NNZInverse = sx.stats.NNZInverse
 	m.Stats.Communities = sx.stats.Communities
 	m.Stats.Modularity = sx.stats.Modularity
 	nnzTotal := 0
@@ -376,8 +375,9 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		p := sx.parts[si]
 		p.sink = len(p.cuts) > 0
 		p.nnzHint = m.Stats.NNZShards[si]
-		p.lazy = newShardOpener(si, len(p.nodes), p.sink, sx.c, filepath.Join(dir, name))
+		p.lazy = newShardOpener(si, len(p.nodes), sx.PartLen(si), sx.c, filepath.Join(dir, name))
 	}
+	sx.poolVectors(nil)
 	if !opt.Lazy {
 		if err := sx.OpenAll(); err != nil {
 			sx.Close() // release the containers that did open
@@ -468,9 +468,6 @@ func (sx *ShardedIndex) readPartition(path string, m *manifest) (err error) {
 	}
 	sx.home, sx.homeBack = assign, newPartitionBacking(f)
 	// Local ids by the ascending-global-id rule the writer used.
-	for i := range sx.parts {
-		sx.parts[i] = &part{}
-	}
 	sx.local = sx.placeNodes(counts, nil)
 	for si, p := range sx.parts {
 		lo, hi := ptr[si], ptr[si+1]
@@ -517,18 +514,15 @@ func (sx *ShardedIndex) checkCuts(g *graph.Graph) error {
 
 // newShardOpener builds the deferred open of one shard file: open it
 // and validate it against the partition the directory was loaded with —
-// the shard's owned node count and sink, which fix its solve dimension
-// and the length of its saved communities — and the restart
-// probability c. The node-count check pins the cut-derived sink flag: a
-// directory whose shard file disagrees with its cut list is corrupt and
-// rejected at open time. The closure captures values, not the index: a
-// deferred open shared by later epochs must not keep the loaded epoch,
-// and with it every shard container that epoch holds, reachable.
-func newShardOpener(si, owned int, sink bool, c float64, path string) *lazyIndex {
-	n := owned
-	if sink {
-		n++
-	}
+// the shard's owned node count and its solve dimension n (owned plus the
+// sink), which fix the length of its saved communities and its size —
+// and the restart probability c. The size check pins the cut-derived
+// sink flag: a directory whose shard file disagrees with its cut list
+// is corrupt and rejected at open time. The closure captures values,
+// not the index: a deferred open shared by later epochs must not keep
+// the loaded epoch, and with it every shard container that epoch holds,
+// reachable.
+func newShardOpener(si, owned, n int, c float64, path string) *lazyIndex {
 	return &lazyIndex{open: func() (*core.Index, error) {
 		ix, err := core.OpenIndexFile(path)
 		if err != nil {

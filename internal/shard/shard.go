@@ -37,6 +37,7 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,13 +146,6 @@ type part struct {
 	// the push's cut-row dots; built on the first local solve.
 	cutUpperOnce sync.Once
 	cutUpper     *lu.UpperRows
-
-	// Per-shard query scratch (state.go): L^{-1} workspaces and residual
-	// vectors, checked out per solve and per touched shard and returned
-	// when the query releases, so their number follows the solves in
-	// flight, not the pooled query states.
-	wsPool  freeList[*lu.Workspace]
-	resPool freeList[*residual]
 }
 
 // lazyIndex is the once-guarded deferred open of one shard's index
@@ -316,14 +310,15 @@ type ShardedIndex struct {
 	gDone atomic.Bool // set once a deferred open has installed sx.g
 
 	// pushPool recycles single-query states (solve records, the rank's
-	// BFS workspace; the shard-sized vectors come from each part's
-	// pools) across queries, keeping at most GOMAXPROCS idle; every
-	// request checks a private instance out, so the pool is the
+	// BFS workspace) across queries, keeping at most GOMAXPROCS idle;
+	// every request checks a private instance out, so the pool is the
 	// concurrent-safe source of per-query scratch and the steady-state
 	// query path allocates only its result set. pushStates counts the
-	// states ever created.
+	// states ever created. vecs is the pool of shard-sized vectors they
+	// borrow, shared along the epochs its vectors fit (poolVectors).
 	pushPool   freeList[*pushState]
 	pushStates atomic.Int64
+	vecs       *vecPool
 
 	// Distributed-serving state (see remote.go). factorless marks a
 	// coordinator-side index: buildPart skips the factorization (and
@@ -427,17 +422,13 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 			}
 		}
 		counts := make([]int, s)
-		for _, si := range opt.Assignment {
-			counts[si]++
-		}
-		for si, cnt := range counts {
-			if cnt == 0 {
-				return nil, fmt.Errorf("shard: assignment leaves shard %d of %d empty", si, s)
-			}
-		}
 		home = make([]int32, n)
 		for u, si := range opt.Assignment {
 			home[u] = int32(si)
+			counts[si]++
+		}
+		if si := slices.Index(counts, 0); si >= 0 {
+			return nil, fmt.Errorf("shard: assignment leaves shard %d of %d empty", si, s)
 		}
 	} else {
 		home, communities, modularity = partition(g, s, opt.Seed)
@@ -465,9 +456,6 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 	for _, si := range home {
 		sizes[si]++
 	}
-	for i := range sx.parts {
-		sx.parts[i] = &part{}
-	}
 	sx.local = sx.placeNodes(sizes, nil)
 
 	cutEdges, cutW, totalW := sx.fillCuts(g, nil)
@@ -482,6 +470,7 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 		return nil, err
 	}
 	buildTime := time.Since(tBuild)
+	sx.poolVectors(nil)
 
 	nnz := 0
 	for _, p := range sx.parts {
@@ -507,13 +496,17 @@ func Build(g *graph.Graph, opt Options) (*ShardedIndex, error) {
 }
 
 // placeNodes refills the node lists of the parts rebuild marks (nil:
-// all), sized by sizes, by the ascending-global-id rule, and returns the
-// local ids: from the rule there, from sx.local elsewhere.
+// all, into fresh parts), sized by sizes, by the ascending-global-id
+// rule, and returns the local ids: from the rule there, from sx.local
+// elsewhere.
 func (sx *ShardedIndex) placeNodes(sizes []int, rebuild []bool) []int32 {
 	local := make([]int32, len(sx.home))
-	for si, p := range sx.parts {
+	for si := range sx.parts {
+		if rebuild == nil {
+			sx.parts[si] = &part{}
+		}
 		if rebuild == nil || rebuild[si] {
-			p.nodes = make([]int32, 0, sizes[si])
+			sx.parts[si].nodes = make([]int32, 0, sizes[si])
 		}
 	}
 	for u, si := range sx.home {
@@ -659,7 +652,8 @@ func (sx *ShardedIndex) fillCuts(g *graph.Graph, mask []bool) (cutEdges int, cut
 // caller left them in place. old, when non-nil, is the shard's part of
 // the previous epoch (graph prevG), over the same node list: its index,
 // if open, lends the rebuild every inverse column the changed columns
-// do not reach.
+// do not reach, which the rebuild finds by reading the parent block's
+// rows from prevG in place.
 func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, prevG *graph.Graph, method reorder.Method, seed int64, workers int) error {
 	p := sx.parts[si]
 	p.sink = len(p.cuts) > 0 // edge weights are positive: a cut edge leaks
@@ -671,22 +665,22 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, prevG *grap
 		return nil
 	}
 	sg, cut, err := sx.blockGraph(g, si)
-	var prev *core.Index
-	var prevSG *graph.Graph // the block graph prev was built over
-	if old != nil && err == nil {
-		if prev = old.tryIndex(); prev != nil {
-			prevSG, _, err = sx.blockGraph(prevG, si)
-		}
-	}
 	if err != nil {
 		return err
+	}
+	var prev *core.Index
+	var prevRows core.Rows // the block rows prev was built over
+	if old != nil {
+		if prev = old.tryIndex(); prev != nil {
+			prevRows = blockRows{sx: sx, si: si, n: prev.N(), g: prevG}
+		}
 	}
 	ix, _, err := core.BuildBlock(sg, core.BuildOptions{
 		Restart: sx.c,
 		Reorder: method,
 		Seed:    seed,
 		Workers: workers,
-	}, reorder.Block{Owned: len(p.nodes), Cut: cut, Communities: p.communities}, prev, prevSG)
+	}, reorder.Block{Owned: len(p.nodes), Cut: cut, Communities: p.communities}, prev, prevRows)
 	if err != nil {
 		return err
 	}
@@ -695,33 +689,63 @@ func (sx *ShardedIndex) buildPart(g *graph.Graph, si int, old *part, prevG *grap
 	return nil
 }
 
-// blockGraph assembles shard si's graph from g — over the previous
-// epoch's graph and an unchanged node list, the one that epoch built.
-// One pass sizes the rows — the in-shard edges, plus an edge to the sink
-// from every node that leaks (cut) — and sums the leaks; the next fills
-// the rows, already in order (local ids ascend with global ids, and the
-// sink is last).
-func (sx *ShardedIndex) blockGraph(g *graph.Graph, si int) (*graph.Graph, []bool, error) {
-	p := sx.parts[si]
-	ns := len(p.nodes)
-	leak := make([]float64, ns)
-	ptr := make([]int, ns+2) // room for the sink's empty row
-	hasLeak := false
-	for lv, v := range p.nodes {
-		g.OutNeighbors(int(v), func(u int, w float64) {
-			if int(sx.home[u]) != si {
-				leak[lv] += w
-				hasLeak = true
-			} else {
-				ptr[lv+1]++
-			}
-		})
-		if leak[lv] > 0 {
-			ptr[lv+1]++
+// blockRows reads the n rows of shard si's block graph over g in
+// place: row lv is node lv's in-shard out-edges in local ids, then, if
+// it leaks, one edge to the sink (local id len(nodes)) carrying its cut
+// weight summed in row order; the sink's row is empty. Over the parent
+// epoch's graph and node list they are the rows its block was built on.
+type blockRows struct {
+	sx    *ShardedIndex
+	si, n int
+	g     *graph.Graph
+}
+
+// N reports the block's node count.
+func (r blockRows) N() int { return r.n }
+
+// OutNeighbors calls fn on block row lv's edges in row order.
+func (r blockRows) OutNeighbors(lv int, fn func(u int, w float64)) {
+	nodes := r.sx.parts[r.si].nodes
+	if lv == len(nodes) {
+		return // the sink's row
+	}
+	leak := 0.0
+	r.g.OutNeighbors(int(nodes[lv]), func(u int, w float64) {
+		if int(r.sx.home[u]) == r.si {
+			fn(int(r.sx.local[u]), w)
+		} else {
+			leak += w
 		}
+	})
+	if leak > 0 {
+		fn(len(nodes), leak)
+	}
+}
+
+// OutWeightSum sums block row lv's weights in row order, as
+// graph.Graph's does.
+func (r blockRows) OutWeightSum(lv int) float64 {
+	s := 0.0
+	r.OutNeighbors(lv, func(_ int, w float64) { s += w })
+	return s
+}
+
+// blockGraph assembles shard si's graph from g's blockRows: one pass
+// sizes the rows and marks the nodes that leak (cut: the sink edge is
+// the row's last), the next fills them; a sink is there if any leaks.
+func (sx *ShardedIndex) blockGraph(g *graph.Graph, si int) (*graph.Graph, []bool, error) {
+	ns := len(sx.parts[si].nodes)
+	rows := blockRows{sx: sx, si: si, g: g}
+	ptr := make([]int, ns+2) // room for the sink's empty row
+	cut := make([]bool, ns)
+	for lv := 0; lv < ns; lv++ {
+		rows.OutNeighbors(lv, func(u int, _ float64) {
+			ptr[lv+1]++
+			cut[lv] = u == ns
+		})
 	}
 	total := ns
-	if hasLeak {
+	if slices.Contains(cut, true) {
 		total++ // ghost sink at local id ns
 	}
 	ptr = ptr[:total+1]
@@ -730,19 +754,12 @@ func (sx *ShardedIndex) blockGraph(g *graph.Graph, si int) (*graph.Graph, []bool
 	}
 	to := make([]int32, ptr[total])
 	wt := make([]float64, ptr[total])
-	cut := make([]bool, ns)
-	for lv, v := range p.nodes {
+	for lv := 0; lv < ns; lv++ {
 		at := ptr[lv]
-		g.OutNeighbors(int(v), func(u int, w float64) {
-			if int(sx.home[u]) == si {
-				to[at], wt[at] = sx.local[u], w
-				at++
-			}
+		rows.OutNeighbors(lv, func(u int, w float64) {
+			to[at], wt[at] = int32(u), w
+			at++
 		})
-		if leak[lv] > 0 {
-			cut[lv] = true
-			to[at], wt[at] = int32(ns), leak[lv]
-		}
 	}
 	sg, err := graph.FromCSR(ptr, to, wt)
 	return sg, cut, err

@@ -30,7 +30,7 @@ func TestShardSparseSolveMatchesDense(t *testing.T) {
 		sx := buildSharded(t, g, shards, rwr.DefaultRestart)
 		rng := rand.New(rand.NewSource(int64(shards)))
 		for si, p := range sx.parts {
-			n := sx.partLen(si)
+			n := sx.PartLen(si)
 			w := p.ix.NewWorkspace()
 			for trial := 0; trial < 4; trial++ {
 				r := make([]float64, n)

@@ -6,12 +6,12 @@ package shard
 // proximities out of what the push recorded. The state keeps the rank's
 // BFS workspace and the per-query bookkeeping alive across queries in a
 // free list on the ShardedIndex that keeps at most GOMAXPROCS idle
-// states — about what can run at once — across garbage collections;
-// the shard-sized vectors — each shard's
-// residual and each solve's L^{-1} workspace — come from pools on the
-// shard's part, taken when the query first touches the shard or solves
-// it and returned when the query releases, so live scratch follows the
-// solves in flight rather than pooled states × shards × solve depth.
+// states — about what can run at once — across garbage collections.
+// The shard-sized vectors — each touched shard's residual and each
+// solve's L^{-1} workspace — come from the index's one pool (vecPool),
+// taken when the query first touches the shard or solves it and
+// returned when the query releases, so the pool holds the most vectors
+// running queries ever held at once.
 // Queries check a private instance out (concurrent-safe: the pools hand
 // each request its own), run, and return everything after spot-cleaning
 // exactly the entries they touched, so the steady-state query path
@@ -44,6 +44,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -60,7 +61,7 @@ import (
 
 // shardSolves records one shard's solves in the current query, in solve
 // order. In process: each solve's L^{-1} workspace, taken from the
-// part's pool. Under a RemoteSolver:
+// index's vector pool. Under a RemoteSolver:
 // each solve's right-hand side, flat (solve r is rhsIdx/rhsVal over
 // [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution at the rows
 // fetched so far — the push's rows, then the rank's, kept ascending.
@@ -106,8 +107,8 @@ type pushState struct {
 	sx *ShardedIndex
 
 	// Residual right-hand sides per shard (nil until the query touches
-	// the shard) and their masses.
-	res     []*residual
+	// the shard), pooled vectors like the workspaces, and their masses.
+	res     []*lu.Workspace
 	resMass []float64
 
 	solves []shardSolves
@@ -149,7 +150,7 @@ func newPushState(sx *ShardedIndex) *pushState {
 	s := len(sx.parts)
 	st := &pushState{
 		sx:      sx,
-		res:     make([]*residual, s),
+		res:     make([]*lu.Workspace, s),
 		resMass: make([]float64, s),
 		solves:  make([]shardSolves, s),
 		scratch: new(atomic.Int64),
@@ -162,7 +163,7 @@ func newPushState(sx *ShardedIndex) *pushState {
 // scratchBytes reports the state's own arrays' allocated bytes: the BFS
 // workspace, the per-shard tables and solve records (remote rows and
 // values included) and the call scratch. The residuals and workspaces
-// it borrows are the parts' and counted there.
+// it borrows are the index pool's and counted there.
 //
 //kdash:noalloc
 func (st *pushState) scratchBytes() int64 {
@@ -178,17 +179,32 @@ func (st *pushState) scratchBytes() int64 {
 	return n
 }
 
-// residual is one shard's residual right-hand side over its partLen
-// rows, with the touched entries listed in sup (zero off sup, so a zero
-// entry marks a first touch; consumeResidual's zero skip tolerates a row
-// listed twice). Clean whenever it sits in its part's pool.
-type residual struct {
-	val []float64
-	sup []int
+// vecPool is the LIFO free list of the dense vectors an index's queries
+// borrow, residuals and L^{-1} workspaces alike: W is zero off Sup (a
+// residual lists a row at first touch; consumeResidual's zero skip
+// tolerates a row listed twice), and n long, the longest part's PartLen,
+// which every kernel indexes below. The vector released last, still in
+// cache, is checked out first.
+type vecPool struct {
+	n    int
+	free freeList[*lu.Workspace]
 }
 
-// freeList is a pool of one kind of query scratch (a part's, or the
-// index's push states): a mutex-guarded stack that, unlike a sync.Pool,
+// poolVectors gives sx from, an earlier epoch's pool, when its vectors
+// fit every part of sx, otherwise a fresh pool sized to the longest
+// part: the node and cut lists fix it, so sizing opens no shard file.
+func (sx *ShardedIndex) poolVectors(from *vecPool) {
+	n := 0
+	for si := range sx.parts {
+		n = max(n, sx.PartLen(si))
+	}
+	if sx.vecs = from; from == nil || from.n < n {
+		sx.vecs = &vecPool{n: n}
+	}
+}
+
+// freeList is a pool of one kind of query scratch (the index's dense
+// vectors or its push states): a mutex-guarded stack that, unlike a sync.Pool,
 // keeps its items across garbage collections, so scratch is allocated
 // once per peak of concurrent use rather than again after every
 // collection.
@@ -212,68 +228,45 @@ func (l *freeList[T]) get() (T, bool) {
 	return x, false
 }
 
-// put pushes an item.
+// put pushes an item unless the list already holds max, leaving it to
+// the collector then.
 //
 //kdash:noalloc
-func (l *freeList[T]) put(x T) {
-	l.mu.Lock()
-	l.items = append(l.items, x) //kdash:allow(hotalloc) grows to the part's peak concurrent use, once
-	l.mu.Unlock()
-}
-
-// putAtMost pushes an item unless the list already holds max, leaving
-// it to the collector then.
-//
-//kdash:noalloc
-func (l *freeList[T]) putAtMost(x T, max int) {
+func (l *freeList[T]) put(x T, max int) {
 	l.mu.Lock()
 	if len(l.items) < max {
-		l.items = append(l.items, x) //kdash:allow(hotalloc) grows to max once
+		l.items = append(l.items, x) //kdash:allow(hotalloc) grows to the peak concurrent use (at most max), once
 	}
 	l.mu.Unlock()
 }
 
-// getResidual checks a clean residual for the part, whose solve
-// dimension is n, out of its pool.
+// getVector checks a clean vector out of the index's pool, for a
+// residual or a workspace of any part, in the push or SolveShardRows.
 //
 //kdash:pooled
-func (p *part) getResidual(n int) *residual {
-	if r, ok := p.resPool.get(); ok {
-		return r
-	}
-	return countScratch(&residual{val: make([]float64, n)}, 8*n) //kdash:allow(hotalloc) a pool miss sizes one residual per part
-}
-
-// putResidual spot-cleans the touched entries and returns r to the
-// part's pool.
-//
-//kdash:release
-func (p *part) putResidual(r *residual) {
-	for _, lv := range r.sup {
-		r.val[lv] = 0
-	}
-	r.sup = r.sup[:0]
-	p.resPool.put(r)
-}
-
-// getWorkspace checks a clean L^{-1} workspace for the part, whose open
-// index is ix, out of its pool — shared by the in-process push and the
-// worker surface (SolveShardRows).
-//
-//kdash:pooled
-func (p *part) getWorkspace(ix *core.Index) *lu.Workspace {
-	if w, ok := p.wsPool.get(); ok {
+func (sx *ShardedIndex) getVector() *lu.Workspace {
+	if w, ok := sx.vecs.free.get(); ok {
 		return w
 	}
-	return countScratch(ix.NewWorkspace(), 8*ix.N()) //kdash:allow(hotalloc) a pool miss sizes one workspace per part
+	return countScratch(lu.NewWorkspace(sx.vecs.n), 8*sx.vecs.n) //kdash:allow(hotalloc) a pool miss sizes one vector
+}
+
+// putVector spot-cleans w by its support list and returns it to the
+// index's pool.
+//
+//kdash:release
+func (sx *ShardedIndex) putVector(w *lu.Workspace) {
+	w.Reset()
+	sx.vecs.free.put(w, math.MaxInt)
 }
 
 // queryScratch is QueryScratchBytes' account.
 var queryScratch atomic.Int64
 
 // QueryScratchBytes reports the bytes of per-query scratch the process
-// holds: the L^{-1} workspaces and residual vectors the shards' pools
-// hold, until freed with their part, and every pooled push state's own
+// holds: the dense vectors (residuals and L^{-1} workspaces) the
+// indexes' pools hold, until freed with the last epoch sharing the
+// pool, and every pooled push state's own
 // arrays (its BFS workspace, remote rows and values, solve records), as
 // of its last release, until the state is collected.
 func QueryScratchBytes() int64 { return queryScratch.Load() }
@@ -284,14 +277,6 @@ func countScratch[T any](x *T, n int) *T {
 	queryScratch.Add(int64(n))
 	runtime.AddCleanup(x, func(n int64) { queryScratch.Add(-n) }, int64(n))
 	return x
-}
-
-// putWorkspace resets w and returns it to the part's pool.
-//
-//kdash:release
-func (p *part) putWorkspace(w *lu.Workspace) {
-	w.Reset()
-	p.wsPool.put(w)
 }
 
 // getPushState checks clean per-query push state out of the pool.
@@ -312,7 +297,7 @@ func (sx *ShardedIndex) getPushState() *pushState {
 //kdash:release
 func (sx *ShardedIndex) putPushState(st *pushState) {
 	st.release()
-	sx.pushPool.putAtMost(st, runtime.GOMAXPROCS(0))
+	sx.pushPool.put(st, runtime.GOMAXPROCS(0))
 }
 
 // seed adds restart mass m (already scaled by c) at global node g.
@@ -330,13 +315,13 @@ func (st *pushState) seed(g int, m float64) {
 func (st *pushState) addRes(si, lv int, m float64) {
 	r := st.res[si]
 	if r == nil {
-		r = st.sx.parts[si].getResidual(st.sx.partLen(si))
+		r = st.sx.getVector()
 		st.res[si] = r
 	}
-	if r.val[lv] == 0 {
-		r.sup = append(r.sup, lv)
+	if r.W[lv] == 0 {
+		r.Sup = append(r.Sup, lv)
 	}
-	r.val[lv] += m
+	r.W[lv] += m
 	st.resMass[si] += m
 }
 
@@ -441,17 +426,17 @@ func (st *pushState) traceSolve(best int, totalBefore float64, qs *QueryStats) e
 //kdash:noalloc
 func (st *pushState) consumeResidual(best int) ([]int, []float64) {
 	r := st.res[best]
-	sort.Ints(r.sup)
+	sort.Ints(r.Sup)
 	idx, val := st.rhsIdx[:0], st.rhsVal[:0]
-	for _, lv := range r.sup {
-		if v := r.val[lv]; v != 0 {
+	for _, lv := range r.Sup {
+		if v := r.W[lv]; v != 0 {
 			idx = append(idx, lv)
 			val = append(val, v)
 		}
-		r.val[lv] = 0
+		r.W[lv] = 0
 	}
 	st.rhsIdx, st.rhsVal = idx, val
-	r.sup = r.sup[:0]
+	r.Sup = r.Sup[:0]
 	st.resMass[best] = 0
 	return idx, val
 }
@@ -492,7 +477,7 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 }
 
 // localSolve is solveShard's in-process half: the L^{-1} pass into a
-// workspace from the part's pool, then one U^{-1} row dot per cut row,
+// workspace from the index's pool, then one U^{-1} row dot per cut row,
 // read from the part's packed copy of those rows, scattered across the
 // cut in ascending row order.
 //
@@ -507,10 +492,10 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 		}
 		ss.ix = ix
 	}
-	w := p.getWorkspace(ss.ix)
+	w := st.sx.getVector()
 	ss.lower = append(ss.lower, w) //kdash:allow(hotalloc) grows once per pooled state to the deepest solve record
 	if err := ss.ix.SolveLower(idx, val, w); err != nil {
-		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: rhs is gathered from partLen-sized vectors
+		panic(fmt.Sprintf("shard: internal solve shape mismatch: %v", err)) //kdash:allow(hotalloc) unreachable: the rhs rows are the shard's own, ascending
 	}
 	cutUpper := p.cutRowsUpper(ss.ix)
 	for k := range p.cutRows {
@@ -845,10 +830,10 @@ func (st *pushState) materialize() ([][]float64, error) {
 //
 //kdash:noalloc
 func (st *pushState) release() {
-	for si, p := range st.sx.parts {
+	for si := range st.solves {
 		ss := &st.solves[si]
 		for i, w := range ss.lower {
-			p.putWorkspace(w)
+			st.sx.putVector(w)
 			ss.lower[i] = nil
 		}
 		ss.lower = ss.lower[:0]
@@ -856,7 +841,7 @@ func (st *pushState) release() {
 		ss.nremote = 0
 		ss.rhsIdx, ss.rhsVal = ss.rhsIdx[:0], ss.rhsVal[:0]
 		if r := st.res[si]; r != nil {
-			p.putResidual(r)
+			st.sx.putVector(r)
 			st.res[si] = nil
 		}
 		st.resMass[si] = 0

@@ -14,7 +14,10 @@ package shard
 //
 // Apply is functional: the receiver is never modified and the returned
 // successor is a fresh immutable ShardedIndex, so pooled in-flight
-// queries on the old epoch never observe a half-applied update. A
+// queries on the old epoch never observe a half-applied update. The
+// successor shares the receiver's vector pool unless a part outgrew its
+// vectors (a node insertion or a first cut edge's sink row): then it
+// gets a fresh pool sized to its longest part. A
 // shard rebuilt by Apply goes through the one block build Build runs
 // (buildPart, core.BuildBlock) with the same per-shard seed, handed
 // the shard's previous part as an optional source: when the node list
@@ -328,6 +331,7 @@ func (sx *ShardedIndex) Apply(batch *graph.Delta) (*ShardedIndex, UpdateStats, e
 		return nil, us, err
 	}
 	us.BuildTime = time.Since(tBuild)
+	sx2.poolVectors(sx.vecs)
 	us.ShardsRebuilt = len(dirty)
 	us.DirtyShards = dirty
 	us.FullRebuild = len(dirty) == len(sx.parts)
