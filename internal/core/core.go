@@ -220,7 +220,8 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 		// sizes the new ones. A loaded index's count is an unchecked
 		// stat, so it is capped by the previous inverse's real size,
 		// which bounds it: L and U lie within the patterns of their
-		// inverses.
+		// inverses, L^{-1}'s unstored ghost row included, and that row
+		// holds at most n entries.
 		sizeHint = min(prev.stats.NNZFactors, prev.inv.NNZ()+prev.n)
 		if prev.c == c && prev.dropTol == opt.DropTol {
 			changed = prev.changedColumns(a, prevG)
@@ -233,7 +234,10 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	}
 	facTime := time.Since(tFac) //kdash:allow(determinism) BuildStats stage timer, and the next line's
 	tInv := time.Now()
-	inverse := fac.Invert(lu.Options{DropTol: opt.DropTol, Workers: opt.Workers, Prev: prevInv})
+	inverse, err := fac.Invert(keptRows(perm, blk.Owned), lu.Options{DropTol: opt.DropTol, Workers: opt.Workers, Prev: prevInv})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: inverting the factors: %w", err)
+	}
 	invTime := time.Since(tInv) //kdash:allow(determinism) BuildStats stage timer
 	// The copied columns were read from prev's arrays.
 	runtime.KeepAlive(prev)
@@ -273,6 +277,19 @@ func BuildBlock(g *graph.Graph, opt BuildOptions, blk reorder.Block, prev *Index
 	}
 	trackHeap(ix, ix.arrayBytes())
 	return ix, communities, nil
+}
+
+// keptRows returns how many leading internal rows L^{-1} keeps for a
+// block whose first owned nodes are its own, ordered by perm (original
+// -> internal): up to the last owned node's row, so only a trailing run
+// of ghost rows goes. Cluster and Hybrid put a block's sink last, so
+// its row goes; an ordering that puts it elsewhere keeps every row.
+func keptRows(perm []int, owned int) int {
+	kept := 0
+	for _, p := range perm[:owned] {
+		kept = max(kept, p+1)
+	}
+	return kept
 }
 
 // Rows is a graph's out-rows as a block rebuild reads its parent's: a
@@ -690,7 +707,9 @@ func (ix *Index) searchRandomRoot(qi int, heap *topk.Heap, ws []float64, opt Sea
 // in the L^{-1} pass. Unlike the proximity methods, Solve does not apply
 // the restart factor c. It is the dense reference the split solve
 // (SolveLower, UpperDot) is tested against, bit for bit, and the whole
-// solve ProximityVector reads.
+// solve ProximityVector reads. On a block index with a ghost row (a
+// sharded index's sink, which L^{-1} does not keep), that row's output
+// is not the solution's: it misses L^{-1}'s row, as UpperDot's does.
 func (ix *Index) Solve(r []float64) ([]float64, error) {
 	if len(r) != ix.n {
 		return nil, fmt.Errorf("core: Solve rhs has %d entries, index has %d nodes", len(r), ix.n)
@@ -714,10 +733,14 @@ func (ix *Index) Solve(r []float64) ([]float64, error) {
 
 // ProximityVector computes the full exact proximity vector for q through
 // the factors (Equation (3)): p = c U^{-1} L^{-1} e_q, that is c times
-// Solve(e_q). Results are in original node-id order.
+// Solve(e_q). Results are in original node-id order. A block index with
+// a ghost row is refused: its vector would hold that row's wrong value.
 func (ix *Index) ProximityVector(q int) ([]float64, error) {
 	if q < 0 || q >= ix.n {
 		return nil, fmt.Errorf("core: query node %d outside [0,%d)", q, ix.n)
+	}
+	if kept := ix.inv.Linv.Rows; kept < ix.n {
+		return nil, fmt.Errorf("core: proximity vector of a block index that solves %d of its %d rows", kept, ix.n)
 	}
 	e := make([]float64, ix.n)
 	e[q] = 1
@@ -733,10 +756,14 @@ func (ix *Index) ProximityVector(q int) ([]float64, error) {
 
 // Proximity computes the single exact proximity of node u w.r.t. query q
 // through a pooled workspace: one L^{-1} column scatter, one U^{-1} row
-// dot, no allocation.
+// dot, no allocation. A ghost row u, which L^{-1} does not keep, is
+// refused.
 func (ix *Index) Proximity(q, u int) (float64, error) {
 	if q < 0 || q >= ix.n || u < 0 || u >= ix.n {
 		return 0, fmt.Errorf("core: node pair (%d,%d) outside [0,%d)", q, u, ix.n)
+	}
+	if int(ix.perm[u]) >= ix.inv.Linv.Rows {
+		return 0, fmt.Errorf("core: node %d is a ghost row the index does not solve", u)
 	}
 	sw := ix.getSearchWS()
 	ix.inv.SolveLower(sw.w, []int{q}, []float64{1}, ix.perm)

@@ -313,6 +313,56 @@ func TestSingleProximity(t *testing.T) {
 	}
 }
 
+// TestGhostRowRefused: on a block index whose last node is a ghost
+// sink, which Hybrid orders last and L^{-1} does not keep, Proximity
+// refuses the sink as a target and ProximityVector refuses the block,
+// while every owned node's proximity, the sink as query included, is
+// bit for bit c times Solve's row.
+func TestGhostRowRefused(t *testing.T) {
+	const n = 40
+	sink := n - 1
+	rng := rand.New(rand.NewSource(4))
+	b := graph.NewBuilder(n)
+	cut := make([]bool, sink)
+	for i := 0; i < 4*n; i++ {
+		u, v := rng.Intn(sink), rng.Intn(n)
+		if err := b.AddEdge(u, v, 0.5+rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		cut[u] = cut[u] || v == sink
+	}
+	ix, _, err := BuildBlock(b.Build(), BuildOptions{Reorder: reorder.Hybrid, Seed: 1, Workers: 1}, reorder.Block{Owned: sink, Cut: cut}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.inv.Linv.Rows != sink || int(ix.perm[sink]) != sink {
+		t.Fatalf("L^-1 keeps %d rows, sink at row %d; want the sink's row %d dropped", ix.inv.Linv.Rows, ix.perm[sink], sink)
+	}
+	if _, err := ix.Proximity(0, sink); err == nil {
+		t.Error("Proximity answered the ghost sink's row")
+	}
+	if _, err := ix.ProximityVector(0); err == nil {
+		t.Error("ProximityVector answered a block with a ghost row")
+	}
+	for _, q := range []int{0, 17, sink} {
+		e := make([]float64, n)
+		e[q] = 1
+		y, err := ix.Solve(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < sink; u++ {
+			p, err := ix.Proximity(q, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(p) != math.Float64bits(ix.c*y[u]) {
+				t.Fatalf("Proximity(%d,%d) = %v, Solve's row %v", q, u, p, ix.c*y[u])
+			}
+		}
+	}
+}
+
 func TestBuildAndSearchErrors(t *testing.T) {
 	if _, err := BuildIndex(graph.NewBuilder(0).Build(), BuildOptions{}); err == nil {
 		t.Error("expected error for empty graph")

@@ -17,18 +17,21 @@ package core
 //
 // Version note: the sectioned layout is "v3" to match the sharded
 // manifest version that introduced it; its meta tag names the
-// generation within it. The current one, "KDIXV7", stores what a query
+// generation within it. The current one, "KDIXV8", stores what a query
 // reads — the int32 permutation and the inverse factors in the compact
-// id encoding (lu.Compact: a gap byte per entry, escaped ids int32) —
-// and a block's Louvain communities (section 23, K and Q in the meta
-// section); no adjacency, which a rebuild re-forms from the graph. It
-// is the only generation the loader reads:
+// id encoding (lu.Compact: a gap byte per entry, escaped ids int32,
+// int32 line pointers), L^{-1} with neither its unit diagonal nor a
+// block's ghost-sink row — and a block's Louvain communities (section
+// 23, K and Q in the meta section); no adjacency, which a rebuild
+// re-forms from the graph. It is the only generation the loader reads:
 // the v1 value-by-value stream, the v3 files that also carried int32
 // factor strips (sections 15-22, mmapio kind 4), the "KDIXV3" files
 // whose ids were int64, the "KDIXV4" files without communities, the
-// "KDIXV5" files that also stored the adjacency (sections 4-6) and the
+// "KDIXV5" files that also stored the adjacency (sections 4-6), the
 // "KDIXV6" files whose inverse factors kept an int32 id per entry
-// (sections 8 and 11) are all refused with ErrUnsupportedFormat.
+// (sections 8 and 11) and the "KDIXV7" files whose line pointers were
+// int64 and whose L^{-1} stored its diagonal and sink row are all
+// refused with ErrUnsupportedFormat.
 
 import (
 	"encoding/binary"
@@ -55,30 +58,33 @@ var ErrUnsupportedFormat = errors.New("not a current K-dash index file; rebuild 
 // adjacency and tables derived from it, 8 and 11 the inverse factors'
 // int32 ids; they are unused. Each inverse factor is one lu.Compact:
 // entry pointers, values, gap bytes, escape pointers and escaped ids.
+// L^{-1}'s lines store the rows past the diagonal and below the meta
+// section's row bound; U^{-1}'s store every column from the diagonal
+// on. Both count line j's first gap from j-1.
 const (
-	secMeta       = 1  // bytes: fixed 80-byte header, see metaBytes
+	secMeta       = 1  // bytes: fixed 88-byte header, see metaBytes
 	secPerm       = 2  // int32[n]: original -> internal node id
-	secLinvColPtr = 7  // int64[n+1]: L^-1 column pointers
-	secLinvVal    = 9  // float64[nnzL]
-	secUinvRowPtr = 10 // int64[n+1]: U^-1 row pointers
+	secLinvColPtr = 7  // int32[n+1]: L^-1 column pointers
+	secLinvVal    = 9  // float64[nnzL]: off-diagonal values
+	secUinvRowPtr = 10 // int32[n+1]: U^-1 row pointers
 	secUinvVal    = 12 // float64[nnzU]
 	secCommunity  = 23 // int32[owned]: a block's Louvain communities, present when K > 0
 	secLinvGap    = 24 // uint8[nnzL]: row gaps, 0 escapes
-	secLinvEscPtr = 25 // int64[n+1]: L^-1 escape pointers
+	secLinvEscPtr = 25 // int32[n+1]: L^-1 escape pointers
 	secLinvEsc    = 26 // int32[escL]: escaped row ids
 	secUinvGap    = 27 // uint8[nnzU]: column gaps, 0 escapes
-	secUinvEscPtr = 28 // int64[n+1]: U^-1 escape pointers
+	secUinvEscPtr = 28 // int32[n+1]: U^-1 escape pointers
 	secUinvEsc    = 29 // int32[escU]: escaped column ids
 )
 
 // metaTag opens the meta section and names the generation, so a
 // container holding something other than a current core index is
 // refused before any array is interpreted.
-const metaTag = "KDIXV7\x00\x00"
+const metaTag = "KDIXV8\x00\x00"
 
 // metaSize is the fixed byte length of the meta section:
 //
-//	0   8  tag "KDIXV7\x00\x00"
+//	0   8  tag "KDIXV8\x00\x00"
 //	8   8  uint64 n
 //	16  8  float64 bits of the restart probability c
 //	24  8  uint64 reorder method
@@ -88,7 +94,8 @@ const metaTag = "KDIXV7\x00\x00"
 //	56  8  float64 bits of stats.InverseRatio
 //	64  8  uint64 community count K (0: no community section)
 //	72  8  float64 bits of the communities' modularity Q
-const metaSize = 80
+//	80  8  uint64 rows L^{-1} keeps (n, or fewer past a ghost sink)
+const metaSize = 88
 
 // metaBytes encodes the scalar header.
 func (ix *Index) metaBytes() []byte {
@@ -104,6 +111,7 @@ func (ix *Index) metaBytes() []byte {
 	le.PutUint64(b[56:], math.Float64bits(ix.stats.InverseRatio))
 	le.PutUint64(b[64:], uint64(ix.commK))
 	le.PutUint64(b[72:], math.Float64bits(ix.commQ))
+	le.PutUint64(b[80:], uint64(ix.inv.Linv.Rows))
 	return b
 }
 
@@ -120,10 +128,10 @@ func (ix *Index) Save(w io.Writer) error {
 		{ix.inv.Linv, secLinvColPtr, secLinvVal, secLinvGap, secLinvEscPtr, secLinvEsc},
 		{ix.inv.Uinv, secUinvRowPtr, secUinvVal, secUinvGap, secUinvEscPtr, secUinvEsc},
 	} {
-		sw.AddInts(f.ptr, f.m.Ptr)
+		sw.AddInt32s(f.ptr, f.m.Ptr)
 		sw.AddFloats(f.val, f.m.Val)
 		sw.AddBytes(f.gap, f.m.Gap)
-		sw.AddInts(f.ep, f.m.EscPtr)
+		sw.AddInt32s(f.ep, f.m.EscPtr)
 		sw.AddInt32s(f.esc, f.m.Esc)
 	}
 	if ix.commK > 0 {
@@ -205,11 +213,6 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 	if n == 0 || n > sparse.MaxDim || ix.c <= 0 || ix.c >= 1 {
 		return nil, fmt.Errorf("core: corrupt index (n=%d c=%v)", n, ix.c)
 	}
-	ints := func(id uint32, dst *[]int) {
-		if err == nil {
-			*dst, err = f.Ints(id)
-		}
-	}
 	ids := func(id uint32, dst *[]int32) {
 		if err == nil {
 			*dst, err = f.Int32s(id)
@@ -225,18 +228,19 @@ func indexFromContainer(f *mmapio.File) (*Index, error) {
 			*dst, err = f.Bytes(id)
 		}
 	}
-	linv := &lu.Compact{N: ix.n}
-	uinv := &lu.Compact{N: ix.n}
+	// Validate refuses a row bound past n.
+	linv := &lu.Compact{N: ix.n, Rows: int(min(le.Uint64(meta[80:]), n+1)), Unit: true}
+	uinv := &lu.Compact{N: ix.n, Rows: ix.n}
 	ids(secPerm, &ix.perm)
-	ints(secLinvColPtr, &linv.Ptr)
+	ids(secLinvColPtr, &linv.Ptr)
 	floats(secLinvVal, &linv.Val)
 	gaps(secLinvGap, &linv.Gap)
-	ints(secLinvEscPtr, &linv.EscPtr)
+	ids(secLinvEscPtr, &linv.EscPtr)
 	ids(secLinvEsc, &linv.Esc)
-	ints(secUinvRowPtr, &uinv.Ptr)
+	ids(secUinvRowPtr, &uinv.Ptr)
 	floats(secUinvVal, &uinv.Val)
 	gaps(secUinvGap, &uinv.Gap)
-	ints(secUinvEscPtr, &uinv.EscPtr)
+	ids(secUinvEscPtr, &uinv.EscPtr)
 	ids(secUinvEsc, &uinv.Esc)
 	if ix.commK = int(min(le.Uint64(meta[64:]), sparse.MaxDim+1)); ix.commK > 0 {
 		ids(secCommunity, &ix.comm)
@@ -297,8 +301,8 @@ func (ix *Index) arrayBytes() int64 {
 }
 
 // FactorBytes is the byte size of the inverse factors' arrays at their
-// stored width: per entry a value and a gap byte, per escaped id four
-// bytes, per line of each factor two int64 pointers.
+// stored width: per stored entry a value and a gap byte, per escaped id
+// four bytes, per line of each factor two int32 pointers.
 func (ix *Index) FactorBytes() int64 { return ix.inv.Bytes() }
 
 // Close releases the index's off-heap backing, a sealed copy, now

@@ -229,9 +229,19 @@ func TestV3CorruptSections(t *testing.T) {
 			w.AddInt32s(sec, bad)
 		}
 	}
-	last := ix.n - 1 // L^-1's last column holds its diagonal alone
-	if l := ix.inv.Linv; l.Ptr[last+1]-l.Ptr[last] != 1 || l.Gap[l.Ptr[last]] != 1 {
-		t.Fatalf("L^-1 column %d is not its diagonal alone", last)
+	last := ix.n - 1 // L^-1's last column stores nothing: its diagonal is implicit
+	if l := ix.inv.Linv; l.Ptr[last+1] != l.Ptr[last] {
+		t.Fatalf("L^-1 column %d stores an entry", last)
+	}
+	deep, at := 0, 0 // an L^-1 column whose last entry, a gap, is row n-1
+	for l := ix.inv.Linv; deep < last; deep++ {
+		if ids := l.Line(deep, nil); len(ids) > 0 && ids[len(ids)-1] == last && l.Gap[l.Ptr[deep+1]-1] != 0 {
+			at = int(l.Ptr[deep+1]) - 1
+			break
+		}
+	}
+	if deep == last {
+		t.Fatal("no L^-1 column ends at row n-1 with a gap")
 	}
 	long := 0 // a U^-1 row of two entries or more
 	for u := ix.inv.Uinv; u.Ptr[long+1]-u.Ptr[long] < 2; {
@@ -244,6 +254,19 @@ func TestV3CorruptSections(t *testing.T) {
 	hugeN[15] = 0xff
 	pastInt32 := ix.metaBytes()
 	binary.LittleEndian.PutUint64(pastInt32[8:], math.MaxInt32+1)
+	rowsPastN := ix.metaBytes()
+	binary.LittleEndian.PutUint64(rowsPastN[80:], math.MaxUint64)
+	ghostRow := ix.metaBytes() // row n-1 becomes a ghost row L^-1 holds
+	binary.LittleEndian.PutUint64(ghostRow[80:], uint64(last))
+	// withPtr replaces L^-1's pointer section by a copy edit rewrote.
+	withPtr := func(edit func(ptr []int32)) mutate {
+		return func(w *mmapio.Writer) {
+			full(w, secLinvColPtr, nil)
+			bad := slices.Clone(ix.inv.Linv.Ptr)
+			edit(bad)
+			w.AddInt32s(secLinvColPtr, bad)
+		}
+	}
 	cases := []struct {
 		name string
 		mk   mutate
@@ -263,18 +286,22 @@ func TestV3CorruptSections(t *testing.T) {
 			full(w, secPerm, nil)
 			w.AddInts(secPerm, make([]int, ix.n))
 		}, "want 6"},
-		{"broken colptr", func(w *mmapio.Writer) {
+		{"broken colptr", withPtr(func(ptr []int32) { ptr[len(ptr)-1]++ }), "L-inverse pointers"},
+		{"colptr past the values", withPtr(func(ptr []int32) { ptr[1] = ptr[len(ptr)-1] + 1 }), "L-inverse pointer 1 decreases"},
+		{"negative colptr", withPtr(func(ptr []int32) { ptr[1] = -1 }), "L-inverse pointer 0 decreases"},
+		{"decreasing colptr", withPtr(func(ptr []int32) { ptr[deep+1] = ptr[deep] - 1 }), fmt.Sprintf("L-inverse pointer %d decreases", deep)},
+		{"int64 colptr", func(w *mmapio.Writer) {
 			full(w, secLinvColPtr, nil)
-			bad := append([]int(nil), ix.inv.Linv.Ptr...)
-			bad[len(bad)-1]++ // endpoint disagrees with the index array
-			w.AddInts(secLinvColPtr, bad)
-		}, "L-inverse pointers"},
-		{"out-of-range row index", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 255 }), "L-inverse line"},
-		{"row id n", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 2 }), fmt.Sprintf("L-inverse line %d id %d outside", last, ix.n)},
+			w.AddInts(secLinvColPtr, make([]int, ix.n+1))
+		}, "want 6"},
+		{"rows past n", func(w *mmapio.Writer) { full(w, 0, rowsPastN) }, fmt.Sprintf("ids below %d for n=%d", ix.n+1, ix.n)},
+		{"entry in a ghost row", func(w *mmapio.Writer) { full(w, 0, ghostRow) }, fmt.Sprintf("id %d outside [0,%d)", last, last)},
+		{"out-of-range row index", withFactors(func(l, u *lu.Compact) { l.Gap[at] = 255 }), "L-inverse line"},
+		{"row id n", withFactors(func(l, u *lu.Compact) { l.Gap[at]++ }), fmt.Sprintf("L-inverse line %d id %d outside", deep, ix.n)},
 		{"negative row id", withFactors(func(l, u *lu.Compact) { escapeEntry(l, 0, 0, -1) }), "L-inverse line 0 escaped id -1"},
 		{"negative column id", withFactors(func(l, u *lu.Compact) { escapeEntry(u, 0, 0, math.MinInt32) }), "U-inverse line 0 escaped id -2147483648"},
 		{"escaped id repeats", withFactors(func(l, u *lu.Compact) { escapeEntry(u, long, 1, int32(long)) }), fmt.Sprintf("U-inverse line %d escaped id %d does not ascend", long, long)},
-		{"escape not listed", withFactors(func(l, u *lu.Compact) { l.Gap[l.Ptr[last]] = 0 }), "escapes more ids"},
+		{"escape not listed", withFactors(func(l, u *lu.Compact) { l.Gap[at] = 0 }), "escapes more ids"},
 		{"escape not consumed", withFactors(func(l, u *lu.Compact) {
 			l.Esc = append(l.Esc, int32(last))
 			l.EscPtr[ix.n]++
@@ -354,10 +381,10 @@ func writeSections(w *mmapio.Writer, skip uint32, perm []int32, l, u *lu.Compact
 			id  uint32
 			add func()
 		}{
-			{f.ptr, func() { w.AddInts(f.ptr, f.m.Ptr) }},
+			{f.ptr, func() { w.AddInt32s(f.ptr, f.m.Ptr) }},
 			{f.val, func() { w.AddFloats(f.val, f.m.Val) }},
 			{f.gap, func() { w.AddBytes(f.gap, f.m.Gap) }},
-			{f.ep, func() { w.AddInts(f.ep, f.m.EscPtr) }},
+			{f.ep, func() { w.AddInt32s(f.ep, f.m.EscPtr) }},
 			{f.esc, func() { w.AddInt32s(f.esc, f.m.Esc) }},
 		}
 		for _, a := range adds {
@@ -370,15 +397,15 @@ func writeSections(w *mmapio.Writer, skip uint32, perm []int32, l, u *lu.Compact
 
 // cloneCompact returns a heap copy of m that a test may corrupt.
 func cloneCompact(m *lu.Compact) *lu.Compact {
-	return &lu.Compact{N: m.N, Ptr: slices.Clone(m.Ptr), Gap: slices.Clone(m.Gap), EscPtr: slices.Clone(m.EscPtr), Esc: slices.Clone(m.Esc), Val: slices.Clone(m.Val)}
+	return &lu.Compact{N: m.N, Rows: m.Rows, Unit: m.Unit, Ptr: slices.Clone(m.Ptr), Gap: slices.Clone(m.Gap), EscPtr: slices.Clone(m.EscPtr), Esc: slices.Clone(m.Esc), Val: slices.Clone(m.Val)}
 }
 
 // escapeEntry stores entry k of line j of m as an escape of id: its gap
 // byte becomes 0 and id joins the line's escapes after those of the
 // line's earlier entries.
 func escapeEntry(m *lu.Compact, j, k int, id int32) {
-	p, at := m.Ptr[j]+k, m.EscPtr[j]
-	for q := m.Ptr[j]; q < p; q++ {
+	p, at := int(m.Ptr[j])+k, int(m.EscPtr[j])
+	for q := int(m.Ptr[j]); q < p; q++ {
 		if m.Gap[q] == 0 {
 			at++
 		}

@@ -61,7 +61,9 @@ func (ix *Index) PackUpperRows(us []int) *lu.UpperRows {
 
 // UpperDot completes one row of a split solve: node u's value of the
 // solution whose L^{-1} pass w holds, as one U^{-1} row dot — bit for
-// bit Solve's y[u] on the same right-hand side.
+// bit Solve's y[u] on the same right-hand side. u must not be a ghost
+// row (see Solve), whose value L^{-1} does not keep; the callers that
+// take rows from outside (Proximity, the worker surface) refuse one.
 //
 //kdash:noalloc
 //kdash:deterministic

@@ -445,7 +445,10 @@ type Options struct {
 // column (a query needs column q = L^{-1} e_q) and Uinv by row (computing
 // one proximity needs row u of U^{-1}); this asymmetry is what makes the
 // per-node proximity computation O(nnz(row) + nnz(col)). Both are in the
-// compact id encoding (see Compact).
+// compact id encoding (see Compact). Linv is a unit factor: its unit
+// diagonal is implicit. It keeps the rows below Linv.Rows only; the
+// rows past them are ghost rows (a block's sink), whose columns no row
+// of Uinv below Linv.Rows holds, so no value a kept row reads is lost.
 type Inverse struct {
 	N int
 	// Both inverse factors are immutable after construction; in a loaded
@@ -462,9 +465,9 @@ type Inverse struct {
 	Reused int
 }
 
-// NNZ reports total stored entries across both inverse factors, the
-// quantity Figure 5 of the paper tracks.
-func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.Uinv.NNZ() }
+// NNZ reports the entries of both inverse factors, L^{-1}'s implicit
+// unit diagonal included: the quantity Figure 5 of the paper tracks.
+func (inv *Inverse) NNZ() int { return inv.Linv.NNZ() + inv.N + inv.Uinv.NNZ() }
 
 // Bytes is the byte size of both factors' arrays at their stored width.
 func (inv *Inverse) Bytes() int64 { return inv.Linv.Bytes() + inv.Uinv.Bytes() }
@@ -486,6 +489,7 @@ func (inv *Inverse) Solve(r []float64) []float64 {
 		if rj == 0 {
 			continue
 		}
+		ws[j] += rj // the unit diagonal
 		i, e := j-1, l.EscPtr[j]
 		for p := l.Ptr[j]; p < l.Ptr[j+1]; p++ {
 			if g := l.Gap[p]; g != 0 {
@@ -523,7 +527,13 @@ func (inv *Inverse) Solve(r []float64) []float64 {
 // j of L^{-1} reads the L columns of its reach, the rows at or below j
 // that column j's pattern leads to, and column j of U^{-1} the U columns
 // of the rows at or above j that its pattern leads to.
-func (f *Factors) Invert(opt Options) *Inverse {
+//
+// The first owned rows are the ones a caller reads; the rows past them
+// are ghost rows, such as a block's sink. L^{-1} keeps no entry in a
+// ghost row, and Invert fails if a row of U^{-1} below owned holds a
+// ghost column, whose value it would then read. It also fails if a
+// factor's entries pass math.MaxInt32, the reach of its int32 pointers.
+func (f *Factors) Invert(owned int, opt Options) (*Inverse, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -532,7 +542,7 @@ func (f *Factors) Invert(opt Options) *Inverse {
 		workers = 1
 	}
 	prev := opt.Prev
-	if f.dirty == nil || prev == nil || prev.N != f.N {
+	if f.dirty == nil || prev == nil || prev.N != f.N || prev.Linv.Rows != owned {
 		prev = nil
 	}
 	var solveL, solveU []bool // nil: solve every column
@@ -548,10 +558,18 @@ func (f *Factors) Invert(opt Options) *Inverse {
 	if prev != nil {
 		prevL, prevU = prev.Linv, prev.Uinv
 	}
-	reused := invertColumns(cols, fronts, solveL, f.lowerColumn)
-	linv := assembleLines(cols, solveL, prevL)
+	lower := func(j int, ws *frontier) column { return f.lowerColumn(j, owned, ws) }
+	reused := invertColumns(cols, fronts, solveL, lower)
+	linv, err := assembleLines(cols, solveL, prevL, owned)
+	if err != nil {
+		return nil, err
+	}
 	reused += invertColumns(cols, fronts, solveU, f.upperColumn)
-	return &Inverse{N: f.N, Linv: linv, Uinv: assembleCSR(f.N, cols, solveU, prevU), Reused: reused}
+	uinv, err := assembleCSR(f.N, cols, solveU, prevU, owned)
+	if err != nil {
+		return nil, err
+	}
+	return &Inverse{N: f.N, Linv: linv, Uinv: uinv, Reused: reused}, nil
 }
 
 // reach returns, per column j, whether the inverse column j's solve
@@ -726,10 +744,12 @@ func (ws *frontier) finish() column {
 
 // lowerColumn computes column j of L^{-1}: solve L x = e_j. Column i of
 // L scatters into rows of higher index, so rows are finalised in
-// ascending order.
+// ascending order. The column keeps neither its unit diagonal nor any
+// row from owned on: a ghost row is popped and dropped, and it scatters
+// only into ghost rows.
 //
 //kdash:noalloc
-func (f *Factors) lowerColumn(j int, ws *frontier) column {
+func (f *Factors) lowerColumn(j, owned int, ws *frontier) column {
 	x, touched := ws.x, ws.touched
 	x[j] = 1
 	touched[j>>6] |= 1 << (j & 63)
@@ -740,10 +760,12 @@ func (f *Factors) lowerColumn(j int, ws *frontier) column {
 			touched[w] &^= 1 << (i & 63)
 			xi := x[i]
 			x[i] = 0
-			if xi == 0 {
+			if xi == 0 || i >= owned {
 				continue
 			}
-			ws.emit(i, xi)
+			if i != j {
+				ws.emit(i, xi)
+			}
 			lo, end := f.lPtr[i], f.lPtr[i+1]
 			if lo == end {
 				continue
@@ -795,25 +817,28 @@ func (f *Factors) upperColumn(j int, ws *frontier) column {
 }
 
 // assembleLines encodes the computed lines (columns of L^{-1}, each
-// ascending) as a factor stored by line. With prev, only the lines
-// solved marks come from lines; every other line is prev's, copied as
-// it is encoded.
+// ascending, with no diagonal and no row from owned on) as a unit factor
+// stored by line. With prev, only the lines solved marks come from
+// lines; every other line is prev's, copied as it is encoded.
 //
 //kdash:mutates-factors
-func assembleLines(lines []column, solved []bool, prev *Compact) *Compact {
+func assembleLines(lines []column, solved []bool, prev *Compact, owned int) (*Compact, error) {
 	n := len(lines)
 	copied := func(j int) bool { return prev != nil && !solved[j] }
-	ptr, escPtr := make([]int, n+1), make([]int, n+1)
+	ptr, escPtr := make([]int32, n+1), make([]int32, n+1)
 	for j, c := range lines {
 		if copied(j) {
-			ptr[j+1] = ptr[j] + prev.Ptr[j+1] - prev.Ptr[j]
-			escPtr[j+1] = escPtr[j] + prev.EscPtr[j+1] - prev.EscPtr[j]
+			ptr[j+1] = prev.Ptr[j+1] - prev.Ptr[j]
+			escPtr[j+1] = prev.EscPtr[j+1] - prev.EscPtr[j]
 		} else {
-			ptr[j+1] = ptr[j] + len(c.idx)
-			escPtr[j+1] = escPtr[j] + escapes(j, c.idx)
+			ptr[j+1] = int32(len(c.idx))
+			escPtr[j+1] = int32(escapes(j, c.idx))
 		}
 	}
-	m := newCompact(ptr, escPtr)
+	if err := linePointers(ptr, escPtr, "L^{-1}"); err != nil {
+		return nil, err
+	}
+	m := newCompact(ptr, escPtr, owned, true)
 	for j, c := range lines {
 		if copied(j) {
 			lo, hi := prev.Ptr[j], prev.Ptr[j+1]
@@ -821,11 +846,11 @@ func assembleLines(lines []column, solved []bool, prev *Compact) *Compact {
 			copy(m.Val[ptr[j]:], prev.Val[lo:hi])
 			copy(m.Esc[escPtr[j]:], prev.Esc[prev.EscPtr[j]:prev.EscPtr[j+1]])
 		} else {
-			m.put(j, ptr[j], escPtr[j], c.idx)
+			m.put(j, int(ptr[j]), int(escPtr[j]), c.idx)
 			copy(m.Val[ptr[j]:], c.val)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // assembleCSR lays the columns out by row and encodes the rows: U^{-1}.
@@ -837,10 +862,12 @@ func assembleLines(lines []column, solved []bool, prev *Compact) *Compact {
 // and each row merges prev's row restricted to those columns with the
 // solved columns' entries: a cursor per row walks prev's row, and
 // before an entry of column j lands on row i, every entry of prev's row
-// i left of j is emitted.
+// i left of j is emitted. A row below owned that holds a column from
+// owned on is an error: that row would read a ghost row of L^{-1}'s
+// pass, which L^{-1} does not keep.
 //
 //kdash:mutates-factors
-func assembleCSR(n int, cols []column, solved []bool, prev *Compact) *Compact {
+func assembleCSR(n int, cols []column, solved []bool, prev *Compact, owned int) (*Compact, error) {
 	var rows []cursor // per row, a cursor on prev's row
 	if prev != nil {
 		rows = make([]cursor, n)
@@ -856,7 +883,7 @@ func assembleCSR(n int, cols []column, solved []bool, prev *Compact) *Compact {
 		// flush emits prev's entries of row i left of column before, but
 		// those of solved columns.
 		flush := func(i, before int) {
-			r, end := &rows[i], prev.Ptr[i+1]
+			r, end := &rows[i], int(prev.Ptr[i+1])
 			for r.id < before {
 				if !solved[r.id] {
 					put(i, r.id, prev.Val[r.p])
@@ -892,18 +919,24 @@ func assembleCSR(n int, cols []column, solved []bool, prev *Compact) *Compact {
 			flush(i, n)
 		}
 	}
-	ptr, escPtr := make([]int, n+1), make([]int, n+1)
-	visit(func(i, _, gap int, _ float64) {
+	ptr, escPtr := make([]int32, n+1), make([]int32, n+1)
+	ghost := -1 // a row below owned that holds a ghost column
+	visit(func(i, j, gap int, _ float64) {
 		ptr[i+1]++
 		if gap < 1 || gap > 255 {
 			escPtr[i+1]++
 		}
+		if i < owned && j >= owned {
+			ghost = i
+		}
 	})
-	for i := 0; i < n; i++ {
-		ptr[i+1] += ptr[i]
-		escPtr[i+1] += escPtr[i]
+	if ghost >= 0 {
+		return nil, fmt.Errorf("lu: U^{-1} row %d holds a ghost column (rows from %d on)", ghost, owned)
 	}
-	m := newCompact(ptr, escPtr)
+	if err := linePointers(ptr, escPtr, "U^{-1}"); err != nil {
+		return nil, err
+	}
+	m := newCompact(ptr, escPtr, n, false)
 	// ptr[i] and escPtr[i] are row i's write cursors until the shift
 	// back below.
 	visit(func(i, j, gap int, v float64) {
@@ -920,5 +953,5 @@ func assembleCSR(n int, cols []column, solved []bool, prev *Compact) *Compact {
 	copy(ptr[1:], ptr[:n])
 	copy(escPtr[1:], escPtr[:n])
 	ptr[0], escPtr[0] = 0, 0
-	return m
+	return m, nil
 }

@@ -142,7 +142,7 @@ func TestInverseIsExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inv := fac.Invert(Options{Workers: 1 + rng.Intn(3)})
+		inv := mustInvert(fac, Options{Workers: 1 + rng.Intn(3)})
 		li := inv.Linv.CSC().Dense()
 		ui := inv.Uinv.CSR().Dense()
 		for _, pair := range []struct{ a, b [][]float64 }{
@@ -175,7 +175,7 @@ func TestInverseTriangularShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := fac.Invert(Options{Workers: 1})
+	inv := mustInvert(fac, Options{Workers: 1})
 	li := inv.Linv.CSC().Dense()
 	ui := inv.Uinv.CSR().Dense()
 	for i := 0; i < 12; i++ {
@@ -202,7 +202,7 @@ func TestProximityViaInverseFactors(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inv := fac.Invert(Options{})
+		inv := mustInvert(fac, Options{})
 		q := rng.Intn(g.N())
 		lq := inv.Linv.CSC().Col(q)
 		dense := make([]float64, g.N())
@@ -235,8 +235,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := fac.Invert(Options{Workers: 1})
-	parallel := fac.Invert(Options{Workers: 4})
+	serial := mustInvert(fac, Options{Workers: 1})
+	parallel := mustInvert(fac, Options{Workers: 4})
 	if serial.NNZ() != parallel.NNZ() {
 		t.Fatalf("nnz differs: %d vs %d", serial.NNZ(), parallel.NNZ())
 	}
@@ -256,8 +256,8 @@ func TestDropTolReducesNNZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := fac.Invert(Options{})
-	dropped := fac.Invert(Options{DropTol: 1e-4})
+	exact := mustInvert(fac, Options{})
+	dropped := mustInvert(fac, Options{DropTol: 1e-4})
 	if dropped.NNZ() >= exact.NNZ() {
 		t.Errorf("drop tolerance did not reduce nnz: %d vs %d", dropped.NNZ(), exact.NNZ())
 	}
@@ -290,7 +290,7 @@ func TestIdentityFactorization(t *testing.T) {
 	if fac.NNZL() != 6 || fac.NNZU() != 6 {
 		t.Errorf("identity factors should be diagonal only: nnzL=%d nnzU=%d", fac.NNZL(), fac.NNZU())
 	}
-	inv := fac.Invert(Options{})
+	inv := mustInvert(fac, Options{})
 	if inv.NNZ() != 12 {
 		t.Errorf("identity inverses should be diagonal only: %d", inv.NNZ())
 	}
@@ -468,6 +468,16 @@ func (f *Factors) reachFrom(j int, ws *solveWorkspace, ptr []int, row []int32) [
 	}
 	slices.Sort(ws.reach)
 	return ws.reach
+}
+
+// mustInvert is Invert with every row owned, for factors whose
+// inversion cannot fail: it panics on an error.
+func mustInvert(f *Factors, opt Options) *Inverse {
+	inv, err := f.Invert(f.N, opt)
+	if err != nil {
+		panic(err)
+	}
+	return inv
 }
 
 // oracleInvert is the inversion this package shipped before the
@@ -682,7 +692,7 @@ func TestInvertBitIdenticalToOracle(t *testing.T) {
 				dropped = dropped || wantL.NNZ() < exactL.NNZ()
 			}
 			for _, workers := range []int{1, 3} {
-				inv := fac.Invert(Options{Workers: workers, DropTol: tol})
+				inv := mustInvert(fac, Options{Workers: workers, DropTol: tol})
 				gotL, gotU := inv.Linv.CSC(), inv.Uinv.CSR()
 				if !slices.Equal(gotL.ColPtr, wantL.ColPtr) || !slices.Equal(gotL.RowIdx, wantL.RowIdx) || !slices.Equal(valBits(gotL.Val), valBits(wantL.Val)) {
 					t.Fatalf("input %d tol %g workers %d: L^-1 differs from the oracle", k, tol, workers)
@@ -690,7 +700,7 @@ func TestInvertBitIdenticalToOracle(t *testing.T) {
 				if !slices.Equal(gotU.RowPtr, wantU.RowPtr) || !slices.Equal(gotU.ColIdx, wantU.ColIdx) || !slices.Equal(valBits(gotU.Val), valBits(wantU.Val)) {
 					t.Fatalf("input %d tol %g workers %d: U^-1 differs from the oracle", k, tol, workers)
 				}
-				if err := sameCompact(inv.Linv, CompactCSC(wantL)); err != nil {
+				if err := sameCompact(inv.Linv, CompactCSC(wantL, fac.N)); err != nil {
 					t.Fatalf("input %d tol %g workers %d: L^-1 is not the oracle's encoding: %v", k, tol, workers, err)
 				}
 				if err := sameCompact(inv.Uinv, CompactCSR(wantU)); err != nil {
@@ -716,7 +726,7 @@ func TestInvertAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		allocs := testing.AllocsPerRun(3, func() { fac.Invert(Options{Workers: workers}) })
+		allocs := testing.AllocsPerRun(3, func() { mustInvert(fac, Options{Workers: workers}) })
 		t.Logf("workers %d: %.0f allocations for %d columns", workers, allocs, n)
 		if allocs >= float64(n/8) {
 			t.Errorf("workers %d: Invert made %.0f allocations for %d columns, want < %d", workers, allocs, n, n/8)

@@ -90,8 +90,8 @@ func sameInverse(a, b *Inverse) error {
 // differ, comparing values by their bits.
 func sameCompact(a, b *Compact) error {
 	switch {
-	case a.N != b.N:
-		return fmt.Errorf("n %d vs %d", a.N, b.N)
+	case a.N != b.N || a.Rows != b.Rows || a.Unit != b.Unit:
+		return fmt.Errorf("n, rows, unit %d, %d, %v vs %d, %d, %v", a.N, a.Rows, a.Unit, b.N, b.Rows, b.Unit)
 	case !slices.Equal(a.Ptr, b.Ptr):
 		return fmt.Errorf("pointers differ")
 	case !slices.Equal(a.Gap, b.Gap):
@@ -141,19 +141,19 @@ func TestInvertReuseBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inv0 := f0.Invert(Options{Workers: workers})
+			inv0 := mustInvert(f0, Options{Workers: workers})
 			for _, tc := range cases {
 				label := fmt.Sprintf("n=%d %s workers=%d", n, tc.name, workers)
 				fresh, err := Decompose(tc.w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := fresh.Invert(Options{Workers: workers})
+				want := mustInvert(fresh, Options{Workers: workers})
 				re, err := Refactorize(tc.w, tc.w.ChangedColumns(w0), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := re.Invert(Options{Workers: workers, Prev: inv0})
+				got := mustInvert(re, Options{Workers: workers, Prev: inv0})
 				if err := sameInverse(got, want); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -181,7 +181,7 @@ func TestInvertReuseBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sameInverse(re2.Invert(Options{Workers: workers, Prev: got}), fresh2.Invert(Options{Workers: workers})); err != nil {
+				if err := sameInverse(mustInvert(re2, Options{Workers: workers, Prev: got}), mustInvert(fresh2, Options{Workers: workers})); err != nil {
 					t.Fatalf("%s, next epoch: %v", label, err)
 				}
 			}
@@ -223,7 +223,7 @@ func TestInvertReuseCopiesUntouchedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := re.Invert(Options{Workers: 1, Prev: f0.Invert(Options{Workers: 1})})
+	inv := mustInvert(re, Options{Workers: 1, Prev: mustInvert(f0, Options{Workers: 1})})
 	// Solved: U^-1's column `last` (no later column of its block reads
 	// it) and at most block 1's L^-1 columns; at least both columns
 	// `last` itself.

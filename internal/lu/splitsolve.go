@@ -45,7 +45,8 @@ func (w *Workspace) Reset() {
 // the given order (the dense reference's accumulation order when the
 // ids ascend), appending every row first reached to w.Sup. perm maps
 // each caller id to its internal row: entry t reads column
-// perm[idx[t]]. Zero values cost nothing.
+// perm[idx[t]], the implicit unit diagonal first — v, which is v*1
+// bit for bit — and then the stored rows. Zero values cost nothing.
 //
 //kdash:noalloc
 //kdash:deterministic
@@ -58,6 +59,10 @@ func (inv *Inverse) SolveLower(w *Workspace, idx []int, val []float64, perm []in
 			continue
 		}
 		j := int(perm[u])
+		if ws[j] == 0 {
+			wsup = append(wsup, j)
+		}
+		ws[j] += v
 		lo, hi := l.Ptr[j], l.Ptr[j+1]
 		gaps, vals := l.Gap[lo:hi], l.Val[lo:hi]
 		vals = vals[:len(gaps)] // hint: drops the vals[k] bounds check
@@ -131,7 +136,7 @@ func (inv *Inverse) PackUpperRows(us []int) *UpperRows {
 	up := inv.Uinv
 	r := &UpperRows{ptr: make([]int, len(us)+1)}
 	for k, u := range us {
-		r.ptr[k+1] = r.ptr[k] + up.Ptr[u+1] - up.Ptr[u]
+		r.ptr[k+1] = r.ptr[k] + int(up.Ptr[u+1]-up.Ptr[u])
 	}
 	r.cols = make([]int32, 0, r.ptr[len(us)])
 	r.vals = make([]float64, 0, r.ptr[len(us)])

@@ -70,7 +70,7 @@ func TestSparseSolverMatchesBatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inv := fac.Invert(Options{Workers: 1})
+		inv := mustInvert(fac, Options{Workers: 1})
 		ws := inv.NewWorkspace()
 		id := identity(n)
 		for trial := 0; trial < 9; trial++ {
@@ -136,7 +136,7 @@ func TestUpperRowDotMatchesSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inv := fac.Invert(Options{Workers: 1})
+		inv := mustInvert(fac, Options{Workers: 1})
 		ws, pws := inv.NewWorkspace(), inv.NewWorkspace()
 		id, perm := identity(n), make([]int32, n)
 		pre := make([]int, n) // pre[perm[i]] = i
@@ -187,7 +187,7 @@ func TestSolveLowerZeroValuesSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := fac.Invert(Options{Workers: 1})
+	inv := mustInvert(fac, Options{Workers: 1})
 	plain, padded := inv.NewWorkspace(), inv.NewWorkspace()
 	id := identity(inv.N)
 	inv.SolveLower(plain, []int{3}, []float64{1}, id)

@@ -54,8 +54,13 @@ func FuzzWorkerHandle(f *testing.F) {
 	solve := func(epoch, si int, rows, ptr, idx []int, val []float64) []byte {
 		return rpc.AppendSolveRowsRequest(nil, epoch, si, rows, ptr, idx, val)
 	}
+	owned := make([]int, sx.Shards()) // per shard, its own rows; its ghost sink's row follows
+	for _, si := range sx.Assignment() {
+		owned[si]++
+	}
 	n0 := sx.PartLen(0)
-	f.Add(rpc.OpSolveRows, solve(e, 0, []int{0, 1, n0 - 1}, []int{0, 1, 3}, []int{0, 1, 2}, []float64{1, 0.5, 0.25}))
+	f.Add(rpc.OpSolveRows, solve(e, 0, []int{0, 1, owned[0] - 1}, []int{0, 1, 3}, []int{0, 1, 2}, []float64{1, 0.5, 0.25}))
+	f.Add(rpc.OpSolveRows, solve(e, 0, []int{n0 - 1}, []int{0, 1}, []int{0}, []float64{1}))  // the sink row, if shard 0 has one
 	f.Add(rpc.OpSolveRows, solve(e, 1, []int{0}, []int{0, 0}, nil, nil))                     // one empty right-hand side
 	f.Add(rpc.OpSolveRows, solve(e, 0, []int{n0}, []int{0, 1}, []int{0}, []float64{1}))      // row past partLen
 	f.Add(rpc.OpSolveRows, solve(e, 2, []int{0}, []int{0, 1}, []int{0}, []float64{1}))       // shard out of range
@@ -93,12 +98,12 @@ func FuzzWorkerHandle(f *testing.F) {
 		if req.Shard < 0 || req.Shard >= sx.Shards() {
 			t.Fatalf("worker solved shard %d of %d", req.Shard, sx.Shards())
 		}
-		n := sx.PartLen(req.Shard)
 		for _, lv := range req.Rows {
-			if lv < 0 || lv >= n {
-				t.Fatalf("worker answered row %d outside [0,%d)", lv, n)
+			if lv < 0 || lv >= owned[req.Shard] {
+				t.Fatalf("worker answered row %d outside the owned [0,%d)", lv, owned[req.Shard])
 			}
 		}
+		n := sx.PartLen(req.Shard)
 		for r := 0; r+1 < len(req.Ptr); r++ {
 			prev := -1
 			for _, u := range req.Idx[req.Ptr[r]:req.Ptr[r+1]] {

@@ -529,7 +529,13 @@ func TestWorkerRejectsUnknownOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]int, oracle.PartLen(0))
+	owned := 0 // shard 0's own rows; a worker refuses its ghost sink's
+	for _, si := range oracle.Assignment() {
+		if si == 0 {
+			owned++
+		}
+	}
+	rows := make([]int, owned)
 	for lv := range rows {
 		rows[lv] = lv
 	}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/lu"
 	"kdash/internal/mmapio"
 	"kdash/internal/testutil"
@@ -125,9 +126,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":9,"nodes":-4,"shards":1}`))
-	f.Add([]byte(`{"version":9,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
-	f.Add([]byte(`{"version":9,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
+	f.Add([]byte(`{"version":10,"nodes":-4,"shards":1}`))
+	f.Add([]byte(`{"version":10,"restart":0.95,"nodes":1152921504606846976,"shards":3,"shardFiles":["a","b","c"],"partitionFile":"partition.idx","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[1,1,1]}}`))
+	f.Add([]byte(`{"version":10,"restart":0.95,"nodes":60,"shards":3,"shardFiles":["shard-0000.idx","shard-0001.idx","shard-0002.idx"],"partitionFile":"../../etc/passwd","graphFile":"graph.idx","stats":{"nnzShards":[1,1,1],"sizes":[20,20,20]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOneFile(t, dir, ManifestName, valid, data)
 	})
@@ -167,11 +168,13 @@ func FuzzShardFile(f *testing.F) {
 }
 
 // fuzzSeedsShard is FuzzShardFile's seeds: the valid shard file, a
-// truncation, its magic alone, nothing, and inverse factors whose
-// compact id encoding is hostile, resealed so each reaches the decode
-// check — a gap that runs past n, an escape that repeats the id before
-// it, an escaped id of n, an escaped id below its predecessor, and an
-// escape listed but never consumed.
+// truncation, its magic alone, nothing, the file as the "KDIXV7"
+// generation wrote it, inverse factors whose compact id encoding is
+// hostile, resealed so each reaches the decode check — a gap that runs
+// past n, an escape that repeats the id before it, an escaped id of n,
+// an escaped id below its predecessor, and an escape listed but never
+// consumed — and hostile int32 pointer sections: one that decreases,
+// one past the value count and negative ones.
 func fuzzSeedsShard(tb testing.TB) []fuzzSeed {
 	fuzzIndexDir(tb)
 	valid := fuzzDir.shard0
@@ -195,6 +198,14 @@ func fuzzSeedsShard(tb testing.TB) []fuzzSeed {
 			m.Esc = append(m.Esc, 0)
 			m.EscPtr[m.N]++
 		})},
+		{"ptr-decreasing", withFactor(tb, valid, true, func(m *lu.Compact) {
+			j := longLine(tb, m)
+			m.Ptr[j+1] = m.Ptr[j] - 1
+		})},
+		{"ptr-past-values", withFactor(tb, valid, false, func(m *lu.Compact) { m.Ptr[1] = m.Ptr[m.N] + 1 })},
+		{"ptr-negative", withFactor(tb, valid, true, func(m *lu.Compact) { m.Ptr[1] = -1 })},
+		{"ptr-escape-negative", withFactor(tb, valid, false, func(m *lu.Compact) { m.EscPtr[1] = math.MinInt32 })},
+		{"kdixv7", asKDIXV7(tb, valid)},
 	}
 }
 
@@ -210,28 +221,20 @@ func withFactor(tb testing.TB, data []byte, lower bool, edit func(m *lu.Compact)
 	if lower {
 		secs = decodedIDs[8]
 	}
-	m := &lu.Compact{}
-	ptr, err1 := f.Ints(secs[0])
-	val, err2 := f.Floats(secs[1])
-	gap, err3 := f.Bytes(secs[2])
-	escPtr, err4 := f.Ints(secs[3])
-	esc, err5 := f.Int32s(secs[4])
-	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
-		tb.Fatal(err)
-	}
-	m.N, m.Ptr, m.Val, m.Gap, m.EscPtr, m.Esc = len(ptr)-1, slices.Clone(ptr), slices.Clone(val), slices.Clone(gap), slices.Clone(escPtr), slices.Clone(esc)
+	m := readFactor(tb, f, secs)
+	m.Ptr, m.Val, m.Gap, m.EscPtr, m.Esc = slices.Clone(m.Ptr), slices.Clone(m.Val), slices.Clone(m.Gap), slices.Clone(m.EscPtr), slices.Clone(m.Esc)
 	edit(m)
 	w := mmapio.NewWriter()
 	for _, s := range containerSections(tb, data) {
 		switch s.id {
 		case secs[0]:
-			w.AddInts(s.id, m.Ptr)
+			w.AddInt32s(s.id, m.Ptr)
 		case secs[1]:
 			w.AddFloats(s.id, m.Val)
 		case secs[2]:
 			w.AddBytes(s.id, m.Gap)
 		case secs[3]:
-			w.AddInts(s.id, m.EscPtr)
+			w.AddInt32s(s.id, m.EscPtr)
 		case secs[4]:
 			w.AddInt32s(s.id, m.Esc)
 		default:
@@ -293,8 +296,8 @@ func longLine(tb testing.TB, m *lu.Compact) int {
 // byte becomes 0 and id joins the line's escapes after those of the
 // line's earlier entries.
 func escapeAt(m *lu.Compact, j, k int, id int32) {
-	p, at := m.Ptr[j]+k, m.EscPtr[j]
-	for q := m.Ptr[j]; q < p; q++ {
+	p, at := int(m.Ptr[j])+k, int(m.EscPtr[j])
+	for q := int(m.Ptr[j]); q < p; q++ {
 		if m.Gap[q] == 0 {
 			at++
 		}
@@ -311,8 +314,9 @@ func escapeAt(m *lu.Compact, j, k int, id int32) {
 }
 
 // TestShardFileSeedsRefused: every FuzzShardFile seed but the valid
-// file is refused by an eager open — the hostile encodings by the
-// decode check, before a query could read them.
+// file is refused by an eager open — the hostile encodings and pointers
+// by the decode check, before a query could read them, and the
+// "KDIXV7" file as a retired generation.
 func TestShardFileSeedsRefused(t *testing.T) {
 	dir := fuzzIndexDir(t)
 	path := filepath.Join(dir, "shard-0000.idx")
@@ -334,8 +338,10 @@ func TestShardFileSeedsRefused(t *testing.T) {
 			t.Errorf("the valid shard file is refused: %v", err)
 		case s.name != "valid" && err == nil:
 			t.Errorf("seed %s accepted", s.name)
-		case (strings.HasPrefix(s.name, "gap-") || strings.HasPrefix(s.name, "escape-")) && !strings.Contains(err.Error(), "corrupt index"):
+		case (strings.HasPrefix(s.name, "gap-") || strings.HasPrefix(s.name, "escape-") || strings.HasPrefix(s.name, "ptr-")) && !strings.Contains(err.Error(), "corrupt index"):
 			t.Errorf("seed %s: refused before the decode check: %v", s.name, err)
+		case s.name == "kdixv7" && !errors.Is(err, core.ErrUnsupportedFormat):
+			t.Errorf("the KDIXV7 file is not refused as a retired generation: %v", err)
 		}
 	}
 }

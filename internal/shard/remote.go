@@ -51,15 +51,17 @@ func (sx *ShardedIndex) SetFactorless() { sx.factorless = true }
 // the call), one U^{-1} row dot per requested row into out (a cut row's
 // from the part's packed copy, as in process), and a reset. Shard, rows,
 // the right-hand side pointers and ids are all validated first, so
-// hostile input is an error, never a fault. Safe for concurrent calls.
+// hostile input is an error, never a fault. A row is an owned node's:
+// the ghost sink's row is refused, since L^{-1} does not keep it and no
+// push or rank reads it. Safe for concurrent calls.
 func (sx *ShardedIndex) SolveShardRows(si int, rows, ptr, idx []int, val, out []float64) error {
 	if si < 0 || si >= len(sx.parts) {
 		return fmt.Errorf("shard: solve shard %d outside [0,%d)", si, len(sx.parts))
 	}
-	n := sx.PartLen(si)
+	owned := len(sx.parts[si].nodes)
 	for _, lv := range rows {
-		if lv < 0 || lv >= n {
-			return fmt.Errorf("shard: solve row %d outside shard %d's [0,%d)", lv, si, n)
+		if lv < 0 || lv >= owned {
+			return fmt.Errorf("shard: solve row %d outside shard %d's owned rows [0,%d)", lv, si, owned)
 		}
 	}
 	if len(ptr) == 0 || len(idx) != len(val) {

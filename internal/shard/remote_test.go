@@ -275,8 +275,9 @@ func TestRemoteRankFallbackBitIdentical(t *testing.T) {
 }
 
 // TestSolveShardRowsRejectsBadInput: the worker surface answers hostile
-// shard ids, rows and right-hand sides with errors instead of faulting,
-// and a valid call reproduces the dense in-process solve bit for bit.
+// shard ids, rows (the ghost sink's among them) and right-hand sides
+// with errors instead of faulting, and a valid call reproduces the
+// dense in-process solve bit for bit.
 func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 	g := testutil.Clustered(60, 3, 5)
 	sx, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 1})
@@ -284,6 +285,9 @@ func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sx.PartLen(0)
+	if !sx.parts[0].sink || n != len(sx.parts[0].nodes)+1 {
+		t.Fatalf("shard 0 has no sink row (%d rows, %d owned)", n, len(sx.parts[0].nodes))
+	}
 	one := func(rows, ptr, idx []int, val []float64) error {
 		out := make([]float64, max(len(ptr)-1, 0)*len(rows))
 		return sx.SolveShardRows(0, rows, ptr, idx, val, out)
@@ -292,6 +296,7 @@ func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 		"shard -1":            sx.SolveShardRows(-1, nil, []int{0}, nil, nil, nil),
 		"shard out of range":  sx.SolveShardRows(sx.Shards(), nil, []int{0}, nil, nil, nil),
 		"row -1":              one([]int{-1}, []int{0, 1}, []int{0}, []float64{1}),
+		"sink row":            one([]int{n - 1}, []int{0, 1}, []int{0}, []float64{1}),
 		"row past partLen":    one([]int{n}, []int{0, 1}, []int{0}, []float64{1}),
 		"rhs id past partLen": one([]int{0}, []int{0, 1}, []int{n}, []float64{1}),
 		"rhs ids descending":  one([]int{0}, []int{0, 2}, []int{3, 1}, []float64{1, 1}),

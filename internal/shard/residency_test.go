@@ -19,10 +19,12 @@ import (
 // shard's pointer list has one more.
 const (
 	// A shard's inverse factors: a value, a gap byte and the rare
-	// escaped int32 id per entry, and two int64 pointers per line of
-	// each factor (entries, escapes).
-	factorBytesPerEntry    = 9.5
-	factorBytesPerLine     = 16
+	// escaped int32 id per stored entry, and two int32 pointers per
+	// line of each factor (entries, escapes). Entries are counted as
+	// NNZInverse counts them, L^{-1}'s implicit unit diagonal included;
+	// the residency graph measures 8.89 B per entry.
+	factorBytesPerEntry    = 9.0
+	factorBytesPerLine     = 8
 	nodeTableBytesPerNode  = 8
 	cutTableBytesPerCut    = 32
 	cutTableBytesPerShard  = 8

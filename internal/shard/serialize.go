@@ -16,7 +16,8 @@ package shard
 //
 // Every file but the manifest is an internal/mmapio container: section
 // and table checksums, int32 ids (the inverse factors' as gap bytes with
-// int32 escapes), float64 weights, int64 pointers. Open
+// int32 escapes), float64 weights, int64 pointers (the inverse factors'
+// int32). Open
 // is the general entry point: LoadOptions select eager vs lazy shard
 // opens. Both read the partition container up front — O(n) bytes, no
 // factor data — verify it, cross-check it against the manifest, copy
@@ -70,10 +71,11 @@ const ManifestName = "manifest.json"
 // Louvain communities; version 8 stores neither the snapshot's
 // in-adjacency nor a shard's block adjacency; version 9 stores the
 // shard files' inverse factors in the compact id encoding (a gap byte
-// per entry, escaped ids int32). An older directory's shard files are a
-// generation this build does not read, so a lazy open of one would fail
-// query by query.
-const manifestVersion = 9
+// per entry, escaped ids int32); version 10 stores their line pointers
+// as int32 and L^{-1} with neither its unit diagonal nor the ghost
+// sink's row. An older directory's shard files are a generation this
+// build does not read, so a lazy open of one would fail query by query.
+const manifestVersion = 10
 
 // The directory's fixed file names; the manifest records them, and Open
 // accepts any plain name inside the directory.

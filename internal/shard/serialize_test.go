@@ -251,11 +251,7 @@ func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, w
 			}
 			w.AddInt32s(id, xs)
 		case 7, 10:
-			xs, err := f.Ints(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.AddInts(id, xs)
+			w.AddInts(id, widened(t, f, id))
 		default:
 			xs, err := f.Floats(id)
 			if err != nil {
@@ -267,6 +263,67 @@ func asRetiredGeneration(t *testing.T, data []byte, tag string, metaBytes int, w
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// asKDIXV7 rewrites a saved shard file as the generation before this
+// one: meta tag "KDIXV7" in 80 bytes, int64 line pointers, and L^{-1}
+// with its unit diagonal stored as each line's first entry, a gap of 1
+// and a 1.0, and its lines re-encoded past it. The sink row that
+// generation also stored is not restored.
+func asKDIXV7(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	f, err := mmapio.FromBytes(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	meta, err := f.Bytes(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := readFactor(tb, f, decodedIDs[8])
+	ptr, escPtr := make([]int, l.N+1), make([]int, l.N+1)
+	var gaps []byte
+	var esc []int32
+	var vals []float64
+	for j := 0; j < l.N; j++ {
+		prev := j - 1
+		for _, id := range l.Line(j, []int{j}) {
+			if g := id - prev; g <= 255 {
+				gaps = append(gaps, byte(g))
+			} else {
+				gaps, esc = append(gaps, 0), append(esc, int32(id))
+			}
+			prev = id
+		}
+		vals = append(append(vals, 1), l.Val[l.Ptr[j]:l.Ptr[j+1]]...)
+		ptr[j+1], escPtr[j+1] = len(gaps), len(esc)
+	}
+	w := mmapio.NewWriter()
+	for _, s := range containerSections(tb, data) {
+		switch s.id {
+		case 1:
+			w.AddBytes(1, append([]byte("KDIXV7\x00\x00"), meta[8:80]...))
+		case 7:
+			w.AddInts(7, ptr)
+		case 9:
+			w.AddFloats(9, vals)
+		case 24:
+			w.AddBytes(24, gaps)
+		case 25:
+			w.AddInts(25, escPtr)
+		case 26:
+			w.AddInt32s(26, esc)
+		case 10, 28:
+			w.AddInts(s.id, widened(tb, f, s.id))
+		default:
+			copySection(tb, w, f, data, s)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -303,7 +360,6 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 		}
 		return out
 	}
-	ints := func(id uint32) []int { xs, err := f.Ints(id); must(err); return xs }
 	floats := func(id uint32) []float64 { xs, err := f.Floats(id); must(err); return xs }
 	meta, err := f.Bytes(1)
 	must(err)
@@ -322,10 +378,10 @@ func asParentGeneration(t *testing.T, data []byte) []byte {
 	w.AddInts(4, make([]int, len(perm)+1)) // an adjacency without entries
 	w.AddInts(5, []int{})
 	w.AddFloats(6, []float64{})
-	w.AddInts(7, ints(7))
+	w.AddInts(7, widened(t, f, 7))
 	w.AddInts(8, wide(8))
 	w.AddFloats(9, floats(9))
-	w.AddInts(10, ints(10))
+	w.AddInts(10, widened(t, f, 10))
 	w.AddInts(11, wide(11))
 	w.AddFloats(12, floats(12))
 	w.AddFloats(13, make([]float64, len(perm)))
@@ -386,8 +442,10 @@ func asV1Snapshot(t *testing.T, data []byte) []byte {
 // container of the int64-id generation, one of the "KDIXV4" generation
 // that kept no communities, one of the "KDIXV5" generation that kept
 // its block adjacency, one of the "KDIXV6" generation whose inverse
-// factors kept an int32 id per entry, and the version 4 to 8
-// directories whose shard files are those containers (version 7's
+// factors kept an int32 id per entry, one of the "KDIXV7" generation
+// whose line pointers were int64 and whose L^{-1} stored its unit
+// diagonal, and the version 4 to 9 directories whose shard files are
+// those containers (version 7's
 // snapshot is a "KDGRV1" one, with in-adjacency) are each refused up front with the rebuild
 // instruction — by LoadIndex and OpenIndexFile for the files, by Open
 // both eagerly and lazily for the directories — never accepted only to
@@ -453,6 +511,7 @@ func TestOldGenerationsRefused(t *testing.T) {
 	v8, kdixv6 := oldDir(8, func(t *testing.T, data []byte) []byte {
 		return asRetiredGeneration(t, data, "KDIXV6\x00\x00", 80, false, true)
 	})
+	v9, kdixv7 := oldDir(9, func(t *testing.T, data []byte) []byte { return asKDIXV7(t, data) })
 	oldSnapshot := func(dir string) {
 		path := filepath.Join(dir, graphFileName)
 		data, err := os.ReadFile(path)
@@ -536,6 +595,10 @@ func TestOldGenerationsRefused(t *testing.T) {
 		{"int32 ids/OpenIndexFile copy", openFile(filepath.Join(v8, "shard-0000.idx"))},
 		{"v8 directory/eager", openDir(v8, LoadOptions{})},
 		{"v8 directory/lazy", openDir(v8, LoadOptions{Lazy: true})},
+		{"int64 pointers/LoadIndex", loadBytes(kdixv7)},
+		{"int64 pointers/OpenIndexFile copy", openFile(filepath.Join(v9, "shard-0000.idx"))},
+		{"v9 directory/eager", openDir(v9, LoadOptions{})},
+		{"v9 directory/lazy", openDir(v9, LoadOptions{Lazy: true})},
 		{"in-adjacency snapshot/eager", openDir(kdgrv1, LoadOptions{})},
 		{"in-adjacency snapshot/lazy query", queryDir(kdgrv1)},
 	}

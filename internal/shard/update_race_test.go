@@ -142,10 +142,10 @@ func TestConcurrentApplyAndQueryEpochAtomicity(t *testing.T) {
 }
 
 // TestSharedPartPoolsUnderApply runs queries on two epochs that share
-// parts — and with them each part's workspace and residual pools —
-// while a writer applies a chain of updates to the newer one. Every
-// answer must equal its epoch's sequential answer; under -race this is
-// the data-race proof for the per-part scratch pools.
+// parts — and, when its vectors fit, the index's one vector pool, which
+// a successor inherits — while a writer applies a chain of updates to
+// the newer one. Every answer must equal its epoch's sequential answer;
+// under -race this is the data-race proof for the shared scratch pool.
 func TestSharedPartPoolsUnderApply(t *testing.T) {
 	const (
 		readers = 4
