@@ -6,9 +6,10 @@ package kdash
 // CLI report the same quantities. `kdash-bench -exp all` prints the
 // tables; README's "Benchmarks" section says how to run them.
 //
-// The per-figure query benchmarks (2-4, 7, 9) use prebuilt indexes and
-// time the query path; the precompute benchmarks (5-6) time index
-// construction per reordering method.
+// The per-figure query benchmarks (2-4, 7, 9) use prebuilt one-shard
+// indexes, the index the experiments, CLI and server query, and time the
+// query path; the precompute benchmarks (5-6) time index construction
+// per reordering method.
 
 import (
 	"fmt"
@@ -43,19 +44,25 @@ func benchDataset(b *testing.B, name string) *dataset.Dataset {
 	return d
 }
 
-// benchIndexes caches hybrid K-dash indexes across benchmarks.
-var benchIndexes = map[string]*core.Index{}
+// oneShard builds the one-shard index the paper's benchmarks query.
+func oneShard(b *testing.B, g *graph.Graph, m reorder.Method, workers int) *shard.ShardedIndex {
+	b.Helper()
+	sx, err := shard.Build(g, shard.Options{Shards: 1, Reorder: m, Seed: 1, Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sx
+}
 
-func benchIndex(b *testing.B, name string) *core.Index {
+// benchIndexes caches hybrid K-dash indexes across benchmarks.
+var benchIndexes = map[string]*shard.ShardedIndex{}
+
+func benchIndex(b *testing.B, name string) *shard.ShardedIndex {
 	b.Helper()
 	if ix, ok := benchIndexes[name]; ok {
 		return ix
 	}
-	d := benchDataset(b, name)
-	ix, err := core.BuildIndex(d.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := oneShard(b, benchDataset(b, name).Graph, reorder.Hybrid, 0)
 	benchIndexes[name] = ix
 	return ix
 }
@@ -167,15 +174,11 @@ func BenchmarkFigure5and6Precompute(b *testing.B) {
 		for _, m := range reorder.Methods {
 			b.Run(fmt.Sprintf("%s/%s", name, m), func(b *testing.B) {
 				d := benchDataset(b, name)
-				var ratio float64
+				var nnz int
 				for i := 0; i < b.N; i++ {
-					ix, err := core.BuildIndex(d.Graph, core.BuildOptions{Reorder: m, Seed: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ratio = ix.Stats().InverseRatio
+					nnz = oneShard(b, d.Graph, m, 0).Stats().NNZInverse
 				}
-				b.ReportMetric(ratio, "nnz/m")
+				b.ReportMetric(float64(nnz)/float64(d.Graph.M()), "nnz/m")
 			})
 		}
 	}
@@ -284,7 +287,7 @@ func BenchmarkAblationProximityVector(b *testing.B) {
 // Sharded-index benchmarks: partition-parallel build and cross-shard
 // query cost at 1, 4 and 8 shards on a 50k-node clusterable power-law
 // graph (the acceptance scale for the shard subsystem). The 1-shard
-// build is the monolithic baseline and dominates the suite's runtime:
+// build is the whole-graph baseline and dominates the suite's runtime:
 // its inverse factors carry ~12x the nonzeros of the 8-shard build.
 // ---------------------------------------------------------------------
 
@@ -457,10 +460,7 @@ func BenchmarkAblationParallelInvert(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.BuildIndex(d.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: 1, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+				oneShard(b, d.Graph, reorder.Hybrid, workers)
 			}
 		})
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"kdash"
+	"kdash/internal/core"
 	"kdash/internal/gen"
+	"kdash/internal/reorder"
 	"kdash/internal/shard"
 )
 
@@ -42,7 +44,7 @@ func TestOpenEngine(t *testing.T) {
 	})
 
 	t.Run("single-file index refused", func(t *testing.T) {
-		ix, err := kdash.BuildIndex(g, kdash.DefaultOptions())
+		ix, _, err := core.BuildBlock(g, core.BuildOptions{Reorder: reorder.Hybrid}, reorder.Block{Owned: g.N()}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

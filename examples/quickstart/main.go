@@ -45,8 +45,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("top-%d for node u%d (visited %d nodes, %d exact proximities):\n",
-		k, query+1, stats.Visited, stats.ProximityComputations)
+	fmt.Printf("top-%d for node u%d (%d exact proximities):\n",
+		k, query+1, stats.ProximityComputations)
 	for i, r := range results {
 		fmt.Printf("  %d. u%d  proximity %.6f\n", i+1, r.Node+1, r.Score)
 	}

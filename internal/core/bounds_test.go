@@ -85,8 +85,8 @@ func TestDeltaChainRebuildsFromParentAdjacency(t *testing.T) {
 //
 //   - the in-rows an Apply successor derives equal a fresh
 //     graph.Builder build of the same edge set;
-//   - GraphBounds, read straight from the out-rows on visit, equals the
-//     tables built from ColumnNormalized (adjacencyBounds) at every node;
+//   - GraphBounds, read straight from the out-rows on visit, equals
+//     what ColumnNormalized's copy of A holds at every node;
 //   - PermutedColumnNormalized equals ColumnNormalized().PermuteSym.
 func TestDeltaChainKeepsDerivedTablesExact(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -103,7 +103,7 @@ func TestDeltaChainKeepsDerivedTablesExact(t *testing.T) {
 			label := fmt.Sprintf("seed %d epoch %d", seed, epoch)
 			g = applyRandomDelta(t, rng, g)
 			sameInRows(t, label, g)
-			sameBounds(t, label, GraphBounds(g, 0.95), adjacencyBounds(g.ColumnNormalized(), 0.95))
+			sameBounds(t, label, GraphBounds(g, 0.95), g.ColumnNormalized())
 			perm := rng.Perm(g.N())
 			if err := sameCSC(g.PermutedColumnNormalized(perm), g.ColumnNormalized().PermuteSym(perm)); err != nil {
 				t.Fatalf("%s: PermutedColumnNormalized: %v", label, err)
@@ -185,19 +185,19 @@ func sameInRows(t *testing.T, label string, g *graph.Graph) {
 	}
 }
 
-func sameBounds(t *testing.T, label string, got, want Bounds) {
+// sameBounds fails unless the bounds read, bit for bit, what the
+// column-normalised adjacency a holds: Amax its largest entry, and each
+// node's Amax(v) and A_vv its column's largest entry and its diagonal.
+func sameBounds(t *testing.T, label string, got Bounds, a *sparse.CSC) {
 	t.Helper()
-	if got.amaxCol != nil {
-		t.Fatalf("%s: GraphBounds stores a %d-entry Amax(v) table", label, len(got.amaxCol))
+	if got.c != 0.95 || math.Float64bits(got.amax) != math.Float64bits(a.Max()) {
+		t.Fatalf("%s: GraphBounds c=%v amax=%v, ColumnNormalized's amax=%v", label, got.c, got.amax, a.Max())
 	}
-	if got.c != want.c || math.Float64bits(got.amax) != math.Float64bits(want.amax) {
-		t.Fatalf("%s: GraphBounds c=%v amax=%v, ColumnNormalized tables c=%v amax=%v", label, got.c, got.amax, want.c, want.amax)
-	}
-	for v := range want.amaxCol {
+	colMax := a.ColMax()
+	for v := range colMax {
 		ga, gs := got.row(v)
-		wa, ws := want.row(v)
-		if math.Float64bits(ga) != math.Float64bits(wa) || math.Float64bits(gs) != math.Float64bits(ws) {
-			t.Fatalf("%s: node %d reads Amax(v)=%v A_vv=%v on visit, the tables hold %v and %v", label, v, ga, gs, wa, ws)
+		if math.Float64bits(ga) != math.Float64bits(colMax[v]) || math.Float64bits(gs) != math.Float64bits(a.At(v, v)) {
+			t.Fatalf("%s: node %d reads Amax(v)=%v A_vv=%v on visit, ColumnNormalized holds %v and %v", label, v, ga, gs, colMax[v], a.At(v, v))
 		}
 	}
 }

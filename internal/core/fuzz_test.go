@@ -40,11 +40,7 @@ func fuzzIndexBytes(tb testing.TB) []byte {
 func fuzzIndex(tb testing.TB) *Index {
 	tb.Helper()
 	g := gen.ErdosRenyi(fuzzNodes, 90, 7)
-	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 7})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ix
+	return blockIndex(tb, g, BuildOptions{Reorder: reorder.Hybrid, Seed: 7})
 }
 
 // fuzzIndexWith is fuzzIndexBytes with inverse factors that edit has

@@ -35,68 +35,57 @@ func saveToFile(t *testing.T, ix *Index) string {
 	return path
 }
 
-// assertSameAnswers fails unless both indexes answer a query battery
-// bit-identically.
-func assertSameAnswers(t *testing.T, want, got *Index, label string) {
+// assertSameSolves fails unless both indexes solve a battery of
+// restart vectors bit-identically on every row, through the split solve
+// and the dense reference alike.
+func assertSameSolves(t *testing.T, want, got *Index, label string) {
 	t.Helper()
+	wa, wb := want.NewWorkspace(), got.NewWorkspace()
 	for _, q := range []int{0, want.N() / 3, want.N() - 1} {
-		a, _, err := want.TopK(q, 8)
+		if err := want.SolveLower([]int{q}, []float64{1}, wa); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.SolveLower([]int{q}, []float64{1}, wb); err != nil {
+			t.Fatalf("%s: SolveLower: %v", label, err)
+		}
+		e := make([]float64, want.N())
+		e[q] = 1
+		ya, err := want.Solve(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := got.TopK(q, 8)
+		yb, err := got.Solve(e)
 		if err != nil {
-			t.Fatalf("%s: TopK: %v", label, err)
+			t.Fatalf("%s: Solve: %v", label, err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("%s q=%d: %d vs %d results", label, q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s q=%d rank %d: %v vs %v", label, q, i, a[i], b[i])
+		for u := 0; u < want.N(); u++ {
+			a, b := want.UpperDot(u, wa), got.UpperDot(u, wb)
+			if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(ya[u]) != math.Float64bits(yb[u]) {
+				t.Fatalf("%s q=%d: row %d solves to %v (dense %v), built %v (dense %v)", label, q, u, b, yb[u], a, ya[u])
 			}
 		}
-		va, err := want.ProximityVector(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, err := got.ProximityVector(q)
-		if err != nil {
-			t.Fatalf("%s: ProximityVector: %v", label, err)
-		}
-		for i := range va {
-			if math.Float64bits(va[i]) != math.Float64bits(vb[i]) {
-				t.Fatalf("%s q=%d: proximity[%d] differs: %v vs %v", label, q, i, va[i], vb[i])
-			}
-		}
+		wa.Reset()
+		wb.Reset()
 	}
 }
 
 // TestV3LoadPathsBitIdentical pins the acceptance contract: an index
-// saved and reopened with OpenIndexFile answers every query with the
-// built index's bits.
+// saved and reopened with OpenIndexFile solves with the built index's
+// bits.
 func TestV3LoadPathsBitIdentical(t *testing.T) {
 	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	built := blockIndex(t, g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
 	fromFile, err := OpenIndexFile(saveToFile(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromFile.Searchable() {
-		t.Fatal("a loaded file holds an adjacency")
-	}
-	assertSameAnswers(t, built, withAdjacency(fromFile, built), "v3 file")
+	assertSameSolves(t, built, fromFile, "v3 file")
 	if err := fromFile.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 }
 
-// openSealed opens the saved index, hands it the built adjacency
-// (withAdjacency) and skips the test where the
+// openSealed opens the saved index and skips the test where the
 // platform keeps loads on the Go heap, so its arrays are not sealed.
 func openSealed(t *testing.T, built *Index) *Index {
 	t.Helper()
@@ -107,44 +96,41 @@ func openSealed(t *testing.T, built *Index) *Index {
 	if !ix.backing.OffHeap() {
 		t.Skip("loads stay on the Go heap on this platform")
 	}
-	return withAdjacency(ix, built)
+	return ix
 }
 
 // TestLoadedQueriesNeverWriteFactors is the mutation-discipline
 // enforcement test: the index's arrays alias sealed PROT_READ memory, so
-// if any query path wrote a factor array the process would fault, not
-// just fail an assertion. It drives every query surface, concurrently,
-// to flush out writes hiding behind pooling.
+// if any solve path wrote a factor array the process would fault, not
+// just fail an assertion. It drives every solve surface — the split
+// solve a query's push runs, packed U^{-1} rows, the dense reference —
+// concurrently, to flush out writes hiding behind shared state.
 func TestLoadedQueriesNeverWriteFactors(t *testing.T) {
 	g := gen.PlantedPartition(200, 4, 0.15, 0.02, 11)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	built := blockIndex(t, g, BuildOptions{Reorder: reorder.Hybrid, Seed: 11})
 	ix := openSealed(t, built)
 	defer ix.Close()
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
+			ws := ix.NewWorkspace()
+			rows := ix.PackUpperRows([]int{w, w + 4, w + 8})
 			for q := w; q < ix.N(); q += 4 {
-				if _, _, err := ix.TopK(q, 5); err != nil {
+				if err := ix.SolveLower([]int{q}, []float64{1}, ws); err != nil {
 					done <- err
 					return
 				}
-				if _, err := ix.ProximityVector(q); err != nil {
-					done <- err
-					return
+				for u := 0; u < ix.N(); u++ {
+					ix.UpperDot(u, ws)
 				}
-				if _, err := ix.Proximity(q, (q+7)%ix.N()); err != nil {
-					done <- err
-					return
+				for k := 0; k < 3; k++ {
+					rows.Dot(k, ws.W)
 				}
+				ws.Reset()
 			}
-			if _, _, err := ix.Search(w, SearchOptions{K: 4, Exclude: map[int]bool{w: true}}); err != nil {
-				done <- err
-				return
-			}
-			_, _, err := ix.TopKPersonalized(map[int]float64{w: 1, w + 1: 2}, 3)
+			r := make([]float64, ix.N())
+			r[w] = 1
+			_, err := ix.Solve(r)
 			done <- err
 		}(w)
 	}
@@ -152,11 +138,6 @@ func TestLoadedQueriesNeverWriteFactors(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	r := make([]float64, ix.N())
-	r[3] = 1
-	if _, err := ix.Solve(r); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -166,10 +147,7 @@ func TestLoadedQueriesNeverWriteFactors(t *testing.T) {
 // SetPanicOnFault — and leaves the factors as they were.
 func TestLoadedFactorsFaultOnWrite(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.2, 0.02, 5)
-	built, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	built := blockIndex(t, g, BuildOptions{Reorder: reorder.Hybrid, Seed: 5})
 	ix := openSealed(t, built)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	before := ix.inv.Linv.Val[0]
@@ -184,7 +162,7 @@ func TestLoadedFactorsFaultOnWrite(t *testing.T) {
 	if ix.inv.Linv.Val[0] != before {
 		t.Fatalf("factor changed from %v to %v", before, ix.inv.Linv.Val[0])
 	}
-	assertSameAnswers(t, built, ix, "sealed")
+	assertSameSolves(t, built, ix, "sealed")
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +174,7 @@ func TestLoadedFactorsFaultOnWrite(t *testing.T) {
 // internal/mmapio).
 func TestV3CorruptSections(t *testing.T) {
 	g := gen.ErdosRenyi(25, 80, 5)
-	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Degree, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := blockIndex(t, g, BuildOptions{Reorder: reorder.Degree, Seed: 5})
 	type mutate func(w *mmapio.Writer)
 	full := func(w *mmapio.Writer, skip uint32, meta []byte) {
 		if skip != secMeta {
@@ -332,15 +307,11 @@ func TestV3CorruptSections(t *testing.T) {
 
 // TestArrayBytesIsSavedPayload pins the heap account of a built index
 // to what Save writes: arrayBytes equals the summed payload of every
-// section but the meta one, each counted at its kind's width as the
-// section table records it. The adjacency a monolithic index keeps for
-// its search is not saved, and not counted.
+// section but the meta and community ones, each counted at its kind's
+// width as the section table records it.
 func TestArrayBytesIsSavedPayload(t *testing.T) {
 	g := gen.PlantedPartition(150, 5, 0.2, 0.01, 3)
-	ix, err := BuildIndex(g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := blockIndex(t, g, BuildOptions{Reorder: reorder.Hybrid, Seed: 3})
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -350,7 +321,7 @@ func TestArrayBytesIsSavedPayload(t *testing.T) {
 	var payload int64
 	for i := uint32(0); i < le.Uint32(data[12:]); i++ {
 		e := data[32+32*i:]
-		if le.Uint32(e) == secMeta {
+		if id := le.Uint32(e); id == secMeta || id == secCommunity {
 			continue
 		}
 		w, ok := width[le.Uint32(e[4:])]

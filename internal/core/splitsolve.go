@@ -72,3 +72,31 @@ func (ix *Index) UpperDot(u int, w *lu.Workspace) float64 {
 	runtime.KeepAlive(ix) //kdash:allow(hotalloc) boxing a pointer allocates nothing
 	return v
 }
+
+// Solve computes y = W^{-1} r through the inverted factors, where
+// W = I - (1-c)A is the matrix the index factorized: the one dense
+// reference the split solve (SolveLower, UpperDot) is tested against,
+// bit for bit, here and in internal/shard; no query calls it. Input and output are dense vectors in original node-id
+// order; zero entries of r cost nothing in the L^{-1} pass, and the
+// restart factor c is not applied. On a block index with a ghost row (a
+// sharded index's sink, which L^{-1} does not keep), that row's output
+// is not the solution's: it misses L^{-1}'s row, as UpperDot's does.
+func (ix *Index) Solve(r []float64) ([]float64, error) {
+	if len(r) != ix.n {
+		return nil, fmt.Errorf("core: Solve rhs has %d entries, index has %d nodes", len(r), ix.n)
+	}
+	// w = L^{-1} (P r), accumulated column by column over nonzero rhs
+	// entries in ascending node order.
+	nodes := make([]int, ix.n)
+	for u := range nodes {
+		nodes[u] = u
+	}
+	w := ix.inv.NewWorkspace()
+	ix.inv.SolveLower(w, nodes, r, ix.perm)
+	// y = P^T (U^{-1} w).
+	out := make([]float64, ix.n)
+	for u, p := range ix.perm {
+		out[u] = ix.inv.UpperRowDot(int(p), w.W)
+	}
+	return out, nil
+}

@@ -95,25 +95,3 @@ func TestSolveLowerValidation(t *testing.T) {
 		t.Errorf("empty rhs: sup=%v err=%v, want non-nil empty support and no error", w.Sup, err)
 	}
 }
-
-// TestProximityVectorMatchesProximity checks ProximityVector against
-// the per-entry Proximity oracle bit for bit, repeatedly and with a
-// query asked twice, so no call's state leaks into the next.
-func TestProximityVectorMatchesProximity(t *testing.T) {
-	ix := plantedIndex(t, 9, 80)
-	for _, q := range []int{0, 17, 3, 17, 79} {
-		vec, err := ix.ProximityVector(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range []int{0, 1, q, 40, 79} {
-			want, err := ix.Proximity(q, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vec[u] != want {
-				t.Fatalf("q=%d u=%d: vector %v != Proximity %v", q, u, vec[u], want)
-			}
-		}
-	}
-}

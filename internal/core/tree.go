@@ -1,33 +1,27 @@
 package core
 
 // Algorithm 4 — the breadth-first search with Definition 2's incremental
-// estimate and Lemma 2's early termination — in the one copy both
-// engines run: the monolithic Index over its reordered adjacency with
-// exact proximities from its own factors, and the sharded index over its
-// graph snapshot with proximities from the cross-shard push.
+// estimate and Lemma 2's early termination — and Figure 9's randomly
+// rooted visit, run by the sharded index over its graph snapshot with
+// proximities from the cross-shard push.
 
 import (
 	"math"
 
 	"kdash/internal/graph"
-	"kdash/internal/sparse"
 	"kdash/internal/topk"
 )
 
 // Bounds holds what Definitions 1–2 read: Amax (the largest element of
 // the column-normalised adjacency A), Amax(v) (the largest element of
 // column v, v's largest out-transition probability) and the self-loop
-// weights A_uu behind c'(u), under restart probability c. The monolithic
-// index stores Amax(v) and A_uu as n-sized tables; a graph snapshot's
-// bounds keep only Amax and read the other two from a node's out-row
-// when the search visits it (row). Read-only; safe for concurrent
-// searches.
+// weights A_uu behind c'(u), under restart probability c. It keeps only
+// Amax and reads the other two from a node's out-row when the search
+// visits it (row). Read-only; safe for concurrent searches.
 type Bounds struct {
-	c       float64
-	amax    float64
-	amaxCol []float64 // nil: read from g's out-rows
-	selfA   []float64
-	g       *graph.Graph
+	c    float64
+	amax float64
+	g    *graph.Graph
 }
 
 // GraphBounds returns the bounds of g's column-normalised adjacency
@@ -35,8 +29,8 @@ type Bounds struct {
 // pass over the out-rows, and each node's Amax(v) and A_vv read from its
 // out-row on visit. Column v of A is v's out-row over its weight sum,
 // and row divides each weight exactly as ColumnNormalized does, so every
-// value equals adjacencyBounds(g.ColumnNormalized(), c)'s bit for bit
-// without the copy of A or the tables.
+// value equals the one read from g.ColumnNormalized() bit for bit,
+// without the copy of A.
 func GraphBounds(g *graph.Graph, c float64) Bounds {
 	b := Bounds{c: c, g: g}
 	for v := 0; v < g.N(); v++ {
@@ -47,15 +41,12 @@ func GraphBounds(g *graph.Graph, c float64) Bounds {
 	return b
 }
 
-// row returns Amax(v) and A_vv: the tables' entries, or the largest and
-// the self-loop transition probability of v's out-row (0 and 0 for an
-// all-zero column, as ColumnNormalized stores it).
+// row returns Amax(v) and A_vv: the largest and the self-loop
+// transition probability of v's out-row (0 and 0 for an all-zero
+// column, as ColumnNormalized stores it).
 //
 //kdash:noalloc
 func (b *Bounds) row(v int) (amaxV, selfV float64) {
-	if b.amaxCol != nil {
-		return b.amaxCol[v], b.selfA[v]
-	}
 	ptr, to := b.g.OutCSR()
 	w := b.g.OutWeights()
 	total := b.g.OutWeightSum(v)
@@ -74,21 +65,8 @@ func (b *Bounds) row(v int) (amaxV, selfV float64) {
 	return amaxV, selfV
 }
 
-// adjacencyBounds builds the tables for the column-normalised adjacency
-// a under restart probability c, indexed by a's ids.
-func adjacencyBounds(a *sparse.CSC, c float64) Bounds {
-	selfA := make([]float64, a.Cols)
-	for u := range selfA {
-		selfA[u] = a.At(u, u)
-	}
-	return Bounds{c: c, amax: a.Max(), amaxCol: a.ColMax(), selfA: selfA}
-}
-
-// cPrime is Definition 1's c' = (1-c) / (1 - A_uu + c*A_uu) from the
-// tables.
-func (b *Bounds) cPrime(u int) float64 { return b.cPrimeOf(b.selfA[u]) }
-
-// cPrimeOf is c' for a node whose self-loop weight is a.
+// cPrimeOf is Definition 1's c' = (1-c) / (1 - A_uu + c*A_uu) for a
+// node whose self-loop weight is a.
 func (b *Bounds) cPrimeOf(a float64) float64 {
 	return (1 - b.c) / (1 - a + b.c*a)
 }
@@ -232,20 +210,10 @@ func (ws *TreeWS) NextLayer(outPtr []int, outTo []int32, end int) int {
 	return end
 }
 
-// SearchTree is Algorithm 4 from roots over an out-adjacency in CSR
-// form: Start followed by Search.
-//
-//kdash:noalloc
-//kdash:deterministic
-func SearchTree(ws *TreeWS, b *Bounds, outPtr []int, outTo []int32, roots []int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
-	ws.Start(roots)
-	ws.Search(b, outPtr, outTo, score, heap, exclude, prune, stats)
-}
-
 // Search is Algorithm 4: it visits the nodes of the search Start began
 // in breadth-first order over an out-adjacency in CSR form — node v's
 // out-neighbours are outTo[outPtr[v]:outPtr[v+1]], a graph snapshot's
-// or an index's adjacency — scores each visited node and offers every
+// out-rows — scores each visited node and offers every
 // positive score of a non-excluded node to heap. Excluded nodes are
 // still scored: their mass is part of the estimate. score may widen the
 // search itself (NextLayer) over the same adjacency.
@@ -293,6 +261,57 @@ func (ws *TreeWS) Search(b *Bounds, outPtr []int, outTo []int32, score func(u in
 		// widening already has.
 		for ws.expanded <= head {
 			ws.expand(outPtr, outTo)
+		}
+	}
+}
+
+// SearchAnyRoot is the visit behind Figure 9's randomly rooted series:
+// it visits every node of the out-adjacency — breadth-first from root,
+// then each node that search did not reach, in ascending id — and
+// scores a node unless the layer-free upper bound
+//
+//	p̄_u = c'(u) · ( Σ_{v∈Vs} p_v·Amax(v) + (1 - Σ_{v∈Vs} p_v)·Amax )
+//
+// already falls below a full heap's threshold (with prune set). The
+// bound holds in any visit order — the first sum bounds the selected
+// in-neighbours' contributions, the second everything else — but it
+// never proves the unvisited nodes out, so the visit only skips nodes
+// and never terminates early: why a random root costs far more
+// proximity computations than the query's own tree. The query node q
+// estimates to 1 and is always scored; offers and exclusions are
+// Search's.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (ws *TreeWS) SearchAnyRoot(b *Bounds, outPtr []int, outTo []int32, root, q int, score func(u int) float64, heap *topk.Heap, exclude map[int]bool, prune bool, stats *SearchStats) {
+	var sumPA, sumP float64 // Σ p_v·Amax(v) and Σ p_v over the scored nodes
+	visit := func(u int) {
+		stats.Visited++
+		amaxU, selfU := b.row(u)
+		est := 1.0
+		if u != q {
+			est = b.cPrimeOf(selfU) * (sumPA + max(1-sumP, 0)*b.amax)
+		}
+		if prune && heap.Len() == heap.K() && est < heap.Threshold() {
+			return
+		}
+		p := score(u)
+		stats.ProximityComputations++
+		if p > 0 && !exclude[u] {
+			heap.Push(u, p)
+		}
+		sumPA += p * amaxU
+		sumP += p
+	}
+	roots := [1]int{root}
+	ws.Start(roots[:])
+	for head := 0; head < len(ws.queue); head++ {
+		visit(ws.queue[head])
+		ws.expand(outPtr, outTo)
+	}
+	for u := 0; u < len(outPtr)-1; u++ {
+		if ws.mark[u] != ws.gen {
+			visit(u)
 		}
 	}
 }

@@ -25,7 +25,8 @@ func TestTreeWSGenerationWrap(t *testing.T) {
 		}
 		heap := topk.New(10)
 		var st SearchStats
-		SearchTree(ws, &b, ptr, to, []int{5}, score, heap, nil, false, &st)
+		ws.Start([]int{5})
+		ws.Search(&b, ptr, to, score, heap, nil, false, &st)
 		return heap.Results(), st, order
 	}
 	wantRes, wantStats, wantOrder := run(NewTreeWS(g.N()))

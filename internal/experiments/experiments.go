@@ -3,7 +3,8 @@
 // plus two extensions the paper mentions in passing (a restart-probability
 // sweep and a drop-tolerance ablation). Each experiment returns typed rows
 // and has a formatter, so both the benchmark harness and cmd/kdash-bench
-// share one implementation.
+// share one implementation. K-dash runs as the one-shard ShardedIndex
+// the CLI and server serve (build).
 package experiments
 
 import (
@@ -18,8 +19,11 @@ import (
 	"kdash/internal/bpa"
 	"kdash/internal/core"
 	"kdash/internal/dataset"
+	"kdash/internal/graph"
+	"kdash/internal/lu"
 	"kdash/internal/reorder"
 	"kdash/internal/rwr"
+	"kdash/internal/shard"
 	"kdash/internal/topk"
 )
 
@@ -68,6 +72,13 @@ func (c Config) withDefaults() Config {
 		c.K = 5
 	}
 	return c
+}
+
+// build builds the index every K-dash experiment queries: one shard, so
+// the whole graph is one block of m-ordered factors, under restart
+// probability c (zero: the paper's 0.95).
+func build(g *graph.Graph, c float64, m reorder.Method, seed int64) (*shard.ShardedIndex, error) {
+	return shard.Build(g, shard.Options{Shards: 1, Restart: c, Reorder: m, Seed: seed})
 }
 
 // queryNodes picks deterministic query nodes for a dataset.
@@ -126,7 +137,7 @@ func Figure2(cfg Config) ([]TimingRow, error) {
 	hubCount := cfg.Hubs[len(cfg.Hubs)-1]
 	for _, ds := range cfg.Datasets {
 		qs := cfg.queryNodes(ds.Graph.N())
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("figure2 %s: %w", ds.Name, err)
 		}
@@ -227,7 +238,7 @@ func Figure3and4(cfg Config) ([]SweepRow, error) {
 		}
 		exact[q] = rs
 	}
-	ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+	ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +332,14 @@ func Figure5and6(cfg Config) ([]ReorderRow, error) {
 	var rows []ReorderRow
 	for _, ds := range cfg.Datasets {
 		for _, m := range reorder.Methods {
-			ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: m, Seed: cfg.Seed})
+			sx, err := build(ds.Graph, 0, m, cfg.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("figure5 %s/%v: %w", ds.Name, m, err)
 			}
-			st := ix.Stats()
+			st, err := sx.PartStats(0)
+			if err != nil {
+				return nil, err
+			}
 			rows = append(rows, ReorderRow{
 				Dataset:    ds.Name,
 				Method:     m.String(),
@@ -358,7 +372,7 @@ func Figure7(cfg Config) ([]PruningRow, error) {
 	var rows []PruningRow
 	for _, ds := range cfg.Datasets {
 		qs := cfg.queryNodes(ds.Graph.N())
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("figure7 %s: %w", ds.Name, err)
 		}
@@ -409,7 +423,7 @@ func Figure9(cfg Config) ([]RootRow, error) {
 	var rows []RootRow
 	for _, ds := range cfg.Datasets {
 		qs := cfg.queryNodes(ds.Graph.N())
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("figure9 %s: %w", ds.Name, err)
 		}
@@ -452,7 +466,7 @@ type CaseStudyRow struct {
 func Table2(cfg Config) ([]CaseStudyRow, error) {
 	cfg = cfg.withDefaults()
 	ds := dataset.Dictionary()
-	ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+	ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +525,7 @@ func CSweep(cfg Config) ([]CSweepRow, error) {
 	a := ds.Graph.ColumnNormalized()
 	var rows []CSweepRow
 	for _, c := range []float64{0.5, 0.7, 0.9, 0.95, 0.99} {
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Restart: c, Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		ix, err := build(ds.Graph, c, reorder.Hybrid, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -547,6 +561,8 @@ type AblationRow struct {
 
 // DropTolAblation quantifies how discarding small inverse-factor entries
 // trades exactness for sparsity — the reason K-dash keeps every entry.
+// Dropped entries void the bounds pruning rests on, so it ranks every
+// node of one whole-graph block by scan (scanTopK).
 func DropTolAblation(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	ds := cfg.Datasets[0]
@@ -562,13 +578,15 @@ func DropTolAblation(cfg Config) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, tol := range []float64{0, 1e-10, 1e-7, 1e-4, 1e-2} {
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed, DropTol: tol})
+		opt := core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed, DropTol: tol}
+		ix, _, err := core.BuildBlock(ds.Graph, opt, reorder.Block{Owned: ds.Graph.N()}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
+		w := ix.NewWorkspace()
 		prec := 0.0
 		for _, q := range qs {
-			got, _, err := ix.TopK(q, cfg.K)
+			got, err := scanTopK(ix, w, q, cfg.K)
 			if err != nil {
 				return nil, err
 			}
@@ -581,6 +599,23 @@ func DropTolAblation(cfg Config) ([]AblationRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// scanTopK ranks every node of ix by its proximity to q through the
+// split solve — one L^{-1} pass into w, then c times one U^{-1} row dot
+// per node — and returns the k largest positive ones, leaving w clean.
+func scanTopK(ix *core.Index, w *lu.Workspace, q, k int) ([]topk.Result, error) {
+	if err := ix.SolveLower([]int{q}, []float64{1}, w); err != nil {
+		return nil, err
+	}
+	heap := topk.New(k)
+	for u := 0; u < ix.N(); u++ {
+		if p := ix.Restart() * ix.UpperDot(u, w); p > 0 {
+			heap.Push(u, p)
+		}
+	}
+	w.Reset()
+	return heap.Results(), nil
 }
 
 // ---------------------------------------------------------------------

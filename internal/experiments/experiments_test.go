@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"kdash/internal/core"
 	"kdash/internal/dataset"
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
@@ -103,7 +102,7 @@ func TestKDashExactOnEveryDataset(t *testing.T) {
 	cfg := smallConfig()
 	datasets := append(cfg.Datasets, dataset.All()...)
 	for _, ds := range datasets {
-		ix, err := core.BuildIndex(ds.Graph, core.BuildOptions{Reorder: reorder.Hybrid, Seed: cfg.Seed})
+		ix, err := build(ds.Graph, 0, reorder.Hybrid, cfg.Seed)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

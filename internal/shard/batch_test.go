@@ -103,10 +103,10 @@ func TestProximityEarlyTermination(t *testing.T) {
 		t.Errorf("Proximity(%d,%d) = %v, %v; want 0", q, u, p, err)
 	}
 
-	// A within-half pair must stay exact against the monolithic oracle.
-	mono := buildMono(t, g, rwrDefaultC)
+	// A within-half pair must stay exact against the whole-graph index.
+	whole := buildWhole(t, g, rwrDefaultC)
 	for _, pair := range [][2]int{{5, 17}, {65, 90}, {12, 12}} {
-		want, err := mono.Proximity(pair[0], pair[1])
+		want, err := whole.Proximity(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/graph"
 	"kdash/internal/lu"
@@ -44,7 +45,7 @@ func TestScratchPoolHoldsTheDeepestQuery(t *testing.T) {
 		root := []int{q}
 		st, qs, err := sx.runPush(nil, nil, root, []float64{sx.c}, root, 10)
 		if err == nil {
-			_, err = st.rank(10, nil, &qs)
+			_, err = st.rank(10, &core.SearchOptions{}, &qs)
 		}
 		if err != nil {
 			sx.putPushState(st)

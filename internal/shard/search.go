@@ -100,10 +100,11 @@ func (sx *ShardedIndex) PartLen(si int) int {
 }
 
 // TopK returns the K nodes with the highest RWR proximity w.r.t. query
-// node q: proximities agree with the monolithic core.Index.TopK's within
-// QueryTol/c, so only nodes tied to that precision may rank differently.
-// Results use original node ids, sorted by descending proximity with
-// ties broken by ascending node id.
+// node q: proximities are exact within QueryTol/c, so only nodes tied to
+// that precision may rank differently at another shard count. Results
+// use original node ids, sorted by descending proximity with ties broken
+// by ascending node id. If fewer than K nodes are reachable from q, only
+// the reachable ones are returned: every other node's proximity is zero.
 func (sx *ShardedIndex) TopK(q, k int) ([]topk.Result, QueryStats, error) {
 	return sx.topK(q, k, core.SearchOptions{})
 }
@@ -116,6 +117,9 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 	}
 	if k <= 0 {
 		return nil, qs, fmt.Errorf("shard: K must be positive, got %d", k)
+	}
+	if opt.RandomRoot && sx.remote != nil {
+		return nil, qs, fmt.Errorf("shard: a random root needs an in-process push; a coordinator fetches rows along the query's own tree")
 	}
 	if err := sx.ensureGraph(); err != nil {
 		return nil, qs, err
@@ -135,7 +139,7 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 		tRank = time.Now() //kdash:allow(determinism) phase timing feeds only the trace block
 		opt.Trace.SolveNS += tRank.Sub(tPush).Nanoseconds()
 	}
-	results, err := st.rank(k, opt.Exclude, &qs)
+	results, err := st.rank(k, &opt, &qs)
 	if err != nil {
 		sx.putPushState(st)
 		return nil, qs, err
@@ -154,20 +158,24 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 	return results, qs, nil
 }
 
-// Search serves a query through the core.SearchOptions surface so a
-// ShardedIndex is a drop-in engine for internal/server. K, Exclude,
-// Ctx (cancellation between shard solves), Trace (per-query push
-// trace) and SolvedShards are honoured; the monolithic ablation knobs
-// (DisablePruning, RandomRoot) are ignored.
+// Search serves a query through the core.SearchOptions surface, the
+// engine internal/server and the paper's experiments call. Every option
+// is honoured: K, Exclude, Ctx (cancellation between shard solves),
+// Trace (per-query push trace), SolvedShards, and the ablation knobs of
+// Figures 7 and 9 — DisablePruning, and RandomRoot with RootSeed, which
+// a coordinator (a RemoteSolver) refuses. The knobs change which nodes
+// the rank scores, never a score: every answer has the pruned query's
+// bits.
 func (sx *ShardedIndex) Search(q int, opt core.SearchOptions) ([]topk.Result, core.SearchStats, error) {
 	results, qs, err := sx.topK(q, opt.K, opt)
 	return results, qs.searchStats(), err
 }
 
-// searchStats maps shard-level work onto the monolithic stats shape:
+// searchStats maps shard-level work onto core.SearchStats:
 // every evaluated row — a cut row of the push or a node the rank
 // selected — cost one U^{-1} row dot, and a pruned shard is the
-// shard-granular analogue of early termination.
+// shard-granular analogue of early termination. The rank's own Visited
+// and Terminated are not reported: the served stats are these.
 func (qs QueryStats) searchStats() core.SearchStats {
 	return core.SearchStats{
 		Visited:               qs.NodesEvaluated,
@@ -176,9 +184,11 @@ func (qs QueryStats) searchStats() core.SearchStats {
 	}
 }
 
-// TopKPersonalized generalises TopK to a restart distribution, mirroring
-// core.Index.TopKPersonalized: the walk restarts into the seed nodes with
-// probability proportional to their weights. Validation, weight
+// TopKPersonalized generalises TopK to a restart distribution
+// (Personalized PageRank, the paper's footnote 6): the walk restarts
+// into the seed nodes with probability proportional to their weights.
+// The seeds are layer 0 of a multi-source BFS, which keeps the layer
+// property Lemmas 1–2 rely on, so the answer is exact. Validation, weight
 // normalisation and seeding all iterate the seed nodes in ascending
 // order: the normalising sum and the seeded residuals feed float
 // accumulation, where map iteration order would drift bits between runs.
@@ -229,7 +239,7 @@ func (sx *ShardedIndex) topKPersonalized(ctx context.Context, seeds map[int]floa
 	st, qs, err := sx.runPush(ctx, nil, nodes, mass, nodes, k)
 	var results []topk.Result
 	if err == nil {
-		results, err = st.rank(k, nil, &qs)
+		results, err = st.rank(k, &core.SearchOptions{}, &qs)
 	}
 	sx.putPushState(st)
 	return results, qs.searchStats(), err

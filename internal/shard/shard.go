@@ -780,6 +780,21 @@ func (sx *ShardedIndex) HomeShard(u int) int { return int(sx.home[u]) }
 // Stats reports the partition-parallel build statistics.
 func (sx *ShardedIndex) Stats() BuildStats { return sx.stats }
 
+// PartStats reports shard si's own build statistics — its block's
+// ordering, factorization and inversion — opening the shard if it is
+// deferred. A one-shard index's are those of the whole graph's factors,
+// the paper's Figures 5 and 6.
+func (sx *ShardedIndex) PartStats(si int) (core.BuildStats, error) {
+	ix, err := sx.parts[si].index()
+	if err == nil && ix == nil {
+		err = fmt.Errorf("shard: shard %d holds no factors (a coordinator's index)", si)
+	}
+	if err != nil {
+		return core.BuildStats{}, err
+	}
+	return ix.Stats(), nil
+}
+
 // OpenAll forces every deferred shard open, surfacing the first failure
 // as an ordinary error. Eager loads run it so a broken directory fails
 // at Load rather than mid-query; it is also the warm-up hook for

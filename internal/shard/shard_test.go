@@ -17,16 +17,14 @@ import (
 )
 
 // scoreTol is the proximity agreement the validation suite asserts
-// between the sharded index and the monolithic / iterative oracles.
+// between shard counts and against the iterative oracle.
 const scoreTol = 1e-9
 
-func buildMono(t *testing.T, g *graph.Graph, c float64) *core.Index {
+// buildWhole builds the whole-graph reference: one shard, so the graph
+// is one block of factors, as the paper's experiments query it.
+func buildWhole(t *testing.T, g *graph.Graph, c float64) *ShardedIndex {
 	t.Helper()
-	ix, err := core.BuildIndex(g, core.BuildOptions{Restart: c, Reorder: reorder.Hybrid, Seed: 1})
-	if err != nil {
-		t.Fatalf("core.BuildIndex: %v", err)
-	}
-	return ix
+	return buildSharded(t, g, 1, c)
 }
 
 func buildSharded(t *testing.T, g *graph.Graph, shards int, c float64) *ShardedIndex {
@@ -95,12 +93,12 @@ func testGraphs(seed int64) map[string]*graph.Graph {
 // TestCrossShardExactness is the tentpole acceptance test: on every graph
 // shape, for varied k, restart probability and shard count (including the
 // 1-shard and n-shard degenerate cases), the sharded answer matches both
-// the monolithic K-dash index and the iterative oracle.
+// the whole-graph (one-shard) index and the iterative oracle.
 func TestCrossShardExactness(t *testing.T) {
 	for name, g := range testGraphs(11) {
 		n := g.N()
 		for _, c := range []float64{0.95, 0.5} {
-			mono := buildMono(t, g, c)
+			whole := buildWhole(t, g, c)
 			for _, shards := range []int{1, 2, 5, n} {
 				sx := buildSharded(t, g, shards, c)
 				if sx.Shards() != shards {
@@ -108,7 +106,7 @@ func TestCrossShardExactness(t *testing.T) {
 				}
 				for _, q := range []int{0, n / 3, n - 1} {
 					for _, k := range []int{1, 5, 25} {
-						want, _, err := mono.TopK(q, k)
+						want, _, err := whole.TopK(q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -145,7 +143,7 @@ func TestCrossShardExactnessProperty(t *testing.T) {
 		g := gen.ErdosRenyi(n, 4*n, seed)
 		c := 0.3 + 0.65*rng.Float64()
 		shards := 1 + rng.Intn(6)
-		mono, err := core.BuildIndex(g, core.BuildOptions{Restart: c, Reorder: reorder.Hybrid, Seed: seed})
+		whole, err := Build(g, Options{Shards: 1, Restart: c, Reorder: reorder.Hybrid, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -155,7 +153,7 @@ func TestCrossShardExactnessProperty(t *testing.T) {
 		}
 		q := rng.Intn(n)
 		k := 1 + rng.Intn(12)
-		want, _, err := mono.TopK(q, k)
+		want, _, err := whole.TopK(q, k)
 		if err != nil {
 			return false
 		}
@@ -179,13 +177,13 @@ func TestCrossShardExactnessProperty(t *testing.T) {
 }
 
 // TestProximityAgreesWithMonolithic checks the point and vector proximity
-// surfaces against the monolithic factors.
+// surfaces against the whole graph's factors, a one-shard index.
 func TestProximityAgreesWithMonolithic(t *testing.T) {
 	g := gen.DirectedScaleFree(130, 3, 0.25, 0.5, 5)
-	mono := buildMono(t, g, 0.95)
+	whole := buildWhole(t, g, 0.95)
 	sx := buildSharded(t, g, 4, 0.95)
 	for _, q := range []int{0, 40, 129} {
-		want, err := mono.ProximityVector(q)
+		want, err := whole.ProximityVector(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,14 +248,14 @@ func TestProximityMatchesTopKScore(t *testing.T) {
 }
 
 // TestPersonalizedAndExclude checks the two serving-surface extensions
-// against the monolithic implementations.
+// against the whole-graph (one-shard) index.
 func TestPersonalizedAndExclude(t *testing.T) {
 	g := gen.PlantedPartition(100, 5, 0.25, 0.03, 9)
-	mono := buildMono(t, g, 0.95)
+	whole := buildWhole(t, g, 0.95)
 	sx := buildSharded(t, g, 3, 0.95)
 
 	seeds := map[int]float64{3: 1, 41: 2, 97: 0.5}
-	want, _, err := mono.TopKPersonalized(seeds, 8)
+	want, _, err := whole.TopKPersonalized(seeds, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +268,7 @@ func TestPersonalizedAndExclude(t *testing.T) {
 	}
 
 	opt := core.SearchOptions{K: 6, Exclude: map[int]bool{3: true, 7: true, 500: true}}
-	wantEx, _, err := mono.Search(3, opt)
+	wantEx, _, err := whole.Search(3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +377,8 @@ func TestShardPruning(t *testing.T) {
 		t.Errorf("expected pruning to skip distant shards, solved %d of %d (%+v)", qs.ShardsSolved, sx.Shards(), qs)
 	}
 	// Pruning must not cost exactness.
-	mono := buildMono(t, g, 0.95)
-	want, _, err := mono.TopK(2, 5)
+	whole := buildWhole(t, g, 0.95)
+	want, _, err := whole.TopK(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

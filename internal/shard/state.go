@@ -762,18 +762,28 @@ func (st *pushState) fetch(g int) {
 // rank runs Algorithm 4 over the epoch's graph snapshot, continuing the
 // BFS startTree began from the state's roots (and the remote prefix
 // widened), scoring each node it selects from the push's solve records,
-// and returns the exact top-k (only positive scores are answers). Its
-// proximity computations count into qs.NodesEvaluated; the remote
-// fallback's fetches are transport and count nowhere. It allocates the
-// O(k) result set and nothing else — deliberately not //kdash:noalloc.
+// and returns the exact top-k (only positive scores are answers). opt
+// supplies Exclude and the ablation knobs: DisablePruning scores every
+// node the tree reaches, and RandomRoot visits every node from the root
+// RootSeed picks (core.TreeWS.SearchAnyRoot), the single query node's
+// tree restarted, which only an in-process push may do. Its proximity
+// computations count into qs.NodesEvaluated; the remote fallback's
+// fetches are transport and count nowhere. It allocates the O(k) result
+// set and nothing else — deliberately not //kdash:noalloc.
 //
 //kdash:deterministic
-func (st *pushState) rank(k int, exclude map[int]bool, qs *QueryStats) ([]topk.Result, error) {
+func (st *pushState) rank(k int, opt *core.SearchOptions, qs *QueryStats) ([]topk.Result, error) {
 	sx := st.sx
 	heap := topk.New(k)
 	var ss core.SearchStats
 	ptr, to := sx.g.OutCSR()
-	st.tree.Search(&sx.bounds, ptr, to, st.score, heap, exclude, true, &ss)
+	if opt.RandomRoot {
+		n := int64(sx.n)
+		root := int((opt.RootSeed%n + n) % n)
+		st.tree.SearchAnyRoot(&sx.bounds, ptr, to, root, st.roots[0], st.score, heap, opt.Exclude, !opt.DisablePruning, &ss)
+	} else {
+		st.tree.Search(&sx.bounds, ptr, to, st.score, heap, opt.Exclude, !opt.DisablePruning, &ss)
+	}
 	if st.err != nil {
 		return nil, st.err
 	}

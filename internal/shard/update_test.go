@@ -298,10 +298,10 @@ func TestBuildWithPinnedAssignment(t *testing.T) {
 			t.Fatalf("node %d homed to %d, want %d", u, sx.HomeShard(u), want)
 		}
 	}
-	// The pinned build stays exact versus the monolithic index.
-	mono := buildMono(t, g, 0.95)
+	// The pinned build stays exact versus the whole-graph index.
+	whole := buildWhole(t, g, 0.95)
 	for _, q := range []int{0, 17, 59} {
-		want, _, err := mono.TopK(q, 7)
+		want, _, err := whole.TopK(q, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

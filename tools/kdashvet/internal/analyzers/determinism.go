@@ -19,7 +19,7 @@ import (
 //   - math/rand and math/rand/v2 (unseeded or global-state randomness)
 //
 // The solve/rank path is differential-tested bit-identical against the
-// monolithic oracle and pinned rebuilds; any of these constructs breaks
+// one-shard index and pinned rebuilds; any of these constructs breaks
 // that contract silently. Deliberate uses (wall-clock feeding only a
 // trace block, for example) carry //kdash:allow(determinism) with a
 // justification.
