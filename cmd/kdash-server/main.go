@@ -54,11 +54,13 @@
 // -coordinator turns the server into a distributed coordinator: the
 // sharded index directory is opened factorless (placement map, cut
 // lists and graph snapshot only — no factors), the greedy cross-shard
-// push runs locally, and every per-shard factor solve is routed to the
-// kdash-worker owning the shard under the round-robin placement both
-// sides derive from the manifest. Answers stay bit-identical to a
-// single process serving the same directory; a lost worker degrades the
-// queries needing its shards to 503 with a Retry-After hint. Updates
+// push runs locally, and every per-shard factor solve is routed to a
+// kdash-worker by the coordinator's round-robin placement (shard si to
+// worker si mod the worker count). Workers know no placement: each
+// serves whichever shard it is asked for, opening that shard's file on
+// first use. Answers stay bit-identical to a single process serving
+// the same directory; a lost worker degrades the queries needing its
+// shards to 503 with a Retry-After hint. Updates
 // two-phase publish to every worker, so -wal-dir works unchanged;
 // -wal-snapshot-dir does not (the coordinator holds no factors to
 // snapshot — snapshot from a single-process server instead).

@@ -516,8 +516,9 @@ type CSweepRow struct {
 	QueryTime time.Duration
 }
 
-// CSweep verifies exactness and measures query time across restart
-// probabilities on the first configured dataset.
+// CSweep verifies exactness against the iterative oracle and measures
+// K-dash's query time across restart probabilities on the first
+// configured dataset. The oracle runs outside the timed loop.
 func CSweep(cfg Config) ([]CSweepRow, error) {
 	cfg = cfg.withDefaults()
 	ds := cfg.Datasets[0]
@@ -530,19 +531,22 @@ func CSweep(cfg Config) ([]CSweepRow, error) {
 			return nil, err
 		}
 		exact := true
-		d, err := meanTime(qs, func(q int) error {
+		for _, q := range qs {
 			got, _, err := ix.TopK(q, cfg.K)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			want, err := rwr.TopK(a, q, cfg.K, c)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if Precision(got, want) < 1 {
 				exact = false
 			}
-			return nil
+		}
+		d, err := meanTime(qs, func(q int) error {
+			_, _, err := ix.TopK(q, cfg.K)
+			return err
 		})
 		if err != nil {
 			return nil, err

@@ -344,7 +344,7 @@ func TestCoordinatorWorkerLossUnavailable(t *testing.T) {
 	}
 }
 
-// TestAssign pins the round-robin placement both sides derive.
+// TestAssign pins the coordinator's round-robin placement.
 func TestAssign(t *testing.T) {
 	got := Assign(5, 2)
 	want := []int{0, 1, 0, 1, 0}

@@ -31,30 +31,25 @@ var endpointNames = []string{
 	"update", "healthz", "statz", "metrics",
 }
 
-// statusCodes is every status the handler itself emits; codeSlot folds
-// anything else (nothing today) onto its class representative.
-var statusCodes = [...]int{200, 400, 405, 499, 500}
+// statusCodes is every status the handler itself emits: 202 is a
+// logged /update's ack, 503 a query or update that found index data
+// unavailable. codeSlot folds any other code, which only net/http
+// itself would write, onto its class representative.
+var statusCodes = [...]int{200, 202, 400, 405, 499, 500, 503}
 
 func codeSlot(code int) int {
-	switch code {
-	case 200:
-		return 0
-	case 400:
-		return 1
-	case 405:
-		return 2
-	case statusClientClosedRequest:
-		return 3
-	case 500:
-		return 4
+	for i, c := range statusCodes {
+		if c == code {
+			return i
+		}
 	}
 	switch {
 	case code < 300:
 		return 0
 	case code < 500:
-		return 1
+		return 2
 	default:
-		return 4
+		return 5
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -154,6 +156,63 @@ func TestStatzMetricsParity(t *testing.T) {
 	}
 	if v, _ := metricValue(text, `kdash_http_request_duration_seconds_count{endpoint="topk"}`); v != 6 {
 		t.Errorf("metrics duration count = %v, want 6", v)
+	}
+}
+
+// TestMetricsCountAcceptedAndUnavailable: a logged /update's 202 ack
+// and a 503 for index data that failed to load are counted under their
+// own codes, not folded into 200 and 500.
+func TestMetricsCountAcceptedAndUnavailable(t *testing.T) {
+	sx, err := shard.Build(gen.PlantedPartition(200, 4, 0.2, 0.02, 3), shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := sx.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.idx"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no shard files in %s: %v", dir, err)
+	}
+	for _, f := range files {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An hour-long tick: nothing drains the update before the scrape.
+	h, err := NewDurable(lazy, WALConfig{Dir: t.TempDir(), CompactInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if rec, _ := get(t, h, "/topk?q=0&k=5"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/topk without shard files: status %d, want 503 (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := post(t, h, "/update", `{"addEdges":[{"from":0,"to":1}]}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("logged /update: status %d, want 202 (%s)", rec.Code, rec.Body.String())
+	}
+	text := scrape(t, h)
+	for series, want := range map[string]float64{
+		`kdash_http_requests_total{endpoint="topk",code="503"}`:   1,
+		`kdash_http_requests_total{endpoint="update",code="202"}`: 1,
+	} {
+		if v, ok := metricValue(text, series); !ok || v != want {
+			t.Errorf("%s = %v (present %t), want %v", series, v, ok, want)
+		}
+	}
+	for _, folded := range []string{
+		`kdash_http_requests_total{endpoint="topk",code="500"}`,
+		`kdash_http_requests_total{endpoint="update",code="200"}`,
+	} {
+		if v, ok := metricValue(text, folded); ok {
+			t.Errorf("%s = %v, want no such series", folded, v)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		})
 		return
 	}
-	if pendingOps >= ws.cfg.MaxPendingOps {
+	if pendingOps >= DefaultMaxPendingOps {
 		ws.kickCompact()
 	}
 	w.Header().Set("Content-Type", "application/json")

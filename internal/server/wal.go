@@ -65,19 +65,14 @@ import (
 type WALConfig struct {
 	// Dir is the log directory (required).
 	Dir string
-	// Sync, SyncEvery, SegmentBytes pass through to wal.Options.
-	Sync         wal.SyncPolicy
-	SyncEvery    time.Duration
-	SegmentBytes int64
+	// Sync is the log's fsync policy (wal.Options.Sync); the flush
+	// period and the segment size take wal's defaults.
+	Sync wal.SyncPolicy
 	// CompactInterval is the compactor's tick: the longest an acked
 	// batch waits before a drain starts absorbing it (default 25ms).
 	// Readers blocked on the barrier kick the compactor immediately, so
 	// the interval bounds staleness, not read latency.
 	CompactInterval time.Duration
-	// MaxPendingOps kicks a drain early once the memtable holds this
-	// many edge ops (default 8192), bounding the biggest refactorization
-	// one drain performs.
-	MaxPendingOps int
 	// SnapshotDir, when set, enables durable compaction: every
 	// SnapshotEvery compactions the engine is persisted there (stamped
 	// with the WAL position it covers in its manifest) and the log is
@@ -94,8 +89,9 @@ type WALConfig struct {
 // zero.
 const DefaultCompactInterval = 25 * time.Millisecond
 
-// DefaultMaxPendingOps is the early-drain memtable bound when WALConfig
-// leaves it zero.
+// DefaultMaxPendingOps kicks a drain early once the memtable holds
+// this many edge ops, bounding the biggest refactorization one drain
+// performs.
 const DefaultMaxPendingOps = 8192
 
 // defaultSnapshotEvery is the snapshot cadence when SnapshotDir is set
@@ -170,16 +166,13 @@ func NewDurable(engine shard.Engine, cfg WALConfig, opts ...Option) (*Handler, e
 	if cfg.CompactInterval <= 0 {
 		cfg.CompactInterval = DefaultCompactInterval
 	}
-	if cfg.MaxPendingOps <= 0 {
-		cfg.MaxPendingOps = DefaultMaxPendingOps
-	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
 	}
 	if engine.Graph() == nil {
 		return nil, fmt.Errorf("server: WAL mode needs the engine's graph snapshot, which failed to load (%w)", core.ErrUnavailable)
 	}
-	log, err := wal.Open(cfg.Dir, wal.Options{Sync: cfg.Sync, SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
+	log, err := wal.Open(cfg.Dir, wal.Options{Sync: cfg.Sync})
 	if err != nil {
 		return nil, err
 	}
