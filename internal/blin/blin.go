@@ -117,9 +117,6 @@ func woodburyLambda(svd *linalg.SVD, c float64, vtu *linalg.Dense) (*linalg.Dens
 	return lam, nil
 }
 
-// N reports the number of indexed nodes.
-func (b *NBLin) N() int { return b.n }
-
 // ProximityVector returns the approximate proximity vector for query q:
 // p ≈ c (e_q + U Λ Vt e_q).
 func (b *NBLin) ProximityVector(q int) ([]float64, error) {
@@ -338,9 +335,6 @@ func (b *BLin) applyMinvRight(d *linalg.Dense) *linalg.Dense {
 	}
 	return out
 }
-
-// N reports the number of indexed nodes.
-func (b *BLin) N() int { return b.n }
 
 // ProximityVector returns the approximate proximity vector for query q:
 // p ≈ c ( M^{-1} e_q + (M^{-1} U) Λ (Vt M^{-1}) e_q ).

@@ -105,12 +105,6 @@ func New(g *graph.Graph, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// N reports the number of indexed nodes.
-func (ix *Index) N() int { return ix.n }
-
-// Hubs reports the number of hub vectors held.
-func (ix *Index) Hubs() int { return len(ix.hubVec) }
-
 // Stats reports per-query work.
 type Stats struct {
 	Pushes   int // total push operations

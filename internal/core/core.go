@@ -256,6 +256,8 @@ type Rows interface {
 
 // Adjacency re-forms, bit for bit, the A the index factorized from g,
 // the graph it was built over: how a rebuild compares with a block.
+//
+//kdash:testonly
 func (ix *Index) Adjacency(g *graph.Graph) *sparse.CSC {
 	perm := make([]int, ix.n)
 	for u, p := range ix.perm {

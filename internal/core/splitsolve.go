@@ -81,6 +81,8 @@ func (ix *Index) UpperDot(u int, w *lu.Workspace) float64 {
 // restart factor c is not applied. On a block index with a ghost row (a
 // sharded index's sink, which L^{-1} does not keep), that row's output
 // is not the solution's: it misses L^{-1}'s row, as UpperDot's does.
+//
+//kdash:testonly
 func (ix *Index) Solve(r []float64) ([]float64, error) {
 	if len(r) != ix.n {
 		return nil, fmt.Errorf("core: Solve rhs has %d entries, index has %d nodes", len(r), ix.n)

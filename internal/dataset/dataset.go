@@ -46,11 +46,15 @@ func All() []*Dataset {
 }
 
 // Names lists the dataset names in order.
+//
+//kdash:testonly
 func Names() []string {
 	return []string{"Dictionary", "Internet", "Citation", "Social", "Email"}
 }
 
 // ByName returns the named dataset.
+//
+//kdash:testonly
 func ByName(name string) (*Dataset, error) {
 	switch name {
 	case "Dictionary":

@@ -1,7 +1,8 @@
 // Package gen provides deterministic synthetic graph generators used to
 // simulate the paper's five public datasets (which are not available
 // offline). Every generator takes an explicit seed so datasets, tests and
-// benchmarks are reproducible run-to-run.
+// benchmarks are reproducible run-to-run. ErdosRenyi and CommunityOverlay
+// are test fixtures (//kdash:testonly): no dataset is built from them.
 package gen
 
 import (
@@ -15,6 +16,8 @@ import (
 // ErdosRenyi generates a directed G(n, m) graph: m edges drawn uniformly
 // at random without self loops (duplicates merge, so the final edge count
 // can be slightly below m).
+//
+//kdash:testonly
 func ErdosRenyi(n, m int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
@@ -154,44 +157,11 @@ func PlantedPartition(n, k int, pIn, pOut float64, seed int64) *graph.Graph {
 	return b2.Build()
 }
 
-// WattsStrogatz generates an undirected small-world ring lattice with k
-// neighbours per side and rewiring probability beta.
-func WattsStrogatz(n, k int, beta float64, seed int64) *graph.Graph {
-	if k < 1 || n <= 2*k {
-		panic(fmt.Sprintf("gen: WattsStrogatz needs n > 2k, got n=%d k=%d", n, k))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	type pair struct{ u, v int }
-	seen := map[pair]bool{}
-	var edges []pair
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k; j++ {
-			v := (u + j) % n
-			if rng.Float64() < beta {
-				v = rng.Intn(n)
-				for v == u || seen[pair{min(u, v), max(u, v)}] {
-					v = rng.Intn(n)
-				}
-			}
-			p := pair{min(u, v), max(u, v)}
-			if !seen[p] {
-				seen[p] = true
-				edges = append(edges, p)
-			}
-		}
-	}
-	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		mustAdd(b, e.u, e.v, 1)
-		mustAdd(b, e.v, e.u, 1)
-	}
-	return b.Build()
-}
-
 // CommunityOverlay generates a directed graph combining preferential
-// attachment (degree skew) with planted communities (clusterability), and
-// is used for the Dictionary analogue: term u's definition "uses" a few
-// popular terms plus a few same-topic terms.
+// attachment (degree skew) with planted communities (clusterability):
+// node u links to a few popular nodes plus a few same-community ones.
+//
+//kdash:testonly
 func CommunityOverlay(n, k, communities int, pSame float64, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
@@ -240,39 +210,8 @@ func CommunityOverlay(n, k, communities int, pSame float64, seed int64) *graph.G
 	return b2.Build()
 }
 
-// Bipartite generates a directed bipartite graph with nLeft + nRight
-// nodes; each left node links to k random right nodes and back, the shape
-// of user-item graphs in recommender workloads.
-func Bipartite(nLeft, nRight, k int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	n := nLeft + nRight
-	b := graph.NewBuilder(n)
-	for u := 0; u < nLeft; u++ {
-		for e := 0; e < k; e++ {
-			v := nLeft + rng.Intn(nRight)
-			mustAdd(b, u, v, 1)
-			mustAdd(b, v, u, 1)
-		}
-	}
-	return b.Build()
-}
-
 func mustAdd(b *graph.Builder, u, v int, w float64) {
 	if err := b.AddEdge(u, v, w); err != nil {
 		panic(err) // generators only produce in-range edges
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

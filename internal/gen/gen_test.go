@@ -133,48 +133,11 @@ func TestPlantedPartitionCommunityDensity(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(120, 3, 0.1, 5)
-	if g.N() != 120 {
-		t.Fatalf("n = %d", g.N())
-	}
-	// Ring lattice with k=3 gives ~3 out-neighbours per node pre-rewire.
-	total := 0
-	for u := 0; u < g.N(); u++ {
-		total += g.OutDegree(u)
-	}
-	avg := float64(total) / 120
-	if avg < 4 || avg > 8 {
-		t.Errorf("avg degree %v outside small-world expectation", avg)
-	}
-}
-
 func TestCommunityOverlayAllNodesHaveOutEdges(t *testing.T) {
 	g := CommunityOverlay(300, 5, 10, 0.6, 6)
 	for u := 0; u < g.N(); u++ {
 		if g.OutDegree(u) == 0 {
 			t.Errorf("node %d has no out-edges", u)
 		}
-	}
-}
-
-func TestBipartiteStructure(t *testing.T) {
-	g := Bipartite(30, 50, 3, 7)
-	if g.N() != 80 {
-		t.Fatalf("n = %d", g.N())
-	}
-	for u := 0; u < 30; u++ {
-		g.OutNeighbors(u, func(to int, _ float64) {
-			if to < 30 {
-				t.Errorf("left node %d links to left node %d", u, to)
-			}
-		})
-	}
-	for u := 30; u < 80; u++ {
-		g.OutNeighbors(u, func(to int, _ float64) {
-			if to >= 30 {
-				t.Errorf("right node %d links to right node %d", u, to)
-			}
-		})
 	}
 }

@@ -62,6 +62,8 @@ func NewDelta(baseN int) *Delta {
 }
 
 // NewDelta starts an empty batch against this graph.
+//
+//kdash:testonly
 func (g *Graph) NewDelta() *Delta { return NewDelta(g.n) }
 
 // BaseN reports the node count the batch was built against.
@@ -72,9 +74,6 @@ func (d *Delta) AddedNodes() int { return d.addNodes }
 
 // Len reports the number of edge ops recorded.
 func (d *Delta) Len() int { return len(d.ops) }
-
-// Empty reports whether the batch changes nothing.
-func (d *Delta) Empty() bool { return d.addNodes == 0 && len(d.ops) == 0 }
 
 // AddNode inserts a new node and returns its id: the first inserted
 // node is baseN, the next baseN+1, and so on. Subsequent edge ops may
@@ -93,8 +92,8 @@ func (d *Delta) AddEdge(from, to int, weight float64) error {
 	if from < 0 || from >= d.n() || to < 0 || to >= d.n() {
 		return fmt.Errorf("graph: delta edge (%d,%d) outside node range [0,%d)", from, to, d.n())
 	}
-	if weight <= 0 {
-		return fmt.Errorf("graph: delta edge (%d,%d) has non-positive weight %v", from, to, weight)
+	if !validWeight(weight) {
+		return fmt.Errorf("graph: delta edge (%d,%d) has weight %v, not positive and finite", from, to, weight)
 	}
 	d.ops = append(d.ops, deltaOp{kind: opAddEdge, from: from, to: to, w: weight})
 	return nil
@@ -219,6 +218,8 @@ func (g *Graph) Apply(d *Delta) (*Graph, error) {
 // AddEdge returns a copy of the graph with weight added to the directed
 // edge from -> to (created if absent). Single-op convenience over
 // NewDelta/Apply.
+//
+//kdash:testonly
 func (g *Graph) AddEdge(from, to int, weight float64) (*Graph, error) {
 	d := g.NewDelta()
 	if err := d.AddEdge(from, to, weight); err != nil {
@@ -229,6 +230,8 @@ func (g *Graph) AddEdge(from, to int, weight float64) (*Graph, error) {
 
 // RemoveEdge returns a copy of the graph without the (merged) directed
 // edge from -> to; a missing edge fails with ErrEdgeNotFound.
+//
+//kdash:testonly
 func (g *Graph) RemoveEdge(from, to int) (*Graph, error) {
 	d := g.NewDelta()
 	if err := d.RemoveEdge(from, to); err != nil {
@@ -369,6 +372,8 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 
 // AddNode returns a copy of the graph with one new edgeless node
 // appended, along with the new node's id.
+//
+//kdash:testonly
 func (g *Graph) AddNode() (*Graph, int) {
 	d := g.NewDelta()
 	id := d.AddNode()

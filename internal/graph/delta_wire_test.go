@@ -48,7 +48,7 @@ func TestDeltaBinaryRoundTripEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnmarshalDelta: %v", err)
 	}
-	if !got.Empty() || got.BaseN() != 0 {
+	if got.Len() != 0 || got.AddedNodes() != 0 || got.BaseN() != 0 {
 		t.Fatalf("decoded empty delta = %+v", got)
 	}
 }

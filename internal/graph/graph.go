@@ -1,7 +1,7 @@
 // Package graph provides the directed weighted graph representation shared
 // by every component of the K-dash reproduction: construction, degrees,
-// breadth-first search (tree + layer numbers), the column-normalised
-// adjacency matrix A from the paper's Equation (1), and TSV edge-list I/O.
+// the column-normalised adjacency matrix A from the paper's Equation (1),
+// and TSV edge-list I/O.
 package graph
 
 import (
@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -66,21 +67,28 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// AddEdge records the directed edge from -> to with the given weight.
-// Weights must be positive: RWR transition probabilities are proportional
-// to edge weights.
+// validWeight reports whether w can weigh an edge: RWR transition
+// probabilities are proportional to edge weights, so a weight must be
+// positive and finite. NaN fails the comparison; +Inf would make its
+// column's probabilities NaN.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
+// AddEdge records the directed edge from -> to with the given weight,
+// which must be positive and finite.
 func (b *Builder) AddEdge(from, to int, weight float64) error {
 	if from < 0 || from >= b.n || to < 0 || to >= b.n {
 		return fmt.Errorf("graph: edge (%d,%d) outside node range [0,%d)", from, to, b.n)
 	}
-	if weight <= 0 {
-		return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", from, to, weight)
+	if !validWeight(weight) {
+		return fmt.Errorf("graph: edge (%d,%d) has weight %v, not positive and finite", from, to, weight)
 	}
 	b.edges = append(b.edges, Edge{from, to, weight})
 	return nil
 }
 
 // AddUndirected records the edge in both directions with the same weight.
+//
+//kdash:testonly
 func (b *Builder) AddUndirected(u, v int, weight float64) error {
 	if err := b.AddEdge(u, v, weight); err != nil {
 		return err
@@ -133,9 +141,9 @@ func (b *Builder) Build() *Graph {
 
 // FromCSR returns the graph whose out-adjacency is the given CSR: node
 // u's out-neighbours are to[ptr[u]:ptr[u+1]], strictly ascending, with
-// positive weights w. The graph takes the slices over (the caller must
-// not modify them), so a caller that already produces its rows in order
-// builds a graph with no edge list in between.
+// positive finite weights w. The graph takes the slices over (the
+// caller must not modify them), so a caller that already produces its
+// rows in order builds a graph with no edge list in between.
 func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
 	n := len(ptr) - 1
 	if n < 0 || n > MaxNodes || ptr[0] != 0 || ptr[n] != len(to) || len(w) != len(to) {
@@ -149,8 +157,8 @@ func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
 			if to[i] < 0 || int(to[i]) >= n || (i > ptr[u] && to[i-1] >= to[i]) {
 				return nil, fmt.Errorf("graph: CSR row %d is not strictly ascending in [0,%d)", u, n)
 			}
-			if !(w[i] > 0) {
-				return nil, fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, to[i], w[i])
+			if !validWeight(w[i]) {
+				return nil, fmt.Errorf("graph: edge (%d,%d) has weight %v, not positive and finite", u, to[i], w[i])
 			}
 		}
 	}
@@ -322,55 +330,6 @@ func (g *Graph) PermutedColumnNormalized(perm []int) *sparse.CSC {
 	return m
 }
 
-// BFSResult describes a breadth-first search tree: the visit order and the
-// layer number of every node (-1 for unreachable nodes).
-type BFSResult struct {
-	Order []int // nodes in visit order; Order[0] is the root
-	Layer []int // Layer[u] = hops from root, or -1 if unreachable
-}
-
-// BFS runs a breadth-first search from root following out-edges (the
-// direction in which random-walk probability flows). Neighbours at equal
-// depth are visited in ascending node order for determinism.
-func (g *Graph) BFS(root int) *BFSResult {
-	if root < 0 || root >= g.n {
-		panic(fmt.Sprintf("graph: BFS root %d outside [0,%d)", root, g.n))
-	}
-	res := &BFSResult{Order: make([]int, 0, g.n), Layer: make([]int, g.n)}
-	for i := range res.Layer {
-		res.Layer[i] = -1
-	}
-	res.Layer[root] = 0
-	res.Order = append(res.Order, root)
-	for head := 0; head < len(res.Order); head++ {
-		u := res.Order[head]
-		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			v := int(g.outTo[i])
-			if res.Layer[v] < 0 {
-				res.Layer[v] = res.Layer[u] + 1
-				res.Order = append(res.Order, v)
-			}
-		}
-	}
-	return res
-}
-
-// Relabel returns a copy of the graph with node u renamed to perm[u].
-func (g *Graph) Relabel(perm []int) *Graph {
-	if len(perm) != g.n {
-		panic("graph: Relabel permutation has wrong length")
-	}
-	b := NewBuilder(g.n)
-	for u := 0; u < g.n; u++ {
-		for i := g.outPtr[u]; i < g.outPtr[u+1]; i++ {
-			if err := b.AddEdge(perm[u], perm[int(g.outTo[i])], g.outW[i]); err != nil {
-				panic(err) // perm out of range is a programming error
-			}
-		}
-	}
-	return b.Build()
-}
-
 // ParseEdgeList reads a whitespace-separated edge list: one edge per line,
 // "from to [weight]". Lines starting with '#' or '%' and blank lines are
 // skipped. Node IDs must be integers in [0, MaxNodes); n is inferred as
@@ -414,8 +373,8 @@ func ParseEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", line, fields[2], err)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: line %d: non-positive weight %v", line, w)
+			if !validWeight(w) {
+				return nil, fmt.Errorf("graph: line %d: weight %v is not positive and finite", line, w)
 			}
 		}
 		edges = append(edges, Edge{from, to, w})

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -184,7 +183,7 @@ func (g *Graph) validate() error {
 			if v < 0 || int(v) >= n || (i > g.outPtr[u] && g.outTo[i-1] >= v) {
 				return fmt.Errorf("corrupt snapshot (edge %d of node %d targets %d)", i-g.outPtr[u], u, v)
 			}
-			if !(w > 0) || math.IsInf(w, 1) {
+			if !validWeight(w) {
 				return fmt.Errorf("corrupt snapshot (edge (%d,%d) weighs %v)", u, v, w)
 			}
 		}

@@ -362,18 +362,6 @@ func TruncatedSVD(a *sparse.CSC, rank, powerIters int, seed int64) *SVD {
 	return &SVD{U: u, S: s, Vt: vt}
 }
 
-// Reconstruct returns U diag(S) Vt as a dense matrix (tests only).
-func (s *SVD) Reconstruct() *Dense {
-	rank := len(s.S)
-	us := s.U.Clone()
-	for i := 0; i < us.Rows; i++ {
-		for j := 0; j < rank; j++ {
-			us.Set(i, j, us.At(i, j)*s.S[j])
-		}
-	}
-	return Mul(us, s.Vt)
-}
-
 // mulSparseDense returns a * d where a is sparse (rows x cols) and d is
 // dense (cols x k).
 func mulSparseDense(a *sparse.CSC, d *Dense) *Dense {

@@ -195,6 +195,31 @@ func sparseFromDense(d *Dense) *sparse.CSC {
 	return coo.ToCSC()
 }
 
+// sparseToDense expands a to a row-major dense matrix.
+func sparseToDense(a *sparse.CSC) [][]float64 {
+	d := make([][]float64, a.Rows)
+	for i := range d {
+		d[i] = make([]float64, a.Cols)
+	}
+	for j := 0; j < a.Cols; j++ {
+		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+			d[a.RowIdx[k]][j] = a.Val[k]
+		}
+	}
+	return d
+}
+
+// reconstruct returns U diag(S) Vt as a dense matrix.
+func reconstruct(s *SVD) *Dense {
+	us := s.U.Clone()
+	for i := 0; i < us.Rows; i++ {
+		for j := range s.S {
+			us.Set(i, j, us.At(i, j)*s.S[j])
+		}
+	}
+	return Mul(us, s.Vt)
+}
+
 func TestTruncatedSVDExactForLowRank(t *testing.T) {
 	// A rank-2 matrix is reconstructed exactly by a rank-2 truncated SVD.
 	rng := rand.New(rand.NewSource(5))
@@ -202,7 +227,7 @@ func TestTruncatedSVDExactForLowRank(t *testing.T) {
 	v := randomDense(rng, 2, 12)
 	a := Mul(u, v)
 	svd := TruncatedSVD(sparseFromDense(a), 2, 3, 1)
-	rec := svd.Reconstruct()
+	rec := reconstruct(svd)
 	for i := 0; i < 15; i++ {
 		for j := 0; j < 12; j++ {
 			if math.Abs(rec.At(i, j)-a.At(i, j)) > 1e-6 {
@@ -220,9 +245,9 @@ func TestTruncatedSVDErrorDecreasesWithRank(t *testing.T) {
 	a := g.ColumnNormalized()
 	frob := func(rank int) float64 {
 		svd := TruncatedSVD(a, rank, 2, 2)
-		rec := svd.Reconstruct()
+		rec := reconstruct(svd)
 		s := 0.0
-		ad := a.Dense()
+		ad := sparseToDense(a)
 		for i := 0; i < a.Rows; i++ {
 			for j := 0; j < a.Cols; j++ {
 				d := rec.At(i, j) - ad[i][j]

@@ -312,12 +312,8 @@ func aggregate(wg *weighted, com []int, k int) *weighted {
 	return b.finish()
 }
 
-// Modularity computes Newman modularity of a partition on the
+// modularity computes Newman modularity of a partition on the
 // symmetrised graph: Q = Σ_c [ in_c/m2 - (tot_c/m2)^2 ].
-func Modularity(g *graph.Graph, com []int) float64 {
-	return symmetrize(g, g.N()).modularity(com)
-}
-
 func (wg *weighted) modularity(com []int) float64 {
 	if wg.m2 == 0 {
 		return 0

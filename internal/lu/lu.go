@@ -46,6 +46,8 @@ import (
 // BuildW forms W = I - (1-c)A in CSC form from the column-normalised
 // adjacency A. The index build factorizes W without forming it
 // (RefactorizeW); BuildW is the matrix that factorization equals.
+//
+//kdash:testonly
 func BuildW(a *sparse.CSC, c float64) *sparse.CSC {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("lu: adjacency must be square, got %dx%d", a.Rows, a.Cols))
@@ -130,6 +132,10 @@ func (f *Factors) NNZU() int { return len(f.uVal) }
 // Decompose computes the LU factorization of the sparse matrix w, which
 // must be square with a nonzero diagonal after elimination (guaranteed
 // for W = I - (1-c)A). Column order is taken as given — reorder first.
+// The build factorizes through RefactorizeW; Decompose and Refactorize
+// factorize a formed W, the reference RefactorizeW is tested against.
+//
+//kdash:testonly
 func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil, 0) }
 
 // Refactorize is Decompose for the next epoch of a matrix whose
@@ -149,6 +155,7 @@ func Decompose(w *sparse.CSC) (*Factors, error) { return Refactorize(w, nil, 0) 
 // storage up front; zero lets it grow.
 //
 //kdash:mutates-factors
+//kdash:testonly
 func Refactorize(w *sparse.CSC, changed []bool, sizeHint int) (*Factors, error) {
 	if w.Cols != w.Rows {
 		return nil, fmt.Errorf("lu: matrix must be square, got %dx%d", w.Rows, w.Cols)
@@ -366,8 +373,10 @@ func sortDistinct(s []int, touched []uint64) {
 	}
 }
 
-// SolveDense solves L U x = b for dense b (used by tests and by callers
-// that need a full proximity vector through the factorization).
+// SolveDense solves L U x = b for dense b: the reference the inverse
+// factors' solves are tested against.
+//
+//kdash:testonly
 func (f *Factors) SolveDense(b []float64) []float64 {
 	if len(b) != f.N {
 		panic("lu: SolveDense dimension mismatch")
@@ -397,30 +406,6 @@ func (f *Factors) SolveDense(b []float64) []float64 {
 		}
 	}
 	return x
-}
-
-// L returns the unit lower factor as CSC (diagonal 1s materialised),
-// mainly for tests.
-func (f *Factors) L() *sparse.CSC {
-	coo := sparse.NewCOO(f.N, f.N)
-	for j := 0; j < f.N; j++ {
-		coo.Add(j, j, 1)
-		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
-			coo.Add(int(f.lRow[p]), j, f.lVal[p])
-		}
-	}
-	return coo.ToCSC()
-}
-
-// U returns the upper factor as CSC, mainly for tests.
-func (f *Factors) U() *sparse.CSC {
-	coo := sparse.NewCOO(f.N, f.N)
-	for j := 0; j < f.N; j++ {
-		for p := f.uPtr[j]; p < f.uPtr[j+1]; p++ {
-			coo.Add(int(f.uRow[p]), j, f.uVal[p])
-		}
-	}
-	return coo.ToCSC()
 }
 
 // Options configures the triangular inversion.
@@ -477,6 +462,8 @@ func (inv *Inverse) Bytes() int64 { return inv.Linv.Bytes() + inv.Uinv.Bytes() }
 // solve (SolveLower, then UpperRowDot per row read), which is
 // property-tested against this kernel so the two cannot silently
 // diverge. Zero entries of r cost nothing in the L^{-1} pass.
+//
+//kdash:testonly
 func (inv *Inverse) Solve(r []float64) []float64 {
 	if len(r) != inv.N {
 		panic("lu: Solve dimension mismatch")

@@ -39,17 +39,59 @@ func matMulDense(a, b [][]float64) [][]float64 {
 	return out
 }
 
+// denseOf expands m to a row-major dense matrix.
+func denseOf(m *sparse.CSC) [][]float64 {
+	d := make([][]float64, m.Rows)
+	for i := range d {
+		d[i] = make([]float64, m.Cols)
+	}
+	for j := 0; j < m.Cols; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			d[m.RowIdx[p]][j] = m.Val[p]
+		}
+	}
+	return d
+}
+
+// factorsDense expands the factors to dense L, its unit diagonal
+// included, and dense U.
+func factorsDense(f *Factors) (l, u [][]float64) {
+	l, u = make([][]float64, f.N), make([][]float64, f.N)
+	for i := range l {
+		l[i], u[i] = make([]float64, f.N), make([]float64, f.N)
+		l[i][i] = 1
+	}
+	for j := 0; j < f.N; j++ {
+		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
+			l[f.lRow[p]][j] = f.lVal[p]
+		}
+		for p := f.uPtr[j]; p < f.uPtr[j+1]; p++ {
+			u[f.uRow[p]][j] = f.uVal[p]
+		}
+	}
+	return l, u
+}
+
+// identityW returns the n x n identity in CSC form.
+func identityW(n int) *sparse.CSC {
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 1)
+	}
+	return coo.ToCSC()
+}
+
 func TestBuildW(t *testing.T) {
 	_, a := randomW(1, 10, 30, 0.9)
-	w := BuildW(a, 0.9)
+	ad, wd := denseOf(a), denseOf(BuildW(a, 0.9))
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
-			want := -(1 - 0.9) * a.At(i, j)
+			want := -(1 - 0.9) * ad[i][j]
 			if i == j {
 				want += 1
 			}
-			if math.Abs(w.At(i, j)-want) > 1e-12 {
-				t.Fatalf("W[%d][%d] = %v, want %v", i, j, w.At(i, j), want)
+			if math.Abs(wd[i][j]-want) > 1e-12 {
+				t.Fatalf("W[%d][%d] = %v, want %v", i, j, wd[i][j], want)
 			}
 		}
 	}
@@ -64,8 +106,8 @@ func TestDecomposeReconstructsW(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		prod := matMulDense(fac.L().Dense(), fac.U().Dense())
-		wd := w.Dense()
+		prod := matMulDense(factorsDense(fac))
+		wd := denseOf(w)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Abs(prod[i][j]-wd[i][j]) > 1e-9 {
@@ -86,7 +128,7 @@ func TestTriangularShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, ud := fac.L().Dense(), fac.U().Dense()
+	ld, ud := factorsDense(fac)
 	for i := 0; i < 15; i++ {
 		if math.Abs(ld[i][i]-1) > 1e-12 {
 			t.Errorf("L[%d][%d] = %v, want 1", i, i, ld[i][i])
@@ -143,11 +185,12 @@ func TestInverseIsExact(t *testing.T) {
 			return false
 		}
 		inv := mustInvert(fac, Options{Workers: 1 + rng.Intn(3)})
-		li := inv.Linv.CSC().Dense()
-		ui := inv.Uinv.CSR().Dense()
+		li := denseOf(inv.Linv.CSC())
+		ui := denseOf(inv.Uinv.CSR().ToCSC())
+		ld, ud := factorsDense(fac)
 		for _, pair := range []struct{ a, b [][]float64 }{
-			{fac.L().Dense(), li},
-			{fac.U().Dense(), ui},
+			{ld, li},
+			{ud, ui},
 		} {
 			prod := matMulDense(pair.a, pair.b)
 			for i := 0; i < n; i++ {
@@ -176,8 +219,8 @@ func TestInverseTriangularShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := mustInvert(fac, Options{Workers: 1})
-	li := inv.Linv.CSC().Dense()
-	ui := inv.Uinv.CSR().Dense()
+	li := denseOf(inv.Linv.CSC())
+	ui := denseOf(inv.Uinv.CSR().ToCSC())
 	for i := 0; i < 12; i++ {
 		for j := i + 1; j < 12; j++ {
 			if li[i][j] != 0 {
@@ -204,9 +247,11 @@ func TestProximityViaInverseFactors(t *testing.T) {
 		}
 		inv := mustInvert(fac, Options{})
 		q := rng.Intn(g.N())
-		lq := inv.Linv.CSC().Col(q)
+		l := inv.Linv.CSC()
 		dense := make([]float64, g.N())
-		lq.Scatter(dense)
+		for i := l.ColPtr[q]; i < l.ColPtr[q+1]; i++ {
+			dense[l.RowIdx[i]] = l.Val[i]
+		}
 		// p_u = c * row u of U^{-1} dot L^{-1} e_q.
 		want, _, err := rwr.Iterative(a, q, c, 1e-14, 100000)
 		if err != nil {
@@ -240,7 +285,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if serial.NNZ() != parallel.NNZ() {
 		t.Fatalf("nnz differs: %d vs %d", serial.NNZ(), parallel.NNZ())
 	}
-	sd, pd := serial.Linv.CSC().Dense(), parallel.Linv.CSC().Dense()
+	sd, pd := denseOf(serial.Linv.CSC()), denseOf(parallel.Linv.CSC())
 	for i := range sd {
 		for j := range sd[i] {
 			if sd[i][j] != pd[i][j] {
@@ -282,7 +327,7 @@ func TestDecomposeZeroPivot(t *testing.T) {
 }
 
 func TestIdentityFactorization(t *testing.T) {
-	id := sparse.Identity(6)
+	id := identityW(6)
 	fac, err := Decompose(id)
 	if err != nil {
 		t.Fatal(err)
@@ -639,7 +684,7 @@ func bitInputs() []*sparse.CSC {
 		w, _ := randomW(seed, 10+10*int(seed), 40*int(seed), 0.8)
 		ws = append(ws, w)
 	}
-	ws = append(ws, sparse.Identity(70), arrowW(1, 4, 30, 14), arrowW(2, 4, 30, 14))
+	ws = append(ws, identityW(70), arrowW(1, 4, 30, 14), arrowW(2, 4, 30, 14))
 	return ws
 }
 

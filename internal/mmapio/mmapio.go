@@ -433,6 +433,8 @@ func Open(path string) (*File, error) {
 // FromBytes parses an in-memory container image as Open does: the
 // section table is validated and every section checksum is verified
 // eagerly. The image is referenced, not copied.
+//
+//kdash:testonly
 func FromBytes(data []byte) (*File, error) {
 	f := &File{data: data}
 	if err := f.check(); err != nil {

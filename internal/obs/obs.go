@@ -139,20 +139,6 @@ type Snapshot struct {
 	SumNS  int64
 }
 
-// Merge folds another snapshot into this one. Merging snapshots from
-// two histograms equals one snapshot of a histogram that observed both
-// value streams — the property the exposition layer and tests rely on.
-func (s *Snapshot) Merge(o Snapshot) {
-	if s.Counts == nil {
-		s.Counts = make([]uint64, numBuckets)
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) in nanoseconds,
 // linearly interpolated inside the resolved bucket. An empty snapshot
 // returns 0.

@@ -64,40 +64,6 @@ func TestBucketRelativeError(t *testing.T) {
 	}
 }
 
-// TestMergeProperty: two histograms observing disjoint halves of a
-// value stream merge into exactly the snapshot of one histogram that
-// observed everything.
-func TestMergeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var a, b, all Histogram
-	for i := 0; i < 50000; i++ {
-		v := rng.Int63n(int64(10 * time.Second))
-		all.ObserveNS(v)
-		if i%2 == 0 {
-			a.ObserveNS(v)
-		} else {
-			b.ObserveNS(v)
-		}
-	}
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if merged.Count != want.Count || merged.SumNS != want.SumNS {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d", merged.Count, merged.SumNS, want.Count, want.SumNS)
-	}
-	for i := range want.Counts {
-		if merged.Counts[i] != want.Counts[i] {
-			t.Fatalf("bucket %d: merged %d, want %d", i, merged.Counts[i], want.Counts[i])
-		}
-	}
-	// Merging into a zero-value snapshot works too.
-	var zero Snapshot
-	zero.Merge(want)
-	if zero.Count != want.Count {
-		t.Fatalf("merge into zero snapshot lost counts")
-	}
-}
-
 // TestQuantiles: against a known uniform stream, the interpolated
 // quantiles must land within the bucket resolution of the true values.
 func TestQuantiles(t *testing.T) {

@@ -303,9 +303,6 @@ func (co *Coordinator) Shards() int { return co.sx.Shards() }
 // Graph exposes the current graph snapshot (WAL-mode ack validation).
 func (co *Coordinator) Graph() *graph.Graph { return co.sx.Graph() }
 
-// HomeShard reports which shard owns node u.
-func (co *Coordinator) HomeShard(u int) int { return co.sx.HomeShard(u) }
-
 // WALSeq reports the WAL position the loaded snapshot covers.
 func (co *Coordinator) WALSeq() uint64 { return co.sx.WALSeq() }
 
@@ -319,18 +316,24 @@ func (co *Coordinator) Search(q int, opt core.SearchOptions) ([]topk.Result, cor
 }
 
 // TopK answers top-k through the distributed push.
+//
+//kdash:testonly
 func (co *Coordinator) TopK(q, k int) ([]topk.Result, shard.QueryStats, error) {
 	return co.sx.TopK(q, k)
 }
 
 // TopKBatch answers a batch query by query through the distributed
 // push; every solve rides SolveRows.
+//
+//kdash:testonly
 func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchStats, error) {
 	return co.sx.TopKBatch(qs, k)
 }
 
 // TopKPersonalized answers a personalized query through the
 // distributed push.
+//
+//kdash:testonly
 func (co *Coordinator) TopKPersonalized(seeds map[int]float64, k int) ([]topk.Result, core.SearchStats, error) {
 	return co.sx.TopKPersonalized(seeds, k)
 }
@@ -341,6 +344,8 @@ func (co *Coordinator) TopKPersonalizedContext(ctx context.Context, seeds map[in
 }
 
 // Proximity answers one proximity through the distributed push.
+//
+//kdash:testonly
 func (co *Coordinator) Proximity(q, u int) (float64, error) { return co.sx.Proximity(q, u) }
 
 // ProximityContext implements shard.Engine.

@@ -28,6 +28,16 @@ import (
 	"kdash/internal/testutil"
 )
 
+// HomeShard reports which shard owns node u.
+func (co *Coordinator) HomeShard(u int) int { return co.sx.HomeShard(u) }
+
+// Epoch reports the worker's current committed epoch.
+func (wk *Worker) Epoch() int {
+	wk.mu.RLock()
+	defer wk.mu.RUnlock()
+	return wk.cur
+}
+
 // buildDir builds a random sharded index and saves it to a temp dir.
 func buildDir(t *testing.T, rng *rand.Rand, seed int64, shards int) string {
 	t.Helper()

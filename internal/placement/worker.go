@@ -216,13 +216,6 @@ func (wk *Worker) commit(epoch int) error {
 	return nil
 }
 
-// Epoch reports the worker's current committed epoch.
-func (wk *Worker) Epoch() int {
-	wk.mu.RLock()
-	defer wk.mu.RUnlock()
-	return wk.cur
-}
-
 // ServeWorker serves solve and publish RPCs for sx on ln until the
 // listener closes.
 func ServeWorker(ln net.Listener, sx *shard.ShardedIndex) error {

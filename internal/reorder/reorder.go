@@ -98,15 +98,6 @@ func Compute(g *graph.Graph, m Method, seed int64) []int {
 	}
 }
 
-// Invert returns the inverse permutation: inv[new] = old.
-func Invert(perm []int) []int {
-	inv := make([]int, len(perm))
-	for old, new := range perm {
-		inv[new] = old
-	}
-	return inv
-}
-
 // degreeOrder implements Algorithm 1: ascending degree, ties by node id.
 func degreeOrder(g *graph.Graph) []int {
 	n := g.N()
@@ -219,16 +210,4 @@ func positionsToPerm(order []int) []int {
 		perm[old] = new
 	}
 	return perm
-}
-
-// PartitionSizes is a helper for tests and diagnostics: it returns the
-// sizes of the Louvain partitions (with border extraction) that cluster
-// and hybrid reordering would use.
-func PartitionSizes(g *graph.Graph, seed int64) []int {
-	res := louvain.Partition(g, seed)
-	counts := make([]int, res.K+1)
-	for _, p := range borderPartition(g, g.N(), res) {
-		counts[p]++
-	}
-	return counts
 }

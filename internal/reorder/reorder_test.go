@@ -7,6 +7,7 @@ import (
 
 	"kdash/internal/gen"
 	"kdash/internal/graph"
+	"kdash/internal/louvain"
 )
 
 func isPermutation(perm []int) bool {
@@ -54,12 +55,14 @@ func TestDegreeOrderAscending(t *testing.T) {
 	}
 }
 
+// TestInvertRoundTrip checks positionsToPerm, which inverts any
+// permutation: inv[perm[old]] = old.
 func TestInvertRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(50)
 		perm := rng.Perm(n)
-		inv := Invert(perm)
+		inv := positionsToPerm(perm)
 		for old, new := range perm {
 			if inv[new] != old {
 				return false
@@ -171,9 +174,15 @@ func TestNaturalIsIdentity(t *testing.T) {
 	}
 }
 
+// TestPartitionSizesSum checks that the border partition Algorithm 2
+// sorts by labels every node with one of its K+1 partitions.
 func TestPartitionSizesSum(t *testing.T) {
 	g := gen.PlantedPartition(120, 4, 0.25, 0.01, 5)
-	sizes := PartitionSizes(g, 1)
+	res := louvain.Partition(g, 1)
+	sizes := make([]int, res.K+1)
+	for _, p := range borderPartition(g, g.N(), res) {
+		sizes[p]++
+	}
 	total := 0
 	for _, s := range sizes {
 		total += s

@@ -28,6 +28,9 @@ type faultRNG struct {
 	rng *rand.Rand
 }
 
+// roll draws a uniform float64 in [0, 1).
+//
+//kdash:testonly
 func (f *faultRNG) roll() float64 {
 	f.mu.Lock()
 	v := f.rng.Float64()
@@ -35,6 +38,9 @@ func (f *faultRNG) roll() float64 {
 	return v
 }
 
+// intn draws a uniform int in [0, n).
+//
+//kdash:testonly
 func (f *faultRNG) intn(n int) int {
 	f.mu.Lock()
 	v := f.rng.Intn(n)
@@ -53,6 +59,8 @@ type FaultyConn struct {
 }
 
 // Write applies the fault roll, then forwards to the wrapped conn.
+//
+//kdash:testonly
 func (fc *FaultyConn) Write(p []byte) (int, error) {
 	if fc.f.DelayProb > 0 && fc.rng.roll() < fc.f.DelayProb {
 		max := fc.f.MaxDelay
@@ -76,6 +84,8 @@ func (fc *FaultyConn) Write(p []byte) (int, error) {
 
 // FaultyDialer wraps dial so every connection it opens injects faults
 // from one shared seeded stream.
+//
+//kdash:testonly
 func FaultyDialer(dial DialFunc, f Faults) DialFunc {
 	shared := &faultRNG{rng: rand.New(rand.NewSource(f.Seed))}
 	if dial == nil {

@@ -70,6 +70,8 @@ func Iterative(a *sparse.CSC, q int, c, tol float64, maxIter int) ([]float64, in
 // IterativeVec generalises Iterative to an arbitrary restart distribution
 // (Personalized PageRank, the paper's footnote 6): p = (1-c) A p + c r,
 // where r is a non-negative vector summing to 1.
+//
+//kdash:testonly
 func IterativeVec(a *sparse.CSC, restart []float64, c, tol float64, maxIter int) ([]float64, int, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -130,6 +132,8 @@ func TopK(a *sparse.CSC, q, k int, c float64) ([]topk.Result, error) {
 // DenseSolve computes p = c W^{-1} q exactly by Gaussian elimination on
 // the dense n x n system (Equation (2)). Only suitable for small n; used
 // to cross-check both the iterative method and the LU-based computation.
+//
+//kdash:testonly
 func DenseSolve(a *sparse.CSC, q int, c float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {

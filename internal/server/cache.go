@@ -187,8 +187,3 @@ func (c *answerCache) stats() (entries int, bytes, evictions int64) {
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.bytes, c.evictions
 }
-
-func (c *answerCache) len() int {
-	n, _, _ := c.stats()
-	return n
-}

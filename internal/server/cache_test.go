@@ -24,6 +24,12 @@ import (
 	"kdash/internal/wal"
 )
 
+// len reports the cache's entry count.
+func (c *answerCache) len() int {
+	n, _, _ := c.stats()
+	return n
+}
+
 // TestCacheHitMatchesEngine checks cached answers are identical to
 // engine answers, that only the hit says so, and that hit/miss counters
 // advance — for /topk only: /proximity never consults the cache.

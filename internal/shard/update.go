@@ -116,6 +116,8 @@ func (sx *ShardedIndex) WALSeq() uint64 { return sx.walSeq }
 // Assignment returns a copy of the node -> shard map. Feeding it to
 // Build via Options.Assignment on the updated graph reproduces this
 // index bit-for-bit — the oracle the differential tests rebuild.
+//
+//kdash:testonly
 func (sx *ShardedIndex) Assignment() []int {
 	out := make([]int, len(sx.home))
 	for u, si := range sx.home {

@@ -1,7 +1,8 @@
 // Package sparse provides compressed sparse row/column matrices and the
 // small set of operations the K-dash reproduction needs: construction from
-// triplets, matrix-vector products, transposition, symmetric permutation,
-// and dense conversion for tests.
+// triplets, conversion between row and column form, and a matrix-vector
+// product. The functions marked //kdash:testonly are references the tests
+// compare the engine's own forms against.
 //
 // All matrices hold float64 values, int32 row and column indices and
 // int pointer arrays: a dimension fits in 32 bits (MaxDim), while an
@@ -50,9 +51,6 @@ func (m *COO) Add(r, c int, v float64) {
 	}
 	m.entries = append(m.entries, Triplet{r, c, v})
 }
-
-// NNZ reports the number of accumulated (pre-compression) entries.
-func (m *COO) NNZ() int { return len(m.entries) }
 
 // ToCSR compresses the accumulated entries into row-major form.
 func (m *COO) ToCSR() *CSR {
@@ -110,30 +108,7 @@ type CSC struct {
 }
 
 // NNZ reports the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
-// NNZ reports the number of stored entries.
 func (m *CSC) NNZ() int { return len(m.Val) }
-
-// At returns the (r, c) entry using binary search within the row.
-func (m *CSR) At(r, c int) float64 {
-	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-	i, found := slices.BinarySearch(m.ColIdx[lo:hi], int32(c))
-	if found {
-		return m.Val[lo+i]
-	}
-	return 0
-}
-
-// At returns the (r, c) entry using binary search within the column.
-func (m *CSC) At(r, c int) float64 {
-	lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-	i, found := slices.BinarySearch(m.RowIdx[lo:hi], int32(r))
-	if found {
-		return m.Val[lo+i]
-	}
-	return 0
-}
 
 // ToCSC converts to column-major form (counting sort on columns).
 func (m *CSR) ToCSC() *CSC {
@@ -160,6 +135,8 @@ func (m *CSR) ToCSC() *CSC {
 }
 
 // ToCSR converts to row-major form.
+//
+//kdash:testonly
 func (m *CSC) ToCSR() *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
 	out.ColIdx = make([]int32, len(m.Val))
@@ -181,40 +158,6 @@ func (m *CSC) ToCSR() *CSR {
 		}
 	}
 	return out
-}
-
-// MulVec computes y = M x for a dense vector x. y is allocated.
-func (m *CSR) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		s := 0.0
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			s += m.Val[i] * x[m.ColIdx[i]]
-		}
-		y[r] = s
-	}
-	return y
-}
-
-// MulVec computes y = M x for a dense vector x. y is allocated.
-func (m *CSC) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for c := 0; c < m.Cols; c++ {
-		xc := x[c]
-		if xc == 0 {
-			continue
-		}
-		for i := m.ColPtr[c]; i < m.ColPtr[c+1]; i++ {
-			y[m.RowIdx[i]] += m.Val[i] * xc
-		}
-	}
-	return y
 }
 
 // MulVecTo computes y = M x into a caller-provided slice, avoiding
@@ -240,6 +183,8 @@ func (m *CSC) MulVecTo(y, x []float64) {
 // PermuteSym returns P M P^T where the permutation maps old index i to new
 // index perm[i]. Row r and column c of the result hold the entry that was
 // at (oldRow, oldCol) with perm[oldRow] = r, perm[oldCol] = c.
+//
+//kdash:testonly
 func (m *CSC) PermuteSym(perm []int) *CSC {
 	if len(perm) != m.Rows || m.Rows != m.Cols {
 		panic("sparse: PermuteSym requires square matrix and full permutation")
@@ -262,6 +207,8 @@ func (m *CSC) PermuteSym(perm []int) *CSC {
 // ChangedColumns reports, per column, whether m's column differs from
 // prev's column of the same index in its pattern or in any value's bits.
 // The matrices must have the same shape.
+//
+//kdash:testonly
 func (m *CSC) ChangedColumns(prev *CSC) []bool {
 	if m.Rows != prev.Rows || m.Cols != prev.Cols {
 		panic("sparse: ChangedColumns shape mismatch")
@@ -284,57 +231,11 @@ func (m *CSC) ChangedColumns(prev *CSC) []bool {
 	return out
 }
 
-// Transpose returns M^T in the same storage family.
-func (m *CSR) Transpose() *CSR {
-	t := m.ToCSC()
-	return &CSR{Rows: t.Cols, Cols: t.Rows, RowPtr: t.ColPtr, ColIdx: t.RowIdx, Val: t.Val}
-}
-
-// Transpose returns M^T in the same storage family.
-func (m *CSC) Transpose() *CSC {
-	t := m.ToCSR()
-	return &CSC{Rows: t.Cols, Cols: t.Rows, ColPtr: t.RowPtr, RowIdx: t.ColIdx, Val: t.Val}
-}
-
-// Dense expands the matrix to a row-major dense [][]float64 (tests only).
-func (m *CSR) Dense() [][]float64 {
-	d := make([][]float64, m.Rows)
-	for r := range d {
-		d[r] = make([]float64, m.Cols)
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			d[r][m.ColIdx[i]] = m.Val[i]
-		}
-	}
-	return d
-}
-
-// Dense expands the matrix to a row-major dense [][]float64 (tests only).
-func (m *CSC) Dense() [][]float64 {
-	d := make([][]float64, m.Rows)
-	for r := range d {
-		d[r] = make([]float64, m.Cols)
-	}
-	for c := 0; c < m.Cols; c++ {
-		for i := m.ColPtr[c]; i < m.ColPtr[c+1]; i++ {
-			d[m.RowIdx[i]][c] = m.Val[i]
-		}
-	}
-	return d
-}
-
-// Identity returns the n x n identity in CSC form.
-func Identity(n int) *CSC {
-	m := &CSC{Rows: n, Cols: n, ColPtr: make([]int, n+1), RowIdx: make([]int32, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		m.ColPtr[i+1] = i + 1
-		m.RowIdx[i] = int32(i)
-		m.Val[i] = 1
-	}
-	return m
-}
-
 // ColMax returns, for each column c, the maximum entry value in that
-// column (0 for an empty column). Used for the paper's Amax(u) table.
+// column (0 for an empty column): the paper's Amax(u) table, which the
+// engine derives from the graph's rows instead.
+//
+//kdash:testonly
 func (m *CSC) ColMax() []float64 {
 	out := make([]float64, m.Cols)
 	for c := 0; c < m.Cols; c++ {
@@ -348,6 +249,8 @@ func (m *CSC) ColMax() []float64 {
 }
 
 // Max returns the maximum entry value in the matrix (0 if empty).
+//
+//kdash:testonly
 func (m *CSC) Max() float64 {
 	max := 0.0
 	for _, v := range m.Val {
@@ -356,59 +259,4 @@ func (m *CSC) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Scale multiplies every stored entry by s, in place.
-func (m *CSC) Scale(s float64) {
-	for i := range m.Val {
-		m.Val[i] *= s
-	}
-}
-
-// Vector is a sparse vector: parallel slices of sorted unique indices and
-// values. It is the storage used for columns of L^{-1} during queries.
-type Vector struct {
-	N   int
-	Idx []int
-	Val []float64
-}
-
-// Dot computes the inner product of two sparse vectors by merging their
-// sorted index lists.
-func (a *Vector) Dot(b *Vector) float64 {
-	s := 0.0
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			j++
-		default:
-			s += a.Val[i] * b.Val[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
-// Scatter writes the vector into dense workspace ws (len N), returning the
-// touched indices so the caller can cheaply zero them again.
-func (a *Vector) Scatter(ws []float64) []int {
-	for k, idx := range a.Idx {
-		ws[idx] = a.Val[k]
-	}
-	return a.Idx
-}
-
-// Col extracts column c as a sparse Vector (shares no storage).
-func (m *CSC) Col(c int) *Vector {
-	lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-	v := &Vector{N: m.Rows, Idx: make([]int, hi-lo), Val: make([]float64, hi-lo)}
-	for k, r := range m.RowIdx[lo:hi] {
-		v.Idx[k] = int(r)
-	}
-	copy(v.Val, m.Val[lo:hi])
-	return v
 }

@@ -34,10 +34,9 @@ func TestShapeProperties(t *testing.T) {
 	}
 	// Disconnected components never reach each other.
 	g := Disconnected(90, 3, 5)
-	res := g.BFS(0)
-	for u := 30; u < 90; u++ {
-		if res.Layer[u] >= 0 {
-			t.Fatalf("node %d reachable across components", u)
+	for _, e := range g.Edges() {
+		if e.From/30 != e.To/30 {
+			t.Fatalf("edge %d->%d crosses components", e.From, e.To)
 		}
 	}
 	// Grid has the expected node count and symmetric edges.

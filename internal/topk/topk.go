@@ -109,7 +109,6 @@ func FromVector(scores []float64, k int) []Result {
 
 type minHeap []Result
 
-func (m minHeap) Len() int { return len(m) }
 func (m minHeap) Less(i, j int) bool {
 	if m[i].Score != m[j].Score {
 		return m[i].Score < m[j].Score

@@ -29,7 +29,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	names := l.SegmentNames()
 	l.Close()
-	clean, err := os.ReadFile(filepath.Join(l.Dir(), names[0]))
+	clean, err := os.ReadFile(filepath.Join(l.dir, names[0]))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -471,22 +471,6 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Sync forces an fsync of the active segment now, whatever the policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.active == nil {
-		return nil
-	}
-	if err := l.active.Sync(); err != nil {
-		l.syncErr = err
-		return err
-	}
-	l.stats.Fsyncs++
-	l.dirty = false
-	return nil
-}
-
 // Replay invokes fn for every recovered record with seq > after, in
 // sequence order. It re-reads the segment files, so it reflects exactly
 // what a restart would see; call it before appending in earnest (the
@@ -597,9 +581,6 @@ func (l *Log) Stats() Stats {
 	}
 	return st
 }
-
-// Dir reports the directory the log lives in.
-func (l *Log) Dir() string { return l.dir }
 
 // SegmentNames lists the live segment files in replay order, the
 // reference a manifest snapshot records alongside its WAL position.

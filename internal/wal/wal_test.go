@@ -300,9 +300,6 @@ func TestSyncPolicies(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			if err := l.Sync(); err != nil {
-				t.Fatalf("Sync: %v", err)
-			}
 			if got := collect(t, l, 0); len(got) != 10 {
 				t.Fatalf("replayed %d records", len(got))
 			}
