@@ -54,11 +54,14 @@
 // -coordinator turns the server into a distributed coordinator: the
 // sharded index directory is opened factorless (placement map, cut
 // lists and graph snapshot only — no factors), the greedy cross-shard
-// push runs locally, and every per-shard factor solve is routed to a
-// kdash-worker by the coordinator's round-robin placement (shard si to
-// worker si mod the worker count). Workers know no placement: each
-// serves whichever shard it is asked for, opening that shard's file on
-// first use. Answers stay bit-identical to a single process serving
+// push runs locally, and its per-shard factor solves are routed to the
+// kdash-workers by the coordinator's placement: each worker serves an
+// equal share of the shards (counts differ by at most one), chosen so
+// the shards with the most cut weight between them share a worker. One
+// call hands a worker the pending state of its shards, and the worker
+// continues the push while its own shards hold the most pending mass.
+// Workers know no placement: each serves whichever shards it is asked
+// to, opening a shard's file on first use. Answers stay bit-identical to a single process serving
 // the same directory; a lost worker degrades the queries needing its
 // shards to 503 with a Retry-After hint. Updates
 // two-phase publish to every worker, so -wal-dir works unchanged;

@@ -92,7 +92,7 @@ func (d *Delta) AddEdge(from, to int, weight float64) error {
 	if from < 0 || from >= d.n() || to < 0 || to >= d.n() {
 		return fmt.Errorf("graph: delta edge (%d,%d) outside node range [0,%d)", from, to, d.n())
 	}
-	if !validWeight(weight) {
+	if !ValidWeight(weight) {
 		return fmt.Errorf("graph: delta edge (%d,%d) has weight %v, not positive and finite", from, to, weight)
 	}
 	d.ops = append(d.ops, deltaOp{kind: opAddEdge, from: from, to: to, w: weight})

@@ -67,11 +67,12 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// validWeight reports whether w can weigh an edge: RWR transition
-// probabilities are proportional to edge weights, so a weight must be
-// positive and finite. NaN fails the comparison; +Inf would make its
-// column's probabilities NaN.
-func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+// ValidWeight reports whether w can weigh an edge, or a personalized
+// query's restart seed: RWR transition and restart probabilities are
+// proportional to the weights, so a weight must be positive and finite.
+// NaN fails the comparison; +Inf would make its column's probabilities
+// NaN.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
 
 // AddEdge records the directed edge from -> to with the given weight,
 // which must be positive and finite.
@@ -79,7 +80,7 @@ func (b *Builder) AddEdge(from, to int, weight float64) error {
 	if from < 0 || from >= b.n || to < 0 || to >= b.n {
 		return fmt.Errorf("graph: edge (%d,%d) outside node range [0,%d)", from, to, b.n)
 	}
-	if !validWeight(weight) {
+	if !ValidWeight(weight) {
 		return fmt.Errorf("graph: edge (%d,%d) has weight %v, not positive and finite", from, to, weight)
 	}
 	b.edges = append(b.edges, Edge{from, to, weight})
@@ -157,7 +158,7 @@ func FromCSR(ptr []int, to []int32, w []float64) (*Graph, error) {
 			if to[i] < 0 || int(to[i]) >= n || (i > ptr[u] && to[i-1] >= to[i]) {
 				return nil, fmt.Errorf("graph: CSR row %d is not strictly ascending in [0,%d)", u, n)
 			}
-			if !validWeight(w[i]) {
+			if !ValidWeight(w[i]) {
 				return nil, fmt.Errorf("graph: edge (%d,%d) has weight %v, not positive and finite", u, to[i], w[i])
 			}
 		}
@@ -373,7 +374,7 @@ func ParseEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", line, fields[2], err)
 			}
-			if !validWeight(w) {
+			if !ValidWeight(w) {
 				return nil, fmt.Errorf("graph: line %d: weight %v is not positive and finite", line, w)
 			}
 		}

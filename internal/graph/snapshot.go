@@ -183,7 +183,7 @@ func (g *Graph) validate() error {
 			if v < 0 || int(v) >= n || (i > g.outPtr[u] && g.outTo[i-1] >= v) {
 				return fmt.Errorf("corrupt snapshot (edge %d of node %d targets %d)", i-g.outPtr[u], u, v)
 			}
-			if !validWeight(w) {
+			if !ValidWeight(w) {
 				return fmt.Errorf("corrupt snapshot (edge (%d,%d) weighs %v)", u, v, w)
 			}
 		}

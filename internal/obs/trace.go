@@ -23,9 +23,13 @@ type SolveStep struct {
 	NodesEvaluated int
 	// DurationNS is the solve's wall clock.
 	DurationNS int64
-	// WorkerNS is, for a solve a coordinator routed to a worker, the
-	// worker's own elapsed time inside DurationNS; the rest is transport
-	// and coordinator bookkeeping. Zero for in-process solves.
+	// WorkerNS is, for the solve whose step made a coordinator's worker
+	// call — the first of the run of solves the call returned — the
+	// worker's own elapsed time for the whole run, inside DurationNS,
+	// which is the call's wall clock plus that solve's replay; the rest
+	// is transport and coordinator bookkeeping. The run's later solves
+	// are replays: their DurationNS is the coordinator's bookkeeping
+	// alone and their WorkerNS zero, as it is for in-process solves.
 	WorkerNS int64
 }
 
@@ -51,6 +55,10 @@ type QueryTrace struct {
 	ShardsPruned int
 	// NodesEvaluated is the summed solve support (proximities computed).
 	NodesEvaluated int
+	// Calls counts the worker calls a coordinator's query made: one per
+	// run of solves on one worker, plus the rank's fetches past its
+	// prefix. Zero in process.
+	Calls int
 	// CutMassPruned is the residual mass never processed — the mass the
 	// cut-mass bound proved could not change the answer.
 	CutMassPruned float64
@@ -73,7 +81,7 @@ func (t *QueryTrace) Reset() {
 	t.Steps = t.Steps[:0]
 	t.Residual = t.Residual[:0]
 	t.SolveNS, t.RankNS = 0, 0
-	t.Solves, t.ShardsSolved, t.ShardsPruned, t.NodesEvaluated = 0, 0, 0, 0
+	t.Solves, t.ShardsSolved, t.ShardsPruned, t.NodesEvaluated, t.Calls = 0, 0, 0, 0, 0
 	t.CutMassPruned = 0
 	t.Converged = false
 	t.CacheHit = false

@@ -38,9 +38,11 @@ type chainEntry struct {
 // cluster, so replay state and stats survive epoch swaps.
 type cluster struct {
 	clients   []*rpc.Client
-	placement []int // shard -> worker index
+	placement []int   // shard -> worker index
+	served    [][]int // worker -> its shards, ascending
 
 	lat        []*obs.Histogram // per-worker solve-call latency
+	solves     []atomic.Int64   // per-worker solves the calls ran
 	errs       []atomic.Int64   // per-worker failed calls
 	reconnects []atomic.Int64   // per-worker recover (replay) rounds
 
@@ -52,37 +54,37 @@ type cluster struct {
 	chain     []chainEntry
 }
 
-// call routes one solve RPC to shard si's worker, healing a lagging or
+// call sends one solve request frame (rpc.Request) to shard si's
+// worker and decodes the reply with decode, healing a lagging or
 // restarted worker by replaying the update chain and retrying once.
 // Every failure mode ends in a typed error: the caller sees the exact
 // answer or ErrUnavailable, never a silently wrong result.
-func (cl *cluster) call(si int, op uint8, body []byte) ([]byte, error) {
+func (cl *cluster) call(si int, req []byte, decode func([]byte) error) error {
 	w := cl.placement[si]
 	t0 := time.Now()
-	resp, err := cl.clients[w].Call(op, body)
+	err := cl.clients[w].Send(req, decode)
 	cl.lat[w].Observe(time.Since(t0))
 	if err == nil {
-		return resp, nil
+		return nil
 	}
 	// One recovery round: re-handshake and replay whatever chain suffix
 	// the worker is missing (covers restart-from-disk, which resets the
 	// worker to the base epoch), then retry the call once.
 	if rerr := cl.recover(w); rerr != nil {
 		cl.errs[w].Add(1)
-		return nil, fmt.Errorf("worker %d unrecoverable: %w (after %v)", w, err, rerr)
+		return fmt.Errorf("worker %d unrecoverable: %w (after %v)", w, err, rerr)
 	}
-	resp, err = cl.clients[w].Call(op, body)
-	if err == nil {
-		return resp, nil
+	if err = cl.clients[w].Send(req, decode); err == nil {
+		return nil
 	}
 	cl.errs[w].Add(1)
 	if errors.Is(err, rpc.ErrWrongEpoch) {
 		// Replay brought the worker current, yet the requested epoch is
 		// still not resident: it was evicted (this query outlived two
 		// publishes). Degrade, do not guess.
-		return nil, fmt.Errorf("%w: epoch evicted from worker %d", rpc.ErrUnavailable, w)
+		return fmt.Errorf("%w: epoch evicted from worker %d", rpc.ErrUnavailable, w)
 	}
-	return nil, err
+	return err
 }
 
 // recover re-handshakes worker w and replays every chain entry past the
@@ -122,17 +124,36 @@ type epochSolver struct {
 	epoch int
 }
 
-// SolveRows implements shard.RemoteSolver with one OpSolveRows call.
+// SolveRows implements shard.RemoteSolver with one OpSolveRows call,
+// encoded straight into its frame.
 func (es *epochSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
-	resp, err := es.cl.call(si, rpc.OpSolveRows, rpc.AppendSolveRowsRequest(nil, es.epoch, si, rows, ptr, idx, val))
+	req := rpc.AppendSolveRowsRequest(rpc.Request(rpc.OpSolveRows, rpc.SolveRowsRequestLen(rows, ptr)), es.epoch, si, rows, ptr, idx, val)
+	var workerNS int64
+	err := es.cl.call(si, req, func(resp []byte) (err error) {
+		workerNS, err = rpc.DecodeSolveRowsResponse(resp, out)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	workerNS, err := rpc.DecodeSolveRowsResponse(resp, out)
-	if err != nil {
-		return 0, fmt.Errorf("%w: shard %d: %v", rpc.ErrUnavailable, si, err)
-	}
+	es.cl.solves[es.cl.placement[si]].Add(int64(len(ptr) - 1))
 	return workerNS, nil
+}
+
+// Colocated implements shard.RemoteSolver from the placement map.
+func (es *epochSolver) Colocated(si int) []int { return es.cl.served[es.cl.placement[si]] }
+
+// RunRows implements shard.RemoteSolver with one OpRunRows call to the
+// worker serving q.Served, encoded straight into its frame.
+func (es *epochSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	q.Epoch = es.epoch
+	si := q.Served[0]
+	req := rpc.AppendRunRowsRequest(rpc.Request(rpc.OpRunRows, q.Len()), q)
+	if err := es.cl.call(si, req, func(resp []byte) error { return rpc.DecodeRunRowsReply(resp, rep) }); err != nil {
+		return err
+	}
+	es.cl.solves[es.cl.placement[si]].Add(int64(len(rep.Steps)))
+	return nil
 }
 
 // Coordinator serves the full engine surface from a factorless index,
@@ -152,10 +173,12 @@ var _ shard.Engine = (*Coordinator)(nil)
 // opened; the snapshot, which the rank searches, is parsed on the first
 // query), connects to the workers and validates that each serves the
 // same index shape at the same epoch, and binds the base epoch's
-// remote solver. The placement is round-robin (Assign): the coordinator
-// routes shard si's solves to worker si mod len(addrs). Only the
-// coordinator knows it — a worker derives no placement, serves a solve
-// for whichever shard it is asked and opens that shard on first use.
+// remote solver. The placement (Assign) balances the shards across the
+// workers and keeps the shards with the most cut weight between them on
+// one worker, computed once here from the cut lists; ApplyDelta's
+// successors share it. Only the coordinator knows it — a worker derives
+// no placement, serves whichever shards it is asked to and opens each
+// on first use.
 func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("placement: no worker addresses")
@@ -167,11 +190,16 @@ func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error
 	sx.SetFactorless()
 	cl := &cluster{
 		clients:    make([]*rpc.Client, len(addrs)),
-		placement:  Assign(sx.Shards(), len(addrs)),
+		placement:  Assign(sx.CutWeights(), len(addrs)),
+		served:     make([][]int, len(addrs)),
 		lat:        make([]*obs.Histogram, len(addrs)),
+		solves:     make([]atomic.Int64, len(addrs)),
 		errs:       make([]atomic.Int64, len(addrs)),
 		reconnects: make([]atomic.Int64, len(addrs)),
 		baseEpoch:  sx.Epoch(),
+	}
+	for si, w := range cl.placement {
+		cl.served[w] = append(cl.served[w], si)
 	}
 	for w, addr := range addrs {
 		cl.clients[w] = rpc.NewClient(addr, cfg.Dial, cfg.Timeout)
@@ -190,15 +218,75 @@ func NewCoordinator(dir string, addrs []string, cfg Config) (*Coordinator, error
 	return co, nil
 }
 
-// Assign is the coordinator's placement map: it routes shard si to
-// worker si mod workers. Workers never call it; each serves whatever
-// shard it is asked for.
-func Assign(shards, workers int) []int {
-	p := make([]int, shards)
-	for si := range p {
-		p[si] = si % workers
+// Assign is the coordinator's placement map, shard -> worker, for the
+// shards whose cut weights cut lists (CutWeights: cut[a][b] from shard a
+// into b). Every worker gets ⌊S/W⌋ or ⌈S/W⌉ of the S shards, and the cut
+// weight between shards on different workers is made small: a push
+// continues on one worker while the shard with the most pending mass is
+// its own, so mass crossing between workers is what costs calls. Start
+// from contiguous blocks (the first S mod W workers one shard longer),
+// then apply the pairwise swap that lowers the cross-worker weight most
+// — the first pair in (a, b) order among equals — while one lowers it
+// by more than rounding. The result depends on its arguments only.
+// Workers never call it; each serves whatever shards it is asked to.
+func Assign(cut [][]float64, workers int) []int {
+	s := len(cut)
+	p := make([]int, s)
+	for w, si := 0, 0; w < workers; w++ {
+		n := s / workers
+		if w < s%workers {
+			n++
+		}
+		for ; n > 0; n-- {
+			p[si] = w
+			si++
+		}
 	}
-	return p
+	// sym[a][b] is the weight between a and b both ways; to[a][w] is a's
+	// weight to the shards on worker w.
+	sym, to := make([][]float64, s), make([][]float64, s)
+	total := 0.0
+	for a := range sym {
+		sym[a], to[a] = make([]float64, s), make([]float64, workers)
+	}
+	for a := range cut {
+		for b, x := range cut[a] {
+			if a != b {
+				sym[a][b] += x
+				sym[b][a] += x
+				total += x
+			}
+		}
+	}
+	for a := range sym {
+		for b, x := range sym[a] {
+			to[a][p[b]] += x
+		}
+	}
+	for {
+		ba, bb, best := -1, -1, 1e-9*total
+		for a := 0; a < s; a++ {
+			for b := a + 1; b < s; b++ {
+				wa, wb := p[a], p[b]
+				if wa == wb {
+					continue
+				}
+				// Moving a to wb and b to wa.
+				if gain := to[a][wb] - to[a][wa] + to[b][wa] - to[b][wb] - 2*sym[a][b]; gain > best {
+					ba, bb, best = a, b, gain
+				}
+			}
+		}
+		if ba < 0 {
+			return p
+		}
+		wa, wb := p[ba], p[bb]
+		p[ba], p[bb] = wb, wa
+		for x := range sym {
+			to[x][wa] += sym[x][bb] - sym[x][ba]
+			to[x][wb] += sym[x][ba] - sym[x][bb]
+		}
+	}
 }
 
 // bindSolver installs this epoch's remote solver on the index.
@@ -323,7 +411,7 @@ func (co *Coordinator) TopK(q, k int) ([]topk.Result, shard.QueryStats, error) {
 }
 
 // TopKBatch answers a batch query by query through the distributed
-// push; every solve rides SolveRows.
+// push; its solves ride RunRows calls.
 //
 //kdash:testonly
 func (co *Coordinator) TopKBatch(qs []int, k int) ([][]topk.Result, shard.BatchStats, error) {
@@ -354,8 +442,8 @@ func (co *Coordinator) ProximityContext(ctx context.Context, q, u int) (float64,
 }
 
 // Statz adds the cluster block to the index's own document: per-worker
-// call counts and latency, failed calls and replay rounds, plus the
-// update chain's base and length.
+// call counts and latency, the solves those calls ran, failed calls and
+// replay rounds, plus the update chain's base and length.
 func (co *Coordinator) Statz() shard.Statz {
 	st := co.sx.Statz()
 	cs := &shard.ClusterStatz{
@@ -372,7 +460,8 @@ func (co *Coordinator) Statz() shard.Statz {
 			MeanMicros: snap.Mean() / 1e3,
 			P99Micros:  float64(snap.Quantile(0.99)) / 1e3,
 			Replays:    co.cl.reconnects[w].Load(),
-			Shards:     countShards(co.cl.placement, w),
+			Shards:     len(co.cl.served[w]),
+			Solves:     co.cl.solves[w].Load(),
 		}
 	}
 	st.Cluster = cs
@@ -387,13 +476,3 @@ var ErrNoSnapshot = errors.New("a factorless coordinator has no factors to snaps
 // SaveWALSnapshot implements shard.Engine; it always fails with
 // ErrNoSnapshot.
 func (co *Coordinator) SaveWALSnapshot(string, uint64, []string) error { return ErrNoSnapshot }
-
-func countShards(placement []int, w int) int {
-	n := 0
-	for _, pw := range placement {
-		if pw == w {
-			n++
-		}
-	}
-	return n
-}

@@ -6,13 +6,19 @@ package placement
 // the whole worker process down (rpc.ServeConn does not recover). A
 // row solve the worker accepts must name an in-range shard, in-range
 // rows and strictly ascending in-range right-hand-side ids, and its
-// reply must be exactly the header plus 8 bytes per requested value.
+// reply must be exactly the header plus 8 bytes per requested value. A
+// run the worker accepts must decode, and so must its reply, every
+// step of which solves a shard the request serves and carries one
+// value per row of that shard's cut rows and prefix rows.
 //
 // Run with:
 //
 //	go test -fuzz=FuzzWorkerHandle ./internal/placement
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,6 +83,45 @@ func FuzzWorkerHandle(f *testing.F) {
 	f.Add(rpc.OpHello, []byte(nil))
 	f.Add(rpc.OpPing, []byte(nil))
 	f.Add(uint8(255), []byte{1, 2, 3})
+	run := func(edit func(q *rpc.RunRowsRequest)) []byte {
+		q := rpc.RunRowsRequest{
+			Epoch: e, Served: []int{0, 1}, Mass: []float64{1, 0.5}, Tol: 1e-9, Budget: 100,
+			ResPtr: []int{0, 2, 3}, ResIdx: []int{0, 1, 0}, ResVal: []float64{0.75, 0.25, 0.5},
+			PrePtr: []int{0, 1, 1}, PreRows: []int{0},
+		}
+		edit(&q)
+		return rpc.AppendRunRowsRequest(nil, &q)
+	}
+	f.Add(rpc.OpRunRows, run(func(*rpc.RunRowsRequest) {})) // a valid run over both shards
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) {  // shard 0 holds the most mass but is not served: no step
+		q.Served, q.ResPtr, q.ResIdx, q.ResVal, q.PrePtr, q.PreRows = []int{1}, []int{0, 1}, []int{0}, []float64{0.5}, []int{0, 0}, nil
+	}))
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.ResIdx[0], q.ResIdx[1] = 1, 0 }))       // descending residual ids
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = math.NaN() }))                // a NaN mass
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = -0.5 }))                      // a negative mass
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Budget = 0 }))                          // no solves left
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Epoch = e + 5 }))                       // epoch not resident
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Served = []int{0, 2}; q.Mass[1] = 0 })) // shard out of range
+
+	// cutRows[si] holds the local rows of shard si's nodes with an edge
+	// into another shard; local ids follow ascending global ids.
+	cutRows := make([]map[int]bool, sx.Shards())
+	local := make([]int, sx.N())
+	seen := make([]int, sx.Shards())
+	for u, si := range sx.Assignment() {
+		local[u] = seen[si]
+		seen[si]++
+	}
+	for si := range cutRows {
+		cutRows[si] = map[int]bool{}
+	}
+	for u := 0; u < sx.N(); u++ {
+		sx.Graph().OutNeighbors(u, func(v int, _ float64) {
+			if sx.HomeShard(v) != sx.HomeShard(u) {
+				cutRows[sx.HomeShard(u)][local[u]] = true
+			}
+		})
+	}
 
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
 		if op == rpc.OpPrepare {
@@ -87,8 +132,35 @@ func FuzzWorkerHandle(f *testing.F) {
 			}
 		}
 		wk := NewWorker(sx)
-		resp, err := wk.Handle(op, body)
-		if op != rpc.OpSolveRows || err != nil {
+		resp, err := wk.Handle(op, body, nil)
+		if err != nil {
+			return
+		}
+		if op == rpc.OpRunRows {
+			var req rpc.RunRowsRequest
+			if derr := rpc.DecodeRunRowsRequest(body, &req); derr != nil {
+				t.Fatalf("worker answered a run request that does not decode: %v", derr)
+			}
+			var rep rpc.RunRowsReply
+			if derr := rpc.DecodeRunRowsReply(resp, &rep); derr != nil {
+				t.Fatalf("run reply does not decode: %v", derr)
+			}
+			for s, si := range rep.Steps {
+				j := slices.Index(req.Served, si)
+				if j < 0 {
+					t.Fatalf("step %d solved shard %d outside the served %v", s, si, req.Served)
+				}
+				rows := maps.Clone(cutRows[si])
+				for _, lv := range req.PreRows[req.PrePtr[j]:req.PrePtr[j+1]] {
+					rows[lv] = true
+				}
+				if got := rep.Ptr[s+1] - rep.Ptr[s]; got != len(rows) {
+					t.Fatalf("step %d (shard %d): %d values for %d rows", s, si, got, len(rows))
+				}
+			}
+			return
+		}
+		if op != rpc.OpSolveRows {
 			return
 		}
 		var req rpc.SolveRowsRequest

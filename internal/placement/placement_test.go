@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -354,12 +355,92 @@ func TestCoordinatorWorkerLossUnavailable(t *testing.T) {
 	}
 }
 
-// TestAssign pins the coordinator's round-robin placement.
+// crossCut sums the cut weight between shards placed on different
+// workers.
+func crossCut(cut [][]float64, p []int) float64 {
+	x := 0.0
+	for a := range cut {
+		for b, w := range cut[a] {
+			if p[a] != p[b] {
+				x += w
+			}
+		}
+	}
+	return x
+}
+
+// TestAssign pins the coordinator's placement: contiguous blocks when
+// no cut weight favours anything else, the min-cut balanced split on a
+// fixture whose two heavy groups interleave, and on random cut
+// matrices balanced counts, determinism and no improving swap left.
 func TestAssign(t *testing.T) {
-	got := Assign(5, 2)
-	want := []int{0, 1, 0, 1, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Assign(5,2) = %v, want %v", got, want)
+	if got, want := Assign(make([][]float64, 5), 2), []int{0, 0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Assign(no cut, 5 shards, 2 workers) = %v, want %v", got, want)
+	}
+
+	// Two groups of four shards exchange weight 10 within a group and 1
+	// across: the balanced split keeping each group whole cuts only
+	// weight-1 pairs. Contiguous groups keep the blocks; interleaved
+	// ones are reached from them by swaps.
+	grouped := func(group []int) [][]float64 {
+		cut := make([][]float64, len(group))
+		for a := range cut {
+			cut[a] = make([]float64, len(group))
+			for b := range cut[a] {
+				switch {
+				case a == b:
+				case group[a] == group[b]:
+					cut[a][b] = 10
+				default:
+					cut[a][b] = 1
+				}
+			}
+		}
+		return cut
+	}
+	for _, tc := range []struct{ group, want []int }{
+		{[]int{0, 0, 0, 0, 1, 1, 1, 1}, []int{0, 0, 0, 0, 1, 1, 1, 1}},
+		{[]int{0, 1, 0, 1, 1, 0, 1, 0}, []int{1, 0, 1, 0, 0, 1, 0, 1}},
+	} {
+		cut := grouped(tc.group)
+		if got := Assign(cut, 2); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("Assign(groups %v) = %v (cut %v), want %v (cut %v)", tc.group, got, crossCut(cut, got), tc.want, crossCut(cut, tc.want))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 200; trial++ {
+		s, workers := 1+rng.Intn(12), 1+rng.Intn(4)
+		cut := make([][]float64, s)
+		for a := range cut {
+			cut[a] = make([]float64, s)
+			for b := range cut[a] {
+				if a != b && rng.Intn(3) > 0 {
+					cut[a][b] = rng.Float64() * 5
+				}
+			}
+		}
+		p := Assign(cut, workers)
+		if again := Assign(cut, workers); !reflect.DeepEqual(p, again) {
+			t.Fatalf("Assign is not deterministic: %v then %v", p, again)
+		}
+		counts := make([]int, workers)
+		for _, w := range p {
+			counts[w]++
+		}
+		if slices.Max(counts)-slices.Min(counts) > 1 {
+			t.Fatalf("%d shards on %d workers: counts %v", s, workers, counts)
+		}
+		x := crossCut(cut, p)
+		for a := range p {
+			for b := a + 1; b < s; b++ {
+				q := slices.Clone(p)
+				q[a], q[b] = q[b], q[a]
+				if y := crossCut(cut, q); y < x-1e-6 {
+					t.Fatalf("placement %v (cut %v) leaves swap %d<->%d (cut %v)", p, x, a, b, y)
+				}
+			}
+		}
 	}
 }
 
@@ -525,7 +606,8 @@ func TestWorkerPublishStateMachine(t *testing.T) {
 
 // TestWorkerRejectsUnknownOps sends opcodes the protocol does not
 // define — among them 2, the retired whole-solution solve, and 3, the
-// retired block solve — over one pooled connection: each is refused
+// retired block solve, and 10, the first past OpRunRows — over one
+// pooled connection: each is refused
 // with the unknown-op error, and the same connection then serves an
 // ordinary row solve whose values match the in-process worker surface
 // bit for bit.
@@ -551,7 +633,7 @@ func TestWorkerRejectsUnknownOps(t *testing.T) {
 	}
 	ptr, idx, val := []int{0, 1}, []int{0}, []float64{1}
 	body := rpc.AppendSolveRowsRequest(nil, oracle.Epoch(), 0, rows, ptr, idx, val)
-	for _, op := range []uint8{2, 3, 0, 9, 255} {
+	for _, op := range []uint8{2, 3, 0, 10, 255} {
 		_, err := c.Call(op, body)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", op)) {
 			t.Fatalf("op %d: err = %v, want the unknown-op error", op, err)
@@ -578,37 +660,38 @@ func TestWorkerRejectsUnknownOps(t *testing.T) {
 	}
 }
 
-// solveLog is a worker handler that records every OpSolveRows request
-// it answers and the size of its reply body.
-type solveLog struct {
+// runLog is a worker handler that records every OpRunRows reply it
+// sends and the size of its body.
+type runLog struct {
 	wk    *Worker
 	mu    sync.Mutex
-	reqs  []rpc.SolveRowsRequest
+	reps  []rpc.RunRowsReply
 	sizes []int
 }
 
-func (l *solveLog) Handle(op uint8, body []byte) ([]byte, error) {
-	resp, err := l.wk.Handle(op, body)
-	if op == rpc.OpSolveRows && err == nil {
-		var req rpc.SolveRowsRequest
-		if derr := rpc.DecodeSolveRowsRequest(body, &req); derr != nil {
+func (l *runLog) Handle(op uint8, body, out []byte) ([]byte, error) {
+	n := len(out)
+	resp, err := l.wk.Handle(op, body, out)
+	if op == rpc.OpRunRows && err == nil {
+		var rep rpc.RunRowsReply
+		if derr := rpc.DecodeRunRowsReply(resp[n:], &rep); derr != nil {
 			return nil, derr
 		}
 		l.mu.Lock()
-		l.reqs = append(l.reqs, req)
-		l.sizes = append(l.sizes, len(resp))
+		l.reps = append(l.reps, rep)
+		l.sizes = append(l.sizes, len(resp)-n)
 		l.mu.Unlock()
 	}
 	return resp, err
 }
 
 // TestSolveRepliesCarryOnlyNamedRows is the payload guard: at k = 10
-// each push solve asks its worker for the solved shard's cut-owning
-// rows plus the rank prefix's rows in that shard — nothing else — and
-// the reply is 8 bytes per row behind the fixed header. The expected
-// row set is derived here from the graph alone: a node is fetched when
-// it owns an edge into another shard or lies in the fewest whole BFS
-// layers from q holding more than k nodes.
+// each push solve returns the solved shard's cut-owning rows plus the
+// rank prefix's rows in that shard — nothing else — and a run's reply
+// is 8 bytes per row plus 8 per step behind its fixed header. The
+// expected row set is derived here from the graph alone: a node is
+// fetched when it owns an edge into another shard or lies in the
+// fewest whole BFS layers from q holding more than k nodes.
 func TestSolveRepliesCarryOnlyNamedRows(t *testing.T) {
 	const k = 10
 	g := gen.CommunityOverlay(500, 4, 10, 0.85, 3)
@@ -624,7 +707,7 @@ func TestSolveRepliesCarryOnlyNamedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &solveLog{wk: NewWorker(wsx)}
+	log := &runLog{wk: NewWorker(wsx)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -650,7 +733,7 @@ func TestSolveRepliesCarryOnlyNamedRows(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := rng.Intn(g.N())
 		log.mu.Lock()
-		log.reqs, log.sizes = nil, nil
+		log.reps, log.sizes = nil, nil
 		log.mu.Unlock()
 		_, qs, err := co.TopK(q, k)
 		if err != nil {
@@ -658,25 +741,31 @@ func TestSolveRepliesCarryOnlyNamedRows(t *testing.T) {
 		}
 		prefix := bfsPrefix(g, q, k)
 		log.mu.Lock()
-		reqs, sizes := log.reqs, log.sizes
+		reps, sizes := log.reps, log.sizes
 		log.mu.Unlock()
-		if len(reqs) < qs.Solves {
-			t.Fatalf("q=%d: %d solve calls for %d push solves", q, len(reqs), qs.Solves)
-		}
-		for c, req := range reqs[:qs.Solves] { // the push's calls come first, one per solve
-			want := 0
-			for u := 0; u < g.N(); u++ {
-				if co.HomeShard(u) == req.Shard && (cutOwner[u] || prefix[u]) {
-					want++
+		steps := 0
+		for c, rep := range reps {
+			size := 12
+			for s, si := range rep.Steps {
+				want := 0
+				for u := 0; u < g.N(); u++ {
+					if co.HomeShard(u) == si && (cutOwner[u] || prefix[u]) {
+						want++
+					}
 				}
+				if got := rep.Ptr[s+1] - rep.Ptr[s]; got != want {
+					t.Fatalf("q=%d call %d step %d (shard %d): %d values, want %d", q, c, s, si, got, want)
+				}
+				size += 8 + 8*want
+				checked++
 			}
-			if nrhs := len(req.Ptr) - 1; nrhs != 1 || len(req.Rows) != want {
-				t.Fatalf("q=%d call %d (shard %d): %d right-hand sides × %d rows, want 1 × %d", q, c, req.Shard, nrhs, len(req.Rows), want)
+			if sizes[c] != size {
+				t.Fatalf("q=%d call %d: reply %d bytes, want %d", q, c, sizes[c], size)
 			}
-			if sizes[c] != rpc.SolveRowsReplyHeader+8*want {
-				t.Fatalf("q=%d call %d: reply %d bytes, want %d", q, c, sizes[c], rpc.SolveRowsReplyHeader+8*want)
-			}
-			checked++
+			steps += len(rep.Steps)
+		}
+		if steps != qs.Solves {
+			t.Fatalf("q=%d: runs returned %d solves for %d push solves", q, steps, qs.Solves)
 		}
 	}
 	if checked == 0 {
@@ -706,8 +795,10 @@ func bfsPrefix(g *graph.Graph, root, need int) map[int]bool {
 }
 
 // TestCoordinatorTraceSplitsWorkerTime: a coordinator's traced query
-// reports, for every remote solve step, the worker's own elapsed time
-// inside the step's wall clock; an in-process trace reports none.
+// reports the worker's own elapsed time inside the wall clock of each
+// step that made a worker call — the first solve of each run the call
+// returned — and none on the replayed steps; the trace's calls count
+// every such step. An in-process trace reports neither.
 func TestCoordinatorTraceSplitsWorkerTime(t *testing.T) {
 	seed := int64(17)
 	rng := rand.New(rand.NewSource(seed))
@@ -733,13 +824,127 @@ func TestCoordinatorTraceSplitsWorkerTime(t *testing.T) {
 		if len(remote.Steps) == 0 || len(remote.Steps) != len(local.Steps) {
 			t.Fatalf("q=%d: %d remote steps, %d local", q, len(remote.Steps), len(local.Steps))
 		}
+		if remote.Steps[0].WorkerNS <= 0 {
+			t.Fatalf("q=%d: the first step made no call (workerNs %d)", q, remote.Steps[0].WorkerNS)
+		}
+		calls := 0
 		for j, s := range remote.Steps {
-			if s.WorkerNS <= 0 || s.WorkerNS > s.DurationNS {
-				t.Fatalf("q=%d step %d: workerNs %d outside (0, durationNs %d]", q, j, s.WorkerNS, s.DurationNS)
+			if s.WorkerNS < 0 || s.WorkerNS > s.DurationNS {
+				t.Fatalf("q=%d step %d: workerNs %d outside [0, durationNs %d]", q, j, s.WorkerNS, s.DurationNS)
+			}
+			if s.WorkerNS > 0 {
+				calls++
 			}
 			if local.Steps[j].WorkerNS != 0 {
 				t.Fatalf("q=%d step %d: in-process step reports workerNs %d", q, j, local.Steps[j].WorkerNS)
 			}
 		}
+		if calls > remote.Calls || local.Calls != 0 {
+			t.Fatalf("q=%d: %d calling steps, trace calls %d (in process %d)", q, calls, remote.Calls, local.Calls)
+		}
 	}
+}
+
+// workerRuns counts the calls a coordinator's push makes for an
+// in-process solve sequence under a placement: one per maximal run of
+// solves on one worker, a run longer than rpc.MaxRunSteps taking one
+// call per MaxRunSteps solves.
+func workerRuns(steps []obs.SolveStep, place []int) int {
+	calls, run := 0, 0
+	for j, s := range steps {
+		if j > 0 && place[s.Shard] == place[steps[j-1].Shard] && run < rpc.MaxRunSteps {
+			run++
+			continue
+		}
+		calls, run = calls+1, 1
+	}
+	return calls
+}
+
+// TestCoordinatorOneCallPerWorkerRun: on every testutil shape, served
+// by two in-package workers, a coordinator's query makes exactly one
+// worker call per maximal run of the in-process push's solves on one
+// worker under the coordinator's placement, and its answers and
+// QueryStats are the in-process engine's, bit for bit.
+func TestCoordinatorOneCallPerWorkerRun(t *testing.T) {
+	merged := 0 // solves that rode another solve's call
+	for name, g := range testutil.Shapes(57) {
+		t.Run(name, func(t *testing.T) {
+			sx, err := shard.Build(g, shard.Options{Shards: 4, Reorder: reorder.Hybrid, Seed: 57})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := sx.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			logs := make([]*runLog, 2)
+			addrs := make([]string, len(logs))
+			for w := range logs {
+				wsx, err := shard.Open(dir, shard.LoadOptions{Lazy: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs[w] = &runLog{wk: NewWorker(wsx)}
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs[w] = ln.Addr().String()
+				go rpc.Serve(ln, logs[w]) //nolint:errcheck // closes with the listener
+				t.Cleanup(func() { ln.Close() })
+			}
+			co, err := NewCoordinator(dir, addrs, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			runs := func() (n int) {
+				for _, l := range logs {
+					l.mu.Lock()
+					n += len(l.reps)
+					l.mu.Unlock()
+				}
+				return n
+			}
+			rng := rand.New(rand.NewSource(57))
+			for i := 0; i < 25; i++ {
+				q, k := rng.Intn(g.N()), 1+rng.Intn(12)
+				before := runs()
+				got, gqs, err := co.TopK(q, k)
+				if err != nil {
+					t.Fatalf("TopK(%d,%d): %v", q, k, err)
+				}
+				calls := runs() - before
+				want, wqs, err := sx.TopK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || gqs != wqs {
+					t.Fatalf("TopK(%d,%d) diverged: %v %+v, in process %v %+v", q, k, got, gqs, want, wqs)
+				}
+				var tr obs.QueryTrace
+				if _, _, err := sx.Search(q, core.SearchOptions{K: k, Trace: &tr}); err != nil {
+					t.Fatal(err)
+				}
+				if wantCalls := workerRuns(tr.Steps, co.cl.placement); calls != wantCalls {
+					t.Fatalf("TopK(%d,%d): %d worker calls for solves on shards %v under placement %v, want %d",
+						q, k, calls, stepShards(tr.Steps), co.cl.placement, wantCalls)
+				}
+				merged += len(tr.Steps) - calls
+			}
+		})
+	}
+	if merged == 0 {
+		t.Fatal("no worker call ran more than one solve")
+	}
+}
+
+// stepShards lists a trace's solved shards in order.
+func stepShards(steps []obs.SolveStep) []int {
+	out := make([]int, len(steps))
+	for j, s := range steps {
+		out[j] = s.Shard
+	}
+	return out
 }

@@ -1,9 +1,11 @@
 // Package placement implements distributed shard serving: a Worker that
 // owns (a subset of) the shards and answers factor-solve RPCs against
-// real factors — each solve returns only the rows the coordinator names
-// — and a Coordinator that runs the greedy cross-shard push
-// locally over a factorless index, routing every solve to the worker the
-// placement map assigns the shard to. The shared on-disk manifest is the
+// real factors — each solve returns only the rows the coordinator names,
+// and one call continues the push on the worker's shards for as long as
+// they hold the most pending mass — and a Coordinator that runs the
+// greedy cross-shard push locally over a factorless index, routing its
+// solves to the worker the placement map (Assign) assigns each shard
+// to. The shared on-disk manifest is the
 // placement's source of truth: every process opens the same index
 // directory, so node→shard assignment, cut lists and epoch numbering
 // agree byte-for-byte across the cluster, and the coordinator's answers
@@ -46,16 +48,20 @@ type Worker struct {
 	epochs map[int]*shard.ShardedIndex
 	staged map[int]*shard.ShardedIndex
 
-	// scratch pools decoded row-solve requests and their value buffers:
-	// decoding into fresh slices per call measurably raised a worker's
-	// peak RSS (49 -> 64 MB serving the 50k-node bench graph on 2 cores).
+	// scratch pools decoded requests, their value buffers and run
+	// replies: decoding into fresh slices per call measurably raised a
+	// worker's peak RSS (49 -> 64 MB serving the 50k-node bench graph on
+	// 2 cores).
 	scratch sync.Pool
 }
 
-// solveScratch is one row solve's decoded request and value buffer.
+// solveScratch is one call's decoded request and reply values: a row
+// solve's, or a run's.
 type solveScratch struct {
 	req rpc.SolveRowsRequest
 	out []float64
+	run rpc.RunRowsRequest
+	rep rpc.RunRowsReply
 }
 
 // NewWorker wraps an opened index as an RPC-servable worker.
@@ -76,30 +82,32 @@ func (wk *Worker) at(epoch int) *shard.ShardedIndex {
 }
 
 // Handle implements rpc.Handler.
-func (wk *Worker) Handle(op uint8, body []byte) ([]byte, error) {
+func (wk *Worker) Handle(op uint8, body, resp []byte) ([]byte, error) {
 	switch op {
 	case rpc.OpPing:
-		return nil, nil
+		return resp, nil
 	case rpc.OpHello:
 		wk.mu.RLock()
 		cur := wk.cur
 		sx := wk.epochs[cur]
 		wk.mu.RUnlock()
-		return rpc.AppendHelloResponse(nil, rpc.HelloResponse{N: sx.N(), Shards: sx.Shards(), Epoch: cur}), nil
+		return rpc.AppendHelloResponse(resp, rpc.HelloResponse{N: sx.N(), Shards: sx.Shards(), Epoch: cur}), nil
 	case rpc.OpSolveRows:
-		return wk.solveRows(body)
+		return wk.solveRows(body, resp)
+	case rpc.OpRunRows:
+		return wk.runRows(body, resp)
 	case rpc.OpPrepare:
 		epoch, deltaBytes, err := rpc.DecodePrepareRequest(body)
 		if err != nil {
 			return nil, err
 		}
-		return nil, wk.prepare(epoch, deltaBytes)
+		return resp, wk.prepare(epoch, deltaBytes)
 	case rpc.OpCommit:
 		epoch, err := rpc.DecodeEpochRequest(body)
 		if err != nil {
 			return nil, err
 		}
-		return nil, wk.commit(epoch)
+		return resp, wk.commit(epoch)
 	case rpc.OpAbort:
 		epoch, err := rpc.DecodeEpochRequest(body)
 		if err != nil {
@@ -108,7 +116,7 @@ func (wk *Worker) Handle(op uint8, body []byte) ([]byte, error) {
 		wk.mu.Lock()
 		delete(wk.staged, epoch)
 		wk.mu.Unlock()
-		return nil, nil
+		return resp, nil
 	default:
 		return nil, fmt.Errorf("placement: unknown op %d", op)
 	}
@@ -125,9 +133,9 @@ func (wk *Worker) getScratch() *solveScratch {
 }
 
 // solveRows answers one OpSolveRows call: decode into pooled scratch,
-// solve against the requested epoch's real factors, and encode the
-// values behind the worker's elapsed time.
-func (wk *Worker) solveRows(body []byte) ([]byte, error) {
+// solve against the requested epoch's real factors, and append the
+// values behind the worker's elapsed time to resp.
+func (wk *Worker) solveRows(body, resp []byte) ([]byte, error) {
 	t0 := time.Now()
 	sc := wk.getScratch()
 	defer wk.scratch.Put(sc)
@@ -147,8 +155,29 @@ func (wk *Worker) solveRows(body []byte) ([]byte, error) {
 	if err := sx.SolveShardRows(req.Shard, req.Rows, req.Ptr, req.Idx, req.Val, out); err != nil {
 		return nil, err
 	}
-	resp := make([]byte, 0, rpc.SolveRowsReplyHeader+8*n)
 	return rpc.AppendSolveRowsResponse(resp, time.Since(t0).Nanoseconds(), out), nil
+}
+
+// runRows answers one OpRunRows call: decode into pooled scratch,
+// continue the push on the served shards against the requested epoch's
+// real factors, and append the steps behind the worker's elapsed time
+// to resp.
+func (wk *Worker) runRows(body, resp []byte) ([]byte, error) {
+	t0 := time.Now()
+	sc := wk.getScratch()
+	defer wk.scratch.Put(sc)
+	if err := rpc.DecodeRunRowsRequest(body, &sc.run); err != nil {
+		return nil, err
+	}
+	sx := wk.at(sc.run.Epoch)
+	if sx == nil {
+		return nil, rpc.ErrWrongEpoch
+	}
+	if err := sx.RunShardRows(&sc.run, &sc.rep); err != nil {
+		return nil, err
+	}
+	sc.rep.WorkerNS = time.Since(t0).Nanoseconds()
+	return rpc.AppendRunRowsReply(resp, &sc.rep), nil
 }
 
 // prepare stages the delta as the given epoch: the refactorization of

@@ -100,8 +100,8 @@ func (c *Client) checkin(cn *Conn) {
 	c.mu.Unlock()
 }
 
-// roundTrip sends one whole frame (from beginFrame/endFrame) on cn and
-// reads the response frame.
+// roundTrip sends one whole frame (from Request) on cn and reads the
+// response frame into the connection's buffer.
 func (cn *Conn) roundTrip(deadline time.Time, frame []byte) ([]byte, error) {
 	if err := cn.c.SetDeadline(deadline); err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func (cn *Conn) roundTrip(deadline time.Time, frame []byte) ([]byte, error) {
 	if _, err := cn.c.Write(frame); err != nil {
 		return nil, err
 	}
-	resp, err := ReadFrame(cn.c, cn.buf)
+	resp, err := ReadFrame(cn.r, cn.buf)
 	if err != nil {
 		return nil, err
 	}
@@ -120,15 +120,27 @@ func (cn *Conn) roundTrip(deadline time.Time, frame []byte) ([]byte, error) {
 // Call sends op with body and returns the response body as a
 // caller-owned copy (the wire frame lands in the connection's reusable
 // read buffer, which a concurrent Call may overwrite the instant the
-// connection re-enters the idle pool). Transport failures are retried
-// once on a fresh connection and then reported as ErrUnavailable;
-// StatusWrongEpoch maps to ErrWrongEpoch; StatusError carries the
-// worker's message.
+// connection re-enters the idle pool). Failures are Send's.
 func (c *Client) Call(op uint8, body []byte) ([]byte, error) {
-	req := beginFrame(make([]byte, 0, 5+len(body)))
-	req = append(req, op)
-	req = endFrame(append(req, body...))
+	var out []byte
+	err := c.Send(append(Request(op, len(body)), body...), func(resp []byte) error {
+		out = append([]byte(nil), resp...)
+		return nil
+	})
+	return out, err
+}
 
+// Send sends a request frame begun by Request and hands a StatusOK
+// response body to decode while the connection is still checked out —
+// decode must not keep the body, which the connection's next read
+// overwrites. Transport failures are retried once on a fresh connection
+// and then reported as ErrUnavailable; StatusWrongEpoch maps to
+// ErrWrongEpoch; StatusError carries the worker's message; a decode
+// error is the worker's reply failing its contract and comes back
+// wrapped in ErrUnavailable. Neither a rejection nor a reply that fails
+// to decode is retried: the worker answered.
+func (c *Client) Send(req []byte, decode func([]byte) error) error {
+	req = endFrame(req)
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		cn, err := c.checkout()
@@ -150,24 +162,27 @@ func (c *Client) Call(op uint8, body []byte) ([]byte, error) {
 		status, rest := resp[0], resp[1:]
 		switch status {
 		case StatusOK:
-			// Copy out of the read buffer BEFORE the checkin: once the
-			// conn is back in the pool another goroutine can check it
-			// out and overwrite the buffer under the caller's decode.
-			out := append([]byte(nil), rest...)
+			// Decode BEFORE the checkin: once the conn is back in the
+			// pool another goroutine can check it out and overwrite the
+			// buffer under the decode.
+			err := decode(rest)
 			c.checkin(cn)
-			return out, nil
+			if err != nil {
+				return fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, err)
+			}
+			return nil
 		case StatusWrongEpoch:
 			c.checkin(cn)
-			return nil, ErrWrongEpoch
+			return ErrWrongEpoch
 		default:
 			// The worker answered; the call itself was rejected. The
 			// connection is healthy — keep it — but do not retry: a
 			// deterministic rejection will not heal on a second try.
 			c.checkin(cn)
-			return nil, fmt.Errorf("%w: %s: %s", ErrUnavailable, c.addr, string(rest))
+			return fmt.Errorf("%w: %s: %s", ErrUnavailable, c.addr, string(rest))
 		}
 	}
-	return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, lastErr)
+	return fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, lastErr)
 }
 
 // Hello performs the identity handshake.

@@ -7,13 +7,15 @@
 // the wire as their raw IEEE-754 bit patterns (math.Float64bits) in
 // both directions. A solve names its rows explicitly — the coordinator
 // asks for the values the push scatters and the rank reads, and the
-// reply carries exactly those, in request order — so the values the
-// coordinator feeds into the greedy push and the rank are the bytes a
-// single process would have computed. See docs/ARCHITECTURE.md,
+// reply carries exactly those, in request order — and a run ships the
+// push's pending state bit for bit, so the values the coordinator feeds
+// into the greedy push and the rank are the bytes a single process would
+// have computed. See docs/ARCHITECTURE.md,
 // "Distributed serving".
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,6 +37,7 @@ const (
 	OpAbort     uint8 = 6 // drop staged epoch E
 	OpPing      uint8 = 7 // liveness probe
 	OpSolveRows uint8 = 8 // solve one shard per right-hand side -> values at the listed rows
+	OpRunRows   uint8 = 9 // continue the push on the worker's shards -> each solve's values
 )
 
 // Response status bytes.
@@ -74,13 +77,19 @@ func endFrame(frame []byte) []byte {
 }
 
 // ReadFrame reads one length-prefixed frame, appending into buf's
-// backing array when it has capacity.
+// backing array when it has capacity (the length prefix is read there
+// too, so a reused buffer reads a frame without allocating). Over a
+// connection, r is the connection's buffered reader: a frame that
+// arrived whole is then one read syscall, header and body together.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("rpc: frame length %d exceeds limit", n)
 	}
@@ -95,14 +104,26 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// readBufSize is a connection's read buffer: one typical reply or
+// request whole, fixed for the connection's life (a longer frame is
+// read through it, never grown into it).
+const readBufSize = 4 << 10
+
 // Conn wraps one framed request/response connection.
 type Conn struct {
 	c   net.Conn
+	r   *bufio.Reader
 	buf []byte
 }
 
 // NewConn wraps a net.Conn for framed use.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
+func NewConn(c net.Conn) *Conn { return &Conn{c: c, r: bufio.NewReaderSize(c, readBufSize)} }
+
+// Request starts a request frame for op in a buffer with room for an
+// n-byte body: the caller appends the body (AppendRunRowsRequest and
+// friends encode straight into it) and passes the frame to
+// Client.Send, so a request is one buffer and leaves in one write.
+func Request(op uint8, n int) []byte { return append(beginFrame(make([]byte, 0, 5+n)), op) }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
@@ -312,6 +333,193 @@ func DecodeSolveRowsResponse(data []byte, out []float64) (workerNS int64, err er
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	return workerNS, nil
+}
+
+// SolveRowsRequestLen is the encoded size of the SolveRowsRequest
+// AppendSolveRowsRequest writes for rows and ptr, so a caller can size
+// the request's frame (Request) once.
+func SolveRowsRequestLen(rows, ptr []int) int {
+	nrhs := max(len(ptr)-1, 0)
+	n := 20 + 4*len(rows) + 4*nrhs
+	if nrhs > 0 {
+		n += 12 * (ptr[nrhs] - ptr[0])
+	}
+	return n
+}
+
+// MaxRunSteps caps the solves one OpRunRows call runs, which bounds its
+// reply to MaxRunSteps of the served shards' row sets. A push that
+// keeps its most pending mass on one worker longer than that takes
+// another call.
+const MaxRunSteps = 32
+
+// RunRowsRequest is one OpRunRows call: continue the cross-shard push
+// at epoch Epoch on the shards the worker serves (Served, ascending),
+// from the pending state the coordinator holds. Mass is every shard's
+// pending mass; Tol is the push's tolerance on their sum and Budget the
+// solves it has left. Served[j]'s residual is ResIdx/ResVal over
+// [ResPtr[j], ResPtr[j+1]) — local ids ascending, values nonzero — and
+// its rank-prefix rows are PreRows over [PrePtr[j], PrePtr[j+1]),
+// ascending. As with SolveRowsRequest, the decoder range-checks no id:
+// the worker validates them against the shards.
+type RunRowsRequest struct {
+	Epoch   int
+	Served  []int
+	Mass    []float64
+	Tol     float64
+	Budget  int
+	ResPtr  []int
+	ResIdx  []int
+	ResVal  []float64
+	PrePtr  []int
+	PreRows []int
+}
+
+// Len is q's encoded size: what AppendRunRowsRequest appends.
+func (q *RunRowsRequest) Len() int {
+	return 28 + 12*len(q.Served) + 8*len(q.Mass) + 12*len(q.ResIdx) + 4*len(q.PreRows)
+}
+
+// AppendRunRowsRequest encodes q: epoch, the served shards, every
+// shard's mass, tolerance and budget, then per served shard its
+// residual (count, ids, raw value bits) and its prefix rows (count,
+// rows).
+func AppendRunRowsRequest(buf []byte, q *RunRowsRequest) []byte {
+	buf = appendUint64(buf, uint64(q.Epoch))
+	buf = appendUint32(buf, uint32(len(q.Served)))
+	for _, si := range q.Served {
+		buf = appendUint32(buf, uint32(si))
+	}
+	buf = appendUint32(buf, uint32(len(q.Mass)))
+	for _, m := range q.Mass {
+		buf = appendFloat64(buf, m)
+	}
+	buf = appendFloat64(buf, q.Tol)
+	buf = appendUint32(buf, uint32(q.Budget))
+	for j := range q.Served {
+		lo, hi := q.ResPtr[j], q.ResPtr[j+1]
+		buf = appendUint32(buf, uint32(hi-lo))
+		for _, v := range q.ResIdx[lo:hi] {
+			buf = appendUint32(buf, uint32(v))
+		}
+		for _, v := range q.ResVal[lo:hi] {
+			buf = appendFloat64(buf, v)
+		}
+		lo, hi = q.PrePtr[j], q.PrePtr[j+1]
+		buf = appendUint32(buf, uint32(hi-lo))
+		for _, v := range q.PreRows[lo:hi] {
+			buf = appendUint32(buf, uint32(v))
+		}
+	}
+	return buf
+}
+
+// count reads a u32 element count and checks that size bytes per
+// element follow it, so a hostile count fails before anything is
+// allocated.
+func (r *reader) count(size int) int {
+	n := int(r.uint32())
+	if r.err == nil && size*n > len(r.data)-r.off {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// DecodeRunRowsRequest decodes a RunRowsRequest into q, reusing the
+// capacity of q's slices. Every count is checked against the bytes that
+// must follow it before anything is appended.
+func DecodeRunRowsRequest(data []byte, q *RunRowsRequest) error {
+	r := reader{data: data}
+	q.Epoch = int(r.uint64())
+	q.Served = q.Served[:0]
+	for i, n := 0, r.count(4); i < n; i++ {
+		q.Served = append(q.Served, int(r.uint32()))
+	}
+	q.Mass = q.Mass[:0]
+	for i, n := 0, r.count(8); i < n; i++ {
+		q.Mass = append(q.Mass, r.float64())
+	}
+	q.Tol = r.float64()
+	q.Budget = int(r.uint32())
+	q.ResPtr, q.ResIdx, q.ResVal = append(q.ResPtr[:0], 0), q.ResIdx[:0], q.ResVal[:0]
+	q.PrePtr, q.PreRows = append(q.PrePtr[:0], 0), q.PreRows[:0]
+	for range q.Served {
+		n := r.count(12)
+		for i := 0; i < n; i++ {
+			q.ResIdx = append(q.ResIdx, int(r.uint32()))
+		}
+		for i := 0; i < n; i++ {
+			q.ResVal = append(q.ResVal, r.float64())
+		}
+		q.ResPtr = append(q.ResPtr, len(q.ResIdx))
+		for i, n := 0, r.count(4); i < n; i++ {
+			q.PreRows = append(q.PreRows, int(r.uint32()))
+		}
+		q.PrePtr = append(q.PrePtr, len(q.PreRows))
+	}
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("rpc: %d trailing bytes after run request", len(r.data)-r.off)
+	}
+	return r.err
+}
+
+// RunRowsReply is an OpRunRows reply: the worker's elapsed time and
+// the solves it ran, in order — step s solved shard Steps[s], and
+// Vals over [Ptr[s], Ptr[s+1]) are its values at that shard's cut rows
+// and rank-prefix rows, ascending.
+type RunRowsReply struct {
+	WorkerNS int64
+	Steps    []int
+	Ptr      []int
+	Vals     []float64
+}
+
+// Reset empties the reply for reuse, keeping its capacity.
+func (p *RunRowsReply) Reset() {
+	p.WorkerNS = 0
+	p.Steps, p.Ptr, p.Vals = p.Steps[:0], append(p.Ptr[:0], 0), p.Vals[:0]
+}
+
+// AppendRunRowsReply encodes p: the worker's elapsed nanoseconds, the
+// step count, then per step its shard, value count and raw value bits.
+func AppendRunRowsReply(buf []byte, p *RunRowsReply) []byte {
+	buf = appendUint64(buf, uint64(p.WorkerNS))
+	buf = appendUint32(buf, uint32(len(p.Steps)))
+	for s, si := range p.Steps {
+		buf = appendUint32(buf, uint32(si))
+		buf = appendUint32(buf, uint32(p.Ptr[s+1]-p.Ptr[s]))
+		for _, v := range p.Vals[p.Ptr[s]:p.Ptr[s+1]] {
+			buf = appendFloat64(buf, v)
+		}
+	}
+	return buf
+}
+
+// DecodeRunRowsReply decodes an OpRunRows reply into p, reusing its
+// capacity. A reply of more than MaxRunSteps steps, or whose counts
+// promise more than it carries, is an error.
+func DecodeRunRowsReply(data []byte, p *RunRowsReply) error {
+	r := reader{data: data}
+	p.Reset()
+	p.WorkerNS = int64(r.uint64())
+	nsteps := r.count(8)
+	if nsteps > MaxRunSteps {
+		return fmt.Errorf("rpc: run reply of %d steps exceeds the cap of %d", nsteps, MaxRunSteps)
+	}
+	for s := 0; s < nsteps; s++ {
+		p.Steps = append(p.Steps, int(r.uint32()))
+		for i, n := 0, r.count(8); i < n; i++ {
+			p.Vals = append(p.Vals, r.float64())
+		}
+		p.Ptr = append(p.Ptr, len(p.Vals))
+	}
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("rpc: %d trailing bytes after run reply", len(r.data)-r.off)
+	}
+	return r.err
 }
 
 // AppendPrepareRequest encodes a Prepare: the epoch the delta publishes

@@ -157,22 +157,22 @@ type echoHandler struct {
 	sleep time.Duration
 }
 
-func (h *echoHandler) Handle(op uint8, body []byte) ([]byte, error) {
+func (h *echoHandler) Handle(op uint8, body, resp []byte) ([]byte, error) {
 	h.calls.Add(1)
 	if h.sleep > 0 {
 		time.Sleep(h.sleep)
 	}
 	switch op {
 	case OpPing:
-		return nil, nil
+		return resp, nil
 	case OpHello:
-		return AppendHelloResponse(nil, HelloResponse{N: 10, Shards: 2, Epoch: 1}), nil
+		return AppendHelloResponse(resp, HelloResponse{N: 10, Shards: 2, Epoch: 1}), nil
 	case OpSolveRows:
 		var sum uint64
 		for _, b := range body {
 			sum += uint64(b)
 		}
-		out := append([]byte(nil), body...)
+		out := append(resp, body...)
 		return binary.LittleEndian.AppendUint64(out, sum), nil
 	case OpCommit:
 		return nil, ErrWrongEpoch
@@ -353,5 +353,105 @@ func TestClientClose(t *testing.T) {
 	}
 	if err := c.Ping(); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("call on closed client: %v, want ErrUnavailable", err)
+	}
+}
+
+// TestClientCallAllocs pins the allocations of one Call over a pooled
+// connection, both ends counted (net.Pipe, served by ServeConn): the
+// request is encoded into its one frame, each side reads a frame
+// through its buffered reader into a reused buffer, and the handler
+// appends its reply into the response frame. What is left is the
+// request frame, the caller's copy of the reply and the pipe's
+// deadline timers; a header read into a fresh array on each side, a
+// request copied into a second frame and a handler's own reply buffer
+// took four more.
+func TestClientCallAllocs(t *testing.T) {
+	c := NewClient("pipe", func(string) (net.Conn, error) {
+		srv, cli := net.Pipe()
+		go ServeConn(srv, &echoHandler{})
+		return cli, nil
+	}, time.Second)
+	defer c.Close()
+	body := make([]byte, 64)
+	if _, err := c.Call(OpSolveRows, body); err != nil { // dials and sizes the buffers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Call(OpSolveRows, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per call", allocs)
+	if allocs > 6 {
+		t.Fatalf("%.1f allocations per call, want at most 6", allocs)
+	}
+}
+
+// TestRunCodecRoundTrip: a run request and its reply cross the wire
+// with every float's bits, decode into reused structs without leftovers,
+// and no strict prefix, trailing byte or step count past MaxRunSteps
+// decodes cleanly.
+func TestRunCodecRoundTrip(t *testing.T) {
+	q := RunRowsRequest{
+		Epoch: 3, Served: []int{1, 4}, Mass: trickyFloats[:5], Tol: 1e-12, Budget: 99998,
+		ResPtr: []int{0, 2, 3}, ResIdx: []int{0, 7, 2}, ResVal: trickyFloats[2:5],
+		PrePtr: []int{0, 0, 2}, PreRows: []int{5, 9},
+	}
+	req := AppendRunRowsRequest(nil, &q)
+	if len(req) != q.Len() {
+		t.Fatalf("request is %d bytes, Len says %d", len(req), q.Len())
+	}
+	got := RunRowsRequest{Served: []int{8, 8, 8, 8}, PreRows: []int{1, 2, 3}}
+	if err := DecodeRunRowsRequest(req, &got); err != nil {
+		t.Fatal(err)
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(bits(got.Mass), bits(q.Mass)) || !reflect.DeepEqual(bits(got.ResVal), bits(q.ResVal)) ||
+		math.Float64bits(got.Tol) != math.Float64bits(q.Tol) {
+		t.Fatalf("floats lost bits: %v %v %v", got.Mass, got.ResVal, got.Tol)
+	}
+	got.Mass, got.ResVal, got.Tol = q.Mass, q.ResVal, q.Tol
+	if !reflect.DeepEqual(got, q) {
+		t.Fatalf("request decoded to %+v, want %+v", got, q)
+	}
+	for cut := 0; cut < len(req); cut++ {
+		if err := DecodeRunRowsRequest(req[:cut], &RunRowsRequest{}); err == nil {
+			t.Fatalf("truncated run request at %d bytes decoded cleanly", cut)
+		}
+	}
+	if err := DecodeRunRowsRequest(append(req, 0), &RunRowsRequest{}); err == nil {
+		t.Fatal("run request with a trailing byte decoded cleanly")
+	}
+	if err := DecodeRunRowsRequest(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 1), math.MaxUint32), &RunRowsRequest{}); err == nil {
+		t.Fatal("served-count bomb accepted")
+	}
+
+	rep := RunRowsReply{WorkerNS: 777, Steps: []int{4, 1, 4}, Ptr: []int{0, 2, 2, 5}, Vals: trickyFloats[:5]}
+	wire := AppendRunRowsReply(nil, &rep)
+	back := RunRowsReply{Steps: []int{9, 9, 9, 9, 9}, Vals: make([]float64, 40)}
+	if err := DecodeRunRowsReply(wire, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bits(back.Vals), bits(rep.Vals)) {
+		t.Fatalf("reply values lost bits: %v", back.Vals)
+	}
+	back.Vals = rep.Vals
+	if !reflect.DeepEqual(back, rep) {
+		t.Fatalf("reply decoded to %+v, want %+v", back, rep)
+	}
+	for cut := 0; cut < len(wire); cut++ {
+		if err := DecodeRunRowsReply(wire[:cut], &back); err == nil {
+			t.Fatalf("truncated run reply at %d bytes decoded cleanly", cut)
+		}
+	}
+	long := RunRowsReply{Steps: make([]int, MaxRunSteps+1), Ptr: make([]int, MaxRunSteps+2)}
+	if err := DecodeRunRowsReply(AppendRunRowsReply(nil, &long), &back); err == nil {
+		t.Fatalf("a reply of %d steps decoded cleanly", MaxRunSteps+1)
 	}
 }

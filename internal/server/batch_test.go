@@ -13,6 +13,7 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
+	"kdash/internal/rpc"
 	"kdash/internal/shard"
 	"kdash/internal/topk"
 )
@@ -158,11 +159,24 @@ func (e *cancellingEngine) Search(q int, opt core.SearchOptions) ([]topk.Result,
 }
 
 // localSolver routes a factorless index's solves to a second, in-process
-// copy of the index: the coordinator's shape without the wire.
+// copy of the index, one worker serving every shard: the coordinator's
+// shape without the wire.
 type localSolver struct{ sx *shard.ShardedIndex }
 
 func (r localSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
 	return 0, r.sx.SolveShardRows(si, rows, ptr, idx, val, out)
+}
+
+func (r localSolver) Colocated(int) []int {
+	all := make([]int, r.sx.Shards())
+	for si := range all {
+		all[si] = si
+	}
+	return all
+}
+
+func (r localSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	return r.sx.RunShardRows(q, rep)
 }
 
 // TestBatchCancelledBetweenQueries cancels a request's context once item

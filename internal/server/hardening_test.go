@@ -206,6 +206,9 @@ func TestMalformedInputsTable(t *testing.T) {
 		{http.MethodPost, "/personalized", `{"seeds":{"1":-0.5},"k":3}`, http.StatusBadRequest}, // negative weight
 		{http.MethodPost, "/personalized", `{"seeds":{"1":1,"2":2},"k":3}`, http.StatusOK},
 		{http.MethodGet, "/personalized", "", http.StatusMethodNotAllowed},
+
+		// Finite seed weights whose total overflows.
+		{http.MethodPost, "/personalized", `{"seeds":{"1":1e308,"2":1e308},"k":3}`, http.StatusBadRequest},
 		// /proximity
 		{http.MethodGet, "/proximity?q=1", "", http.StatusBadRequest},       // missing u
 		{http.MethodGet, "/proximity?q=1&u=abc", "", http.StatusBadRequest}, // non-numeric u

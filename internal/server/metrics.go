@@ -180,6 +180,7 @@ func writeClusterMetrics(pw *obs.PromWriter, workers []shard.WorkerStatz) {
 		val             func(shard.WorkerStatz) float64
 	}{
 		{"kdash_worker_calls_total", "Solve RPCs routed to the worker.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Calls) }},
+		{"kdash_worker_solves_total", "Shard solves the worker's calls ran.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Solves) }},
 		{"kdash_worker_errors_total", "Worker calls that failed after retry and replay.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Errors) }},
 		{"kdash_worker_replays_total", "Chain-replay recovery rounds run against the worker.", "counter", func(w shard.WorkerStatz) float64 { return float64(w.Replays) }},
 		{"kdash_worker_shards", "Shards the placement map assigns to the worker.", "gauge", func(w shard.WorkerStatz) float64 { return float64(w.Shards) }},

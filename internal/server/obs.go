@@ -217,8 +217,8 @@ type traceStepJSON struct {
 
 // traceJSON is the per-query trace block a ?trace=1 response carries:
 // the push's shard solves in order (Steps, with the residual bound after
-// each in Residual) and the query's aggregates. A cache hit runs no
-// push and carries no steps.
+// each in Residual) and the query's aggregates, a coordinator's worker
+// calls among them. A cache hit runs no push and carries no steps.
 type traceJSON struct {
 	Steps          []traceStepJSON `json:"steps,omitempty"`
 	Residual       []float64       `json:"residual,omitempty"`
@@ -226,6 +226,7 @@ type traceJSON struct {
 	ShardsSolved   int             `json:"shardsSolved"`
 	ShardsPruned   int             `json:"shardsPruned"`
 	NodesEvaluated int             `json:"nodesEvaluated"`
+	Calls          int             `json:"calls"`
 	CutMassPruned  float64         `json:"cutMassPruned"`
 	Converged      bool            `json:"converged"`
 	CacheHit       bool            `json:"cacheHit"`
@@ -243,6 +244,7 @@ func toTraceJSON(tr *obs.QueryTrace) *traceJSON {
 		ShardsSolved:   tr.ShardsSolved,
 		ShardsPruned:   tr.ShardsPruned,
 		NodesEvaluated: tr.NodesEvaluated,
+		Calls:          tr.Calls,
 		CutMassPruned:  tr.CutMassPruned,
 		Converged:      tr.Converged,
 		CacheHit:       tr.CacheHit,

@@ -515,15 +515,11 @@ func (h *Handler) personalized(w http.ResponseWriter, r *http.Request, _ url.Val
 			h.badRequest(w, "bad seed id %q", key)
 			return
 		}
-		if node < 0 || node >= st.engine.N() {
-			h.badRequest(w, "seed node %d outside [0,%d)", node, st.engine.N())
-			return
-		}
-		if weight <= 0 {
-			h.badRequest(w, "seed node %d has non-positive weight %v", node, weight)
-			return
-		}
 		seeds[node] = weight
+	}
+	if _, _, err := shard.CheckSeeds(seeds, st.engine.N()); err != nil {
+		h.badRequest(w, "%v", err)
+		return
 	}
 	results, stats, err := st.engine.TopKPersonalizedContext(r.Context(), seeds, req.K)
 	if err != nil {

@@ -82,9 +82,9 @@ type ClusterStatz struct {
 	Workers   []WorkerStatz `json:"workers"`
 }
 
-// WorkerStatz is one worker's solve calls: count, latency, calls
-// failed after retry and replay, chain-replay rounds, and the shards
-// the placement assigns it.
+// WorkerStatz is one worker's solve calls: count, latency, the solves
+// they ran, calls failed after retry and replay, chain-replay rounds,
+// and the shards the placement assigns it.
 type WorkerStatz struct {
 	Addr       string  `json:"addr"`
 	Calls      uint64  `json:"calls"`
@@ -93,6 +93,7 @@ type WorkerStatz struct {
 	P99Micros  float64 `json:"p99Micros"`
 	Replays    int64   `json:"replays"`
 	Shards     int     `json:"shards"`
+	Solves     int64   `json:"solves"`
 }
 
 // Statz never forces a lazy shard open: an unopened shard reports its

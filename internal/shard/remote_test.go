@@ -12,6 +12,7 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,19 +21,38 @@ import (
 	"kdash/internal/gen"
 	"kdash/internal/graph"
 	"kdash/internal/reorder"
+	"kdash/internal/rpc"
 	"kdash/internal/testutil"
 )
 
 // indexSolver adapts a factor-holding index's worker surface to the
-// RemoteSolver interface, counting the calls it serves.
+// RemoteSolver interface, counting the SolveRows calls (calls) and the
+// RunRows calls (runs) it serves. served lists each simulated worker's
+// shards; by default one worker serves them all.
 type indexSolver struct {
-	sx    *ShardedIndex
-	calls atomic.Int64
+	sx     *ShardedIndex
+	served [][]int
+	calls  atomic.Int64
+	runs   atomic.Int64
 }
 
 func (r *indexSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
 	r.calls.Add(1)
 	return 0, r.sx.SolveShardRows(si, rows, ptr, idx, val, out)
+}
+
+func (r *indexSolver) Colocated(si int) []int {
+	for _, sv := range r.served {
+		if slices.Contains(sv, si) {
+			return sv
+		}
+	}
+	panic("shard placed on no worker")
+}
+
+func (r *indexSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	r.runs.Add(1)
+	return r.sx.RunShardRows(q, rep)
 }
 
 // remotePair saves g's index and opens it twice from the directory: a
@@ -57,19 +77,13 @@ func remotePair(t *testing.T, g *graph.Graph, opt Options) (local, co *ShardedIn
 		t.Fatal(err)
 	}
 	co.SetFactorless()
-	rs = &indexSolver{sx: worker}
+	all := make([]int, co.Shards())
+	for si := range all {
+		all[si] = si
+	}
+	rs = &indexSolver{sx: worker, served: [][]int{all}}
 	co.SetRemoteSolver(rs)
 	return local, co, rs
-}
-
-// pushSolves sums the index's per-shard solve counters: the push solves
-// it has run, each of which makes exactly one remote call.
-func pushSolves(sx *ShardedIndex) int64 {
-	n := int64(0)
-	for i := range sx.solveCounters() {
-		n += sx.solveCounters()[i].Load()
-	}
-	return n
 }
 
 func TestRemoteSolverSeamBitIdentical(t *testing.T) {
@@ -151,8 +165,8 @@ func TestRemoteSolverSeamBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(gotV, wantV) {
 		t.Fatalf("ProximityVector(%d) diverged through the remote seam", q)
 	}
-	if rs.calls.Load() == 0 {
-		t.Fatal("no solve went through the remote seam")
+	if rs.runs.Load() == 0 || rs.calls.Load() == 0 {
+		t.Fatalf("%d runs and %d row solves went through the remote seam, want both", rs.runs.Load(), rs.calls.Load())
 	}
 }
 
@@ -191,9 +205,9 @@ func TestRemoteRankFallbackBitIdentical(t *testing.T) {
 
 	fallbacks := map[string]int64{}
 	track := func(kind string, run func()) {
-		calls, solves := rs.calls.Load(), pushSolves(co)
+		calls := rs.calls.Load() // the push's solves ride RunRows
 		run()
-		fallbacks[kind] += (rs.calls.Load() - calls) - (pushSolves(co) - solves)
+		fallbacks[kind] += rs.calls.Load() - calls
 	}
 	for i := 0; i < 12; i++ {
 		q := rng.Intn(n)

@@ -22,10 +22,12 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"kdash/internal/core"
+	"kdash/internal/graph"
 	"kdash/internal/obs"
 	"kdash/internal/topk"
 )
@@ -86,6 +88,34 @@ func seedNodesSorted(seeds map[int]float64) []int {
 	}
 	sort.Ints(nodes)
 	return nodes
+}
+
+// CheckSeeds validates a personalized query's restart distribution over
+// n nodes: a seed set that is not empty, every node in [0,n), every
+// weight positive and finite (graph.ValidWeight, the rule edge weights
+// keep), and a finite total — the weights are divided by it, so a total
+// that overflows would seed no mass at all. It returns the seed nodes
+// ascending and the total summed in that order.
+func CheckSeeds(seeds map[int]float64, n int) ([]int, float64, error) {
+	if len(seeds) == 0 {
+		return nil, 0, fmt.Errorf("shard: empty seed set")
+	}
+	nodes := seedNodesSorted(seeds)
+	total := 0.0
+	for _, node := range nodes {
+		if node < 0 || node >= n {
+			return nil, 0, fmt.Errorf("shard: seed node %d outside [0,%d)", node, n)
+		}
+		w := seeds[node]
+		if !graph.ValidWeight(w) {
+			return nil, 0, fmt.Errorf("shard: seed node %d has weight %v, not positive and finite", node, w)
+		}
+		total += w
+	}
+	if math.IsInf(total, 1) {
+		return nil, 0, fmt.Errorf("shard: seed weights sum to %v, not finite", total)
+	}
+	return nodes, total, nil
 }
 
 // PartLen reports shard si's solve dimension, its shard graph's node
@@ -213,20 +243,9 @@ func (sx *ShardedIndex) topKPersonalized(ctx context.Context, seeds map[int]floa
 	if k <= 0 {
 		return nil, qs.searchStats(), fmt.Errorf("shard: K must be positive, got %d", k)
 	}
-	if len(seeds) == 0 {
-		return nil, qs.searchStats(), fmt.Errorf("shard: empty seed set")
-	}
-	nodes := seedNodesSorted(seeds)
-	total := 0.0
-	for _, node := range nodes {
-		w := seeds[node]
-		if node < 0 || node >= sx.n {
-			return nil, qs.searchStats(), fmt.Errorf("shard: seed node %d outside [0,%d)", node, sx.n)
-		}
-		if w <= 0 {
-			return nil, qs.searchStats(), fmt.Errorf("shard: seed node %d has non-positive weight %v", node, w)
-		}
-		total += w
+	nodes, total, err := CheckSeeds(seeds, sx.n)
+	if err != nil {
+		return nil, qs.searchStats(), err
 	}
 	if err := sx.ensureGraph(); err != nil {
 		return nil, qs.searchStats(), err

@@ -777,6 +777,21 @@ func (sx *ShardedIndex) Shards() int { return len(sx.parts) }
 // HomeShard reports which shard owns node u.
 func (sx *ShardedIndex) HomeShard(u int) int { return int(sx.home[u]) }
 
+// CutWeights reports the cut between every pair of shards: w[a][b] is
+// the summed weight of the cut edges from shard a into shard b. It reads
+// the cut lists only, so a factorless coordinator's index answers
+// without opening a shard file.
+func (sx *ShardedIndex) CutWeights() [][]float64 {
+	w := make([][]float64, len(sx.parts))
+	for a, p := range sx.parts {
+		w[a] = make([]float64, len(sx.parts))
+		for _, e := range p.cuts {
+			w[a][e.dstShard] += e.w
+		}
+	}
+	return w
+}
+
 // Stats reports the partition-parallel build statistics.
 func (sx *ShardedIndex) Stats() BuildStats { return sx.stats }
 

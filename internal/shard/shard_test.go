@@ -415,6 +415,26 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestPersonalizedRefusesNonFiniteSeeds: a NaN or infinite seed
+// weight, or finite weights whose total overflows, is an error — not
+// an empty answer from a push seeded with no mass — while the same
+// seeds with ordinary weights answer.
+func TestPersonalizedRefusesNonFiniteSeeds(t *testing.T) {
+	sx := buildSharded(t, gen.ErdosRenyi(200, 800, 5), 2, 0.95)
+	if got, _, err := sx.TopKPersonalized(map[int]float64{0: 1, 1: 1}, 3); err != nil || len(got) != 3 {
+		t.Fatalf("ordinary seeds: %d results, err %v", len(got), err)
+	}
+	for name, seeds := range map[string]map[int]float64{
+		"NaN":            {0: math.NaN(), 1: 1},
+		"+Inf":           {0: math.Inf(1), 1: 1},
+		"total overflow": {0: 1e308, 1: 1e308},
+	} {
+		if got, _, err := sx.TopKPersonalized(seeds, 3); err == nil {
+			t.Errorf("%s: accepted, %d results", name, len(got))
+		}
+	}
+}
+
 // TestShardCountClamp checks that requesting more shards than nodes
 // clamps instead of failing, and the stats describe the real layout.
 func TestShardCountClamp(t *testing.T) {

@@ -27,7 +27,11 @@ package shard
 //
 // Under a RemoteSolver the workspaces live on the workers, so the state
 // records each solve's right-hand side instead, and the values the rank
-// will read are fetched with the push. Before the push the coordinator
+// will read are fetched with the push. A push call ships the pending
+// state of the called worker's shards, the worker continues the push on
+// them while they hold the most pending mass, and the coordinator
+// replays the returned solves one by one through its own loop
+// (runRemote, remoteSolve). Before the push the coordinator
 // takes the rank prefix: whole BFS layers from the rank's roots, the
 // fewest holding more than k + |exclude| nodes, since Lemma 2's
 // heap-full guard keeps Algorithm 4 from stopping before it has visited
@@ -56,6 +60,7 @@ import (
 	"kdash/internal/core"
 	"kdash/internal/lu"
 	"kdash/internal/obs"
+	"kdash/internal/rpc"
 	"kdash/internal/topk"
 )
 
@@ -131,7 +136,16 @@ type pushState struct {
 	valBuf []float64
 	err    error
 
+	// The last worker run (coordinator mode only): its request, its
+	// reply and the reply step the push replays next. On a worker, the
+	// scatter contributions its run defers (RunShardRows).
+	runReq  rpc.RunRowsRequest
+	runRep  rpc.RunRowsReply
+	runNext int
+	pend    []pendingAdd
+
 	initial float64 // total seeded mass this query
+	tol     float64 // the push's tolerance on the total residual
 
 	// scratch is the state's own arrays' bytes as last counted into
 	// QueryScratchBytes; a cleanup takes them back out once the state is
@@ -162,13 +176,17 @@ func newPushState(sx *ShardedIndex) *pushState {
 
 // scratchBytes reports the state's own arrays' allocated bytes: the BFS
 // workspace, the per-shard tables and solve records (remote rows and
-// values included) and the call scratch. The residuals and workspaces
+// values included) and the call scratch, a worker run's request and
+// reply among it. The residuals and workspaces
 // it borrows are the index pool's and counted there.
 //
 //kdash:noalloc
 func (st *pushState) scratchBytes() int64 {
+	q, rep := &st.runReq, &st.runRep
 	n := int64(8*cap(st.res) + 8*cap(st.resMass) + int(unsafe.Sizeof(shardSolves{}))*cap(st.solves) +
-		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)+cap(st.rowBuf)+cap(st.valBuf)))
+		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)+cap(st.rowBuf)+cap(st.valBuf)) +
+		8*(cap(q.ResPtr)+cap(q.ResIdx)+cap(q.ResVal)+cap(q.PrePtr)+cap(q.PreRows)+cap(rep.Steps)+cap(rep.Ptr)+cap(rep.Vals)) +
+		int(unsafe.Sizeof(pendingAdd{}))*cap(st.pend))
 	if st.tree != nil {
 		n += st.tree.Bytes()
 	}
@@ -339,23 +357,13 @@ func (st *pushState) run() (QueryStats, error) {
 	sx := st.sx
 	var qs QueryStats
 	s := len(sx.parts)
-	tol := sx.qtol * st.initial
+	st.tol = sx.qtol * st.initial
 
 	total := st.initial
 	for {
-		// The total is re-summed rather than maintained incrementally:
-		// the per-shard masses are exact (assigned, not drifted), and a
-		// drifted running total can float just above tolerance forever.
-		best, bestMass := -1, 0.0
-		total = 0
-		for si := 0; si < s; si++ {
-			m := st.resMass[si]
-			total += m
-			if m > bestMass {
-				best, bestMass = si, m
-			}
-		}
-		if total <= tol || best < 0 || qs.Solves >= maxSolves {
+		best, sum := st.pick()
+		total = sum
+		if total <= st.tol || best < 0 || qs.Solves >= maxSolves {
 			break
 		}
 		if st.ctx != nil {
@@ -371,8 +379,11 @@ func (st *pushState) run() (QueryStats, error) {
 			return qs, err
 		}
 	}
+	if left := len(st.runRep.Steps) - st.runNext; left > 0 {
+		return qs, fmt.Errorf("%w: a worker ran %d solves past the push's end", rpc.ErrUnavailable, left) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
+	}
 	qs.ResidualMass = total
-	qs.Converged = total <= tol
+	qs.Converged = total <= st.tol
 	for si := 0; si < s; si++ {
 		if st.resMass[si] > 0 && !st.solves[si].recorded() {
 			qs.ShardsPruned++
@@ -387,6 +398,27 @@ func (st *pushState) run() (QueryStats, error) {
 		tr.Converged = qs.Converged
 	}
 	return qs, nil
+}
+
+// pick returns the shard with the most pending mass — by strict >, so
+// the lowest index among ties; -1 when no shard holds any — and the
+// total pending mass. The total is re-summed rather than maintained
+// incrementally: the per-shard masses are exact (assigned, not
+// drifted), and a drifted running total can float just above tolerance
+// forever. A coordinator's push and a worker's run (RunShardRows) pick
+// with this one function, so they choose the same shards.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) pick() (best int, total float64) {
+	best, bestMass := -1, 0.0
+	for si, m := range st.resMass {
+		total += m
+		if m > bestMass {
+			best, bestMass = si, m
+		}
+	}
+	return best, total
 }
 
 // traceSolve wraps one solveShard call with trace recording: the
@@ -446,24 +478,33 @@ func (st *pushState) consumeResidual(best int) ([]int, []float64) {
 // stops after its L^{-1} pass (kept in the shard's solve record) and
 // only the cut-owning rows are completed, as U^{-1} row dots; under a
 // RemoteSolver the worker computes the same row dots for the cut rows
-// and the rank prefix's rows in the shard (remoteSolve). Either way the
-// cut scatter walks the cut rows in ascending order with the same
-// values, so both modes push bit-identically. It returns the worker's
-// time for a remote solve. A failed shard open or worker call abandons
-// the query with the error, never a partial answer.
+// and the rank prefix's rows in the shard, in a run of solves one call
+// returns (runRemote, remoteSolve). Either way the cut scatter walks the
+// cut rows in ascending order with the same values, so both modes push
+// bit-identically. It returns the worker's time when the solve made the
+// call. A failed shard open or worker call abandons the query with the
+// error, never a partial answer.
 //
 //kdash:noalloc
 //kdash:deterministic
 func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
+	var workerNS int64
+	remote := st.sx.remote != nil
+	if remote && st.runNext == len(st.runRep.Steps) {
+		// The state before consumption is what the worker continues.
+		if err := st.runRemote(best, maxSolves-qs.Solves); err != nil {
+			return 0, err
+		}
+		workerNS = st.runRep.WorkerNS
+	}
 	idx, val := st.consumeResidual(best)
 	ss := &st.solves[best]
 	if !ss.recorded() {
 		qs.ShardsSolved++
 	}
-	var workerNS int64
 	var err error
-	if st.sx.remote != nil {
-		workerNS, err = st.remoteSolve(best, ss, idx, val)
+	if remote {
+		err = st.remoteSolve(best, ss, idx, val)
 	} else {
 		err = st.localSolve(best, ss, idx, val)
 	}
@@ -508,39 +549,100 @@ func (st *pushState) localSolve(best int, ss *shardSolves, idx []int, val []floa
 
 // scatter adds cut row k's solved value yv, times each of its cut
 // edges' weights, to the edges' destinations' residuals, in edge order.
+// The product is rounded before it is added (the conversion forbids a
+// fused multiply-add), so a worker's run, which adds the same products
+// to masses and residuals in separate steps (scatterRun), forms the
+// same bits on every platform.
 //
 //kdash:noalloc
 //kdash:deterministic
 func (st *pushState) scatter(p *part, k int, yv float64) {
 	for _, e := range p.rowCuts(k) {
-		st.addRes(int(e.dstShard), int(e.dst), e.w*yv)
+		st.addRes(int(e.dstShard), int(e.dst), float64(e.w*yv))
 	}
 }
 
+// runRemote asks best's worker to continue the push from the state as
+// it stands, with budget solves left: it ships every shard's mass and,
+// for each shard the worker serves, its nonzero residual entries and
+// its rank-prefix rows, ascending, and keeps the reply's steps for
+// remoteSolve to replay.
+//
+//kdash:noalloc
+func (st *pushState) runRemote(best, budget int) error {
+	q := &st.runReq
+	q.Served = st.sx.remote.Colocated(best)
+	q.Mass, q.Tol, q.Budget = st.resMass, st.tol, budget
+	q.ResPtr, q.ResIdx, q.ResVal = append(q.ResPtr[:0], 0), q.ResIdx[:0], q.ResVal[:0]
+	q.PrePtr, q.PreRows = append(q.PrePtr[:0], 0), q.PreRows[:0]
+	for _, si := range q.Served {
+		if r := st.res[si]; r != nil {
+			sort.Ints(r.Sup)
+			prev := -1
+			for _, lv := range r.Sup {
+				if v := r.W[lv]; v != 0 && lv != prev { // a row listed twice is sent once
+					q.ResIdx = append(q.ResIdx, lv) //kdash:allow(hotalloc) grows once per pooled state to the largest run request
+					q.ResVal = append(q.ResVal, v)  //kdash:allow(hotalloc) paired growth
+				}
+				prev = lv
+			}
+		}
+		q.ResPtr = append(q.ResPtr, len(q.ResIdx)) //kdash:allow(hotalloc) grows once per pooled state to the served shard count
+		q.PreRows = st.prefixRows(q.PreRows, si)
+		q.PrePtr = append(q.PrePtr, len(q.PreRows)) //kdash:allow(hotalloc) grows once per pooled state to the served shard count
+	}
+	st.runNext = 0
+	if st.tr != nil {
+		st.tr.Calls++
+	}
+	return st.sx.remote.RunRows(q, &st.runRep)
+}
+
 // remoteSolve is solveShard's coordinator half: it records the
-// right-hand side, asks the worker for the solve's values at ss.rows —
-// fixed at the shard's first solve to its cut rows merged with the rank
-// prefix's rows, ascending — folds them into ss.vals and scatters the
-// cut rows' values in ascending order, exactly as the in-process loop
-// does (rows outside the cut own no cut edges).
+// right-hand side and replays the next step of the last worker run —
+// its values at ss.rows, fixed at the shard's first solve to its cut
+// rows merged with the rank prefix's rows, ascending — folding them into
+// ss.vals and scattering the cut rows' values, exactly as the in-process
+// loop does (rows outside the cut own no cut edges). A step that names
+// another shard than the push chose, or a shard the called worker does
+// not serve, or holds another number of values than ss.rows, is the
+// worker breaking its contract: the query is abandoned as unavailable.
 //
 //kdash:noalloc
 //kdash:deterministic
-func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []float64) (int64, error) {
-	p := st.sx.parts[best]
+func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []float64) error {
 	if ss.nremote == 0 {
-		st.pushRows(best, ss)
+		st.rowBuf = st.prefixRows(st.rowBuf[:0], best)
+		ss.setRows(st.sx.parts[best].cutRows, st.rowBuf)
 		ss.rhsPtr = append(ss.rhsPtr[:0], 0)
 	}
 	ss.rhsIdx = append(ss.rhsIdx, idx...)
 	ss.rhsVal = append(ss.rhsVal, val...)
 	ss.rhsPtr = append(ss.rhsPtr, len(ss.rhsIdx))
 	ss.nremote++
-	out := st.values(len(ss.rows))
-	workerNS, err := st.sx.remote.SolveRows(best, ss.rows, ss.rhsPtr[ss.nremote-1:], ss.rhsIdx, ss.rhsVal, out)
-	if err != nil {
-		return 0, err
+	rep, s := &st.runRep, st.runNext
+	if s == len(rep.Steps) || rep.Steps[s] != best {
+		return fmt.Errorf("%w: a worker's run does not solve shard %d next", rpc.ErrUnavailable, best) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
 	}
+	if _, served := slices.BinarySearch(st.runReq.Served, best); !served {
+		return fmt.Errorf("%w: a worker solved shard %d, which it does not serve", rpc.ErrUnavailable, best) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
+	}
+	out := rep.Vals[rep.Ptr[s]:rep.Ptr[s+1]]
+	if len(out) != len(ss.rows) {
+		return fmt.Errorf("%w: a worker returned %d values for shard %d's %d rows", rpc.ErrUnavailable, len(out), best, len(ss.rows)) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
+	}
+	st.runNext++
+	st.fold(st.sx.parts[best], ss, out)
+	return nil
+}
+
+// fold adds one solve's values out, at ss.rows, to ss.vals and scatters
+// the cut rows' values in ascending order, skipping zeros — the
+// coordinator's replay and the worker's run alike.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) fold(p *part, ss *shardSolves, out []float64) {
 	k := 0 // cursor into the cut rows, which ss.rows lists in order
 	for i, lv := range ss.rows {
 		cut := -1
@@ -555,25 +657,30 @@ func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []flo
 			}
 		}
 	}
-	return workerNS, nil
 }
 
-// pushRows sets ss.rows to shard si's cut rows merged with the rank
-// prefix's rows in the shard, ascending and distinct, with zero values:
-// every push solve of the shard fetches exactly these rows.
+// prefixRows appends the rank prefix's rows in shard si to dst,
+// ascending.
 //
 //kdash:noalloc
-func (st *pushState) pushRows(si int, ss *shardSolves) {
+func (st *pushState) prefixRows(dst []int, si int) []int {
 	sx := st.sx
-	pre := st.rowBuf[:0]
+	n := len(dst)
 	for _, g := range st.prefix() {
 		if int(sx.home[g]) == si {
-			pre = append(pre, int(sx.local[g]))
+			dst = append(dst, int(sx.local[g])) //kdash:allow(hotalloc) grows once per pooled state to the widest prefix
 		}
 	}
-	sort.Ints(pre)
-	st.rowBuf = pre
-	cut := sx.parts[si].cutRows
+	sort.Ints(dst[n:])
+	return dst
+}
+
+// setRows sets ss.rows to the cut rows merged with the prefix rows pre
+// (both ascending) — distinct, ascending — with zero values: every push
+// solve of the shard fetches exactly these rows.
+//
+//kdash:noalloc
+func (ss *shardSolves) setRows(cut, pre []int) {
 	rows := ss.rows[:0]
 	i, j := 0, 0
 	for i < len(cut) || j < len(pre) {
@@ -634,8 +741,14 @@ func (st *pushState) values(n int) []float64 {
 	return st.valBuf[:n]
 }
 
-// prefix returns the rank prefix: the tree's first plen queued nodes.
-func (st *pushState) prefix() []int { return st.tree.Queue()[:st.plen] }
+// prefix returns the rank prefix: the tree's first plen queued nodes
+// (none when the query ranks nothing, as ProximityVector).
+func (st *pushState) prefix() []int {
+	if st.plen == 0 {
+		return nil
+	}
+	return st.tree.Queue()[:st.plen]
+}
 
 // startTree starts the rank's BFS from its roots (sorted, distinct),
 // which are layer 0 of the rank prefix.
@@ -739,6 +852,9 @@ func (st *pushState) fetch(g int) {
 		}
 		slices.Sort(rows)
 		out := st.values(ss.nremote * len(rows))
+		if st.tr != nil {
+			st.tr.Calls++
+		}
 		if _, err := sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, out); err != nil {
 			st.err = err
 			return
@@ -856,7 +972,12 @@ func (st *pushState) release() {
 		}
 		st.resMass[si] = 0
 	}
-	st.initial = 0
+	q := &st.runReq
+	q.Served, q.Mass = nil, nil
+	st.runRep.Reset()
+	st.runNext = 0
+	st.pend = st.pend[:0]
+	st.initial, st.tol = 0, 0
 	st.roots = st.roots[:0]
 	st.plen = 0
 	st.ctx, st.tr, st.err = nil, nil, nil
