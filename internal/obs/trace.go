@@ -56,8 +56,8 @@ type QueryTrace struct {
 	// NodesEvaluated is the summed solve support (proximities computed).
 	NodesEvaluated int
 	// Calls counts the worker calls a coordinator's query made: one per
-	// run of solves on one worker, plus the rank's fetches past its
-	// prefix. Zero in process.
+	// run of solves on one worker, the rank's re-runs of the push past
+	// its prefix included. Zero in process.
 	Calls int
 	// CutMassPruned is the residual mass never processed — the mass the
 	// cut-mass bound proved could not change the answer.

@@ -124,35 +124,16 @@ type epochSolver struct {
 	epoch int
 }
 
-// SolveRows implements shard.RemoteSolver with one OpSolveRows call,
-// encoded straight into its frame.
-func (es *epochSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
-	req := rpc.AppendSolveRowsRequest(rpc.Request(rpc.OpSolveRows, rpc.SolveRowsRequestLen(rows, ptr)), es.epoch, si, rows, ptr, idx, val)
-	var workerNS int64
-	err := es.cl.call(si, req, func(resp []byte) (err error) {
-		workerNS, err = rpc.DecodeSolveRowsResponse(resp, out)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	es.cl.solves[es.cl.placement[si]].Add(int64(len(ptr) - 1))
-	return workerNS, nil
-}
-
-// Colocated implements shard.RemoteSolver from the placement map.
-func (es *epochSolver) Colocated(si int) []int { return es.cl.served[es.cl.placement[si]] }
-
-// RunRows implements shard.RemoteSolver with one OpRunRows call to the
-// worker serving q.Served, encoded straight into its frame.
-func (es *epochSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
-	q.Epoch = es.epoch
-	si := q.Served[0]
+// RunRows implements shard.RemoteSolver with one OpRunRows call to
+// shard si's worker, encoded straight into its frame.
+func (es *epochSolver) RunRows(si int, q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	w := es.cl.placement[si]
+	q.Epoch, q.Served = es.epoch, es.cl.served[w]
 	req := rpc.AppendRunRowsRequest(rpc.Request(rpc.OpRunRows, q.Len()), q)
 	if err := es.cl.call(si, req, func(resp []byte) error { return rpc.DecodeRunRowsReply(resp, rep) }); err != nil {
 		return err
 	}
-	es.cl.solves[es.cl.placement[si]].Add(int64(len(rep.Steps)))
+	es.cl.solves[w].Add(int64(len(rep.Steps)))
 	return nil
 }
 

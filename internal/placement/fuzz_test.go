@@ -4,12 +4,10 @@ package placement
 // byte with any body, handed to Worker.Handle over a tiny index, must
 // come back as an answer or an error — never a panic, which would take
 // the whole worker process down (rpc.ServeConn does not recover). A
-// row solve the worker accepts must name an in-range shard, in-range
-// rows and strictly ascending in-range right-hand-side ids, and its
-// reply must be exactly the header plus 8 bytes per requested value. A
-// run the worker accepts must decode, and so must its reply, every
-// step of which solves a shard the request serves and carries one
-// value per row of that shard's cut rows and prefix rows.
+// retired opcode (2, 3 and 8) is refused. A run the worker accepts must
+// decode, and so must its reply, every step of which solves a shard the
+// request serves and carries one value per row of that shard's cut rows
+// and prefix rows.
 //
 // Run with:
 //
@@ -57,22 +55,24 @@ const maxFuzzNodeInsertions = 1 << 10
 func FuzzWorkerHandle(f *testing.F) {
 	sx := fuzzWorkerIndex(f)
 	e := sx.Epoch()
-	solve := func(epoch, si int, rows, ptr, idx []int, val []float64) []byte {
-		return rpc.AppendSolveRowsRequest(nil, epoch, si, rows, ptr, idx, val)
+	run := func(edit func(q *rpc.RunRowsRequest)) []byte {
+		q := rpc.RunRowsRequest{
+			Epoch: e, Served: []int{0, 1}, Mass: []float64{1, 0.5}, Tol: 1e-9, Budget: 100,
+			ResPtr: []int{0, 2, 3}, ResIdx: []int{0, 1, 0}, ResVal: []float64{0.75, 0.25, 0.5},
+			PrePtr: []int{0, 1, 1}, PreRows: []int{0},
+		}
+		edit(&q)
+		return rpc.AppendRunRowsRequest(nil, &q)
 	}
-	owned := make([]int, sx.Shards()) // per shard, its own rows; its ghost sink's row follows
-	for _, si := range sx.Assignment() {
-		owned[si]++
-	}
-	n0 := sx.PartLen(0)
-	f.Add(rpc.OpSolveRows, solve(e, 0, []int{0, 1, owned[0] - 1}, []int{0, 1, 3}, []int{0, 1, 2}, []float64{1, 0.5, 0.25}))
-	f.Add(rpc.OpSolveRows, solve(e, 0, []int{n0 - 1}, []int{0, 1}, []int{0}, []float64{1}))  // the sink row, if shard 0 has one
-	f.Add(rpc.OpSolveRows, solve(e, 1, []int{0}, []int{0, 0}, nil, nil))                     // one empty right-hand side
-	f.Add(rpc.OpSolveRows, solve(e, 0, []int{n0}, []int{0, 1}, []int{0}, []float64{1}))      // row past partLen
-	f.Add(rpc.OpSolveRows, solve(e, 2, []int{0}, []int{0, 1}, []int{0}, []float64{1}))       // shard out of range
-	f.Add(rpc.OpSolveRows, solve(e, 0, []int{0}, []int{0, 2}, []int{2, 1}, []float64{1, 1})) // descending ids
-	f.Add(rpc.OpSolveRows, solve(e+5, 0, []int{0}, []int{0, 1}, []int{0}, []float64{1}))     // epoch not resident
-	f.Add(uint8(2), rpc.AppendSolveRowsRequest(nil, e, 0, nil, []int{0, 1}, []int{0}, []float64{1}))
+	valid := run(func(*rpc.RunRowsRequest) {})
+	f.Add(uint8(8), valid) // the retired row solve, with a body another op accepts
+	f.Add(uint8(2), valid)
+	f.Add(uint8(3), valid)
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.PreRows[0] = sx.PartLen(0) - 1 })) // a prefix row that is the sink's, if shard 0 has one
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.ResIdx[1] = sx.PartLen(0) }))      // a residual id past partLen
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.ResVal[2] = 0 }))                  // a zero residual value
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Served = []int{1, 0} }))           // served shards descending
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Tol = math.Inf(1) }))              // an infinite tolerance
 	d := sx.Graph().NewDelta()
 	if err := d.AddEdge(0, 1, 2); err != nil {
 		f.Fatal(err)
@@ -83,25 +83,18 @@ func FuzzWorkerHandle(f *testing.F) {
 	f.Add(rpc.OpHello, []byte(nil))
 	f.Add(rpc.OpPing, []byte(nil))
 	f.Add(uint8(255), []byte{1, 2, 3})
-	run := func(edit func(q *rpc.RunRowsRequest)) []byte {
-		q := rpc.RunRowsRequest{
-			Epoch: e, Served: []int{0, 1}, Mass: []float64{1, 0.5}, Tol: 1e-9, Budget: 100,
-			ResPtr: []int{0, 2, 3}, ResIdx: []int{0, 1, 0}, ResVal: []float64{0.75, 0.25, 0.5},
-			PrePtr: []int{0, 1, 1}, PreRows: []int{0},
-		}
-		edit(&q)
-		return rpc.AppendRunRowsRequest(nil, &q)
-	}
-	f.Add(rpc.OpRunRows, run(func(*rpc.RunRowsRequest) {})) // a valid run over both shards
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) {  // shard 0 holds the most mass but is not served: no step
-		q.Served, q.ResPtr, q.ResIdx, q.ResVal, q.PrePtr, q.PreRows = []int{1}, []int{0, 1}, []int{0}, []float64{0.5}, []int{0, 0}, nil
+	f.Add(rpc.OpRunRows, valid)                            // a run over both shards
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { // shard 0 holds the most mass but is not served: no step
+		q.Served, q.ResPtr, q.ResIdx, q.ResVal, q.PrePtr, q.PreRows = []int{1}, []int{0, 0, 1}, []int{0}, []float64{0.5}, []int{0, 0, 0}, nil
 	}))
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.ResIdx[0], q.ResIdx[1] = 1, 0 }))       // descending residual ids
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = math.NaN() }))                // a NaN mass
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = -0.5 }))                      // a negative mass
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Budget = 0 }))                          // no solves left
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Epoch = e + 5 }))                       // epoch not resident
-	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Served = []int{0, 2}; q.Mass[1] = 0 })) // shard out of range
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.ResIdx[0], q.ResIdx[1] = 1, 0 })) // descending residual ids
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = math.NaN() }))          // a NaN mass
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Mass[1] = -0.5 }))                // a negative mass
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Budget = 0 }))                    // no solves left
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) { q.Epoch = e + 5 }))                 // epoch not resident
+	f.Add(rpc.OpRunRows, run(func(q *rpc.RunRowsRequest) {                                     // shard out of range
+		q.Served, q.Mass, q.ResPtr, q.PrePtr = []int{0, 2}, []float64{1, 0, 0}, []int{0, 2, 3, 3}, []int{0, 1, 1, 1}
+	}))
 
 	// cutRows[si] holds the local rows of shard si's nodes with an edge
 	// into another shard; local ids follow ascending global ids.
@@ -133,6 +126,9 @@ func FuzzWorkerHandle(f *testing.F) {
 		}
 		wk := NewWorker(sx)
 		resp, err := wk.Handle(op, body, nil)
+		if retired := op == 2 || op == 3 || op == 8; retired && err == nil {
+			t.Fatalf("retired op %d answered", op)
+		}
 		if err != nil {
 			return
 		}
@@ -146,47 +142,17 @@ func FuzzWorkerHandle(f *testing.F) {
 				t.Fatalf("run reply does not decode: %v", derr)
 			}
 			for s, si := range rep.Steps {
-				j := slices.Index(req.Served, si)
-				if j < 0 {
+				if !slices.Contains(req.Served, si) {
 					t.Fatalf("step %d solved shard %d outside the served %v", s, si, req.Served)
 				}
 				rows := maps.Clone(cutRows[si])
-				for _, lv := range req.PreRows[req.PrePtr[j]:req.PrePtr[j+1]] {
+				for _, lv := range req.PreRows[req.PrePtr[si]:req.PrePtr[si+1]] {
 					rows[lv] = true
 				}
 				if got := rep.Ptr[s+1] - rep.Ptr[s]; got != len(rows) {
 					t.Fatalf("step %d (shard %d): %d values for %d rows", s, si, got, len(rows))
 				}
 			}
-			return
-		}
-		if op != rpc.OpSolveRows {
-			return
-		}
-		var req rpc.SolveRowsRequest
-		if derr := rpc.DecodeSolveRowsRequest(body, &req); derr != nil {
-			t.Fatalf("worker answered a request that does not decode: %v", derr)
-		}
-		if req.Shard < 0 || req.Shard >= sx.Shards() {
-			t.Fatalf("worker solved shard %d of %d", req.Shard, sx.Shards())
-		}
-		for _, lv := range req.Rows {
-			if lv < 0 || lv >= owned[req.Shard] {
-				t.Fatalf("worker answered row %d outside the owned [0,%d)", lv, owned[req.Shard])
-			}
-		}
-		n := sx.PartLen(req.Shard)
-		for r := 0; r+1 < len(req.Ptr); r++ {
-			prev := -1
-			for _, u := range req.Idx[req.Ptr[r]:req.Ptr[r+1]] {
-				if u <= prev || u >= n {
-					t.Fatalf("worker accepted right-hand side %d with id %d after %d (partLen %d)", r, u, prev, n)
-				}
-				prev = u
-			}
-		}
-		if want := rpc.SolveRowsReplyHeader + 8*(len(req.Ptr)-1)*len(req.Rows); len(resp) != want {
-			t.Fatalf("reply is %d bytes, want %d", len(resp), want)
 		}
 	})
 }

@@ -605,12 +605,11 @@ func TestWorkerPublishStateMachine(t *testing.T) {
 }
 
 // TestWorkerRejectsUnknownOps sends opcodes the protocol does not
-// define — among them 2, the retired whole-solution solve, and 3, the
-// retired block solve, and 10, the first past OpRunRows — over one
-// pooled connection: each is refused
-// with the unknown-op error, and the same connection then serves an
-// ordinary row solve whose values match the in-process worker surface
-// bit for bit.
+// define — among them the retired 2 (the whole-solution solve), 3 (the
+// block solve) and 8 (the row solve), and 10, the first past OpRunRows
+// — over one pooled connection: each is refused with the unknown-op
+// error, and the same connection then serves an ordinary run whose
+// reply matches the in-process worker surface bit for bit.
 func TestWorkerRejectsUnknownOps(t *testing.T) {
 	seed := int64(29)
 	dir := buildDir(t, rand.New(rand.NewSource(seed)), seed, 3)
@@ -627,30 +626,39 @@ func TestWorkerRejectsUnknownOps(t *testing.T) {
 			owned++
 		}
 	}
-	rows := make([]int, owned)
-	for lv := range rows {
-		rows[lv] = lv
+	q := rpc.RunRowsRequest{Epoch: oracle.Epoch(), Tol: 1e-9, Budget: 100, ResPtr: []int{0}, ResIdx: []int{0}, ResVal: []float64{1}, PrePtr: []int{0}}
+	for si := 0; si < oracle.Shards(); si++ {
+		q.Served = append(q.Served, si)
+		q.Mass = append(q.Mass, 0)
+		q.ResPtr = append(q.ResPtr, 1)
+		q.PrePtr = append(q.PrePtr, owned)
 	}
-	ptr, idx, val := []int{0, 1}, []int{0}, []float64{1}
-	body := rpc.AppendSolveRowsRequest(nil, oracle.Epoch(), 0, rows, ptr, idx, val)
-	for _, op := range []uint8{2, 3, 0, 10, 255} {
+	q.Mass[0] = 1
+	for lv := 0; lv < owned; lv++ {
+		q.PreRows = append(q.PreRows, lv)
+	}
+	var want rpc.RunRowsReply
+	if err := oracle.RunShardRows(&q, &want); err != nil {
+		t.Fatal(err)
+	}
+	body := rpc.AppendRunRowsRequest(nil, &q)
+	for _, op := range []uint8{2, 3, 8, 0, 10, 255} {
 		_, err := c.Call(op, body)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", op)) {
 			t.Fatalf("op %d: err = %v, want the unknown-op error", op, err)
 		}
-		resp, err := c.Call(rpc.OpSolveRows, body)
+		resp, err := c.Call(rpc.OpRunRows, body)
 		if err != nil {
-			t.Fatalf("solve after op %d: %v", op, err)
+			t.Fatalf("run after op %d: %v", op, err)
 		}
-		got := make([]float64, len(rows))
-		if _, err := rpc.DecodeSolveRowsResponse(resp, got); err != nil {
+		var got rpc.RunRowsReply
+		if err := rpc.DecodeRunRowsReply(resp, &got); err != nil {
 			t.Fatal(err)
 		}
-		want := make([]float64, len(rows))
-		if err := oracle.SolveShardRows(0, rows, ptr, idx, val, want); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got.Steps, want.Steps) || !reflect.DeepEqual(got.Ptr, want.Ptr) {
+			t.Fatalf("run after op %d solved %v (%v), want %v (%v)", op, got.Steps, got.Ptr, want.Steps, want.Ptr)
 		}
-		sameResults(t, "solve after unknown op", got, want)
+		sameResults(t, "run after unknown op", got.Vals, want.Vals)
 	}
 	tw.mu.Lock()
 	conns := len(tw.cs)

@@ -1,8 +1,8 @@
 // Package placement implements distributed shard serving: a Worker that
 // owns (a subset of) the shards and answers factor-solve RPCs against
-// real factors — each solve returns only the rows the coordinator names,
-// and one call continues the push on the worker's shards for as long as
-// they hold the most pending mass — and a Coordinator that runs the
+// real factors — one call continues the push on the worker's shards for
+// as long as they hold the most pending mass, each solve returning only
+// the rows the coordinator names — and a Coordinator that runs the
 // greedy cross-shard push locally over a factorless index, routing its
 // solves to the worker the placement map (Assign) assigns each shard
 // to. The shared on-disk manifest is the
@@ -48,18 +48,14 @@ type Worker struct {
 	epochs map[int]*shard.ShardedIndex
 	staged map[int]*shard.ShardedIndex
 
-	// scratch pools decoded requests, their value buffers and run
-	// replies: decoding into fresh slices per call measurably raised a
-	// worker's peak RSS (49 -> 64 MB serving the 50k-node bench graph on
-	// 2 cores).
+	// scratch pools decoded run requests and their replies: decoding
+	// into fresh slices per call measurably raised a worker's peak RSS
+	// (49 -> 64 MB serving the 50k-node bench graph on 2 cores).
 	scratch sync.Pool
 }
 
-// solveScratch is one call's decoded request and reply values: a row
-// solve's, or a run's.
-type solveScratch struct {
-	req rpc.SolveRowsRequest
-	out []float64
+// runScratch is one call's decoded run request and its reply.
+type runScratch struct {
 	run rpc.RunRowsRequest
 	rep rpc.RunRowsReply
 }
@@ -92,8 +88,6 @@ func (wk *Worker) Handle(op uint8, body, resp []byte) ([]byte, error) {
 		sx := wk.epochs[cur]
 		wk.mu.RUnlock()
 		return rpc.AppendHelloResponse(resp, rpc.HelloResponse{N: sx.N(), Shards: sx.Shards(), Epoch: cur}), nil
-	case rpc.OpSolveRows:
-		return wk.solveRows(body, resp)
 	case rpc.OpRunRows:
 		return wk.runRows(body, resp)
 	case rpc.OpPrepare:
@@ -122,40 +116,14 @@ func (wk *Worker) Handle(op uint8, body, resp []byte) ([]byte, error) {
 	}
 }
 
-// getScratch checks row-solve scratch out of the worker's pool.
+// getScratch checks run scratch out of the worker's pool.
 //
 //kdash:pooled
-func (wk *Worker) getScratch() *solveScratch {
-	if sc, ok := wk.scratch.Get().(*solveScratch); ok {
+func (wk *Worker) getScratch() *runScratch {
+	if sc, ok := wk.scratch.Get().(*runScratch); ok {
 		return sc
 	}
-	return &solveScratch{}
-}
-
-// solveRows answers one OpSolveRows call: decode into pooled scratch,
-// solve against the requested epoch's real factors, and append the
-// values behind the worker's elapsed time to resp.
-func (wk *Worker) solveRows(body, resp []byte) ([]byte, error) {
-	t0 := time.Now()
-	sc := wk.getScratch()
-	defer wk.scratch.Put(sc)
-	req := &sc.req
-	if err := rpc.DecodeSolveRowsRequest(body, req); err != nil {
-		return nil, err
-	}
-	sx := wk.at(req.Epoch)
-	if sx == nil {
-		return nil, rpc.ErrWrongEpoch
-	}
-	n := (len(req.Ptr) - 1) * len(req.Rows)
-	if cap(sc.out) < n {
-		sc.out = make([]float64, n)
-	}
-	out := sc.out[:n]
-	if err := sx.SolveShardRows(req.Shard, req.Rows, req.Ptr, req.Idx, req.Val, out); err != nil {
-		return nil, err
-	}
-	return rpc.AppendSolveRowsResponse(resp, time.Since(t0).Nanoseconds(), out), nil
+	return &runScratch{}
 }
 
 // runRows answers one OpRunRows call: decode into pooled scratch,

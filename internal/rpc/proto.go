@@ -5,12 +5,12 @@
 //
 // The protocol exists to move *bits*, not numbers: float64 values cross
 // the wire as their raw IEEE-754 bit patterns (math.Float64bits) in
-// both directions. A solve names its rows explicitly — the coordinator
-// asks for the values the push scatters and the rank reads, and the
-// reply carries exactly those, in request order — and a run ships the
-// push's pending state bit for bit, so the values the coordinator feeds
-// into the greedy push and the rank are the bytes a single process would
-// have computed. See docs/ARCHITECTURE.md,
+// both directions. A run ships the push's pending state bit for bit and
+// names the rows its solves return — the coordinator asks for the
+// values the push scatters and the rank reads, and each step of the
+// reply carries exactly those, ascending — so the values the coordinator
+// feeds into the greedy push and the rank are the bytes a single process
+// would have computed. See docs/ARCHITECTURE.md,
 // "Distributed serving".
 package rpc
 
@@ -29,15 +29,16 @@ import (
 // the op-specific body (StatusOK) or an error string.
 const (
 	OpHello uint8 = 1 // -> n, shards, epoch of the worker's index
-	// 2 was OpSolve, which returned a whole solution per solve, and 3
-	// OpBatchSolve, the multi-lane block solve. Both are retired, never
-	// reused: a worker answers them with the unknown-op error.
-	OpPrepare   uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
-	OpCommit    uint8 = 5 // publish staged epoch E (phase 2)
-	OpAbort     uint8 = 6 // drop staged epoch E
-	OpPing      uint8 = 7 // liveness probe
-	OpSolveRows uint8 = 8 // solve one shard per right-hand side -> values at the listed rows
-	OpRunRows   uint8 = 9 // continue the push on the worker's shards -> each solve's values
+	// 2 was OpSolve, which returned a whole solution per solve, 3
+	// OpBatchSolve, the multi-lane block solve, and 8 OpSolveRows, which
+	// solved one shard per right-hand side at listed rows. All are
+	// retired, never reused: a worker answers them with the unknown-op
+	// error.
+	OpPrepare uint8 = 4 // stage delta as epoch E (two-phase publish, phase 1)
+	OpCommit  uint8 = 5 // publish staged epoch E (phase 2)
+	OpAbort   uint8 = 6 // drop staged epoch E
+	OpPing    uint8 = 7 // liveness probe
+	OpRunRows uint8 = 9 // continue the push on the worker's shards -> each solve's values
 )
 
 // Response status bytes.
@@ -60,8 +61,8 @@ var ErrWrongEpoch = errors.New("rpc: epoch not resident on worker")
 
 // maxFrame bounds a single frame so a torn or hostile length prefix
 // cannot ask for an absurd allocation. The biggest legitimate frames are
-// a coordinator's full-vector reads (every row of a shard for each of
-// its solves) and Prepare deltas; 1 GiB is far above either.
+// a full-vector read's run replies (every owned row of a served shard
+// per step) and Prepare deltas; 1 GiB is far above either.
 const maxFrame = 1 << 30
 
 // beginFrame starts a frame in buf's backing array: a length
@@ -210,143 +211,6 @@ func DecodeHelloResponse(data []byte) (HelloResponse, error) {
 	return h, r.err
 }
 
-// SolveRowsRequest is one OpSolveRows call: against shard Shard at
-// epoch Epoch, solve every right-hand side — rhs r is Idx[Ptr[r]:Ptr[r+1]]
-// with values Val[Ptr[r]:Ptr[r+1]], local ids ascending — and return the
-// solution's values at Rows (local ids, any order). Rows and the ids are
-// not range-checked here: the decoder knows no shard shapes, so the
-// worker validates them against the shard before solving.
-type SolveRowsRequest struct {
-	Epoch, Shard int
-	Rows         []int
-	Ptr          []int
-	Idx          []int
-	Val          []float64
-}
-
-// AppendSolveRowsRequest encodes a SolveRowsRequest: epoch, shard, the
-// row list, then each right-hand side as its entry count, ids and raw
-// value bits — the exact slices the coordinator's push consumed, bit
-// for bit. ptr need not start at 0: rhs r is idx[ptr[r]:ptr[r+1]].
-func AppendSolveRowsRequest(buf []byte, epoch, shard int, rows, ptr, idx []int, val []float64) []byte {
-	nrhs := max(len(ptr)-1, 0)
-	buf = appendUint64(buf, uint64(epoch))
-	buf = appendUint32(buf, uint32(shard))
-	buf = appendUint32(buf, uint32(len(rows)))
-	for _, v := range rows {
-		buf = appendUint32(buf, uint32(v))
-	}
-	buf = appendUint32(buf, uint32(nrhs))
-	for r := 0; r < nrhs; r++ {
-		lo, hi := ptr[r], ptr[r+1]
-		buf = appendUint32(buf, uint32(hi-lo))
-		for _, v := range idx[lo:hi] {
-			buf = appendUint32(buf, uint32(v))
-		}
-		for _, v := range val[lo:hi] {
-			buf = appendFloat64(buf, v)
-		}
-	}
-	return buf
-}
-
-// DecodeSolveRowsRequest decodes a SolveRowsRequest into q, reusing
-// the capacity of q's slices (a worker pools its requests). Every count
-// is checked against the bytes that must follow it before anything is
-// allocated, and the reply it asks for (right-hand sides × rows values)
-// must fit in one frame, so a hostile header cannot make the worker
-// allocate more than the frame carried.
-func DecodeSolveRowsRequest(data []byte, q *SolveRowsRequest) error {
-	r := reader{data: data}
-	q.Epoch = int(r.uint64())
-	q.Shard = int(r.uint32())
-	nrows := int(r.uint32())
-	if r.err == nil && 4*nrows > len(r.data)-r.off {
-		r.fail()
-	}
-	if r.err != nil {
-		return r.err
-	}
-	q.Rows = q.Rows[:0]
-	for i := 0; i < nrows; i++ {
-		q.Rows = append(q.Rows, int(r.uint32()))
-	}
-	nrhs := int(r.uint32())
-	if r.err == nil && 4*nrhs > len(r.data)-r.off {
-		r.fail() // every right-hand side carries at least its count
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if uint64(nrhs)*uint64(nrows) > (maxFrame-SolveRowsReplyHeader)/8 {
-		return fmt.Errorf("rpc: solve of %d right-hand sides × %d rows exceeds the frame limit", nrhs, nrows)
-	}
-	q.Ptr = append(q.Ptr[:0], 0)
-	q.Idx, q.Val = q.Idx[:0], q.Val[:0]
-	for k := 0; k < nrhs; k++ {
-		n := int(r.uint32())
-		if r.err == nil && 12*n > len(r.data)-r.off {
-			r.fail()
-		}
-		if r.err != nil {
-			return r.err
-		}
-		for i := 0; i < n; i++ {
-			q.Idx = append(q.Idx, int(r.uint32()))
-		}
-		for i := 0; i < n; i++ {
-			q.Val = append(q.Val, r.float64())
-		}
-		q.Ptr = append(q.Ptr, len(q.Idx))
-	}
-	if r.err == nil && r.off != len(r.data) {
-		return fmt.Errorf("rpc: %d trailing bytes after solve request", len(r.data)-r.off)
-	}
-	return r.err
-}
-
-// SolveRowsReplyHeader is the byte size of an OpSolveRows reply ahead
-// of its values: the worker's elapsed nanoseconds.
-const SolveRowsReplyHeader = 8
-
-// AppendSolveRowsResponse encodes an OpSolveRows reply: the worker's
-// elapsed nanoseconds, then the requested values rhs-major (value i of
-// right-hand side r at position r·len(rows)+i) as raw IEEE-754 bits.
-func AppendSolveRowsResponse(buf []byte, workerNS int64, vals []float64) []byte {
-	buf = appendUint64(buf, uint64(workerNS))
-	for _, v := range vals {
-		buf = appendFloat64(buf, v)
-	}
-	return buf
-}
-
-// DecodeSolveRowsResponse decodes an OpSolveRows reply into out, which
-// the caller sized to the right-hand sides × rows it asked for; a reply
-// of any other length is an error, never a partial fill.
-func DecodeSolveRowsResponse(data []byte, out []float64) (workerNS int64, err error) {
-	if len(data) != SolveRowsReplyHeader+8*len(out) {
-		return 0, fmt.Errorf("rpc: solve reply has %d bytes, want %d for %d values", len(data), SolveRowsReplyHeader+8*len(out), len(out))
-	}
-	workerNS = int64(binary.LittleEndian.Uint64(data))
-	data = data[SolveRowsReplyHeader:]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return workerNS, nil
-}
-
-// SolveRowsRequestLen is the encoded size of the SolveRowsRequest
-// AppendSolveRowsRequest writes for rows and ptr, so a caller can size
-// the request's frame (Request) once.
-func SolveRowsRequestLen(rows, ptr []int) int {
-	nrhs := max(len(ptr)-1, 0)
-	n := 20 + 4*len(rows) + 4*nrhs
-	if nrhs > 0 {
-		n += 12 * (ptr[nrhs] - ptr[0])
-	}
-	return n
-}
-
 // MaxRunSteps caps the solves one OpRunRows call runs, which bounds its
 // reply to MaxRunSteps of the served shards' row sets. A push that
 // keeps its most pending mass on one worker longer than that takes
@@ -357,11 +221,13 @@ const MaxRunSteps = 32
 // at epoch Epoch on the shards the worker serves (Served, ascending),
 // from the pending state the coordinator holds. Mass is every shard's
 // pending mass; Tol is the push's tolerance on their sum and Budget the
-// solves it has left. Served[j]'s residual is ResIdx/ResVal over
-// [ResPtr[j], ResPtr[j+1]) — local ids ascending, values nonzero — and
-// its rank-prefix rows are PreRows over [PrePtr[j], PrePtr[j+1]),
-// ascending. As with SolveRowsRequest, the decoder range-checks no id:
-// the worker validates them against the shards.
+// solves it has left. Each shard si has a section: its residual is
+// ResIdx/ResVal over [ResPtr[si], ResPtr[si+1]) — local ids ascending,
+// values nonzero — and its rank-prefix rows are PreRows over
+// [PrePtr[si], PrePtr[si+1]), ascending. Only the served shards'
+// sections travel; a decoded request's other sections are empty. The
+// decoder range-checks no id: the worker validates them against the
+// shards.
 type RunRowsRequest struct {
 	Epoch   int
 	Served  []int
@@ -377,7 +243,11 @@ type RunRowsRequest struct {
 
 // Len is q's encoded size: what AppendRunRowsRequest appends.
 func (q *RunRowsRequest) Len() int {
-	return 28 + 12*len(q.Served) + 8*len(q.Mass) + 12*len(q.ResIdx) + 4*len(q.PreRows)
+	n := 28 + 12*len(q.Served) + 8*len(q.Mass)
+	for _, si := range q.Served {
+		n += 12*(q.ResPtr[si+1]-q.ResPtr[si]) + 4*(q.PrePtr[si+1]-q.PrePtr[si])
+	}
+	return n
 }
 
 // AppendRunRowsRequest encodes q: epoch, the served shards, every
@@ -396,8 +266,8 @@ func AppendRunRowsRequest(buf []byte, q *RunRowsRequest) []byte {
 	}
 	buf = appendFloat64(buf, q.Tol)
 	buf = appendUint32(buf, uint32(q.Budget))
-	for j := range q.Served {
-		lo, hi := q.ResPtr[j], q.ResPtr[j+1]
+	for _, si := range q.Served {
+		lo, hi := q.ResPtr[si], q.ResPtr[si+1]
 		buf = appendUint32(buf, uint32(hi-lo))
 		for _, v := range q.ResIdx[lo:hi] {
 			buf = appendUint32(buf, uint32(v))
@@ -405,7 +275,7 @@ func AppendRunRowsRequest(buf []byte, q *RunRowsRequest) []byte {
 		for _, v := range q.ResVal[lo:hi] {
 			buf = appendFloat64(buf, v)
 		}
-		lo, hi = q.PrePtr[j], q.PrePtr[j+1]
+		lo, hi = q.PrePtr[si], q.PrePtr[si+1]
 		buf = appendUint32(buf, uint32(hi-lo))
 		for _, v := range q.PreRows[lo:hi] {
 			buf = appendUint32(buf, uint32(v))
@@ -429,8 +299,11 @@ func (r *reader) count(size int) int {
 }
 
 // DecodeRunRowsRequest decodes a RunRowsRequest into q, reusing the
-// capacity of q's slices. Every count is checked against the bytes that
-// must follow it before anything is appended.
+// capacity of q's slices: one section per mass, the served shards'
+// from the body and every other one empty. Every count is checked
+// against the bytes that must follow it before anything is appended,
+// and served shards that are not ascending among the masses are an
+// error.
 func DecodeRunRowsRequest(data []byte, q *RunRowsRequest) error {
 	r := reader{data: data}
 	q.Epoch = int(r.uint64())
@@ -446,19 +319,26 @@ func DecodeRunRowsRequest(data []byte, q *RunRowsRequest) error {
 	q.Budget = int(r.uint32())
 	q.ResPtr, q.ResIdx, q.ResVal = append(q.ResPtr[:0], 0), q.ResIdx[:0], q.ResVal[:0]
 	q.PrePtr, q.PreRows = append(q.PrePtr[:0], 0), q.PreRows[:0]
-	for range q.Served {
-		n := r.count(12)
-		for i := 0; i < n; i++ {
-			q.ResIdx = append(q.ResIdx, int(r.uint32()))
-		}
-		for i := 0; i < n; i++ {
-			q.ResVal = append(q.ResVal, r.float64())
+	j := 0
+	for si := range q.Mass {
+		if j < len(q.Served) && q.Served[j] == si {
+			j++
+			n := r.count(12)
+			for i := 0; i < n; i++ {
+				q.ResIdx = append(q.ResIdx, int(r.uint32()))
+			}
+			for i := 0; i < n; i++ {
+				q.ResVal = append(q.ResVal, r.float64())
+			}
+			for i, n := 0, r.count(4); i < n; i++ {
+				q.PreRows = append(q.PreRows, int(r.uint32()))
+			}
 		}
 		q.ResPtr = append(q.ResPtr, len(q.ResIdx))
-		for i, n := 0, r.count(4); i < n; i++ {
-			q.PreRows = append(q.PreRows, int(r.uint32()))
-		}
 		q.PrePtr = append(q.PrePtr, len(q.PreRows))
+	}
+	if r.err == nil && j != len(q.Served) {
+		return fmt.Errorf("rpc: run's %d served shards are not ascending among its %d masses", len(q.Served), len(q.Mass))
 	}
 	if r.err == nil && r.off != len(r.data) {
 		return fmt.Errorf("rpc: %d trailing bytes after run request", len(r.data)-r.off)

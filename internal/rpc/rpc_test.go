@@ -19,64 +19,6 @@ var trickyFloats = []float64{
 	math.Nextafter(1, 2), 0.1 + 0.2, 1e308, -2.2250738585072014e-308,
 }
 
-func TestSolveCodecRoundTrip(t *testing.T) {
-	// Two right-hand sides carved out of flat arrays whose pointers do
-	// not start at 0 — the coordinator sends the tail of its recorded
-	// solves this way — plus an empty one.
-	rows := []int{9, 0, 4}
-	ptr := []int{1, 3, 6, 6}
-	idx := []int{99, 0, 3, 1, 7, 12, 99}
-	val := append([]float64{42}, trickyFloats[:6]...)
-	req := AppendSolveRowsRequest(nil, 42, 3, rows, ptr, idx, val)
-	var got SolveRowsRequest
-	if err := DecodeSolveRowsRequest(req, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 42 || got.Shard != 3 || !reflect.DeepEqual(got.Rows, rows) {
-		t.Fatalf("request decoded to epoch=%d shard=%d rows=%v", got.Epoch, got.Shard, got.Rows)
-	}
-	if !reflect.DeepEqual(got.Ptr, []int{0, 2, 5, 5}) || !reflect.DeepEqual(got.Idx, idx[1:6]) {
-		t.Fatalf("right-hand sides decoded to ptr=%v idx=%v", got.Ptr, got.Idx)
-	}
-	for i, v := range got.Val {
-		if math.Float64bits(v) != math.Float64bits(val[1+i]) {
-			t.Fatalf("val[%d]: %x != %x", i, math.Float64bits(v), math.Float64bits(val[1+i]))
-		}
-	}
-	// Decoding a smaller request into the same struct (a worker reuses
-	// its requests) leaves nothing of the larger one behind.
-	small := AppendSolveRowsRequest(nil, 7, 1, []int{2}, []int{0, 1}, []int{5}, []float64{0.5})
-	if err := DecodeSolveRowsRequest(small, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := SolveRowsRequest{Epoch: 7, Shard: 1, Rows: []int{2}, Ptr: []int{0, 1}, Idx: []int{5}, Val: []float64{0.5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reused decode = %+v, want %+v", got, want)
-	}
-
-	// The reply carries raw bits in request order — NaN payloads, -0
-	// and subnormals included — behind the worker's elapsed time.
-	vals := append(append([]float64(nil), trickyFloats...),
-		math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0002))
-	resp := AppendSolveRowsResponse(nil, 12345, vals)
-	if len(resp) != SolveRowsReplyHeader+8*len(vals) {
-		t.Fatalf("reply is %d bytes, want %d", len(resp), SolveRowsReplyHeader+8*len(vals))
-	}
-	out := make([]float64, len(vals))
-	ns, err := DecodeSolveRowsResponse(resp, out)
-	if err != nil || ns != 12345 {
-		t.Fatalf("reply decoded to ns=%d err=%v", ns, err)
-	}
-	for i, v := range out {
-		if math.Float64bits(v) != math.Float64bits(vals[i]) {
-			t.Fatalf("value %d lost bits: %x != %x", i, math.Float64bits(v), math.Float64bits(vals[i]))
-		}
-	}
-	if _, err := DecodeSolveRowsResponse(resp, out[:len(out)-1]); err == nil {
-		t.Fatal("a reply longer than the values asked for decoded cleanly")
-	}
-}
-
 func TestControlCodecs(t *testing.T) {
 	h := HelloResponse{N: 1 << 40, Shards: 16, Epoch: 9}
 	got, err := DecodeHelloResponse(AppendHelloResponse(nil, h))
@@ -91,62 +33,6 @@ func TestControlCodecs(t *testing.T) {
 	e, err := DecodeEpochRequest(AppendEpochRequest(nil, 99))
 	if err != nil || e != 99 {
 		t.Fatalf("epoch: %d err=%v", e, err)
-	}
-}
-
-func TestDecodeRejectsTruncation(t *testing.T) {
-	req := AppendSolveRowsRequest(nil, 1, 2, []int{4, 5}, []int{0, 2, 3}, []int{1, 2, 3}, []float64{1, 2, 3})
-	for cut := 0; cut < len(req); cut++ {
-		// Every count is checked against the bytes behind it, so no
-		// strict prefix decodes as a smaller valid message.
-		if err := DecodeSolveRowsRequest(req[:cut], &SolveRowsRequest{}); err == nil {
-			t.Fatalf("truncated request at %d bytes decoded cleanly", cut)
-		}
-	}
-	if err := DecodeSolveRowsRequest(append(req, 0), &SolveRowsRequest{}); err == nil {
-		t.Fatal("request with a trailing byte decoded cleanly")
-	}
-	resp := AppendSolveRowsResponse(nil, 7, []float64{0, 1, 2})
-	out := make([]float64, 3)
-	for cut := 0; cut < len(resp); cut++ {
-		if _, err := DecodeSolveRowsResponse(resp[:cut], out); err == nil {
-			t.Fatalf("truncated response at %d bytes decoded cleanly", cut)
-		}
-	}
-}
-
-// TestSolveRowsRequestBombs: headers whose counts promise more than the
-// frame carries — or a reply larger than a frame — are rejected before
-// anything is allocated.
-func TestSolveRowsRequestBombs(t *testing.T) {
-	head := func(nrows uint32) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, 1)
-		b = binary.LittleEndian.AppendUint32(b, 0)
-		return binary.LittleEndian.AppendUint32(b, nrows)
-	}
-	// 4e9 rows promised, none carried.
-	if err := DecodeSolveRowsRequest(head(math.MaxUint32), &SolveRowsRequest{}); err == nil {
-		t.Fatal("row-count bomb accepted")
-	}
-	// One row, 4e9 right-hand sides promised.
-	b := binary.LittleEndian.AppendUint32(head(1), 0)
-	if err := DecodeSolveRowsRequest(binary.LittleEndian.AppendUint32(b, math.MaxUint32), &SolveRowsRequest{}); err == nil {
-		t.Fatal("rhs-count bomb accepted")
-	}
-	// One rhs of 4e9 entries promised.
-	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head(0), 1), math.MaxUint32)
-	if err := DecodeSolveRowsRequest(b, &SolveRowsRequest{}); err == nil {
-		t.Fatal("rhs-length bomb accepted")
-	}
-	// Small on the wire, but the reply (rows × rhs values) would not
-	// fit in a frame: 2^16 rows × 2^16 empty right-hand sides.
-	const n = 1 << 16
-	b = head(n)
-	b = append(b, make([]byte, 4*n)...)
-	b = binary.LittleEndian.AppendUint32(b, n)
-	b = append(b, make([]byte, 4*n)...)
-	if err := DecodeSolveRowsRequest(b, &SolveRowsRequest{}); err == nil {
-		t.Fatal("reply-size bomb accepted")
 	}
 }
 
@@ -167,7 +53,7 @@ func (h *echoHandler) Handle(op uint8, body, resp []byte) ([]byte, error) {
 		return resp, nil
 	case OpHello:
 		return AppendHelloResponse(resp, HelloResponse{N: 10, Shards: 2, Epoch: 1}), nil
-	case OpSolveRows:
+	case OpRunRows:
 		var sum uint64
 		for _, b := range body {
 			sum += uint64(b)
@@ -223,7 +109,7 @@ func TestClientTimeoutIsUnavailable(t *testing.T) {
 	addr := startServer(t, &echoHandler{sleep: 500 * time.Millisecond})
 	c := NewClient(addr, nil, 50*time.Millisecond)
 	defer c.Close()
-	if _, err := c.Call(OpSolveRows, []byte{1}); !errors.Is(err, ErrUnavailable) {
+	if _, err := c.Call(OpRunRows, []byte{1}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("timeout should map to ErrUnavailable, got %v", err)
 	}
 }
@@ -268,7 +154,7 @@ func TestClientRetriesTornConnection(t *testing.T) {
 	c := NewClient(ln.Addr().String(), nil, time.Second)
 	defer c.Close()
 	body := []byte{9, 8, 7}
-	resp, err := c.Call(OpSolveRows, body)
+	resp, err := c.Call(OpRunRows, body)
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
@@ -292,7 +178,7 @@ func TestFaultyNeverWrong(t *testing.T) {
 		ok, unavailable := 0, 0
 		for i := 0; i < 200; i++ {
 			body := []byte{byte(i), byte(i >> 3), byte(i * 7)}
-			resp, err := c.Call(OpSolveRows, body)
+			resp, err := c.Call(OpRunRows, body)
 			if err != nil {
 				if !errors.Is(err, ErrUnavailable) {
 					t.Fatalf("faults %+v call %d: untyped error %v", f, i, err)
@@ -373,11 +259,11 @@ func TestClientCallAllocs(t *testing.T) {
 	}, time.Second)
 	defer c.Close()
 	body := make([]byte, 64)
-	if _, err := c.Call(OpSolveRows, body); err != nil { // dials and sizes the buffers
+	if _, err := c.Call(OpRunRows, body); err != nil { // dials and sizes the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.Call(OpSolveRows, body); err != nil {
+		if _, err := c.Call(OpRunRows, body); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -394,8 +280,8 @@ func TestClientCallAllocs(t *testing.T) {
 func TestRunCodecRoundTrip(t *testing.T) {
 	q := RunRowsRequest{
 		Epoch: 3, Served: []int{1, 4}, Mass: trickyFloats[:5], Tol: 1e-12, Budget: 99998,
-		ResPtr: []int{0, 2, 3}, ResIdx: []int{0, 7, 2}, ResVal: trickyFloats[2:5],
-		PrePtr: []int{0, 0, 2}, PreRows: []int{5, 9},
+		ResPtr: []int{0, 0, 2, 2, 2, 3}, ResIdx: []int{0, 7, 2}, ResVal: trickyFloats[2:5],
+		PrePtr: []int{0, 0, 0, 0, 0, 2}, PreRows: []int{5, 9},
 	}
 	req := AppendRunRowsRequest(nil, &q)
 	if len(req) != q.Len() {
@@ -431,8 +317,24 @@ func TestRunCodecRoundTrip(t *testing.T) {
 	if err := DecodeRunRowsRequest(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, 1), math.MaxUint32), &RunRowsRequest{}); err == nil {
 		t.Fatal("served-count bomb accepted")
 	}
+	// Only the served shards' sections travel: shard 0's residual stays
+	// home, and served shards out of order or past the masses refuse.
+	home := q
+	home.ResPtr, home.ResIdx, home.ResVal = []int{0, 1, 3, 3, 3, 4}, []int{6, 0, 7, 2}, trickyFloats[1:5]
+	if err := DecodeRunRowsRequest(AppendRunRowsRequest(nil, &home), &got); err != nil || !reflect.DeepEqual(got.ResPtr, q.ResPtr) || !reflect.DeepEqual(got.ResIdx, q.ResIdx) {
+		t.Fatalf("unserved section travelled: %v %v (err %v)", got.ResPtr, got.ResIdx, err)
+	}
+	for _, served := range [][]int{{4, 1}, {1, 1}, {1, 5}} {
+		bad := q
+		bad.Served, bad.ResPtr, bad.PrePtr = served, make([]int, 7), make([]int, 7)
+		if err := DecodeRunRowsRequest(AppendRunRowsRequest(nil, &bad), &RunRowsRequest{}); err == nil {
+			t.Fatalf("served shards %v among %d masses decoded cleanly", served, len(bad.Mass))
+		}
+	}
 
-	rep := RunRowsReply{WorkerNS: 777, Steps: []int{4, 1, 4}, Ptr: []int{0, 2, 2, 5}, Vals: trickyFloats[:5]}
+	// NaN payloads, -0 and subnormals keep their bits in a reply too.
+	vals := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), trickyFloats[1], math.Float64frombits(0xfff0_0000_0000_0002), trickyFloats[3], trickyFloats[4]}
+	rep := RunRowsReply{WorkerNS: 777, Steps: []int{4, 1, 4}, Ptr: []int{0, 2, 2, 5}, Vals: vals}
 	wire := AppendRunRowsReply(nil, &rep)
 	back := RunRowsReply{Steps: []int{9, 9, 9, 9, 9}, Vals: make([]float64, 40)}
 	if err := DecodeRunRowsReply(wire, &back); err != nil {

@@ -163,19 +163,11 @@ func (e *cancellingEngine) Search(q int, opt core.SearchOptions) ([]topk.Result,
 // shape without the wire.
 type localSolver struct{ sx *shard.ShardedIndex }
 
-func (r localSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
-	return 0, r.sx.SolveShardRows(si, rows, ptr, idx, val, out)
-}
-
-func (r localSolver) Colocated(int) []int {
-	all := make([]int, r.sx.Shards())
-	for si := range all {
-		all[si] = si
+func (r localSolver) RunRows(_ int, q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	q.Served = make([]int, r.sx.Shards())
+	for si := range q.Served {
+		q.Served[si] = si
 	}
-	return all
-}
-
-func (r localSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
 	return r.sx.RunShardRows(q, rep)
 }
 

@@ -134,6 +134,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 		pw.Metric("kdash_wal_compactions_total", nil, float64(wc.compactions))
 		pw.Header("kdash_wal_apply_errors_total", "Drains whose engine apply failed; their batches stay staged and the next drain retries them.", "counter")
 		pw.Metric("kdash_wal_apply_errors_total", nil, float64(wc.applyErrors))
+		pw.Header("kdash_wal_snapshot_errors_total", "WAL snapshots that failed; the log stays untruncated until one succeeds.", "counter")
+		pw.Metric("kdash_wal_snapshot_errors_total", nil, float64(wc.snapshotErrors))
 		pw.Header("kdash_wal_batches_dropped_total", "Recovered WAL records skipped at startup because they no longer validate.", "counter")
 		pw.Metric("kdash_wal_batches_dropped_total", nil, float64(wc.batchesDropped))
 		pw.Header("kdash_wal_barrier_wait_seconds", "Time queries spent on the read barrier waiting for an acked update to be applied (queries that found nothing pending are not counted).", "histogram")

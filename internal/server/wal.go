@@ -98,10 +98,6 @@ const DefaultMaxPendingOps = 8192
 // without an explicit SnapshotEvery.
 const defaultSnapshotEvery = 16
 
-// snapshotCurrent is the file inside SnapshotDir naming the snapshot
-// directory recovery should load.
-const snapshotCurrent = "CURRENT"
-
 type edgeKey struct{ from, to int }
 
 // walState is the handler's update pipeline: the memtable, the virtual
@@ -149,6 +145,7 @@ type walCounters struct {
 	batchesDropped int64  // recovered records that no longer validate
 	replayed       int64  // records staged at startup
 	snapshots      int64  // snapshots persisted
+	snapshotErrors int64  // snapshots that failed, leaving the log untruncated
 }
 
 // NewDurable wraps an engine like New but in durable update mode:
@@ -432,9 +429,13 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 	ws.mu.Unlock()
 
 	if snapDue {
-		// Best-effort: a failed snapshot leaves the log untruncated, which
-		// costs disk, not correctness.
-		_ = h.SnapshotWAL(ws.cfg.SnapshotDir)
+		// A failed snapshot leaves the log untruncated, which costs disk,
+		// not correctness; it is counted.
+		if err := h.SnapshotWAL(ws.cfg.SnapshotDir); err != nil {
+			ws.mu.Lock()
+			ws.snapshotErrors++
+			ws.mu.Unlock()
+		}
 	}
 	// The rebuild's transients just became garbage, tens of MB at once
 	// against a heap that otherwise grows by a few KB per query — so the
@@ -453,10 +454,12 @@ func (h *Handler) compactOnce() (stats shard.UpdateStats, applied time.Duration,
 }
 
 // SnapshotWAL persists the currently published engine into dir/epoch-N
-// stamped in its manifest with the WAL position it covers, points
-// dir/CURRENT at it, prunes older snapshot directories, and truncates
-// the log through the stamped position. Requires durable mode and an
-// in-process engine: a coordinator refuses (placement.ErrNoSnapshot).
+// stamped in its manifest with the WAL position it covers, makes it the
+// snapshot dir/CURRENT names and prunes older snapshot directories
+// (shard.CommitSnapshot, which makes each step durable before the
+// next), and only then truncates the log through the stamped position.
+// Requires durable mode and an in-process engine: a coordinator refuses
+// (placement.ErrNoSnapshot).
 func (h *Handler) SnapshotWAL(dir string) error {
 	ws := h.wals
 	if ws.log == nil {
@@ -466,31 +469,11 @@ func (h *Handler) SnapshotWAL(dir string) error {
 	// stamp never claims coverage the saved factors do not have.
 	st, c := h.walSnap()
 	applied := c.appliedSeq
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	segments := ws.log.SegmentNames()
+	if err := shard.CommitSnapshot(dir, st.epoch, func(path string) error {
+		return st.engine.SaveWALSnapshot(path, applied, segments)
+	}); err != nil {
 		return err
-	}
-	name := fmt.Sprintf("epoch-%08d", st.epoch)
-	if err := st.engine.SaveWALSnapshot(filepath.Join(dir, name), applied, ws.log.SegmentNames()); err != nil {
-		return err
-	}
-	// Point CURRENT at the new snapshot atomically (write + rename), so
-	// a crash mid-snapshot leaves the previous pointer intact.
-	tmp := filepath.Join(dir, snapshotCurrent+".tmp")
-	if err := os.WriteFile(tmp, []byte(name+"\n"), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotCurrent)); err != nil {
-		return err
-	}
-	// Older snapshots are now unreachable; prune them. A loaded index
-	// serves from sealed copies of its shard files, not from the files,
-	// so removing them pulls nothing out from under a reader.
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if e.IsDir() && e.Name() != name && len(e.Name()) > 6 && e.Name()[:6] == "epoch-" {
-				os.RemoveAll(filepath.Join(dir, e.Name()))
-			}
-		}
 	}
 	ws.mu.Lock()
 	ws.snapshots++
@@ -502,7 +485,7 @@ func (h *Handler) SnapshotWAL(dir string) error {
 // index directory recovery should load, reporting ok=false when dir
 // holds no (complete) snapshot.
 func LatestSnapshot(dir string) (string, bool) {
-	blob, err := os.ReadFile(filepath.Join(dir, snapshotCurrent))
+	blob, err := os.ReadFile(filepath.Join(dir, shard.SnapshotCurrent))
 	if err != nil {
 		return "", false
 	}
@@ -579,6 +562,7 @@ func (h *Handler) walStatz(c walCounters) map[string]interface{} {
 		"batchesDropped":   c.batchesDropped,
 		"replayedRecords":  c.replayed,
 		"snapshots":        c.snapshots,
+		"snapshotErrors":   c.snapshotErrors,
 		"fsyncPolicy":      ws.cfg.Sync.String(),
 		"barrierWaits":     waits.Count,
 		"barrierWaitNs":    waits.SumNS,

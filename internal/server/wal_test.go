@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -703,6 +704,45 @@ func TestWALObservability(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)
 		}
+	}
+}
+
+// TestWALSnapshotErrorsCounted: a snapshot that cannot be written (its
+// directory is under a regular file) leaves the log untruncated and is
+// counted in /statz wal.snapshotErrors and
+// kdash_wal_snapshot_errors_total.
+func TestWALSnapshotErrorsCounted(t *testing.T) {
+	base, err := shard.Build(testutil.Clustered(120, 4, 1), walBuildOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := durableHandler(t, base, WALConfig{Dir: t.TempDir(), Sync: wal.SyncNone, SnapshotDir: filepath.Join(blocker, "snap"), SnapshotEvery: 1})
+	awaitApplied(t, h, postUpdateWAL(t, h, &updateRequest{AddEdges: []edgeJSON{{From: 0, To: 90, Weight: 2}}}))
+	var statz struct {
+		WAL struct {
+			Snapshots, SnapshotErrors, Segments int64
+		} `json:"wal"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); statz.WAL.SnapshotErrors == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed snapshot was never counted")
+		}
+		srec, _ := get(t, h, "/statz")
+		if err := json.Unmarshal(srec.Body.Bytes(), &statz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if statz.WAL.SnapshotErrors != 1 || statz.WAL.Snapshots != 0 || statz.WAL.Segments == 0 {
+		t.Fatalf("wal block %+v, want one snapshot error, no snapshot and the log kept", statz.WAL)
+	}
+	mrec := httptest.NewRecorder()
+	h.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(mrec.Body.String(), "kdash_wal_snapshot_errors_total 1") {
+		t.Error("/metrics misses kdash_wal_snapshot_errors_total 1")
 	}
 }
 

@@ -47,11 +47,8 @@ func solution(t *testing.T, sx *ShardedIndex, seeds map[int]float64) []float64 {
 		sx.putPushState(st)
 		t.Fatal(err)
 	}
-	parts, err := st.materialize()
+	parts := st.materialize()
 	sx.putPushState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, sx.N())
 	for si, v := range parts {
 		for lv, p := range v {

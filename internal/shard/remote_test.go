@@ -1,7 +1,7 @@
 package shard
 
 // In-package tests for the distributed-serving seam: a RemoteSolver
-// backed directly by a second copy of the index (its SolveShardRows
+// backed directly by a second copy of the index (its RunShardRows
 // worker surface — no RPC, no processes) must leave every answer and
 // its QueryStats bit-identical to local solving, because the push runs
 // the same commits in the same order on the same 64-bit row dots, and
@@ -10,6 +10,7 @@ package shard
 // internal/distributed.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -26,9 +27,11 @@ import (
 )
 
 // indexSolver adapts a factor-holding index's worker surface to the
-// RemoteSolver interface, counting the SolveRows calls (calls) and the
-// RunRows calls (runs) it serves. served lists each simulated worker's
-// shards; by default one worker serves them all.
+// RemoteSolver interface, counting the RunRows calls (runs) it serves
+// and the pushes they started (calls): a call carrying the push's whole
+// budget starts one, the query's own or a rank fallback's re-run. served
+// lists each simulated worker's shards; by default one worker serves
+// them all.
 type indexSolver struct {
 	sx     *ShardedIndex
 	served [][]int
@@ -36,28 +39,23 @@ type indexSolver struct {
 	runs   atomic.Int64
 }
 
-func (r *indexSolver) SolveRows(si int, rows, ptr, idx []int, val, out []float64) (int64, error) {
-	r.calls.Add(1)
-	return 0, r.sx.SolveShardRows(si, rows, ptr, idx, val, out)
-}
-
-func (r *indexSolver) Colocated(si int) []int {
+func (r *indexSolver) RunRows(si int, q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
+	r.runs.Add(1)
+	if q.Budget == maxSolves {
+		r.calls.Add(1)
+	}
 	for _, sv := range r.served {
 		if slices.Contains(sv, si) {
-			return sv
+			q.Served = sv
+			return r.sx.RunShardRows(q, rep)
 		}
 	}
 	panic("shard placed on no worker")
 }
 
-func (r *indexSolver) RunRows(q *rpc.RunRowsRequest, rep *rpc.RunRowsReply) error {
-	r.runs.Add(1)
-	return r.sx.RunShardRows(q, rep)
-}
-
 // remotePair saves g's index and opens it twice from the directory: a
 // worker copy with real factors and a factorless coordinator copy whose
-// solves route through the worker's SolveShardRows.
+// solves route through the worker's RunShardRows.
 func remotePair(t *testing.T, g *graph.Graph, opt Options) (local, co *ShardedIndex, rs *indexSolver) {
 	t.Helper()
 	local, err := Build(g, opt)
@@ -194,7 +192,7 @@ func bfsPrefix(g *graph.Graph, root, need int) map[int]bool {
 // TestRemoteRankFallbackBitIdentical drives the rank past the prefix a
 // push fetches — k = 64, exclude sets that cover the whole k = 64
 // prefix, multi-seed personalized queries — and checks that the
-// fallback fetches fire and that every answer and its QueryStats stay
+// fallback's re-runs fire and that every answer and its QueryStats stay
 // bit-identical to in-process; Proximity and ProximityVector ride the
 // same seam.
 func TestRemoteRankFallbackBitIdentical(t *testing.T) {
@@ -205,9 +203,9 @@ func TestRemoteRankFallbackBitIdentical(t *testing.T) {
 
 	fallbacks := map[string]int64{}
 	track := func(kind string, run func()) {
-		calls := rs.calls.Load() // the push's solves ride RunRows
+		pushes := rs.calls.Load()
 		run()
-		fallbacks[kind] += rs.calls.Load() - calls
+		fallbacks[kind] += rs.calls.Load() - pushes - 1 // every push after the query's own is a re-run
 	}
 	for i := 0; i < 12; i++ {
 		q := rng.Intn(n)
@@ -282,19 +280,19 @@ func TestRemoteRankFallbackBitIdentical(t *testing.T) {
 	}
 	for _, kind := range []string{"topk", "exclude", "personalized"} {
 		if fallbacks[kind] == 0 {
-			t.Errorf("%s: no rank fetched past its prefix, the fallback went unexercised", kind)
+			t.Errorf("%s: no rank re-ran the push past its prefix, the fallback went unexercised", kind)
 		}
 	}
-	t.Logf("fallback fetches: %v", fallbacks)
+	t.Logf("fallback re-runs: %v", fallbacks)
 }
 
-// TestSolveShardRowsRejectsBadInput: the worker surface answers hostile
-// shard ids, rows (the ghost sink's among them) and right-hand sides
-// with errors instead of faulting, and a valid call reproduces the
-// dense in-process solve bit for bit.
-func TestSolveShardRowsRejectsBadInput(t *testing.T) {
-	g := testutil.Clustered(60, 3, 5)
-	sx, err := Build(g, Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 1})
+// TestRunShardRowsRejectsBadInput: the worker surface answers hostile
+// run requests — served shards, masses, tolerance, budget, section
+// pointers, residual ids and values, prefix rows (the ghost sink's
+// among them) — with errors instead of faulting, and a valid run's
+// first step reproduces the dense in-process solve bit for bit.
+func TestRunShardRowsRejectsBadInput(t *testing.T) {
+	sx, err := Build(testutil.Clustered(60, 3, 5), Options{Shards: 3, Reorder: reorder.Hybrid, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,55 +300,71 @@ func TestSolveShardRowsRejectsBadInput(t *testing.T) {
 	if !sx.parts[0].sink || n != len(sx.parts[0].nodes)+1 {
 		t.Fatalf("shard 0 has no sink row (%d rows, %d owned)", n, len(sx.parts[0].nodes))
 	}
-	one := func(rows, ptr, idx []int, val []float64) error {
-		out := make([]float64, max(len(ptr)-1, 0)*len(rows))
-		return sx.SolveShardRows(0, rows, ptr, idx, val, out)
+	valid := func() *rpc.RunRowsRequest {
+		return &rpc.RunRowsRequest{
+			Served: []int{0, 1, 2}, Mass: []float64{1, 0, 0}, Tol: 1e-9, Budget: 10,
+			ResPtr: []int{0, 2, 2, 2}, ResIdx: []int{0, 4}, ResVal: []float64{0.75, 0.25},
+			PrePtr: []int{0, 1, 1, 1}, PreRows: []int{2},
+		}
 	}
-	for name, err := range map[string]error{
-		"shard -1":            sx.SolveShardRows(-1, nil, []int{0}, nil, nil, nil),
-		"shard out of range":  sx.SolveShardRows(sx.Shards(), nil, []int{0}, nil, nil, nil),
-		"row -1":              one([]int{-1}, []int{0, 1}, []int{0}, []float64{1}),
-		"sink row":            one([]int{n - 1}, []int{0, 1}, []int{0}, []float64{1}),
-		"row past partLen":    one([]int{n}, []int{0, 1}, []int{0}, []float64{1}),
-		"rhs id past partLen": one([]int{0}, []int{0, 1}, []int{n}, []float64{1}),
-		"rhs ids descending":  one([]int{0}, []int{0, 2}, []int{3, 1}, []float64{1, 1}),
-		"rhs ids repeated":    one([]int{0}, []int{0, 2}, []int{2, 2}, []float64{1, 1}),
-		"pointer past ids":    one([]int{0}, []int{0, 2}, []int{1}, []float64{1}),
-		"pointers descending": one([]int{0}, []int{1, 0}, []int{1}, []float64{1}),
-		"no pointers":         one([]int{0}, nil, nil, nil),
-		"ids without values":  one([]int{0}, []int{0, 1}, []int{1}, nil),
-		"output too short":    sx.SolveShardRows(0, []int{0, 1}, []int{0, 1}, []int{0}, []float64{1}, make([]float64, 1)),
+	var rep rpc.RunRowsReply
+	for name, edit := range map[string]func(q *rpc.RunRowsRequest){
+		"no served shard":          func(q *rpc.RunRowsRequest) { q.Served = nil },
+		"served shard -1":          func(q *rpc.RunRowsRequest) { q.Served = []int{-1, 0} },
+		"served shard past count":  func(q *rpc.RunRowsRequest) { q.Served = []int{0, 3} },
+		"served descending":        func(q *rpc.RunRowsRequest) { q.Served = []int{1, 0} },
+		"served repeated":          func(q *rpc.RunRowsRequest) { q.Served = []int{0, 0} },
+		"a mass missing":           func(q *rpc.RunRowsRequest) { q.Mass = q.Mass[:2] },
+		"NaN mass":                 func(q *rpc.RunRowsRequest) { q.Mass[1] = math.NaN() },
+		"negative mass":            func(q *rpc.RunRowsRequest) { q.Mass[2] = -0.5 },
+		"infinite tolerance":       func(q *rpc.RunRowsRequest) { q.Tol = math.Inf(1) },
+		"negative budget":          func(q *rpc.RunRowsRequest) { q.Budget = -1 },
+		"a section missing":        func(q *rpc.RunRowsRequest) { q.ResPtr, q.PrePtr = q.ResPtr[:3], q.PrePtr[:3] },
+		"pointer past ids":         func(q *rpc.RunRowsRequest) { q.ResPtr[3] = 3 },
+		"ids without values":       func(q *rpc.RunRowsRequest) { q.ResVal = q.ResVal[:1] },
+		"residual id past partLen": func(q *rpc.RunRowsRequest) { q.ResIdx[1] = n },
+		"residual ids descending":  func(q *rpc.RunRowsRequest) { q.ResIdx[0], q.ResIdx[1] = 4, 0 },
+		"zero residual value":      func(q *rpc.RunRowsRequest) { q.ResVal[0] = 0 },
+		"NaN residual value":       func(q *rpc.RunRowsRequest) { q.ResVal[1] = math.NaN() },
+		"sink prefix row":          func(q *rpc.RunRowsRequest) { q.PreRows[0] = n - 1 },
+		"negative prefix row":      func(q *rpc.RunRowsRequest) { q.PreRows[0] = -1 },
+		"prefix rows repeated": func(q *rpc.RunRowsRequest) {
+			q.PrePtr, q.PreRows = []int{0, 2, 2, 2}, []int{2, 2}
+		},
 	} {
-		if err == nil {
+		q := valid()
+		edit(q)
+		if err := sx.RunShardRows(q, &rep); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 
-	// Two right-hand sides, rhs-major: each value equals the row dot of
-	// an in-process split solve on the same right-hand side.
-	rows := []int{2, 0, 5}
-	ptr, idx, val := []int{0, 1, 3}, []int{0, 1, 4}, []float64{0.5, 1, 0.25}
-	out := make([]float64, 2*len(rows))
-	if err := sx.SolveShardRows(0, rows, ptr, idx, val, out); err != nil {
+	q := valid()
+	if err := sx.RunShardRows(q, &rep); err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Steps) == 0 || rep.Steps[0] != 0 {
+		t.Fatalf("a run seeded on shard 0 solved %v", rep.Steps)
+	}
+	var ss shardSolves
+	ss.setRows(sx.parts[0].cutRows, q.PreRows)
 	ix, err := sx.parts[0].index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 2; r++ {
-		dense := make([]float64, n)
-		for k := ptr[r]; k < ptr[r+1]; k++ {
-			dense[idx[k]] = val[k]
-		}
-		want, err := ix.Solve(dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, lv := range rows {
-			if got := out[r*len(rows)+i]; got != want[lv] {
-				t.Fatalf("rhs %d row %d: %v != %v", r, lv, got, want[lv])
-			}
+	dense := make([]float64, n)
+	dense[0], dense[4] = 0.75, 0.25
+	want, err := ix.Solve(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rep.Vals[rep.Ptr[0]:rep.Ptr[1]]
+	if len(got) != len(ss.rows) {
+		t.Fatalf("first step returned %d values for %d rows", len(got), len(ss.rows))
+	}
+	for i, lv := range ss.rows {
+		if math.Float64bits(got[i]) != math.Float64bits(want[lv]) {
+			t.Fatalf("row %d: %v != %v", lv, got[i], want[lv])
 		}
 	}
 }

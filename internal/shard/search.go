@@ -49,10 +49,11 @@ const maxSolves = 100000
 
 // runPush is every query's push: it checks a pooled state out, seeds
 // restart mass mass[i] (already scaled by c) at node nodes[i] in the
-// order given, starts the rank's BFS from roots — under a RemoteSolver
-// also layer 0 of the rank prefix, widened past need nodes — and drives the
-// residual to tolerance, honouring ctx and recording into tr (either
-// may be nil). One push and one termination rule serve every
+// order given (the state keeps both slices for a re-run), starts the
+// rank's BFS from roots — under a RemoteSolver also layer 0 of the rank
+// prefix, widened past need nodes, or with no roots every owned row —
+// and drives the residual to tolerance, honouring ctx and recording into
+// tr (either may be nil). One push and one termination rule serve every
 // read, so a node's proximity has the same bits whether TopK ranks it,
 // Proximity scores it or ProximityVector materializes it. The state is
 // the caller's on every path, an error's included: it reads it (rank,
@@ -63,15 +64,23 @@ const maxSolves = 100000
 func (sx *ShardedIndex) runPush(ctx context.Context, tr *obs.QueryTrace, nodes []int, mass []float64, roots []int, need int) (*pushState, QueryStats, error) {
 	st := sx.getPushState()
 	st.ctx, st.tr = ctx, tr
-	for i, g := range nodes {
-		st.seed(g, mass[i])
-	}
+	st.nodes, st.mass = nodes, mass
 	if len(roots) > 0 {
-		st.roots = append(st.roots, roots...)
-		st.startTree()
-		if sx.remote != nil {
-			st.rankPrefix(need)
+		// The roots (sorted, distinct) are layer 0 of the rank's BFS and
+		// of its prefix, which a coordinator widens to the fewest whole
+		// layers holding more than need nodes (all of the roots'
+		// component when fewer exist).
+		if st.tree == nil {
+			st.tree = core.NewTreeWS(sx.n)
 		}
+		st.roots = append(st.roots, roots...)
+		st.tree.Start(st.roots)
+		st.plen = len(st.roots)
+		for sx.remote != nil && st.plen <= need && st.widenPrefix() {
+		}
+	}
+	if sx.remote != nil {
+		st.prefixSections(len(roots) == 0)
 	}
 	qs, err := st.run()
 	return st, qs, err
@@ -149,7 +158,7 @@ func (sx *ShardedIndex) topK(q, k int, opt core.SearchOptions) ([]topk.Result, Q
 		return nil, qs, fmt.Errorf("shard: K must be positive, got %d", k)
 	}
 	if opt.RandomRoot && sx.remote != nil {
-		return nil, qs, fmt.Errorf("shard: a random root needs an in-process push; a coordinator fetches rows along the query's own tree")
+		return nil, qs, fmt.Errorf("shard: a random root needs an in-process push; a coordinator reads rows along the query's own tree")
 	}
 	if err := sx.ensureGraph(); err != nil {
 		return nil, qs, err
@@ -267,7 +276,7 @@ func (sx *ShardedIndex) topKPersonalized(ctx context.Context, seeds map[int]floa
 // Proximity computes the exact proximity of node u w.r.t. query q: the
 // score TopK(q, k) ranks u with, bit for bit, because it runs the same
 // push and reads u's row the way the rank does. Under a RemoteSolver
-// the push fetches that one row with its solves.
+// the push returns that one row with its solves.
 //
 //kdash:deterministic
 func (sx *ShardedIndex) Proximity(q, u int) (float64, error) { return sx.proximity(nil, q, u) }
@@ -307,7 +316,7 @@ func (sx *ShardedIndex) ProximityVector(q int) ([]float64, error) {
 	st, _, err := sx.runPush(nil, nil, []int{q}, []float64{sx.c}, nil, 0)
 	var xs [][]float64
 	if err == nil {
-		xs, err = st.materialize()
+		xs = st.materialize()
 	}
 	sx.putPushState(st)
 	if err != nil {

@@ -138,11 +138,13 @@ func IsShardedIndexDir(path string) bool {
 	return err == nil
 }
 
-// Save writes the sharded index into dir, creating it if needed. Shard
-// files are written in the sectioned core layout that Open reads —
-// including by an index that was itself lazily opened: saving forces
-// any still-deferred shard open, and the successor process opens the
-// new files.
+// Save writes the sharded index into dir, creating it if needed, and
+// makes it durable: every file is fsynced, the manifest — which makes
+// the directory an index — is written last, and the directory is
+// fsynced. Shard files are written in the sectioned core layout that
+// Open reads — including by an index that was itself lazily opened:
+// saving forces any still-deferred shard open, and the successor
+// process opens the new files.
 func (sx *ShardedIndex) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: creating index directory: %w", err)
@@ -198,22 +200,33 @@ func (sx *ShardedIndex) Save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("shard: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), append(blob, '\n'), 0o644); err != nil {
+	if err := writeFile(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("shard: writing manifest: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("shard: syncing index directory: %w", err)
 	}
 	return nil
 }
 
+// writeFile creates path, writes it through write and fsyncs it before
+// closing it.
 func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if err == nil {
+		err = fsys.sync(f)
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Section ids of the partition container (partition.idx). The cut

@@ -230,7 +230,7 @@ func TestProximityVectorKeepsNoFactorCopy(t *testing.T) {
 		}
 	}
 	st := sx.getPushState()
-	st.seed(q, sx.c)
+	st.nodes, st.mass = []int{q}, []float64{sx.c}
 	if _, err := st.run(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,25 +25,23 @@ package shard
 // node — the paper's proximity computation. The full-vector reads
 // (materialize) are the same row dots, taken at every owned row.
 //
-// Under a RemoteSolver the workspaces live on the workers, so the state
-// records each solve's right-hand side instead, and the values the rank
-// will read are fetched with the push. A push call ships the pending
-// state of the called worker's shards, the worker continues the push on
-// them while they hold the most pending mass, and the coordinator
-// replays the returned solves one by one through its own loop
-// (runRemote, remoteSolve). Before the push the coordinator
-// takes the rank prefix: whole BFS layers from the rank's roots, the
-// fewest holding more than k + |exclude| nodes, since Lemma 2's
-// heap-full guard keeps Algorithm 4 from stopping before it has visited
-// that many. The prefix is the start of the rank's own BFS, in the one
-// TreeWS the rank then continues. Every push solve asks its worker for
-// the solved shard's cut rows plus the prefix's rows in the shard, and
-// accumulates them in solve order with zeros skipped — the sum value()
-// forms in process — holding values only at those rows. A rank that
-// visits a node past the prefix widens it by a BFS layer and replays
-// each solved shard's recorded right-hand sides for the new rows
-// (fetch), so the answer is exact for every k; at k = 10 the prefix
-// almost always suffices.
+// Under a RemoteSolver the workspaces live on the workers, so the values
+// the rank will read are returned with the push. A push call ships the
+// pending state of the called worker's shards, the worker continues the
+// push on them while they hold the most pending mass, and the
+// coordinator replays the returned solves one by one through its own
+// loop (runRemote, remoteSolve). Before the push the coordinator takes
+// the rank prefix: whole BFS layers from the rank's roots, the fewest
+// holding more than k + |exclude| nodes, since Lemma 2's heap-full guard
+// keeps Algorithm 4 from stopping before it has visited that many. The
+// prefix is the start of the rank's own BFS, in the one TreeWS the rank
+// then continues. Every push solve asks its worker for the solved
+// shard's cut rows plus the prefix's rows in the shard, and accumulates
+// them in solve order with zeros skipped — the sum value() forms in
+// process — holding values only at those rows. A rank that visits a
+// node past the prefix widens it by a BFS layer and runs the push again
+// from the query's seeds (rerun), so the answer is exact for every k; at
+// k = 10 the prefix almost always suffices.
 
 import (
 	"context"
@@ -66,19 +64,15 @@ import (
 
 // shardSolves records one shard's solves in the current query, in solve
 // order. In process: each solve's L^{-1} workspace, taken from the
-// index's vector pool. Under a RemoteSolver:
-// each solve's right-hand side, flat (solve r is rhsIdx/rhsVal over
-// [rhsPtr[r], rhsPtr[r+1])), and the accumulated solution at the rows
-// fetched so far — the push's rows, then the rank's, kept ascending.
+// index's vector pool. Under a RemoteSolver: the number of solves and
+// the accumulated solution at the rows every solve returned — the cut
+// rows and the prefix's rows in the shard, ascending.
 type shardSolves struct {
 	ix    *core.Index // nil until this state first solves the shard locally
 	lower []*lu.Workspace
 
 	nremote int
-	rhsPtr  []int
-	rhsIdx  []int
-	rhsVal  []float64
-	rows    []int     // the rows fetched, ascending
+	rows    []int     // the rows every solve returns, ascending
 	vals    []float64 // the accumulated solution at rows[i]
 }
 
@@ -89,7 +83,7 @@ func (ss *shardSolves) recorded() bool { return len(ss.lower) > 0 || ss.nremote 
 // row lv: each solve's value there, summed in solve order with zeros
 // skipped — the float sequence of accumulating every solve's output
 // into one vector. An unsolved shard's rows are 0, and reading them
-// opens nothing. A remotely solved shard answers from its fetched rows
+// opens nothing. A remotely solved shard answers from its returned rows
 // instead (pushState.score).
 //
 //kdash:noalloc
@@ -122,30 +116,33 @@ type pushState struct {
 	rhsIdx []int
 	rhsVal []float64
 
+	// The query's restart mass, mass[i] at nodes[i] (the caller's
+	// slices, held until release): a re-run seeds them again.
+	nodes []int
+	mass  []float64
+
 	// The rank's BFS workspace (sized to the graph on first use) and
 	// root list.
 	tree  *core.TreeWS
 	roots []int
 
 	// The remote half (coordinator mode only): the rank prefix, the
-	// tree's first plen queued nodes — whole BFS layers — the row and
-	// value scratch of one remote call, and the first failed fetch of
-	// the rank, which the query reports once the rank returns.
-	plen   int
-	rowBuf []int
-	valBuf []float64
-	err    error
+	// tree's first plen queued nodes — whole BFS layers — and the first
+	// failed re-run of the rank, which the query reports once the rank
+	// returns.
+	plen int
+	err  error
 
-	// The last worker run (coordinator mode only): its request, its
-	// reply and the reply step the push replays next. On a worker, the
-	// scatter contributions its run defers (RunShardRows).
+	// The last worker run (coordinator mode only): its request — whose
+	// prefix sections hold every shard's prefix rows for the whole push —
+	// its reply and the reply step the push replays next. On a worker,
+	// the scatter contributions its run defers (RunShardRows).
 	runReq  rpc.RunRowsRequest
 	runRep  rpc.RunRowsReply
 	runNext int
 	pend    []pendingAdd
 
-	initial float64 // total seeded mass this query
-	tol     float64 // the push's tolerance on the total residual
+	tol float64 // the push's tolerance on the total residual
 
 	// scratch is the state's own arrays' bytes as last counted into
 	// QueryScratchBytes; a cleanup takes them back out once the state is
@@ -184,7 +181,7 @@ func newPushState(sx *ShardedIndex) *pushState {
 func (st *pushState) scratchBytes() int64 {
 	q, rep := &st.runReq, &st.runRep
 	n := int64(8*cap(st.res) + 8*cap(st.resMass) + int(unsafe.Sizeof(shardSolves{}))*cap(st.solves) +
-		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)+cap(st.rowBuf)+cap(st.valBuf)) +
+		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)) +
 		8*(cap(q.ResPtr)+cap(q.ResIdx)+cap(q.ResVal)+cap(q.PrePtr)+cap(q.PreRows)+cap(rep.Steps)+cap(rep.Ptr)+cap(rep.Vals)) +
 		int(unsafe.Sizeof(pendingAdd{}))*cap(st.pend))
 	if st.tree != nil {
@@ -192,7 +189,7 @@ func (st *pushState) scratchBytes() int64 {
 	}
 	for i := range st.solves {
 		ss := &st.solves[i]
-		n += int64(8 * (cap(ss.lower) + cap(ss.rhsPtr) + cap(ss.rhsIdx) + cap(ss.rhsVal) + cap(ss.rows) + cap(ss.vals)))
+		n += int64(8 * (cap(ss.lower) + cap(ss.rows) + cap(ss.vals)))
 	}
 	return n
 }
@@ -259,7 +256,7 @@ func (l *freeList[T]) put(x T, max int) {
 }
 
 // getVector checks a clean vector out of the index's pool, for a
-// residual or a workspace of any part, in the push or SolveShardRows.
+// residual or a workspace of any part, in the push or a worker's run.
 //
 //kdash:pooled
 func (sx *ShardedIndex) getVector() *lu.Workspace {
@@ -318,12 +315,17 @@ func (sx *ShardedIndex) putPushState(st *pushState) {
 	sx.pushPool.put(st, runtime.GOMAXPROCS(0))
 }
 
-// seed adds restart mass m (already scaled by c) at global node g.
+// seed adds the query's restart mass, mass[i] (already scaled by c) at
+// node nodes[i], in the order given — for the push and for every re-run
+// alike — and returns its total.
 //
 //kdash:noalloc
-func (st *pushState) seed(g int, m float64) {
-	st.addRes(int(st.sx.home[g]), int(st.sx.local[g]), m)
-	st.initial += m
+func (st *pushState) seed() (total float64) {
+	for i, g := range st.nodes {
+		st.addRes(int(st.sx.home[g]), int(st.sx.local[g]), st.mass[i])
+		total += st.mass[i]
+	}
+	return total
 }
 
 // addRes adds residual mass at (shard si, local row lv), recording the
@@ -343,26 +345,54 @@ func (st *pushState) addRes(si, lv int, m float64) {
 	st.resMass[si] += m
 }
 
-// run drives the push to convergence and reports the query's work: per
-// iteration the shard with the most pending mass is solved, and its
-// cut-owning rows scatter solved mass across the cut, until the total
-// residual falls under tolerance, bounding every proximity entry. A
-// cancelled context (checked between shard solves, never per node)
-// abandons the push with the context's error.
+// run drives the push to convergence (push) and reports the query's
+// work: its solves count into the index's per-shard solve counters, and
+// the shards left with pending mass but never solved are the pruned
+// ones.
+//
+//kdash:noalloc
+//kdash:deterministic
+func (st *pushState) run() (QueryStats, error) {
+	st.tol = st.sx.qtol * st.seed()
+	qs, err := st.push(st.tr != nil)
+	counters := st.sx.solveCounters()
+	for si := range st.solves {
+		ss := &st.solves[si]
+		if n := len(ss.lower) + ss.nremote; n > 0 {
+			counters[si].Add(int64(n))
+		} else if st.resMass[si] > 0 {
+			qs.ShardsPruned++
+		}
+	}
+	if err != nil {
+		return qs, err
+	}
+	if tr := st.tr; tr != nil {
+		tr.Solves += qs.Solves
+		tr.ShardsSolved += qs.ShardsSolved
+		tr.ShardsPruned += qs.ShardsPruned
+		tr.NodesEvaluated += qs.NodesEvaluated
+		tr.CutMassPruned += qs.ResidualMass
+		tr.Converged = qs.Converged
+	}
+	return qs, nil
+}
+
+// push is the push's loop: per iteration the shard with the most
+// pending mass is solved, and its cut-owning rows scatter solved mass
+// across the cut, until the total residual falls under tolerance,
+// bounding every proximity entry. traced records each solve as a trace
+// step. A cancelled context (checked between shard solves, never per
+// node) abandons the push with the context's error.
 //
 //kdash:noalloc
 //kdash:deterministic
 //kdash:ctxloop
-func (st *pushState) run() (QueryStats, error) {
-	sx := st.sx
+func (st *pushState) push(traced bool) (QueryStats, error) {
 	var qs QueryStats
-	s := len(sx.parts)
-	st.tol = sx.qtol * st.initial
-
-	total := st.initial
 	for {
-		best, sum := st.pick()
-		total = sum
+		best, total := st.pick()
+		qs.ResidualMass = total
 		if total <= st.tol || best < 0 || qs.Solves >= maxSolves {
 			break
 		}
@@ -371,7 +401,7 @@ func (st *pushState) run() (QueryStats, error) {
 				return qs, fmt.Errorf("shard: query cancelled after %d solves: %w", qs.Solves, err) //kdash:allow(hotalloc) error construction only on abandoned queries, off the steady-state path
 			}
 		}
-		if st.tr != nil {
+		if traced {
 			if err := st.traceSolve(best, total, &qs); err != nil {
 				return qs, err
 			}
@@ -382,21 +412,7 @@ func (st *pushState) run() (QueryStats, error) {
 	if left := len(st.runRep.Steps) - st.runNext; left > 0 {
 		return qs, fmt.Errorf("%w: a worker ran %d solves past the push's end", rpc.ErrUnavailable, left) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
 	}
-	qs.ResidualMass = total
-	qs.Converged = total <= st.tol
-	for si := 0; si < s; si++ {
-		if st.resMass[si] > 0 && !st.solves[si].recorded() {
-			qs.ShardsPruned++
-		}
-	}
-	if tr := st.tr; tr != nil {
-		tr.Solves += qs.Solves
-		tr.ShardsSolved += qs.ShardsSolved
-		tr.ShardsPruned += qs.ShardsPruned
-		tr.NodesEvaluated += qs.NodesEvaluated
-		tr.CutMassPruned += qs.ResidualMass
-		tr.Converged = qs.Converged
-	}
+	qs.Converged = qs.ResidualMass <= st.tol
 	return qs, nil
 }
 
@@ -504,7 +520,7 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 	}
 	var err error
 	if remote {
-		err = st.remoteSolve(best, ss, idx, val)
+		err = st.remoteSolve(best, ss)
 	} else {
 		err = st.localSolve(best, ss, idx, val)
 	}
@@ -512,7 +528,6 @@ func (st *pushState) solveShard(best int, qs *QueryStats) (int64, error) {
 		return 0, err
 	}
 	qs.Solves++
-	st.sx.solveCounters()[best].Add(1)
 	qs.NodesEvaluated += len(st.sx.parts[best].cutRows)
 	return workerNS, nil
 }
@@ -563,20 +578,19 @@ func (st *pushState) scatter(p *part, k int, yv float64) {
 }
 
 // runRemote asks best's worker to continue the push from the state as
-// it stands, with budget solves left: it ships every shard's mass and,
-// for each shard the worker serves, its nonzero residual entries and
-// its rank-prefix rows, ascending, and keeps the reply's steps for
-// remoteSolve to replay.
+// it stands, with budget solves left: it ships every shard's mass and
+// nonzero residual entries, ascending, beside the push's prefix
+// sections (prefixSections); the solver names the worker's shards
+// (q.Served) and sends only theirs. The reply's steps wait for
+// remoteSolve to replay them.
 //
 //kdash:noalloc
 func (st *pushState) runRemote(best, budget int) error {
 	q := &st.runReq
-	q.Served = st.sx.remote.Colocated(best)
 	q.Mass, q.Tol, q.Budget = st.resMass, st.tol, budget
 	q.ResPtr, q.ResIdx, q.ResVal = append(q.ResPtr[:0], 0), q.ResIdx[:0], q.ResVal[:0]
-	q.PrePtr, q.PreRows = append(q.PrePtr[:0], 0), q.PreRows[:0]
-	for _, si := range q.Served {
-		if r := st.res[si]; r != nil {
+	for _, r := range st.res {
+		if r != nil {
 			sort.Ints(r.Sup)
 			prev := -1
 			for _, lv := range r.Sup {
@@ -587,50 +601,63 @@ func (st *pushState) runRemote(best, budget int) error {
 				prev = lv
 			}
 		}
-		q.ResPtr = append(q.ResPtr, len(q.ResIdx)) //kdash:allow(hotalloc) grows once per pooled state to the served shard count
-		q.PreRows = st.prefixRows(q.PreRows, si)
-		q.PrePtr = append(q.PrePtr, len(q.PreRows)) //kdash:allow(hotalloc) grows once per pooled state to the served shard count
+		q.ResPtr = append(q.ResPtr, len(q.ResIdx)) //kdash:allow(hotalloc) grows once per pooled state to the shard count
 	}
 	st.runNext = 0
 	if st.tr != nil {
 		st.tr.Calls++
 	}
-	return st.sx.remote.RunRows(q, &st.runRep)
+	return st.sx.remote.RunRows(best, q, &st.runRep)
 }
 
-// remoteSolve is solveShard's coordinator half: it records the
-// right-hand side and replays the next step of the last worker run —
-// its values at ss.rows, fixed at the shard's first solve to its cut
-// rows merged with the rank prefix's rows, ascending — folding them into
-// ss.vals and scattering the cut rows' values, exactly as the in-process
-// loop does (rows outside the cut own no cut edges). A step that names
-// another shard than the push chose, or a shard the called worker does
-// not serve, or holds another number of values than ss.rows, is the
-// worker breaking its contract: the query is abandoned as unavailable.
+// prefixSections sets the run request's prefix sections for the whole
+// push: shard si's prefix rows, ascending, over [PrePtr[si],
+// PrePtr[si+1]) — with every a full-vector read's every owned row.
+//
+//kdash:noalloc
+func (st *pushState) prefixSections(every bool) {
+	q := &st.runReq
+	q.PrePtr, q.PreRows = append(q.PrePtr[:0], 0), q.PreRows[:0]
+	for si, p := range st.sx.parts {
+		if every {
+			for lv := range p.nodes {
+				q.PreRows = append(q.PreRows, lv) //kdash:allow(hotalloc) grows once per pooled state to the graph's node count
+			}
+		} else {
+			q.PreRows = st.prefixRows(q.PreRows, si)
+		}
+		q.PrePtr = append(q.PrePtr, len(q.PreRows)) //kdash:allow(hotalloc) grows once per pooled state to the shard count
+	}
+}
+
+// remoteSolve is solveShard's coordinator half: it replays the next step
+// of the last worker run — its values at ss.rows, fixed at the shard's
+// first solve to its cut rows merged with the prefix's rows, ascending —
+// folding them into ss.vals and scattering the cut rows' values, exactly
+// as the in-process loop does (rows outside the cut own no cut edges).
+// A step that names another shard than the push chose, or a shard the
+// called worker does not serve, or holds another number of values than
+// ss.rows, is the worker breaking its contract: the query is abandoned
+// as unavailable.
 //
 //kdash:noalloc
 //kdash:deterministic
-func (st *pushState) remoteSolve(best int, ss *shardSolves, idx []int, val []float64) error {
+func (st *pushState) remoteSolve(best int, ss *shardSolves) error {
+	q, rep, s := &st.runReq, &st.runRep, st.runNext
 	if ss.nremote == 0 {
-		st.rowBuf = st.prefixRows(st.rowBuf[:0], best)
-		ss.setRows(st.sx.parts[best].cutRows, st.rowBuf)
-		ss.rhsPtr = append(ss.rhsPtr[:0], 0)
+		ss.setRows(st.sx.parts[best].cutRows, q.PreRows[q.PrePtr[best]:q.PrePtr[best+1]])
 	}
-	ss.rhsIdx = append(ss.rhsIdx, idx...)
-	ss.rhsVal = append(ss.rhsVal, val...)
-	ss.rhsPtr = append(ss.rhsPtr, len(ss.rhsIdx))
-	ss.nremote++
-	rep, s := &st.runRep, st.runNext
 	if s == len(rep.Steps) || rep.Steps[s] != best {
 		return fmt.Errorf("%w: a worker's run does not solve shard %d next", rpc.ErrUnavailable, best) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
 	}
-	if _, served := slices.BinarySearch(st.runReq.Served, best); !served {
+	if _, served := slices.BinarySearch(q.Served, best); !served {
 		return fmt.Errorf("%w: a worker solved shard %d, which it does not serve", rpc.ErrUnavailable, best) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
 	}
 	out := rep.Vals[rep.Ptr[s]:rep.Ptr[s+1]]
 	if len(out) != len(ss.rows) {
 		return fmt.Errorf("%w: a worker returned %d values for shard %d's %d rows", rpc.ErrUnavailable, len(out), best, len(ss.rows)) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
 	}
+	ss.nremote++
 	st.runNext++
 	st.fold(st.sx.parts[best], ss, out)
 	return nil
@@ -666,7 +693,7 @@ func (st *pushState) fold(p *part, ss *shardSolves, out []float64) {
 func (st *pushState) prefixRows(dst []int, si int) []int {
 	sx := st.sx
 	n := len(dst)
-	for _, g := range st.prefix() {
+	for _, g := range st.tree.Queue()[:st.plen] {
 		if int(sx.home[g]) == si {
 			dst = append(dst, int(sx.local[g])) //kdash:allow(hotalloc) grows once per pooled state to the widest prefix
 		}
@@ -677,7 +704,7 @@ func (st *pushState) prefixRows(dst []int, si int) []int {
 
 // setRows sets ss.rows to the cut rows merged with the prefix rows pre
 // (both ascending) — distinct, ascending — with zero values: every push
-// solve of the shard fetches exactly these rows.
+// solve of the shard returns exactly these rows.
 //
 //kdash:noalloc
 func (ss *shardSolves) setRows(cut, pre []int) {
@@ -712,62 +739,6 @@ func (ss *shardSolves) setRows(cut, pre []int) {
 //kdash:noalloc
 func (ss *shardSolves) find(lv int) (int, bool) { return slices.BinarySearch(ss.rows, lv) }
 
-// merge adds rows (ascending, none fetched before) with their values
-// vals to the shard's rows, keeping them ascending.
-//
-//kdash:noalloc
-func (ss *shardSolves) merge(rows []int, vals []float64) {
-	i, j := len(ss.rows)-1, len(rows)-1
-	ss.rows = append(ss.rows, rows...) //kdash:allow(hotalloc) grows once per pooled state to the shard's widest row set
-	ss.vals = append(ss.vals, vals...) //kdash:allow(hotalloc) paired growth
-	for k := len(ss.rows) - 1; j >= 0; k-- {
-		if i >= 0 && ss.rows[i] > rows[j] {
-			ss.rows[k], ss.vals[k] = ss.rows[i], ss.vals[i]
-			i--
-		} else {
-			ss.rows[k], ss.vals[k] = rows[j], vals[j]
-			j--
-		}
-	}
-}
-
-// values returns the state's value scratch resized to n.
-//
-//kdash:noalloc
-func (st *pushState) values(n int) []float64 {
-	if cap(st.valBuf) < n {
-		st.valBuf = make([]float64, n) //kdash:allow(hotalloc) grows once per pooled state to the widest remote call
-	}
-	return st.valBuf[:n]
-}
-
-// prefix returns the rank prefix: the tree's first plen queued nodes
-// (none when the query ranks nothing, as ProximityVector).
-func (st *pushState) prefix() []int {
-	if st.plen == 0 {
-		return nil
-	}
-	return st.tree.Queue()[:st.plen]
-}
-
-// startTree starts the rank's BFS from its roots (sorted, distinct),
-// which are layer 0 of the rank prefix.
-func (st *pushState) startTree() {
-	if st.tree == nil {
-		st.tree = core.NewTreeWS(st.sx.n)
-	}
-	st.tree.Start(st.roots)
-	st.plen = len(st.roots)
-}
-
-// rankPrefix sets the prefix to the fewest whole BFS layers from the
-// rank's roots that hold more than need nodes (all of the roots'
-// component when fewer exist).
-func (st *pushState) rankPrefix(need int) {
-	for st.plen <= need && st.widenPrefix() {
-	}
-}
-
 // widenPrefix adds the next BFS layer over the graph snapshot to the
 // prefix and reports whether it added any node.
 //
@@ -793,8 +764,9 @@ func (st *pushState) inPrefix(g int) bool {
 }
 
 // score is the rank's proximity source: node g's accumulated solution,
-// fetched first when g lies in a remotely solved shard past the prefix.
-// After a failed fetch it answers 0; the rank then reports the error.
+// after a re-run of the push when g lies in a remotely solved shard past
+// the prefix. After a failed re-run it answers 0; the rank then reports
+// the error.
 //
 //kdash:noalloc
 //kdash:deterministic
@@ -809,74 +781,41 @@ func (st *pushState) score(g int) float64 {
 	}
 	i, ok := ss.find(lv)
 	if !ok {
-		if st.fetch(g); st.err != nil {
+		if st.rerun(g); st.err != nil {
 			return 0
 		}
-		i, _ = ss.find(lv)
+		if i, ok = ss.find(lv); !ok {
+			st.err = fmt.Errorf("%w: a re-run of the push did not solve shard %d", rpc.ErrUnavailable, si) //kdash:allow(hotalloc) error construction only on a worker breaking its contract
+			return 0
+		}
 	}
 	return ss.vals[i]
 }
 
-// fetch is the rank's fallback for a node g past the prefix: it widens
-// the prefix by whole BFS layers until g is in it, then fetches the new
-// nodes' rows from every remotely solved shard — one call per shard
-// carrying all of the shard's recorded right-hand sides — and sums each
-// row's values in solve order with zeros skipped, the float sequence
-// the push's accumulation (and value, in process) forms.
+// rerun is the rank's fallback for a node g past the prefix: it widens
+// the prefix by whole BFS layers until g is in it — the prefix is the
+// start of the rank's own BFS, which has reached g — and runs the push
+// again from the query's seeds, every solve now returning the wider
+// prefix's rows too. The push is deterministic and the prefix changes
+// only which rows a solve returns, never which shards are solved or
+// what is scattered, so the re-run is the same push: every row the
+// first one returned has the same bits. A re-run counts in no
+// QueryStats, trace step or solve counter; its worker calls count in the
+// trace's calls.
 //
 //kdash:noalloc
 //kdash:deterministic
-func (st *pushState) fetch(g int) {
-	sx := st.sx
-	// The prefix is the start of the rank's own BFS, which has reached
-	// g, so widening takes g in.
-	from := st.plen
+func (st *pushState) rerun(g int) {
 	for !st.inPrefix(g) && st.widenPrefix() {
 	}
-	for si := range st.solves {
-		ss := &st.solves[si]
-		if ss.nremote == 0 {
-			continue
-		}
-		rows := st.rowBuf[:0]
-		for _, v := range st.prefix()[from:] {
-			if lv := int(sx.local[v]); int(sx.home[v]) == si {
-				if _, known := ss.find(lv); !known {
-					rows = append(rows, lv)
-				}
-			}
-		}
-		st.rowBuf = rows
-		if len(rows) == 0 {
-			continue
-		}
-		slices.Sort(rows)
-		out := st.values(ss.nremote * len(rows))
-		if st.tr != nil {
-			st.tr.Calls++
-		}
-		if _, err := sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, out); err != nil {
-			st.err = err
-			return
-		}
-		// Sum each row's values in place: row i's sum needs only
-		// out[r*len(rows)+i], r >= 0, none of which a lower row's sum
-		// overwrote.
-		for i := range rows {
-			x := 0.0
-			for r := 0; r < ss.nremote; r++ {
-				if v := out[r*len(rows)+i]; v != 0 {
-					x += v
-				}
-			}
-			out[i] = x
-		}
-		ss.merge(rows, out[:len(rows)])
-	}
+	st.resetPush()
+	st.seed()
+	st.prefixSections(false)
+	_, st.err = st.push(false)
 }
 
 // rank runs Algorithm 4 over the epoch's graph snapshot, continuing the
-// BFS startTree began from the state's roots (and the remote prefix
+// BFS runPush began from the state's roots (and the remote prefix
 // widened), scoring each node it selects from the push's solve records,
 // and returns the exact top-k (only positive scores are answers). opt
 // supplies Exclude and the ablation knobs: DisablePruning scores every
@@ -884,7 +823,7 @@ func (st *pushState) fetch(g int) {
 // RootSeed picks (core.TreeWS.SearchAnyRoot), the single query node's
 // tree restarted, which only an in-process push may do. Its proximity
 // computations count into qs.NodesEvaluated; the remote fallback's
-// fetches are transport and count nowhere. It allocates the O(k) result
+// re-runs are transport and count nowhere. It allocates the O(k) result
 // set and nothing else — deliberately not //kdash:noalloc.
 //
 //kdash:deterministic
@@ -912,12 +851,11 @@ func (st *pushState) rank(k int, opt *core.SearchOptions, qs *QueryStats) ([]top
 
 // materialize returns the accumulated solution as caller-owned
 // per-shard vectors over owned rows (nil for unsolved shards), for the
-// full-vector read, ProximityVector. In
-// process every owned row is read through value, the rank's own row
-// dots; a remotely solved shard fetches every owned row of every
-// recorded solve in one call and sums them in solve order with zeros
-// skipped — bit for bit what value computes.
-func (st *pushState) materialize() ([][]float64, error) {
+// full-vector read, ProximityVector. In process every owned row is read
+// through value, the rank's own row dots; a remotely solved shard's
+// push returned every owned row (prefixSections), summed in solve order
+// with zeros skipped — bit for bit what value computes.
+func (st *pushState) materialize() [][]float64 {
 	out := make([][]float64, len(st.sx.parts))
 	for si, p := range st.sx.parts {
 		ss := &st.solves[si]
@@ -926,21 +864,7 @@ func (st *pushState) materialize() ([][]float64, error) {
 		}
 		x := make([]float64, len(p.nodes)) // the ghost sink's row is never read
 		if ss.nremote > 0 {
-			rows := make([]int, len(x))
-			for lv := range rows {
-				rows[lv] = lv
-			}
-			vals := make([]float64, ss.nremote*len(rows))
-			if _, err := st.sx.remote.SolveRows(si, rows, ss.rhsPtr, ss.rhsIdx, ss.rhsVal, vals); err != nil {
-				return nil, err
-			}
-			for r := 0; r < ss.nremote; r++ {
-				for lv, v := range vals[r*len(rows) : (r+1)*len(rows)] {
-					if v != 0 {
-						x[lv] += v
-					}
-				}
-			}
+			copy(x, ss.vals)
 		} else {
 			for lv := range x {
 				x[lv] = ss.value(lv)
@@ -948,14 +872,15 @@ func (st *pushState) materialize() ([][]float64, error) {
 		}
 		out[si] = x
 	}
-	return out, nil
+	return out
 }
 
-// release restores the all-zero invariant by spot-cleaning exactly the
-// entries this query touched and resets the per-query bookkeeping.
+// resetPush clears the push half of the state — residuals, masses,
+// solve records and the last run — for a re-run, keeping the rank half:
+// the tree, its roots and the prefix.
 //
 //kdash:noalloc
-func (st *pushState) release() {
+func (st *pushState) resetPush() {
 	for si := range st.solves {
 		ss := &st.solves[si]
 		for i, w := range ss.lower {
@@ -965,7 +890,6 @@ func (st *pushState) release() {
 		ss.lower = ss.lower[:0]
 		ss.rows, ss.vals = ss.rows[:0], ss.vals[:0]
 		ss.nremote = 0
-		ss.rhsIdx, ss.rhsVal = ss.rhsIdx[:0], ss.rhsVal[:0]
 		if r := st.res[si]; r != nil {
 			st.sx.putVector(r)
 			st.res[si] = nil
@@ -976,8 +900,17 @@ func (st *pushState) release() {
 	q.Served, q.Mass = nil, nil
 	st.runRep.Reset()
 	st.runNext = 0
+}
+
+// release restores the all-zero invariant by spot-cleaning exactly the
+// entries this query touched and resets the per-query bookkeeping.
+//
+//kdash:noalloc
+func (st *pushState) release() {
+	st.resetPush()
 	st.pend = st.pend[:0]
-	st.initial, st.tol = 0, 0
+	st.tol = 0
+	st.nodes, st.mass = nil, nil
 	st.roots = st.roots[:0]
 	st.plen = 0
 	st.ctx, st.tr, st.err = nil, nil, nil
