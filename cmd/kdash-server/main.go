@@ -1,18 +1,17 @@
 // Command kdash-server serves exact top-k RWR queries over HTTP from a
-// prebuilt or freshly built sharded K-dash index.
+// saved sharded K-dash index directory, in process or as a coordinator.
+// Building is the kdash CLI's job:
 //
-// Usage:
-//
-//	kdash-server -graph edges.tsv -addr :8080      # builds a one-shard index
-//	kdash-server -graph edges.tsv -shards 8 -addr :8080
-//	kdash-server -load-index idxdir -addr :8080    # directory from kdash -save-index
+//	kdash -graph edges.tsv -shards 8 -save-index idxdir
+//	kdash-server -load-index idxdir -addr :8080
 //	kdash-server -load-index idxdir -cache 256 -max-batch 512
 //	kdash-server -load-index idxdir -coordinator 10.0.0.1:9101,10.0.0.2:9101
 //
 // -load-index takes the index directory `kdash -save-index` writes, of
-// one shard or many. A path that is no such directory — a single index
-// file from an older build, say — is refused (exit 2); build the
-// directory with `kdash -graph G -shards N -save-index DIR`.
+// one shard or many. Without it, or with a path that is no such
+// directory — a single index file from an older build, say — the server
+// exits 2 naming the build command,
+// `kdash -graph G -shards N -save-index DIR`.
 //
 // Endpoints:
 //
@@ -44,9 +43,10 @@
 // exactness barrier so answers are always bit-identical to a
 // synchronous apply. -wal-fsync picks the durability policy,
 // -compact-interval the drain cadence, and -wal-snapshot-dir enables
-// periodic WAL-stamped snapshots (preferred at startup, log truncated
-// behind them; it needs -wal-dir). On crash, the log's records are
-// staged over the freshest snapshot or the original index and drained
+// periodic WAL-stamped snapshots (preferred at startup over
+// -load-index, log truncated behind them; it needs -wal-dir). On crash,
+// the log's records are staged over the freshest snapshot or the
+// -load-index directory and drained
 // once; if that drain fails, the server exits. -default-timeout bounds each
 // query's compute budget; clients override per request with
 // ?budget=<duration>.
@@ -102,12 +102,8 @@ import (
 // engineFlags are the flags that choose the served engine and how it
 // is opened.
 type engineFlags struct {
-	graph, loadIndex string
-	c                float64
-	shards, workers  int
-	coordinator      string
-	walDir           string
-	walSnapshotDir   string
+	loadIndex, coordinator string
+	walDir, walSnapshotDir string
 }
 
 // usageError is a flag combination refused before anything is opened;
@@ -133,35 +129,41 @@ func negativeCount(counts ...count) error {
 	return nil
 }
 
-// errNoEngine is the usage error for flags that name no engine at all.
-var errNoEngine = usageError("need -graph or -load-index")
+// buildCommand builds the only index the server serves.
+const buildCommand = "`kdash -graph G -shards N -save-index DIR`"
 
-// openEngine builds or loads the engine the flags name and reports how
-// it was brought up, for /statz: "built", "parse" (a loaded directory)
-// or "coordinator". A WAL snapshot in -wal-snapshot-dir is preferred
-// over -graph/-load-index.
+// errNoEngine is the usage error for flags that name no index
+// directory.
+var errNoEngine = usageError("need -load-index, an index directory; build one with " + buildCommand)
+
+// openEngine opens the index directory the flags name and reports how
+// it was brought up, for /statz: "parse" (loaded in process) or
+// "coordinator". A WAL snapshot in -wal-snapshot-dir is preferred over
+// -load-index.
 func openEngine(f engineFlags) (shard.Engine, string, error) {
 	tOpen := time.Now()
+	if f.loadIndex == "" {
+		return nil, "", errNoEngine
+	}
 	if f.walSnapshotDir != "" {
 		if f.walDir == "" {
 			return nil, "", usageError("-wal-snapshot-dir needs -wal-dir: only the durable update mode writes snapshots and replays the log behind them")
 		}
-		// A WAL snapshot is strictly newer than whatever -graph or
-		// -load-index points at (it is that index plus compacted
-		// updates), so recovery prefers it when one exists.
-		if snap, ok := server.LatestSnapshot(f.walSnapshotDir); ok && f.coordinator == "" {
-			log.Printf("recovering from WAL snapshot %s", snap)
-			f.loadIndex, f.graph = snap, ""
-		}
-	}
-	switch {
-	case f.coordinator != "":
-		if f.loadIndex == "" || !shard.IsShardedIndexDir(f.loadIndex) {
-			return nil, "", usageError("-coordinator needs -load-index pointing at a sharded index directory (the cluster's shared manifest)")
-		}
-		if f.walSnapshotDir != "" {
+		if f.coordinator != "" {
 			return nil, "", usageError("-wal-snapshot-dir cannot be combined with -coordinator: " + placement.ErrNoSnapshot.Error())
 		}
+		// A WAL snapshot is strictly newer than the -load-index
+		// directory (it is that index plus compacted updates), so
+		// recovery prefers it when one exists.
+		if snap, ok := server.LatestSnapshot(f.walSnapshotDir); ok {
+			log.Printf("recovering from WAL snapshot %s", snap)
+			f.loadIndex = snap
+		}
+	}
+	if !shard.IsShardedIndexDir(f.loadIndex) {
+		return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; build it with %s", f.loadIndex, buildCommand))
+	}
+	if f.coordinator != "" {
 		addrs := strings.Split(f.coordinator, ",")
 		co, err := placement.NewCoordinator(f.loadIndex, addrs, placement.Config{})
 		if err != nil {
@@ -170,39 +172,14 @@ func openEngine(f engineFlags) (shard.Engine, string, error) {
 		log.Printf("coordinator (factorless) over %d workers: %d nodes / %d shards in %v",
 			len(addrs), co.N(), co.Shards(), time.Since(tOpen).Round(time.Microsecond))
 		return co, "coordinator", nil
-	case f.loadIndex != "":
-		if !shard.IsShardedIndexDir(f.loadIndex) {
-			return nil, "", usageError(fmt.Sprintf("-load-index %s is not a sharded index directory, the only index the server serves; rebuild it with `kdash -graph G -shards N -save-index DIR`", f.loadIndex))
-		}
-		sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{})
-		if err != nil {
-			return nil, "", err
-		}
-		log.Printf("loaded sharded index: %d nodes / %d shards in %v",
-			sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
-		return sx, "parse", nil
-	case f.graph != "":
-		file, err := os.Open(f.graph)
-		if err != nil {
-			return nil, "", err
-		}
-		g, err := kdash.Load(file)
-		file.Close()
-		if err != nil {
-			return nil, "", err
-		}
-		start := time.Now()
-		sx, err := kdash.BuildShardedIndex(g, kdash.ShardOptions{
-			Shards: f.shards, Restart: f.c, Reorder: kdash.ReorderHybrid, Workers: f.workers,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		log.Printf("built sharded index: %d nodes / %d edges / %d shards in %v",
-			g.N(), g.M(), sx.Shards(), time.Since(start).Round(time.Millisecond))
-		return sx, "built", nil
 	}
-	return nil, "", errNoEngine
+	sx, err := kdash.OpenShardedIndex(f.loadIndex, kdash.OpenOptions{})
+	if err != nil {
+		return nil, "", err
+	}
+	log.Printf("loaded sharded index: %d nodes / %d shards in %v",
+		sx.N(), sx.Shards(), time.Since(tOpen).Round(time.Microsecond))
+	return sx, "parse", nil
 }
 
 // buildLogger assembles the request logger from the -log-format and
@@ -227,12 +204,8 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "edge-list file to index")
-		loadIdx   = flag.String("load-index", "", "prebuilt sharded index directory to load instead of building")
+		loadIdx   = flag.String("load-index", "", "sharded index directory to serve, as kdash -save-index writes it")
 		addr      = flag.String("addr", ":8080", "listen address")
-		c         = flag.Float64("c", kdash.DefaultRestart, "restart probability (build mode)")
-		shards    = flag.Int("shards", 1, "partition the index into N shards built in parallel (build mode)")
-		workers   = flag.Int("workers", 0, "worker-pool width for the build (0 = all CPUs)")
 		cacheSize = flag.Int("cache", 0, "LRU /topk answer cache entries (0 = disabled; each entry holds one query node's exact top-64 list, ~1 KB)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest /topk/batch request accepted")
 
@@ -246,13 +219,13 @@ func main() {
 		walDir          = flag.String("wal-dir", "", "write-ahead log directory: /update acks after a log append and a background compactor drains the staged batches (empty = synchronous updates: the same stage-and-drain pipeline, with each request draining its own batch)")
 		walFsync        = flag.String("wal-fsync", "interval", `WAL durability policy: "always" (fsync before every ack), "interval" (background fsync, bounded loss window), "none" (OS page cache only)`)
 		compactInterval = flag.Duration("compact-interval", server.DefaultCompactInterval, "WAL compactor tick: the longest an acked batch waits before a drain folds it into the serving index")
-		walSnapshotDir  = flag.String("wal-snapshot-dir", "", "directory for periodic WAL-stamped index snapshots; on start the newest snapshot there is preferred over -graph/-load-index, and the log truncates behind each snapshot")
+		walSnapshotDir  = flag.String("wal-snapshot-dir", "", "directory for periodic WAL-stamped index snapshots; on start the newest snapshot there is preferred over -load-index, and the log truncates behind each snapshot")
 
 		logFormat = flag.String("log-format", "", `structured request logging: "text" or "json" (empty = off)`)
 		logLevel  = flag.String("log-level", "info", "minimum request-log level: debug, info, warn or error")
 	)
 	flag.Parse()
-	if err := negativeCount(count{"shards", *shards}, count{"workers", *workers}, count{"cache", *cacheSize}, count{"max-batch", *maxBatch}); err != nil {
+	if err := negativeCount(count{"cache", *cacheSize}, count{"max-batch", *maxBatch}); err != nil {
 		fmt.Fprintf(os.Stderr, "kdash-server: %v\n", err)
 		os.Exit(2)
 	}
@@ -263,8 +236,7 @@ func main() {
 	}
 	tOpen := time.Now()
 	engine, openMode, err := openEngine(engineFlags{
-		graph: *graphPath, loadIndex: *loadIdx, c: *c, shards: *shards, workers: *workers,
-		coordinator: *coordinator, walDir: *walDir, walSnapshotDir: *walSnapshotDir,
+		loadIndex: *loadIdx, coordinator: *coordinator, walDir: *walDir, walSnapshotDir: *walSnapshotDir,
 	})
 	var usage usageError
 	switch {

@@ -7,39 +7,26 @@ import (
 	"strings"
 	"testing"
 
-	"kdash"
 	"kdash/internal/core"
 	"kdash/internal/gen"
 	"kdash/internal/reorder"
 	"kdash/internal/shard"
 )
 
-// TestOpenEngine covers the ways the flags open an engine: a graph
-// alone builds a one-shard index, a directory of one shard or several
-// loads, and a single-file index, a coordinator without a directory or
-// a snapshot directory without a WAL directory is a usage error (exit
-// 2) before anything is opened.
+// TestOpenEngine covers the ways the flags open an engine: a directory
+// of one shard or several loads, and no -load-index, a single-file
+// index, a coordinator without a directory or a snapshot directory
+// without a WAL directory is a usage error (exit 2) naming what to do
+// before anything is opened.
 func TestOpenEngine(t *testing.T) {
 	g := gen.PlantedPartition(60, 3, 0.2, 0.02, 1)
 	dir := t.TempDir()
-	graphPath := filepath.Join(dir, "edges.tsv")
-	f, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteEdgeList(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
-	t.Run("graph builds one shard", func(t *testing.T) {
-		engine, mode, err := openEngine(engineFlags{graph: graphPath, c: kdash.DefaultRestart, shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sx, ok := engine.(*shard.ShardedIndex)
-		if !ok || sx.Shards() != 1 || sx.N() != g.N() || mode != "built" {
-			t.Fatalf("engine %T mode %q: want a one-shard %d-node built index", engine, mode, g.N())
+	t.Run("no index directory refused", func(t *testing.T) {
+		_, _, err := openEngine(engineFlags{})
+		var usage usageError
+		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "kdash -graph G -shards N -save-index DIR") {
+			t.Fatalf("err = %v, want a usage error naming the build command", err)
 		}
 	})
 
@@ -101,7 +88,7 @@ func TestOpenEngine(t *testing.T) {
 	})
 
 	t.Run("snapshot dir needs a wal dir", func(t *testing.T) {
-		_, _, err := openEngine(engineFlags{graph: graphPath, c: kdash.DefaultRestart, shards: 1, walSnapshotDir: t.TempDir()})
+		_, _, err := openEngine(engineFlags{loadIndex: filepath.Join(dir, "idx"), walSnapshotDir: t.TempDir()})
 		var usage usageError
 		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "-wal-dir") {
 			t.Fatalf("err = %v, want a usage error naming -wal-dir", err)
@@ -117,19 +104,18 @@ func TestOpenEngine(t *testing.T) {
 	})
 }
 
-// TestNegativeCountsRefused: a negative -shards, -workers, -cache or
-// -max-batch is a usage error (exit 2) naming the flag — they used to
-// build one shard or fall back to the default silently — while zero
-// keeps its documented meaning.
+// TestNegativeCountsRefused: a negative -cache or -max-batch is a
+// usage error (exit 2) naming the flag — it used to fall back to the
+// default silently — while zero keeps its documented meaning.
 func TestNegativeCountsRefused(t *testing.T) {
-	for _, flag := range []string{"shards", "workers", "cache", "max-batch"} {
-		err := negativeCount(count{"shards", 1}, count{flag, -2}, count{"workers", 0})
+	for _, flag := range []string{"cache", "max-batch"} {
+		err := negativeCount(count{"cache", 1}, count{flag, -2}, count{"max-batch", 0})
 		var usage usageError
 		if !errors.As(err, &usage) || !strings.Contains(err.Error(), "-"+flag+" -2") {
 			t.Errorf("-%s -2: err = %v, want a usage error naming the flag", flag, err)
 		}
 	}
-	if err := negativeCount(count{"shards", 0}, count{"workers", 0}, count{"cache", 0}, count{"max-batch", 0}); err != nil {
+	if err := negativeCount(count{"cache", 0}, count{"max-batch", 0}); err != nil {
 		t.Errorf("zero counts refused: %v", err)
 	}
 }

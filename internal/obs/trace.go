@@ -12,17 +12,17 @@ package obs
 // order.
 type SolveStep struct {
 	// Shard is the solved shard.
-	Shard int
+	Shard int `json:"shard"`
 	// ResidualBefore is the total pending residual mass across all
 	// shards when this solve was scheduled.
-	ResidualBefore float64
+	ResidualBefore float64 `json:"residualBefore"`
 	// MassConsumed is the residual mass this solve absorbed.
-	MassConsumed float64
+	MassConsumed float64 `json:"massConsumed"`
 	// NodesEvaluated is the solve's support size: proximity entries
 	// actually computed.
-	NodesEvaluated int
+	NodesEvaluated int `json:"nodesEvaluated"`
 	// DurationNS is the solve's wall clock.
-	DurationNS int64
+	DurationNS int64 `json:"durationNs"`
 	// WorkerNS is, for the solve whose step made a coordinator's worker
 	// call — the first of the run of solves the call returned — the
 	// worker's own elapsed time for the whole run, inside DurationNS,
@@ -30,50 +30,51 @@ type SolveStep struct {
 	// is transport and coordinator bookkeeping. The run's later solves
 	// are replays: their DurationNS is the coordinator's bookkeeping
 	// alone and their WorkerNS zero, as it is for in-process solves.
-	WorkerNS int64
+	WorkerNS int64 `json:"workerNs,omitempty"`
 }
 
 // QueryTrace records one query's execution structure. Instances are
 // pooled by the HTTP layer; Reset prepares one for reuse keeping its
-// slice capacity.
+// slice capacity. Its JSON encoding is the ?trace=1 response's "trace"
+// block, keys in field order.
 type QueryTrace struct {
 	// Steps lists shard solves in schedule order.
-	Steps []SolveStep
+	Steps []SolveStep `json:"steps,omitempty"`
 	// Residual is the residual-bound trajectory: total pending mass
 	// after each solve. len(Residual) == len(Steps).
-	Residual []float64
-
-	// SolveNS is the push/search phase wall clock; RankNS the top-k
-	// merge phase.
-	SolveNS int64
-	RankNS  int64
+	Residual []float64 `json:"residual,omitempty"`
 
 	// Solves counts shard solves; ShardsSolved distinct shards solved;
 	// ShardsPruned shards left unsolved with pending inflow.
-	Solves       int
-	ShardsSolved int
-	ShardsPruned int
+	Solves       int `json:"solves"`
+	ShardsSolved int `json:"shardsSolved"`
+	ShardsPruned int `json:"shardsPruned"`
 	// NodesEvaluated is the summed solve support (proximities computed).
-	NodesEvaluated int
+	NodesEvaluated int `json:"nodesEvaluated"`
 	// Calls counts the worker calls a coordinator's query made: one per
 	// run of solves on one worker, the rank's re-runs of the push past
 	// its prefix included. Zero in process.
-	Calls int
+	Calls int `json:"calls"`
 	// CutMassPruned is the residual mass never processed — the mass the
 	// cut-mass bound proved could not change the answer.
-	CutMassPruned float64
+	CutMassPruned float64 `json:"cutMassPruned"`
 	// Converged reports whether the push drove the (weighted) residual
 	// under tolerance rather than hitting the solve cap.
-	Converged bool
+	Converged bool `json:"converged"`
 	// CacheHit marks answers served from the server's cached top-K
 	// list; the engine never ran, so every other field but
 	// BarrierWaitNS is zero.
-	CacheHit bool
+	CacheHit bool `json:"cacheHit"`
+
+	// SolveNS is the push/search phase wall clock; RankNS the top-k
+	// merge phase.
+	SolveNS int64 `json:"solveNs"`
+	RankNS  int64 `json:"rankNs"`
 	// BarrierWaitNS is how long the request waited on the server's WAL
 	// read barrier for an acked update to be applied, before the engine
 	// (or the cache) was consulted. Zero outside WAL mode and whenever
 	// nothing was pending.
-	BarrierWaitNS int64
+	BarrierWaitNS int64 `json:"barrierWaitNs"`
 }
 
 // Reset clears the trace for reuse, keeping slice capacity.

@@ -279,8 +279,8 @@ func (co *Coordinator) bindSolver() {
 // epoch publish and returns the successor Coordinator. Order: the
 // coordinator applies the delta to its factorless index (placement and
 // cut bookkeeping only — no factorization), fans Prepare out to every
-// worker in parallel (each refactorizes its dirty shards off to the
-// side while old-epoch queries keep resolving), and commits only once
+// worker in parallel (each applies the whole delta, rebuilding every
+// dirty shard, off to the side while old-epoch queries keep resolving), and commits only once
 // every worker holds the stage. Any Prepare failure aborts the stage
 // everywhere and returns ErrUnavailable with the old epoch fully
 // intact; a Commit straggler is tolerated — it heals through the
@@ -456,4 +456,4 @@ var ErrNoSnapshot = errors.New("a factorless coordinator has no factors to snaps
 
 // SaveWALSnapshot implements shard.Engine; it always fails with
 // ErrNoSnapshot.
-func (co *Coordinator) SaveWALSnapshot(string, uint64, []string) error { return ErrNoSnapshot }
+func (co *Coordinator) SaveWALSnapshot(string, uint64) error { return ErrNoSnapshot }

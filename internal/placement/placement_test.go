@@ -524,7 +524,7 @@ func TestCoordinatorEngineSurface(t *testing.T) {
 	if totalShards != co.Shards() {
 		t.Fatalf("placement covers %d shards, index has %d", totalShards, co.Shards())
 	}
-	if err := co.SaveWALSnapshot(t.TempDir(), 1, nil); !errors.Is(err, ErrNoSnapshot) {
+	if err := co.SaveWALSnapshot(t.TempDir(), 1); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("SaveWALSnapshot = %v, want ErrNoSnapshot", err)
 	}
 }

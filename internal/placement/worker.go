@@ -13,7 +13,8 @@
 // docs/ARCHITECTURE.md, "Distributed serving").
 //
 // Updates publish in two phases: the coordinator fans the delta out as
-// Prepare (workers refactorize their dirty shards off to the side),
+// Prepare (each worker applies the whole delta to its full copy of the
+// index off to the side, rebuilding every dirty shard, served or not),
 // commits only when every worker has the epoch staged, and binds each
 // query to one epoch's solver — so no query ever sees mixed epochs. A
 // worker that missed updates (restart, partition) answers wrongEpoch and
@@ -37,11 +38,13 @@ import (
 // plus any staged-but-uncommitted epoch from an in-flight two-phase
 // publish. All methods are safe for concurrent RPC connections.
 //
-// A Worker deliberately owns a full copy of the index — shards are
-// opened lazily, so only the shards the placement actually routes here
-// are ever faulted in, and applying the full delta per epoch keeps the
-// worker's factors bit-identical to a single process applying the same
-// chain.
+// A Worker owns a full copy of the index. A loaded shard is opened
+// lazily, so only the shards the placement routes here are read from
+// disk; but prepare runs the full ShardedIndex.Apply, so an update
+// rebuilds every dirty shard on every worker, served here or not, and
+// keeps the rebuilt factors on the Go heap. Applying the full delta
+// keeps the worker's factors bit-identical to a single process applying
+// the same chain.
 type Worker struct {
 	mu     sync.RWMutex
 	cur    int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 
 	"kdash/internal/core"
 	"kdash/internal/topk"
@@ -28,22 +29,6 @@ type batchQuery struct {
 // batchRequest is the POST /topk/batch payload.
 type batchRequest struct {
 	Queries []batchQueryJSON `json:"queries"`
-}
-
-// batchStatsJSON aggregates the batch's work on the wire.
-type batchStatsJSON struct {
-	Queries               int   `json:"queries"`
-	Visited               int64 `json:"visited"`
-	ProximityComputations int64 `json:"proximityComputations"`
-	TerminatedEarly       int64 `json:"terminatedEarly"`
-}
-
-// batchResponse is the POST /topk/batch payload: one item per query, in
-// request order, plus per-batch aggregate stats.
-type batchResponse struct {
-	Count int            `json:"count"`
-	Items []topKResponse `json:"items"`
-	Stats batchStatsJSON `json:"stats"`
 }
 
 // topKBatch handles POST /topk/batch:
@@ -106,18 +91,43 @@ func (h *Handler) topKBatch(w http.ResponseWriter, r *http.Request, _ url.Values
 		}
 		return
 	}
-	resp := batchResponse{Count: len(queries), Items: make([]topKResponse, len(queries))}
-	resp.Stats.Queries = len(queries)
 	for i := range queries {
 		h.countWork(stats[i])
-		resp.Stats.Visited += int64(stats[i].Visited)
-		resp.Stats.ProximityComputations += int64(stats[i].ProximityComputations)
-		if stats[i].Terminated {
-			resp.Stats.TerminatedEarly++
-		}
-		resp.Items[i] = newTopKResponse(queries[i].K, results[i], stats[i], false)
 	}
-	writeJSON(w, resp)
+	buf := respBufs.Get().(*[]byte)
+	*buf = appendBatch((*buf)[:0], queries, results, stats)
+	writeBody(w, buf)
+}
+
+// appendBatch appends the /topk/batch body, trailing newline included,
+// to b: the query count, one appendTopK item per query in request
+// order, and the batch's summed work.
+func appendBatch(b []byte, queries []batchQuery, results [][]topk.Result, stats []core.SearchStats) []byte {
+	var visited, proxComps, terminated int64
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(len(queries)), 10)
+	b = append(b, `,"items":[`...)
+	for i, q := range queries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendTopK(b, q.K, results[i], stats[i], false)
+		b = b[:len(b)-1] // the item's newline
+		visited += int64(stats[i].Visited)
+		proxComps += int64(stats[i].ProximityComputations)
+		if stats[i].Terminated {
+			terminated++
+		}
+	}
+	b = append(b, `],"stats":{"queries":`...)
+	b = strconv.AppendInt(b, int64(len(queries)), 10)
+	b = append(b, `,"visited":`...)
+	b = strconv.AppendInt(b, visited, 10)
+	b = append(b, `,"proximityComputations":`...)
+	b = strconv.AppendInt(b, proxComps, 10)
+	b = append(b, `,"terminatedEarly":`...)
+	b = strconv.AppendInt(b, terminated, 10)
+	return append(b, "}}\n"...)
 }
 
 // runBatch answers the validated queries in order, checking the

@@ -35,7 +35,7 @@ type itemJSON struct {
 		Node  int     `json:"node"`
 		Score float64 `json:"score"`
 	} `json:"results"`
-	Stats statsJSON `json:"stats"`
+	Stats refStats `json:"stats"`
 }
 
 type batchRespJSON struct {

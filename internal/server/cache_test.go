@@ -128,15 +128,15 @@ func TestCachedServerKeepsItsCounters(t *testing.T) {
 	h := updatableHandler(t, WithCache(4)) // 120 nodes, 4 shards
 	plain := updatableHandler(t)
 	type resp struct {
-		Results []resultJSON `json:"results"`
-		Stats   statsJSON    `json:"stats"`
-		Cached  bool         `json:"cached"`
-		Trace   *traceJSON   `json:"trace"`
+		Results []refResult `json:"results"`
+		Stats   refStats    `json:"stats"`
+		Cached  bool        `json:"cached"`
+		Trace   *refTrace   `json:"trace"`
 	}
 	// The exclusion set: the first 40 members of q=3's cached list, so
 	// k=30 needs 70 deep and the 64-entry list cannot prove it.
 	_, body := get(t, plain, "/topk?q=3&k=40")
-	var top []resultJSON
+	var top []refResult
 	if err := json.Unmarshal(body["results"], &top); err != nil || len(top) != 40 {
 		t.Fatalf("top-40 of q=3: %v (%d results)", err, len(top))
 	}
@@ -174,7 +174,7 @@ func TestCachedServerKeepsItsCounters(t *testing.T) {
 			t.Fatalf("%s: cached=%v trace=%+v, want hit=%v", tc.name, got.Cached, got.Trace, tc.hit)
 		}
 		if tc.hit {
-			if got.Stats != (statsJSON{}) || got.Trace.Solves != 0 || len(got.Trace.Steps) != 0 {
+			if got.Stats != (refStats{}) || got.Trace.Solves != 0 || len(got.Trace.Steps) != 0 {
 				t.Errorf("%s: a hit reports work: stats %+v, trace %+v", tc.name, got.Stats, got.Trace)
 			}
 		} else {
@@ -572,7 +572,7 @@ func TestCacheDifferentialChain(t *testing.T) {
 					n := h.snap().engine.N()
 					for _, q := range append(rng.Perm(n)[:4], hot...) {
 						_, top := get(t, ref, fmt.Sprintf("/topk?q=%d&k=12", q))
-						var members []resultJSON
+						var members []refResult
 						if err := json.Unmarshal(top["results"], &members); err != nil {
 							t.Fatal(err)
 						}

@@ -204,73 +204,6 @@ func (h *Handler) getTrace() *obs.QueryTrace {
 //kdash:release
 func (h *Handler) putTrace(t *obs.QueryTrace) { h.tracePool.Put(t) }
 
-// traceStepJSON is one shard solve in a trace block, in execution
-// order.
-type traceStepJSON struct {
-	Shard          int     `json:"shard"`
-	ResidualBefore float64 `json:"residualBefore"`
-	MassConsumed   float64 `json:"massConsumed"`
-	NodesEvaluated int     `json:"nodesEvaluated"`
-	DurationNS     int64   `json:"durationNs"`
-	WorkerNS       int64   `json:"workerNs,omitempty"`
-}
-
-// traceJSON is the per-query trace block a ?trace=1 response carries:
-// the push's shard solves in order (Steps, with the residual bound after
-// each in Residual) and the query's aggregates, a coordinator's worker
-// calls among them. A cache hit runs no push and carries no steps.
-type traceJSON struct {
-	Steps          []traceStepJSON `json:"steps,omitempty"`
-	Residual       []float64       `json:"residual,omitempty"`
-	Solves         int             `json:"solves"`
-	ShardsSolved   int             `json:"shardsSolved"`
-	ShardsPruned   int             `json:"shardsPruned"`
-	NodesEvaluated int             `json:"nodesEvaluated"`
-	Calls          int             `json:"calls"`
-	CutMassPruned  float64         `json:"cutMassPruned"`
-	Converged      bool            `json:"converged"`
-	CacheHit       bool            `json:"cacheHit"`
-	SolveNS        int64           `json:"solveNs"`
-	RankNS         int64           `json:"rankNs"`
-	BarrierWaitNS  int64           `json:"barrierWaitNs"`
-}
-
-// toTraceJSON copies a pooled recorder into a response-owned block (the
-// recorder goes back to the pool when the handler returns, so the
-// response must not alias its slices).
-func toTraceJSON(tr *obs.QueryTrace) *traceJSON {
-	out := &traceJSON{
-		Solves:         tr.Solves,
-		ShardsSolved:   tr.ShardsSolved,
-		ShardsPruned:   tr.ShardsPruned,
-		NodesEvaluated: tr.NodesEvaluated,
-		Calls:          tr.Calls,
-		CutMassPruned:  tr.CutMassPruned,
-		Converged:      tr.Converged,
-		CacheHit:       tr.CacheHit,
-		SolveNS:        tr.SolveNS,
-		RankNS:         tr.RankNS,
-		BarrierWaitNS:  tr.BarrierWaitNS,
-	}
-	if len(tr.Steps) > 0 {
-		out.Steps = make([]traceStepJSON, len(tr.Steps))
-		for i, s := range tr.Steps {
-			out.Steps[i] = traceStepJSON{
-				Shard:          s.Shard,
-				ResidualBefore: s.ResidualBefore,
-				MassConsumed:   s.MassConsumed,
-				NodesEvaluated: s.NodesEvaluated,
-				DurationNS:     s.DurationNS,
-				WorkerNS:       s.WorkerNS,
-			}
-		}
-	}
-	if len(tr.Residual) > 0 {
-		out.Residual = append([]float64(nil), tr.Residual...)
-	}
-	return out
-}
-
 // buildInfo is the /healthz "build" block, resolved once: the Go
 // toolchain, main module and (when the binary was built inside a VCS
 // checkout) the revision it was built from.

@@ -78,9 +78,9 @@ func WithMaxBatch(n int) Option {
 }
 
 // WithOpenInfo records how the serving index was brought up — wall
-// clock of the build or load, and the mode ("built", "parse",
-// "coordinator") — for the /statz "load" block, so operators can see
-// cold-start cost without scraping process logs.
+// clock of the open, and the mode ("parse", "coordinator") — for the
+// /statz "load" block, so operators can see cold-start cost without
+// scraping process logs.
 func WithOpenInfo(d time.Duration, mode string) Option {
 	return func(h *Handler) {
 		h.openTime = d
@@ -345,32 +345,6 @@ func (h *Handler) unavailable(w http.ResponseWriter, err error) bool {
 	w.Header().Set("Retry-After", "1")
 	httpError(w, http.StatusServiceUnavailable, err.Error())
 	return true
-}
-
-// resultJSON is one ranked answer on the wire.
-type resultJSON struct {
-	Node  int     `json:"node"`
-	Score float64 `json:"score"`
-}
-
-// statsJSON reports per-query work on the wire.
-type statsJSON struct {
-	Visited               int  `json:"visited"`
-	ProximityComputations int  `json:"proximityComputations"`
-	Terminated            bool `json:"terminated"`
-}
-
-// topKResponse is the /topk and /personalized payload. K is the number
-// of results actually returned — fewer than requested when the graph has
-// fewer reachable answers — so clients can index Results safely;
-// RequestedK echoes the request.
-type topKResponse struct {
-	K          int          `json:"k"`
-	RequestedK int          `json:"requestedK"`
-	Results    []resultJSON `json:"results"`
-	Stats      statsJSON    `json:"stats"`
-	Cached     bool         `json:"cached,omitempty"`
-	Trace      *traceJSON   `json:"trace,omitempty"` // ?trace=1 only
 }
 
 // nodeParam parses query parameter name as a node id and range-checks it
@@ -681,28 +655,7 @@ func (h *Handler) latencyStatz() map[string]interface{} {
 	return lat
 }
 
-// newTopKResponse builds one answer set's payload. The wire k is the
-// count actually returned, not the requested one, so clients indexing
-// results cannot run off the end when the graph yields fewer answers.
-func newTopKResponse(requestedK int, results []topk.Result, stats core.SearchStats, cached bool) topKResponse {
-	resp := topKResponse{
-		K:          len(results),
-		RequestedK: requestedK,
-		Results:    make([]resultJSON, len(results)),
-		Stats: statsJSON{
-			Visited:               stats.Visited,
-			ProximityComputations: stats.ProximityComputations,
-			Terminated:            stats.Terminated,
-		},
-		Cached: cached,
-	}
-	for i, r := range results {
-		resp.Results[i] = resultJSON{Node: r.Node, Score: r.Score}
-	}
-	return resp
-}
-
-// respBufs recycles the buffers writeResults appends bodies into.
+// respBufs recycles the buffers answer bodies are appended into.
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // jsonContentType is the Content-Type header value, shared: assigning
@@ -710,26 +663,40 @@ var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 // header's value slice in place.
 var jsonContentType = []string{"application/json"}
 
-// writeResults writes one answer set (see newTopKResponse). A trace-free
-// body — every cache hit and every untraced miss — is appended into a
-// pooled buffer by appendTopK, byte for byte what encoding/json writes
-// for it; a traced one goes through encoding/json.
+// writeResults writes one answer set: appendTopK's body, appended into
+// a pooled buffer. A traced query's body carries its trace block
+// before the closing brace — obs.QueryTrace's own JSON encoding, taken
+// before the handler returns the pooled recorder.
 func writeResults(w http.ResponseWriter, requestedK int, results []topk.Result, stats core.SearchStats, cached bool, tr *obs.QueryTrace) {
-	if tr != nil {
-		resp := newTopKResponse(requestedK, results, stats, cached)
-		resp.Trace = toTraceJSON(tr)
-		writeJSON(w, resp)
-		return
-	}
 	buf := respBufs.Get().(*[]byte)
-	*buf = appendTopK((*buf)[:0], requestedK, results, stats, cached)
+	b := appendTopK((*buf)[:0], requestedK, results, stats, cached)
+	if tr != nil {
+		trace, err := json.Marshal(tr)
+		if err != nil { // a non-finite float: the engine broke an invariant
+			respBufs.Put(buf)
+			httpError(w, http.StatusInternalServerError, fmt.Sprintf("encoding trace: %v", err))
+			return
+		}
+		b = append(append(b[:len(b)-2], `,"trace":`...), trace...)
+		b = append(b, "}\n"...)
+	}
+	*buf = b
+	writeBody(w, buf)
+}
+
+// writeBody writes a JSON answer body appended into a pooled buffer
+// and returns the buffer to respBufs.
+func writeBody(w http.ResponseWriter, buf *[]byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	_, _ = w.Write(*buf) // headers are sent; a failed write leaves nothing to do
 	respBufs.Put(buf)
 }
 
-// appendTopK appends the encoding/json encoding of a trace-free
-// topKResponse, trailing newline included, to b.
+// appendTopK appends one answer set's body, trailing newline included,
+// to b: the count returned as "k" (fewer than requestedK when the graph
+// has fewer reachable answers, so clients can index results safely),
+// the request's k, the ranked results, the query's work, and
+// "cached":true on a cache hit.
 func appendTopK(b []byte, requestedK int, results []topk.Result, stats core.SearchStats, cached bool) []byte {
 	b = append(b, `{"k":`...)
 	b = strconv.AppendInt(b, int64(len(results)), 10)

@@ -469,9 +469,8 @@ func (h *Handler) SnapshotWAL(dir string) error {
 	// stamp never claims coverage the saved factors do not have.
 	st, c := h.walSnap()
 	applied := c.appliedSeq
-	segments := ws.log.SegmentNames()
 	if err := shard.CommitSnapshot(dir, st.epoch, func(path string) error {
-		return st.engine.SaveWALSnapshot(path, applied, segments)
+		return st.engine.SaveWALSnapshot(path, applied)
 	}); err != nil {
 		return err
 	}

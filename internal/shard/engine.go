@@ -43,8 +43,8 @@ type Engine interface {
 	// Statz is the /statz "index" block, which /metrics also reads.
 	Statz() Statz
 	// SaveWALSnapshot saves the engine into dir stamped with the WAL
-	// position seq its state covers and the live log segments.
-	SaveWALSnapshot(dir string, seq uint64, segments []string) error
+	// position seq its state covers.
+	SaveWALSnapshot(dir string, seq uint64) error
 }
 
 var _ Engine = (*ShardedIndex)(nil)
@@ -135,8 +135,7 @@ func (sx *ShardedIndex) ApplyDelta(batch *graph.Delta) (Engine, UpdateStats, err
 // SaveWALSnapshot stamps the WAL position and saves the index. Apply
 // does not carry the stamp forward: a successor with further deltas
 // applied no longer matches it.
-func (sx *ShardedIndex) SaveWALSnapshot(dir string, seq uint64, segments []string) error {
+func (sx *ShardedIndex) SaveWALSnapshot(dir string, seq uint64) error {
 	sx.walSeq = seq
-	sx.walSegments = append([]string(nil), segments...)
 	return sx.Save(dir)
 }

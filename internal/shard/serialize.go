@@ -105,14 +105,11 @@ type manifest struct {
 	StalenessLimit int    `json:"stalenessLimit,omitempty"`
 	Staleness      []int  `json:"staleness,omitempty"`
 
-	// The WAL position this snapshot covers. WALSeq is the last log
-	// sequence number whose delta is already folded into the saved
-	// factors; recovery replays only records past it. WALSegments
-	// records the live segment files at save time — informational (the
-	// log's own recovery rescans the directory), useful to operators and
-	// tooling deciding what a snapshot depends on.
-	WALSeq      uint64   `json:"walSeq,omitempty"`
-	WALSegments []string `json:"walSegments,omitempty"`
+	// The WAL position this snapshot covers: the last log sequence
+	// number whose delta is already folded into the saved factors;
+	// recovery replays only records past it, rescanning the log
+	// directory for them.
+	WALSeq uint64 `json:"walSeq,omitempty"`
 
 	Stats struct {
 		Sizes         []int   `json:"sizes"`
@@ -162,7 +159,6 @@ func (sx *ShardedIndex) Save(dir string) error {
 	m.StalenessLimit = sx.stalenessLimit
 	m.Staleness = sx.staleness
 	m.WALSeq = sx.walSeq
-	m.WALSegments = sx.walSegments
 	if err := sx.ensureGraph(); err != nil { // a deferred snapshot must open to be re-saved
 		return fmt.Errorf("shard: loading graph snapshot: %w", err)
 	}
@@ -332,7 +328,6 @@ func Open(dir string, opt LoadOptions) (*ShardedIndex, error) {
 		epoch:          m.Epoch,
 		stalenessLimit: m.StalenessLimit,
 		walSeq:         m.WALSeq,
-		walSegments:    m.WALSegments,
 	}
 	if sx.qtol <= 0 {
 		sx.qtol = DefaultQueryTol

@@ -291,14 +291,12 @@ type ShardedIndex struct {
 	staleness      []int
 	epoch          int
 
-	// Write-ahead-log position (the manifest's walSeq): the last WAL sequence
-	// number folded into these factors and the live segment names at
-	// save time (informational; recovery rescans the log directory).
-	// Set by SaveWALSnapshot; zero for indexes that never ran under a
-	// WAL. Not carried across Apply — the compactor stamps each snapshot
+	// Write-ahead-log position (the manifest's walSeq): the last WAL
+	// sequence number folded into these factors. Set by
+	// SaveWALSnapshot; zero for indexes that never ran under a WAL. Not
+	// carried across Apply — the compactor stamps each snapshot
 	// explicitly with the position it knows it covers.
-	walSeq      uint64
-	walSegments []string
+	walSeq uint64
 
 	// gOnce/gLoad defer the graph snapshot's open for lazily opened
 	// directories to the first query (or Apply, or Save) that needs it,

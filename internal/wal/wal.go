@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,6 +186,9 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, err
 	}
 	if err := l.openActive(); err != nil {
+		if l.active != nil {
+			l.active.Close()
+		}
 		return nil, err
 	}
 	if opt.Sync == SyncInterval {
@@ -362,7 +366,10 @@ func (l *Log) openActive() error {
 }
 
 // newSegmentLocked creates and activates a fresh segment whose first
-// record will carry seq. Callers hold l.mu (or are inside Open).
+// record will carry seq, then fsyncs the directory: a record acked into
+// the segment is durable only once its directory entry is, so a failed
+// directory sync is returned and the caller makes it sticky. Callers
+// hold l.mu (or are inside Open).
 func (l *Log) newSegmentLocked(seq uint64) error {
 	name := segmentName(seq)
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -375,7 +382,9 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 	}
 	l.active = f
 	l.segments = append(l.segments, segment{name: name, first: seq, last: seq - 1, size: int64(len(segMagic))})
-	l.syncDir()
+	if err := syncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: syncing log directory: %w", err)
+	}
 	return nil
 }
 
@@ -516,7 +525,9 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, body []byte) error) error
 // epoch, or persisted in a snapshot). When the active segment itself is
 // fully covered it is sealed and replaced by a fresh one first, so the
 // log directory shrinks back to one near-empty file after a full
-// compaction.
+// compaction. A failed directory sync after the deletions is returned;
+// it does not stop appends, since the deleted records are durable
+// elsewhere and no acked one depends on the removed entries.
 func (l *Log) TruncateThrough(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -546,19 +557,29 @@ func (l *Log) TruncateThrough(seq uint64) error {
 	l.segments = kept
 	if deleted {
 		l.stats.Truncations++
-		l.syncDir()
+		if err := syncDir(l.dir); err != nil {
+			return fmt.Errorf("wal: syncing log directory after truncation: %w", err)
+		}
 	}
 	return nil
 }
 
-// syncDir fsyncs the log directory so segment creations and deletions
-// are themselves durable. Best-effort: some filesystems reject
-// directory fsync, and the cost of a lost rename is a re-recovery.
-func (l *Log) syncDir() {
-	if d, err := os.Open(l.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// syncDir fsyncs directory dir so the segment files created or deleted
+// in it are themselves durable; a test swaps it to fail. Windows cannot
+// fsync a directory handle; NTFS journals its entries itself.
+var syncDir = func(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
 	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LastSeq reports the highest sequence number appended or recovered.
@@ -580,18 +601,6 @@ func (l *Log) Stats() Stats {
 		st.Bytes += s.size
 	}
 	return st
-}
-
-// SegmentNames lists the live segment files in replay order, the
-// reference a manifest snapshot records alongside its WAL position.
-func (l *Log) SegmentNames() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	names := make([]string, len(l.segments))
-	for i, s := range l.segments {
-		names[i] = s.name
-	}
-	return names
 }
 
 // Close flushes and closes the log. Further appends fail.

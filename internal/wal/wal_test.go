@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,6 +19,17 @@ func openT(t *testing.T, dir string, opt Options) *Log {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l
+}
+
+// SegmentNames lists the live segment files in replay order.
+func (l *Log) SegmentNames() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	names := make([]string, len(l.segments))
+	for i, s := range l.segments {
+		names[i] = s.name
+	}
+	return names
 }
 
 func body(i int) []byte { return []byte(fmt.Sprintf("record-%04d-payload", i)) }
@@ -419,6 +431,48 @@ func TestReopenDegenerateActiveSegments(t *testing.T) {
 			}
 			if st := l3.Stats(); st.TornBytesDropped != 0 {
 				t.Fatalf("second reopen still drops torn bytes: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDirSyncFailureIsSticky: a log directory fsync that fails after a
+// segment is created or compacted segments are removed is returned, and
+// a failed rotation refuses every later append, as a failed record
+// fsync does — under SyncAlways a record acked into a segment whose
+// directory entry is not durable could vanish with it on power loss.
+func TestDirSyncFailureIsSticky(t *testing.T) {
+	boom := errors.New("injected directory fsync failure")
+	saved := syncDir
+	t.Cleanup(func() { syncDir = saved })
+	for _, tc := range []struct {
+		name   string
+		op     func(l *Log) error
+		sticky bool
+	}{
+		{"rotation in an append", func(l *Log) error { _, err := l.Append(body(9)); return err }, true},
+		{"rotation before a truncation", func(l *Log) error { return l.TruncateThrough(l.LastSeq()) }, true},
+		{"removal in a truncation", func(l *Log) error { return l.TruncateThrough(1) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			syncDir = saved
+			l := openT(t, t.TempDir(), Options{Sync: SyncAlways, SegmentBytes: 64})
+			for i := 1; i <= 2; i++ { // one record per segment
+				if _, err := l.Append(body(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			syncDir = func(string) error { return boom }
+			if err := tc.op(l); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the directory fsync's", err)
+			}
+			syncDir = saved
+			_, err := l.Append(body(10))
+			if tc.sticky && !errors.Is(err, boom) {
+				t.Fatalf("append after a failed rotation: err = %v, want it refused with the fsync error", err)
+			}
+			if !tc.sticky && err != nil {
+				t.Fatalf("append after a failed removal sync: %v", err)
 			}
 		})
 	}
