@@ -73,9 +73,21 @@
 // every checksum and range-checking every array before the listener
 // comes up, so a damaged index is refused at start, never served.
 //
-// SIGINT/SIGTERM drain in-flight queries through srv.Shutdown before
-// the process exits, so rolling restarts never cut answers off
-// mid-response.
+// -addr is served by the server package's own HTTP/1.1 connection
+// loop, not net/http's server: one goroutine per connection reads each
+// request, runs the handler and writes the whole answer in one write,
+// with net/http's timeouts, keep-alive and error answers. A client
+// that disconnects mid-query is noticed when the push next checks the
+// request's context, between solves (a 499, counted in
+// kdash_queries_cancelled_total).
+//
+// SIGINT/SIGTERM drain through srv.Shutdown: the listener and every
+// idle keep-alive connection close at once, each in-flight request
+// gets its answer (with Connection: close), and the process exits once
+// they are done or -shutdown-timeout has passed, whichever is first.
+//
+// -debug-addr (off by default) serves the Go runtime's profiles,
+// /debug/pprof/, on a listener of its own; -addr never serves them.
 package main
 
 import (
@@ -85,6 +97,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -93,6 +106,7 @@ import (
 	"time"
 
 	"kdash"
+	"kdash/internal/debugsrv"
 	"kdash/internal/placement"
 	"kdash/internal/server"
 	"kdash/internal/shard"
@@ -221,6 +235,7 @@ func main() {
 		compactInterval = flag.Duration("compact-interval", server.DefaultCompactInterval, "WAL compactor tick: the longest an acked batch waits before a drain folds it into the serving index")
 		walSnapshotDir  = flag.String("wal-snapshot-dir", "", "directory for periodic WAL-stamped index snapshots; on start the newest snapshot there is preferred over -load-index, and the log truncates behind each snapshot")
 
+		debugAddr = flag.String("debug-addr", "", "listen address for the Go runtime's profiles (/debug/pprof/) on a listener of their own (empty = off)")
 		logFormat = flag.String("log-format", "", `structured request logging: "text" or "json" (empty = off)`)
 		logLevel  = flag.String("log-level", "info", "minimum request-log level: debug, info, warn or error")
 	)
@@ -276,22 +291,30 @@ func main() {
 	} else {
 		handler = server.New(engine, handlerOpts...)
 	}
-	srv := &http.Server{
-		Addr:         *addr,
+	srv := &server.Server{
 		Handler:      handler,
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if dbg, err := debugsrv.Serve(*debugAddr); err != nil {
+		log.Fatalf("-debug-addr: %v", err)
+	} else if dbg != nil {
+		log.Printf("profiles on http://%s/debug/pprof/", dbg)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving on %s", *addr)
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("serving on %s", ln.Addr())
 
 	select {
 	case err := <-errc:
-		log.Fatal(err) // bind failure or similar; never http.ErrServerClosed here
+		log.Fatal(err) // the listener failed; never http.ErrServerClosed here
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second signal kills immediately
 		log.Printf("signal received, draining in-flight queries (up to %v)", *shutdownTimeout)

@@ -17,7 +17,8 @@
 // full directory. Each one is read into sealed read-only memory outside
 // the Go heap (on Linux; the Go heap elsewhere), checksummed and
 // range-checked on first use. SIGINT/SIGTERM close the listener and
-// exit.
+// exit. -debug-addr (off by default) serves the Go runtime's profiles,
+// /debug/pprof/, on a listener of its own.
 package main
 
 import (
@@ -30,14 +31,16 @@ import (
 	"os/signal"
 	"syscall"
 
+	"kdash/internal/debugsrv"
 	"kdash/internal/placement"
 	"kdash/internal/shard"
 )
 
 func main() {
 	var (
-		indexDir = flag.String("index", "", "sharded index directory (the same directory the coordinator and every other worker open)")
-		addr     = flag.String("addr", "127.0.0.1:0", "RPC listen address (port 0 picks an ephemeral port, printed on stdout)")
+		indexDir  = flag.String("index", "", "sharded index directory (the same directory the coordinator and every other worker open)")
+		addr      = flag.String("addr", "127.0.0.1:0", "RPC listen address (port 0 picks an ephemeral port, printed on stdout)")
+		debugAddr = flag.String("debug-addr", "", "listen address for the Go runtime's profiles (/debug/pprof/) on a listener of their own (empty = off)")
 	)
 	flag.Parse()
 	if *indexDir == "" {
@@ -52,6 +55,11 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if dbg, err := debugsrv.Serve(*debugAddr); err != nil {
+		log.Fatalf("-debug-addr: %v", err)
+	} else if dbg != nil {
+		log.Printf("profiles on http://%s/debug/pprof/", dbg)
 	}
 	// The LISTEN line is the worker's readiness contract: everything else
 	// logs to stderr so a supervisor can parse stdout alone.

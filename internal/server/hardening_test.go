@@ -176,46 +176,50 @@ func TestLazyLoadFailureIs503(t *testing.T) {
 	}
 }
 
-// TestMalformedInputsTable sweeps malformed requests across every
-// endpoint, asserting the exact status code for each.
+// malformedInputs are malformed requests across every endpoint, each
+// with its exact status code, for testHandler's 120-node graph.
+var malformedInputs = []struct {
+	method, url, body string
+	want              int
+}{
+	// /topk
+	{http.MethodGet, "/topk", "", http.StatusBadRequest},                     // missing params
+	{http.MethodGet, "/topk?q=1", "", http.StatusBadRequest},                 // missing k
+	{http.MethodGet, "/topk?q=1&k=0", "", http.StatusBadRequest},             // k = 0
+	{http.MethodGet, "/topk?q=1&k=-5", "", http.StatusBadRequest},            // negative k
+	{http.MethodGet, "/topk?q=-1&k=5", "", http.StatusBadRequest},            // negative node
+	{http.MethodGet, "/topk?q=120&k=5", "", http.StatusBadRequest},           // node == n
+	{http.MethodGet, "/topk?q=1&k=5&exclude=1,x", "", http.StatusBadRequest}, // non-numeric exclude
+	{http.MethodGet, "/topk?q=1&k=5&exclude=999", "", http.StatusOK},         // out-of-range exclude is harmless
+	{http.MethodPost, "/topk?q=1&k=5", "", http.StatusMethodNotAllowed},
+	// /personalized
+	{http.MethodPost, "/personalized", `{"seeds":{"1":1},"k":0}`, http.StatusBadRequest},    // k = 0
+	{http.MethodPost, "/personalized", `{"seeds":{"1":1},"k":-1}`, http.StatusBadRequest},   // negative k
+	{http.MethodPost, "/personalized", `{"seeds":{},"k":3}`, http.StatusBadRequest},         // empty seeds
+	{http.MethodPost, "/personalized", `{"k":3}`, http.StatusBadRequest},                    // missing seeds
+	{http.MethodPost, "/personalized", `{"seeds":{"x":1},"k":3}`, http.StatusBadRequest},    // non-numeric seed
+	{http.MethodPost, "/personalized", `{"seeds":{"-2":1},"k":3}`, http.StatusBadRequest},   // negative seed id
+	{http.MethodPost, "/personalized", `{"seeds":{"500":1},"k":3}`, http.StatusBadRequest},  // out-of-range seed
+	{http.MethodPost, "/personalized", `{"seeds":{"1":0},"k":3}`, http.StatusBadRequest},    // zero weight
+	{http.MethodPost, "/personalized", `{"seeds":{"1":-0.5},"k":3}`, http.StatusBadRequest}, // negative weight
+	{http.MethodPost, "/personalized", `{"seeds":{"1":1,"2":2},"k":3}`, http.StatusOK},
+	{http.MethodGet, "/personalized", "", http.StatusMethodNotAllowed},
+
+	// Finite seed weights whose total overflows.
+	{http.MethodPost, "/personalized", `{"seeds":{"1":1e308,"2":1e308},"k":3}`, http.StatusBadRequest},
+	// /proximity
+	{http.MethodGet, "/proximity?q=1", "", http.StatusBadRequest},       // missing u
+	{http.MethodGet, "/proximity?q=1&u=abc", "", http.StatusBadRequest}, // non-numeric u
+	{http.MethodGet, "/proximity?q=1&u=120", "", http.StatusBadRequest}, // u out of range
+	{http.MethodGet, "/proximity?q=-7&u=1", "", http.StatusBadRequest},  // q out of range
+	{http.MethodGet, "/proximity?q=1&u=2", "", http.StatusOK},
+}
+
+// TestMalformedInputsTable sweeps malformedInputs through the handler,
+// asserting the exact status code for each.
 func TestMalformedInputsTable(t *testing.T) {
 	h, _ := testHandler(t) // 120-node graph
-	for _, tc := range []struct {
-		method, url, body string
-		want              int
-	}{
-		// /topk
-		{http.MethodGet, "/topk", "", http.StatusBadRequest},                     // missing params
-		{http.MethodGet, "/topk?q=1", "", http.StatusBadRequest},                 // missing k
-		{http.MethodGet, "/topk?q=1&k=0", "", http.StatusBadRequest},             // k = 0
-		{http.MethodGet, "/topk?q=1&k=-5", "", http.StatusBadRequest},            // negative k
-		{http.MethodGet, "/topk?q=-1&k=5", "", http.StatusBadRequest},            // negative node
-		{http.MethodGet, "/topk?q=120&k=5", "", http.StatusBadRequest},           // node == n
-		{http.MethodGet, "/topk?q=1&k=5&exclude=1,x", "", http.StatusBadRequest}, // non-numeric exclude
-		{http.MethodGet, "/topk?q=1&k=5&exclude=999", "", http.StatusOK},         // out-of-range exclude is harmless
-		{http.MethodPost, "/topk?q=1&k=5", "", http.StatusMethodNotAllowed},
-		// /personalized
-		{http.MethodPost, "/personalized", `{"seeds":{"1":1},"k":0}`, http.StatusBadRequest},    // k = 0
-		{http.MethodPost, "/personalized", `{"seeds":{"1":1},"k":-1}`, http.StatusBadRequest},   // negative k
-		{http.MethodPost, "/personalized", `{"seeds":{},"k":3}`, http.StatusBadRequest},         // empty seeds
-		{http.MethodPost, "/personalized", `{"k":3}`, http.StatusBadRequest},                    // missing seeds
-		{http.MethodPost, "/personalized", `{"seeds":{"x":1},"k":3}`, http.StatusBadRequest},    // non-numeric seed
-		{http.MethodPost, "/personalized", `{"seeds":{"-2":1},"k":3}`, http.StatusBadRequest},   // negative seed id
-		{http.MethodPost, "/personalized", `{"seeds":{"500":1},"k":3}`, http.StatusBadRequest},  // out-of-range seed
-		{http.MethodPost, "/personalized", `{"seeds":{"1":0},"k":3}`, http.StatusBadRequest},    // zero weight
-		{http.MethodPost, "/personalized", `{"seeds":{"1":-0.5},"k":3}`, http.StatusBadRequest}, // negative weight
-		{http.MethodPost, "/personalized", `{"seeds":{"1":1,"2":2},"k":3}`, http.StatusOK},
-		{http.MethodGet, "/personalized", "", http.StatusMethodNotAllowed},
-
-		// Finite seed weights whose total overflows.
-		{http.MethodPost, "/personalized", `{"seeds":{"1":1e308,"2":1e308},"k":3}`, http.StatusBadRequest},
-		// /proximity
-		{http.MethodGet, "/proximity?q=1", "", http.StatusBadRequest},       // missing u
-		{http.MethodGet, "/proximity?q=1&u=abc", "", http.StatusBadRequest}, // non-numeric u
-		{http.MethodGet, "/proximity?q=1&u=120", "", http.StatusBadRequest}, // u out of range
-		{http.MethodGet, "/proximity?q=-7&u=1", "", http.StatusBadRequest},  // q out of range
-		{http.MethodGet, "/proximity?q=1&u=2", "", http.StatusOK},
-	} {
+	for _, tc := range malformedInputs {
 		r := httptest.NewRequest(tc.method, tc.url, strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)

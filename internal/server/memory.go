@@ -7,9 +7,12 @@ package server
 // the platform maps memory) — beside the serving epoch's graph
 // snapshot, the shards' pooled query scratch, the off-heap containers
 // opened and released so far, the Go heap as the collector paces it,
-// and the OS resident set over all of it.
+// and the OS resident set over all of it. Beside it, the runtime block:
+// scheduler latency and GC pause time, where the wakeups a server
+// causes show.
 
 import (
+	"math"
 	"runtime/metrics"
 
 	"kdash/internal/core"
@@ -94,4 +97,95 @@ func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
 		pw.Header(s.name, s.help, s.typ)
 		pw.Metric(s.name, nil, float64(mem[s.key]))
 	}
+}
+
+// schedSamples are the runtime/metrics the runtime block reads: how
+// long runnable goroutines waited to run, and the stop-the-world pauses
+// the collector made, each a histogram since the process started.
+var schedSamples = []string{
+	"/sched/latencies:seconds",
+	"/sched/pauses/total/gc:seconds",
+}
+
+// runtimeStats is the runtime block /statz and /metrics share: the
+// scheduler latency's median and 99th percentile (the upper bound of
+// the bucket each falls in) and the total GC pause time (each pause
+// bucket's count at its midpoint), all in seconds since start.
+type runtimeStats struct {
+	schedP50, schedP99, gcPause float64
+}
+
+func readRuntimeStats() runtimeStats {
+	samples := make([]metrics.Sample, len(schedSamples))
+	for i, name := range schedSamples {
+		samples[i].Name = name
+	}
+	metrics.Read(samples)
+	var rs runtimeStats
+	if h := float64Histogram(samples[0]); h != nil {
+		rs.schedP50, rs.schedP99 = histQuantile(h, 0.5), histQuantile(h, 0.99)
+	}
+	if h := float64Histogram(samples[1]); h != nil {
+		for i, n := range h.Counts {
+			lo, hi := h.Buckets[i], h.Buckets[i+1]
+			switch {
+			case math.IsInf(lo, -1):
+				lo = hi
+			case math.IsInf(hi, 1):
+				hi = lo
+			}
+			rs.gcPause += float64(n) * (lo + hi) / 2
+		}
+	}
+	return rs
+}
+
+// float64Histogram is s's histogram, or nil when this runtime does not
+// export it.
+func float64Histogram(s metrics.Sample) *metrics.Float64Histogram {
+	if s.Value.Kind() != metrics.KindFloat64Histogram {
+		return nil
+	}
+	return s.Value.Float64Histogram()
+}
+
+// histQuantile is the upper bound of the bucket holding quantile q
+// (its lower bound for the last, unbounded bucket); 0 when empty.
+func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, n := range h.Counts {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	target, seen := q*float64(total), uint64(0)
+	for i, n := range h.Counts {
+		seen += n
+		if float64(seen) >= target && n > 0 {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return 0
+}
+
+// statz is the /statz "runtime" block, in microseconds.
+func (rs runtimeStats) statz() map[string]float64 {
+	return map[string]float64{
+		"schedLatencyP50Micros": rs.schedP50 * 1e6,
+		"schedLatencyP99Micros": rs.schedP99 * 1e6,
+		"gcPauseMicros":         rs.gcPause * 1e6,
+	}
+}
+
+// writeRuntimeMetrics projects the runtime block onto Prometheus series.
+func writeRuntimeMetrics(pw *obs.PromWriter, rs runtimeStats) {
+	pw.Header("kdash_go_sched_latency_seconds", "Time runnable goroutines waited to run since start (runtime /sched/latencies:seconds), by quantile: the upper bound of the bucket the quantile falls in.", "gauge")
+	pw.Metric("kdash_go_sched_latency_seconds", []obs.Label{{Name: "quantile", Value: "0.5"}}, rs.schedP50)
+	pw.Metric("kdash_go_sched_latency_seconds", []obs.Label{{Name: "quantile", Value: "0.99"}}, rs.schedP99)
+	pw.Header("kdash_go_gc_pause_seconds_total", "Stop-the-world GC pause time since start, summed from the runtime's pause histogram (/sched/pauses/total/gc:seconds) at bucket midpoints.", "counter")
+	pw.Metric("kdash_go_gc_pause_seconds_total", nil, rs.gcPause)
 }

@@ -94,6 +94,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ url.Values) 
 	pw.Header("kdash_index_nodes", "Nodes in the serving index.", "gauge")
 	pw.Metric("kdash_index_nodes", nil, float64(st.engine.N()))
 	writeMemoryMetrics(pw, memoryStatz(st.engine.GraphBytes()))
+	writeRuntimeMetrics(pw, readRuntimeStats())
 
 	if h.cache != nil {
 		hits, misses := h.cacheHits.Value(), h.cacheMisses.Value()

@@ -133,7 +133,11 @@ func (h *Handler) instrument(name string, fn endpoint) http.HandlerFunc {
 			}
 			deadline = v
 		}
-		if deadline > 0 {
+		// The connection loop's context takes the deadline in place;
+		// any other gets a timer context.
+		if x, ok := r.Context().(*reqCtx); ok && deadline > 0 {
+			x.setDeadline(t0.Add(deadline))
+		} else if deadline > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), deadline)
 			defer cancel()
 			r = r.WithContext(ctx)

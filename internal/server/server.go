@@ -15,7 +15,8 @@
 // counters, per-query work, update and cache statistics, how the index
 // was brought up (WithOpenInfo: open wall clock and mode), a
 // memory block (the OS resident set, index arrays by backing, the Go
-// heap; memory.go), and the engine's own typed shard.Statz document —
+// heap; memory.go), a runtime block (scheduler latency, GC pause
+// time), and the engine's own typed shard.Statz document —
 // per-shard sizes and solves, which shard files traffic has actually
 // opened, and a coordinator's per-worker stats. The field-by-field
 // reference lives in README.md's Operations section;
@@ -562,6 +563,7 @@ func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
 	doc := map[string]interface{}{
 		"uptimeSeconds": time.Since(h.start).Seconds(),
 		"memory":        memoryStatz(st.engine.GraphBytes()),
+		"runtime":       readRuntimeStats().statz(),
 		"queries": map[string]int64{
 			"topk":         h.qTopK.Value(),
 			"personalized": h.qPers.Value(),

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -332,5 +334,53 @@ func TestStatzMemoryBlockTracksLoadedShards(t *testing.T) {
 		if _, ok := metricValue(text, name); !ok {
 			t.Errorf("/metrics lacks %s", name)
 		}
+	}
+}
+
+// TestRuntimeBlock: /metrics carries the scheduler latency's p50 and
+// p99 and the total GC pause time, /statz the same in its "runtime"
+// block, and a forced collection shows as pause time.
+func TestRuntimeBlock(t *testing.T) {
+	h, _ := shardedHandler(t)
+	runtime.GC()
+	text := scrape(t, h)
+	p50, ok50 := metricValue(text, `kdash_go_sched_latency_seconds{quantile="0.5"}`)
+	p99, ok99 := metricValue(text, `kdash_go_sched_latency_seconds{quantile="0.99"}`)
+	pause, okPause := metricValue(text, "kdash_go_gc_pause_seconds_total")
+	if !ok50 || !ok99 || !okPause {
+		t.Fatalf("/metrics lacks the runtime series:\n%s", text)
+	}
+	if p50 < 0 || p99 < p50 || pause <= 0 {
+		t.Errorf("sched p50 %g, p99 %g, GC pause %g s: want 0 <= p50 <= p99 and pause time after a GC", p50, p99, pause)
+	}
+	_, doc := get(t, h, "/statz")
+	var rt map[string]float64
+	if err := json.Unmarshal(doc["runtime"], &rt); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"schedLatencyP50Micros", "schedLatencyP99Micros", "gcPauseMicros"} {
+		if _, ok := rt[key]; !ok {
+			t.Errorf("/statz runtime block lacks %q: %v", key, rt)
+		}
+	}
+	if rt["gcPauseMicros"] <= 0 {
+		t.Errorf("/statz runtime gcPauseMicros = %g after a GC", rt["gcPauseMicros"])
+	}
+}
+
+// TestHistQuantile: the quantile is the upper bound of the bucket it
+// falls in, the lower bound in the unbounded last bucket, 0 when empty.
+func TestHistQuantile(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{0, 50, 49, 1},
+		Buckets: []float64{math.Inf(-1), 1, 2, 4, math.Inf(1)},
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 2}, {0.99, 4}, {1, 4}} {
+		if got := histQuantile(h, c.q); got != c.want {
+			t.Errorf("q%g = %g, want %g", c.q, got, c.want)
+		}
+	}
+	if got := histQuantile(&metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
+		t.Errorf("empty histogram: %g, want 0", got)
 	}
 }
