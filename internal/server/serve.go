@@ -14,10 +14,12 @@ package server
 // 431, 501 and 505 answers to requests it cannot read, the discard of
 // at most 256 KB of a body the handler left unread, and a Shutdown that
 // closes the listeners and idle connections at once and waits for
-// in-flight requests. Two differences: where net/http would chunk a
-// body over 2 KB, the loop sends a Content-Length; and a request in
-// absolute form (GET http://host/path) is checked against its URL's
-// host, since http.ReadRequest keeps no other.
+// in-flight requests. The differences: where net/http would chunk a
+// body over 2 KB, the loop sends a Content-Length; it writes the
+// Connection, Content-Length and Date headers itself, whatever the
+// handler set; an HTTP/2 connection preface is refused with 505; and a
+// request in absolute form (GET http://host/path) is checked against
+// its URL's host, since http.ReadRequest keeps no other.
 //
 // A client that disconnects is noticed through the request's context
 // (reqCtx): its Err, which the push checks between solves, peeks at the
@@ -299,7 +301,7 @@ func (c *conn) serveRequest() bool {
 		w.expectContinue = req.ProtoAtLeast(1, 1) && req.ContentLength != 0
 		w.continuePending = w.expectContinue
 	} else if expect != "" {
-		w.header.Set("Connection", "close")
+		w.wantsClose = true
 		w.WriteHeader(http.StatusExpectationFailed)
 		c.finish(w)
 		return false
@@ -326,11 +328,11 @@ func (c *conn) serveRequest() bool {
 // request without a valid Host header. (textproto has already refused
 // malformed header names and values.)
 func checkRequest(req *http.Request) error {
-	if req.ProtoMajor != 1 && !(req.ProtoMajor == 2 && req.ProtoMinor == 0 && req.Method == "PRI" && req.RequestURI == "*") {
+	if req.ProtoMajor != 1 {
 		return statusError{http.StatusHTTPVersionNotSupported, "unsupported protocol version"}
 	}
 	// http.ReadRequest moves the Host header into req.Host.
-	if req.ProtoAtLeast(1, 1) && req.Host == "" && !isH2Upgrade(req) && req.Method != http.MethodConnect {
+	if req.ProtoAtLeast(1, 1) && req.Host == "" && req.Method != http.MethodConnect {
 		return statusError{http.StatusBadRequest, "missing required Host header"}
 	}
 	for i := 0; i < len(req.Host); i++ {
@@ -339,10 +341,6 @@ func checkRequest(req *http.Request) error {
 		}
 	}
 	return nil
-}
-
-func isH2Upgrade(req *http.Request) bool {
-	return req.Method == "PRI" && len(req.Header) == 0 && req.URL.Path == "*" && req.Proto == "HTTP/2.0"
 }
 
 // statusError is a request the loop refuses before any handler runs.
@@ -404,80 +402,49 @@ func (c *conn) finish(w *response) bool {
 		w.WriteHeader(http.StatusOK)
 	}
 	req := w.req
-	keepAlives := !c.srv.inShutdown.Load()
 	isHEAD := req.Method == http.MethodHead
 	bodyAllowed := bodyAllowedForStatus(w.status)
 	hasCL := bodyAllowed && (!isHEAD || len(w.buf) > 0)
-	closeAfter := isH2Upgrade(req)
-	connection := w.handlerConnection // "": no header; dropped when replaced
-	extraConnection := ""
+	closeAfter := c.srv.inShutdown.Load()
+	connection := ""
 	if w.wants10KeepAlive && (isHEAD || hasCL || !bodyAllowed) {
-		if !w.hasConnection {
-			extraConnection = "keep-alive"
-		}
+		connection = "keep-alive"
 	} else if !req.ProtoAtLeast(1, 1) || w.wantsClose {
 		closeAfter = true
 	}
-	if connection == "close" || !keepAlives {
-		closeAfter = true
-	}
-	if w.expectContinue && !w.body.sawEOF {
+	b := w.body
+	if w.expectContinue && !b.sawEOF {
 		closeAfter = true // the client offered a body the handler did not read
 	}
-	drained := true // every byte of the request was read
-	if req.ContentLength != 0 && !closeAfter {
-		tooBig := false
-		switch b := w.body; {
-		case b == nil:
-		case b.closed && !b.sawEOF:
+	if b != nil && !b.sawEOF && !closeAfter {
+		// Read what the handler left of the body, up to 256 KB, to keep
+		// the connection; more, or a broken body, closes it.
+		if b.closed {
 			closeAfter = true
-		case b.unread() >= maxPostHandlerReadBytes:
-			tooBig = true
-		case !b.sawEOF:
-			switch _, err := io.CopyN(io.Discard, b.rc, maxPostHandlerReadBytes+1); err {
-			case nil:
-				tooBig = true
-			case io.EOF:
-				b.sawEOF = true
-			default:
-				closeAfter = true
-			}
-		}
-		if tooBig {
-			closeAfter, drained = true, false
-			connection, w.hasConnection = "", false
-			extraConnection = "close"
+		} else if _, err := io.CopyN(io.Discard, b.rc, maxPostHandlerReadBytes+1); err == io.EOF {
+			b.sawEOF = true
+		} else {
+			closeAfter = true
 		}
 	}
-	if closeAfter && (!keepAlives || !hasToken(connection, "close")) && w.status != http.StatusSwitchingProtocols {
-		connection, w.hasConnection = "", false
-		if req.ProtoAtLeast(1, 1) {
-			extraConnection = "close"
-		}
+	if closeAfter && req.ProtoAtLeast(1, 1) {
+		connection = "close"
 	}
 
 	out := c.out
-	if w.hasConnection {
-		out = appendHeader(out, "Connection", connection)
+	now := time.Now()
+	if sec := now.Unix(); sec != c.dateSec || c.date == nil {
+		c.dateSec = sec
+		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
 	}
-	if !w.hasDate {
-		now := time.Now()
-		if sec := now.Unix(); sec != c.dateSec || c.date == nil {
-			c.dateSec = sec
-			c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
-		}
-		out = append(append(append(out, "Date: "...), c.date...), "\r\n"...)
-	}
+	out = append(append(append(out, "Date: "...), c.date...), "\r\n"...)
 	if hasCL {
 		out = append(out, "Content-Length: "...)
 		out = strconv.AppendInt(out, int64(len(w.buf)), 10)
 		out = append(out, "\r\n"...)
 	}
-	if bodyAllowed && !w.hasContentType && !w.hasEncoding && len(w.buf) > 0 {
-		out = appendHeader(out, "Content-Type", http.DetectContentType(w.buf))
-	}
-	if extraConnection != "" {
-		out = appendHeader(out, "Connection", extraConnection)
+	if connection != "" {
+		out = append(append(append(out, "Connection: "...), connection...), "\r\n"...)
 	}
 	out = append(out, "\r\n"...)
 	if !isHEAD && bodyAllowed {
@@ -490,16 +457,9 @@ func (c *conn) finish(w *response) bool {
 		return false
 	}
 	if closeAfter {
-		if b := w.body; b != nil && !b.sawEOF && !(w.expectContinue && !w.continueSent) && drained {
-			// Read what is left of the body, as net/http does when it
-			// closes, so unread bytes do not reset the answer away.
-			if b.unread() > maxPostHandlerReadBytes {
-				drained = false
-			} else if n, _ := io.CopyN(io.Discard, b.rc, maxPostHandlerReadBytes); n == maxPostHandlerReadBytes {
-				drained = false
-			}
-		}
-		if !drained {
+		if b != nil && !b.sawEOF && !(w.expectContinue && !w.continueSent) {
+			// Request bytes are left unread: closing now would reset the
+			// connection, and the client could lose the answer.
 			c.closeWriteAndWait()
 		}
 		return false
@@ -514,11 +474,6 @@ func recycle(b []byte) []byte {
 		return nil
 	}
 	return b[:0]
-}
-
-func appendHeader(b []byte, key, value string) []byte {
-	b = append(append(b, key...), ": "...)
-	return append(append(b, value...), "\r\n"...)
 }
 
 // bodyAllowedForStatus reports whether a status may carry a body.
@@ -536,7 +491,7 @@ func bodyAllowedForStatus(status int) bool {
 // its requests: the status line and the handler's headers are appended
 // to the connection's output when the header is written (so later
 // header changes are ignored, as net/http ignores them), the body to
-// buf.
+// buf. The loop writes the framing headers (framingHeaders) itself.
 type response struct {
 	c           *conn
 	req         *http.Request
@@ -552,11 +507,6 @@ type response struct {
 	// body; continuePending: it is still owed, sent on the first body
 	// read unless the answer has begun.
 	expectContinue, continuePending, continueSent bool
-
-	// What the handler's headers held when they were written.
-	handlerConnection                   string
-	hasConnection, hasDate, hasEncoding bool
-	hasContentType                      bool
 }
 
 func (w *response) reset(req *http.Request) {
@@ -571,8 +521,9 @@ func (w *response) reset(req *http.Request) {
 // Header implements http.ResponseWriter.
 func (w *response) Header() http.Header { return w.header }
 
-// framingHeaders are the handler headers the loop writes itself.
-var framingHeaders = map[string]bool{"Connection": true, "Content-Length": true, "Transfer-Encoding": true}
+// framingHeaders are the headers the loop writes itself; a handler's
+// own are dropped.
+var framingHeaders = map[string]bool{"Connection": true, "Content-Length": true, "Date": true, "Transfer-Encoding": true}
 
 // WriteHeader implements http.ResponseWriter.
 func (w *response) WriteHeader(code int) {
@@ -595,17 +546,8 @@ func (w *response) WriteHeader(code int) {
 	} else {
 		out = fmt.Appendf(out, "%03d status code %d\r\n", code, code)
 	}
-	h := w.header
-	if code == http.StatusNotModified {
-		h.Del("Content-Type")
-	}
-	_, w.hasConnection = h["Connection"]
-	w.handlerConnection = h.Get("Connection")
-	_, w.hasDate = h["Date"]
-	_, w.hasContentType = h["Content-Type"]
-	w.hasEncoding = h.Get("Content-Encoding") != ""
 	ob := outBuf{out}
-	h.WriteSubset(&ob, framingHeaders)
+	w.header.WriteSubset(&ob, framingHeaders)
 	w.c.out = ob.b
 }
 
@@ -636,14 +578,12 @@ func (o *outBuf) WriteString(s string) (int, error) {
 }
 
 // reqBody is the request body the handler reads: net/http's framed
-// body, plus the 100 Continue owed before the first read, a count of
-// what was read, and the end of the body, which lets the disconnect
-// watch begin.
+// body, plus the 100 Continue owed before the first read and the end
+// of the body, which lets the disconnect watch begin.
 type reqBody struct {
 	w      *response
 	rc     io.ReadCloser
 	ctx    *reqCtx
-	n      int64
 	sawEOF bool
 	closed bool
 }
@@ -659,7 +599,6 @@ func (b *reqBody) Read(p []byte) (int, error) {
 		}
 	}
 	n, err := b.rc.Read(p)
-	b.n += int64(n)
 	if err == io.EOF && !b.sawEOF {
 		b.sawEOF = true
 		b.ctx.bodyRead()
@@ -671,15 +610,6 @@ func (b *reqBody) Read(p []byte) (int, error) {
 func (b *reqBody) Close() error {
 	b.closed = true
 	return nil
-}
-
-// unread is how much of a Content-Length body the handler left; -1
-// for a chunked one.
-func (b *reqBody) unread() int64 {
-	if b.w.req.ContentLength < 0 {
-		return -1
-	}
-	return b.w.req.ContentLength - b.n
 }
 
 // connReader is what the connection's bufio.Reader reads: the socket,

@@ -593,3 +593,130 @@ func benchSocketHits(b *testing.B, addr string) {
 		}
 	}
 }
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	if server == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestRequestContext drives reqCtx on a socket the loop can peek and
+// on one it cannot (watched by the background read): a deadline set in
+// place fires Done, a client that hangs up cancels the request while
+// several goroutines poll Err, and a pipelined next request stops the
+// watch and keeps its first byte for the next read.
+func TestRequestContext(t *testing.T) {
+	for _, peekable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("peekable=%v", peekable), func(t *testing.T) {
+			conn := func() (net.Conn, *conn) {
+				client, server := tcpPair(t)
+				if !peekable {
+					server = struct{ net.Conn }{server} // hides the descriptor
+				}
+				c := newConn(&Server{}, server)
+				if (c.fd >= 0) != peekable {
+					t.Fatalf("fd %d on a peekable=%v connection", c.fd, peekable)
+				}
+				return client, c
+			}
+			wait := func(ch <-chan struct{}, what string) {
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s never closed Done", what)
+				}
+			}
+
+			_, c := conn()
+			x := &reqCtx{c: c}
+			x.bodyRead()
+			x.setDeadline(time.Now().Add(20 * time.Millisecond))
+			wait(x.Done(), "the deadline")
+			if err := x.Err(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("after the deadline: Err %v", err)
+			}
+			x.finish()
+
+			client, c := conn()
+			x = &reqCtx{c: c}
+			x.bodyRead()
+			polled := make(chan error, 4)
+			for range 4 {
+				go func() {
+					for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+						if err := x.Err(); err != nil {
+							polled <- err
+							return
+						}
+					}
+					polled <- errors.New("Err never reported the hang-up")
+				}()
+			}
+			done := x.Done()
+			client.Close()
+			wait(done, "the hang-up")
+			for range 4 {
+				if err := <-polled; !errors.Is(err, context.Canceled) {
+					t.Errorf("a poller saw %v, want context.Canceled", err)
+				}
+			}
+			x.finish()
+
+			client, c = conn()
+			x = &reqCtx{c: c}
+			x.bodyRead()
+			io.WriteString(client, "GET /next")
+			// The watch stops once it sees the bytes: the peek on its
+			// next Err, the background read when it returns.
+			stopped := func() bool {
+				x.mu.Lock()
+				defer x.mu.Unlock()
+				if peekable {
+					return !x.watch
+				}
+				select {
+				case <-x.bgDone:
+					return true
+				default:
+					return false
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); !stopped(); time.Sleep(time.Millisecond) {
+				if err := x.Err(); err != nil {
+					t.Fatalf("a pipelined request: Err %v", err)
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the watch never saw the pipelined bytes")
+				}
+			}
+			client.Close()
+			time.Sleep(20 * time.Millisecond)
+			if err := x.Err(); err != nil {
+				t.Errorf("a hang-up after a pipelined request: Err %v, want the watch stopped", err)
+			}
+			x.finish()
+			if b, err := c.br.ReadByte(); err != nil || b != 'G' {
+				t.Errorf("the next request's first byte: %q, %v", b, err)
+			}
+		})
+	}
+}
