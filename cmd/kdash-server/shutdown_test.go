@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -45,16 +46,35 @@ func freeAddr(t *testing.T) string {
 // exited closes once it has exited, with its status in err.
 type serverProc struct {
 	cmd    *exec.Cmd
-	stderr *bytes.Buffer
+	stderr *logBuffer
 	exited chan struct{}
 	err    error
+}
+
+// logBuffer collects the process's standard error, which the test reads
+// while exec's copying goroutine may still write it.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func startServer(t *testing.T, args ...string) *serverProc {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "KDASH_SERVER_MAIN=1")
-	p := &serverProc{cmd: cmd, stderr: &bytes.Buffer{}, exited: make(chan struct{})}
+	p := &serverProc{cmd: cmd, stderr: &logBuffer{}, exited: make(chan struct{})}
 	cmd.Stderr = p.stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -193,6 +193,9 @@ const (
 )
 
 // conn is one client connection and everything its requests reuse.
+// Errors from setting its deadlines and from writing a refusal are not
+// checked, as net/http does not check them: they fail only on a
+// connection that is closed, and its next read or write ends the loop.
 type conn struct {
 	srv        *Server
 	rwc        net.Conn
