@@ -113,10 +113,17 @@ func exchange(t *testing.T, addr, raw string, methods []string, n int) (answers 
 			final++
 		}
 	}
-	c.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-	_, err = br.ReadByte()
-	var ne net.Error
-	return answers, err != nil && !(errors.As(err, &ne) && ne.Timeout())
+	// A probe request tells an open connection from a closed one at
+	// once: an open one answers it, a closed one ends in EOF or a reset.
+	if _, err := io.WriteString(c, rawRequest("GET", "/healthz", nil, "")); err != nil {
+		return answers, true
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return answers, true
+	}
+	resp.Body.Close()
+	return answers, false
 }
 
 // requestMethods parses raw's requests for their methods.
