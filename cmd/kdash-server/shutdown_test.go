@@ -31,15 +31,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// freeAddr returns a loopback address nothing listens on.
-func freeAddr(t *testing.T) string {
+// freeAddrs returns n distinct loopback addresses nothing listens on.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close() // held until all are picked, so no two are the same
+		addrs[i] = ln.Addr().String()
 	}
-	defer ln.Close()
-	return ln.Addr().String()
+	return addrs
 }
 
 // serverProc is a kdash-server process started from this test binary;
@@ -129,7 +133,8 @@ func TestSIGTERMDrains(t *testing.T) {
 	head := fmt.Sprintf("POST /personalized HTTP/1.1\r\nHost: kdash\r\nContent-Length: %d\r\n\r\n", len(body))
 
 	t.Run("drain", func(t *testing.T) {
-		addr, debug := freeAddr(t), freeAddr(t)
+		addrs := freeAddrs(t, 2)
+		addr, debug := addrs[0], addrs[1]
 		p := startServer(t, "-load-index", dir, "-addr", addr, "-debug-addr", debug, "-shutdown-timeout", "5s")
 		waitHealthy(t, p, addr)
 		if code := getStatus("http://" + addr + "/debug/pprof/"); code != http.StatusNotFound {
@@ -192,7 +197,7 @@ func TestSIGTERMDrains(t *testing.T) {
 	})
 
 	t.Run("timeout", func(t *testing.T) {
-		addr := freeAddr(t)
+		addr := freeAddrs(t, 1)[0]
 		p := startServer(t, "-load-index", dir, "-addr", addr, "-shutdown-timeout", "1s")
 		waitHealthy(t, p, addr)
 		stuck, err := net.Dial("tcp", addr)
