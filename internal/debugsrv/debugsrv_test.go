@@ -10,7 +10,8 @@ import (
 
 // TestServe: an empty address serves nothing; a set one answers the
 // profile index, a CPU profile, the heap after a collection and a
-// goroutine dump, and 404 off its paths.
+// goroutine dump, refuses a CPU profile past maxSeconds, and answers
+// 404 off its paths.
 func TestServe(t *testing.T) {
 	if addr, err := Serve(""); addr != nil || err != nil {
 		t.Fatalf(`Serve("") = %v, %v; want nothing served`, addr, err)
@@ -29,6 +30,7 @@ func TestServe(t *testing.T) {
 		{"/debug/pprof/profile?seconds=1", 200, func(b []byte) bool { return bytes.HasPrefix(b, gzipMagic) }},
 		{"/debug/pprof/heap?gc=1", 200, func(b []byte) bool { return bytes.HasPrefix(b, gzipMagic) }},
 		{"/debug/pprof/goroutine?debug=1", 200, func(b []byte) bool { return bytes.Contains(b, []byte("goroutine profile")) }},
+		{"/debug/pprof/profile?seconds=61", 400, func(b []byte) bool { return bytes.Contains(b, []byte("at most 60")) }},
 		{"/debug/pprof/nope", 404, nil},
 		{"/topk", 404, nil},
 	} {

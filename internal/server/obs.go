@@ -133,11 +133,7 @@ func (h *Handler) instrument(name string, fn endpoint) http.HandlerFunc {
 			}
 			deadline = v
 		}
-		// The connection loop's context takes the deadline in place;
-		// any other gets a timer context.
-		if x, ok := r.Context().(*reqCtx); ok && deadline > 0 {
-			x.setDeadline(t0.Add(deadline))
-		} else if deadline > 0 {
+		if deadline > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), deadline)
 			defer cancel()
 			r = r.WithContext(ctx)

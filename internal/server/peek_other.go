@@ -4,8 +4,10 @@ package server
 
 import "net"
 
-// socketFD reports that no connection can be peeked here: each request
-// watches its socket with a background read, as net/http does.
-func socketFD(net.Conn) int { return -1 }
+// peeker is never made here: no connection can be peeked, and each
+// request watches its socket with a background read, as net/http does.
+type peeker struct{}
 
-func peekSocket(int) peekResult { return peerQuiet }
+func newPeeker(net.Conn) *peeker { return nil }
+
+func (*peeker) peek() peekResult { return peerQuiet }

@@ -13,7 +13,7 @@ package server
 // Expect: 100-continue and the 417 for any other expectation, the 400,
 // 431, 501 and 505 answers to requests it cannot read, the discard of
 // at most 256 KB of a body the handler left unread, and a Shutdown that
-// closes the listeners and idle connections at once and waits for
+// closes the listener and idle connections at once and waits for
 // in-flight requests. The differences: where net/http would chunk a
 // body over 2 KB, the loop sends a Content-Length; it writes the
 // Connection, Content-Length and Date headers itself, whatever the
@@ -46,7 +46,7 @@ import (
 )
 
 // Server serves an http.Handler over HTTP/1.1 from its own connection
-// loop. Set its fields before the first Serve.
+// loop, on one listener. Set its fields before Serve.
 type Server struct {
 	Handler http.Handler
 	// ReadTimeout bounds reading a request, from its first byte to the
@@ -57,7 +57,7 @@ type Server struct {
 
 	inShutdown atomic.Bool
 	mu         sync.Mutex
-	listeners  map[net.Listener]struct{}
+	ln         net.Listener
 	conns      map[*conn]struct{}
 }
 
@@ -84,17 +84,11 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		return http.ErrServerClosed
 	}
-	if s.listeners == nil {
-		s.listeners = map[net.Listener]struct{}{}
+	if s.conns == nil {
 		s.conns = map[*conn]struct{}{}
 	}
-	s.listeners[ln] = struct{}{}
+	s.ln = ln
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, ln)
-		s.mu.Unlock()
-	}()
 	var delay time.Duration // accept backoff, as net/http's
 	for {
 		rw, err := ln.Accept()
@@ -132,7 +126,7 @@ func (s *Server) track(rw net.Conn) *conn {
 }
 
 // Shutdown stops the server as http.Server.Shutdown does: it closes
-// every listener and every idle connection, then waits for the
+// the listener and every idle connection, then waits for the
 // connections serving a request to finish it — each answers with
 // Connection: close — and returns once none is left, or with ctx's
 // error when ctx ends first, leaving those connections to finish.
@@ -140,10 +134,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.inShutdown.Store(true)
 	var lnerr error
-	for ln := range s.listeners {
-		if err := ln.Close(); err != nil && lnerr == nil {
-			lnerr = err
-		}
+	if s.ln != nil {
+		lnerr = s.ln.Close()
+		s.ln = nil
 	}
 	s.mu.Unlock()
 	interval := time.Millisecond
@@ -199,7 +192,7 @@ const (
 type conn struct {
 	srv        *Server
 	rwc        net.Conn
-	fd         int // socket descriptor for the disconnect peek; -1: none
+	peek       *peeker // the disconnect peek; nil: this connection cannot be peeked
 	remoteAddr string
 	state      atomic.Uint64
 	r          connReader
@@ -212,7 +205,7 @@ type conn struct {
 }
 
 func newConn(s *Server, rw net.Conn) *conn {
-	c := &conn{srv: s, rwc: rw, fd: socketFD(rw), r: connReader{remain: math.MaxInt64}}
+	c := &conn{srv: s, rwc: rw, peek: newPeeker(rw), r: connReader{remain: math.MaxInt64}}
 	if ra := rw.RemoteAddr(); ra != nil {
 		c.remoteAddr = ra.String()
 	}
@@ -321,9 +314,16 @@ func (c *conn) serveRequest() bool {
 	req.RemoteAddr = c.remoteAddr
 	w.req = req
 
-	c.srv.Handler.ServeHTTP(w, req)
-	ctx.finish()
+	c.runHandler(w, req, ctx)
 	return c.finish(w)
+}
+
+// runHandler runs the handler and ends the request's context, also
+// when the handler panics: a goroutine the handler left running must
+// not peek at a connection that serve's recover is about to close.
+func (c *conn) runHandler(w *response, req *http.Request, ctx *reqCtx) {
+	defer ctx.finish()
+	c.srv.Handler.ServeHTTP(w, req)
 }
 
 // checkRequest refuses what net/http's server refuses past
@@ -681,29 +681,22 @@ var validHostByte = func() (t [256]bool) {
 	return t
 }()
 
-// reqCtx is a request's context. Its Err reports a deadline that has
-// passed and, once the request's body has been read, peeks at the
-// socket without blocking: a peer that has closed or reset the
-// connection cancels the request. Done starts a watcher only when
-// something asks for it. A ?budget= deadline is set in place
-// (setDeadline) instead of wrapping the context in a timer.
+// reqCtx is a request's context. Once the request's body has been
+// read, its Err peeks at the socket without blocking: a peer that has
+// closed or reset the connection cancels the request. Done starts a
+// watcher only when something asks for it. It has no deadline: the
+// handler wraps it in context.WithTimeout for a ?budget=.
 type reqCtx struct {
-	c        *conn
-	mu       sync.Mutex
-	err      error
-	done     chan struct{} // made by Done
-	deadline time.Time
-	timer    *time.Timer   // fires the deadline once Done has been asked for
-	watch    bool          // the body has been read: a closed socket means the client left
-	bgDone   chan struct{} // a background read is running until this closes
+	c      *conn
+	mu     sync.Mutex
+	err    error
+	done   chan struct{} // made by Done
+	watch  bool          // the body has been read: a closed socket means the client left
+	bgDone chan struct{} // a background read is running until this closes
 }
 
-// Deadline implements context.Context.
-func (x *reqCtx) Deadline() (time.Time, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.deadline, !x.deadline.IsZero()
-}
+// Deadline implements context.Context: there is none.
+func (x *reqCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 
 // Value implements context.Context: the loop stores no values.
 func (x *reqCtx) Value(any) any { return nil }
@@ -712,18 +705,14 @@ func (x *reqCtx) Value(any) any { return nil }
 func (x *reqCtx) Err() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.err == nil {
-		if !x.deadline.IsZero() && !time.Now().Before(x.deadline) {
-			x.cancelLocked(context.DeadlineExceeded)
-		} else if x.watch && x.bgDone == nil && x.c.fd >= 0 {
-			switch peekSocket(x.c.fd) {
-			case peerGone:
-				x.cancelLocked(context.Canceled)
-			case peerSentMore:
-				// The next request has begun arriving: the client is
-				// there, and net/http would stop watching too.
-				x.watch = false
-			}
+	if x.err == nil && x.watch && x.bgDone == nil && x.c.peek != nil {
+		switch x.c.peek.peek() {
+		case peerGone:
+			x.cancelLocked(context.Canceled)
+		case peerSentMore:
+			// The next request has begun arriving: the client is there,
+			// and net/http would stop watching too.
+			x.watch = false
 		}
 	}
 	return x.err
@@ -738,34 +727,10 @@ func (x *reqCtx) Done() <-chan struct{} {
 		if x.err != nil {
 			close(x.done)
 		} else {
-			x.armTimerLocked()
 			x.startWatchLocked()
 		}
 	}
 	return x.done
-}
-
-// setDeadline bounds the request by d, keeping an earlier deadline.
-func (x *reqCtx) setDeadline(d time.Time) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.err != nil || !x.deadline.IsZero() && !d.Before(x.deadline) {
-		return
-	}
-	x.deadline = d
-	if x.done != nil {
-		x.armTimerLocked()
-	}
-}
-
-func (x *reqCtx) armTimerLocked() {
-	if x.deadline.IsZero() {
-		return
-	}
-	if x.timer != nil {
-		x.timer.Stop()
-	}
-	x.timer = time.AfterFunc(time.Until(x.deadline), func() { x.cancel(context.DeadlineExceeded) })
 }
 
 // bodyRead marks the request's body read to its end (or absent): from
@@ -780,12 +745,14 @@ func (x *reqCtx) bodyRead() {
 // startWatchLocked starts the background read that watches the socket
 // while the handler runs: on a connection the loop can peek, only once
 // something waits on Done; on any other, for every request, as
-// net/http does.
+// net/http does. Like net/http's, the read runs without the read
+// deadline the request's first byte set: a handler may outlast it.
 func (x *reqCtx) startWatchLocked() {
-	if !x.watch || x.bgDone != nil || x.err != nil || x.c.fd >= 0 && x.done == nil {
+	if !x.watch || x.bgDone != nil || x.err != nil || x.c.peek != nil && x.done == nil {
 		return
 	}
 	x.bgDone = make(chan struct{})
+	x.c.rwc.SetReadDeadline(time.Time{})
 	go x.backgroundRead()
 }
 
@@ -815,9 +782,6 @@ func (x *reqCtx) cancelLocked(err error) {
 	x.err = err
 	if x.done != nil {
 		close(x.done)
-	}
-	if x.timer != nil {
-		x.timer.Stop()
 	}
 }
 

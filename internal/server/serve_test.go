@@ -383,6 +383,31 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
+// TestBudgetThroughLoop: a ?budget= deadline wraps the loop's request
+// context in a timer context and ends the query with a 499, whether
+// the engine polls Err or waits on Done.
+func TestBudgetThroughLoop(t *testing.T) {
+	for _, waitDone := range []bool{false, true} {
+		t.Run(fmt.Sprintf("waitDone=%v", waitDone), func(t *testing.T) {
+			e := &blockingEngine{brokenEngine: brokenEngine{n: 100}, waitDone: waitDone,
+				started: make(chan struct{}, 1), ended: make(chan error, 1)}
+			_, addr := serveLoop(t, New(e))
+			resp, err := http.Get("http://" + addr + "/topk?q=1&k=5&budget=30ms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err := <-e.ended; !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("the engine's context ended with %v, want context.DeadlineExceeded", err)
+			}
+			if resp.StatusCode != statusClientClosedRequest {
+				t.Errorf("status %d, want 499", resp.StatusCode)
+			}
+		})
+	}
+}
+
 // TestShutdownDrains: once Shutdown starts, an idle keep-alive
 // connection closes at once and the listener refuses new ones, while
 // the in-flight request still gets its answer (with Connection: close)
@@ -626,11 +651,24 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return client, server
 }
 
+// hidingListener accepts connections whose descriptor is hidden, as a
+// connection the loop cannot peek.
+type hidingListener struct{ net.Listener }
+
+func (l hidingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return struct{ net.Conn }{c}, nil
+}
+
 // TestRequestContext drives reqCtx on a socket the loop can peek and
-// on one it cannot (watched by the background read): a deadline set in
-// place fires Done, a client that hangs up cancels the request while
-// several goroutines poll Err, and a pipelined next request stops the
-// watch and keeps its first byte for the next read.
+// on one it cannot (watched by the background read): a handler that
+// waits on Done past the loop's read timeout is not cancelled, Err's
+// peek allocates nothing, a client that hangs up cancels the request
+// while several goroutines poll Err, and a pipelined next request
+// stops the watch and keeps its first byte for the next read.
 func TestRequestContext(t *testing.T) {
 	for _, peekable := range []bool{true, false} {
 		t.Run(fmt.Sprintf("peekable=%v", peekable), func(t *testing.T) {
@@ -640,8 +678,8 @@ func TestRequestContext(t *testing.T) {
 					server = struct{ net.Conn }{server} // hides the descriptor
 				}
 				c := newConn(&Server{}, server)
-				if (c.fd >= 0) != peekable {
-					t.Fatalf("fd %d on a peekable=%v connection", c.fd, peekable)
+				if (c.peek != nil) != peekable {
+					t.Fatalf("peeker %v on a peekable=%v connection", c.peek, peekable)
 				}
 				return client, c
 			}
@@ -653,18 +691,50 @@ func TestRequestContext(t *testing.T) {
 				}
 			}
 
-			_, c := conn()
-			x := &reqCtx{c: c}
-			x.bodyRead()
-			x.setDeadline(time.Now().Add(20 * time.Millisecond))
-			wait(x.Done(), "the deadline")
-			if err := x.Err(); !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("after the deadline: Err %v", err)
+			// The watcher Done starts reads without the read deadline
+			// the request's first byte set, as net/http's does.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			x.finish()
+			if !peekable {
+				ln = hidingListener{ln}
+			}
+			const readTimeout = 50 * time.Millisecond
+			srv := &Server{ReadTimeout: readTimeout, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-r.Context().Done():
+					http.Error(w, r.Context().Err().Error(), statusClientClosedRequest)
+				case <-time.After(4 * readTimeout):
+					io.WriteString(w, "waited\n")
+				}
+			})}
+			go srv.Serve(ln) //nolint:errcheck // ends with Shutdown
+			resp, err := http.Get("http://" + ln.Addr().String() + "/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("a handler waiting past the read timeout: %s %q, want 200", resp.Status, body)
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+
+			if peekable && !raceEnabled {
+				_, c := conn()
+				x := &reqCtx{c: c}
+				x.bodyRead()
+				if n := testing.AllocsPerRun(100, func() { x.Err() }); n != 0 {
+					t.Errorf("Err's peek allocates %v objects, want 0", n)
+				}
+				x.finish()
+			}
 
 			client, c := conn()
-			x = &reqCtx{c: c}
+			x := &reqCtx{c: c}
 			x.bodyRead()
 			polled := make(chan error, 4)
 			for range 4 {
