@@ -49,7 +49,7 @@ const maxSolves = 100000
 
 // runPush is every query's push: it checks a pooled state out, seeds
 // restart mass mass[i] (already scaled by c) at node nodes[i] in the
-// order given (the state keeps both slices for a re-run), starts the
+// order given (the state copies both for a re-run), starts the
 // rank's BFS from roots — under a RemoteSolver also layer 0 of the rank
 // prefix, widened past need nodes, or with no roots every owned row —
 // and drives the residual to tolerance, honouring ctx and recording into
@@ -64,7 +64,7 @@ const maxSolves = 100000
 func (sx *ShardedIndex) runPush(ctx context.Context, tr *obs.QueryTrace, nodes []int, mass []float64, roots []int, need int) (*pushState, QueryStats, error) {
 	st := sx.getPushState()
 	st.ctx, st.tr = ctx, tr
-	st.nodes, st.mass = nodes, mass
+	st.nodes, st.mass = append(st.nodes, nodes...), append(st.mass, mass...)
 	if len(roots) > 0 {
 		// The roots (sorted, distinct) are layer 0 of the rank's BFS and
 		// of its prefix, which a coordinator widens to the fewest whole

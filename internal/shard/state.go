@@ -116,8 +116,8 @@ type pushState struct {
 	rhsIdx []int
 	rhsVal []float64
 
-	// The query's restart mass, mass[i] at nodes[i] (the caller's
-	// slices, held until release): a re-run seeds them again.
+	// The query's restart mass, mass[i] at nodes[i], copied from the
+	// caller so its slices need not escape: a re-run seeds them again.
 	nodes []int
 	mass  []float64
 
@@ -181,7 +181,7 @@ func newPushState(sx *ShardedIndex) *pushState {
 func (st *pushState) scratchBytes() int64 {
 	q, rep := &st.runReq, &st.runRep
 	n := int64(8*cap(st.res) + 8*cap(st.resMass) + int(unsafe.Sizeof(shardSolves{}))*cap(st.solves) +
-		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)) +
+		8*(cap(st.rhsIdx)+cap(st.rhsVal)+cap(st.roots)+cap(st.nodes)+cap(st.mass)) +
 		8*(cap(q.ResPtr)+cap(q.ResIdx)+cap(q.ResVal)+cap(q.PrePtr)+cap(q.PreRows)+cap(rep.Steps)+cap(rep.Ptr)+cap(rep.Vals)) +
 		int(unsafe.Sizeof(pendingAdd{}))*cap(st.pend))
 	if st.tree != nil {
@@ -910,7 +910,7 @@ func (st *pushState) release() {
 	st.resetPush()
 	st.pend = st.pend[:0]
 	st.tol = 0
-	st.nodes, st.mass = nil, nil
+	st.nodes, st.mass = st.nodes[:0], st.mass[:0]
 	st.roots = st.roots[:0]
 	st.plen = 0
 	st.ctx, st.tr, st.err = nil, nil, nil
