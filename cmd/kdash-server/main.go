@@ -320,13 +320,17 @@ func main() {
 		log.Printf("signal received, draining in-flight queries (up to %v)", *shutdownTimeout)
 		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Fatalf("shutdown: %v", err)
-		}
+		shutdownErr := srv.Shutdown(sctx)
 		// Drain the WAL memtable through one final compaction and close
-		// the log (a no-op outside WAL mode).
+		// the log (a no-op outside WAL mode), also when requests outlast
+		// the timeout and the process exits non-zero below.
 		if err := handler.Close(); err != nil {
 			log.Fatalf("wal close: %v", err)
+		} else if *walDir != "" {
+			log.Printf("drained the WAL memtable and closed the log")
+		}
+		if shutdownErr != nil {
+			log.Fatalf("shutdown: %v", shutdownErr)
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("serve: %v", err)

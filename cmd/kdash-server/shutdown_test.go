@@ -223,4 +223,42 @@ func TestSIGTERMDrains(t *testing.T) {
 			t.Errorf("profiles served without -debug-addr:\n%s", p.stderr)
 		}
 	})
+
+	// A drain that times out in durable mode still runs the final
+	// compaction and closes the log before the non-zero exit.
+	t.Run("timeout with -wal-dir", func(t *testing.T) {
+		addr := freeAddrs(t, 1)[0]
+		p := startServer(t, "-load-index", dir, "-addr", addr, "-wal-dir", t.TempDir(), "-shutdown-timeout", "1s")
+		waitHealthy(t, p, addr)
+		resp, err := http.Post("http://"+addr+"/update", "application/json", strings.NewReader(`{"addEdges":[{"from":1,"to":2,"weight":1.5}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("/update: status %d, want 202", resp.StatusCode)
+		}
+		stuck, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stuck.Close()
+		fmt.Fprint(stuck, head+body[:5]) // the rest never comes
+		time.Sleep(100 * time.Millisecond)
+		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-p.exited:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("still running 5 s after SIGTERM with -shutdown-timeout 1s:\n%s", p.stderr)
+		}
+		out := p.stderr.String()
+		if p.err == nil || !strings.Contains(out, "shutdown: context deadline exceeded") {
+			t.Errorf("exit %v, want a failed drain's non-zero exit:\n%s", p.err, out)
+		}
+		if !strings.Contains(out, "drained the WAL memtable and closed the log") {
+			t.Errorf("exited without closing the handler:\n%s", out)
+		}
+	})
 }
