@@ -4,7 +4,7 @@ package server
 // runs under (per-endpoint latency histograms, status-code counters, an
 // in-flight gauge, structured request logs), the opt-in per-query trace
 // surface (?trace=1 / X-Kdash-Trace), and the cancellation mapping.
-// The Prometheus exposition of these counters lives in metrics.go; the
+// /statz and /metrics report these counters (stats.go); the
 // metric and trace-schema reference in docs/OBSERVABILITY.md.
 
 import (
@@ -25,17 +25,19 @@ import (
 
 // endpointNames fixes the endpoints' order everywhere they are
 // enumerated (/statz latency block, /metrics exposition), so scrapes
-// are stable across processes.
+// are stable across processes. refused stands for the requests the
+// connection loop (serve.go) answers itself, before any endpoint runs.
 var endpointNames = []string{
 	"topk", "batch", "personalized", "proximity",
-	"update", "healthz", "statz", "metrics",
+	"update", "healthz", "statz", "metrics", "refused",
 }
 
-// statusCodes is every status the handler itself emits: 202 is a
+// statusCodes is every status the handler itself emits — 202 is a
 // logged /update's ack, 503 a query or update that found index data
-// unavailable. codeSlot folds any other code, which only net/http
-// itself would write, onto its class representative.
-var statusCodes = [...]int{200, 202, 400, 405, 499, 500, 503}
+// unavailable — then those the loop refuses with. codeSlot folds any
+// other code, which only net/http itself would write, onto its class
+// representative.
+var statusCodes = [...]int{200, 202, 400, 405, 499, 500, 503, 417, 431, 501, 505}
 
 func codeSlot(code int) int {
 	for i, c := range statusCodes {

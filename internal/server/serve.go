@@ -298,6 +298,7 @@ func (c *conn) serveRequest() bool {
 		w.continuePending = w.expectContinue
 	} else if expect != "" {
 		w.wantsClose = true
+		c.srv.countRefused(http.StatusExpectationFailed)
 		w.WriteHeader(http.StatusExpectationFailed)
 		c.finish(w)
 		return false
@@ -355,25 +356,38 @@ type statusError struct {
 func (e statusError) Error() string { return http.StatusText(e.code) + ": " + e.text }
 
 // replyReadError answers a request the loop could not read, with the
-// bytes net/http's server sends, or closes silently when the client
-// went away or timed out.
+// bytes net/http's server sends, and counts it; it closes silently,
+// counting nothing, when the client went away or timed out.
 func (c *conn) replyReadError(err error, tooLarge bool) {
 	const errorHeaders = "\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n"
 	var se statusError
 	switch {
 	case tooLarge:
+		c.srv.countRefused(http.StatusRequestHeaderFieldsTooLarge)
 		const publicErr = "431 Request Header Fields Too Large"
 		io.WriteString(c.rwc, "HTTP/1.1 "+publicErr+errorHeaders+publicErr)
 		c.closeWriteAndWait()
 	case strings.HasPrefix(err.Error(), "unsupported transfer encoding"):
 		const code = http.StatusNotImplemented
+		c.srv.countRefused(code)
 		fmt.Fprintf(c.rwc, "HTTP/1.1 %d %s%sUnsupported transfer encoding", code, http.StatusText(code), errorHeaders)
 	case isCommonNetReadError(err):
 	case errors.As(err, &se):
+		c.srv.countRefused(se.code)
 		fmt.Fprintf(c.rwc, "HTTP/1.1 %d %s: %s%s%d %s: %s", se.code, http.StatusText(se.code), se.text, errorHeaders, se.code, http.StatusText(se.code), se.text)
 	default:
+		c.srv.countRefused(http.StatusBadRequest)
 		const publicErr = "400 Bad Request"
 		io.WriteString(c.rwc, "HTTP/1.1 "+publicErr+errorHeaders+publicErr)
+	}
+}
+
+// countRefused counts a request the loop answers itself, under the
+// refused pseudo-endpoint of the kdash Handler it serves.
+func (s *Server) countRefused(code int) {
+	if h, ok := s.Handler.(*Handler); ok {
+		h.qRefused.Add(1)
+		h.endpoints["refused"].codes[codeSlot(code)].Add(1)
 	}
 }
 

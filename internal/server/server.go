@@ -11,17 +11,10 @@
 // recovered panics are 500, and both are counted separately in /statz so
 // operators can tell client noise from server trouble.
 //
-// /statz is the single observability surface: query/error/panic
-// counters, per-query work, update and cache statistics, how the index
-// was brought up (WithOpenInfo: open wall clock and mode), a
-// memory block (the OS resident set, index arrays by backing, the Go
-// heap; memory.go), a runtime block (scheduler latency, GC pause
-// time), and the engine's own typed shard.Statz document —
-// per-shard sizes and solves, which shard files traffic has actually
-// opened, and a coordinator's per-worker stats. The field-by-field
-// reference lives in README.md's Operations section;
-// docs/ARCHITECTURE.md covers the epoch-swap contract POST /update
-// relies on.
+// /statz (JSON) and /metrics (Prometheus text) report the same
+// statistics, each declared once in stats.go; docs/OBSERVABILITY.md is
+// the field-by-field reference, and docs/ARCHITECTURE.md covers the
+// epoch-swap contract POST /update relies on.
 package server
 
 import (
@@ -142,6 +135,7 @@ type Handler struct {
 	endpoints map[string]*endpointMetrics
 	inFlight  atomic.Int64
 	tracePool sync.Pool
+	stats     []stat // what /statz and /metrics report (stats.go)
 
 	// Cumulative counters, expvar-backed so they are atomic and cheap on
 	// the hot path. They are per-handler (not globally published): tests
@@ -156,6 +150,7 @@ type Handler struct {
 	qPanics       expvar.Int // recovered panics (also counted in qInternal)
 	qCancelled    expvar.Int // 499s: client went away mid-solve
 	qUnavailable  expvar.Int // 503s: a coordinator lost a worker mid-query
+	qRefused      expvar.Int // requests the connection loop refused before any endpoint
 	visited       expvar.Int
 	proxComps     expvar.Int
 	terminated    expvar.Int
@@ -231,6 +226,7 @@ func New(engine shard.Engine, opts ...Option) *Handler {
 	for _, name := range endpointNames {
 		h.endpoints[name] = &endpointMetrics{}
 	}
+	h.stats = h.declareStats()
 	for _, ep := range []struct {
 		path, name string
 		fn         endpoint
@@ -548,113 +544,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request, _ url.Values) {
 		"epoch":   st.epoch,
 		"build":   buildInfo(),
 	})
-}
-
-// statz handles GET /statz: cumulative query counters plus the engine's
-// own document (per-shard sizes, cut statistics and solves), so
-// operators can watch shard balance and pruning effectiveness in
-// production.
-func (h *Handler) statz(w http.ResponseWriter, r *http.Request, _ url.Values) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	st, wc := h.walSnap()
-	doc := map[string]interface{}{
-		"uptimeSeconds": time.Since(h.start).Seconds(),
-		"memory":        memoryStatz(st.engine.GraphBytes()),
-		"runtime":       readRuntimeStats().statz(),
-		"queries": map[string]int64{
-			"topk":         h.qTopK.Value(),
-			"personalized": h.qPers.Value(),
-			"proximity":    h.qProx.Value(),
-			"batch":        h.qBatch.Value(),
-			"batchQueries": h.qBatchQueries.Value(),
-			"errors":       h.qBadRequest.Value() + h.qInternal.Value(),
-			"badRequest":   h.qBadRequest.Value(),
-			"internal":     h.qInternal.Value(),
-			"panics":       h.qPanics.Value(),
-			"cancelled":    h.qCancelled.Value(),
-			"unavailable":  h.qUnavailable.Value(),
-			"inFlight":     h.inFlight.Load(), // includes this /statz request
-		},
-		"work": map[string]int64{
-			"visited":               h.visited.Value(),
-			"proximityComputations": h.proxComps.Value(),
-			"terminatedEarly":       h.terminated.Value(),
-		},
-		"updates": h.updatesStatz(st.epoch),
-		"index":   st.engine.Statz(),
-	}
-	if h.openMode != "" {
-		doc["load"] = map[string]interface{}{
-			"openSeconds": h.openTime.Seconds(),
-			"mode":        h.openMode,
-		}
-	}
-	if lat := h.latencyStatz(); len(lat) > 0 {
-		doc["latency"] = lat
-	}
-	if h.cache != nil {
-		entries, bytes, evictions := h.cache.stats()
-		doc["cache"] = map[string]int64{
-			"hits":      h.cacheHits.Value(),
-			"misses":    h.cacheMisses.Value(),
-			"entries":   int64(entries),
-			"bytes":     bytes,
-			"evictions": evictions,
-		}
-	}
-	if h.wals.log != nil {
-		doc["wal"] = h.walStatz(wc)
-	}
-	writeJSON(w, doc)
-}
-
-// updatesStatz is the /statz "updates" block: the update counters, then
-// the engine applies' count and cumulative wall time, then where that
-// time went — one <name>Ns key per updateStages entry.
-func (h *Handler) updatesStatz(epoch int) map[string]int64 {
-	applies := h.applyLat.Snapshot()
-	doc := map[string]int64{
-		"applied":           h.qUpdates.Value(),
-		"epoch":             int64(epoch),
-		"shardsRebuilt":     h.updShards.Value(),
-		"repartitions":      h.updReparts.Value(),
-		"edgeOps":           h.updEdges.Value(),
-		"nodesAdded":        h.updNodes.Value(),
-		"communitiesReused": h.updCommunities.Value(),
-		"columnsReused":     h.updColsReused.Value(),
-		"columnsSolved":     h.updColsSolved.Value(),
-		"unsupported":       0, // kept for dashboards: every served engine takes updates
-		"applies":           int64(applies.Count),
-		"applyNs":           applies.SumNS,
-	}
-	for i, stage := range updateStages {
-		doc[stage.name+"Ns"] = h.updStageNs[i].Value()
-	}
-	return doc
-}
-
-// latencyStatz summarises each endpoint's latency histogram for the
-// /statz "latency" block: request count, mean and tail quantiles in
-// microseconds. Endpoints that have served nothing are omitted.
-func (h *Handler) latencyStatz() map[string]interface{} {
-	lat := map[string]interface{}{}
-	for _, name := range endpointNames {
-		s := h.endpoints[name].lat.Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		lat[name] = map[string]interface{}{
-			"count":      s.Count,
-			"meanMicros": s.Mean() / 1e3,
-			"p50Micros":  s.Quantile(0.5) / 1e3,
-			"p99Micros":  s.Quantile(0.99) / 1e3,
-			"p999Micros": s.Quantile(0.999) / 1e3,
-		}
-	}
-	return lat
 }
 
 // respBufs recycles the buffers answer bodies are appended into.

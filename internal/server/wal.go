@@ -545,37 +545,6 @@ func (h *Handler) walSnap() (*engineState, walCounters) {
 	return h.snap(), ws.walCounters
 }
 
-// walStatz is the /statz "wal" block over counters walSnap captured.
-func (h *Handler) walStatz(c walCounters) map[string]interface{} {
-	ws := h.wals
-	waits := ws.barrierLat.Snapshot()
-	ls := ws.log.Stats()
-	return map[string]interface{}{
-		"ackedSeq":         c.ackedSeq,
-		"appliedSeq":       c.appliedSeq,
-		"pendingOps":       c.pendingOps,
-		"pendingBatches":   c.pendingBatches,
-		"acked":            c.acked,
-		"compactions":      c.compactions,
-		"applyErrors":      c.applyErrors,
-		"batchesDropped":   c.batchesDropped,
-		"replayedRecords":  c.replayed,
-		"snapshots":        c.snapshots,
-		"snapshotErrors":   c.snapshotErrors,
-		"fsyncPolicy":      ws.cfg.Sync.String(),
-		"barrierWaits":     waits.Count,
-		"barrierWaitNs":    waits.SumNS,
-		"lastSeq":          ls.LastSeq,
-		"segments":         ls.Segments,
-		"bytes":            ls.Bytes,
-		"appends":          ls.Appends,
-		"fsyncs":           ls.Fsyncs,
-		"rotations":        ls.Rotations,
-		"tornBytesDropped": ls.TornBytesDropped,
-		"segmentsCorrupt":  ls.SegmentsCorrupt,
-	}
-}
-
 // Close stops the compactor (draining the memtable once more) and
 // closes the log. A no-op without a log; safe to call once.
 func (h *Handler) Close() error {
