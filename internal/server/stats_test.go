@@ -5,8 +5,12 @@ package server
 import (
 	"encoding/json"
 	"net"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"kdash/internal/obs"
 )
@@ -82,5 +86,64 @@ func TestLoopRefusedRequestsCounted(t *testing.T) {
 	}
 	if queries["refused"] != 6 {
 		t.Errorf("/statz queries.refused = %d, want 6", queries["refused"])
+	}
+}
+
+// TestObservabilityDocCoversStats holds docs/OBSERVABILITY.md to the
+// declarations: every declared series and every /statz key a durable,
+// cached server reports is named there, and every kdash_* series the
+// page names is declared (a histogram's _bucket, _sum and _count
+// included).
+func TestObservabilityDocCoversStats(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(blob)
+	declared, keys := map[string]bool{}, map[string]bool{}
+	for _, s := range (&Handler{}).declareStats() {
+		if s.name != "" {
+			declared[s.name] = true
+		}
+		if s.key != "" && s.block != "" {
+			keys[s.block+"."+s.key] = true
+		} else if s.key != "" {
+			keys[s.key] = true
+		}
+	}
+	h := durableHandler(t, goldenEngine(t), WALConfig{Dir: t.TempDir()}, WithCache(8), WithOpenInfo(time.Second, "parse"))
+	_, body := get(t, h, "/statz")
+	for block, raw := range body {
+		var m map[string]json.RawMessage
+		switch {
+		case block == "index" || block == "latency": // the engine's typed document; one entry per endpoint
+		case json.Unmarshal(raw, &m) != nil:
+			keys[block] = true
+		default:
+			for k := range m {
+				keys[block+"."+k] = true
+			}
+		}
+	}
+	for name := range declared {
+		if !strings.Contains(doc, "`"+name) {
+			t.Errorf("docs/OBSERVABILITY.md does not name the series %s", name)
+		}
+	}
+	for key := range keys {
+		if !strings.Contains(doc, "`"+key+"`") {
+			t.Errorf("docs/OBSERVABILITY.md does not name the /statz key %s", key)
+		}
+	}
+	for _, name := range regexp.MustCompile(`kdash_[a-z0-9_]+`).FindAllString(doc, -1) {
+		base := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, suffix); ok && declared[b] {
+				base = b
+			}
+		}
+		if !declared[base] {
+			t.Errorf("docs/OBSERVABILITY.md names %s, which no statistic declares", name)
+		}
 	}
 }
