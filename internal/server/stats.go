@@ -284,9 +284,8 @@ func writeHitRatio(pw *obs.PromWriter, s *stat, r *reading) {
 	}
 }
 
-// writeMetrics writes the series of the stats whose block r reports,
-// each declared sample's value from value.
-func writeMetrics(pw *obs.PromWriter, stats []stat, r *reading, value func(*stat) float64) {
+// writeMetrics writes the series of the stats whose block r reports.
+func writeMetrics(pw *obs.PromWriter, stats []stat, r *reading) {
 	family := ""
 	for i := range stats {
 		s := &stats[i]
@@ -313,7 +312,7 @@ func writeMetrics(pw *obs.PromWriter, stats []stat, r *reading, value func(*stat
 			if name, val, ok := strings.Cut(s.label, "="); ok {
 				labels = []obs.Label{{Name: name, Value: val}}
 			}
-			v := value(s)
+			v := s.value(r)
 			if s.scale == nanos {
 				v /= 1e9
 			}
@@ -331,7 +330,7 @@ func (h *Handler) metrics(w http.ResponseWriter, req *http.Request, _ url.Values
 	r := h.read()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
-	writeMetrics(pw, h.stats, r, func(s *stat) float64 { return s.value(r) })
+	writeMetrics(pw, h.stats, r)
 	_ = pw.Err() // headers are sent; a broken scrape connection has no recourse
 }
 

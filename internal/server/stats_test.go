@@ -30,7 +30,12 @@ func memoryStatz(graphSealed, graphHeap int64) map[string]int64 {
 // writeMemoryMetrics writes the memory block's declared series with the
 // values mem gives their keys, for TestMemoryBlockGolden.
 func writeMemoryMetrics(pw *obs.PromWriter, mem map[string]int64) {
-	writeMetrics(pw, memoryStats(), &reading{h: &Handler{}}, func(s *stat) float64 { return float64(mem[s.key]) })
+	stats := memoryStats()
+	for i := range stats {
+		key := stats[i].key
+		stats[i].v = func(*reading) float64 { return float64(mem[key]) }
+	}
+	writeMetrics(pw, stats, &reading{h: &Handler{}})
 }
 
 // memoryStats are the declarations of the memory block.
